@@ -39,3 +39,33 @@ func Example() {
 	fmt.Printf("total=%v account3=%v\n", total, rec[1].F)
 	// Output: total=600 account3=250
 }
+
+// ExampleTable_Execute answers two dashboard cuts over one column from
+// one shared scan, then probes the result cache for one of them.
+func ExampleTable_Execute() {
+	db := hybridstore.Open(hybridstore.Options{
+		ResultCache: hybridstore.ResultCacheOptions{Cap: 1 << 20},
+	})
+	sch, _ := hybridstore.NewSchema(
+		hybridstore.Int64Attr("id"),
+		hybridstore.Float64Attr("balance"),
+	)
+	accounts, _ := db.CreateTable("accounts", sch)
+	defer accounts.Free()
+	for i := int64(0); i < 4; i++ {
+		accounts.Insert(hybridstore.Record{
+			hybridstore.IntValue(i), hybridstore.FloatValue(float64(100 * i)),
+		})
+	}
+
+	over := hybridstore.Plan{Op: "sum_where", Col: 1, Pred: hybridstore.GtFloat(100)}
+	mid := hybridstore.Plan{Op: "sum_where", Col: 1, Pred: hybridstore.BetweenFloat(50, 250)}
+	res, _ := accounts.Execute([]hybridstore.Plan{over, mid})
+	fmt.Println(res[0].Sum, res[0].Count, res[1].Sum, res[1].Count)
+
+	cached, ok := accounts.Peek(over)
+	fmt.Println(cached.Sum, ok)
+	// Output:
+	// 500 2 300 2
+	// 500 true
+}

@@ -300,31 +300,69 @@ func (t *Table) Rows() uint64 { return t.t.Rows() }
 // Insert appends a record and returns its position.
 func (t *Table) Insert(rec Record) (uint64, error) { return t.t.Insert(rec) }
 
-// Get materializes the record at the given position.
-func (t *Table) Get(row uint64) (Record, error) { return t.t.Get(row) }
-
 // Update overwrites one field through a single-operation transaction.
 func (t *Table) Update(row uint64, col int, v Value) error { return t.t.Update(row, col, v) }
-
-// SumFloat64 aggregates a float64 attribute over an MVCC snapshot.
-func (t *Table) SumFloat64(col int) (float64, error) { return t.t.SumFloat64(col) }
 
 // Materialize resolves a sorted position list to full records.
 func (t *Table) Materialize(positions []uint64) ([]Record, error) {
 	return t.t.Materialize(positions)
 }
 
-// FloatPred and IntPred are sargable predicates over float64 and int64
-// attributes: equality, open ranges and closed intervals. Engines
-// evaluate them with specialized fused scan kernels and use per-fragment
-// zone maps to skip fragments whose value envelope cannot match.
+// Plan describes one read — Op is "get", "sum", "sum_where",
+// "group_sum" or "group_sum_where"; Col the aggregated float64 column;
+// KeyCol the integer grouping column of the group kinds; Pred the
+// predicate of the *_where kinds; Row the position of a get — and
+// Result is its answer (Sum and Count, Groups, or Rec, by kind). The
+// same value travels from the serving layer's wire parser to the
+// engine unchanged; normalized, it is also the result-cache key.
 type (
-	FloatPred = exec.Pred[float64]
-	IntPred   = exec.Pred[int64]
+	Plan   = exec.Plan
+	Result = exec.Result
 )
 
+// Execute is the table's one read entry: it answers any number of plans
+// of one shape (same Op, Col and KeyCol — only predicates or rows
+// differ) from a single pass over the storage — one lock acquisition,
+// one MVCC snapshot, host fragments streamed once for all predicates,
+// device gathers charged per chunk instead of per row. Result k is
+// exactly what executing plans[k] alone would return against that
+// snapshot; the serving layer's batching scheduler collapses concurrent
+// compatible requests into this call, and every named aggregate method
+// below is the one-plan case of it (the engine builds the plan its name
+// describes).
+func (t *Table) Execute(plans []Plan) ([]Result, error) { return t.t.Execute(plans) }
+
+// Peek consults the result cache WITHOUT executing anything: ok=false
+// means disabled, unanswerable from the cache, or simply absent — run
+// Execute. It is the serving layer's pre-admission fast path and a
+// valid linearization: a hit's version stamp matches the live fragment
+// state at probe time.
+func (t *Table) Peek(p Plan) (Result, bool) { return t.t.Peek(p) }
+
+// Get materializes the record at the given position.
+func (t *Table) Get(row uint64) (Record, error) { return t.t.Get(row) }
+
+// GetByPK answers the paper's query Q1 — SELECT * FROM R WHERE pk = c —
+// through the primary-key hash index over attribute 0 (which must be an
+// int64; primary keys are immutable once indexed).
+func (t *Table) GetByPK(pk int64) (Record, error) { return t.t.GetByPK(pk) }
+
+// LookupPK resolves a primary key to its row position.
+func (t *Table) LookupPK(pk int64) (uint64, bool) { return t.t.LookupPK(pk) }
+
+// SumFloat64 aggregates a float64 attribute over an MVCC snapshot.
+func (t *Table) SumFloat64(col int) (float64, error) {
+	return t.t.SumFloat64(col)
+}
+
+// FloatPred is a sargable predicate over a float64 attribute: equality,
+// open ranges and closed intervals. The engine evaluates it with
+// specialized fused scan kernels and uses per-fragment zone maps to
+// skip fragments whose value envelope cannot match.
+type FloatPred = exec.Pred[float64]
+
 // Predicate constructors. The generic exec constructors are wrapped at
-// concrete types so callers never need type arguments.
+// a concrete type so callers never need type arguments.
 
 // EqFloat matches x == v.
 func EqFloat(v float64) FloatPred { return exec.Eq(v) }
@@ -338,18 +376,6 @@ func GtFloat(v float64) FloatPred { return exec.Gt(v) }
 // BetweenFloat matches lo <= x <= hi.
 func BetweenFloat(lo, hi float64) FloatPred { return exec.Between(lo, hi) }
 
-// EqInt matches x == v.
-func EqInt(v int64) IntPred { return exec.Eq(v) }
-
-// LtInt matches x < v.
-func LtInt(v int64) IntPred { return exec.Lt(v) }
-
-// GtInt matches x > v.
-func GtInt(v int64) IntPred { return exec.Gt(v) }
-
-// BetweenInt matches lo <= x <= hi.
-func BetweenInt(lo, hi int64) IntPred { return exec.Between(lo, hi) }
-
 // SumFloat64Where computes SELECT SUM(col), COUNT(*) WHERE p over an
 // MVCC snapshot with one fused filter+aggregate pass, skipping fragments
 // whose zone maps rule the predicate out (device-resident fragments are
@@ -362,16 +388,6 @@ func (t *Table) SumFloat64Where(col int, p FloatPred) (float64, int64, error) {
 // pruned fused pass.
 func (t *Table) CountWhereFloat64(col int, p FloatPred) (int64, error) {
 	return t.t.CountWhereFloat64(col, p)
-}
-
-// SumFloat64WhereMulti answers one SumFloat64Where per predicate from a
-// single shared pass over the column: one MVCC snapshot, one walk of the
-// storage, host fragments streamed once for all predicates. Result k is
-// exactly SumFloat64Where(col, preds[k]) against that snapshot — the
-// serving layer's batching scheduler collapses concurrent compatible
-// queries into this call.
-func (t *Table) SumFloat64WhereMulti(col int, preds []FloatPred) ([]float64, []int64, error) {
-	return t.t.SumFloat64WhereMulti(col, preds)
 }
 
 // GroupResult is one group of a grouped aggregation.
@@ -393,44 +409,6 @@ func (t *Table) GroupSumFloat64(keyCol, valCol int) ([]GroupResult, error) {
 // results come back sorted by key.
 func (t *Table) GroupBySumWhere(keyCol, valCol int, p FloatPred) ([]GroupResult, error) {
 	return t.t.GroupSumFloat64Where(keyCol, valCol, p)
-}
-
-// GetByPK answers the paper's query Q1 — SELECT * FROM R WHERE pk = c —
-// through the primary-key hash index over attribute 0 (which must be an
-// int64; primary keys are immutable once indexed).
-func (t *Table) GetByPK(pk int64) (Record, error) { return t.t.GetByPK(pk) }
-
-// LookupPK resolves a primary key to its row position.
-func (t *Table) LookupPK(pk int64) (uint64, bool) { return t.t.LookupPK(pk) }
-
-// GetMulti materializes many rows from one MVCC snapshot, bit-identical
-// to one Get per row against that snapshot but with one lock
-// acquisition and device gathers charged per chunk instead of per row —
-// the storage half of the serving layer's point-read fan-in.
-func (t *Table) GetMulti(rowIDs []uint64) ([]Record, error) { return t.t.GetMulti(rowIDs) }
-
-// The Cached* methods consult the result cache WITHOUT executing
-// anything: ok=false means disabled, unanswerable from the cache, or
-// simply absent — run the real query. They are the serving layer's
-// pre-admission fast path and are valid linearizations: a hit's
-// version stamp matches the live fragment state at probe time.
-
-// CachedGet answers Get(row) from the result cache only.
-func (t *Table) CachedGet(row uint64) (Record, bool) { return t.t.CachedGet(row) }
-
-// CachedSumFloat64 answers SumFloat64(col) from the result cache only.
-func (t *Table) CachedSumFloat64(col int) (float64, bool) { return t.t.CachedSumFloat64(col) }
-
-// CachedSumFloat64Where answers SumFloat64Where(col, p) from the result
-// cache only; CountWhereFloat64 shares the entry (second return).
-func (t *Table) CachedSumFloat64Where(col int, p FloatPred) (float64, int64, bool) {
-	return t.t.CachedSumFloat64Where(col, p)
-}
-
-// CachedGroupBySumWhere answers GroupBySumWhere from the result cache
-// only.
-func (t *Table) CachedGroupBySumWhere(keyCol, valCol int, p FloatPred) ([]GroupResult, bool) {
-	return t.t.CachedGroupSumFloat64Where(keyCol, valCol, p)
 }
 
 // Begin opens a snapshot-isolated multi-operation transaction.

@@ -387,108 +387,46 @@ func (c *Column) ForEach(fn func(i int, el []byte)) {
 	}
 }
 
-// SumFloat64 aggregates an 8-byte IEEE-754 column without materializing;
-// RLE multiplies run values by their lengths.
-func (c *Column) SumFloat64() (float64, error) {
-	if c.size != 8 {
-		return 0, fmt.Errorf("%w: float64 sum over %d-byte elements", ErrBadInput, c.size)
+// Sum aggregates an 8-byte column without materializing: RLE multiplies
+// run values by their lengths, Dict weights each dictionary entry by its
+// code frequency, FOR and Raw decode elementwise.
+func Sum[T Number](c *Column) (T, error) {
+	if err := c.errNot8("sum"); err != nil {
+		return 0, err
 	}
+	var sum T
 	switch c.enc {
 	case RLE:
-		var sum float64
 		start := uint32(0)
 		for k, end := range c.runEnds {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(c.runVals[k*8:]))
-			sum += v * float64(end-start)
+			sum += elem[T](c.runVals[k*8:]) * T(end-start)
 			start = end
 		}
-		return sum, nil
-	case Raw:
-		var sum float64
-		for i := 0; i < c.n; i++ {
-			sum += math.Float64frombits(binary.LittleEndian.Uint64(c.raw[i*8:]))
-		}
-		return sum, nil
 	case Dict:
-		// Sum per dictionary code, then weight by code frequency.
 		counts := make([]int, len(c.dict)/8)
 		for _, code := range c.codes {
 			counts[code]++
 		}
-		var sum float64
 		for code, n := range counts {
-			sum += math.Float64frombits(binary.LittleEndian.Uint64(c.dict[code*8:])) * float64(n)
+			sum += elem[T](c.dict[code*8:]) * T(n)
 		}
-		return sum, nil
 	case FOR:
-		var sum float64
 		for i := 0; i < c.n; i++ {
-			sum += math.Float64frombits(uint64(c.base + int64(c.delta(i))))
+			sum += fromBits[T](uint64(c.base + int64(c.delta(i))))
 		}
-		return sum, nil
 	default:
-		var sum float64
-		var tmp [8]byte
 		for i := 0; i < c.n; i++ {
-			if _, err := c.At(i, tmp[:]); err != nil {
-				return 0, err
-			}
-			sum += math.Float64frombits(binary.LittleEndian.Uint64(tmp[:]))
+			sum += elem[T](c.raw[i*8:])
 		}
-		return sum, nil
 	}
+	return sum, nil
 }
 
-// SumInt64 aggregates an 8-byte integer column; FOR sums deltas against
-// the frame base without decoding each element to full width.
-func (c *Column) SumInt64() (int64, error) {
-	if c.size != 8 {
-		return 0, fmt.Errorf("%w: int64 sum over %d-byte elements", ErrBadInput, c.size)
-	}
-	switch c.enc {
-	case FOR:
-		var ds uint64
-		for i := 0; i < c.n; i++ {
-			ds += c.delta(i)
-		}
-		return c.base*int64(c.n) + int64(ds), nil
-	case RLE:
-		var sum int64
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			v := int64(binary.LittleEndian.Uint64(c.runVals[k*8:]))
-			sum += v * int64(end-start)
-			start = end
-		}
-		return sum, nil
-	case Raw:
-		var sum int64
-		for i := 0; i < c.n; i++ {
-			sum += int64(binary.LittleEndian.Uint64(c.raw[i*8:]))
-		}
-		return sum, nil
-	case Dict:
-		counts := make([]int, len(c.dict)/8)
-		for _, code := range c.codes {
-			counts[code]++
-		}
-		var sum int64
-		for code, n := range counts {
-			sum += int64(binary.LittleEndian.Uint64(c.dict[code*8:])) * int64(n)
-		}
-		return sum, nil
-	default:
-		var sum int64
-		var tmp [8]byte
-		for i := 0; i < c.n; i++ {
-			if _, err := c.At(i, tmp[:]); err != nil {
-				return 0, err
-			}
-			sum += int64(binary.LittleEndian.Uint64(tmp[:]))
-		}
-		return sum, nil
-	}
-}
+// SumFloat64 is Sum over an 8-byte IEEE-754 column.
+func (c *Column) SumFloat64() (float64, error) { return Sum[float64](c) }
+
+// SumInt64 is Sum over an 8-byte integer column (exact mod 2^64).
+func (c *Column) SumInt64() (int64, error) { return Sum[int64](c) }
 
 // String summarizes the column.
 func (c *Column) String() string {

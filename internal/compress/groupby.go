@@ -13,9 +13,6 @@ import (
 //     then streams the run's elements through the key column,
 //   - Dict pre-filters the ≤256-entry dictionary into a code bitset and
 //     a decoded value table, then tests one bit per element,
-//   - FOR (integers) compares narrow deltas against delta-domain bounds
-//     and accumulates per-group delta sums, reconstructing each group's
-//     total with the closed-form bias base·count at the end,
 //   - Raw degenerates to the plain fused loop.
 //
 // The value column is the compressed one; group keys come from the
@@ -47,7 +44,7 @@ func (c *Column) GroupSumFloat64Where(p Pred[float64], keyAt func(i int) int64, 
 		var bits codeBits
 		var vals [256]float64
 		for code := 0; code < len(c.dict)/8; code++ {
-			v := c.dictFloat64(code)
+			v := elem[float64](c.dict[code*8:])
 			vals[code] = v
 			if p.Match(v) {
 				bits.set(code)
@@ -68,171 +65,6 @@ func (c *Column) GroupSumFloat64Where(p Pred[float64], keyAt func(i int) int64, 
 		for i := 0; i < c.n; i++ {
 			if x := math.Float64frombits(binary.LittleEndian.Uint64(c.raw[i*8:])); p.Match(x) {
 				add(keyAt(i), x)
-			}
-		}
-	}
-	return nil
-}
-
-// GroupSumInt64Where streams SUM/COUNT partials per group over an
-// 8-byte integer column. emit receives per-group partial (sum, count)
-// pairs; integer addition is exact mod 2^64, so FOR accumulates in the
-// delta domain and emits each group once with the closed-form bias
-// base·count folded in, while the other encodings emit per element.
-func (c *Column) GroupSumInt64Where(p Pred[int64], keyAt func(i int) int64, emit func(key, sum, count int64)) error {
-	if err := c.errNot8("int64 group-sum-where"); err != nil {
-		return err
-	}
-	switch c.enc {
-	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			v := int64(binary.LittleEndian.Uint64(c.runVals[k*8:]))
-			if p.Match(v) {
-				for i := start; i < end; i++ {
-					emit(keyAt(int(i)), v, 1)
-				}
-			}
-			start = end
-		}
-	case Dict:
-		var bits codeBits
-		var vals [256]int64
-		for code := 0; code < len(c.dict)/8; code++ {
-			v := c.dictInt64(code)
-			vals[code] = v
-			if p.Match(v) {
-				bits.set(code)
-			}
-		}
-		for i, code := range c.codes {
-			if bits.has(code) {
-				emit(keyAt(i), vals[code], 1)
-			}
-		}
-	case FOR:
-		dLo, dHi, ok := c.forDeltaBounds(p)
-		if !ok {
-			return nil
-		}
-		type acc struct {
-			ds uint64
-			n  int64
-		}
-		groups := make(map[int64]*acc)
-		for i := 0; i < c.n; i++ {
-			if d := c.delta(i); dLo <= d && d <= dHi {
-				key := keyAt(i)
-				g := groups[key]
-				if g == nil {
-					g = &acc{}
-					groups[key] = g
-				}
-				g.ds += d
-				g.n++
-			}
-		}
-		for key, g := range groups {
-			emit(key, c.base*g.n+int64(g.ds), g.n)
-		}
-	default:
-		for i := 0; i < c.n; i++ {
-			if x := int64(binary.LittleEndian.Uint64(c.raw[i*8:])); p.Match(x) {
-				emit(keyAt(i), x, 1)
-			}
-		}
-	}
-	return nil
-}
-
-// GroupCountWhereFloat64 streams COUNT partials per group over an
-// 8-byte IEEE-754 column: hit fires once per matching element.
-func (c *Column) GroupCountWhereFloat64(p Pred[float64], keyAt func(i int) int64, hit func(key int64)) error {
-	if err := c.errNot8("float64 group-count-where"); err != nil {
-		return err
-	}
-	switch c.enc {
-	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			if p.Match(math.Float64frombits(binary.LittleEndian.Uint64(c.runVals[k*8:]))) {
-				for i := start; i < end; i++ {
-					hit(keyAt(int(i)))
-				}
-			}
-			start = end
-		}
-	case Dict:
-		var bits codeBits
-		for code := 0; code < len(c.dict)/8; code++ {
-			if p.Match(c.dictFloat64(code)) {
-				bits.set(code)
-			}
-		}
-		for i, code := range c.codes {
-			if bits.has(code) {
-				hit(keyAt(i))
-			}
-		}
-	case FOR:
-		for i := 0; i < c.n; i++ {
-			if p.Match(math.Float64frombits(uint64(c.base + int64(c.delta(i))))) {
-				hit(keyAt(i))
-			}
-		}
-	default:
-		for i := 0; i < c.n; i++ {
-			if p.Match(math.Float64frombits(binary.LittleEndian.Uint64(c.raw[i*8:]))) {
-				hit(keyAt(i))
-			}
-		}
-	}
-	return nil
-}
-
-// GroupCountWhereInt64 is GroupCountWhereFloat64 for integer columns;
-// FOR compares narrow deltas against the rewritten delta bounds.
-func (c *Column) GroupCountWhereInt64(p Pred[int64], keyAt func(i int) int64, hit func(key int64)) error {
-	if err := c.errNot8("int64 group-count-where"); err != nil {
-		return err
-	}
-	switch c.enc {
-	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			if p.Match(int64(binary.LittleEndian.Uint64(c.runVals[k*8:]))) {
-				for i := start; i < end; i++ {
-					hit(keyAt(int(i)))
-				}
-			}
-			start = end
-		}
-	case Dict:
-		var bits codeBits
-		for code := 0; code < len(c.dict)/8; code++ {
-			if p.Match(c.dictInt64(code)) {
-				bits.set(code)
-			}
-		}
-		for i, code := range c.codes {
-			if bits.has(code) {
-				hit(keyAt(i))
-			}
-		}
-	case FOR:
-		dLo, dHi, ok := c.forDeltaBounds(p)
-		if !ok {
-			return nil
-		}
-		for i := 0; i < c.n; i++ {
-			if d := c.delta(i); dLo <= d && d <= dHi {
-				hit(keyAt(i))
-			}
-		}
-	default:
-		for i := 0; i < c.n; i++ {
-			if p.Match(int64(binary.LittleEndian.Uint64(c.raw[i*8:]))) {
-				hit(keyAt(i))
 			}
 		}
 	}

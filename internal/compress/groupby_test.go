@@ -131,111 +131,3 @@ func TestGroupSumFloat64WhereAllEncodings(t *testing.T) {
 		}
 	}
 }
-
-func TestGroupSumInt64WhereAllEncodings(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 2048
-	vals := make([]int64, n)
-	keys := make([]int64, n)
-	for i := range vals {
-		vals[i] = 1_000_000 + int64(rng.Intn(200)) // narrow range → FOR applies
-		keys[i] = int64(rng.Intn(6))
-	}
-	data := encodeInts(vals)
-	p := Pred[int64]{Op: OpGT, Lo: 1_000_050}
-	wantSums := make(map[int64]int64)
-	wantCounts := make(map[int64]int64)
-	for i, v := range vals {
-		if p.Match(v) {
-			wantSums[keys[i]] += v
-			wantCounts[keys[i]]++
-		}
-	}
-	keyAt := func(i int) int64 { return keys[i] }
-	for _, enc := range []Encoding{Raw, RLE, Dict, FOR} {
-		c, err := CompressAs(enc, data, n, 8)
-		if err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		gotSums := make(map[int64]int64)
-		gotCounts := make(map[int64]int64)
-		err = c.GroupSumInt64Where(p, keyAt, func(key, sum, count int64) {
-			gotSums[key] += sum
-			gotCounts[key] += count
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		if len(gotSums) != len(wantSums) {
-			t.Fatalf("%v: %d groups, want %d", enc, len(gotSums), len(wantSums))
-		}
-		for k, want := range wantSums {
-			if gotSums[k] != want {
-				t.Fatalf("%v: group %d sum = %d, want %d", enc, k, gotSums[k], want)
-			}
-			if gotCounts[k] != wantCounts[k] {
-				t.Fatalf("%v: group %d count = %d, want %d", enc, k, gotCounts[k], wantCounts[k])
-			}
-		}
-	}
-}
-
-func TestGroupCountWhereAllEncodings(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	n := 1024
-	fvals := make([]float64, n)
-	ivals := make([]int64, n)
-	keys := make([]int64, n)
-	for i := range fvals {
-		fvals[i] = float64(rng.Intn(30))
-		ivals[i] = 500 + int64(rng.Intn(100))
-		keys[i] = int64(rng.Intn(4))
-	}
-	keyAt := func(i int) int64 { return keys[i] }
-
-	fp := Pred[float64]{Op: OpLT, Hi: 10}
-	wantF := make(map[int64]int64)
-	for i, v := range fvals {
-		if fp.Match(v) {
-			wantF[keys[i]]++
-		}
-	}
-	for _, enc := range []Encoding{Raw, RLE, Dict} {
-		c, err := CompressAs(enc, encodeFloats(fvals), n, 8)
-		if err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		got := make(map[int64]int64)
-		if err := c.GroupCountWhereFloat64(fp, keyAt, func(key int64) { got[key]++ }); err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		for k, want := range wantF {
-			if got[k] != want {
-				t.Fatalf("%v: float group %d count = %d, want %d", enc, k, got[k], want)
-			}
-		}
-	}
-
-	ip := Pred[int64]{Op: OpEQ, Lo: 550}
-	wantI := make(map[int64]int64)
-	for i, v := range ivals {
-		if ip.Match(v) {
-			wantI[keys[i]]++
-		}
-	}
-	for _, enc := range []Encoding{Raw, RLE, Dict, FOR} {
-		c, err := CompressAs(enc, encodeInts(ivals), n, 8)
-		if err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		got := make(map[int64]int64)
-		if err := c.GroupCountWhereInt64(ip, keyAt, func(key int64) { got[key]++ }); err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		for k, want := range wantI {
-			if got[k] != want {
-				t.Fatalf("%v: int group %d count = %d, want %d", enc, k, got[k], want)
-			}
-		}
-	}
-}

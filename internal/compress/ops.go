@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // This file holds the compressed-domain operators: sargable predicate
@@ -17,11 +18,12 @@ import (
 //     domain and compares narrow deltas without reconstructing values,
 //   - Raw degenerates to the plain fused scan.
 //
-// Float64 accumulation deliberately stays element-ordered (a run value
-// is added run-length times, not multiplied) so results are
-// bit-identical to decompressing and running the executor's fused
-// kernels; int64 arithmetic is exact mod 2^64, so closed forms are used
-// where available.
+// Each operator body is written once over Number. Float64 accumulation
+// deliberately stays element-ordered (a run value is added run-length
+// times, not multiplied) so results are bit-identical to decompressing
+// and running the executor's fused kernels; int64 arithmetic is exact
+// mod 2^64, so the closed forms that pay — a run's value times its
+// length, FOR delta sums against the frame base — are used there.
 
 // Op mirrors the executor's sargable comparison vocabulary. The package
 // cannot import internal/exec (exec imports compress), so the enum
@@ -41,9 +43,23 @@ const (
 	OpBetween
 )
 
+// Number is the element domain of the numeric operators (exec.Number's
+// twin).
+type Number interface {
+	int64 | float64
+}
+
+// elem decodes the little-endian 8-byte field at b[0:8] as T.
+func elem[T Number](b []byte) T { return fromBits[T](binary.LittleEndian.Uint64(b)) }
+
+// fromBits reinterprets an 8-byte pattern as T. Both members of Number
+// are 8 bytes wide, so this is a plain register move (a type switch here
+// costs a dictionary lookup per element).
+func fromBits[T Number](u uint64) T { return *(*T)(unsafe.Pointer(&u)) }
+
 // Pred is a sargable predicate over one 8-byte numeric column, the
 // compressed-domain twin of exec.Pred.
-type Pred[T int64 | float64] struct {
+type Pred[T Number] struct {
 	// Op is the comparison.
 	Op Op
 	// Lo is the lower/equality bound (OpEQ, OpGT, OpBetween).
@@ -74,16 +90,6 @@ type codeBits [4]uint64
 func (b *codeBits) set(code int)       { b[code>>6] |= 1 << (code & 63) }
 func (b *codeBits) has(code byte) bool { return b[code>>6]&(1<<(code&63)) != 0 }
 
-// dictFloat64 decodes dictionary entry code.
-func (c *Column) dictFloat64(code int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.dict[code*8:]))
-}
-
-// dictInt64 decodes dictionary entry code.
-func (c *Column) dictInt64(code int) int64 {
-	return int64(binary.LittleEndian.Uint64(c.dict[code*8:]))
-}
-
 // errNot8 rejects non-8-byte columns from the numeric operators.
 func (c *Column) errNot8(what string) error {
 	if c.size != 8 {
@@ -92,37 +98,33 @@ func (c *Column) errNot8(what string) error {
 	return nil
 }
 
-// SumFloat64Where computes SUM(x), COUNT(*) WHERE p over an 8-byte
-// IEEE-754 column in the compressed domain. Results are bit-identical
-// to decompressing and summing elementwise in order.
-func (c *Column) SumFloat64Where(p Pred[float64]) (float64, int64, error) {
-	if err := c.errNot8("float64 sum-where"); err != nil {
+// SumWhere computes SUM(x), COUNT(*) WHERE p over an 8-byte column in
+// the compressed domain. Float64 results are bit-identical to
+// decompressing and summing elementwise in order; int64 results are
+// exact mod 2^64.
+func SumWhere[T Number](c *Column, p Pred[T]) (T, int64, error) {
+	if err := c.errNot8("sum-where"); err != nil {
 		return 0, 0, err
 	}
-	var sum float64
+	var sum T
 	var n int64
 	switch c.enc {
 	case RLE:
-		// One predicate evaluation per run; the matching value is still
-		// accumulated once per element so float ordering is preserved.
+		// One predicate evaluation per run.
 		start := uint32(0)
 		for k, end := range c.runEnds {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(c.runVals[k*8:]))
-			if p.Match(v) {
-				for i := start; i < end; i++ {
-					sum += v
-				}
+			if v := elem[T](c.runVals[k*8:]); p.Match(v) {
+				sum = addRun(sum, v, end-start)
 				n += int64(end - start)
 			}
 			start = end
 		}
 	case Dict:
 		var bits codeBits
-		var vals [256]float64
+		var vals [256]T
 		for code := 0; code < len(c.dict)/8; code++ {
-			v := c.dictFloat64(code)
-			vals[code] = v
-			if p.Match(v) {
+			vals[code] = elem[T](c.dict[code*8:])
+			if p.Match(vals[code]) {
 				bits.set(code)
 			}
 		}
@@ -133,17 +135,33 @@ func (c *Column) SumFloat64Where(p Pred[float64]) (float64, int64, error) {
 			}
 		}
 	case FOR:
-		// FOR frames the value's bit pattern; IEEE ordering is unrelated
+		if ip, ok := any(p).(Pred[int64]); ok {
+			// Integers compare narrow deltas against the bounds rewritten
+			// into the delta domain, without reconstructing values.
+			dLo, dHi, ok := c.forDeltaBounds(ip)
+			if !ok {
+				return 0, 0, nil
+			}
+			var ds uint64
+			for i := 0; i < c.n; i++ {
+				if d := c.delta(i); dLo <= d && d <= dHi {
+					ds += d
+					n++
+				}
+			}
+			return T(c.base*n + int64(ds)), n, nil
+		}
+		// FOR frames a float's bit pattern; IEEE ordering is unrelated
 		// to delta ordering, so floats decode elementwise.
 		for i := 0; i < c.n; i++ {
-			if x := math.Float64frombits(uint64(c.base + int64(c.delta(i)))); p.Match(x) {
+			if x := fromBits[T](uint64(c.base + int64(c.delta(i)))); p.Match(x) {
 				sum += x
 				n++
 			}
 		}
 	default:
 		for i := 0; i < c.n; i++ {
-			if x := math.Float64frombits(binary.LittleEndian.Uint64(c.raw[i*8:])); p.Match(x) {
+			if x := elem[T](c.raw[i*8:]); p.Match(x) {
 				sum += x
 				n++
 			}
@@ -152,160 +170,37 @@ func (c *Column) SumFloat64Where(p Pred[float64]) (float64, int64, error) {
 	return sum, n, nil
 }
 
-// SumInt64Where computes SUM(x), COUNT(*) WHERE p over an 8-byte
-// integer column in the compressed domain. Integer addition is exact
-// mod 2^64, so RLE and Dict use closed forms and FOR rewrites the
-// bounds into the delta domain.
-func (c *Column) SumInt64Where(p Pred[int64]) (int64, int64, error) {
-	if err := c.errNot8("int64 sum-where"); err != nil {
-		return 0, 0, err
+// addRun folds a run of k copies of v into sum: integers multiply
+// (exact mod 2^64), floats add once per element so ordering matches the
+// dense scan.
+func addRun[T Number](sum, v T, k uint32) T {
+	if _, ok := any(v).(int64); ok {
+		return sum + v*T(k)
 	}
-	var sum, n int64
-	switch c.enc {
-	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			v := int64(binary.LittleEndian.Uint64(c.runVals[k*8:]))
-			if p.Match(v) {
-				sum += v * int64(end-start)
-				n += int64(end - start)
-			}
-			start = end
-		}
-	case Dict:
-		var bits codeBits
-		var vals [256]int64
-		for code := 0; code < len(c.dict)/8; code++ {
-			v := c.dictInt64(code)
-			vals[code] = v
-			if p.Match(v) {
-				bits.set(code)
-			}
-		}
-		var counts [256]int64
-		for _, code := range c.codes {
-			counts[code]++
-		}
-		for code := 0; code < len(c.dict)/8; code++ {
-			if bits.has(byte(code)) {
-				sum += vals[code] * counts[code]
-				n += counts[code]
-			}
-		}
-	case FOR:
-		dLo, dHi, ok := c.forDeltaBounds(p)
-		if !ok {
-			return 0, 0, nil
-		}
-		var ds uint64
-		for i := 0; i < c.n; i++ {
-			if d := c.delta(i); dLo <= d && d <= dHi {
-				ds += d
-				n++
-			}
-		}
-		sum = c.base*n + int64(ds)
-	default:
-		for i := 0; i < c.n; i++ {
-			if x := int64(binary.LittleEndian.Uint64(c.raw[i*8:])); p.Match(x) {
-				sum += x
-				n++
-			}
-		}
+	for ; k > 0; k-- {
+		sum += v
 	}
-	return sum, n, nil
+	return sum
 }
+
+// SumFloat64Where is SumWhere over an 8-byte IEEE-754 column.
+func (c *Column) SumFloat64Where(p Pred[float64]) (float64, int64, error) { return SumWhere(c, p) }
+
+// SumInt64Where is SumWhere over an 8-byte integer column.
+func (c *Column) SumInt64Where(p Pred[int64]) (int64, int64, error) { return SumWhere(c, p) }
 
 // CountWhereFloat64 counts matches of p over an 8-byte IEEE-754 column
 // in the compressed domain.
 func (c *Column) CountWhereFloat64(p Pred[float64]) (int64, error) {
-	if err := c.errNot8("float64 count-where"); err != nil {
-		return 0, err
-	}
-	var n int64
-	switch c.enc {
-	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			if p.Match(math.Float64frombits(binary.LittleEndian.Uint64(c.runVals[k*8:]))) {
-				n += int64(end - start)
-			}
-			start = end
-		}
-	case Dict:
-		var bits codeBits
-		for code := 0; code < len(c.dict)/8; code++ {
-			if p.Match(c.dictFloat64(code)) {
-				bits.set(code)
-			}
-		}
-		for _, code := range c.codes {
-			if bits.has(code) {
-				n++
-			}
-		}
-	case FOR:
-		for i := 0; i < c.n; i++ {
-			if p.Match(math.Float64frombits(uint64(c.base + int64(c.delta(i))))) {
-				n++
-			}
-		}
-	default:
-		for i := 0; i < c.n; i++ {
-			if p.Match(math.Float64frombits(binary.LittleEndian.Uint64(c.raw[i*8:]))) {
-				n++
-			}
-		}
-	}
-	return n, nil
+	_, n, err := SumWhere(c, p)
+	return n, err
 }
 
 // CountWhereInt64 counts matches of p over an 8-byte integer column in
 // the compressed domain.
 func (c *Column) CountWhereInt64(p Pred[int64]) (int64, error) {
-	if err := c.errNot8("int64 count-where"); err != nil {
-		return 0, err
-	}
-	var n int64
-	switch c.enc {
-	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			if p.Match(int64(binary.LittleEndian.Uint64(c.runVals[k*8:]))) {
-				n += int64(end - start)
-			}
-			start = end
-		}
-	case Dict:
-		var bits codeBits
-		for code := 0; code < len(c.dict)/8; code++ {
-			if p.Match(c.dictInt64(code)) {
-				bits.set(code)
-			}
-		}
-		for _, code := range c.codes {
-			if bits.has(code) {
-				n++
-			}
-		}
-	case FOR:
-		dLo, dHi, ok := c.forDeltaBounds(p)
-		if !ok {
-			return 0, nil
-		}
-		for i := 0; i < c.n; i++ {
-			if d := c.delta(i); dLo <= d && d <= dHi {
-				n++
-			}
-		}
-	default:
-		for i := 0; i < c.n; i++ {
-			if p.Match(int64(binary.LittleEndian.Uint64(c.raw[i*8:]))) {
-				n++
-			}
-		}
-	}
-	return n, nil
+	_, n, err := SumWhere(c, p)
+	return n, err
 }
 
 // forDeltaBounds rewrites an int64 predicate into the FOR delta domain:

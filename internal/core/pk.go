@@ -6,11 +6,8 @@ import (
 
 	"hybridstore/internal/engine"
 	"hybridstore/internal/index"
-	"hybridstore/internal/layout"
-	"hybridstore/internal/rescache"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/tx"
-	"hybridstore/internal/workload"
 )
 
 // ErrImmutablePK is returned by updates targeting the indexed primary-key
@@ -61,37 +58,9 @@ func (t *Table) GetByPK(pk int64) (schema.Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: pk %d", engine.ErrNoSuchRow, pk)
 	}
-	t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
 	// The pk is resolved; from here the read is a point read on row, so
 	// it shares the row's result-cache entry with positional Gets.
-	cache := t.eng.rescache
-	var key rescache.Key
-	var st rescache.Stamp
-	cacheable := false
-	if cache != nil {
-		if t.deltas.LatestTS(row) == 0 {
-			if c, err := t.chunkFor(row); err == nil {
-				key, st = t.rowCacheKey(row), t.chunkStampLocked(c)
-				cacheable = true
-				if v, ok := cache.Lookup(key, st); ok {
-					return v.Rec, nil
-				}
-			}
-		}
-		if !cacheable {
-			cache.Bypass()
-		}
-	}
-	reader := t.txm.Begin()
-	defer reader.Abort()
-	rec, err := t.recordAt(reader, row)
-	if err != nil {
-		return nil, err
-	}
-	if cacheable && t.deltas.LatestTS(row) == 0 {
-		cache.Put(key, st, rescache.Value{Rec: rec})
-	}
-	return rec, nil
+	return t.getLocked(row)
 }
 
 // LookupPK resolves a key to its row position without materializing.

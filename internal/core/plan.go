@@ -1,0 +1,541 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"hybridstore/internal/device"
+	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
+	"hybridstore/internal/layout"
+	"hybridstore/internal/rescache"
+	"hybridstore/internal/schema"
+	"hybridstore/internal/tx"
+	"hybridstore/internal/workload"
+)
+
+// This file is the engine's one read entry. Every read — a point get, a
+// column sum, a predicate aggregate, a fused group-by — arrives as an
+// exec.Plan, and Execute answers any number of plans of one shape from
+// a single pass: one lock acquisition, one MVCC snapshot, one walk of
+// the chunk list. A solo query is the K=1 case of the same code, so
+// result k of a batch is exactly what a solo Execute of plans[k] would
+// return against that snapshot:
+//
+//   - device-resident fragments run the reduction kernel per admitting
+//     predicate in chunk order;
+//   - cold cached fragments ride the device cache per closed predicate
+//     (warm images make the K passes bus-free);
+//   - host fragments are streamed ONCE through
+//     exec.SumFloat64WhereMulti with every predicate folding the piece
+//     stream in solo order;
+//   - the delta patch walks rows outer / predicates inner, preserving
+//     each predicate's ascending-row patch order.
+//
+// Because all K answers derive from one snapshot taken after every
+// batched request arrived, handing result k to requester k is a valid
+// linearization of the batch.
+//
+// The result cache rides the same pass (see rescache.go for the stamp
+// protocol): each plan is probed individually under the one stamp the
+// shared RLock section freezes, hits drop out of the batch, and only
+// the missing plans pay the scan — their answers are published for
+// future repeats. The normalized plan is the cache key. Mixing cached
+// and fresh answers is sound because a hit requires stamp equality:
+// both were computed over byte-identical base state.
+
+// ErrBadPlan is returned by Execute for a plan of an unknown kind or a
+// batch mixing shapes.
+var ErrBadPlan = errors.New("core: bad plan")
+
+// checkShape validates the columns a plan shape reads.
+func (t *Table) checkShape(p exec.Plan) error {
+	floatCol := func(what string, col int) error {
+		if col < 0 || col >= t.s.Arity() {
+			return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
+		}
+		if a := t.s.Attr(col); a.Kind != schema.Float64 {
+			return fmt.Errorf("%w: %s %s is %s", exec.ErrBadColumn, what, a.Name, a.Kind)
+		}
+		return nil
+	}
+	switch p.Op {
+	case exec.KindGet:
+		return nil
+	case exec.KindSum, exec.KindSumWhere:
+		return floatCol("attribute", p.Col)
+	case exec.KindGroupSum, exec.KindGroupSumWhere:
+		if p.KeyCol < 0 || p.KeyCol >= t.s.Arity() {
+			return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, p.KeyCol)
+		}
+		if a := t.s.Attr(p.KeyCol); a.Kind != schema.Int64 && a.Kind != schema.Int32 {
+			return fmt.Errorf("%w: group key %s is %s", exec.ErrBadColumn, a.Name, a.Kind)
+		}
+		return floatCol("aggregate", p.Col)
+	default:
+		return fmt.Errorf("%w: kind %q", ErrBadPlan, p.Op)
+	}
+}
+
+// scanCols lists the columns an aggregate shape folds, in stamp order.
+func scanCols(shape exec.Plan) []int {
+	if shape.Op == exec.KindGroupSum || shape.Op == exec.KindGroupSumWhere {
+		return []int{shape.KeyCol, shape.Col}
+	}
+	return []int{shape.Col}
+}
+
+// cacheKey is the plan as the result cache keys it.
+func (t *Table) cacheKey(p exec.Plan) rescache.Key {
+	p.Table = t.rel.Name()
+	return p.Normalize()
+}
+
+// Execute answers every plan — all of one shape — from one lock
+// acquisition and one MVCC snapshot; result k belongs to plans[k].
+func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
+	out := make([]exec.Result, len(plans))
+	if len(plans) == 0 {
+		return out, nil
+	}
+	shape := plans[0].Normalize().Shape()
+	for _, p := range plans[1:] {
+		if s := p.Normalize().Shape(); s != shape {
+			return nil, fmt.Errorf("%w: %v batched with %v", ErrBadPlan, s, shape)
+		}
+	}
+	if err := t.checkShape(shape); err != nil {
+		return nil, err
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if shape.Op == exec.KindGet {
+		if len(plans) == 1 {
+			// The solo point read keeps its own lean path: no gather map,
+			// no snapshot unless the cache misses.
+			rec, err := t.getLocked(plans[0].Row)
+			out[0].Rec = rec
+			return out, err
+		}
+		return out, t.gatherLocked(plans, out)
+	}
+	reader := t.txm.Begin()
+	defer reader.Abort()
+	// The monitor sees K logical column scans: a batch changes the
+	// execution cost, not the workload the adaptation layer reasons
+	// about.
+	cols := scanCols(shape)
+	for range plans {
+		t.mon.Observe(workload.Op{Kind: workload.ColumnScan, Cols: cols})
+	}
+
+	// Probe the cache per plan; todo/res are the plans still to execute
+	// and their result slots (the inputs themselves when nothing hit).
+	todo, res := plans, out
+	cache := t.eng.rescache
+	var keys []rescache.Key
+	var missIdx []int
+	var st rescache.Stamp
+	cacheable := false
+	if cache != nil {
+		if cacheable = t.deltas.Versions() == 0; cacheable {
+			st, cacheable = t.stampLocked(cols...)
+		}
+		keys = make([]rescache.Key, len(plans))
+		for i, p := range plans {
+			if cacheable {
+				keys[i] = t.cacheKey(p)
+				if v, ok := cache.Lookup(keys[i], st); ok {
+					out[i] = v
+					continue
+				}
+			} else {
+				cache.Bypass()
+			}
+			missIdx = append(missIdx, i)
+		}
+		if len(missIdx) == 0 {
+			return out, nil
+		}
+		if len(missIdx) < len(plans) {
+			todo, res = make([]exec.Plan, len(missIdx)), make([]exec.Result, len(missIdx))
+			for j, i := range missIdx {
+				todo[j] = plans[i]
+			}
+		}
+	}
+
+	var err error
+	if shape.Op == exec.KindSum || shape.Op == exec.KindSumWhere {
+		err = t.sumLocked(reader, shape, todo, res)
+	} else {
+		err = t.groupLocked(reader, shape, todo, res)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Publish only if the RLock section stayed delta-free end to end:
+	// Versions only grows under the read lock, so 0 after execution proves
+	// the scan patched nothing and its answers are a pure function of the
+	// stamped base state.
+	publish := cacheable && t.deltas.Versions() == 0
+	for j, i := range missIdx {
+		out[i] = res[j]
+		if publish {
+			cache.Put(keys[i], st, res[j])
+		}
+	}
+	return out, nil
+}
+
+// Peek answers a plan from the result cache only — the serving layer's
+// pre-admission fast path, which never executes a scan. A hit costs the
+// read lock, an O(#fragments) stamp walk and a map probe; anything
+// else — cache disabled, hot deltas, invalid column, miss — reports
+// false and the caller proceeds to Execute, whose own cache Lookup
+// records the miss.
+func (t *Table) Peek(p exec.Plan) (exec.Result, bool) {
+	cache := t.eng.rescache
+	if cache == nil {
+		return exec.Result{}, false
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if p.Op == exec.KindGet {
+		if key, st, ok := t.rowStampLocked(p.Row); ok {
+			return cache.Peek(key, st)
+		}
+		return exec.Result{}, false
+	}
+	if t.deltas.Versions() != 0 {
+		return exec.Result{}, false
+	}
+	st, ok := t.stampLocked(scanCols(p)...)
+	if !ok {
+		return exec.Result{}, false
+	}
+	return cache.Peek(t.cacheKey(p), st)
+}
+
+// one executes a single plan: the named query methods are sugar over
+// it.
+func (t *Table) one(p exec.Plan) (exec.Result, error) {
+	res, err := t.Execute([]exec.Plan{p})
+	if err != nil {
+		return exec.Result{}, err
+	}
+	return res[0], nil
+}
+
+// reduceConfig picks the launch geometry for a resident column,
+// falling back to a small grid for inputs below the default's reach.
+func reduceConfig(v layout.ColVector) (device.Vec, device.LaunchConfig) {
+	cfg := device.DefaultReduceConfig()
+	if v.Len < cfg.Blocks*2 {
+		cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
+	}
+	return device.Vec{Data: v.Data, Base: v.Base, Stride: v.Stride, Size: v.Size, Len: v.Len}, cfg
+}
+
+// walkColumn is the one chunk walk behind every column aggregate. It
+// returns, in chunk order, the device-resident fragments of col and the
+// host pieces (zone-carrying, compressed where a side-car image covers
+// them). host[:cached] are the pieces that may ride the device fragment
+// cache — cold chunks only: every insert would invalidate a hot chunk's
+// image, so caching them only thrashes the bus. They form a prefix
+// because freezing always takes the oldest hot chunk, so cold chunks
+// precede hot ones in chunk order.
+func (t *Table) walkColumn(col int) (resident, host []exec.Piece, cached int, err error) {
+	rows := t.rel.Rows()
+	host = make([]exec.Piece, 0, len(t.chunks))
+	for _, c := range t.chunks {
+		if c.rows.Begin >= rows {
+			break
+		}
+		piece, devBytes, err := t.pieceFor(c, col)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if devBytes > 0 {
+			resident = append(resident, piece)
+			continue
+		}
+		t.attachCompressed(&piece, c, col)
+		if t.eng.opts.DeviceCache && t.env.Cache != nil && c.state == cold && cached == len(host) {
+			cached++
+		}
+		host = append(host, piece)
+	}
+	return resident, host, cached, nil
+}
+
+// sumLocked answers the sum / sum-where plans of one column under the
+// caller's read lock and snapshot. Per plan the fold order is fixed —
+// resident fragments in chunk order, then the device-cache pass, then
+// the host pass, then the delta patch in ascending row order — so a
+// plan's answer does not depend on what it was batched with.
+func (t *Table) sumLocked(reader *tx.Tx, shape exec.Plan, plans []exec.Plan, res []exec.Result) error {
+	col := shape.Col
+	resident, host, n, err := t.walkColumn(col)
+	if err != nil {
+		return err
+	}
+	cached, hostOnly := host[:n], host[n:]
+
+	if shape.Op == exec.KindSum {
+		// No predicate: the plans are identical; compute once. Resident
+		// fragments reduce on the device, cached pieces ride the fragment
+		// cache, the rest streams through the host operator.
+		var sum float64
+		for _, rc := range resident {
+			part, err := t.env.GPU.ReduceSumFloat64(reduceConfig(rc.Vec))
+			if err != nil {
+				return err
+			}
+			sum += part
+		}
+		if len(cached) > 0 {
+			devSum, err := t.env.DeviceExec(t.rel.Name()).SumFloat64(col, cached)
+			if err != nil {
+				return err
+			}
+			sum += devSum
+		}
+		hostSum, err := exec.SumFloat64(t.cfg, hostOnly)
+		if err != nil {
+			return err
+		}
+		sum += hostSum
+		err = t.patchRows(reader, func(row uint64, rec schema.Record) error {
+			base, err := t.baseValue(row, col)
+			if err == nil {
+				sum += rec[col].F - base.F
+			}
+			return err
+		})
+		for k := range res {
+			res[k].Sum = sum
+		}
+		return err
+	}
+
+	// Closed predicates scan the cached pieces on the device and the rest
+	// on the host; open ones (an empty interval: no closed form for the
+	// device kernel to consume) scan everything on the host. preds/idx
+	// hold the closed class first, then the open class.
+	preds, idx := make([]exec.Pred[float64], 0, len(plans)), make([]int, 0, len(plans))
+	nClosed := 0
+	for _, class := range []bool{true, false} {
+		for k, pl := range plans {
+			if _, _, closed := exec.ClosedFloat64(pl.Pred); closed == class {
+				preds, idx = append(preds, pl.Pred), append(idx, k)
+			}
+		}
+		if class {
+			nClosed = len(preds)
+		}
+	}
+
+	// Device-resident fragments: per predicate in chunk order, zone
+	// decision before the launch; a pruned fragment is neither
+	// transferred nor reduced.
+	for k, pl := range plans {
+		for _, rc := range resident {
+			bytes := int64(rc.Vec.Len) * int64(rc.Vec.Size)
+			admit := exec.ZoneAdmits(rc.Zone, pl.Pred)
+			exec.NoteZoneDecision(admit, bytes)
+			lo, hi, ok := exec.ClosedFloat64(pl.Pred)
+			if !admit || !ok {
+				continue
+			}
+			dv, cfg := reduceConfig(rc.Vec)
+			part, cnt, err := t.env.GPU.ReduceSumFloat64Where(dv, lo, hi, cfg)
+			if err != nil {
+				return err
+			}
+			res[k].Sum += part
+			res[k].Count += cnt
+		}
+	}
+
+	// Cold cached fragments per closed predicate: the first predicate
+	// warms the image, the rest scan it for zero bus bytes.
+	if len(cached) > 0 {
+		ds := t.env.DeviceExec(t.rel.Name())
+		for j, p := range preds[:nClosed] {
+			devSum, devN, err := ds.SumFloat64Where(col, cached, p)
+			if err != nil {
+				return err
+			}
+			res[idx[j]].Sum += devSum
+			res[idx[j]].Count += devN
+		}
+	}
+
+	// Shared host pass, each class in one streamed scan.
+	for _, pass := range []struct {
+		pieces []exec.Piece
+		preds  []exec.Pred[float64]
+		idx    []int
+	}{{hostOnly, preds[:nClosed], idx[:nClosed]}, {host, preds[nClosed:], idx[nClosed:]}} {
+		if len(pass.preds) == 0 {
+			continue
+		}
+		part, err := exec.SumFloat64WhereMulti(t.cfg, pass.pieces, pass.preds)
+		if err != nil {
+			return err
+		}
+		for j, k := range pass.idx {
+			res[k].Sum += part[j].Sum
+			res[k].Count += part[j].Count
+		}
+	}
+
+	// Patch the snapshot's visible versions over each predicate's base
+	// contribution. The patch stays exact under pruning because zones are
+	// conservative: a base value that matches p always lives in a fragment
+	// whose zone admits p, so it was part of the base scan and can be
+	// subtracted.
+	return t.patchRows(reader, func(row uint64, rec schema.Record) error {
+		base, err := t.baseValue(row, col)
+		if err != nil {
+			return err
+		}
+		for k, pl := range plans {
+			if pl.Pred.Match(base.F) {
+				res[k].Sum -= base.F
+				res[k].Count--
+			}
+			if pl.Pred.Match(rec[col].F) {
+				res[k].Sum += rec[col].F
+				res[k].Count++
+			}
+		}
+		return nil
+	})
+}
+
+// patchRows is the one MVCC patch iterator: it calls fn, in ascending
+// row order, with every row that carries delta versions and the version
+// of it the reader's snapshot sees (rows whose versions are all
+// invisible to the snapshot are skipped).
+func (t *Table) patchRows(reader *tx.Tx, fn func(row uint64, rec schema.Record) error) error {
+	rows := t.rel.Rows()
+	for row := uint64(0); row < rows; row++ {
+		if t.deltas.LatestTS(row) == 0 {
+			continue
+		}
+		rec, err := reader.Read(t.deltas, row)
+		if errors.Is(err, tx.ErrNotFound) {
+			continue
+		}
+		if err == nil {
+			err = fn(row, rec)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rowStampLocked resolves the result-cache coordinates of a point read
+// on row: its key and the stamp of just its chunk's fragments — the precise validity domain of a point read, so an insert
+// or merge elsewhere in the table does not invalidate it. ok is false
+// when the row is out of range or carries delta versions (LatestTS is
+// monotone under RLock, so 0 here proves 0 for the rest of the
+// section). Caller holds t.mu.
+func (t *Table) rowStampLocked(row uint64) (rescache.Key, rescache.Stamp, bool) {
+	if row >= t.rel.Rows() || t.deltas.LatestTS(row) != 0 {
+		return rescache.Key{}, rescache.Stamp{}, false
+	}
+	c, err := t.chunkFor(row)
+	if err != nil {
+		return rescache.Key{}, rescache.Stamp{}, false
+	}
+	return rescache.Key{Table: t.rel.Name(), Op: exec.KindGet, Row: row}, t.chunkStampLocked(c), true
+}
+
+// getLocked materializes the current record at row under the caller's
+// read lock: the newest committed delta version if one exists, else the
+// base fragments. Delta-free rows are served from / published to the
+// result cache.
+func (t *Table) getLocked(row uint64) (schema.Record, error) {
+	if row >= t.rel.Rows() {
+		return nil, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rel.Rows())
+	}
+	t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
+	cache := t.eng.rescache
+	var key rescache.Key
+	var st rescache.Stamp
+	cacheable := false
+	if cache != nil {
+		if key, st, cacheable = t.rowStampLocked(row); !cacheable {
+			cache.Bypass()
+		} else if v, ok := cache.Lookup(key, st); ok {
+			return v.Rec, nil
+		}
+	}
+	reader := t.txm.Begin()
+	defer reader.Abort()
+	rec, err := t.recordAt(reader, row)
+	if err != nil {
+		return nil, err
+	}
+	if cacheable && t.deltas.LatestTS(row) == 0 {
+		cache.Put(key, st, rescache.Value{Rec: rec})
+	}
+	return rec, nil
+}
+
+// gatherLocked materializes many rows from one snapshot — the storage
+// half of the serving layer's gather fan-in. Results are bit-identical
+// to one solo get per row against the same snapshot, but the pass
+// charges device-resident gathers per CHUNK: k rows hitting one chunk's
+// device fragments cost one bus transfer of k-fold bytes (one fixed
+// transfer latency) instead of k separate transfers. Clean rows are
+// served from / published to the result cache per row.
+func (t *Table) gatherLocked(plans []exec.Plan, out []exec.Result) error {
+	reader := t.txm.Begin()
+	defer reader.Abort()
+	rows := t.rel.Rows()
+	cache := t.eng.rescache
+	gathers := make(map[*chunk]int64)
+	for i, p := range plans {
+		row := p.Row
+		if row >= rows {
+			return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, rows)
+		}
+		t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
+		var key rescache.Key
+		var st rescache.Stamp
+		cacheable := false
+		if cache != nil {
+			if key, st, cacheable = t.rowStampLocked(row); !cacheable {
+				cache.Bypass()
+			} else if v, ok := cache.Lookup(key, st); ok {
+				out[i].Rec = v.Rec
+				continue
+			}
+		}
+		rec, err := reader.Read(t.deltas, row)
+		if errors.Is(err, tx.ErrNotFound) {
+			var c *chunk
+			if c, err = t.chunkFor(row); err == nil {
+				rec, err = t.recordFromChunk(c, row)
+				gathers[c]++
+			}
+		}
+		if err != nil {
+			return err
+		}
+		out[i].Rec = rec
+		if cacheable && t.deltas.LatestTS(row) == 0 {
+			cache.Put(key, st, rescache.Value{Rec: rec})
+		}
+	}
+	for c, k := range gathers {
+		t.chargeDeviceGather(c, k)
+	}
+	return nil
+}

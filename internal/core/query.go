@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
-	"hybridstore/internal/rescache"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/tx"
 	"hybridstore/internal/workload"
@@ -21,38 +19,7 @@ import (
 func (t *Table) Get(row uint64) (schema.Record, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if row >= t.rel.Rows() {
-		return nil, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rel.Rows())
-	}
-	t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
-	cache := t.eng.rescache
-	var key rescache.Key
-	var st rescache.Stamp
-	cacheable := false
-	if cache != nil {
-		if t.deltas.LatestTS(row) == 0 {
-			if c, err := t.chunkFor(row); err == nil {
-				key, st = t.rowCacheKey(row), t.chunkStampLocked(c)
-				cacheable = true
-				if v, ok := cache.Lookup(key, st); ok {
-					return v.Rec, nil
-				}
-			}
-		}
-		if !cacheable {
-			cache.Bypass()
-		}
-	}
-	reader := t.txm.Begin()
-	defer reader.Abort()
-	rec, err := t.recordAt(reader, row)
-	if err != nil {
-		return nil, err
-	}
-	if cacheable && t.deltas.LatestTS(row) == 0 {
-		cache.Put(key, st, rescache.Value{Rec: rec})
-	}
-	return rec, nil
+	return t.getLocked(row)
 }
 
 // recordAt resolves row under the given transaction's snapshot.
@@ -119,237 +86,23 @@ func (t *Table) Materialize(positions []uint64) ([]schema.Record, error) {
 	return out, nil
 }
 
+// The named aggregate methods are sugar over Execute: each builds the
+// plan its name describes and reads the matching result fields.
+
 // SumFloat64 aggregates col over a pinned MVCC snapshot: base fragments
 // are scanned in bulk (device-resident fragments through the reduction
 // kernel, host fragments through the bulk operator), then the snapshot's
 // visible delta versions are patched over the base values.
 func (t *Table) SumFloat64(col int) (float64, error) {
-	if col < 0 || col >= t.s.Arity() {
-		return 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	if t.s.Attr(col).Kind != schema.Float64 {
-		return 0, fmt.Errorf("%w: attribute %s is %s", exec.ErrBadColumn, t.s.Attr(col).Name, t.s.Attr(col).Kind)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	reader := t.txm.Begin()
-	defer reader.Abort()
-	t.mon.Observe(workload.Op{Kind: workload.ColumnScan, Cols: []int{col}})
-
-	cache, ck, cst, cacheable := t.aggCacheBegin(rescache.OpSum, col, 0, exec.Pred[float64]{}, false)
-	if cacheable {
-		if v, ok := cache.Lookup(ck, cst); ok {
-			return v.Sum, nil
-		}
-	}
-
-	rows := t.rel.Rows()
-	var sum float64
-	var hostPieces, cachePieces []exec.Piece
-	for _, c := range t.chunks {
-		if c.rows.Begin >= rows {
-			break
-		}
-		frag, err := t.fragmentForCol(c, col)
-		if err != nil {
-			return 0, err
-		}
-		v, err := frag.ColVector(col)
-		if err != nil {
-			return 0, err
-		}
-		if frag.Space() == t.env.GPU.Allocator().Space() {
-			dv := device.Vec{Data: v.Data, Base: v.Base, Stride: v.Stride, Size: v.Size, Len: v.Len}
-			cfg := device.DefaultReduceConfig()
-			if v.Len < cfg.Blocks*2 {
-				cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-			}
-			part, err := t.env.GPU.ReduceSumFloat64(dv, cfg)
-			if err != nil {
-				return 0, err
-			}
-			sum += part
-			continue
-		}
-		piece := exec.Piece{
-			Rows:   layout.RowRange{Begin: c.rows.Begin, End: c.rows.Begin + uint64(v.Len)},
-			Vec:    v,
-			FragID: frag.ID(), FragVersion: frag.Version(),
-		}
-		t.attachCompressed(&piece, c, col)
-		// See SumFloat64Where: cold fragments ride the device cache, hot
-		// chunks stay on the host operator.
-		if t.eng.opts.DeviceCache && t.env.Cache != nil && c.state == cold {
-			cachePieces = append(cachePieces, piece)
-			continue
-		}
-		hostPieces = append(hostPieces, piece)
-	}
-	if len(cachePieces) > 0 {
-		ds := t.env.DeviceExec(t.rel.Name())
-		devSum, err := ds.SumFloat64(col, cachePieces)
-		if err != nil {
-			return 0, err
-		}
-		sum += devSum
-	}
-	hostSum, err := exec.SumFloat64(t.cfg, hostPieces)
-	if err != nil {
-		return 0, err
-	}
-	sum += hostSum
-
-	// Patch the snapshot's visible versions over the base values.
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 {
-			continue
-		}
-		rec, err := reader.Read(t.deltas, row)
-		if err != nil {
-			if errors.Is(err, tx.ErrNotFound) {
-				continue
-			}
-			return 0, err
-		}
-		base, err := t.baseValue(row, col)
-		if err != nil {
-			return 0, err
-		}
-		sum += rec[col].F - base.F
-	}
-	t.aggCachePut(cache, ck, cst, rescache.Value{Sum: sum}, cacheable)
-	return sum, nil
+	r, err := t.one(exec.Plan{Op: exec.KindSum, Col: col})
+	return r.Sum, err
 }
 
 // SumFloat64Where aggregates (sum, count) of col over the rows matching
 // p, skipping base fragments whose zone maps prove them match-free.
-// Device-resident fragments decide before paying the kernel launch; host
-// fragments carry their zones into the fused bulk operator. The MVCC
-// patch stays exact under pruning because zones are conservative: a base
-// value that matches p always lives in a fragment whose zone admits p,
-// so it was part of the base scan and can be subtracted.
 func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	if col < 0 || col >= t.s.Arity() {
-		return 0, 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	if t.s.Attr(col).Kind != schema.Float64 {
-		return 0, 0, fmt.Errorf("%w: attribute %s is %s", exec.ErrBadColumn, t.s.Attr(col).Name, t.s.Attr(col).Kind)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	reader := t.txm.Begin()
-	defer reader.Abort()
-	t.mon.Observe(workload.Op{Kind: workload.ColumnScan, Cols: []int{col}})
-
-	cache, ck, cst, cacheable := t.aggCacheBegin(rescache.OpSumWhere, col, 0, p, true)
-	if cacheable {
-		if v, ok := cache.Lookup(ck, cst); ok {
-			return v.Sum, v.Count, nil
-		}
-	}
-
-	rows := t.rel.Rows()
-	_, _, closed := exec.ClosedFloat64(p)
-	var sum float64
-	var n int64
-	var hostPieces, cachePieces []exec.Piece
-	for _, c := range t.chunks {
-		if c.rows.Begin >= rows {
-			break
-		}
-		frag, err := t.fragmentForCol(c, col)
-		if err != nil {
-			return 0, 0, err
-		}
-		v, err := frag.ColVector(col)
-		if err != nil {
-			return 0, 0, err
-		}
-		if frag.Space() == t.env.GPU.Allocator().Space() {
-			bytes := int64(v.Len) * int64(v.Size)
-			if !exec.ZoneAdmitsFloat64(frag.Stats(col), p) {
-				exec.NoteZoneDecision(false, bytes)
-				continue
-			}
-			exec.NoteZoneDecision(true, bytes)
-			lo, hi, ok := exec.ClosedFloat64(p)
-			if !ok {
-				continue
-			}
-			dv := device.Vec{Data: v.Data, Base: v.Base, Stride: v.Stride, Size: v.Size, Len: v.Len}
-			cfg := device.DefaultReduceConfig()
-			if v.Len < cfg.Blocks*2 {
-				cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-			}
-			part, cnt, err := t.env.GPU.ReduceSumFloat64Where(dv, lo, hi, cfg)
-			if err != nil {
-				return 0, 0, err
-			}
-			sum += part
-			n += cnt
-			continue
-		}
-		piece := exec.Piece{
-			Rows:   layout.RowRange{Begin: c.rows.Begin, End: c.rows.Begin + uint64(v.Len)},
-			Vec:    v,
-			Zone:   frag.Stats(col),
-			FragID: frag.ID(), FragVersion: frag.Version(),
-		}
-		t.attachCompressed(&piece, c, col)
-		// Cold host fragments scan on the device through the fragment
-		// cache when enabled: the first scan ships the column image, later
-		// scans over unchanged fragments reuse it for zero bus bytes. Hot
-		// chunks stay on the host operator — every insert would invalidate
-		// their image, so caching them only thrashes the bus.
-		if t.eng.opts.DeviceCache && t.env.Cache != nil && c.state == cold && closed {
-			cachePieces = append(cachePieces, piece)
-			continue
-		}
-		hostPieces = append(hostPieces, piece)
-	}
-	if len(cachePieces) > 0 {
-		ds := t.env.DeviceExec(t.rel.Name())
-		devSum, devN, err := ds.SumFloat64Where(col, cachePieces, p)
-		if err != nil {
-			return 0, 0, err
-		}
-		sum += devSum
-		n += devN
-	}
-	hostSum, hostN, err := exec.SumFloat64Where(t.cfg, hostPieces, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	sum += hostSum
-	n += hostN
-
-	// Patch the snapshot's visible versions over the base contribution.
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 {
-			continue
-		}
-		rec, err := reader.Read(t.deltas, row)
-		if err != nil {
-			if errors.Is(err, tx.ErrNotFound) {
-				continue
-			}
-			return 0, 0, err
-		}
-		base, err := t.baseValue(row, col)
-		if err != nil {
-			return 0, 0, err
-		}
-		if p.Match(base.F) {
-			sum -= base.F
-			n--
-		}
-		if p.Match(rec[col].F) {
-			sum += rec[col].F
-			n++
-		}
-	}
-	t.aggCachePut(cache, ck, cst, rescache.Value{Sum: sum, Count: n}, cacheable)
-	return sum, n, nil
+	r, err := t.one(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
+	return r.Sum, r.Count, err
 }
 
 // CountWhereFloat64 counts the rows matching p on col with the same
@@ -357,6 +110,20 @@ func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, 
 func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
 	_, n, err := t.SumFloat64Where(col, p)
 	return n, err
+}
+
+// GroupSumFloat64 computes SELECT keyCol, SUM(valCol), COUNT(*) GROUP BY
+// keyCol over an MVCC snapshot. keyCol must be an integer attribute,
+// valCol a float64 one.
+func (t *Table) GroupSumFloat64(keyCol, valCol int) ([]exec.GroupResult, error) {
+	r, err := t.one(exec.Plan{Op: exec.KindGroupSum, KeyCol: keyCol, Col: valCol})
+	return r.Groups, err
+}
+
+// GroupSumFloat64Where is GroupSumFloat64 WHERE p, in one fused pass.
+func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+	r, err := t.one(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
+	return r.Groups, err
 }
 
 // attachCompressed swaps a cold piece's execution format to the chunk's
@@ -454,7 +221,6 @@ func (t *Table) Merge() error {
 	sp := sfMerge.Start()
 	defer sp.End()
 	minTS := t.txm.MinActiveTS()
-	rows := t.rel.Rows()
 	reader := t.txm.Begin()
 	defer reader.Abort()
 	// Cold fragments rewritten below already stop validating through their
@@ -463,16 +229,9 @@ func (t *Table) Merge() error {
 	// pressure.
 	touched := make(map[*layout.Fragment]bool)
 	touchedChunks := make(map[*chunk]bool)
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 || t.deltas.LatestTS(row) > minTS {
-			continue
-		}
-		rec, err := reader.Read(t.deltas, row)
-		if err != nil {
-			if errors.Is(err, tx.ErrNotFound) {
-				continue
-			}
-			return err
+	err := t.patchRows(reader, func(row uint64, rec schema.Record) error {
+		if t.deltas.LatestTS(row) > minTS {
+			return nil // an active snapshot still needs the chain
 		}
 		c, err := t.chunkFor(row)
 		if err != nil {
@@ -499,6 +258,10 @@ func (t *Table) Merge() error {
 		// The base now carries the settled value; the chain is redundant
 		// for every snapshot at or after minTS.
 		t.deltas.Forget(row)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for f := range touched {
 		t.invalidateFrag(f)

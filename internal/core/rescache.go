@@ -1,17 +1,6 @@
 package core
 
-import (
-	"errors"
-	"fmt"
-
-	"hybridstore/internal/engine"
-	"hybridstore/internal/exec"
-	"hybridstore/internal/layout"
-	"hybridstore/internal/rescache"
-	"hybridstore/internal/schema"
-	"hybridstore/internal/tx"
-	"hybridstore/internal/workload"
-)
+import "hybridstore/internal/rescache"
 
 // Result caching in the reference engine rides one concurrency fact:
 // every operation that mutates base fragments — Insert, Merge, Adapt,
@@ -75,50 +64,6 @@ func (t *Table) chunkStampLocked(c *chunk) rescache.Stamp {
 	return st
 }
 
-// aggCacheKey builds the cache key of an aggregate query, normalizing
-// the predicate so semantically identical spellings share the entry.
-func (t *Table) aggCacheKey(op rescache.Op, col, keyCol int, p exec.Pred[float64], hasPred bool) rescache.Key {
-	k := rescache.Key{Table: t.rel.Name(), Op: op, Col: col, KeyCol: keyCol, HasPred: hasPred}
-	if hasPred {
-		k.Pred = exec.Normalize(p)
-	}
-	return k
-}
-
-// aggCacheBegin is the shared prologue of every cached aggregate.
-// Caller holds t.mu (read side). With the result cache enabled and the
-// delta store empty it builds the key and column stamp and reports
-// cacheable=true; an unusable query (hot deltas in the snapshot,
-// unresolvable fragment) records a Bypass instead. The returned cache
-// is nil only when caching is disabled engine-wide.
-func (t *Table) aggCacheBegin(op rescache.Op, col, keyCol int, p exec.Pred[float64], hasPred bool) (*rescache.Cache, rescache.Key, rescache.Stamp, bool) {
-	cache := t.eng.rescache
-	if cache == nil {
-		return nil, rescache.Key{}, rescache.Stamp{}, false
-	}
-	if t.deltas.Versions() == 0 {
-		cols := []int{col}
-		if op == rescache.OpGroupSum || op == rescache.OpGroupSumWhere {
-			cols = []int{keyCol, col}
-		}
-		if st, ok := t.stampLocked(cols...); ok {
-			return cache, t.aggCacheKey(op, col, keyCol, p, hasPred), st, true
-		}
-	}
-	cache.Bypass()
-	return cache, rescache.Key{}, rescache.Stamp{}, false
-}
-
-// aggCachePut publishes an aggregate result if the RLock section stayed
-// delta-free end to end: Versions only grows under the read lock, so 0
-// after execution proves the scan patched nothing and its answer is a
-// pure function of the stamped base state.
-func (t *Table) aggCachePut(cache *rescache.Cache, k rescache.Key, st rescache.Stamp, v rescache.Value, cacheable bool) {
-	if cacheable && t.deltas.Versions() == 0 {
-		cache.Put(k, st, v)
-	}
-}
-
 // VersionStamp exposes the stamp protocol to cross-engine tests and
 // external caches: the fragment-version vector a scan over cols would
 // fold. ok is false when the table is not stampable — an unresolvable
@@ -131,151 +76,4 @@ func (t *Table) VersionStamp(cols ...int) (rescache.Stamp, bool) {
 		return rescache.Stamp{}, false
 	}
 	return t.stampLocked(cols...)
-}
-
-// rowCacheKey builds the cache key of a point read.
-func (t *Table) rowCacheKey(row uint64) rescache.Key {
-	return rescache.Key{Table: t.rel.Name(), Op: rescache.OpGet, Row: row}
-}
-
-// The Cached* methods are the serving layer's pre-admission fast path:
-// pure cache consultations that never execute a scan. A hit costs the
-// read lock, an O(#fragments) stamp walk and a map probe; anything
-// else — cache disabled, hot deltas, invalid column, miss — reports
-// false and the caller proceeds to the normal (batched) execution
-// path, whose internal cache Lookup records the miss.
-
-// CachedSumFloat64 answers SumFloat64(col) from the cache only.
-func (t *Table) CachedSumFloat64(col int) (float64, bool) {
-	v, ok := t.cachedAgg(rescache.OpSum, col, 0, exec.Pred[float64]{}, false)
-	return v.Sum, ok
-}
-
-// CachedSumFloat64Where answers SumFloat64Where(col, p) from the cache
-// only. CountWhere shares the entry: Count is the second return.
-func (t *Table) CachedSumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, bool) {
-	v, ok := t.cachedAgg(rescache.OpSumWhere, col, 0, p, true)
-	return v.Sum, v.Count, ok
-}
-
-// CachedGroupSumFloat64Where answers GroupSumFloat64Where from the
-// cache only.
-func (t *Table) CachedGroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, bool) {
-	v, ok := t.cachedAgg(rescache.OpGroupSumWhere, valCol, keyCol, p, true)
-	return v.Groups, ok
-}
-
-// cachedAgg is the shared lookup-only aggregate path.
-func (t *Table) cachedAgg(op rescache.Op, col, keyCol int, p exec.Pred[float64], hasPred bool) (rescache.Value, bool) {
-	cache := t.eng.rescache
-	if cache == nil {
-		return rescache.Value{}, false
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.deltas.Versions() != 0 {
-		return rescache.Value{}, false
-	}
-	cols := []int{col}
-	if op == rescache.OpGroupSum || op == rescache.OpGroupSumWhere {
-		cols = []int{keyCol, col}
-	}
-	st, ok := t.stampLocked(cols...)
-	if !ok {
-		return rescache.Value{}, false
-	}
-	return cache.Peek(t.aggCacheKey(op, col, keyCol, p, hasPred), st)
-}
-
-// CachedGet answers Get(row) from the cache only.
-func (t *Table) CachedGet(row uint64) (schema.Record, bool) {
-	cache := t.eng.rescache
-	if cache == nil {
-		return nil, false
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if row >= t.rel.Rows() || t.deltas.LatestTS(row) != 0 {
-		return nil, false
-	}
-	c, err := t.chunkFor(row)
-	if err != nil {
-		return nil, false
-	}
-	v, ok := cache.Peek(t.rowCacheKey(row), t.chunkStampLocked(c))
-	if !ok {
-		return nil, false
-	}
-	return v.Rec, true
-}
-
-// GetMulti materializes many rows from one snapshot — the storage half
-// of the serving layer's gather fan-in. Results are bit-identical to
-// len(rowIDs) solo Gets against the same snapshot, but the pass takes
-// the lock once and charges device-resident gathers per CHUNK: k rows
-// hitting one chunk's device fragments cost one bus transfer of k-fold
-// bytes (one fixed transfer latency) instead of k separate transfers.
-// Clean rows are served from / published to the result cache per row.
-func (t *Table) GetMulti(rowIDs []uint64) ([]schema.Record, error) {
-	out := make([]schema.Record, len(rowIDs))
-	if len(rowIDs) == 0 {
-		return out, nil
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	reader := t.txm.Begin()
-	defer reader.Abort()
-	rows := t.rel.Rows()
-	cache := t.eng.rescache
-	gathers := make(map[*chunk]int64)
-	for i, row := range rowIDs {
-		if row >= rows {
-			return nil, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, rows)
-		}
-		t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
-		var key rescache.Key
-		var st rescache.Stamp
-		cacheable := false
-		if cache != nil {
-			if t.deltas.LatestTS(row) == 0 {
-				c, err := t.chunkFor(row)
-				if err != nil {
-					return nil, err
-				}
-				key, st = t.rowCacheKey(row), t.chunkStampLocked(c)
-				cacheable = true
-				if v, ok := cache.Lookup(key, st); ok {
-					out[i] = v.Rec
-					continue
-				}
-			} else {
-				cache.Bypass()
-			}
-		}
-		if rec, err := reader.Read(t.deltas, row); err == nil {
-			out[i] = rec
-			continue
-		} else if !errors.Is(err, tx.ErrNotFound) {
-			return nil, err
-		}
-		c, err := t.chunkFor(row)
-		if err != nil {
-			return nil, err
-		}
-		rec, err := t.recordFromChunk(c, row)
-		if err != nil {
-			return nil, err
-		}
-		gathers[c]++
-		out[i] = rec
-		// Publish only if the row is STILL delta-free: LatestTS is
-		// monotone under RLock, so 0 here proves 0 across the whole read.
-		if cacheable && t.deltas.LatestTS(row) == 0 {
-			cache.Put(key, st, rescache.Value{Rec: rec})
-		}
-	}
-	for c, k := range gathers {
-		t.chargeDeviceGather(c, k)
-	}
-	return out, nil
 }

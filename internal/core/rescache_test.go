@@ -245,9 +245,14 @@ func TestResultCachePointReads(t *testing.T) {
 		t.Fatalf("post-update Get served stale price %v", r5[workload.ItemPriceCol].F)
 	}
 
-	// GetMulti agrees bit-for-bit with solo Gets, duplicates included.
+	// A gather cohort agrees bit-for-bit with solo Gets, duplicates
+	// included.
 	rows := []uint64{0, 7, 7, 399, 128, 0}
-	recs, err := tbl.GetMulti(rows)
+	plans := make([]exec.Plan, len(rows))
+	for i, row := range rows {
+		plans[i] = exec.Plan{Op: exec.KindGet, Row: row}
+	}
+	res, err := tbl.Execute(plans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +261,8 @@ func TestResultCachePointReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !recs[i].Equal(solo) {
-			t.Fatalf("GetMulti[%d] (row %d) = %v, want %v", i, row, recs[i], solo)
+		if !res[i].Rec.Equal(solo) {
+			t.Fatalf("gather[%d] (row %d) = %v, want %v", i, row, res[i].Rec, solo)
 		}
 	}
 }
@@ -278,14 +283,17 @@ func TestResultCacheSharedScanPartialHits(t *testing.T) {
 	}
 	hits0, _, _, _ := cacheStats(t, tbl)
 
-	sums, counts, err := tbl.SumFloat64WhereMulti(workload.ItemPriceCol, []exec.Pred[float64]{warm, cold})
+	res, err := tbl.Execute([]exec.Plan{
+		{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: warm},
+		{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: cold},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(sums[0]) != math.Float64bits(wantW) || counts[0] != wantWN ||
-		math.Float64bits(sums[1]) != math.Float64bits(wantC) || counts[1] != wantCN {
+	if math.Float64bits(res[0].Sum) != math.Float64bits(wantW) || res[0].Count != wantWN ||
+		math.Float64bits(res[1].Sum) != math.Float64bits(wantC) || res[1].Count != wantCN {
 		t.Fatalf("multi = (%v,%d),(%v,%d); want (%v,%d),(%v,%d)",
-			sums[0], counts[0], sums[1], counts[1], wantW, wantWN, wantC, wantCN)
+			res[0].Sum, res[0].Count, res[1].Sum, res[1].Count, wantW, wantWN, wantC, wantCN)
 	}
 	if hits, _, _, _ := cacheStats(t, tbl); hits != hits0+2 {
 		t.Fatalf("multi over two warm preds hit %d times, want %d", hits-hits0, 2)

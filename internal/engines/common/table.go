@@ -229,19 +229,6 @@ func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, 
 	return exec.SumFloat64Where(t.Cfg, pieces, p)
 }
 
-// SumInt64Where is SumFloat64Where for int64 attributes.
-func (t *Table) SumInt64Where(col int, p exec.Pred[int64]) (int64, int64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return 0, 0, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return 0, 0, err
-	}
-	return exec.SumInt64Where(t.Cfg, pieces, p)
-}
-
 // CountWhereFloat64 counts the rows matching p on col with zone pruning.
 func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
 	l := t.LayoutForScan(col)
@@ -253,19 +240,6 @@ func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) 
 		return 0, err
 	}
 	return exec.CountWhereFloat64(t.Cfg, pieces, p)
-}
-
-// CountWhereInt64 is CountWhereFloat64 for int64 attributes.
-func (t *Table) CountWhereInt64(col int, p exec.Pred[int64]) (int64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return 0, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return 0, err
-	}
-	return exec.CountWhereInt64(t.Cfg, pieces, p)
 }
 
 // GroupSumFloat64Where computes SELECT key, SUM(val), COUNT(*) WHERE p

@@ -421,7 +421,7 @@ func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, 
 		return 0, 0, err
 	}
 	bytes := int64(v.Len) * int64(v.Size)
-	if !exec.ZoneAdmitsFloat64(f.Stats(col), p) {
+	if !exec.ZoneAdmits(f.Stats(col), p) {
 		exec.NoteZoneDecision(false, bytes)
 		return 0, 0, nil
 	}
@@ -475,7 +475,7 @@ func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) (
 		return nil, err
 	}
 	bytes := int64(kv.Len)*int64(kv.Size) + int64(vv.Len)*int64(vv.Size)
-	if !exec.ZoneAdmitsFloat64(t.cols[valCol].Stats(valCol), p) {
+	if !exec.ZoneAdmits(t.cols[valCol].Stats(valCol), p) {
 		exec.NoteZoneDecision(false, bytes)
 		return nil, nil
 	}

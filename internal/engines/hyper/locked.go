@@ -94,25 +94,11 @@ func (t *Table) SumInt64(col int) (int64, error) {
 	return t.Table.SumInt64(col)
 }
 
-// SumInt64Where aggregates under the reader lock.
-func (t *Table) SumInt64Where(col int, p exec.Pred[int64]) (int64, int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.Table.SumInt64Where(col, p)
-}
-
 // CountWhereFloat64 counts under the reader lock.
 func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.Table.CountWhereFloat64(col, p)
-}
-
-// CountWhereInt64 counts under the reader lock.
-func (t *Table) CountWhereInt64(col int, p exec.Pred[int64]) (int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.Table.CountWhereInt64(col, p)
 }
 
 // SelectFloat64 selects under the reader lock.

@@ -578,7 +578,7 @@ func (t *Table) sumFloat64WhereLocked(col int, p exec.Pred[float64]) (float64, i
 	var pieces []exec.Piece
 	if c.sealed != nil && t.sealedRows > 0 {
 		sealedBytes := int64(t.sealedRows) * int64(size)
-		if !exec.ZoneAdmitsFloat64(c.zone, p) {
+		if !exec.ZoneAdmits(c.zone, p) {
 			exec.NoteZoneDecision(false, sealedBytes)
 		} else {
 			exec.NoteZoneDecision(true, sealedBytes)

@@ -41,15 +41,10 @@ func splitComp(pieces []Piece) (raw, comp []Piece) {
 	return raw, comp
 }
 
-// compPredF64 bridges an exec predicate to its compress twin (the enums
+// compPred bridges an exec predicate to its compress twin (the enums
 // share ordering and semantics).
-func compPredF64(p Pred[float64]) compress.Pred[float64] {
-	return compress.Pred[float64]{Op: compress.Op(p.Op), Lo: p.Lo, Hi: p.Hi}
-}
-
-// compPredI64 is compPredF64 for int64 predicates.
-func compPredI64(p Pred[int64]) compress.Pred[int64] {
-	return compress.Pred[int64]{Op: compress.Op(p.Op), Lo: p.Lo, Hi: p.Hi}
+func compPred[T Number](p Pred[T]) compress.Pred[T] {
+	return compress.Pred[T]{Op: compress.Op(p.Op), Lo: p.Lo, Hi: p.Hi}
 }
 
 // forEachComp runs kernel over every compressed piece — concurrently
@@ -87,139 +82,25 @@ func forEachComp(cfg Config, pieces []Piece, kernel func(i int, c *compress.Colu
 	return nil
 }
 
-// compSumCountF64 folds SUM/COUNT WHERE over compressed pieces.
-func compSumCountF64(cfg Config, pieces []Piece, p Pred[float64]) (float64, int64, error) {
-	if len(pieces) == 0 {
-		return 0, 0, nil
-	}
-	cp := compPredF64(p)
-	sums := make([]float64, len(pieces))
+// compFold runs one compressed-domain (sum, count) kernel per piece and
+// folds the per-piece partials in piece order.
+func compFold[T Number](cfg Config, pieces []Piece, kernel func(c *compress.Column) (T, int64, error)) (T, int64, error) {
+	sums := make([]T, len(pieces))
 	counts := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		s, n, err := c.SumFloat64Where(cp)
-		sums[i], counts[i] = s, n
+	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) (err error) {
+		sums[i], counts[i], err = kernel(c)
 		return err
 	})
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
 	}
-	var sum float64
+	var sum T
 	var n int64
 	for i := range sums {
 		sum += sums[i]
 		n += counts[i]
 	}
 	return sum, n, nil
-}
-
-// compSumCountI64 is compSumCountF64 for int64 predicates.
-func compSumCountI64(cfg Config, pieces []Piece, p Pred[int64]) (int64, int64, error) {
-	if len(pieces) == 0 {
-		return 0, 0, nil
-	}
-	cp := compPredI64(p)
-	sums := make([]int64, len(pieces))
-	counts := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		s, n, err := c.SumInt64Where(cp)
-		sums[i], counts[i] = s, n
-		return err
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var sum, n int64
-	for i := range sums {
-		sum += sums[i]
-		n += counts[i]
-	}
-	return sum, n, nil
-}
-
-// compCountF64 folds COUNT WHERE over compressed pieces.
-func compCountF64(cfg Config, pieces []Piece, p Pred[float64]) (int64, error) {
-	if len(pieces) == 0 {
-		return 0, nil
-	}
-	cp := compPredF64(p)
-	counts := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		n, err := c.CountWhereFloat64(cp)
-		counts[i] = n
-		return err
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	return n, nil
-}
-
-// compCountI64 is compCountF64 for int64 predicates.
-func compCountI64(cfg Config, pieces []Piece, p Pred[int64]) (int64, error) {
-	if len(pieces) == 0 {
-		return 0, nil
-	}
-	cp := compPredI64(p)
-	counts := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		n, err := c.CountWhereInt64(cp)
-		counts[i] = n
-		return err
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	return n, nil
-}
-
-// compSumF64 folds the unfiltered float64 sum over compressed pieces.
-func compSumF64(cfg Config, pieces []Piece) (float64, error) {
-	if len(pieces) == 0 {
-		return 0, nil
-	}
-	sums := make([]float64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		s, err := c.SumFloat64()
-		sums[i] = s
-		return err
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var sum float64
-	for _, s := range sums {
-		sum += s
-	}
-	return sum, nil
-}
-
-// compSumI64 is compSumF64 for int64 columns (exact, mod 2^64).
-func compSumI64(cfg Config, pieces []Piece) (int64, error) {
-	if len(pieces) == 0 {
-		return 0, nil
-	}
-	sums := make([]int64, len(pieces))
-	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) error {
-		s, err := c.SumInt64()
-		sums[i] = s
-		return err
-	})
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
-	}
-	var sum int64
-	for _, s := range sums {
-		sum += s
-	}
-	return sum, nil
 }
 
 // rejectComp guards operators without a compressed path.

@@ -495,3 +495,29 @@ func TestDeviceScanCompressedUnfiltered(t *testing.T) {
 		t.Fatalf("device compressed sum = %v, want %v", got, want)
 	}
 }
+
+// TestSumInt64ExactAbove2p53 pins integer sums as exact integers: two
+// pieces of 1<<53 + 1 do not survive a float64 partial (the odd value
+// rounds to even), so any fold that carries int64 partials through
+// float64 loses 2. Every policy, raw and FOR-compressed, filtered and
+// unfiltered.
+func TestSumInt64ExactAbove2p53(t *testing.T) {
+	const v = int64(1)<<53 + 1
+	image := encodeI64([]int64{v, v})
+	views := map[string][]Piece{
+		"raw": rawPieces(image, 2, 2),
+		"for": compPieces(t, compress.FOR, image, 2, 2),
+	}
+	for name, pieces := range views {
+		for _, cfg := range []Config{Single(), MultiN(2), Morsel()} {
+			sum, err := SumInt64(cfg, pieces)
+			if err != nil || sum != 2*v {
+				t.Errorf("%s %v: SumInt64 = %d, %v; want %d", name, cfg.Policy, sum, err, 2*v)
+			}
+			sum, n, err := SumInt64Where(cfg, pieces, Gt[int64](0))
+			if err != nil || sum != 2*v || n != 2 {
+				t.Errorf("%s %v: SumInt64Where = (%d, %d), %v; want (%d, 2)", name, cfg.Policy, sum, n, err, 2*v)
+			}
+		}
+	}
+}

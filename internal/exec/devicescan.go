@@ -171,7 +171,7 @@ func (d DeviceScan) SumFloat64Where(col int, pieces []Piece, p Pred[float64]) (f
 		if pc.Vec.Len == 0 {
 			continue
 		}
-		admit := zoneAdmitsFloat64(pc.Zone, p)
+		admit := ZoneAdmits(pc.Zone, p)
 		NoteZoneDecision(admit, int64(pc.Vec.Len*pc.Vec.Size))
 		if admit {
 			kept = append(kept, pc)
@@ -301,7 +301,7 @@ func (d DeviceScan) GroupSumFloat64Where(keyCol, valCol int, keys, vals []Piece,
 		if vp.Vec.Len == 0 {
 			continue
 		}
-		admit := zoneAdmitsFloat64(vp.Zone, p)
+		admit := ZoneAdmits(vp.Zone, p)
 		NoteZoneDecision(admit, int64(keys[i].Vec.Len*keys[i].Vec.Size+vp.Vec.Len*vp.Vec.Size))
 		if !admit {
 			continue

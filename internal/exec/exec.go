@@ -15,16 +15,15 @@
 //
 // A third policy, MorselDriven, executes on the process-wide resident
 // worker pool of internal/exec/pool: operators enqueue fixed-size
-// morsels instead of spawning goroutines, and per-worker partial-result
-// buffers are recycled through sync.Pool, so steady-state calls pay
-// neither thread management nor allocation on the hot path.
+// morsels instead of spawning goroutines, and position lists and byte
+// buffers are recycled through sync.Pool, so steady-state calls pay no
+// thread management and only a few small fixed allocations.
 package exec
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -311,68 +310,48 @@ func scanPieceNs(h perfmodel.HostProfile, p Piece, threads int) float64 {
 	return h.ScanSumNs(int64(p.Vec.Len), p.Vec.Size, p.Vec.Stride, threads)
 }
 
-// SumFloat64 sums a float64 column given as pieces. Under MultiThreaded
-// the element positions are partitioned blockwise across workers.
-func SumFloat64(cfg Config, pieces []Piece) (float64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return 0, fmt.Errorf("%w: float64 sum over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
+// sumAll is the one unfiltered column sum body: raw pieces fold through
+// the policy with partials typed as T (so int64 sums stay exact beyond
+// 2^53), compressed pieces sum in the compressed domain.
+func sumAll[T Number](cfg Config, what string, pieces []Piece) (T, error) {
+	if err := checkSize8(pieces, what); err != nil {
+		return 0, err
 	}
 	ot := obsSum.start(cfg.Policy)
+	defer ot.end()
 	raw, comp := splitComp(pieces)
-	sum := parallelSum(cfg, raw, func(v layout.ColVector, from, to int) float64 {
-		var acc float64
+	sum, _ := parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (T, int64) {
+		var acc T
 		off := v.Base + from*v.Stride
 		for i := from; i < to; i++ {
-			acc += math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:]))
+			acc += fromBits[T](binary.LittleEndian.Uint64(v.Data[off:]))
 			off += v.Stride
 		}
-		return acc
+		return acc, 0
 	})
 	if len(comp) > 0 {
-		cs, err := compSumF64(cfg, comp)
+		cs, _, err := compFold(cfg, comp, func(c *compress.Column) (T, int64, error) {
+			s, err := compress.Sum[T](c)
+			return s, 0, err
+		})
 		if err != nil {
-			ot.end()
 			return 0, err
 		}
 		sum += cs
 	}
 	cfg.chargeScan(pieces)
-	ot.end()
 	return sum, nil
 }
 
-// SumInt64 sums an int64 column given as pieces.
+// SumFloat64 sums a float64 column given as pieces. Under MultiThreaded
+// the element positions are partitioned blockwise across workers.
+func SumFloat64(cfg Config, pieces []Piece) (float64, error) {
+	return sumAll[float64](cfg, "float64 sum", pieces)
+}
+
+// SumInt64 sums an int64 column given as pieces (exact mod 2^64).
 func SumInt64(cfg Config, pieces []Piece) (int64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return 0, fmt.Errorf("%w: int64 sum over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
-	}
-	ot := obsSum.start(cfg.Policy)
-	raw, comp := splitComp(pieces)
-	sum := parallelSum(cfg, raw, func(v layout.ColVector, from, to int) float64 {
-		var acc int64
-		off := v.Base + from*v.Stride
-		for i := from; i < to; i++ {
-			acc += int64(binary.LittleEndian.Uint64(v.Data[off:]))
-			off += v.Stride
-		}
-		return float64(acc)
-	})
-	total := int64(sum)
-	if len(comp) > 0 {
-		cs, err := compSumI64(cfg, comp)
-		if err != nil {
-			ot.end()
-			return 0, err
-		}
-		total += cs
-	}
-	cfg.chargeScan(pieces)
-	ot.end()
-	return total, nil
+	return sumAll[int64](cfg, "int64 sum", pieces)
 }
 
 // eachRange visits the sub-ranges of pieces covering the global element
@@ -399,31 +378,6 @@ func eachRange(pieces []Piece, gFrom, gTo int, fn func(p Piece, from, to int)) {
 	}
 }
 
-// foldRange applies the sum kernel to the global element positions
-// [gFrom, gTo) across pieces and returns the partial sum.
-func foldRange(pieces []Piece, gFrom, gTo int, kernel func(v layout.ColVector, from, to int) float64) float64 {
-	var acc float64
-	base := 0
-	for _, p := range pieces {
-		pFrom, pTo := gFrom-base, gTo-base
-		base += p.Vec.Len
-		if pTo <= 0 {
-			break
-		}
-		if pFrom < 0 {
-			pFrom = 0
-		}
-		if pFrom >= p.Vec.Len {
-			continue
-		}
-		if pTo > p.Vec.Len {
-			pTo = p.Vec.Len
-		}
-		acc += kernel(p.Vec, pFrom, pTo)
-	}
-	return acc
-}
-
 // blockRange returns worker w's blockwise share of total positions split
 // over th workers; from >= to means the worker has no share.
 func blockRange(w, th, total int) (from, to int) {
@@ -439,51 +393,78 @@ func blockRange(w, th, total int) (from, to int) {
 	return from, to
 }
 
-// parallelSum folds pieces with the configured policy. The partial kernel
-// receives a vector and a [from,to) element range and returns its partial
-// sum as float64 (exact for the int64 magnitudes the engines produce).
-func parallelSum(cfg Config, pieces []Piece, kernel func(v layout.ColVector, from, to int) float64) float64 {
-	total := totalLen(pieces)
-	if cfg.Policy == MorselDriven && total > 0 {
-		slots := pool.Slots()
-		partials := pool.GetFloat64s(slots)
-		pool.Run(total, pool.MorselSize(), slots, func(slot, from, to int) {
-			partials[slot] += foldRange(pieces, from, to, kernel)
-		})
-		var acc float64
-		for _, x := range partials {
-			acc += x
-		}
-		pool.PutFloat64s(partials)
-		return acc
+// slots returns how many partial-result slots a partition needs. The
+// pool can be resized concurrently, so callers read it once, size their
+// per-slot state from it and hand the same value to partition.
+func (c Config) slots() int {
+	if c.Policy == MorselDriven {
+		return pool.Slots()
 	}
-	th := cfg.threads()
-	if th == 1 {
-		var acc float64
+	return c.threads()
+}
+
+// partition runs fn over the global positions [0, total) under the
+// configured policy: in morsels on the resident pool, in exclusive
+// blockwise ranges on fresh goroutines, or — one slot — in one call on
+// the caller's goroutine. Calls sharing a slot never overlap in time, so
+// fn may accumulate into per-slot state without locking; slot < slots.
+func (c Config) partition(slots, total int, fn func(slot, from, to int)) {
+	if total == 0 {
+		return
+	}
+	switch {
+	case c.Policy == MorselDriven:
+		pool.Run(total, pool.MorselSize(), slots, fn)
+	case slots == 1:
+		fn(0, 0, total)
+	default:
+		var wg sync.WaitGroup
+		for w := 0; w < slots; w++ {
+			from, to := blockRange(w, slots, total)
+			if from >= to {
+				break
+			}
+			wg.Add(1)
+			go func(w, from, to int) {
+				defer wg.Done()
+				fn(w, from, to)
+			}(w, from, to)
+		}
+		wg.Wait()
+	}
+}
+
+// parallelFold folds pieces into a (sum, count) pair under the
+// configured policy; kernel returns the partials of one piece range.
+// Per-slot partials accumulate in range order and reduce in slot order,
+// so a policy's result is deterministic for a given worker count. The
+// sequential case folds piece by piece with no partial storage at all —
+// the serving path's zero-allocation scan.
+func parallelFold[T Number](cfg Config, pieces []Piece, kernel func(v layout.ColVector, from, to int) (T, int64)) (sum T, n int64) {
+	slots := cfg.slots()
+	if slots == 1 {
 		for _, p := range pieces {
-			acc += kernel(p.Vec, 0, p.Vec.Len)
+			s, c := kernel(p.Vec, 0, p.Vec.Len)
+			sum += s
+			n += c
 		}
-		return acc
+		return sum, n
 	}
-	// Blockwise partitioning of the global position space.
-	partials := pool.GetFloat64s(th)
-	var wg sync.WaitGroup
-	for w := 0; w < th; w++ {
-		gFrom, gTo := blockRange(w, th, total)
-		if gFrom >= gTo {
-			break
-		}
-		wg.Add(1)
-		go func(w, gFrom, gTo int) {
-			defer wg.Done()
-			partials[w] = foldRange(pieces, gFrom, gTo, kernel)
-		}(w, gFrom, gTo)
+	type partial struct {
+		sum T
+		n   int64
 	}
-	wg.Wait()
-	var acc float64
-	for _, x := range partials {
-		acc += x
+	parts := make([]partial, slots)
+	cfg.partition(slots, totalLen(pieces), func(slot, gFrom, gTo int) {
+		eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
+			s, c := kernel(p.Vec, from, to)
+			parts[slot].sum += s
+			parts[slot].n += c
+		})
+	})
+	for _, part := range parts {
+		sum += part.sum
+		n += part.n
 	}
-	pool.PutFloat64s(partials)
-	return acc
+	return sum, n
 }

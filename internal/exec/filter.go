@@ -2,7 +2,6 @@ package exec
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync"
 
@@ -17,55 +16,44 @@ import (
 // the last preceding join operator is available"; selection is the
 // equivalent producer in this library).
 func SelectFloat64(cfg Config, pieces []Piece, pred func(float64) bool) ([]uint64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return nil, fmt.Errorf("%w: float64 selection over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
-	}
-	if err := rejectComp(pieces, "float64 selection"); err != nil {
-		return nil, err
-	}
-	ot := obsSelect.start(cfg.Policy)
-	out := selectPositions(cfg, pieces, func(buf []uint64, gFrom, gTo int) []uint64 {
-		return scanMatchesF64(buf, pieces, gFrom, gTo, pred)
-	})
-	cfg.chargeScan(pieces)
-	ot.end()
-	return out, nil
+	return selectMatches(cfg, "float64 selection", pieces, pred)
 }
 
 // SelectInt64 is SelectFloat64 for int64 columns.
 func SelectInt64(cfg Config, pieces []Piece, pred func(int64) bool) ([]uint64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return nil, fmt.Errorf("%w: int64 selection over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
+	return selectMatches(cfg, "int64 selection", pieces, pred)
+}
+
+// selectMatches is the closure-predicate selection body.
+func selectMatches[T Number](cfg Config, what string, pieces []Piece, pred func(T) bool) ([]uint64, error) {
+	if err := checkSize8(pieces, what); err != nil {
+		return nil, err
 	}
-	if err := rejectComp(pieces, "int64 selection"); err != nil {
+	if err := rejectComp(pieces, what); err != nil {
 		return nil, err
 	}
 	ot := obsSelect.start(cfg.Policy)
 	out := selectPositions(cfg, pieces, func(buf []uint64, gFrom, gTo int) []uint64 {
-		return scanMatchesI64(buf, pieces, gFrom, gTo, pred)
+		return scanMatches(buf, pieces, gFrom, gTo, pred)
 	})
 	cfg.chargeScan(pieces)
 	ot.end()
 	return out, nil
 }
 
-// scanMatchesF64 appends the global positions in pieces' local range
-// [gFrom, gTo) whose float64 field satisfies pred, reusing buf's
-// capacity. The contiguous stride-8 case re-slices to a dense byte run
-// and decodes inline, so only the caller's predicate — not an
-// additional per-row decode closure — runs per element.
-func scanMatchesF64(buf []uint64, pieces []Piece, gFrom, gTo int, pred func(float64) bool) []uint64 {
+// scanMatches appends the global positions in pieces' local range
+// [gFrom, gTo) whose field satisfies pred, reusing buf's capacity. The
+// contiguous stride-8 case re-slices to a dense byte run and decodes
+// inline, so only the caller's predicate — not an additional per-row
+// decode closure — runs per element.
+func scanMatches[T Number](buf []uint64, pieces []Piece, gFrom, gTo int, pred func(T) bool) []uint64 {
 	eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
 		v := p.Vec
 		if v.Stride == 8 {
 			data := v.Data[v.Base+from*8 : v.Base+to*8]
 			base := p.Rows.Begin + uint64(from)
 			for i := 0; i+8 <= len(data); i += 8 {
-				if pred(math.Float64frombits(binary.LittleEndian.Uint64(data[i:]))) {
+				if pred(fromBits[T](binary.LittleEndian.Uint64(data[i:]))) {
 					buf = append(buf, base+uint64(i>>3))
 				}
 			}
@@ -73,32 +61,7 @@ func scanMatchesF64(buf []uint64, pieces []Piece, gFrom, gTo int, pred func(floa
 		}
 		off := v.Base + from*v.Stride
 		for i := from; i < to; i++ {
-			if pred(math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:]))) {
-				buf = append(buf, p.Rows.Begin+uint64(i))
-			}
-			off += v.Stride
-		}
-	})
-	return buf
-}
-
-// scanMatchesI64 is scanMatchesF64 for int64 columns.
-func scanMatchesI64(buf []uint64, pieces []Piece, gFrom, gTo int, pred func(int64) bool) []uint64 {
-	eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
-		v := p.Vec
-		if v.Stride == 8 {
-			data := v.Data[v.Base+from*8 : v.Base+to*8]
-			base := p.Rows.Begin + uint64(from)
-			for i := 0; i+8 <= len(data); i += 8 {
-				if pred(int64(binary.LittleEndian.Uint64(data[i:]))) {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-			return
-		}
-		off := v.Base + from*v.Stride
-		for i := from; i < to; i++ {
-			if pred(int64(binary.LittleEndian.Uint64(v.Data[off:]))) {
+			if pred(fromBits[T](binary.LittleEndian.Uint64(v.Data[off:]))) {
 				buf = append(buf, p.Rows.Begin+uint64(i))
 			}
 			off += v.Stride
@@ -198,16 +161,14 @@ func mergeParts(parts [][]uint64) []uint64 {
 // CountFloat64 counts the elements satisfying pred without building a
 // position list.
 func CountFloat64(cfg Config, pieces []Piece, pred func(float64) bool) (int64, error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return 0, fmt.Errorf("%w: float64 count over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
+	if err := checkSize8(pieces, "float64 count"); err != nil {
+		return 0, err
 	}
 	if err := rejectComp(pieces, "float64 count"); err != nil {
 		return 0, err
 	}
 	ot := obsCount.start(cfg.Policy)
-	n := int64(parallelSum(cfg, pieces, func(v layout.ColVector, from, to int) float64 {
+	_, n := parallelFold(cfg, pieces, func(v layout.ColVector, from, to int) (float64, int64) {
 		var c int64
 		off := v.Base + from*v.Stride
 		for i := from; i < to; i++ {
@@ -216,8 +177,8 @@ func CountFloat64(cfg Config, pieces []Piece, pred func(float64) bool) (int64, e
 			}
 			off += v.Stride
 		}
-		return float64(c)
-	}))
+		return 0, c
+	})
 	cfg.chargeScan(pieces)
 	ot.end()
 	return n, nil
@@ -226,100 +187,52 @@ func CountFloat64(cfg Config, pieces []Piece, pred func(float64) bool) (int64, e
 // MinMaxFloat64 returns the minimum and maximum of a float64 column view.
 // It returns ok=false for an empty view.
 func MinMaxFloat64(cfg Config, pieces []Piece) (min, max float64, ok bool, err error) {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return 0, 0, false, fmt.Errorf("%w: float64 minmax over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
+	if err := checkSize8(pieces, "float64 minmax"); err != nil {
+		return 0, 0, false, err
 	}
 	if err := rejectComp(pieces, "float64 minmax"); err != nil {
 		return 0, 0, false, err
 	}
 	ot := obsMinMax.start(cfg.Policy)
+	defer ot.end()
 	total := totalLen(pieces)
 	if total == 0 {
 		cfg.chargeScan(pieces)
-		ot.end()
 		return 0, 0, false, nil
 	}
-	extreme := func(v layout.ColVector, from, to int, lo, hi *float64) {
-		off := v.Base + from*v.Stride
-		for i := from; i < to; i++ {
-			x := math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:]))
-			if x < *lo {
-				*lo = x
-			}
-			if x > *hi {
-				*hi = x
-			}
-			off += v.Stride
-		}
+	// One (low, high) pair per slot, reduced at the end.
+	slots := cfg.slots()
+	ext := pool.GetFloat64s(2 * slots)
+	for i := 0; i < len(ext); i += 2 {
+		ext[i], ext[i+1] = math.Inf(1), math.Inf(-1)
 	}
-	min, max = math.Inf(1), math.Inf(-1)
-	switch cfg.Policy {
-	case MorselDriven:
-		slots := pool.Slots()
-		lows, highs := pool.GetFloat64s(slots), pool.GetFloat64s(slots)
-		for i := 0; i < slots; i++ {
-			lows[i], highs[i] = math.Inf(1), math.Inf(-1)
-		}
-		pool.Run(total, pool.MorselSize(), slots, func(slot, from, to int) {
-			eachRange(pieces, from, to, func(p Piece, a, b int) {
-				extreme(p.Vec, a, b, &lows[slot], &highs[slot])
-			})
+	cfg.partition(slots, total, func(slot, gFrom, gTo int) {
+		lo, hi := &ext[2*slot], &ext[2*slot+1]
+		eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
+			v := p.Vec
+			off := v.Base + from*v.Stride
+			for i := from; i < to; i++ {
+				x := math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:]))
+				if x < *lo {
+					*lo = x
+				}
+				if x > *hi {
+					*hi = x
+				}
+				off += v.Stride
+			}
 		})
-		for i := 0; i < slots; i++ {
-			if lows[i] < min {
-				min = lows[i]
-			}
-			if highs[i] > max {
-				max = highs[i]
-			}
+	})
+	min, max = math.Inf(1), math.Inf(-1)
+	for i := 0; i < len(ext); i += 2 {
+		if ext[i] < min {
+			min = ext[i]
 		}
-		pool.PutFloat64s(lows)
-		pool.PutFloat64s(highs)
-	case MultiThreaded:
-		th := cfg.threads()
-		if th == 1 {
-			for _, p := range pieces {
-				extreme(p.Vec, 0, p.Vec.Len, &min, &max)
-			}
-			break
-		}
-		lows, highs := pool.GetFloat64s(th), pool.GetFloat64s(th)
-		for i := 0; i < th; i++ {
-			lows[i], highs[i] = math.Inf(1), math.Inf(-1)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < th; w++ {
-			gFrom, gTo := blockRange(w, th, total)
-			if gFrom >= gTo {
-				break
-			}
-			wg.Add(1)
-			go func(w, gFrom, gTo int) {
-				defer wg.Done()
-				eachRange(pieces, gFrom, gTo, func(p Piece, a, b int) {
-					extreme(p.Vec, a, b, &lows[w], &highs[w])
-				})
-			}(w, gFrom, gTo)
-		}
-		wg.Wait()
-		for i := 0; i < th; i++ {
-			if lows[i] < min {
-				min = lows[i]
-			}
-			if highs[i] > max {
-				max = highs[i]
-			}
-		}
-		pool.PutFloat64s(lows)
-		pool.PutFloat64s(highs)
-	default:
-		for _, p := range pieces {
-			extreme(p.Vec, 0, p.Vec.Len, &min, &max)
+		if ext[i+1] > max {
+			max = ext[i+1]
 		}
 	}
+	pool.PutFloat64s(ext)
 	cfg.chargeScan(pieces)
-	ot.end()
 	return min, max, true, nil
 }

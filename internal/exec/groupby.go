@@ -1,13 +1,6 @@
 package exec
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-	"sync"
-
-	"hybridstore/internal/exec/pool"
-)
+import "fmt"
 
 // GroupResult is one group of a grouped aggregation.
 type GroupResult struct {
@@ -30,123 +23,26 @@ func GroupSumFloat64(cfg Config, keys, vals []Piece) ([]GroupResult, error) {
 	if err := checkAligned(keys, vals); err != nil {
 		return nil, err
 	}
-	for _, p := range vals {
-		if p.Vec.Size != 8 {
-			return nil, fmt.Errorf("%w: float64 aggregate over %d-byte fields", ErrBadColumn, p.Vec.Size)
-		}
+	if err := checkSize8(vals, "float64 aggregate"); err != nil {
+		return nil, err
 	}
 	for _, p := range keys {
 		if p.Vec.Size != 8 && p.Vec.Size != 4 {
 			return nil, fmt.Errorf("%w: group key of %d bytes", ErrBadColumn, p.Vec.Size)
 		}
 	}
-
 	ot := obsGroupBy.start(cfg.Policy)
-	total := totalLen(keys)
-	var tables []map[int64]*GroupResult
-	switch {
-	case cfg.Policy == MorselDriven && total > 0:
-		// Partial hash tables hold query results, so they are per-call
-		// (never recycled through sync.Pool) — a stale table must not leak
-		// one query's groups into another.
-		slots := pool.Slots()
-		tables = make([]map[int64]*GroupResult, slots)
-		pool.Run(total, pool.MorselSize(), slots, func(slot, from, to int) {
-			if tables[slot] == nil {
-				tables[slot] = make(map[int64]*GroupResult)
-			}
-			groupPartialInto(tables[slot], keys, vals, from, to)
+	// The unpredicated group-by is the fused kernel with every range
+	// dense: no compare, every element folded.
+	out := mergeGroupTables(groupTables(cfg, totalLen(keys), func(table map[int64]*GroupResult, gFrom, gTo int) {
+		eachAligned(keys, gFrom, gTo, func(pi, from, to int) {
+			groupWhereF64Into(table, keys[pi].Vec, vals[pi].Vec, from, to, 0, 0, true)
 		})
-	case cfg.threads() == 1:
-		tables = []map[int64]*GroupResult{groupPartial(keys, vals, 0, total)}
-	default:
-		th := cfg.threads()
-		tables = make([]map[int64]*GroupResult, th)
-		var wg sync.WaitGroup
-		for w := 0; w < th; w++ {
-			from, to := blockRange(w, th, total)
-			if from >= to {
-				break
-			}
-			wg.Add(1)
-			go func(w, from, to int) {
-				defer wg.Done()
-				tables[w] = groupPartial(keys, vals, from, to)
-			}(w, from, to)
-		}
-		wg.Wait()
-	}
-
-	merged := make(map[int64]*GroupResult)
-	for _, t := range tables {
-		for k, g := range t {
-			if m, ok := merged[k]; ok {
-				m.Sum += g.Sum
-				m.Count += g.Count
-			} else {
-				merged[k] = g
-			}
-		}
-	}
-	out := make([]GroupResult, 0, len(merged))
-	for _, g := range merged {
-		out = append(out, *g)
-	}
-	SortGroupResults(out)
+	}))
 	cfg.chargeScan(keys)
 	cfg.chargeScan(vals)
 	ot.end()
 	return out, nil
-}
-
-// groupPartial builds a hash aggregate over global positions [from, to).
-func groupPartial(keys, vals []Piece, from, to int) map[int64]*GroupResult {
-	table := make(map[int64]*GroupResult)
-	groupPartialInto(table, keys, vals, from, to)
-	return table
-}
-
-// groupPartialInto folds global positions [from, to) into an existing
-// partial table (morsel-driven workers accumulate one table per slot
-// across many morsels).
-func groupPartialInto(table map[int64]*GroupResult, keys, vals []Piece, from, to int) {
-	base := 0
-	for pi := range keys {
-		kp, vp := keys[pi].Vec, vals[pi].Vec
-		pFrom, pTo := from-base, to-base
-		base += kp.Len
-		if pTo <= 0 {
-			break
-		}
-		if pFrom < 0 {
-			pFrom = 0
-		}
-		if pFrom >= kp.Len {
-			continue
-		}
-		if pTo > kp.Len {
-			pTo = kp.Len
-		}
-		kOff := kp.Base + pFrom*kp.Stride
-		vOff := vp.Base + pFrom*vp.Stride
-		for i := pFrom; i < pTo; i++ {
-			var key int64
-			if kp.Size == 8 {
-				key = int64(binary.LittleEndian.Uint64(kp.Data[kOff:]))
-			} else {
-				key = int64(int32(binary.LittleEndian.Uint32(kp.Data[kOff:])))
-			}
-			val := math.Float64frombits(binary.LittleEndian.Uint64(vp.Data[vOff:]))
-			if g, ok := table[key]; ok {
-				g.Sum += val
-				g.Count++
-			} else {
-				table[key] = &GroupResult{Key: key, Sum: val, Count: 1}
-			}
-			kOff += kp.Stride
-			vOff += vp.Stride
-		}
-	}
 }
 
 // checkAligned verifies both views cover identical position runs.

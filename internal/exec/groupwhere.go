@@ -1,18 +1,13 @@
 package exec
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 	"time"
 
-	"hybridstore/internal/exec/pool"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
-	"hybridstore/internal/stats"
 )
 
 // Fused predicate→group-by operators: SELECT key, SUM(val), COUNT(*)
@@ -27,7 +22,7 @@ import (
 // per-element comparison at all.
 //
 // Predicates are normalized to a closed interval [lo, hi] once per call
-// (ClosedFloat64/ClosedInt64), so the hot loop carries a single
+// (ClosedFloat64), so the hot loop carries a single
 // two-sided compare instead of a per-element Op switch — the same
 // branch-light shape the device kernel consumes.
 
@@ -57,17 +52,6 @@ func startGroupFused() opTimer {
 // was outside the fused operator's reach.
 func NoteGroupFusedFallback() { mGroupFusedFallbacks.Inc() }
 
-// GroupResultInt64 is one group of an integer grouped aggregation
-// (exact mod 2^64, unlike GroupResult's float64 Sum).
-type GroupResultInt64 struct {
-	// Key is the grouping value (int64-widened).
-	Key int64
-	// Sum is the aggregated integer total.
-	Sum int64
-	// Count is the group cardinality.
-	Count int64
-}
-
 // checkGroupCols validates the key/value piece shapes shared by the
 // fused grouped operators.
 func checkGroupCols(keys, vals []Piece) error {
@@ -83,45 +67,6 @@ func checkGroupCols(keys, vals []Piece) error {
 		}
 	}
 	return nil
-}
-
-// pruneAlignedByZone is pruneByZone for aligned key/value piece pairs:
-// the value column's zones drive the decision and surviving pairs keep
-// their index alignment. Skipping a fragment saves both columns' bytes,
-// so the pruned-bytes figures count key and value bytes together.
-func pruneAlignedByZone(cfg Config, keys, vals []Piece, admits func(z *stats.Zone) bool) (kKeys, kVals []Piece, prunedBytes int64) {
-	pruned := 0
-	for i := range vals {
-		if admits(vals[i].Zone) {
-			if pruned > 0 {
-				kKeys = append(kKeys, keys[i])
-				kVals = append(kVals, vals[i])
-			}
-			continue
-		}
-		if pruned == 0 {
-			kKeys = append(kKeys, keys[:i]...)
-			kVals = append(kVals, vals[:i]...)
-		}
-		pruned++
-		prunedBytes += int64(vals[i].Vec.Len)*int64(vals[i].Vec.Size) +
-			int64(keys[i].Vec.Len)*int64(keys[i].Vec.Size)
-	}
-	if pruned == 0 {
-		kKeys, kVals = keys, vals
-	}
-	mZoneScanned.Add(int64(len(kVals)))
-	gZonePrunedBytes.Set(prunedBytes)
-	if pruned > 0 {
-		sp := sfPrune.Start()
-		mZonePruned.Add(int64(pruned))
-		mZonePrunedBytes.Add(prunedBytes)
-		sp.EndWith(fmt.Sprintf("pruned %d/%d fragments, %d bytes", pruned, len(vals), prunedBytes))
-	}
-	if cfg.Clock != nil && len(vals) > 0 {
-		cfg.Clock.Advance(cfg.Host.ZoneCheckNs(len(vals)))
-	}
-	return kKeys, kVals, prunedBytes
 }
 
 // splitAlignedComp partitions aligned pairs into all-raw pairs (both
@@ -176,47 +121,42 @@ func eachAligned(keys []Piece, gFrom, gTo int, fn func(pi, from, to int)) {
 	}
 }
 
-// groupFusedTables runs fold over total global positions under the
-// configured policy and returns the per-worker partial tables. Tables
-// hold query results, so they are per-call (never pooled).
-func groupFusedTables[G any](cfg Config, total int, fold func(table map[int64]*G, gFrom, gTo int)) []map[int64]*G {
-	if total == 0 {
-		return nil
-	}
-	switch {
-	case cfg.Policy == MorselDriven:
-		slots := pool.Slots()
-		tables := make([]map[int64]*G, slots)
-		pool.Run(total, pool.MorselSize(), slots, func(slot, from, to int) {
-			if tables[slot] == nil {
-				tables[slot] = make(map[int64]*G)
-			}
-			fold(tables[slot], from, to)
-		})
-		return tables
-	case cfg.threads() == 1:
-		table := make(map[int64]*G)
-		fold(table, 0, total)
-		return []map[int64]*G{table}
-	default:
-		th := cfg.threads()
-		tables := make([]map[int64]*G, th)
-		var wg sync.WaitGroup
-		for w := 0; w < th; w++ {
-			from, to := blockRange(w, th, total)
-			if from >= to {
-				break
-			}
-			wg.Add(1)
-			go func(w, from, to int) {
-				defer wg.Done()
-				tables[w] = make(map[int64]*G)
-				fold(tables[w], from, to)
-			}(w, from, to)
+// groupTables runs fold over total global positions under the
+// configured policy and returns the per-slot partial tables. Tables hold
+// query results, so they are per-call (never pooled) — a stale table
+// must not leak one query's groups into another.
+func groupTables(cfg Config, total int, fold func(table map[int64]*GroupResult, gFrom, gTo int)) []map[int64]*GroupResult {
+	slots := cfg.slots()
+	tables := make([]map[int64]*GroupResult, slots)
+	cfg.partition(slots, total, func(slot, from, to int) {
+		if tables[slot] == nil {
+			tables[slot] = make(map[int64]*GroupResult)
 		}
-		wg.Wait()
-		return tables
+		fold(tables[slot], from, to)
+	})
+	return tables
+}
+
+// mergeGroupTables folds per-slot partial tables in slot order into one
+// table sorted by key.
+func mergeGroupTables(tables []map[int64]*GroupResult) []GroupResult {
+	merged := make(map[int64]*GroupResult)
+	for _, t := range tables {
+		for k, g := range t {
+			if m, ok := merged[k]; ok {
+				m.Sum += g.Sum
+				m.Count += g.Count
+			} else {
+				merged[k] = g
+			}
+		}
 	}
+	out := make([]GroupResult, 0, len(merged))
+	for _, g := range merged {
+		out = append(out, *g)
+	}
+	SortGroupResults(out)
+	return out
 }
 
 // keyDecoder returns an indexed key accessor for a piece: raw vectors
@@ -255,16 +195,6 @@ func addGroupF64(table map[int64]*GroupResult, key int64, v float64) {
 	}
 }
 
-// addGroupI64 folds one (sum, count) partial into an integer table.
-func addGroupI64(table map[int64]*GroupResultInt64, key, sum, count int64) {
-	if g, ok := table[key]; ok {
-		g.Sum += sum
-		g.Count += count
-	} else {
-		table[key] = &GroupResultInt64{Key: key, Sum: sum, Count: count}
-	}
-}
-
 // groupWhereF64Into is the fused float kernel: decode value, compare
 // against the closed interval, fold the match into the table. dense
 // skips the compare when the fragment's zone proved every element
@@ -290,44 +220,12 @@ func groupWhereF64Into(table map[int64]*GroupResult, kp, vp layout.ColVector, fr
 	}
 }
 
-// groupWhereI64Into is groupWhereF64Into for int64 value columns.
-func groupWhereI64Into(table map[int64]*GroupResultInt64, kp, vp layout.ColVector, from, to int, lo, hi int64, dense bool) {
-	kOff := kp.Base + from*kp.Stride
-	vOff := vp.Base + from*vp.Stride
-	key8 := kp.Size == 8
-	for i := from; i < to; i++ {
-		x := int64(binary.LittleEndian.Uint64(vp.Data[vOff:]))
-		if dense || (lo <= x && x <= hi) {
-			var key int64
-			if key8 {
-				key = int64(binary.LittleEndian.Uint64(kp.Data[kOff:]))
-			} else {
-				key = int64(int32(binary.LittleEndian.Uint32(kp.Data[kOff:])))
-			}
-			addGroupI64(table, key, x, 1)
-		}
-		kOff += kp.Stride
-		vOff += vp.Stride
-	}
-}
-
 // denseFlagsF64 marks the raw pieces whose zone proves every element
 // matches the closed interval — the all-match fast path.
 func denseFlagsF64(vals []Piece, lo, hi float64) []bool {
 	dense := make([]bool, len(vals))
 	for i, p := range vals {
 		if zmin, zmax, ok := p.Zone.Float64Bounds(); ok && lo <= zmin && zmax <= hi {
-			dense[i] = true
-		}
-	}
-	return dense
-}
-
-// denseFlagsI64 is denseFlagsF64 for int64 zones.
-func denseFlagsI64(vals []Piece, lo, hi int64) []bool {
-	dense := make([]bool, len(vals))
-	for i, p := range vals {
-		if zmin, zmax, ok := p.Zone.Int64Bounds(); ok && lo <= zmin && zmax <= hi {
 			dense[i] = true
 		}
 	}
@@ -345,29 +243,26 @@ func GroupSumFloat64Where(cfg Config, keys, vals []Piece, p Pred[float64]) ([]Gr
 		return nil, err
 	}
 	ft := startGroupFused()
-	kKeys, kVals, _ := pruneAlignedByZone(cfg, keys, vals, func(z *stats.Zone) bool {
-		return zoneAdmitsFloat64(z, p)
-	})
+	defer ft.end()
+	kKeys, kVals, _ := pruneByZone(cfg, keys, vals, p)
 	lo, hi, ok := ClosedFloat64(p)
 	if !ok {
 		// Empty interval: provably no matches, nothing scanned.
-		ft.end()
 		return nil, nil
 	}
 	rawKeys, rawVals, compKeys, compVals := splitAlignedComp(kKeys, kVals)
 	dense := denseFlagsF64(rawVals, lo, hi)
-	tables := groupFusedTables(cfg, totalLen(rawKeys), func(table map[int64]*GroupResult, gFrom, gTo int) {
+	tables := groupTables(cfg, totalLen(rawKeys), func(table map[int64]*GroupResult, gFrom, gTo int) {
 		eachAligned(rawKeys, gFrom, gTo, func(pi, from, to int) {
 			groupWhereF64Into(table, rawKeys[pi].Vec, rawVals[pi].Vec, from, to, lo, hi, dense[pi])
 		})
 	})
 	if len(compVals) > 0 {
 		ct := make(map[int64]*GroupResult)
-		cp := compPredF64(p)
+		cp := compPred(p)
 		for i := range compVals {
 			keyAt, err := keyDecoder(compKeys[i])
 			if err != nil {
-				ft.end()
 				return nil, err
 			}
 			if c := compVals[i].Comp; c != nil {
@@ -375,7 +270,6 @@ func GroupSumFloat64Where(cfg Config, keys, vals []Piece, p Pred[float64]) ([]Gr
 					addGroupF64(ct, key, v)
 				})
 				if err != nil {
-					ft.end()
 					return nil, fmt.Errorf("%w: %v", ErrBadColumn, err)
 				}
 				continue
@@ -392,308 +286,9 @@ func GroupSumFloat64Where(cfg Config, keys, vals []Piece, p Pred[float64]) ([]Gr
 		}
 		tables = append(tables, ct)
 	}
-	merged := make(map[int64]*GroupResult)
-	for _, t := range tables {
-		for k, g := range t {
-			if m, ok := merged[k]; ok {
-				m.Sum += g.Sum
-				m.Count += g.Count
-			} else {
-				merged[k] = g
-			}
-		}
-	}
-	out := make([]GroupResult, 0, len(merged))
-	for _, g := range merged {
-		out = append(out, *g)
-	}
-	SortGroupResults(out)
+	out := mergeGroupTables(tables)
 	mGroupFusedGroups.Add(int64(len(out)))
 	cfg.chargeScan(kKeys)
 	cfg.chargeScan(kVals)
-	ft.end()
 	return out, nil
-}
-
-// GroupSumInt64Where is GroupSumFloat64Where for int64 value columns
-// (exact mod 2^64).
-func GroupSumInt64Where(cfg Config, keys, vals []Piece, p Pred[int64]) ([]GroupResultInt64, error) {
-	if err := checkGroupCols(keys, vals); err != nil {
-		return nil, err
-	}
-	ft := startGroupFused()
-	kKeys, kVals, _ := pruneAlignedByZone(cfg, keys, vals, func(z *stats.Zone) bool {
-		return zoneAdmitsInt64(z, p)
-	})
-	lo, hi, ok := ClosedInt64(p)
-	if !ok {
-		ft.end()
-		return nil, nil
-	}
-	rawKeys, rawVals, compKeys, compVals := splitAlignedComp(kKeys, kVals)
-	dense := denseFlagsI64(rawVals, lo, hi)
-	tables := groupFusedTables(cfg, totalLen(rawKeys), func(table map[int64]*GroupResultInt64, gFrom, gTo int) {
-		eachAligned(rawKeys, gFrom, gTo, func(pi, from, to int) {
-			groupWhereI64Into(table, rawKeys[pi].Vec, rawVals[pi].Vec, from, to, lo, hi, dense[pi])
-		})
-	})
-	if len(compVals) > 0 {
-		ct := make(map[int64]*GroupResultInt64)
-		cp := compPredI64(p)
-		for i := range compVals {
-			keyAt, err := keyDecoder(compKeys[i])
-			if err != nil {
-				ft.end()
-				return nil, err
-			}
-			if c := compVals[i].Comp; c != nil {
-				err := c.GroupSumInt64Where(cp, keyAt, func(key, sum, count int64) {
-					addGroupI64(ct, key, sum, count)
-				})
-				if err != nil {
-					ft.end()
-					return nil, fmt.Errorf("%w: %v", ErrBadColumn, err)
-				}
-				continue
-			}
-			vp := compVals[i].Vec
-			vOff := vp.Base
-			for j := 0; j < vp.Len; j++ {
-				if x := int64(binary.LittleEndian.Uint64(vp.Data[vOff:])); lo <= x && x <= hi {
-					addGroupI64(ct, keyAt(j), x, 1)
-				}
-				vOff += vp.Stride
-			}
-		}
-		tables = append(tables, ct)
-	}
-	merged := make(map[int64]*GroupResultInt64)
-	for _, t := range tables {
-		for k, g := range t {
-			if m, ok := merged[k]; ok {
-				m.Sum += g.Sum
-				m.Count += g.Count
-			} else {
-				merged[k] = g
-			}
-		}
-	}
-	out := make([]GroupResultInt64, 0, len(merged))
-	for _, g := range merged {
-		out = append(out, *g)
-	}
-	slices.SortFunc(out, func(a, b GroupResultInt64) int { return cmp.Compare(a.Key, b.Key) })
-	mGroupFusedGroups.Add(int64(len(out)))
-	cfg.chargeScan(kKeys)
-	cfg.chargeScan(kVals)
-	ft.end()
-	return out, nil
-}
-
-// GroupCountWhereFloat64 computes SELECT key, COUNT(*) WHERE p GROUP BY
-// key in one fused pass (GroupResult.Sum stays zero). Dense fragments
-// count without decoding the value column at all.
-func GroupCountWhereFloat64(cfg Config, keys, vals []Piece, p Pred[float64]) ([]GroupResult, error) {
-	if err := checkGroupCols(keys, vals); err != nil {
-		return nil, err
-	}
-	ft := startGroupFused()
-	kKeys, kVals, _ := pruneAlignedByZone(cfg, keys, vals, func(z *stats.Zone) bool {
-		return zoneAdmitsFloat64(z, p)
-	})
-	lo, hi, ok := ClosedFloat64(p)
-	if !ok {
-		ft.end()
-		return nil, nil
-	}
-	rawKeys, rawVals, compKeys, compVals := splitAlignedComp(kKeys, kVals)
-	dense := denseFlagsF64(rawVals, lo, hi)
-	tables := groupFusedTables(cfg, totalLen(rawKeys), func(table map[int64]*GroupResult, gFrom, gTo int) {
-		eachAligned(rawKeys, gFrom, gTo, func(pi, from, to int) {
-			groupCountF64Into(table, rawKeys[pi].Vec, rawVals[pi].Vec, from, to, lo, hi, dense[pi])
-		})
-	})
-	if len(compVals) > 0 {
-		ct := make(map[int64]*GroupResult)
-		cp := compPredF64(p)
-		for i := range compVals {
-			keyAt, err := keyDecoder(compKeys[i])
-			if err != nil {
-				ft.end()
-				return nil, err
-			}
-			hit := func(key int64) {
-				if g, ok := ct[key]; ok {
-					g.Count++
-				} else {
-					ct[key] = &GroupResult{Key: key, Count: 1}
-				}
-			}
-			if c := compVals[i].Comp; c != nil {
-				if err := c.GroupCountWhereFloat64(cp, keyAt, hit); err != nil {
-					ft.end()
-					return nil, fmt.Errorf("%w: %v", ErrBadColumn, err)
-				}
-				continue
-			}
-			vp := compVals[i].Vec
-			vOff := vp.Base
-			for j := 0; j < vp.Len; j++ {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(vp.Data[vOff:])); lo <= x && x <= hi {
-					hit(keyAt(j))
-				}
-				vOff += vp.Stride
-			}
-		}
-		tables = append(tables, ct)
-	}
-	out := mergeCountTables(tables)
-	mGroupFusedGroups.Add(int64(len(out)))
-	cfg.chargeScan(kKeys)
-	cfg.chargeScan(kVals)
-	ft.end()
-	return out, nil
-}
-
-// GroupCountWhereInt64 is GroupCountWhereFloat64 for int64 value
-// columns.
-func GroupCountWhereInt64(cfg Config, keys, vals []Piece, p Pred[int64]) ([]GroupResult, error) {
-	if err := checkGroupCols(keys, vals); err != nil {
-		return nil, err
-	}
-	ft := startGroupFused()
-	kKeys, kVals, _ := pruneAlignedByZone(cfg, keys, vals, func(z *stats.Zone) bool {
-		return zoneAdmitsInt64(z, p)
-	})
-	lo, hi, ok := ClosedInt64(p)
-	if !ok {
-		ft.end()
-		return nil, nil
-	}
-	rawKeys, rawVals, compKeys, compVals := splitAlignedComp(kKeys, kVals)
-	dense := denseFlagsI64(rawVals, lo, hi)
-	tables := groupFusedTables(cfg, totalLen(rawKeys), func(table map[int64]*GroupResult, gFrom, gTo int) {
-		eachAligned(rawKeys, gFrom, gTo, func(pi, from, to int) {
-			groupCountI64Into(table, rawKeys[pi].Vec, rawVals[pi].Vec, from, to, lo, hi, dense[pi])
-		})
-	})
-	if len(compVals) > 0 {
-		ct := make(map[int64]*GroupResult)
-		cp := compPredI64(p)
-		for i := range compVals {
-			keyAt, err := keyDecoder(compKeys[i])
-			if err != nil {
-				ft.end()
-				return nil, err
-			}
-			hit := func(key int64) {
-				if g, ok := ct[key]; ok {
-					g.Count++
-				} else {
-					ct[key] = &GroupResult{Key: key, Count: 1}
-				}
-			}
-			if c := compVals[i].Comp; c != nil {
-				if err := c.GroupCountWhereInt64(cp, keyAt, hit); err != nil {
-					ft.end()
-					return nil, fmt.Errorf("%w: %v", ErrBadColumn, err)
-				}
-				continue
-			}
-			vp := compVals[i].Vec
-			vOff := vp.Base
-			for j := 0; j < vp.Len; j++ {
-				if x := int64(binary.LittleEndian.Uint64(vp.Data[vOff:])); lo <= x && x <= hi {
-					hit(keyAt(j))
-				}
-				vOff += vp.Stride
-			}
-		}
-		tables = append(tables, ct)
-	}
-	out := mergeCountTables(tables)
-	mGroupFusedGroups.Add(int64(len(out)))
-	cfg.chargeScan(kKeys)
-	cfg.chargeScan(kVals)
-	ft.end()
-	return out, nil
-}
-
-// groupCountF64Into is the fused float count kernel; dense ranges count
-// keys without touching the value column.
-func groupCountF64Into(table map[int64]*GroupResult, kp, vp layout.ColVector, from, to int, lo, hi float64, dense bool) {
-	kOff := kp.Base + from*kp.Stride
-	vOff := vp.Base + from*vp.Stride
-	key8 := kp.Size == 8
-	for i := from; i < to; i++ {
-		match := dense
-		if !match {
-			x := math.Float64frombits(binary.LittleEndian.Uint64(vp.Data[vOff:]))
-			match = lo <= x && x <= hi
-		}
-		if match {
-			var key int64
-			if key8 {
-				key = int64(binary.LittleEndian.Uint64(kp.Data[kOff:]))
-			} else {
-				key = int64(int32(binary.LittleEndian.Uint32(kp.Data[kOff:])))
-			}
-			if g, ok := table[key]; ok {
-				g.Count++
-			} else {
-				table[key] = &GroupResult{Key: key, Count: 1}
-			}
-		}
-		kOff += kp.Stride
-		vOff += vp.Stride
-	}
-}
-
-// groupCountI64Into is groupCountF64Into for int64 value columns.
-func groupCountI64Into(table map[int64]*GroupResult, kp, vp layout.ColVector, from, to int, lo, hi int64, dense bool) {
-	kOff := kp.Base + from*kp.Stride
-	vOff := vp.Base + from*vp.Stride
-	key8 := kp.Size == 8
-	for i := from; i < to; i++ {
-		match := dense
-		if !match {
-			x := int64(binary.LittleEndian.Uint64(vp.Data[vOff:]))
-			match = lo <= x && x <= hi
-		}
-		if match {
-			var key int64
-			if key8 {
-				key = int64(binary.LittleEndian.Uint64(kp.Data[kOff:]))
-			} else {
-				key = int64(int32(binary.LittleEndian.Uint32(kp.Data[kOff:])))
-			}
-			if g, ok := table[key]; ok {
-				g.Count++
-			} else {
-				table[key] = &GroupResult{Key: key, Count: 1}
-			}
-		}
-		kOff += kp.Stride
-		vOff += vp.Stride
-	}
-}
-
-// mergeCountTables merges partial count tables and sorts by key.
-func mergeCountTables(tables []map[int64]*GroupResult) []GroupResult {
-	merged := make(map[int64]*GroupResult)
-	for _, t := range tables {
-		for k, g := range t {
-			if m, ok := merged[k]; ok {
-				m.Count += g.Count
-			} else {
-				merged[k] = g
-			}
-		}
-	}
-	out := make([]GroupResult, 0, len(merged))
-	for _, g := range merged {
-		out = append(out, *g)
-	}
-	SortGroupResults(out)
-	return out
 }

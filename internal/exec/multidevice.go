@@ -229,14 +229,14 @@ func (m *MultiDeviceScan) SumFloat64Where(col int, pieces []Piece, p Pred[float6
 	}
 	sp := obsMultiScan.Start()
 	defer sp.End()
-	perCard, host := m.place(col, pieces, func(pc Piece) bool { return zoneAdmitsFloat64(pc.Zone, p) })
+	perCard, host := m.place(col, pieces, func(pc Piece) bool { return ZoneAdmits(pc.Zone, p) })
 	partials, err := m.runScalar(perCard, host, pieces,
 		func(d DeviceScan, pc Piece) (scanPartial, error) {
 			s, n, err := d.SumFloat64Where(col, []Piece{pc}, p)
 			return scanPartial{s, n}, err
 		},
 		func(cfg Config, pc Piece) (scanPartial, error) {
-			admit := zoneAdmitsFloat64(pc.Zone, p)
+			admit := ZoneAdmits(pc.Zone, p)
 			NoteZoneDecision(admit, int64(pc.Vec.Len*pc.Vec.Size))
 			if !admit {
 				return scanPartial{}, nil
@@ -302,7 +302,7 @@ func (m *MultiDeviceScan) GroupSumFloat64Where(keyCol, valCol int, keys, vals []
 	}
 	sp := obsMultiScan.Start()
 	defer sp.End()
-	perCard, host := m.place(valCol, vals, func(pc Piece) bool { return zoneAdmitsFloat64(pc.Zone, p) })
+	perCard, host := m.place(valCol, vals, func(pc Piece) bool { return ZoneAdmits(pc.Zone, p) })
 
 	tables := make([][]GroupResult, len(vals))
 	errs := make([]error, m.Env.N()+1)

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
+	"unsafe"
 
+	"hybridstore/internal/compress"
 	"hybridstore/internal/exec/pool"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
@@ -72,10 +73,17 @@ func (o Op) String() string {
 }
 
 // Number is the element domain of sargable predicates: the two 8-byte
-// numeric kinds the zone maps cover.
+// numeric kinds the zone maps cover. Every operator body and kernel in
+// this package is written once over it.
 type Number interface {
-	~int64 | ~float64
+	int64 | float64
 }
+
+// fromBits reinterprets one little-endian 8-byte field as T. Both
+// members of Number are 8 bytes wide, so the reinterpretation is a plain
+// register move — the same load a hand-written float64 or int64 kernel
+// performs (a type switch here costs a dictionary lookup per element).
+func fromBits[T Number](u uint64) T { return *(*T)(unsafe.Pointer(&u)) }
 
 // Pred is a sargable predicate over one 8-byte numeric column: an
 // equality or range comparison the executor can both specialize (tight
@@ -209,50 +217,24 @@ func ClosedFloat64(p Pred[float64]) (lo, hi float64, ok bool) {
 	}
 }
 
-// ClosedInt64 is ClosedFloat64 for int64 predicates.
-func ClosedInt64(p Pred[int64]) (lo, hi int64, ok bool) {
-	switch p.Op {
-	case OpEQ:
-		return p.Lo, p.Lo, true
-	case OpLT:
-		return math.MinInt64, p.Hi - 1, p.Hi != math.MinInt64
-	case OpGT:
-		return p.Lo + 1, math.MaxInt64, p.Lo != math.MaxInt64
-	case OpBetween:
-		return p.Lo, p.Hi, p.Lo <= p.Hi
-	default:
-		return 0, 0, false
+// ZoneAdmits reports whether the zone map allows a match — the overlap
+// test the host operators prune with, exported for engine code that
+// decides outside them (the device paths check before paying the
+// transfer or the kernel launch). A nil, invalid or foreign-kind zone
+// admits everything: the scan falls back to touching the bytes.
+func ZoneAdmits[T Number](z *stats.Zone, p Pred[T]) bool {
+	switch q := any(p).(type) {
+	case Pred[float64]:
+		if min, max, ok := z.Float64Bounds(); ok {
+			return q.admits(min, max)
+		}
+	case Pred[int64]:
+		if min, max, ok := z.Int64Bounds(); ok {
+			return q.admits(min, max)
+		}
 	}
+	return true
 }
-
-// zoneAdmitsFloat64 reports whether the piece's zone map allows a
-// match. A nil, invalid or foreign-kind zone admits everything — the
-// scan falls back to touching the bytes.
-func zoneAdmitsFloat64(z *stats.Zone, p Pred[float64]) bool {
-	min, max, ok := z.Float64Bounds()
-	if !ok {
-		return true
-	}
-	return p.admits(min, max)
-}
-
-// zoneAdmitsInt64 is zoneAdmitsFloat64 for int64 predicates.
-func zoneAdmitsInt64(z *stats.Zone, p Pred[int64]) bool {
-	min, max, ok := z.Int64Bounds()
-	if !ok {
-		return true
-	}
-	return p.admits(min, max)
-}
-
-// ZoneAdmitsFloat64 exposes the zone-overlap test to engine code that
-// prunes outside the host operators — the device paths decide before
-// paying the transfer or the kernel launch. A nil, invalid or
-// foreign-kind zone admits everything.
-func ZoneAdmitsFloat64(z *stats.Zone, p Pred[float64]) bool { return zoneAdmitsFloat64(z, p) }
-
-// ZoneAdmitsInt64 is ZoneAdmitsFloat64 for int64 predicates.
-func ZoneAdmitsInt64(z *stats.Zone, p Pred[int64]) bool { return zoneAdmitsInt64(z, p) }
 
 // NoteZoneDecision records one zone consultation made outside the host
 // operators (bytes is the fragment size the decision covered), keeping
@@ -266,29 +248,41 @@ func NoteZoneDecision(admitted bool, bytes int64) {
 	mZonePrunedBytes.Add(bytes)
 }
 
-// pruneByZone partitions pieces into the survivors of the zone test and
+// pruneByZone partitions pieces into the survivors of p's zone test and
 // accounts the decision: counters for pruned/scanned pieces, the
 // per-query pruned-bytes gauge, a prune-decision span when anything was
 // skipped, and — when the config carries a clock — the (tiny) cost of
-// consulting one zone per piece. Survivors alias the input slice when
+// consulting one zone per piece. keys, when non-nil, is a column aligned
+// with pieces (the fused group-by's key view): pieces' zones drive the
+// decision, surviving pairs keep their index alignment, and a skipped
+// fragment saves both columns' bytes. Survivors alias the inputs when
 // nothing was pruned, so the common all-survive case allocates nothing.
-func pruneByZone(cfg Config, pieces []Piece, admits func(z *stats.Zone) bool) (kept []Piece, prunedBytes int64) {
+func pruneByZone[T Number](cfg Config, keys, pieces []Piece, p Pred[T]) (kKeys, kept []Piece, prunedBytes int64) {
 	pruned := 0
-	for i, p := range pieces {
-		if admits(p.Zone) {
+	for i, pc := range pieces {
+		if ZoneAdmits(pc.Zone, p) {
 			if pruned > 0 {
-				kept = append(kept, p)
+				kept = append(kept, pc)
+				if keys != nil {
+					kKeys = append(kKeys, keys[i])
+				}
 			}
 			continue
 		}
 		if pruned == 0 {
 			kept = append(kept, pieces[:i]...)
+			if keys != nil {
+				kKeys = append(kKeys, keys[:i]...)
+			}
 		}
 		pruned++
-		prunedBytes += int64(p.Vec.Len) * int64(p.Vec.Size)
+		prunedBytes += int64(pc.Vec.Len) * int64(pc.Vec.Size)
+		if keys != nil {
+			prunedBytes += int64(keys[i].Vec.Len) * int64(keys[i].Vec.Size)
+		}
 	}
 	if pruned == 0 {
-		kept = pieces
+		kKeys, kept = keys, pieces
 	}
 	mZoneScanned.Add(int64(len(kept)))
 	gZonePrunedBytes.Set(prunedBytes)
@@ -301,7 +295,7 @@ func pruneByZone(cfg Config, pieces []Piece, admits func(z *stats.Zone) bool) (k
 	if cfg.Clock != nil && len(pieces) > 0 {
 		cfg.Clock.Advance(cfg.Host.ZoneCheckNs(len(pieces)))
 	}
-	return kept, prunedBytes
+	return kKeys, kept, prunedBytes
 }
 
 // checkSize8 rejects views whose fields are not 8 bytes wide.
@@ -316,44 +310,44 @@ func checkSize8(pieces []Piece, what string) error {
 
 // --- Specialized kernels -------------------------------------------------
 //
-// One loop per (type, comparison) pair, chosen once outside the loop.
-// The contiguous stride-8 case re-slices the vector to a dense byte run
-// so the element load is a single bounds-check-friendly 8-byte decode;
-// the strided (NSM) case steps by the tuplet width. Both compare inline
-// — the branch predictor sees one well-behaved branch per element.
+// One loop per comparison, chosen once outside the loop and written once
+// over T. The contiguous stride-8 case re-slices the vector to a dense
+// byte run so the element load is a single bounds-check-friendly 8-byte
+// decode; the strided (NSM) case steps by the tuplet width. Both compare
+// inline — the branch predictor sees one well-behaved branch per element.
 
-// sumWhereF64 returns the sum and count of matching elements in
+// sumWhere returns the sum and count of matching elements in
 // v[from:to).
-func sumWhereF64(v layout.ColVector, from, to int, p Pred[float64]) (float64, int64) {
-	var sum float64
+func sumWhere[T Number](v layout.ColVector, from, to int, p Pred[T]) (T, int64) {
+	var sum T
 	var n int64
 	if v.Stride == 8 {
 		data := v.Data[v.Base+from*8 : v.Base+to*8]
 		switch p.Op {
 		case OpEQ:
 			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
+				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
 					sum += x
 					n++
 				}
 			}
 		case OpLT:
 			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
+				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
 					sum += x
 					n++
 				}
 			}
 		case OpGT:
 			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
+				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
 					sum += x
 					n++
 				}
 			}
 		case OpBetween:
 			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
+				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
 					sum += x
 					n++
 				}
@@ -363,7 +357,7 @@ func sumWhereF64(v layout.ColVector, from, to int, p Pred[float64]) (float64, in
 	}
 	off := v.Base + from*v.Stride
 	for i := from; i < to; i++ {
-		if x := math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
+		if x := fromBits[T](binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
 			sum += x
 			n++
 		}
@@ -372,82 +366,34 @@ func sumWhereF64(v layout.ColVector, from, to int, p Pred[float64]) (float64, in
 	return sum, n
 }
 
-// sumWhereI64 is sumWhereF64 for int64 columns.
-func sumWhereI64(v layout.ColVector, from, to int, p Pred[int64]) (int64, int64) {
-	var sum, n int64
-	if v.Stride == 8 {
-		data := v.Data[v.Base+from*8 : v.Base+to*8]
-		switch p.Op {
-		case OpEQ:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
-					sum += x
-					n++
-				}
-			}
-		case OpLT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
-					sum += x
-					n++
-				}
-			}
-		case OpGT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
-					sum += x
-					n++
-				}
-			}
-		case OpBetween:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
-					sum += x
-					n++
-				}
-			}
-		}
-		return sum, n
-	}
-	off := v.Base + from*v.Stride
-	for i := from; i < to; i++ {
-		if x := int64(binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
-			sum += x
-			n++
-		}
-		off += v.Stride
-	}
-	return sum, n
-}
-
-// appendWhereF64 appends the global positions of matching elements in
+// appendWhere appends the global positions of matching elements in
 // v[from:to) (whose global position base is rowBase+from) to buf.
-func appendWhereF64(buf []uint64, rowBase uint64, v layout.ColVector, from, to int, p Pred[float64]) []uint64 {
+func appendWhere[T Number](buf []uint64, rowBase uint64, v layout.ColVector, from, to int, p Pred[T]) []uint64 {
 	if v.Stride == 8 {
 		data := v.Data[v.Base+from*8 : v.Base+to*8]
 		base := rowBase + uint64(from)
 		switch p.Op {
 		case OpEQ:
 			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
+				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
 					buf = append(buf, base+uint64(i>>3))
 				}
 			}
 		case OpLT:
 			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
+				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
 					buf = append(buf, base+uint64(i>>3))
 				}
 			}
 		case OpGT:
 			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
+				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
 					buf = append(buf, base+uint64(i>>3))
 				}
 			}
 		case OpBetween:
 			for i := 0; i+8 <= len(data); i += 8 {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
+				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
 					buf = append(buf, base+uint64(i>>3))
 				}
 			}
@@ -456,50 +402,7 @@ func appendWhereF64(buf []uint64, rowBase uint64, v layout.ColVector, from, to i
 	}
 	off := v.Base + from*v.Stride
 	for i := from; i < to; i++ {
-		if x := math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
-			buf = append(buf, rowBase+uint64(i))
-		}
-		off += v.Stride
-	}
-	return buf
-}
-
-// appendWhereI64 is appendWhereF64 for int64 columns.
-func appendWhereI64(buf []uint64, rowBase uint64, v layout.ColVector, from, to int, p Pred[int64]) []uint64 {
-	if v.Stride == 8 {
-		data := v.Data[v.Base+from*8 : v.Base+to*8]
-		base := rowBase + uint64(from)
-		switch p.Op {
-		case OpEQ:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpLT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpGT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpBetween:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := int64(binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		}
-		return buf
-	}
-	off := v.Base + from*v.Stride
-	for i := from; i < to; i++ {
-		if x := int64(binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
+		if x := fromBits[T](binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
 			buf = append(buf, rowBase+uint64(i))
 		}
 		off += v.Stride
@@ -509,110 +412,58 @@ func appendWhereI64(buf []uint64, rowBase uint64, v layout.ColVector, from, to i
 
 // --- Fused operators -----------------------------------------------------
 
-// SumFloat64Where computes SUM(col), COUNT(*) WHERE p in one fused scan:
-// no position list is materialized, pieces whose zone maps exclude the
-// predicate are never touched, and only scanned bytes are charged to
-// the platform model.
-func SumFloat64Where(cfg Config, pieces []Piece, p Pred[float64]) (float64, int64, error) {
-	if err := checkSize8(pieces, "fused float64 sum"); err != nil {
+// scanWhere is the one fused predicate scan body: SUM(col), COUNT(*)
+// WHERE p with no position list materialized, pieces whose zone maps
+// exclude the predicate never touched, compressed pieces evaluated in
+// the compressed domain, and only scanned bytes charged to the platform
+// model.
+func scanWhere[T Number](cfg Config, o *opObs, what string, pieces []Piece, p Pred[T]) (T, int64, error) {
+	if err := checkSize8(pieces, what); err != nil {
 		return 0, 0, err
 	}
-	ot := obsSumWhere.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
+	ot := o.start(cfg.Policy)
+	defer ot.end()
+	_, kept, _ := pruneByZone(cfg, nil, pieces, p)
 	raw, comp := splitComp(kept)
-	sum, n := parallelSumCount(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-		return sumWhereF64(v, from, to, p)
+	sum, n := parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (T, int64) {
+		return sumWhere(v, from, to, p)
 	})
 	if len(comp) > 0 {
-		cs, cn, err := compSumCountF64(cfg, comp, p)
+		cs, cn, err := compFold(cfg, comp, func(c *compress.Column) (T, int64, error) {
+			return compress.SumWhere(c, compPred(p))
+		})
 		if err != nil {
-			ot.end()
 			return 0, 0, err
 		}
 		sum += cs
 		n += cn
 	}
 	cfg.chargeScan(kept)
-	ot.end()
 	return sum, n, nil
 }
 
-// SumInt64Where is SumFloat64Where for int64 columns.
+// SumFloat64Where computes SUM(col), COUNT(*) WHERE p in one fused scan.
+func SumFloat64Where(cfg Config, pieces []Piece, p Pred[float64]) (float64, int64, error) {
+	return scanWhere(cfg, &obsSumWhere, "fused float64 sum", pieces, p)
+}
+
+// SumInt64Where is SumFloat64Where for int64 columns (exact mod 2^64).
 func SumInt64Where(cfg Config, pieces []Piece, p Pred[int64]) (int64, int64, error) {
-	if err := checkSize8(pieces, "fused int64 sum"); err != nil {
-		return 0, 0, err
-	}
-	ot := obsSumWhere.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsInt64(z, p) })
-	raw, comp := splitComp(kept)
-	sum, n := parallelSumCount(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-		s, c := sumWhereI64(v, from, to, p)
-		return float64(s), c
-	})
-	total := int64(sum)
-	if len(comp) > 0 {
-		cs, cn, err := compSumCountI64(cfg, comp, p)
-		if err != nil {
-			ot.end()
-			return 0, 0, err
-		}
-		total += cs
-		n += cn
-	}
-	cfg.chargeScan(kept)
-	ot.end()
-	return total, n, nil
+	return scanWhere(cfg, &obsSumWhere, "fused int64 sum", pieces, p)
 }
 
 // CountWhereFloat64 counts matches in one fused scan with zone-map
 // pruning; the generic CountFloat64 remains the fallback for arbitrary
 // predicates.
 func CountWhereFloat64(cfg Config, pieces []Piece, p Pred[float64]) (int64, error) {
-	if err := checkSize8(pieces, "fused float64 count"); err != nil {
-		return 0, err
-	}
-	ot := obsCountWhere.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
-	raw, comp := splitComp(kept)
-	_, n := parallelSumCount(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-		return sumWhereF64(v, from, to, p)
-	})
-	if len(comp) > 0 {
-		cn, err := compCountF64(cfg, comp, p)
-		if err != nil {
-			ot.end()
-			return 0, err
-		}
-		n += cn
-	}
-	cfg.chargeScan(kept)
-	ot.end()
-	return n, nil
+	_, n, err := scanWhere(cfg, &obsCountWhere, "fused float64 count", pieces, p)
+	return n, err
 }
 
 // CountWhereInt64 is CountWhereFloat64 for int64 columns.
 func CountWhereInt64(cfg Config, pieces []Piece, p Pred[int64]) (int64, error) {
-	if err := checkSize8(pieces, "fused int64 count"); err != nil {
-		return 0, err
-	}
-	ot := obsCountWhere.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsInt64(z, p) })
-	raw, comp := splitComp(kept)
-	_, n := parallelSumCount(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-		s, c := sumWhereI64(v, from, to, p)
-		return float64(s), c
-	})
-	if len(comp) > 0 {
-		cn, err := compCountI64(cfg, comp, p)
-		if err != nil {
-			ot.end()
-			return 0, err
-		}
-		n += cn
-	}
-	cfg.chargeScan(kept)
-	ot.end()
-	return n, nil
+	_, n, err := scanWhere(cfg, &obsCountWhere, "fused int64 count", pieces, p)
+	return n, err
 }
 
 // SelVec is a compact selection vector: the sorted global row positions
@@ -661,101 +512,14 @@ func SelectFloat64Pred(cfg Config, pieces []Piece, p Pred[float64]) (*SelVec, er
 		return nil, err
 	}
 	ot := obsSelectPred.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
+	_, kept, _ := pruneByZone(cfg, nil, pieces, p)
 	out := selectPositionsInto(cfg, kept, func(buf []uint64, gFrom, gTo int) []uint64 {
 		eachRange(kept, gFrom, gTo, func(pc Piece, from, to int) {
-			buf = appendWhereF64(buf, pc.Rows.Begin, pc.Vec, from, to, p)
+			buf = appendWhere(buf, pc.Rows.Begin, pc.Vec, from, to, p)
 		})
 		return buf
 	})
 	cfg.chargeScan(kept)
 	ot.end()
 	return &SelVec{pos: out}, nil
-}
-
-// SelectInt64Pred is SelectFloat64Pred for int64 columns.
-func SelectInt64Pred(cfg Config, pieces []Piece, p Pred[int64]) (*SelVec, error) {
-	if err := checkSize8(pieces, "int64 predicate selection"); err != nil {
-		return nil, err
-	}
-	if err := rejectComp(pieces, "predicate selection"); err != nil {
-		return nil, err
-	}
-	ot := obsSelectPred.start(cfg.Policy)
-	kept, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsInt64(z, p) })
-	out := selectPositionsInto(cfg, kept, func(buf []uint64, gFrom, gTo int) []uint64 {
-		eachRange(kept, gFrom, gTo, func(pc Piece, from, to int) {
-			buf = appendWhereI64(buf, pc.Rows.Begin, pc.Vec, from, to, p)
-		})
-		return buf
-	})
-	cfg.chargeScan(kept)
-	ot.end()
-	return &SelVec{pos: out}, nil
-}
-
-// parallelSumCount folds pieces into a (sum, count) pair under the
-// configured policy; the partial kernel returns its range's partials.
-// It mirrors parallelSum with a second pooled partials array for the
-// counts (exact in float64 up to 2^53, far beyond any fragment).
-func parallelSumCount(cfg Config, pieces []Piece, kernel func(v layout.ColVector, from, to int) (float64, int64)) (float64, int64) {
-	total := totalLen(pieces)
-	if total == 0 {
-		return 0, 0
-	}
-	foldInto := func(sums, counts []float64, slot, gFrom, gTo int) {
-		eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
-			s, c := kernel(p.Vec, from, to)
-			sums[slot] += s
-			counts[slot] += float64(c)
-		})
-	}
-	reduce := func(sums, counts []float64) (float64, int64) {
-		var sum, cnt float64
-		for i := range sums {
-			sum += sums[i]
-			cnt += counts[i]
-		}
-		pool.PutFloat64s(sums)
-		pool.PutFloat64s(counts)
-		return sum, int64(cnt)
-	}
-	switch cfg.Policy {
-	case MorselDriven:
-		slots := pool.Slots()
-		sums, counts := pool.GetFloat64s(slots), pool.GetFloat64s(slots)
-		pool.Run(total, pool.MorselSize(), slots, func(slot, from, to int) {
-			foldInto(sums, counts, slot, from, to)
-		})
-		return reduce(sums, counts)
-	case MultiThreaded:
-		th := cfg.threads()
-		if th > 1 {
-			sums, counts := pool.GetFloat64s(th), pool.GetFloat64s(th)
-			var wg sync.WaitGroup
-			for w := 0; w < th; w++ {
-				gFrom, gTo := blockRange(w, th, total)
-				if gFrom >= gTo {
-					break
-				}
-				wg.Add(1)
-				go func(w, gFrom, gTo int) {
-					defer wg.Done()
-					foldInto(sums, counts, w, gFrom, gTo)
-				}(w, gFrom, gTo)
-			}
-			wg.Wait()
-			return reduce(sums, counts)
-		}
-		fallthrough
-	default:
-		var sum float64
-		var cnt int64
-		for _, p := range pieces {
-			s, c := kernel(p.Vec, 0, p.Vec.Len)
-			sum += s
-			cnt += c
-		}
-		return sum, cnt
-	}
 }

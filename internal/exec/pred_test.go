@@ -8,7 +8,6 @@ import (
 
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
-	"hybridstore/internal/stats"
 )
 
 // randPredF64 draws a predicate over roughly the buildLayout price
@@ -73,31 +72,42 @@ func TestClosedIntervalEquivalence(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 5000; i++ {
-		var p Pred[int64]
-		switch r.Intn(4) {
-		case 0:
-			p = Eq(int64(r.Intn(200)) - 100)
-		case 1:
-			p = Lt(int64(r.Intn(200)) - 100)
-		case 2:
-			p = Gt(int64(r.Intn(200)) - 100)
-		default:
-			p = Between(int64(r.Intn(200))-100, int64(r.Intn(200))-100)
-		}
-		lo, hi, ok := ClosedInt64(p)
-		for x := int64(-120); x <= 120; x += 7 {
-			closed := ok && lo <= x && x <= hi
-			if closed != p.Match(x) {
-				t.Fatalf("%v: closed [%d,%d] ok=%v disagrees with Match at %d", p, lo, hi, ok, x)
+}
+
+// checkSumWhereMatchesLoop checks the fused sum/count operators of one
+// element type against a serial loop over valueAt under every policy.
+// tol is the allowed |sum - want| (parallel policies reassociate float
+// sums; integers are exact).
+func checkSumWhereMatchesLoop[T Number](t *testing.T, pieces []Piece, n int, valueAt func(i int) T, preds []Pred[T], tol T) {
+	t.Helper()
+	for _, cfg := range []Config{Single(), Multi(), MultiN(3), Morsel()} {
+		for _, p := range preds {
+			var wantSum T
+			var wantN int64
+			for i := 0; i < n; i++ {
+				if x := valueAt(i); p.Match(x) {
+					wantSum += x
+					wantN++
+				}
+			}
+			sum, cnt, err := scanWhere(cfg, &obsSumWhere, "fused sum", pieces, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := sum - wantSum; cnt != wantN || d > tol || -d > tol {
+				t.Fatalf("%v %v: fused (%v,%d), want (%v,%d)", cfg.Policy, p, sum, cnt, wantSum, wantN)
+			}
+			_, gotN, err := scanWhere(cfg, &obsCountWhere, "fused count", pieces, p)
+			if err != nil || gotN != wantN {
+				t.Fatalf("%v %v: count = %d, %v; want %d", cfg.Policy, p, gotN, err, wantN)
 			}
 		}
 	}
 }
 
 // TestFusedWhereMatchesGenericAllPolicies checks the specialized fused
-// operators against the closure-based baselines over both strided (NSM)
-// and contiguous (thin DSM) views under every policy.
+// operators against a serial loop and the closure-based baseline over
+// both strided (NSM) and contiguous (thin DSM) views under every policy.
 func TestFusedWhereMatchesGenericAllPolicies(t *testing.T) {
 	const n = 700
 	for _, vertical := range []bool{false, true} {
@@ -108,37 +118,25 @@ func TestFusedWhereMatchesGenericAllPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(21))
-		for _, cfg := range []Config{Single(), Multi(), MultiN(3), Morsel()} {
-			for i := 0; i < 12; i++ {
-				p := randPredF64(r)
-				wantN, err := CountFloat64(cfg, pieces, p.Match)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wantSum float64
-				for j := uint64(0); j < n; j++ {
-					if x := float64(j%101) + 0.25; p.Match(x) {
-						wantSum += x
-					}
-				}
-				sum, cnt, err := SumFloat64Where(cfg, pieces, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cnt != wantN || math.Abs(sum-wantSum) > 1e-9 {
-					t.Fatalf("vertical=%v %v %v: fused (%v,%d), want (%v,%d)",
-						vertical, cfg.Policy, p, sum, cnt, wantSum, wantN)
-				}
-				gotN, err := CountWhereFloat64(cfg, pieces, p)
-				if err != nil || gotN != wantN {
-					t.Fatalf("CountWhereFloat64 = %d, %v; want %d", gotN, err, wantN)
-				}
+		preds := make([]Pred[float64], 12)
+		for i := range preds {
+			preds[i] = randPredF64(r)
+		}
+		checkSumWhereMatchesLoop(t, pieces, n, func(i int) float64 { return float64(i%101) + 0.25 }, preds, 1e-9)
+		for _, p := range preds {
+			wantN, err := CountFloat64(Morsel(), pieces, p.Match)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotN, err := CountWhereFloat64(Morsel(), pieces, p); err != nil || gotN != wantN {
+				t.Fatalf("vertical=%v %v: CountWhereFloat64 = %d, %v; closure count %d", vertical, p, gotN, err, wantN)
 			}
 		}
 	}
 }
 
-// TestSumInt64WhereMatchesLoop checks the int64 fused kernels.
+// TestSumInt64WhereMatchesLoop is the int64 instantiation of the same
+// check: the kernels and operator bodies are one generic copy.
 func TestSumInt64WhereMatchesLoop(t *testing.T) {
 	const n = 500
 	l, _ := buildLayout(t, layout.NSM, false, n)
@@ -147,28 +145,8 @@ func TestSumInt64WhereMatchesLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{Single(), Multi(), Morsel()} {
-		for _, p := range []Pred[int64]{Eq[int64](42), Lt[int64](100), Gt[int64](450), Between[int64](100, 199), Between[int64](600, 700)} {
-			var wantSum, wantN int64
-			for i := int64(0); i < n; i++ {
-				if p.Match(i) {
-					wantSum += i
-					wantN++
-				}
-			}
-			sum, cnt, err := SumInt64Where(cfg, pieces, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sum != wantSum || cnt != wantN {
-				t.Fatalf("%v %v: (%d,%d), want (%d,%d)", cfg.Policy, p, sum, cnt, wantSum, wantN)
-			}
-			gotN, err := CountWhereInt64(cfg, pieces, p)
-			if err != nil || gotN != wantN {
-				t.Fatalf("CountWhereInt64 = %d, %v; want %d", gotN, err, wantN)
-			}
-		}
-	}
+	checkSumWhereMatchesLoop(t, pieces, n, func(i int) int64 { return int64(i) },
+		[]Pred[int64]{Eq[int64](42), Lt[int64](100), Gt[int64](450), Between[int64](100, 199), Between[int64](600, 700)}, 0)
 }
 
 // TestSelectPredMatchesClosure pins the specialized selection to the
@@ -246,7 +224,7 @@ func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
 		}
 	}
 	p := Between[float64](250, 349) // matches span chunks [200,300) and [300,400)
-	kept, prunedBytes := pruneByZone(Single(), pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
+	_, kept, prunedBytes := pruneByZone(Single(), nil, pieces, p)
 	if len(kept) != 2 || kept[0].Rows.Begin != 200 || kept[1].Rows.Begin != 300 {
 		t.Fatalf("kept %d pieces starting at %v", len(kept), func() (b []uint64) {
 			for _, k := range kept {
@@ -270,7 +248,7 @@ func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
 		t.Fatalf("pruned sum = (%v,%d), want (%v,100)", sum, cnt, want)
 	}
 	// All-survive case aliases the input (no allocation, no prune span).
-	kept, prunedBytes = pruneByZone(Single(), pieces, func(*stats.Zone) bool { return true })
+	_, kept, prunedBytes = pruneByZone(Single(), nil, pieces, Gt(math.Inf(-1)))
 	if len(kept) != len(pieces) || &kept[0] != &pieces[0] || prunedBytes != 0 {
 		t.Fatal("all-survive prune did not alias the input")
 	}

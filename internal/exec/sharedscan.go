@@ -1,8 +1,8 @@
 package exec
 
 import (
+	"hybridstore/internal/compress"
 	"hybridstore/internal/obs"
-	"hybridstore/internal/stats"
 )
 
 // This file is the shared-scan operator behind the serving layer's
@@ -13,8 +13,8 @@ import (
 // once and testing all predicates against the resident cache line
 // amortizes the memory traffic that dominates fused aggregation.
 //
-// Contract: result k is the answer SumFloat64Where(cfg, pieces,
-// preds[k]) would have produced. Under SingleThreaded the fold order per
+// Contract: result k carries the (Sum, Count) SumFloat64Where(cfg,
+// pieces, preds[k]) would have produced. Under SingleThreaded the fold order per
 // predicate is piece-major exactly like the solo operator's sequential
 // fold, so results are bit-identical; under the parallel host policies
 // the solo operator folds worker partials in slot order, so shared and
@@ -42,22 +42,18 @@ var (
 // predicate only sees the pieces its own zone test admits, exactly as in
 // K solo scans — but the platform model is charged for the union of
 // surviving pieces once, not K times: that is the batching win.
-func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]float64, []int64, error) {
-	sums := make([]float64, len(preds))
-	counts := make([]int64, len(preds))
+func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]Result, error) {
+	out := make([]Result, len(preds))
 	if len(preds) == 0 {
-		return sums, counts, nil
+		return out, nil
 	}
 	if len(preds) == 1 {
-		s, n, err := SumFloat64Where(cfg, pieces, preds[0])
-		if err != nil {
-			return nil, nil, err
-		}
-		sums[0], counts[0] = s, n
-		return sums, counts, nil
+		var err error
+		out[0].Sum, out[0].Count, err = SumFloat64Where(cfg, pieces, preds[0])
+		return out, err
 	}
 	if err := checkSize8(pieces, "shared fused float64 sum"); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ot := obsSharedSum.start(cfg.Policy)
 	mSharedPreds.Add(int64(len(preds)))
@@ -71,11 +67,10 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 	var perPredBytes int64
 	for k := range preds {
 		p := preds[k]
-		kp, _ := pruneByZone(cfg, pieces, func(z *stats.Zone) bool { return zoneAdmitsFloat64(z, p) })
-		kept[k] = kp
+		_, kept[k], _ = pruneByZone(cfg, nil, pieces, p)
 		row := admit[k*len(pieces) : (k+1)*len(pieces)]
 		for i := range pieces {
-			row[i] = zoneAdmitsFloat64(pieces[i].Zone, p)
+			row[i] = ZoneAdmits(pieces[i].Zone, p)
 			if row[i] {
 				perPredBytes += int64(pieces[i].Vec.Len) * int64(pieces[i].Vec.Size)
 			}
@@ -94,9 +89,9 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 			if !admit[k*len(pieces)+i] {
 				continue
 			}
-			s, n := sumWhereF64(pc.Vec, 0, pc.Vec.Len, preds[k])
-			sums[k] += s
-			counts[k] += n
+			s, n := sumWhere(pc.Vec, 0, pc.Vec.Len, preds[k])
+			out[k].Sum += s
+			out[k].Count += n
 		}
 	}
 
@@ -114,13 +109,16 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 		if len(comp) == 0 {
 			continue
 		}
-		cs, cn, err := compSumCountF64(cfg, comp, preds[k])
+		cp := compPred(preds[k])
+		cs, cn, err := compFold(cfg, comp, func(c *compress.Column) (float64, int64, error) {
+			return compress.SumWhere(c, cp)
+		})
 		if err != nil {
 			ot.end()
-			return nil, nil, err
+			return nil, err
 		}
-		sums[k] += cs
-		counts[k] += cn
+		out[k].Sum += cs
+		out[k].Count += cn
 	}
 
 	// Charge the union of surviving pieces once. K solo scans would have
@@ -143,5 +141,5 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 		mSharedBytesSaved.Add(saved)
 	}
 	ot.end()
-	return sums, counts, nil
+	return out, nil
 }

@@ -46,7 +46,7 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 
 	t.Run("raw+zones", func(t *testing.T) {
 		pieces := zonedRawPieces(vals, 8)
-		sums, counts, err := SumFloat64WhereMulti(Single(), pieces, preds)
+		res, err := SumFloat64WhereMulti(Single(), pieces, preds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,8 +55,8 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Float64bits(sums[k]) != math.Float64bits(ws) || counts[k] != wn {
-				t.Fatalf("pred %d (%v): shared (%v, %d) != solo (%v, %d)", k, p, sums[k], counts[k], ws, wn)
+			if math.Float64bits(res[k].Sum) != math.Float64bits(ws) || res[k].Count != wn {
+				t.Fatalf("pred %d (%v): shared (%v, %d) != solo (%v, %d)", k, p, res[k].Sum, res[k].Count, ws, wn)
 			}
 		}
 	})
@@ -78,7 +78,7 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 				mixed = append(mixed, comp[i])
 			}
 		}
-		sums, counts, err := SumFloat64WhereMulti(Single(), mixed, preds)
+		res, err := SumFloat64WhereMulti(Single(), mixed, preds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,8 +87,8 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Float64bits(sums[k]) != math.Float64bits(ws) || counts[k] != wn {
-				t.Fatalf("pred %d (%v): shared (%v, %d) != solo (%v, %d)", k, p, sums[k], counts[k], ws, wn)
+			if math.Float64bits(res[k].Sum) != math.Float64bits(ws) || res[k].Count != wn {
+				t.Fatalf("pred %d (%v): shared (%v, %d) != solo (%v, %d)", k, p, res[k].Sum, res[k].Count, ws, wn)
 			}
 		}
 	})
@@ -100,7 +100,7 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 		}
 		pieces := zonedRawPieces(ivals, 8)
 		for _, cfg := range []Config{Single(), MultiN(4), Morsel()} {
-			sums, counts, err := SumFloat64WhereMulti(cfg, pieces, preds)
+			res, err := SumFloat64WhereMulti(cfg, pieces, preds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,8 +109,8 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sums[k] != ws || counts[k] != wn {
-					t.Fatalf("policy %v pred %d: shared (%v, %d) != solo (%v, %d)", cfg.Policy, k, sums[k], counts[k], ws, wn)
+				if res[k].Sum != ws || res[k].Count != wn {
+					t.Fatalf("policy %v pred %d: shared (%v, %d) != solo (%v, %d)", cfg.Policy, k, res[k].Sum, res[k].Count, ws, wn)
 				}
 			}
 		}
@@ -122,17 +122,17 @@ func TestSharedScanDegenerate(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	pieces := rawPieces(encodeF64(vals), len(vals), 2)
 
-	sums, counts, err := SumFloat64WhereMulti(Single(), pieces, nil)
-	if err != nil || len(sums) != 0 || len(counts) != 0 {
-		t.Fatalf("empty preds: %v %v %v", sums, counts, err)
+	res, err := SumFloat64WhereMulti(Single(), pieces, nil)
+	if err != nil || len(res) != 0 {
+		t.Fatalf("empty preds: %v %v", res, err)
 	}
 
-	sums, counts, err = SumFloat64WhereMulti(Single(), pieces, []Pred[float64]{Gt[float64](4)})
+	res, err = SumFloat64WhereMulti(Single(), pieces, []Pred[float64]{Gt[float64](4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sums[0] != 5+6+7+8 || counts[0] != 4 {
-		t.Fatalf("single pred: got (%v, %d)", sums[0], counts[0])
+	if res[0].Sum != 5+6+7+8 || res[0].Count != 4 {
+		t.Fatalf("single pred: got (%v, %d)", res[0].Sum, res[0].Count)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestSharedScanAccounting(t *testing.T) {
 	}
 	pieces := zonedRawPieces(vals, 4)
 	preds := []Pred[float64]{Lt[float64](2000), Gt[float64](-1), Between[float64](0, 5000)}
-	if _, _, err := SumFloat64WhereMulti(Single(), pieces, preds); err != nil {
+	if _, err := SumFloat64WhereMulti(Single(), pieces, preds); err != nil {
 		t.Fatal(err)
 	}
 	s := obs.TakeSnapshot()

@@ -297,7 +297,7 @@ func measureDeviceSelectivity(pieces []exec.Piece, rows uint64, selectivities []
 		for _, pc := range pieces {
 			bytes := int64(pc.Vec.Len) * int64(pc.Vec.Size)
 			if prune {
-				admitted := exec.ZoneAdmitsFloat64(pc.Zone, p)
+				admitted := exec.ZoneAdmits(pc.Zone, p)
 				exec.NoteZoneDecision(admitted, bytes)
 				if !admitted {
 					continue

@@ -1,7 +1,7 @@
 // Package rescache is the cross-request query-result cache: a bounded,
-// sharded LRU keyed by (table, op, normalized predicate / group spec)
-// whose entries are stamped with the fragment-version vector the
-// executing snapshot saw.
+// sharded LRU keyed by the normalized read plan (exec.Plan — the plan is
+// the key) whose entries are stamped with the fragment-version vector
+// the executing snapshot saw.
 //
 // Correctness rests on a property the storage layer already provides:
 // fragment IDs are process-globally unique and fragment versions are
@@ -29,60 +29,34 @@ import (
 
 	"hybridstore/internal/exec"
 	"hybridstore/internal/obs"
-	"hybridstore/internal/schema"
 )
 
-// Op names the cached operation class. It is part of the key: the same
-// (table, col, pred) means different things to sum-where and
-// count-where only in which field of the shared Value the caller reads,
-// so those two share OpSumWhere; group-bys and point reads get their
-// own classes.
-type Op uint8
+// Key identifies a cacheable query: the read plan itself, normalized
+// (exec.Plan.Normalize) so that semantically identical spellings share
+// an entry. Value is the plan's result; Groups and Rec are cloned on
+// both Put and hit so no caller can alias (and later scribble on) the
+// cached copy.
+type (
+	Key   = exec.Plan
+	Value = exec.Result
+)
 
+// The plan kinds under the names cache callers key on. Sum-where and
+// count-where share OpSumWhere: they differ only in which field of the
+// shared Value the caller reads.
 const (
-	// OpSum caches unpredicated column sums.
-	OpSum Op = iota + 1
-	// OpSumWhere caches fused predicate sum+count pairs (count-where
-	// reads the Count field of the same entry).
-	OpSumWhere
-	// OpGroupSum caches unpredicated fused group-bys.
-	OpGroupSum
-	// OpGroupSumWhere caches predicated fused group-bys.
-	OpGroupSumWhere
-	// OpGet caches single-row point reads.
-	OpGet
+	OpSum           = exec.KindSum
+	OpSumWhere      = exec.KindSumWhere
+	OpGroupSum      = exec.KindGroupSum
+	OpGroupSumWhere = exec.KindGroupSumWhere
+	OpGet           = exec.KindGet
 )
 
-// Key identifies a cacheable query. It is a comparable value type so it
-// can index the shard maps directly; unused dimensions stay zero.
-// Predicates must be normalized (exec.Normalize) before keying so that
-// semantically identical spellings share an entry.
-type Key struct {
-	// Table is the serving name of the table.
-	Table string
-	// Op is the operation class.
-	Op Op
-	// Col is the aggregated / gathered column (unused for OpGet: a
-	// point read returns the whole record).
-	Col int
-	// KeyCol is the grouping column for the group-by classes.
-	KeyCol int
-	// Row is the row position for OpGet.
-	Row uint64
-	// Pred is the normalized predicate for the *Where classes.
-	Pred exec.Pred[float64]
-	// HasPred distinguishes a zero-valued predicate from no predicate.
-	HasPred bool
-}
-
-// Cacheable reports whether the key may be stored. NaN predicate
+// cacheable reports whether the key may be stored. NaN predicate
 // bounds never compare equal to themselves, which would make the map
 // entry unreachable by any future lookup — refuse it up front.
-func (k Key) Cacheable() bool {
-	if !k.HasPred {
-		return true
-	}
-	return k.Pred.Lo == k.Pred.Lo && k.Pred.Hi == k.Pred.Hi
+func cacheable(k Key) bool {
+	return !k.HasPred || (k.Pred.Lo == k.Pred.Lo && k.Pred.Hi == k.Pred.Hi)
 }
 
 // FragVer is one fragment's identity and write version.
@@ -119,21 +93,6 @@ func (s Stamp) Equal(o Stamp) bool {
 		}
 	}
 	return true
-}
-
-// Value is the cached answer. Which fields are meaningful depends on
-// the key's Op; the rest stay zero. Groups and Rec are cloned on both
-// Put and hit so no caller can alias (and later scribble on) the
-// cached copy.
-type Value struct {
-	// Sum is the aggregate total (OpSum, OpSumWhere).
-	Sum float64
-	// Count is the qualifying-row count (OpSumWhere).
-	Count int64
-	// Groups is the sorted group table (OpGroupSum, OpGroupSumWhere).
-	Groups []exec.GroupResult
-	// Rec is the point-read record (OpGet).
-	Rec schema.Record
 }
 
 // Stats is a point-in-time snapshot of one cache's accounting. Stale
@@ -225,7 +184,9 @@ func (c *Cache) shardFor(k Key) *shard {
 	for i := 0; i < len(k.Table); i++ {
 		h = (h ^ uint64(k.Table[i])) * prime
 	}
-	h = (h ^ uint64(k.Op)) * prime
+	for i := 0; i < len(k.Op); i++ {
+		h = (h ^ uint64(k.Op[i])) * prime
+	}
 	h = (h ^ uint64(uint32(k.Col))) * prime
 	h = (h ^ uint64(uint32(k.KeyCol))) * prime
 	h = (h ^ k.Row) * prime
@@ -252,44 +213,7 @@ func sizeOf(k Key, st Stamp, v Value) int64 {
 // the caller's current snapshot sees: a stored entry answers only if
 // its stamp equals cur (and its TTL, if any, has not lapsed). Stale or
 // expired entries are dropped on the spot and counted as stale misses.
-func (c *Cache) Lookup(k Key, cur Stamp) (Value, bool) {
-	c.lookups.Add(1)
-	mLookups.Inc()
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.m[k]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		mMisses.Inc()
-		return Value{}, false
-	}
-	if (!e.expires.IsZero() && time.Now().After(e.expires)) || !e.stamp.Equal(cur) {
-		s.removeLocked(e)
-		s.mu.Unlock()
-		c.entries.Add(-1)
-		gEntries.Add(-1)
-		c.bytes.Add(-e.bytes)
-		gBytes.Add(-e.bytes)
-		c.stale.Add(1)
-		mStale.Inc()
-		c.misses.Add(1)
-		mMisses.Inc()
-		return Value{}, false
-	}
-	s.lru.MoveToFront(e.elem)
-	v := e.val
-	s.mu.Unlock()
-	if v.Rec != nil {
-		v.Rec = v.Rec.Clone()
-	}
-	if v.Groups != nil {
-		v.Groups = append([]exec.GroupResult(nil), v.Groups...)
-	}
-	c.hits.Add(1)
-	mHits.Inc()
-	return v, true
-}
+func (c *Cache) Lookup(k Key, cur Stamp) (Value, bool) { return c.probe(k, cur, true) }
 
 // Peek is the serving-path pre-check flavor of Lookup: a hit counts
 // (and refreshes the LRU) exactly like Lookup, and a stale entry is
@@ -297,12 +221,19 @@ func (c *Cache) Lookup(k Key, cur Stamp) (Value, bool) {
 // is about to fall through to the executing path, whose own Lookup
 // will record the miss, so counting it here would double-book one
 // logical query.
-func (c *Cache) Peek(k Key, cur Stamp) (Value, bool) {
+func (c *Cache) Peek(k Key, cur Stamp) (Value, bool) { return c.probe(k, cur, false) }
+
+// probe is the one lookup body; countAbsent selects whether a plain
+// absence is accounted as a miss.
+func (c *Cache) probe(k Key, cur Stamp, countAbsent bool) (Value, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, ok := s.m[k]
 	if !ok {
 		s.mu.Unlock()
+		if countAbsent {
+			c.Bypass()
+		}
 		return Value{}, false
 	}
 	if (!e.expires.IsZero() && time.Now().After(e.expires)) || !e.stamp.Equal(cur) {
@@ -312,12 +243,9 @@ func (c *Cache) Peek(k Key, cur Stamp) (Value, bool) {
 		gEntries.Add(-1)
 		c.bytes.Add(-e.bytes)
 		gBytes.Add(-e.bytes)
-		c.lookups.Add(1)
-		mLookups.Inc()
 		c.stale.Add(1)
 		mStale.Inc()
-		c.misses.Add(1)
-		mMisses.Inc()
+		c.Bypass()
 		return Value{}, false
 	}
 	s.lru.MoveToFront(e.elem)
@@ -351,7 +279,7 @@ func (c *Cache) Bypass() {
 // entries (larger than a full shard budget) are refused rather than
 // flushing everything else. The stored Rec is deep-cloned.
 func (c *Cache) Put(k Key, st Stamp, v Value) {
-	if !k.Cacheable() {
+	if !cacheable(k) {
 		return
 	}
 	if v.Rec != nil {

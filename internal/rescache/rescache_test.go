@@ -161,7 +161,7 @@ func TestBypassAccounting(t *testing.T) {
 func TestNaNPredicateRefused(t *testing.T) {
 	c := New(1<<20, 0)
 	k := Key{Table: "t", Op: OpSumWhere, Col: 1, Pred: exec.Pred[float64]{Op: exec.OpBetween, Lo: math.NaN(), Hi: 1}, HasPred: true}
-	if k.Cacheable() {
+	if cacheable(k) {
 		t.Fatal("NaN-bounded key reported cacheable")
 	}
 	c.Put(k, stamp(1, FragVer{ID: 1, Ver: 0}), Value{Sum: 1})

@@ -6,89 +6,64 @@ import (
 	"time"
 
 	"hybridstore"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/obs"
 )
 
 // The batching scheduler collapses concurrent compatible requests into
 // one shared storage pass — the serving-layer half of shared-scan
 // batching (Crescando/SharedDB style), paired with the storage half in
-// core.SumFloat64WhereMulti.
+// Table.Execute.
 //
-// Compatibility classes:
+// There is one cohort type, keyed by plan shape (exec.Plan.Shape: kind,
+// table, columns): every read plan that arrives within one collection
+// window of the first plan of its shape joins that shape's cohort, with
+// distinct plans as slots — identical plans (the same predicate, the
+// same row) collapse to one slot whose result is fanned to every
+// waiter. sum_where / count_where cohorts stream the column once for
+// all their predicates, get cohorts gather all their rows in one
+// snapshot pass, group_sum_where cohorts answer their predicates from
+// one snapshot.
 //
-//   - sum_where / count_where over the same (table, column): all
-//     predicates that arrive within one collection window ride a single
-//     SumFloat64WhereMulti call — the column is streamed once for the
-//     whole cohort, and textually identical predicates collapse to one
-//     slot of the batch.
-//   - group_sum_where with identical (table, keyCol, valCol, predicate):
-//     one fused grouped pass, its result slice fanned to every waiter.
-//
-// Linearizability: the first request of a class becomes the leader,
-// sleeps one collection window, then REMOVES the group from the intake
+// Linearizability: the first request of a shape becomes the leader,
+// sleeps one collection window, then REMOVES the cohort from the intake
 // map before executing — every request that joined is answered from one
 // MVCC snapshot taken after all of them arrived, which is a valid
 // linearization point; requests arriving after the removal start a new
-// group. A failed pass propagates its error to every waiter.
-var (
-	mBatchFlushes   = obs.NewCounter("server.batch.flushes")
-	mBatchJoined    = obs.NewCounter("server.batch.joined")
-	mBatchCollapsed = obs.NewCounter("server.batch.collapsed")
-	mBatchPreds     = obs.NewCounter("server.batch.preds")
-	hBatchSize      = obs.NewHistogram("server.batch.size")
+// cohort. A failed pass propagates its error to every waiter.
 
-	mGatherFlushes   = obs.NewCounter("server.gather.flushes")
-	mGatherJoined    = obs.NewCounter("server.gather.joined")
-	mGatherCollapsed = obs.NewCounter("server.gather.collapsed")
-	mGatherRows      = obs.NewCounter("server.gather.rows")
-	hGatherSize      = obs.NewHistogram("server.gather.size")
+// cohortObs is the telemetry of one cohort family.
+type cohortObs struct {
+	flushes, joined, collapsed, slots *obs.Counter
+	size                              *obs.Histogram
+}
+
+// Scan cohorts (sum_where, count_where, group_sum_where) report under
+// server.batch.*, point-read fan-in cohorts under server.gather.*.
+var (
+	batchObs = cohortObs{
+		flushes:   obs.NewCounter("server.batch.flushes"),
+		joined:    obs.NewCounter("server.batch.joined"),
+		collapsed: obs.NewCounter("server.batch.collapsed"),
+		slots:     obs.NewCounter("server.batch.preds"),
+		size:      obs.NewHistogram("server.batch.size"),
+	}
+	gatherObs = cohortObs{
+		flushes:   obs.NewCounter("server.gather.flushes"),
+		joined:    obs.NewCounter("server.gather.joined"),
+		collapsed: obs.NewCounter("server.gather.collapsed"),
+		slots:     obs.NewCounter("server.gather.rows"),
+		size:      obs.NewHistogram("server.gather.size"),
+	}
 )
 
-// sumKey identifies a sum/count compatibility class.
-type sumKey struct {
-	table string
-	col   int
-}
-
-// sumBatch is one in-flight sum/count cohort.
-type sumBatch struct {
-	preds []hybridstore.FloatPred
-	slot  map[hybridstore.FloatPred]int // identical predicates share a slot
+// cohort is one in-flight batch of same-shape plans.
+type cohort struct {
+	plans []exec.Plan
+	slot  map[exec.Plan]int // identical plans share a slot
 	done  chan struct{}
-	sums  []float64
-	cnts  []int64
+	res   []exec.Result
 	err   error
-}
-
-// getKey identifies a point-read fan-in class: every concurrent point
-// read on one table rides a single shared gather pass.
-type getKey struct {
-	table string
-}
-
-// getBatch is one in-flight gather cohort.
-type getBatch struct {
-	rows []uint64
-	slot map[uint64]int // duplicate row IDs share a slot
-	done chan struct{}
-	recs []hybridstore.Record
-	err  error
-}
-
-// groupKey identifies a grouped-aggregation compatibility class: the
-// scheduler only merges textually identical grouped queries.
-type groupKey struct {
-	table          string
-	keyCol, valCol int
-	pred           hybridstore.FloatPred
-}
-
-// groupBatch is one in-flight grouped cohort.
-type groupBatch struct {
-	done   chan struct{}
-	joined int
-	res    []hybridstore.GroupResult
-	err    error
 }
 
 // batcher is the collection-window scheduler. A zero window degrades
@@ -96,205 +71,90 @@ type groupBatch struct {
 type batcher struct {
 	window time.Duration
 	mu     sync.Mutex
-	sums   map[sumKey]*sumBatch
-	groups map[groupKey]*groupBatch
-	gets   map[getKey]*getBatch
-	// execSum, execGroup and execGet are the storage passes a flush
-	// leader runs. They default to the table methods; tests substitute
-	// failing or panicking ones to drive the leader-failure paths.
-	execSum   func(tbl *hybridstore.Table, col int, preds []hybridstore.FloatPred) ([]float64, []int64, error)
-	execGroup func(tbl *hybridstore.Table, keyCol, valCol int, p hybridstore.FloatPred) ([]hybridstore.GroupResult, error)
-	execGet   func(tbl *hybridstore.Table, rows []uint64) ([]hybridstore.Record, error)
+	open   map[exec.Plan]*cohort // intake, keyed by plan shape
+	// flush is the storage pass a cohort leader runs. It defaults to
+	// Table.Execute; tests substitute failing or panicking ones to drive
+	// the leader-failure paths.
+	flush func(tbl *hybridstore.Table, plans []exec.Plan) ([]exec.Result, error)
 }
 
 func newBatcher(window time.Duration) *batcher {
 	return &batcher{
 		window: window,
-		sums:   make(map[sumKey]*sumBatch),
-		groups: make(map[groupKey]*groupBatch),
-		gets:   make(map[getKey]*getBatch),
-		execSum: func(tbl *hybridstore.Table, col int, preds []hybridstore.FloatPred) ([]float64, []int64, error) {
-			return tbl.SumFloat64WhereMulti(col, preds)
-		},
-		execGroup: func(tbl *hybridstore.Table, keyCol, valCol int, p hybridstore.FloatPred) ([]hybridstore.GroupResult, error) {
-			return tbl.GroupBySumWhere(keyCol, valCol, p)
-		},
-		execGet: func(tbl *hybridstore.Table, rows []uint64) ([]hybridstore.Record, error) {
-			return tbl.GetMulti(rows)
-		},
+		open:   make(map[exec.Plan]*cohort),
+		flush:  (*hybridstore.Table).Execute,
 	}
 }
 
-// sumWhere answers one SELECT SUM(col), COUNT(*) WHERE p, riding a
-// shared pass when compatible requests are in flight.
-func (b *batcher) sumWhere(tbl *hybridstore.Table, col int, p hybridstore.FloatPred) (float64, int64, error) {
-	if b == nil || b.window <= 0 {
-		return tbl.SumFloat64Where(col, p)
+// exec answers one read plan, riding a shared pass when same-shape
+// requests are in flight. solo forces the direct path for plans that
+// must not wait or must not join: with no window every plan is solo.
+// Results may be shared with other waiters of the slot — serialization
+// must not mutate them.
+func (b *batcher) exec(tbl *hybridstore.Table, p exec.Plan, solo bool) (exec.Result, error) {
+	if solo || b.window <= 0 {
+		res, err := tbl.Execute([]exec.Plan{p})
+		if err != nil {
+			return exec.Result{}, err
+		}
+		return res[0], nil
 	}
-	k := sumKey{table: tbl.Name(), col: col}
+	m, key := &batchObs, p.Shape()
+	if p.Op == exec.KindGet {
+		m = &gatherObs
+	}
 	b.mu.Lock()
-	if g := b.sums[k]; g != nil {
-		// Join the open cohort; identical predicates share one slot of
-		// the multi-scan.
+	if g := b.open[key]; g != nil {
 		idx, dup := g.slot[p]
 		if dup {
-			mBatchCollapsed.Inc()
+			m.collapsed.Inc()
 		} else {
-			idx = len(g.preds)
-			g.preds = append(g.preds, p)
+			idx = len(g.plans)
+			g.plans = append(g.plans, p)
 			g.slot[p] = idx
 		}
 		b.mu.Unlock()
-		mBatchJoined.Inc()
+		m.joined.Inc()
 		<-g.done
 		if g.err != nil {
-			return 0, 0, g.err
+			return exec.Result{}, g.err
 		}
-		return g.sums[idx], g.cnts[idx], nil
+		return g.res[idx], nil
 	}
-	g := &sumBatch{
-		preds: []hybridstore.FloatPred{p},
-		slot:  map[hybridstore.FloatPred]int{p: 0},
+	g := &cohort{
+		plans: []exec.Plan{p},
+		slot:  map[exec.Plan]int{p: 0},
 		done:  make(chan struct{}),
 	}
-	b.sums[k] = g
+	b.open[key] = g
 	b.mu.Unlock()
 
 	time.Sleep(b.window)
 
 	b.mu.Lock()
-	delete(b.sums, k) // close intake BEFORE executing: see linearizability note
+	delete(b.open, key) // close intake BEFORE executing: see linearizability note
 	b.mu.Unlock()
-	mBatchFlushes.Inc()
-	mBatchPreds.Add(int64(len(g.preds)))
-	hBatchSize.Observe(int64(len(g.preds)))
+	m.flushes.Inc()
+	m.slots.Add(int64(len(g.plans)))
+	m.size.Observe(int64(len(g.plans)))
 	// The cohort must be released however the pass ends: a leader that
 	// panics mid-pass still owes every waiter an answer, so the panic
-	// becomes the group error instead of a permanent hang, and a pass
+	// becomes the cohort error instead of a permanent hang, and a pass
 	// that under-delivers results is an error, never a zero answer.
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				g.err = fmt.Errorf("server: batch leader panicked: %v", r)
 			}
-			if g.err == nil && (len(g.sums) != len(g.preds) || len(g.cnts) != len(g.preds)) {
-				g.err = fmt.Errorf("server: batch pass returned %d sums, %d counts for %d predicates",
-					len(g.sums), len(g.cnts), len(g.preds))
+			if g.err == nil && len(g.res) != len(g.plans) {
+				g.err = fmt.Errorf("server: batch pass returned %d results for %d plans", len(g.res), len(g.plans))
 			}
 			close(g.done)
 		}()
-		g.sums, g.cnts, g.err = b.execSum(tbl, col, g.preds)
+		g.res, g.err = b.flush(tbl, g.plans)
 	}()
 	if g.err != nil {
-		return 0, 0, g.err
+		return exec.Result{}, g.err
 	}
-	return g.sums[0], g.cnts[0], nil
-}
-
-// groupSumWhere answers one fused grouped aggregation, sharing the pass
-// with every identical in-flight query. The returned slice is shared
-// read-only by all waiters — serialization must not mutate it.
-func (b *batcher) groupSumWhere(tbl *hybridstore.Table, keyCol, valCol int, p hybridstore.FloatPred) ([]hybridstore.GroupResult, error) {
-	if b == nil || b.window <= 0 {
-		return tbl.GroupBySumWhere(keyCol, valCol, p)
-	}
-	k := groupKey{table: tbl.Name(), keyCol: keyCol, valCol: valCol, pred: p}
-	b.mu.Lock()
-	if g := b.groups[k]; g != nil {
-		g.joined++
-		b.mu.Unlock()
-		mBatchJoined.Inc()
-		mBatchCollapsed.Inc()
-		<-g.done
-		return g.res, g.err
-	}
-	g := &groupBatch{done: make(chan struct{})}
-	b.groups[k] = g
-	b.mu.Unlock()
-
-	time.Sleep(b.window)
-
-	b.mu.Lock()
-	delete(b.groups, k)
-	b.mu.Unlock()
-	mBatchFlushes.Inc()
-	hBatchSize.Observe(int64(g.joined + 1))
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				g.err = fmt.Errorf("server: batch leader panicked: %v", r)
-			}
-			close(g.done)
-		}()
-		g.res, g.err = b.execGroup(tbl, keyCol, valCol, p)
-	}()
-	return g.res, g.err
-}
-
-// get answers one point read, riding a shared gather pass when
-// concurrent point reads on the same table are in flight: the leader
-// collects row IDs for one window, runs a single GetMulti (one lock
-// acquisition, device gathers charged per chunk instead of per row) and
-// fans the records out bit-identically. Duplicate row IDs collapse to
-// one slot of the gather.
-//
-// A row at or beyond the current row count takes the solo path
-// immediately: it would error the whole cohort, and since tables only
-// grow, a row valid at join time stays valid at flush time.
-func (b *batcher) get(tbl *hybridstore.Table, row uint64) (hybridstore.Record, error) {
-	if b == nil || b.window <= 0 || row >= tbl.Rows() {
-		return tbl.Get(row)
-	}
-	k := getKey{table: tbl.Name()}
-	b.mu.Lock()
-	if g := b.gets[k]; g != nil {
-		idx, dup := g.slot[row]
-		if dup {
-			mGatherCollapsed.Inc()
-		} else {
-			idx = len(g.rows)
-			g.rows = append(g.rows, row)
-			g.slot[row] = idx
-		}
-		b.mu.Unlock()
-		mGatherJoined.Inc()
-		<-g.done
-		if g.err != nil {
-			return nil, g.err
-		}
-		return g.recs[idx], nil
-	}
-	g := &getBatch{
-		rows: []uint64{row},
-		slot: map[uint64]int{row: 0},
-		done: make(chan struct{}),
-	}
-	b.gets[k] = g
-	b.mu.Unlock()
-
-	time.Sleep(b.window)
-
-	b.mu.Lock()
-	delete(b.gets, k) // close intake BEFORE executing: see linearizability note
-	b.mu.Unlock()
-	mGatherFlushes.Inc()
-	mGatherRows.Add(int64(len(g.rows)))
-	hGatherSize.Observe(int64(len(g.rows)))
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				g.err = fmt.Errorf("server: gather leader panicked: %v", r)
-			}
-			if g.err == nil && len(g.recs) != len(g.rows) {
-				g.err = fmt.Errorf("server: gather pass returned %d records for %d rows",
-					len(g.recs), len(g.rows))
-			}
-			close(g.done)
-		}()
-		g.recs, g.err = b.execGet(tbl, g.rows)
-	}()
-	if g.err != nil {
-		return nil, g.err
-	}
-	return g.recs[0], nil
+	return g.res[0], nil
 }

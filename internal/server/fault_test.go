@@ -9,72 +9,68 @@ import (
 	"time"
 
 	"hybridstore"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/obs"
 )
 
-// TestBatchLeaderError: when the shared pass fails, the leader AND
-// every waiter must see the error — never a zero answer, never a hang.
-func TestBatchLeaderError(t *testing.T) {
+// Leader-failure coverage: every cohort kind shares one cohort type and
+// one flush seam, so one table drives it. Whatever way the shared pass
+// ends badly, the leader AND every waiter must see an error — never a
+// zero answer, never a hang.
+
+// cohortKinds are the three batched statement kinds: body renders
+// request i of a cohort (distinct slots for sum_where and get; identical
+// plans collapsing to one slot for group_sum_where).
+var cohortKinds = map[string]struct {
+	op   string
+	body func(i int) string
+}{
+	"sum":   {"sum_where", func(i int) string { return fmt.Sprintf(`"pred":{"kind":"lt","hi":%d}`, 10+i) }},
+	"group": {"group_sum_where", func(int) string { return `"pred":{"kind":"lt","hi":30}` }},
+	"get":   {"get", func(i int) string { return fmt.Sprintf(`"row":%d`, i) }},
+}
+
+// leaderFailures are the ways a flush can go wrong, each with the text
+// every cohort member's 500 must carry.
+var leaderFailures = map[string]struct {
+	flush func(*hybridstore.Table, []exec.Plan) ([]exec.Result, error)
+	want  string
+}{
+	"error": {func(*hybridstore.Table, []exec.Plan) ([]exec.Result, error) {
+		return nil, errors.New("injected storage failure")
+	}, "injected storage failure"},
+	"panic": {func(*hybridstore.Table, []exec.Plan) ([]exec.Result, error) {
+		panic("injected leader panic")
+	}, "panicked"},
+	// Short for every cohort: fewer results than plans is an error for
+	// everyone, not an out-of-range panic or a silently wrong zero.
+	"short": {func(*hybridstore.Table, []exec.Plan) ([]exec.Result, error) {
+		return nil, nil
+	}, "returned 0 results"},
+}
+
+// leaderFailure runs one (cohort kind, failure) cell: waiters join one
+// cohort inside a long window, the injected flush fails, and every
+// member must finish 500 with the failure's text.
+func leaderFailure(t *testing.T, kind, failure string) {
+	t.Helper()
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
 		Config{BatchWindow: 20 * time.Millisecond})
-	boom := errors.New("injected storage failure")
-	s.bat.execSum = func(_ *hybridstore.Table, _ int, preds []hybridstore.FloatPred) ([]float64, []int64, error) {
-		return nil, nil, boom
-	}
+	s.bat.flush = leaderFailures[failure].flush
 	sid := s.CreateSession("")
-	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
+	k := cohortKinds[kind]
+	id := prep(t, s, sid, k.op, hybridstore.ItemPriceColumn, 0)
 
 	const waiters = 6
-	codes := make(chan int, waiters)
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":{"kind":"lt","hi":%d}}`, sid, sum, 10+i)
-			resp, code := exec1(s, body)
-			if code == 500 && !strings.Contains(resp, "injected storage failure") {
-				t.Errorf("request %d: 500 without the leader's error: %s", i, resp)
-			}
-			codes <- code
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch cohort hung on a failed leader")
-	}
-	close(codes)
-	for code := range codes {
-		if code != 500 {
-			t.Fatalf("cohort member finished %d, want 500", code)
-		}
-	}
-}
-
-// TestBatchLeaderPanic: a panicking shared pass must still release the
-// cohort, with the panic surfaced as the group error.
-func TestBatchLeaderPanic(t *testing.T) {
-	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 20 * time.Millisecond})
-	s.bat.execSum = func(_ *hybridstore.Table, _ int, _ []hybridstore.FloatPred) ([]float64, []int64, error) {
-		panic("injected leader panic")
-	}
-	sid := s.CreateSession("")
-	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
-
-	const waiters = 4
 	var wg sync.WaitGroup
 	fails := make(chan string, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":{"kind":"lt","hi":%d}}`, sid, sum, 10+i)
+			body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,%s}`, sid, id, k.body(i))
 			resp, code := exec1(s, body)
-			if code != 500 || !strings.Contains(resp, "panicked") {
+			if code != 500 || !strings.Contains(resp, leaderFailures[failure].want) {
 				fails <- fmt.Sprintf("request %d: %d %s", i, code, resp)
 			}
 		}(i)
@@ -84,83 +80,24 @@ func TestBatchLeaderPanic(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("batch cohort hung on a panicked leader")
+		t.Fatalf("%s cohort hung on a leader %s", kind, failure)
 	}
 	close(fails)
 	for f := range fails {
 		t.Error(f)
 	}
-}
-
-// TestBatchLeaderShortResults: a pass that returns fewer results than
-// predicates is an error for everyone, not an out-of-range panic or a
-// silently wrong zero.
-func TestBatchLeaderShortResults(t *testing.T) {
-	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 20 * time.Millisecond})
-	s.bat.execSum = func(_ *hybridstore.Table, _ int, _ []hybridstore.FloatPred) ([]float64, []int64, error) {
-		return []float64{1}, []int64{1}, nil // always short for a cohort >= 2
-	}
-	sid := s.CreateSession("")
-	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
-
-	const waiters = 4
-	var wg sync.WaitGroup
-	codes := make(chan int, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":{"kind":"lt","hi":%d}}`, sid, sum, 10+i)
-			_, code := exec1(s, body)
-			codes <- code
-		}(i)
-	}
-	wg.Wait()
-	close(codes)
-	for code := range codes {
-		if code != 500 {
-			t.Fatalf("cohort member finished %d, want 500", code)
-		}
+	if n := len(s.bat.open); n != 0 {
+		t.Errorf("%d cohorts left in the intake map", n)
 	}
 }
 
-// TestBatchGroupLeaderPanic drives the grouped cohort's release path.
-func TestBatchGroupLeaderPanic(t *testing.T) {
-	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 20 * time.Millisecond})
-	s.bat.execGroup = func(_ *hybridstore.Table, _, _ int, _ hybridstore.FloatPred) ([]hybridstore.GroupResult, error) {
-		panic("injected group leader panic")
-	}
-	sid := s.CreateSession("")
-	grp := prep(t, s, sid, "group_sum_where", hybridstore.ItemPriceColumn, 0)
-	body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":{"kind":"lt","hi":30}}`, sid, grp)
-
-	const waiters = 4
-	var wg sync.WaitGroup
-	fails := make(chan string, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, code := exec1(s, body)
-			if code != 500 || !strings.Contains(resp, "panicked") {
-				fails <- fmt.Sprintf("request %d: %d %s", i, code, resp)
-			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("grouped cohort hung on a panicked leader")
-	}
-	close(fails)
-	for f := range fails {
-		t.Error(f)
-	}
-}
+func TestBatchLeaderError(t *testing.T)         { leaderFailure(t, "sum", "error") }
+func TestBatchLeaderPanic(t *testing.T)         { leaderFailure(t, "sum", "panic") }
+func TestBatchLeaderShortResults(t *testing.T)  { leaderFailure(t, "sum", "short") }
+func TestBatchGroupLeaderPanic(t *testing.T)    { leaderFailure(t, "group", "panic") }
+func TestGatherLeaderError(t *testing.T)        { leaderFailure(t, "get", "error") }
+func TestGatherLeaderPanic(t *testing.T)        { leaderFailure(t, "get", "panic") }
+func TestGatherLeaderShortResults(t *testing.T) { leaderFailure(t, "get", "short") }
 
 // TestAdmissionInFlightStorm fires a storm of requests where many fail
 // (unknown rows, failing batch leaders, throttles and overloads mixed
@@ -171,8 +108,11 @@ func TestAdmissionInFlightStorm(t *testing.T) {
 		Config{BatchWindow: time.Millisecond,
 			Admission: Admission{Rate: 1e6, MaxInFlight: 8}})
 	boom := errors.New("injected storm failure")
-	s.bat.execSum = func(_ *hybridstore.Table, _ int, _ []hybridstore.FloatPred) ([]float64, []int64, error) {
-		return nil, nil, boom
+	s.bat.flush = func(tbl *hybridstore.Table, plans []exec.Plan) ([]exec.Result, error) {
+		if plans[0].Op == exec.KindSumWhere {
+			return nil, boom
+		}
+		return tbl.Execute(plans)
 	}
 	sid := s.CreateSession("storm")
 	get := prep(t, s, sid, "get", 0, 0)

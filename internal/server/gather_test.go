@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -86,119 +85,6 @@ func TestGatherFanInBitIdentity(t *testing.T) {
 	total := int64(clients * reqsEach)
 	if flushes >= total {
 		t.Errorf("flushes %d not smaller than requests %d: nothing was shared", flushes, total)
-	}
-}
-
-// TestGatherLeaderError: a failing gather pass must propagate to every
-// cohort member — never a zero record, never a hang.
-func TestGatherLeaderError(t *testing.T) {
-	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 20 * time.Millisecond})
-	boom := errors.New("injected gather failure")
-	s.bat.execGet = func(_ *hybridstore.Table, _ []uint64) ([]hybridstore.Record, error) {
-		return nil, boom
-	}
-	sid := s.CreateSession("")
-	get := prep(t, s, sid, "get", 0, 0)
-
-	const waiters = 6
-	codes := make(chan int, waiters)
-	var wg sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":%d}`, sid, get, i)
-			resp, code := exec1(s, body)
-			if code == 500 && !strings.Contains(resp, "injected gather failure") {
-				t.Errorf("request %d: 500 without the leader's error: %s", i, resp)
-			}
-			codes <- code
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("gather cohort hung on a failed leader")
-	}
-	close(codes)
-	for code := range codes {
-		if code != 500 {
-			t.Fatalf("cohort member finished %d, want 500", code)
-		}
-	}
-}
-
-// TestGatherLeaderPanic: a panicking gather pass still releases the
-// cohort, with the panic surfaced as the group error.
-func TestGatherLeaderPanic(t *testing.T) {
-	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 20 * time.Millisecond})
-	s.bat.execGet = func(_ *hybridstore.Table, _ []uint64) ([]hybridstore.Record, error) {
-		panic("injected gather panic")
-	}
-	sid := s.CreateSession("")
-	get := prep(t, s, sid, "get", 0, 0)
-
-	const waiters = 4
-	var wg sync.WaitGroup
-	fails := make(chan string, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":%d}`, sid, get, i)
-			resp, code := exec1(s, body)
-			if code != 500 || !strings.Contains(resp, "panicked") {
-				fails <- fmt.Sprintf("request %d: %d %s", i, code, resp)
-			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("gather cohort hung on a panicked leader")
-	}
-	close(fails)
-	for f := range fails {
-		t.Error(f)
-	}
-}
-
-// TestGatherLeaderShortResults: a pass that under-delivers records is
-// an error for the whole cohort, not an out-of-range panic or a
-// silently wrong record.
-func TestGatherLeaderShortResults(t *testing.T) {
-	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 20 * time.Millisecond})
-	s.bat.execGet = func(_ *hybridstore.Table, _ []uint64) ([]hybridstore.Record, error) {
-		return nil, nil // zero records for any cohort
-	}
-	sid := s.CreateSession("")
-	get := prep(t, s, sid, "get", 0, 0)
-
-	const waiters = 4
-	var wg sync.WaitGroup
-	codes := make(chan int, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":%d}`, sid, get, i)
-			_, code := exec1(s, body)
-			codes <- code
-		}(i)
-	}
-	wg.Wait()
-	close(codes)
-	for code := range codes {
-		if code != 500 {
-			t.Fatalf("cohort member finished %d, want 500", code)
-		}
 	}
 }
 

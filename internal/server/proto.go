@@ -1,8 +1,8 @@
 // Package server is the network serving layer: an HTTP/1.1-over-TCP
 // front end on the hybridstore facade with sessions, prepared
 // statements, per-tenant admission control, and a batching scheduler
-// that collapses concurrent compatible analytic requests into one
-// shared storage pass (internal/core's SumFloat64WhereMulti).
+// that collapses concurrent same-shape reads into one shared storage
+// pass (Table.Execute).
 //
 // The wire format is flat JSON. The exec hot path never touches
 // encoding/json: requests are scanned in place by the minimal parser in
@@ -230,6 +230,12 @@ func parsePred(raw []byte) (exec.Pred[float64], error) {
 	})
 	if err != nil {
 		return p, err
+	}
+	// A NaN bound matches nothing and never equals itself, so a plan
+	// carrying one could not be found again in the cohort intake map or
+	// collapse with its own repeats: refuse it at the door.
+	if lo != lo || hi != hi {
+		return p, fmt.Errorf("%w: pred bound is NaN", errProto)
 	}
 	switch string(kind) {
 	case "eq":

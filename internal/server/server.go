@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hybridstore"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/schema"
 )
@@ -180,48 +181,18 @@ type execArgs struct {
 // error the partial payload is discarded by the caller via appendError.
 func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 	switch st.op {
-	case opGet, opGetPK:
-		// Pre-check the result cache before joining a gather cohort: a
-		// hit skips both the collection window and the storage pass.
-		var rec hybridstore.Record
-		var err error
-		if st.op == opGetPK {
-			if !a.hasPK {
-				return out, fmt.Errorf("%w: get_pk needs pk", errProto)
-			}
-			s.opCacheLk[opGetPK].Inc()
-			if row, ok := st.tbl.LookupPK(a.pk); ok {
-				if cached, hit := st.tbl.CachedGet(row); hit {
-					s.opCacheHit[opGetPK].Inc()
-					return appendRecord(out, cached), nil
-				}
-			}
-			rec, err = st.tbl.GetByPK(a.pk)
-		} else {
-			if !a.hasRow {
-				return out, fmt.Errorf("%w: get needs row", errProto)
-			}
-			s.opCacheLk[opGet].Inc()
-			if cached, hit := st.tbl.CachedGet(uint64(a.row)); hit {
-				s.opCacheHit[opGet].Inc()
-				return appendRecord(out, cached), nil
-			}
-			rec, err = s.bat.get(st.tbl, uint64(a.row))
-		}
-		if err != nil {
-			return out, err
-		}
-		return appendRecord(out, rec), nil
-
 	case opUpdate:
 		if !a.hasRow || a.value == nil {
 			return out, fmt.Errorf("%w: update needs row and value", errProto)
+		}
+		if a.row < 0 {
+			return out, fmt.Errorf("%w: negative row %d", errProto, a.row)
 		}
 		v, err := decodeValue(st.colKind, a.value)
 		if err != nil {
 			return out, err
 		}
-		if err := st.tbl.Update(uint64(a.row), st.col, v); err != nil {
+		if err := st.tbl.Update(uint64(a.row), st.plan.Col, v); err != nil {
 			return out, err
 		}
 		return append(out, `{"ok":true}`...), nil
@@ -258,67 +229,82 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 		out = append(out, `{"row":`...)
 		out = appendI64(out, int64(rowID))
 		return append(out, '}'), nil
+	}
 
-	case opSum:
-		s.opCacheLk[opSum].Inc()
-		sum, hit := st.tbl.CachedSumFloat64(st.col)
-		if hit {
-			s.opCacheHit[opSum].Inc()
-		} else {
-			var err error
-			sum, err = st.tbl.SumFloat64(st.col)
-			if err != nil {
-				return out, err
-			}
+	// Every read is one path: bind the statement's plan template, probe
+	// the result cache (a hit skips both the collection window and the
+	// storage pass), execute through the batcher, serialize by kind.
+	p, solo := st.plan, false
+	known := true // get_pk: false when the key is not indexed
+	switch {
+	case st.op == opGetPK:
+		if !a.hasPK {
+			return out, fmt.Errorf("%w: get_pk needs pk", errProto)
 		}
-		out = append(out, `{"sum":`...)
-		out = appendF64(out, sum)
-		return append(out, '}'), nil
-
-	case opSumWhere, opCountWhere:
+		p.Row, known = st.tbl.LookupPK(a.pk)
+		solo = true // a lone index probe never waits out a window
+	case p.Op == exec.KindGet:
+		if !a.hasRow {
+			return out, fmt.Errorf("%w: get needs row", errProto)
+		}
+		if a.row < 0 {
+			return out, fmt.Errorf("%w: negative row %d", errProto, a.row)
+		}
+		p.Row = uint64(a.row)
+		// A row at or beyond the current row count takes the solo path:
+		// it would error the whole cohort, and since tables only grow, a
+		// row valid at join time stays valid at flush time.
+		solo = p.Row >= st.tbl.Rows()
+	case p.HasPred:
 		if a.predRaw == nil {
 			return out, fmt.Errorf("%w: %s needs pred", errProto, opName[st.op])
 		}
-		p, err := parsePred(a.predRaw)
-		if err != nil {
+		var err error
+		if p.Pred, err = parsePred(a.predRaw); err != nil {
 			return out, err
 		}
-		s.opCacheLk[st.op].Inc()
-		sum, n, hit := st.tbl.CachedSumFloat64Where(st.col, p)
-		if hit {
-			s.opCacheHit[st.op].Inc()
-		} else if sum, n, err = s.bat.sumWhere(st.tbl, st.col, p); err != nil {
-			return out, err
-		}
-		if st.op == opCountWhere {
-			out = append(out, `{"count":`...)
-			out = appendI64(out, n)
-			return append(out, '}'), nil
-		}
-		out = append(out, `{"sum":`...)
-		out = appendF64(out, sum)
-		out = append(out, `,"count":`...)
-		out = appendI64(out, n)
-		return append(out, '}'), nil
+	default:
+		solo = true // an unpredicated sum has no co-runners to share with
+	}
+	s.opCacheLk[st.op].Inc()
+	var res hybridstore.Result
+	var err error
+	hit := false
+	if known {
+		res, hit = st.tbl.Peek(p)
+	}
+	switch {
+	case hit:
+		s.opCacheHit[st.op].Inc()
+	case st.op == opGetPK:
+		res.Rec, err = st.tbl.GetByPK(a.pk)
+	default:
+		res, err = s.bat.exec(st.tbl, p, solo)
+	}
+	if err != nil {
+		return out, err
+	}
 
+	switch st.op {
+	case opGet, opGetPK:
+		return appendRecord(out, res.Rec), nil
+	case opSum:
+		out = append(out, `{"sum":`...)
+		out = appendF64(out, res.Sum)
+		return append(out, '}'), nil
+	case opSumWhere:
+		out = append(out, `{"sum":`...)
+		out = appendF64(out, res.Sum)
+		out = append(out, `,"count":`...)
+		out = appendI64(out, res.Count)
+		return append(out, '}'), nil
+	case opCountWhere:
+		out = append(out, `{"count":`...)
+		out = appendI64(out, res.Count)
+		return append(out, '}'), nil
 	case opGroupSumWhere:
-		if a.predRaw == nil {
-			return out, fmt.Errorf("%w: group_sum_where needs pred", errProto)
-		}
-		p, err := parsePred(a.predRaw)
-		if err != nil {
-			return out, err
-		}
-		s.opCacheLk[opGroupSumWhere].Inc()
-		groups, hit := st.tbl.CachedGroupBySumWhere(st.keyCol, st.col, p)
-		if hit {
-			s.opCacheHit[opGroupSumWhere].Inc()
-		} else if groups, err = s.bat.groupSumWhere(st.tbl, st.keyCol, st.col, p); err != nil {
-			return out, err
-		}
-		// groups may be shared with other batch waiters: read-only.
 		out = append(out, `{"groups":[`...)
-		for i, g := range groups {
+		for i, g := range res.Groups {
 			if i > 0 {
 				out = append(out, ',')
 			}

@@ -136,6 +136,8 @@ func TestServeErrors(t *testing.T) {
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{})
 	sid := s.CreateSession("")
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
+	get := prep(t, s, sid, "get", 0, 0)
+	upd := prep(t, s, sid, "update", hybridstore.ItemPriceColumn, 0)
 
 	for _, tc := range []struct {
 		name, body string
@@ -146,6 +148,9 @@ func TestServeErrors(t *testing.T) {
 		{"unknown stmt", fmt.Sprintf(`{"session_id":"%s","stmt_id":99}`, sid), 404},
 		{"missing pred", fmt.Sprintf(`{"session_id":"%s","stmt_id":%d}`, sid, sum), 400},
 		{"bad pred kind", fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":{"kind":"ge","lo":1}}`, sid, sum), 400},
+		// A negative row is a protocol error, not row 2^64-1 of the table.
+		{"negative get row", fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":-1}`, sid, get), 400},
+		{"negative update row", fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":-1,"value":1.5}`, sid, upd), 400},
 	} {
 		resp, code := exec1(s, tc.body)
 		if code != tc.code || !strings.Contains(resp, `"error"`) {
@@ -162,6 +167,30 @@ func TestServeErrors(t *testing.T) {
 	}
 	if _, err := s.Prepare("zz", "get", "item", 0, 0); err == nil {
 		t.Error("prepare against unknown session succeeded")
+	}
+}
+
+// TestNaNPredRejected: strconv accepts "NaN", and a NaN bound never
+// equals itself — a plan carrying one could never be deleted from the
+// cohort intake map again (one leaked cohort per request) nor collapse
+// with its own repeats. The wire parser refuses it with a 400 and the
+// intake map stays empty.
+func TestNaNPredRejected(t *testing.T) {
+	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
+		Config{BatchWindow: 200 * time.Microsecond})
+	sid := s.CreateSession("")
+	grp := prep(t, s, sid, "group_sum_where", hybridstore.ItemPriceColumn, 1)
+	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
+	for i := 0; i < 3; i++ {
+		for _, id := range []int{grp, sum} {
+			body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":{"kind":"gt","lo":NaN}}`, sid, id)
+			if resp, code := exec1(s, body); code != 400 {
+				t.Fatalf("NaN predicate answered %d %s, want 400", code, resp)
+			}
+		}
+	}
+	if n := len(s.bat.open); n != 0 {
+		t.Fatalf("%d cohorts leaked in the intake map", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"hybridstore"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/schema"
 )
 
@@ -50,13 +51,25 @@ func opKindOf(name []byte) (opKind, bool) {
 
 // stmt is one prepared statement: the parse/bind work — table lookup,
 // column validation, kind resolution — done once at Prepare so Exec
-// only decodes arguments.
+// only decodes arguments. A read statement holds its plan template
+// (kind, table, columns); Exec binds the predicate or row into a copy.
 type stmt struct {
 	op      opKind
 	tbl     *hybridstore.Table
-	col     int         // value column (update/sum/sum_where/count_where, valCol alias)
-	keyCol  int         // group key column (group_sum_where)
-	colKind schema.Kind // kind of col, resolved at prepare
+	plan    exec.Plan   // read template; writes use only plan.Col
+	colKind schema.Kind // kind of plan.Col, resolved at prepare (update)
+}
+
+// planKind maps each read statement to the plan kind it executes:
+// count_where reads the Count of a sum_where plan, get_pk is a get once
+// the index resolved the key.
+var planKind = map[opKind]exec.Kind{
+	opGet:           exec.KindGet,
+	opGetPK:         exec.KindGet,
+	opSum:           exec.KindSum,
+	opSumWhere:      exec.KindSumWhere,
+	opCountWhere:    exec.KindSumWhere,
+	opGroupSumWhere: exec.KindGroupSumWhere,
 }
 
 // session is one client's statement namespace. Statements are
@@ -114,7 +127,7 @@ func (s *Server) Prepare(sid, op, table string, col, keyCol int) (int, error) {
 		return 0, fmt.Errorf("server: unknown table %q", table)
 	}
 	sc := tbl.Schema()
-	st := &stmt{op: kind, tbl: tbl, col: col, keyCol: keyCol}
+	st := &stmt{op: kind, tbl: tbl, plan: exec.Plan{Table: tbl.Name(), Op: planKind[kind], Col: col, KeyCol: keyCol}}
 	switch kind {
 	case opGet, opGetPK, opInsert:
 		// No column binding.
@@ -127,7 +140,6 @@ func (s *Server) Prepare(sid, op, table string, col, keyCol int) (int, error) {
 		if col < 0 || col >= sc.Arity() || sc.Attr(col).Kind != schema.Float64 {
 			return 0, fmt.Errorf("server: col %d is not a float64 attribute", col)
 		}
-		st.colKind = schema.Float64
 	case opGroupSumWhere:
 		if col < 0 || col >= sc.Arity() || sc.Attr(col).Kind != schema.Float64 {
 			return 0, fmt.Errorf("server: val col %d is not a float64 attribute", col)
@@ -135,8 +147,8 @@ func (s *Server) Prepare(sid, op, table string, col, keyCol int) (int, error) {
 		if keyCol < 0 || keyCol >= sc.Arity() {
 			return 0, fmt.Errorf("server: key col %d out of range", keyCol)
 		}
-		st.colKind = schema.Float64
 	}
+	st.plan = st.plan.Normalize()
 	ss.mu.Lock()
 	ss.stmts = append(ss.stmts, st)
 	id := len(ss.stmts) - 1

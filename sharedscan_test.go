@@ -1,15 +1,177 @@
 package hybridstore
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 )
 
-// TestSharedScanMatchesSoloFacade is the end-to-end bit-identity
-// property for the batching substrate: SumFloat64WhereMulti must answer
-// every predicate with exactly the bits SumFloat64Where produces, across
-// storage configurations (plain host, device cache, compression, device
-// placement, multi-card) and with unmerged MVCC deltas in flight.
+// planCase is one plan shape of the equivalence table: the K plans a
+// cohort of that shape carries, the named public method answering one
+// of them, and the serial oracle over Get-materialized records.
+type planCase struct {
+	name   string
+	plans  func(k int) []Plan
+	named  func(tbl *Table, p Plan) (Result, error)
+	oracle func(recs []Record, p Plan) Result
+}
+
+// planCases covers every plan shape. Cohorts of the argument-less
+// shapes repeat one plan; predicate cohorts mix closed, open, pruned
+// and duplicate predicates; row cohorts mix chunks and a duplicate.
+func planCases(rows uint64) []planCase {
+	preds := []FloatPred{
+		LtFloat(25), GtFloat(50), BetweenFloat(10, 60), EqFloat(42),
+		BetweenFloat(2000, 3000), // pruned everywhere
+		LtFloat(80), GtFloat(50), BetweenFloat(3, 3),
+	}
+	const keyCol = 1
+	groupOracle := func(recs []Record, match func(float64) bool) Result {
+		table := map[int64]*GroupResult{}
+		for _, rec := range recs {
+			if x := rec[ItemPriceColumn].F; match(x) {
+				g := table[rec[keyCol].I]
+				if g == nil {
+					g = &GroupResult{Key: rec[keyCol].I}
+					table[g.Key] = g
+				}
+				g.Sum += x
+				g.Count++
+			}
+		}
+		var out []GroupResult
+		for _, g := range table {
+			out = append(out, *g)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+		return Result{Groups: out}
+	}
+	all := func(float64) bool { return true }
+	return []planCase{
+		{"get",
+			func(k int) []Plan {
+				out := make([]Plan, k)
+				for i := range out {
+					out[i] = Plan{Op: "get", Row: uint64(i*131) % rows}
+				}
+				out[k-1] = out[0]
+				return out
+			},
+			func(tbl *Table, p Plan) (Result, error) {
+				rec, err := tbl.Get(p.Row)
+				if err != nil {
+					return Result{}, err
+				}
+				byPK, err := tbl.GetByPK(rec[0].I)
+				if err == nil && !reflect.DeepEqual(rec, byPK) {
+					err = fmt.Errorf("GetByPK(%d) = %v, Get(%d) = %v", rec[0].I, byPK, p.Row, rec)
+				}
+				return Result{Rec: rec}, err
+			},
+			func(recs []Record, p Plan) Result { return Result{Rec: recs[p.Row]} }},
+		{"sum",
+			func(k int) []Plan { return repeatPlan(Plan{Op: "sum", Col: ItemPriceColumn}, k) },
+			func(tbl *Table, p Plan) (Result, error) {
+				sum, err := tbl.SumFloat64(p.Col)
+				return Result{Sum: sum}, err
+			},
+			func(recs []Record, p Plan) Result {
+				var r Result
+				for _, rec := range recs {
+					r.Sum += rec[p.Col].F
+				}
+				return r
+			}},
+		{"sum_where",
+			func(k int) []Plan {
+				out := make([]Plan, k)
+				for i := range out {
+					out[i] = Plan{Op: "sum_where", Col: ItemPriceColumn, Pred: preds[i]}
+				}
+				return out
+			},
+			func(tbl *Table, p Plan) (Result, error) {
+				sum, n, err := tbl.SumFloat64Where(p.Col, p.Pred)
+				if cnt, cerr := tbl.CountWhereFloat64(p.Col, p.Pred); err == nil && (cerr != nil || cnt != n) {
+					err = fmt.Errorf("CountWhereFloat64 = %d, %v; SumFloat64Where counted %d", cnt, cerr, n)
+				}
+				return Result{Sum: sum, Count: n}, err
+			},
+			func(recs []Record, p Plan) Result {
+				var r Result
+				for _, rec := range recs {
+					if x := rec[p.Col].F; p.Pred.Match(x) {
+						r.Sum += x
+						r.Count++
+					}
+				}
+				return r
+			}},
+		{"group_sum",
+			func(k int) []Plan {
+				return repeatPlan(Plan{Op: "group_sum", KeyCol: keyCol, Col: ItemPriceColumn}, k)
+			},
+			func(tbl *Table, p Plan) (Result, error) {
+				g, err := tbl.GroupSumFloat64(p.KeyCol, p.Col)
+				return Result{Groups: g}, err
+			},
+			func(recs []Record, p Plan) Result { return groupOracle(recs, all) }},
+		{"group_sum_where",
+			func(k int) []Plan {
+				out := make([]Plan, k)
+				for i := range out {
+					out[i] = Plan{Op: "group_sum_where", KeyCol: keyCol, Col: ItemPriceColumn, Pred: preds[i]}
+				}
+				return out
+			},
+			func(tbl *Table, p Plan) (Result, error) {
+				g, err := tbl.GroupBySumWhere(p.KeyCol, p.Col, p.Pred)
+				return Result{Groups: g}, err
+			},
+			func(recs []Record, p Plan) Result { return groupOracle(recs, p.Pred.Match) }},
+	}
+}
+
+func repeatPlan(p Plan, k int) []Plan {
+	out := make([]Plan, k)
+	for i := range out {
+		out[i] = p
+	}
+	return out
+}
+
+// sameResult compares two results; exact demands identical float bits,
+// otherwise sums may differ by fold-order rounding (the serial oracle
+// adds row by row, the engine chunk by chunk).
+func sameResult(a, b Result, exact bool) bool {
+	near := func(x, y float64) bool {
+		if exact {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}
+		return math.Abs(x-y) <= 1e-9*math.Max(1, math.Abs(y))
+	}
+	if !near(a.Sum, b.Sum) || a.Count != b.Count || len(a.Groups) != len(b.Groups) || !reflect.DeepEqual(a.Rec, b.Rec) {
+		return false
+	}
+	for i, g := range a.Groups {
+		if h := b.Groups[i]; g.Key != h.Key || g.Count != h.Count || !near(g.Sum, h.Sum) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSharedScanMatchesSoloFacade is the end-to-end equivalence table of
+// the one read entry: for every plan shape × result cache on/off ×
+// cohort size K ∈ {1, 8}, Execute answers each plan with exactly the
+// bits the named public method produces, and both agree with a serial
+// fold over Get-materialized records (sums to rounding, everything else
+// exactly) — across storage configurations (plain host, device cache,
+// compression, device placement, multi-card), with unmerged MVCC deltas
+// in flight, after Merge, and after further updates + Merge. With the
+// cache on, a clean table's answers must also be served by Peek.
 func TestSharedScanMatchesSoloFacade(t *testing.T) {
 	configs := []struct {
 		name string
@@ -21,60 +183,94 @@ func TestSharedScanMatchesSoloFacade(t *testing.T) {
 		{"placement", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true}},
 		{"fleet", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Devices: 2}},
 	}
-	preds := []FloatPred{
-		LtFloat(25),
-		GtFloat(50),
-		BetweenFloat(10, 60),
-		EqFloat(42),
-		BetweenFloat(2000, 3000), // pruned everywhere
-		LtFloat(80),
-	}
+	const rows = 1000
+	cases := planCases(rows)
 	for _, cfg := range configs {
-		t.Run(cfg.name, func(t *testing.T) {
-			db := Open(cfg.opts)
-			tbl, err := db.CreateTable("item", ItemSchema())
-			if err != nil {
-				t.Fatal(err)
+		for _, cached := range []bool{false, true} {
+			opts := cfg.opts
+			name := cfg.name
+			if cached {
+				opts.ResultCache = ResultCacheOptions{Cap: 1 << 20}
+				name += "/resultcache"
 			}
-			defer tbl.Free()
-			const rows = 1000
-			for i := uint64(0); i < rows; i++ {
-				if _, err := tbl.Insert(Item(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if cfg.opts.DevicePlacement {
-				if err := tbl.PlaceColumn(ItemPriceColumn); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Unmerged deltas: the patch loop must agree per predicate.
-			for i := 0; i < rows; i += 37 {
-				if err := tbl.Update(uint64(i), ItemPriceColumn, FloatValue(float64(i%97))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Two rounds so the second hits warm device-cache images.
-			for round := 0; round < 2; round++ {
-				sums, counts, err := tbl.SumFloat64WhereMulti(ItemPriceColumn, preds)
+			t.Run(name, func(t *testing.T) {
+				db := Open(opts)
+				tbl, err := db.CreateTable("item", ItemSchema())
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(sums) != len(preds) || len(counts) != len(preds) {
-					t.Fatalf("result arity %d/%d, want %d", len(sums), len(counts), len(preds))
-				}
-				for k, p := range preds {
-					ws, wn, err := tbl.SumFloat64Where(ItemPriceColumn, p)
-					if err != nil {
+				defer tbl.Free()
+				for i := uint64(0); i < rows; i++ {
+					if _, err := tbl.Insert(Item(i)); err != nil {
 						t.Fatal(err)
 					}
-					if math.Float64bits(sums[k]) != math.Float64bits(ws) || counts[k] != wn {
-						t.Fatalf("round %d pred %d (%v): shared (%v, %d) != solo (%v, %d)",
-							round, k, p, sums[k], counts[k], ws, wn)
+				}
+				if opts.DevicePlacement {
+					if err := tbl.PlaceColumn(ItemPriceColumn); err != nil {
+						t.Fatal(err)
 					}
 				}
-			}
-		})
+				update := func(step int) {
+					for i := step; i < rows; i += 37 {
+						if err := tbl.Update(uint64(i), ItemPriceColumn, FloatValue(float64(i%97)+0.1*float64(step))); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				check := func(phase string, clean bool) {
+					recs := make([]Record, rows)
+					for r := range recs {
+						if recs[r], err = tbl.Get(uint64(r)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Two rounds so the second hits warm device-cache
+					// images and, on a clean table, result-cache entries.
+					for round := 0; round < 2; round++ {
+						for _, c := range cases {
+							for _, k := range []int{1, 8} {
+								plans := c.plans(k)
+								res, err := tbl.Execute(plans)
+								if err != nil || len(res) != k {
+									t.Fatalf("%s %s K=%d: %d results, %v", phase, c.name, k, len(res), err)
+								}
+								for i, p := range plans {
+									named, err := c.named(tbl, p)
+									if err != nil {
+										t.Fatalf("%s %s: %v", phase, c.name, err)
+									}
+									if !sameResult(res[i], named, true) {
+										t.Fatalf("%s round %d %s K=%d plan %d (%v): Execute %+v != named %+v", phase, round, c.name, k, i, p.Pred, res[i], named)
+									}
+									if want := c.oracle(recs, p); !sameResult(res[i], want, false) {
+										t.Fatalf("%s round %d %s K=%d plan %d (%v): Execute %+v != serial %+v", phase, round, c.name, k, i, p.Pred, res[i], want)
+									}
+									// Aggregates are cacheable only over a delta-free
+									// table; a point read only needs its own row clean.
+									peek, hit := tbl.Peek(p)
+									wrongHit := hit != (cached && clean) && (clean || p.Op != "get")
+									if wrongHit || (hit && !sameResult(peek, res[i], true)) {
+										t.Fatalf("%s round %d %s plan %d: Peek = %+v, %v (cache %v, clean %v)", phase, round, c.name, i, peek, hit, cached, clean)
+									}
+								}
+							}
+						}
+					}
+				}
+				update(0)
+				check("deltas", false)
+				if err := tbl.Merge(); err != nil {
+					t.Fatal(err)
+				}
+				check("merged", true)
+				update(5)
+				if err := tbl.Merge(); err != nil {
+					t.Fatal(err)
+				}
+				update(11)
+				check("remerged+deltas", false)
+			})
+		}
 	}
 }
 
