@@ -388,14 +388,14 @@ func BenchmarkFig2Panel3Device(b *testing.B) {
 		if err := fix.gpu.CopyToDevice(fix.priceBuf, 0, v.Data[v.Base:v.Base+v.Len*v.Size]); err != nil {
 			b.Fatal(err)
 		}
-		sum, err := fix.gpu.ReduceSumFloat64(
-			device.Vec{Buf: fix.priceBuf, Stride: 8, Size: 8, Len: BenchRows},
-			device.DefaultReduceConfig())
+		out, err := fix.gpu.Launch(device.Kernel{
+			Vals:   device.Vec{Buf: fix.priceBuf, Stride: 8, Size: 8, Len: BenchRows},
+			Config: device.DefaultReduceConfig()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if sum < want-1 || sum > want+1 {
-			b.Fatalf("sum = %v", sum)
+		if out.Sum < want-1 || out.Sum > want+1 {
+			b.Fatalf("sum = %v", out.Sum)
 		}
 	}
 	b.StopTimer()
@@ -410,14 +410,14 @@ func BenchmarkFig2Panel4Device(b *testing.B) {
 	want := workload.ExpectedItemPriceSum(BenchRows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := fix.gpu.ReduceSumFloat64(
-			device.Vec{Buf: fix.priceBuf, Stride: 8, Size: 8, Len: BenchRows},
-			device.DefaultReduceConfig())
+		out, err := fix.gpu.Launch(device.Kernel{
+			Vals:   device.Vec{Buf: fix.priceBuf, Stride: 8, Size: 8, Len: BenchRows},
+			Config: device.DefaultReduceConfig()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if sum < want-1 || sum > want+1 {
-			b.Fatalf("sum = %v", sum)
+		if out.Sum < want-1 || out.Sum > want+1 {
+			b.Fatalf("sum = %v", out.Sum)
 		}
 	}
 	b.StopTimer()

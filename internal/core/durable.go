@@ -406,31 +406,21 @@ func (t *Table) PrimeDeviceCache(cols []device.ResidentCol) error {
 			if c.state != cold || c.rows.Begin >= rows {
 				continue
 			}
-			frag, err := t.fragmentForCol(c, rc.Col)
+			piece, devBytes, err := t.pieceFor(c, rc.Col)
 			if err != nil {
 				return err
 			}
-			if frag.Space() != t.env.Host.Space() {
+			if devBytes > 0 {
 				continue // device-placed fragments have no host bytes to ship
 			}
-			v, err := frag.ColVector(rc.Col)
-			if err != nil {
-				return err
-			}
-			piece := exec.Piece{
-				Rows:   layout.RowRange{Begin: c.rows.Begin, End: c.rows.Begin + uint64(v.Len)},
-				Vec:    v,
-				FragID: frag.ID(), FragVersion: frag.Version(),
-			}
 			if rc.Comp {
-				t.attachCompressed(&piece, c, rc.Col)
-				if piece.Comp == nil {
+				if t.attachCompressed(&piece, c, rc.Col); piece.Comp == nil {
 					continue
 				}
 			}
 			pieces = append(pieces, piece)
 		}
-		if err := ds.Prime(rc.Col, pieces, rc.Comp); err != nil {
+		if err := ds.Prime(rc.Col, pieces); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
@@ -43,7 +44,7 @@ func (t *Table) groupLocked(reader *tx.Tx, shape exec.Plan, plans []exec.Plan, r
 func (t *Table) groupOneLocked(reader *tx.Tx, pl exec.Plan, hasPred bool) ([]exec.GroupResult, error) {
 	keyCol, valCol, p := pl.KeyCol, pl.Col, pl.Pred
 	match := func(x float64) bool { return !hasPred || p.Match(x) }
-	_, _, closed := exec.ClosedFloat64(p)
+	closed := pl.DeviceOK()
 	rows := t.rel.Rows()
 	var hostK, hostV, cacheK, cacheV []exec.Piece
 	for _, c := range t.chunks {
@@ -78,15 +79,14 @@ func (t *Table) groupOneLocked(reader *tx.Tx, pl exec.Plan, hasPred bool) ([]exe
 	if hasPred {
 		var devGroups []exec.GroupResult
 		if len(cacheV) > 0 {
-			var err error
-			devGroups, err = t.env.DeviceExec(t.rel.Name()).GroupSumFloat64Where(keyCol, valCol, cacheK, cacheV, p)
+			dev, err := t.env.DeviceExec(t.rel.Name()).Scan(exec.Scan{Plan: pl, Keys: cacheK, Vals: cacheV})
 			if err != nil {
 				// The device kernel refused the pair shape; the host fused
 				// operator handles everything it cannot.
 				exec.NoteGroupFusedFallback()
 				hostK, hostV = append(hostK, cacheK...), append(hostV, cacheV...)
-				devGroups = nil
 			}
+			devGroups = dev.Groups
 		}
 		hostGroups, err := exec.GroupSumFloat64Where(t.cfg, hostK, hostV, p)
 		if err != nil {
@@ -102,54 +102,21 @@ func (t *Table) groupOneLocked(reader *tx.Tx, pl exec.Plan, hasPred bool) ([]exe
 
 	// Patch the snapshot's visible versions: move matching rows between
 	// groups, drop rows whose new value no longer matches, add rows whose
-	// new value now does. The patch table materializes lazily — a fully
-	// merged table (the common warm serving state) returns the fused
-	// result as-is, with no second hash table and no re-sort. The patch
-	// stays exact under pruning because zones are conservative: a base
-	// value matching p always lives in an admitted fragment.
-	var table map[int64]*exec.GroupResult
+	// new value now does (see engine.GroupPatch).
+	gp := engine.NewGroupPatch(merged, match)
 	err := t.patchRows(reader, func(row uint64, rec schema.Record) error {
-		if table == nil {
-			table = make(map[int64]*exec.GroupResult, len(merged))
-			for i := range merged {
-				g := merged[i]
-				table[g.Key] = &g
-			}
-		}
-		baseKeyV, err := t.baseValue(row, keyCol)
+		baseKey, err := t.baseValue(row, keyCol)
 		if err != nil {
 			return err
 		}
-		baseValV, err := t.baseValue(row, valCol)
+		baseVal, err := t.baseValue(row, valCol)
 		if err != nil {
 			return err
 		}
-		if g := table[baseKeyV.I]; g != nil && match(baseValV.F) {
-			g.Sum -= baseValV.F
-			g.Count--
-		}
-		if match(rec[valCol].F) {
-			cur := table[rec[keyCol].I]
-			if cur == nil {
-				cur = &exec.GroupResult{Key: rec[keyCol].I}
-				table[rec[keyCol].I] = cur
-			}
-			cur.Sum += rec[valCol].F
-			cur.Count++
-		}
+		gp.Apply(engine.Cell{Key: baseKey.I, Val: baseVal.F}, engine.Cell{Key: rec[keyCol].I, Val: rec[valCol].F})
 		return nil
 	})
-	if err != nil || table == nil {
-		return merged, err
-	}
-	out := make([]exec.GroupResult, 0, len(table))
-	for _, g := range table {
-		if g.Count > 0 {
-			out = append(out, *g)
-		}
-	}
-	exec.SortGroupResults(out)
-	return out, nil
+	return gp.Groups(), err
 }
 
 // pieceFor builds one zone-carrying column piece for a chunk, reporting

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
@@ -44,39 +43,6 @@ import (
 // and fresh answers is sound because a hit requires stamp equality:
 // both were computed over byte-identical base state.
 
-// ErrBadPlan is returned by Execute for a plan of an unknown kind or a
-// batch mixing shapes.
-var ErrBadPlan = errors.New("core: bad plan")
-
-// checkShape validates the columns a plan shape reads.
-func (t *Table) checkShape(p exec.Plan) error {
-	floatCol := func(what string, col int) error {
-		if col < 0 || col >= t.s.Arity() {
-			return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-		}
-		if a := t.s.Attr(col); a.Kind != schema.Float64 {
-			return fmt.Errorf("%w: %s %s is %s", exec.ErrBadColumn, what, a.Name, a.Kind)
-		}
-		return nil
-	}
-	switch p.Op {
-	case exec.KindGet:
-		return nil
-	case exec.KindSum, exec.KindSumWhere:
-		return floatCol("attribute", p.Col)
-	case exec.KindGroupSum, exec.KindGroupSumWhere:
-		if p.KeyCol < 0 || p.KeyCol >= t.s.Arity() {
-			return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, p.KeyCol)
-		}
-		if a := t.s.Attr(p.KeyCol); a.Kind != schema.Int64 && a.Kind != schema.Int32 {
-			return fmt.Errorf("%w: group key %s is %s", exec.ErrBadColumn, a.Name, a.Kind)
-		}
-		return floatCol("aggregate", p.Col)
-	default:
-		return fmt.Errorf("%w: kind %q", ErrBadPlan, p.Op)
-	}
-}
-
 // scanCols lists the columns an aggregate shape folds, in stamp order.
 func scanCols(shape exec.Plan) []int {
 	if shape.Op == exec.KindGroupSum || shape.Op == exec.KindGroupSumWhere {
@@ -101,10 +67,10 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	shape := plans[0].Normalize().Shape()
 	for _, p := range plans[1:] {
 		if s := p.Normalize().Shape(); s != shape {
-			return nil, fmt.Errorf("%w: %v batched with %v", ErrBadPlan, s, shape)
+			return nil, fmt.Errorf("%w: %v batched with %v", exec.ErrBadPlan, s, shape)
 		}
 	}
-	if err := t.checkShape(shape); err != nil {
+	if err := shape.Check(t.s); err != nil {
 		return nil, err
 	}
 	t.mu.RLock()
@@ -217,24 +183,14 @@ func (t *Table) Peek(p exec.Plan) (exec.Result, bool) {
 	return cache.Peek(t.cacheKey(p), st)
 }
 
-// one executes a single plan: the named query methods are sugar over
+// Scan executes a single plan: the named query methods are sugar over
 // it.
-func (t *Table) one(p exec.Plan) (exec.Result, error) {
+func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
 	res, err := t.Execute([]exec.Plan{p})
 	if err != nil {
 		return exec.Result{}, err
 	}
 	return res[0], nil
-}
-
-// reduceConfig picks the launch geometry for a resident column,
-// falling back to a small grid for inputs below the default's reach.
-func reduceConfig(v layout.ColVector) (device.Vec, device.LaunchConfig) {
-	cfg := device.DefaultReduceConfig()
-	if v.Len < cfg.Blocks*2 {
-		cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-	}
-	return device.Vec{Data: v.Data, Base: v.Base, Stride: v.Stride, Size: v.Size, Len: v.Len}, cfg
 }
 
 // walkColumn is the one chunk walk behind every column aggregate. It
@@ -257,6 +213,7 @@ func (t *Table) walkColumn(col int) (resident, host []exec.Piece, cached int, er
 			return nil, nil, 0, err
 		}
 		if devBytes > 0 {
+			piece.Place = exec.Resident
 			resident = append(resident, piece)
 			continue
 		}
@@ -282,25 +239,37 @@ func (t *Table) sumLocked(reader *tx.Tx, shape exec.Plan, plans []exec.Plan, res
 	}
 	cached, hostOnly := host[:n], host[n:]
 
+	// Device legs go through the scan executors: fragments placed in
+	// device memory launch directly on the card, cached pieces ride the
+	// fragment cache (the fleet's, when one is configured). Each leg is
+	// its own call so a plan's fold order never depends on what else ran.
+	devLeg := func(on exec.ScanExecutor, pl exec.Plan, pieces []exec.Piece, r *exec.Result) error {
+		if len(pieces) == 0 {
+			return nil
+		}
+		part, err := on.Scan(exec.Scan{Plan: pl, Vals: pieces})
+		r.Sum += part.Sum
+		r.Count += part.Count
+		return err
+	}
+	var onCard, onCache exec.ScanExecutor
+	if len(resident) > 0 {
+		onCard = exec.DeviceScan{GPU: t.env.GPU}
+	}
+	if len(cached) > 0 {
+		onCache = t.env.DeviceExec(t.rel.Name())
+	}
+
 	if shape.Op == exec.KindSum {
-		// No predicate: the plans are identical; compute once. Resident
-		// fragments reduce on the device, cached pieces ride the fragment
-		// cache, the rest streams through the host operator.
-		var sum float64
-		for _, rc := range resident {
-			part, err := t.env.GPU.ReduceSumFloat64(reduceConfig(rc.Vec))
-			if err != nil {
-				return err
-			}
-			sum += part
+		// No predicate: the plans are identical; compute once.
+		var r exec.Result
+		if err := devLeg(onCard, shape, resident, &r); err != nil {
+			return err
 		}
-		if len(cached) > 0 {
-			devSum, err := t.env.DeviceExec(t.rel.Name()).SumFloat64(col, cached)
-			if err != nil {
-				return err
-			}
-			sum += devSum
+		if err := devLeg(onCache, shape, cached, &r); err != nil {
+			return err
 		}
+		sum := r.Sum
 		hostSum, err := exec.SumFloat64(t.cfg, hostOnly)
 		if err != nil {
 			return err
@@ -319,15 +288,16 @@ func (t *Table) sumLocked(reader *tx.Tx, shape exec.Plan, plans []exec.Plan, res
 		return err
 	}
 
-	// Closed predicates scan the cached pieces on the device and the rest
-	// on the host; open ones (an empty interval: no closed form for the
-	// device kernel to consume) scan everything on the host. preds/idx
-	// hold the closed class first, then the open class.
+	// Closed predicates scan the resident and cached pieces on the device
+	// and the rest on the host; open ones (an empty interval: no closed
+	// form for the device kernel to consume, and nothing it could match in
+	// device memory) scan the host pieces on the host. preds/idx hold the
+	// closed class first, then the open class.
 	preds, idx := make([]exec.Pred[float64], 0, len(plans)), make([]int, 0, len(plans))
 	nClosed := 0
 	for _, class := range []bool{true, false} {
 		for k, pl := range plans {
-			if _, _, closed := exec.ClosedFloat64(pl.Pred); closed == class {
+			if pl.DeviceOK() == class {
 				preds, idx = append(preds, pl.Pred), append(idx, k)
 			}
 		}
@@ -335,40 +305,17 @@ func (t *Table) sumLocked(reader *tx.Tx, shape exec.Plan, plans []exec.Plan, res
 			nClosed = len(preds)
 		}
 	}
-
-	// Device-resident fragments: per predicate in chunk order, zone
-	// decision before the launch; a pruned fragment is neither
-	// transferred nor reduced.
-	for k, pl := range plans {
-		for _, rc := range resident {
-			bytes := int64(rc.Vec.Len) * int64(rc.Vec.Size)
-			admit := exec.ZoneAdmits(rc.Zone, pl.Pred)
-			exec.NoteZoneDecision(admit, bytes)
-			lo, hi, ok := exec.ClosedFloat64(pl.Pred)
-			if !admit || !ok {
-				continue
-			}
-			dv, cfg := reduceConfig(rc.Vec)
-			part, cnt, err := t.env.GPU.ReduceSumFloat64Where(dv, lo, hi, cfg)
-			if err != nil {
+	// Resident fragments first, then the cached ones: the first predicate
+	// warms an image, the rest scan it for zero bus bytes. The device scan
+	// takes the zone decision before each launch or transfer.
+	for _, leg := range []struct {
+		on     exec.ScanExecutor
+		pieces []exec.Piece
+	}{{onCard, resident}, {onCache, cached}} {
+		for _, k := range idx[:nClosed] {
+			if err := devLeg(leg.on, plans[k], leg.pieces, &res[k]); err != nil {
 				return err
 			}
-			res[k].Sum += part
-			res[k].Count += cnt
-		}
-	}
-
-	// Cold cached fragments per closed predicate: the first predicate
-	// warms the image, the rest scan it for zero bus bytes.
-	if len(cached) > 0 {
-		ds := t.env.DeviceExec(t.rel.Name())
-		for j, p := range preds[:nClosed] {
-			devSum, devN, err := ds.SumFloat64Where(col, cached, p)
-			if err != nil {
-				return err
-			}
-			res[idx[j]].Sum += devSum
-			res[idx[j]].Count += devN
 		}
 	}
 

@@ -94,14 +94,14 @@ func (t *Table) Materialize(positions []uint64) ([]schema.Record, error) {
 // kernel, host fragments through the bulk operator), then the snapshot's
 // visible delta versions are patched over the base values.
 func (t *Table) SumFloat64(col int) (float64, error) {
-	r, err := t.one(exec.Plan{Op: exec.KindSum, Col: col})
+	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
 	return r.Sum, err
 }
 
 // SumFloat64Where aggregates (sum, count) of col over the rows matching
 // p, skipping base fragments whose zone maps prove them match-free.
 func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	r, err := t.one(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
+	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
 	return r.Sum, r.Count, err
 }
 
@@ -116,13 +116,13 @@ func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) 
 // keyCol over an MVCC snapshot. keyCol must be an integer attribute,
 // valCol a float64 one.
 func (t *Table) GroupSumFloat64(keyCol, valCol int) ([]exec.GroupResult, error) {
-	r, err := t.one(exec.Plan{Op: exec.KindGroupSum, KeyCol: keyCol, Col: valCol})
+	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSum, KeyCol: keyCol, Col: valCol})
 	return r.Groups, err
 }
 
 // GroupSumFloat64Where is GroupSumFloat64 WHERE p, in one fused pass.
 func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
-	r, err := t.one(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
+	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
 	return r.Groups, err
 }
 

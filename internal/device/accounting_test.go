@@ -21,13 +21,10 @@ func TestVecRejectsBothBackings(t *testing.T) {
 	bad := v
 	bad.Data = make([]byte, 64*8)
 	cfg := LaunchConfig{Blocks: 2, ThreadsPerBlock: 32}
-	if _, err := g.ReduceSumFloat64(bad, cfg); !errors.Is(err, ErrBadLaunch) {
+	if _, err := reduceSum(g, bad, cfg); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("both Buf and Data: err = %v, want ErrBadLaunch", err)
 	}
-	if _, err := g.ReduceSumInt64(bad, cfg); !errors.Is(err, ErrBadLaunch) {
-		t.Errorf("int64 reduce: err = %v, want ErrBadLaunch", err)
-	}
-	if _, _, err := g.ReduceSumFloat64Where(bad, 0, 1, cfg); !errors.Is(err, ErrBadLaunch) {
+	if _, err := g.Launch(Kernel{Vals: bad, Where: true, Lo: 0, Hi: 1, Config: cfg}); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("fused reduce: err = %v, want ErrBadLaunch", err)
 	}
 	if err := g.Scatter(bad, []int{0}, make([]byte, 8)); !errors.Is(err, ErrBadLaunch) {
@@ -36,7 +33,7 @@ func TestVecRejectsBothBackings(t *testing.T) {
 
 	none := v
 	none.Buf = nil
-	if _, err := g.ReduceSumFloat64(none, cfg); err == nil {
+	if _, err := reduceSum(g, none, cfg); err == nil {
 		t.Error("neither Buf nor Data: want an error, got nil")
 	}
 }
@@ -57,10 +54,10 @@ func TestAccountingConformance(t *testing.T) {
 	}
 	defer buf.Free()
 	cfg := LaunchConfig{Blocks: 16, ThreadsPerBlock: 64}
-	if _, err := g.ReduceSumFloat64(v, cfg); err != nil {
+	if _, err := reduceSum(g, v, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.ReduceSumFloat64Where(v, 10, 20, cfg); err != nil {
+	if _, err := g.Launch(Kernel{Vals: v, Where: true, Lo: 10, Hi: 20, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
 	host := make([]byte, n*8)
@@ -80,7 +77,7 @@ func TestAccountingConformance(t *testing.T) {
 	if err := s.CopyToDevice(buf, 0, host); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReduceSumFloat64(v, cfg); err != nil {
+	if _, err := reduceSum(s, v, cfg); err != nil {
 		t.Fatal(err)
 	}
 	s.Wait()

@@ -59,7 +59,7 @@ func TestCacheHitCostsZeroBusBytes(t *testing.T) {
 	}
 	// The cached image is usable as a kernel operand.
 	v := Vec{Buf: buf, Stride: 8, Size: 8, Len: 1000}
-	got, err := g.ReduceSumFloat64(v, LaunchConfig{Blocks: 8, ThreadsPerBlock: 64})
+	got, err := reduceSum(g, v, LaunchConfig{Blocks: 8, ThreadsPerBlock: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCacheInvalidateWhilePinnedDefersFree(t *testing.T) {
 	c.InvalidateFrag("item", 9)
 	// The image survives its invalidation while pinned: the in-flight
 	// kernel can still read it.
-	if _, err := g.ReduceSumFloat64(Vec{Buf: buf, Stride: 8, Size: 8, Len: 128}, LaunchConfig{Blocks: 4, ThreadsPerBlock: 32}); err != nil {
+	if _, err := reduceSum(g, Vec{Buf: buf, Stride: 8, Size: 8, Len: 128}, LaunchConfig{Blocks: 4, ThreadsPerBlock: 32}); err != nil {
 		t.Fatalf("kernel over invalidated-but-pinned image: %v", err)
 	}
 	if st := c.Stats(); st.Entries != 0 {

@@ -13,10 +13,8 @@
 package device
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -335,6 +333,17 @@ type LaunchConfig struct {
 // parallel reduction kernel.
 func DefaultReduceConfig() LaunchConfig { return LaunchConfig{Blocks: 1024, ThreadsPerBlock: 512} }
 
+// ReduceConfigFor picks the launch geometry for an n-element reduction:
+// the paper's grid, falling back to a small one for inputs shorter than
+// two elements per block.
+func ReduceConfigFor(n int) LaunchConfig {
+	cfg := DefaultReduceConfig()
+	if n < cfg.Blocks*2 {
+		cfg = LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
+	}
+	return cfg
+}
+
 // validate checks the launch geometry against device limits; tree
 // reductions additionally require a power-of-two block size.
 func (g *GPU) validate(cfg LaunchConfig, powerOfTwo bool) error {
@@ -391,128 +400,6 @@ func (v Vec) check() ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// ReduceSumFloat64 runs a parallel tree reduction summing v's float64
-// elements with the given launch geometry: each block reduces its grid-
-// stride slice in shared memory (tree-style, halving the active threads
-// per step), then a final single-block pass reduces the per-block
-// partials — the structure of the Harris reduction kernel the paper used.
-// Blocks execute concurrently.
-func (g *GPU) ReduceSumFloat64(v Vec, cfg LaunchConfig) (float64, error) {
-	total, ns, err := g.reduceSumFloat64(v, cfg)
-	if err != nil {
-		return 0, err
-	}
-	g.charge(ns)
-	return total, nil
-}
-
-// reduceSumFloat64 runs the reduction and returns its priced duration
-// without advancing the clock (streams charge an overlapped total at Wait).
-func (g *GPU) reduceSumFloat64(v Vec, cfg LaunchConfig) (float64, float64, error) {
-	if err := g.validate(cfg, true); err != nil {
-		return 0, 0, err
-	}
-	buf, err := v.check()
-	if err != nil {
-		return 0, 0, err
-	}
-	if v.Size != 8 {
-		return 0, 0, fmt.Errorf("%w: float64 reduction over %d-byte elements", ErrBadLaunch, v.Size)
-	}
-	load := func(i int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(buf[v.Base+i*v.Stride:]))
-	}
-	partials := g.blockReduce(v.Len, cfg, load)
-	// Final pass: one block reduces the per-block partials.
-	total := treeReduceInPlace(partials)
-	g.putF64(partials)
-	g.countKernels(2)
-	return total, g.prof.ReduceKernelNs(int64(v.Len), v.Size, v.Stride, cfg.Blocks, cfg.ThreadsPerBlock), nil
-}
-
-// ReduceSumInt64 is ReduceSumFloat64 for int64 elements.
-func (g *GPU) ReduceSumInt64(v Vec, cfg LaunchConfig) (int64, error) {
-	total, ns, err := g.reduceSumInt64(v, cfg)
-	if err != nil {
-		return 0, err
-	}
-	g.charge(ns)
-	return total, nil
-}
-
-// reduceSumInt64 runs the reduction and returns its priced duration
-// without advancing the clock.
-func (g *GPU) reduceSumInt64(v Vec, cfg LaunchConfig) (int64, float64, error) {
-	if err := g.validate(cfg, true); err != nil {
-		return 0, 0, err
-	}
-	buf, err := v.check()
-	if err != nil {
-		return 0, 0, err
-	}
-	if v.Size != 8 {
-		return 0, 0, fmt.Errorf("%w: int64 reduction over %d-byte elements", ErrBadLaunch, v.Size)
-	}
-	load := func(i int) float64 {
-		return float64(int64(binary.LittleEndian.Uint64(buf[v.Base+i*v.Stride:])))
-	}
-	// Int64 sums in the engines stay well inside float64's exact-integer
-	// range; the shared block reducer keeps one code path.
-	partials := g.blockReduce(v.Len, cfg, load)
-	total := treeReduceInPlace(partials)
-	g.putF64(partials)
-	g.countKernels(2)
-	return int64(total), g.prof.ReduceKernelNs(int64(v.Len), v.Size, v.Stride, cfg.Blocks, cfg.ThreadsPerBlock), nil
-}
-
-// ReduceSumFloat64Where fuses a closed-interval filter [lo, hi] into
-// the tree reduction: each thread loads its grid-stride elements, keeps
-// those inside the interval, and accumulates the running sum and the
-// match count in registers; the shared-memory tree then folds the
-// (sum, count) pairs exactly like the plain Harris reduction. The fused
-// form replaces a select → materialize → reduce chain with the same two
-// launches an unfiltered reduction costs, which is the operator-fusion
-// win the data-path-fusion literature reports for GPU scans. Strict
-// predicate bounds are normalized to closed intervals host-side (see
-// exec.ClosedFloat64), keeping the kernel branch-free of modes.
-func (g *GPU) ReduceSumFloat64Where(v Vec, lo, hi float64, cfg LaunchConfig) (float64, int64, error) {
-	total, n, ns, err := g.reduceSumFloat64Where(v, lo, hi, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	g.charge(ns)
-	return total, n, nil
-}
-
-// reduceSumFloat64Where runs the fused filter+reduction and returns its
-// priced duration without advancing the clock.
-func (g *GPU) reduceSumFloat64Where(v Vec, lo, hi float64, cfg LaunchConfig) (float64, int64, float64, error) {
-	if err := g.validate(cfg, true); err != nil {
-		return 0, 0, 0, err
-	}
-	buf, err := v.check()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if v.Size != 8 {
-		return 0, 0, 0, fmt.Errorf("%w: float64 reduction over %d-byte elements", ErrBadLaunch, v.Size)
-	}
-	load := func(i int) (float64, float64) {
-		x := math.Float64frombits(binary.LittleEndian.Uint64(buf[v.Base+i*v.Stride:]))
-		if lo <= x && x <= hi {
-			return x, 1
-		}
-		return 0, 0
-	}
-	sums, counts := g.blockReduce2(v.Len, cfg, load)
-	total := treeReduceInPlace(sums)
-	n := treeReduceInPlace(counts)
-	g.putF64(sums)
-	g.putF64(counts)
-	g.countKernels(2)
-	return total, int64(n), g.prof.ReduceKernelNs(int64(v.Len), v.Size, v.Stride, cfg.Blocks, cfg.ThreadsPerBlock), nil
 }
 
 // blockReduce2 is blockReduce over (sum, count) pairs: two shared-memory

@@ -33,6 +33,13 @@ func fillFloats(g *GPU, n int, stride int, gen func(i int) float64) (*Buffer, Ve
 	return buf, Vec{Buf: buf, Base: 0, Stride: stride, Size: 8, Len: n}, nil
 }
 
+// reduceSum launches the plain tree reduction over v on a GPU (charged
+// now) or a Stream (charged at Wait).
+func reduceSum(on interface{ Launch(Kernel) (Partial, error) }, v Vec, cfg LaunchConfig) (float64, error) {
+	out, err := on.Launch(Kernel{Vals: v, Config: cfg})
+	return out.Sum, err
+}
+
 func TestReduceSumFloat64Exact(t *testing.T) {
 	g, _ := newGPU()
 	n := 10_000
@@ -41,7 +48,7 @@ func TestReduceSumFloat64Exact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer buf.Free()
-	got, err := g.ReduceSumFloat64(v, DefaultReduceConfig())
+	got, err := reduceSum(g, v, DefaultReduceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +79,7 @@ func TestReduceSumStrided(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := Vec{Buf: buf, Base: 20, Stride: stride, Size: 8, Len: n}
-	got, err := g.ReduceSumFloat64(v, LaunchConfig{Blocks: 64, ThreadsPerBlock: 128})
+	got, err := reduceSum(g, v, LaunchConfig{Blocks: 64, ThreadsPerBlock: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,34 +88,11 @@ func TestReduceSumStrided(t *testing.T) {
 	}
 }
 
-func TestReduceSumInt64(t *testing.T) {
-	g, _ := newGPU()
-	n := 4096
-	buf, err := g.Alloc(n * 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer buf.Free()
-	host := make([]byte, n*8)
-	var want int64
-	for i := 0; i < n; i++ {
-		x := int64(i*3 - 1000)
-		want += x
-		binary.LittleEndian.PutUint64(host[i*8:], uint64(x))
-	}
-	g.CopyToDevice(buf, 0, host)
-	v := Vec{Buf: buf, Stride: 8, Size: 8, Len: n}
-	got, err := g.ReduceSumInt64(v, LaunchConfig{Blocks: 32, ThreadsPerBlock: 64})
-	if err != nil || got != want {
-		t.Fatalf("sum = %d, %v; want %d", got, err, want)
-	}
-}
-
 func TestReduceEmptyVector(t *testing.T) {
 	g, _ := newGPU()
 	buf, _ := g.Alloc(8)
 	defer buf.Free()
-	got, err := g.ReduceSumFloat64(Vec{Buf: buf, Stride: 8, Size: 8, Len: 0}, DefaultReduceConfig())
+	got, err := reduceSum(g, Vec{Buf: buf, Stride: 8, Size: 8, Len: 0}, DefaultReduceConfig())
 	if err != nil || got != 0 {
 		t.Fatalf("empty reduce = %v, %v", got, err)
 	}
@@ -126,12 +110,12 @@ func TestLaunchValidation(t *testing.T) {
 		{Blocks: 8, ThreadsPerBlock: 96},   // not a power of two
 	}
 	for _, cfg := range cases {
-		if _, err := g.ReduceSumFloat64(v, cfg); !errors.Is(err, ErrBadLaunch) {
+		if _, err := reduceSum(g, v, cfg); !errors.Is(err, ErrBadLaunch) {
 			t.Errorf("cfg %+v: err = %v, want ErrBadLaunch", cfg, err)
 		}
 	}
 	// Wrong element size.
-	if _, err := g.ReduceSumFloat64(Vec{Buf: buf, Stride: 4, Size: 4, Len: 8}, DefaultReduceConfig()); !errors.Is(err, ErrBadLaunch) {
+	if _, err := reduceSum(g, Vec{Buf: buf, Stride: 4, Size: 4, Len: 8}, DefaultReduceConfig()); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("size-4 reduce err = %v", err)
 	}
 }
@@ -148,7 +132,7 @@ func TestVecBoundsChecked(t *testing.T) {
 		{Buf: buf, Base: 0, Stride: 8, Size: 8, Len: -1}, // negative len
 	}
 	for i, v := range bad {
-		if _, err := g.ReduceSumFloat64(v, DefaultReduceConfig()); !errors.Is(err, ErrShortBuffer) {
+		if _, err := reduceSum(g, v, DefaultReduceConfig()); !errors.Is(err, ErrShortBuffer) {
 			t.Errorf("vec %d: err = %v, want ErrShortBuffer", i, err)
 		}
 	}
@@ -204,7 +188,7 @@ func TestUseAfterFree(t *testing.T) {
 	if err := g.CopyToDevice(buf, 0, []byte{1}); !errors.Is(err, ErrBufferFreed) {
 		t.Errorf("copy-to-freed err = %v", err)
 	}
-	if _, err := g.ReduceSumFloat64(Vec{Buf: buf, Stride: 8, Size: 8, Len: 1}, DefaultReduceConfig()); !errors.Is(err, ErrBufferFreed) {
+	if _, err := reduceSum(g, Vec{Buf: buf, Stride: 8, Size: 8, Len: 1}, DefaultReduceConfig()); !errors.Is(err, ErrBufferFreed) {
 		t.Errorf("reduce-on-freed err = %v", err)
 	}
 }
@@ -273,7 +257,7 @@ func TestScatter(t *testing.T) {
 	if err := g.Scatter(v, []int{3, 7}, vals); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := g.ReduceSumFloat64(v, LaunchConfig{Blocks: 4, ThreadsPerBlock: 8})
+	sum, err := reduceSum(g, v, LaunchConfig{Blocks: 4, ThreadsPerBlock: 8})
 	if err != nil || sum != 4.0 {
 		t.Fatalf("post-scatter sum = %v, %v", sum, err)
 	}
@@ -304,7 +288,7 @@ func TestQuickReduceMatchesHostSum(t *testing.T) {
 		for i := 0; i < n; i++ {
 			want += math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
-		got, err := g.ReduceSumFloat64(v, LaunchConfig{Blocks: blocks, ThreadsPerBlock: threads})
+		got, err := reduceSum(g, v, LaunchConfig{Blocks: blocks, ThreadsPerBlock: threads})
 		return err == nil && math.Abs(got-want) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -321,7 +305,7 @@ func TestKernelChargesModelTime(t *testing.T) {
 	}
 	defer buf.Free()
 	clk.Reset()
-	if _, err := g.ReduceSumFloat64(v, DefaultReduceConfig()); err != nil {
+	if _, err := reduceSum(g, v, DefaultReduceConfig()); err != nil {
 		t.Fatal(err)
 	}
 	want := g.Profile().ReduceKernelNs(int64(n), 8, 8, 1024, 512)
@@ -337,7 +321,7 @@ func TestNilClockIsSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer buf.Free()
-	if _, err := g.ReduceSumFloat64(v, LaunchConfig{Blocks: 2, ThreadsPerBlock: 32}); err != nil {
+	if _, err := reduceSum(g, v, LaunchConfig{Blocks: 2, ThreadsPerBlock: 32}); err != nil {
 		t.Fatal(err)
 	}
 }

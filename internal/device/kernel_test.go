@@ -1,0 +1,163 @@
+package device
+
+import (
+	"encoding/binary"
+	"errors"
+	"math"
+	"testing"
+
+	"hybridstore/internal/compress"
+)
+
+// TestKernelShapes drives the one kernel entry through every descriptor
+// shape — raw or compressed values, filtered or not, grouped or not —
+// under both charging modes, and pins what each shape must keep: the
+// answer of a sequential host loop, the launch count (2 for a tree
+// reduction, 3 with a decode kernel in front, exactly 1 for the fused
+// group kernel), one 24-byte-per-group D2H for grouped launches and none
+// otherwise, and a price that is the same whether it advances the clock
+// now (GPU) or rides a depth-1 stream's lanes until Wait.
+func TestKernelShapes(t *testing.T) {
+	const n = 4096
+	vals := make([]float64, n)
+	keys := make([]byte, n*4)
+	img := make([]byte, n*8)
+	for i := range vals {
+		vals[i] = float64(i % 50)
+		binary.LittleEndian.PutUint64(img[i*8:], math.Float64bits(vals[i]))
+		binary.LittleEndian.PutUint32(keys[i*4:], uint32(i%3))
+	}
+	col, err := compress.CompressAs(compress.Dict, img, n, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lo, hi = 10.0, 19.0
+	cfg := LaunchConfig{Blocks: 16, ThreadsPerBlock: 64}
+
+	for _, shape := range []struct {
+		name                 string
+		comp, where, grouped bool
+		kernels              int64
+	}{
+		{"raw", false, false, false, 2},
+		{"raw-where", false, true, false, 2},
+		{"comp", true, false, false, 3},
+		{"comp-where", true, true, false, 3},
+		{"raw-group", false, true, true, 1},
+		{"comp-group", true, true, true, 1},
+	} {
+		var charged [2]float64
+		for mode, onStream := range []bool{false, true} {
+			g, clk := newGPU()
+			k := Kernel{Where: shape.where, Lo: lo, Hi: hi, Config: cfg}
+			upload := func(b []byte) *Buffer {
+				buf, err := g.Alloc(len(b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := g.CopyToDevice(buf, 0, b); err != nil {
+					t.Fatal(err)
+				}
+				return buf
+			}
+			if shape.comp {
+				k.Comp = upload(col.Marshal())
+			} else {
+				k.Vals = Vec{Buf: upload(img), Stride: 8, Size: 8, Len: n}
+			}
+			if shape.grouped {
+				k.Keys = Vec{Buf: upload(keys), Stride: 4, Size: 4, Len: n}
+			}
+			before := g.Stats()
+			clk.Reset()
+			var out Partial
+			if onStream {
+				s := g.NewStreamDepth(1)
+				out, err = s.Launch(k)
+				s.Wait()
+			} else {
+				out, err = g.Launch(k)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", shape.name, err)
+			}
+			charged[mode] = clk.ElapsedNs()
+			after := g.Stats()
+
+			var wantSum float64
+			var wantN int64
+			groups := map[int64]*GroupPartial{}
+			for i, x := range vals {
+				if shape.where && !(lo <= x && x <= hi) {
+					continue
+				}
+				wantSum += x
+				wantN++
+				key := int64(i % 3)
+				if groups[key] == nil {
+					groups[key] = &GroupPartial{Key: key}
+				}
+				groups[key].Sum += x
+				groups[key].Count++
+			}
+			if !shape.where {
+				wantN = 0 // an unfiltered reduction reports no count
+			}
+			if shape.grouped {
+				if len(out.Groups) != len(groups) {
+					t.Fatalf("%s: %d groups, want %d", shape.name, len(out.Groups), len(groups))
+				}
+				for i, gr := range out.Groups {
+					if i > 0 && out.Groups[i-1].Key >= gr.Key {
+						t.Fatalf("%s: groups not key-sorted", shape.name)
+					}
+					if *groups[gr.Key] != gr {
+						t.Fatalf("%s: group %+v, want %+v", shape.name, gr, *groups[gr.Key])
+					}
+				}
+			} else if out.Sum != wantSum || out.Count != wantN {
+				t.Fatalf("%s: (%v, %d), want (%v, %d)", shape.name, out.Sum, out.Count, wantSum, wantN)
+			}
+			if got := after.KernelLaunches - before.KernelLaunches; got != shape.kernels {
+				t.Errorf("%s: %d launches, want %d", shape.name, got, shape.kernels)
+			}
+			wantOps, wantBytes := int64(0), int64(0)
+			if shape.grouped {
+				wantOps, wantBytes = 1, int64(len(groups))*groupPartialBytes
+			}
+			if ops, bytes := after.DeviceToHostOps-before.DeviceToHostOps, after.DeviceToHostBytes-before.DeviceToHostBytes; ops != wantOps || bytes != wantBytes {
+				t.Errorf("%s: D2H %d ops / %d bytes, want %d / %d", shape.name, ops, bytes, wantOps, wantBytes)
+			}
+		}
+		if charged[0] <= 0 || math.Abs(charged[0]-charged[1]) > 1 {
+			t.Errorf("%s: GPU charged %.0fns, depth-1 stream %.0fns", shape.name, charged[0], charged[1])
+		}
+	}
+}
+
+// TestKernelSemantics pins the two edges of the descriptor: the
+// unfiltered sum includes NaNs (it is not a filter over (-Inf, +Inf)),
+// and no grouped kernel exists without a filter.
+func TestKernelSemantics(t *testing.T) {
+	g, _ := newGPU()
+	buf, v, err := fillFloats(g, 64, 8, func(i int) float64 {
+		if i == 7 {
+			return math.NaN()
+		}
+		return 1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer buf.Free()
+	cfg := LaunchConfig{Blocks: 2, ThreadsPerBlock: 32}
+	if out, err := g.Launch(Kernel{Vals: v, Config: cfg}); err != nil || !math.IsNaN(out.Sum) {
+		t.Errorf("unfiltered sum over a NaN = (%v, %v), want NaN", out.Sum, err)
+	}
+	if out, err := g.Launch(Kernel{Vals: v, Where: true, Lo: math.Inf(-1), Hi: math.Inf(1), Config: cfg}); err != nil || out.Sum != 63 || out.Count != 63 {
+		t.Errorf("filtered sum over a NaN = (%v, %d, %v), want (63, 63)", out.Sum, out.Count, err)
+	}
+	if _, err := g.Launch(Kernel{Vals: v, Keys: v, Config: cfg}); !errors.Is(err, ErrBadLaunch) {
+		t.Errorf("unfiltered grouped launch: err = %v, want ErrBadLaunch", err)
+	}
+}

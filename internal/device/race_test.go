@@ -25,7 +25,7 @@ func TestReduceConcurrentWithFree(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				got, err := g.ReduceSumFloat64(v, LaunchConfig{Blocks: 16, ThreadsPerBlock: 64})
+				got, err := reduceSum(g, v, LaunchConfig{Blocks: 16, ThreadsPerBlock: 64})
 				if err != nil && !errors.Is(err, ErrBufferFreed) {
 					t.Errorf("reduce: %v", err)
 				}
@@ -69,7 +69,7 @@ func TestCacheConcurrentAcquireRelease(t *testing.T) {
 					return
 				}
 				v := Vec{Buf: buf, Stride: 8, Size: 8, Len: 512}
-				if _, err := g.ReduceSumFloat64(v, LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}); err != nil && !errors.Is(err, ErrBufferFreed) {
+				if _, err := reduceSum(g, v, LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}); err != nil && !errors.Is(err, ErrBufferFreed) {
 					t.Errorf("reduce: %v", err)
 				}
 				if w == 0 && i%17 == 0 {

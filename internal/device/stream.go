@@ -101,38 +101,6 @@ func (s *Stream) CopyToHost(dst []byte, src *Buffer, off int) error {
 	return nil
 }
 
-// ReduceSumFloat64 enqueues a reduction kernel; its time lands in the
-// compute lane. The result is available immediately (the simulated card
-// computes eagerly), but the clock charge waits for Wait.
-func (s *Stream) ReduceSumFloat64(v Vec, cfg LaunchConfig) (float64, error) {
-	total, ns, err := s.gpu.reduceSumFloat64(v, cfg)
-	if err != nil {
-		return 0, err
-	}
-	s.addCompute(ns)
-	return total, nil
-}
-
-// ReduceSumInt64 enqueues an int64 reduction kernel.
-func (s *Stream) ReduceSumInt64(v Vec, cfg LaunchConfig) (int64, error) {
-	total, ns, err := s.gpu.reduceSumInt64(v, cfg)
-	if err != nil {
-		return 0, err
-	}
-	s.addCompute(ns)
-	return total, nil
-}
-
-// ReduceSumFloat64Where enqueues a fused filter+reduction kernel.
-func (s *Stream) ReduceSumFloat64Where(v Vec, lo, hi float64, cfg LaunchConfig) (float64, int64, error) {
-	total, n, ns, err := s.gpu.reduceSumFloat64Where(v, lo, hi, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.addCompute(ns)
-	return total, n, nil
-}
-
 // Scatter enqueues a scatter whose value bytes cross the bus H2D before
 // the kernel runs: the transfer share lands in the transfer lane and the
 // kernel share in the compute lane, so batched transactional writes

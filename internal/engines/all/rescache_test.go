@@ -17,10 +17,9 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// stampTable is the surface the result-cache property needs: predicate
-// aggregation plus the engine's fragment-version stamp.
+// stampTable is the surface the result-cache property needs beside the
+// contract's scan entry: the engine's fragment-version stamp.
 type stampTable interface {
-	predTable
 	VersionStamp(cols ...int) (rescache.Stamp, bool)
 }
 
@@ -86,7 +85,6 @@ func TestResultCacheRacingWriters(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement VersionStamp", m.name)
 			}
-			pt := tbl.(predTable)
 			cache := rescache.New(1<<20, 0)
 			keys := make([]rescache.Key, len(preds))
 			for i, p := range preds {
@@ -105,7 +103,7 @@ func TestResultCacheRacingWriters(t *testing.T) {
 				if ok1 {
 					cached, hadCached = cache.Lookup(keys[i], s1)
 				}
-				sum, cnt, err := pt.SumFloat64Where(workload.ItemPriceCol, preds[i])
+				sum, cnt, err := sumWhere(tbl, workload.ItemPriceCol, preds[i])
 				if err != nil {
 					t.Error(err)
 					return false

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/engines/common"
 	"hybridstore/internal/exec"
@@ -102,6 +101,7 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 	rel.AddLayout(t.devLay)
 	t.Table = common.NewTable(e.env, rel)
 	t.Append = t.appendRecord
+	t.Run = t.scan
 	return t, nil
 }
 
@@ -205,261 +205,97 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 	return nil
 }
 
-// SumFloat64 lets HyPE choose the placement: the host bulk operator or
-// the device reduction kernel over the replica. The measured (simulated)
-// execution time feeds the scheduler's cost models.
-func (t *Table) SumFloat64(col int) (float64, error) {
-	if col < 0 || col >= len(t.hostCols) {
-		return 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
+// hypeOps names the scan kinds HyPE schedules; the names key its learned
+// cost models.
+var hypeOps = map[exec.Kind]string{
+	exec.KindSum:           "sum",
+	exec.KindSumWhere:      "sumwhere",
+	exec.KindGroupSumWhere: "groupsumwhere",
+}
+
+// scan lets HyPE place the plan: the host operators over the host
+// columns, the device kernels over standing replicas (a grouped plan
+// needs BOTH columns replicated — the fused kernel sweeps them
+// together), or the cache-backed device path. Only plans a device kernel
+// can run are offered a device placement; the rest, and plans with no
+// alternative, run on the host unscheduled — except the unfiltered sum,
+// which has always consulted HyPE, so its model learns the host cost
+// before a replica exists. The measured (simulated) execution time of a
+// scheduled run feeds the scheduler's cost models.
+func (t *Table) scan(p exec.Plan) (exec.Result, error) {
+	p = p.Normalize()
+	if err := p.Check(t.Schema()); err != nil {
+		return exec.Result{}, err
 	}
-	n := int64(t.Rel.Rows())
 	placements := []string{placeCPU}
-	if _, ok := t.replicas[col]; ok {
-		placements = append(placements, placeGPU)
-	} else if t.cacheEnabled() {
-		placements = append(placements, placeGPUCache)
-	}
-	choice := t.hype.Choose("sum", n, placements)
-
-	var before float64
-	if t.Env.Clock != nil {
-		before = t.Env.Clock.ElapsedNs()
-	}
-	var sum float64
-	var err error
-	switch choice {
-	case placeGPU:
-		t.gpuRuns++
-		sum, err = t.deviceSum(col)
-	case placeGPUCache:
-		t.gpuRuns++
-		sum, err = t.cachedDeviceSum(col)
-	default:
-		t.cpuRuns++
-		sum, err = t.hostSum(col)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if t.Env.Clock != nil {
-		t.hype.Observe("sum", choice, n, t.Env.Clock.ElapsedNs()-before)
-	}
-	return sum, nil
-}
-
-// hostSum runs the bulk sum over the host column.
-func (t *Table) hostSum(col int) (float64, error) {
-	f := t.hostCols[col]
-	v, err := f.ColVector(col)
-	if err != nil {
-		return 0, err
-	}
-	pieces := []exec.Piece{{Rows: layout.RowRange{Begin: 0, End: uint64(v.Len)}, Vec: v}}
-	return exec.SumFloat64(t.Cfg, pieces)
-}
-
-// cacheEnabled reports whether the cache-backed GPU placement is on.
-func (t *Table) cacheEnabled() bool { return t.eng.DeviceCache && t.Env.Cache != nil }
-
-// hostPiece wraps the host column in an exec piece carrying the fragment
-// identity the device cache keys on.
-func (t *Table) hostPiece(col int) (exec.Piece, error) {
-	f := t.hostCols[col]
-	v, err := f.ColVector(col)
-	if err != nil {
-		return exec.Piece{}, err
-	}
-	return exec.Piece{
-		Rows: layout.RowRange{Begin: 0, End: uint64(v.Len)},
-		Vec:  v, Zone: f.Stats(col),
-		FragID: f.ID(), FragVersion: f.Version(),
-	}, nil
-}
-
-// deviceScan builds the cache-backed device scan executor: the fleet
-// scheduler when the environment carries one, single-card otherwise.
-func (t *Table) deviceScan() exec.ScanExecutor {
-	return t.Env.DeviceExec(t.Rel.Name())
-}
-
-// cachedDeviceSum runs the reduction kernel over a cache-resident image
-// of the host column: the first scan ships the column, repeats are free
-// of bus traffic until a write bumps the column fragment's version.
-func (t *Table) cachedDeviceSum(col int) (float64, error) {
-	piece, err := t.hostPiece(col)
-	if err != nil {
-		return 0, err
-	}
-	return t.deviceScan().SumFloat64(col, []exec.Piece{piece})
-}
-
-// SumFloat64Where overrides the host-only fused scan with a HyPE choice
-// among the host operator, the device replica, and the cache-backed
-// device path. Predicates without a closed-interval form stay on the
-// host (the device kernel is branch-free of comparison modes).
-func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	if col < 0 || col >= len(t.hostCols) {
-		return 0, 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	lo, hi, closed := exec.ClosedFloat64(p)
-	placements := []string{placeCPU}
-	if closed {
-		if _, ok := t.replicas[col]; ok {
+	if _, scheduled := hypeOps[p.Op]; scheduled && p.DeviceOK() {
+		_, replicated := t.replicas[p.Col]
+		if p.Op.Grouped() && replicated {
+			_, replicated = t.replicas[p.KeyCol]
+		}
+		if replicated {
 			placements = append(placements, placeGPU)
-		} else if t.cacheEnabled() {
+		} else if t.eng.DeviceCache && t.Env.Cache != nil {
 			placements = append(placements, placeGPUCache)
 		}
 	}
-	if len(placements) == 1 {
-		return t.Table.SumFloat64Where(col, p)
+	if len(placements) == 1 && p.Op != exec.KindSum {
+		return engine.Scan(placed{t, placeCPU}, t.Cfg, nil, p)
 	}
 	n := int64(t.Rel.Rows())
-	choice := t.hype.Choose("sumwhere", n, placements)
+	choice := t.hype.Choose(hypeOps[p.Op], n, placements)
 	var before float64
 	if t.Env.Clock != nil {
 		before = t.Env.Clock.ElapsedNs()
 	}
-	var sum float64
-	var cnt int64
-	var err error
+	var dev exec.ScanExecutor
 	switch choice {
 	case placeGPU:
 		t.gpuRuns++
-		sum, cnt, err = t.deviceSumWhere(col, lo, hi)
+		dev = exec.DeviceScan{GPU: t.Env.GPU}
 	case placeGPUCache:
 		t.gpuRuns++
-		piece, perr := t.hostPiece(col)
-		if perr != nil {
-			return 0, 0, perr
-		}
-		sum, cnt, err = t.deviceScan().SumFloat64Where(col, []exec.Piece{piece}, p)
+		dev = t.Env.DeviceExec(t.Rel.Name())
 	default:
 		t.cpuRuns++
-		sum, cnt, err = t.Table.SumFloat64Where(col, p)
 	}
-	if err != nil {
-		return 0, 0, err
+	res, err := engine.Scan(placed{t, choice}, t.Cfg, dev, p)
+	if err == nil && t.Env.Clock != nil {
+		t.hype.Observe(hypeOps[p.Op], choice, n, t.Env.Clock.ElapsedNs()-before)
 	}
-	if t.Env.Clock != nil {
-		t.hype.Observe("sumwhere", choice, n, t.Env.Clock.ElapsedNs()-before)
-	}
-	return sum, cnt, nil
+	return res, err
 }
 
-// GroupSumFloat64Where lets HyPE place the fused predicate→group-by
-// pipeline: the host fused operator, the one-launch fused group kernel
-// over the device replicas (requires BOTH columns replicated — the
-// kernel sweeps them together), or the cache-backed device path.
-// Predicates without a closed-interval form stay on the host.
-func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
-	if keyCol < 0 || keyCol >= len(t.hostCols) || valCol < 0 || valCol >= len(t.hostCols) {
-		return nil, fmt.Errorf("%w: cols %d,%d", layout.ErrOutOfRange, keyCol, valCol)
-	}
-	lo, hi, closed := exec.ClosedFloat64(p)
-	placements := []string{placeCPU}
-	if closed {
-		_, kRep := t.replicas[keyCol]
-		_, vRep := t.replicas[valCol]
-		if kRep && vRep {
-			placements = append(placements, placeGPU)
-		} else if t.cacheEnabled() {
-			placements = append(placements, placeGPUCache)
+// placed is the table as a scan source under one HyPE placement.
+type placed struct {
+	*Table
+	placement string
+}
+
+// Pieces returns each plan column as one piece: the device replica,
+// resident, under the GPU placement; else the host column carrying the
+// fragment identity the device cache keys on — shipped under the
+// cache-backed placement (the first scan ships the column, repeats are
+// free of bus traffic until a write bumps the fragment's version).
+func (s placed) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
+	return engine.ColumnPieces(p, func(col int) ([]exec.Piece, error) {
+		f, place := s.hostCols[col], exec.OnHost
+		switch s.placement {
+		case placeGPU:
+			f, place = s.replicas[col], exec.Resident
+		case placeGPUCache:
+			place = exec.Shipped
 		}
-	}
-	if len(placements) == 1 {
-		return t.Table.GroupSumFloat64Where(keyCol, valCol, p)
-	}
-	n := int64(t.Rel.Rows())
-	choice := t.hype.Choose("groupsumwhere", n, placements)
-	var before float64
-	if t.Env.Clock != nil {
-		before = t.Env.Clock.ElapsedNs()
-	}
-	var groups []exec.GroupResult
-	var err error
-	switch choice {
-	case placeGPU:
-		t.gpuRuns++
-		groups, err = t.deviceGroupSumWhere(keyCol, valCol, lo, hi)
-	case placeGPUCache:
-		t.gpuRuns++
-		var kp, vp exec.Piece
-		if kp, err = t.hostPiece(keyCol); err != nil {
+		v, err := f.ColVector(col)
+		if err != nil {
 			return nil, err
 		}
-		if vp, err = t.hostPiece(valCol); err != nil {
-			return nil, err
+		pc := exec.Piece{Rows: layout.RowRange{Begin: 0, End: uint64(v.Len)}, Vec: v, Place: place}
+		if place != exec.Resident {
+			pc.Zone, pc.FragID, pc.FragVersion = f.Stats(col), f.ID(), f.Version()
 		}
-		groups, err = t.deviceScan().GroupSumFloat64Where(keyCol, valCol, []exec.Piece{kp}, []exec.Piece{vp}, p)
-	default:
-		t.cpuRuns++
-		groups, err = t.Table.GroupSumFloat64Where(keyCol, valCol, p)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if t.Env.Clock != nil {
-		t.hype.Observe("groupsumwhere", choice, n, t.Env.Clock.ElapsedNs()-before)
-	}
-	return groups, nil
-}
-
-// deviceGroupSumWhere runs the one-launch fused group kernel over the
-// key and value device replicas.
-func (t *Table) deviceGroupSumWhere(keyCol, valCol int, lo, hi float64) ([]exec.GroupResult, error) {
-	kv, err := t.replicas[keyCol].ColVector(keyCol)
-	if err != nil {
-		return nil, err
-	}
-	vv, err := t.replicas[valCol].ColVector(valCol)
-	if err != nil {
-		return nil, err
-	}
-	dk := device.Vec{Data: kv.Data, Base: kv.Base, Stride: kv.Stride, Size: kv.Size, Len: kv.Len}
-	dv := device.Vec{Data: vv.Data, Base: vv.Base, Stride: vv.Stride, Size: vv.Size, Len: vv.Len}
-	cfg := device.DefaultReduceConfig()
-	if vv.Len < cfg.Blocks*2 {
-		cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-	}
-	parts, err := t.Env.GPU.GroupReduceSumFloat64Where(dk, dv, lo, hi, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]exec.GroupResult, len(parts))
-	for i, g := range parts {
-		out[i] = exec.GroupResult{Key: g.Key, Sum: g.Sum, Count: g.Count}
-	}
-	return out, nil
-}
-
-// deviceSumWhere runs the fused filter+reduction over the device replica.
-func (t *Table) deviceSumWhere(col int, lo, hi float64) (float64, int64, error) {
-	r := t.replicas[col]
-	v, err := r.ColVector(col)
-	if err != nil {
-		return 0, 0, err
-	}
-	dv := device.Vec{Data: v.Data, Base: v.Base, Stride: v.Stride, Size: v.Size, Len: v.Len}
-	cfg := device.DefaultReduceConfig()
-	if v.Len < cfg.Blocks*2 {
-		cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-	}
-	return t.Env.GPU.ReduceSumFloat64Where(dv, lo, hi, cfg)
-}
-
-// deviceSum runs the reduction kernel over the device replica.
-func (t *Table) deviceSum(col int) (float64, error) {
-	r := t.replicas[col]
-	v, err := r.ColVector(col)
-	if err != nil {
-		return 0, err
-	}
-	dv := device.Vec{Data: v.Data, Base: v.Base, Stride: v.Stride, Size: v.Size, Len: v.Len}
-	cfg := device.DefaultReduceConfig()
-	if v.Len < cfg.Blocks*2 {
-		cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-	}
-	return t.Env.GPU.ReduceSumFloat64(dv, cfg)
+		return []exec.Piece{pc}, nil
+	})
 }
 
 // Free releases host columns and device replicas.

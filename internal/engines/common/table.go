@@ -37,12 +37,18 @@ type Table struct {
 	// account for growth (new chunks, grown mirrors, …). It runs with the
 	// row position the record will occupy.
 	Append func(row uint64, rec schema.Record) error
+	// Run answers one aggregate plan. NewTable installs the shared scan
+	// body over the table's own Pieces; engines with their own pieces,
+	// lock or placement set it to theirs. Scan and the named aggregates
+	// all go through it, so an embedding engine cannot be bypassed by a
+	// promoted method.
+	Run func(p exec.Plan) (exec.Result, error)
 }
 
 // NewTable wires a table over a relation using the environment's host
 // profile and clock for cost accounting.
 func NewTable(env *engine.Env, rel *layout.Relation) *Table {
-	return &Table{
+	t := &Table{
 		Env: env,
 		Rel: rel,
 		Cfg: exec.Config{
@@ -51,6 +57,8 @@ func NewTable(env *engine.Env, rel *layout.Relation) *Table {
 			Clock:  env.Clock,
 		},
 	}
+	t.Run = func(p exec.Plan) (exec.Result, error) { return engine.Scan(t, t.Cfg, nil, p) }
+	return t
 }
 
 // Schema returns the relation schema.
@@ -188,17 +196,45 @@ func recordSpread(l *layout.Layout, rows uint64) int {
 	return len(seen)
 }
 
+// Pieces is the table as a scan source: the column pieces of the layout
+// with the cheapest scan of the aggregate column, all in host memory
+// (exec.ColumnView attaches each fragment's zone, so the executor prunes
+// fragments a predicate provably cannot match). A grouped plan needs
+// both columns from one layout so the piece lists stay row-aligned: the
+// value column's cheapest layout is preferred, falling back to any
+// layout covering both.
+func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
+	rows := t.Rel.Rows()
+	candidates := make([]*layout.Layout, 0, len(t.Rel.Layouts())+1)
+	if l := t.LayoutForScan(p.Col); l != nil {
+		candidates = append(candidates, l)
+	}
+	if p.Op.Grouped() {
+		candidates = append(candidates, t.Rel.Layouts()...)
+	}
+	err = layout.ErrNoLayout
+	for _, l := range candidates {
+		if vals, err = exec.ColumnView(l, p.Col, rows); err != nil {
+			continue
+		}
+		if !p.Op.Grouped() {
+			return nil, vals, nil
+		}
+		if keys, err = exec.ColumnView(l, p.KeyCol, rows); err == nil {
+			return keys, vals, nil
+		}
+	}
+	return nil, nil, err
+}
+
+// Scan answers one aggregate plan; the named aggregate methods are sugar
+// over it.
+func (t *Table) Scan(p exec.Plan) (exec.Result, error) { return t.Run(p) }
+
 // SumFloat64 aggregates col over the cheapest layout.
 func (t *Table) SumFloat64(col int) (float64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return 0, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return 0, err
-	}
-	return exec.SumFloat64(t.Cfg, pieces)
+	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
+	return r.Sum, err
 }
 
 // SumInt64 aggregates an int64 attribute over the cheapest layout.
@@ -215,70 +251,17 @@ func (t *Table) SumInt64(col int) (int64, error) {
 }
 
 // SumFloat64Where aggregates (sum, count) of col over the rows matching
-// p, letting the executor prune fragments whose zone maps prove them
-// match-free (ColumnView attaches each fragment's zone to its piece).
+// p in one fused, zone-pruned scan.
 func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return 0, 0, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return 0, 0, err
-	}
-	return exec.SumFloat64Where(t.Cfg, pieces, p)
-}
-
-// CountWhereFloat64 counts the rows matching p on col with zone pruning.
-func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return 0, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return 0, err
-	}
-	return exec.CountWhereFloat64(t.Cfg, pieces, p)
+	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
+	return r.Sum, r.Count, err
 }
 
 // GroupSumFloat64Where computes SELECT key, SUM(val), COUNT(*) WHERE p
-// GROUP BY key with the fused single-pass operator: no selection vector
-// is materialized, fragments whose value zones exclude p are pruned
-// with both columns' bytes saved. Both columns must come from one
-// layout (so the piece lists stay row-aligned); the value column's
-// cheapest layout is preferred, falling back to any layout covering
-// both.
+// GROUP BY key with the fused single-pass operator.
 func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
-	rows := t.Rel.Rows()
-	candidates := make([]*layout.Layout, 0, len(t.Rel.Layouts())+1)
-	if l := t.LayoutForScan(valCol); l != nil {
-		candidates = append(candidates, l)
-	}
-	candidates = append(candidates, t.Rel.Layouts()...)
-	tried := make(map[*layout.Layout]bool, len(candidates))
-	var lastErr error
-	for _, l := range candidates {
-		if l == nil || tried[l] {
-			continue
-		}
-		tried[l] = true
-		keys, err := exec.ColumnView(l, keyCol, rows)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		vals, err := exec.ColumnView(l, valCol, rows)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return exec.GroupSumFloat64Where(t.Cfg, keys, vals, p)
-	}
-	if lastErr != nil {
-		return nil, lastErr
-	}
-	return nil, layout.ErrNoLayout
+	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
+	return r.Groups, err
 }
 
 // SelectFloat64 returns the sorted positions whose col value satisfies

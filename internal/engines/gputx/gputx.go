@@ -338,8 +338,7 @@ func (t *Table) executeSet(set [][]TxOp) error {
 		if err != nil {
 			return err
 		}
-		dv := device.Vec{Data: v.Data, Base: v.Base, Stride: v.Stride, Size: v.Size, Len: f.Len()}
-		if err := s.Scatter(dv, u.positions, u.vals); err != nil {
+		if err := s.Scatter(exec.DeviceVec(v), u.positions, u.vals); err != nil {
 			return fmt.Errorf("gputx: scatter on column %d: %w", col, err)
 		}
 		// Scatter writes bypass Fragment.Set; bump the version by hand so
@@ -384,122 +383,53 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 	return t.ExecuteBatch()
 }
 
-// SumFloat64 runs the parallel reduction kernel over the device-resident
-// column (no bus crossing: the data already lives on the device).
+// Pieces is the table as a scan source: every column is one piece
+// resident in device memory (no bus crossing: the data already lives on
+// the device), carrying the column's zone so a predicate it proves
+// match-free launches no kernel at all.
+func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
+	return engine.ColumnPieces(p, func(col int) ([]exec.Piece, error) {
+		f := t.cols[col]
+		v, err := f.ColVector(col)
+		if err != nil {
+			return nil, err
+		}
+		return []exec.Piece{{
+			Rows: layout.RowRange{Begin: 0, End: uint64(v.Len)},
+			Vec:  v, Place: exec.Resident, Zone: f.Stats(col),
+			FragID: f.ID(), FragVersion: f.Version(),
+		}}, nil
+	})
+}
+
+// Scan answers one aggregate plan through the shared scan body, on the
+// table's own card: the reduction kernels for the sums, ONE fused
+// group-reduce launch for the predicated group-by (only the group table
+// crosses the bus). The named aggregate methods are sugar over it.
+func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
+	res, err := engine.Scan(t, exec.Config{}, exec.DeviceScan{GPU: t.gpu}, p)
+	t.sync()
+	return res, err
+}
+
+// SumFloat64 aggregates col.
 func (t *Table) SumFloat64(col int) (float64, error) {
-	if col < 0 || col >= t.s.Arity() {
-		return 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	f := t.cols[col]
-	v, err := f.ColVector(col)
-	if err != nil {
-		return 0, err
-	}
-	dv := device.Vec{Data: v.Data, Base: v.Base, Stride: v.Stride, Size: v.Size, Len: v.Len}
-	cfg := device.DefaultReduceConfig()
-	if v.Len < cfg.Blocks*2 {
-		cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-	}
-	sum, err := t.gpu.ReduceSumFloat64(dv, cfg)
-	t.sync()
-	return sum, err
+	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
+	return r.Sum, err
 }
 
-// SumFloat64Where runs the fused filter+reduction kernel over the
-// device-resident column — unless the column's zone map proves the
-// predicate match-free, in which case no kernel launches at all.
+// SumFloat64Where aggregates (sum, count) of col over the rows matching
+// p.
 func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	if col < 0 || col >= t.s.Arity() {
-		return 0, 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	if t.s.Attr(col).Kind != schema.Float64 {
-		return 0, 0, fmt.Errorf("%w: attribute %s is %s", exec.ErrBadColumn, t.s.Attr(col).Name, t.s.Attr(col).Kind)
-	}
-	f := t.cols[col]
-	v, err := f.ColVector(col)
-	if err != nil {
-		return 0, 0, err
-	}
-	bytes := int64(v.Len) * int64(v.Size)
-	if !exec.ZoneAdmits(f.Stats(col), p) {
-		exec.NoteZoneDecision(false, bytes)
-		return 0, 0, nil
-	}
-	exec.NoteZoneDecision(true, bytes)
-	lo, hi, ok := exec.ClosedFloat64(p)
-	if !ok {
-		return 0, 0, nil
-	}
-	if v.Len == 0 {
-		return 0, 0, nil
-	}
-	dv := device.Vec{Data: v.Data, Base: v.Base, Stride: v.Stride, Size: v.Size, Len: v.Len}
-	cfg := device.DefaultReduceConfig()
-	if v.Len < cfg.Blocks*2 {
-		cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-	}
-	sum, n, err := t.gpu.ReduceSumFloat64Where(dv, lo, hi, cfg)
-	t.sync()
-	return sum, n, err
-}
-
-// CountWhereFloat64 counts the rows matching p on col with the same
-// device-side pruning as SumFloat64Where.
-func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
-	_, n, err := t.SumFloat64Where(col, p)
-	return n, err
+	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
+	return r.Sum, r.Count, err
 }
 
 // GroupSumFloat64Where computes SELECT keyCol, SUM(valCol), COUNT(*)
-// WHERE p GROUP BY keyCol as ONE fused group-reduce launch over the
-// device-resident columns (both already live in device memory, so only
-// the group table crosses the bus) — unless the value column's zone map
-// proves the predicate match-free, in which case nothing launches.
+// WHERE p GROUP BY keyCol.
 func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
-	if keyCol < 0 || keyCol >= t.s.Arity() || valCol < 0 || valCol >= t.s.Arity() {
-		return nil, fmt.Errorf("%w: cols %d,%d", layout.ErrOutOfRange, keyCol, valCol)
-	}
-	kk := t.s.Attr(keyCol).Kind
-	if kk != schema.Int64 && kk != schema.Int32 {
-		return nil, fmt.Errorf("%w: group key %s is %s", exec.ErrBadColumn, t.s.Attr(keyCol).Name, kk)
-	}
-	if t.s.Attr(valCol).Kind != schema.Float64 {
-		return nil, fmt.Errorf("%w: aggregate %s is %s", exec.ErrBadColumn, t.s.Attr(valCol).Name, t.s.Attr(valCol).Kind)
-	}
-	kv, err := t.cols[keyCol].ColVector(keyCol)
-	if err != nil {
-		return nil, err
-	}
-	vv, err := t.cols[valCol].ColVector(valCol)
-	if err != nil {
-		return nil, err
-	}
-	bytes := int64(kv.Len)*int64(kv.Size) + int64(vv.Len)*int64(vv.Size)
-	if !exec.ZoneAdmits(t.cols[valCol].Stats(valCol), p) {
-		exec.NoteZoneDecision(false, bytes)
-		return nil, nil
-	}
-	exec.NoteZoneDecision(true, bytes)
-	lo, hi, ok := exec.ClosedFloat64(p)
-	if !ok || vv.Len == 0 {
-		return nil, nil
-	}
-	dk := device.Vec{Data: kv.Data, Base: kv.Base, Stride: kv.Stride, Size: kv.Size, Len: kv.Len}
-	dv := device.Vec{Data: vv.Data, Base: vv.Base, Stride: vv.Stride, Size: vv.Size, Len: vv.Len}
-	cfg := device.DefaultReduceConfig()
-	if vv.Len < cfg.Blocks*2 {
-		cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-	}
-	parts, err := t.gpu.GroupReduceSumFloat64Where(dk, dv, lo, hi, cfg)
-	t.sync()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]exec.GroupResult, len(parts))
-	for i, g := range parts {
-		out[i] = exec.GroupResult{Key: g.Key, Sum: g.Sum, Count: g.Count}
-	}
-	return out, nil
+	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
+	return r.Groups, err
 }
 
 // Materialize gathers a position list into the host result pool format.

@@ -131,6 +131,7 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 	t := &Table{Table: common.NewTable(e.env, rel), chunkRows: e.chunkRows,
 		deviceScan: e.DeviceScan, compress: e.Compress}
 	t.Append = t.appendRecord
+	t.Run = t.scan
 	return t, nil
 }
 
@@ -431,144 +432,73 @@ func (t *Table) fuse(run []*chunk) (*chunk, error) {
 	return fused, nil
 }
 
-// SumFloat64Where overrides the host fused scan when device scanning is
-// enabled: frozen chunks — immutable until an update unfreezes them — go
-// to the GPU through the fragment cache, so repeated analytics over the
-// cold region cost zero bus bytes; unfrozen (hot) chunks stay on the
-// host operator, where every write would otherwise invalidate their
-// cached image.
-func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, _, closed := exec.ClosedFloat64(p)
-	useDev := t.deviceScan && t.Env.Cache != nil && closed
-	if (!useDev && !t.compress) ||
-		col < 0 || col >= t.Rel.Schema().Arity() || t.Rel.Schema().Attr(col).Kind != schema.Float64 {
-		return t.Table.SumFloat64Where(col, p)
-	}
-	rows := t.Rel.Rows()
-	var hostPieces, devPieces []exec.Piece
-	for _, c := range t.chunks {
+// piecesOf builds the scan pieces of col over a chunk list holding rows
+// rows. With ship set, frozen chunks — immutable until an update
+// unfreezes them — are marked for the device, so repeated analytics over
+// the cold region ride the fragment cache for zero bus bytes while hot
+// chunks, whose every write would invalidate a cached image, stay on the
+// host. With comp set, a frozen chunk's sealed image replaces its dense
+// bytes as the execution format (the vector keeps only its logical
+// metadata). Caller holds t.mu.
+func (t *Table) piecesOf(chunks []*chunk, rows uint64, col int, ship, comp bool) ([]exec.Piece, error) {
+	pieces := make([]exec.Piece, 0, len(chunks))
+	for _, c := range chunks {
 		if c.rows.Begin >= rows {
 			break
 		}
 		f := c.vectors[col]
 		v, err := f.ColVector(col)
 		if err != nil {
-			return 0, 0, err
+			return nil, err
+		}
+		if end := c.rows.Begin + uint64(v.Len); end > rows {
+			v.Len = int(rows - c.rows.Begin)
 		}
 		piece := exec.Piece{
 			Rows: layout.RowRange{Begin: c.rows.Begin, End: c.rows.Begin + uint64(v.Len)},
 			Vec:  v, Zone: f.Stats(col),
 			FragID: f.ID(), FragVersion: f.Version(),
 		}
-		if c.frozen && col < len(c.comp) && c.comp[col] != nil {
-			// The frozen chunk scans in the compressed domain; the vector
-			// keeps only its logical metadata.
+		if ship && c.frozen {
+			piece.Place = exec.Shipped
+		}
+		if comp && c.frozen && col < len(c.comp) && c.comp[col] != nil {
 			piece.Comp = c.comp[col]
 			piece.Vec.Data = nil
 			piece.Vec.Base = 0
 		}
-		if useDev && c.frozen {
-			devPieces = append(devPieces, piece)
-		} else {
-			hostPieces = append(hostPieces, piece)
-		}
+		pieces = append(pieces, piece)
 	}
-	var sum float64
-	var n int64
-	if len(devPieces) > 0 {
-		ds := t.Env.DeviceExec(t.Rel.Name())
-		devSum, devN, err := ds.SumFloat64Where(col, devPieces, p)
-		if err != nil {
-			return 0, 0, err
-		}
-		sum += devSum
-		n += devN
-	}
-	hostSum, hostN, err := exec.SumFloat64Where(t.Cfg, hostPieces, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	return sum + hostSum, n + hostN, nil
+	return pieces, nil
 }
 
-// GroupSumFloat64Where overrides the fused grouped scan the same way
-// SumFloat64Where does: frozen chunks go to the device through the
-// fragment cache (one fused kernel launch and one group-table D2H per
-// chunk) when device scanning is on, and scan in the compressed domain
-// when compression is on; hot chunks stay on the host fused operator.
-// Group keys stay raw on the device path — the fused kernel reads them
-// alongside the value sweep.
-func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+// Pieces is the table as a scan source. Only predicate scans leave the
+// plain host path: with DeviceScan on (and a kernel for the plan) frozen
+// chunks ship to the device through the fragment cache, and with
+// Compress on they scan from their sealed images. Group keys stay raw on
+// the device path — the fused kernel reads them alongside the value
+// sweep. Caller holds t.mu.
+func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
+	rows := t.Rel.Rows()
+	ship := p.Op.Filtered() && t.deviceScan && t.Env.Cache != nil && p.DeviceOK()
+	comp := p.Op.Filtered() && t.compress
+	if vals, err = t.piecesOf(t.chunks, rows, p.Col, ship, comp); err == nil && p.Op.Grouped() {
+		keys, err = t.piecesOf(t.chunks, rows, p.KeyCol, ship, comp && !ship)
+	}
+	return keys, vals, err
+}
+
+// scan answers one aggregate plan through the shared scan body, under
+// the reader lock from piece construction through the fold (pieces alias
+// live chunk bytes).
+func (t *Table) scan(p exec.Plan) (exec.Result, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, _, closed := exec.ClosedFloat64(p)
-	useDev := t.deviceScan && t.Env.Cache != nil && closed
-	s := t.Rel.Schema()
-	ok := keyCol >= 0 && keyCol < s.Arity() && valCol >= 0 && valCol < s.Arity() &&
-		(s.Attr(keyCol).Kind == schema.Int64 || s.Attr(keyCol).Kind == schema.Int32) &&
-		s.Attr(valCol).Kind == schema.Float64
-	if (!useDev && !t.compress) || !ok {
-		return t.Table.GroupSumFloat64Where(keyCol, valCol, p)
+	var dev exec.ScanExecutor
+	if t.deviceScan {
+		dev = t.Env.DeviceExec(t.Rel.Name())
 	}
-	rows := t.Rel.Rows()
-	var hostK, hostV, devK, devV []exec.Piece
-	for _, c := range t.chunks {
-		if c.rows.Begin >= rows {
-			break
-		}
-		kf, vf := c.vectors[keyCol], c.vectors[valCol]
-		kv, err := kf.ColVector(keyCol)
-		if err != nil {
-			return nil, err
-		}
-		vv, err := vf.ColVector(valCol)
-		if err != nil {
-			return nil, err
-		}
-		kp := exec.Piece{
-			Rows: layout.RowRange{Begin: c.rows.Begin, End: c.rows.Begin + uint64(kv.Len)},
-			Vec:  kv, Zone: kf.Stats(keyCol),
-			FragID: kf.ID(), FragVersion: kf.Version(),
-		}
-		vp := exec.Piece{
-			Rows: layout.RowRange{Begin: c.rows.Begin, End: c.rows.Begin + uint64(vv.Len)},
-			Vec:  vv, Zone: vf.Stats(valCol),
-			FragID: vf.ID(), FragVersion: vf.Version(),
-		}
-		if c.frozen && valCol < len(c.comp) && c.comp[valCol] != nil {
-			vp.Comp = c.comp[valCol]
-			vp.Vec.Data = nil
-			vp.Vec.Base = 0
-		}
-		if useDev && c.frozen {
-			devK = append(devK, kp)
-			devV = append(devV, vp)
-			continue
-		}
-		if c.frozen && keyCol < len(c.comp) && c.comp[keyCol] != nil {
-			kp.Comp = c.comp[keyCol]
-			kp.Vec.Data = nil
-			kp.Vec.Base = 0
-		}
-		hostK = append(hostK, kp)
-		hostV = append(hostV, vp)
-	}
-	var devGroups []exec.GroupResult
-	if len(devV) > 0 {
-		ds := t.Env.DeviceExec(t.Rel.Name())
-		var err error
-		devGroups, err = ds.GroupSumFloat64Where(keyCol, valCol, devK, devV, p)
-		if err != nil {
-			return nil, err
-		}
-	}
-	hostGroups, err := exec.GroupSumFloat64Where(t.Cfg, hostK, hostV, p)
-	if err != nil {
-		return nil, err
-	}
-	return exec.MergeGroupResults(devGroups, hostGroups), nil
+	return engine.Scan(t, t.Cfg, dev, p)
 }
 
 // AnalyticSnapshot pins the current state for long-running analytics.
@@ -596,6 +526,18 @@ func (t *Table) AnalyticSnapshot() *AnalyticSnapshot {
 // Rows returns the snapshot's pinned row count.
 func (s *AnalyticSnapshot) Rows() uint64 { return s.rows }
 
+// Schema returns the schema of the snapshotted relation.
+func (s *AnalyticSnapshot) Schema() *schema.Schema { return s.t.Rel.Schema() }
+
+// Pieces is the snapshot as a scan source: the pinned chunks are just
+// another piece list, clipped to the pinned row count and scanned on the
+// host. Caller holds the table lock.
+func (s *AnalyticSnapshot) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
+	return engine.ColumnPieces(p, func(col int) ([]exec.Piece, error) {
+		return s.t.piecesOf(s.chunks, s.rows, col, false, false)
+	})
+}
+
 // SumFloat64 aggregates col over the snapshot's pinned chunks.
 func (s *AnalyticSnapshot) SumFloat64(col int) (float64, error) {
 	s.t.mu.RLock()
@@ -603,23 +545,8 @@ func (s *AnalyticSnapshot) SumFloat64(col int) (float64, error) {
 	if s.freed {
 		return 0, fmt.Errorf("hyper: %w: snapshot released", engine.ErrUnsupported)
 	}
-	var pieces []exec.Piece
-	for _, c := range s.chunks {
-		if c.rows.Begin >= s.rows {
-			break
-		}
-		v, err := c.vectors[col].ColVector(col)
-		if err != nil {
-			return 0, err
-		}
-		end := c.rows.Begin + uint64(v.Len)
-		if end > s.rows {
-			v.Len = int(s.rows - c.rows.Begin)
-			end = s.rows
-		}
-		pieces = append(pieces, exec.Piece{Rows: layout.RowRange{Begin: c.rows.Begin, End: end}, Vec: v})
-	}
-	return exec.SumFloat64(s.t.Cfg, pieces)
+	r, err := engine.Scan(s, s.t.Cfg, nil, exec.Plan{Op: exec.KindSum, Col: col})
+	return r.Sum, err
 }
 
 // Release unpins the snapshot; parked chunks with no remaining

@@ -1,11 +1,13 @@
 package hyper
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
+	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
 )
@@ -134,6 +136,29 @@ func TestReleasedSnapshotRejectsQueries(t *testing.T) {
 	snap.Release() // idempotent
 	if _, err := snap.SumFloat64(workload.ItemPriceCol); err == nil {
 		t.Fatal("released snapshot answered a query")
+	}
+}
+
+// TestSnapshotRejectsBadColumns: a pinned snapshot validates its column
+// like every other scan — an ordinal outside the schema is an error (it
+// used to index past the chunk's vectors and panic), and a non-float64
+// attribute is refused instead of summed as reinterpreted bits.
+func TestSnapshotRejectsBadColumns(t *testing.T) {
+	tbl := load(t, 128, 300)
+	defer tbl.Free()
+	snap := tbl.AnalyticSnapshot()
+	defer snap.Release()
+	for _, col := range []int{-1, 99} {
+		if sum, err := snap.SumFloat64(col); !errors.Is(err, layout.ErrOutOfRange) {
+			t.Errorf("SumFloat64(%d) = (%v, %v), want ErrOutOfRange", col, sum, err)
+		}
+	}
+	if sum, err := snap.SumFloat64(workload.ItemIDCol); !errors.Is(err, exec.ErrBadColumn) {
+		t.Errorf("SumFloat64(int64 col) = (%v, %v), want ErrBadColumn", sum, err)
+	}
+	want := workload.ExpectedItemPriceSum(300)
+	if sum, err := snap.SumFloat64(workload.ItemPriceCol); err != nil || math.Abs(sum-want) > 1e-6 {
+		t.Errorf("SumFloat64(price) = (%v, %v), want %v", sum, err, want)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // table's reader/writer lock. Table embeds common.Table for the shared
 // storage plumbing, but promoted methods would otherwise bypass the
 // mutex added for concurrent serving — each override takes the lock and
-// delegates to the embedded implementation. (Update, SumFloat64Where,
-// GroupSumFloat64Where, Compact and Free lock in hyper.go where the
-// engine has its own implementations.)
+// delegates to the embedded implementation. (Update, Compact and Free
+// lock in hyper.go where the engine has its own implementations; Scan
+// and the named aggregates reach the locked scan through Table.Run.)
 
 // Insert appends a record under the writer lock. With a WAL enabled
 // the insert is logged under the lock at its predetermined row (log
@@ -80,25 +80,11 @@ func (t *Table) Snapshot() layout.Snapshot {
 	return t.Table.Snapshot()
 }
 
-// SumFloat64 aggregates under the reader lock.
-func (t *Table) SumFloat64(col int) (float64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.Table.SumFloat64(col)
-}
-
 // SumInt64 aggregates under the reader lock.
 func (t *Table) SumInt64(col int) (int64, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.Table.SumInt64(col)
-}
-
-// CountWhereFloat64 counts under the reader lock.
-func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.Table.CountWhereFloat64(col, p)
 }
 
 // SelectFloat64 selects under the reader lock.

@@ -386,54 +386,106 @@ func (t *Table) GetVersion(row uint64, back int) (schema.Record, error) {
 	return rec, nil
 }
 
-// SumFloat64 aggregates col: the sealed region through the compressed
-// fast path, the appendable region through the bulk operator, then rows
-// with tail versions are patched through the dictionary.
-func (t *Table) SumFloat64(col int) (float64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if col < 0 || col >= t.s.Arity() {
-		return 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	if t.s.Attr(col).Kind != schema.Float64 {
-		return 0, fmt.Errorf("%w: attribute %s is %s", exec.ErrBadColumn, t.s.Attr(col).Name, t.s.Attr(col).Kind)
-	}
+// piecesOf builds the scan pieces of col, written once for every plan
+// kind: the sealed base region as one compressed piece — it executes in
+// the compressed domain, the vector carrying only the logical metadata,
+// and when its zone proves a predicate match-free the image is never
+// touched, so the pruning win compounds with the compression win — then
+// the appendable region raw.
+func (t *Table) piecesOf(col int) ([]exec.Piece, error) {
 	c := t.cols[col]
-	var sum float64
-	if c.sealed != nil {
-		s, err := c.sealed.SumFloat64()
-		if err != nil {
-			return 0, err
-		}
-		sum += s
+	var pieces []exec.Piece
+	if c.sealed != nil && t.sealedRows > 0 {
+		size := t.s.Attr(col).Size
+		pieces = append(pieces, exec.Piece{
+			Rows: layout.RowRange{Begin: 0, End: t.sealedRows},
+			Vec:  layout.ColVector{Stride: size, Size: size, Len: int(t.sealedRows)},
+			Zone: c.zone,
+			Comp: c.sealed,
+		})
 	}
 	v, err := c.active.ColVector(col)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	pieces := []exec.Piece{{Rows: layout.RowRange{Begin: t.sealedRows, End: t.sealedRows + uint64(v.Len)}, Vec: v}}
-	activeSum, err := exec.SumFloat64(t.cfg, pieces)
-	if err != nil {
-		return 0, err
-	}
-	sum += activeSum
-	// Patch rows whose newest value lives in a tail page.
+	return append(pieces, exec.Piece{
+		Rows: layout.RowRange{Begin: t.sealedRows, End: t.sealedRows + uint64(v.Len)},
+		Vec:  v,
+		Zone: c.active.Stats(col),
+	}), nil
+}
+
+// Pieces is the table as a scan source: the base region of the plan's
+// columns, all in host memory. Caller holds t.mu.
+func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
+	return engine.ColumnPieces(p, t.piecesOf)
+}
+
+// Patches is the one tail-patch iterator: every row whose newest value
+// of a plan column lives in a tail page, with its base-region cell and
+// its current cell through the dictionary — a tail update may change the
+// key, the value, or both. Caller holds t.mu.
+func (t *Table) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
+	grouped := p.Op.Grouped()
 	for row := uint64(0); row < t.rows; row++ {
-		li := t.dict[row][col]
-		if li < 0 {
+		if t.dict[row][p.Col] < 0 && (!grouped || t.dict[row][p.KeyCol] < 0) {
 			continue
 		}
-		baseV, err := t.baseValue(row, col)
+		var base, cur engine.Cell
+		bv, err := t.baseValue(row, p.Col)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		tailV, err := c.tail.Get(c.lineage[li].slot, col)
+		cv, err := t.valueAsOf(row, p.Col, 0)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		sum += tailV.F - baseV.F
+		base.Val, cur.Val = bv.F, cv.F
+		if grouped {
+			bk, err := t.baseValue(row, p.KeyCol)
+			if err != nil {
+				return err
+			}
+			ck, err := t.valueAsOf(row, p.KeyCol, 0)
+			if err != nil {
+				return err
+			}
+			base.Key, cur.Key = bk.I, ck.I
+		}
+		fn(base, cur)
 	}
-	return sum, nil
+	return nil
+}
+
+// Scan answers one aggregate plan through the shared scan body: the
+// base region is aggregated in bulk, then rows with tail versions are
+// patched through the dictionary. The reader lock covers piece
+// construction through the fold (pieces alias live page bytes). The
+// named aggregate methods are sugar over it.
+func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return engine.Scan(t, t.cfg, nil, p)
+}
+
+// SumFloat64 aggregates col.
+func (t *Table) SumFloat64(col int) (float64, error) {
+	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
+	return r.Sum, err
+}
+
+// SumFloat64Where aggregates (sum, count) of col over the rows matching
+// p.
+func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
+	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
+	return r.Sum, r.Count, err
+}
+
+// GroupSumFloat64Where computes SELECT key, SUM(val), COUNT(*) WHERE p
+// GROUP BY key in one fused pass over both regions.
+func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
+	return r.Groups, err
 }
 
 // Materialize resolves a position list through the dictionary.
@@ -550,207 +602,6 @@ func sealZone(image []byte, n int, a schema.Attribute) *stats.Zone {
 	}
 	z.MarkSealed()
 	return z
-}
-
-// SumFloat64Where aggregates (sum, count) of col over the rows matching
-// p. When the sealed region's zone proves it match-free the compressed
-// image is never decompressed — the pruning win compounds with the
-// compression win. Tail patching stays exact under pruning because the
-// zone is conservative: a base value matching p implies the sealed
-// region was scanned.
-func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.sumFloat64WhereLocked(col, p)
-}
-
-// sumFloat64WhereLocked is SumFloat64Where under an already-held lock
-// (CountWhereFloat64 shares it).
-func (t *Table) sumFloat64WhereLocked(col int, p exec.Pred[float64]) (float64, int64, error) {
-	if col < 0 || col >= t.s.Arity() {
-		return 0, 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	if t.s.Attr(col).Kind != schema.Float64 {
-		return 0, 0, fmt.Errorf("%w: attribute %s is %s", exec.ErrBadColumn, t.s.Attr(col).Name, t.s.Attr(col).Kind)
-	}
-	c := t.cols[col]
-	size := t.s.Attr(col).Size
-	var pieces []exec.Piece
-	if c.sealed != nil && t.sealedRows > 0 {
-		sealedBytes := int64(t.sealedRows) * int64(size)
-		if !exec.ZoneAdmits(c.zone, p) {
-			exec.NoteZoneDecision(false, sealedBytes)
-		} else {
-			exec.NoteZoneDecision(true, sealedBytes)
-			// The sealed image executes in the compressed domain — no
-			// decompression; Vec carries only the logical metadata.
-			pieces = append(pieces, exec.Piece{
-				Rows: layout.RowRange{Begin: 0, End: t.sealedRows},
-				Vec:  layout.ColVector{Stride: size, Size: size, Len: int(t.sealedRows)},
-				Zone: c.zone,
-				Comp: c.sealed,
-			})
-		}
-	}
-	v, err := c.active.ColVector(col)
-	if err != nil {
-		return 0, 0, err
-	}
-	pieces = append(pieces, exec.Piece{
-		Rows: layout.RowRange{Begin: t.sealedRows, End: t.sealedRows + uint64(v.Len)},
-		Vec:  v,
-		Zone: c.active.Stats(col),
-	})
-	sum, n, err := exec.SumFloat64Where(t.cfg, pieces, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Patch rows whose newest value lives in a tail page.
-	for row := uint64(0); row < t.rows; row++ {
-		li := t.dict[row][col]
-		if li < 0 {
-			continue
-		}
-		baseV, err := t.baseValue(row, col)
-		if err != nil {
-			return 0, 0, err
-		}
-		tailV, err := c.tail.Get(c.lineage[li].slot, col)
-		if err != nil {
-			return 0, 0, err
-		}
-		if p.Match(baseV.F) {
-			sum -= baseV.F
-			n--
-		}
-		if p.Match(tailV.F) {
-			sum += tailV.F
-			n++
-		}
-	}
-	return sum, n, nil
-}
-
-// CountWhereFloat64 counts the rows matching p on col with the same
-// pruning as SumFloat64Where.
-func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, n, err := t.sumFloat64WhereLocked(col, p)
-	return n, err
-}
-
-// GroupSumFloat64Where computes SELECT key, SUM(val), COUNT(*) WHERE p
-// GROUP BY key in one fused pass over both regions: the sealed key and
-// value images aggregate in the compressed domain (the value zone still
-// prunes the whole sealed pair), the appendable region scans raw, and
-// rows with tail versions are patched through the dictionary — a tail
-// update may change the key, the value, or both, so the patch moves the
-// row's contribution between groups. Pruning stays exact because zones
-// are conservative: a base value matching p implies the sealed pair was
-// scanned.
-func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if keyCol < 0 || keyCol >= t.s.Arity() || valCol < 0 || valCol >= t.s.Arity() {
-		return nil, fmt.Errorf("%w: cols %d,%d", layout.ErrOutOfRange, keyCol, valCol)
-	}
-	kk := t.s.Attr(keyCol).Kind
-	if kk != schema.Int64 && kk != schema.Int32 {
-		return nil, fmt.Errorf("%w: group key %s is %s", exec.ErrBadColumn, t.s.Attr(keyCol).Name, kk)
-	}
-	if t.s.Attr(valCol).Kind != schema.Float64 {
-		return nil, fmt.Errorf("%w: aggregate %s is %s", exec.ErrBadColumn, t.s.Attr(valCol).Name, t.s.Attr(valCol).Kind)
-	}
-	kc, vc := t.cols[keyCol], t.cols[valCol]
-	ksize := t.s.Attr(keyCol).Size
-	vsize := t.s.Attr(valCol).Size
-	var keys, vals []exec.Piece
-	if kc.sealed != nil && vc.sealed != nil && t.sealedRows > 0 {
-		keys = append(keys, exec.Piece{
-			Rows: layout.RowRange{Begin: 0, End: t.sealedRows},
-			Vec:  layout.ColVector{Stride: ksize, Size: ksize, Len: int(t.sealedRows)},
-			Zone: kc.zone,
-			Comp: kc.sealed,
-		})
-		vals = append(vals, exec.Piece{
-			Rows: layout.RowRange{Begin: 0, End: t.sealedRows},
-			Vec:  layout.ColVector{Stride: vsize, Size: vsize, Len: int(t.sealedRows)},
-			Zone: vc.zone,
-			Comp: vc.sealed,
-		})
-	}
-	kv, err := kc.active.ColVector(keyCol)
-	if err != nil {
-		return nil, err
-	}
-	vv, err := vc.active.ColVector(valCol)
-	if err != nil {
-		return nil, err
-	}
-	keys = append(keys, exec.Piece{
-		Rows: layout.RowRange{Begin: t.sealedRows, End: t.sealedRows + uint64(kv.Len)},
-		Vec:  kv,
-		Zone: kc.active.Stats(keyCol),
-	})
-	vals = append(vals, exec.Piece{
-		Rows: layout.RowRange{Begin: t.sealedRows, End: t.sealedRows + uint64(vv.Len)},
-		Vec:  vv,
-		Zone: vc.active.Stats(valCol),
-	})
-	groups, err := exec.GroupSumFloat64Where(t.cfg, keys, vals, p)
-	if err != nil {
-		return nil, err
-	}
-	table := make(map[int64]*exec.GroupResult, len(groups))
-	for i := range groups {
-		g := groups[i]
-		table[g.Key] = &g
-	}
-	// Patch rows whose newest key or value lives in a tail page.
-	for row := uint64(0); row < t.rows; row++ {
-		if t.dict[row][keyCol] < 0 && t.dict[row][valCol] < 0 {
-			continue
-		}
-		baseK, err := t.baseValue(row, keyCol)
-		if err != nil {
-			return nil, err
-		}
-		baseV, err := t.baseValue(row, valCol)
-		if err != nil {
-			return nil, err
-		}
-		curK, err := t.valueAsOf(row, keyCol, 0)
-		if err != nil {
-			return nil, err
-		}
-		curV, err := t.valueAsOf(row, valCol, 0)
-		if err != nil {
-			return nil, err
-		}
-		if p.Match(baseV.F) {
-			if g := table[baseK.I]; g != nil {
-				g.Sum -= baseV.F
-				g.Count--
-			}
-		}
-		if p.Match(curV.F) {
-			g := table[curK.I]
-			if g == nil {
-				g = &exec.GroupResult{Key: curK.I}
-				table[curK.I] = g
-			}
-			g.Sum += curV.F
-			g.Count++
-		}
-	}
-	out := make([]exec.GroupResult, 0, len(table))
-	for _, g := range table {
-		if g.Count > 0 {
-			out = append(out, *g)
-		}
-	}
-	return exec.MergeGroupResults(out), nil
 }
 
 // Snapshot digests the live structure. The sealed, appendable and tail

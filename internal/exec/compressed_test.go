@@ -7,10 +7,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/compress"
-	"hybridstore/internal/device"
 	"hybridstore/internal/layout"
-	"hybridstore/internal/obs"
-	"hybridstore/internal/perfmodel"
 )
 
 // encodeF64 and encodeI64 build little-endian column images.
@@ -370,129 +367,6 @@ func TestSelectRejectsCompressed(t *testing.T) {
 	}
 	if _, _, _, err := MinMaxFloat64(Single(), pieces); err == nil {
 		t.Fatal("MinMaxFloat64 accepted a compressed piece")
-	}
-}
-
-// TestDeviceScanCompressedTransfers pins the tentpole's bus accounting:
-// a device scan over a compressed piece charges the bus exactly the
-// marshaled image size (not the dense bytes), and a warm rescan over the
-// cached image charges zero bus bytes.
-func TestDeviceScanCompressedTransfers(t *testing.T) {
-	clock := &perfmodel.Clock{}
-	gpu := device.New(perfmodel.DefaultDevice(), clock)
-	cache := device.NewFragCache(gpu)
-
-	// A runny column: 64Ki rows in long runs — RLE shrinks it massively.
-	n := 64 << 10
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = float64(i / 1024)
-	}
-	img := encodeF64(vals)
-	col, err := compress.CompressAs(compress.RLE, img, n, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	piece := Piece{
-		Rows:   layout.RowRange{Begin: 0, End: uint64(n)},
-		Vec:    layout.ColVector{Stride: 8, Size: 8, Len: n},
-		Comp:   col,
-		FragID: 7, FragVersion: 1,
-	}
-	raw := Piece{
-		Rows: layout.RowRange{Begin: 0, End: uint64(n)},
-		Vec:  layout.ColVector{Data: img, Stride: 8, Size: 8, Len: n},
-	}
-	p := Between(10.0, 40.0)
-
-	ds := DeviceScan{GPU: gpu, Cache: cache, Table: "t"}
-	before := gpu.Stats()
-	obsBefore := obs.TakeSnapshot()
-	sum, cnt, err := ds.SumFloat64Where(0, []Piece{piece}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := gpu.Stats()
-	obsCold := obs.TakeSnapshot()
-	shipped := cold.HostToDeviceBytes - before.HostToDeviceBytes
-	if want := int64(col.MarshaledBytes()); shipped != want {
-		t.Fatalf("cold compressed scan shipped %d bytes, want marshaled size %d", shipped, want)
-	}
-	// The same claim through the process-wide observability counters.
-	if got := obsCold.Counter("device.h2d_bytes") - obsBefore.Counter("device.h2d_bytes"); got != shipped {
-		t.Fatalf("obs device.h2d_bytes moved %d, GPU instance says %d", got, shipped)
-	}
-	if dense := int64(n * 8); shipped >= dense {
-		t.Fatalf("compressed transfer (%d bytes) not smaller than dense image (%d bytes)", shipped, dense)
-	}
-
-	// The device result must equal the host result over the raw bytes.
-	wantSum, wantCnt, err := SumFloat64Where(Single(), []Piece{raw}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(sum) != math.Float64bits(wantSum) || cnt != wantCnt {
-		t.Fatalf("device compressed scan = (%v, %d), want (%v, %d)", sum, cnt, wantSum, wantCnt)
-	}
-
-	// Warm rescan: cached image, zero bus bytes.
-	sum2, cnt2, err := ds.SumFloat64Where(0, []Piece{piece}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := gpu.Stats()
-	if warm.HostToDeviceBytes != cold.HostToDeviceBytes {
-		t.Fatalf("warm compressed scan shipped %d bytes, want 0",
-			warm.HostToDeviceBytes-cold.HostToDeviceBytes)
-	}
-	if cs := cache.Stats(); cs.Hits == 0 {
-		t.Fatalf("warm scan did not hit the cache: %+v", cs)
-	}
-	if math.Float64bits(sum2) != math.Float64bits(sum) || cnt2 != cnt {
-		t.Fatalf("warm scan = (%v, %d), want (%v, %d)", sum2, cnt2, sum, cnt)
-	}
-
-	// The cache entry is sized at the image length — the capacity win.
-	if cs := cache.Stats(); cs.ResidentBytes >= int64(n*8) {
-		t.Fatalf("cache resident bytes %d not smaller than dense image %d", cs.ResidentBytes, n*8)
-	}
-}
-
-// TestDeviceScanCompressedUnfiltered covers the unfiltered compressed
-// reduction path.
-func TestDeviceScanCompressedUnfiltered(t *testing.T) {
-	clock := &perfmodel.Clock{}
-	gpu := device.New(perfmodel.DefaultDevice(), clock)
-	n := 8192
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = float64(i % 37)
-	}
-	img := encodeF64(vals)
-	col, err := compress.CompressAs(compress.Dict, img, n, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	piece := Piece{
-		Rows: layout.RowRange{Begin: 0, End: uint64(n)},
-		Vec:  layout.ColVector{Stride: 8, Size: 8, Len: n},
-		Comp: col,
-	}
-	ds := DeviceScan{GPU: gpu}
-	got, err := ds.SumFloat64(0, []Piece{piece})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := Piece{
-		Rows: layout.RowRange{Begin: 0, End: uint64(n)},
-		Vec:  layout.ColVector{Data: img, Stride: 8, Size: 8, Len: n},
-	}
-	want, err := SumFloat64(Single(), []Piece{raw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("device compressed sum = %v, want %v", got, want)
 	}
 }
 

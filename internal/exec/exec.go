@@ -193,6 +193,9 @@ type Piece struct {
 	Rows layout.RowRange
 	// Vec is the raw strided access to the fields.
 	Vec layout.ColVector
+	// Place is where the bytes live (host, host-but-shipped, device); the
+	// zero value is a plain host piece.
+	Place Place
 	// Zone is the owning fragment's zone map for this column, or nil.
 	// The fragment-wide envelope is a superset of any clipped piece's
 	// value range, so pruning against it stays conservative.

@@ -26,6 +26,11 @@ func GroupSumFloat64(cfg Config, keys, vals []Piece) ([]GroupResult, error) {
 	if err := checkSize8(vals, "float64 aggregate"); err != nil {
 		return nil, err
 	}
+	for _, col := range [][]Piece{keys, vals} {
+		if err := rejectComp(col, "unpredicated group-by"); err != nil {
+			return nil, err
+		}
+	}
 	for _, p := range keys {
 		if p.Vec.Size != 8 && p.Vec.Size != 4 {
 			return nil, fmt.Errorf("%w: group key of %d bytes", ErrBadColumn, p.Vec.Size)

@@ -17,7 +17,6 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 
 	"hybridstore/internal/device"
@@ -48,16 +47,12 @@ type MultiDeviceScan struct {
 	Host Config
 	// HostLane enables the host leg of the fan-out.
 	HostLane bool
-	// Launch overrides the per-card reduction geometry (zero = default).
-	Launch device.LaunchConfig
-	// Stages overrides the per-card stream depth (0 = double buffering).
-	Stages int
 }
 
 // cardScan builds the single-card DeviceScan for card i.
 func (m *MultiDeviceScan) cardScan(i int) DeviceScan {
 	c := m.Env.Card(i)
-	return DeviceScan{GPU: c.GPU(), Cache: c.Cache(), Table: m.Table, Launch: m.Launch, Stages: m.Stages}
+	return DeviceScan{GPU: c.GPU(), Cache: c.Cache(), Table: m.Table}
 }
 
 // homeCard returns the shard-map home of a piece.
@@ -71,59 +66,33 @@ func (m *MultiDeviceScan) homeCard(p Piece) int {
 	return int(p.FragID % uint64(m.Env.N()))
 }
 
-// resident reports whether the piece's image is warm on its home card at
-// the piece's version.
-func (m *MultiDeviceScan) resident(card, col int, p Piece) bool {
-	key := device.FragKey{Table: m.Table, Frag: p.FragID, Col: col, Row0: int(p.Rows.Begin), Rows: p.Vec.Len}
-	if p.Comp != nil {
-		key.Rows = p.Comp.Len()
-		key.Comp = true
-	}
-	return m.Env.Card(card).Cache().Resident(key, p.FragVersion)
-}
-
 // deviceCostNs prices a cold scan of one piece on a card: ship the image
 // (compressed pieces ship their marshaled bytes) and run the reduction.
 func (m *MultiDeviceScan) deviceCostNs(p Piece) float64 {
 	prof := m.Env.Profile()
-	n := p.Vec.Len
-	bytes := int64(n * p.Vec.Size)
+	bytes := int64(p.Vec.Len * p.Vec.Size)
 	if p.Comp != nil {
-		n = p.Comp.Len()
 		bytes = int64(p.Comp.MarshaledBytes())
 	}
-	cfg := m.Launch
-	if cfg.Blocks <= 0 {
-		cfg = device.DefaultReduceConfig()
-		if n < cfg.Blocks*2 {
-			cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-		}
-	}
-	return prof.TransferNs(bytes) + prof.ReduceKernelNs(int64(n), p.Vec.Size, p.Vec.Size, cfg.Blocks, cfg.ThreadsPerBlock)
+	cfg := device.ReduceConfigFor(p.Vec.Len)
+	return prof.TransferNs(bytes) + prof.ReduceKernelNs(int64(p.Vec.Len), p.Vec.Size, p.Vec.Size, cfg.Blocks, cfg.ThreadsPerBlock)
 }
 
-// hostUsable reports whether the host lane can actually price and run
-// work (a zero profile would divide by zero bandwidth).
-func (m *MultiDeviceScan) hostUsable() bool {
-	return m.HostLane && m.Host.Host.SeqBandwidth > 0
-}
-
-// place assigns each piece index to a card (by shard home) or to the host
-// lane. admit carries the piece's zone verdict: inadmissible pieces stay
-// on their home card, whose DeviceScan prunes them for free — routing
-// them anywhere else would double-count the zone decision. Admissible
-// cold pieces go to the host lane when it is enabled and the in-place
-// scan is cheaper than bus plus kernel.
-func (m *MultiDeviceScan) place(col int, pieces []Piece, admit func(Piece) bool) (perCard [][]int, host []int) {
+// place assigns each pair index of the scan to a card (by the value
+// piece's shard home) or to the host lane. Pieces the predicate's zone
+// test excludes stay on their home card, whose DeviceScan prunes them
+// for free — routing them anywhere else would double-count the zone
+// decision. Admissible pieces go to the host lane when it is enabled and
+// can price work (a zero profile would divide by zero bandwidth), the
+// image is not warm on its home card at the piece's version, and the
+// in-place scan is cheaper than bus plus kernel.
+func (m *MultiDeviceScan) place(sc Scan) (perCard [][]int, host []int) {
 	perCard = make([][]int, m.Env.N())
-	hostOK := m.hostUsable()
-	for j, p := range pieces {
+	hostOK := m.HostLane && m.Host.Host.SeqBandwidth > 0
+	for j, p := range sc.Vals {
 		home := m.homeCard(p)
-		if admit != nil && !admit(p) {
-			perCard[home] = append(perCard[home], j)
-			continue
-		}
-		if hostOK && !m.resident(home, col, p) &&
+		if hostOK && (!sc.Op.Filtered() || ZoneAdmits(p.Zone, sc.Pred)) &&
+			!m.Env.Card(home).Cache().Resident(fragKey(m.Table, sc.Col, p), p.FragVersion) &&
 			scanPieceNs(m.Host.Host, p, 1) < m.deviceCostNs(p) {
 			host = append(host, j)
 			continue
@@ -133,227 +102,78 @@ func (m *MultiDeviceScan) place(col int, pieces []Piece, admit func(Piece) bool)
 	return perCard, host
 }
 
-// hostLaneConfig returns the host-leg execution config charging a private
-// scratch clock, so the scheduler can fold the host lane's simulated time
-// into the concurrent-phase maximum instead of serializing it.
-func (m *MultiDeviceScan) hostLaneConfig() (Config, *perfmodel.Clock) {
-	cfg := m.Host
-	if cfg.Clock == nil {
-		return cfg, nil
+// Scan runs the scan across the fleet and the host lane: one goroutine
+// per card works through its pieces in order on that card's stream, the
+// host lane works through its pieces on the morsel pool under a private
+// scratch clock, and Env.SettleMax folds the longest lane into the
+// shared clock. Per-piece results land indexed by original position and
+// fold in piece order — sums left to right, group tables through
+// MergeGroupResults — which keeps the fleet bit-identical to the
+// single-card DeviceScan. Scans no kernel can run fail with
+// ErrBadColumn exactly like DeviceScan, before anything is placed.
+func (m *MultiDeviceScan) Scan(sc Scan) (Result, error) {
+	if _, _, err := sc.deviceForm(); err != nil {
+		return Result{}, err
 	}
-	lane := &perfmodel.Clock{}
-	cfg.Clock = lane
-	return cfg, lane
-}
+	sp := obsMultiScan.Start()
+	defer sp.End()
+	perCard, host := m.place(sc)
 
-// scanPartial is one piece's contribution to a scalar scan.
-type scanPartial struct {
-	sum   float64
-	count int64
-}
-
-// runScalar executes the placed fan-out for a scalar (sum/count) scan:
-// one goroutine per card works through its pieces in order on that card's
-// stream, the host lane works through its pieces on the morsel pool, and
-// the per-piece partials land indexed by original position.
-func (m *MultiDeviceScan) runScalar(
-	perCard [][]int, host []int, pieces []Piece,
-	onCard func(d DeviceScan, p Piece) (scanPartial, error),
-	onHost func(cfg Config, p Piece) (scanPartial, error),
-) ([]scanPartial, error) {
-	partials := make([]scanPartial, len(pieces))
+	parts := make([]Result, len(sc.Vals))
 	errs := make([]error, m.Env.N()+1)
 	var wg sync.WaitGroup
+	lane := func(slot int, ex ScanExecutor, idxs []int) {
+		defer wg.Done()
+		one := sc
+		for _, j := range idxs {
+			one.Vals = sc.Vals[j : j+1]
+			if sc.Op.Grouped() {
+				one.Keys = sc.Keys[j : j+1]
+			}
+			if parts[j], errs[slot] = ex.Scan(one); errs[slot] != nil {
+				return
+			}
+		}
+	}
 	for i, idxs := range perCard {
 		if len(idxs) == 0 {
 			continue
 		}
 		mMultiDevPieces.Add(int64(len(idxs)))
 		wg.Add(1)
-		go func(i int, idxs []int) {
-			defer wg.Done()
-			d := m.cardScan(i)
-			for _, j := range idxs {
-				part, err := onCard(d, pieces[j])
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				partials[j] = part
-			}
-		}(i, idxs)
+		go lane(i, m.cardScan(i), idxs)
 	}
-	var lane *perfmodel.Clock
+	var hostClock *perfmodel.Clock
 	if len(host) > 0 {
 		mMultiHostPieces.Add(int64(len(host)))
-		var cfg Config
-		cfg, lane = m.hostLaneConfig()
+		cfg := m.Host
+		if cfg.Clock != nil {
+			hostClock = &perfmodel.Clock{}
+			cfg.Clock = hostClock
+		}
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, j := range host {
-				part, err := onHost(cfg, pieces[j])
-				if err != nil {
-					errs[m.Env.N()] = err
-					return
-				}
-				partials[j] = part
-			}
-		}()
+		go lane(m.Env.N(), cfg, host)
 	}
 	wg.Wait()
 	var hostNs float64
-	if lane != nil {
-		hostNs = lane.ElapsedNs()
+	if hostClock != nil {
+		hostNs = hostClock.ElapsedNs()
 	}
 	m.Env.SettleMax(hostNs)
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
-	return partials, nil
-}
-
-// SumFloat64Where computes SUM(col), COUNT(*) WHERE p across the fleet
-// and the host lane, folding per-piece partials in piece order (bit-
-// identical to the single-card DeviceScan). Predicates without a closed-
-// interval form fail with ErrBadColumn exactly like DeviceScan, so
-// callers keep their host-fallback logic.
-func (m *MultiDeviceScan) SumFloat64Where(col int, pieces []Piece, p Pred[float64]) (float64, int64, error) {
-	if err := checkSize8(pieces, "device fused float64 sum"); err != nil {
-		return 0, 0, err
-	}
-	if _, _, ok := ClosedFloat64(p); !ok {
-		return 0, 0, fmt.Errorf("%w: predicate %v has no closed-interval form for the device kernel", ErrBadColumn, p.Op)
-	}
-	sp := obsMultiScan.Start()
-	defer sp.End()
-	perCard, host := m.place(col, pieces, func(pc Piece) bool { return ZoneAdmits(pc.Zone, p) })
-	partials, err := m.runScalar(perCard, host, pieces,
-		func(d DeviceScan, pc Piece) (scanPartial, error) {
-			s, n, err := d.SumFloat64Where(col, []Piece{pc}, p)
-			return scanPartial{s, n}, err
-		},
-		func(cfg Config, pc Piece) (scanPartial, error) {
-			admit := ZoneAdmits(pc.Zone, p)
-			NoteZoneDecision(admit, int64(pc.Vec.Len*pc.Vec.Size))
-			if !admit {
-				return scanPartial{}, nil
-			}
-			s, n, err := SumFloat64Where(cfg, []Piece{pc}, p)
-			return scanPartial{s, n}, err
-		})
-	if err != nil {
-		return 0, 0, err
-	}
-	var sum float64
-	var count int64
-	for _, part := range partials {
-		sum += part.sum
-		count += part.count
-	}
-	return sum, count, nil
-}
-
-// SumFloat64 is the unfiltered fleet reduction.
-func (m *MultiDeviceScan) SumFloat64(col int, pieces []Piece) (float64, error) {
-	if err := checkSize8(pieces, "device float64 sum"); err != nil {
-		return 0, err
-	}
-	sp := obsMultiScan.Start()
-	defer sp.End()
-	perCard, host := m.place(col, pieces, nil)
-	partials, err := m.runScalar(perCard, host, pieces,
-		func(d DeviceScan, pc Piece) (scanPartial, error) {
-			s, err := d.SumFloat64(col, []Piece{pc})
-			return scanPartial{sum: s}, err
-		},
-		func(cfg Config, pc Piece) (scanPartial, error) {
-			s, err := SumFloat64(cfg, []Piece{pc})
-			return scanPartial{sum: s}, err
-		})
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, part := range partials {
-		sum += part.sum
-	}
-	return sum, nil
-}
-
-// GroupSumFloat64Where computes SUM(val), COUNT(*) WHERE p GROUP BY key
-// across the fleet and the host lane. Key/value pairs are placed by the
-// VALUE piece's fragment home; per-piece group tables merge in piece
-// order through the shared MergeGroupResults machinery. Compressed group
-// keys are host-only, exactly like DeviceScan.
-func (m *MultiDeviceScan) GroupSumFloat64Where(keyCol, valCol int, keys, vals []Piece, p Pred[float64]) ([]GroupResult, error) {
-	if err := checkGroupCols(keys, vals); err != nil {
-		return nil, err
-	}
-	if _, _, ok := ClosedFloat64(p); !ok {
-		return nil, fmt.Errorf("%w: predicate %v has no closed-interval form for the device kernel", ErrBadColumn, p.Op)
-	}
-	for _, kp := range keys {
-		if kp.Comp != nil {
-			return nil, fmt.Errorf("%w: compressed group keys are host-only", ErrBadColumn)
+	var res Result
+	var tables [][]GroupResult
+	for _, part := range parts {
+		res.Sum += part.Sum
+		res.Count += part.Count
+		if sc.Op.Grouped() {
+			tables = append(tables, part.Groups)
 		}
 	}
-	sp := obsMultiScan.Start()
-	defer sp.End()
-	perCard, host := m.place(valCol, vals, func(pc Piece) bool { return ZoneAdmits(pc.Zone, p) })
-
-	tables := make([][]GroupResult, len(vals))
-	errs := make([]error, m.Env.N()+1)
-	var wg sync.WaitGroup
-	for i, idxs := range perCard {
-		if len(idxs) == 0 {
-			continue
-		}
-		mMultiDevPieces.Add(int64(len(idxs)))
-		wg.Add(1)
-		go func(i int, idxs []int) {
-			defer wg.Done()
-			d := m.cardScan(i)
-			for _, j := range idxs {
-				t, err := d.GroupSumFloat64Where(keyCol, valCol, []Piece{keys[j]}, []Piece{vals[j]}, p)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				tables[j] = t
-			}
-		}(i, idxs)
-	}
-	var lane *perfmodel.Clock
-	if len(host) > 0 {
-		var cfg Config
-		cfg, lane = m.hostLaneConfig()
-		mMultiHostPieces.Add(int64(len(host)))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, j := range host {
-				t, err := GroupSumFloat64Where(cfg, []Piece{keys[j]}, []Piece{vals[j]}, p)
-				if err != nil {
-					errs[m.Env.N()] = err
-					return
-				}
-				tables[j] = t
-			}
-		}()
-	}
-	wg.Wait()
-	var hostNs float64
-	if lane != nil {
-		hostNs = lane.ElapsedNs()
-	}
-	m.Env.SettleMax(hostNs)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return MergeGroupResults(tables...), nil
+	res.Groups = MergeGroupResults(tables...)
+	return res, nil
 }

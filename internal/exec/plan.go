@@ -1,6 +1,16 @@
 package exec
 
-import "hybridstore/internal/schema"
+import (
+	"errors"
+	"fmt"
+
+	"hybridstore/internal/layout"
+	"hybridstore/internal/schema"
+)
+
+// ErrBadPlan is returned for a plan of an unknown kind, or a batch
+// mixing shapes.
+var ErrBadPlan = errors.New("exec: bad plan")
 
 // Kind names the read operation a Plan describes. Kinds are the wire
 // names of the serving protocol's read statements, so a plan literal
@@ -21,6 +31,12 @@ const (
 	// KindGroupSumWhere is KindGroupSum WHERE Pred.
 	KindGroupSumWhere Kind = "group_sum_where"
 )
+
+// Filtered reports whether the kind carries a predicate.
+func (k Kind) Filtered() bool { return k == KindSumWhere || k == KindGroupSumWhere }
+
+// Grouped reports whether the kind groups by a key column.
+func (k Kind) Grouped() bool { return k == KindGroupSum || k == KindGroupSumWhere }
 
 // Plan is the one descriptor of a read, passed unchanged from the wire
 // parser to the storage engine: every layer has a single entry that
@@ -54,18 +70,47 @@ type Plan struct {
 // read is zeroed.
 func (p Plan) Normalize() Plan {
 	n := Plan{Table: p.Table, Op: p.Op}
-	switch p.Op {
-	case KindGet:
+	if p.Op == KindGet {
 		n.Row = p.Row
 		return n
-	case KindGroupSum, KindGroupSumWhere:
+	}
+	if p.Op.Grouped() {
 		n.KeyCol = p.KeyCol
 	}
 	n.Col = p.Col
-	if p.Op == KindSumWhere || p.Op == KindGroupSumWhere {
+	if p.Op.Filtered() {
 		n.Pred, n.HasPred = Normalize(p.Pred), true
 	}
 	return n
+}
+
+// Check validates the columns the plan reads against a schema — the one
+// column-kind check of every scan entry: the aggregate must be a
+// float64 attribute, a group key an int64 or int32 one. An ordinal
+// outside the schema fails with layout.ErrOutOfRange, a column of the
+// wrong kind with ErrBadColumn, an unknown kind with ErrBadPlan.
+func (p Plan) Check(s *schema.Schema) error {
+	if p.Op == KindGet {
+		return nil
+	}
+	if p.Op != KindSum && !p.Op.Filtered() && !p.Op.Grouped() {
+		return fmt.Errorf("%w: kind %q", ErrBadPlan, p.Op)
+	}
+	if p.Op.Grouped() {
+		if p.KeyCol < 0 || p.KeyCol >= s.Arity() {
+			return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, p.KeyCol)
+		}
+		if a := s.Attr(p.KeyCol); a.Kind != schema.Int64 && a.Kind != schema.Int32 {
+			return fmt.Errorf("%w: group key %s is %s", ErrBadColumn, a.Name, a.Kind)
+		}
+	}
+	if p.Col < 0 || p.Col >= s.Arity() {
+		return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, p.Col)
+	}
+	if a := s.Attr(p.Col); a.Kind != schema.Float64 {
+		return fmt.Errorf("%w: aggregate %s is %s", ErrBadColumn, a.Name, a.Kind)
+	}
+	return nil
 }
 
 // Shape is the plan with its per-request arguments (predicate bounds,

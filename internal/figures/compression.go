@@ -185,7 +185,7 @@ func MeasureCompression(rows uint64, fragments int) (*CompressionSweep, error) {
 			clock := &perfmodel.Clock{}
 			gpu := device.New(perfmodel.DefaultDevice(), clock)
 			ds := exec.DeviceScan{GPU: gpu, Table: "compression"}
-			sum, n, err := ds.SumFloat64Where(0, rawPieces, p)
+			sum, n, err := sumWhereOn(ds, 0, rawPieces, p)
 			if err != nil {
 				return nil, err
 			}
@@ -203,7 +203,7 @@ func MeasureCompression(rows uint64, fragments int) (*CompressionSweep, error) {
 			gpu := device.New(perfmodel.DefaultDevice(), clock)
 			cache := device.NewFragCache(gpu)
 			ds := exec.DeviceScan{GPU: gpu, Cache: cache, Table: "compression"}
-			sum, n, err := ds.SumFloat64Where(0, compPieces, p)
+			sum, n, err := sumWhereOn(ds, 0, compPieces, p)
 			if err != nil {
 				return nil, err
 			}
@@ -214,7 +214,7 @@ func MeasureCompression(rows uint64, fragments int) (*CompressionSweep, error) {
 			row.DeviceCompNs = clock.ElapsedNs()
 
 			h0 := cache.Stats().Hits
-			sum, n, err = ds.SumFloat64Where(0, compPieces, p)
+			sum, n, err = sumWhereOn(ds, 0, compPieces, p)
 			if err != nil {
 				return nil, err
 			}

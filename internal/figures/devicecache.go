@@ -120,12 +120,12 @@ func MeasureDeviceCache(rows uint64, fragments, warmRounds, writes int) (*Device
 		cNs, bNs := cachedClock.ElapsedNs(), baseClock.ElapsedNs()
 
 		ds := exec.DeviceScan{GPU: cachedGPU, Cache: cache, Table: "devcache"}
-		sum, n, err := ds.SumFloat64Where(workload.ItemPriceCol, pieces, p)
+		sum, n, err := sumWhereOn(ds, workload.ItemPriceCol, pieces, p)
 		if err != nil {
 			return err
 		}
 		base := exec.DeviceScan{GPU: baseGPU, Table: "devcache"}
-		bSum, bN, err := base.SumFloat64Where(workload.ItemPriceCol, pieces, p)
+		bSum, bN, err := sumWhereOn(base, workload.ItemPriceCol, pieces, p)
 		if err != nil {
 			return err
 		}

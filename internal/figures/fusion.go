@@ -203,7 +203,7 @@ func MeasureFusion(rows uint64, fragments int, cards []int, sels []float64) (*Fu
 				gpu := device.New(perfmodel.DefaultDevice(), clock)
 				cache := device.NewFragCache(gpu)
 				ds := exec.DeviceScan{GPU: gpu, Cache: cache, Table: "fusion"}
-				groups, err := ds.GroupSumFloat64Where(0, 1, keyPieces, valPieces, p)
+				groups, err := groupSumWhereOn(ds, keyPieces, valPieces, p)
 				if err := check("device-fused", groups, err); err != nil {
 					return nil, err
 				}
@@ -236,7 +236,7 @@ func MeasureFusion(rows uint64, fragments int, cards []int, sels []float64) (*Fu
 				gpu := device.New(perfmodel.DefaultDevice(), clock)
 				cache := device.NewFragCache(gpu)
 				ds := exec.DeviceScan{GPU: gpu, Cache: cache, Table: "fusion-comp"}
-				groups, err := ds.GroupSumFloat64Where(0, 1, keyPieces, compVals, p)
+				groups, err := groupSumWhereOn(ds, keyPieces, compVals, p)
 				if err := check("device-fused-comp", groups, err); err != nil {
 					return nil, err
 				}
@@ -353,7 +353,7 @@ func fusionDeviceBaseline(gpu *device.GPU, clock *perfmodel.Clock, host perfmode
 		vvec := device.Vec{Buf: vbuf, Stride: 8, Size: 8, Len: int(fragRows)}
 		// The filter kernel: evaluates the predicate over the fragment and
 		// reports the match count the gathers are sized for.
-		if _, _, err := gpu.ReduceSumFloat64Where(vvec, lo, hi, device.DefaultReduceConfig()); err != nil {
+		if _, err := gpu.Launch(device.Kernel{Vals: vvec, Where: true, Lo: lo, Hi: hi, Config: device.DefaultReduceConfig()}); err != nil {
 			return nil, err
 		}
 		var positions []int
@@ -469,4 +469,18 @@ func (s *FusionSweep) CSV() string {
 			p.DeviceCompFusedNs, p.DeviceCompFusedKernels)
 	}
 	return b.String()
+}
+
+// sumWhereOn runs SUM(col), COUNT(*) WHERE p over the pieces on a scan
+// executor.
+func sumWhereOn(ex exec.ScanExecutor, col int, pieces []exec.Piece, p exec.Pred[float64]) (float64, int64, error) {
+	r, err := ex.Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p}, Vals: pieces})
+	return r.Sum, r.Count, err
+}
+
+// groupSumWhereOn runs the fused predicate group-by over key column 0
+// and value column 1 on a scan executor.
+func groupSumWhereOn(ex exec.ScanExecutor, keys, vals []exec.Piece, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+	r, err := ex.Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: 0, Col: 1, Pred: p}, Keys: keys, Vals: vals})
+	return r.Groups, err
 }

@@ -126,7 +126,7 @@ func MeasureMultiDevice(rows uint64, fragments int, counts []int, sels []float64
 				refClock := &perfmodel.Clock{}
 				refGPU := device.New(perfmodel.DefaultDevice(), refClock)
 				refScan := exec.DeviceScan{GPU: refGPU, Cache: device.NewFragCache(refGPU), Table: "multidev"}
-				refSum, refN, err := refScan.SumFloat64Where(0, pieces, p)
+				refSum, refN, err := sumWhereOn(refScan, 0, pieces, p)
 				if err != nil {
 					return nil, fmt.Errorf("figures: multidevice reference leg: %w", err)
 				}
@@ -143,7 +143,7 @@ func MeasureMultiDevice(rows uint64, fragments int, counts []int, sels []float64
 				for pass, target := range []*float64{&pt.ColdNs, &pt.WarmNs} {
 					mark := shared.ElapsedNs()
 					h2dMark := env.Stats().HostToDeviceBytes
-					sum, n, err := md.SumFloat64Where(0, pieces, p)
+					sum, n, err := sumWhereOn(md, 0, pieces, p)
 					if err != nil {
 						return nil, fmt.Errorf("figures: multidevice %d-card pass %d: %w", d, pass, err)
 					}

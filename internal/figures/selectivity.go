@@ -313,16 +313,12 @@ func measureDeviceSelectivity(pieces []exec.Piece, rows uint64, selectivities []
 			}
 			err = gpu.CopyToDevice(buf, 0, src)
 			if err == nil {
-				cfg := device.DefaultReduceConfig()
-				if pc.Vec.Len < cfg.Blocks*2 {
-					cfg = device.LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}
-				}
-				var part float64
-				var cnt int64
-				part, cnt, err = gpu.ReduceSumFloat64Where(
-					device.Vec{Buf: buf, Stride: pc.Vec.Stride, Size: pc.Vec.Size, Len: pc.Vec.Len}, lo, hi, cfg)
-				sum += part
-				n += cnt
+				var part device.Partial
+				part, err = gpu.Launch(device.Kernel{
+					Vals:  device.Vec{Buf: buf, Stride: pc.Vec.Stride, Size: pc.Vec.Size, Len: pc.Vec.Len},
+					Where: true, Lo: lo, Hi: hi, Config: device.ReduceConfigFor(pc.Vec.Len)})
+				sum += part.Sum
+				n += part.Count
 			}
 			buf.Free()
 			if err != nil {

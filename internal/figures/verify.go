@@ -142,12 +142,13 @@ func Verify(n uint64) (VerifyReport, error) {
 	if err := gpu.CopyToDevice(buf, 0, v.Data[v.Base:v.Base+v.Len*v.Size]); err != nil {
 		return report, err
 	}
-	got, err := gpu.ReduceSumFloat64(device.Vec{Buf: buf, Stride: PriceSize, Size: PriceSize, Len: int(n)},
-		device.DefaultReduceConfig())
+	got, err := gpu.Launch(device.Kernel{
+		Vals:   device.Vec{Buf: buf, Stride: PriceSize, Size: PriceSize, Len: int(n)},
+		Config: device.DefaultReduceConfig()})
 	if err != nil {
 		return report, err
 	}
-	check("sum all prices / "+ColDevice, got, wantSum)
+	check("sum all prices / "+ColDevice, got.Sum, wantSum)
 
 	// Position-list queries (panels 1-2): 150 sorted positions.
 	r := rand.New(rand.NewSource(42))

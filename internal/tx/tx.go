@@ -115,10 +115,19 @@ func (s *Store) Versions() int {
 // Prune drops versions that no snapshot at or after minTS can see: for
 // each chain the newest version with ts <= minTS is kept, everything
 // older is cut. Deleted markers older than minTS are removed entirely.
+//
+// The survivors move to a fresh map. A Go map never gives a deleted
+// slot back: every Forget leaves a tombstone that later lookups of
+// absent rows have to probe past, so under a steady update/merge cycle
+// the cost of LatestTS drifts with the history of the map (several-fold
+// between two rehashes) instead of with its contents. Rebuilding costs
+// what the walk below costs anyway and keeps lookups a function of the
+// live chains alone.
 func (s *Store) Prune(minTS uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var pruned int64
+	kept := make(map[uint64]*version, len(s.chains))
 	for row, v := range s.chains {
 		// Find the newest version visible at minTS; cut its tail.
 		for cur := v; cur != nil; cur = cur.next {
@@ -133,10 +142,12 @@ func (s *Store) Prune(minTS uint64) {
 		// A chain whose only remaining content is an old delete marker
 		// can vanish.
 		if v.deleted && v.ts <= minTS && v.next == nil {
-			delete(s.chains, row)
 			pruned++
+			continue
 		}
+		kept[row] = v
 	}
+	s.chains = kept
 	if pruned > 0 {
 		mVersionsPruned.Add(pruned)
 	}
