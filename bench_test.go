@@ -21,7 +21,6 @@ import (
 	"hybridstore/internal/engine"
 	"hybridstore/internal/engines/all"
 	"hybridstore/internal/exec"
-	"hybridstore/internal/figures"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/mem"
 	"hybridstore/internal/perfmodel"
@@ -94,8 +93,8 @@ func fixtures(b *testing.B) {
 		fill(fix.custCol, workload.Customer, BenchRows)
 
 		r := rand.New(rand.NewSource(2017))
-		fix.itemPositions = workload.PositionList(r, figures.K, BenchRows)
-		fix.custPositions = workload.PositionList(r, figures.K, BenchRows)
+		fix.itemPositions = workload.PositionList(r, workload.PositionListSize, BenchRows)
+		fix.custPositions = workload.PositionList(r, workload.PositionListSize, BenchRows)
 
 		// Device-resident price column.
 		fix.gpu = device.New(perfmodel.DefaultDevice(), nil)
@@ -140,11 +139,11 @@ func benchMaterialize(b *testing.B, l *layout.Layout, cfg exec.Config, spread in
 	b.StopTimer()
 	switch cfg.Policy {
 	case exec.MultiThreaded:
-		reportSim(b, h.MaterializeNs(figures.K, PaperRows, figures.CustomerWidth, spread, h.Threads))
+		reportSim(b, h.MaterializeNs(workload.PositionListSize, PaperRows, workload.CustomerWidth, spread, h.Threads))
 	case exec.MorselDriven:
-		reportSim(b, h.MaterializeMorselNs(figures.K, PaperRows, figures.CustomerWidth, spread, h.Threads))
+		reportSim(b, h.MaterializeMorselNs(workload.PositionListSize, PaperRows, workload.CustomerWidth, spread, h.Threads))
 	default:
-		reportSim(b, h.MaterializeNs(figures.K, PaperRows, figures.CustomerWidth, spread, 1))
+		reportSim(b, h.MaterializeNs(workload.PositionListSize, PaperRows, workload.CustomerWidth, spread, 1))
 	}
 }
 
@@ -155,16 +154,16 @@ func BenchmarkFig2Panel1RowMulti(b *testing.B) {
 	benchMaterialize(b, fix1(b).custRow, exec.MultiN(8), 1)
 }
 func BenchmarkFig2Panel1ColSingle(b *testing.B) {
-	benchMaterialize(b, fix1(b).custCol, exec.Single(), figures.CustomerArity)
+	benchMaterialize(b, fix1(b).custCol, exec.Single(), workload.CustomerArity)
 }
 func BenchmarkFig2Panel1ColMulti(b *testing.B) {
-	benchMaterialize(b, fix1(b).custCol, exec.MultiN(8), figures.CustomerArity)
+	benchMaterialize(b, fix1(b).custCol, exec.MultiN(8), workload.CustomerArity)
 }
 func BenchmarkFig2Panel1RowMorsel(b *testing.B) {
 	benchMaterialize(b, fix1(b).custRow, exec.Morsel(), 1)
 }
 func BenchmarkFig2Panel1ColMorsel(b *testing.B) {
-	benchMaterialize(b, fix1(b).custCol, exec.Morsel(), figures.CustomerArity)
+	benchMaterialize(b, fix1(b).custCol, exec.Morsel(), workload.CustomerArity)
 }
 
 // fix1 forces fixture construction before taking struct fields.
@@ -202,31 +201,31 @@ func benchSum150(b *testing.B, l *layout.Layout, cfg exec.Config, width int) {
 	b.StopTimer()
 	switch cfg.Policy {
 	case exec.MultiThreaded:
-		reportSim(b, h.MaterializeNs(figures.K, PaperRows, width, 1, h.Threads))
+		reportSim(b, h.MaterializeNs(workload.PositionListSize, PaperRows, width, 1, h.Threads))
 	case exec.MorselDriven:
-		reportSim(b, h.MaterializeMorselNs(figures.K, PaperRows, width, 1, h.Threads))
+		reportSim(b, h.MaterializeMorselNs(workload.PositionListSize, PaperRows, width, 1, h.Threads))
 	default:
-		reportSim(b, h.MaterializeNs(figures.K, PaperRows, width, 1, 1))
+		reportSim(b, h.MaterializeNs(workload.PositionListSize, PaperRows, width, 1, 1))
 	}
 }
 
 func BenchmarkFig2Panel2RowSingle(b *testing.B) {
-	benchSum150(b, fix1(b).itemsRow, exec.Single(), figures.ItemWidth)
+	benchSum150(b, fix1(b).itemsRow, exec.Single(), workload.ItemWidth)
 }
 func BenchmarkFig2Panel2RowMulti(b *testing.B) {
-	benchSum150(b, fix1(b).itemsRow, exec.MultiN(8), figures.ItemWidth)
+	benchSum150(b, fix1(b).itemsRow, exec.MultiN(8), workload.ItemWidth)
 }
 func BenchmarkFig2Panel2ColSingle(b *testing.B) {
-	benchSum150(b, fix1(b).itemsCol, exec.Single(), figures.PriceSize)
+	benchSum150(b, fix1(b).itemsCol, exec.Single(), workload.ItemPriceSize)
 }
 func BenchmarkFig2Panel2ColMulti(b *testing.B) {
-	benchSum150(b, fix1(b).itemsCol, exec.MultiN(8), figures.PriceSize)
+	benchSum150(b, fix1(b).itemsCol, exec.MultiN(8), workload.ItemPriceSize)
 }
 func BenchmarkFig2Panel2RowMorsel(b *testing.B) {
-	benchSum150(b, fix1(b).itemsRow, exec.Morsel(), figures.ItemWidth)
+	benchSum150(b, fix1(b).itemsRow, exec.Morsel(), workload.ItemWidth)
 }
 func BenchmarkFig2Panel2ColMorsel(b *testing.B) {
-	benchSum150(b, fix1(b).itemsCol, exec.Morsel(), figures.PriceSize)
+	benchSum150(b, fix1(b).itemsCol, exec.Morsel(), workload.ItemPriceSize)
 }
 
 // --- Figure 2 / panels 3-4: sum all prices --------------------------------
@@ -239,7 +238,7 @@ func benchFullScan(b *testing.B, l *layout.Layout, cfg exec.Config, stride int) 
 	}
 	h := perfmodel.DefaultHost()
 	want := workload.ExpectedItemPriceSum(BenchRows)
-	b.SetBytes(int64(h.StridedBytes(BenchRows, figures.PriceSize, stride)))
+	b.SetBytes(int64(h.StridedBytes(BenchRows, workload.ItemPriceSize, stride)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sum, err := exec.SumFloat64(cfg, pieces)
@@ -253,31 +252,31 @@ func benchFullScan(b *testing.B, l *layout.Layout, cfg exec.Config, stride int) 
 	b.StopTimer()
 	switch cfg.Policy {
 	case exec.MultiThreaded:
-		reportSim(b, h.ScanSumNs(PaperRows, figures.PriceSize, stride, h.Threads))
+		reportSim(b, h.ScanSumNs(PaperRows, workload.ItemPriceSize, stride, h.Threads))
 	case exec.MorselDriven:
-		reportSim(b, h.ScanSumMorselNs(PaperRows, figures.PriceSize, stride, h.Threads))
+		reportSim(b, h.ScanSumMorselNs(PaperRows, workload.ItemPriceSize, stride, h.Threads))
 	default:
-		reportSim(b, h.ScanSumNs(PaperRows, figures.PriceSize, stride, 1))
+		reportSim(b, h.ScanSumNs(PaperRows, workload.ItemPriceSize, stride, 1))
 	}
 }
 
 func BenchmarkFig2Panel3RowSingle(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsRow, exec.Single(), figures.ItemWidth)
+	benchFullScan(b, fix1(b).itemsRow, exec.Single(), workload.ItemWidth)
 }
 func BenchmarkFig2Panel3RowMulti(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsRow, exec.MultiN(8), figures.ItemWidth)
+	benchFullScan(b, fix1(b).itemsRow, exec.MultiN(8), workload.ItemWidth)
 }
 func BenchmarkFig2Panel3ColSingle(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsCol, exec.Single(), figures.PriceSize)
+	benchFullScan(b, fix1(b).itemsCol, exec.Single(), workload.ItemPriceSize)
 }
 func BenchmarkFig2Panel3ColMulti(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsCol, exec.MultiN(8), figures.PriceSize)
+	benchFullScan(b, fix1(b).itemsCol, exec.MultiN(8), workload.ItemPriceSize)
 }
 func BenchmarkFig2Panel3RowMorsel(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsRow, exec.Morsel(), figures.ItemWidth)
+	benchFullScan(b, fix1(b).itemsRow, exec.Morsel(), workload.ItemWidth)
 }
 func BenchmarkFig2Panel3ColMorsel(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsCol, exec.Morsel(), figures.PriceSize)
+	benchFullScan(b, fix1(b).itemsCol, exec.Morsel(), workload.ItemPriceSize)
 }
 
 // --- Morsel vs blockwise (finding v) --------------------------------------
@@ -292,7 +291,7 @@ func BenchmarkFig2Panel3ColMorsel(b *testing.B) {
 // few hundred nanoseconds, so the executor's dispatch cost dominates.
 func benchTinyAggregate(b *testing.B, cfg exec.Config) {
 	fixtures(b)
-	pieces, err := exec.ColumnView(fix.itemsCol, workload.ItemPriceCol, figures.K)
+	pieces, err := exec.ColumnView(fix.itemsCol, workload.ItemPriceCol, workload.PositionListSize)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -310,11 +309,11 @@ func benchTinyAggregate(b *testing.B, cfg exec.Config) {
 	b.StopTimer()
 	switch cfg.Policy {
 	case exec.MultiThreaded:
-		reportSim(b, h.ScanSumNs(figures.K, figures.PriceSize, figures.PriceSize, h.Threads))
+		reportSim(b, h.ScanSumNs(workload.PositionListSize, workload.ItemPriceSize, workload.ItemPriceSize, h.Threads))
 	case exec.MorselDriven:
-		reportSim(b, h.ScanSumMorselNs(figures.K, figures.PriceSize, figures.PriceSize, h.Threads))
+		reportSim(b, h.ScanSumMorselNs(workload.PositionListSize, workload.ItemPriceSize, workload.ItemPriceSize, h.Threads))
 	default:
-		reportSim(b, h.ScanSumNs(figures.K, figures.PriceSize, figures.PriceSize, 1))
+		reportSim(b, h.ScanSumNs(workload.PositionListSize, workload.ItemPriceSize, workload.ItemPriceSize, 1))
 	}
 }
 
@@ -348,10 +347,10 @@ func BenchmarkMorselVsBlockwiseTinyAggBlockwise(b *testing.B) {
 	benchTinyAggregate(b, exec.MultiN(8))
 }
 func BenchmarkMorselVsBlockwiseSum150Morsel(b *testing.B) {
-	benchSum150(b, fix1(b).itemsCol, exec.Morsel(), figures.PriceSize)
+	benchSum150(b, fix1(b).itemsCol, exec.Morsel(), workload.ItemPriceSize)
 }
 func BenchmarkMorselVsBlockwiseSum150Blockwise(b *testing.B) {
-	benchSum150(b, fix1(b).itemsCol, exec.MultiN(8), figures.PriceSize)
+	benchSum150(b, fix1(b).itemsCol, exec.MultiN(8), workload.ItemPriceSize)
 }
 func BenchmarkMorselVsBlockwiseMaterializeMorsel(b *testing.B) {
 	benchMaterialize(b, fix1(b).custRow, exec.Morsel(), 1)
@@ -360,10 +359,10 @@ func BenchmarkMorselVsBlockwiseMaterializeBlockwise(b *testing.B) {
 	benchMaterialize(b, fix1(b).custRow, exec.MultiN(8), 1)
 }
 func BenchmarkMorselVsBlockwiseFullScanMorsel(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsCol, exec.Morsel(), figures.PriceSize)
+	benchFullScan(b, fix1(b).itemsCol, exec.Morsel(), workload.ItemPriceSize)
 }
 func BenchmarkMorselVsBlockwiseFullScanBlockwise(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsCol, exec.MultiN(8), figures.PriceSize)
+	benchFullScan(b, fix1(b).itemsCol, exec.MultiN(8), workload.ItemPriceSize)
 }
 func BenchmarkMorselVsBlockwiseSelectMorsel(b *testing.B) {
 	benchSelect(b, exec.Morsel())
@@ -461,24 +460,24 @@ func BenchmarkTable1Classify(b *testing.B) {
 // BenchmarkAblationLinearization measures the real cache effect of NSM vs
 // DSM on an attribute-centric scan (the mechanism behind finding iii).
 func BenchmarkAblationLinearizationNSM(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsRow, exec.Single(), figures.ItemWidth)
+	benchFullScan(b, fix1(b).itemsRow, exec.Single(), workload.ItemWidth)
 }
 
 // BenchmarkAblationLinearizationDSM is the DSM counterpart.
 func BenchmarkAblationLinearizationDSM(b *testing.B) {
-	benchFullScan(b, fix1(b).itemsCol, exec.Single(), figures.PriceSize)
+	benchFullScan(b, fix1(b).itemsCol, exec.Single(), workload.ItemPriceSize)
 }
 
 // BenchmarkAblationThreadMgmt isolates the real thread-management cost on
 // a 150-element workload (the mechanism behind finding i).
 func BenchmarkAblationThreadMgmtSingle(b *testing.B) {
-	benchSum150(b, fix1(b).itemsCol, exec.Single(), figures.PriceSize)
+	benchSum150(b, fix1(b).itemsCol, exec.Single(), workload.ItemPriceSize)
 }
 
 // BenchmarkAblationThreadMgmtMulti spawns the paper's eight workers for
 // the same tiny input.
 func BenchmarkAblationThreadMgmtMulti(b *testing.B) {
-	benchSum150(b, fix1(b).itemsCol, exec.MultiN(8), figures.PriceSize)
+	benchSum150(b, fix1(b).itemsCol, exec.MultiN(8), workload.ItemPriceSize)
 }
 
 // BenchmarkAblationVolcano compares tuple-at-a-time iteration against the

@@ -8,296 +8,137 @@
 // for real at a reduced scale and cross-check all answers against the
 // workload's closed forms.
 //
-// The extra "selectivity" panel executes the zone-map data-skipping
-// sweep for real, the "devicecache" panel the device-resident
-// fragment-cache sweep (warm scans cost zero bus bytes; a write re-ships
-// one fragment), the "compression" panel the compressed-domain
-// execution sweep (four data shapes at their achieved ratios, host and
-// device, dense and compressed), the "fusion" panel the fused
-// predicate→group-by sweep (group cardinality × selectivity, fused
-// one-pass pipelines against materialize-then-aggregate baselines on
-// host, device and in the compressed domain), and the "multidevice"
-// panel the cross-device scheduler sweep (1/2/4 cards × row/col layout ×
-// selectivity, cold and warm passes with fleet-wide bus metering), and
-// the "serving" panel the network serving sweep (the warp-style load
-// harness over loopback HTTP, concurrency × batched/unbatched, wall-clock
-// QPS and per-class tail latency), and the "resultcache" panel the
-// version-stamped result-cache sweep (twin engines under read-heavy,
-// mixed and write-storm legs, every cached answer bit-compared against
-// uncached execution): -panel <name> prints one alone, and -json
-// always embeds all of them beside the four model panels.
+// Beside the model panels 1-4 (0 = all four), -panel <name> regenerates
+// one of the executed panels at its published geometry: "selectivity"
+// (zone-map data skipping), "devicecache" (device-resident fragment
+// cache), "compression" (compressed-domain execution), "fusion" (fused
+// predicate→group-by), "multidevice" (cross-device scheduler), "serving"
+// (loopback HTTP, batched vs unbatched) and "resultcache" (version-
+// stamped result cache). The names, their geometry and their columns
+// come from the registry in internal/figures; DESIGN.md describes each
+// panel.
+//
+// With -csv, stdout carries the selected panel's CSV and nothing else:
+// the findings block and the -metrics, -real and -verify reports move to
+// stderr, so `htapbench -panel X -csv > file` writes a file that parses.
 //
 // Usage:
 //
-//	htapbench [-panel 0-4|selectivity|devicecache|compression|fusion|multidevice|serving|resultcache] [-csv] [-json] [-verify] [-verify-rows N] [-metrics]
+//	htapbench [-panel NAME] [-csv] [-verify] [-verify-rows N] [-real] [-real-rows N] [-metrics] [-metrics-rows N] [-serving-leg D] [-wal DIR]
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
+	"strings"
 	"time"
 
 	"hybridstore"
 	"hybridstore/internal/figures"
-	"hybridstore/internal/figures/servingfig"
 )
 
 func main() {
-	panel := flag.String("panel", "0", "panel to regenerate (1-4, \"selectivity\", \"devicecache\", \"compression\", \"fusion\" or \"multidevice\"), 0 = all model panels")
-	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	jsonOut := flag.Bool("json", false, "also write panels+findings to BENCH_fig2.json for perf tracking")
-	verify := flag.Bool("verify", false, "also execute every configuration for real and cross-check answers")
-	verifyRows := flag.Uint64("verify-rows", 100_000, "row count for -verify")
-	real := flag.Bool("real", false, "also measure the single-threaded host series with real wall-clock execution")
-	realRows := flag.Uint64("real-rows", 2_000_000, "largest row count for -real (sweep is 1/4, 1/2, 1x)")
-	metrics := flag.Bool("metrics", false, "run a mixed HTAP workload on the reference engine and report its observability snapshot (with -json, added as an \"obs\" section)")
-	metricsRows := flag.Uint64("metrics-rows", 40_000, "row count for the -metrics mixed workload (keep above one morsel, 16384, so scans exercise the shared pool)")
-	selRows := flag.Uint64("selectivity-rows", 640_000, "row count for the selectivity sweep (64 fragments)")
-	cacheRows := flag.Uint64("devicecache-rows", 262_144, "row count for the devicecache sweep (64 fragments)")
-	compRows := flag.Uint64("compression-rows", 4_194_304, "row count for the compression sweep (64 fragments; keep fragments large enough to amortize the decode kernel)")
-	fusionRows := flag.Uint64("fusion-rows", 1_048_576, "row count for the fusion sweep (64 fragments; keep the two-column working set beyond L3 so gathers price at miss latency)")
-	multiRows := flag.Uint64("multidevice-rows", 1_048_576, "row count for the multidevice sweep (64 fragments hash-sharded across the fleet)")
-	servingRows := flag.Uint64("serving-rows", 4096, "row count for the serving sweep's warm device-cached item table")
-	resCacheRows := flag.Uint64("resultcache-rows", 262_144, "row count for the resultcache sweep's item table")
-	resCacheQueries := flag.Int("resultcache-queries", 64, "timed query pairs per resultcache leg")
-	servingLeg := flag.Duration("serving-leg", 1200*time.Millisecond, "wall-clock duration of each serving sweep leg")
-	walDir := flag.String("wal", "", "fresh directory for the serving sweep's write-ahead log: the item table runs durably and the write lane prices group-committed fsyncs")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	cfg := figures.Default()
-	var sweep *figures.SelectivitySweep
-	runSweep := func() *figures.SelectivitySweep {
-		if sweep == nil {
-			s, err := figures.MeasureSelectivity(*selRows, 64, figures.DefaultSelectivities(), 3)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "selectivity sweep failed:", err)
-				os.Exit(1)
-			}
-			sweep = s
+// run is the whole command: it parses args, writes the selected panel to
+// stdout and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("htapbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	panel := fs.String("panel", "0", "panel to regenerate: "+strings.Join(figures.Names(), ", ")+" (0 = model panels 1-4)")
+	csv := fs.Bool("csv", false, "emit CSV instead of tables; everything that is not CSV moves to stderr")
+	verify := fs.Bool("verify", false, "also execute every configuration for real and cross-check answers")
+	verifyRows := fs.Uint64("verify-rows", 100_000, "row count for -verify")
+	real := fs.Bool("real", false, "also measure the single-threaded host series with real wall-clock execution")
+	realRows := fs.Uint64("real-rows", 2_000_000, "largest row count for -real (sweep is 1/4, 1/2, 1x)")
+	metrics := fs.Bool("metrics", false, "run a mixed HTAP workload on the reference engine and report its observability snapshot")
+	metricsRows := fs.Uint64("metrics-rows", 40_000, "row count for the -metrics mixed workload (keep above one morsel, 16384, so scans exercise the shared pool)")
+	servingLeg := fs.Duration("serving-leg", 1200*time.Millisecond, "wall-clock duration of each serving sweep leg")
+	walDir := fs.String("wal", "", "fresh directory for the serving sweep's write-ahead log: the item table runs durably and the write lane prices group-committed fsyncs")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return sweep
-	}
-	var cacheSweep *figures.DeviceCacheSweep
-	runCacheSweep := func() *figures.DeviceCacheSweep {
-		if cacheSweep == nil {
-			s, err := figures.MeasureDeviceCache(*cacheRows, 64, 3, 4)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "devicecache sweep failed:", err)
-				os.Exit(1)
-			}
-			cacheSweep = s
-		}
-		return cacheSweep
-	}
-	var compSweep *figures.CompressionSweep
-	runCompSweep := func() *figures.CompressionSweep {
-		if compSweep == nil {
-			s, err := figures.MeasureCompression(*compRows, 64)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "compression sweep failed:", err)
-				os.Exit(1)
-			}
-			compSweep = s
-		}
-		return compSweep
-	}
-	var fusionSweep *figures.FusionSweep
-	runFusionSweep := func() *figures.FusionSweep {
-		if fusionSweep == nil {
-			s, err := figures.MeasureFusion(*fusionRows, 64, figures.DefaultFusionCards(), figures.DefaultFusionSelectivities())
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fusion sweep failed:", err)
-				os.Exit(1)
-			}
-			fusionSweep = s
-		}
-		return fusionSweep
-	}
-	var multiSweep *figures.MultiDeviceSweep
-	runMultiSweep := func() *figures.MultiDeviceSweep {
-		if multiSweep == nil {
-			s, err := figures.MeasureMultiDevice(*multiRows, 64, figures.DefaultMultiDeviceCounts(), figures.DefaultMultiDeviceSelectivities())
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "multidevice sweep failed:", err)
-				os.Exit(1)
-			}
-			multiSweep = s
-		}
-		return multiSweep
+		return 2
 	}
 
-	var servingSweep *servingfig.ServingSweep
-	runServingSweep := func() *servingfig.ServingSweep {
-		if servingSweep == nil {
-			s, err := servingfig.MeasureServing(*servingRows, servingfig.DefaultServingConcurrencies(), *servingLeg, *walDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "serving sweep failed:", err)
-				os.Exit(1)
-			}
-			servingSweep = s
+	entry, err := figures.Lookup(*panel)
+	if err != nil {
+		fmt.Fprintln(stderr, "htapbench:", err)
+		return 2
+	}
+	tables, err := entry.Run(*servingLeg, *walDir)
+	if err != nil {
+		fmt.Fprintf(stderr, "%s panel failed: %v\n", entry.Name, err)
+		return 1
+	}
+	notes := stdout
+	if *csv {
+		notes = stderr
+	}
+	sep := ""
+	for _, t := range tables {
+		out := t.Text()
+		if *csv {
+			out = t.CSV()
 		}
-		return servingSweep
+		if out == "" {
+			continue
+		}
+		if *csv && t.Label != "" {
+			out = "# " + t.Label + "\n" + out
+		}
+		fmt.Fprint(stdout, sep, out)
+		sep = "\n"
 	}
 
-	var resCacheSweep *figures.ResultCacheSweep
-	runResCacheSweep := func() *figures.ResultCacheSweep {
-		if resCacheSweep == nil {
-			s, err := figures.MeasureResultCache(*resCacheRows, *resCacheQueries)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "resultcache sweep failed:", err)
-				os.Exit(1)
-			}
-			resCacheSweep = s
-		}
-		return resCacheSweep
-	}
+	f := figures.Default().Evaluate()
+	fmt.Fprintln(notes)
+	fmt.Fprintln(notes, "paper findings (Section II-B):")
+	fmt.Fprintf(notes, "  (i)   tiny inputs favour single-threaded execution: %v\n", f.TinyInputsFavourSingle)
+	fmt.Fprintf(notes, "  (ii)  record-centric operations favour NSM:         %v\n", f.RecordCentricFavoursNSM)
+	fmt.Fprintf(notes, "  (iii) attribute-centric operations favour DSM:      %v\n", f.AttrCentricFavoursDSM)
+	fmt.Fprintf(notes, "  (iv)  device wins once the column is resident:      %v\n", f.DeviceWinsWhenResident)
+	fmt.Fprintf(notes, "  (v)   morsel pool amortizes scheduling overhead:    %v\n", f.MorselAmortizesScheduling)
 
-	var panels []figures.Panel
-	switch *panel {
-	case "selectivity":
-		s := runSweep()
-		if *csv {
-			fmt.Print(s.CSV())
-		} else {
-			fmt.Print(s.Render())
-		}
-	case "devicecache":
-		s := runCacheSweep()
-		if *csv {
-			fmt.Print(s.CSV())
-		} else {
-			fmt.Print(s.Render())
-		}
-	case "compression":
-		s := runCompSweep()
-		if *csv {
-			fmt.Print(s.CSV())
-		} else {
-			fmt.Print(s.Render())
-		}
-	case "fusion":
-		s := runFusionSweep()
-		if *csv {
-			fmt.Print(s.CSV())
-		} else {
-			fmt.Print(s.Render())
-		}
-	case "multidevice":
-		s := runMultiSweep()
-		if *csv {
-			fmt.Print(s.CSV())
-		} else {
-			fmt.Print(s.Render())
-		}
-	case "serving":
-		s := runServingSweep()
-		if *csv {
-			fmt.Print(s.CSV())
-		} else {
-			fmt.Print(s.Render())
-		}
-	case "resultcache":
-		s := runResCacheSweep()
-		if *csv {
-			fmt.Print(s.CSV())
-		} else {
-			fmt.Print(s.Render())
-		}
-	default:
-		n, err := strconv.Atoi(*panel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "htapbench: -panel wants 0-4, \"selectivity\", \"devicecache\", \"compression\", \"fusion\", \"multidevice\", \"serving\" or \"resultcache\", got %q\n", *panel)
-			os.Exit(2)
-		}
-		panels, err = cfg.Panels(n)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		for i, p := range panels {
-			if i > 0 {
-				fmt.Println()
-			}
-			if *csv {
-				fmt.Printf("# panel %d: %s\n%s", p.Number, p.Title, p.CSV())
-			} else {
-				fmt.Print(p.Render())
-			}
-		}
-	}
-
-	f := cfg.Evaluate()
-	fmt.Println()
-	fmt.Println("paper findings (Section II-B):")
-	fmt.Printf("  (i)   tiny inputs favour single-threaded execution: %v\n", f.TinyInputsFavourSingle)
-	fmt.Printf("  (ii)  record-centric operations favour NSM:         %v\n", f.RecordCentricFavoursNSM)
-	fmt.Printf("  (iii) attribute-centric operations favour DSM:      %v\n", f.AttrCentricFavoursDSM)
-	fmt.Printf("  (iv)  device wins once the column is resident:      %v\n", f.DeviceWinsWhenResident)
-	fmt.Printf("  (v)   morsel pool amortizes scheduling overhead:    %v\n", f.MorselAmortizesScheduling)
-
-	var obsSnap *hybridstore.MetricsSnapshot
 	if *metrics {
 		snap, err := mixedWorkloadMetrics(*metricsRows)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "metrics workload failed:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "metrics workload failed:", err)
+			return 1
 		}
-		obsSnap = &snap
-		fmt.Println()
-		printMetricsSummary(snap)
-	}
-
-	if *jsonOut {
-		blob, err := json.MarshalIndent(struct {
-			Panels      []figures.Panel
-			Findings    figures.Findings
-			Selectivity *figures.SelectivitySweep
-			DeviceCache *figures.DeviceCacheSweep
-			Compression *figures.CompressionSweep
-			Fusion      *figures.FusionSweep
-			MultiDevice *figures.MultiDeviceSweep
-			Serving     *servingfig.ServingSweep
-			ResultCache *figures.ResultCacheSweep
-			Obs         *hybridstore.MetricsSnapshot `json:"obs,omitempty"`
-		}{panels, f, runSweep(), runCacheSweep(), runCompSweep(), runFusionSweep(), runMultiSweep(), runServingSweep(), runResCacheSweep(), obsSnap}, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "json encoding failed:", err)
-			os.Exit(1)
-		}
-		const path = "BENCH_fig2.json"
-		if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "json write failed:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s (%d panels)\n", path, len(panels))
+		fmt.Fprintln(notes)
+		printMetricsSummary(notes, snap)
 	}
 
 	if *real {
-		fmt.Println()
+		fmt.Fprintln(notes)
 		sizes := []uint64{*realRows / 4, *realRows / 2, *realRows}
 		p, err := figures.RealScanPanel(sizes, 3)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "real measurement failed:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "real measurement failed:", err)
+			return 1
 		}
-		fmt.Print(p.Render())
+		fmt.Fprint(notes, p.Table().Text())
 	}
 
 	if *verify {
-		fmt.Println()
+		fmt.Fprintln(notes)
 		report, err := figures.Verify(*verifyRows)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "verification failed:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "verification failed:", err)
+			return 1
 		}
-		fmt.Print(report)
+		fmt.Fprint(notes, report)
 		if !report.AllOK() {
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // mixedWorkloadMetrics drives the reference engine with one mixed HTAP
@@ -387,8 +228,8 @@ func mixedWorkloadMetrics(rows uint64) (hybridstore.MetricsSnapshot, error) {
 }
 
 // printMetricsSummary renders the headline counters of a snapshot.
-func printMetricsSummary(s hybridstore.MetricsSnapshot) {
-	fmt.Println("observability snapshot (mixed HTAP workload):")
+func printMetricsSummary(w io.Writer, s hybridstore.MetricsSnapshot) {
+	fmt.Fprintln(w, "observability snapshot (mixed HTAP workload):")
 	rows := []struct{ label, name string }{
 		{"pool jobs submitted", "pool.jobs_submitted"},
 		{"pool jobs inline", "pool.jobs_inline"},
@@ -407,6 +248,6 @@ func printMetricsSummary(s hybridstore.MetricsSnapshot) {
 		{"column placements", "core.column_placements"},
 	}
 	for _, r := range rows {
-		fmt.Printf("  %-26s %d\n", r.label, s.Counter(r.name))
+		fmt.Fprintf(w, "  %-26s %d\n", r.label, s.Counter(r.name))
 	}
 }

@@ -1,16 +1,10 @@
 package figures
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 
-	"hybridstore/internal/compress"
-	"hybridstore/internal/device"
 	"hybridstore/internal/exec"
-	"hybridstore/internal/layout"
-	"hybridstore/internal/perfmodel"
 )
 
 // The compression panel measures compressed-domain execution (paper
@@ -60,214 +54,123 @@ type CompressionSweep struct {
 	Shapes []CompressionShape
 }
 
-// compressionValues generates the column for one shape. Values are
-// float64; the shape controls which encoding Compress picks per
-// fragment.
-func compressionValues(shape string, rows, fragRows uint64) []float64 {
-	vals := make([]float64, rows)
-	switch shape {
-	case "distinct":
+// dataShape generates one data shape: value(i) is row i of the
+// column. Values are float64; the shape controls which encoding Compress
+// picks per fragment.
+type dataShape struct {
+	name  string
+	value func(i uint64) float64
+}
+
+// dataShapes returns the swept shapes for a column cut into
+// fragments of fragRows rows.
+func dataShapes(fragRows uint64) []dataShape {
+	prices := [8]float64{4.99, 9.99, 14.99, 19.99, 24.99, 29.99, 34.99, 39.99}
+	base := math.Float64bits(100.0)
+	return []dataShape{
 		// Every value distinct: incompressible, fragments stay Raw.
-		for i := range vals {
-			vals[i] = 1 + float64(i)*1.0009
-		}
-	case "dict8":
+		{"distinct", func(i uint64) float64 { return 1 + float64(i)*1.0009 }},
 		// Eight distinct prices: one byte of code per 8-byte value.
-		prices := [8]float64{4.99, 9.99, 14.99, 19.99, 24.99, 29.99, 34.99, 39.99}
-		for i := range vals {
-			vals[i] = prices[(uint64(i)*2654435761)%8]
-		}
-	case "sorted-for":
+		{"dict8", func(i uint64) float64 { return prices[(i*2654435761)%8] }},
 		// Sorted within each fragment, stepping one ULP per row: the bit
 		// patterns are a narrow integer range, so frame-of-reference packs
 		// each element into two delta bytes.
-		base := math.Float64bits(100.0)
-		for i := uint64(0); i < rows; i++ {
-			vals[i] = math.Float64frombits(base + i%fragRows)
-		}
-	case "runny-rle":
+		{"sorted-for", func(i uint64) float64 { return math.Float64frombits(base + i%fragRows) }},
 		// Runs of 512 identical values.
-		for i := uint64(0); i < rows; i++ {
-			vals[i] = 5 + float64((i/512)%64)
-		}
+		{"runny-rle", func(i uint64) float64 { return 5 + float64((i/512)%64) }},
 	}
-	return vals
 }
 
 // MeasureCompression executes the sweep for real. Every leg's answer is
 // cross-checked against a host-side shadow accumulation.
 func MeasureCompression(rows uint64, fragments int) (*CompressionSweep, error) {
-	if fragments < 1 || rows%uint64(fragments) != 0 {
-		return nil, fmt.Errorf("figures: rows %d not divisible into %d fragments", rows, fragments)
+	fragRows, err := fragmentRows(rows, fragments)
+	if err != nil {
+		return nil, err
 	}
-	fragRows := rows / uint64(fragments)
 	sweep := &CompressionSweep{Rows: rows, FragmentRows: fragRows, Fragments: fragments}
-	host := perfmodel.DefaultHost()
 
-	for _, shape := range []string{"distinct", "dict8", "sorted-for", "runny-rle"} {
-		vals := compressionValues(shape, rows, fragRows)
-		dense := make([]byte, rows*8)
+	for _, shape := range dataShapes(fragRows) {
+		vals := make([]float64, rows)
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(dense[i*8:], math.Float64bits(v))
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
+		for i := range vals {
+			vals[i] = shape.value(uint64(i))
+			lo, hi = math.Min(lo, vals[i]), math.Max(hi, vals[i])
 		}
 		// A half-range predicate: selective enough to filter, closed so the
 		// device path admits it.
 		p := exec.Between(lo, lo+(hi-lo)/2)
-		var wantSum float64
-		var wantN int64
-		for _, v := range vals {
-			if p.Match(v) {
-				wantSum += v
-				wantN++
-			}
-		}
+		l := legs{what: "compression " + shape.name, want: shadowSum(vals, p)}
 
-		// Build matching dense and compressed piece lists: fragment i
-		// covers rows [i*fragRows, (i+1)*fragRows).
-		rawPieces := make([]exec.Piece, fragments)
-		compPieces := make([]exec.Piece, fragments)
-		row := CompressionShape{Shape: shape, RawBytes: int64(rows * 8)}
-		for i := 0; i < fragments; i++ {
-			begin := uint64(i) * fragRows
-			rr := layout.RowRange{Begin: begin, End: begin + fragRows}
-			vec := layout.ColVector{
-				Data: dense, Base: int(begin * 8),
-				Stride: 8, Size: 8, Len: int(fragRows),
-			}
-			rawPieces[i] = exec.Piece{Rows: rr, Vec: vec, FragID: uint64(i + 1), FragVersion: 1}
-			cc, err := compress.Compress(dense[begin*8:(begin+fragRows)*8], int(fragRows), 8)
-			if err != nil {
-				return nil, fmt.Errorf("figures: compressing %s fragment %d: %w", shape, i, err)
-			}
-			if i == 0 {
-				row.Encoding = cc.Encoding().String()
-			}
-			row.CompressedBytes += int64(cc.MarshaledBytes())
-			compPieces[i] = exec.Piece{
-				Rows: rr,
-				Vec:  layout.ColVector{Stride: 8, Size: 8, Len: int(fragRows)},
-				Comp: cc, FragID: uint64(i + 1), FragVersion: 1,
-			}
+		rawPieces, err := cutPieces(floatColumn(vals, 8), 8, fragments, false)
+		if err != nil {
+			return nil, err
+		}
+		compPieces, err := compressPieces(rawPieces)
+		if err != nil {
+			return nil, err
+		}
+		row := CompressionShape{Shape: shape.name, RawBytes: int64(rows * 8), Encoding: compPieces[0].Comp.Encoding().String()}
+		for _, cp := range compPieces {
+			row.CompressedBytes += int64(cp.Comp.MarshaledBytes())
 		}
 		row.Ratio = float64(row.RawBytes) / float64(row.CompressedBytes)
-
-		check := func(leg string, sum float64, n int64) error {
-			if n != wantN || math.Abs(sum-wantSum) > 1e-6*math.Max(1, math.Abs(wantSum)) {
-				return fmt.Errorf("figures: compression %s %s: got (%v, %d), want (%v, %d)",
-					shape, leg, sum, n, wantSum, wantN)
-			}
-			return nil
-		}
+		plan := exec.Plan{Op: exec.KindSumWhere, Pred: p}
+		raw, comp := exec.Scan{Plan: plan, Vals: rawPieces}, exec.Scan{Plan: plan, Vals: compPieces}
 
 		// Host legs: sequential scans with simulated-time charging.
-		for _, leg := range []struct {
-			name   string
-			pieces []exec.Piece
-			ns     *float64
-		}{{"host", rawPieces, &row.HostNs}, {"host-comp", compPieces, &row.HostCompNs}} {
-			clock := &perfmodel.Clock{}
-			cfg := exec.Config{Policy: exec.SingleThreaded, Host: host, Clock: clock}
-			sum, n, err := exec.SumFloat64Where(cfg, leg.pieces, p)
-			if err != nil {
-				return nil, err
-			}
-			if err := check(leg.name, sum, n); err != nil {
-				return nil, err
-			}
-			*leg.ns = clock.ElapsedNs()
-		}
+		row.HostNs = l.on(newRig(false), "host", onHost(exec.SingleThreaded, raw)).Ns
+		row.HostCompNs = l.on(newRig(false), "host-comp", onHost(exec.SingleThreaded, comp)).Ns
 
 		// Device leg, uncompressed: a cold uncached scan ships the dense
 		// column over the bus every time.
-		{
-			clock := &perfmodel.Clock{}
-			gpu := device.New(perfmodel.DefaultDevice(), clock)
-			ds := exec.DeviceScan{GPU: gpu, Table: "compression"}
-			sum, n, err := sumWhereOn(ds, 0, rawPieces, p)
-			if err != nil {
-				return nil, err
-			}
-			if err := check("device", sum, n); err != nil {
-				return nil, err
-			}
-			row.DeviceH2DBytes = gpu.Stats().HostToDeviceBytes
-			row.DeviceNs = clock.ElapsedNs()
-		}
+		dev := l.on(newRig(false), "device", onCard("compression", raw))
+		row.DeviceH2DBytes, row.DeviceNs = dev.H2D, dev.Ns
 
 		// Device leg, compressed: the cold scan ships only the marshaled
 		// images into the fragment cache; the warm rescan ships nothing.
-		{
-			clock := &perfmodel.Clock{}
-			gpu := device.New(perfmodel.DefaultDevice(), clock)
-			cache := device.NewFragCache(gpu)
-			ds := exec.DeviceScan{GPU: gpu, Cache: cache, Table: "compression"}
-			sum, n, err := sumWhereOn(ds, 0, compPieces, p)
-			if err != nil {
-				return nil, err
-			}
-			if err := check("device-comp", sum, n); err != nil {
-				return nil, err
-			}
-			row.DeviceCompH2DBytes = gpu.Stats().HostToDeviceBytes
-			row.DeviceCompNs = clock.ElapsedNs()
-
-			h0 := cache.Stats().Hits
-			sum, n, err = sumWhereOn(ds, 0, compPieces, p)
-			if err != nil {
-				return nil, err
-			}
-			if err := check("device-comp-warm", sum, n); err != nil {
-				return nil, err
-			}
-			row.WarmCompH2DBytes = gpu.Stats().HostToDeviceBytes - row.DeviceCompH2DBytes
-			row.WarmHits = cache.Stats().Hits - h0
-			row.WarmCompNs = clock.ElapsedNs() - row.DeviceCompNs
+		r := newRig(true)
+		cold := l.on(r, "device-comp", onCard("compression", comp))
+		row.DeviceCompH2DBytes, row.DeviceCompNs = cold.H2D, cold.Ns
+		warm := l.on(r, "device-comp-warm", onCard("compression", comp))
+		row.WarmCompH2DBytes, row.WarmHits, row.WarmCompNs = warm.H2D, warm.Hits, warm.Ns
+		if l.err != nil {
+			return nil, l.err
 		}
-
 		sweep.Shapes = append(sweep.Shapes, row)
 	}
 	return sweep, nil
 }
 
-// Render formats the sweep as a fixed-width table.
-func (s *CompressionSweep) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "compression panel: SUM(x) WHERE over %d rows in %d frozen fragments (%d rows each)\n",
-		s.Rows, s.Fragments, s.FragmentRows)
-	b.WriteString("comp legs execute in the compressed domain; device comp legs ship the encoded image over the bus\n")
-	rows := [][]string{{"shape", "enc", "ratio", "host ns", "host comp ns",
-		"dev h2d", "dev comp h2d", "dev ns", "dev comp ns", "warm h2d", "warm hits"}}
-	for _, r := range s.Shapes {
-		rows = append(rows, []string{
-			r.Shape, r.Encoding,
-			fmt.Sprintf("%.1fx", r.Ratio),
-			fmt.Sprintf("%.0f", r.HostNs),
-			fmt.Sprintf("%.0f", r.HostCompNs),
-			fmt.Sprintf("%d", r.DeviceH2DBytes),
-			fmt.Sprintf("%d", r.DeviceCompH2DBytes),
-			fmt.Sprintf("%.0f", r.DeviceNs),
-			fmt.Sprintf("%.0f", r.DeviceCompNs),
-			fmt.Sprintf("%d", r.WarmCompH2DBytes),
-			fmt.Sprintf("%d", r.WarmHits),
-		})
+// Tables renders the sweep, one row per shape.
+func (s *CompressionSweep) Tables() []Table {
+	t := Table{
+		Caption: []string{
+			fmt.Sprintf("compression panel: SUM(x) WHERE over %d rows in %d frozen fragments (%d rows each)",
+				s.Rows, s.Fragments, s.FragmentRows),
+			"comp legs execute in the compressed domain; device comp legs ship the encoded image over the bus",
+		},
+		Columns: []Column{
+			{CSV: "shape", Text: "shape"},
+			{CSV: "encoding", Text: "enc"},
+			{CSV: "raw_bytes"},
+			{CSV: "compressed_bytes"},
+			{CSV: "ratio", Text: "ratio", TextVerb: "%.1fx"},
+			{CSV: "host_ns", Text: "host ns", TextVerb: "%.0f"},
+			{CSV: "host_comp_ns", Text: "host comp ns", TextVerb: "%.0f"},
+			{CSV: "device_h2d_bytes", Text: "dev h2d"},
+			{CSV: "device_comp_h2d_bytes", Text: "dev comp h2d"},
+			{CSV: "device_ns", Text: "dev ns", TextVerb: "%.0f"},
+			{CSV: "device_comp_ns", Text: "dev comp ns", TextVerb: "%.0f"},
+			{CSV: "warm_comp_h2d_bytes", Text: "warm h2d"},
+			{CSV: "warm_hits", Text: "warm hits"},
+			{CSV: "warm_comp_ns"},
+		},
 	}
-	renderTable(&b, rows)
-	return b.String()
-}
-
-// CSV renders the sweep as comma-separated values, one row per shape.
-func (s *CompressionSweep) CSV() string {
-	var b strings.Builder
-	b.WriteString("shape,encoding,raw_bytes,compressed_bytes,ratio," +
-		"host_ns,host_comp_ns,device_h2d_bytes,device_comp_h2d_bytes," +
-		"device_ns,device_comp_ns,warm_comp_h2d_bytes,warm_hits,warm_comp_ns\n")
 	for _, r := range s.Shapes {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%g,%g,%g,%d,%d,%g,%g,%d,%d,%g\n",
-			r.Shape, r.Encoding, r.RawBytes, r.CompressedBytes, r.Ratio,
+		t.Rows = append(t.Rows, []any{r.Shape, r.Encoding, r.RawBytes, r.CompressedBytes, r.Ratio,
 			r.HostNs, r.HostCompNs, r.DeviceH2DBytes, r.DeviceCompH2DBytes,
-			r.DeviceNs, r.DeviceCompNs, r.WarmCompH2DBytes, r.WarmHits, r.WarmCompNs)
+			r.DeviceNs, r.DeviceCompNs, r.WarmCompH2DBytes, r.WarmHits, r.WarmCompNs})
 	}
-	return b.String()
+	return []Table{t}
 }

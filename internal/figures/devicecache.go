@@ -3,13 +3,8 @@ package figures
 import (
 	"fmt"
 	"math"
-	"strings"
 
-	"hybridstore/internal/device"
 	"hybridstore/internal/exec"
-	"hybridstore/internal/layout"
-	"hybridstore/internal/mem"
-	"hybridstore/internal/perfmodel"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
 )
@@ -55,47 +50,19 @@ type DeviceCacheSweep struct {
 // Every scan's answer is cross-checked against a host-side shadow of the
 // column on both devices.
 func MeasureDeviceCache(rows uint64, fragments, warmRounds, writes int) (*DeviceCacheSweep, error) {
-	if fragments < 1 || rows%uint64(fragments) != 0 {
-		return nil, fmt.Errorf("figures: rows %d not divisible into %d fragments", rows, fragments)
+	col, err := priceLayout("devcache", rows, fragments)
+	if err != nil {
+		return nil, err
 	}
-	if warmRounds < 1 {
-		warmRounds = 2
-	}
-	if writes < 1 {
-		writes = 2
-	}
-	chunk := rows / uint64(fragments)
-	host := mem.NewAllocator(mem.Host, 0)
-	items := workload.ItemSchema()
-	col := layout.NewLayout("devcache", items)
 	defer col.Free()
-	for begin := uint64(0); begin < rows; begin += chunk {
-		f, err := layout.NewFragment(host, items, []int{workload.ItemPriceCol},
-			layout.RowRange{Begin: begin, End: begin + chunk}, layout.Direct)
-		if err == nil {
-			err = col.Add(f)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	shadow := make([]float64, rows)
 	frags := col.Fragments()
-	for i := uint64(0); i < rows; i++ {
-		price := selPrice(i)
-		shadow[i] = price
-		if err := frags[i/chunk].AppendTuplet([]schema.Value{schema.FloatValue(price)}); err != nil {
-			return nil, err
-		}
-	}
-	for _, f := range frags {
-		f.SealStats()
+	chunk := rows / uint64(fragments)
+	shadow := make([]float64, rows)
+	for i := range shadow {
+		shadow[i] = monotonePrice(uint64(i))
 	}
 
-	cachedClock, baseClock := &perfmodel.Clock{}, &perfmodel.Clock{}
-	cachedGPU := device.New(perfmodel.DefaultDevice(), cachedClock)
-	baseGPU := device.New(perfmodel.DefaultDevice(), baseClock)
-	cache := device.NewFragCache(cachedGPU)
+	cached, base := newRig(true), newRig(false)
 	p := exec.Between(0, float64(rows)) // closed, admits every sealed zone
 
 	sweep := &DeviceCacheSweep{Rows: rows, FragmentRows: chunk, Fragments: fragments}
@@ -106,47 +73,16 @@ func MeasureDeviceCache(rows uint64, fragments, warmRounds, writes int) (*Device
 		if err != nil {
 			return err
 		}
-		var wantSum float64
-		var wantN int64
-		for _, x := range shadow {
-			if p.Match(x) {
-				wantSum += x
-				wantN++
-			}
-		}
+		sc := exec.Scan{Plan: exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: p}, Vals: pieces}
 		round := DeviceCacheRound{Round: len(sweep.Rounds) + 1, Kind: kind}
-		cb, bb := cachedGPU.Stats(), baseGPU.Stats()
-		cst := cache.Stats()
-		cNs, bNs := cachedClock.ElapsedNs(), baseClock.ElapsedNs()
-
-		ds := exec.DeviceScan{GPU: cachedGPU, Cache: cache, Table: "devcache"}
-		sum, n, err := sumWhereOn(ds, workload.ItemPriceCol, pieces, p)
-		if err != nil {
-			return err
+		l := legs{what: fmt.Sprintf("devicecache round %d (%s)", round.Round, kind), want: shadowSum(shadow, p)}
+		c := l.on(cached, "cached", onCard("devcache", sc))
+		b := l.on(base, "baseline", onCard("devcache", sc))
+		if l.err != nil {
+			return l.err
 		}
-		base := exec.DeviceScan{GPU: baseGPU, Table: "devcache"}
-		bSum, bN, err := sumWhereOn(base, workload.ItemPriceCol, pieces, p)
-		if err != nil {
-			return err
-		}
-		for _, got := range []struct {
-			sum float64
-			n   int64
-		}{{sum, n}, {bSum, bN}} {
-			if got.n != wantN || math.Abs(got.sum-wantSum) > 1e-6*math.Max(1, wantSum) {
-				return fmt.Errorf("figures: devicecache round %d (%s): got (%v, %d), want (%v, %d)",
-					round.Round, kind, got.sum, got.n, wantSum, wantN)
-			}
-		}
-
-		ca, ba := cachedGPU.Stats(), baseGPU.Stats()
-		csa := cache.Stats()
-		round.H2DBytes = ca.HostToDeviceBytes - cb.HostToDeviceBytes
-		round.BaselineH2DBytes = ba.HostToDeviceBytes - bb.HostToDeviceBytes
-		round.Hits = csa.Hits - cst.Hits
-		round.Misses = csa.Misses - cst.Misses
-		round.CachedNs = cachedClock.ElapsedNs() - cNs
-		round.BaselineNs = baseClock.ElapsedNs() - bNs
+		round.H2DBytes, round.Hits, round.Misses, round.CachedNs = c.H2D, c.Hits, c.Misses, c.Ns
+		round.BaselineH2DBytes, round.BaselineNs = b.H2D, b.Ns
 		sweep.Rounds = append(sweep.Rounds, round)
 		sweep.TotalH2DBytes += round.H2DBytes
 		sweep.TotalBaselineH2DBytes += round.BaselineH2DBytes
@@ -168,7 +104,7 @@ func MeasureDeviceCache(rows uint64, fragments, warmRounds, writes int) (*Device
 		fi := w % fragments
 		local := 3 + w
 		row := uint64(fi)*chunk + uint64(local)
-		val := selPrice(uint64(fi) * chunk) // fragment minimum: within bounds
+		val := monotonePrice(uint64(fi) * chunk) // fragment minimum: within bounds
 		if err := frags[fi].Set(local, workload.ItemPriceCol, schema.FloatValue(val)); err != nil {
 			return nil, err
 		}
@@ -180,38 +116,32 @@ func MeasureDeviceCache(rows uint64, fragments, warmRounds, writes int) (*Device
 	return sweep, nil
 }
 
-// Render formats the sweep as a fixed-width table.
-func (s *DeviceCacheSweep) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "devicecache panel: repeated SUM(price) WHERE on the device, %d rows in %d fragments (%d rows each)\n",
-		s.Rows, s.Fragments, s.FragmentRows)
-	b.WriteString("cached = fragment-cache device; baseline = uncached device re-shipping every scan\n")
-	rows := [][]string{{"round", "kind", "h2d bytes", "baseline h2d", "hits", "misses", "sim speedup"}}
-	for _, r := range s.Rounds {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", r.Round),
-			r.Kind,
-			fmt.Sprintf("%d", r.H2DBytes),
-			fmt.Sprintf("%d", r.BaselineH2DBytes),
-			fmt.Sprintf("%d", r.Hits),
-			fmt.Sprintf("%d", r.Misses),
-			fmt.Sprintf("%.1fx", r.BaselineNs/math.Max(r.CachedNs, 1)),
-		})
+// Tables renders the sweep, one row per round.
+func (s *DeviceCacheSweep) Tables() []Table {
+	t := Table{
+		Caption: []string{
+			fmt.Sprintf("devicecache panel: repeated SUM(price) WHERE on the device, %d rows in %d fragments (%d rows each)",
+				s.Rows, s.Fragments, s.FragmentRows),
+			"cached = fragment-cache device; baseline = uncached device re-shipping every scan",
+		},
+		Columns: []Column{
+			{CSV: "round", Text: "round"},
+			{CSV: "kind", Text: "kind"},
+			{CSV: "h2d_bytes", Text: "h2d bytes"},
+			{CSV: "baseline_h2d_bytes", Text: "baseline h2d"},
+			{CSV: "hits", Text: "hits"},
+			{CSV: "misses", Text: "misses"},
+			{CSV: "cached_ns"},
+			{CSV: "baseline_ns"},
+			{Text: "sim speedup", TextVerb: "%.1fx"},
+		},
+		Footer: []string{fmt.Sprintf("total bus traffic: %d bytes cached vs %d bytes uncached (%.1fx less)",
+			s.TotalH2DBytes, s.TotalBaselineH2DBytes,
+			float64(s.TotalBaselineH2DBytes)/math.Max(float64(s.TotalH2DBytes), 1))},
 	}
-	renderTable(&b, rows)
-	fmt.Fprintf(&b, "total bus traffic: %d bytes cached vs %d bytes uncached (%.1fx less)\n",
-		s.TotalH2DBytes, s.TotalBaselineH2DBytes,
-		float64(s.TotalBaselineH2DBytes)/math.Max(float64(s.TotalH2DBytes), 1))
-	return b.String()
-}
-
-// CSV renders the sweep as comma-separated values, one row per round.
-func (s *DeviceCacheSweep) CSV() string {
-	var b strings.Builder
-	b.WriteString("round,kind,h2d_bytes,baseline_h2d_bytes,hits,misses,cached_ns,baseline_ns\n")
 	for _, r := range s.Rounds {
-		fmt.Fprintf(&b, "%d,%s,%d,%d,%d,%d,%g,%g\n",
-			r.Round, r.Kind, r.H2DBytes, r.BaselineH2DBytes, r.Hits, r.Misses, r.CachedNs, r.BaselineNs)
+		t.Rows = append(t.Rows, []any{r.Round, r.Kind, r.H2DBytes, r.BaselineH2DBytes, r.Hits, r.Misses,
+			r.CachedNs, r.BaselineNs, r.BaselineNs / math.Max(r.CachedNs, 1)})
 	}
-	return b.String()
+	return []Table{t}
 }

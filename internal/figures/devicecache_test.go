@@ -1,9 +1,6 @@
 package figures
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestDeviceCacheSweep is the acceptance check for the devicecache
 // panel: warm rounds cost zero H2D bytes, a write+rescan round re-ships
@@ -55,12 +52,5 @@ func TestDeviceCacheSweep(t *testing.T) {
 	}
 	if s.TotalH2DBytes >= s.TotalBaselineH2DBytes {
 		t.Errorf("cache saved nothing: %d vs baseline %d bytes", s.TotalH2DBytes, s.TotalBaselineH2DBytes)
-	}
-	for _, out := range []string{s.Render(), s.CSV()} {
-		for _, want := range []string{"cold", "warm", "write+rescan"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("rendered panel missing %q", want)
-			}
-		}
 	}
 }

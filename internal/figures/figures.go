@@ -18,23 +18,21 @@
 // i7-6700HQ + CUDA testbed (DESIGN.md Section 2); Verify executes the
 // same queries for real on engine-built tables at reduced scale and
 // cross-checks every answer against the workload's closed forms.
+//
+// Beside the model panels the package measures the executed panels
+// (selectivity, devicecache, compression, fusion, multidevice, serving,
+// resultcache). All of them share one harness (DESIGN.md Section 4): a
+// sweep returns a typed result and renders it as Tables (table.go), the
+// executed sweeps build their columns, rigs and checked legs from one
+// fixture (fixture.go), and Registry (registry.go) names every panel
+// cmd/htapbench can regenerate.
 package figures
 
 import (
 	"fmt"
-	"strings"
 
 	"hybridstore/internal/perfmodel"
-)
-
-// The paper's experimental constants.
-const (
-	// K is the position-list size ("150 customers", "150 items").
-	K = 150
-	// CustomerWidth and CustomerArity pin the customer record geometry.
-	CustomerWidth, CustomerArity = 96, 21
-	// ItemWidth and PriceSize pin the item record geometry.
-	ItemWidth, PriceSize = 28, 8
+	"hybridstore/internal/workload"
 )
 
 // Series is one line of a panel: a label and one value per swept size.
@@ -95,7 +93,52 @@ func Default() Config {
 	return Config{Host: perfmodel.DefaultHost(), Device: perfmodel.DefaultDevice()}
 }
 
-// Panel1 prices the record-centric materialization of K customers.
+// hostSeries are the six host configurations every panel sweeps: storage
+// model × threading policy.
+var hostSeries = []struct {
+	label string
+	// row selects the NSM row store (else the DSM column store), multi all
+	// host threads (else one), morsel the resident morsel-driven pool
+	// (else blockwise threads).
+	row, multi, morsel bool
+}{
+	{RowSingle, true, false, false},
+	{RowMulti, true, true, false},
+	{RowMorsel, true, true, true},
+	{ColSingle, false, false, false},
+	{ColMulti, false, true, false},
+	{ColMorsel, false, true, true},
+}
+
+// withHostSeries appends one series per host configuration, pricing each
+// point of the sweep with price.
+func (c Config) withHostSeries(p Panel, price func(row bool, threads int, morsel bool, n int64) float64) Panel {
+	for _, hs := range hostSeries {
+		threads := 1
+		if hs.multi {
+			threads = c.Host.Threads
+		}
+		s := Series{Label: hs.label}
+		for _, n := range p.Sizes {
+			s.Values = append(s.Values, price(hs.row, threads, hs.morsel, int64(n)))
+		}
+		p.Series = append(p.Series, s)
+	}
+	return p
+}
+
+// materializeNs prices the position list's point accesses into n records
+// of the given width, each record spread over spread fragments.
+func (c Config) materializeNs(morsel bool, n int64, width, spread, threads int) float64 {
+	if morsel {
+		return c.Host.MaterializeMorselNs(workload.PositionListSize, n, width, spread, threads)
+	}
+	return c.Host.MaterializeNs(workload.PositionListSize, n, width, spread, threads)
+}
+
+// Panel1 prices the record-centric materialization of 150 customers:
+// the row store reads one record, the column store gathers it from one
+// fragment per attribute.
 func (c Config) Panel1(sizes []uint64) Panel {
 	p := Panel{
 		Number: 1,
@@ -104,37 +147,18 @@ func (c Config) Panel1(sizes []uint64) Panel {
 		YLabel: "simulated ms",
 		Sizes:  sizes,
 	}
-	configs := []struct {
-		label   string
-		spread  int
-		threads int
-		morsel  bool
-	}{
-		{RowSingle, 1, 1, false},
-		{RowMulti, 1, c.Host.Threads, false},
-		{RowMorsel, 1, c.Host.Threads, true},
-		{ColSingle, CustomerArity, 1, false},
-		{ColMulti, CustomerArity, c.Host.Threads, false},
-		{ColMorsel, CustomerArity, c.Host.Threads, true},
-	}
-	for _, cfg := range configs {
-		s := Series{Label: cfg.label}
-		for _, n := range sizes {
-			var ns float64
-			if cfg.morsel {
-				ns = c.Host.MaterializeMorselNs(K, int64(n), CustomerWidth, cfg.spread, cfg.threads)
-			} else {
-				ns = c.Host.MaterializeNs(K, int64(n), CustomerWidth, cfg.spread, cfg.threads)
-			}
-			s.Values = append(s.Values, ns/1e6)
+	return c.withHostSeries(p, func(row bool, threads int, morsel bool, n int64) float64 {
+		spread := workload.CustomerArity
+		if row {
+			spread = 1
 		}
-		p.Series = append(p.Series, s)
-	}
-	return p
+		return c.materializeNs(morsel, n, workload.CustomerWidth, spread, threads) / 1e6
+	})
 }
 
-// Panel2 prices the tiny attribute-centric aggregate over K item
-// positions.
+// Panel2 prices the tiny attribute-centric aggregate over 150 item
+// positions: point accesses to the price field, where the record width
+// sets the working set and per-access decode cost.
 func (c Config) Panel2(sizes []uint64) Panel {
 	p := Panel{
 		Number: 2,
@@ -143,50 +167,30 @@ func (c Config) Panel2(sizes []uint64) Panel {
 		YLabel: "simulated µs",
 		Sizes:  sizes,
 	}
-	configs := []struct {
-		label   string
-		width   int
-		spread  int
-		threads int
-		morsel  bool
-	}{
-		{RowSingle, ItemWidth, 1, 1, false},
-		{RowMulti, ItemWidth, 1, c.Host.Threads, false},
-		{RowMorsel, ItemWidth, 1, c.Host.Threads, true},
-		{ColSingle, PriceSize, 1, 1, false},
-		{ColMulti, PriceSize, 1, c.Host.Threads, false},
-		{ColMorsel, PriceSize, 1, c.Host.Threads, true},
+	return c.withHostSeries(p, func(row bool, threads int, morsel bool, n int64) float64 {
+		return c.materializeNs(morsel, n, priceStride(row), 1, threads) / 1e3
+	})
+}
+
+// priceStride is the width a price access strides over: the whole item
+// record in the row store, the price field alone in the column store.
+func priceStride(row bool) int {
+	if row {
+		return workload.ItemWidth
 	}
-	for _, cfg := range configs {
-		s := Series{Label: cfg.label}
-		for _, n := range sizes {
-			// K point accesses to the price field; the record width sets
-			// the working set and per-access decode cost.
-			var ns float64
-			if cfg.morsel {
-				ns = c.Host.MaterializeMorselNs(K, int64(n), cfg.width, cfg.spread, cfg.threads)
-			} else {
-				ns = c.Host.MaterializeNs(K, int64(n), cfg.width, cfg.spread, cfg.threads)
-			}
-			s.Values = append(s.Values, ns/1e3)
-		}
-		p.Series = append(p.Series, s)
-	}
-	return p
+	return workload.ItemPriceSize
 }
 
 // Panel3 prices the full-column aggregate with the device series paying
 // the bus transfer.
 func (c Config) Panel3(sizes []uint64) Panel {
-	p := c.fullScanPanel(3, "sum all prices in items table", sizes, true)
-	return p
+	return c.fullScanPanel(3, "sum all prices in items table", sizes, true)
 }
 
 // Panel4 prices the full-column aggregate with the price column resident
 // in device memory (transfer costs excluded).
 func (c Config) Panel4(sizes []uint64) Panel {
-	p := c.fullScanPanel(4, "sum all prices in items table (transfer costs to device excluded)", sizes, false)
-	return p
+	return c.fullScanPanel(4, "sum all prices in items table (transfer costs to device excluded)", sizes, false)
 }
 
 // fullScanPanel builds panels 3 and 4.
@@ -198,41 +202,21 @@ func (c Config) fullScanPanel(number int, title string, sizes []uint64, withTran
 		YLabel: "throughput (M rows/s)",
 		Sizes:  sizes,
 	}
-	host := []struct {
-		label   string
-		stride  int
-		threads int
-		morsel  bool
-	}{
-		{RowSingle, ItemWidth, 1, false},
-		{RowMulti, ItemWidth, c.Host.Threads, false},
-		{RowMorsel, ItemWidth, c.Host.Threads, true},
-		{ColSingle, PriceSize, 1, false},
-		{ColMulti, PriceSize, c.Host.Threads, false},
-		{ColMorsel, PriceSize, c.Host.Threads, true},
-	}
-	for _, cfg := range host {
-		s := Series{Label: cfg.label}
-		for _, n := range sizes {
-			var ns float64
-			if cfg.morsel {
-				ns = c.Host.ScanSumMorselNs(int64(n), PriceSize, cfg.stride, cfg.threads)
-			} else {
-				ns = c.Host.ScanSumNs(int64(n), PriceSize, cfg.stride, cfg.threads)
-			}
-			s.Values = append(s.Values, throughput(n, ns))
+	p = c.withHostSeries(p, func(row bool, threads int, morsel bool, n int64) float64 {
+		if morsel {
+			return throughput(uint64(n), c.Host.ScanSumMorselNs(n, workload.ItemPriceSize, priceStride(row), threads))
 		}
-		p.Series = append(p.Series, s)
-	}
+		return throughput(uint64(n), c.Host.ScanSumNs(n, workload.ItemPriceSize, priceStride(row), threads))
+	})
 	label := ColDeviceNoBus
 	if withTransfer {
 		label = ColDevice
 	}
 	dev := Series{Label: label}
 	for _, n := range sizes {
-		ns := c.Device.ReduceKernelNs(int64(n), PriceSize, PriceSize, 1024, 512)
+		ns := c.Device.ReduceKernelNs(int64(n), workload.ItemPriceSize, workload.ItemPriceSize, 1024, 512)
 		if withTransfer {
-			ns += c.Device.TransferNs(int64(n) * PriceSize)
+			ns += c.Device.TransferNs(int64(n) * workload.ItemPriceSize)
 		}
 		dev.Values = append(dev.Values, throughput(n, ns))
 	}
@@ -248,77 +232,24 @@ func throughput(n uint64, ns float64) float64 {
 	return float64(n) / ns * 1e9 / 1e6
 }
 
-// Panels builds the requested panel (1-4), or all four for 0.
-func (c Config) Panels(panel int) ([]Panel, error) {
-	switch panel {
-	case 0:
-		return []Panel{
-			c.Panel1(DefaultSizes(1)),
-			c.Panel2(DefaultSizes(2)),
-			c.Panel3(DefaultSizes(3)),
-			c.Panel4(DefaultSizes(4)),
-		}, nil
-	case 1:
-		return []Panel{c.Panel1(DefaultSizes(1))}, nil
-	case 2:
-		return []Panel{c.Panel2(DefaultSizes(2))}, nil
-	case 3:
-		return []Panel{c.Panel3(DefaultSizes(3))}, nil
-	case 4:
-		return []Panel{c.Panel4(DefaultSizes(4))}, nil
-	default:
-		return nil, fmt.Errorf("figures: no panel %d (want 0-4)", panel)
+// Table renders the panel: one row per size, one column per series.
+func (p Panel) Table() Table {
+	t := Table{
+		Label:   fmt.Sprintf("panel %d: %s", p.Number, p.Title),
+		Caption: []string{fmt.Sprintf("Figure 2 / panel %d: %s", p.Number, p.Title), "y = " + p.YLabel},
+		Columns: []Column{{Text: p.XLabel}, {CSV: "records"}},
 	}
-}
-
-// Render formats the panel as a fixed-width table: one row per size, one
-// column per series.
-func (p Panel) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2 / panel %d: %s\n", p.Number, p.Title)
-	fmt.Fprintf(&b, "y = %s\n", p.YLabel)
-	header := []string{p.XLabel}
 	for _, s := range p.Series {
-		header = append(header, s.Label)
+		t.Columns = append(t.Columns, Column{CSV: s.Label, Text: s.Label, TextVerb: "%.2f"})
 	}
-	rows := [][]string{header}
 	for i, n := range p.Sizes {
-		row := []string{formatRows(n)}
+		row := []any{formatRows(n), n}
 		for _, s := range p.Series {
-			row = append(row, fmt.Sprintf("%.2f", s.Values[i]))
+			row = append(row, s.Values[i])
 		}
-		rows = append(rows, row)
+		t.Rows = append(t.Rows, row)
 	}
-	widths := make([]int, len(header))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for r, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
-			b.WriteString(cell)
-		}
-		b.WriteByte('\n')
-		if r == 0 {
-			total := 0
-			for i, w := range widths {
-				if i > 0 {
-					total += 2
-				}
-				total += w
-			}
-			b.WriteString(strings.Repeat("-", total))
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
+	return t
 }
 
 // formatRows renders a row count compactly (250K, 65M).
@@ -327,25 +258,6 @@ func formatRows(n uint64) string {
 		return fmt.Sprintf("%dM", n/1e6)
 	}
 	return fmt.Sprintf("%dK", n/1e3)
-}
-
-// CSV renders the panel as comma-separated values.
-func (p Panel) CSV() string {
-	var b strings.Builder
-	b.WriteString("records")
-	for _, s := range p.Series {
-		b.WriteByte(',')
-		b.WriteString(strings.ReplaceAll(s.Label, ",", ";"))
-	}
-	b.WriteByte('\n')
-	for i, n := range p.Sizes {
-		fmt.Fprintf(&b, "%d", n)
-		for _, s := range p.Series {
-			fmt.Fprintf(&b, ",%g", s.Values[i])
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // find returns the series with the given label, or nil.

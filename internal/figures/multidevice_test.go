@@ -1,9 +1,6 @@
 package figures
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestMultiDeviceSweepScalesAndMeters runs a reduced sweep and pins the
 // panel's claims: the fleet answers match the single-card and host
@@ -49,14 +46,5 @@ func TestMultiDeviceSweepScalesAndMeters(t *testing.T) {
 	}
 	if !s.WarmScales(1.5) {
 		t.Fatal("warm throughput does not scale >= 1.5x per card doubling")
-	}
-	if out := s.Render(); !strings.Contains(out, "multidevice panel") {
-		t.Fatalf("render missing banner:\n%s", out)
-	}
-	if csv := s.CSV(); !strings.HasPrefix(csv, "devices,layout,selectivity,") {
-		t.Fatalf("csv missing header:\n%s", csv)
-	}
-	if got := strings.Count(s.CSV(), "\n"); got != 13 {
-		t.Fatalf("csv rows = %d, want 13 (header + 12 points)", got)
 	}
 }

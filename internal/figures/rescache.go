@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 
 	"hybridstore/internal/core"
@@ -68,42 +67,31 @@ type ResultCacheSweep struct {
 func MeasureResultCache(rows uint64, queriesPerLeg int) (*ResultCacheSweep, error) {
 	const chunkRows = 4096
 	const cacheBytes = 64 << 20
-	if queriesPerLeg < 8 {
-		queriesPerLeg = 8
-	}
 	sweep := &ResultCacheSweep{Rows: rows, ChunkRows: chunkRows, CacheBytes: cacheBytes}
 
 	// Twin engines: identical data, one result cache between them.
-	envC, envP := engine.NewEnv(), engine.NewEnv()
-	engC := core.New(envC, core.Options{ChunkRows: chunkRows, ResultCacheBytes: cacheBytes})
-	engP := core.New(envP, core.Options{ChunkRows: chunkRows})
-	items := workload.ItemSchema()
-	tcI, err := engC.Create("item", items)
-	if err != nil {
-		return nil, err
-	}
-	tc := tcI.(*core.Table)
-	defer tc.Free()
-	tpI, err := engP.Create("item", items)
-	if err != nil {
-		return nil, err
-	}
-	tp := tpI.(*core.Table)
-	defer tp.Free()
-	for i := uint64(0); i < rows; i++ {
-		rec := workload.Item(i)
-		if _, err := tc.Insert(rec); err != nil {
+	engC := core.New(engine.NewEnv(), core.Options{ChunkRows: chunkRows, ResultCacheBytes: cacheBytes})
+	engP := core.New(engine.NewEnv(), core.Options{ChunkRows: chunkRows})
+	var twins [2]*core.Table // cached, uncached
+	for i, eng := range []*core.Engine{engC, engP} {
+		t, err := eng.Create("item", workload.ItemSchema())
+		if err != nil {
 			return nil, err
 		}
-		if _, err := tp.Insert(rec); err != nil {
-			return nil, err
-		}
+		twins[i] = t.(*core.Table)
+		defer twins[i].Free()
 	}
 	both := func(f func(t *core.Table) error) error {
-		if err := f(tc); err != nil {
+		if err := f(twins[0]); err != nil {
 			return err
 		}
-		return f(tp)
+		return f(twins[1])
+	}
+	for i := uint64(0); i < rows; i++ {
+		rec := workload.Item(i)
+		if err := both(func(t *core.Table) error { _, err := t.Insert(rec); return err }); err != nil {
+			return nil, err
+		}
 	}
 	if err := both(func(t *core.Table) error { return t.Merge() }); err != nil {
 		return nil, err
@@ -119,64 +107,35 @@ func MeasureResultCache(rows uint64, queriesPerLeg int) (*ResultCacheSweep, erro
 	}
 	const keyCol = 1 // i_im_id, the grouping key
 
-	// query runs pair q of a leg on both engines, times each side, and
-	// verifies bit-identity. Every 4th query is the fused group-by.
-	runLeg := func(name string, pre func(q int) error) (ResultCacheLeg, error) {
+	// runLeg runs every query pair of a leg on both engines, times each
+	// side, and verifies bit-identity. Every 4th query is the fused
+	// group-by.
+	runLeg := func(name string, pre func(q int) error) error {
 		leg := ResultCacheLeg{Name: name, BitIdentical: true}
 		s0 := engC.ResultCache().Stats()
-		cNs := make([]float64, 0, queriesPerLeg)
-		pNs := make([]float64, 0, queriesPerLeg)
+		var ns [2][]float64
 		for q := 0; q < queriesPerLeg; q++ {
 			if pre != nil {
 				if err := pre(q); err != nil {
-					return leg, err
+					return err
 				}
 			}
-			p := preds[q%len(preds)]
+			plan := exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: preds[q%len(preds)]}
 			if q%4 == 3 {
+				plan.Op, plan.KeyCol = exec.KindGroupSumWhere, keyCol
+			}
+			var answers [2]exec.Result
+			for i, t := range twins {
 				t0 := time.Now()
-				gc, err := tc.GroupSumFloat64Where(keyCol, workload.ItemPriceCol, p)
-				d0 := time.Since(t0)
+				res, err := t.Scan(plan)
+				ns[i] = append(ns[i], float64(time.Since(t0).Nanoseconds()))
 				if err != nil {
-					return leg, err
+					return err
 				}
-				t1 := time.Now()
-				gp, err := tp.GroupSumFloat64Where(keyCol, workload.ItemPriceCol, p)
-				d1 := time.Since(t1)
-				if err != nil {
-					return leg, err
-				}
-				cNs = append(cNs, float64(d0.Nanoseconds()))
-				pNs = append(pNs, float64(d1.Nanoseconds()))
-				if len(gc) != len(gp) {
-					leg.BitIdentical = false
-				} else {
-					for i := range gc {
-						if gc[i].Key != gp[i].Key || gc[i].Count != gp[i].Count ||
-							math.Float64bits(gc[i].Sum) != math.Float64bits(gp[i].Sum) {
-							leg.BitIdentical = false
-							break
-						}
-					}
-				}
-			} else {
-				t0 := time.Now()
-				sc, nc, err := tc.SumFloat64Where(workload.ItemPriceCol, p)
-				d0 := time.Since(t0)
-				if err != nil {
-					return leg, err
-				}
-				t1 := time.Now()
-				sp, np, err := tp.SumFloat64Where(workload.ItemPriceCol, p)
-				d1 := time.Since(t1)
-				if err != nil {
-					return leg, err
-				}
-				cNs = append(cNs, float64(d0.Nanoseconds()))
-				pNs = append(pNs, float64(d1.Nanoseconds()))
-				if math.Float64bits(sc) != math.Float64bits(sp) || nc != np {
-					leg.BitIdentical = false
-				}
+				answers[i] = res
+			}
+			if !sameBits(answers[0], answers[1]) {
+				leg.BitIdentical = false
 			}
 			leg.Queries++
 		}
@@ -185,18 +144,17 @@ func MeasureResultCache(rows uint64, queriesPerLeg int) (*ResultCacheSweep, erro
 		leg.Hits = s1.Hits - s0.Hits
 		leg.Misses = s1.Misses - s0.Misses
 		leg.Stale = s1.Stale - s0.Stale
-		leg.CachedP50Ns = p50(cNs)
-		leg.UncachedP50Ns = p50(pNs)
+		leg.CachedP50Ns = p50(ns[0])
+		leg.UncachedP50Ns = p50(ns[1])
 		leg.Speedup = leg.UncachedP50Ns / math.Max(leg.CachedP50Ns, 1)
-		return leg, nil
+		sweep.Legs = append(sweep.Legs, leg)
+		return nil
 	}
 
 	// Leg 1 — read-heavy: pure repeats over a quiesced table.
-	leg, err := runLeg("read-heavy", nil)
-	if err != nil {
+	if err := runLeg("read-heavy", nil); err != nil {
 		return nil, err
 	}
-	sweep.Legs = append(sweep.Legs, leg)
 
 	// Leg 2 — mixed: every 8th query a point write lands and is merged,
 	// so the cut set repeats inside each cacheable window (hits) and
@@ -204,7 +162,7 @@ func MeasureResultCache(rows uint64, queriesPerLeg int) (*ResultCacheSweep, erro
 	// (stale). Both engines take identical writes so answers stay
 	// comparable.
 	wrow := uint64(0)
-	leg, err = runLeg("mixed", func(q int) error {
+	err := runLeg("mixed", func(q int) error {
 		if q%8 != 0 {
 			return nil
 		}
@@ -220,10 +178,9 @@ func MeasureResultCache(rows uint64, queriesPerLeg int) (*ResultCacheSweep, erro
 	if err != nil {
 		return nil, err
 	}
-	sweep.Legs = append(sweep.Legs, leg)
 
 	// Leg 3 — write-storm: a write lands before every single query.
-	leg, err = runLeg("write-storm", func(q int) error {
+	err = runLeg("write-storm", func(q int) error {
 		wrow = (wrow + 104729) % rows
 		v := schema.FloatValue(float64(1 + q%100))
 		return both(func(t *core.Table) error {
@@ -233,7 +190,6 @@ func MeasureResultCache(rows uint64, queriesPerLeg int) (*ResultCacheSweep, erro
 	if err != nil {
 		return nil, err
 	}
-	sweep.Legs = append(sweep.Legs, leg)
 	return sweep, nil
 }
 
@@ -246,39 +202,43 @@ func p50(xs []float64) float64 {
 	return xs[len(xs)/2]
 }
 
-// Render formats the sweep as a fixed-width table.
-func (s *ResultCacheSweep) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "resultcache panel: version-stamped result cache, %d item rows (%d-row chunks, %d B cache)\n",
-		s.Rows, s.ChunkRows, s.CacheBytes)
-	b.WriteString("twin engines run identical ops; every cached answer is bit-compared against uncached execution\n")
-	rows := [][]string{{"leg", "queries", "cached p50", "uncached p50", "speedup", "hits", "misses", "stale", "bit-identical"}}
-	for _, l := range s.Legs {
-		rows = append(rows, []string{
-			l.Name,
-			fmt.Sprintf("%d", l.Queries),
-			fmt.Sprintf("%.1fµs", l.CachedP50Ns/1e3),
-			fmt.Sprintf("%.1fµs", l.UncachedP50Ns/1e3),
-			fmt.Sprintf("%.1fx", l.Speedup),
-			fmt.Sprintf("%d", l.Hits),
-			fmt.Sprintf("%d", l.Misses),
-			fmt.Sprintf("%d", l.Stale),
-			fmt.Sprintf("%v", l.BitIdentical),
-		})
+// sameBits reports whether two answers are identical bit for bit.
+func sameBits(a, b exec.Result) bool {
+	if math.Float64bits(a.Sum) != math.Float64bits(b.Sum) || a.Count != b.Count || len(a.Groups) != len(b.Groups) {
+		return false
 	}
-	renderTable(&b, rows)
-	return b.String()
+	for i, g := range a.Groups {
+		if h := b.Groups[i]; g.Key != h.Key || g.Count != h.Count || math.Float64bits(g.Sum) != math.Float64bits(h.Sum) {
+			return false
+		}
+	}
+	return true
 }
 
-// CSV renders the sweep as comma-separated values, one row per leg —
-// the resultcache_panel.csv artifact CI uploads.
-func (s *ResultCacheSweep) CSV() string {
-	var b strings.Builder
-	b.WriteString("leg,queries,cached_p50_us,uncached_p50_us,speedup,lookups,hits,misses,stale,bit_identical\n")
-	for _, l := range s.Legs {
-		fmt.Fprintf(&b, "%s,%d,%.1f,%.1f,%.2f,%d,%d,%d,%d,%v\n",
-			l.Name, l.Queries, l.CachedP50Ns/1e3, l.UncachedP50Ns/1e3, l.Speedup,
-			l.Lookups, l.Hits, l.Misses, l.Stale, l.BitIdentical)
+// Tables renders the sweep, one row per leg.
+func (s *ResultCacheSweep) Tables() []Table {
+	t := Table{
+		Caption: []string{
+			fmt.Sprintf("resultcache panel: version-stamped result cache, %d item rows (%d-row chunks, %d B cache)",
+				s.Rows, s.ChunkRows, s.CacheBytes),
+			"twin engines run identical ops; every cached answer is bit-compared against uncached execution",
+		},
+		Columns: []Column{
+			{CSV: "leg", Text: "leg"},
+			{CSV: "queries", Text: "queries"},
+			{CSV: "cached_p50_us", CSVVerb: "%.1f", Text: "cached p50", TextVerb: "%.1fµs"},
+			{CSV: "uncached_p50_us", CSVVerb: "%.1f", Text: "uncached p50", TextVerb: "%.1fµs"},
+			{CSV: "speedup", CSVVerb: "%.2f", Text: "speedup", TextVerb: "%.1fx"},
+			{CSV: "lookups"},
+			{CSV: "hits", Text: "hits"},
+			{CSV: "misses", Text: "misses"},
+			{CSV: "stale", Text: "stale"},
+			{CSV: "bit_identical", Text: "bit-identical"},
+		},
 	}
-	return b.String()
+	for _, l := range s.Legs {
+		t.Rows = append(t.Rows, []any{l.Name, l.Queries, l.CachedP50Ns / 1e3, l.UncachedP50Ns / 1e3, l.Speedup,
+			l.Lookups, l.Hits, l.Misses, l.Stale, l.BitIdentical})
+	}
+	return []Table{t}
 }

@@ -1,9 +1,6 @@
 package figures
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestMeasureResultCache is the acceptance gate for the resultcache
 // panel: repeat reads must clear a 5x p50 speedup, every leg must be
@@ -54,14 +51,5 @@ func TestMeasureResultCache(t *testing.T) {
 		t.Errorf("write-storm leg reported %d hits: a churning table must never reuse", ws.Hits)
 	}
 
-	// Rendering smoke: the table and CSV carry every leg.
-	out, csv := s.Render(), s.CSV()
-	for _, want := range []string{"read-heavy", "mixed", "write-storm"} {
-		if !strings.Contains(out, want) || !strings.Contains(csv, want) {
-			t.Errorf("rendering missing leg %q", want)
-		}
-	}
-	if !strings.HasPrefix(csv, "leg,queries,cached_p50_us,uncached_p50_us,speedup,lookups,hits,misses,stale,bit_identical\n") {
-		t.Errorf("bad csv header:\n%s", csv)
-	}
+	golden(t, "resultcache.txt", skeleton(s.Tables()))
 }

@@ -3,7 +3,6 @@ package figures
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"hybridstore/internal/device"
@@ -54,26 +53,26 @@ type SelectivitySeries struct {
 	Speedup []float64
 }
 
-// DeviceSelectivity is the device-resident series: pruning decides which
-// fragments are transferred and reduced at all.
+// DeviceRun is one device series across the sweep: the host-to-device
+// bytes moved, the kernels launched and the simulated device time
+// (transfer + kernels) from the calibrated model.
+type DeviceRun struct {
+	H2DBytes, Kernels []int64
+	Ns                []float64
+}
+
+// DeviceSelectivity is the device-resident series, with and without
+// zone-map pruning: pruning decides which fragments are transferred and
+// reduced at all.
 type DeviceSelectivity struct {
-	// Label names the series.
-	Label string
-	// PrunedH2DBytes and UnprunedH2DBytes are the host-to-device bytes
-	// moved with and without zone-map pruning.
-	PrunedH2DBytes, UnprunedH2DBytes []int64
-	// PrunedKernels and UnprunedKernels count kernel launches.
-	PrunedKernels, UnprunedKernels []int64
-	// PrunedNs and UnprunedNs are simulated device times (transfer +
-	// kernels) from the calibrated model.
-	PrunedNs, UnprunedNs []float64
+	Pruned, Unpruned DeviceRun
 }
 
 // SelectivitySweep is the full panel: the sweep geometry, the six host
 // series and the device series.
 type SelectivitySweep struct {
-	// Rows is the table size; FragmentRows the rows per fragment.
-	Rows, FragmentRows uint64
+	// Rows is the table size.
+	Rows uint64
 	// Fragments is the fragment count per layout.
 	Fragments int
 	// Selectivities is the x-axis (match fraction per predicate).
@@ -84,18 +83,13 @@ type SelectivitySweep struct {
 	Device DeviceSelectivity
 }
 
-// selPrice is the monotone price: price(i) = i. Each fragment's sealed
-// zone is then the exact row range, so Lt(cut) admits precisely the
-// prefix of fragments overlapping [0, cut).
-func selPrice(i uint64) float64 { return float64(i) }
-
-// selExpected returns the exact count and sum for price < cut.
-func selExpected(rows uint64, cut float64) (int64, float64) {
+// selExpected returns the exact answer for price < cut.
+func selExpected(rows uint64, cut float64) exec.Result {
 	m := uint64(math.Ceil(cut))
 	if m > rows {
 		m = rows
 	}
-	return int64(m), float64(m) * (float64(m) - 1) / 2
+	return exec.Result{Sum: float64(m) * (float64(m) - 1) / 2, Count: int64(m)}
 }
 
 // buildSelectivityLayouts materializes the item table twice — an NSM
@@ -103,47 +97,27 @@ func selExpected(rows uint64, cut float64) (int64, float64) {
 // given fragment count — with the monotone price, and seals every
 // fragment's zone as a freeze point would.
 func buildSelectivityLayouts(rows uint64, fragments int) (rowL, colL *layout.Layout, err error) {
-	if fragments < 1 || rows%uint64(fragments) != 0 {
-		return nil, nil, fmt.Errorf("figures: rows %d not divisible into %d fragments", rows, fragments)
-	}
-	chunk := rows / uint64(fragments)
-	host := mem.NewAllocator(mem.Host, 0)
-	items := workload.ItemSchema()
-	rowL, err = layout.Horizontal(host, "sel-row", items, rows, chunk, layout.NSM)
-	if err != nil {
+	if colL, err = priceLayout("sel-col", rows, fragments); err != nil {
 		return nil, nil, err
 	}
-	colL = layout.NewLayout("sel-col", items)
-	for begin := uint64(0); begin < rows; begin += chunk {
-		f, err := layout.NewFragment(host, items, []int{workload.ItemPriceCol},
-			layout.RowRange{Begin: begin, End: begin + chunk}, layout.Direct)
-		if err == nil {
-			err = colL.Add(f)
-		}
-		if err != nil {
-			rowL.Free()
-			colL.Free()
-			return nil, nil, err
-		}
+	chunk := rows / uint64(fragments)
+	rowL, err = layout.Horizontal(mem.NewAllocator(mem.Host, 0), "sel-row", workload.ItemSchema(), rows, chunk, layout.NSM)
+	if err != nil {
+		colL.Free()
+		return nil, nil, err
 	}
-	rowFrags, colFrags := rowL.Fragments(), colL.Fragments()
+	rowFrags := rowL.Fragments()
 	for i := uint64(0); i < rows; i++ {
 		rec := workload.Item(i)
-		rec[workload.ItemPriceCol] = schema.FloatValue(selPrice(i))
-		fi := i / chunk
-		if err := rowFrags[fi].AppendTuplet(rec); err == nil {
-			err = colFrags[fi].AppendTuplet([]schema.Value{rec[workload.ItemPriceCol]})
-		}
-		if err != nil {
+		rec[workload.ItemPriceCol] = schema.FloatValue(monotonePrice(i))
+		if err := rowFrags[i/chunk].AppendTuplet(rec); err != nil {
 			rowL.Free()
 			colL.Free()
 			return nil, nil, err
 		}
 	}
-	for _, l := range []*layout.Layout{rowL, colL} {
-		for _, f := range l.Fragments() {
-			f.SealStats()
-		}
+	for _, f := range rowFrags {
+		f.SealStats()
 	}
 	return rowL, colL, nil
 }
@@ -159,13 +133,17 @@ func stripZones(pieces []exec.Piece) []exec.Piece {
 	return out
 }
 
-// bestOf runs fn repeats times and returns the fastest wall-clock ns.
-func bestOf(repeats int, fn func() error) (float64, error) {
+// bestOf runs a scan repeats times, checks every answer against want and
+// returns the fastest wall-clock ns.
+func bestOf(repeats int, want exec.Result, run func() (exec.Result, error)) (float64, error) {
 	best := math.Inf(1)
 	for r := 0; r < repeats; r++ {
 		start := time.Now()
-		err := fn()
+		got, err := run()
 		elapsed := float64(time.Since(start).Nanoseconds())
+		if err == nil {
+			err = checkAnswer(got, want)
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -179,12 +157,6 @@ func bestOf(repeats int, fn func() error) (float64, error) {
 // MeasureSelectivity executes the sweep for real at the given geometry.
 // Every timed run's answer is cross-checked against the closed form.
 func MeasureSelectivity(rows uint64, fragments int, selectivities []float64, repeats int) (*SelectivitySweep, error) {
-	if repeats < 1 {
-		repeats = 2
-	}
-	if len(selectivities) == 0 {
-		selectivities = DefaultSelectivities()
-	}
 	rowL, colL, err := buildSelectivityLayouts(rows, fragments)
 	if err != nil {
 		return nil, err
@@ -203,74 +175,47 @@ func MeasureSelectivity(rows uint64, fragments int, selectivities []float64, rep
 
 	sweep := &SelectivitySweep{
 		Rows:          rows,
-		FragmentRows:  rows / uint64(fragments),
 		Fragments:     fragments,
 		Selectivities: selectivities,
 	}
-	threads := perfmodel.DefaultHost().Threads
-	hostConfigs := []struct {
-		label  string
-		pieces []exec.Piece
-		cfg    exec.Config
-	}{
-		{RowSingle, rowPieces, exec.Single()},
-		{RowMulti, rowPieces, exec.MultiN(threads)},
-		{RowMorsel, rowPieces, exec.Morsel()},
-		{ColSingle, colPieces, exec.Single()},
-		{ColMulti, colPieces, exec.MultiN(threads)},
-		{ColMorsel, colPieces, exec.Morsel()},
-	}
-	for _, hc := range hostConfigs {
-		s := SelectivitySeries{Label: hc.label}
-		stripped := stripZones(hc.pieces)
+	for _, hs := range hostSeries {
+		pieces, cfg := colPieces, exec.Single()
+		if hs.row {
+			pieces = rowPieces
+		}
+		switch {
+		case hs.morsel:
+			cfg = exec.Morsel()
+		case hs.multi:
+			cfg = exec.MultiN(perfmodel.DefaultHost().Threads)
+		}
+		s := SelectivitySeries{Label: hs.label}
+		stripped := stripZones(pieces)
 		for _, sel := range selectivities {
 			cut := sel * float64(rows)
 			p := exec.Lt(cut)
-			wantN, wantSum := selExpected(rows, cut)
-			check := func(sum float64, n int64) error {
-				if n != wantN || math.Abs(sum-wantSum) > 1e-6*math.Max(1, wantSum) {
-					return fmt.Errorf("figures: selectivity %g on %s: got (%v, %d), want (%v, %d)",
-						sel, hc.label, sum, n, wantSum, wantN)
+			want := selExpected(rows, cut)
+			plan := exec.Plan{Op: exec.KindSumWhere, Pred: p}
+			var ns [3]float64 // pruned, fused, generic
+			for i, leg := range []struct {
+				want exec.Result
+				run  func() (exec.Result, error)
+			}{
+				{want, func() (exec.Result, error) { return cfg.Scan(exec.Scan{Plan: plan, Vals: pieces}) }},
+				{want, func() (exec.Result, error) { return cfg.Scan(exec.Scan{Plan: plan, Vals: stripped}) }},
+				{exec.Result{Count: want.Count}, func() (exec.Result, error) {
+					n, err := exec.CountFloat64(cfg, stripped, p.Match)
+					return exec.Result{Count: n}, err
+				}},
+			} {
+				if ns[i], err = bestOf(repeats, leg.want, leg.run); err != nil {
+					return nil, fmt.Errorf("figures: selectivity %g on %s: %w", sel, hs.label, err)
 				}
-				return nil
 			}
-			pruned, err := bestOf(repeats, func() error {
-				sum, n, err := exec.SumFloat64Where(hc.cfg, hc.pieces, p)
-				if err != nil {
-					return err
-				}
-				return check(sum, n)
-			})
-			if err != nil {
-				return nil, err
-			}
-			fused, err := bestOf(repeats, func() error {
-				sum, n, err := exec.SumFloat64Where(hc.cfg, stripped, p)
-				if err != nil {
-					return err
-				}
-				return check(sum, n)
-			})
-			if err != nil {
-				return nil, err
-			}
-			generic, err := bestOf(repeats, func() error {
-				n, err := exec.CountFloat64(hc.cfg, stripped, p.Match)
-				if err != nil {
-					return err
-				}
-				if n != wantN {
-					return fmt.Errorf("figures: generic count at %g on %s: got %d, want %d", sel, hc.label, n, wantN)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			s.PrunedNs = append(s.PrunedNs, pruned)
-			s.FusedNs = append(s.FusedNs, fused)
-			s.GenericNs = append(s.GenericNs, generic)
-			s.Speedup = append(s.Speedup, generic/pruned)
+			s.PrunedNs = append(s.PrunedNs, ns[0])
+			s.FusedNs = append(s.FusedNs, ns[1])
+			s.GenericNs = append(s.GenericNs, ns[2])
+			s.Speedup = append(s.Speedup, ns[2]/ns[0])
 		}
 		sweep.Host = append(sweep.Host, s)
 	}
@@ -287,13 +232,12 @@ func MeasureSelectivity(rows uint64, fragments int, selectivities []float64, rep
 // device: the unpruned run ships every fragment over the bus; the pruned
 // run consults the zones first and only transfers survivors.
 func measureDeviceSelectivity(pieces []exec.Piece, rows uint64, selectivities []float64) (DeviceSelectivity, error) {
-	d := DeviceSelectivity{Label: ColDevice}
-	clock := &perfmodel.Clock{}
-	gpu := device.New(perfmodel.DefaultDevice(), clock)
-	run := func(p exec.Pred[float64], prune bool) (float64, int64, error) {
+	var d DeviceSelectivity
+	r := newRig(false)
+	gpu := r.gpu
+	run := func(p exec.Pred[float64], prune bool) (exec.Result, error) {
 		lo, hi, ok := exec.ClosedFloat64(p)
-		var sum float64
-		var n int64
+		var res exec.Result
 		for _, pc := range pieces {
 			bytes := int64(pc.Vec.Len) * int64(pc.Vec.Size)
 			if prune {
@@ -309,7 +253,7 @@ func measureDeviceSelectivity(pieces []exec.Piece, rows uint64, selectivities []
 			src := pc.Vec.Data[pc.Vec.Base : pc.Vec.Base+pc.Vec.Len*pc.Vec.Stride]
 			buf, err := gpu.Alloc(len(src))
 			if err != nil {
-				return 0, 0, err
+				return res, err
 			}
 			err = gpu.CopyToDevice(buf, 0, src)
 			if err == nil {
@@ -317,131 +261,75 @@ func measureDeviceSelectivity(pieces []exec.Piece, rows uint64, selectivities []
 				part, err = gpu.Launch(device.Kernel{
 					Vals:  device.Vec{Buf: buf, Stride: pc.Vec.Stride, Size: pc.Vec.Size, Len: pc.Vec.Len},
 					Where: true, Lo: lo, Hi: hi, Config: device.ReduceConfigFor(pc.Vec.Len)})
-				sum += part.Sum
-				n += part.Count
+				res.Sum += part.Sum
+				res.Count += part.Count
 			}
 			buf.Free()
 			if err != nil {
-				return 0, 0, err
+				return res, err
 			}
 		}
-		return sum, n, nil
+		return res, nil
 	}
 	for _, sel := range selectivities {
 		cut := sel * float64(rows)
 		p := exec.Lt(cut)
-		wantN, wantSum := selExpected(rows, cut)
-		for _, prune := range []bool{false, true} {
-			before := gpu.Stats()
-			startNs := clock.ElapsedNs()
-			sum, n, err := run(p, prune)
-			if err != nil {
-				return d, err
+		l := legs{what: fmt.Sprintf("device selectivity %g", sel), want: selExpected(rows, cut)}
+		for _, leg := range []struct {
+			prune bool
+			run   *DeviceRun
+		}{{false, &d.Unpruned}, {true, &d.Pruned}} {
+			c := l.on(r, fmt.Sprintf("(prune=%v)", leg.prune), func(*rig) (exec.Result, error) { return run(p, leg.prune) })
+			if l.err != nil {
+				return d, l.err
 			}
-			if n != wantN || math.Abs(sum-wantSum) > 1e-6*math.Max(1, wantSum) {
-				return d, fmt.Errorf("figures: device selectivity %g (prune=%v): got (%v, %d), want (%v, %d)",
-					sel, prune, sum, n, wantSum, wantN)
-			}
-			after := gpu.Stats()
-			ns := clock.ElapsedNs() - startNs
-			if prune {
-				d.PrunedH2DBytes = append(d.PrunedH2DBytes, after.HostToDeviceBytes-before.HostToDeviceBytes)
-				d.PrunedKernels = append(d.PrunedKernels, after.KernelLaunches-before.KernelLaunches)
-				d.PrunedNs = append(d.PrunedNs, ns)
-			} else {
-				d.UnprunedH2DBytes = append(d.UnprunedH2DBytes, after.HostToDeviceBytes-before.HostToDeviceBytes)
-				d.UnprunedKernels = append(d.UnprunedKernels, after.KernelLaunches-before.KernelLaunches)
-				d.UnprunedNs = append(d.UnprunedNs, ns)
-			}
+			leg.run.H2DBytes = append(leg.run.H2DBytes, c.H2D)
+			leg.run.Kernels = append(leg.run.Kernels, c.Kernels)
+			leg.run.Ns = append(leg.run.Ns, c.Ns)
 		}
 	}
 	return d, nil
 }
 
-// Render formats the sweep as fixed-width tables: host speedups first,
-// then the device transfer profile.
-func (s *SelectivitySweep) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2 / selectivity panel: SUM(price) WHERE price < cut, %d rows in %d fragments\n",
-		s.Rows, s.Fragments)
-	b.WriteString("host wall-clock (µs; pruned / fused-unpruned / generic, speedup = generic/pruned)\n")
-	header := []string{"selectivity"}
-	for _, h := range s.Host {
-		header = append(header, h.Label)
+// Tables renders the sweep: for a terminal the host speedups and then
+// the device transfer profile, for tools one long table with a row per
+// (selectivity, series) pair.
+func (s *SelectivitySweep) Tables() []Table {
+	host := Table{
+		Caption: []string{
+			fmt.Sprintf("Figure 2 / selectivity panel: SUM(price) WHERE price < cut, %d rows in %d fragments", s.Rows, s.Fragments),
+			"host wall-clock (µs; pruned / fused-unpruned / generic, speedup = generic/pruned)",
+		},
+		Columns: []Column{{Text: "selectivity", TextVerb: "%.2f%%"}},
 	}
-	rows := [][]string{header}
+	for _, h := range s.Host {
+		host.Columns = append(host.Columns, Column{Text: h.Label})
+	}
+	dev := Table{
+		Caption: []string{"device transfer profile (host-to-device bytes; pruned vs unpruned)"},
+		Columns: []Column{
+			{Text: "selectivity", TextVerb: "%.2f%%"},
+			{Text: "pruned bytes"}, {Text: "unpruned bytes"},
+			{Text: "pruned kernels"}, {Text: "unpruned kernels"},
+			{Text: "sim speedup", TextVerb: "%.1fx"},
+		},
+	}
+	long := Table{Columns: []Column{{CSV: "selectivity"}, {CSV: "series"},
+		{CSV: "pruned_ns"}, {CSV: "fused_ns"}, {CSV: "generic_ns"}, {CSV: "speedup"}}}
 	for i, sel := range s.Selectivities {
-		row := []string{fmt.Sprintf("%.2f%%", sel*100)}
+		row := []any{sel * 100}
 		for _, h := range s.Host {
 			row = append(row, fmt.Sprintf("%.0f / %.0f / %.0f (%.1fx)",
 				h.PrunedNs[i]/1e3, h.FusedNs[i]/1e3, h.GenericNs[i]/1e3, h.Speedup[i]))
+			long.Rows = append(long.Rows, []any{sel, h.Label, h.PrunedNs[i], h.FusedNs[i], h.GenericNs[i], h.Speedup[i]})
 		}
-		rows = append(rows, row)
+		host.Rows = append(host.Rows, row)
+		d := s.Device
+		speedup := d.Unpruned.Ns[i] / math.Max(d.Pruned.Ns[i], 1)
+		dev.Rows = append(dev.Rows, []any{sel * 100, d.Pruned.H2DBytes[i], d.Unpruned.H2DBytes[i],
+			d.Pruned.Kernels[i], d.Unpruned.Kernels[i], speedup})
+		long.Rows = append(long.Rows, []any{sel, "device h2d bytes (pruned; unpruned; kernels pruned; speedup)",
+			d.Pruned.H2DBytes[i], d.Unpruned.H2DBytes[i], d.Pruned.Kernels[i], speedup})
 	}
-	renderTable(&b, rows)
-	b.WriteString("\ndevice transfer profile (host-to-device bytes; pruned vs unpruned)\n")
-	devRows := [][]string{{"selectivity", "pruned bytes", "unpruned bytes", "pruned kernels", "unpruned kernels", "sim speedup"}}
-	for i, sel := range s.Selectivities {
-		devRows = append(devRows, []string{
-			fmt.Sprintf("%.2f%%", sel*100),
-			fmt.Sprintf("%d", s.Device.PrunedH2DBytes[i]),
-			fmt.Sprintf("%d", s.Device.UnprunedH2DBytes[i]),
-			fmt.Sprintf("%d", s.Device.PrunedKernels[i]),
-			fmt.Sprintf("%d", s.Device.UnprunedKernels[i]),
-			fmt.Sprintf("%.1fx", s.Device.UnprunedNs[i]/math.Max(s.Device.PrunedNs[i], 1)),
-		})
-	}
-	renderTable(&b, devRows)
-	return b.String()
-}
-
-// CSV renders the sweep as comma-separated values, one row per
-// (selectivity, series) pair.
-func (s *SelectivitySweep) CSV() string {
-	var b strings.Builder
-	b.WriteString("selectivity,series,pruned_ns,fused_ns,generic_ns,speedup\n")
-	for i, sel := range s.Selectivities {
-		for _, h := range s.Host {
-			fmt.Fprintf(&b, "%g,%s,%g,%g,%g,%g\n", sel, strings.ReplaceAll(h.Label, ",", ";"),
-				h.PrunedNs[i], h.FusedNs[i], h.GenericNs[i], h.Speedup[i])
-		}
-		fmt.Fprintf(&b, "%g,%s,%d,%d,%d,%g\n", sel, "device h2d bytes (pruned; unpruned; kernels pruned; speedup)",
-			s.Device.PrunedH2DBytes[i], s.Device.UnprunedH2DBytes[i], s.Device.PrunedKernels[i],
-			s.Device.UnprunedNs[i]/math.Max(s.Device.PrunedNs[i], 1))
-	}
-	return b.String()
-}
-
-// renderTable writes rows as a fixed-width table with a rule under the
-// header.
-func renderTable(b *strings.Builder, rows [][]string) {
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	for r, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
-			b.WriteString(cell)
-		}
-		b.WriteByte('\n')
-		if r == 0 {
-			total := 0
-			for i, w := range widths {
-				if i > 0 {
-					total += 2
-				}
-				total += w
-			}
-			b.WriteString(strings.Repeat("-", total))
-			b.WriteByte('\n')
-		}
-	}
+	return []Table{host, dev, long}
 }

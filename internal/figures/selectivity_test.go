@@ -47,21 +47,21 @@ func TestSelectivitySweepPrunes(t *testing.T) {
 
 	// Device: at 1% only the fragments overlapping the first 1% of the
 	// monotone domain survive — 1 of 64 — so the bus traffic collapses.
-	pruned, unpruned := s.Device.PrunedH2DBytes[onePct], s.Device.UnprunedH2DBytes[onePct]
+	pruned, unpruned := s.Device.Pruned.H2DBytes[onePct], s.Device.Unpruned.H2DBytes[onePct]
 	if unpruned != int64(sweepRows*8) {
 		t.Errorf("unpruned transfer = %d bytes, want %d", unpruned, sweepRows*8)
 	}
 	if pruned >= unpruned/8 {
 		t.Errorf("pruned transfer = %d bytes, want < 1/8 of %d", pruned, unpruned)
 	}
-	if s.Device.PrunedKernels[onePct] >= s.Device.UnprunedKernels[onePct] {
-		t.Errorf("pruned kernels = %d, unpruned = %d", s.Device.PrunedKernels[onePct], s.Device.UnprunedKernels[onePct])
+	if s.Device.Pruned.Kernels[onePct] >= s.Device.Unpruned.Kernels[onePct] {
+		t.Errorf("pruned kernels = %d, unpruned = %d", s.Device.Pruned.Kernels[onePct], s.Device.Unpruned.Kernels[onePct])
 	}
 	// At 100% nothing can be pruned: identical traffic.
 	last := len(s.Selectivities) - 1
-	if s.Selectivities[last] == 1.0 && s.Device.PrunedH2DBytes[last] != s.Device.UnprunedH2DBytes[last] {
+	if s.Selectivities[last] == 1.0 && s.Device.Pruned.H2DBytes[last] != s.Device.Unpruned.H2DBytes[last] {
 		t.Errorf("full-range scan pruned bus traffic: %d vs %d",
-			s.Device.PrunedH2DBytes[last], s.Device.UnprunedH2DBytes[last])
+			s.Device.Pruned.H2DBytes[last], s.Device.Unpruned.H2DBytes[last])
 	}
 
 	// The sweep's pruning decisions land in the process-wide counters.
@@ -82,22 +82,23 @@ func TestSelectivitySweepPrunes(t *testing.T) {
 	}
 }
 
-// TestSelectivitySweepRendering pins the report formats.
+// TestSelectivitySweepRendering pins the deterministic half of the
+// panel: the skeleton of both rendered forms, and the device rows of the
+// CSV (simulated bytes, kernel counts and ns ratio) in full.
 func TestSelectivitySweepRendering(t *testing.T) {
 	s, err := MeasureSelectivity(16_000, 8, []float64{0.01, 1.0}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := s.Render()
-	for _, want := range []string{"selectivity panel", "1.00%", "100.00%", RowSingle, ColMorsel, "device transfer profile"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Render missing %q", want)
+	tables := s.Tables()
+	golden(t, "selectivity.txt", skeleton(tables))
+	var device string
+	for _, line := range strings.SplitAfter(tables[2].CSV(), "\n") {
+		if strings.Contains(line, "device h2d bytes") {
+			device += line
 		}
 	}
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "selectivity,series,pruned_ns") {
-		t.Errorf("CSV header wrong: %q", csv[:min(len(csv), 60)])
-	}
+	golden(t, "selectivity_device.txt", device)
 }
 
 // TestSelectivityGeometryValidation covers the error paths.

@@ -1,15 +1,8 @@
-// Package servingfig measures the serving-layer panel: the warp-style
-// load harness against loopback HTTP front ends over one warm
-// device-cached store, batched vs unbatched, across a concurrency
-// sweep. It lives beside (not inside) the figures package because it
-// drives the public facade end to end, which the figures package —
-// imported by the facade's own benchmarks — cannot.
-package servingfig
+package figures
 
 import (
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
 	"hybridstore"
@@ -29,10 +22,10 @@ import (
 // ServingClass is one operation class of a leg: wall-clock throughput
 // and tail latency in microseconds.
 type ServingClass struct {
-	Name         string
-	Ops          int64
-	QPS          float64
-	P50us, P99us float64
+	Name  string
+	Ops   int64
+	QPS   float64
+	P99us float64
 }
 
 // ServingLeg is one (concurrency, mode) cell of the sweep.
@@ -40,9 +33,8 @@ type ServingLeg struct {
 	Concurrency int
 	// Batched reports whether the leg ran through the batching server.
 	Batched bool
-	// WallSeconds is the measured wall-clock time; QPS the aggregate
-	// completed-request rate over it.
-	WallSeconds float64
+	// QPS is the aggregate completed-request rate over the leg's measured
+	// wall-clock time.
 	QPS         float64
 	Ops, Errors int64
 	// Classes holds the per-class breakdown (write, sum, group).
@@ -51,10 +43,9 @@ type ServingLeg struct {
 
 // ServingSweep is the full panel.
 type ServingSweep struct {
-	Rows          uint64
-	Mix           string
-	LegSeconds    float64
-	Concurrencies []int
+	Rows       uint64
+	Mix        string
+	LegSeconds float64
 	// Durable reports whether the item table ran with write-ahead
 	// logging on: the write lane then pays a group-committed fsync per
 	// acknowledged point write.
@@ -75,9 +66,6 @@ const servingGroups = 64
 // to the write-ahead log first, so the sweep prices the durable write
 // lane instead of the memory-only one.
 func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walDir string) (*ServingSweep, error) {
-	if len(concurrencies) == 0 {
-		concurrencies = DefaultServingConcurrencies()
-	}
 	if legDur <= 0 {
 		legDur = 1200 * time.Millisecond
 	}
@@ -145,31 +133,24 @@ func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walD
 		return nil, err
 	}
 	sweep := &ServingSweep{
-		Rows:          rows,
-		Mix:           mix,
-		LegSeconds:    legDur.Seconds(),
-		Concurrencies: concurrencies,
-		Durable:       walDir != "",
+		Rows:       rows,
+		Mix:        mix,
+		LegSeconds: legDur.Seconds(),
+		Durable:    walDir != "",
+	}
+	drive := func(batched bool, conc int, dur time.Duration) (*loadgen.Result, error) {
+		return loadgen.Run(loadgen.Options{BaseURL: urls[batched], Rows: rows, Concurrency: conc, Duration: dur, Mix: m})
 	}
 	// Short discarded shakeout leg per front end: connection setup, pool
 	// priming and JIT-warm paths happen off the clock.
 	for _, batched := range []bool{false, true} {
-		if _, err := loadgen.Run(loadgen.Options{
-			BaseURL: urls[batched], Rows: rows, Concurrency: 4,
-			Duration: 150 * time.Millisecond, Mix: m,
-		}); err != nil {
+		if _, err := drive(batched, 4, 150*time.Millisecond); err != nil {
 			return nil, err
 		}
 	}
 	for _, conc := range concurrencies {
 		for _, batched := range []bool{false, true} {
-			res, err := loadgen.Run(loadgen.Options{
-				BaseURL:     urls[batched],
-				Rows:        rows,
-				Concurrency: conc,
-				Duration:    legDur,
-				Mix:         m,
-			})
+			res, err := drive(batched, conc, legDur)
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +160,6 @@ func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walD
 			leg := ServingLeg{
 				Concurrency: conc,
 				Batched:     batched,
-				WallSeconds: res.Wall.Seconds(),
 				QPS:         res.QPS,
 				Ops:         res.TotalOps,
 				Errors:      res.TotalErrs,
@@ -195,7 +175,6 @@ func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walD
 					Name:  c.Name,
 					Ops:   c.Ops,
 					QPS:   c.QPS,
-					P50us: float64(c.P50.Nanoseconds()) / 1e3,
 					P99us: float64(c.P99.Nanoseconds()) / 1e3,
 				})
 			}
@@ -205,109 +184,65 @@ func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walD
 	return sweep, nil
 }
 
-// DefaultServingConcurrencies is the published sweep: a lone client, a
-// small pool, and a 32-client burst.
-func DefaultServingConcurrencies() []int { return []int{1, 8, 32} }
-
-// Leg returns the (concurrency, batched) cell, or nil.
-func (s *ServingSweep) Leg(conc int, batched bool) *ServingLeg {
-	for i := range s.Legs {
-		if s.Legs[i].Concurrency == conc && s.Legs[i].Batched == batched {
-			return &s.Legs[i]
-		}
-	}
-	return nil
-}
-
 // Speedup returns batched QPS over unbatched QPS at one concurrency
 // (0 when either leg is missing).
 func (s *ServingSweep) Speedup(conc int) float64 {
-	b, u := s.Leg(conc, true), s.Leg(conc, false)
-	if b == nil || u == nil || u.QPS == 0 {
+	var batched, unbatched float64
+	for _, leg := range s.Legs {
+		if leg.Concurrency != conc {
+			continue
+		}
+		if leg.Batched {
+			batched = leg.QPS
+		} else {
+			unbatched = leg.QPS
+		}
+	}
+	if unbatched == 0 {
 		return 0
 	}
-	return b.QPS / u.QPS
+	return batched / unbatched
 }
 
-// Render formats the sweep as a fixed-width table.
-func (s *ServingSweep) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "serving panel: loopback HTTP over %d warm device-cached rows, mix %s, %.1fs per leg\n",
-		s.Rows, s.Mix, s.LegSeconds)
+// Tables renders the sweep, one row per (concurrency, mode) leg. The
+// per-class columns follow the published mix's class order.
+func (s *ServingSweep) Tables() []Table {
+	t := Table{
+		Caption: []string{fmt.Sprintf("serving panel: loopback HTTP over %d warm device-cached rows, mix %s, %.1fs per leg",
+			s.Rows, s.Mix, s.LegSeconds)},
+		Columns: []Column{
+			{CSV: "clients", Text: "clients"},
+			{CSV: "mode", Text: "mode"},
+			{CSV: "qps", CSVVerb: "%.1f", Text: "qps", TextVerb: "%.0f"},
+			{CSV: "ops"},
+			{CSV: "errors"},
+		},
+	}
 	if s.Durable {
-		b.WriteString("durable: point writes group-commit to the write-ahead log before acknowledging\n")
+		t.Caption = append(t.Caption, "durable: point writes group-commit to the write-ahead log before acknowledging")
 	}
-	b.WriteString("batched = shared-scan batching scheduler; unbatched = every request executes solo\n")
-	rows := [][]string{{"clients", "mode", "qps", "write p99", "sum p99", "group p99", "speedup"}}
+	t.Caption = append(t.Caption, "batched = shared-scan batching scheduler; unbatched = every request executes solo")
+	classes := []string{"write", "sum", "group"}
+	for _, class := range classes {
+		t.Columns = append(t.Columns,
+			Column{CSV: class + "_qps", CSVVerb: "%.1f"},
+			Column{CSV: class + "_p99_us", CSVVerb: "%.1f", Text: class + " p99", TextVerb: "%.0fµs"})
+	}
+	t.Columns = append(t.Columns, Column{Text: "speedup"})
 	for _, leg := range s.Legs {
-		mode := "unbatched"
-		speed := ""
+		mode, speed := "unbatched", ""
 		if leg.Batched {
-			mode = "batched"
-			speed = fmt.Sprintf("%.2fx", s.Speedup(leg.Concurrency))
+			mode, speed = "batched", fmt.Sprintf("%.2fx", s.Speedup(leg.Concurrency))
 		}
-		row := []string{fmt.Sprintf("%d", leg.Concurrency), mode, fmt.Sprintf("%.0f", leg.QPS)}
-		for _, c := range leg.Classes {
-			row = append(row, fmt.Sprintf("%.0fµs", c.P99us))
-		}
-		for len(row) < 6 {
-			row = append(row, "")
-		}
-		row = append(row, speed)
-		rows = append(rows, row)
-	}
-	renderTable(&b, rows)
-	return b.String()
-}
-
-// CSV renders the sweep, one row per (concurrency, mode) leg.
-func (s *ServingSweep) CSV() string {
-	var b strings.Builder
-	b.WriteString("clients,mode,qps,ops,errors,write_qps,write_p99_us,sum_qps,sum_p99_us,group_qps,group_p99_us\n")
-	for _, leg := range s.Legs {
-		mode := "unbatched"
-		if leg.Batched {
-			mode = "batched"
-		}
-		fmt.Fprintf(&b, "%d,%s,%.1f,%d,%d", leg.Concurrency, mode, leg.QPS, leg.Ops, leg.Errors)
-		for _, c := range leg.Classes {
-			fmt.Fprintf(&b, ",%.1f,%.1f", c.QPS, c.P99us)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// renderTable formats rows as a fixed-width table with a rule under the
-// header (same layout the figures package uses).
-func renderTable(b *strings.Builder, rows [][]string) {
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
+		row := []any{leg.Concurrency, mode, leg.QPS, leg.Ops, leg.Errors}
+		for i := range classes {
+			if i < len(leg.Classes) {
+				row = append(row, leg.Classes[i].QPS, leg.Classes[i].P99us)
+			} else {
+				row = append(row, nil, nil)
 			}
 		}
+		t.Rows = append(t.Rows, append(row, speed))
 	}
-	for r, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
-			b.WriteString(cell)
-		}
-		b.WriteByte('\n')
-		if r == 0 {
-			total := 0
-			for i, w := range widths {
-				if i > 0 {
-					total += 2
-				}
-				total += w
-			}
-			b.WriteString(strings.Repeat("-", total))
-			b.WriteByte('\n')
-		}
-	}
+	return []Table{t}
 }

@@ -1,7 +1,6 @@
-package servingfig
+package figures
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -30,7 +29,7 @@ func TestServingSweep(t *testing.T) {
 		t.Logf("attempt %d: speedup at 32 clients %.2fx < %.1fx, retrying", attempt+1, s.Speedup(32), minSpeedup)
 	}
 	if got := s.Speedup(32); got < minSpeedup {
-		t.Errorf("batched front end %.2fx vs unbatched at 32 clients, want >= %.1fx\n%s", got, minSpeedup, s.Render())
+		t.Errorf("batched front end %.2fx vs unbatched at 32 clients, want >= %.1fx\n%s", got, minSpeedup, s.Tables()[0].Text())
 	}
 	for _, leg := range s.Legs {
 		if leg.Errors != 0 {
@@ -46,17 +45,5 @@ func TestServingSweep(t *testing.T) {
 			}
 		}
 	}
-	out := s.Render()
-	for _, want := range []string{"batched", "unbatched", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "clients,mode,qps,ops,errors,write_qps,write_p99_us,sum_qps,sum_p99_us,group_qps,group_p99_us\n") {
-		t.Errorf("bad csv header:\n%s", csv)
-	}
-	if len(strings.Split(strings.TrimSpace(csv), "\n")) != 1+len(s.Legs) {
-		t.Errorf("csv row count mismatch:\n%s", csv)
-	}
+	golden(t, "serving.txt", skeleton(s.Tables()))
 }

@@ -62,6 +62,7 @@ func (r VerifyReport) String() string {
 // and transfer-inclusive paths compute identically; timing differs only
 // on the simulated clock). All answers are checked against closed forms.
 func Verify(n uint64) (VerifyReport, error) {
+	const K = workload.PositionListSize
 	report := VerifyReport{Rows: n}
 	host := mem.NewAllocator(mem.Host, 0)
 
@@ -133,7 +134,7 @@ func Verify(n uint64) (VerifyReport, error) {
 	if err != nil {
 		return report, err
 	}
-	buf, err := gpu.Alloc(int(n) * PriceSize)
+	buf, err := gpu.Alloc(int(n) * workload.ItemPriceSize)
 	if err != nil {
 		return report, err
 	}
@@ -143,7 +144,7 @@ func Verify(n uint64) (VerifyReport, error) {
 		return report, err
 	}
 	got, err := gpu.Launch(device.Kernel{
-		Vals:   device.Vec{Buf: buf, Stride: PriceSize, Size: PriceSize, Len: int(n)},
+		Vals:   device.Vec{Buf: buf, Stride: workload.ItemPriceSize, Size: workload.ItemPriceSize, Len: int(n)},
 		Config: device.DefaultReduceConfig()})
 	if err != nil {
 		return report, err

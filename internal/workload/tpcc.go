@@ -57,6 +57,17 @@ func ItemSchema() *schema.Schema {
 	)
 }
 
+// The paper's experimental geometry (Section II-B).
+const (
+	// PositionListSize is the position-list size ("150 customers", "150
+	// items").
+	PositionListSize = 150
+	// CustomerWidth and CustomerArity pin the customer record geometry.
+	CustomerWidth, CustomerArity = 96, 21
+	// ItemWidth and ItemPriceSize pin the item record geometry.
+	ItemWidth, ItemPriceSize = 28, 8
+)
+
 // Column indexes into ItemSchema and CustomerSchema used by the harness.
 const (
 	// ItemPriceCol is the price attribute of the item table.
