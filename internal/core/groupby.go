@@ -104,7 +104,7 @@ func (t *Table) groupOneLocked(reader *tx.Tx, pl exec.Plan, hasPred bool) ([]exe
 	// groups, drop rows whose new value no longer matches, add rows whose
 	// new value now does (see engine.GroupPatch).
 	gp := engine.NewGroupPatch(merged, match)
-	err := t.patchRows(reader, func(row uint64, rec schema.Record) error {
+	err := t.patchRows(reader, func(row uint64, rec schema.Record, _ uint64) error {
 		baseKey, err := t.baseValue(row, keyCol)
 		if err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
+	"hybridstore/internal/obs"
 	"hybridstore/internal/rescache"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/tx"
@@ -275,7 +276,7 @@ func (t *Table) sumLocked(reader *tx.Tx, shape exec.Plan, plans []exec.Plan, res
 			return err
 		}
 		sum += hostSum
-		err = t.patchRows(reader, func(row uint64, rec schema.Record) error {
+		err = t.patchRows(reader, func(row uint64, rec schema.Record, _ uint64) error {
 			base, err := t.baseValue(row, col)
 			if err == nil {
 				sum += rec[col].F - base.F
@@ -343,7 +344,7 @@ func (t *Table) sumLocked(reader *tx.Tx, shape exec.Plan, plans []exec.Plan, res
 	// conservative: a base value that matches p always lives in a fragment
 	// whose zone admits p, so it was part of the base scan and can be
 	// subtracted.
-	return t.patchRows(reader, func(row uint64, rec schema.Record) error {
+	return t.patchRows(reader, func(row uint64, rec schema.Record, _ uint64) error {
 		base, err := t.baseValue(row, col)
 		if err != nil {
 			return err
@@ -362,28 +363,40 @@ func (t *Table) sumLocked(reader *tx.Tx, shape exec.Plan, plans []exec.Plan, res
 	})
 }
 
+// mPatchRows counts the rows patchRows handed to a callback: the work a
+// scan (or Merge) does for live deltas, which follows the number of
+// visible delta rows and not the table's size.
+var mPatchRows = obs.NewCounter("core.patch.rows")
+
 // patchRows is the one MVCC patch iterator: it calls fn, in ascending
-// row order, with every row that carries delta versions and the version
-// of it the reader's snapshot sees (rows whose versions are all
-// invisible to the snapshot are skipped).
-func (t *Table) patchRows(reader *tx.Tx, fn func(row uint64, rec schema.Record) error) error {
-	rows := t.rel.Rows()
-	for row := uint64(0); row < rows; row++ {
-		if t.deltas.LatestTS(row) == 0 {
-			continue
-		}
-		rec, err := reader.Read(t.deltas, row)
-		if errors.Is(err, tx.ErrNotFound) {
-			continue
-		}
-		if err == nil {
-			err = fn(row, rec)
-		}
-		if err != nil {
-			return err
-		}
+// row order, with every table row that carries a delta version the
+// reader's snapshot sees — that version's record and commit timestamp —
+// skipping rows whose visible version is a delete marker. It is a
+// filter over tx.Store.RangeVisible, so a walk costs the live chains,
+// not the table's rows, and takes the store's lock once; fn inherits
+// the iterator's contract: rec is read-only and not retained. reader
+// must be a fresh read-only snapshot (the iterator does not see a
+// transaction's own buffered writes).
+func (t *Table) patchRows(reader *tx.Tx, fn func(row uint64, rec schema.Record, verTS uint64) error) error {
+	if reader.Pending() != 0 {
+		panic("core: patchRows over a transaction with buffered writes")
 	}
-	return nil
+	rows := t.rel.Rows()
+	var err error
+	var handed int64
+	t.deltas.RangeVisible(reader.SnapshotTS(), func(row uint64, rec schema.Record, deleted bool, verTS uint64) bool {
+		if row >= rows {
+			return false // ascending: nothing below rows is left
+		}
+		if deleted {
+			return true
+		}
+		handed++
+		err = fn(row, rec, verTS)
+		return err == nil
+	})
+	mPatchRows.Add(handed)
+	return err
 }
 
 // rowStampLocked resolves the result-cache coordinates of a point read

@@ -34,7 +34,11 @@ func (t *Table) recordAt(x *tx.Tx, row uint64) (schema.Record, error) {
 
 // Update installs a new version of one field through a single-operation
 // transaction; base fragments are never written (so pinned analytic
-// snapshots stay stable).
+// snapshots stay stable). A lone statement has no snapshot its caller
+// could have observed, so a lost first-committer-wins race is not the
+// caller's to handle: the read-modify-write reruns on a fresh snapshot.
+// Every rerun is caused by another transaction's successful commit to
+// the row, so some writer always makes progress.
 func (t *Table) Update(row uint64, col int, v schema.Value) error {
 	if col < 0 || col >= t.s.Arity() {
 		return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
@@ -47,6 +51,21 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 	if row >= t.rel.Rows() {
 		return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rel.Rows())
 	}
+	for {
+		err := t.updateOnce(row, col, v)
+		if errors.Is(err, tx.ErrConflict) {
+			continue
+		}
+		if err == nil {
+			t.mon.Observe(workload.Op{Kind: workload.PointUpdate, Row: row, Cols: []int{col}})
+		}
+		return err
+	}
+}
+
+// updateOnce is one attempt of Update: read row under a fresh snapshot,
+// set the field, commit. Caller holds t.mu.
+func (t *Table) updateOnce(row uint64, col int, v schema.Value) error {
 	x := t.txm.Begin()
 	rec, err := t.recordAt(x, row)
 	if err != nil {
@@ -58,11 +77,7 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 		x.Abort()
 		return err
 	}
-	if err := x.Commit(); err != nil {
-		return err
-	}
-	t.mon.Observe(workload.Op{Kind: workload.PointUpdate, Row: row, Cols: []int{col}})
-	return nil
+	return x.Commit()
 }
 
 // Materialize resolves a sorted position list against the current state.
@@ -229,8 +244,9 @@ func (t *Table) Merge() error {
 	// pressure.
 	touched := make(map[*layout.Fragment]bool)
 	touchedChunks := make(map[*chunk]bool)
-	err := t.patchRows(reader, func(row uint64, rec schema.Record) error {
-		if t.deltas.LatestTS(row) > minTS {
+	var settled []uint64
+	err := t.patchRows(reader, func(row uint64, rec schema.Record, verTS uint64) error {
+		if verTS > minTS {
 			return nil // an active snapshot still needs the chain
 		}
 		c, err := t.chunkFor(row)
@@ -255,14 +271,18 @@ func (t *Table) Merge() error {
 			}
 			touchedChunks[c] = true
 		}
-		// The base now carries the settled value; the chain is redundant
-		// for every snapshot at or after minTS.
-		t.deltas.Forget(row)
+		settled = append(settled, row)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	// The base now carries the settled rows' values, which makes a chain
+	// redundant for every snapshot at or after minTS — unless an
+	// interactive commit (Txn.Commit takes no table lock) pushed a newer
+	// version onto it meanwhile. The store compares under its write lock
+	// and keeps such a chain: it patches over the older settled value.
+	t.deltas.Forget(settled, minTS)
 	for f := range touched {
 		t.invalidateFrag(f)
 	}

@@ -23,6 +23,10 @@ import "hybridstore/internal/rescache"
 //     before any commit racing with this section, which is valid — the
 //     request held no ordering claim over that commit).
 //
+// Versions() is a count the store maintains where versions are
+// installed, pruned and forgotten; the argument above needs only its
+// value, which is what a walk of the chains would return.
+//
 // Point reads sharpen both checks to one row (deltas.LatestTS(row),
 // equally monotone under RLock) and one chunk's fragments, so an
 // insert or merge elsewhere in the table does not invalidate them.

@@ -74,6 +74,8 @@ type GPU struct {
 	// without per-launch allocation.
 	scratchMu sync.Mutex
 	scratch   [][]float64
+	// tables recycles the grouped kernel's hash tables the same way.
+	tables []*groupTable
 }
 
 // getF64 pops a zeroed scratch slice of length n.
@@ -104,6 +106,30 @@ func (g *GPU) putF64(s []float64) {
 	g.scratchMu.Lock()
 	if len(g.scratch) < 64 {
 		g.scratch = append(g.scratch, s[:0])
+	}
+	g.scratchMu.Unlock()
+}
+
+// getGroupTable pops an empty group table.
+func (g *GPU) getGroupTable() *groupTable {
+	g.scratchMu.Lock()
+	defer g.scratchMu.Unlock()
+	if n := len(g.tables); n > 0 {
+		t := g.tables[n-1]
+		g.tables = g.tables[:n-1]
+		return t
+	}
+	return &groupTable{slot: make(map[int64]int)}
+}
+
+// putGroupTable empties a group table and recycles it; like scratch,
+// the free list is bounded by the number of concurrent launches.
+func (g *GPU) putGroupTable(t *groupTable) {
+	clear(t.slot)
+	t.rows = t.rows[:0]
+	g.scratchMu.Lock()
+	if len(g.tables) < 64 {
+		g.tables = append(g.tables, t)
 	}
 	g.scratchMu.Unlock()
 }

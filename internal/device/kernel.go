@@ -74,6 +74,26 @@ type GroupPartial struct {
 // groupPartialBytes is the D2H wire size of one group-table entry.
 const groupPartialBytes = 24
 
+// groupTable is the grouped kernel's hash-aggregate working set: slot
+// maps a key to its entry in rows, which stay in first-seen order. The
+// entries are values, so a launch allocates nothing per group, and the
+// GPU recycles whole tables across launches (getGroupTable).
+type groupTable struct {
+	slot map[int64]int
+	rows []GroupPartial
+}
+
+// add folds one matching element into its group.
+func (t *groupTable) add(key int64, x float64) {
+	if j, ok := t.slot[key]; ok {
+		t.rows[j].Sum += x
+		t.rows[j].Count++
+		return
+	}
+	t.slot[key] = len(t.rows)
+	t.rows = append(t.rows, GroupPartial{Key: key, Sum: x, Count: 1})
+}
+
 // Launch runs the kernel and advances the device clock by its priced
 // duration now.
 func (g *GPU) Launch(k Kernel) (Partial, error) {
@@ -160,35 +180,27 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 			}
 			return int64(int32(binary.LittleEndian.Uint32(kbuf[kbase+i*kstride:])))
 		}
-		table := make(map[int64]*GroupPartial)
-		var matched int64
-		add := func(key int64, x float64) {
-			if gr, ok := table[key]; ok {
-				gr.Sum += x
-				gr.Count++
-			} else {
-				table[key] = &GroupPartial{Key: key, Sum: x, Count: 1}
-			}
-			matched++
-		}
+		// Ascending element order keeps per-group float accumulation
+		// bit-identical to the host fused kernel's.
+		table := g.getGroupTable()
+		defer g.putGroupTable(table)
 		if col != nil {
-			if err := col.GroupSumFloat64Where(between, keyAt, add); err != nil {
+			if err := col.GroupSumFloat64Where(between, keyAt, table.add); err != nil {
 				return out, 0, 0, err
 			}
 		} else {
-			// Ascending element order keeps per-group float accumulation
-			// bit-identical to the host fused kernel's.
 			for i := 0; i < n; i++ {
 				x := math.Float64frombits(binary.LittleEndian.Uint64(vbuf[vbase+i*stride:]))
 				if lo <= x && x <= hi {
-					add(keyAt(i), x)
+					table.add(keyAt(i), x)
 				}
 			}
 		}
-		out.Groups = make([]GroupPartial, 0, len(table))
-		for _, gr := range table {
-			out.Groups = append(out.Groups, *gr)
+		var matched int64
+		for _, gr := range table.rows {
+			matched += gr.Count
 		}
+		out.Groups = slices.Clone(table.rows)
 		slices.SortFunc(out.Groups, func(a, b GroupPartial) int { return cmp.Compare(a.Key, b.Key) })
 		g.countKernels(1)
 		resultBytes := int64(len(out.Groups)) * groupPartialBytes

@@ -86,7 +86,7 @@ func TestKernelShapes(t *testing.T) {
 
 			var wantSum float64
 			var wantN int64
-			groups := map[int64]*GroupPartial{}
+			groups := map[int64]GroupPartial{}
 			for i, x := range vals {
 				if shape.where && !(lo <= x && x <= hi) {
 					continue
@@ -94,11 +94,8 @@ func TestKernelShapes(t *testing.T) {
 				wantSum += x
 				wantN++
 				key := int64(i % 3)
-				if groups[key] == nil {
-					groups[key] = &GroupPartial{Key: key}
-				}
-				groups[key].Sum += x
-				groups[key].Count++
+				gr := groups[key]
+				groups[key] = GroupPartial{Key: key, Sum: gr.Sum + x, Count: gr.Count + 1}
 			}
 			if !shape.where {
 				wantN = 0 // an unfiltered reduction reports no count
@@ -111,8 +108,8 @@ func TestKernelShapes(t *testing.T) {
 					if i > 0 && out.Groups[i-1].Key >= gr.Key {
 						t.Fatalf("%s: groups not key-sorted", shape.name)
 					}
-					if *groups[gr.Key] != gr {
-						t.Fatalf("%s: group %+v, want %+v", shape.name, gr, *groups[gr.Key])
+					if groups[gr.Key] != gr {
+						t.Fatalf("%s: group %+v, want %+v", shape.name, gr, groups[gr.Key])
 					}
 				}
 			} else if out.Sum != wantSum || out.Count != wantN {
@@ -159,5 +156,51 @@ func TestKernelSemantics(t *testing.T) {
 	}
 	if _, err := g.Launch(Kernel{Vals: v, Keys: v, Config: cfg}); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("unfiltered grouped launch: err = %v, want ErrBadLaunch", err)
+	}
+}
+
+// A grouped launch allocates the result it hands back and nothing per
+// group: the hash table holds values and is recycled across launches, so
+// a 64-group fragment costs what a 1-group fragment of the same length
+// does. (With a map of pointers it cost one heap object per group per
+// launch plus the map's growth, on every fragment of every scan.)
+func TestGroupedLaunchAllocsIndependentOfGroups(t *testing.T) {
+	const n = 1024
+	g, _ := newGPU()
+	vbuf, vals, err := fillFloats(g, n, 8, func(i int) float64 { return float64(i % 50) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vbuf.Free()
+	allocs := func(domain int) float64 {
+		raw := make([]byte, n*4)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(raw[i*4:], uint32(i%domain))
+		}
+		kbuf, err := g.Alloc(len(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kbuf.Free()
+		if err := g.CopyToDevice(kbuf, 0, raw); err != nil {
+			t.Fatal(err)
+		}
+		k := Kernel{
+			Vals: vals, Keys: Vec{Buf: kbuf, Stride: 4, Size: 4, Len: n},
+			Where: true, Lo: 0, Hi: 100, Config: ReduceConfigFor(n),
+		}
+		s := g.NewStream()
+		defer s.Wait()
+		return testing.AllocsPerRun(50, func() {
+			out, err := s.Launch(k)
+			if err != nil || len(out.Groups) != domain {
+				t.Fatalf("%d groups, %v; want %d", len(out.Groups), err, domain)
+			}
+		})
+	}
+	one, many := allocs(1), allocs(64)
+	t.Logf("allocs per grouped launch: %.0f with 1 group, %.0f with 64", one, many)
+	if many > one+2 {
+		t.Errorf("a 64-group launch allocates %.0f, a 1-group launch %.0f: grows with the group count", many, one)
 	}
 }

@@ -167,7 +167,7 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 		return device.Vec{Buf: buf, Stride: p.Vec.Size, Size: p.Vec.Size, Len: p.Vec.Len}, nil, nil
 	}
 	var res Result
-	var table map[int64]*GroupResult
+	var table groupTable
 	for _, i := range kept {
 		vp := sc.Vals[i]
 		k := device.Kernel{Where: filtered, Lo: lo, Hi: hi, Config: device.ReduceConfigFor(vp.Vec.Len)}
@@ -191,23 +191,12 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 		res.Sum += part.Sum
 		res.Count += part.Count
 		for _, g := range part.Groups {
-			if table == nil {
-				table = make(map[int64]*GroupResult)
-			}
-			if gr, ok := table[g.Key]; ok {
-				gr.Sum += g.Sum
-				gr.Count += g.Count
-			} else {
-				table[g.Key] = &GroupResult{Key: g.Key, Sum: g.Sum, Count: g.Count}
-			}
+			table.add(GroupResult(g))
 		}
 	}
 	if grouped {
-		res.Groups = make([]GroupResult, 0, len(table))
-		for _, gr := range table {
-			res.Groups = append(res.Groups, *gr)
-		}
-		SortGroupResults(res.Groups)
+		SortGroupResults(table.rows)
+		res.Groups = table.rows
 	}
 	return res, nil
 }

@@ -38,21 +38,35 @@ func MergeGroupResults(parts ...[]GroupResult) []GroupResult {
 		SortGroupResults(out)
 		return out
 	}
-	// Index into the output slice instead of a map of pointers: one
-	// allocation for the table, not one per group.
-	idx := make(map[int64]int)
-	var out []GroupResult
+	var t groupTable
 	for _, part := range parts {
 		for _, g := range part {
-			if j, ok := idx[g.Key]; ok {
-				out[j].Sum += g.Sum
-				out[j].Count += g.Count
-			} else {
-				idx[g.Key] = len(out)
-				out = append(out, g)
-			}
+			t.add(g)
 		}
 	}
-	SortGroupResults(out)
-	return out
+	SortGroupResults(t.rows)
+	return t.rows
+}
+
+// groupTable folds partial group entries into one entry per key. slot
+// indexes into rows (first-seen order) instead of mapping to pointers:
+// one growing allocation for the table, not one heap object per group.
+// The zero value is ready to use.
+type groupTable struct {
+	slot map[int64]int
+	rows []GroupResult
+}
+
+// add folds g into its key's entry.
+func (t *groupTable) add(g GroupResult) {
+	if j, ok := t.slot[g.Key]; ok {
+		t.rows[j].Sum += g.Sum
+		t.rows[j].Count += g.Count
+		return
+	}
+	if t.slot == nil {
+		t.slot = make(map[int64]int)
+	}
+	t.slot[g.Key] = len(t.rows)
+	t.rows = append(t.rows, g)
 }

@@ -1,7 +1,9 @@
 package tx
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"hybridstore/internal/schema"
 )
@@ -78,7 +80,7 @@ func (s *Store) InstallAt(row uint64, rec schema.Record, deleted bool, ts uint64
 	if !deleted {
 		r = rec.Clone()
 	}
-	s.chains[row] = &version{ts: ts, rec: r, deleted: deleted, next: s.chains[row]}
+	s.install(row, &version{ts: ts, rec: r, deleted: deleted})
 	return nil
 }
 
@@ -95,22 +97,37 @@ func (s *Store) VersionAt(row uint64, ts uint64) (rec schema.Record, deleted boo
 	return v.rec, v.deleted, v.ts, true
 }
 
-// RangeVisible calls fn for every row with a version visible at ts,
-// passing the visible record, delete flag and its commit timestamp.
-// Iteration order is unspecified. fn returning false stops the walk.
-// The store lock is held throughout: fn must not call back into the
-// store.
+// RangeVisible is the store's one visible-version iterator: it calls
+// fn, in ascending row order, once for every row with a version visible
+// at ts, passing that version's record, delete flag and commit
+// timestamp. fn returning false stops the walk.
+//
+// The walk takes the read lock once, and only to collect the visible
+// versions — committers wait for one pass over the live chains, not for
+// fn. It then sorts and calls fn outside the lock, so a walk costs
+// O(c log c) for c live chains, and what fn sees is the store at the
+// instant of collection: versions are immutable once installed, so a
+// commit, Prune or Forget that lands later changes nothing the walk
+// hands out. For the same reason rec is the stored record itself, not a
+// copy: it is read-only, and fn should copy out what it needs rather
+// than retain it (a held record outlives the version's removal).
 func (s *Store) RangeVisible(ts uint64, fn func(row uint64, rec schema.Record, deleted bool, verTS uint64) bool) {
+	type hit struct {
+		row uint64
+		v   *version
+	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
+	hits := make([]hit, 0, len(s.chains))
 	for row, v := range s.chains {
-		for ; v != nil; v = v.next {
-			if v.ts <= ts {
-				if !fn(row, v.rec, v.deleted, v.ts) {
-					return
-				}
-				break
-			}
+		if v = v.at(ts); v != nil {
+			hits = append(hits, hit{row, v})
+		}
+	}
+	s.mu.RUnlock()
+	slices.SortFunc(hits, func(a, b hit) int { return cmp.Compare(a.row, b.row) })
+	for _, h := range hits {
+		if !fn(h.row, h.v.rec, h.v.deleted, h.v.ts) {
+			return
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hybridstore/internal/obs"
 	"hybridstore/internal/schema"
@@ -63,6 +64,10 @@ type version struct {
 type Store struct {
 	mu     sync.RWMutex
 	chains map[uint64]*version
+	// versions counts the stored versions. It only changes under the
+	// write lock, next to the chain edit it accounts for, and is read
+	// without the lock.
+	versions atomic.Int64
 }
 
 // NewStore creates an empty version store.
@@ -70,15 +75,19 @@ func NewStore() *Store {
 	return &Store{chains: make(map[uint64]*version)}
 }
 
-// visible returns the newest version of row committed at or before ts.
-func (s *Store) visible(row uint64, ts uint64) *version {
-	for v := s.chains[row]; v != nil; v = v.next {
+// at returns the newest version of the chain headed by v committed at or
+// before ts.
+func (v *version) at(ts uint64) *version {
+	for ; v != nil; v = v.next {
 		if v.ts <= ts {
 			return v
 		}
 	}
 	return nil
 }
+
+// visible returns the newest version of row committed at or before ts.
+func (s *Store) visible(row uint64, ts uint64) *version { return s.chains[row].at(ts) }
 
 // LatestTS returns the commit timestamp of row's newest version (0 if the
 // row has none).
@@ -98,18 +107,24 @@ func (s *Store) Rows() int {
 	return len(s.chains)
 }
 
-// Versions returns the total number of stored versions (for GC tests and
-// compaction policies).
-func (s *Store) Versions() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, v := range s.chains {
-		for ; v != nil; v = v.next {
-			n++
-		}
-	}
-	return n
+// Versions returns the total number of stored versions (for GC tests,
+// compaction policies and the result cache's "no live deltas" check).
+// It is a maintained count, not a walk: O(1) and lock-free.
+func (s *Store) Versions() int { return int(s.versions.Load()) }
+
+// install pushes a new newest version onto row's chain. Caller holds
+// the write lock.
+func (s *Store) install(row uint64, v *version) {
+	v.next = s.chains[row]
+	s.chains[row] = v
+	s.versions.Add(1)
+}
+
+// dropped accounts for n versions removed from the chains. Caller holds
+// the write lock.
+func (s *Store) dropped(n int64) {
+	s.versions.Add(-n)
+	mVersionsPruned.Add(n)
 }
 
 // Prune drops versions that no snapshot at or after minTS can see: for
@@ -148,26 +163,32 @@ func (s *Store) Prune(minTS uint64) {
 		kept[row] = v
 	}
 	s.chains = kept
-	if pruned > 0 {
-		mVersionsPruned.Add(pruned)
-	}
+	s.dropped(pruned)
 }
 
-// Forget removes row's entire version chain. It is only safe when the
-// newest version's value has been folded into the caller's base storage
-// and no active snapshot predates that version (callers guard with
-// Manager.MinActiveTS) — the merge path of HTAP engines.
-func (s *Store) Forget(row uint64) {
+// Forget removes the entire version chain of each listed row whose
+// newest version committed at or before upTo, under one acquisition of
+// the write lock. It is the merge path of HTAP engines: the caller
+// folded the version visible at upTo into its base storage and no
+// active snapshot predates upTo (Manager.MinActiveTS). A chain that
+// gained a newer version since — commits do not wait for the merging
+// engine — is left whole: the base then holds an older settled value
+// and the chain keeps patching over it.
+func (s *Store) Forget(rows []uint64, upTo uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n int64
-	for v := s.chains[row]; v != nil; v = v.next {
-		n++
+	for _, row := range rows {
+		v := s.chains[row]
+		if v == nil || v.ts > upTo {
+			continue
+		}
+		for ; v != nil; v = v.next {
+			n++
+		}
+		delete(s.chains, row)
 	}
-	delete(s.chains, row)
-	if n > 0 {
-		mVersionsPruned.Add(n)
-	}
+	s.dropped(n)
 }
 
 // Manager issues timestamps and transactions over any number of stores.
@@ -371,7 +392,7 @@ func (t *Tx) commitCritical() (func() error, error) {
 		s.mu.Lock()
 		for _, k := range keys {
 			w := t.writes[k]
-			s.chains[k.row] = &version{ts: commitTS, rec: w.rec, deleted: w.deleted, next: s.chains[k.row]}
+			s.install(k.row, &version{ts: commitTS, rec: w.rec, deleted: w.deleted})
 		}
 		s.mu.Unlock()
 	}

@@ -12,6 +12,20 @@ import (
 
 func rec(v int64) schema.Record { return schema.Record{schema.IntValue(v)} }
 
+// walkedVersions counts the stored versions by walking every chain — the
+// definition Store.Versions' maintained count must equal at every step.
+func walkedVersions(s *Store) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, v := range s.chains {
+		for ; v != nil; v = v.next {
+			n++
+		}
+	}
+	return n
+}
+
 func mustCommit(t *testing.T, x *Tx) {
 	t.Helper()
 	if err := x.Commit(); err != nil {
@@ -385,8 +399,16 @@ func TestQuickSnapshotStability(t *testing.T) {
 		for _, w := range writes {
 			x := m.Begin()
 			x.Write(s, uint64(w%4), rec(int64(w)))
-			if x.Commit() != nil {
+			if x.Commit() != nil || s.Versions() != walkedVersions(s) {
 				return false
+			}
+			// Pruning under the reader's horizon must not move its view
+			// either, and keeps the count exact.
+			if w%8 == 0 {
+				s.Prune(m.MinActiveTS())
+				if s.Versions() != walkedVersions(s) {
+					return false
+				}
 			}
 		}
 		for i := uint64(0); i < 4; i++ {
@@ -412,14 +434,27 @@ func TestQuickPruneKeepsNewest(t *testing.T) {
 		for _, op := range ops {
 			row := uint64(op % 8)
 			x := m.Begin()
-			x.Write(s, row, rec(int64(op)))
-			if x.Commit() != nil {
+			if op%5 == 0 {
+				x.Delete(s, row)
+				delete(want, row)
+			} else {
+				x.Write(s, row, rec(int64(op)))
+				want[row] = int64(op)
+			}
+			if x.Commit() != nil || s.Versions() != walkedVersions(s) {
 				return false
 			}
-			want[row] = int64(op)
+			// A merge-style drop of a settled chain, now and then.
+			if op%7 == 0 {
+				s.Forget([]uint64{row, row + 8}, m.MinActiveTS())
+				delete(want, row)
+				if s.Versions() != walkedVersions(s) {
+					return false
+				}
+			}
 		}
 		s.Prune(m.MinActiveTS())
-		if s.Versions() != len(want) {
+		if s.Versions() != len(want) || s.Versions() != walkedVersions(s) {
 			return false
 		}
 		r := m.Begin()
@@ -433,6 +468,159 @@ func TestQuickPruneKeepsNewest(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// visit is one version as RangeVisible reports it (and, in fixtures, as
+// InstallAt installs it).
+type visit struct {
+	row     uint64
+	val     int64
+	deleted bool
+	ts      uint64
+}
+
+func rangeAt(s *Store, ts uint64) []visit {
+	var out []visit
+	s.RangeVisible(ts, func(row uint64, r schema.Record, deleted bool, verTS uint64) bool {
+		v := visit{row: row, deleted: deleted, ts: verTS}
+		if !deleted {
+			v.val = r[0].I
+		}
+		out = append(out, v)
+		return true
+	})
+	return out
+}
+
+// The iterator visits ascending rows only, each once, with the version
+// visible at ts (not the newest), flags delete markers and skips rows
+// that have no version yet at ts.
+func TestRangeVisibleOrderedSnapshot(t *testing.T) {
+	s := NewStore()
+	// Installed in commit order, which is not row order.
+	for _, in := range []visit{
+		{900, 1, false, 1},
+		{3, 2, false, 2},
+		{41, 3, false, 3},
+		{900, 4, false, 4},
+		{7, 5, false, 5},
+		{41, 0, true, 6},
+		{3, 7, false, 7},
+		{1 << 40, 8, false, 8},
+	} {
+		if err := s.InstallAt(in.row, rec(in.val), in.deleted, in.ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		ts   uint64
+		want []visit
+	}{
+		{0, nil},
+		{3, []visit{{3, 2, false, 2}, {41, 3, false, 3}, {900, 1, false, 1}}},
+		{6, []visit{{3, 2, false, 2}, {7, 5, false, 5}, {41, 0, true, 6}, {900, 4, false, 4}}},
+		{99, []visit{{3, 7, false, 7}, {7, 5, false, 5}, {41, 0, true, 6}, {900, 4, false, 4}, {1 << 40, 8, false, 8}}},
+	} {
+		got := rangeAt(s, tc.ts)
+		if len(got) != len(tc.want) {
+			t.Fatalf("ts %d: visited %v, want %v", tc.ts, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("ts %d: visit %d = %+v, want %+v", tc.ts, i, got[i], tc.want[i])
+			}
+		}
+	}
+	// fn returning false stops the walk.
+	n := 0
+	s.RangeVisible(99, func(uint64, schema.Record, bool, uint64) bool { n++; return n < 2 })
+	if n != 2 {
+		t.Fatalf("walk continued after fn returned false: %d visits", n)
+	}
+}
+
+// Walks racing with committers stay ordered, duplicate-free and inside
+// their snapshot: every visited version committed at or before ts and
+// is the one a transaction beginning at ts reads. Run under -race.
+func TestRangeVisibleConcurrentCommitters(t *testing.T) {
+	m := NewManager()
+	s := NewStore()
+	const rows, writers, perWriter = 64, 4, 300
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				x := m.Begin()
+				// Rows are partitioned per writer: no conflicts.
+				x.Write(s, uint64(g+writers*(i*7%(rows/writers))), rec(int64(i)))
+				if err := x.Commit(); err != nil {
+					t.Errorf("commit: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				x := m.Begin()
+				ts := x.SnapshotTS()
+				var last uint64
+				for j, v := range rangeAt(s, ts) {
+					if j > 0 && v.row <= last {
+						t.Errorf("row %d visited after %d", v.row, last)
+					}
+					last = v.row
+					// The snapshot's own read agrees with what the walk saw.
+					got, err := x.Read(s, v.row)
+					if v.ts > ts || v.deleted || err != nil || got[0].I != v.val {
+						t.Errorf("row %d at snapshot %d: walk saw %+v, Read = %v, %v", v.row, ts, v, got, err)
+					}
+				}
+				x.Abort()
+			}
+		}()
+	}
+	wg.Wait()
+	if s.Versions() != walkedVersions(s) || s.Versions() != writers*perWriter {
+		t.Fatalf("Versions = %d, walked %d, committed %d", s.Versions(), walkedVersions(s), writers*perWriter)
+	}
+}
+
+// Forget is conditional: a chain whose newest version is newer than the
+// horizon the caller folded up to stays whole.
+func TestForgetKeepsNewerVersion(t *testing.T) {
+	s := NewStore()
+	for _, ts := range []uint64{5, 9} {
+		if err := s.InstallAt(1, rec(int64(ts)), false, ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.InstallAt(2, rec(3), false, 3); err != nil {
+		t.Fatal(err)
+	}
+	// Row 1 was folded at ts 5 but gained ts 9 since; row 2 is settled;
+	// row 3 has no chain.
+	s.Forget([]uint64{1, 2, 3}, 5)
+	if s.LatestTS(2) != 0 {
+		t.Fatal("settled chain kept")
+	}
+	for _, ts := range []uint64{5, 9} {
+		r, _, verTS, ok := s.VersionAt(1, ts)
+		if !ok || verTS != ts || r[0].I != int64(ts) {
+			t.Fatalf("refused drop damaged the chain: at ts %d got %v ts %d ok %v", ts, r, verTS, ok)
+		}
+	}
+	if s.Versions() != 2 || walkedVersions(s) != 2 {
+		t.Fatalf("Versions = %d (walked %d), want 2", s.Versions(), walkedVersions(s))
+	}
+	if s.Forget([]uint64{1}, 9); s.Versions() != 0 || s.Rows() != 0 {
+		t.Fatalf("drop at the newest version's ts left versions=%d rows=%d", s.Versions(), s.Rows())
 	}
 }
 
