@@ -34,7 +34,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -47,6 +46,7 @@ import (
 
 	"hybridstore"
 	"hybridstore/internal/server"
+	"hybridstore/internal/server/loadgen"
 )
 
 // txRows is the number of dedicated rows (primary keys 0..txRows-1) the
@@ -452,52 +452,25 @@ func servingLane(durable, mixed bool) (p50, p99 float64, err error) {
 	}
 	defer l.Close()
 	go s.Serve(l)
-	url := "http://" + l.Addr().String()
 
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: benchLanes}}
-	post := func(path, body string) (string, int, error) {
-		resp, err := client.Post(url+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			return "", 0, err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		return string(b), resp.StatusCode, err
-	}
-	body, code, err := post("/v1/session", `{"tenant":"crashtest"}`)
-	if err != nil || code != 200 {
-		return 0, 0, fmt.Errorf("session: %v (status %d, %s)", err, code, body)
-	}
-	sid := strings.TrimSuffix(strings.TrimPrefix(body, `{"session_id":"`), `"}`)
-	prep := func(spec string) (int, error) {
-		body, code, err := post("/v1/prepare", fmt.Sprintf(`{"session_id":"%s",%s}`, sid, spec))
-		if err != nil || code != 200 {
-			return 0, fmt.Errorf("prepare: %v (status %d, %s)", err, code, body)
-		}
-		var id int
-		if _, err := fmt.Sscanf(body, `{"stmt_id":%d}`, &id); err != nil {
-			return 0, fmt.Errorf("bad prepare response %q", body)
-		}
-		return id, nil
-	}
-	write, err := prep(`"op":"update","table":"item","col":4`)
+	c, err := loadgen.Dial(&http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: benchLanes}},
+		"http://"+l.Addr().String(), "crashtest")
 	if err != nil {
 		return 0, 0, err
 	}
-	sum, err := prep(`"op":"sum_where","table":"item","col":4`)
+	write, err := c.Prepare(`"op":"update","table":"item","col":4`)
 	if err != nil {
 		return 0, 0, err
 	}
-	group, err := prep(`"op":"group_sum_where","table":"item","col":4,"key_col":1`)
+	sum, err := c.Prepare(`"op":"sum_where","table":"item","col":4`)
 	if err != nil {
 		return 0, 0, err
 	}
-	preds := []string{
-		`{"kind":"lt","hi":30}`,
-		`{"kind":"gt","lo":50}`,
-		`{"kind":"between","lo":10,"hi":60}`,
-		`{"kind":"between","lo":20,"hi":80}`,
+	group, err := c.Prepare(`"op":"group_sum_where","table":"item","col":4,"key_col":1`)
+	if err != nil {
+		return 0, 0, err
 	}
+	preds := loadgen.PredCuts
 
 	// Measured with exact per-request timestamps: loadgen's log2-bucketed
 	// histogram is only accurate to a factor of two, far too coarse for
@@ -514,23 +487,16 @@ func servingLane(durable, mixed bool) (p50, p99 float64, err error) {
 			for i := 0; i < warmup+perLane; i++ {
 				// The mixed lane follows write=20,sum=60,group=20 per
 				// five requests; the write lane is writes only.
-				var req string
-				slot := i % 5
-				switch {
+				stmt, args := sum, `"pred":`+preds[(w+i)%len(preds)].Wire
+				switch slot := i % 5; {
 				case !mixed || slot == 0:
-					req = fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":%d,"value":%d}`,
-						sid, write, uint64(w*131+i*17)%rows, i%100)
+					stmt, args = write, fmt.Sprintf(`"row":%d,"value":%d`, uint64(w*131+i*17)%rows, i%100)
 				case slot == 4:
-					req = fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":%s}`,
-						sid, group, preds[(w+i)%len(preds)])
-				default:
-					req = fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":%s}`,
-						sid, sum, preds[(w+i)%len(preds)])
+					stmt = group
 				}
 				start := time.Now()
-				_, code, err := post("/v1/exec", req)
-				if err != nil || code != 200 {
-					errs <- fmt.Errorf("serving lane (durable=%v mixed=%v): %v (status %d)", durable, mixed, err, code)
+				if _, err := c.Exec(stmt, args); err != nil {
+					errs <- fmt.Errorf("serving lane (durable=%v mixed=%v): %w", durable, mixed, err)
 					return
 				}
 				if i >= warmup {

@@ -31,7 +31,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -133,43 +132,15 @@ func main() {
 // cache entry surviving invalidation, a gather pass fanning out the
 // wrong record — fails the run.
 func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
-	c := &http.Client{Timeout: 10 * time.Second}
-	post := func(path, body string) (string, error) {
-		resp, err := c.Post(base+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return "", err
-		}
-		if resp.StatusCode != 200 {
-			return "", fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, b)
-		}
-		return string(b), nil
-	}
-	sessResp, err := post("/v1/session", `{"tenant":"verify"}`)
+	c, err := loadgen.Dial(&http.Client{Timeout: 10 * time.Second}, base, "verify")
 	if err != nil {
 		return 0, err
 	}
-	sid := strings.TrimSuffix(strings.TrimPrefix(sessResp, `{"session_id":"`), `"}`)
-	prepare := func(spec string) (int, error) {
-		resp, err := post("/v1/prepare", spec)
-		if err != nil {
-			return 0, err
-		}
-		var id int
-		if _, err := fmt.Sscanf(resp, `{"stmt_id":%d}`, &id); err != nil {
-			return 0, fmt.Errorf("bad prepare response %q", resp)
-		}
-		return id, nil
-	}
-	get, err := prepare(fmt.Sprintf(`{"session_id":"%s","op":"get","table":"item"}`, sid))
+	get, err := c.Prepare(`"op":"get","table":"item"`)
 	if err != nil {
 		return 0, err
 	}
-	sum, err := prepare(fmt.Sprintf(`{"session_id":"%s","op":"sum_where","table":"item","col":4}`, sid))
+	sum, err := c.Prepare(`"op":"sum_where","table":"item","col":4`)
 	if err != nil {
 		return 0, err
 	}
@@ -191,7 +162,7 @@ func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
 			return checked, err
 		}
 		want := renderRecord(rec)
-		got, err := post("/v1/exec", fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":%d}`, sid, get, row))
+		got, err := c.Exec(get, fmt.Sprintf(`"row":%d`, row))
 		if err != nil {
 			return checked, err
 		}
@@ -201,28 +172,19 @@ func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
 		checked++
 	}
 	// Predicate sums: the same cuts the lanes fired, twice each.
-	cuts := []struct {
-		wire string
-		p    hybridstore.FloatPred
-	}{
-		{`{"kind":"lt","hi":30}`, hybridstore.LtFloat(30)},
-		{`{"kind":"gt","lo":50}`, hybridstore.GtFloat(50)},
-		{`{"kind":"between","lo":10,"hi":60}`, hybridstore.BetweenFloat(10, 60)},
-		{`{"kind":"between","lo":20,"hi":80}`, hybridstore.BetweenFloat(20, 80)},
-	}
 	for pass := 0; pass < 2; pass++ {
-		for _, cut := range cuts {
-			s, n, err := tbl.SumFloat64Where(hybridstore.ItemPriceColumn, cut.p)
+		for _, cut := range loadgen.PredCuts {
+			s, n, err := tbl.SumFloat64Where(hybridstore.ItemPriceColumn, cut.Pred)
 			if err != nil {
 				return checked, err
 			}
 			want := fmt.Sprintf(`{"sum":%s,"count":%d}`, strconv.FormatFloat(s, 'g', -1, 64), n)
-			got, err := post("/v1/exec", fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":%s}`, sid, sum, cut.wire))
+			got, err := c.Exec(sum, `"pred":`+cut.Wire)
 			if err != nil {
 				return checked, err
 			}
 			if got != want {
-				return checked, fmt.Errorf("sum_where %s:\n served %s\n direct %s", cut.wire, got, want)
+				return checked, fmt.Errorf("sum_where %s:\n served %s\n direct %s", cut.Wire, got, want)
 			}
 			checked++
 		}

@@ -69,7 +69,9 @@ type ckptCoord struct {
 // re-primed from the manifest), then the write-ahead log is replayed in
 // commit order — so every write acknowledged before a crash, and
 // nothing that was not acknowledged as committed, is visible again. A
-// fresh directory comes up empty. The returned DB behaves like Open's,
+// fresh directory comes up empty; a log holding an intact frame this
+// version cannot decode fails the open and is left untouched (wal.Open).
+// The returned DB behaves like Open's,
 // plus Checkpoint and a meaningful Close; tables opted into durability
 // (Durability.Tables) log every insert and MVCC commit before
 // acknowledging.
@@ -161,8 +163,6 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 				return fail(err)
 			}
 		default:
-			// The reference engine logs updates inside commit records;
-			// a bare update record cannot have come from this facade.
 			return fail(fmt.Errorf("hybridstore: unexpected %v record for table %q", r.Kind, r.Table))
 		}
 	}

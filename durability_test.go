@@ -1,11 +1,18 @@
 package hybridstore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hybridstore/internal/obs"
+	"hybridstore/internal/wal"
 )
 
 func durableSchema(t *testing.T) *Schema {
@@ -286,6 +293,71 @@ func TestDurableOptIn(t *testing.T) {
 		t.Fatal("memory-only table recovered")
 	}
 	checkAccounts(t, re.Table("keep"), 10, nil)
+}
+
+// TestDurableUndecodableFrameFailsOpen: a log frame whose CRC matches
+// but which this version cannot decode (here kind 4, the in-place update
+// record no facade ever wrote) sits between acknowledged inserts. OpenDir
+// must refuse the directory and leave it byte-identical — treating the
+// frame as a torn tail would truncate the acknowledged inserts behind it.
+func TestDurableUndecodableFrameFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, Options{ChunkRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("accounts", durableSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, walFile)
+	var cut int // log size after the first insert
+	for i := 0; i < 3; i++ {
+		if _, err := tbl.Insert(Record{IntValue(int64(i)), CharValue("acct"), FloatValue(float64(i) * 10)}); err != nil {
+			t.Fatal(err)
+		}
+		if fi, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		} else if i == 0 {
+			cut = int(fi.Size())
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Free()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte{4, 0, 0, 0, 0} // kind 4, empty table name
+	bad := make([]byte, 8, 8+len(payload))
+	binary.LittleEndian.PutUint32(bad, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(bad[4:], crc32.ChecksumIEEE(payload))
+	spliced := append(append(append([]byte(nil), data[:cut]...), append(bad, payload...)...), data[cut:]...)
+	if err := os.WriteFile(path, spliced, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenDir(dir, Options{ChunkRows: 64})
+	if err == nil {
+		rows := re.Table("accounts").Rows()
+		re.Close()
+		t.Fatalf("OpenDir accepted the log and recovered %d of 3 acknowledged rows", rows)
+	}
+	if !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("err = %v, want wal.ErrCorrupt", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, spliced) {
+		t.Fatalf("failed OpenDir changed the log: %d -> %d bytes", len(spliced), len(after))
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after the failed open (%v), want the log alone", len(entries), err)
+	}
 }
 
 // TestCheckpointMemoryOnly: Checkpoint on an Open'd DB reports misuse.

@@ -68,8 +68,8 @@ func (t *Table) chunkStampLocked(c *chunk) rescache.Stamp {
 	return st
 }
 
-// VersionStamp exposes the stamp protocol to cross-engine tests and
-// external caches: the fragment-version vector a scan over cols would
+// VersionStamp exposes the stamp protocol to tests that drive an
+// external cache: the fragment-version vector a scan over cols would
 // fold. ok is false when the table is not stampable — an unresolvable
 // column, or live MVCC deltas, whose contents a fragment stamp cannot
 // describe.

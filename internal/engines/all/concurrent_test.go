@@ -17,13 +17,14 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// TestConcurrentMixedWorkload is the serving-layer concurrency property:
+// TestConcurrentMixedWorkload is the engine concurrency property:
 // 16 goroutines of mixed point writes, predicate aggregations and fused
 // group-bys — with compaction/merge maintenance racing them — must never
 // trip the race detector, never return a malformed mid-flight answer,
 // and must leave the table in exactly the state a serial replay of the
-// writes produces. Runs on the three engines the network server can
-// front: the reference engine, HyPer and L-Store.
+// writes produces. Runs on the three engines that synchronise their
+// own tables: the reference engine (the one the facade and the server
+// open), HyPer and L-Store.
 //
 // Writers own disjoint row partitions and each ends on a deterministic
 // final value, so the final state is independent of interleaving. All

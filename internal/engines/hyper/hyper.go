@@ -30,7 +30,6 @@ import (
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/taxonomy"
-	"hybridstore/internal/wal"
 )
 
 // DefaultChunkRows is the default chunk capacity.
@@ -119,9 +118,6 @@ type Table struct {
 	// deviceScan and compress mirror the Engine flags at creation time.
 	deviceScan bool
 	compress   bool
-	// wal, when set by EnableWAL, logs every Insert/Update before it
-	// mutates the chunks.
-	wal *wal.TableLog
 }
 
 // Create makes an empty relation.
@@ -183,33 +179,21 @@ func (t *Table) detach(c *chunk) {
 	}
 }
 
-// ensureTail guarantees the tail chunk has room for a record landing at
-// row, allocating and attaching a fresh chunk when the current tail is
-// full (or absent). It is the fallible part of an insert, split out so
-// the WAL path can run it before logging.
-func (t *Table) ensureTail(row uint64) (*chunk, error) {
-	if n := len(t.chunks); n > 0 && t.chunks[n-1].len() < t.chunks[n-1].Cap() {
-		return t.chunks[n-1], nil
-	}
-	c, err := t.newChunk(row, t.chunkRows)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.attach(c); err != nil {
-		c.free()
-		return nil, err
-	}
-	t.chunks = append(t.chunks, c)
-	return c, nil
-}
-
-// appendRecord routes an insert into the tail chunk.
+// appendRecord routes an insert into the tail chunk, allocating and
+// attaching a fresh chunk when the current tail is full (or absent).
 func (t *Table) appendRecord(row uint64, rec schema.Record) error {
-	tail, err := t.ensureTail(row)
-	if err != nil {
-		return err
+	if n := len(t.chunks); n == 0 || t.chunks[n-1].len() == t.chunks[n-1].Cap() {
+		c, err := t.newChunk(row, t.chunkRows)
+		if err != nil {
+			return err
+		}
+		if err := t.attach(c); err != nil {
+			c.free()
+			return err
+		}
+		t.chunks = append(t.chunks, c)
 	}
-	for col, v := range tail.vectors {
+	for col, v := range t.chunks[len(t.chunks)-1].vectors {
 		if err := v.AppendTuplet([]schema.Value{rec[col]}); err != nil {
 			return err
 		}
@@ -231,46 +215,24 @@ func (t *Table) chunkFor(row uint64) (*chunk, error) {
 }
 
 // Update copy-on-writes the chunk when an analytic snapshot references
-// it, then writes in place and heats the chunk. With a WAL enabled the
-// update is logged under the lock (so log order matches apply order)
-// and waits for durability after the lock drops, sharing group-commit
-// flushes with concurrent writers.
+// it, then writes in place and heats the chunk.
 func (t *Table) Update(row uint64, col int, v schema.Value) error {
-	lsn, err := t.updateLocked(row, col, v)
-	if err != nil {
-		return err
-	}
-	if lsn != 0 {
-		if err := t.wal.L.Sync(lsn); err != nil {
-			return fmt.Errorf("hyper: update of row %d not durable: %w", row, err)
-		}
-	}
-	return nil
-}
-
-func (t *Table) updateLocked(row uint64, col int, v schema.Value) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if row >= t.Rel.Rows() {
-		return 0, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.Rel.Rows())
+		return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.Rel.Rows())
 	}
 	c, err := t.chunkFor(row)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if col < 0 || col >= len(c.vectors) {
-		return 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	// Every fallible step — bounds, value validation, the COW
-	// clone/attach — runs before the WAL append, so the log never holds
-	// an update the caller saw fail (recovery would otherwise replay it).
-	if err := schema.ValidateValue(t.Rel.Schema().Attr(col), v); err != nil {
-		return 0, err
+		return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
 	}
 	if c.refs > 0 {
 		clone, err := t.cloneChunk(c)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		for i := range t.chunks {
 			if t.chunks[i] == c {
@@ -279,21 +241,14 @@ func (t *Table) updateLocked(row uint64, col int, v schema.Value) (uint64, error
 		}
 		t.detach(c)
 		if err := t.attach(clone); err != nil {
-			return 0, err
+			return err
 		}
 		c = clone
-	}
-	var lsn uint64
-	if t.wal != nil {
-		lsn, err = t.wal.L.Append(&wal.Record{Kind: wal.KindUpdate, Table: t.wal.Table, Row: row, Col: col, Val: v})
-		if err != nil {
-			return 0, fmt.Errorf("hyper: logging update: %w", err)
-		}
 	}
 	c.updates++
 	c.frozen = false
 	c.comp = nil // sealed images are stale the moment the chunk heats
-	return lsn, c.vectors[col].Set(int(row-c.rows.Begin), col, v)
+	return c.vectors[col].Set(int(row-c.rows.Begin), col, v)
 }
 
 // cloneChunk deep-copies a chunk's vectors (the COW step).

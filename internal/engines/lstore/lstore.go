@@ -31,7 +31,6 @@ import (
 	"hybridstore/internal/schema"
 	"hybridstore/internal/stats"
 	"hybridstore/internal/taxonomy"
-	"hybridstore/internal/wal"
 )
 
 // Engine is the L-Store storage engine.
@@ -94,9 +93,6 @@ type Table struct {
 	rows       uint64
 	sealedRows uint64
 	merges     int
-	// wal, when set by EnableWAL, logs every Insert/Update before it
-	// mutates the base or tail regions.
-	wal *wal.TableLog
 }
 
 // Create makes an empty relation.
@@ -179,68 +175,38 @@ func (t *Table) TailLength() int {
 	return n
 }
 
-// Insert appends a base record to the appendable region. With a WAL
-// enabled the insert is logged under the lock at its predetermined row
-// (log order matches apply order, so recovery lands every row where it
-// was) and waits for durability only after the lock drops, sharing
-// group-commit flushes with concurrent writers.
+// Insert appends a base record to the appendable region.
 func (t *Table) Insert(rec schema.Record) (uint64, error) {
-	row, lsn, err := t.insertLocked(rec)
-	if err != nil {
-		return 0, err
-	}
-	if lsn != 0 {
-		if err := t.wal.L.Sync(lsn); err != nil {
-			return 0, fmt.Errorf("lstore: insert at row %d not durable: %w", row, err)
-		}
-	}
-	return row, nil
-}
-
-func (t *Table) insertLocked(rec schema.Record) (uint64, uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(rec) != t.s.Arity() {
-		return 0, 0, fmt.Errorf("%w: arity %d vs schema %d", schema.ErrArityMismatch, len(rec), t.s.Arity())
+		return 0, fmt.Errorf("%w: arity %d vs schema %d", schema.ErrArityMismatch, len(rec), t.s.Arity())
 	}
-	// Exhaust every fallible step — base-buffer growth and record
-	// validation — before the WAL append, so the log never holds an
-	// insert the caller saw fail (recovery would replay it, shifting
-	// every later logged row position).
+	// Grow every full column before appending to any, so a failed growth
+	// leaves the columns aligned.
 	l, _ := t.rel.Primary()
 	for _, col := range t.cols {
 		if col.active.Len() == col.active.Cap() {
 			grown, err := col.active.Grow(t.env.Host, col.active.Cap()*2)
 			if err != nil {
-				return 0, 0, fmt.Errorf("lstore: growing base: %w", err)
+				return 0, fmt.Errorf("lstore: growing base: %w", err)
 			}
 			if err := l.Replace(col.active, grown); err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 			col.active = grown
 		}
 	}
-	var lsn uint64
-	if t.wal != nil {
-		if err := schema.ValidateRecord(t.s, rec); err != nil {
-			return 0, 0, err
-		}
-		var err error
-		lsn, err = t.wal.L.Append(&wal.Record{Kind: wal.KindInsert, Table: t.wal.Table, Row: t.rows, Rec: rec})
-		if err != nil {
-			return 0, 0, fmt.Errorf("lstore: logging insert: %w", err)
-		}
-	}
 	for c, col := range t.cols {
 		if err := col.active.AppendTuplet([]schema.Value{rec[c]}); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	row := t.rows
 	t.dict = append(t.dict, newDictRow(t.s.Arity()))
 	t.rows++
 	t.rel.SetRows(t.rows)
-	return row, lsn, nil
+	return row, nil
 }
 
 // newDictRow is a dictionary row with every attribute resolving to base.
@@ -254,60 +220,31 @@ func newDictRow(arity int) []int32 {
 
 // Update appends a tail record for (row, col) with lineage to the prior
 // state; the base region is never written (delegation between the base
-// and tail regions of the layout). With a WAL enabled the update is
-// logged under the lock — log order matches lineage order — and waits
-// for durability after the lock drops.
+// and tail regions of the layout).
 func (t *Table) Update(row uint64, col int, v schema.Value) error {
-	lsn, err := t.updateLocked(row, col, v)
-	if err != nil {
-		return err
-	}
-	if lsn != 0 {
-		if err := t.wal.L.Sync(lsn); err != nil {
-			return fmt.Errorf("lstore: update of row %d not durable: %w", row, err)
-		}
-	}
-	return nil
-}
-
-func (t *Table) updateLocked(row uint64, col int, v schema.Value) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if row >= t.rows {
-		return 0, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rows)
+		return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rows)
 	}
 	if col < 0 || col >= t.s.Arity() {
-		return 0, fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
+		return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
 	}
-	// Fallible preparation — tail growth and value validation — runs
-	// before the WAL append, so the log never holds an update the caller
-	// saw fail.
 	c := t.cols[col]
 	if c.tail.Len() == c.tail.Cap() {
 		grown, err := c.tail.Grow(t.env.Host, c.tail.Cap()*2)
 		if err != nil {
-			return 0, fmt.Errorf("lstore: growing tail: %w", err)
+			return fmt.Errorf("lstore: growing tail: %w", err)
 		}
 		c.tail = grown
 	}
-	var lsn uint64
-	if t.wal != nil {
-		if err := schema.ValidateValue(t.s.Attr(col), v); err != nil {
-			return 0, err
-		}
-		var err error
-		lsn, err = t.wal.L.Append(&wal.Record{Kind: wal.KindUpdate, Table: t.wal.Table, Row: row, Col: col, Val: v})
-		if err != nil {
-			return 0, fmt.Errorf("lstore: logging update: %w", err)
-		}
-	}
 	slot := c.tail.Len()
 	if err := c.tail.AppendTuplet([]schema.Value{v}); err != nil {
-		return 0, err
+		return err
 	}
 	c.lineage = append(c.lineage, tailEntry{slot: slot, prev: int(t.dict[row][col])})
 	t.dict[row][col] = int32(len(c.lineage) - 1)
-	return lsn, nil
+	return nil
 }
 
 // baseValue reads (row, col) from the base region: the sealed compressed

@@ -4,19 +4,14 @@
 // scanning the entire relation" (Section II-A); ES² manages record-
 // centric access with distributed secondary indexes (Section IV-A.4).
 //
-// Two structures are implemented from scratch:
-//
-//   - Hash: an open-addressing hash table with linear probing and
-//     tombstone deletion, mapping int64 keys to row positions — the
-//     write-optimized index maintained on every insert.
-//   - Sorted: an immutable sorted (key, row) run with binary search and
-//     range scans — the read-optimized index merge passes rebuild.
+// One structure is implemented from scratch: Hash, an open-addressing
+// hash table with linear probing and tombstone deletion, mapping int64
+// keys to row positions — the index maintained on every insert.
 package index
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Index errors.
@@ -164,54 +159,6 @@ func (h *Hash) grow() {
 		if s.state == occupied {
 			// Safe: capacity doubled, no duplicates among live entries.
 			_ = h.Put(s.key, s.row)
-		}
-	}
-}
-
-// Entry is one (key, row) pair of a sorted index.
-type Entry struct {
-	Key int64
-	Row uint64
-}
-
-// Sorted is an immutable read-optimized index: a sorted run of entries
-// with binary-search lookups and range scans. Build it from the settled
-// region during merge passes.
-type Sorted struct {
-	entries []Entry
-}
-
-// NewSorted sorts and stores the entries (duplicates by key are allowed;
-// Lookup returns the first).
-func NewSorted(entries []Entry) *Sorted {
-	es := append([]Entry(nil), entries...)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Key != es[j].Key {
-			return es[i].Key < es[j].Key
-		}
-		return es[i].Row < es[j].Row
-	})
-	return &Sorted{entries: es}
-}
-
-// Len returns the entry count.
-func (s *Sorted) Len() int { return len(s.entries) }
-
-// Lookup returns the row of the first entry with the given key.
-func (s *Sorted) Lookup(key int64) (uint64, error) {
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Key >= key })
-	if i == len(s.entries) || s.entries[i].Key != key {
-		return 0, fmt.Errorf("%w: %d", ErrNotFound, key)
-	}
-	return s.entries[i].Row, nil
-}
-
-// Range streams every entry with lo <= key <= hi in key order.
-func (s *Sorted) Range(lo, hi int64, fn func(Entry) bool) {
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Key >= lo })
-	for ; i < len(s.entries) && s.entries[i].Key <= hi; i++ {
-		if !fn(s.entries[i]) {
-			return
 		}
 	}
 }

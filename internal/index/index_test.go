@@ -108,40 +108,6 @@ func TestHashGrowthKeepsEverything(t *testing.T) {
 	}
 }
 
-func TestSortedLookupAndRange(t *testing.T) {
-	s := NewSorted([]Entry{{5, 50}, {1, 10}, {3, 30}, {9, 90}, {3, 31}})
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	row, err := s.Lookup(3)
-	if err != nil || row != 30 {
-		t.Fatalf("Lookup(3) = %d, %v (first wins)", row, err)
-	}
-	if _, err := s.Lookup(4); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-	var got []int64
-	s.Range(2, 5, func(e Entry) bool {
-		got = append(got, e.Key)
-		return true
-	})
-	want := []int64{3, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("range = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range = %v, want %v", got, want)
-		}
-	}
-	// Early stop.
-	count := 0
-	s.Range(0, 100, func(Entry) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Fatalf("early stop visited %d", count)
-	}
-}
-
 // Property: the hash index agrees with a model map under random
 // put/get/update/delete sequences.
 func TestQuickHashModel(t *testing.T) {
@@ -186,37 +152,6 @@ func TestQuickHashModel(t *testing.T) {
 		return h.Len() == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Sorted.Lookup finds every inserted key and Range visits keys
-// in order.
-func TestQuickSortedOrder(t *testing.T) {
-	f := func(keys []int64) bool {
-		entries := make([]Entry, len(keys))
-		for i, k := range keys {
-			entries[i] = Entry{Key: k, Row: uint64(i)}
-		}
-		s := NewSorted(entries)
-		for _, k := range keys {
-			if _, err := s.Lookup(k); err != nil {
-				return false
-			}
-		}
-		prev := int64(-1 << 62)
-		ok := true
-		s.Range(-1<<62, 1<<62-1, func(e Entry) bool {
-			if e.Key < prev {
-				ok = false
-				return false
-			}
-			prev = e.Key
-			return true
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

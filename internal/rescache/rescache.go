@@ -68,15 +68,10 @@ type FragVer struct {
 }
 
 // Stamp is the fragment-version vector a result was computed over,
-// together with the row count and an engine-specific epoch (engines
-// whose structural reorganizations do not touch every fragment — e.g.
-// an L-Store merge counter — fold them in here so a reorganization
-// invalidates even stamps whose surviving fragments kept their IDs).
+// together with the row count.
 type Stamp struct {
 	// Rows is the table's row count at stamp time.
 	Rows uint64
-	// Epoch is an engine-specific structural version (0 when unused).
-	Epoch uint64
 	// Frags are the (ID, Version) pairs of every fragment the
 	// executing snapshot folded, in walk order.
 	Frags []FragVer
@@ -84,7 +79,7 @@ type Stamp struct {
 
 // Equal reports whether two stamps describe the same base state.
 func (s Stamp) Equal(o Stamp) bool {
-	if s.Rows != o.Rows || s.Epoch != o.Epoch || len(s.Frags) != len(o.Frags) {
+	if s.Rows != o.Rows || len(s.Frags) != len(o.Frags) {
 		return false
 	}
 	for i, f := range s.Frags {
@@ -160,8 +155,10 @@ type Cache struct {
 
 // New builds a cache bounded at capBytes total. ttl == 0 disables
 // expiry (entries live until a version bump or eviction); a positive
-// ttl additionally ages entries out, which bounds staleness windows
-// for engines whose mutations the stamp cannot see.
+// ttl additionally ages entries out. The stamp alone carries
+// correctness — core, the one stamp producer, bumps a fragment version
+// on every mutation — so a ttl only bounds the memory held by keys that
+// are never looked up again.
 func New(capBytes int64, ttl time.Duration) *Cache {
 	if capBytes <= 0 {
 		capBytes = 64 << 20

@@ -62,17 +62,16 @@ func TestHitRequiresEqualStamp(t *testing.T) {
 }
 
 func TestStampEqualDimensions(t *testing.T) {
-	base := Stamp{Rows: 10, Epoch: 2, Frags: []FragVer{{1, 0}, {2, 1}}}
-	same := Stamp{Rows: 10, Epoch: 2, Frags: []FragVer{{1, 0}, {2, 1}}}
+	base := Stamp{Rows: 10, Frags: []FragVer{{1, 0}, {2, 1}}}
+	same := Stamp{Rows: 10, Frags: []FragVer{{1, 0}, {2, 1}}}
 	if !base.Equal(same) {
 		t.Fatal("identical stamps unequal")
 	}
 	for _, o := range []Stamp{
-		{Rows: 11, Epoch: 2, Frags: []FragVer{{1, 0}, {2, 1}}}, // rows moved
-		{Rows: 10, Epoch: 3, Frags: []FragVer{{1, 0}, {2, 1}}}, // epoch moved
-		{Rows: 10, Epoch: 2, Frags: []FragVer{{1, 0}}},         // fragment count
-		{Rows: 10, Epoch: 2, Frags: []FragVer{{1, 0}, {3, 1}}}, // replaced ID
-		{Rows: 10, Epoch: 2, Frags: []FragVer{{1, 0}, {2, 2}}}, // bumped version
+		{Rows: 11, Frags: []FragVer{{1, 0}, {2, 1}}}, // rows moved
+		{Rows: 10, Frags: []FragVer{{1, 0}}},         // fragment count
+		{Rows: 10, Frags: []FragVer{{1, 0}, {3, 1}}}, // replaced ID
+		{Rows: 10, Frags: []FragVer{{1, 0}, {2, 2}}}, // bumped version
 	} {
 		if base.Equal(o) {
 			t.Fatalf("stamp %+v compared equal to %+v", o, base)

@@ -50,36 +50,54 @@ func (s *Server) Serve(l net.Listener) error {
 	return (&http.Server{Handler: s.Handler()}).Serve(l)
 }
 
-// readBody drains r into a pooled buffer sized by Content-Length.
-// Callers must PutBytes the result.
-func readBody(r *http.Request) ([]byte, error) {
+// maxBodyBytes bounds a request body. The largest legitimate body is an
+// insert's record, far below it; the bound exists so that no client can
+// make the server allocate in proportion to a number it sends.
+const (
+	maxBodyBytes = 1 << 20
+	bodyTooLarge = "request body exceeds 1 MiB"
+)
+
+// readBody drains r into a pooled buffer, sized by Content-Length when
+// one is announced. A body announced or read beyond maxBodyBytes is
+// answered 413 and a failed read 400; ok is false then and the request
+// is finished. Otherwise callers must PutBytes the result.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	if r.ContentLength > maxBodyBytes {
+		http.Error(w, bodyTooLarge, http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
 	n := int(r.ContentLength)
 	if n < 0 {
 		n = 512
 	}
 	buf := pool.GetBytesCap(n)
-	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
 		m, err := r.Body.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+m]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
+		switch {
+		case len(buf) > maxBodyBytes:
+			// The grown buffer is dropped, not pooled: the pool serves
+			// every request and should not carry it.
+			http.Error(w, bodyTooLarge, http.StatusRequestEntityTooLarge)
+			return nil, false
+		case err == io.EOF:
+			return buf, true
+		case err != nil:
 			pool.PutBytes(buf)
-			return nil, err
+			http.Error(w, err.Error(), 400)
+			return nil, false
 		}
 	}
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	mHTTPRequests.Inc()
-	body, err := readBody(r)
-	if err != nil {
-		http.Error(w, err.Error(), 400)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	// Deferred so a panicking statement cannot leak the pooled buffers
@@ -96,15 +114,14 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	mHTTPRequests.Inc()
-	body, err := readBody(r)
-	if err != nil {
-		http.Error(w, err.Error(), 400)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	defer pool.PutBytes(body)
 	tenant := ""
 	if len(body) > 0 {
-		_, err = scanObject(body, func(key, val []byte) error {
+		_, err := scanObject(body, func(key, val []byte) error {
 			if string(key) == "tenant" {
 				tenant = string(val)
 			}
@@ -122,15 +139,14 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	mHTTPRequests.Inc()
-	body, err := readBody(r)
-	if err != nil {
-		http.Error(w, err.Error(), 400)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	defer pool.PutBytes(body)
 	var sid, op, table string
 	col, keyCol := -1, -1
-	_, err = scanObject(body, func(key, val []byte) error {
+	_, err := scanObject(body, func(key, val []byte) error {
 		switch string(key) {
 		case "session_id":
 			sid = string(val)

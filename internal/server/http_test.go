@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -84,5 +85,50 @@ func TestHTTPEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 || string(hb) != `{"ok":true}` {
 		t.Fatalf("healthz: %d %s", resp.StatusCode, hb)
+	}
+}
+
+// TestRequestBodyBound: a request body is bounded by maxBodyBytes on
+// all three POST handlers. A body announced beyond the bound is refused
+// on its header alone — the server must not allocate in proportion to a
+// Content-Length a client merely sends — and one that turns out longer
+// while it is read (chunked, so nothing is announced) is refused as soon
+// as it crosses the bound. A body of exactly the bound is served.
+func TestRequestBodyBound(t *testing.T) {
+	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{})
+	h := s.Handler()
+	serve := func(path string, body io.Reader, announced int64) (int, uint64) {
+		req := httptest.NewRequest("POST", path, body)
+		req.ContentLength = announced
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		return rec.Code, after.TotalAlloc - before.TotalAlloc
+	}
+	for _, path := range []string{"/v1/session", "/v1/prepare", "/v1/exec"} {
+		code, alloc := serve(path, strings.NewReader("{}"), 1<<30)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s announcing 1 GiB: status %d, want 413", path, code)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s announcing 1 GiB: allocated %d bytes for a 2-byte body", path, alloc)
+		}
+		// io.MultiReader hides the length: the request is chunked.
+		chunked := io.MultiReader(strings.NewReader(`{"pad":"`), strings.NewReader(strings.Repeat("a", 2<<20)), strings.NewReader(`"}`))
+		if code, _ := serve(path, chunked, -1); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a chunked 2 MiB body: status %d, want 413", path, code)
+		}
+	}
+	pad := strings.Repeat("a", maxBodyBytes-len(`{"tenant":"t","pad":""}`))
+	full := `{"tenant":"t","pad":"` + pad + `"}`
+	if len(full) != maxBodyBytes {
+		t.Fatalf("fixture is %d bytes, want %d", len(full), maxBodyBytes)
+	}
+	for _, announced := range []int64{int64(len(full)), -1} {
+		if code, _ := serve("/v1/session", strings.NewReader(full), announced); code != 200 {
+			t.Errorf("session with a body of exactly the bound (announced %d): status %d, want 200", announced, code)
+		}
 	}
 }

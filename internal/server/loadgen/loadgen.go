@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hybridstore/internal/exec"
 	"hybridstore/internal/obs"
 )
 
@@ -162,11 +163,9 @@ type Result struct {
 
 // lane-shared run state.
 type runState struct {
-	opts    Options
-	client  *http.Client
-	execURL string
-	sid     string
-	stmts   [numClasses]int
+	opts  Options
+	c     *Client
+	stmts [numClasses]int
 
 	ops  [numClasses]atomic.Int64
 	shed [numClasses]atomic.Int64
@@ -174,14 +173,86 @@ type runState struct {
 	lat  [numClasses]*obs.Histogram
 }
 
-// The fixed predicate cuts analytic lanes draw from (over the item
-// price domain [1, 101) plus written integer values). A small set on
-// purpose: concurrent lanes repeat cuts, so shared passes collapse.
-var predCuts = []string{
-	`{"kind":"lt","hi":30}`,
-	`{"kind":"gt","lo":50}`,
-	`{"kind":"between","lo":10,"hi":60}`,
-	`{"kind":"between","lo":20,"hi":80}`,
+// Cut is one predicate in its wire form and as the predicate a direct
+// execution takes.
+type Cut struct {
+	Wire string
+	Pred exec.Pred[float64]
+}
+
+// PredCuts are the fixed predicate cuts analytic lanes draw from (over
+// the item price domain [1, 101) plus written integer values). A small
+// set on purpose: concurrent lanes repeat cuts, so shared passes
+// collapse.
+var PredCuts = []Cut{
+	{`{"kind":"lt","hi":30}`, exec.Lt[float64](30)},
+	{`{"kind":"gt","lo":50}`, exec.Gt[float64](50)},
+	{`{"kind":"between","lo":10,"hi":60}`, exec.Between[float64](10, 60)},
+	{`{"kind":"between","lo":20,"hi":80}`, exec.Between[float64](20, 80)},
+}
+
+// Client is one session of the wire protocol over one *http.Client:
+// open, prepare, exec.
+type Client struct {
+	hc   *http.Client
+	base string
+	sid  string
+}
+
+// Dial opens a session for tenant on the server at base.
+func Dial(hc *http.Client, base, tenant string) (*Client, error) {
+	c := &Client{hc: hc, base: base}
+	body, err := c.call("/v1/session", fmt.Sprintf(`{"tenant":%q}`, tenant))
+	if err != nil {
+		return nil, err
+	}
+	c.sid = strings.TrimSuffix(strings.TrimPrefix(body, `{"session_id":"`), `"}`)
+	if c.sid == "" || strings.Contains(c.sid, `"`) {
+		return nil, fmt.Errorf("bad session response %q", body)
+	}
+	return c, nil
+}
+
+// Prepare prepares one statement; spec is its JSON fields without the
+// braces, e.g. `"op":"sum_where","table":"item","col":4`.
+func (c *Client) Prepare(spec string) (int, error) {
+	body, err := c.call("/v1/prepare", fmt.Sprintf(`{"session_id":"%s",%s}`, c.sid, spec))
+	if err != nil {
+		return 0, err
+	}
+	var id int
+	if _, err := fmt.Sscanf(body, `{"stmt_id":%d}`, &id); err != nil {
+		return 0, fmt.Errorf("bad prepare response %q", body)
+	}
+	return id, nil
+}
+
+// Exec executes a prepared statement and returns the response body;
+// args are the statement's arguments as JSON fields without the braces,
+// e.g. `"row":3`. Any status but 200 is an error.
+func (c *Client) Exec(stmt int, args string) (string, error) {
+	return c.call("/v1/exec", c.execBody(stmt, args))
+}
+
+func (c *Client) execBody(stmt int, args string) string {
+	return fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,%s}`, c.sid, stmt, args)
+}
+
+// call posts body to path and returns the response body of a 200.
+func (c *Client) call(path, body string) (string, error) {
+	resp, err := c.hc.Post(c.base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return "", err
+	}
+	if resp.StatusCode != 200 {
+		return "", fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, b)
+	}
+	return string(b), nil
 }
 
 // Run executes one load test and reports it.
@@ -213,19 +284,32 @@ func Run(opts Options) (*Result, error) {
 	if (opts.Mix.Write > 0 || opts.Mix.Point > 0) && opts.Rows == 0 {
 		return nil, fmt.Errorf("loadgen: write/point mix needs Rows")
 	}
-	st := &runState{opts: opts, client: opts.Client}
-	if st.client == nil {
+	hc := opts.Client
+	if hc == nil {
 		tr := &http.Transport{
 			MaxIdleConns:        opts.Concurrency * 2,
 			MaxIdleConnsPerHost: opts.Concurrency * 2,
 		}
-		st.client = &http.Client{Transport: tr, Timeout: 30 * time.Second}
+		hc = &http.Client{Transport: tr, Timeout: 30 * time.Second}
 	}
+	st := &runState{opts: opts}
 	for c := range st.lat {
 		st.lat[c] = &obs.Histogram{}
 	}
-	if err := st.prepare(); err != nil {
-		return nil, err
+	var err error
+	if st.c, err = Dial(hc, opts.BaseURL, "loadgen"); err != nil {
+		return nil, fmt.Errorf("loadgen: session: %w", err)
+	}
+	// Item-schema column layout: price is column 4, group key column 1.
+	for c, spec := range [numClasses]string{
+		ClassWrite: `"op":"update","table":"%s","col":4`,
+		ClassPoint: `"op":"get","table":"%s"`,
+		ClassSum:   `"op":"sum_where","table":"%s","col":4`,
+		ClassGroup: `"op":"group_sum_where","table":"%s","col":4,"key_col":1`,
+	} {
+		if st.stmts[c], err = st.c.Prepare(fmt.Sprintf(spec, opts.Table)); err != nil {
+			return nil, fmt.Errorf("loadgen: prepare %s: %w", className[c], err)
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), opts.Duration)
@@ -313,45 +397,13 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// prepare opens the session and prepared statements every lane shares.
-func (st *runState) prepare() error {
-	body, code, err := st.post("/v1/session", `{"tenant":"loadgen"}`)
-	if err != nil || code != 200 {
-		return fmt.Errorf("loadgen: session: %v (status %d, %s)", err, code, body)
-	}
-	st.sid = strings.TrimSuffix(strings.TrimPrefix(body, `{"session_id":"`), `"}`)
-	if st.sid == "" || strings.Contains(st.sid, `"`) {
-		return fmt.Errorf("loadgen: bad session response %q", body)
-	}
-	st.execURL = st.opts.BaseURL + "/v1/exec"
-	// Item-schema column layout: price is column 4, group key column 1.
-	specs := [numClasses]string{
-		ClassWrite: fmt.Sprintf(`{"session_id":"%s","op":"update","table":"%s","col":4}`, st.sid, st.opts.Table),
-		ClassPoint: fmt.Sprintf(`{"session_id":"%s","op":"get","table":"%s"}`, st.sid, st.opts.Table),
-		ClassSum:   fmt.Sprintf(`{"session_id":"%s","op":"sum_where","table":"%s","col":4}`, st.sid, st.opts.Table),
-		ClassGroup: fmt.Sprintf(`{"session_id":"%s","op":"group_sum_where","table":"%s","col":4,"key_col":1}`, st.sid, st.opts.Table),
-	}
-	for c, spec := range specs {
-		body, code, err := st.post("/v1/prepare", spec)
-		if err != nil || code != 200 {
-			return fmt.Errorf("loadgen: prepare %s: %v (status %d, %s)", className[c], err, code, body)
-		}
-		var id int
-		if _, err := fmt.Sscanf(body, `{"stmt_id":%d}`, &id); err != nil {
-			return fmt.Errorf("loadgen: bad prepare response %q", body)
-		}
-		st.stmts[c] = id
-	}
-	return nil
-}
-
 // scrapeCacheCounters reads the server's counter registry from
 // /metrics. Per-class cache hit rates are the before/after diff of
 // server.cache.<op>.{lookups,hits}. A missing or malformed endpoint
 // degrades to nil — hit rates then report zero instead of failing the
 // run, since an external -addr target need not expose metrics.
 func (st *runState) scrapeCacheCounters() map[string]int64 {
-	resp, err := st.client.Get(st.opts.BaseURL + "/metrics")
+	resp, err := st.c.hc.Get(st.opts.BaseURL + "/metrics")
 	if err != nil {
 		return nil
 	}
@@ -369,19 +421,6 @@ func (st *runState) scrapeCacheCounters() map[string]int64 {
 	return snap.Counters
 }
 
-func (st *runState) post(path, body string) (string, int, error) {
-	resp, err := st.client.Post(st.opts.BaseURL+path, "application/json", strings.NewReader(body))
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", resp.StatusCode, err
-	}
-	return string(b), resp.StatusCode, nil
-}
-
 // runLane is one client lane's request loop.
 func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struct{}) {
 	r := rand.New(rand.NewSource(st.opts.Seed + int64(lane)*7919))
@@ -393,7 +432,6 @@ func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struc
 	if st.opts.Mix.Point > 0 {
 		zipf = rand.NewZipf(r, 1.2, 8, st.opts.Rows-1)
 	}
-	var body strings.Builder
 	for {
 		if arrivals != nil {
 			select {
@@ -415,20 +453,21 @@ func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struc
 		default:
 			class = ClassGroup
 		}
-		body.Reset()
-		fmt.Fprintf(&body, `{"session_id":"%s","stmt_id":%d`, st.sid, st.stmts[class])
+		var args string
 		switch class {
 		case ClassWrite:
-			fmt.Fprintf(&body, `,"row":%d,"value":%d`, r.Int63n(int64(st.opts.Rows)), r.Intn(100))
+			args = fmt.Sprintf(`"row":%d,"value":%d`, r.Int63n(int64(st.opts.Rows)), r.Intn(100))
 		case ClassPoint:
-			fmt.Fprintf(&body, `,"row":%d`, zipf.Uint64())
+			args = fmt.Sprintf(`"row":%d`, zipf.Uint64())
 		default:
-			fmt.Fprintf(&body, `,"pred":%s`, predCuts[r.Intn(len(predCuts))])
+			args = `"pred":` + PredCuts[r.Intn(len(PredCuts))].Wire
 		}
-		body.WriteByte('}')
+		body := st.c.execBody(st.stmts[class], args)
 
+		// The lanes do not go through Client.Exec: they discard bodies
+		// and tell sheds (429/503) from errors.
 		t0 := time.Now()
-		resp, err := st.client.Post(st.execURL, "application/json", strings.NewReader(body.String()))
+		resp, err := st.c.hc.Post(st.c.base+"/v1/exec", "application/json", strings.NewReader(body))
 		if err != nil {
 			if ctx.Err() != nil {
 				return // shutdown race, not a server error

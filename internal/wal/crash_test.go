@@ -5,9 +5,9 @@ package wal_test
 // and recovery must produce exactly the state obtained by serially
 // applying the records the truncated log still (fully) holds. The test
 // cuts a real log at randomized offsets, recovers each prefix into a
-// fresh engine (core's MVCC replay, HyPer's and L-Store's logical
-// replay), and compares against an independently computed model.
-// Lives in an external test package: core/hyper/lstore import wal.
+// fresh engine (core's MVCC replay — core is the log's only client),
+// and compares against an independently computed model.
+// Lives in an external test package: core imports wal.
 
 import (
 	"math/rand"
@@ -17,8 +17,6 @@ import (
 
 	"hybridstore/internal/core"
 	"hybridstore/internal/engine"
-	"hybridstore/internal/engines/hyper"
-	"hybridstore/internal/engines/lstore"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/wal"
 	"hybridstore/internal/workload"
@@ -28,13 +26,6 @@ const (
 	crashInserts = 100
 	crashUpdates = 60
 )
-
-// crashTable is the slice of behaviour the property test needs from
-// every engine.
-type crashTable interface {
-	Rows() uint64
-	Get(row uint64) (schema.Record, error)
-}
 
 // writeCoreLog drives a WAL-enabled core table and returns the raw log
 // bytes (inserts + MVCC commit records).
@@ -147,18 +138,13 @@ func model(t *testing.T, recs []*wal.Record) []schema.Record {
 					rows[op.Row] = op.Rec
 				}
 			}
-		case wal.KindUpdate:
-			rec := make(schema.Record, len(rows[r.Row]))
-			copy(rec, rows[r.Row])
-			rec[r.Col] = r.Val
-			rows[r.Row] = rec
 		}
 	}
 	return rows
 }
 
 // checkRecovered compares an engine's recovered state to the model.
-func checkRecovered(t *testing.T, cut int, tbl crashTable, want []schema.Record) {
+func checkRecovered(t *testing.T, cut int, tbl *core.Table, want []schema.Record) {
 	t.Helper()
 	if tbl.Rows() != uint64(len(want)) {
 		t.Fatalf("cut %d: recovered %d rows, want %d", cut, tbl.Rows(), len(want))
@@ -205,114 +191,5 @@ func TestCrashRecoveryCore(t *testing.T) {
 		}
 		checkRecovered(t, cut, tbl, want)
 		tbl.Free()
-	}
-}
-
-func TestCrashRecoveryHyper(t *testing.T) {
-	gen := t.TempDir()
-	path := filepath.Join(gen, "wal.log")
-	l, _, err := wal.Open(path, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := hyper.New(engine.NewEnv(), 32)
-	et, err := e.Create("item", workload.ItemSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := et.(*hyper.Table)
-	tbl.EnableWAL(l)
-	driveInsertsUpdates(t,
-		func(rec schema.Record) error { _, err := tbl.Insert(rec); return err },
-		func(row uint64, v schema.Value) error { return tbl.Update(row, workload.ItemPriceCol, v) })
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tbl.Free()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := rand.New(rand.NewSource(11))
-	dir := t.TempDir()
-	for _, cut := range truncationPoints(r, len(data)) {
-		recs := recoverLog(t, dir, data, cut)
-		want := model(t, recs)
-		re := hyper.New(engine.NewEnv(), 32)
-		ret, err := re.Create("item", workload.ItemSchema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt := ret.(*hyper.Table)
-		for _, rec := range recs {
-			switch rec.Kind {
-			case wal.KindInsert:
-				err = rt.ReplayInsert(rec.Row, rec.Rec)
-			case wal.KindUpdate:
-				err = rt.ReplayUpdate(rec.Row, rec.Col, rec.Val)
-			default:
-				t.Fatalf("cut %d: unexpected record kind %v", cut, rec.Kind)
-			}
-			if err != nil {
-				t.Fatalf("cut %d: replay: %v", cut, err)
-			}
-		}
-		checkRecovered(t, cut, rt, want)
-		rt.Free()
-	}
-}
-
-func TestCrashRecoveryLStore(t *testing.T) {
-	gen := t.TempDir()
-	path := filepath.Join(gen, "wal.log")
-	l, _, err := wal.Open(path, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := lstore.New(engine.NewEnv())
-	et, err := e.Create("item", workload.ItemSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := et.(*lstore.Table)
-	tbl.EnableWAL(l)
-	driveInsertsUpdates(t,
-		func(rec schema.Record) error { _, err := tbl.Insert(rec); return err },
-		func(row uint64, v schema.Value) error { return tbl.Update(row, workload.ItemPriceCol, v) })
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	r := rand.New(rand.NewSource(13))
-	dir := t.TempDir()
-	for _, cut := range truncationPoints(r, len(data)) {
-		recs := recoverLog(t, dir, data, cut)
-		want := model(t, recs)
-		re := lstore.New(engine.NewEnv())
-		ret, err := re.Create("item", workload.ItemSchema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt := ret.(*lstore.Table)
-		for _, rec := range recs {
-			switch rec.Kind {
-			case wal.KindInsert:
-				err = rt.ReplayInsert(rec.Row, rec.Rec)
-			case wal.KindUpdate:
-				err = rt.ReplayUpdate(rec.Row, rec.Col, rec.Val)
-			default:
-				t.Fatalf("cut %d: unexpected record kind %v", cut, rec.Kind)
-			}
-			if err != nil {
-				t.Fatalf("cut %d: replay: %v", cut, err)
-			}
-		}
-		checkRecovered(t, cut, rt, want)
-		rt.Free()
 	}
 }

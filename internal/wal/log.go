@@ -86,7 +86,10 @@ type Log struct {
 
 // Open opens (creating if absent) the log at path, validates every
 // frame, truncates a torn tail, and returns the log positioned for
-// appending plus the decoded records that survived validation.
+// appending plus the decoded records that survived validation. A
+// CRC-valid frame that does not decode fails the open with ErrCorrupt
+// and leaves the file as it was: truncating there would silently drop
+// every acknowledged write behind it.
 func Open(path string, opts Options) (*Log, []*Record, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
@@ -100,7 +103,11 @@ func Open(path string, opts Options) (*Log, []*Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	recs, good := scan(data)
+	recs, good, err := scan(data)
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: %s: %w", path, err)
+	}
 	if good < int64(len(data)) {
 		mTornTail.Inc()
 		if err := f.Truncate(good); err != nil {
@@ -122,7 +129,9 @@ func Open(path string, opts Options) (*Log, []*Record, error) {
 // scan walks frames in data, returning the decoded records and the byte
 // offset just past the last intact frame. Any framing or CRC damage
 // stops the scan: everything after the last good frame is a torn tail.
-func scan(data []byte) ([]*Record, int64) {
+// A frame whose CRC matches holds the bytes that were appended, so one
+// that does not decode is an error, not a tail.
+func scan(data []byte) ([]*Record, int64, error) {
 	var recs []*Record
 	off := 0
 	for {
@@ -140,12 +149,19 @@ func scan(data []byte) ([]*Record, int64) {
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			break
+			return recs, int64(off), fmt.Errorf("frame at offset %d (kind %d) has a valid CRC but does not decode: %w", off, payload[0], err)
 		}
 		recs = append(recs, rec)
 		off += frameHeaderSize + n
 	}
-	return recs, int64(off)
+	return recs, int64(off), nil
+}
+
+// appendFrame appends payload to dst behind its frame header.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // Path returns the log file path.
@@ -155,8 +171,9 @@ func (l *Log) Path() string { return l.path }
 // The record is not durable until Sync(lsn) returns.
 func (l *Log) Append(rec *Record) (uint64, error) {
 	var e Encoder
-	rec.encode(&e)
-	payload := e.Bytes()
+	if err := rec.encode(&e); err != nil {
+		return 0, err
+	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -166,11 +183,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: log closed")
 	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, payload...)
+	l.buf = appendFrame(l.buf, e.Bytes())
 	l.nextLSN++
 	mAppends.Inc()
 	return l.nextLSN - 1, nil
@@ -276,7 +289,10 @@ func (l *Log) Compact(keep func(*Record) bool) error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	recs, _ := scan(data)
+	recs, _, err := scan(data)
+	if err != nil {
+		return fmt.Errorf("wal: compact: %w", err)
+	}
 
 	tmp := l.path + ".tmp"
 	out, err := os.Create(tmp)
@@ -284,18 +300,16 @@ func (l *Log) Compact(keep func(*Record) bool) error {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
 	var e Encoder
+	var frame []byte
 	for _, rec := range recs {
 		if !keep(rec) {
 			continue
 		}
 		e.Reset()
-		rec.encode(&e)
-		payload := e.Bytes()
-		var hdr [frameHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-		if _, err := out.Write(hdr[:]); err == nil {
-			_, err = out.Write(payload)
+		err := rec.encode(&e)
+		if err == nil {
+			frame = appendFrame(frame[:0], e.Bytes())
+			_, err = out.Write(frame)
 		}
 		if err != nil {
 			out.Close()

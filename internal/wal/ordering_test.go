@@ -1,10 +1,10 @@
 package wal_test
 
 // Regression tests for WAL append ordering: a write whose caller saw an
-// error must never leave a record in the log. Engines append only after
-// every fallible step (validation, buffer growth, chunk allocation, COW
-// cloning) has succeeded — otherwise recovery would replay a write that
-// was never applied or acknowledged, violating OpenDir's guarantee.
+// error must never leave a record in the log. The engine appends only
+// after every fallible step (validation, pk precheck, chunk allocation)
+// has succeeded — otherwise recovery would replay a write that was never
+// applied or acknowledged, violating OpenDir's guarantee.
 
 import (
 	"path/filepath"
@@ -12,14 +12,12 @@ import (
 
 	"hybridstore/internal/core"
 	"hybridstore/internal/engine"
-	"hybridstore/internal/engines/hyper"
-	"hybridstore/internal/engines/lstore"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/wal"
 	"hybridstore/internal/workload"
 )
 
-// walTable is the write surface shared by the engines under test.
+// walTable is the write surface of the engine under test.
 type walTable interface {
 	Insert(schema.Record) (uint64, error)
 	Update(row uint64, col int, v schema.Value) error
@@ -100,25 +98,4 @@ func TestFailedWriteNotLoggedCore(t *testing.T) {
 	// Core updates route through the MVCC commit logger, not a bare
 	// update record; only the insert path is exercised here.
 	checkOnlyGoodInserts(t, driveFailedWrites(t, t.TempDir(), tbl, false))
-}
-
-func TestFailedWriteNotLoggedHyper(t *testing.T) {
-	e := hyper.New(engine.NewEnv(), 32)
-	et, err := e.Create("item", workload.ItemSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := et.(*hyper.Table)
-	defer tbl.Free()
-	checkOnlyGoodInserts(t, driveFailedWrites(t, t.TempDir(), tbl, true))
-}
-
-func TestFailedWriteNotLoggedLStore(t *testing.T) {
-	e := lstore.New(engine.NewEnv())
-	et, err := e.Create("item", workload.ItemSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := et.(*lstore.Table)
-	checkOnlyGoodInserts(t, driveFailedWrites(t, t.TempDir(), tbl, true))
 }

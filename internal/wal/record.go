@@ -3,10 +3,10 @@
 // binary encoding shared by log records and checkpoint snapshot files.
 //
 // The log is logical: each record describes one storage-engine event
-// (table create, base insert, MVCC commit, in-place update) rather than
-// page images. Recovery replays records in log order, which — because
-// every producer appends inside its engine's commit critical section —
-// is also commit-timestamp order per table, preserving the tx layer's
+// (table create, base insert, MVCC commit) rather than page images.
+// Recovery replays records in log order, which — because every producer
+// appends inside its engine's commit critical section — is also
+// commit-timestamp order per table, preserving the tx layer's
 // first-committer-wins semantics (a conflict during replay is corruption,
 // not something to skip).
 //
@@ -15,7 +15,10 @@
 //	[u32 payload length][u32 CRC-32 (IEEE) of payload][payload]
 //
 // A torn final frame (short header, short payload, or CRC mismatch) is
-// truncated on Open; anything before it is trusted.
+// truncated on Open; anything before it is trusted. A frame whose CRC
+// matches but whose payload does not decode was written that way —
+// corruption or version skew, never a torn write — and fails Open with
+// ErrCorrupt, leaving the file untouched.
 package wal
 
 import (
@@ -37,8 +40,6 @@ const (
 	// KindCommit records one MVCC transaction commit: the commit
 	// timestamp and the full write set, in install order.
 	KindCommit Kind = 3
-	// KindUpdate records one in-place (non-MVCC) single-cell update.
-	KindUpdate Kind = 4
 )
 
 // String names the kind.
@@ -50,8 +51,6 @@ func (k Kind) String() string {
 		return "insert"
 	case KindCommit:
 		return "commit"
-	case KindUpdate:
-		return "update"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -78,12 +77,8 @@ type Record struct {
 	Engine string
 	// Schema is the created table's schema (KindCreate).
 	Schema *schema.Schema
-	// Row addresses KindInsert / KindUpdate.
+	// Row is the base row position (KindInsert).
 	Row uint64
-	// Col addresses KindUpdate.
-	Col int
-	// Val is the new cell value (KindUpdate).
-	Val schema.Value
 	// Rec is the inserted record (KindInsert).
 	Rec schema.Record
 	// TS is the commit timestamp (KindCommit).
@@ -98,8 +93,10 @@ var (
 	ErrCorrupt = errors.New("wal: corrupt record")
 )
 
-// encode appends the record payload (no frame header) to dst.
-func (r *Record) encode(e *Encoder) {
+// encode appends the record payload (no frame header) to e. It refuses
+// exactly the kinds decodeRecord refuses, so the log never holds a frame
+// it cannot read back.
+func (r *Record) encode(e *Encoder) error {
 	e.U8(uint8(r.Kind))
 	e.Str(r.Table)
 	switch r.Kind {
@@ -119,11 +116,10 @@ func (r *Record) encode(e *Encoder) {
 				e.Record(op.Rec)
 			}
 		}
-	case KindUpdate:
-		e.U64(r.Row)
-		e.U32(uint32(r.Col))
-		e.Value(r.Val)
+	default:
+		return fmt.Errorf("wal: cannot encode record kind %d", r.Kind)
 	}
+	return nil
 }
 
 // decodeRecord parses one payload back into a Record.
@@ -151,10 +147,6 @@ func decodeRecord(payload []byte) (*Record, error) {
 			}
 			r.Ops = append(r.Ops, op)
 		}
-	case KindUpdate:
-		r.Row = d.U64()
-		r.Col = int(d.U32())
-		r.Val = d.Value()
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, r.Kind)
 	}

@@ -1,8 +1,12 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,24 +34,22 @@ func TestRecordRoundTrip(t *testing.T) {
 			{Row: 1, Rec: schema.Record{schema.IntValue(1), schema.FloatValue(2), schema.CharValue("x")}},
 			{Row: 2, Deleted: true},
 		}},
-		{Kind: KindUpdate, Table: "item", Row: 3, Col: 1, Val: schema.FloatValue(9.25)},
 	}
 	for _, in := range recs {
 		var e Encoder
-		in.encode(&e)
+		if err := in.encode(&e); err != nil {
+			t.Fatalf("%s: encode: %v", in.Kind, err)
+		}
 		out, err := decodeRecord(e.Bytes())
 		if err != nil {
 			t.Fatalf("%s: decode: %v", in.Kind, err)
 		}
 		if out.Kind != in.Kind || out.Table != in.Table || out.Row != in.Row ||
-			out.Col != in.Col || out.TS != in.TS || len(out.Ops) != len(in.Ops) {
+			out.TS != in.TS || len(out.Ops) != len(in.Ops) {
 			t.Fatalf("%s: round trip mismatch: %+v vs %+v", in.Kind, out, in)
 		}
 		if in.Rec != nil && !out.Rec.Equal(in.Rec) {
 			t.Fatalf("%s: record mismatch: %v vs %v", in.Kind, out.Rec, in.Rec)
-		}
-		if in.Kind == KindUpdate && !out.Val.Equal(in.Val) {
-			t.Fatalf("update value mismatch: %v vs %v", out.Val, in.Val)
 		}
 		if in.Schema != nil {
 			if out.Schema == nil || out.Schema.Arity() != in.Schema.Arity() ||
@@ -220,6 +222,72 @@ func TestLogCorruptMiddleStopsScan(t *testing.T) {
 	}
 	if len(recs) >= 3 {
 		t.Fatalf("corrupt log yielded %d records", len(recs))
+	}
+}
+
+// TestLogUndecodableFrameFailsOpen: a frame whose CRC matches but whose
+// payload does not decode (an unknown kind: corruption or a log from
+// another version, never a torn write) must fail Open and leave the
+// file byte-identical — truncating there would drop the acknowledged
+// writes behind it without a word. Append refuses to write one.
+func TestLogUndecodableFrameFailsOpen(t *testing.T) {
+	insert := func(row uint64) *Record {
+		return &Record{Kind: KindInsert, Table: "t", Row: row, Rec: schema.Record{schema.IntValue(int64(row))}}
+	}
+	// writeLog returns the bytes of a log holding inserts of rows, after
+	// checking that it refuses a record of a kind it could not read back.
+	writeLog := func(rows ...uint64) []byte {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		l, _, err := Open(path, Options{Sync: SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lsn, err := l.Append(&Record{Kind: Kind(9), Table: "t"}); err == nil {
+			t.Fatalf("Append accepted a record of unknown kind 9 (lsn %d)", lsn)
+		}
+		for _, row := range rows {
+			lsn, err := l.Append(insert(row))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Sync(lsn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	head, tail := writeLog(0), writeLog(1, 2)
+	// Kind 4 was the in-place update record of earlier versions; 9 never
+	// existed. Both payloads are a kind byte and an empty table name.
+	for _, kind := range []byte{4, 9} {
+		data := append(appendFrame(append([]byte(nil), head...), []byte{kind, 0, 0, 0, 0}), tail...)
+		path := filepath.Join(t.TempDir(), "wal.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, recs, err := Open(path, Options{})
+		if err == nil {
+			l.Close()
+			t.Fatalf("kind %d: Open returned %d records and no error", kind, len(recs))
+		}
+		want := fmt.Sprintf("offset %d (kind %d)", len(head), kind)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("kind %d: err = %v, want ErrCorrupt naming %q", kind, err, want)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, data) {
+			t.Fatalf("kind %d: failed Open changed the file: %d -> %d bytes", kind, len(data), len(after))
+		}
 	}
 }
 
