@@ -58,7 +58,7 @@ func walkPatchRows(t *Table, reader *tx.Tx) ([]patched, error) {
 // oracleScan answers p the way the engine does, with the delta patch
 // replaced by the oracle: the bulk pass over the base alone (the engine
 // run against an empty version store), then the oracle's rows folded in
-// ascending order with the fold rules of sumLocked / groupOneLocked.
+// ascending order with the fold rules of the scan body (engine.patch).
 func oracleScan(t *Table, p exec.Plan) (exec.Result, error) {
 	live := t.deltas
 	t.deltas = tx.NewStore()

@@ -17,28 +17,21 @@ import (
 // This file is the engine's one read entry. Every read — a point get, a
 // column sum, a predicate aggregate, a fused group-by — arrives as an
 // exec.Plan, and Execute answers any number of plans of one shape from
-// a single pass: one lock acquisition, one MVCC snapshot, one walk of
-// the chunk list. A solo query is the K=1 case of the same code, so
-// result k of a batch is exactly what a solo Execute of plans[k] would
-// return against that snapshot:
-//
-//   - device-resident fragments run the reduction kernel per admitting
-//     predicate in chunk order;
-//   - cold cached fragments ride the device cache per closed predicate
-//     (warm images make the K passes bus-free);
-//   - host fragments are streamed ONCE through
-//     exec.SumFloat64WhereMulti with every predicate folding the piece
-//     stream in solo order;
-//   - the delta patch walks rows outer / predicates inner, preserving
-//     each predicate's ascending-row patch order.
+// one lock acquisition and one MVCC snapshot. The aggregate kinds then
+// run the scan body every engine shares (engine.ScanCohort) over the
+// table as a piece source (source.go): one walk of the chunk list, one
+// walk of the snapshot's visible deltas, and per plan a fold order that
+// does not depend on the cohort — so a solo query is the K=1 case of the
+// same code, and result k of a batch is exactly what a solo Execute of
+// plans[k] would return against that snapshot.
 //
 // Because all K answers derive from one snapshot taken after every
 // batched request arrived, handing result k to requester k is a valid
 // linearization of the batch.
 //
-// The result cache rides the same pass (see rescache.go for the stamp
-// protocol): each plan is probed individually under the one stamp the
-// shared RLock section freezes, hits drop out of the batch, and only
+// The result cache sits above the scan body (see rescache.go for the
+// stamp protocol): each plan is probed individually under the one stamp
+// the shared RLock section freezes, hits drop out of the batch, and only
 // the missing plans pay the scan — their answers are published for
 // future repeats. The normalized plan is the cache key. Mixing cached
 // and fresh answers is sound because a hit requires stamp equality:
@@ -96,9 +89,9 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 		t.mon.Observe(workload.Op{Kind: workload.ColumnScan, Cols: cols})
 	}
 
-	// Probe the cache per plan; todo/res are the plans still to execute
-	// and their result slots (the inputs themselves when nothing hit).
-	todo, res := plans, out
+	// Probe the cache per plan; todo are the plans still to execute (the
+	// inputs themselves when nothing hit).
+	todo := plans
 	cache := t.eng.rescache
 	var keys []rescache.Key
 	var missIdx []int
@@ -125,21 +118,16 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 			return out, nil
 		}
 		if len(missIdx) < len(plans) {
-			todo, res = make([]exec.Plan, len(missIdx)), make([]exec.Result, len(missIdx))
+			todo = make([]exec.Plan, len(missIdx))
 			for j, i := range missIdx {
 				todo[j] = plans[i]
 			}
 		}
 	}
 
-	var err error
-	if shape.Op == exec.KindSum || shape.Op == exec.KindSumWhere {
-		err = t.sumLocked(reader, shape, todo, res)
-	} else {
-		err = t.groupLocked(reader, shape, todo, res)
-	}
-	if err != nil {
-		return nil, err
+	res, err := engine.ScanCohort(scanSource{t, reader}, t.cfg, t.env.DeviceExec(t.rel.Name()), todo)
+	if err != nil || cache == nil {
+		return res, err
 	}
 	// Publish only if the RLock section stayed delta-free end to end:
 	// Versions only grows under the read lock, so 0 after execution proves
@@ -192,175 +180,6 @@ func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
 		return exec.Result{}, err
 	}
 	return res[0], nil
-}
-
-// walkColumn is the one chunk walk behind every column aggregate. It
-// returns, in chunk order, the device-resident fragments of col and the
-// host pieces (zone-carrying, compressed where a side-car image covers
-// them). host[:cached] are the pieces that may ride the device fragment
-// cache — cold chunks only: every insert would invalidate a hot chunk's
-// image, so caching them only thrashes the bus. They form a prefix
-// because freezing always takes the oldest hot chunk, so cold chunks
-// precede hot ones in chunk order.
-func (t *Table) walkColumn(col int) (resident, host []exec.Piece, cached int, err error) {
-	rows := t.rel.Rows()
-	host = make([]exec.Piece, 0, len(t.chunks))
-	for _, c := range t.chunks {
-		if c.rows.Begin >= rows {
-			break
-		}
-		piece, devBytes, err := t.pieceFor(c, col)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if devBytes > 0 {
-			piece.Place = exec.Resident
-			resident = append(resident, piece)
-			continue
-		}
-		t.attachCompressed(&piece, c, col)
-		if t.eng.opts.DeviceCache && t.env.Cache != nil && c.state == cold && cached == len(host) {
-			cached++
-		}
-		host = append(host, piece)
-	}
-	return resident, host, cached, nil
-}
-
-// sumLocked answers the sum / sum-where plans of one column under the
-// caller's read lock and snapshot. Per plan the fold order is fixed —
-// resident fragments in chunk order, then the device-cache pass, then
-// the host pass, then the delta patch in ascending row order — so a
-// plan's answer does not depend on what it was batched with.
-func (t *Table) sumLocked(reader *tx.Tx, shape exec.Plan, plans []exec.Plan, res []exec.Result) error {
-	col := shape.Col
-	resident, host, n, err := t.walkColumn(col)
-	if err != nil {
-		return err
-	}
-	cached, hostOnly := host[:n], host[n:]
-
-	// Device legs go through the scan executors: fragments placed in
-	// device memory launch directly on the card, cached pieces ride the
-	// fragment cache (the fleet's, when one is configured). Each leg is
-	// its own call so a plan's fold order never depends on what else ran.
-	devLeg := func(on exec.ScanExecutor, pl exec.Plan, pieces []exec.Piece, r *exec.Result) error {
-		if len(pieces) == 0 {
-			return nil
-		}
-		part, err := on.Scan(exec.Scan{Plan: pl, Vals: pieces})
-		r.Sum += part.Sum
-		r.Count += part.Count
-		return err
-	}
-	var onCard, onCache exec.ScanExecutor
-	if len(resident) > 0 {
-		onCard = exec.DeviceScan{GPU: t.env.GPU}
-	}
-	if len(cached) > 0 {
-		onCache = t.env.DeviceExec(t.rel.Name())
-	}
-
-	if shape.Op == exec.KindSum {
-		// No predicate: the plans are identical; compute once.
-		var r exec.Result
-		if err := devLeg(onCard, shape, resident, &r); err != nil {
-			return err
-		}
-		if err := devLeg(onCache, shape, cached, &r); err != nil {
-			return err
-		}
-		sum := r.Sum
-		hostSum, err := exec.SumFloat64(t.cfg, hostOnly)
-		if err != nil {
-			return err
-		}
-		sum += hostSum
-		err = t.patchRows(reader, func(row uint64, rec schema.Record, _ uint64) error {
-			base, err := t.baseValue(row, col)
-			if err == nil {
-				sum += rec[col].F - base.F
-			}
-			return err
-		})
-		for k := range res {
-			res[k].Sum = sum
-		}
-		return err
-	}
-
-	// Closed predicates scan the resident and cached pieces on the device
-	// and the rest on the host; open ones (an empty interval: no closed
-	// form for the device kernel to consume, and nothing it could match in
-	// device memory) scan the host pieces on the host. preds/idx hold the
-	// closed class first, then the open class.
-	preds, idx := make([]exec.Pred[float64], 0, len(plans)), make([]int, 0, len(plans))
-	nClosed := 0
-	for _, class := range []bool{true, false} {
-		for k, pl := range plans {
-			if pl.DeviceOK() == class {
-				preds, idx = append(preds, pl.Pred), append(idx, k)
-			}
-		}
-		if class {
-			nClosed = len(preds)
-		}
-	}
-	// Resident fragments first, then the cached ones: the first predicate
-	// warms an image, the rest scan it for zero bus bytes. The device scan
-	// takes the zone decision before each launch or transfer.
-	for _, leg := range []struct {
-		on     exec.ScanExecutor
-		pieces []exec.Piece
-	}{{onCard, resident}, {onCache, cached}} {
-		for _, k := range idx[:nClosed] {
-			if err := devLeg(leg.on, plans[k], leg.pieces, &res[k]); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Shared host pass, each class in one streamed scan.
-	for _, pass := range []struct {
-		pieces []exec.Piece
-		preds  []exec.Pred[float64]
-		idx    []int
-	}{{hostOnly, preds[:nClosed], idx[:nClosed]}, {host, preds[nClosed:], idx[nClosed:]}} {
-		if len(pass.preds) == 0 {
-			continue
-		}
-		part, err := exec.SumFloat64WhereMulti(t.cfg, pass.pieces, pass.preds)
-		if err != nil {
-			return err
-		}
-		for j, k := range pass.idx {
-			res[k].Sum += part[j].Sum
-			res[k].Count += part[j].Count
-		}
-	}
-
-	// Patch the snapshot's visible versions over each predicate's base
-	// contribution. The patch stays exact under pruning because zones are
-	// conservative: a base value that matches p always lives in a fragment
-	// whose zone admits p, so it was part of the base scan and can be
-	// subtracted.
-	return t.patchRows(reader, func(row uint64, rec schema.Record, _ uint64) error {
-		base, err := t.baseValue(row, col)
-		if err != nil {
-			return err
-		}
-		for k, pl := range plans {
-			if pl.Pred.Match(base.F) {
-				res[k].Sum -= base.F
-				res[k].Count--
-			}
-			if pl.Pred.Match(rec[col].F) {
-				res[k].Sum += rec[col].F
-				res[k].Count++
-			}
-		}
-		return nil
-	})
 }
 
 // mPatchRows counts the rows patchRows handed to a callback: the work a

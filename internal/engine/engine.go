@@ -98,7 +98,8 @@ func NewEnvDevices(n int) *Env {
 // DeviceExec returns the device-routed scan executor for one table: the
 // cross-device scheduler when a fleet is configured, the single-card
 // DeviceScan otherwise. The host lane of the fleet scheduler runs with
-// the environment's exec policy and profile.
+// the environment's exec policy and profile; fragments an engine placed
+// in device memory live on GPU, fleet or not, and scan there.
 func (e *Env) DeviceExec(table string) exec.ScanExecutor {
 	if e.Fleet != nil {
 		return &exec.MultiDeviceScan{
@@ -107,6 +108,7 @@ func (e *Env) DeviceExec(table string) exec.ScanExecutor {
 			Shards:   e.Shards,
 			Host:     exec.Config{Policy: e.ExecPolicy, Host: e.HostProfile, Clock: e.Clock},
 			HostLane: true,
+			Home:     exec.DeviceScan{GPU: e.GPU},
 		}
 	}
 	return exec.DeviceScan{GPU: e.GPU, Cache: e.Cache, Table: table}

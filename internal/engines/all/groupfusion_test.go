@@ -179,12 +179,14 @@ func TestGroupFusionPropertyAllEngines(t *testing.T) {
 	}
 }
 
-// TestGroupFusionDeviceFallback forces the reference engine's device
-// group path to refuse (a device too small to hold any fragment) and
-// checks the query still answers exactly through the host fused
-// operator, counting the abandonment.
+// TestGroupFusionDeviceFallback gives the reference engine a card too
+// small to hold any fragment image, DeviceCache on: every plan a kernel
+// exists for ships its cold chunks, the card refuses them, and the scan
+// body must answer exactly from the host pieces instead of failing the
+// query — one rule for all four kinds — counting the abandonment.
 func TestGroupFusionDeviceFallback(t *testing.T) {
 	const n = 600
+	const keyCol, valCol = 1, workload.ItemPriceCol
 	env := engine.NewEnv()
 	prof := perfmodel.DefaultDevice()
 	prof.GlobalMemory = 64 // no fragment fits: every Alloc refuses
@@ -197,44 +199,77 @@ func TestGroupFusionDeviceFallback(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	defer tbl.Free()
-	if err := workload.Generate(n, groupItem, func(i uint64, rec schema.Record) error {
+	// Integer-valued, NaN-free prices: every sum is exact in any fold
+	// order, so the answers compare with ==.
+	item := func(i uint64) schema.Record {
+		rec := groupItem(i)
+		if math.IsNaN(rec[valCol].F) {
+			rec[valCol] = schema.FloatValue(3)
+		}
+		return rec
+	}
+	if err := workload.Generate(n, item, func(i uint64, rec schema.Record) error {
 		_, err := tbl.Insert(rec)
 		return err
 	}); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 
-	before := obs.TakeSnapshot()
-	p := exec.Between[float64](0, 96)
-	got, err := groupSumWhere(tbl, 1, workload.ItemPriceCol, p)
-	if err != nil {
-		t.Fatalf("GroupSumFloat64Where: %v", err)
-	}
-	after := obs.TakeSnapshot()
-	if after.Counter("exec.groupby.fused.fallbacks") <= before.Counter("exec.groupby.fused.fallbacks") {
-		t.Error("exec.groupby.fused.fallbacks did not advance when the device refused")
-	}
-
-	want := map[int64]*exec.GroupResult{}
-	for i := uint64(0); i < n; i++ {
-		rec := groupItem(i)
-		if p.Match(rec[workload.ItemPriceCol].F) {
-			g := want[rec[1].I]
-			if g == nil {
-				g = &exec.GroupResult{Key: rec[1].I}
-				want[rec[1].I] = g
+	p := exec.Between[float64](5, 90)
+	for _, tc := range []struct {
+		plan    exec.Plan
+		counter string // "" where no kernel exists: nothing ships, nothing falls back
+	}{
+		{exec.Plan{Op: exec.KindSum, Col: valCol}, "exec.device_scan.sum_fallbacks"},
+		{exec.Plan{Op: exec.KindSumWhere, Col: valCol, Pred: p}, "exec.device_scan.sum_fallbacks"},
+		{exec.Plan{Op: exec.KindGroupSum, KeyCol: keyCol, Col: valCol}, ""},
+		{exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p}, "exec.groupby.fused.fallbacks"},
+	} {
+		tc := tc
+		t.Run(string(tc.plan.Op), func(t *testing.T) {
+			before := obs.TakeSnapshot()
+			got, err := tbl.Scan(tc.plan)
+			if err != nil {
+				t.Fatalf("a card that cannot hold an image failed the query: %v", err)
 			}
-			g.Sum += rec[workload.ItemPriceCol].F
-			g.Count++
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d groups, want %d", len(got), len(want))
-	}
-	for _, g := range got {
-		w := want[g.Key]
-		if w == nil || g.Count != w.Count || math.Abs(g.Sum-w.Sum) > 1e-9 {
-			t.Errorf("group %d = (%v, %d), want %+v", g.Key, g.Sum, g.Count, w)
-		}
+			after := obs.TakeSnapshot()
+			if tc.counter != "" && after.Counter(tc.counter) <= before.Counter(tc.counter) {
+				t.Errorf("%s did not advance when the device refused", tc.counter)
+			}
+
+			var want exec.Result
+			groups := map[int64]*exec.GroupResult{}
+			for i := uint64(0); i < n; i++ {
+				rec := item(i)
+				x := rec[valCol].F
+				if tc.plan.Op.Filtered() && !p.Match(x) {
+					continue
+				}
+				if !tc.plan.Op.Grouped() {
+					want.Sum += x
+					want.Count++
+					continue
+				}
+				g := groups[rec[keyCol].I]
+				if g == nil {
+					g = &exec.GroupResult{Key: rec[keyCol].I}
+					groups[g.Key] = g
+				}
+				g.Sum += x
+				g.Count++
+			}
+			if tc.plan.Op == exec.KindSum {
+				want.Count = 0 // an unfiltered sum reports no count
+			}
+			if got.Sum != want.Sum || got.Count != want.Count || len(got.Groups) != len(groups) {
+				t.Fatalf("got (%v, %d, %d groups), want (%v, %d, %d groups)",
+					got.Sum, got.Count, len(got.Groups), want.Sum, want.Count, len(groups))
+			}
+			for _, g := range got.Groups {
+				if w := groups[g.Key]; w == nil || g != *w {
+					t.Errorf("group %d = (%v, %d), want %+v", g.Key, g.Sum, g.Count, w)
+				}
+			}
+		})
 	}
 }

@@ -129,22 +129,29 @@ func TestPrunePropertyAllEngines(t *testing.T) {
 // TestPruneSelectionMatchesClosureSelect pins the specialized
 // selection kernel to the generic closure path bit-for-bit: position
 // lists are integers, so pruned and unpruned executions must agree
-// exactly on every common-table engine.
+// exactly over the pieces every engine that scans raw host columns
+// hands the scan body (the operator pair has its own test over chunked
+// NSM and DSM views in internal/exec).
 func TestPruneSelectionMatchesClosureSelect(t *testing.T) {
 	const n = 500
 	env := engine.NewEnv()
-	type selTable interface {
-		SelectFloat64Where(col int, p exec.Pred[float64]) (*exec.SelVec, error)
-		SelectFloat64(col int, pred func(float64) bool) ([]uint64, error)
-	}
 	for _, e := range Engines(env) {
 		e := e
 		t.Run(e.Name(), func(t *testing.T) {
 			tbl := loadItems(t, e, n)
 			defer tbl.Free()
-			st, ok := tbl.(selTable)
+			src, ok := tbl.(engine.Source)
 			if !ok {
-				t.Skipf("%s does not expose the selection surface", e.Name())
+				t.Skipf("%s is not a piece source", e.Name())
+			}
+			_, pieces, err := src.Pieces(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pc := range pieces {
+				if pc.Place != exec.OnHost || pc.Comp != nil {
+					t.Skipf("%s scans placed or compressed pieces; selection takes raw host ones", e.Name())
+				}
 			}
 			for _, p := range []exec.Pred[float64]{
 				exec.Between[float64](2, 3),
@@ -153,11 +160,11 @@ func TestPruneSelectionMatchesClosureSelect(t *testing.T) {
 				exec.Eq(workload.ItemPrice(123)),
 				exec.Between[float64](20, 30),
 			} {
-				sv, err := st.SelectFloat64Where(workload.ItemPriceCol, p)
+				sv, err := exec.SelectFloat64Pred(exec.Single(), pieces, p)
 				if err != nil {
-					t.Fatalf("SelectFloat64Where(%v): %v", p, err)
+					t.Fatalf("SelectFloat64Pred(%v): %v", p, err)
 				}
-				want, err := st.SelectFloat64(workload.ItemPriceCol, p.Match)
+				want, err := exec.SelectFloat64(exec.Single(), pieces, p.Match)
 				if err != nil {
 					t.Fatalf("SelectFloat64(%v): %v", p, err)
 				}

@@ -237,19 +237,6 @@ func (t *Table) SumFloat64(col int) (float64, error) {
 	return r.Sum, err
 }
 
-// SumInt64 aggregates an int64 attribute over the cheapest layout.
-func (t *Table) SumInt64(col int) (int64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return 0, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return 0, err
-	}
-	return exec.SumInt64(t.Cfg, pieces)
-}
-
 // SumFloat64Where aggregates (sum, count) of col over the rows matching
 // p in one fused, zone-pruned scan.
 func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
@@ -262,36 +249,6 @@ func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, 
 func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
 	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
 	return r.Groups, err
-}
-
-// SelectFloat64 returns the sorted positions whose col value satisfies
-// an arbitrary predicate — the generic closure fallback for predicates
-// the sargable vocabulary cannot express (no pruning, no
-// specialization).
-func (t *Table) SelectFloat64(col int, pred func(float64) bool) ([]uint64, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return nil, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return nil, err
-	}
-	return exec.SelectFloat64(t.Cfg, pieces, pred)
-}
-
-// SelectFloat64Where returns the sorted positions matching p on col as a
-// pooled selection vector (callers must Release it).
-func (t *Table) SelectFloat64Where(col int, p exec.Pred[float64]) (*exec.SelVec, error) {
-	l := t.LayoutForScan(col)
-	if l == nil {
-		return nil, layout.ErrNoLayout
-	}
-	pieces, err := exec.ColumnView(l, col, t.Rel.Rows())
-	if err != nil {
-		return nil, err
-	}
-	return exec.SelectFloat64Pred(t.Cfg, pieces, p)
 }
 
 // Materialize resolves the position list against the cheapest layout.

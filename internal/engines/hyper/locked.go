@@ -1,7 +1,6 @@
 package hyper
 
 import (
-	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 )
@@ -41,27 +40,6 @@ func (t *Table) Snapshot() layout.Snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.Table.Snapshot()
-}
-
-// SumInt64 aggregates under the reader lock.
-func (t *Table) SumInt64(col int) (int64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.Table.SumInt64(col)
-}
-
-// SelectFloat64 selects under the reader lock.
-func (t *Table) SelectFloat64(col int, pred func(float64) bool) ([]uint64, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.Table.SelectFloat64(col, pred)
-}
-
-// SelectFloat64Where selects under the reader lock.
-func (t *Table) SelectFloat64Where(col int, p exec.Pred[float64]) (*exec.SelVec, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.Table.SelectFloat64Where(col, p)
 }
 
 // Materialize resolves positions under the reader lock.

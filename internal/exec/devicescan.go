@@ -18,7 +18,23 @@ import (
 	"hybridstore/internal/obs"
 )
 
-var obsDeviceScan = obs.NewSpanFamily("exec.device_scan")
+var (
+	obsDeviceScan       = obs.NewSpanFamily("exec.device_scan")
+	mDeviceSumFallbacks = obs.NewCounter("exec.device_scan.sum_fallbacks")
+)
+
+// NoteDeviceFallback records one device leg of a scan of kind k
+// abandoned for the host because the card could not hold its images: a
+// grouped scan leaves the device-fused path for the host-fused one
+// (exec.groupby.fused.fallbacks), a sum its reduction kernels
+// (exec.device_scan.sum_fallbacks).
+func NoteDeviceFallback(k Kind) {
+	if k.Grouped() {
+		mGroupFusedFallbacks.Inc()
+	} else {
+		mDeviceSumFallbacks.Inc()
+	}
+}
 
 // DeviceScan runs scans on one card.
 type DeviceScan struct {

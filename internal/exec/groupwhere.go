@@ -46,12 +46,6 @@ func startGroupFused() opTimer {
 	return opTimer{h: hGroupFusedNs, t0: time.Now()}
 }
 
-// NoteGroupFusedFallback records one abandonment of a fused grouped
-// path — a caller that had to fall back to materialize-then-aggregate
-// (or from device-fused to host-fused) because the predicate or layout
-// was outside the fused operator's reach.
-func NoteGroupFusedFallback() { mGroupFusedFallbacks.Inc() }
-
 // checkGroupCols validates the key/value piece shapes shared by the
 // fused grouped operators.
 func checkGroupCols(keys, vals []Piece) error {

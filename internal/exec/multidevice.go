@@ -7,7 +7,9 @@
 // fragment the host can scan faster than the bus can carry it never
 // crosses the bus. Partial results fold back in original piece order,
 // which keeps the fleet's answers bit-identical to the single-card
-// DeviceScan over the same pieces.
+// DeviceScan over the same pieces. Pieces an engine placed in device
+// memory itself (Resident) are not scheduled at all: they scan on the
+// card that holds them.
 //
 // Simulated-time accounting: every card charges its own lane clock while
 // the fan-out runs, and Env.SettleMax folds the longest lane (or the host
@@ -17,6 +19,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 
 	"hybridstore/internal/device"
@@ -47,10 +50,19 @@ type MultiDeviceScan struct {
 	Host Config
 	// HostLane enables the host leg of the fan-out.
 	HostLane bool
+	// Home is the card engines place fragments on themselves: Resident
+	// pieces scan there, as one more lane of the fan-out. Wiring set with
+	// the fleet (engine.Env.DeviceExec); a scan carrying resident pieces
+	// without it fails.
+	Home DeviceScan
 }
 
-// cardScan builds the single-card DeviceScan for card i.
+// cardScan builds the single-card DeviceScan for card i; lane N is the
+// home card.
 func (m *MultiDeviceScan) cardScan(i int) DeviceScan {
+	if i == m.Env.N() {
+		return m.Home
+	}
 	c := m.Env.Card(i)
 	return DeviceScan{GPU: c.GPU(), Cache: c.Cache(), Table: m.Table}
 }
@@ -79,7 +91,8 @@ func (m *MultiDeviceScan) deviceCostNs(p Piece) float64 {
 }
 
 // place assigns each pair index of the scan to a card (by the value
-// piece's shard home) or to the host lane. Pieces the predicate's zone
+// piece's shard home; resident pieces, which nothing may move, to the
+// home card, lane N) or to the host lane. Pieces the predicate's zone
 // test excludes stay on their home card, whose DeviceScan prunes them
 // for free — routing them anywhere else would double-count the zone
 // decision. Admissible pieces go to the host lane when it is enabled and
@@ -87,9 +100,13 @@ func (m *MultiDeviceScan) deviceCostNs(p Piece) float64 {
 // image is not warm on its home card at the piece's version, and the
 // in-place scan is cheaper than bus plus kernel.
 func (m *MultiDeviceScan) place(sc Scan) (perCard [][]int, host []int) {
-	perCard = make([][]int, m.Env.N())
+	perCard = make([][]int, m.Env.N()+1)
 	hostOK := m.HostLane && m.Host.Host.SeqBandwidth > 0
 	for j, p := range sc.Vals {
+		if p.Place == Resident {
+			perCard[m.Env.N()] = append(perCard[m.Env.N()], j)
+			continue
+		}
 		home := m.homeCard(p)
 		if hostOK && (!sc.Op.Filtered() || ZoneAdmits(p.Zone, sc.Pred)) &&
 			!m.Env.Card(home).Cache().Resident(fragKey(m.Table, sc.Col, p), p.FragVersion) &&
@@ -118,19 +135,17 @@ func (m *MultiDeviceScan) Scan(sc Scan) (Result, error) {
 	sp := obsMultiScan.Start()
 	defer sp.End()
 	perCard, host := m.place(sc)
+	if len(perCard[m.Env.N()]) > 0 && m.Home.GPU == nil {
+		return Result{}, fmt.Errorf("%w: resident pieces without a home card", ErrBadColumn)
+	}
 
 	parts := make([]Result, len(sc.Vals))
-	errs := make([]error, m.Env.N()+1)
+	errs := make([]error, m.Env.N()+2)
 	var wg sync.WaitGroup
 	lane := func(slot int, ex ScanExecutor, idxs []int) {
 		defer wg.Done()
-		one := sc
 		for _, j := range idxs {
-			one.Vals = sc.Vals[j : j+1]
-			if sc.Op.Grouped() {
-				one.Keys = sc.Keys[j : j+1]
-			}
-			if parts[j], errs[slot] = ex.Scan(one); errs[slot] != nil {
+			if parts[j], errs[slot] = ex.Scan(sc.Slice(j, j+1)); errs[slot] != nil {
 				return
 			}
 		}
@@ -152,7 +167,7 @@ func (m *MultiDeviceScan) Scan(sc Scan) (Result, error) {
 			cfg.Clock = hostClock
 		}
 		wg.Add(1)
-		go lane(m.Env.N(), cfg, host)
+		go lane(m.Env.N()+1, cfg, host)
 	}
 	wg.Wait()
 	var hostNs float64

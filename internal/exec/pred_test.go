@@ -8,6 +8,7 @@ import (
 
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
+	"hybridstore/internal/workload"
 )
 
 // randPredF64 draws a predicate over roughly the buildLayout price
@@ -186,6 +187,64 @@ func TestSelectPredMatchesClosure(t *testing.T) {
 				t.Fatal("released SelVec still exposes positions")
 			}
 		}
+	}
+}
+
+// TestPruneSelectionMatchesClosureSelect pins the specialized
+// selection kernel to the generic closure path bit-for-bit: position
+// lists are integers, so pruned and unpruned executions must agree
+// exactly, over the zone-carrying chunked column views of a row-wise
+// and a column-wise layout.
+func TestPruneSelectionMatchesClosureSelect(t *testing.T) {
+	const n = 500
+	for _, lin := range []layout.Linearization{layout.NSM, layout.DSM} {
+		lin := lin
+		t.Run(lin.String(), func(t *testing.T) {
+			l, err := layout.Horizontal(host(), "item", workload.ItemSchema(), n, 64, lin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Free()
+			for i := uint64(0); i < n; i++ {
+				f, err := l.FragmentAt(i, workload.ItemPriceCol)
+				if err == nil {
+					err = f.AppendTuplet(workload.Item(i))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			pieces, err := ColumnView(l, workload.ItemPriceCol, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []Pred[float64]{
+				Between[float64](2, 3),
+				Lt(1.5),
+				Gt(4.25),
+				Eq(workload.ItemPrice(123)),
+				Between[float64](20, 30),
+			} {
+				sv, err := SelectFloat64Pred(Single(), pieces, p)
+				if err != nil {
+					t.Fatalf("SelectFloat64Pred(%v): %v", p, err)
+				}
+				want, err := SelectFloat64(Single(), pieces, p.Match)
+				if err != nil {
+					t.Fatalf("SelectFloat64(%v): %v", p, err)
+				}
+				got := sv.Positions()
+				if len(got) != len(want) {
+					t.Fatalf("%v: %d positions, want %d", p, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%v: position[%d] = %d, want %d", p, i, got[i], want[i])
+					}
+				}
+				sv.Release()
+			}
+		})
 	}
 }
 

@@ -36,6 +36,15 @@ type Scan struct {
 	Keys, Vals []Piece
 }
 
+// Slice returns the scan over pairs [from, to) of its pieces.
+func (sc Scan) Slice(from, to int) Scan {
+	sc.Vals = sc.Vals[from:to]
+	if sc.Keys != nil {
+		sc.Keys = sc.Keys[from:to]
+	}
+	return sc
+}
+
 // ScanExecutor runs a Scan. The host Config, the single-card DeviceScan
 // and the cross-device MultiDeviceScan satisfy it, so an engine's host
 // leg, its device leg and a fleet's host lane all enter through the same

@@ -619,7 +619,9 @@ func TestDeviceScanRefusesBeforeZoneDecisions(t *testing.T) {
 // on order-sensitive (non-integer) data, for the plain sum, the filtered
 // sum and the fused grouped scan, at every fleet size. With the host
 // lane on, pieces it takes are reduced by a different kernel, so there
-// the comparison runs on integer-valued data (TestScanExecutors).
+// the comparison runs on integer-valued data (TestScanExecutors). Two
+// pairs are Resident: the fleet scans them on the home card, in place
+// in the fold, and refuses them when no home card is wired.
 func TestMultiDeviceScanBitIdentity(t *testing.T) {
 	const nf, fragRows = 8, 1024
 	keys, vals, _, valF := groupScanFixture(nf, fragRows)
@@ -630,6 +632,9 @@ func TestMultiDeviceScanBitIdentity(t *testing.T) {
 	for i := range vals {
 		vals[i].Vec.Data = img
 		vals[i].Zone = nil
+	}
+	for _, i := range []int{2, 5} {
+		keys[i].Place, vals[i].Place = Resident, Resident
 	}
 	p := Between(100.0, 499.9)
 
@@ -642,6 +647,10 @@ func TestMultiDeviceScanBitIdentity(t *testing.T) {
 		}
 		for _, n := range []int{1, 2, 4} {
 			m, _, _ := fleetScan(n, "bitident", nil)
+			if _, err := scanOn(m, op, keys, vals, p); !errors.Is(err, ErrBadColumn) {
+				t.Fatalf("n=%d %s: resident pieces without a home card: err = %v, want ErrBadColumn", n, op, err)
+			}
+			m.Home = DeviceScan{GPU: gpu}
 			got, err := scanOn(m, op, keys, vals, p)
 			if err != nil {
 				t.Fatalf("n=%d %s: %v", n, op, err)

@@ -172,6 +172,10 @@ func New(capBytes int64, ttl time.Duration) *Cache {
 }
 
 // shardFor hashes the key (FNV-1a over every dimension) to a shard.
+// FNV-1a's multiply never carries high bits down, and the float64 bits
+// of a round predicate bound are zero below bit 42, so the high bits
+// fold into the low byte before the modulus reads it — or every
+// dashboard with integer cuts lands in one shard.
 func (c *Cache) shardFor(k Key) *shard {
 	const (
 		offset = 14695981039346656037
@@ -192,6 +196,9 @@ func (c *Cache) shardFor(k Key) *shard {
 		h = (h ^ math.Float64bits(k.Pred.Lo)) * prime
 		h = (h ^ math.Float64bits(k.Pred.Hi)) * prime
 	}
+	h ^= h >> 32
+	h ^= h >> 16
+	h ^= h >> 8
 	return &c.shards[h%numShards]
 }
 

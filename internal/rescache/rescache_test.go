@@ -9,6 +9,7 @@ import (
 
 	"hybridstore/internal/exec"
 	"hybridstore/internal/schema"
+	"hybridstore/internal/server/loadgen"
 )
 
 func stamp(rows uint64, frags ...FragVer) Stamp {
@@ -270,4 +271,31 @@ func TestConcurrentMixedUse(t *testing.T) {
 	}
 	wg.Wait()
 	checkInvariant(t, c)
+}
+
+// TestShardOccupancyRoundBounds: the keys a dashboard produces — the
+// load generator's predicate cuts, slid over 1000 integer offsets — must
+// spread over the shards. Round float64 bounds differ only in their top
+// bits, which a plain `hash % 16` of FNV-1a never sees: every such key
+// used to share one shard, its mutex and a sixteenth of the capacity.
+func TestShardOccupancyRoundBounds(t *testing.T) {
+	c := New(1<<20, 0)
+	perShard := map[*shard]int{}
+	keys := 0
+	for _, cut := range loadgen.PredCuts {
+		for i := 0; i < 1000; i++ {
+			p := cut.Pred
+			p.Lo, p.Hi = p.Lo+float64(i), p.Hi+float64(i)
+			perShard[c.shardFor(Key{Table: "item", Op: exec.KindSumWhere, Col: 4, Pred: exec.Normalize(p), HasPred: true})]++
+			keys++
+		}
+	}
+	if len(perShard) < 12 {
+		t.Errorf("%d integer-bounded keys occupy %d of %d shards, want at least 12", keys, len(perShard), numShards)
+	}
+	for _, n := range perShard {
+		if n > 3*keys/numShards {
+			t.Errorf("one shard holds %d of %d keys, more than 3x the mean %d", n, keys, keys/numShards)
+		}
+	}
 }

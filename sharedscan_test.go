@@ -169,7 +169,8 @@ func sameResult(a, b Result, exact bool) bool {
 // bits the named public method produces, and both agree with a serial
 // fold over Get-materialized records (sums to rounding, everything else
 // exactly) — across storage configurations (plain host, device cache,
-// compression, device placement, multi-card), with unmerged MVCC deltas
+// compression, device placement, multi-card, and placement beside the
+// device cache on one card and on a fleet), with unmerged MVCC deltas
 // in flight, after Merge, and after further updates + Merge. With the
 // cache on, a clean table's answers must also be served by Peek.
 func TestSharedScanMatchesSoloFacade(t *testing.T) {
@@ -182,6 +183,8 @@ func TestSharedScanMatchesSoloFacade(t *testing.T) {
 		{"compress+cache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Compress: true}},
 		{"placement", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true}},
 		{"fleet", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Devices: 2}},
+		{"placement+cache", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true, DeviceCache: true, Compress: true}},
+		{"fleet+placement", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true, DeviceCache: true, Devices: 2}},
 	}
 	const rows = 1000
 	cases := planCases(rows)
