@@ -18,53 +18,37 @@
 //     torn tail can drop suffix writes, never corrupt them.
 //
 // Multiple -rounds chain kill → recover → keep writing on the same
-// directory, exercising recovery-then-continue. With -bench-writes the
-// tool also prices the durable write lane: identical concurrent insert
-// storms against a memory-only store and a WAL-on store, reporting
-// per-write p50/p99 and the p99 overhead percentage. Results land in
-// -csv (recovery_panel.csv by default); exit status 1 means a lost or
-// corrupt acknowledged write.
+// directory, exercising recovery-then-continue. Results land in -csv
+// (recovery_panel.csv by default); exit status 1 means a lost or corrupt
+// acknowledged write. What the log costs is measured elsewhere
+// (htapbench -panel serving -wal, loadgen -selfserve -wal, the
+// oltp-durable workload of bench/).
 //
 // Usage:
 //
-//	crashtest [-rounds N] [-acks N] [-bench-writes N] [-csv recovery_panel.csv] [-dir D]
+//	crashtest [-rounds N] [-acks N] [-csv recovery_panel.csv] [-dir D]
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
-	"math"
-	"net"
-	"net/http"
 	"os"
 	"os/exec"
-	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"hybridstore"
-	"hybridstore/internal/server"
-	"hybridstore/internal/server/loadgen"
 )
 
 // txRows is the number of dedicated rows (primary keys 0..txRows-1) the
 // transactional update lane cycles over; the insert lane starts above.
 const txRows = 64
 
-// groupWindow is the -group-window flag: how long a group-commit flush
-// leader holds the door for cohort commits.
-var groupWindow time.Duration
-
 func opts() hybridstore.Options {
 	return hybridstore.Options{
-		ChunkRows: 128,
-		HotChunks: 1,
-		Durability: hybridstore.Durability{
-			Tables:      []string{"accounts"},
-			GroupWindow: groupWindow,
-		},
+		ChunkRows:  128,
+		HotChunks:  1,
+		Durability: hybridstore.Durability{Tables: []string{"accounts"}},
 	}
 }
 
@@ -92,9 +76,7 @@ func main() {
 	dir := flag.String("dir", "", "durable DB directory (default: a fresh temp dir, removed on success)")
 	rounds := flag.Int("rounds", 2, "kill/recover cycles")
 	acks := flag.Int("acks", 400, "acknowledged writes per round before the SIGKILL")
-	benchWrites := flag.Int("bench-writes", 2000, "inserts per lane for the WAL overhead comparison (0 = skip)")
 	csvPath := flag.String("csv", "recovery_panel.csv", "write the recovery panel to this CSV file (empty = skip)")
-	flag.DurationVar(&groupWindow, "group-window", 0, "group-commit window for every durable store the harness opens")
 	flag.Parse()
 
 	if *childMode {
@@ -128,28 +110,13 @@ func main() {
 		fmt.Printf("round %d: killed after %d acked inserts + %d acked commits; recovered %d rows, %d lost\n",
 			round, m.inserts, m.commits, rows, lost)
 		if lost > 0 {
-			writePanel(*csvPath, *rounds, m, rows, lost, nil)
+			writePanel(*csvPath, *rounds, m, rows, lost)
 			fmt.Fprintf(os.Stderr, "crashtest: %d acknowledged write(s) lost or corrupt\n", lost)
 			os.Exit(1)
 		}
 	}
 
-	var bench *overhead
-	if *benchWrites > 0 {
-		b, err := measureOverhead(*benchWrites)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest: overhead bench:", err)
-			os.Exit(1)
-		}
-		bench = b
-		fmt.Printf("storage lane: wal-off p50 %.1fµs p99 %.1fµs | wal-on p50 %.1fµs p99 %.1fµs | p99 overhead %+.1f%%\n",
-			bench.offP50, bench.offP99, bench.onP50, bench.onP99, bench.p99Pct())
-		fmt.Printf("serving write lane: wal-off p50 %.1fµs p99 %.1fµs | wal-on p50 %.1fµs p99 %.1fµs | p99 overhead %+.1f%%\n",
-			bench.servOffP50, bench.servOffP99, bench.servOnP50, bench.servOnP99, bench.servP99Pct())
-		fmt.Printf("serving mixed lane: wal-off p50 %.1fµs p99 %.1fµs | wal-on p50 %.1fµs p99 %.1fµs | p99 overhead %+.1f%%\n",
-			bench.mixOffP50, bench.mixOffP99, bench.mixOnP50, bench.mixOnP99, bench.mixP99Pct())
-	}
-	writePanel(*csvPath, *rounds, m, recoveredRows, 0, bench)
+	writePanel(*csvPath, *rounds, m, recoveredRows, 0)
 	fmt.Printf("crashtest: %d round(s), every acknowledged write recovered\n", *rounds)
 }
 
@@ -345,257 +312,8 @@ func runChild(dir string) error {
 	}
 }
 
-// overhead holds two write-lane comparisons, memory-only vs
-// write-ahead-logged: the raw storage lane (direct Insert calls under
-// an 8-lane storm — fsync-bound by construction, since a memory insert
-// costs under a microsecond) and the serving lane (HTTP point writes
-// through the batching server — the acceptance-relevant number, where
-// request handling dominates and the group-committed fsync amortizes
-// over concurrent writers).
-type overhead struct {
-	offP50, offP99         float64 // raw storage lane, microseconds
-	onP50, onP99           float64
-	servOffP50, servOffP99 float64 // write-only serving lane over loopback HTTP
-	servOnP50, servOnP99   float64
-	mixOffP50, mixOffP99   float64 // standard serving mix (write=20,sum=60,group=20)
-	mixOnP50, mixOnP99     float64
-}
-
-func pctOver(on, off float64) float64 {
-	if off == 0 {
-		return 0
-	}
-	return (on - off) / off * 100
-}
-
-func (o *overhead) p99Pct() float64     { return pctOver(o.onP99, o.offP99) }
-func (o *overhead) servP99Pct() float64 { return pctOver(o.servOnP99, o.servOffP99) }
-func (o *overhead) mixP99Pct() float64  { return pctOver(o.mixOnP99, o.mixOffP99) }
-
-const benchLanes = 8
-
-// measureOverhead runs the same concurrent insert storm against a
-// memory-only store and a WAL-on store and compares per-write latency.
-// Group commit is what keeps the durable lane close: concurrent writers
-// share flush leaders, so an fsync amortizes over the cohort.
-func measureOverhead(perLane int) (*overhead, error) {
-	off, err := benchStore("", perLane)
-	if err != nil {
-		return nil, err
-	}
-	walDir, err := os.MkdirTemp("", "crashtest-bench-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(walDir)
-	on, err := benchStore(walDir, perLane)
-	if err != nil {
-		return nil, err
-	}
-	o := &overhead{
-		offP50: percentile(off, 0.50), offP99: percentile(off, 0.99),
-		onP50: percentile(on, 0.50), onP99: percentile(on, 0.99),
-	}
-	if o.servOffP50, o.servOffP99, err = servingLane(false, false); err != nil {
-		return nil, err
-	}
-	if o.servOnP50, o.servOnP99, err = servingLane(true, false); err != nil {
-		return nil, err
-	}
-	if o.mixOffP50, o.mixOffP99, err = servingLane(false, true); err != nil {
-		return nil, err
-	}
-	if o.mixOnP50, o.mixOnP99, err = servingLane(true, true); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// servingLane measures HTTP request latency through the batching server
-// over a warm item fixture, optionally durable. With mixed=false every
-// request is a point write — the lane that pays the fsync directly.
-// With mixed=true requests follow the standard serving mix
-// (write=20,sum=60,group=20) and the percentiles cover all classes: the
-// durability question a dashboard workload actually asks.
-func servingLane(durable, mixed bool) (p50, p99 float64, err error) {
-	hopts := hybridstore.Options{ChunkRows: 256}
-	var db *hybridstore.DB
-	if durable {
-		dir, err := os.MkdirTemp("", "crashtest-serve-")
-		if err != nil {
-			return 0, 0, err
-		}
-		defer os.RemoveAll(dir)
-		hopts.Durability = hybridstore.Durability{Tables: []string{"item"}, GroupWindow: groupWindow}
-		if db, err = hybridstore.OpenDir(dir, hopts); err != nil {
-			return 0, 0, err
-		}
-	} else {
-		db = hybridstore.Open(hopts)
-	}
-	defer db.Close()
-	tbl, err := db.CreateTable("item", hybridstore.ItemSchema())
-	if err != nil {
-		return 0, 0, err
-	}
-	defer tbl.Free()
-	const rows = 4096
-	for i := uint64(0); i < rows; i++ {
-		if _, err := tbl.Insert(hybridstore.Item(i)); err != nil {
-			return 0, 0, err
-		}
-	}
-	s := server.New(server.Config{DB: db, BatchWindow: server.DefaultBatchWindow})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer l.Close()
-	go s.Serve(l)
-
-	c, err := loadgen.Dial(&http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: benchLanes}},
-		"http://"+l.Addr().String(), "crashtest")
-	if err != nil {
-		return 0, 0, err
-	}
-	write, err := c.Prepare(`"op":"update","table":"item","col":4`)
-	if err != nil {
-		return 0, 0, err
-	}
-	sum, err := c.Prepare(`"op":"sum_where","table":"item","col":4`)
-	if err != nil {
-		return 0, 0, err
-	}
-	group, err := c.Prepare(`"op":"group_sum_where","table":"item","col":4,"key_col":1`)
-	if err != nil {
-		return 0, 0, err
-	}
-	preds := loadgen.PredCuts
-
-	// Measured with exact per-request timestamps: loadgen's log2-bucketed
-	// histogram is only accurate to a factor of two, far too coarse for
-	// an overhead-percentage comparison.
-	const warmup, perLane = 100, 600
-	lanes := make([][]float64, benchLanes)
-	errs := make(chan error, benchLanes)
-	var wg sync.WaitGroup
-	for w := 0; w < benchLanes; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat := make([]float64, 0, perLane)
-			for i := 0; i < warmup+perLane; i++ {
-				// The mixed lane follows write=20,sum=60,group=20 per
-				// five requests; the write lane is writes only.
-				stmt, args := sum, `"pred":`+preds[(w+i)%len(preds)].Wire
-				switch slot := i % 5; {
-				case !mixed || slot == 0:
-					stmt, args = write, fmt.Sprintf(`"row":%d,"value":%d`, uint64(w*131+i*17)%rows, i%100)
-				case slot == 4:
-					stmt = group
-				}
-				start := time.Now()
-				if _, err := c.Exec(stmt, args); err != nil {
-					errs <- fmt.Errorf("serving lane (durable=%v mixed=%v): %w", durable, mixed, err)
-					return
-				}
-				if i >= warmup {
-					lat = append(lat, float64(time.Since(start).Nanoseconds())/1e3)
-				}
-			}
-			lanes[w] = lat
-			errs <- nil
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	var all []float64
-	for _, l := range lanes {
-		all = append(all, l...)
-	}
-	return percentile(all, 0.50), percentile(all, 0.99), nil
-}
-
-// benchStore inserts benchLanes*perLane rows concurrently and returns
-// every per-insert latency in microseconds. Empty dir = memory-only.
-func benchStore(dir string, perLane int) ([]float64, error) {
-	var db *hybridstore.DB
-	var err error
-	if dir != "" {
-		db, err = hybridstore.OpenDir(dir, opts())
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		db = hybridstore.Open(hybridstore.Options{ChunkRows: 128, HotChunks: 1})
-	}
-	defer db.Close()
-	s, err := accountSchema()
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := db.CreateTable("accounts", s)
-	if err != nil {
-		return nil, err
-	}
-	defer tbl.Free()
-
-	lanes := make([][]float64, benchLanes)
-	errs := make(chan error, benchLanes)
-	var wg sync.WaitGroup
-	for w := 0; w < benchLanes; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lat := make([]float64, 0, perLane)
-			for i := 0; i < perLane; i++ {
-				pk := uint64(w*perLane + i)
-				start := time.Now()
-				_, err := tbl.Insert(insertRec(pk))
-				if err != nil {
-					errs <- err
-					return
-				}
-				lat = append(lat, float64(time.Since(start).Nanoseconds())/1e3)
-			}
-			lanes[w] = lat
-			errs <- nil
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var all []float64
-	for _, l := range lanes {
-		all = append(all, l...)
-	}
-	return all, nil
-}
-
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}
-
 // writePanel emits the recovery panel CSV consumed by CI.
-func writePanel(path string, rounds int, m *model, rows uint64, lost int, b *overhead) {
+func writePanel(path string, rounds int, m *model, rows uint64, lost int) {
 	if path == "" {
 		return
 	}
@@ -606,23 +324,6 @@ func writePanel(path string, rounds int, m *model, rows uint64, lost int, b *ove
 	fmt.Fprintf(&sb, "acked_commits,%d\n", m.commits)
 	fmt.Fprintf(&sb, "recovered_rows,%d\n", rows)
 	fmt.Fprintf(&sb, "lost_writes,%d\n", lost)
-	if b != nil {
-		fmt.Fprintf(&sb, "storage_waloff_p50_us,%.1f\n", b.offP50)
-		fmt.Fprintf(&sb, "storage_waloff_p99_us,%.1f\n", b.offP99)
-		fmt.Fprintf(&sb, "storage_walon_p50_us,%.1f\n", b.onP50)
-		fmt.Fprintf(&sb, "storage_walon_p99_us,%.1f\n", b.onP99)
-		fmt.Fprintf(&sb, "storage_walon_p99_overhead_pct,%.1f\n", b.p99Pct())
-		fmt.Fprintf(&sb, "serving_waloff_write_p50_us,%.1f\n", b.servOffP50)
-		fmt.Fprintf(&sb, "serving_waloff_write_p99_us,%.1f\n", b.servOffP99)
-		fmt.Fprintf(&sb, "serving_walon_write_p50_us,%.1f\n", b.servOnP50)
-		fmt.Fprintf(&sb, "serving_walon_write_p99_us,%.1f\n", b.servOnP99)
-		fmt.Fprintf(&sb, "serving_walon_write_p99_overhead_pct,%.1f\n", b.servP99Pct())
-		fmt.Fprintf(&sb, "serving_waloff_mixed_p50_us,%.1f\n", b.mixOffP50)
-		fmt.Fprintf(&sb, "serving_waloff_mixed_p99_us,%.1f\n", b.mixOffP99)
-		fmt.Fprintf(&sb, "serving_walon_mixed_p50_us,%.1f\n", b.mixOnP50)
-		fmt.Fprintf(&sb, "serving_walon_mixed_p99_us,%.1f\n", b.mixOnP99)
-		fmt.Fprintf(&sb, "serving_walon_mixed_p99_overhead_pct,%.1f\n", b.mixP99Pct())
-	}
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "crashtest: csv:", err)
 		return

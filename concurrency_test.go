@@ -258,3 +258,48 @@ func TestConcurrentMorselPoolStress(t *testing.T) {
 	close(stop)
 	churn.Wait()
 }
+
+// TestStatsDuringStructuralWrites reads the table's physical state while
+// inserts open and freeze chunks and placement moves columns. Under -race
+// this pins that Stats and DeviceColumns take the table lock: they used
+// to read the chunk list, the counters and the device-column map bare,
+// and a concurrent map read and write aborts the process.
+func TestStatsDuringStructuralWrites(t *testing.T) {
+	db := Open(Options{ChunkRows: 64, HotChunks: 1})
+	tbl, err := db.CreateTable("item", ItemSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Free()
+	const rows = 4000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := uint64(0); i < rows; i++ {
+			if _, err := tbl.Insert(Item(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%500 == 499 {
+				if err := tbl.PlaceColumn(ItemPriceColumn); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		st := tbl.Stats()
+		if st.HotChunks > 1 || uint64(st.HotChunks+st.ColdChunks) > rows/64+1 || len(tbl.DeviceColumns()) > 1 {
+			t.Fatalf("incoherent stats %+v", st)
+		}
+	}
+	if st := tbl.Stats(); st.Rows != rows || st.Freezes != st.ColdChunks || len(st.DeviceColumns) != 1 {
+		t.Fatalf("final stats %+v", st)
+	}
+}

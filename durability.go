@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"hybridstore/internal/core"
 	"hybridstore/internal/wal"
@@ -18,12 +17,11 @@ type SyncPolicy = wal.SyncPolicy
 // Sync policies, re-exported from internal/wal.
 const (
 	// SyncGrouped (the default) batches concurrent commits into one
-	// fsync: a flush leader optionally waits Durability.GroupWindow for
-	// cohort arrivals, writes everything pending, syncs once, and wakes
-	// every waiter. Every acknowledged write is durable.
+	// fsync: a flush leader writes everything pending, syncs once, and
+	// wakes every waiter. Every acknowledged write is durable.
 	SyncGrouped = wal.SyncGrouped
-	// SyncAlways fsyncs on every write — strongest latency floor, no
-	// batching.
+	// SyncAlways behaves as SyncGrouped: the leader never waits, so a
+	// lone writer gets its own fsync under either.
 	SyncAlways = wal.SyncAlways
 	// SyncNone never fsyncs (the OS flushes eventually): acknowledged
 	// writes can be lost on a machine crash, but never reordered or
@@ -33,16 +31,11 @@ const (
 
 // Durability tunes write-ahead logging and checkpointing for a DB
 // opened with OpenDir. The zero value is the recommended configuration:
-// group-committed fsyncs with no artificial window, every table
-// durable. Open ignores this field — an in-memory DB stays a pure
-// in-memory DB.
+// group-committed fsyncs, every table durable. Open ignores this field —
+// an in-memory DB stays a pure in-memory DB.
 type Durability struct {
 	// Sync is the fsync policy (default SyncGrouped).
 	Sync SyncPolicy
-	// GroupWindow is how long a group-commit flush leader waits for
-	// cohort commits before syncing (default 0: no artificial wait; the
-	// natural batching of concurrent committers still applies).
-	GroupWindow time.Duration
 	// Tables opts tables into durability by name. Empty means every
 	// table created on this DB is durable; otherwise only the named
 	// ones log and checkpoint, and the rest stay memory-only.
@@ -114,9 +107,7 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 
-	l, recs, err := wal.Open(filepath.Join(dir, walFile), wal.Options{
-		Sync: opts.Durability.Sync, GroupWindow: opts.Durability.GroupWindow,
-	})
+	l, recs, err := wal.Open(filepath.Join(dir, walFile), wal.Options{Sync: opts.Durability.Sync})
 	if err != nil {
 		return nil, err
 	}

@@ -135,6 +135,50 @@ func TestDurableRoundTrip(t *testing.T) {
 	checkAccounts(t, re2.Table("accounts"), 301, patched)
 }
 
+// TestCreateTableDuplicate pins that a name already in use is refused
+// before anything is created or logged: the first table keeps taking
+// writes and the directory reopens with exactly them. (A second create
+// used to orphan the first handle and log a second create record; both
+// handles' inserts then replayed into one table and the next OpenDir
+// failed with "wal replay diverged".)
+func TestCreateTableDuplicate(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{ChunkRows: 64, HotChunks: 1}
+	db, err := OpenDir(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := db.CreateTable("accounts", durableSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(i int) {
+		t.Helper()
+		if _, err := first.Insert(Record{IntValue(int64(i)), CharValue("acct"), FloatValue(float64(i) * 10)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(0)
+	if dup, err := db.CreateTable("accounts", durableSchema(t)); !errors.Is(err, ErrTableExists) || dup != nil {
+		t.Fatalf("duplicate CreateTable = %v, %v; want ErrTableExists", dup, err)
+	}
+	if db.Table("accounts") != first {
+		t.Fatal("duplicate CreateTable replaced the registered table")
+	}
+	insert(1)
+	insert(2)
+	checkAccounts(t, first, 3, nil)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDir(dir, opts)
+	if err != nil {
+		t.Fatalf("reopen after a refused duplicate create: %v", err)
+	}
+	defer re.Close()
+	checkAccounts(t, re.Table("accounts"), 3, nil)
+}
+
 // TestDurableCheckpoint verifies checkpoint + truncation: recovery
 // restores the image, replays only the records past it, and a crash
 // between image publication and log truncation (simulated by

@@ -18,6 +18,7 @@
 package hybridstore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -91,9 +92,6 @@ type Options struct {
 	// HotChunks is the number of newest chunks kept in the OLTP region
 	// (default 2).
 	HotChunks int
-	// Affinity is the co-access threshold for column grouping, in (0,1]
-	// (default 0.5).
-	Affinity float64
 	// DevicePlacement enables moving scan-hot columns to the simulated
 	// GPU.
 	DevicePlacement bool
@@ -177,7 +175,6 @@ func Open(opts Options) *DB {
 		eng: core.New(env, core.Options{
 			ChunkRows:        opts.ChunkRows,
 			HotChunks:        opts.HotChunks,
-			Affinity:         opts.Affinity,
 			DevicePlacement:  opts.DevicePlacement,
 			DeviceCache:      opts.DeviceCache,
 			Compress:         opts.Compress,
@@ -253,10 +250,21 @@ type Table struct {
 	durable bool
 }
 
+// ErrTableExists is returned by CreateTable for a name already in use.
+var ErrTableExists = errors.New("hybridstore: table exists")
+
 // CreateTable makes an empty table. On a DB opened with OpenDir, a
 // table covered by the durability opt-in list logs its creation (and
-// from then on every write) before this call acknowledges.
+// from then on every write) before this call acknowledges. A name
+// already in use fails with ErrTableExists before anything is created
+// or logged: a second create record would replay both handles' writes
+// into one table.
 func (db *DB) CreateTable(name string, s *Schema) (*Table, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, ok := db.tables[name]; ok {
+		return nil, fmt.Errorf("%w: %q", ErrTableExists, name)
+	}
 	t, err := db.eng.Create(name, s)
 	if err != nil {
 		return nil, fmt.Errorf("hybridstore: creating table %q: %w", name, err)
@@ -274,9 +282,7 @@ func (db *DB) CreateTable(name string, s *Schema) (*Table, error) {
 		tbl.t.EnableWAL(db.wal)
 		tbl.durable = true
 	}
-	db.mu.Lock()
 	db.tables[name] = tbl
-	db.mu.Unlock()
 	return tbl, nil
 }
 

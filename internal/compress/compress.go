@@ -365,28 +365,6 @@ func (c *Column) delta(i int) uint64 {
 	return 0
 }
 
-// ForEach streams every element in order without allocating per element.
-func (c *Column) ForEach(fn func(i int, el []byte)) {
-	tmp := make([]byte, c.size)
-	switch c.enc {
-	case RLE:
-		// Stream run-wise: decode each run value once.
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			val := c.runVals[k*c.size : (k+1)*c.size]
-			for i := start; i < end; i++ {
-				fn(int(i), val)
-			}
-			start = end
-		}
-	default:
-		for i := 0; i < c.n; i++ {
-			v, _ := c.At(i, tmp)
-			fn(i, v)
-		}
-	}
-}
-
 // Sum aggregates an 8-byte column without materializing: RLE multiplies
 // run values by their lengths, Dict weights each dictionary entry by its
 // code frequency, FOR and Raw decode elementwise.

@@ -251,29 +251,6 @@ func TestSumFloat64FastPaths(t *testing.T) {
 	}
 }
 
-func TestForEachStreamsInOrder(t *testing.T) {
-	vals := []int64{3, 3, 1, 1, 1, 8}
-	for _, enc := range []Encoding{Raw, RLE, Dict, FOR} {
-		c, err := CompressAs(enc, encodeInts(vals), len(vals), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := 0
-		c.ForEach(func(idx int, el []byte) {
-			if idx != i {
-				t.Fatalf("%v: ForEach order broken at %d", enc, idx)
-			}
-			if int64(binary.LittleEndian.Uint64(el)) != vals[idx] {
-				t.Fatalf("%v: ForEach value broken at %d", enc, idx)
-			}
-			i++
-		})
-		if i != len(vals) {
-			t.Fatalf("%v: visited %d of %d", enc, i, len(vals))
-		}
-	}
-}
-
 func TestStringer(t *testing.T) {
 	c, _ := Compress(encodeInts([]int64{1, 1, 1}), 3, 8)
 	if c.String() == "" || Encoding(9).String() == "" {

@@ -186,23 +186,6 @@ func addRun[T Number](sum, v T, k uint32) T {
 // SumFloat64Where is SumWhere over an 8-byte IEEE-754 column.
 func (c *Column) SumFloat64Where(p Pred[float64]) (float64, int64, error) { return SumWhere(c, p) }
 
-// SumInt64Where is SumWhere over an 8-byte integer column.
-func (c *Column) SumInt64Where(p Pred[int64]) (int64, int64, error) { return SumWhere(c, p) }
-
-// CountWhereFloat64 counts matches of p over an 8-byte IEEE-754 column
-// in the compressed domain.
-func (c *Column) CountWhereFloat64(p Pred[float64]) (int64, error) {
-	_, n, err := SumWhere(c, p)
-	return n, err
-}
-
-// CountWhereInt64 counts matches of p over an 8-byte integer column in
-// the compressed domain.
-func (c *Column) CountWhereInt64(p Pred[int64]) (int64, error) {
-	_, n, err := SumWhere(c, p)
-	return n, err
-}
-
 // forDeltaBounds rewrites an int64 predicate into the FOR delta domain:
 // x = base + d with d in [0, 2^(8·width)), so p over x becomes the
 // closed delta interval [dLo, dHi]. ok is false when no delta can

@@ -53,7 +53,7 @@ func (t *Table) Adapt() (bool, error) {
 	nObs := t.mon.Observations()
 	stats := t.mon.Snapshot()
 	changed := false
-	advice := t.mon.SuggestGroups(t.eng.opts.Affinity)
+	advice := t.mon.SuggestGroups(affinity)
 	for _, c := range t.chunks {
 		if c.state != cold || groupingEqual(c.groups, advice) {
 			continue

@@ -29,7 +29,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -54,9 +53,6 @@ type Options struct {
 	// HotChunks is how many newest chunks stay in the OLTP (NSM) region
 	// before freezing moves them to the OLAP region (default 2).
 	HotChunks int
-	// Affinity is the co-access threshold for cold-region column
-	// grouping (default 0.5).
-	Affinity float64
 	// DevicePlacement enables moving scan-hot cold columns to the GPU.
 	DevicePlacement bool
 	// DeviceCache routes cold-region analytic scans through the device
@@ -89,6 +85,9 @@ type Options struct {
 	Compress bool
 }
 
+// affinity is the co-access threshold for cold-region column grouping.
+const affinity = 0.5
+
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
 	if o.ChunkRows == 0 {
@@ -96,9 +95,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HotChunks <= 0 {
 		o.HotChunks = 2
-	}
-	if o.Affinity <= 0 || o.Affinity > 1 {
-		o.Affinity = 0.5
 	}
 	return o
 }
@@ -257,14 +253,16 @@ func (t *Table) Rows() uint64 { t.mu.RLock(); defer t.mu.RUnlock(); return t.rel
 func (t *Table) Snapshot() layout.Snapshot { t.mu.RLock(); defer t.mu.RUnlock(); return t.rel.Digest() }
 
 // Freezes returns how many chunks have moved hot→cold.
-func (t *Table) Freezes() int { return t.freezes }
+func (t *Table) Freezes() int { t.mu.RLock(); defer t.mu.RUnlock(); return t.freezes }
 
 // Adapts returns how many adaptations have run.
-func (t *Table) Adapts() int { return t.adapts }
+func (t *Table) Adapts() int { t.mu.RLock(); defer t.mu.RUnlock(); return t.adapts }
 
 // DeviceColumns returns the columns whose cold fragments are
 // device-resident, sorted ascending.
 func (t *Table) DeviceColumns() []int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	var out []int
 	for c := 0; c < t.s.Arity(); c++ {
 		if t.deviceCols[c] {
@@ -275,11 +273,12 @@ func (t *Table) DeviceColumns() []int {
 }
 
 // HotChunks and ColdChunks count the regions.
-func (t *Table) HotChunks() int { return t.countState(hot) }
+func (t *Table) HotChunks() int { t.mu.RLock(); defer t.mu.RUnlock(); return t.countState(hot) }
 
 // ColdChunks counts the cold region.
-func (t *Table) ColdChunks() int { return t.countState(cold) }
+func (t *Table) ColdChunks() int { t.mu.RLock(); defer t.mu.RUnlock(); return t.countState(cold) }
 
+// countState counts the chunks in state s. Caller holds t.mu.
 func (t *Table) countState(s chunkState) int {
 	n := 0
 	for _, c := range t.chunks {
@@ -310,9 +309,6 @@ func (t *Table) invalidateFrag(f *layout.Fragment) {
 		t.env.InvalidateFrag(t.rel.Name(), f.ID())
 	}
 }
-
-// ErrFrozen is returned by operations that require a hot chunk.
-var ErrFrozen = errors.New("core: chunk is frozen")
 
 // Insert appends a record to the hot region, opening a new chunk (and
 // freezing the oldest hot chunk) as needed. On a WAL-enabled table the
@@ -409,7 +405,7 @@ func (t *Table) openChunk(begin uint64) (*chunk, error) {
 	t.chunks = append(t.chunks, c)
 
 	// Enforce the hot-region budget: freeze oldest hot chunks beyond it.
-	for t.HotChunks() > t.eng.opts.HotChunks {
+	for t.countState(hot) > t.eng.opts.HotChunks {
 		oldest := t.oldestHot()
 		if oldest == nil || oldest == c {
 			break
@@ -441,7 +437,7 @@ func (t *Table) freeze(c *chunk) error {
 		return nil
 	}
 	sp := sfFreeze.Start()
-	groups := t.mon.SuggestGroups(t.eng.opts.Affinity)
+	groups := t.mon.SuggestGroups(affinity)
 	frags, err := t.buildColdFragments(c.rows, groups)
 	if err != nil {
 		return err

@@ -208,7 +208,7 @@ func TestMergeFoldsVersions(t *testing.T) {
 }
 
 func TestAdaptRegroupsColdChunks(t *testing.T) {
-	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1, Affinity: 0.5}, 600)
+	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1}, 600)
 	defer tbl.Free()
 	// Record-centric co-access on columns 0-2 should fuse them in cold
 	// chunks after adaptation.

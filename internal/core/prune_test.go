@@ -56,7 +56,7 @@ func TestPruneStatsSealCoreFreeze(t *testing.T) {
 // TestPruneStatsSurviveRegroup verifies that Adapt's regrouping re-seals
 // the rebuilt cold fragments.
 func TestPruneStatsSurviveRegroup(t *testing.T) {
-	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1, Affinity: 0.5}, 400)
+	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1}, 400)
 	defer tbl.Free()
 	for i := 0; i < 40; i++ {
 		tbl.Observe(workload.Op{Kind: workload.PointRead, Cols: []int{0, 1, 2}})

@@ -378,17 +378,6 @@ func (c *FragCache) InvalidateTable(table string) {
 	}
 }
 
-// Flush retires every unpinned image, returning its device memory.
-func (c *FragCache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if e.pins == 0 {
-			c.retireLocked(e)
-		}
-	}
-}
-
 // Stats snapshots the cache meters.
 func (c *FragCache) Stats() FragCacheStats {
 	c.mu.Lock()

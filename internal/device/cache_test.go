@@ -234,11 +234,11 @@ func TestCacheFlushReturnsMemory(t *testing.T) {
 		_, release, _ := acquireUpload(t, c, k, 1, hostFloats(256))
 		release()
 	}
-	c.Flush()
+	c.InvalidateTable("t")
 	if g.FreeMemory() != free {
-		t.Errorf("flush leaked: free %d -> %d", free, g.FreeMemory())
+		t.Errorf("retiring every image leaked: free %d -> %d", free, g.FreeMemory())
 	}
 	if st := c.Stats(); st.Entries != 0 || st.ResidentBytes != 0 {
-		t.Errorf("stats after flush = %+v", st)
+		t.Errorf("stats after retiring every image = %+v", st)
 	}
 }

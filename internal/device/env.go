@@ -10,46 +10,24 @@ import (
 
 // Card is one member of a multi-device Env: a GPU with its own allocator
 // and fragment cache, charging its work to a private lane clock. Lane time
-// folds into the platform's shared clock either serially (Sync, for
-// synchronous single-card use) or as the maximum across concurrently
-// running lanes (Env.SettleMax, the cross-device scheduler's accounting).
+// folds into the platform's shared clock as the maximum across
+// concurrently running lanes (Env.SettleMax, the cross-device scheduler's
+// accounting).
 type Card struct {
-	env   *Env
-	index int
 	gpu   *GPU
 	cache *FragCache
 	lane  *perfmodel.Clock
 
 	// synced is the lane watermark already folded into the shared clock;
-	// guarded by env.mu.
+	// guarded by Env.mu.
 	synced float64
 }
-
-// Index returns the card's position in the fleet.
-func (c *Card) Index() int { return c.index }
 
 // GPU returns the card's device.
 func (c *Card) GPU() *GPU { return c.gpu }
 
 // Cache returns the card's fragment cache.
 func (c *Card) Cache() *FragCache { return c.cache }
-
-// Lane returns the card's private lane clock.
-func (c *Card) Lane() *perfmodel.Clock { return c.lane }
-
-// Sync folds the card's un-synced lane time into the shared clock
-// serially — the accounting for synchronous use of one card outside the
-// cross-device scheduler (e.g. a transaction batch that runs on exactly
-// one card while nothing else overlaps it).
-func (c *Card) Sync() {
-	c.env.mu.Lock()
-	d := c.lane.ElapsedNs() - c.synced
-	c.synced = c.lane.ElapsedNs()
-	c.env.mu.Unlock()
-	if c.env.shared != nil {
-		c.env.shared.Advance(d)
-	}
-}
 
 // Mark returns the card's current lane position, for callers that want to
 // measure a lane delta themselves (tests, panels).
@@ -95,7 +73,7 @@ func NewEnvCacheCap(n int, prof perfmodel.DeviceProfile, shared *perfmodel.Clock
 		cache := NewFragCacheCap(gpu, cacheCap)
 		cache.cardHits = obs.NewCounter(fmt.Sprintf("device.%d.cache.hits", i))
 		cache.cardMisses = obs.NewCounter(fmt.Sprintf("device.%d.cache.misses", i))
-		e.cards = append(e.cards, &Card{env: e, index: i, gpu: gpu, cache: cache, lane: lane})
+		e.cards = append(e.cards, &Card{gpu: gpu, cache: cache, lane: lane})
 	}
 	return e
 }
@@ -105,13 +83,6 @@ func (e *Env) N() int { return len(e.cards) }
 
 // Card returns card i.
 func (e *Env) Card(i int) *Card { return e.cards[i] }
-
-// Cards returns the fleet in index order. The slice is shared; do not
-// mutate.
-func (e *Env) Cards() []*Card { return e.cards }
-
-// Clock returns the shared platform clock lane time folds into.
-func (e *Env) Clock() *perfmodel.Clock { return e.shared }
 
 // Profile returns the per-card device profile.
 func (e *Env) Profile() perfmodel.DeviceProfile { return e.prof }
@@ -148,13 +119,6 @@ func (e *Env) InvalidateFrag(table string, frag uint64) {
 func (e *Env) InvalidateTable(table string) {
 	for _, c := range e.cards {
 		c.cache.InvalidateTable(table)
-	}
-}
-
-// Flush retires every unpinned image on every card.
-func (e *Env) Flush() {
-	for _, c := range e.cards {
-		c.cache.Flush()
 	}
 }
 

@@ -154,15 +154,15 @@ func TestEnvCardsChargeLanesNotShared(t *testing.T) {
 		t.Fatalf("second SettleMax moved shared to %v, want unchanged %v", got, lane1)
 	}
 
-	// Serial Sync after new work folds that card's delta serially.
+	// New work on one card folds exactly that card's delta at the next settle.
 	before := shared.ElapsedNs()
 	if err := env.Card(0).GPU().CopyToDevice(buf0, 0, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
 	d := env.Card(0).Mark() - lane0
-	env.Card(0).Sync()
+	env.SettleMax(0)
 	if got := shared.ElapsedNs() - before; got != d {
-		t.Fatalf("Sync advanced shared by %v, want lane delta %v", got, d)
+		t.Fatalf("SettleMax advanced shared by %v, want lane delta %v", got, d)
 	}
 }
 

@@ -91,16 +91,6 @@ func (s *Stream) CopyToDevice(dst *Buffer, off int, src []byte) error {
 	return nil
 }
 
-// CopyToHost enqueues an async D2H copy.
-func (s *Stream) CopyToHost(dst []byte, src *Buffer, off int) error {
-	ns, err := s.gpu.copyToHost(dst, src, off)
-	if err != nil {
-		return err
-	}
-	s.addTransfer(ns)
-	return nil
-}
-
 // Scatter enqueues a scatter whose value bytes cross the bus H2D before
 // the kernel runs: the transfer share lands in the transfer lane and the
 // kernel share in the compute lane, so batched transactional writes

@@ -186,13 +186,6 @@ type Adaptive interface {
 	Adapt() (bool, error)
 }
 
-// Historian is implemented by tables with historic querying (L-Store).
-type Historian interface {
-	// GetVersion materializes the record at the given position as of
-	// `back` updates ago (0 = current).
-	GetVersion(row uint64, back int) (schema.Record, error)
-}
-
 // Classify derives the engine's survey row from a representative table.
 func Classify(e Engine, t Table) (taxonomy.Classification, error) {
 	return taxonomy.Classify(e.Name(), t.Snapshot(), e.Capabilities())

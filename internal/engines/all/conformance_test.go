@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hybridstore/internal/core"
@@ -312,6 +313,22 @@ type paperRow struct {
 	procs        taxonomy.ProcessorSupport
 	workloads    taxonomy.WorkloadSupport
 	year         int
+}
+
+// TestSurveyEnginesHaveNoKnobs guards the survey's premise: an engine in
+// the registry is what its Table-1 row says and nothing more, so a
+// surveyed Engine struct exports no field — an accelerator flag only a
+// test would turn on (HyPer device scans, CoGaDB cache placement) cannot
+// come back without editing this test.
+func TestSurveyEnginesHaveNoKnobs(t *testing.T) {
+	for _, e := range Engines(engine.NewEnv()) {
+		typ := reflect.TypeOf(e).Elem()
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				t.Errorf("%s: exported field %s.%s", e.Name(), typ, f.Name)
+			}
+		}
+	}
 }
 
 // TestTable1MatchesPaper pins each engine's derived classification to the

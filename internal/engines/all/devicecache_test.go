@@ -7,8 +7,6 @@ import (
 
 	"hybridstore/internal/core"
 	"hybridstore/internal/engine"
-	"hybridstore/internal/engines/cogadb"
-	"hybridstore/internal/engines/hyper"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/schema"
@@ -19,101 +17,72 @@ import (
 // with device caching enabled, randomized interleavings of point writes,
 // merges and scans must return exactly what a host-side ground-truth
 // array computes — i.e. cached execution is indistinguishable from
-// uncached except in bus traffic. Runs on the three engines that consume
-// the cache: the reference engine, CoGaDB (HyPE may route any scan to
-// the gpu-cache placement) and HyPer (device scans over frozen chunks).
+// uncached except in bus traffic. Runs on the one engine that consumes
+// the cache, the reference engine.
 func TestDeviceCacheProperty(t *testing.T) {
 	const n = 600
 	before := obs.TakeSnapshot()
-	makers := []struct {
-		name string
-		make func(env *engine.Env) engine.Engine
-	}{
-		{"core", func(env *engine.Env) engine.Engine {
-			return core.New(env, core.Options{ChunkRows: 128, DeviceCache: true})
-		}},
-		{"CoGaDB", func(env *engine.Env) engine.Engine {
-			e := cogadb.New(env, 0)
-			e.DeviceCache = true
-			return e
-		}},
-		{"HyPer", func(env *engine.Env) engine.Engine {
-			e := hyper.New(env, 128)
-			e.DeviceScan = true
-			return e
-		}},
-	}
-	for _, m := range makers {
-		m := m
-		t.Run(m.name, func(t *testing.T) {
-			env := engine.NewEnv()
-			tbl := loadItems(t, m.make(env), n)
-			defer tbl.Free()
-			seal := func() {
-				if c, ok := tbl.(interface{ Compact() (int, error) }); ok {
-					if _, err := c.Compact(); err != nil {
-						t.Fatalf("Compact: %v", err)
-					}
-				}
-				if mg, ok := tbl.(interface{ Merge() error }); ok {
-					if err := mg.Merge(); err != nil {
-						t.Fatalf("Merge: %v", err)
-					}
-				}
+	t.Run("core", func(t *testing.T) {
+		env := engine.NewEnv()
+		tbl := loadItems(t, core.New(env, core.Options{ChunkRows: 128, DeviceCache: true}), n)
+		defer tbl.Free()
+		seal := func() {
+			if err := tbl.(interface{ Merge() error }).Merge(); err != nil {
+				t.Fatalf("Merge: %v", err)
 			}
-			seal()
+		}
+		seal()
 
-			prices := make([]float64, n)
-			for row := uint64(0); row < n; row++ {
-				rec, err := tbl.Get(row)
+		prices := make([]float64, n)
+		for row := uint64(0); row < n; row++ {
+			rec, err := tbl.Get(row)
+			if err != nil {
+				t.Fatalf("Get(%d): %v", row, err)
+			}
+			prices[row] = rec[workload.ItemPriceCol].F
+		}
+
+		r := rand.New(rand.NewSource(68))
+		for i := 0; i < 60; i++ {
+			switch op := r.Intn(10); {
+			case op < 3: // point write
+				row := uint64(r.Intn(n))
+				val := math.Floor(r.Float64()*900) / 100
+				if err := tbl.Update(row, workload.ItemPriceCol, schema.FloatValue(val)); err != nil {
+					t.Fatalf("Update(%d): %v", row, err)
+				}
+				prices[row] = val
+			case op == 3: // fold deltas in, invalidating written fragments
+				seal()
+			default: // scan; mostly closed predicates so the device path engages
+				var p exec.Pred[float64]
+				if r.Intn(4) == 0 {
+					p = randomPred(r)
+				} else {
+					lo := r.Float64() * 8
+					p = exec.Between(lo, lo+r.Float64()*4)
+				}
+				var wantSum float64
+				var wantN int64
+				for _, x := range prices {
+					if p.Match(x) {
+						wantSum += x
+						wantN++
+					}
+				}
+				gotSum, gotN, err := sumWhere(tbl, workload.ItemPriceCol, p)
 				if err != nil {
-					t.Fatalf("Get(%d): %v", row, err)
+					t.Fatalf("SumFloat64Where(%v): %v", p, err)
 				}
-				prices[row] = rec[workload.ItemPriceCol].F
-			}
-
-			r := rand.New(rand.NewSource(int64(17 * len(m.name))))
-			for i := 0; i < 60; i++ {
-				switch op := r.Intn(10); {
-				case op < 3: // point write
-					row := uint64(r.Intn(n))
-					val := math.Floor(r.Float64()*900) / 100
-					if err := tbl.Update(row, workload.ItemPriceCol, schema.FloatValue(val)); err != nil {
-						t.Fatalf("Update(%d): %v", row, err)
-					}
-					prices[row] = val
-				case op == 3: // fold deltas in, invalidating written fragments
-					seal()
-				default: // scan; mostly closed predicates so the device path engages
-					var p exec.Pred[float64]
-					if r.Intn(4) == 0 {
-						p = randomPred(r)
-					} else {
-						lo := r.Float64() * 8
-						p = exec.Between(lo, lo+r.Float64()*4)
-					}
-					var wantSum float64
-					var wantN int64
-					for _, x := range prices {
-						if p.Match(x) {
-							wantSum += x
-							wantN++
-						}
-					}
-					gotSum, gotN, err := sumWhere(tbl, workload.ItemPriceCol, p)
-					if err != nil {
-						t.Fatalf("SumFloat64Where(%v): %v", p, err)
-					}
-					if gotN != wantN {
-						t.Errorf("op %d: %v: count = %d, want %d", i, p, gotN, wantN)
-					}
-					if math.Abs(gotSum-wantSum) > 1e-6 {
-						t.Errorf("op %d: %v: sum = %v, want %v", i, p, gotSum, wantSum)
-					}
+				if gotN != wantN {
+					t.Errorf("op %d: %v: count = %d, want %d", i, p, gotN, wantN)
+				}
+				if math.Abs(gotSum-wantSum) > 1e-6 {
+					t.Errorf("op %d: %v: sum = %v, want %v", i, p, gotSum, wantSum)
 				}
 			}
-		})
-	}
+		}
+	})
 	// The suite must actually have exercised the cache, not just host
 	// fallbacks: both cold uploads and warm reuses have to appear.
 	after := obs.TakeSnapshot()

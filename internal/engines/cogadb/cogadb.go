@@ -26,22 +26,12 @@ import (
 const (
 	placeCPU = "cpu"
 	placeGPU = "gpu"
-	// placeGPUCache is the device path through the fragment cache: no
-	// standing replica, but the scan's column image is kept device-
-	// resident by engine.Env.Cache and reused while the column is
-	// unchanged — CoGaDB's caching column manager, as opposed to the
-	// explicit Place/Evict replication above.
-	placeGPUCache = "gpu-cache"
 )
 
 // Engine is the CoGaDB storage engine.
 type Engine struct {
 	env     *engine.Env
 	epsilon float64
-	// DeviceCache offers HyPE the cache-backed GPU placement for scans
-	// over columns without a standing device replica. Off by default so
-	// replica-focused behavior (and its tests) is unchanged.
-	DeviceCache bool
 }
 
 // New creates the engine; epsilon is the HyPE exploration rate (0 uses
@@ -67,7 +57,6 @@ func (e *Engine) Capabilities() taxonomy.Capabilities {
 // Table is a CoGaDB relation.
 type Table struct {
 	*common.Table
-	eng      *Engine
 	hostCols []*layout.Fragment
 	// replicas maps attribute index → device-resident copy.
 	replicas map[int]*layout.Fragment
@@ -83,7 +72,6 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 	hostLay := layout.NewLayout("host-columns", s)
 	const initialCap = 64
 	t := &Table{
-		eng:      e,
 		replicas: make(map[int]*layout.Fragment),
 		hype:     newHype(e.epsilon),
 	}
@@ -118,9 +106,6 @@ func (t *Table) appendRecord(row uint64, rec schema.Record) error {
 			if err := hostLay.Replace(f, grown); err != nil {
 				return err
 			}
-			// The old backing store is gone; retire any device-cached
-			// images of it eagerly.
-			t.Env.InvalidateFrag(t.Rel.Name(), f.ID())
 			t.hostCols[c] = grown
 			f = grown
 		}
@@ -216,12 +201,12 @@ var hypeOps = map[exec.Kind]string{
 // scan lets HyPE place the plan: the host operators over the host
 // columns, the device kernels over standing replicas (a grouped plan
 // needs BOTH columns replicated — the fused kernel sweeps them
-// together), or the cache-backed device path. Only plans a device kernel
-// can run are offered a device placement; the rest, and plans with no
-// alternative, run on the host unscheduled — except the unfiltered sum,
-// which has always consulted HyPE, so its model learns the host cost
-// before a replica exists. The measured (simulated) execution time of a
-// scheduled run feeds the scheduler's cost models.
+// together). Only plans a device kernel can run are offered the device
+// placement; the rest, and plans with no alternative, run on the host
+// unscheduled — except the unfiltered sum, which has always consulted
+// HyPE, so its model learns the host cost before a replica exists. The
+// measured (simulated) execution time of a scheduled run feeds the
+// scheduler's cost models.
 func (t *Table) scan(p exec.Plan) (exec.Result, error) {
 	p = p.Normalize()
 	if err := p.Check(t.Schema()); err != nil {
@@ -235,8 +220,6 @@ func (t *Table) scan(p exec.Plan) (exec.Result, error) {
 		}
 		if replicated {
 			placements = append(placements, placeGPU)
-		} else if t.eng.DeviceCache && t.Env.Cache != nil {
-			placements = append(placements, placeGPUCache)
 		}
 	}
 	if len(placements) == 1 && p.Op != exec.KindSum {
@@ -249,14 +232,10 @@ func (t *Table) scan(p exec.Plan) (exec.Result, error) {
 		before = t.Env.Clock.ElapsedNs()
 	}
 	var dev exec.ScanExecutor
-	switch choice {
-	case placeGPU:
+	if choice == placeGPU {
 		t.gpuRuns++
 		dev = exec.DeviceScan{GPU: t.Env.GPU}
-	case placeGPUCache:
-		t.gpuRuns++
-		dev = t.Env.DeviceExec(t.Rel.Name())
-	default:
+	} else {
 		t.cpuRuns++
 	}
 	res, err := engine.Scan(placed{t, choice}, t.Cfg, dev, p)
@@ -273,26 +252,20 @@ type placed struct {
 }
 
 // Pieces returns each plan column as one piece: the device replica,
-// resident, under the GPU placement; else the host column carrying the
-// fragment identity the device cache keys on — shipped under the
-// cache-backed placement (the first scan ships the column, repeats are
-// free of bus traffic until a write bumps the fragment's version).
+// resident, under the GPU placement; else the host column with its zone.
 func (s placed) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 	return engine.ColumnPieces(p, func(col int) ([]exec.Piece, error) {
 		f, place := s.hostCols[col], exec.OnHost
-		switch s.placement {
-		case placeGPU:
+		if s.placement == placeGPU {
 			f, place = s.replicas[col], exec.Resident
-		case placeGPUCache:
-			place = exec.Shipped
 		}
 		v, err := f.ColVector(col)
 		if err != nil {
 			return nil, err
 		}
 		pc := exec.Piece{Rows: layout.RowRange{Begin: 0, End: uint64(v.Len)}, Vec: v, Place: place}
-		if place != exec.Resident {
-			pc.Zone, pc.FragID, pc.FragVersion = f.Stats(col), f.ID(), f.Version()
+		if place == exec.OnHost {
+			pc.Zone = f.Stats(col)
 		}
 		return []exec.Piece{pc}, nil
 	})

@@ -39,9 +39,8 @@ type Table struct {
 	Append func(row uint64, rec schema.Record) error
 	// Run answers one aggregate plan. NewTable installs the shared scan
 	// body over the table's own Pieces; engines with their own pieces,
-	// lock or placement set it to theirs. Scan and the named aggregates
-	// all go through it, so an embedding engine cannot be bypassed by a
-	// promoted method.
+	// lock or placement set it to theirs. Scan and SumFloat64 go through
+	// it, so an embedding engine cannot be bypassed by a promoted method.
 	Run func(p exec.Plan) (exec.Result, error)
 }
 
@@ -227,28 +226,13 @@ func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 	return nil, nil, err
 }
 
-// Scan answers one aggregate plan; the named aggregate methods are sugar
-// over it.
+// Scan answers one aggregate plan; SumFloat64 is sugar over it.
 func (t *Table) Scan(p exec.Plan) (exec.Result, error) { return t.Run(p) }
 
 // SumFloat64 aggregates col over the cheapest layout.
 func (t *Table) SumFloat64(col int) (float64, error) {
 	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
 	return r.Sum, err
-}
-
-// SumFloat64Where aggregates (sum, count) of col over the rows matching
-// p in one fused, zone-pruned scan.
-func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
-	return r.Sum, r.Count, err
-}
-
-// GroupSumFloat64Where computes SELECT key, SUM(val), COUNT(*) WHERE p
-// GROUP BY key with the fused single-pass operator.
-func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
-	return r.Groups, err
 }
 
 // Materialize resolves the position list against the cheapest layout.

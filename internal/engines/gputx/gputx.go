@@ -18,9 +18,7 @@ package gputx
 
 import (
 	"fmt"
-	"hash/fnv"
 
-	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
@@ -69,34 +67,9 @@ type Table struct {
 	cols []*layout.Fragment
 	rows uint64
 
-	// gpu is the device the table lives on: the environment's single
-	// device, or the home fleet card's when a fleet is configured. card is
-	// non-nil only in the fleet case; its lane time folds into the shared
-	// clock after each synchronous batch.
-	gpu  *device.GPU
-	card *device.Card
-
 	batch    [][]TxOp
 	lastSets int
 	results  []schema.Record
-}
-
-// homeCard places a table on one fleet card by hashing its name, so
-// different relations spread across the fleet while every operation on
-// one relation stays on its device-resident columns.
-func homeCard(fleet *device.Env, name string) *device.Card {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return fleet.Card(int(h.Sum32() % uint32(fleet.N())))
-}
-
-// sync folds the home card's lane time into the shared clock after a
-// synchronous device operation. A no-op on the single-device path, where
-// the GPU charges the shared clock directly.
-func (t *Table) sync() {
-	if t.card != nil {
-		t.card.Sync()
-	}
 }
 
 // Create makes an empty relation with device-resident columns. Creation
@@ -104,14 +77,10 @@ func (t *Table) sync() {
 func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 	rel := layout.NewRelation(name, s)
 	l := layout.NewLayout("device-columns", s)
-	t := &Table{env: e.env, rel: rel, s: s, gpu: e.env.GPU}
-	if e.env.Fleet != nil {
-		t.card = homeCard(e.env.Fleet, name)
-		t.gpu = t.card.GPU()
-	}
+	t := &Table{env: e.env, rel: rel, s: s}
 	const initialCap = 64
 	for c := 0; c < s.Arity(); c++ {
-		f, err := layout.NewFragment(t.gpu.Allocator(), s, []int{c},
+		f, err := layout.NewFragment(t.env.GPU.Allocator(), s, []int{c},
 			layout.RowRange{Begin: 0, End: initialCap}, layout.Direct)
 		if err != nil {
 			l.Free()
@@ -149,13 +118,13 @@ func (t *Table) Insert(rec schema.Record) (uint64, error) {
 	l, _ := t.rel.Primary()
 	for c, f := range t.cols {
 		if f.Len() == f.Cap() {
-			grown, err := f.Grow(t.gpu.Allocator(), f.Cap()*2)
+			grown, err := f.Grow(t.env.GPU.Allocator(), f.Cap()*2)
 			if err != nil {
 				return 0, fmt.Errorf("gputx: growing device column: %w", err)
 			}
 			// Device-to-device move: charge global-memory bandwidth.
 			if t.env.Clock != nil {
-				t.env.Clock.Advance(float64(grown.SizeBytes()) / t.gpu.Profile().GlobalBandwidth * 1e9)
+				t.env.Clock.Advance(float64(grown.SizeBytes()) / t.env.GPU.Profile().GlobalBandwidth * 1e9)
 			}
 			if err := l.Replace(f, grown); err != nil {
 				return 0, err
@@ -170,7 +139,7 @@ func (t *Table) Insert(rec schema.Record) (uint64, error) {
 	// One host→device shipment per inserted record (the write batch of a
 	// transaction crossing the bus).
 	if t.env.Clock != nil {
-		t.env.Clock.Advance(t.gpu.Profile().TransferNs(int64(t.s.Width())))
+		t.env.Clock.Advance(t.env.GPU.Profile().TransferNs(int64(t.s.Width())))
 	}
 	row := t.rows
 	t.rows++
@@ -329,8 +298,7 @@ func (t *Table) executeSet(set [][]TxOp) error {
 	// All per-column scatters of the set go down one stream: each column's
 	// value bytes overlap the bus with the previous column's scatter
 	// kernel, and one Wait settles the overlapped total.
-	s := t.gpu.NewStream()
-	defer t.sync()
+	s := t.env.GPU.NewStream()
 	defer s.Wait()
 	for col, u := range pending {
 		f := t.cols[col]
@@ -360,7 +328,7 @@ func (t *Table) gatherRecord(row uint64) (schema.Record, error) {
 		rec[c] = v
 	}
 	if t.env.Clock != nil {
-		p := t.gpu.Profile()
+		p := t.env.GPU.Profile()
 		t.env.Clock.Advance(p.GatherKernelNs(1, int64(t.rows), t.s.Width()) + p.TransferNs(int64(t.s.Width())))
 	}
 	return rec, nil
@@ -405,31 +373,15 @@ func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 // Scan answers one aggregate plan through the shared scan body, on the
 // table's own card: the reduction kernels for the sums, ONE fused
 // group-reduce launch for the predicated group-by (only the group table
-// crosses the bus). The named aggregate methods are sugar over it.
+// crosses the bus).
 func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
-	res, err := engine.Scan(t, exec.Config{}, exec.DeviceScan{GPU: t.gpu}, p)
-	t.sync()
-	return res, err
+	return engine.Scan(t, exec.Config{}, exec.DeviceScan{GPU: t.env.GPU}, p)
 }
 
 // SumFloat64 aggregates col.
 func (t *Table) SumFloat64(col int) (float64, error) {
 	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
 	return r.Sum, err
-}
-
-// SumFloat64Where aggregates (sum, count) of col over the rows matching
-// p.
-func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
-	return r.Sum, r.Count, err
-}
-
-// GroupSumFloat64Where computes SELECT keyCol, SUM(valCol), COUNT(*)
-// WHERE p GROUP BY keyCol.
-func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
-	return r.Groups, err
 }
 
 // Materialize gathers a position list into the host result pool format.

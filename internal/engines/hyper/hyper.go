@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sync"
 
-	"hybridstore/internal/compress"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/engines/common"
 	"hybridstore/internal/exec"
@@ -39,19 +38,6 @@ const DefaultChunkRows = 1024
 type Engine struct {
 	env       *engine.Env
 	chunkRows uint64
-	// DeviceScan routes predicate scans over frozen (compaction-produced,
-	// immutable-until-updated) chunks through the device fragment cache:
-	// the hot/cold split HyPer's compaction already maintains decides
-	// what is worth keeping device-resident. Off by default — the
-	// surveyed HyPer is CPU-only, and its Table-1 row must stay that way.
-	DeviceScan bool
-	// Compress seals compressed column images on the frozen chunks
-	// compaction produces — the same freeze point that seals their zone
-	// maps. Predicate scans over frozen chunks then execute in the
-	// compressed domain (host), or ship the compressed image over the bus
-	// (device, when DeviceScan is also set). An update unfreezes the chunk
-	// and drops its images. Off by default.
-	Compress bool
 }
 
 // New creates the engine with the given chunk capacity (0 uses
@@ -84,10 +70,6 @@ type chunk struct {
 	refs    int                // analytic snapshots referencing this chunk
 	updates int                // writes since last Compact (temperature)
 	frozen  bool               // produced by compaction
-	// comp holds per-attribute compressed images sealed at compaction
-	// (nil entries for non-compressible attributes); dropped when an
-	// update unfreezes the chunk.
-	comp []*compress.Column
 }
 
 // len returns the filled tuplets (all vectors fill in lockstep).
@@ -115,17 +97,13 @@ type Table struct {
 	// detached holds chunks that were replaced (by COW or compaction)
 	// while snapshots still reference them.
 	detached []*chunk
-	// deviceScan and compress mirror the Engine flags at creation time.
-	deviceScan bool
-	compress   bool
 }
 
 // Create makes an empty relation.
 func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 	rel := layout.NewRelation(name, s)
 	rel.AddLayout(layout.NewLayout("chunks", s))
-	t := &Table{Table: common.NewTable(e.env, rel), chunkRows: e.chunkRows,
-		deviceScan: e.DeviceScan, compress: e.Compress}
+	t := &Table{Table: common.NewTable(e.env, rel), chunkRows: e.chunkRows}
 	t.Append = t.appendRecord
 	t.Run = t.scan
 	return t, nil
@@ -166,11 +144,6 @@ func (t *Table) detach(c *chunk) {
 	l, _ := t.Rel.Primary()
 	for _, v := range c.vectors {
 		l.Remove(v)
-	}
-	// The chunk's vectors leave the live layout (COW replacement or
-	// compaction); retire any device-cached images of them eagerly.
-	for _, v := range c.vectors {
-		t.Env.InvalidateFrag(t.Rel.Name(), v.ID())
 	}
 	if c.refs > 0 {
 		t.detached = append(t.detached, c)
@@ -247,7 +220,6 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 	}
 	c.updates++
 	c.frozen = false
-	c.comp = nil // sealed images are stale the moment the chunk heats
 	return c.vectors[col].Set(int(row-c.rows.Begin), col, v)
 }
 
@@ -355,28 +327,6 @@ func (t *Table) fuse(run []*chunk) (*chunk, error) {
 	for _, v := range fused.vectors {
 		v.SealStats()
 	}
-	// Compaction is also the compression freeze point: seal a compressed
-	// image per 8-byte numeric vector so scans over the cold region run in
-	// the compressed domain.
-	if t.compress {
-		fused.comp = make([]*compress.Column, len(fused.vectors))
-		for col, v := range fused.vectors {
-			a := s.Attr(col)
-			if a.Size != 8 || (a.Kind != schema.Int64 && a.Kind != schema.Float64) {
-				continue
-			}
-			cv, err := v.ColVector(col)
-			if err != nil || !cv.Contiguous() {
-				continue
-			}
-			cc, err := compress.Compress(cv.Data[cv.Base:cv.Base+cv.Len*8], cv.Len, 8)
-			if err != nil {
-				fused.free()
-				return nil, fmt.Errorf("hyper: sealing compressed image: %w", err)
-			}
-			fused.comp[col] = cc
-		}
-	}
 	if err := t.attach(fused); err != nil {
 		fused.free()
 		return nil, err
@@ -387,15 +337,9 @@ func (t *Table) fuse(run []*chunk) (*chunk, error) {
 	return fused, nil
 }
 
-// piecesOf builds the scan pieces of col over a chunk list holding rows
-// rows. With ship set, frozen chunks — immutable until an update
-// unfreezes them — are marked for the device, so repeated analytics over
-// the cold region ride the fragment cache for zero bus bytes while hot
-// chunks, whose every write would invalidate a cached image, stay on the
-// host. With comp set, a frozen chunk's sealed image replaces its dense
-// bytes as the execution format (the vector keeps only its logical
-// metadata). Caller holds t.mu.
-func (t *Table) piecesOf(chunks []*chunk, rows uint64, col int, ship, comp bool) ([]exec.Piece, error) {
+// piecesOf builds the host scan pieces of col over a chunk list holding
+// rows rows. Caller holds t.mu.
+func (t *Table) piecesOf(chunks []*chunk, rows uint64, col int) ([]exec.Piece, error) {
 	pieces := make([]exec.Piece, 0, len(chunks))
 	for _, c := range chunks {
 		if c.rows.Begin >= rows {
@@ -409,38 +353,20 @@ func (t *Table) piecesOf(chunks []*chunk, rows uint64, col int, ship, comp bool)
 		if end := c.rows.Begin + uint64(v.Len); end > rows {
 			v.Len = int(rows - c.rows.Begin)
 		}
-		piece := exec.Piece{
+		pieces = append(pieces, exec.Piece{
 			Rows: layout.RowRange{Begin: c.rows.Begin, End: c.rows.Begin + uint64(v.Len)},
 			Vec:  v, Zone: f.Stats(col),
-			FragID: f.ID(), FragVersion: f.Version(),
-		}
-		if ship && c.frozen {
-			piece.Place = exec.Shipped
-		}
-		if comp && c.frozen && col < len(c.comp) && c.comp[col] != nil {
-			piece.Comp = c.comp[col]
-			piece.Vec.Data = nil
-			piece.Vec.Base = 0
-		}
-		pieces = append(pieces, piece)
+		})
 	}
 	return pieces, nil
 }
 
-// Pieces is the table as a scan source. Only predicate scans leave the
-// plain host path: with DeviceScan on (and a kernel for the plan) frozen
-// chunks ship to the device through the fragment cache, and with
-// Compress on they scan from their sealed images. Group keys stay raw on
-// the device path — the fused kernel reads them alongside the value
-// sweep. Caller holds t.mu.
+// Pieces is the table as a scan source: every chunk's vector of the
+// plan's columns, in host memory. Caller holds t.mu.
 func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
-	rows := t.Rel.Rows()
-	ship := p.Op.Filtered() && t.deviceScan && t.Env.Cache != nil && p.DeviceOK()
-	comp := p.Op.Filtered() && t.compress
-	if vals, err = t.piecesOf(t.chunks, rows, p.Col, ship, comp); err == nil && p.Op.Grouped() {
-		keys, err = t.piecesOf(t.chunks, rows, p.KeyCol, ship, comp && !ship)
-	}
-	return keys, vals, err
+	return engine.ColumnPieces(p, func(col int) ([]exec.Piece, error) {
+		return t.piecesOf(t.chunks, t.Rel.Rows(), col)
+	})
 }
 
 // scan answers one aggregate plan through the shared scan body, under
@@ -449,11 +375,7 @@ func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 func (t *Table) scan(p exec.Plan) (exec.Result, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var dev exec.ScanExecutor
-	if t.deviceScan {
-		dev = t.Env.DeviceExec(t.Rel.Name())
-	}
-	return engine.Scan(t, t.Cfg, dev, p)
+	return engine.Scan(t, t.Cfg, nil, p)
 }
 
 // AnalyticSnapshot pins the current state for long-running analytics.
@@ -489,7 +411,7 @@ func (s *AnalyticSnapshot) Schema() *schema.Schema { return s.t.Rel.Schema() }
 // host. Caller holds the table lock.
 func (s *AnalyticSnapshot) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 	return engine.ColumnPieces(p, func(col int) ([]exec.Piece, error) {
-		return s.t.piecesOf(s.chunks, s.rows, col, false, false)
+		return s.t.piecesOf(s.chunks, s.rows, col)
 	})
 }
 

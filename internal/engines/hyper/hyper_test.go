@@ -243,82 +243,3 @@ func TestDefaultChunkRows(t *testing.T) {
 		t.Fatalf("chunkRows = %d", e.chunkRows)
 	}
 }
-
-// TestFrozenCompressedScan covers Engine.Compress: compaction seals
-// compressed column images on the frozen chunks it produces, predicate
-// scans over those chunks execute in the compressed domain with the same
-// answers as the dense path, and an update unfreezes the chunk and drops
-// its stale images.
-func TestFrozenCompressedScan(t *testing.T) {
-	e := New(engine.NewEnv(), 64)
-	e.Compress = true
-	raw, err := e.Create("item", workload.ItemSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := raw.(*Table)
-	defer tbl.Free()
-	const n = 512
-	if err := workload.Generate(n, workload.Item, func(i uint64, rec schema.Record) error {
-		_, err := tbl.Insert(rec)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	sealed := 0
-	for _, c := range tbl.chunks {
-		if c.frozen && len(c.comp) > workload.ItemPriceCol && c.comp[workload.ItemPriceCol] != nil {
-			sealed++
-		}
-	}
-	if sealed == 0 {
-		t.Fatal("compaction sealed no compressed price images")
-	}
-	p := exec.Between(0.0, 50.0)
-	var wantSum float64
-	var wantN int64
-	for i := uint64(0); i < n; i++ {
-		if v := workload.ItemPrice(i); p.Match(v) {
-			wantSum += v
-			wantN++
-		}
-	}
-	sum, cnt, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnt != wantN || math.Abs(sum-wantSum) > 1e-6*math.Max(1, wantSum) {
-		t.Fatalf("compressed scan = (%v, %d), want (%v, %d)", sum, cnt, wantSum, wantN)
-	}
-	// Heating a chunk drops its sealed images along with its frozen state.
-	if err := tbl.Update(10, workload.ItemPriceCol, schema.FloatValue(7)); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range tbl.chunks {
-		if c.rows.Contains(10) && c.comp != nil {
-			t.Fatal("update left stale compressed images on a heated chunk")
-		}
-	}
-	var wantSum2 float64
-	var wantN2 int64
-	for i := uint64(0); i < n; i++ {
-		v := workload.ItemPrice(i)
-		if i == 10 {
-			v = 7
-		}
-		if p.Match(v) {
-			wantSum2 += v
-			wantN2++
-		}
-	}
-	sum, cnt, err = tbl.SumFloat64Where(workload.ItemPriceCol, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnt != wantN2 || math.Abs(sum-wantSum2) > 1e-6*math.Max(1, wantSum2) {
-		t.Fatalf("post-update scan = (%v, %d), want (%v, %d)", sum, cnt, wantSum2, wantN2)
-	}
-}

@@ -65,7 +65,8 @@ func TestPruneHyperCompactedScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obs.TakeSnapshot()
-	sum, n, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Gt[float64](500))
+	r, err := tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Gt[float64](500)})
+	sum, n := r.Sum, r.Count
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,8 @@ func TestPruneHyperCompactedScan(t *testing.T) {
 		t.Error("exec.zonemap.pruned did not advance")
 	}
 
-	sum, n, err = tbl.SumFloat64Where(workload.ItemPriceCol, exec.Lt[float64](2))
+	r, err = tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Lt[float64](2)})
+	sum, n = r.Sum, r.Count
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -397,8 +397,7 @@ func (t *Table) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
 // Scan answers one aggregate plan through the shared scan body: the
 // base region is aggregated in bulk, then rows with tail versions are
 // patched through the dictionary. The reader lock covers piece
-// construction through the fold (pieces alias live page bytes). The
-// named aggregate methods are sugar over it.
+// construction through the fold (pieces alias live page bytes).
 func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -409,20 +408,6 @@ func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
 func (t *Table) SumFloat64(col int) (float64, error) {
 	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
 	return r.Sum, err
-}
-
-// SumFloat64Where aggregates (sum, count) of col over the rows matching
-// p.
-func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
-	return r.Sum, r.Count, err
-}
-
-// GroupSumFloat64Where computes SELECT key, SUM(val), COUNT(*) WHERE p
-// GROUP BY key in one fused pass over both regions.
-func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
-	return r.Groups, err
 }
 
 // Materialize resolves a position list through the dictionary.
@@ -492,12 +477,6 @@ func (t *Table) Merge() error {
 			fresh.Free()
 			return err
 		}
-		// The appendable region's backing store is replaced and the tail
-		// truncated: retire any device-cached images of either. (SetLen
-		// bumps the tail's version too; the explicit call frees the
-		// device memory now instead of at the next capacity squeeze.)
-		t.env.InvalidateFrag(t.rel.Name(), c.active.ID())
-		t.env.InvalidateFrag(t.rel.Name(), c.tail.ID())
 		c.active.Free()
 		c.active = fresh
 		if err := c.tail.SetLen(0); err != nil {

@@ -56,7 +56,8 @@ func TestPruneLstoreSkipsDecompression(t *testing.T) {
 	}
 
 	before := obs.TakeSnapshot()
-	sum, n, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Gt[float64](600))
+	r, err := tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Gt[float64](600)})
+	sum, n := r.Sum, r.Count
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,8 @@ func TestPruneLstoreSkipsDecompression(t *testing.T) {
 	}
 
 	// The complementary scan decompresses and patches exactly.
-	sum, n, err = tbl.SumFloat64Where(workload.ItemPriceCol, exec.Lt[float64](600))
+	r, err = tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Lt[float64](600)})
+	sum, n = r.Sum, r.Count
 	if err != nil {
 		t.Fatal(err)
 	}

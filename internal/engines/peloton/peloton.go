@@ -83,7 +83,6 @@ type Table struct {
 	groups []*tileGroup
 	// advised is the grouping new tile groups adopt.
 	advised [][]int
-	adapts  int
 }
 
 // Create makes an empty relation advised to the all-columns-NSM grouping
@@ -170,9 +169,6 @@ func (t *Table) GroupLayout(i int) [][]int {
 	return t.groups[i].groups
 }
 
-// Adapts returns the number of advisory changes.
-func (t *Table) Adapts() int { return t.adapts }
-
 // Observe feeds a workload operation into the layout advisor.
 func (t *Table) Observe(op workload.Op) { t.mon.Observe(op) }
 
@@ -189,7 +185,6 @@ func (t *Table) Adapt() (bool, error) {
 		return false, nil
 	}
 	t.advised = advice
-	t.adapts++
 	t.mon.Reset()
 	return true, nil
 }

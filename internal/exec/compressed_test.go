@@ -245,17 +245,6 @@ func TestCompressedOpsMatchDecompressed(t *testing.T) {
 				t.Fatalf("%v round %d: SumFloat64Where(%v) = (%v, %d), want (%v, %d)",
 					enc, round, fp, gotSum, gotN, wantSum, wantN)
 			}
-			wantCnt, err := CountWhereFloat64(cfg, fraw, fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotCnt, err := CountWhereFloat64(cfg, fcomp, fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantCnt != gotCnt {
-				t.Fatalf("%v: CountWhereFloat64(%v) = %d, want %d", enc, fp, gotCnt, wantCnt)
-			}
 			// The unfiltered compressed sum uses exact closed forms per run
 			// and per dictionary code (a deliberate reassociation of the
 			// dense loop), so it is compared within float tolerance; strict
@@ -281,28 +270,17 @@ func TestCompressedOpsMatchDecompressed(t *testing.T) {
 			icomp := compPieces(t, enc, iimg, n, np)
 			ip := randCompPredI64(rng, ivals)
 
-			wantISum, wantIN, err := SumInt64Where(cfg, iraw, ip)
+			wantISum, wantIN, err := scanWhere(cfg, &obsSumWhere, "int64 sum", iraw, ip)
 			if err != nil {
-				t.Fatalf("%v: baseline SumInt64Where: %v", enc, err)
+				t.Fatalf("%v: baseline int64 sum-where: %v", enc, err)
 			}
-			gotISum, gotIN, err := SumInt64Where(cfg, icomp, ip)
+			gotISum, gotIN, err := scanWhere(cfg, &obsSumWhere, "int64 sum", icomp, ip)
 			if err != nil {
-				t.Fatalf("%v: compressed SumInt64Where: %v", enc, err)
+				t.Fatalf("%v: compressed int64 sum-where: %v", enc, err)
 			}
 			if wantISum != gotISum || wantIN != gotIN {
-				t.Fatalf("%v round %d: SumInt64Where(%v) = (%d, %d), want (%d, %d)",
+				t.Fatalf("%v round %d: int64 sum-where(%v) = (%d, %d), want (%d, %d)",
 					enc, round, ip, gotISum, gotIN, wantISum, wantIN)
-			}
-			wantICnt, err := CountWhereInt64(cfg, iraw, ip)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotICnt, err := CountWhereInt64(cfg, icomp, ip)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantICnt != gotICnt {
-				t.Fatalf("%v: CountWhereInt64(%v) = %d, want %d", enc, ip, gotICnt, wantICnt)
 			}
 			wantIUS, err := SumInt64(cfg, iraw)
 			if err != nil {
@@ -365,9 +343,6 @@ func TestSelectRejectsCompressed(t *testing.T) {
 	if _, err := SelectFloat64(Single(), pieces, func(float64) bool { return true }); err == nil {
 		t.Fatal("SelectFloat64 accepted a compressed piece")
 	}
-	if _, _, _, err := MinMaxFloat64(Single(), pieces); err == nil {
-		t.Fatal("MinMaxFloat64 accepted a compressed piece")
-	}
 }
 
 // TestSumInt64ExactAbove2p53 pins integer sums as exact integers: two
@@ -388,9 +363,9 @@ func TestSumInt64ExactAbove2p53(t *testing.T) {
 			if err != nil || sum != 2*v {
 				t.Errorf("%s %v: SumInt64 = %d, %v; want %d", name, cfg.Policy, sum, err, 2*v)
 			}
-			sum, n, err := SumInt64Where(cfg, pieces, Gt[int64](0))
+			sum, n, err := scanWhere(cfg, &obsSumWhere, "int64 sum", pieces, Gt[int64](0))
 			if err != nil || sum != 2*v || n != 2 {
-				t.Errorf("%s %v: SumInt64Where = (%d, %d), %v; want (%d, 2)", name, cfg.Policy, sum, n, err, 2*v)
+				t.Errorf("%s %v: int64 sum-where = (%d, %d), %v; want (%d, 2)", name, cfg.Policy, sum, n, err, 2*v)
 			}
 		}
 	}

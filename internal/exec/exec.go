@@ -66,7 +66,6 @@ var (
 	obsSum         = newOpObs("sum")
 	obsSelect      = newOpObs("select")
 	obsCount       = newOpObs("count")
-	obsMinMax      = newOpObs("minmax")
 	obsMaterialize = newOpObs("materialize")
 	obsGroupBy     = newOpObs("groupby")
 )

@@ -195,9 +195,6 @@ func TestSumRejectsWrongWidth(t *testing.T) {
 	if _, err := CountFloat64(Single(), pieces, func(float64) bool { return true }); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("count err = %v", err)
 	}
-	if _, _, _, err := MinMaxFloat64(Single(), pieces); !errors.Is(err, ErrBadColumn) {
-		t.Errorf("minmax err = %v", err)
-	}
 	if _, err := SelectInt64(Single(), pieces, func(int64) bool { return true }); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("select int err = %v", err)
 	}
@@ -264,22 +261,6 @@ func TestSelectInt64AndCount(t *testing.T) {
 	// price(i) = i%101 + 0.25 > 50 ⟺ i%101 >= 50 → i ∈ {50..99}: 50 rows.
 	if n != 50 {
 		t.Fatalf("count = %d, want 50", n)
-	}
-}
-
-func TestMinMaxFloat64(t *testing.T) {
-	l, _ := buildLayout(t, layout.NSM, false, 150)
-	prices, _ := ColumnView(l, 3, 150)
-	min, max, ok, err := MinMaxFloat64(Single(), prices)
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	if min != 0.25 || max != 100.25 {
-		t.Fatalf("min/max = %v/%v", min, max)
-	}
-	_, _, ok, err = MinMaxFloat64(Single(), nil)
-	if err != nil || ok {
-		t.Fatal("empty view should report ok=false")
 	}
 }
 

@@ -183,56 +183,3 @@ func CountFloat64(cfg Config, pieces []Piece, pred func(float64) bool) (int64, e
 	ot.end()
 	return n, nil
 }
-
-// MinMaxFloat64 returns the minimum and maximum of a float64 column view.
-// It returns ok=false for an empty view.
-func MinMaxFloat64(cfg Config, pieces []Piece) (min, max float64, ok bool, err error) {
-	if err := checkSize8(pieces, "float64 minmax"); err != nil {
-		return 0, 0, false, err
-	}
-	if err := rejectComp(pieces, "float64 minmax"); err != nil {
-		return 0, 0, false, err
-	}
-	ot := obsMinMax.start(cfg.Policy)
-	defer ot.end()
-	total := totalLen(pieces)
-	if total == 0 {
-		cfg.chargeScan(pieces)
-		return 0, 0, false, nil
-	}
-	// One (low, high) pair per slot, reduced at the end.
-	slots := cfg.slots()
-	ext := pool.GetFloat64s(2 * slots)
-	for i := 0; i < len(ext); i += 2 {
-		ext[i], ext[i+1] = math.Inf(1), math.Inf(-1)
-	}
-	cfg.partition(slots, total, func(slot, gFrom, gTo int) {
-		lo, hi := &ext[2*slot], &ext[2*slot+1]
-		eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
-			v := p.Vec
-			off := v.Base + from*v.Stride
-			for i := from; i < to; i++ {
-				x := math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:]))
-				if x < *lo {
-					*lo = x
-				}
-				if x > *hi {
-					*hi = x
-				}
-				off += v.Stride
-			}
-		})
-	})
-	min, max = math.Inf(1), math.Inf(-1)
-	for i := 0; i < len(ext); i += 2 {
-		if ext[i] < min {
-			min = ext[i]
-		}
-		if ext[i+1] > max {
-			max = ext[i+1]
-		}
-	}
-	pool.PutFloat64s(ext)
-	cfg.chargeScan(pieces)
-	return min, max, true, nil
-}

@@ -122,12 +122,6 @@ func TestQuickMorselEqualsSequential(t *testing.T) {
 			t.Logf("CountFloat64: %d vs %d", c1, c2)
 			return false
 		}
-		lo1, hi1, ok1, e1 := MinMaxFloat64(single, prices)
-		lo2, hi2, ok2, e2 := MinMaxFloat64(morsel, prices)
-		if e1 != nil || e2 != nil || ok1 != ok2 || lo1 != lo2 || hi1 != hi2 {
-			t.Logf("MinMax: %v/%v vs %v/%v", lo1, hi1, lo2, hi2)
-			return false
-		}
 		r1, e1 := Materialize(single, l, p1)
 		r2, e2 := Materialize(morsel, l, p2)
 		if e1 != nil || e2 != nil || len(r1) != len(r2) {

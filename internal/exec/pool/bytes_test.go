@@ -31,9 +31,8 @@ func TestGetBytesRecycles(t *testing.T) {
 	t.Skip("recycled buffer not observed (GC or parallel test interference); nothing to assert")
 }
 
-// TestGetBytesCapRepoolsOnGrow pins the re-pool discipline shared with
-// GetFloat64s: an undersized fetch is returned for smaller callers
-// rather than dropped.
+// TestGetBytesCapRepoolsOnGrow pins the re-pool discipline: an
+// undersized fetch is returned for smaller callers rather than dropped.
 func TestGetBytesCapRepoolsOnGrow(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		PutBytes(make([]byte, 0, 7))

@@ -20,8 +20,7 @@
 //
 // The package also owns the sync.Pool buffer recycling that makes
 // steady-state operator calls allocation-free: position-list buffers
-// (GetPositions/PutPositions) and zeroed float64 scratch slices
-// (GetFloat64s/PutFloat64s).
+// (GetPositions/PutPositions) and byte buffers (GetBytes/PutBytes).
 //
 // The pool reports itself to internal/obs: jobs run inline vs submitted,
 // morsels claimed by the submitter vs stolen by resident workers,
@@ -359,8 +358,8 @@ func GetPositions() []uint64 {
 
 // GetPositionsCap returns an empty position-list buffer with capacity
 // for at least n entries. A fetched buffer that is too small goes back
-// to the pool for smaller callers — the same re-pool discipline as
-// GetFloat64s — so sizing up never strands the small buffer.
+// to the pool for smaller callers, so sizing up never strands the small
+// buffer.
 func GetPositionsCap(n int) []uint64 {
 	s := GetPositions()
 	if cap(s) < n {
@@ -380,40 +379,6 @@ func PutPositions(s []uint64) {
 	positionsPool.Put(&s)
 }
 
-var floatsPool = sync.Pool{New: func() any {
-	s := make([]float64, 0, 16)
-	return &s
-}}
-
-// GetFloat64s returns a zeroed float64 scratch slice of length n —
-// per-slot partial sums, counts, or extrema.
-func GetFloat64s(n int) []float64 {
-	s := *floatsPool.Get().(*[]float64)
-	if cap(s) < n {
-		// Too small for this slot count: put it back for smaller callers
-		// and allocate at the requested size. The grown slice joins the
-		// pool on PutFloat64s, so repeated large-slot queries allocate
-		// once instead of churning (the fetched buffer used to be
-		// dropped on the floor here, leaking it from the pool).
-		PutFloat64s(s)
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// PutFloat64s recycles a scratch slice from GetFloat64s.
-func PutFloat64s(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	floatsPool.Put(&s)
-}
-
 var bytesPool = sync.Pool{New: func() any {
 	s := make([]byte, 0, 4096)
 	return &s
@@ -428,9 +393,9 @@ func GetBytes() []byte {
 }
 
 // GetBytesCap returns an empty byte buffer with capacity for at least n
-// bytes, with the same re-pool-if-too-small discipline as GetFloat64s:
-// an undersized fetch goes back for smaller callers and the grown
-// replacement joins the pool on PutBytes.
+// bytes, with the same re-pool-if-too-small discipline as
+// GetPositionsCap: an undersized fetch goes back for smaller callers and
+// the grown replacement joins the pool on PutBytes.
 func GetBytesCap(n int) []byte {
 	s := GetBytes()
 	if cap(s) < n {

@@ -113,26 +113,6 @@ func TestSetWorkersGrowStartsEagerly(t *testing.T) {
 	<-done
 }
 
-// TestGetFloat64sRepoolsOnGrow pins the leak fix: when GetFloat64s
-// fetches a pooled buffer too small for the requested length, that
-// buffer must go back to the pool (it used to be dropped on the floor,
-// so mixed small/large-slot query patterns churned allocations). The
-// fingerprint: a buffer with the unusual capacity 7 is planted, a large
-// request forces the grow path, and the planted buffer must still be
-// obtainable afterwards. sync.Pool's per-P private slot makes the
-// sequence deterministic in practice; a few attempts absorb scheduling
-// noise.
-func TestGetFloat64sRepoolsOnGrow(t *testing.T) {
-	for attempt := 0; attempt < 50; attempt++ {
-		PutFloat64s(make([]float64, 0, 7))
-		PutFloat64s(GetFloat64s(1 << 16)) // fetches the cap-7 buffer, must re-pool it
-		if cap(GetFloat64s(4)) == 7 {
-			return
-		}
-	}
-	t.Fatal("too-small scratch buffers are dropped by GetFloat64s instead of re-pooled")
-}
-
 func TestMorsels(t *testing.T) {
 	cases := []struct{ total, morsel, want int }{
 		{0, 64, 0}, {-3, 64, 0}, {1, 64, 1}, {64, 64, 1}, {65, 64, 2},
@@ -307,29 +287,4 @@ func TestPositionBufferRecycling(t *testing.T) {
 	}
 	PutPositions(c)
 	PutPositions(nil) // zero-cap buffers are dropped, not pooled
-}
-
-func TestFloatScratchZeroed(t *testing.T) {
-	s := GetFloat64s(8)
-	for i := range s {
-		s[i] = float64(i) + 0.5
-	}
-	PutFloat64s(s)
-	r := GetFloat64s(8)
-	for i, v := range r {
-		if v != 0 {
-			t.Fatalf("recycled scratch not zeroed at %d: %v", i, v)
-		}
-	}
-	PutFloat64s(r)
-	big := GetFloat64s(1 << 12)
-	if len(big) != 1<<12 {
-		t.Fatalf("grow: len=%d", len(big))
-	}
-	for _, v := range big {
-		if v != 0 {
-			t.Fatal("grown scratch not zeroed")
-		}
-	}
-	PutFloat64s(big)
 }

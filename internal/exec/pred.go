@@ -37,7 +37,6 @@ var (
 // Fused-operator families (registered per policy like the others).
 var (
 	obsSumWhere   = newOpObs("sumwhere")
-	obsCountWhere = newOpObs("countwhere")
 	obsSelectPred = newOpObs("selectpred")
 )
 
@@ -445,25 +444,6 @@ func scanWhere[T Number](cfg Config, o *opObs, what string, pieces []Piece, p Pr
 // SumFloat64Where computes SUM(col), COUNT(*) WHERE p in one fused scan.
 func SumFloat64Where(cfg Config, pieces []Piece, p Pred[float64]) (float64, int64, error) {
 	return scanWhere(cfg, &obsSumWhere, "fused float64 sum", pieces, p)
-}
-
-// SumInt64Where is SumFloat64Where for int64 columns (exact mod 2^64).
-func SumInt64Where(cfg Config, pieces []Piece, p Pred[int64]) (int64, int64, error) {
-	return scanWhere(cfg, &obsSumWhere, "fused int64 sum", pieces, p)
-}
-
-// CountWhereFloat64 counts matches in one fused scan with zone-map
-// pruning; the generic CountFloat64 remains the fallback for arbitrary
-// predicates.
-func CountWhereFloat64(cfg Config, pieces []Piece, p Pred[float64]) (int64, error) {
-	_, n, err := scanWhere(cfg, &obsCountWhere, "fused float64 count", pieces, p)
-	return n, err
-}
-
-// CountWhereInt64 is CountWhereFloat64 for int64 columns.
-func CountWhereInt64(cfg Config, pieces []Piece, p Pred[int64]) (int64, error) {
-	_, n, err := scanWhere(cfg, &obsCountWhere, "fused int64 count", pieces, p)
-	return n, err
 }
 
 // SelVec is a compact selection vector: the sorted global row positions

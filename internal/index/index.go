@@ -5,8 +5,9 @@
 // centric access with distributed secondary indexes (Section IV-A.4).
 //
 // One structure is implemented from scratch: Hash, an open-addressing
-// hash table with linear probing and tombstone deletion, mapping int64
-// keys to row positions — the index maintained on every insert.
+// hash table with linear probing, mapping int64 keys to row positions —
+// the index maintained on every insert. Primary keys are immutable and
+// rows are never deleted, so entries only ever arrive.
 package index
 
 import (
@@ -22,28 +23,18 @@ var (
 	ErrDuplicate = errors.New("index: duplicate key")
 )
 
-// slotState tags hash slots.
-type slotState uint8
-
-const (
-	empty slotState = iota
-	occupied
-	tombstone
-)
-
 // slot is one hash bucket.
 type slot struct {
-	state slotState
-	key   int64
-	row   uint64
+	occupied bool
+	key      int64
+	row      uint64
 }
 
 // Hash is an open-addressing hash index from int64 keys to row positions.
 // Not safe for concurrent mutation.
 type Hash struct {
 	slots []slot
-	n     int // live entries
-	used  int // live + tombstones
+	n     int // entries
 }
 
 // NewHash creates an index with the given initial capacity hint.
@@ -55,7 +46,7 @@ func NewHash(capacity int) *Hash {
 	return &Hash{slots: make([]slot, size)}
 }
 
-// Len returns the number of live entries.
+// Len returns the number of entries.
 func (h *Hash) Len() int { return h.n }
 
 // hash mixes the key (Fibonacci hashing over the table size).
@@ -66,98 +57,39 @@ func (h *Hash) hash(k int64) int {
 
 // Put inserts key → row; ErrDuplicate if the key exists.
 func (h *Hash) Put(key int64, row uint64) error {
-	if h.used*10 >= len(h.slots)*7 {
+	if h.n*10 >= len(h.slots)*7 {
 		h.grow()
 	}
 	i := h.hash(key)
-	firstTomb := -1
-	for {
-		s := &h.slots[i]
-		switch s.state {
-		case empty:
-			if firstTomb >= 0 {
-				s = &h.slots[firstTomb]
-			} else {
-				h.used++
-			}
-			s.state, s.key, s.row = occupied, key, row
-			h.n++
-			return nil
-		case tombstone:
-			if firstTomb < 0 {
-				firstTomb = i
-			}
-		case occupied:
-			if s.key == key {
-				return fmt.Errorf("%w: %d", ErrDuplicate, key)
-			}
+	for h.slots[i].occupied {
+		if h.slots[i].key == key {
+			return fmt.Errorf("%w: %d", ErrDuplicate, key)
 		}
 		i = (i + 1) & (len(h.slots) - 1)
 	}
+	h.slots[i] = slot{occupied: true, key: key, row: row}
+	h.n++
+	return nil
 }
 
 // Get returns the row of key.
 func (h *Hash) Get(key int64) (uint64, error) {
-	i := h.hash(key)
-	for {
-		s := &h.slots[i]
-		switch s.state {
-		case empty:
-			return 0, fmt.Errorf("%w: %d", ErrNotFound, key)
-		case occupied:
-			if s.key == key {
-				return s.row, nil
-			}
+	for i := h.hash(key); h.slots[i].occupied; i = (i + 1) & (len(h.slots) - 1) {
+		if h.slots[i].key == key {
+			return h.slots[i].row, nil
 		}
-		i = (i + 1) & (len(h.slots) - 1)
 	}
+	return 0, fmt.Errorf("%w: %d", ErrNotFound, key)
 }
 
-// Update re-points an existing key to a new row.
-func (h *Hash) Update(key int64, row uint64) error {
-	i := h.hash(key)
-	for {
-		s := &h.slots[i]
-		switch s.state {
-		case empty:
-			return fmt.Errorf("%w: %d", ErrNotFound, key)
-		case occupied:
-			if s.key == key {
-				s.row = row
-				return nil
-			}
-		}
-		i = (i + 1) & (len(h.slots) - 1)
-	}
-}
-
-// Delete removes key, leaving a tombstone.
-func (h *Hash) Delete(key int64) error {
-	i := h.hash(key)
-	for {
-		s := &h.slots[i]
-		switch s.state {
-		case empty:
-			return fmt.Errorf("%w: %d", ErrNotFound, key)
-		case occupied:
-			if s.key == key {
-				s.state = tombstone
-				h.n--
-				return nil
-			}
-		}
-		i = (i + 1) & (len(h.slots) - 1)
-	}
-}
-
-// grow doubles the table and rehashes live entries (dropping tombstones).
+// grow doubles the table and rehashes the entries.
 func (h *Hash) grow() {
 	old := h.slots
 	h.slots = make([]slot, len(old)*2)
-	h.n, h.used = 0, 0
+	h.n = 0
 	for _, s := range old {
-		if s.state == occupied {
-			// Safe: capacity doubled, no duplicates among live entries.
+		if s.occupied {
+			// Safe: capacity doubled, no duplicates among the entries.
 			_ = h.Put(s.key, s.row)
 		}
 	}

@@ -250,18 +250,12 @@ func (f *Fragment) Len() int { return f.n }
 // Cap returns the tuplet capacity (the row-range length).
 func (f *Fragment) Cap() int { return int(f.rows.Len()) }
 
-// TupletWidth returns the bytes one tuplet occupies.
-func (f *Fragment) TupletWidth() int { return f.width }
-
 // SizeBytes returns the fragment's allocated byte size.
 func (f *Fragment) SizeBytes() int { return f.block.Len() }
 
 // IsFat reports whether the fragment is fat per the paper's definition:
 // at least two tuplet slots and at least two attributes.
 func (f *Fragment) IsFat() bool { return len(f.cols) >= 2 && f.rows.Len() >= 2 }
-
-// IsThin reports the complement of IsFat.
-func (f *Fragment) IsThin() bool { return !f.IsFat() }
 
 // Free releases the fragment's memory block.
 func (f *Fragment) Free() {

@@ -11,8 +11,6 @@ import (
 
 // Layout errors.
 var (
-	// ErrNoFragments is returned for layouts without fragments.
-	ErrNoFragments = errors.New("layout: layout has no fragments")
 	// ErrNotCovered is returned when a requested cell is not covered by
 	// any fragment of the layout.
 	ErrNotCovered = errors.New("layout: cell not covered by any fragment")

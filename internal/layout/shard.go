@@ -54,9 +54,6 @@ func NewShardMapSpan(devices int, policy ShardPolicy, span uint64) *ShardMap {
 // Devices returns the device count the map shards over.
 func (m *ShardMap) Devices() int { return m.devices }
 
-// Policy returns the placement policy.
-func (m *ShardMap) Policy() ShardPolicy { return m.policy }
-
 // DeviceFor returns the device index owning the fragment.
 func (m *ShardMap) DeviceFor(fragID uint64) int {
 	m.mu.RLock()

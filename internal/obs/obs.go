@@ -506,6 +506,3 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
 }
-
-// WriteJSON dumps the default registry.
-func WriteJSON(w io.Writer) error { return Default.WriteJSON(w) }

@@ -104,12 +104,11 @@ var (
 )
 
 // Schema is an ordered list of attributes together with the derived NSM
-// byte offsets. Schemas are immutable after construction.
+// record width. Schemas are immutable after construction.
 type Schema struct {
-	attrs   []Attribute
-	offsets []int
-	width   int
-	index   map[string]int
+	attrs []Attribute
+	width int
+	index map[string]int
 }
 
 // New validates the attributes and builds a schema. The NSM record width is
@@ -120,9 +119,8 @@ func New(attrs ...Attribute) (*Schema, error) {
 		return nil, ErrEmptySchema
 	}
 	s := &Schema{
-		attrs:   make([]Attribute, len(attrs)),
-		offsets: make([]int, len(attrs)),
-		index:   make(map[string]int, len(attrs)),
+		attrs: make([]Attribute, len(attrs)),
+		index: make(map[string]int, len(attrs)),
 	}
 	copy(s.attrs, attrs)
 	for i, a := range s.attrs {
@@ -142,7 +140,6 @@ func New(attrs ...Attribute) (*Schema, error) {
 			return nil, fmt.Errorf("%w: %q", ErrDuplicateName, a.Name)
 		}
 		s.index[a.Name] = i
-		s.offsets[i] = s.width
 		s.width += a.Size
 	}
 	return s, nil
@@ -172,9 +169,6 @@ func (s *Schema) Attrs() []Attribute {
 	copy(out, s.attrs)
 	return out
 }
-
-// Offset returns the byte offset of attribute i inside an NSM record.
-func (s *Schema) Offset(i int) int { return s.offsets[i] }
 
 // IndexOf returns the position of the named attribute, or -1.
 func (s *Schema) IndexOf(name string) int {

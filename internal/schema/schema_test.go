@@ -20,16 +20,10 @@ func testSchema(t *testing.T) *Schema {
 	return s
 }
 
-func TestNewComputesOffsetsAndWidth(t *testing.T) {
+func TestNewComputesWidth(t *testing.T) {
 	s := testSchema(t)
 	if got := s.Arity(); got != 4 {
 		t.Fatalf("Arity = %d, want 4", got)
-	}
-	wantOffsets := []int{0, 8, 20, 28}
-	for i, w := range wantOffsets {
-		if got := s.Offset(i); got != w {
-			t.Errorf("Offset(%d) = %d, want %d", i, got, w)
-		}
 	}
 	if got := s.Width(); got != 32 {
 		t.Errorf("Width = %d, want 32", got)

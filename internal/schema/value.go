@@ -180,39 +180,6 @@ type Record []Value
 // schema arity.
 var ErrArityMismatch = errors.New("schema: record arity does not match schema")
 
-// EncodeRecord writes the record in NSM order into dst, which must be at
-// least s.Width() bytes.
-func EncodeRecord(dst []byte, s *Schema, rec Record) error {
-	if len(rec) != s.Arity() {
-		return fmt.Errorf("%w: schema arity %d, record has %d values", ErrArityMismatch, s.Arity(), len(rec))
-	}
-	if len(dst) < s.Width() {
-		return fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, s.Width(), len(dst))
-	}
-	for i, v := range rec {
-		if err := EncodeValue(dst[s.Offset(i):], s.Attr(i), v); err != nil {
-			return fmt.Errorf("attribute %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// DecodeRecord reads a full NSM record from src.
-func DecodeRecord(src []byte, s *Schema) (Record, error) {
-	if len(src) < s.Width() {
-		return nil, fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, s.Width(), len(src))
-	}
-	rec := make(Record, s.Arity())
-	for i := range rec {
-		v, err := DecodeValue(src[s.Offset(i):], s.Attr(i))
-		if err != nil {
-			return nil, fmt.Errorf("attribute %d: %w", i, err)
-		}
-		rec[i] = v
-	}
-	return rec, nil
-}
-
 // Equal reports whether two records are value-wise equal.
 func (r Record) Equal(o Record) bool {
 	if len(r) != len(o) {

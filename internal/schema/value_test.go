@@ -103,40 +103,6 @@ func TestValueLess(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRecordRoundTrip(t *testing.T) {
-	s := testSchema(t)
-	rec := Record{IntValue(42), CharValue("widget"), FloatValue(9.99), Int32Value(7)}
-	buf := make([]byte, s.Width())
-	if err := EncodeRecord(buf, s, rec); err != nil {
-		t.Fatalf("EncodeRecord: %v", err)
-	}
-	got, err := DecodeRecord(buf, s)
-	if err != nil {
-		t.Fatalf("DecodeRecord: %v", err)
-	}
-	if !got.Equal(rec) {
-		t.Errorf("round trip = %v, want %v", got, rec)
-	}
-}
-
-func TestEncodeRecordErrors(t *testing.T) {
-	s := testSchema(t)
-	if err := EncodeRecord(make([]byte, s.Width()), s, Record{IntValue(1)}); !errors.Is(err, ErrArityMismatch) {
-		t.Errorf("arity: err = %v, want ErrArityMismatch", err)
-	}
-	rec := Record{IntValue(42), CharValue("w"), FloatValue(1), Int32Value(7)}
-	if err := EncodeRecord(make([]byte, 4), s, rec); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("short: err = %v, want ErrShortBuffer", err)
-	}
-}
-
-func TestDecodeRecordShortBuffer(t *testing.T) {
-	s := testSchema(t)
-	if _, err := DecodeRecord(make([]byte, 4), s); !errors.Is(err, ErrShortBuffer) {
-		t.Errorf("err = %v, want ErrShortBuffer", err)
-	}
-}
-
 func TestRecordCloneIsDeep(t *testing.T) {
 	r := Record{IntValue(1), CharValue("a")}
 	c := r.Clone()
@@ -169,23 +135,6 @@ func randomRecord(r *rand.Rand, s *Schema) Record {
 		}
 	}
 	return rec
-}
-
-func TestQuickRecordRoundTrip(t *testing.T) {
-	s := testSchema(t)
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rec := randomRecord(r, s)
-		buf := make([]byte, s.Width())
-		if err := EncodeRecord(buf, s, rec); err != nil {
-			return false
-		}
-		got, err := DecodeRecord(buf, s)
-		return err == nil && got.Equal(rec)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestQuickValueRoundTripAllKinds(t *testing.T) {

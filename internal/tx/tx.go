@@ -266,9 +266,6 @@ type Tx struct {
 	closed  bool
 }
 
-// ID returns the transaction id.
-func (t *Tx) ID() uint64 { return t.id }
-
 // SnapshotTS returns the transaction's begin timestamp.
 func (t *Tx) SnapshotTS() uint64 { return t.beginTS }
 

@@ -18,9 +18,6 @@ type Encoder struct {
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Reset empties the encoder, keeping the backing array.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 

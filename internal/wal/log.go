@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"hybridstore/internal/obs"
 )
@@ -30,10 +29,11 @@ type SyncPolicy int
 // Fsync policies, cheapest first.
 const (
 	// SyncGrouped batches concurrent committers behind one flush leader:
-	// the leader waits GroupWindow for cohort arrivals, writes the whole
-	// group, and issues a single fsync for all of it.
+	// the leader writes whatever arrived while the previous flush was in
+	// flight and issues a single fsync for all of it.
 	SyncGrouped SyncPolicy = iota
-	// SyncAlways fsyncs on every Sync call with no grouping window.
+	// SyncAlways behaves as SyncGrouped (the leader never waits, so a
+	// lone committer gets its own fsync under either); bench/ pins the name.
 	SyncAlways
 	// SyncNone writes to the OS on every Sync but never fsyncs: cheap,
 	// survives process kill but not machine crash.
@@ -58,10 +58,6 @@ func (p SyncPolicy) String() string {
 type Options struct {
 	// Sync is the fsync policy (default SyncGrouped).
 	Sync SyncPolicy
-	// GroupWindow is how long a flush leader waits for cohort commits
-	// under SyncGrouped. Zero still groups whatever arrived while the
-	// previous flush was in flight, without an explicit wait.
-	GroupWindow time.Duration
 }
 
 // frameHeaderSize is the per-record overhead: u32 length + u32 CRC.
@@ -164,9 +160,6 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// Path returns the log file path.
-func (l *Log) Path() string { return l.path }
-
 // Append encodes and enqueues rec, returning its log sequence number.
 // The record is not durable until Sync(lsn) returns.
 func (l *Log) Append(rec *Record) (uint64, error) {
@@ -218,13 +211,6 @@ func (l *Log) Sync(lsn uint64) error {
 // releases and reacquires it around the I/O.
 func (l *Log) flushLocked() {
 	l.flushing = true
-	if l.opts.Sync == SyncGrouped && l.opts.GroupWindow > 0 {
-		// Hold the leader open for the cohort: commits arriving during
-		// the window ride this flush's single fsync.
-		l.mu.Unlock()
-		time.Sleep(l.opts.GroupWindow)
-		l.mu.Lock()
-	}
 	buf := l.buf
 	l.buf = nil
 	target := l.nextLSN - 1

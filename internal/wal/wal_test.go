@@ -104,7 +104,7 @@ func TestLogAppendSyncReopen(t *testing.T) {
 
 func TestLogGroupCommitConcurrent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
-	l, _, err := Open(path, Options{Sync: SyncGrouped, GroupWindow: 200 * time.Microsecond})
+	l, _, err := Open(path, Options{Sync: SyncGrouped})
 	if err != nil {
 		t.Fatal(err)
 	}

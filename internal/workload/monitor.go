@@ -38,9 +38,6 @@ func NewMonitor(arity int) *Monitor {
 	return m
 }
 
-// Arity returns the monitored relation arity.
-func (m *Monitor) Arity() int { return m.arity }
-
 // Observe records one workload operation.
 func (m *Monitor) Observe(op Op) {
 	m.mu.Lock()
@@ -76,13 +73,6 @@ func (m *Monitor) Observe(op Op) {
 				m.scan[c]++
 			}
 		}
-	}
-}
-
-// ObserveTrace records a whole trace.
-func (m *Monitor) ObserveTrace(t Trace) {
-	for _, op := range t {
-		m.Observe(op)
 	}
 }
 

@@ -74,8 +74,6 @@ const (
 	ItemPriceCol = 4
 	// ItemIDCol is the primary key of the item table.
 	ItemIDCol = 0
-	// CustomerIDCol is the primary key of the customer table.
-	CustomerIDCol = 0
 	// CustomerBalanceCol is the balance attribute of the customer table.
 	CustomerBalanceCol = 16
 )

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // OpKind classifies one workload operation by its access pattern.
 type OpKind uint8
@@ -37,7 +34,7 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one operation of a workload trace.
+// Op is one workload operation as a monitor observes it.
 type Op struct {
 	// Kind is the access pattern.
 	Kind OpKind
@@ -47,77 +44,4 @@ type Op struct {
 	// updated attribute for PointUpdate, the scanned attribute for
 	// ColumnScan.
 	Cols []int
-}
-
-// Trace is an ordered operation sequence.
-type Trace []Op
-
-// Mix describes the composition of a generated HTAP trace.
-type Mix struct {
-	// OLTPFraction is the share of record-centric operations (point
-	// reads, updates and inserts); the rest are column scans.
-	OLTPFraction float64
-	// UpdateFraction is the share of OLTP operations that write.
-	UpdateFraction float64
-	// ScanCols are the attributes analytic scans draw from.
-	ScanCols []int
-	// UpdateCols are the attributes transactional updates touch.
-	UpdateCols []int
-	// Arity is the relation arity (point reads touch all attributes).
-	Arity int
-}
-
-// OLTPMix returns a write-heavy record-centric mix over the given schema
-// arity (the paper's "massive short-living write-intensive transactional
-// queries").
-func OLTPMix(arity int, updateCols []int) Mix {
-	return Mix{OLTPFraction: 1, UpdateFraction: 0.5, UpdateCols: updateCols, Arity: arity}
-}
-
-// OLAPMix returns a pure attribute-centric scan mix (the paper's
-// "long-running ad-hoc analytic queries").
-func OLAPMix(arity int, scanCols []int) Mix {
-	return Mix{OLTPFraction: 0, ScanCols: scanCols, Arity: arity}
-}
-
-// HTAPMix blends both at the given OLTP fraction.
-func HTAPMix(arity int, oltpFraction float64, scanCols, updateCols []int) Mix {
-	return Mix{
-		OLTPFraction:   oltpFraction,
-		UpdateFraction: 0.5,
-		ScanCols:       scanCols,
-		UpdateCols:     updateCols,
-		Arity:          arity,
-	}
-}
-
-// GenerateTrace draws n operations from the mix against a table of rows
-// records, using the seeded generator for reproducibility.
-func GenerateTrace(r *rand.Rand, mix Mix, n int, rows uint64) Trace {
-	if rows == 0 {
-		rows = 1
-	}
-	all := make([]int, mix.Arity)
-	for i := range all {
-		all[i] = i
-	}
-	t := make(Trace, 0, n)
-	for i := 0; i < n; i++ {
-		if r.Float64() < mix.OLTPFraction {
-			row := uint64(r.Int63n(int64(rows)))
-			if len(mix.UpdateCols) > 0 && r.Float64() < mix.UpdateFraction {
-				col := mix.UpdateCols[r.Intn(len(mix.UpdateCols))]
-				t = append(t, Op{Kind: PointUpdate, Row: row, Cols: []int{col}})
-			} else {
-				t = append(t, Op{Kind: PointRead, Row: row, Cols: all})
-			}
-		} else {
-			cols := all
-			if len(mix.ScanCols) > 0 {
-				cols = []int{mix.ScanCols[r.Intn(len(mix.ScanCols))]}
-			}
-			t = append(t, Op{Kind: ColumnScan, Cols: cols})
-		}
-	}
-	return t
 }

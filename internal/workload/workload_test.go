@@ -47,19 +47,27 @@ func TestRecordsMatchSchemas(t *testing.T) {
 		if len(c) != cs.Arity() {
 			t.Fatalf("customer record arity %d", len(c))
 		}
-		buf := make([]byte, cs.Width())
-		if err := schema.EncodeRecord(buf, cs, c); err != nil {
+		if err := encodes(cs, c); err != nil {
 			t.Fatalf("customer %d does not encode: %v", i, err)
 		}
 		it := Item(i)
 		if len(it) != is.Arity() {
 			t.Fatalf("item record arity %d", len(it))
 		}
-		buf = make([]byte, is.Width())
-		if err := schema.EncodeRecord(buf, is, it); err != nil {
+		if err := encodes(is, it); err != nil {
 			t.Fatalf("item %d does not encode: %v", i, err)
 		}
 	}
+}
+
+// encodes reports whether every value of rec fits its attribute.
+func encodes(s *schema.Schema, rec schema.Record) error {
+	for i, v := range rec {
+		if err := schema.EncodeValue(make([]byte, s.Attr(i).Size), s.Attr(i), v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestExpectedItemPriceSumClosedForm(t *testing.T) {
@@ -150,51 +158,6 @@ func TestSortUint64(t *testing.T) {
 		if xs[i-1] > xs[i] {
 			t.Fatal("not sorted")
 		}
-	}
-}
-
-func TestGenerateTraceComposition(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	mix := HTAPMix(5, 0.7, []int{4}, []int{2})
-	tr := GenerateTrace(r, mix, 10_000, 1000)
-	var oltp, olap, updates int
-	for _, op := range tr {
-		switch op.Kind {
-		case PointRead:
-			oltp++
-			if len(op.Cols) != 5 {
-				t.Fatal("point read must touch all columns")
-			}
-		case PointUpdate:
-			oltp++
-			updates++
-			if len(op.Cols) != 1 || op.Cols[0] != 2 {
-				t.Fatalf("update cols = %v", op.Cols)
-			}
-		case ColumnScan:
-			olap++
-			if len(op.Cols) != 1 || op.Cols[0] != 4 {
-				t.Fatalf("scan cols = %v", op.Cols)
-			}
-		}
-		if op.Kind != ColumnScan && op.Row >= 1000 {
-			t.Fatalf("row %d out of range", op.Row)
-		}
-	}
-	frac := float64(oltp) / float64(len(tr))
-	if math.Abs(frac-0.7) > 0.05 {
-		t.Errorf("OLTP fraction = %v, want ~0.7", frac)
-	}
-	if updates == 0 || updates == oltp {
-		t.Errorf("updates = %d of %d OLTP ops, want a mix", updates, oltp)
-	}
-}
-
-func TestGenerateTraceZeroRows(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	tr := GenerateTrace(r, OLTPMix(3, []int{0}), 10, 0)
-	if len(tr) != 10 {
-		t.Fatal("trace truncated")
 	}
 }
 
@@ -311,8 +274,13 @@ func TestQuickSuggestGroupsIsPartition(t *testing.T) {
 		ops := int(opsRaw)%200 + 1
 		r := rand.New(rand.NewSource(seed))
 		m := NewMonitor(arity)
-		tr := GenerateTrace(r, HTAPMix(arity, r.Float64(), []int{arity - 1}, []int{0}), ops, 100)
-		m.ObserveTrace(tr)
+		for i := 0; i < ops; i++ {
+			op := Op{Kind: OpKind(r.Intn(4)), Cols: []int{r.Intn(arity)}}
+			if op.Kind == PointRead {
+				op.Cols = r.Perm(arity)[:1+r.Intn(arity)]
+			}
+			m.Observe(op)
+		}
 		groups := m.SuggestGroups(r.Float64())
 		seen := make(map[int]int)
 		for _, g := range groups {
