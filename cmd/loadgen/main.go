@@ -21,7 +21,7 @@
 //
 // Usage:
 //
-//	loadgen -selfserve [-rows N] [-batch-window D] [-unbatched]
+//	loadgen -selfserve [-rows N] [-unbatched]
 //	        [-result-cache BYTES] [-concurrency N] [-duration D]
 //	        [-mix write=20,point=20,sum=45,group=15]
 //	        [-rate N] [-autoterm] [-csv serving_panel.csv]
@@ -48,7 +48,6 @@ func main() {
 	addr := flag.String("addr", "", "serving endpoint, e.g. http://127.0.0.1:8080 (omit with -selfserve)")
 	selfserve := flag.Bool("selfserve", false, "spin up an in-process server on a loopback port and drive that")
 	rows := flag.Uint64("rows", 4096, "item rows to load (-selfserve) and the point-write row domain")
-	batchWindow := flag.Duration("batch-window", server.DefaultBatchWindow, "shared-scan batching window for -selfserve")
 	unbatched := flag.Bool("unbatched", false, "disable shared-scan batching in the -selfserve server")
 	resCache := flag.Int64("result-cache", 64<<20, "result cache capacity in bytes for -selfserve (0 disables)")
 	concurrency := flag.Int("concurrency", 16, "client lanes")
@@ -74,15 +73,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "loadgen: -addr and -selfserve are mutually exclusive")
 			os.Exit(2)
 		}
-		stop, url, tbl, err := serveLocal(*rows, *batchWindow, *unbatched, *resCache, *walDir)
+		stop, url, tbl, err := serveLocal(*rows, *unbatched, *resCache, *walDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen: selfserve:", err)
 			os.Exit(1)
 		}
 		defer stop()
 		base, localTbl = url, tbl
-		fmt.Printf("selfserve: %d item rows on %s (batch window %v, result cache %d B)\n",
-			*rows, url, windowOf(*batchWindow, *unbatched), *resCache)
+		fmt.Printf("selfserve: %d item rows on %s (batching %v, result cache %d B)\n",
+			*rows, url, !*unbatched, *resCache)
 	}
 	if base == "" {
 		fmt.Fprintln(os.Stderr, "loadgen: need -addr or -selfserve")
@@ -216,18 +215,11 @@ func renderRecord(rec hybridstore.Record) string {
 	return b.String()
 }
 
-func windowOf(w time.Duration, unbatched bool) time.Duration {
-	if unbatched {
-		return 0
-	}
-	return w
-}
-
 // serveLocal builds the warm device-cached item fixture and serves it
 // on a loopback port. With a non-empty walDir the item table is opened
 // durably: a previous process's rows are recovered instead of reloaded,
 // and every write acknowledged over HTTP survives a kill.
-func serveLocal(rows uint64, window time.Duration, unbatched bool, resCache int64, walDir string) (stop func(), url string, vtbl *hybridstore.Table, err error) {
+func serveLocal(rows uint64, unbatched bool, resCache int64, walDir string) (stop func(), url string, vtbl *hybridstore.Table, err error) {
 	opts := hybridstore.Options{ChunkRows: 256, DeviceCache: true,
 		ResultCache: hybridstore.ResultCacheOptions{Cap: resCache}}
 	var db *hybridstore.DB
@@ -282,7 +274,11 @@ func serveLocal(rows uint64, window time.Duration, unbatched bool, resCache int6
 	if _, _, err := tbl.SumFloat64Where(hybridstore.ItemPriceColumn, hybridstore.GtFloat(0)); err != nil {
 		return fail(tbl, err)
 	}
-	s := server.New(server.Config{DB: db, BatchWindow: windowOf(window, unbatched)})
+	cfg := server.Config{DB: db}
+	if !unbatched {
+		cfg.BatchWindow = server.DefaultBatchWindow
+	}
+	s := server.New(cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fail(tbl, err)

@@ -125,7 +125,9 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 		}
 	}
 
-	res, err := engine.ScanCohort(scanSource{t, reader}, t.cfg, t.env.DeviceExec(t.rel.Name()), todo)
+	src := t.source(reader)
+	res, err := engine.ScanCohort(src, t.cfg, t.env.DeviceExec(t.rel.Name()), todo)
+	src.release()
 	if err != nil || cache == nil {
 		return res, err
 	}

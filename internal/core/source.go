@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+	"sync"
+
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
@@ -16,10 +19,35 @@ import (
 type scanSource struct {
 	t      *Table
 	reader *tx.Tx
+	// keys and vals back the lists Pieces returns. They are per chunk,
+	// not per scan, so they are recycled with the source.
+	keys, vals []exec.Piece
+}
+
+// The lists start empty but not nil: from Pieces a nil key list means
+// "not grouped".
+var sourcePool = sync.Pool{New: func() any {
+	return &scanSource{keys: []exec.Piece{}, vals: []exec.Piece{}}
+}}
+
+// source returns a scan source over t under reader's snapshot; the
+// caller releases it when the scan body is done with its pieces.
+func (t *Table) source(reader *tx.Tx) *scanSource {
+	s := sourcePool.Get().(*scanSource)
+	s.t, s.reader = t, reader
+	return s
+}
+
+// release recycles the source, every fragment reference cleared.
+func (s *scanSource) release() {
+	clear(s.keys[:cap(s.keys)])
+	clear(s.vals[:cap(s.vals)])
+	*s = scanSource{keys: s.keys[:0], vals: s.vals[:0]}
+	sourcePool.Put(s)
 }
 
 // Schema returns the relation schema.
-func (s scanSource) Schema() *schema.Schema { return s.t.s }
+func (s *scanSource) Schema() *schema.Schema { return s.t.s }
 
 // Pieces is the one chunk walk behind every aggregate kind: per chunk
 // the plan's value piece and, for the grouped kinds, its key piece, zone
@@ -34,15 +62,15 @@ func (s scanSource) Schema() *schema.Schema { return s.t.s }
 // fused kernel sweeps them beside the values). Hot chunks stay on the
 // host — every insert would invalidate their image, so caching them
 // only thrashes the bus.
-func (s scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
+func (s *scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 	t := s.t
 	rows := t.rel.Rows()
 	kernel := p.DeviceOK()
 	ship := kernel && t.eng.opts.DeviceCache && t.env.Cache != nil
 	comp := p.Op != exec.KindGroupSum
-	vals = make([]exec.Piece, 0, len(t.chunks))
+	vals = slices.Grow(s.vals[:0], len(t.chunks))
 	if p.Op.Grouped() {
-		keys = make([]exec.Piece, 0, len(t.chunks))
+		keys = slices.Grow(s.keys[:0], len(t.chunks))
 	}
 	for _, c := range t.chunks {
 		if c.rows.Begin >= rows {
@@ -82,22 +110,43 @@ func (s scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 			keys = append(keys, kp)
 		}
 	}
+	// The source keeps the lists, grown or not, for the next scan.
+	s.vals = vals
+	if keys != nil {
+		s.keys = keys
+	}
 	return keys, vals, nil
 }
 
 // Patches hands the scan body the MVCC patch: for every row the
 // snapshot sees a delta version of, its base cell and its current one.
-func (s scanSource) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
+// Rows arrive ascending, so the chunk and its value and key fragments
+// are resolved once per chunk, not per row.
+func (s *scanSource) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
 	t := s.t
 	grouped := p.Op.Grouped()
-	return t.patchRows(s.reader, func(row uint64, rec schema.Record, _ uint64) error {
-		v, err := t.baseValue(row, p.Col)
+	var c *chunk
+	var valFrag, keyFrag *layout.Fragment
+	return t.patchRows(s.reader, func(row uint64, rec schema.Record, _ uint64) (err error) {
+		if c == nil || !c.rows.Contains(row) {
+			if c, err = t.chunkFor(row); err != nil {
+				return err
+			}
+			if valFrag, err = t.fragmentForCol(c, p.Col); err == nil && grouped {
+				keyFrag, err = t.fragmentForCol(c, p.KeyCol)
+			}
+			if err != nil {
+				return err // which ends the walk: the cursor is not read again
+			}
+		}
+		i := int(row - c.rows.Begin)
+		v, err := valFrag.Get(i, p.Col)
 		if err != nil {
 			return err
 		}
 		base, cur := engine.Cell{Val: v.F}, engine.Cell{Val: rec[p.Col].F}
 		if grouped {
-			k, err := t.baseValue(row, p.KeyCol)
+			k, err := keyFrag.Get(i, p.KeyCol)
 			if err != nil {
 				return err
 			}

@@ -8,8 +8,8 @@ import (
 // This file is the shared-scan operator behind the serving layer's
 // batching scheduler (Crescando/SharedDB-style): K sargable predicates
 // over the same column evaluated in ONE pass over the data instead of K.
-// Concurrent dashboard-style queries that arrive within a batching
-// window differ only in their predicate bounds; streaming each fragment
+// Concurrent dashboard-style queries that collect into one cohort
+// differ only in their predicate bounds; streaming each fragment
 // once and testing all predicates against the resident cache line
 // amortizes the memory traffic that dominates fused aggregation.
 //

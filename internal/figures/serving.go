@@ -14,10 +14,11 @@ import (
 // warp-style load harness drives loopback HTTP against one warm
 // device-cached item table through two front ends over the same store —
 // one with the shared-scan batching scheduler on, one executing every
-// request solo — across a concurrency sweep. At one client the two
-// paths are near-identical (a cohort of one); as concurrency grows the
-// batched server folds compatible analytic requests into shared passes
-// and pulls ahead on wall-clock QPS.
+// request solo — across a concurrency sweep, every leg starting from a
+// merged table. At one client the two paths are near-identical (a
+// cohort of one); as concurrency grows the batched server folds
+// compatible analytic requests into shared passes and pulls ahead on
+// wall-clock QPS.
 
 // ServingClass is one operation class of a leg: wall-clock throughput
 // and tail latency in microseconds.
@@ -37,6 +38,11 @@ type ServingLeg struct {
 	// wall-clock time.
 	QPS         float64
 	Ops, Errors int64
+	// Passes and Slots count the scan cohorts' storage passes during the
+	// leg and the distinct plans they carried (server.batch.flushes /
+	// .preds): Slots > Passes means passes were shared. Both stay 0 on
+	// the unbatched front end.
+	Passes, Slots int64
 	// Classes holds the per-class breakdown (write, sum, group).
 	Classes []ServingClass
 }
@@ -110,7 +116,7 @@ func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walD
 	}
 
 	// Two front ends over the one store: solo execution and the batching
-	// scheduler at its tuned window.
+	// scheduler.
 	urls := make(map[bool]string)
 	for _, batched := range []bool{false, true} {
 		window := time.Duration(0)
@@ -138,7 +144,13 @@ func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walD
 		LegSeconds: legDur.Seconds(),
 		Durable:    walDir != "",
 	}
+	// Every leg starts from a merged table: with 20 % writes over these
+	// few rows a leg would otherwise inherit its predecessor's deltas, and
+	// "batched" always runs second.
 	drive := func(batched bool, conc int, dur time.Duration) (*loadgen.Result, error) {
+		if err := tbl.Merge(); err != nil {
+			return nil, err
+		}
 		return loadgen.Run(loadgen.Options{BaseURL: urls[batched], Rows: rows, Concurrency: conc, Duration: dur, Mix: m})
 	}
 	// Short discarded shakeout leg per front end: connection setup, pool
@@ -150,10 +162,12 @@ func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walD
 	}
 	for _, conc := range concurrencies {
 		for _, batched := range []bool{false, true} {
+			before := hybridstore.Metrics()
 			res, err := drive(batched, conc, legDur)
 			if err != nil {
 				return nil, err
 			}
+			after := hybridstore.Metrics()
 			if res.TotalErrs > 0 {
 				return nil, fmt.Errorf("figures: serving leg c=%d batched=%v had %d errors", conc, batched, res.TotalErrs)
 			}
@@ -163,6 +177,8 @@ func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walD
 				QPS:         res.QPS,
 				Ops:         res.TotalOps,
 				Errors:      res.TotalErrs,
+				Passes:      after.Counter("server.batch.flushes") - before.Counter("server.batch.flushes"),
+				Slots:       after.Counter("server.batch.preds") - before.Counter("server.batch.preds"),
 			}
 			for _, c := range res.Classes {
 				// The harness reports every class it knows (including the

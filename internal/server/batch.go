@@ -2,8 +2,8 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
-	"time"
 
 	"hybridstore"
 	"hybridstore/internal/exec"
@@ -16,21 +16,26 @@ import (
 // Table.Execute.
 //
 // There is one cohort type, keyed by plan shape (exec.Plan.Shape: kind,
-// table, columns): every read plan that arrives within one collection
-// window of the first plan of its shape joins that shape's cohort, with
-// distinct plans as slots — identical plans (the same predicate, the
-// same row) collapse to one slot whose result is fanned to every
-// waiter. sum_where / count_where cohorts stream the column once for
-// all their predicates, get cohorts gather all their rows in one
-// snapshot pass, group_sum_where cohorts answer their predicates from
-// one snapshot.
+// table, columns), and per shape at most runtime.GOMAXPROCS(0) passes
+// run at once — the pass slots. A read plan that finds a slot free runs
+// at once, as a cohort of one; every plan that arrives while all of its
+// shape's slots are taken joins that shape's cohort, with distinct plans
+// as slots — identical plans (the same predicate, the same row) collapse
+// to one slot whose result is fanned to every waiter. So a lone request
+// never waits, and under load a cohort collects for as long as one pass
+// takes: there is no clock, and no window to tune. sum_where /
+// count_where cohorts stream the column once for all their predicates,
+// get cohorts gather all their rows in one snapshot pass,
+// group_sum_where cohorts answer their predicates from one snapshot.
 //
 // Linearizability: the first request of a shape becomes the leader,
-// sleeps one collection window, then REMOVES the cohort from the intake
-// map before executing — every request that joined is answered from one
+// waits for a pass slot, then REMOVES the cohort from the intake map
+// before executing — every request that joined is answered from one
 // MVCC snapshot taken after all of them arrived, which is a valid
 // linearization point; requests arriving after the removal start a new
-// cohort. A failed pass propagates its error to every waiter.
+// cohort. (The pass that gives up the slot does the removal for the
+// leader, under the one hold of b.mu in which it hands the slot over.)
+// A failed pass propagates its error to every waiter.
 
 // cohortObs is the telemetry of one cohort family.
 type cohortObs struct {
@@ -57,104 +62,124 @@ var (
 	}
 )
 
-// cohort is one in-flight batch of same-shape plans.
+// cohort is one batch of same-shape plans collecting behind the passes
+// in flight.
 type cohort struct {
 	plans []exec.Plan
 	slot  map[exec.Plan]int // identical plans share a slot
-	done  chan struct{}
+	start chan struct{}     // closed when a finishing pass hands the leader its slot
+	done  chan struct{}     // closed when the cohort's own pass is over
 	res   []exec.Result
 	err   error
 }
 
-// batcher is the collection-window scheduler. A zero window degrades
-// every request to its solo execution path.
+// batcher is the pass-slot scheduler. Switched off, it degrades every
+// request to its solo execution path.
 type batcher struct {
-	window time.Duration
-	mu     sync.Mutex
-	open   map[exec.Plan]*cohort // intake, keyed by plan shape
-	// flush is the storage pass a cohort leader runs. It defaults to
-	// Table.Execute; tests substitute failing or panicking ones to drive
-	// the leader-failure paths.
+	on    bool
+	slots int // passes one shape may have in flight: GOMAXPROCS, read once
+	mu    sync.Mutex
+	open  map[exec.Plan]*cohort // intake, keyed by plan shape
+	// busy counts the slots taken per plan shape. Entries are never
+	// deleted: there are as few shapes as kinds of statement.
+	busy map[exec.Plan]int
+	// flush is the storage pass. It defaults to Table.Execute; tests
+	// substitute blocking, failing or panicking ones to build cohorts
+	// and to drive the leader-failure paths.
 	flush func(tbl *hybridstore.Table, plans []exec.Plan) ([]exec.Result, error)
 }
 
-func newBatcher(window time.Duration) *batcher {
+func newBatcher(on bool) *batcher {
 	return &batcher{
-		window: window,
-		open:   make(map[exec.Plan]*cohort),
-		flush:  (*hybridstore.Table).Execute,
+		on:    on,
+		slots: runtime.GOMAXPROCS(0),
+		open:  make(map[exec.Plan]*cohort),
+		busy:  make(map[exec.Plan]int),
+		flush: (*hybridstore.Table).Execute,
 	}
 }
 
-// exec answers one read plan, riding a shared pass when same-shape
-// requests are in flight. solo forces the direct path for plans that
-// must not wait or must not join: with no window every plan is solo.
+// exec answers one read plan, riding a shared pass when its shape's
+// pass slots are taken. solo forces the direct path for plans that must
+// not wait or must not join: with batching off every plan is solo.
 // Results may be shared with other waiters of the slot — serialization
 // must not mutate them.
 func (b *batcher) exec(tbl *hybridstore.Table, p exec.Plan, solo bool) (exec.Result, error) {
-	if solo || b.window <= 0 {
-		res, err := tbl.Execute([]exec.Plan{p})
-		if err != nil {
-			return exec.Result{}, err
-		}
-		return res[0], nil
+	if solo || !b.on {
+		return first(tbl.Execute([]exec.Plan{p}))
 	}
 	m, key := &batchObs, p.Shape()
 	if p.Op == exec.KindGet {
 		m = &gatherObs
 	}
 	b.mu.Lock()
-	if g := b.open[key]; g != nil {
-		idx, dup := g.slot[p]
-		if dup {
-			m.collapsed.Inc()
-		} else {
-			idx = len(g.plans)
-			g.plans = append(g.plans, p)
-			g.slot[p] = idx
-		}
+	if b.busy[key] < b.slots {
+		b.busy[key]++
 		b.mu.Unlock()
+		return first(b.pass(tbl, key, m, []exec.Plan{p}))
+	}
+	g := b.open[key]
+	leader := g == nil
+	if leader {
+		g = &cohort{slot: make(map[exec.Plan]int), start: make(chan struct{}), done: make(chan struct{})}
+		b.open[key] = g
+	}
+	idx, dup := g.slot[p]
+	if dup {
+		m.collapsed.Inc()
+	} else {
+		idx = len(g.plans)
+		g.plans = append(g.plans, p)
+		g.slot[p] = idx
+	}
+	b.mu.Unlock()
+	if leader {
+		<-g.start
+		g.res, g.err = b.pass(tbl, key, m, g.plans)
+		close(g.done)
+	} else {
 		m.joined.Inc()
 		<-g.done
-		if g.err != nil {
-			return exec.Result{}, g.err
-		}
-		return g.res[idx], nil
 	}
-	g := &cohort{
-		plans: []exec.Plan{p},
-		slot:  map[exec.Plan]int{p: 0},
-		done:  make(chan struct{}),
-	}
-	b.open[key] = g
-	b.mu.Unlock()
-
-	time.Sleep(b.window)
-
-	b.mu.Lock()
-	delete(b.open, key) // close intake BEFORE executing: see linearizability note
-	b.mu.Unlock()
-	m.flushes.Inc()
-	m.slots.Add(int64(len(g.plans)))
-	m.size.Observe(int64(len(g.plans)))
-	// The cohort must be released however the pass ends: a leader that
-	// panics mid-pass still owes every waiter an answer, so the panic
-	// becomes the cohort error instead of a permanent hang, and a pass
-	// that under-delivers results is an error, never a zero answer.
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				g.err = fmt.Errorf("server: batch leader panicked: %v", r)
-			}
-			if g.err == nil && len(g.res) != len(g.plans) {
-				g.err = fmt.Errorf("server: batch pass returned %d results for %d plans", len(g.res), len(g.plans))
-			}
-			close(g.done)
-		}()
-		g.res, g.err = b.flush(tbl, g.plans)
-	}()
 	if g.err != nil {
 		return exec.Result{}, g.err
 	}
-	return g.res[0], nil
+	return g.res[idx], nil
+}
+
+// first unwraps the answer of a one-plan pass.
+func first(res []exec.Result, err error) (exec.Result, error) {
+	if err != nil {
+		return exec.Result{}, err
+	}
+	return res[0], nil
+}
+
+// pass runs one storage pass in a slot of the shape the caller holds.
+// However the pass ends, its waiters are owed an answer and the shape
+// its slot: a panic becomes the pass's error instead of a permanent
+// hang, a pass that under-delivers results is an error, never a zero
+// answer, and the slot goes to the cohort that collected meanwhile —
+// its intake closed first, under the same hold of b.mu — or is freed.
+func (b *batcher) pass(tbl *hybridstore.Table, key exec.Plan, m *cohortObs, plans []exec.Plan) (res []exec.Result, err error) {
+	m.flushes.Inc()
+	m.slots.Add(int64(len(plans)))
+	m.size.Observe(int64(len(plans)))
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("server: batch leader panicked: %v", r)
+		}
+		if err == nil && len(res) != len(plans) {
+			err = fmt.Errorf("server: batch pass returned %d results for %d plans", len(res), len(plans))
+		}
+		b.mu.Lock()
+		if g := b.open[key]; g != nil {
+			delete(b.open, key) // close intake BEFORE executing: see linearizability note
+			close(g.start)
+		} else {
+			b.busy[key]--
+		}
+		b.mu.Unlock()
+	}()
+	return b.flush(tbl, plans)
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hybridstore"
 	"hybridstore/internal/exec"
@@ -22,12 +21,13 @@ import (
 // request i of a cohort (distinct slots for sum_where and get; identical
 // plans collapsing to one slot for group_sum_where).
 var cohortKinds = map[string]struct {
-	op   string
-	body func(i int) string
+	op       string
+	collapse bool
+	body     func(i int) string
 }{
-	"sum":   {"sum_where", func(i int) string { return fmt.Sprintf(`"pred":{"kind":"lt","hi":%d}`, 10+i) }},
-	"group": {"group_sum_where", func(int) string { return `"pred":{"kind":"lt","hi":30}` }},
-	"get":   {"get", func(i int) string { return fmt.Sprintf(`"row":%d`, i) }},
+	"sum":   {"sum_where", false, func(i int) string { return fmt.Sprintf(`"pred":{"kind":"lt","hi":%d}`, 10+i) }},
+	"group": {"group_sum_where", true, func(int) string { return `"pred":{"kind":"lt","hi":30}` }},
+	"get":   {"get", false, func(i int) string { return fmt.Sprintf(`"row":%d`, i) }},
 }
 
 // leaderFailures are the ways a flush can go wrong, each with the text
@@ -49,45 +49,31 @@ var leaderFailures = map[string]struct {
 	}, "returned 0 results"},
 }
 
-// leaderFailure runs one (cohort kind, failure) cell: waiters join one
-// cohort inside a long window, the injected flush fails, and every
-// member must finish 500 with the failure's text.
+// leaderFailure runs one (cohort kind, failure) cell: six waiters are
+// built into one cohort behind parked passes, every pass — the parked
+// ones and the cohort's — fails the injected way, and every request
+// must finish 500 with the failure's text, leaving the batcher at rest
+// (buildCohort checks that no cohort stays open and no slot stays taken).
 func leaderFailure(t *testing.T, kind, failure string) {
 	t.Helper()
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 20 * time.Millisecond})
-	s.bat.flush = leaderFailures[failure].flush
+		Config{BatchWindow: DefaultBatchWindow})
 	sid := s.CreateSession("")
 	k := cohortKinds[kind]
 	id := prep(t, s, sid, k.op, hybridstore.ItemPriceColumn, 0)
 
 	const waiters = 6
-	var wg sync.WaitGroup
-	fails := make(chan string, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,%s}`, sid, id, k.body(i))
-			resp, code := exec1(s, body)
-			if code != 500 || !strings.Contains(resp, leaderFailures[failure].want) {
-				fails <- fmt.Sprintf("request %d: %d %s", i, code, resp)
-			}
-		}(i)
+	distinct := waiters
+	if k.collapse {
+		distinct = 1
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("%s cohort hung on a leader %s", kind, failure)
+	body := func(i int) string {
+		return fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,%s}`, sid, id, k.body(i))
 	}
-	close(fails)
-	for f := range fails {
-		t.Error(f)
-	}
-	if n := len(s.bat.open); n != 0 {
-		t.Errorf("%d cohorts left in the intake map", n)
+	for i, r := range buildCohort(t, s, leaderFailures[failure].flush, body, waiters, distinct) {
+		if r.code != 500 || !strings.Contains(r.body, leaderFailures[failure].want) {
+			t.Errorf("request %d: %d %s", i, r.code, r.body)
+		}
 	}
 }
 
@@ -105,7 +91,7 @@ func TestGatherLeaderShortResults(t *testing.T) { leaderFailure(t, "get", "short
 // level: no error path may leak an admission token.
 func TestAdmissionInFlightStorm(t *testing.T) {
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: time.Millisecond,
+		Config{BatchWindow: DefaultBatchWindow,
 			Admission: Admission{Rate: 1e6, MaxInFlight: 8}})
 	boom := errors.New("injected storm failure")
 	s.bat.flush = func(tbl *hybridstore.Table, plans []exec.Plan) ([]exec.Result, error) {
@@ -144,4 +130,5 @@ func TestAdmissionInFlightStorm(t *testing.T) {
 	if after != before {
 		t.Fatalf("in-flight gauge leaked: %d before storm, %d after", before, after)
 	}
+	idle(t, s) // nor a pass slot
 }

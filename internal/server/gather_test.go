@@ -6,19 +6,19 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hybridstore"
 	"hybridstore/internal/obs"
 )
 
-// TestGatherFanInBitIdentity: under a live batching window, concurrent
-// point reads on one table ride shared gather passes and each client
-// still receives exactly the bytes a solo Get produces. A hot set of
-// rows forces duplicate collapsing inside cohorts.
+// TestGatherFanInBitIdentity: concurrent point reads on one table ride
+// shared gather passes and each client still receives exactly the bytes
+// a solo Get produces. Every round builds one cohort of 24 reads; half
+// of them target an 8-row hot set, so the cohort sees duplicate row IDs
+// and collapses them.
 func TestGatherFanInBitIdentity(t *testing.T) {
 	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 300 * time.Microsecond})
+		Config{BatchWindow: DefaultBatchWindow})
 	sid := s.CreateSession("")
 	get := prep(t, s, sid, "get", 0, 0)
 
@@ -35,65 +35,52 @@ func TestGatherFanInBitIdentity(t *testing.T) {
 	}
 
 	before := obs.TakeSnapshot()
-	const clients = 24
-	const reqsEach = 25
-	var wg sync.WaitGroup
-	errs := make(chan string, clients*reqsEach)
-	for c := 0; c < clients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(c)))
-			for i := 0; i < reqsEach; i++ {
-				// Half the reads target an 8-row hot set so cohorts see
-				// duplicate row IDs; the rest spread over the table.
-				var row uint64
-				if r.Intn(2) == 0 {
-					row = uint64(r.Intn(8))
-				} else {
-					row = uint64(r.Intn(int(rows)))
-				}
-				resp, code := exec1(s, fmt.Sprintf(
-					`{"session_id":"%s","stmt_id":%d,"row":%d}`, sid, get, row))
-				if code != 200 || resp != want[row] {
-					errs <- fmt.Sprintf("row %d: %d %s\nwant %s", row, code, resp, want[row])
-					return
-				}
+	const clients, rounds = 24, 10
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < rounds; round++ {
+		// The reads past the cohort's 24 are the ones that occupy the
+		// pass slots.
+		picks := make([]uint64, clients+s.bat.slots)
+		distinct := make(map[uint64]bool)
+		for i := range picks {
+			if i < clients/2 {
+				picks[i] = uint64(r.Intn(8))
+			} else {
+				picks[i] = uint64(r.Intn(int(rows)))
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
+			if i < clients {
+				distinct[picks[i]] = true
+			}
+		}
+		body := func(i int) string {
+			return fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":%d}`, sid, get, picks[i])
+		}
+		for i, got := range buildCohort(t, s, (*hybridstore.Table).Execute, body, clients, len(distinct)) {
+			if got.code != 200 || got.body != want[picks[i]] {
+				t.Fatalf("row %d: %d %s\nwant %s", picks[i], got.code, got.body, want[picks[i]])
+			}
+		}
 	}
 
 	after := obs.TakeSnapshot()
-	flushes := after.Counter("server.gather.flushes") - before.Counter("server.gather.flushes")
-	joined := after.Counter("server.gather.joined") - before.Counter("server.gather.joined")
-	collapsed := after.Counter("server.gather.collapsed") - before.Counter("server.gather.collapsed")
-	if flushes == 0 {
-		t.Error("no gather flushes under 24 concurrent point readers")
+	delta := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
+	if got, want := delta("server.gather.flushes"), int64(rounds*(s.bat.slots+1)); got != want {
+		t.Errorf("%d gather flushes, want %d: one per parked read and one per cohort", got, want)
 	}
-	if joined == 0 {
-		t.Error("no point reads joined a shared gather")
+	if got, want := delta("server.gather.joined"), int64(rounds*(clients-1)); got != want {
+		t.Errorf("%d point reads joined a shared gather, want %d", got, want)
 	}
-	if collapsed == 0 {
+	if delta("server.gather.collapsed") == 0 {
 		t.Error("hot-set duplicates never collapsed to a shared slot")
-	}
-	total := int64(clients * reqsEach)
-	if flushes >= total {
-		t.Errorf("flushes %d not smaller than requests %d: nothing was shared", flushes, total)
 	}
 }
 
 // TestGatherOutOfRangeSoloPath: a point read beyond the table takes the
 // solo path immediately — it fails alone without erroring a concurrent
-// valid cohort and without waiting out the batch window.
+// valid cohort.
 func TestGatherOutOfRangeSoloPath(t *testing.T) {
 	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 10 * time.Millisecond})
+		Config{BatchWindow: DefaultBatchWindow})
 	sid := s.CreateSession("")
 	get := prep(t, s, sid, "get", 0, 0)
 

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"hybridstore"
 )
@@ -34,7 +33,7 @@ func post(t *testing.T, client *http.Client, url, body string) (int, string) {
 func TestHTTPEndToEnd(t *testing.T) {
 	s, tbl := newItemServer(t,
 		hybridstore.Options{ChunkRows: 128, DeviceCache: true},
-		Config{BatchWindow: 200 * time.Microsecond})
+		Config{BatchWindow: DefaultBatchWindow})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := ts.Client()

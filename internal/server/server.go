@@ -17,20 +17,21 @@ import (
 type Config struct {
 	// DB is the open store the server fronts. Required.
 	DB *hybridstore.DB
-	// BatchWindow is the shared-scan collection window: the first
-	// request of a compatibility class waits this long for co-runners
-	// before executing one shared pass for the whole cohort. 0 disables
-	// batching (every request executes solo). Default 0 — callers opt
-	// in; DefaultBatchWindow is the tuned serving value.
+	// BatchWindow switches shared-scan batching on: any value above 0
+	// means on, 0 (the default) that every request executes solo. The
+	// batcher keeps no clock — a cohort collects while its shape's pass
+	// slots are taken (batch.go) — so the duration itself means nothing;
+	// the field keeps its name and type because bench/ sets it, and
+	// becomes a bool with the next benchmark PR.
 	BatchWindow time.Duration
 	// Admission is the per-tenant load-shedding policy. The zero value
 	// admits everything.
 	Admission Admission
 }
 
-// DefaultBatchWindow is the collection window the serving benchmarks
-// run with: long enough that a 32-client burst lands in one cohort,
-// short enough to be invisible next to a cold scan.
+// DefaultBatchWindow is the value callers that want batching pass as
+// Config.BatchWindow. Only its being above 0 matters (see there); the
+// rename waits for the same benchmark PR.
 const DefaultBatchWindow = 200 * time.Microsecond
 
 // Server is the serving layer: sessions, prepared statements,
@@ -54,8 +55,7 @@ type Server struct {
 
 	// Result-cache pre-check telemetry per op class: lookups counts
 	// every dispatch that consulted the cache before paying for
-	// execution (and, for reads, the batch collection window); hits the
-	// subset answered on the spot. Write classes never consult, so
+	// execution; hits the subset answered on the spot. Write classes never consult, so
 	// their counters stay zero.
 	opCacheLk  [opCount]*obs.Counter
 	opCacheHit [opCount]*obs.Counter
@@ -66,7 +66,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		db:       cfg.DB,
 		adm:      newAdmitter(cfg.Admission),
-		bat:      newBatcher(cfg.BatchWindow),
+		bat:      newBatcher(cfg.BatchWindow > 0),
 		sessions: make(map[string]*session),
 	}
 	for k := range opName {
@@ -232,8 +232,8 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 	}
 
 	// Every read is one path: bind the statement's plan template, probe
-	// the result cache (a hit skips both the collection window and the
-	// storage pass), execute through the batcher, serialize by kind.
+	// the result cache (a hit skips the batcher and the storage pass),
+	// execute through the batcher, serialize by kind.
 	p, solo := st.plan, false
 	known := true // get_pk: false when the key is not indexed
 	switch {
@@ -242,7 +242,7 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 			return out, fmt.Errorf("%w: get_pk needs pk", errProto)
 		}
 		p.Row, known = st.tbl.LookupPK(a.pk)
-		solo = true // a lone index probe never waits out a window
+		solo = true // an index probe has its own path below, not a cohort
 	case p.Op == exec.KindGet:
 		if !a.hasRow {
 			return out, fmt.Errorf("%w: get needs row", errProto)

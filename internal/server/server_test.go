@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hybridstore"
 	"hybridstore/internal/obs"
@@ -177,7 +176,7 @@ func TestServeErrors(t *testing.T) {
 // intake map stays empty.
 func TestNaNPredRejected(t *testing.T) {
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 200 * time.Microsecond})
+		Config{BatchWindow: DefaultBatchWindow})
 	sid := s.CreateSession("")
 	grp := prep(t, s, sid, "group_sum_where", hybridstore.ItemPriceColumn, 1)
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
@@ -194,15 +193,15 @@ func TestNaNPredRejected(t *testing.T) {
 	}
 }
 
-// TestBatchedBitIdentity is the serving-layer property test: under a
-// live batching window, 32 concurrent clients firing compatible
+// TestBatchedBitIdentity is the serving-layer property test: with
+// batching on, 32 concurrent clients firing compatible
 // analytics must each receive exactly the bytes the solo (unbatched)
 // execution of their request produces — shared passes are a pure
 // execution-cost optimization, invisible in results.
 func TestBatchedBitIdentity(t *testing.T) {
 	s, tbl := newItemServer(t,
 		hybridstore.Options{ChunkRows: 128, DeviceCache: true},
-		Config{BatchWindow: 300 * time.Microsecond})
+		Config{BatchWindow: DefaultBatchWindow})
 	sid := s.CreateSession("")
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
 	grp := prep(t, s, sid, "group_sum_where", hybridstore.ItemPriceColumn, 1)
@@ -324,27 +323,26 @@ func TestAdmissionThrottle(t *testing.T) {
 }
 
 func TestAdmissionInFlightCeiling(t *testing.T) {
-	// A long batch window holds the first analytic in flight; the
+	// The first analytic is held in flight, parked inside its pass; the
 	// ceiling of 1 must bounce the second with 503.
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: 80 * time.Millisecond, Admission: Admission{MaxInFlight: 1}})
+		Config{BatchWindow: DefaultBatchWindow, Admission: Admission{MaxInFlight: 1}})
 	sid := s.CreateSession("")
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
 	body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":{"kind":"lt","hi":30}}`, sid, sum)
 
-	started := make(chan struct{})
+	g := parkPasses(s, (*hybridstore.Table).Execute)
 	done := make(chan int, 1)
 	go func() {
-		close(started)
 		_, code := exec1(s, body)
 		done <- code
 	}()
-	<-started
-	time.Sleep(10 * time.Millisecond) // let the leader enter its window
+	g.pass(t)
 	resp, code := exec1(s, body)
 	if code != 503 || !strings.Contains(resp, "overload") {
 		t.Fatalf("second in-flight request: %d %s, want 503", code, resp)
 	}
+	close(g.release)
 	if code := <-done; code != 200 {
 		t.Fatalf("held request finished %d, want 200", code)
 	}

@@ -1,9 +1,9 @@
 package tx
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
+	"sync"
 
 	"hybridstore/internal/schema"
 )
@@ -73,7 +73,7 @@ func (m *Manager) AdvanceTo(ts uint64) {
 func (s *Store) InstallAt(row uint64, rec schema.Record, deleted bool, ts uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v := s.chains[row]; v != nil && v.ts >= ts {
+	if v := s.head(row); v != nil && v.ts >= ts {
 		return fmt.Errorf("wal replay: row %d already has version at ts %d, replaying ts %d out of order", row, v.ts, ts)
 	}
 	var r schema.Record
@@ -97,6 +97,16 @@ func (s *Store) VersionAt(row uint64, ts uint64) (rec schema.Record, deleted boo
 	return v.rec, v.deleted, v.ts, true
 }
 
+// hit is one visible version a walk collected.
+type hit struct {
+	row uint64
+	v   *version
+}
+
+// hitScratch recycles the walks' hit lists: 16 B per live chain and
+// scan otherwise.
+var hitScratch = sync.Pool{New: func() any { return new([]hit) }}
+
 // RangeVisible is the store's one visible-version iterator: it calls
 // fn, in ascending row order, once for every row with a version visible
 // at ts, passing that version's record, delete flag and commit
@@ -104,30 +114,35 @@ func (s *Store) VersionAt(row uint64, ts uint64) (rec schema.Record, deleted boo
 //
 // The walk takes the read lock once, and only to collect the visible
 // versions — committers wait for one pass over the live chains, not for
-// fn. It then sorts and calls fn outside the lock, so a walk costs
-// O(c log c) for c live chains, and what fn sees is the store at the
-// instant of collection: versions are immutable once installed, so a
-// commit, Prune or Forget that lands later changes nothing the walk
-// hands out. For the same reason rec is the stored record itself, not a
-// copy: it is read-only, and fn should copy out what it needs rather
-// than retain it (a held record outlives the version's removal).
+// fn. The pages are in row order, so the pass is O(c) for c live chains
+// and sorts nothing. It then calls fn outside the lock, and what fn
+// sees is the store at the instant of collection: versions are
+// immutable once installed, so a commit, Prune or Forget that lands
+// later changes nothing the walk hands out. For the same reason rec is
+// the stored record itself, not a copy: it is read-only, and fn should
+// copy out what it needs rather than retain it (a held record outlives
+// the version's removal).
 func (s *Store) RangeVisible(ts uint64, fn func(row uint64, rec schema.Record, deleted bool, verTS uint64) bool) {
-	type hit struct {
-		row uint64
-		v   *version
-	}
+	scratch := hitScratch.Get().(*[]hit)
+	hits := (*scratch)[:0]
 	s.mu.RLock()
-	hits := make([]hit, 0, len(s.chains))
-	for row, v := range s.chains {
-		if v = v.at(ts); v != nil {
-			hits = append(hits, hit{row, v})
+	for _, p := range s.order {
+		for w, word := range p.live {
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				if v := p.heads[i].at(ts); v != nil {
+					hits = append(hits, hit{p.id*pageRows + uint64(i), v})
+				}
+			}
 		}
 	}
 	s.mu.RUnlock()
-	slices.SortFunc(hits, func(a, b hit) int { return cmp.Compare(a.row, b.row) })
 	for _, h := range hits {
 		if !fn(h.row, h.v.rec, h.v.deleted, h.v.ts) {
-			return
+			break
 		}
 	}
+	clear(hits) // pooled scratch must not keep removed versions alive
+	*scratch = hits
+	hitScratch.Put(scratch)
 }

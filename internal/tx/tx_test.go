@@ -3,6 +3,9 @@ package tx
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -18,9 +21,11 @@ func walkedVersions(s *Store) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, v := range s.chains {
-		for ; v != nil; v = v.next {
-			n++
+	for _, p := range s.pages {
+		for _, v := range p.heads {
+			for ; v != nil; v = v.next {
+				n++
+			}
 		}
 	}
 	return n
@@ -589,6 +594,165 @@ func TestRangeVisibleConcurrentCommitters(t *testing.T) {
 	wg.Wait()
 	if s.Versions() != walkedVersions(s) || s.Versions() != writers*perWriter {
 		t.Fatalf("Versions = %d, walked %d, committed %d", s.Versions(), walkedVersions(s), writers*perWriter)
+	}
+}
+
+// The ordered store against a map-and-sort model: random installs,
+// conditional drops, prunes and refused out-of-order replays over rows
+// that straddle page edges, sparse ids far apart and one hot page. After
+// every step the walk yields the model's rows ascending with the model's
+// visible version, the maintained counts equal the walked ones, the page
+// bookkeeping is exact and an empty store holds no page.
+func TestOrderedStoreMatchesModel(t *testing.T) {
+	type mv struct {
+		ts      uint64
+		val     int64
+		deleted bool
+	}
+	edges := []uint64{0, 1, 510, 511, 512, 513, 1023, 1024, 1025,
+		1 << 40, 1<<40 + 511, 1<<40 + 512, 1 << 41, 1<<63 + 5}
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		model := make(map[uint64][]mv) // newest first
+		clock := uint64(0)
+		pick := func() uint64 {
+			if r.Intn(2) == 0 {
+				return 4*pageRows + uint64(r.Intn(pageRows)) // the hot page
+			}
+			return edges[r.Intn(len(edges))]
+		}
+		for step := 0; step < 1500; step++ {
+			switch op := r.Intn(10); {
+			case op < 6: // install
+				row := pick()
+				clock++
+				v := mv{ts: clock, val: int64(step), deleted: r.Intn(6) == 0}
+				if err := s.InstallAt(row, rec(v.val), v.deleted, v.ts); err != nil {
+					t.Fatal(err)
+				}
+				model[row] = append([]mv{v}, model[row]...)
+			case op == 6: // a replay at or below the head's timestamp is refused
+				row := pick()
+				if c := model[row]; len(c) > 0 {
+					if err := s.InstallAt(row, rec(-1), false, c[0].ts); err == nil {
+						t.Fatalf("seed %d step %d: out-of-order install on row %d accepted", seed, step, row)
+					}
+				}
+			case op < 9: // forget a batch of rows, some of them absent
+				upTo := clock - uint64(r.Intn(4))
+				rows := make([]uint64, 1+r.Intn(40))
+				for i := range rows {
+					rows[i] = pick()
+				}
+				s.Forget(rows, upTo)
+				for _, row := range rows {
+					if c := model[row]; len(c) > 0 && c[0].ts <= upTo {
+						delete(model, row)
+					}
+				}
+			default: // prune
+				minTS := clock - uint64(r.Intn(8))
+				s.Prune(minTS)
+				for row, c := range model {
+					for i, v := range c {
+						if v.ts <= minTS {
+							c = c[:i+1]
+							break
+						}
+					}
+					if model[row] = c; c[0].deleted && c[0].ts <= minTS {
+						delete(model, row)
+					}
+				}
+			}
+
+			// The walk at the newest and at an older snapshot.
+			for _, ts := range []uint64{clock, clock - uint64(r.Intn(16))} {
+				var want []visit
+				for row, c := range model {
+					for _, v := range c {
+						if v.ts <= ts {
+							w := visit{row: row, deleted: v.deleted, ts: v.ts}
+							if !v.deleted {
+								w.val = v.val
+							}
+							want = append(want, w)
+							break
+						}
+					}
+				}
+				sort.Slice(want, func(i, j int) bool { return want[i].row < want[j].row })
+				if got := rangeAt(s, ts); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: walk at ts %d\n got %v\nwant %v", seed, step, ts, got, want)
+				}
+			}
+			versions := 0
+			for _, c := range model {
+				versions += len(c)
+			}
+			if s.Rows() != len(model) || s.Versions() != versions || walkedVersions(s) != versions {
+				t.Fatalf("seed %d step %d: Rows %d Versions %d walked %d, model has %d rows %d versions",
+					seed, step, s.Rows(), s.Versions(), walkedVersions(s), len(model), versions)
+			}
+			// Page bookkeeping: the two indexes agree, ascending, no page
+			// empty (so a store with no rows holds no page), and each
+			// page's bitmap and count say what its heads say.
+			if len(s.pages) != len(s.order) {
+				t.Fatalf("seed %d step %d: %d pages in the map, %d in order", seed, step, len(s.pages), len(s.order))
+			}
+			for i, p := range s.order {
+				heads := 0
+				for j, v := range p.heads {
+					if set := p.live[j/64]>>(j%64)&1 == 1; set != (v != nil) {
+						t.Fatalf("seed %d step %d: page %d slot %d: bit %v, head %v", seed, step, p.id, j, set, v)
+					}
+					if v != nil {
+						heads++
+					}
+				}
+				if s.pages[p.id] != p || heads != p.n || heads == 0 || i > 0 && s.order[i-1].id >= p.id {
+					t.Fatalf("seed %d step %d: page %d at position %d: n %d, %d heads, mapped %v",
+						seed, step, p.id, i, p.n, heads, s.pages[p.id] == p)
+				}
+			}
+		}
+		// Merged away to the last chain, the store gives every page back.
+		var all []uint64
+		for row := range model {
+			all = append(all, row)
+		}
+		if s.Forget(all, clock); s.Rows() != 0 || s.Versions() != 0 || len(s.pages) != 0 || len(s.order) != 0 {
+			t.Fatalf("seed %d: emptied store keeps %d rows, %d versions, %d+%d pages",
+				seed, s.Rows(), s.Versions(), len(s.pages), len(s.order))
+		}
+	}
+}
+
+// BenchmarkRangeVisible walks a store with 1 k and 16 k live chains
+// spread over the bench geometry's 131072 rows.
+func BenchmarkRangeVisible(b *testing.B) {
+	for _, chains := range []int{1 << 10, 1 << 14} {
+		b.Run(fmt.Sprint(chains), func(b *testing.B) {
+			s := NewStore()
+			const rows = 131072
+			for i := 0; i < chains; i++ {
+				// An odd multiplier visits chains distinct rows in scattered order.
+				row := uint64(i) * 40503 % rows
+				if err := s.InstallAt(row, rec(int64(i)), false, uint64(i+1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				s.RangeVisible(uint64(chains), func(uint64, schema.Record, bool, uint64) bool { n++; return true })
+				if n != chains {
+					b.Fatalf("visited %d of %d", n, chains)
+				}
+			}
+		})
 	}
 }
 
