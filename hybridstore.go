@@ -418,7 +418,7 @@ func (t *Table) GroupBySumWhere(keyCol, valCol int, p FloatPred) ([]GroupResult,
 }
 
 // Begin opens a snapshot-isolated multi-operation transaction.
-func (t *Table) Begin() *Txn { return &Txn{x: t.t.Begin()} }
+func (t *Table) Begin() *Txn { return t.t.Begin() }
 
 // Adapt runs the layout advisor once; most applications call it
 // periodically or after workload shifts.
@@ -473,27 +473,12 @@ func (t *Table) Classify() (Classification, error) {
 // Free releases the table's storage.
 func (t *Table) Free() { t.t.Free() }
 
-// Txn is a snapshot-isolated transaction.
-type Txn struct {
-	x *core.Txn
-}
-
-// Read returns the record at row under the transaction's snapshot.
-func (x *Txn) Read(row uint64) (Record, error) { return x.x.Read(row) }
-
-// Update buffers a field update.
-func (x *Txn) Update(row uint64, col int, v Value) error { return x.x.Update(row, col, v) }
-
-// ReadByPK is the transaction-scoped Q1: a snapshot read identified by
-// primary key.
-func (x *Txn) ReadByPK(pk int64) (Record, error) { return x.x.ReadByPK(pk) }
-
-// Commit installs the buffered writes; it fails with a conflict error if
-// another transaction committed first (first committer wins).
-func (x *Txn) Commit() error { return x.x.Commit() }
-
-// Abort discards the transaction.
-func (x *Txn) Abort() { x.x.Abort() }
+// Txn is a snapshot-isolated transaction: Read and ReadByPK see the
+// snapshot Begin took plus the transaction's own writes, Update buffers
+// a field update, Commit installs the buffered writes — failing with a
+// conflict error if another transaction committed one of the rows first
+// (first committer wins) — and Abort discards them.
+type Txn = core.Txn
 
 // MetricsSnapshot is a point-in-time copy of the process-wide
 // observability registry: every counter, gauge and latency histogram the

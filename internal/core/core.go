@@ -195,8 +195,8 @@ type Table struct {
 	mon    *workload.Monitor
 
 	// MVCC: updates become versions here; base fragments stay immutable
-	// under updates.
-	txm    *tx.Manager
+	// under updates. The store is also the table's clock: every read
+	// begins its snapshot on it.
 	deltas *tx.Store
 
 	// deviceCols marks columns whose cold fragments live on the GPU.
@@ -235,7 +235,6 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 			Clock:  e.env.Clock,
 		},
 		mon:        workload.NewMonitor(s.Arity()),
-		txm:        tx.NewManager(),
 		deltas:     tx.NewStore(),
 		deviceCols: make(map[int]bool),
 	}
@@ -568,51 +567,41 @@ func (t *Table) chunkFor(row uint64) (*chunk, error) {
 	return nil, fmt.Errorf("%w: row %d", engine.ErrNoSuchRow, row)
 }
 
-// baseRecord materializes row from the base fragments (no MVCC patching).
-func (t *Table) baseRecord(row uint64) (schema.Record, error) {
+// baseRecord materializes row from the base fragments (no MVCC
+// patching) and returns the chunk it read. Device-resident fragments
+// are read directly; the caller charges the bus for the gathered field
+// bytes (chargeDeviceGather) — a gather once per chunk for the whole
+// cohort, a solo read per call.
+func (t *Table) baseRecord(row uint64) (schema.Record, *chunk, error) {
 	c, err := t.chunkFor(row)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rec, err := t.recordFromChunk(c, row)
-	if err != nil {
-		return nil, err
-	}
-	// Device-resident fragments were read directly above; charge the bus
-	// for the gathered field bytes.
-	t.chargeDeviceGather(c, 1)
-	return rec, nil
-}
-
-// recordFromChunk materializes row from chunk c's base fragments without
-// charging the device gather cost: GetMulti batches the charge per chunk
-// (one bus latency for the whole cohort), solo reads charge per call.
-func (t *Table) recordFromChunk(c *chunk, row uint64) (schema.Record, error) {
 	i := int(row - c.rows.Begin)
 	if c.state == hot {
 		vals, err := c.nsm.Tuplet(i)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return schema.Record(vals), nil
+		return schema.Record(vals), c, nil
 	}
 	rec := make(schema.Record, t.s.Arity())
 	for gi, f := range c.frags {
 		for _, col := range c.groups[gi] {
 			v, err := f.Get(i, col)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			rec[col] = v
 		}
 	}
-	return rec, nil
+	return rec, c, nil
 }
 
 // chargeDeviceGather prices gathering k records' worth of device-resident
-// fields of chunk c.
+// fields of chunk c; a nil c is a read no base chunk served.
 func (t *Table) chargeDeviceGather(c *chunk, k int64) {
-	if c.state != cold {
+	if c == nil || c.state != cold {
 		return
 	}
 	var devBytes int64

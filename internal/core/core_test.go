@@ -13,9 +13,11 @@ import (
 	"hybridstore/internal/index"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/mem"
+	"hybridstore/internal/obs"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/taxonomy"
 	"hybridstore/internal/tx"
+	"hybridstore/internal/wal"
 	"hybridstore/internal/workload"
 )
 
@@ -176,6 +178,56 @@ func TestTxnConflict(t *testing.T) {
 	rec, _ := tbl.Get(1)
 	if rec[workload.ItemPriceCol].F != 1 {
 		t.Fatalf("winner lost: %v", rec)
+	}
+}
+
+// tx.aborts counts abandoned writes. A reader handing its snapshot back
+// — every scan, get, Materialize, Merge and checkpoint ends that way —
+// abandons nothing; it used to count one abort per query.
+func TestReadsCountNoAborts(t *testing.T) {
+	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1}, 300)
+	defer tbl.Free()
+	if err := tbl.Update(3, workload.ItemPriceCol, schema.FloatValue(9)); err != nil {
+		t.Fatal(err)
+	}
+	aborts := obs.NewCounter("tx.aborts") // the registry's handle of tx's counter
+	before := aborts.Load()
+	for i := uint64(0); i < 20; i++ {
+		if _, err := tbl.SumFloat64(workload.ItemPriceCol); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.Get(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tbl.Materialize([]uint64{1, 3, 200}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tbl.CheckpointTo(new(wal.Encoder)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	x := tbl.Begin()
+	if _, err := x.Read(5); err != nil {
+		t.Fatal(err)
+	}
+	x.Abort() // read-only: nothing abandoned
+	if got := aborts.Load() - before; got != 0 {
+		t.Fatalf("tx.aborts moved by %d over reads alone", got)
+	}
+	x = tbl.Begin()
+	if err := x.Update(5, len(workload.Item(0)), schema.FloatValue(1)); !errors.Is(err, layout.ErrOutOfRange) {
+		t.Fatalf("Txn.Update of a column past the schema: %v", err)
+	}
+	if err := x.Update(5, workload.ItemPriceCol, schema.FloatValue(1)); err != nil {
+		t.Fatal(err)
+	}
+	x.Abort()
+	x.Abort() // finished: counts once
+	if got := aborts.Load() - before; got != 1 {
+		t.Fatalf("tx.aborts moved by %d over one abandoned update, want 1", got)
 	}
 }
 
@@ -566,7 +618,7 @@ func TestNoPKIndexForNonIntKey(t *testing.T) {
 	}
 	ct := tbl.(*Table)
 	defer ct.Free()
-	if ct.hasPKIndex() {
+	if ct.pk != nil {
 		t.Fatal("char key indexed")
 	}
 	if _, err := ct.GetByPK(1); !errors.Is(err, engine.ErrUnsupported) {

@@ -9,13 +9,14 @@
 //   - Every MVCC commit appends a KindCommit record inside the commit
 //     critical section (tx.CommitLogger), so log order equals
 //     commit-timestamp order and replay preserves first-committer-wins.
-//   - A checkpoint pins a snapshot timestamp (tx.Manager.PinSnapshot —
-//     which also fences Merge/Prune from dropping versions the
-//     checkpoint can still see), serializes base fragments byte-for-byte
-//     with their sealed zone maps and compressed side-cars, the delta
-//     versions visible at the pinned timestamp, and the device-resident
-//     column manifest. Restore rebuilds all of it without re-sealing a
-//     single zone map and re-primes the device fragment cache.
+//   - A checkpoint begins a read transaction like any other reader —
+//     its snapshot fences Merge/Prune from dropping versions the
+//     checkpoint can still see — and serializes base fragments
+//     byte-for-byte with their sealed zone maps and compressed side-cars,
+//     the delta versions visible at that snapshot, and the
+//     device-resident column manifest. Restore rebuilds all of it
+//     without re-sealing a single zone map and re-primes the device
+//     fragment cache.
 package core
 
 import (
@@ -47,10 +48,10 @@ func (t *Table) EnableWAL(l *wal.Log) {
 	t.walLog = l
 	t.mu.Unlock()
 	name := t.rel.Name()
-	t.txm.SetCommitLogger(func(ts uint64, writes []tx.LoggedWrite) (func() error, error) {
+	t.deltas.SetCommitLogger(func(ts uint64, writes []tx.LoggedWrite) (func() error, error) {
 		ops := make([]wal.Op, len(writes))
 		for i, w := range writes {
-			ops[i] = wal.Op{Row: w.Row, Deleted: w.Deleted, Rec: w.Rec}
+			ops[i] = wal.Op(w) // the same two fields
 		}
 		lsn, err := l.Append(&wal.Record{Kind: wal.KindCommit, Table: name, TS: ts, Ops: ops})
 		if err != nil {
@@ -82,23 +83,24 @@ func (t *Table) ReplayCommit(ts uint64, ops []wal.Op) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for _, op := range ops {
-		if err := t.deltas.InstallAt(op.Row, op.Rec, op.Deleted, ts); err != nil {
+		if err := t.deltas.InstallAt(op.Row, op.Rec, ts); err != nil {
 			return fmt.Errorf("%w: %v", ErrReplayDiverged, err)
 		}
 	}
-	t.txm.AdvanceTo(ts)
+	t.deltas.AdvanceTo(ts)
 	return nil
 }
 
-// CheckpointTo serializes the table into enc at a pinned MVCC snapshot,
-// returning the pinned timestamp and the serialized row count — the
+// CheckpointTo serializes the table into enc at one MVCC snapshot,
+// returning its timestamp and the serialized row count — the
 // coordinates log truncation keys on (commits at ts <= ckptTS and
-// inserts at row < ckptRows are covered by the image). The pin holds
+// inserts at row < ckptRows are covered by the image). The reader holds
 // MinActiveTS back for its duration, so a concurrent Merge/Prune cannot
 // fold or drop versions the serialization still needs.
 func (t *Table) CheckpointTo(enc *wal.Encoder) (ckptTS, ckptRows uint64, err error) {
-	pinTS, release := t.txm.PinSnapshot()
-	defer release()
+	reader := t.deltas.Begin()
+	defer reader.Abort()
+	pinTS := reader.SnapshotTS()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 
@@ -138,27 +140,24 @@ func (t *Table) CheckpointTo(enc *wal.Encoder) (ckptTS, ckptRows uint64, err err
 		}
 	}
 
-	// Delta versions visible at the pinned snapshot, stamped with their
-	// real commit timestamps so restore rebuilds the same chains.
+	// Delta versions visible at the snapshot, stamped with their real
+	// commit timestamps so restore rebuilds the same chains.
 	type deltaEntry struct {
-		row     uint64
-		rec     schema.Record
-		deleted bool
-		ts      uint64
+		row uint64
+		rec schema.Record
+		ts  uint64
 	}
 	var deltas []deltaEntry
-	t.deltas.RangeVisible(pinTS, func(row uint64, rec schema.Record, deleted bool, verTS uint64) bool {
-		deltas = append(deltas, deltaEntry{row: row, rec: rec, deleted: deleted, ts: verTS})
+	t.deltas.RangeVisible(pinTS, func(row uint64, rec schema.Record, verTS uint64) bool {
+		deltas = append(deltas, deltaEntry{row: row, rec: rec, ts: verTS})
 		return true
 	})
 	enc.U32(uint32(len(deltas)))
 	for _, d := range deltas {
 		enc.U64(d.row)
 		enc.U64(d.ts)
-		enc.Bool(d.deleted)
-		if !d.deleted {
-			enc.Record(d.rec)
-		}
+		enc.U8(0) // reserved, as in a commit op
+		enc.Record(d.rec)
 	}
 
 	// Device-cache manifest: which columns were warm, in which format.
@@ -348,19 +347,18 @@ func (e *Engine) RestoreTable(name string, s *schema.Schema, d *wal.Decoder) (*T
 	for i := 0; i < nd; i++ {
 		row := d.U64()
 		verTS := d.U64()
-		deleted := d.Bool()
-		var rec schema.Record
-		if !deleted {
-			rec = d.Record()
+		if d.U8() != 0 {
+			return nil, fmt.Errorf("%w: delta of row %d has its reserved byte set", wal.ErrCorrupt, row)
 		}
+		rec := d.Record()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		if err := t.deltas.InstallAt(row, rec, deleted, verTS); err != nil {
+		if err := t.deltas.InstallAt(row, rec, verTS); err != nil {
 			return nil, fmt.Errorf("core: restoring delta of row %d: %w", row, err)
 		}
 	}
-	t.txm.AdvanceTo(ckptTS)
+	t.deltas.AdvanceTo(ckptTS)
 
 	nr := int(d.U32())
 	resident := make([]device.ResidentCol, 0, nr)

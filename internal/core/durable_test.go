@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestPruneRespectsPinnedSnapshot is the regression for the
-// checkpoint/prune interaction: while a checkpoint holds a pinned
+// checkpoint/prune interaction: while a checkpoint holds its reader's
 // snapshot, Merge (which folds settled versions into the base and
 // prunes their deltas) must not fold a version the pin cannot see —
 // and folding the ones it can see must leave the visible-at-pin state
@@ -27,13 +28,8 @@ func TestPruneRespectsPinnedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pinTS, release := tbl.txm.PinSnapshot()
-	released := false
-	defer func() {
-		if !released {
-			release()
-		}
-	}()
+	pin := tbl.deltas.Begin() // what CheckpointTo holds
+	defer pin.Abort()
 
 	// A commit the pin must never see.
 	if err := tbl.Update(row, workload.ItemPriceCol, schema.FloatValue(222)); err != nil {
@@ -46,21 +42,8 @@ func TestPruneRespectsPinnedSnapshot(t *testing.T) {
 	// The state visible at the pinned timestamp is still 111: either the
 	// delta survived pruning, or Merge folded it into the base — never
 	// the newer 222.
-	got := func() float64 {
-		if rec, deleted, _, ok := tbl.deltas.VersionAt(row, pinTS); ok {
-			if deleted {
-				t.Fatal("pinned version reads as deleted")
-			}
-			return rec[workload.ItemPriceCol].F
-		}
-		v, err := tbl.baseValue(row, workload.ItemPriceCol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v.F
-	}
-	if v := got(); v != 111 {
-		t.Fatalf("visible at pinned ts: %v, want 111", v)
+	if rec, err := tbl.recordAt(pin, row); err != nil || rec[workload.ItemPriceCol].F != 111 {
+		t.Fatalf("visible at pinned ts: %v, %v, want 111", rec, err)
 	}
 	// The latest snapshot reads the newer commit.
 	rec, err := tbl.Get(row)
@@ -72,8 +55,7 @@ func TestPruneRespectsPinnedSnapshot(t *testing.T) {
 	}
 
 	// Once the pin drops, Merge may fold everything; latest stays 222.
-	release()
-	released = true
+	pin.Abort()
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,4 +150,44 @@ func TestCheckpointUnderConcurrentWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// A checkpointed delta keeps the byte that once flagged a deletion, as a
+// reserved zero: the image restores, and the same image with that byte
+// set — the file checksum would pass, it was written that way — is
+// corruption, not a row to drop.
+func TestCheckpointDeltaReservedByte(t *testing.T) {
+	_, tbl := newTable(t, Options{ChunkRows: 64, HotChunks: 1}, 100)
+	defer tbl.Free()
+	if err := tbl.Update(9, workload.ItemPriceCol, schema.FloatValue(4.5)); err != nil {
+		t.Fatal(err)
+	}
+	var enc, rec wal.Encoder
+	if _, _, err := tbl.CheckpointTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	want, err := tbl.Get(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The image ends: … row, ts, the byte, the record, an empty manifest.
+	rec.Record(want)
+	img := enc.Bytes()
+	flag := len(img) - 4 - len(rec.Bytes()) - 1
+	restore := func() (*Table, error) {
+		return New(engine.NewEnv(), Options{ChunkRows: 64, HotChunks: 1}).
+			RestoreTable("item", workload.ItemSchema(), wal.NewDecoder(img))
+	}
+	rt, err := restore()
+	if err != nil || img[flag] != 0 {
+		t.Fatalf("restore: %v (byte at %d is %d)", err, flag, img[flag])
+	}
+	defer rt.Free()
+	if got, err := rt.Get(9); err != nil || !got.Equal(want) {
+		t.Fatalf("restored row 9 = %v, %v, want %v", got, err, want)
+	}
+	img[flag] = 1
+	if _, err := restore(); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("restore of a set reserved byte: %v, want ErrCorrupt", err)
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"hybridstore/internal/obs"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/tx"
+	"hybridstore/internal/wal"
 	"hybridstore/internal/workload"
 )
 
@@ -33,7 +34,7 @@ func oraclePatchRows(t *Table, reader *tx.Tx) ([]patched, error) {
 		if t.deltas.LatestTS(row) == 0 {
 			continue
 		}
-		rec, err := reader.Read(t.deltas, row)
+		rec, err := reader.Read(row)
 		if errors.Is(err, tx.ErrNotFound) {
 			continue
 		}
@@ -67,7 +68,7 @@ func oracleScan(t *Table, p exec.Plan) (exec.Result, error) {
 	if err != nil {
 		return exec.Result{}, err
 	}
-	reader := t.txm.Begin()
+	reader := t.deltas.Begin()
 	defer reader.Abort()
 	rows, err := oraclePatchRows(t, reader)
 	if err != nil {
@@ -185,7 +186,7 @@ func TestPatchWalkMatchesOracle(t *testing.T) {
 
 		check := func(step int) {
 			t.Helper()
-			reader := tbl.txm.Begin()
+			reader := tbl.deltas.Begin()
 			want, err := oraclePatchRows(tbl, reader)
 			if err != nil {
 				t.Fatal(err)
@@ -220,8 +221,8 @@ func TestPatchWalkMatchesOracle(t *testing.T) {
 
 		merge := func(step int) {
 			t.Helper()
-			minTS := tbl.txm.MinActiveTS()
-			reader := tbl.txm.Begin()
+			minTS := tbl.deltas.MinActiveTS()
+			reader := tbl.deltas.Begin()
 			visible, err := oraclePatchRows(tbl, reader)
 			reader.Abort()
 			if err != nil {
@@ -236,7 +237,7 @@ func TestPatchWalkMatchesOracle(t *testing.T) {
 			wantBase := make([]schema.Record, rows)
 			wantTS := make([]uint64, rows)
 			for row := range wantBase {
-				if wantBase[row], err = tbl.baseRecord(uint64(row)); err != nil {
+				if wantBase[row], _, err = tbl.baseRecord(uint64(row)); err != nil {
 					t.Fatal(err)
 				}
 				wantTS[row] = tbl.deltas.LatestTS(uint64(row))
@@ -248,7 +249,7 @@ func TestPatchWalkMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for row := range wantBase {
-				got, err := tbl.baseRecord(uint64(row))
+				got, _, err := tbl.baseRecord(uint64(row))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -549,5 +550,107 @@ func TestMergeKeepsRacingCommits(t *testing.T) {
 		if err := tbl.Merge(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A live reader's horizon holds against everything that moves versions:
+// while committers (lone statements and multi-row transactions), Merge
+// and CheckpointTo run, MinActiveTS never passes the snapshot of a
+// transaction still open, and every row that transaction read reads the
+// same until it ends — so no version it can see was pruned, and none
+// forgotten without the base holding exactly that value. Afterwards no
+// snapshot is left registered: a merge folds every chain. Run under
+// -race.
+func TestLiveReaderHorizonHolds(t *testing.T) {
+	const rows, writers, readers, snapshots = 256, 3, 2, 120
+	_, tbl := newTable(t, Options{ChunkRows: 64, HotChunks: 1}, rows)
+	defer tbl.Free()
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	background := func(step func(r *rand.Rand) error) {
+		bg.Add(1)
+		go func(seed int64) {
+			defer bg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(rand.Int()))
+	}
+	for g := 0; g < writers; g++ {
+		background(func(r *rand.Rand) error {
+			v := schema.FloatValue(float64(r.Intn(1 << 20)))
+			if r.Intn(3) > 0 {
+				return tbl.Update(uint64(r.Intn(rows)), workload.ItemPriceCol, v)
+			}
+			x := tbl.Begin()
+			for n := 2 + r.Intn(3); n > 0; n-- {
+				if err := x.Update(uint64(r.Intn(rows)), workload.ItemPriceCol, v); err != nil {
+					return err
+				}
+			}
+			if err := x.Commit(); err != nil && !errors.Is(err, tx.ErrConflict) {
+				return err
+			}
+			return nil
+		})
+	}
+	background(func(*rand.Rand) error { return tbl.Merge() })
+	background(func(*rand.Rand) error {
+		_, _, err := tbl.CheckpointTo(new(wal.Encoder))
+		return err
+	})
+
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < snapshots; i++ {
+				x := tbl.Begin()
+				ts := x.x.SnapshotTS()
+				first := make(map[uint64]float64)
+				for pass := 0; pass < 4; pass++ {
+					for n := 0; n < 8; n++ {
+						row := uint64(r.Intn(rows))
+						rec, err := x.Read(row)
+						if err != nil {
+							t.Errorf("snapshot %d row %d: %v", ts, row, err)
+							return
+						}
+						got := rec[workload.ItemPriceCol].F
+						if want, seen := first[row]; seen && got != want {
+							t.Errorf("snapshot %d: row %d read %v, then %v", ts, row, want, got)
+							return
+						}
+						first[row] = got
+					}
+					if min := tbl.deltas.MinActiveTS(); min > ts {
+						t.Errorf("MinActiveTS = %d with a reader at %d still open", min, ts)
+						return
+					}
+					runtime.Gosched()
+				}
+				x.Abort()
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	if err := tbl.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tbl.PendingVersions(); n != 0 {
+		t.Fatalf("%d versions survive a merge with no transaction open: a snapshot stayed registered", n)
 	}
 }

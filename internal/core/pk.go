@@ -7,17 +7,12 @@ import (
 	"hybridstore/internal/engine"
 	"hybridstore/internal/index"
 	"hybridstore/internal/schema"
-	"hybridstore/internal/tx"
 )
 
 // ErrImmutablePK is returned by updates targeting the indexed primary-key
 // attribute: the reference engine keeps primary keys immutable so the
 // hash index stays consistent with MVCC without index versioning.
 var ErrImmutablePK = errors.New("core: primary-key attribute is immutable")
-
-// hasPKIndex reports whether the table maintains a primary-key index
-// (attribute 0 must be an int64 for the hash index to apply).
-func (t *Table) hasPKIndex() bool { return t.pk != nil }
 
 // initPK is called from Create when the schema supports indexing.
 func (t *Table) initPK() {
@@ -74,8 +69,10 @@ func (t *Table) LookupPK(pk int64) (uint64, bool) {
 	return row, err == nil
 }
 
-// readByPK is the Txn-scoped variant of GetByPK.
-func (t *Table) readByPK(x *tx.Tx, pk int64) (schema.Record, error) {
+// ReadByPK is the transaction-scoped Q1: GetByPK under the
+// transaction's snapshot.
+func (x *Txn) ReadByPK(pk int64) (schema.Record, error) {
+	t := x.t
 	if t.pk == nil {
 		return nil, fmt.Errorf("%w: relation has no int64 primary key", engine.ErrUnsupported)
 	}
@@ -85,10 +82,5 @@ func (t *Table) readByPK(x *tx.Tx, pk int64) (schema.Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: pk %d", engine.ErrNoSuchRow, pk)
 	}
-	return t.recordAt(x, row)
-}
-
-// ReadByPK is Txn's Q1: a snapshot read identified by primary key.
-func (x *Txn) ReadByPK(pk int64) (schema.Record, error) {
-	return x.t.readByPK(x.x, pk)
+	return t.recordAt(x.x, row)
 }

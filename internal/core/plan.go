@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"hybridstore/internal/engine"
@@ -71,15 +70,15 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	defer t.mu.RUnlock()
 	if shape.Op == exec.KindGet {
 		if len(plans) == 1 {
-			// The solo point read keeps its own lean path: no gather map,
-			// no snapshot unless the cache misses.
+			// A lone get takes no snapshot unless the cache misses and
+			// charges its one gather itself.
 			rec, err := t.getLocked(plans[0].Row)
 			out[0].Rec = rec
 			return out, err
 		}
 		return out, t.gatherLocked(plans, out)
 	}
-	reader := t.txm.Begin()
+	reader := t.deltas.Begin()
 	defer reader.Abort()
 	// The monitor sees K logical column scans: a batch changes the
 	// execution cost, not the workload the adaptation layer reasons
@@ -191,13 +190,12 @@ var mPatchRows = obs.NewCounter("core.patch.rows")
 
 // patchRows is the one MVCC patch iterator: it calls fn, in ascending
 // row order, with every table row that carries a delta version the
-// reader's snapshot sees — that version's record and commit timestamp —
-// skipping rows whose visible version is a delete marker. It is a
-// filter over tx.Store.RangeVisible, so a walk costs the live chains,
-// not the table's rows, and takes the store's lock once; fn inherits
-// the iterator's contract: rec is read-only and not retained. reader
-// must be a fresh read-only snapshot (the iterator does not see a
-// transaction's own buffered writes).
+// reader's snapshot sees — that version's record and commit timestamp.
+// It is tx.Store.RangeVisible clipped to the table's rows, so a walk
+// costs the live chains, not the table's rows, and takes the store's
+// lock once; fn inherits the iterator's contract: rec is read-only and
+// not retained. reader must be a fresh read-only snapshot (the iterator
+// does not see a transaction's own buffered writes).
 func (t *Table) patchRows(reader *tx.Tx, fn func(row uint64, rec schema.Record, verTS uint64) error) error {
 	if reader.Pending() != 0 {
 		panic("core: patchRows over a transaction with buffered writes")
@@ -205,12 +203,9 @@ func (t *Table) patchRows(reader *tx.Tx, fn func(row uint64, rec schema.Record, 
 	rows := t.rel.Rows()
 	var err error
 	var handed int64
-	t.deltas.RangeVisible(reader.SnapshotTS(), func(row uint64, rec schema.Record, deleted bool, verTS uint64) bool {
+	t.deltas.RangeVisible(reader.SnapshotTS(), func(row uint64, rec schema.Record, verTS uint64) bool {
 		if row >= rows {
 			return false // ascending: nothing below rows is left
-		}
-		if deleted {
-			return true
 		}
 		handed++
 		err = fn(row, rec, verTS)
@@ -237,13 +232,16 @@ func (t *Table) rowStampLocked(row uint64) (rescache.Key, rescache.Stamp, bool) 
 	return rescache.Key{Table: t.rel.Name(), Op: exec.KindGet, Row: row}, t.chunkStampLocked(c), true
 }
 
-// getLocked materializes the current record at row under the caller's
-// read lock: the newest committed delta version if one exists, else the
-// base fragments. Delta-free rows are served from / published to the
-// result cache.
-func (t *Table) getLocked(row uint64) (schema.Record, error) {
-	if row >= t.rel.Rows() {
-		return nil, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rel.Rows())
+// pointLocked is the one point-read body. Under the caller's read lock
+// it answers row from its result-cache entry while the row is delta-free
+// and the entry current, else from reader's snapshot — the delta version
+// it sees or the base fragments — and publishes what it read if the row
+// stayed clean. A nil reader is a lone read: it begins its own snapshot,
+// and only on a cache miss. c is the chunk whose base fragments were
+// read (nil for a hit or a delta), left for the caller to charge.
+func (t *Table) pointLocked(reader *tx.Tx, row uint64) (rec schema.Record, c *chunk, err error) {
+	if rows := t.rel.Rows(); row >= rows {
+		return nil, nil, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, rows)
 	}
 	t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
 	cache := t.eng.rescache
@@ -254,19 +252,28 @@ func (t *Table) getLocked(row uint64) (schema.Record, error) {
 		if key, st, cacheable = t.rowStampLocked(row); !cacheable {
 			cache.Bypass()
 		} else if v, ok := cache.Lookup(key, st); ok {
-			return v.Rec, nil
+			return v.Rec, nil, nil
 		}
 	}
-	reader := t.txm.Begin()
-	defer reader.Abort()
-	rec, err := t.recordAt(reader, row)
-	if err != nil {
-		return nil, err
+	if reader == nil {
+		reader = t.deltas.Begin()
+		defer reader.Abort()
+	}
+	if rec, c, err = t.readAt(reader, row); err != nil {
+		return nil, nil, err
 	}
 	if cacheable && t.deltas.LatestTS(row) == 0 {
 		cache.Put(key, st, rescache.Value{Rec: rec})
 	}
-	return rec, nil
+	return rec, c, nil
+}
+
+// getLocked materializes the current record at row under the caller's
+// read lock: the lone case of the point read, charged as one gather.
+func (t *Table) getLocked(row uint64) (schema.Record, error) {
+	rec, c, err := t.pointLocked(nil, row)
+	t.chargeDeviceGather(c, 1)
+	return rec, err
 }
 
 // gatherLocked materializes many rows from one snapshot — the storage
@@ -274,45 +281,19 @@ func (t *Table) getLocked(row uint64) (schema.Record, error) {
 // to one solo get per row against the same snapshot, but the pass
 // charges device-resident gathers per CHUNK: k rows hitting one chunk's
 // device fragments cost one bus transfer of k-fold bytes (one fixed
-// transfer latency) instead of k separate transfers. Clean rows are
-// served from / published to the result cache per row.
+// transfer latency) instead of k separate transfers.
 func (t *Table) gatherLocked(plans []exec.Plan, out []exec.Result) error {
-	reader := t.txm.Begin()
+	reader := t.deltas.Begin() // before the first probe: a hit must hold at the snapshot
 	defer reader.Abort()
-	rows := t.rel.Rows()
-	cache := t.eng.rescache
 	gathers := make(map[*chunk]int64)
 	for i, p := range plans {
-		row := p.Row
-		if row >= rows {
-			return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, rows)
-		}
-		t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
-		var key rescache.Key
-		var st rescache.Stamp
-		cacheable := false
-		if cache != nil {
-			if key, st, cacheable = t.rowStampLocked(row); !cacheable {
-				cache.Bypass()
-			} else if v, ok := cache.Lookup(key, st); ok {
-				out[i].Rec = v.Rec
-				continue
-			}
-		}
-		rec, err := reader.Read(t.deltas, row)
-		if errors.Is(err, tx.ErrNotFound) {
-			var c *chunk
-			if c, err = t.chunkFor(row); err == nil {
-				rec, err = t.recordFromChunk(c, row)
-				gathers[c]++
-			}
-		}
+		rec, c, err := t.pointLocked(reader, p.Row)
 		if err != nil {
 			return err
 		}
 		out[i].Rec = rec
-		if cacheable && t.deltas.LatestTS(row) == 0 {
-			cache.Put(key, st, rescache.Value{Rec: rec})
+		if c != nil {
+			gathers[c]++
 		}
 	}
 	for c, k := range gathers {

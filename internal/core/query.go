@@ -22,14 +22,21 @@ func (t *Table) Get(row uint64) (schema.Record, error) {
 	return t.getLocked(row)
 }
 
-// recordAt resolves row under the given transaction's snapshot.
-func (t *Table) recordAt(x *tx.Tx, row uint64) (schema.Record, error) {
-	if rec, err := x.Read(t.deltas, row); err == nil {
-		return rec, nil
-	} else if !errors.Is(err, tx.ErrNotFound) {
-		return nil, err
+// readAt resolves row under x's snapshot: the delta version x sees (or
+// its own buffered write), else the base fragments — c is then the chunk
+// read, whose device gather the caller charges.
+func (t *Table) readAt(x *tx.Tx, row uint64) (rec schema.Record, c *chunk, err error) {
+	if rec, err = x.Read(row); !errors.Is(err, tx.ErrNotFound) {
+		return rec, nil, err
 	}
 	return t.baseRecord(row)
+}
+
+// recordAt is readAt for a row read on its own: one row's gather.
+func (t *Table) recordAt(x *tx.Tx, row uint64) (schema.Record, error) {
+	rec, c, err := t.readAt(x, row)
+	t.chargeDeviceGather(c, 1)
+	return rec, err
 }
 
 // Update installs a new version of one field through a single-operation
@@ -66,14 +73,14 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 // updateOnce is one attempt of Update: read row under a fresh snapshot,
 // set the field, commit. Caller holds t.mu.
 func (t *Table) updateOnce(row uint64, col int, v schema.Value) error {
-	x := t.txm.Begin()
+	x := t.deltas.Begin()
 	rec, err := t.recordAt(x, row)
 	if err != nil {
 		x.Abort()
 		return err
 	}
 	rec[col] = v
-	if err := x.Write(t.deltas, row, rec); err != nil {
+	if err := x.Write(row, rec); err != nil {
 		x.Abort()
 		return err
 	}
@@ -84,7 +91,7 @@ func (t *Table) updateOnce(row uint64, col int, v schema.Value) error {
 func (t *Table) Materialize(positions []uint64) ([]schema.Record, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	reader := t.txm.Begin()
+	reader := t.deltas.Begin()
 	defer reader.Abort()
 	out := make([]schema.Record, len(positions))
 	for i, p := range positions {
@@ -195,7 +202,7 @@ type Txn struct {
 }
 
 // Begin opens a transaction.
-func (t *Table) Begin() *Txn { return &Txn{t: t, x: t.txm.Begin()} }
+func (t *Table) Begin() *Txn { return &Txn{t: t, x: t.deltas.Begin()} }
 
 // Read returns the record at row under the transaction's snapshot.
 func (x *Txn) Read(row uint64) (schema.Record, error) {
@@ -209,6 +216,9 @@ func (x *Txn) Read(row uint64) (schema.Record, error) {
 
 // Update buffers a field update.
 func (x *Txn) Update(row uint64, col int, v schema.Value) error {
+	if col < 0 || col >= x.t.s.Arity() {
+		return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
+	}
 	if err := x.t.guardPKUpdate(col); err != nil {
 		return err
 	}
@@ -217,10 +227,12 @@ func (x *Txn) Update(row uint64, col int, v schema.Value) error {
 		return err
 	}
 	rec[col] = v
-	return x.x.Write(x.t.deltas, row, rec)
+	return x.x.Write(row, rec)
 }
 
-// Commit installs the buffered writes (ErrConflict on lost races).
+// Commit installs the buffered writes; it fails with tx.ErrConflict if
+// another transaction committed one of the rows first (first committer
+// wins).
 func (x *Txn) Commit() error { return x.x.Commit() }
 
 // Abort discards the transaction.
@@ -235,8 +247,8 @@ func (t *Table) Merge() error {
 	defer t.mu.Unlock()
 	sp := sfMerge.Start()
 	defer sp.End()
-	minTS := t.txm.MinActiveTS()
-	reader := t.txm.Begin()
+	minTS := t.deltas.MinActiveTS()
+	reader := t.deltas.Begin()
 	defer reader.Abort()
 	// Cold fragments rewritten below already stop validating through their
 	// version bumps; collecting them lets the device cache release the

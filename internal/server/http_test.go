@@ -131,3 +131,65 @@ func TestRequestBodyBound(t *testing.T) {
 		}
 	}
 }
+
+// A statement that could never execute does not prepare: /v1/prepare
+// answers 400 for a float or char group key, an out-of-range column and
+// a non-float aggregate. And over every (op, col, key_col) the item
+// schema allows, whatever does prepare executes — no statement id is
+// handed out that Exec can only answer with a 500 about its columns
+// (group_sum_where with key_col = price used to be one).
+func TestPrepareRejectsWhatExecWould(t *testing.T) {
+	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	sid := s.CreateSession("")
+	const price, name, arity = hybridstore.ItemPriceColumn, 2, 5
+	for _, tc := range []struct {
+		op          string
+		col, keyCol int
+	}{
+		{"group_sum_where", price, price}, // float key
+		{"group_sum_where", price, name},  // char key
+		{"group_sum_where", price, arity}, // key out of range
+		{"group_sum_where", price, -1},
+		{"group_sum_where", 1, 1}, // int32 aggregate
+		{"sum_where", arity, 0},
+		{"sum", -1, 0},
+		{"count_where", name, 0},
+	} {
+		code, body := post(t, ts.Client(), ts.URL+"/v1/prepare", fmt.Sprintf(
+			`{"session_id":"%s","op":"%s","table":"item","col":%d,"key_col":%d}`, sid, tc.op, tc.col, tc.keyCol))
+		if code != 400 {
+			t.Errorf("prepare %s col %d key_col %d: %d %s, want 400", tc.op, tc.col, tc.keyCol, code, body)
+		}
+	}
+
+	args := map[string]string{
+		"get": `"row":3`, "get_pk": `"pk":3`, "sum": `"x":0`,
+		"sum_where":       `"pred":{"kind":"lt","hi":30}`,
+		"count_where":     `"pred":{"kind":"lt","hi":30}`,
+		"group_sum_where": `"pred":{"kind":"gt","lo":1}`,
+	}
+	prepared := 0
+	for op, arg := range args {
+		for col := -1; col <= arity; col++ {
+			for keyCol := -1; keyCol <= arity; keyCol++ {
+				id, err := s.Prepare(sid, op, "item", col, keyCol)
+				if err != nil {
+					continue
+				}
+				prepared++
+				body, code := exec1(s, fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,%s}`, sid, id, arg))
+				if code != 200 {
+					t.Errorf("%s col %d key_col %d prepared, then Exec: %d %s", op, col, keyCol, code, body)
+				}
+			}
+		}
+	}
+	// get and get_pk bind no column (2·49); the three float aggregates
+	// take price with any key_col (3·7); the grouped one the two integer
+	// keys.
+	if want := 2*49 + 3*7 + 2; prepared != want {
+		t.Errorf("%d statements prepared, want %d", prepared, want)
+	}
+}

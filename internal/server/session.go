@@ -128,25 +128,17 @@ func (s *Server) Prepare(sid, op, table string, col, keyCol int) (int, error) {
 	}
 	sc := tbl.Schema()
 	st := &stmt{op: kind, tbl: tbl, plan: exec.Plan{Table: tbl.Name(), Op: planKind[kind], Col: col, KeyCol: keyCol}}
-	switch kind {
-	case opGet, opGetPK, opInsert:
-		// No column binding.
-	case opUpdate:
+	if _, read := planKind[kind]; read {
+		// The check Execute runs on every plan, run once here: a statement
+		// that prepares cannot fail on its columns at Exec.
+		if err := st.plan.Check(sc); err != nil {
+			return 0, fmt.Errorf("server: %w", err)
+		}
+	} else if kind == opUpdate {
 		if col < 0 || col >= sc.Arity() {
 			return 0, fmt.Errorf("server: col %d out of range", col)
 		}
 		st.colKind = sc.Attr(col).Kind
-	case opSum, opSumWhere, opCountWhere:
-		if col < 0 || col >= sc.Arity() || sc.Attr(col).Kind != schema.Float64 {
-			return 0, fmt.Errorf("server: col %d is not a float64 attribute", col)
-		}
-	case opGroupSumWhere:
-		if col < 0 || col >= sc.Arity() || sc.Attr(col).Kind != schema.Float64 {
-			return 0, fmt.Errorf("server: val col %d is not a float64 attribute", col)
-		}
-		if keyCol < 0 || keyCol >= sc.Arity() {
-			return 0, fmt.Errorf("server: key col %d out of range", keyCol)
-		}
 	}
 	st.plan = st.plan.Normalize()
 	ss.mu.Lock()

@@ -17,6 +17,11 @@
 //     than the snapshot (else ErrConflict) and installs all writes
 //     atomically at a fresh commit timestamp.
 //   - Prune garbage-collects versions no active snapshot can see.
+//
+// One Store is all of it for one relation: the clock, the set of active
+// snapshots, the write-ahead hook and the version chains. A row, once it
+// has a version, always has one: nothing above this package can delete a
+// row, so a chain holds records only.
 package tx
 
 import (
@@ -25,7 +30,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -33,8 +37,8 @@ import (
 	"hybridstore/internal/schema"
 )
 
-// Process-wide transaction counters, aggregated over every Manager and
-// Store (engines create one of each per table).
+// Process-wide transaction counters, aggregated over every Store (one
+// per table).
 var (
 	mBegins         = obs.NewCounter("tx.begins")
 	mCommits        = obs.NewCounter("tx.commits")
@@ -56,10 +60,9 @@ var (
 
 // version is one entry of a row's version chain, newest first.
 type version struct {
-	ts      uint64
-	rec     schema.Record
-	deleted bool
-	next    *version
+	ts   uint64
+	rec  schema.Record
+	next *version
 }
 
 // Chains are kept in row order: pages of pageRows consecutive rows,
@@ -76,21 +79,33 @@ type page struct {
 	n     int                   // set bits
 }
 
-// Store holds the version chains of one relation. The zero value is not
-// usable; create stores with NewStore. Safe for concurrent use.
+// Store is the MVCC state of one relation: it issues timestamps and
+// transactions and holds the version chains they read and install. The
+// zero value is not usable; create stores with NewStore. Safe for
+// concurrent use.
 type Store struct {
+	// commit is the serial commit point: it guards the clock, the active
+	// snapshots and the logger, and is taken outside mu.
+	commit sync.Mutex
+	clock  uint64
+	active map[*Tx]struct{} // begun, neither committed nor aborted
+	logger CommitLogger     // write-ahead hook; nil when the table is not durable
+
+	// mu guards the chains. A committer takes it to validate and again to
+	// install, never across the log append between the two.
 	mu    sync.RWMutex
 	pages map[uint64]*page // by id, none empty
 	order []*page          // the same pages, ascending id
-	rows  int              // live chains
 	// versions counts the stored versions. It only changes under the
 	// write lock, next to the chain edit it accounts for, and is read
 	// without the lock.
 	versions atomic.Int64
 }
 
-// NewStore creates an empty version store.
-func NewStore() *Store { return &Store{pages: make(map[uint64]*page)} }
+// NewStore creates an empty version store with its clock at 0.
+func NewStore() *Store {
+	return &Store{active: make(map[*Tx]struct{}), pages: make(map[uint64]*page)}
+}
 
 // at returns the newest version of the chain headed by v committed at or
 // before ts.
@@ -112,9 +127,6 @@ func (s *Store) head(row uint64) *version {
 	return nil
 }
 
-// visible returns the newest version of row committed at or before ts.
-func (s *Store) visible(row uint64, ts uint64) *version { return s.head(row).at(ts) }
-
 // LatestTS returns the commit timestamp of row's newest version (0 if the
 // row has none).
 func (s *Store) LatestTS(row uint64) uint64 {
@@ -124,13 +136,6 @@ func (s *Store) LatestTS(row uint64) uint64 {
 		return v.ts
 	}
 	return 0
-}
-
-// Rows returns the number of rows with at least one version.
-func (s *Store) Rows() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rows
 }
 
 // Versions returns the total number of stored versions (for GC tests,
@@ -152,30 +157,9 @@ func (s *Store) install(row uint64, v *version) {
 	if v.next = p.heads[i]; v.next == nil {
 		p.live[i/64] |= 1 << (i % 64)
 		p.n++
-		s.rows++
 	}
 	p.heads[i] = v
 	s.versions.Add(1)
-}
-
-// unlink removes the chain at slot i of p. Caller holds the write lock,
-// accounts for the versions and, before releasing the lock, sweeps the
-// pages this emptied.
-func (s *Store) unlink(p *page, i uint64) {
-	p.heads[i] = nil
-	p.live[i/64] &^= 1 << (i % 64)
-	p.n--
-	s.rows--
-}
-
-// sweep drops the pages whose last chain went.
-func (s *Store) sweep() {
-	s.order = slices.DeleteFunc(s.order, func(p *page) bool {
-		if p.n == 0 {
-			delete(s.pages, p.id)
-		}
-		return p.n == 0
-	})
 }
 
 // dropped accounts for n versions removed from the chains. Caller holds
@@ -187,36 +171,23 @@ func (s *Store) dropped(n int64) {
 
 // Prune drops versions that no snapshot at or after minTS can see: for
 // each chain the newest version with ts <= minTS is kept, everything
-// older is cut. Deleted markers older than minTS are removed entirely.
+// older is cut. Every chain keeps at least one version.
 func (s *Store) Prune(minTS uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var pruned int64
 	for _, p := range s.order {
-		for w, word := range p.live { // a copy: unlink edits the page's
+		for w, word := range p.live {
 			for ; word != 0; word &= word - 1 {
-				i := uint64(w*64 + bits.TrailingZeros64(word))
-				v := p.heads[i]
-				// Find the newest version visible at minTS; cut its tail.
-				for cur := v; cur != nil; cur = cur.next {
-					if cur.ts <= minTS {
-						for t := cur.next; t != nil; t = t.next {
-							pruned++
-						}
-						cur.next = nil
-						break
+				if keep := p.heads[w*64+bits.TrailingZeros64(word)].at(minTS); keep != nil {
+					for v := keep.next; v != nil; v = v.next {
+						pruned++
 					}
-				}
-				// A chain whose only remaining content is an old delete
-				// marker can vanish.
-				if v.deleted && v.ts <= minTS && v.next == nil {
-					pruned++
-					s.unlink(p, i)
+					keep.next = nil
 				}
 			}
 		}
 	}
-	s.sweep()
 	s.dropped(pruned)
 }
 
@@ -224,105 +195,120 @@ func (s *Store) Prune(minTS uint64) {
 // newest version committed at or before upTo, under one acquisition of
 // the write lock. It is the merge path of HTAP engines: the caller
 // folded the version visible at upTo into its base storage and no
-// active snapshot predates upTo (Manager.MinActiveTS). A chain that
-// gained a newer version since — commits do not wait for the merging
-// engine — is left whole: the base then holds an older settled value
-// and the chain keeps patching over it.
+// active snapshot predates upTo (MinActiveTS). A chain that gained a
+// newer version since — commits do not wait for the merging engine — is
+// left whole: the base then holds an older settled value and the chain
+// keeps patching over it.
 func (s *Store) Forget(rows []uint64, upTo uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n int64
 	for _, row := range rows {
-		p := s.pages[row/pageRows]
-		if p == nil {
+		p, i := s.pages[row/pageRows], row%pageRows
+		if p == nil || p.heads[i] == nil || p.heads[i].ts > upTo {
 			continue
 		}
-		v := p.heads[row%pageRows]
-		if v == nil || v.ts > upTo {
-			continue
-		}
-		for ; v != nil; v = v.next {
+		for v := p.heads[i]; v != nil; v = v.next {
 			n++
 		}
-		s.unlink(p, row%pageRows)
+		p.heads[i] = nil
+		p.live[i/64] &^= 1 << (i % 64)
+		p.n--
 	}
-	s.sweep()
+	// The pages whose last chain went go with it.
+	s.order = slices.DeleteFunc(s.order, func(p *page) bool {
+		if p.n == 0 {
+			delete(s.pages, p.id)
+		}
+		return p.n == 0
+	})
 	s.dropped(n)
 }
 
-// Manager issues timestamps and transactions over any number of stores.
-// Safe for concurrent use.
-type Manager struct {
-	mu     sync.Mutex
-	clock  uint64
-	active map[uint64]uint64 // txID → beginTS
-	nextID uint64
-	logger CommitLogger // write-ahead hook; nil when the table is not durable
+// hit is one visible version a walk collected.
+type hit struct {
+	row uint64
+	v   *version
 }
 
-// NewManager creates a transaction manager.
-func NewManager() *Manager {
-	return &Manager{active: make(map[uint64]uint64)}
-}
+// hitScratch recycles the walks' hit lists: 16 B per live chain and
+// scan otherwise.
+var hitScratch = sync.Pool{New: func() any { return new([]hit) }}
 
-// Begin starts a transaction with a snapshot of the current clock.
-func (m *Manager) Begin() *Tx {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nextID++
-	t := &Tx{
-		m:       m,
-		id:      m.nextID,
-		beginTS: m.clock,
-		writes:  make(map[writeKey]writeVal),
+// RangeVisible is the store's one visible-version iterator: it calls
+// fn, in ascending row order, once for every row with a version visible
+// at ts, passing that version's record and commit timestamp. fn
+// returning false stops the walk.
+//
+// The walk takes the read lock once, and only to collect the visible
+// versions — committers wait for one pass over the live chains, not for
+// fn. The pages are in row order, so the pass is O(c) for c live chains
+// and sorts nothing. It then calls fn outside the lock, and what fn
+// sees is the store at the instant of collection: versions are
+// immutable once installed, so a commit, Prune or Forget that lands
+// later changes nothing the walk hands out. For the same reason rec is
+// the stored record itself, not a copy: it is read-only, and fn should
+// copy out what it needs rather than retain it (a held record outlives
+// the version's removal).
+func (s *Store) RangeVisible(ts uint64, fn func(row uint64, rec schema.Record, verTS uint64) bool) {
+	scratch := hitScratch.Get().(*[]hit)
+	hits := (*scratch)[:0]
+	s.mu.RLock()
+	for _, p := range s.order {
+		for w, word := range p.live {
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				if v := p.heads[i].at(ts); v != nil {
+					hits = append(hits, hit{p.id*pageRows + uint64(i), v})
+				}
+			}
+		}
 	}
-	m.active[t.id] = t.beginTS
+	s.mu.RUnlock()
+	for _, h := range hits {
+		if !fn(h.row, h.v.rec, h.v.ts) {
+			break
+		}
+	}
+	clear(hits) // pooled scratch must not keep removed versions alive
+	*scratch = hits
+	hitScratch.Put(scratch)
+}
+
+// Begin starts a transaction with a snapshot of the current clock. Until
+// it commits or aborts, MinActiveTS does not pass that snapshot — which
+// is all a reader that only wants a stable horizon needs from it.
+func (s *Store) Begin() *Tx {
+	s.commit.Lock()
+	defer s.commit.Unlock()
+	t := &Tx{s: s, beginTS: s.clock}
+	s.active[t] = struct{}{}
 	mBegins.Inc()
 	return t
 }
 
 // MinActiveTS returns the smallest snapshot timestamp any active
 // transaction holds, or the current clock when none is active. It is the
-// safe horizon for Store.Prune.
-func (m *Manager) MinActiveTS() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	min := m.clock
-	for _, ts := range m.active {
-		if ts < min {
-			min = ts
-		}
+// safe horizon for Prune and Forget.
+func (s *Store) MinActiveTS() uint64 {
+	s.commit.Lock()
+	defer s.commit.Unlock()
+	ts := s.clock
+	for t := range s.active {
+		ts = min(ts, t.beginTS)
 	}
-	return min
-}
-
-// Now returns the current logical clock value.
-func (m *Manager) Now() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.clock
-}
-
-// writeKey addresses one row of one store inside a transaction's buffer.
-type writeKey struct {
-	store *Store
-	row   uint64
-}
-
-// writeVal is one buffered write.
-type writeVal struct {
-	rec     schema.Record
-	deleted bool
+	return ts
 }
 
 // Tx is one transaction. A Tx is not safe for concurrent use by multiple
 // goroutines (like database handles, each goroutine begins its own).
 type Tx struct {
-	m       *Manager
-	id      uint64
+	s       *Store
 	beginTS uint64
-	writes  map[writeKey]writeVal
-	closed  bool
+	// writes buffers full records by row. The first Write makes it: a
+	// reader never has one.
+	writes map[uint64]schema.Record
+	closed bool
 }
 
 // SnapshotTS returns the transaction's begin timestamp.
@@ -330,41 +316,32 @@ func (t *Tx) SnapshotTS() uint64 { return t.beginTS }
 
 // Read returns the record of row visible to this transaction: its own
 // buffered write if any, else the newest version at or before its
-// snapshot. ErrNotFound is returned for invisible or deleted rows.
-func (t *Tx) Read(s *Store, row uint64) (schema.Record, error) {
+// snapshot. ErrNotFound is returned for rows with no visible version.
+func (t *Tx) Read(row uint64) (schema.Record, error) {
 	if t.closed {
 		return nil, ErrClosed
 	}
-	if w, ok := t.writes[writeKey{s, row}]; ok {
-		if w.deleted {
-			return nil, fmt.Errorf("%w: row %d deleted in this transaction", ErrNotFound, row)
-		}
-		return w.rec.Clone(), nil
+	if rec, ok := t.writes[row]; ok {
+		return rec.Clone(), nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v := s.visible(row, t.beginTS)
-	if v == nil || v.deleted {
+	t.s.mu.RLock()
+	defer t.s.mu.RUnlock()
+	v := t.s.head(row).at(t.beginTS)
+	if v == nil {
 		return nil, fmt.Errorf("%w: row %d at ts %d", ErrNotFound, row, t.beginTS)
 	}
 	return v.rec.Clone(), nil
 }
 
 // Write buffers a full-record write of row.
-func (t *Tx) Write(s *Store, row uint64, rec schema.Record) error {
+func (t *Tx) Write(row uint64, rec schema.Record) error {
 	if t.closed {
 		return ErrClosed
 	}
-	t.writes[writeKey{s, row}] = writeVal{rec: rec.Clone()}
-	return nil
-}
-
-// Delete buffers a deletion of row.
-func (t *Tx) Delete(s *Store, row uint64) error {
-	if t.closed {
-		return ErrClosed
+	if t.writes == nil {
+		t.writes = make(map[uint64]schema.Record)
 	}
-	t.writes[writeKey{s, row}] = writeVal{deleted: true}
+	t.writes[row] = rec.Clone()
 	return nil
 }
 
@@ -373,8 +350,8 @@ func (t *Tx) Pending() int { return len(t.writes) }
 
 // Commit validates and installs the buffered writes atomically at a fresh
 // commit timestamp. On conflict everything is discarded and ErrConflict
-// returned; the transaction is finished either way. When the manager has
-// a CommitLogger, the write set is appended to the log inside the commit
+// returned; the transaction is finished either way. When the store has a
+// CommitLogger, the write set is appended to the log inside the commit
 // critical section (before versions install) and Commit blocks on
 // durability after the critical section ends.
 func (t *Tx) Commit() error {
@@ -399,44 +376,38 @@ func (t *Tx) Commit() error {
 }
 
 // commitCritical is Commit's validate+log+install section under the
-// manager lock. It returns the durability wait hook from the logger.
+// commit lock. It returns the durability wait hook from the logger.
 func (t *Tx) commitCritical() (func() error, error) {
-	// The manager lock is held across validate+install, making Commit the
+	// The commit lock is held across validate+install, making Commit the
 	// serial commit point: commit-timestamp order equals validation order,
 	// and — because the logger runs here too — equals log append order.
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	defer delete(t.m.active, t.id)
+	s := t.s
+	s.commit.Lock()
+	defer s.commit.Unlock()
+	defer delete(s.active, t)
 
-	// Group writes per store; each store is validated under its own lock.
-	stores := make(map[*Store][]writeKey)
-	for k := range t.writes {
-		stores[k.store] = append(stores[k.store], k)
-	}
-	for s, keys := range stores {
-		s.mu.Lock()
-		for _, k := range keys {
-			if v := s.head(k.row); v != nil && v.ts > t.beginTS {
-				s.mu.Unlock()
-				mConflicts.Inc()
-				return nil, fmt.Errorf("%w: row %d written at ts %d after snapshot %d",
-					ErrConflict, k.row, v.ts, t.beginTS)
-			}
+	s.mu.Lock()
+	for row := range t.writes {
+		if v := s.head(row); v != nil && v.ts > t.beginTS {
+			s.mu.Unlock()
+			mConflicts.Inc()
+			return nil, fmt.Errorf("%w: row %d written at ts %d after snapshot %d",
+				ErrConflict, row, v.ts, t.beginTS)
 		}
-		s.mu.Unlock()
 	}
+	s.mu.Unlock()
 
-	t.m.clock++
-	commitTS := t.m.clock
+	s.clock++
+	commitTS := s.clock
 
 	var wait func() error
-	if t.m.logger != nil && len(t.writes) > 0 {
+	if s.logger != nil && len(t.writes) > 0 {
 		writes := make([]LoggedWrite, 0, len(t.writes))
-		for k, w := range t.writes {
-			writes = append(writes, LoggedWrite{Row: k.row, Deleted: w.deleted, Rec: w.rec})
+		for row, rec := range t.writes {
+			writes = append(writes, LoggedWrite{Row: row, Rec: rec})
 		}
-		sort.Slice(writes, func(i, j int) bool { return writes[i].Row < writes[j].Row })
-		w, err := t.m.logger(commitTS, writes)
+		slices.SortFunc(writes, func(a, b LoggedWrite) int { return cmp.Compare(a.Row, b.Row) })
+		w, err := s.logger(commitTS, writes)
 		if err != nil {
 			mAborts.Inc()
 			return nil, fmt.Errorf("tx: write-ahead append failed, commit aborted: %w", err)
@@ -444,27 +415,78 @@ func (t *Tx) commitCritical() (func() error, error) {
 		wait = w
 	}
 
-	for s, keys := range stores {
-		s.mu.Lock()
-		for _, k := range keys {
-			w := t.writes[k]
-			s.install(k.row, &version{ts: commitTS, rec: w.rec, deleted: w.deleted})
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	for row, rec := range t.writes {
+		s.install(row, &version{ts: commitTS, rec: rec})
 	}
+	s.mu.Unlock()
 	mCommits.Inc()
 	return wait, nil
 }
 
-// Abort discards the buffered writes and finishes the transaction.
+// Abort finishes the transaction, discarding its buffered writes. Only a
+// transaction that had some counts as aborted: a reader giving its
+// snapshot back abandons nothing.
 func (t *Tx) Abort() {
 	if t.closed {
 		return
 	}
 	t.closed = true
+	if len(t.writes) > 0 {
+		mAborts.Inc()
+	}
 	t.writes = nil
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	delete(t.m.active, t.id)
-	mAborts.Inc()
+	t.s.commit.Lock()
+	defer t.s.commit.Unlock()
+	delete(t.s.active, t)
+}
+
+// LoggedWrite is one write-set entry handed to a CommitLogger.
+type LoggedWrite struct {
+	// Row is the row the version installs at.
+	Row uint64
+	// Rec is the after-image.
+	Rec schema.Record
+}
+
+// CommitLogger is the write-ahead hook a durable engine installs on its
+// Store. It is invoked inside the commit critical section — after
+// validation succeeded and the commit timestamp was drawn, before any
+// version installs — so log append order equals commit-timestamp order.
+// It must enqueue the record and return quickly; the returned wait
+// function (may be nil) is called after the critical section ends and
+// blocks until the record is durable, giving group commit its window
+// without serializing concurrent committers. A non-nil error aborts the
+// commit: no versions install and the caller sees the error.
+type CommitLogger func(commitTS uint64, writes []LoggedWrite) (wait func() error, err error)
+
+// SetCommitLogger installs (or, with nil, removes) the write-ahead hook.
+func (s *Store) SetCommitLogger(l CommitLogger) {
+	s.commit.Lock()
+	defer s.commit.Unlock()
+	s.logger = l
+}
+
+// AdvanceTo raises the logical clock to at least ts. Recovery uses it
+// to restore the pre-crash clock before new transactions begin, so
+// fresh commit timestamps stay above every replayed one.
+func (s *Store) AdvanceTo(ts uint64) {
+	s.commit.Lock()
+	defer s.commit.Unlock()
+	s.clock = max(s.clock, ts)
+}
+
+// InstallAt installs a version of row directly at commit timestamp ts —
+// the recovery replay path. Replay must apply commits in their original
+// timestamp order; finding an equal or newer version already in the
+// chain means the log and store disagree (first-committer-wins was
+// violated), which is corruption, not a conflict to skip.
+func (s *Store) InstallAt(row uint64, rec schema.Record, ts uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v := s.head(row); v != nil && v.ts >= ts {
+		return fmt.Errorf("wal replay: row %d already has version at ts %d, replaying ts %d out of order", row, v.ts, ts)
+	}
+	s.install(row, &version{ts: ts, rec: rec.Clone()})
+	return nil
 }

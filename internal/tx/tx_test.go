@@ -31,6 +31,15 @@ func walkedVersions(s *Store) int {
 	return n
 }
 
+// liveRows counts the rows with a chain, by the pages' own counts.
+func liveRows(s *Store) int {
+	n := 0
+	for _, p := range s.order {
+		n += p.n
+	}
+	return n
+}
+
 func mustCommit(t *testing.T, x *Tx) {
 	t.Helper()
 	if err := x.Commit(); err != nil {
@@ -39,13 +48,12 @@ func mustCommit(t *testing.T, x *Tx) {
 }
 
 func TestReadYourOwnWrites(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	x := m.Begin()
-	if err := x.Write(s, 1, rec(10)); err != nil {
+	x := s.Begin()
+	if err := x.Write(1, rec(10)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := x.Read(s, 1)
+	got, err := x.Read(1)
 	if err != nil || got[0].I != 10 {
 		t.Fatalf("own write invisible: %v, %v", got, err)
 	}
@@ -53,42 +61,40 @@ func TestReadYourOwnWrites(t *testing.T) {
 }
 
 func TestSnapshotIsolationNoDirtyReads(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	w := m.Begin()
-	w.Write(s, 1, rec(10))
-	r := m.Begin()
-	if _, err := r.Read(s, 1); !errors.Is(err, ErrNotFound) {
+	w := s.Begin()
+	w.Write(1, rec(10))
+	r := s.Begin()
+	if _, err := r.Read(1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("uncommitted write visible: %v", err)
 	}
 	mustCommit(t, w)
 	// r began before w committed: still invisible (repeatable snapshot).
-	if _, err := r.Read(s, 1); !errors.Is(err, ErrNotFound) {
+	if _, err := r.Read(1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("snapshot moved: %v", err)
 	}
-	r2 := m.Begin()
-	got, err := r2.Read(s, 1)
+	r2 := s.Begin()
+	got, err := r2.Read(1)
 	if err != nil || got[0].I != 10 {
 		t.Fatalf("committed write invisible to later snapshot: %v, %v", got, err)
 	}
 }
 
 func TestRepeatableReadAcrossConcurrentCommits(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	setup := m.Begin()
-	setup.Write(s, 1, rec(1))
+	setup := s.Begin()
+	setup.Write(1, rec(1))
 	mustCommit(t, setup)
 
-	r := m.Begin()
-	first, err := r.Read(s, 1)
+	r := s.Begin()
+	first, err := r.Read(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := m.Begin()
-	w.Write(s, 1, rec(2))
+	w := s.Begin()
+	w.Write(1, rec(2))
 	mustCommit(t, w)
-	second, err := r.Read(s, 1)
+	second, err := r.Read(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,69 +104,41 @@ func TestRepeatableReadAcrossConcurrentCommits(t *testing.T) {
 }
 
 func TestFirstCommitterWins(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	a := m.Begin()
-	b := m.Begin()
-	a.Write(s, 7, rec(1))
-	b.Write(s, 7, rec(2))
+	a := s.Begin()
+	b := s.Begin()
+	a.Write(7, rec(1))
+	b.Write(7, rec(2))
 	mustCommit(t, a)
 	if err := b.Commit(); !errors.Is(err, ErrConflict) {
 		t.Fatalf("second committer err = %v, want ErrConflict", err)
 	}
-	r := m.Begin()
-	got, err := r.Read(s, 7)
+	r := s.Begin()
+	got, err := r.Read(7)
 	if err != nil || got[0].I != 1 {
 		t.Fatalf("winner's write lost: %v, %v", got, err)
 	}
 }
 
 func TestDisjointWritesDoNotConflict(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	a := m.Begin()
-	b := m.Begin()
-	a.Write(s, 1, rec(1))
-	b.Write(s, 2, rec(2))
+	a := s.Begin()
+	b := s.Begin()
+	a.Write(1, rec(1))
+	b.Write(2, rec(2))
 	mustCommit(t, a)
 	mustCommit(t, b)
 }
 
-func TestDelete(t *testing.T) {
-	m := NewManager()
-	s := NewStore()
-	w := m.Begin()
-	w.Write(s, 1, rec(1))
-	mustCommit(t, w)
-
-	d := m.Begin()
-	if err := d.Delete(s, 1); err != nil {
-		t.Fatal(err)
-	}
-	// Own delete is visible.
-	if _, err := d.Read(s, 1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("own delete invisible: %v", err)
-	}
-	mustCommit(t, d)
-	r := m.Begin()
-	if _, err := r.Read(s, 1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted row visible: %v", err)
-	}
-}
-
 func TestClosedTransaction(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	x := m.Begin()
+	x := s.Begin()
 	mustCommit(t, x)
-	if _, err := x.Read(s, 1); !errors.Is(err, ErrClosed) {
+	if _, err := x.Read(1); !errors.Is(err, ErrClosed) {
 		t.Errorf("Read after commit: %v", err)
 	}
-	if err := x.Write(s, 1, rec(1)); !errors.Is(err, ErrClosed) {
+	if err := x.Write(1, rec(1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Write after commit: %v", err)
-	}
-	if err := x.Delete(s, 1); !errors.Is(err, ErrClosed) {
-		t.Errorf("Delete after commit: %v", err)
 	}
 	if err := x.Commit(); !errors.Is(err, ErrClosed) {
 		t.Errorf("double Commit: %v", err)
@@ -169,142 +147,105 @@ func TestClosedTransaction(t *testing.T) {
 }
 
 func TestAbortDiscardsWrites(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	x := m.Begin()
-	x.Write(s, 1, rec(1))
+	x := s.Begin()
+	x.Write(1, rec(1))
 	x.Abort()
-	r := m.Begin()
-	if _, err := r.Read(s, 1); !errors.Is(err, ErrNotFound) {
+	r := s.Begin()
+	if _, err := r.Read(1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("aborted write visible: %v", err)
 	}
 }
 
 func TestWriteBufferOverwrites(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	x := m.Begin()
-	x.Write(s, 1, rec(1))
-	x.Write(s, 1, rec(2))
+	x := s.Begin()
+	x.Write(1, rec(1))
+	x.Write(1, rec(2))
 	if x.Pending() != 1 {
 		t.Fatalf("Pending = %d", x.Pending())
 	}
 	mustCommit(t, x)
-	r := m.Begin()
-	got, _ := r.Read(s, 1)
+	r := s.Begin()
+	got, _ := r.Read(1)
 	if got[0].I != 2 {
 		t.Fatalf("last write lost: %v", got)
 	}
 }
 
 func TestReadReturnsClone(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	x := m.Begin()
-	x.Write(s, 1, rec(1))
+	x := s.Begin()
+	x.Write(1, rec(1))
 	mustCommit(t, x)
-	r := m.Begin()
-	got, _ := r.Read(s, 1)
+	r := s.Begin()
+	got, _ := r.Read(1)
 	got[0] = schema.IntValue(99)
-	again, _ := r.Read(s, 1)
+	again, _ := r.Read(1)
 	if again[0].I != 1 {
 		t.Fatal("Read exposed internal record storage")
 	}
 }
 
 func TestWriteBuffersClone(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	x := m.Begin()
+	x := s.Begin()
 	mine := rec(1)
-	x.Write(s, 1, mine)
+	x.Write(1, mine)
 	mine[0] = schema.IntValue(99)
-	got, _ := x.Read(s, 1)
+	got, _ := x.Read(1)
 	if got[0].I != 1 {
 		t.Fatal("Write aliased caller's record")
 	}
 }
 
-func TestMultiStoreCommit(t *testing.T) {
-	m := NewManager()
-	s1, s2 := NewStore(), NewStore()
-	x := m.Begin()
-	x.Write(s1, 1, rec(1))
-	x.Write(s2, 1, rec(2))
-	mustCommit(t, x)
-	r := m.Begin()
-	a, _ := r.Read(s1, 1)
-	b, _ := r.Read(s2, 1)
-	if a[0].I != 1 || b[0].I != 2 {
-		t.Fatalf("multi-store commit: %v, %v", a, b)
-	}
-}
-
 func TestPrune(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
 	for i := 0; i < 5; i++ {
-		x := m.Begin()
-		x.Write(s, 1, rec(int64(i)))
+		x := s.Begin()
+		x.Write(1, rec(int64(i)))
 		mustCommit(t, x)
 	}
 	if s.Versions() != 5 {
 		t.Fatalf("versions = %d", s.Versions())
 	}
-	s.Prune(m.MinActiveTS())
+	s.Prune(s.MinActiveTS())
 	if s.Versions() != 1 {
 		t.Fatalf("after prune versions = %d, want 1", s.Versions())
 	}
-	r := m.Begin()
-	got, err := r.Read(s, 1)
+	r := s.Begin()
+	got, err := r.Read(1)
 	if err != nil || got[0].I != 4 {
 		t.Fatalf("newest version lost: %v, %v", got, err)
 	}
 }
 
 func TestPruneRespectsActiveSnapshots(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
-	w1 := m.Begin()
-	w1.Write(s, 1, rec(1))
+	w1 := s.Begin()
+	w1.Write(1, rec(1))
 	mustCommit(t, w1)
 
-	oldReader := m.Begin() // snapshot sees version 1
+	oldReader := s.Begin() // snapshot sees version 1
 
-	w2 := m.Begin()
-	w2.Write(s, 1, rec(2))
+	w2 := s.Begin()
+	w2.Write(1, rec(2))
 	mustCommit(t, w2)
 
-	s.Prune(m.MinActiveTS())
-	got, err := oldReader.Read(s, 1)
+	s.Prune(s.MinActiveTS())
+	got, err := oldReader.Read(1)
 	if err != nil || got[0].I != 1 {
 		t.Fatalf("prune destroyed a visible version: %v, %v", got, err)
 	}
 }
 
-func TestPruneRemovesDeadDeletedRows(t *testing.T) {
-	m := NewManager()
-	s := NewStore()
-	w := m.Begin()
-	w.Write(s, 1, rec(1))
-	mustCommit(t, w)
-	d := m.Begin()
-	d.Delete(s, 1)
-	mustCommit(t, d)
-	s.Prune(m.MinActiveTS())
-	if s.Rows() != 0 {
-		t.Fatalf("dead deleted row kept: rows = %d", s.Rows())
-	}
-}
-
 func TestLatestTS(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
 	if s.LatestTS(1) != 0 {
 		t.Error("empty row has nonzero LatestTS")
 	}
-	x := m.Begin()
-	x.Write(s, 1, rec(1))
+	x := s.Begin()
+	x.Write(1, rec(1))
 	mustCommit(t, x)
 	if s.LatestTS(1) == 0 {
 		t.Error("LatestTS not updated")
@@ -312,33 +253,32 @@ func TestLatestTS(t *testing.T) {
 }
 
 func TestMinActiveTS(t *testing.T) {
-	m := NewManager()
-	if m.MinActiveTS() != 0 {
-		t.Error("fresh manager MinActiveTS != clock")
+	s := NewStore()
+	if s.MinActiveTS() != 0 {
+		t.Error("fresh store MinActiveTS != clock")
 	}
-	a := m.Begin()
-	w := m.Begin()
-	w.Write(NewStore(), 1, rec(1))
+	a := s.Begin()
+	w := s.Begin()
+	w.Write(1, rec(1))
 	mustCommit(t, w)
-	if m.MinActiveTS() != a.SnapshotTS() {
-		t.Errorf("MinActiveTS = %d, want %d", m.MinActiveTS(), a.SnapshotTS())
+	if s.MinActiveTS() != a.SnapshotTS() {
+		t.Errorf("MinActiveTS = %d, want %d", s.MinActiveTS(), a.SnapshotTS())
 	}
 	a.Abort()
-	if m.MinActiveTS() != m.Now() {
-		t.Errorf("MinActiveTS after abort = %d, want clock %d", m.MinActiveTS(), m.Now())
+	if now := s.Begin().SnapshotTS(); s.MinActiveTS() != now {
+		t.Errorf("MinActiveTS after abort = %d, want clock %d", s.MinActiveTS(), now)
 	}
 }
 
 // Concurrent bank-transfer style test: the sum over all accounts must be
 // invariant under concurrent conflicting transactions.
 func TestConcurrentTransfersPreserveTotal(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
 	const accounts = 8
 	const initial = 100
-	setup := m.Begin()
+	setup := s.Begin()
 	for i := uint64(0); i < accounts; i++ {
-		setup.Write(s, i, rec(initial))
+		setup.Write(i, rec(initial))
 	}
 	mustCommit(t, setup)
 
@@ -348,27 +288,27 @@ func TestConcurrentTransfersPreserveTotal(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				x := m.Begin()
+				x := s.Begin()
 				from := uint64((g + i) % accounts)
 				to := uint64((g + i + 1) % accounts)
-				a, err1 := x.Read(s, from)
-				b, err2 := x.Read(s, to)
+				a, err1 := x.Read(from)
+				b, err2 := x.Read(to)
 				if err1 != nil || err2 != nil {
 					x.Abort()
 					continue
 				}
-				x.Write(s, from, rec(a[0].I-1))
-				x.Write(s, to, rec(b[0].I+1))
+				x.Write(from, rec(a[0].I-1))
+				x.Write(to, rec(b[0].I+1))
 				_ = x.Commit() // conflicts abort the whole transfer
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	r := m.Begin()
+	r := s.Begin()
 	var total int64
 	for i := uint64(0); i < accounts; i++ {
-		v, err := r.Read(s, i)
+		v, err := r.Read(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,41 +323,40 @@ func TestConcurrentTransfersPreserveTotal(t *testing.T) {
 // regardless of interleaved committers.
 func TestQuickSnapshotStability(t *testing.T) {
 	f := func(writes []uint8) bool {
-		m := NewManager()
 		s := NewStore()
-		init := m.Begin()
+		init := s.Begin()
 		for i := uint64(0); i < 4; i++ {
-			init.Write(s, i, rec(int64(i)))
+			init.Write(i, rec(int64(i)))
 		}
 		if init.Commit() != nil {
 			return false
 		}
-		reader := m.Begin()
+		reader := s.Begin()
 		before := make(map[uint64]int64)
 		for i := uint64(0); i < 4; i++ {
-			v, err := reader.Read(s, i)
+			v, err := reader.Read(i)
 			if err != nil {
 				return false
 			}
 			before[i] = v[0].I
 		}
 		for _, w := range writes {
-			x := m.Begin()
-			x.Write(s, uint64(w%4), rec(int64(w)))
+			x := s.Begin()
+			x.Write(uint64(w%4), rec(int64(w)))
 			if x.Commit() != nil || s.Versions() != walkedVersions(s) {
 				return false
 			}
 			// Pruning under the reader's horizon must not move its view
 			// either, and keeps the count exact.
 			if w%8 == 0 {
-				s.Prune(m.MinActiveTS())
+				s.Prune(s.MinActiveTS())
 				if s.Versions() != walkedVersions(s) {
 					return false
 				}
 			}
 		}
 		for i := uint64(0); i < 4; i++ {
-			v, err := reader.Read(s, i)
+			v, err := reader.Read(i)
 			if err != nil || v[0].I != before[i] {
 				return false
 			}
@@ -433,38 +372,32 @@ func TestQuickSnapshotStability(t *testing.T) {
 // surviving row holds exactly one version (the newest).
 func TestQuickPruneKeepsNewest(t *testing.T) {
 	f := func(ops []uint16) bool {
-		m := NewManager()
 		s := NewStore()
 		want := make(map[uint64]int64)
 		for _, op := range ops {
 			row := uint64(op % 8)
-			x := m.Begin()
-			if op%5 == 0 {
-				x.Delete(s, row)
-				delete(want, row)
-			} else {
-				x.Write(s, row, rec(int64(op)))
-				want[row] = int64(op)
-			}
+			x := s.Begin()
+			x.Write(row, rec(int64(op)))
+			want[row] = int64(op)
 			if x.Commit() != nil || s.Versions() != walkedVersions(s) {
 				return false
 			}
 			// A merge-style drop of a settled chain, now and then.
 			if op%7 == 0 {
-				s.Forget([]uint64{row, row + 8}, m.MinActiveTS())
+				s.Forget([]uint64{row, row + 8}, s.MinActiveTS())
 				delete(want, row)
 				if s.Versions() != walkedVersions(s) {
 					return false
 				}
 			}
 		}
-		s.Prune(m.MinActiveTS())
+		s.Prune(s.MinActiveTS())
 		if s.Versions() != len(want) || s.Versions() != walkedVersions(s) {
 			return false
 		}
-		r := m.Begin()
+		r := s.Begin()
 		for row, v := range want {
-			got, err := r.Read(s, row)
+			got, err := r.Read(row)
 			if err != nil || got[0].I != v {
 				return false
 			}
@@ -479,42 +412,37 @@ func TestQuickPruneKeepsNewest(t *testing.T) {
 // visit is one version as RangeVisible reports it (and, in fixtures, as
 // InstallAt installs it).
 type visit struct {
-	row     uint64
-	val     int64
-	deleted bool
-	ts      uint64
+	row uint64
+	val int64
+	ts  uint64
 }
 
 func rangeAt(s *Store, ts uint64) []visit {
 	var out []visit
-	s.RangeVisible(ts, func(row uint64, r schema.Record, deleted bool, verTS uint64) bool {
-		v := visit{row: row, deleted: deleted, ts: verTS}
-		if !deleted {
-			v.val = r[0].I
-		}
-		out = append(out, v)
+	s.RangeVisible(ts, func(row uint64, r schema.Record, verTS uint64) bool {
+		out = append(out, visit{row: row, val: r[0].I, ts: verTS})
 		return true
 	})
 	return out
 }
 
 // The iterator visits ascending rows only, each once, with the version
-// visible at ts (not the newest), flags delete markers and skips rows
-// that have no version yet at ts.
+// visible at ts (not the newest), and skips rows that have no version
+// yet at ts.
 func TestRangeVisibleOrderedSnapshot(t *testing.T) {
 	s := NewStore()
 	// Installed in commit order, which is not row order.
 	for _, in := range []visit{
-		{900, 1, false, 1},
-		{3, 2, false, 2},
-		{41, 3, false, 3},
-		{900, 4, false, 4},
-		{7, 5, false, 5},
-		{41, 0, true, 6},
-		{3, 7, false, 7},
-		{1 << 40, 8, false, 8},
+		{900, 1, 1},
+		{3, 2, 2},
+		{41, 3, 3},
+		{900, 4, 4},
+		{7, 5, 5},
+		{41, 6, 6},
+		{3, 7, 7},
+		{1 << 40, 8, 8},
 	} {
-		if err := s.InstallAt(in.row, rec(in.val), in.deleted, in.ts); err != nil {
+		if err := s.InstallAt(in.row, rec(in.val), in.ts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -523,9 +451,9 @@ func TestRangeVisibleOrderedSnapshot(t *testing.T) {
 		want []visit
 	}{
 		{0, nil},
-		{3, []visit{{3, 2, false, 2}, {41, 3, false, 3}, {900, 1, false, 1}}},
-		{6, []visit{{3, 2, false, 2}, {7, 5, false, 5}, {41, 0, true, 6}, {900, 4, false, 4}}},
-		{99, []visit{{3, 7, false, 7}, {7, 5, false, 5}, {41, 0, true, 6}, {900, 4, false, 4}, {1 << 40, 8, false, 8}}},
+		{3, []visit{{3, 2, 2}, {41, 3, 3}, {900, 1, 1}}},
+		{6, []visit{{3, 2, 2}, {7, 5, 5}, {41, 6, 6}, {900, 4, 4}}},
+		{99, []visit{{3, 7, 7}, {7, 5, 5}, {41, 6, 6}, {900, 4, 4}, {1 << 40, 8, 8}}},
 	} {
 		got := rangeAt(s, tc.ts)
 		if len(got) != len(tc.want) {
@@ -539,7 +467,7 @@ func TestRangeVisibleOrderedSnapshot(t *testing.T) {
 	}
 	// fn returning false stops the walk.
 	n := 0
-	s.RangeVisible(99, func(uint64, schema.Record, bool, uint64) bool { n++; return n < 2 })
+	s.RangeVisible(99, func(uint64, schema.Record, uint64) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Fatalf("walk continued after fn returned false: %d visits", n)
 	}
@@ -549,7 +477,6 @@ func TestRangeVisibleOrderedSnapshot(t *testing.T) {
 // their snapshot: every visited version committed at or before ts and
 // is the one a transaction beginning at ts reads. Run under -race.
 func TestRangeVisibleConcurrentCommitters(t *testing.T) {
-	m := NewManager()
 	s := NewStore()
 	const rows, writers, perWriter = 64, 4, 300
 	var wg sync.WaitGroup
@@ -558,9 +485,9 @@ func TestRangeVisibleConcurrentCommitters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				x := m.Begin()
+				x := s.Begin()
 				// Rows are partitioned per writer: no conflicts.
-				x.Write(s, uint64(g+writers*(i*7%(rows/writers))), rec(int64(i)))
+				x.Write(uint64(g+writers*(i*7%(rows/writers))), rec(int64(i)))
 				if err := x.Commit(); err != nil {
 					t.Errorf("commit: %v", err)
 					return
@@ -573,7 +500,7 @@ func TestRangeVisibleConcurrentCommitters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				x := m.Begin()
+				x := s.Begin()
 				ts := x.SnapshotTS()
 				var last uint64
 				for j, v := range rangeAt(s, ts) {
@@ -582,8 +509,8 @@ func TestRangeVisibleConcurrentCommitters(t *testing.T) {
 					}
 					last = v.row
 					// The snapshot's own read agrees with what the walk saw.
-					got, err := x.Read(s, v.row)
-					if v.ts > ts || v.deleted || err != nil || got[0].I != v.val {
+					got, err := x.Read(v.row)
+					if v.ts > ts || err != nil || got[0].I != v.val {
 						t.Errorf("row %d at snapshot %d: walk saw %+v, Read = %v, %v", v.row, ts, v, got, err)
 					}
 				}
@@ -605,9 +532,8 @@ func TestRangeVisibleConcurrentCommitters(t *testing.T) {
 // bookkeeping is exact and an empty store holds no page.
 func TestOrderedStoreMatchesModel(t *testing.T) {
 	type mv struct {
-		ts      uint64
-		val     int64
-		deleted bool
+		ts  uint64
+		val int64
 	}
 	edges := []uint64{0, 1, 510, 511, 512, 513, 1023, 1024, 1025,
 		1 << 40, 1<<40 + 511, 1<<40 + 512, 1 << 41, 1<<63 + 5}
@@ -627,15 +553,15 @@ func TestOrderedStoreMatchesModel(t *testing.T) {
 			case op < 6: // install
 				row := pick()
 				clock++
-				v := mv{ts: clock, val: int64(step), deleted: r.Intn(6) == 0}
-				if err := s.InstallAt(row, rec(v.val), v.deleted, v.ts); err != nil {
+				v := mv{ts: clock, val: int64(step)}
+				if err := s.InstallAt(row, rec(v.val), v.ts); err != nil {
 					t.Fatal(err)
 				}
 				model[row] = append([]mv{v}, model[row]...)
 			case op == 6: // a replay at or below the head's timestamp is refused
 				row := pick()
 				if c := model[row]; len(c) > 0 {
-					if err := s.InstallAt(row, rec(-1), false, c[0].ts); err == nil {
+					if err := s.InstallAt(row, rec(-1), c[0].ts); err == nil {
 						t.Fatalf("seed %d step %d: out-of-order install on row %d accepted", seed, step, row)
 					}
 				}
@@ -661,9 +587,7 @@ func TestOrderedStoreMatchesModel(t *testing.T) {
 							break
 						}
 					}
-					if model[row] = c; c[0].deleted && c[0].ts <= minTS {
-						delete(model, row)
-					}
+					model[row] = c
 				}
 			}
 
@@ -673,11 +597,7 @@ func TestOrderedStoreMatchesModel(t *testing.T) {
 				for row, c := range model {
 					for _, v := range c {
 						if v.ts <= ts {
-							w := visit{row: row, deleted: v.deleted, ts: v.ts}
-							if !v.deleted {
-								w.val = v.val
-							}
-							want = append(want, w)
+							want = append(want, visit{row: row, val: v.val, ts: v.ts})
 							break
 						}
 					}
@@ -691,9 +611,9 @@ func TestOrderedStoreMatchesModel(t *testing.T) {
 			for _, c := range model {
 				versions += len(c)
 			}
-			if s.Rows() != len(model) || s.Versions() != versions || walkedVersions(s) != versions {
+			if liveRows(s) != len(model) || s.Versions() != versions || walkedVersions(s) != versions {
 				t.Fatalf("seed %d step %d: Rows %d Versions %d walked %d, model has %d rows %d versions",
-					seed, step, s.Rows(), s.Versions(), walkedVersions(s), len(model), versions)
+					seed, step, liveRows(s), s.Versions(), walkedVersions(s), len(model), versions)
 			}
 			// Page bookkeeping: the two indexes agree, ascending, no page
 			// empty (so a store with no rows holds no page), and each
@@ -722,9 +642,9 @@ func TestOrderedStoreMatchesModel(t *testing.T) {
 		for row := range model {
 			all = append(all, row)
 		}
-		if s.Forget(all, clock); s.Rows() != 0 || s.Versions() != 0 || len(s.pages) != 0 || len(s.order) != 0 {
+		if s.Forget(all, clock); liveRows(s) != 0 || s.Versions() != 0 || len(s.pages) != 0 || len(s.order) != 0 {
 			t.Fatalf("seed %d: emptied store keeps %d rows, %d versions, %d+%d pages",
-				seed, s.Rows(), s.Versions(), len(s.pages), len(s.order))
+				seed, liveRows(s), s.Versions(), len(s.pages), len(s.order))
 		}
 	}
 }
@@ -739,7 +659,7 @@ func BenchmarkRangeVisible(b *testing.B) {
 			for i := 0; i < chains; i++ {
 				// An odd multiplier visits chains distinct rows in scattered order.
 				row := uint64(i) * 40503 % rows
-				if err := s.InstallAt(row, rec(int64(i)), false, uint64(i+1)); err != nil {
+				if err := s.InstallAt(row, rec(int64(i)), uint64(i+1)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -747,7 +667,7 @@ func BenchmarkRangeVisible(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				s.RangeVisible(uint64(chains), func(uint64, schema.Record, bool, uint64) bool { n++; return true })
+				s.RangeVisible(uint64(chains), func(uint64, schema.Record, uint64) bool { n++; return true })
 				if n != chains {
 					b.Fatalf("visited %d of %d", n, chains)
 				}
@@ -761,11 +681,11 @@ func BenchmarkRangeVisible(b *testing.B) {
 func TestForgetKeepsNewerVersion(t *testing.T) {
 	s := NewStore()
 	for _, ts := range []uint64{5, 9} {
-		if err := s.InstallAt(1, rec(int64(ts)), false, ts); err != nil {
+		if err := s.InstallAt(1, rec(int64(ts)), ts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.InstallAt(2, rec(3), false, 3); err != nil {
+	if err := s.InstallAt(2, rec(3), 3); err != nil {
 		t.Fatal(err)
 	}
 	// Row 1 was folded at ts 5 but gained ts 9 since; row 2 is settled;
@@ -775,30 +695,29 @@ func TestForgetKeepsNewerVersion(t *testing.T) {
 		t.Fatal("settled chain kept")
 	}
 	for _, ts := range []uint64{5, 9} {
-		r, _, verTS, ok := s.VersionAt(1, ts)
-		if !ok || verTS != ts || r[0].I != int64(ts) {
-			t.Fatalf("refused drop damaged the chain: at ts %d got %v ts %d ok %v", ts, r, verTS, ok)
+		s.AdvanceTo(ts)
+		if r, err := s.Begin().Read(1); err != nil || r[0].I != int64(ts) {
+			t.Fatalf("refused drop damaged the chain: at ts %d got %v, %v", ts, r, err)
 		}
 	}
 	if s.Versions() != 2 || walkedVersions(s) != 2 {
 		t.Fatalf("Versions = %d (walked %d), want 2", s.Versions(), walkedVersions(s))
 	}
-	if s.Forget([]uint64{1}, 9); s.Versions() != 0 || s.Rows() != 0 {
-		t.Fatalf("drop at the newest version's ts left versions=%d rows=%d", s.Versions(), s.Rows())
+	if s.Forget([]uint64{1}, 9); s.Versions() != 0 || liveRows(s) != 0 {
+		t.Fatalf("drop at the newest version's ts left versions=%d rows=%d", s.Versions(), liveRows(s))
 	}
 }
 
 func ExampleTx() {
-	m := NewManager()
 	s := NewStore()
-	w := m.Begin()
-	w.Write(s, 0, schema.Record{schema.IntValue(42)})
+	w := s.Begin()
+	w.Write(0, schema.Record{schema.IntValue(42)})
 	if err := w.Commit(); err != nil {
 		fmt.Println("commit failed:", err)
 		return
 	}
-	r := m.Begin()
-	recV, _ := r.Read(s, 0)
+	r := s.Begin()
+	recV, _ := r.Read(0)
 	fmt.Println(recV)
 	// Output: [42]
 }

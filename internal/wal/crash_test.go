@@ -132,11 +132,7 @@ func model(t *testing.T, recs []*wal.Record) []schema.Record {
 			}
 			lastTS = r.TS
 			for _, op := range r.Ops {
-				if op.Deleted {
-					rows[op.Row] = nil
-				} else {
-					rows[op.Row] = op.Rec
-				}
+				rows[op.Row] = op.Rec
 			}
 		}
 	}

@@ -60,9 +60,7 @@ func (k Kind) String() string {
 type Op struct {
 	// Row is the row the version installs at.
 	Row uint64
-	// Deleted marks a delete marker instead of a record image.
-	Deleted bool
-	// Rec is the after-image (nil when Deleted).
+	// Rec is the after-image.
 	Rec schema.Record
 }
 
@@ -111,10 +109,8 @@ func (r *Record) encode(e *Encoder) error {
 		e.U32(uint32(len(r.Ops)))
 		for _, op := range r.Ops {
 			e.U64(op.Row)
-			e.Bool(op.Deleted)
-			if !op.Deleted {
-				e.Record(op.Rec)
-			}
+			e.U8(0) // reserved: a flag no writer ever set
+			e.Record(op.Rec)
 		}
 	default:
 		return fmt.Errorf("wal: cannot encode record kind %d", r.Kind)
@@ -141,11 +137,11 @@ func decodeRecord(payload []byte) (*Record, error) {
 		}
 		r.Ops = make([]Op, 0, n)
 		for i := 0; i < n; i++ {
-			op := Op{Row: d.U64(), Deleted: d.Bool()}
-			if !op.Deleted {
-				op.Rec = d.Record()
+			row := d.U64()
+			if d.U8() != 0 {
+				return nil, fmt.Errorf("%w: op %d of commit %d has its reserved byte set", ErrCorrupt, i, r.TS)
 			}
-			r.Ops = append(r.Ops, op)
+			r.Ops = append(r.Ops, Op{Row: row, Rec: d.Record()})
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, r.Kind)

@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -32,7 +34,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		}},
 		{Kind: KindCommit, Table: "item", TS: 42, Ops: []Op{
 			{Row: 1, Rec: schema.Record{schema.IntValue(1), schema.FloatValue(2), schema.CharValue("x")}},
-			{Row: 2, Deleted: true},
+			{Row: 2, Rec: schema.Record{schema.IntValue(2), schema.FloatValue(-0.5), schema.CharValue("")}},
 		}},
 	}
 	for _, in := range recs {
@@ -59,7 +61,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		}
 		for i, op := range in.Ops {
 			got := out.Ops[i]
-			if got.Row != op.Row || got.Deleted != op.Deleted || (op.Rec != nil && !got.Rec.Equal(op.Rec)) {
+			if got.Row != op.Row || !got.Rec.Equal(op.Rec) {
 				t.Fatalf("op %d mismatch: %+v vs %+v", i, got, op)
 			}
 		}
@@ -288,6 +290,75 @@ func TestLogUndecodableFrameFailsOpen(t *testing.T) {
 		if !bytes.Equal(after, data) {
 			t.Fatalf("kind %d: failed Open changed the file: %d -> %d bytes", kind, len(data), len(after))
 		}
+	}
+}
+
+// parentCommit is a commit record and the payload the previous format's
+// encoder wrote for it: kind, table, ts, op count, then per op the row,
+// one flag byte and the record. The flag marked a deletion nobody could
+// request; the byte stays in the layout as a reserved zero, so a log
+// written before the flag went reads back unchanged.
+var parentCommit = &Record{Kind: KindCommit, Table: "item", TS: 42, Ops: []Op{
+	{Row: 1, Rec: schema.Record{schema.IntValue(1), schema.FloatValue(2), schema.CharValue("x")}},
+	{Row: 513, Rec: schema.Record{schema.IntValue(2), schema.FloatValue(-0.5), schema.CharValue("")}},
+}}
+
+const (
+	parentCommitHex = "03040000006974656d2a00000000000000020000000100000000000000" +
+		"00" + "030000000101000000000000000200000000000000400301000000780102000000000000" +
+		"00" + "0300000001020000000000000002000000000000e0bf0300000000"
+	parentCommitFlag = 29 // offset of the first op's reserved byte
+)
+
+func TestCommitOpKeepsItsReservedByte(t *testing.T) {
+	want, err := hex.DecodeString(parentCommitHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e Encoder
+	if err := parentCommit.encode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(e.Bytes(), want) {
+		t.Fatalf("commit payload moved:\n got %x\nwant %x", e.Bytes(), want)
+	}
+
+	// A log as the previous format wrote it recovers.
+	insert := &Record{Kind: KindInsert, Table: "item", Row: 0, Rec: parentCommit.Ops[0].Rec}
+	var ie Encoder
+	if err := insert.encode(&ie); err != nil {
+		t.Fatal(err)
+	}
+	data := appendFrame(appendFrame(nil, ie.Bytes()), want)
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, recs, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if len(recs) != 2 || !reflect.DeepEqual(recs[1], parentCommit) {
+		t.Fatalf("recovered %d records, the commit as %+v", len(recs), recs[len(recs)-1])
+	}
+
+	// The same frame with the byte set — CRC valid, so written that way —
+	// is corruption, and the failed Open leaves the file alone.
+	flipped := bytes.Clone(want)
+	flipped[parentCommitFlag] = 1
+	data = appendFrame(appendFrame(nil, ie.Bytes()), flipped)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, recs, err := Open(path, Options{}); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("Open of a set reserved byte: %d records, err %v, want ErrCorrupt", len(recs), err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("failed Open changed the file (%v): %d -> %d bytes", err, len(data), len(after))
 	}
 }
 
