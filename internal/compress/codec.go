@@ -31,7 +31,7 @@ func (c *Column) MarshaledBytes() int {
 	case Raw:
 		n += len(c.raw)
 	case RLE:
-		n += 4 + len(c.runVals) + 4*len(c.runEnds)
+		n += 4 + len(c.runVals) + len(c.runEnds)
 	case Dict:
 		n += 4 + len(c.dict) + len(c.codes)
 	case FOR:
@@ -51,11 +51,9 @@ func (c *Column) Marshal() []byte {
 	case Raw:
 		out = append(out, c.raw...)
 	case RLE:
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(c.runEnds)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(c.Runs()))
 		out = append(out, c.runVals...)
-		for _, e := range c.runEnds {
-			out = binary.LittleEndian.AppendUint32(out, e)
-		}
+		out = append(out, c.runEnds...)
 	case Dict:
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(c.dict)))
 		out = append(out, c.dict...)
@@ -68,72 +66,90 @@ func (c *Column) Marshal() []byte {
 }
 
 // Decode reconstructs a column from a Marshal image. The payload slices
-// alias data; callers that mutate data must copy first.
+// alias data; callers that mutate data must copy first. Decode is a thin
+// shell around the validation so that it inlines: a caller that only
+// runs operators over the column (the device's kernels, once per launch)
+// keeps it on its stack.
 func Decode(data []byte) (*Column, error) {
+	c := new(Column)
+	if err := c.decode(data); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// decode validates a Marshal image and points c at its payload. Images
+// are untrusted bytes: whatever passes here must be safe for every
+// operator, whose loops index the payload without further checks.
+func (c *Column) decode(data []byte) error {
 	if len(data) < codecHeader {
-		return nil, fmt.Errorf("%w: %d-byte image below %d-byte header", ErrBadInput, len(data), codecHeader)
+		return fmt.Errorf("%w: %d-byte image below %d-byte header", ErrBadInput, len(data), codecHeader)
 	}
-	c := &Column{
-		enc:   Encoding(data[0]),
-		width: int(data[1]),
-		size:  int(binary.LittleEndian.Uint16(data[2:])),
-		n:     int(binary.LittleEndian.Uint32(data[4:])),
-	}
+	c.enc = Encoding(data[0])
+	c.width = int(data[1])
+	c.size = int(binary.LittleEndian.Uint16(data[2:]))
+	c.n = int(binary.LittleEndian.Uint32(data[4:]))
 	if c.size <= 0 || c.n < 0 {
-		return nil, fmt.Errorf("%w: %d elements of %d bytes", ErrBadInput, c.n, c.size)
+		return fmt.Errorf("%w: %d elements of %d bytes", ErrBadInput, c.n, c.size)
 	}
 	body := data[codecHeader:]
 	switch c.enc {
 	case Raw:
 		if len(body) < c.n*c.size {
-			return nil, fmt.Errorf("%w: raw payload truncated", ErrBadInput)
+			return fmt.Errorf("%w: raw payload truncated", ErrBadInput)
 		}
 		c.raw = body[:c.n*c.size]
 	case RLE:
 		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: rle payload truncated", ErrBadInput)
+			return fmt.Errorf("%w: rle payload truncated", ErrBadInput)
 		}
 		runs := int(binary.LittleEndian.Uint32(body))
 		body = body[4:]
 		if runs < 0 || len(body) < runs*c.size+runs*4 {
-			return nil, fmt.Errorf("%w: rle payload truncated", ErrBadInput)
+			return fmt.Errorf("%w: rle payload truncated", ErrBadInput)
 		}
 		c.runVals = body[:runs*c.size]
-		body = body[runs*c.size:]
-		c.runEnds = make([]uint32, runs)
-		for i := range c.runEnds {
-			c.runEnds[i] = binary.LittleEndian.Uint32(body[i*4:])
+		c.runEnds = body[runs*c.size : runs*c.size+runs*4]
+		// Every run is non-empty and the runs tile [0, n) exactly: the
+		// operators take end-start as a length and index by it.
+		start := 0
+		for k := 0; k < runs; k++ {
+			end := c.runEnd(k)
+			if end <= start || end > c.n {
+				return fmt.Errorf("%w: rle run %d ends at %d after %d, of %d elements", ErrBadInput, k, end, start, c.n)
+			}
+			start = end
 		}
-		if runs > 0 && int(c.runEnds[runs-1]) != c.n {
-			return nil, fmt.Errorf("%w: rle run ends do not cover %d elements", ErrBadInput, c.n)
+		if start != c.n {
+			return fmt.Errorf("%w: rle run ends do not cover %d elements", ErrBadInput, c.n)
 		}
 	case Dict:
 		if len(body) < 4 {
-			return nil, fmt.Errorf("%w: dict payload truncated", ErrBadInput)
+			return fmt.Errorf("%w: dict payload truncated", ErrBadInput)
 		}
 		dictLen := int(binary.LittleEndian.Uint32(body))
 		body = body[4:]
 		if dictLen < 0 || dictLen%c.size != 0 || dictLen/c.size > 256 || len(body) < dictLen+c.n {
-			return nil, fmt.Errorf("%w: dict payload truncated", ErrBadInput)
+			return fmt.Errorf("%w: dict payload truncated", ErrBadInput)
 		}
 		c.dict = body[:dictLen]
 		c.codes = body[dictLen : dictLen+c.n]
 		for _, code := range c.codes {
 			if int(code)*c.size >= dictLen {
-				return nil, fmt.Errorf("%w: dict code %d out of table", ErrBadInput, code)
+				return fmt.Errorf("%w: dict code %d out of table", ErrBadInput, code)
 			}
 		}
 	case FOR:
 		if c.size != 8 || (c.width != 1 && c.width != 2 && c.width != 4 && !(c.n == 0 && c.width == 0)) {
-			return nil, fmt.Errorf("%w: for frame with width %d size %d", ErrBadInput, c.width, c.size)
+			return fmt.Errorf("%w: for frame with width %d size %d", ErrBadInput, c.width, c.size)
 		}
 		if len(body) < 8+c.n*c.width {
-			return nil, fmt.Errorf("%w: for payload truncated", ErrBadInput)
+			return fmt.Errorf("%w: for payload truncated", ErrBadInput)
 		}
 		c.base = int64(binary.LittleEndian.Uint64(body))
 		c.deltas = body[8 : 8+c.n*c.width]
 	default:
-		return nil, fmt.Errorf("%w: unknown encoding %d", ErrBadInput, data[0])
+		return fmt.Errorf("%w: unknown encoding %d", ErrBadInput, data[0])
 	}
-	return c, nil
+	return nil
 }

@@ -73,13 +73,13 @@ type Column struct {
 	size int
 	// raw/dict/rle/for payloads; only the active encoding's fields are set.
 	raw     []byte
-	runVals []byte   // RLE: run values, size bytes each
-	runEnds []uint32 // RLE: cumulative element counts (exclusive end)
-	dict    []byte   // Dict: value table, size bytes each
-	codes   []byte   // Dict: one code per element
-	base    int64    // FOR: frame base
-	width   int      // FOR: delta bytes (1, 2, 4)
-	deltas  []byte   // FOR: packed deltas
+	runVals []byte // RLE: run values, size bytes each
+	runEnds []byte // RLE: cumulative element counts (exclusive end), uint32 LE each
+	dict    []byte // Dict: value table, size bytes each
+	codes   []byte // Dict: one code per element
+	base    int64  // FOR: frame base
+	width   int    // FOR: delta bytes (1, 2, 4)
+	deltas  []byte // FOR: packed deltas
 	// lastRun memoizes the most recent findRun hit so sequential access
 	// patterns skip the binary search; atomic so concurrent readers stay
 	// race-free (the memo is advisory — any stale value only costs the
@@ -98,7 +98,10 @@ func (c *Column) ElementSize() int { return c.size }
 
 // Runs returns the run count of an RLE column (0 for other encodings),
 // the granularity its compressed-domain predicate evaluation works at.
-func (c *Column) Runs() int { return len(c.runEnds) }
+func (c *Column) Runs() int { return len(c.runEnds) / 4 }
+
+// runEnd returns the exclusive end of run k.
+func (c *Column) runEnd(k int) int { return int(binary.LittleEndian.Uint32(c.runEnds[k*4:])) }
 
 // CompressedBytes returns the encoded payload size.
 func (c *Column) CompressedBytes() int {
@@ -106,7 +109,7 @@ func (c *Column) CompressedBytes() int {
 	case Raw:
 		return len(c.raw)
 	case RLE:
-		return len(c.runVals) + 4*len(c.runEnds)
+		return len(c.runVals) + len(c.runEnds)
 	case Dict:
 		return len(c.dict) + len(c.codes)
 	case FOR:
@@ -175,15 +178,16 @@ func CompressAs(enc Encoding, data []byte, n, size int) (*Column, error) {
 func (c *Column) encodeRLE(data []byte) error {
 	for i := 0; i < c.n; i++ {
 		el := data[i*c.size : (i+1)*c.size]
-		last := len(c.runEnds) - 1
+		last := c.Runs() - 1
 		if last >= 0 && bytes.Equal(el, c.runVals[last*c.size:(last+1)*c.size]) {
-			c.runEnds[last]++
+			binary.LittleEndian.PutUint32(c.runEnds[last*4:], uint32(i+1))
 			continue
 		}
 		c.runVals = append(c.runVals, el...)
 		// Ends are cumulative-exclusive element indexes; extending a run
-		// above increments the last end, so they stay strictly increasing.
-		c.runEnds = append(c.runEnds, uint32(i+1))
+		// above moves the last end up by one, so they stay strictly
+		// increasing.
+		c.runEnds = binary.LittleEndian.AppendUint32(c.runEnds, uint32(i+1))
 	}
 	return nil
 }
@@ -267,7 +271,7 @@ func (c *Column) At(i int, dst []byte) ([]byte, error) {
 	case Raw:
 		copy(dst, c.raw[i*c.size:(i+1)*c.size])
 	case RLE:
-		k := c.findRun(uint32(i))
+		k := c.findRun(i)
 		copy(dst, c.runVals[k*c.size:(k+1)*c.size])
 	case Dict:
 		code := int(c.codes[i])
@@ -281,20 +285,20 @@ func (c *Column) At(i int, dst []byte) ([]byte, error) {
 // findRun locates the run containing element i: first against the
 // memoized last hit (and its successor, the sequential-access case),
 // then by binary search.
-func (c *Column) findRun(i uint32) int {
-	if m := int(c.lastRun.Load()); m >= 0 && m < len(c.runEnds) {
-		if i < c.runEnds[m] && (m == 0 || i >= c.runEnds[m-1]) {
+func (c *Column) findRun(i int) int {
+	if m := int(c.lastRun.Load()); m >= 0 && m < c.Runs() {
+		if i < c.runEnd(m) && (m == 0 || i >= c.runEnd(m-1)) {
 			return m
 		}
-		if m+1 < len(c.runEnds) && i >= c.runEnds[m] && i < c.runEnds[m+1] {
+		if m+1 < c.Runs() && i >= c.runEnd(m) && i < c.runEnd(m+1) {
 			c.lastRun.Store(int32(m + 1))
 			return m + 1
 		}
 	}
-	lo, hi := 0, len(c.runEnds)-1
+	lo, hi := 0, c.Runs()-1
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if c.runEnds[mid] <= i {
+		if c.runEnd(mid) <= i {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -326,10 +330,11 @@ func (c *Column) DecompressInto(dst []byte) ([]byte, error) {
 	case Raw:
 		copy(dst, c.raw)
 	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
+		start := 0
+		for k := 0; k < c.Runs(); k++ {
+			end := c.runEnd(k)
 			val := c.runVals[k*c.size : (k+1)*c.size]
-			for i := int(start); i < int(end); i++ {
+			for i := start; i < end; i++ {
 				copy(dst[i*c.size:], val)
 			}
 			start = end
@@ -339,8 +344,11 @@ func (c *Column) DecompressInto(dst []byte) ([]byte, error) {
 			copy(dst[i*c.size:], c.dict[int(code)*c.size:(int(code)+1)*c.size])
 		}
 	case FOR:
-		for i := 0; i < c.n; i++ {
-			binary.LittleEndian.PutUint64(dst[i*8:], uint64(c.base+int64(c.delta(i))))
+		var buf [forBlock]uint64
+		for from := 0; from < c.n; from += forBlock {
+			for j, d := range c.widen(buf[:], from) {
+				binary.LittleEndian.PutUint64(dst[(from+j)*8:], uint64(c.base)+d)
+			}
 		}
 	}
 	// A bulk decode typically precedes a fresh access pattern over the
@@ -365,6 +373,32 @@ func (c *Column) delta(i int) uint64 {
 	return 0
 }
 
+// forBlock is how many FOR deltas the bulk loops widen at a time: the
+// delta width is switched on once per block, and the loop over the
+// widened block is the same typed loop whatever the width.
+const forBlock = 256
+
+// widen decodes the FOR deltas of elements [from, from+len(buf)), cut
+// at the column's end, into buf and returns the filled prefix.
+func (c *Column) widen(buf []uint64, from int) []uint64 {
+	buf = buf[:min(len(buf), c.n-from)]
+	switch c.width {
+	case 1:
+		for j, d := range c.deltas[from : from+len(buf)] {
+			buf[j] = uint64(d)
+		}
+	case 2:
+		for j := range buf {
+			buf[j] = uint64(binary.LittleEndian.Uint16(c.deltas[(from+j)*2:]))
+		}
+	case 4:
+		for j := range buf {
+			buf[j] = uint64(binary.LittleEndian.Uint32(c.deltas[(from+j)*4:]))
+		}
+	}
+	return buf
+}
+
 // Sum aggregates an 8-byte column without materializing: RLE multiplies
 // run values by their lengths, Dict weights each dictionary entry by its
 // code frequency, FOR and Raw decode elementwise.
@@ -375,8 +409,9 @@ func Sum[T Number](c *Column) (T, error) {
 	var sum T
 	switch c.enc {
 	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
+		start := 0
+		for k := 0; k < c.Runs(); k++ {
+			end := c.runEnd(k)
 			sum += elem[T](c.runVals[k*8:]) * T(end-start)
 			start = end
 		}
@@ -389,18 +424,27 @@ func Sum[T Number](c *Column) (T, error) {
 			sum += elem[T](c.dict[code*8:]) * T(n)
 		}
 	case FOR:
-		for i := 0; i < c.n; i++ {
-			sum += fromBits[T](uint64(c.base + int64(c.delta(i))))
+		var buf [forBlock]uint64
+		for from := 0; from < c.n; from += forBlock {
+			for _, d := range c.widen(buf[:], from) {
+				sum += fromBits[T](uint64(c.base) + d)
+			}
 		}
 	default:
-		for i := 0; i < c.n; i++ {
-			sum += elem[T](c.raw[i*8:])
+		for i := 0; i+8 <= len(c.raw); i += 8 {
+			sum += elem[T](c.raw[i:])
 		}
 	}
 	return sum, nil
 }
 
-// SumFloat64 is Sum over an 8-byte IEEE-754 column.
+// SumFloat64 is Sum over an 8-byte IEEE-754 column. Like
+// SumFloat64Where it stays out of line: inlined into another package it
+// leaves a call to a generic function there, across which escape
+// analysis gives c up for lost — and the caller's Decode moves from its
+// stack to the heap.
+//
+//go:noinline
 func (c *Column) SumFloat64() (float64, error) { return Sum[float64](c) }
 
 // SumInt64 is Sum over an 8-byte integer column (exact mod 2^64).

@@ -1,72 +1,80 @@
 package compress
 
 import (
-	"encoding/binary"
-	"math"
+	"fmt"
+
+	"hybridstore/internal/agg"
 )
 
 // Compressed-domain grouped aggregation: the fused predicate→group-by
 // pipeline's leaf kernels over encoded payloads. Each encoding keeps the
 // short-cut its sargable scan uses —
 //
-//   - RLE evaluates the predicate and decodes the value once per run,
-//     then streams the run's elements through the key column,
+//   - RLE compares and decodes the value once per run, then streams the
+//     run's elements through the key column,
 //   - Dict pre-filters the ≤256-entry dictionary into a code bitset and
 //     a decoded value table, then tests one bit per element,
-//   - Raw degenerates to the plain fused loop.
+//   - Raw is the plain fused loop (agg.Table.FoldWhere, the one the
+//     device and the host run over uncompressed values).
 //
-// The value column is the compressed one; group keys come from the
-// caller through keyAt (the executor aligns the key column — raw or
-// decompressed — to the same element positions). Float64 adds stay
-// element-ordered so per-group sums are bit-identical to decompressing
-// and running the executor's fused grouped kernel.
+// The value column is the compressed one; the group keys are a strided
+// view over the same element positions (the key column raw, or
+// decompressed by the caller), and matches fold straight into the
+// caller's group table. Float64 adds stay element-ordered so per-group
+// sums are bit-identical to decompressing and running the fused grouped
+// kernel.
 
-// GroupSumFloat64Where streams SUM partials per group over an 8-byte
-// IEEE-754 column: add is invoked once per matching element, in element
-// order, with the element's group key and decoded value.
-func (c *Column) GroupSumFloat64Where(p Pred[float64], keyAt func(i int) int64, add func(key int64, v float64)) error {
+// GroupSumFloat64Where folds SUM, COUNT per group over an 8-byte
+// IEEE-754 column into t: each element matching p, in element order,
+// under the key at its position.
+func (c *Column) GroupSumFloat64Where(p Pred[float64], keys agg.Keys, t *agg.Table) error {
 	if err := c.errNot8("float64 group-sum-where"); err != nil {
 		return err
 	}
+	if !keys.Covers(c.n) {
+		return fmt.Errorf("%w: group keys do not cover %d elements", ErrBadInput, c.n)
+	}
+	lo, hi, ok := p.Closed()
+	if !ok {
+		return nil
+	}
 	switch c.enc {
 	case RLE:
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(c.runVals[k*8:]))
-			if p.Match(v) {
+		start := 0
+		for k := 0; k < c.Runs(); k++ {
+			end := c.runEnd(k)
+			if v := elem[float64](c.runVals[k*8:]); lo <= v && v <= hi {
 				for i := start; i < end; i++ {
-					add(keyAt(int(i)), v)
+					g := t.At(keys.At(i))
+					g.Sum += v
+					g.Count++
 				}
 			}
 			start = end
 		}
 	case Dict:
-		var bits codeBits
 		var vals [256]float64
-		for code := 0; code < len(c.dict)/8; code++ {
-			v := elem[float64](c.dict[code*8:])
-			vals[code] = v
-			if p.Match(v) {
-				bits.set(code)
-			}
-		}
+		bits := filterDict(c, lo, hi, &vals)
 		for i, code := range c.codes {
 			if bits.has(code) {
-				add(keyAt(i), vals[code])
+				g := t.At(keys.At(i))
+				g.Sum += vals[code]
+				g.Count++
 			}
 		}
 	case FOR:
-		for i := 0; i < c.n; i++ {
-			if x := math.Float64frombits(uint64(c.base + int64(c.delta(i)))); p.Match(x) {
-				add(keyAt(i), x)
+		var buf [forBlock]uint64
+		for from := 0; from < c.n; from += forBlock {
+			for j, d := range c.widen(buf[:], from) {
+				if x := fromBits[float64](uint64(c.base) + d); lo <= x && x <= hi {
+					g := t.At(keys.At(from + j))
+					g.Sum += x
+					g.Count++
+				}
 			}
 		}
 	default:
-		for i := 0; i < c.n; i++ {
-			if x := math.Float64frombits(binary.LittleEndian.Uint64(c.raw[i*8:])); p.Match(x) {
-				add(keyAt(i), x)
-			}
-		}
+		t.FoldWhere(keys, c.raw, 8, c.n, lo, hi)
 	}
 	return nil
 }

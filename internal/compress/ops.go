@@ -18,12 +18,17 @@ import (
 //     domain and compares narrow deltas without reconstructing values,
 //   - Raw degenerates to the plain fused scan.
 //
-// Each operator body is written once over Number. Float64 accumulation
-// deliberately stays element-ordered (a run value is added run-length
-// times, not multiplied) so results are bit-identical to decompressing
-// and running the executor's fused kernels; int64 arithmetic is exact
-// mod 2^64, so the closed forms that pay — a run's value times its
-// length, FOR delta sums against the frame base — are used there.
+// An operator resolves its predicate ONCE, to the closed interval
+// [lo, hi] it matches (Pred.Closed), and every loop below compares
+// against the two bounds directly: between a payload byte and the
+// accumulator there is no comparison-mode switch, no closure and no
+// boxed value. Each operator body is written once over Number. Float64
+// accumulation deliberately stays element-ordered (a run value is added
+// run-length times, not multiplied) so results are bit-identical to
+// decompressing and running the executor's fused kernels; int64
+// arithmetic is exact mod 2^64, so the closed forms that pay — a run's
+// value times its length, FOR delta sums against the frame base — are
+// used there.
 
 // Op mirrors the executor's sargable comparison vocabulary. The package
 // cannot import internal/exec (exec imports compress), so the enum
@@ -68,19 +73,53 @@ type Pred[T Number] struct {
 	Hi T
 }
 
-// Match evaluates the predicate on one value.
-func (p Pred[T]) Match(x T) bool {
+// Closed resolves the predicate to a closed interval with identical
+// match semantics: x satisfies the comparison Op names if and only if
+// lo <= x && x <= hi, for every x. A strict bound steps to the adjacent
+// representable value (the next double, the next integer). ok is false
+// when nothing can match — an inverted or NaN-bounded between, x < the
+// least value, x > the greatest, an unknown Op; a NaN equality or strict
+// bound keeps ok and yields a NaN bound, which no x compares inside
+// either.
+func (p Pred[T]) Closed() (lo, hi T, ok bool) {
+	switch q := any(p).(type) {
+	case Pred[float64]:
+		l, h, ok := closedFloat64(q)
+		return fromBits[T](math.Float64bits(l)), fromBits[T](math.Float64bits(h)), ok
+	case Pred[int64]:
+		l, h, ok := closedInt64(q)
+		return fromBits[T](uint64(l)), fromBits[T](uint64(h)), ok
+	}
+	return 0, 0, false
+}
+
+func closedFloat64(p Pred[float64]) (lo, hi float64, ok bool) {
 	switch p.Op {
 	case OpEQ:
-		return x == p.Lo
+		return p.Lo, p.Lo, true
 	case OpLT:
-		return x < p.Hi
+		return math.Inf(-1), math.Nextafter(p.Hi, math.Inf(-1)), !math.IsInf(p.Hi, -1)
 	case OpGT:
-		return x > p.Lo
+		return math.Nextafter(p.Lo, math.Inf(1)), math.Inf(1), !math.IsInf(p.Lo, 1)
 	case OpBetween:
-		return p.Lo <= x && x <= p.Hi
+		return p.Lo, p.Hi, p.Lo <= p.Hi
 	default:
-		return false
+		return 0, 0, false
+	}
+}
+
+func closedInt64(p Pred[int64]) (lo, hi int64, ok bool) {
+	switch p.Op {
+	case OpEQ:
+		return p.Lo, p.Lo, true
+	case OpLT:
+		return math.MinInt64, p.Hi - 1, p.Hi != math.MinInt64
+	case OpGT:
+		return p.Lo + 1, math.MaxInt64, p.Lo != math.MaxInt64
+	case OpBetween:
+		return p.Lo, p.Hi, p.Lo <= p.Hi
+	default:
+		return 0, 0, false
 	}
 }
 
@@ -98,6 +137,19 @@ func (c *Column) errNot8(what string) error {
 	return nil
 }
 
+// filterDict decodes the dictionary of an 8-byte Dict column into vals
+// and marks the codes whose value lies in [lo, hi].
+func filterDict[T Number](c *Column, lo, hi T, vals *[256]T) (bits codeBits) {
+	for code := 0; code < len(c.dict)/8; code++ {
+		v := elem[T](c.dict[code*8:])
+		vals[code] = v
+		if lo <= v && v <= hi {
+			bits.set(code)
+		}
+	}
+	return bits
+}
+
 // SumWhere computes SUM(x), COUNT(*) WHERE p over an 8-byte column in
 // the compressed domain. Float64 results are bit-identical to
 // decompressing and summing elementwise in order; int64 results are
@@ -106,28 +158,27 @@ func SumWhere[T Number](c *Column, p Pred[T]) (T, int64, error) {
 	if err := c.errNot8("sum-where"); err != nil {
 		return 0, 0, err
 	}
+	lo, hi, ok := p.Closed()
+	if !ok {
+		return 0, 0, nil
+	}
 	var sum T
 	var n int64
 	switch c.enc {
 	case RLE:
-		// One predicate evaluation per run.
-		start := uint32(0)
-		for k, end := range c.runEnds {
-			if v := elem[T](c.runVals[k*8:]); p.Match(v) {
+		// One comparison per run.
+		start := 0
+		for k := 0; k < c.Runs(); k++ {
+			end := c.runEnd(k)
+			if v := elem[T](c.runVals[k*8:]); lo <= v && v <= hi {
 				sum = addRun(sum, v, end-start)
 				n += int64(end - start)
 			}
 			start = end
 		}
 	case Dict:
-		var bits codeBits
 		var vals [256]T
-		for code := 0; code < len(c.dict)/8; code++ {
-			vals[code] = elem[T](c.dict[code*8:])
-			if p.Match(vals[code]) {
-				bits.set(code)
-			}
-		}
+		bits := filterDict(c, lo, hi, &vals)
 		for _, code := range c.codes {
 			if bits.has(code) {
 				sum += vals[code]
@@ -135,33 +186,38 @@ func SumWhere[T Number](c *Column, p Pred[T]) (T, int64, error) {
 			}
 		}
 	case FOR:
-		if ip, ok := any(p).(Pred[int64]); ok {
+		var buf [forBlock]uint64
+		if ilo, isInt := any(lo).(int64); isInt {
 			// Integers compare narrow deltas against the bounds rewritten
 			// into the delta domain, without reconstructing values.
-			dLo, dHi, ok := c.forDeltaBounds(ip)
+			dLo, dHi, ok := c.forDeltaBounds(ilo, any(hi).(int64))
 			if !ok {
 				return 0, 0, nil
 			}
 			var ds uint64
-			for i := 0; i < c.n; i++ {
-				if d := c.delta(i); dLo <= d && d <= dHi {
-					ds += d
-					n++
+			for from := 0; from < c.n; from += forBlock {
+				for _, d := range c.widen(buf[:], from) {
+					if dLo <= d && d <= dHi {
+						ds += d
+						n++
+					}
 				}
 			}
-			return T(c.base*n + int64(ds)), n, nil
+			return fromBits[T](uint64(c.base)*uint64(n) + ds), n, nil
 		}
 		// FOR frames a float's bit pattern; IEEE ordering is unrelated
 		// to delta ordering, so floats decode elementwise.
-		for i := 0; i < c.n; i++ {
-			if x := fromBits[T](uint64(c.base + int64(c.delta(i)))); p.Match(x) {
-				sum += x
-				n++
+		for from := 0; from < c.n; from += forBlock {
+			for _, d := range c.widen(buf[:], from) {
+				if x := fromBits[T](uint64(c.base) + d); lo <= x && x <= hi {
+					sum += x
+					n++
+				}
 			}
 		}
 	default:
-		for i := 0; i < c.n; i++ {
-			if x := elem[T](c.raw[i*8:]); p.Match(x) {
+		for i := 0; i+8 <= len(c.raw); i += 8 {
+			if x := elem[T](c.raw[i:]); lo <= x && x <= hi {
 				sum += x
 				n++
 			}
@@ -173,7 +229,7 @@ func SumWhere[T Number](c *Column, p Pred[T]) (T, int64, error) {
 // addRun folds a run of k copies of v into sum: integers multiply
 // (exact mod 2^64), floats add once per element so ordering matches the
 // dense scan.
-func addRun[T Number](sum, v T, k uint32) T {
+func addRun[T Number](sum, v T, k int) T {
 	if _, ok := any(v).(int64); ok {
 		return sum + v*T(k)
 	}
@@ -183,36 +239,17 @@ func addRun[T Number](sum, v T, k uint32) T {
 	return sum
 }
 
-// SumFloat64Where is SumWhere over an 8-byte IEEE-754 column.
+// SumFloat64Where is SumWhere over an 8-byte IEEE-754 column (out of
+// line for the reason SumFloat64 gives).
+//
+//go:noinline
 func (c *Column) SumFloat64Where(p Pred[float64]) (float64, int64, error) { return SumWhere(c, p) }
 
-// forDeltaBounds rewrites an int64 predicate into the FOR delta domain:
-// x = base + d with d in [0, 2^(8·width)), so p over x becomes the
-// closed delta interval [dLo, dHi]. ok is false when no delta can
-// match.
-func (c *Column) forDeltaBounds(p Pred[int64]) (dLo, dHi uint64, ok bool) {
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	switch p.Op {
-	case OpEQ:
-		lo, hi = p.Lo, p.Lo
-	case OpLT:
-		if p.Hi == math.MinInt64 {
-			return 0, 0, false
-		}
-		hi = p.Hi - 1
-	case OpGT:
-		if p.Lo == math.MaxInt64 {
-			return 0, 0, false
-		}
-		lo = p.Lo + 1
-	case OpBetween:
-		if p.Lo > p.Hi {
-			return 0, 0, false
-		}
-		lo, hi = p.Lo, p.Hi
-	default:
-		return 0, 0, false
-	}
+// forDeltaBounds rewrites the closed int64 interval [lo, hi] into the
+// FOR delta domain: x = base + d with d in [0, 2^(8·width)), so it
+// becomes the closed delta interval [dLo, dHi]. ok is false when no
+// delta can match.
+func (c *Column) forDeltaBounds(lo, hi int64) (dLo, dHi uint64, ok bool) {
 	if c.n == 0 || hi < c.base {
 		return 0, 0, false
 	}

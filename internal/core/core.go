@@ -339,7 +339,7 @@ func (t *Table) insertLocked(rec schema.Record) (uint64, uint64, error) {
 	}
 	row := t.rel.Rows()
 	if t.pk != nil {
-		if _, err := t.pk.Get(rec[0].I); err == nil {
+		if _, dup := t.pk.Lookup(rec[0].I); dup {
 			return 0, 0, fmt.Errorf("core: inserting pk %d: %w", rec[0].I, index.ErrDuplicate)
 		}
 	}

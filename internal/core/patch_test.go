@@ -359,9 +359,9 @@ func TestPatchRowsCounter(t *testing.T) {
 }
 
 // benchTable builds the bench/ fixture's table: 131072 item rows with the
-// group key i%64 in 1024-row chunks, DeviceCache and Compress on, merged
-// and warmed with one grouped scan.
-func benchTable(t *testing.T) *Table {
+// group key i%groups (the fixture has 64) in 1024-row chunks, DeviceCache
+// and Compress on, merged and warmed with one grouped scan.
+func benchTable(t *testing.T, groups uint64) *Table {
 	t.Helper()
 	e := New(engine.NewEnv(), Options{DeviceCache: true, Compress: true})
 	et, err := e.Create("item", workload.ItemSchema())
@@ -371,7 +371,7 @@ func benchTable(t *testing.T) *Table {
 	tbl := et.(*Table)
 	for i := uint64(0); i < 131072; i++ {
 		rec := workload.Item(i)
-		rec[patchKeyCol] = schema.Int32Value(int32(i % 64))
+		rec[patchKeyCol] = schema.Int32Value(int32(i % groups))
 		if _, err := tbl.Insert(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -385,44 +385,95 @@ func benchTable(t *testing.T) *Table {
 	return tbl
 }
 
+// scanCost is what one call of scan allocates, objects and KiB, the
+// way testing.AllocsPerRun counts: one processor, after a warm-up call,
+// averaged over 20.
+func scanCost(scan func()) (allocs, kib float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	scan()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+}
+
 // A scan's allocations follow neither the live deltas nor the group
-// count: measured 275 (sum_where) and 557 (group_sum_where) on the clean
-// bench fixture, 276 and 627 with 1000 live deltas; before the ordered
-// walk and the value-typed group tables the same four read 275, 4290,
-// 1275 and 5359.
+// count, in objects or in bytes. Measured on the bench fixture with
+// between(20, 80), which 102 of the 128 chunks survive: sum_where 330
+// objects / 14.1 KiB per scan, clean or with 1000 live deltas;
+// group_sum_where 646 / 34.1 KiB clean, 715 / 40.1 KiB with the deltas
+// (the patch's own group map, once per scan) and 646 / 30.8 KiB at 8
+// groups instead of 64. When every launch cloned and sorted its group
+// table and decoded its image header onto the heap the same scans read
+// 432 / 32.8 KiB and 854 / 186.8 KiB — 1.5 KiB per launch at 64 groups;
+// before the ordered patch walk and the value-typed group tables, 4290
+// objects for the grouped scan and 1000 more per 1000 deltas.
 func TestScanAllocsIndependentOfDeltas(t *testing.T) {
-	tbl := benchTable(t)
-	defer tbl.Free()
-	pred := exec.Pred[float64]{Op: exec.OpBetween, Lo: 20, Hi: 50}
-	measure := func() (sum, group float64) {
-		sum = testing.AllocsPerRun(20, func() {
+	pred := exec.Pred[float64]{Op: exec.OpBetween, Lo: 20, Hi: 80}
+	type cost struct{ sumAllocs, sumKiB, groupAllocs, groupKiB float64 }
+	measure := func(tbl *Table) (c cost) {
+		c.sumAllocs, c.sumKiB = scanCost(func() {
 			if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, pred); err != nil {
 				t.Fatal(err)
 			}
 		})
-		group = testing.AllocsPerRun(20, func() {
+		c.groupAllocs, c.groupKiB = scanCost(func() {
 			if _, err := tbl.GroupSumFloat64Where(patchKeyCol, workload.ItemPriceCol, pred); err != nil {
 				t.Fatal(err)
 			}
 		})
-		return sum, group
+		return c
 	}
-	cleanSum, cleanGroup := measure()
+	tbl := benchTable(t, 64)
+	defer tbl.Free()
+	clean := measure(tbl)
 	for i := uint64(0); i < 1000; i++ {
 		if err := tbl.Update(i*131, workload.ItemPriceCol, schema.FloatValue(float64(i%90))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deltaSum, deltaGroup := measure()
-	t.Logf("allocs per scan: sum_where %.0f clean / %.0f with 1000 deltas, group_sum_where %.0f / %.0f",
-		cleanSum, deltaSum, cleanGroup, deltaGroup)
-	if deltaSum > cleanSum+16 {
-		t.Errorf("sum_where allocates %.0f with 1000 live deltas, %.0f on the clean table: grows with deltas", deltaSum, cleanSum)
+	patched := mPatchRows.Load()
+	deltas := measure(tbl)
+	// 2 kinds × (1 warm-up + 20 measured) scans, each handed every delta.
+	if got := mPatchRows.Load() - patched; got != 42*1000 {
+		t.Errorf("42 scans over 1000 live deltas were handed %d patch rows, want 1000 each", got)
 	}
-	for name, got := range map[string]float64{"clean": cleanGroup, "1000 deltas": deltaGroup} {
-		if got > 1000 {
-			t.Errorf("group_sum_where (%s) allocates %.0f per scan, gate 1000", name, got)
+	few := benchTable(t, 8)
+	defer few.Free()
+	fewGroups := measure(few)
+	t.Logf("per scan, objects / KiB: sum_where %.0f / %.1f clean, %.0f / %.1f with 1000 deltas; group_sum_where %.0f / %.1f clean, %.0f / %.1f with 1000 deltas, %.0f / %.1f at 8 groups",
+		clean.sumAllocs, clean.sumKiB, deltas.sumAllocs, deltas.sumKiB,
+		clean.groupAllocs, clean.groupKiB, deltas.groupAllocs, deltas.groupKiB, fewGroups.groupAllocs, fewGroups.groupKiB)
+	if deltas.sumAllocs > clean.sumAllocs+16 {
+		t.Errorf("sum_where allocates %.0f objects with 1000 live deltas, %.0f on the clean table: grows with deltas", deltas.sumAllocs, clean.sumAllocs)
+	}
+	costs := map[string]cost{"clean": clean, "1000 deltas": deltas, "8 groups": fewGroups}
+	for name, c := range costs {
+		if c.groupAllocs > 1000 {
+			t.Errorf("group_sum_where (%s) allocates %.0f objects per scan, gate 1000", name, c.groupAllocs)
 		}
+	}
+	if raceEnabled {
+		return // the detector's sync.Pool drops pooled scratch at random: bytes are not the code's
+	}
+	if deltas.sumKiB > clean.sumKiB+1 {
+		t.Errorf("sum_where allocates %.1f KiB with 1000 live deltas, %.1f on the clean table: grows with deltas", deltas.sumKiB, clean.sumKiB)
+	}
+	if clean.sumKiB > 32.8 {
+		t.Errorf("sum_where allocates %.1f KiB per scan, gate 32.8 (what it took before the image header left the heap)", clean.sumKiB)
+	}
+	for name, c := range costs {
+		if c.groupKiB > 64 {
+			t.Errorf("group_sum_where (%s) allocates %.1f KiB per scan, gate 64", name, c.groupKiB)
+		}
+	}
+	// 102 launches × 56 more groups × 24 bytes would be 134 KiB.
+	if clean.groupKiB > fewGroups.groupKiB+8 {
+		t.Errorf("group_sum_where allocates %.1f KiB at 64 groups, %.1f at 8: proportional to launches × groups", clean.groupKiB, fewGroups.groupKiB)
 	}
 }
 

@@ -49,8 +49,8 @@ func (t *Table) GetByPK(pk int64) (schema.Record, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, err := t.pk.Get(pk)
-	if err != nil {
+	row, ok := t.pk.Lookup(pk)
+	if !ok {
 		return nil, fmt.Errorf("%w: pk %d", engine.ErrNoSuchRow, pk)
 	}
 	// The pk is resolved; from here the read is a point read on row, so
@@ -65,8 +65,7 @@ func (t *Table) LookupPK(pk int64) (uint64, bool) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, err := t.pk.Get(pk)
-	return row, err == nil
+	return t.pk.Lookup(pk)
 }
 
 // ReadByPK is the transaction-scoped Q1: GetByPK under the
@@ -78,8 +77,8 @@ func (x *Txn) ReadByPK(pk int64) (schema.Record, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, err := t.pk.Get(pk)
-	if err != nil {
+	row, ok := t.pk.Lookup(pk)
+	if !ok {
 		return nil, fmt.Errorf("%w: pk %d", engine.ErrNoSuchRow, pk)
 	}
 	return t.recordAt(x.x, row)

@@ -26,7 +26,7 @@ func (t *Table) Get(row uint64) (schema.Record, error) {
 // its own buffered write), else the base fragments — c is then the chunk
 // read, whose device gather the caller charges.
 func (t *Table) readAt(x *tx.Tx, row uint64) (rec schema.Record, c *chunk, err error) {
-	if rec, err = x.Read(row); !errors.Is(err, tx.ErrNotFound) {
+	if rec, ok, err := x.Lookup(row); ok || err != nil {
 		return rec, nil, err
 	}
 	return t.baseRecord(row)

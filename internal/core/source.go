@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
@@ -120,41 +121,49 @@ func (s *scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 
 // Patches hands the scan body the MVCC patch: for every row the
 // snapshot sees a delta version of, its base cell and its current one.
-// Rows arrive ascending, so the chunk and its value and key fragments
-// are resolved once per chunk, not per row.
+// Rows arrive ascending, so the chunk and the vectors of its value and
+// key columns are resolved once per chunk, not per row, and a base cell
+// is one typed load from the fragment's bytes (the scan body has checked
+// the plan against the schema: the value column is float64, the key
+// column int64 or int32).
 func (s *scanSource) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
 	t := s.t
 	grouped := p.Op.Grouped()
 	var c *chunk
-	var valFrag, keyFrag *layout.Fragment
+	var vals, keys layout.ColVector
 	return t.patchRows(s.reader, func(row uint64, rec schema.Record, _ uint64) (err error) {
 		if c == nil || !c.rows.Contains(row) {
 			if c, err = t.chunkFor(row); err != nil {
 				return err
 			}
-			if valFrag, err = t.fragmentForCol(c, p.Col); err == nil && grouped {
-				keyFrag, err = t.fragmentForCol(c, p.KeyCol)
+			if vals, err = t.colVectorFor(c, p.Col); err == nil && grouped {
+				keys, err = t.colVectorFor(c, p.KeyCol)
 			}
 			if err != nil {
 				return err // which ends the walk: the cursor is not read again
 			}
 		}
 		i := int(row - c.rows.Begin)
-		v, err := valFrag.Get(i, p.Col)
-		if err != nil {
-			return err
+		if i >= vals.Len || grouped && i >= keys.Len {
+			return fmt.Errorf("%w: tuplet %d of %d", layout.ErrOutOfRange, i, vals.Len)
 		}
-		base, cur := engine.Cell{Val: v.F}, engine.Cell{Val: rec[p.Col].F}
+		base, cur := engine.Cell{Val: vals.Float64(i)}, engine.Cell{Val: rec[p.Col].F}
 		if grouped {
-			k, err := keyFrag.Get(i, p.KeyCol)
-			if err != nil {
-				return err
-			}
-			base.Key, cur.Key = k.I, rec[p.KeyCol].I
+			base.Key, cur.Key = keys.Int(i), rec[p.KeyCol].I
 		}
 		fn(base, cur)
 		return nil
 	})
+}
+
+// colVectorFor returns the strided view of col in the chunk's base
+// fragment holding it.
+func (t *Table) colVectorFor(c *chunk, col int) (layout.ColVector, error) {
+	frag, err := t.fragmentForCol(c, col)
+	if err != nil {
+		return layout.ColVector{}, err
+	}
+	return frag.ColVector(col)
 }
 
 // pieceFor builds one zone-carrying column piece for a chunk, reporting

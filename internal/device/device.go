@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hybridstore/internal/agg"
 	"hybridstore/internal/mem"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/perfmodel"
@@ -74,8 +75,8 @@ type GPU struct {
 	// without per-launch allocation.
 	scratchMu sync.Mutex
 	scratch   [][]float64
-	// tables recycles the grouped kernel's hash tables the same way.
-	tables []*groupTable
+	// tables recycles the grouped kernel's group tables the same way.
+	tables []*agg.Table
 }
 
 // getF64 pops a zeroed scratch slice of length n.
@@ -111,7 +112,7 @@ func (g *GPU) putF64(s []float64) {
 }
 
 // getGroupTable pops an empty group table.
-func (g *GPU) getGroupTable() *groupTable {
+func (g *GPU) getGroupTable() *agg.Table {
 	g.scratchMu.Lock()
 	defer g.scratchMu.Unlock()
 	if n := len(g.tables); n > 0 {
@@ -119,14 +120,12 @@ func (g *GPU) getGroupTable() *groupTable {
 		g.tables = g.tables[:n-1]
 		return t
 	}
-	return &groupTable{slot: make(map[int64]int)}
+	return new(agg.Table)
 }
 
-// putGroupTable empties a group table and recycles it; like scratch,
-// the free list is bounded by the number of concurrent launches.
-func (g *GPU) putGroupTable(t *groupTable) {
-	clear(t.slot)
-	t.rows = t.rows[:0]
+// putGroupTable recycles a drained group table; like scratch, the free
+// list is bounded by the number of concurrent launches.
+func (g *GPU) putGroupTable(t *agg.Table) {
 	g.scratchMu.Lock()
 	if len(g.tables) < 64 {
 		g.tables = append(g.tables, t)

@@ -1,12 +1,11 @@
 package device
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
+	"hybridstore/internal/agg"
 	"hybridstore/internal/compress"
 )
 
@@ -33,7 +32,8 @@ import (
 //     launch sweeps keys and values together, folds matches into per-SM
 //     group tables that merge before the kernel retires, and ships only
 //     the merged group table back — one D2H of 24 bytes per group. A
-//     compressed value image decodes inside the same single launch.
+//     compressed value image decodes inside the same single launch. The
+//     software card folds into one agg.Table in element order.
 type Kernel struct {
 	// Vals is the raw value vector; ignored when Comp is set.
 	Vals Vec
@@ -45,6 +45,14 @@ type Kernel struct {
 	// Where restricts the aggregate to values inside [Lo, Hi].
 	Where  bool
 	Lo, Hi float64
+	// Groups is the host buffer the group table's D2H lands in: a
+	// grouped launch appends its table to Groups[:0] and returns that as
+	// Partial.Groups. The caller owns the buffer throughout — the card
+	// keeps no reference — so a scan launching fragment after fragment
+	// passes the previous Partial.Groups back in once it has folded it,
+	// and allocates only when a table outgrows the buffer. Nil is a
+	// buffer of capacity zero: the launch allocates the table it returns.
+	Groups []GroupPartial
 	// Config is the launch geometry (see ReduceConfigFor).
 	Config LaunchConfig
 }
@@ -53,7 +61,10 @@ type Kernel struct {
 func (k Kernel) grouped() bool { return k.Keys.Size != 0 }
 
 // Partial is the result of one Kernel launch: Sum and Count for a
-// reduction, the key-sorted group table for a grouped one.
+// reduction, the group table in ascending key order for a grouped one.
+// Groups aliases the launch's Kernel.Groups buffer when the table fit
+// it: it belongs to whoever owns that buffer, and a later launch handed
+// the same buffer overwrites it.
 type Partial struct {
 	Sum    float64
 	Count  int64
@@ -62,37 +73,10 @@ type Partial struct {
 
 // GroupPartial is one group of a device grouped aggregation, the wire
 // format of the group-table D2H (24 bytes per group: key, sum, count).
-type GroupPartial struct {
-	// Key is the grouping value (int64-widened).
-	Key int64
-	// Sum is the aggregated float64 total of matching elements.
-	Sum float64
-	// Count is the number of matching elements in the group.
-	Count int64
-}
+type GroupPartial = agg.Group
 
 // groupPartialBytes is the D2H wire size of one group-table entry.
 const groupPartialBytes = 24
-
-// groupTable is the grouped kernel's hash-aggregate working set: slot
-// maps a key to its entry in rows, which stay in first-seen order. The
-// entries are values, so a launch allocates nothing per group, and the
-// GPU recycles whole tables across launches (getGroupTable).
-type groupTable struct {
-	slot map[int64]int
-	rows []GroupPartial
-}
-
-// add folds one matching element into its group.
-func (t *groupTable) add(key int64, x float64) {
-	if j, ok := t.slot[key]; ok {
-		t.rows[j].Sum += x
-		t.rows[j].Count++
-		return
-	}
-	t.slot[key] = len(t.rows)
-	t.rows = append(t.rows, GroupPartial{Key: key, Sum: x, Count: 1})
-}
 
 // Launch runs the kernel and advances the device clock by its priced
 // duration now.
@@ -173,35 +157,26 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 	between := compress.Pred[float64]{Op: compress.OpBetween, Lo: lo, Hi: hi}
 
 	if grouped {
-		kbase, kstride, key8 := k.Keys.Base, k.Keys.Stride, k.Keys.Size == 8
-		keyAt := func(i int) int64 {
-			if key8 {
-				return int64(binary.LittleEndian.Uint64(kbuf[kbase+i*kstride:]))
-			}
-			return int64(int32(binary.LittleEndian.Uint32(kbuf[kbase+i*kstride:])))
+		keys := agg.Keys{Stride: k.Keys.Stride, Size: k.Keys.Size}
+		if n > 0 {
+			keys.Data = kbuf[k.Keys.Base:]
 		}
 		// Ascending element order keeps per-group float accumulation
 		// bit-identical to the host fused kernel's.
 		table := g.getGroupTable()
-		defer g.putGroupTable(table)
 		if col != nil {
-			if err := col.GroupSumFloat64Where(between, keyAt, table.add); err != nil {
+			if err := col.GroupSumFloat64Where(between, keys, table); err != nil {
 				return out, 0, 0, err
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				x := math.Float64frombits(binary.LittleEndian.Uint64(vbuf[vbase+i*stride:]))
-				if lo <= x && x <= hi {
-					table.add(keyAt(i), x)
-				}
-			}
+		} else if n > 0 {
+			table.FoldWhere(keys, vbuf[vbase:], stride, n, lo, hi)
 		}
+		out.Groups = table.Drain(k.Groups[:0])
+		g.putGroupTable(table)
 		var matched int64
-		for _, gr := range table.rows {
+		for _, gr := range out.Groups {
 			matched += gr.Count
 		}
-		out.Groups = slices.Clone(table.rows)
-		slices.SortFunc(out.Groups, func(a, b GroupPartial) int { return cmp.Compare(a.Key, b.Key) })
 		g.countKernels(1)
 		resultBytes := int64(len(out.Groups)) * groupPartialBytes
 		g.countTransfer(resultBytes, false)

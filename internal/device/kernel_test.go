@@ -159,11 +159,13 @@ func TestKernelSemantics(t *testing.T) {
 	}
 }
 
-// A grouped launch allocates the result it hands back and nothing per
-// group: the hash table holds values and is recycled across launches, so
-// a 64-group fragment costs what a 1-group fragment of the same length
-// does. (With a map of pointers it cost one heap object per group per
-// launch plus the map's growth, on every fragment of every scan.)
+// A grouped launch allocates the result it hands back — once, whatever
+// the group count — and nothing per group: the group table is recycled
+// across launches, so a 64-group fragment costs what a 1-group fragment
+// of the same length does. (With a map of pointers it cost one heap
+// object per group per launch plus the map's growth, on every fragment
+// of every scan.) Handed the previous launch's table back as its
+// Kernel.Groups buffer, the way a scan does, it allocates nothing.
 func TestGroupedLaunchAllocsIndependentOfGroups(t *testing.T) {
 	const n = 1024
 	g, _ := newGPU()
@@ -172,7 +174,7 @@ func TestGroupedLaunchAllocsIndependentOfGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer vbuf.Free()
-	allocs := func(domain int) float64 {
+	allocs := func(domain int, reuse bool) float64 {
 		raw := make([]byte, n*4)
 		for i := 0; i < n; i++ {
 			binary.LittleEndian.PutUint32(raw[i*4:], uint32(i%domain))
@@ -196,11 +198,115 @@ func TestGroupedLaunchAllocsIndependentOfGroups(t *testing.T) {
 			if err != nil || len(out.Groups) != domain {
 				t.Fatalf("%d groups, %v; want %d", len(out.Groups), err, domain)
 			}
+			if reuse {
+				k.Groups = out.Groups
+			}
 		})
 	}
-	one, many := allocs(1), allocs(64)
-	t.Logf("allocs per grouped launch: %.0f with 1 group, %.0f with 64", one, many)
-	if many > one+2 {
+	one, many, reused := allocs(1, false), allocs(64, false), allocs(64, true)
+	t.Logf("allocs per grouped launch: %.0f with 1 group, %.0f with 64, %.0f with 64 into the caller's buffer", one, many, reused)
+	if many > one {
 		t.Errorf("a 64-group launch allocates %.0f, a 1-group launch %.0f: grows with the group count", many, one)
+	}
+	if reused != 0 {
+		t.Errorf("a launch into a buffer that holds its table allocates %.0f, want 0", reused)
+	}
+}
+
+// A grouped launch over a compressed image hands back, bit for bit, the
+// group table of the same launch over the raw values — whichever
+// encoding holds the image, strided or dense raw values, int32 or int64
+// keys, with the values float addition is touchy about (NaN, -0, an
+// infinity, adjacent doubles) in the column and on the interval's edge.
+func TestGroupedLaunchCompressedMatchesRaw(t *testing.T) {
+	const n = 1500
+	columns := map[string]func(i int) float64{
+		// Runs of three, 40 distinct values: RLE and Dict both apply.
+		"specials": func(i int) float64 {
+			switch v := i / 3 % 40; v {
+			case 5:
+				return math.NaN()
+			case 6:
+				return math.Copysign(0, -1)
+			case 7:
+				return math.Inf(1)
+			default:
+				return float64(v) - 4
+			}
+		},
+		// 64 adjacent doubles around 1: FOR frames their bit patterns.
+		"adjacent": func(i int) float64 { return math.Float64frombits(math.Float64bits(1) - 32 + uint64(i*7%64)) },
+	}
+	intervals := [][2]float64{{math.Inf(-1), math.Inf(1)}, {0, 20}, {math.Nextafter(1, 0), 1}, {math.Copysign(0, -1), 0}, {3, 2}}
+	for name, gen := range columns {
+		img := make([]byte, n*8)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(img[i*8:], math.Float64bits(gen(i)))
+		}
+		g, _ := newGPU()
+		upload := func(b []byte) *Buffer {
+			buf, err := g.Alloc(len(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.CopyToDevice(buf, 0, b); err != nil {
+				t.Fatal(err)
+			}
+			return buf
+		}
+		_, strided, err := fillFloats(g, n, 24, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws := map[string]Vec{"dense": {Buf: upload(img), Stride: 8, Size: 8, Len: n}, "strided": strided}
+		encoded := 0
+		for _, enc := range []compress.Encoding{compress.Raw, compress.RLE, compress.Dict, compress.FOR} {
+			col, err := compress.CompressAs(enc, img, n, 8)
+			if errors.Is(err, compress.ErrNotApplicable) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			encoded++
+			comp := upload(col.Marshal())
+			for _, ksize := range []int{4, 8} {
+				keys := make([]byte, n*ksize)
+				for i := 0; i < n; i++ {
+					if key := int64(i*11%300) - 150; ksize == 8 { // wider than the table's slot window
+						binary.LittleEndian.PutUint64(keys[i*8:], uint64(key))
+					} else {
+						binary.LittleEndian.PutUint32(keys[i*4:], uint32(int32(key)))
+					}
+				}
+				k := Kernel{Keys: Vec{Buf: upload(keys), Stride: ksize, Size: ksize, Len: n}, Where: true, Config: ReduceConfigFor(n)}
+				for _, iv := range intervals {
+					k.Lo, k.Hi = iv[0], iv[1]
+					k.Vals, k.Comp = Vec{}, comp
+					got, err := g.Launch(k)
+					if err != nil {
+						t.Fatalf("%s/%v: %v", name, enc, err)
+					}
+					for shape, raw := range raws {
+						k.Vals, k.Comp = raw, nil
+						want, err := g.Launch(k)
+						if err != nil {
+							t.Fatalf("%s/%s: %v", name, shape, err)
+						}
+						if len(got.Groups) != len(want.Groups) {
+							t.Fatalf("%s/%v vs %s, %d-byte keys, [%v, %v]: %d groups, want %d", name, enc, shape, ksize, iv[0], iv[1], len(got.Groups), len(want.Groups))
+						}
+						for i, gr := range got.Groups {
+							if w := want.Groups[i]; gr.Key != w.Key || gr.Count != w.Count || math.Float64bits(gr.Sum) != math.Float64bits(w.Sum) {
+								t.Fatalf("%s/%v vs %s, %d-byte keys, [%v, %v]: group %+v, want %+v", name, enc, shape, ksize, iv[0], iv[1], gr, w)
+							}
+						}
+					}
+				}
+			}
+		}
+		if encoded < 3 {
+			t.Errorf("%s: only %d encodings apply", name, encoded)
+		}
 	}
 }

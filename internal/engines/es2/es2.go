@@ -216,8 +216,7 @@ func (t *Table) findPartition(g int, row uint64) *partition {
 // LookupPK resolves a primary-key value through the distributed secondary
 // index to a row position.
 func (t *Table) LookupPK(pk int64) (uint64, bool) {
-	row, err := t.pkIndex.Get(pk)
-	return row, err == nil
+	return t.pkIndex.Lookup(pk)
 }
 
 // FailNode marks a node as failed and promotes the replicas of its

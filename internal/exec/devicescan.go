@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hybridstore/internal/agg"
 	"hybridstore/internal/device"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
@@ -183,10 +184,13 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 		return device.Vec{Buf: buf, Stride: p.Vec.Size, Size: p.Vec.Size, Len: p.Vec.Len}, nil, nil
 	}
 	var res Result
-	var table groupTable
+	var table agg.Table
+	// groups is the one host buffer every launch's group table lands in:
+	// each is folded into table before the next launch overwrites it.
+	var groups []device.GroupPartial
 	for _, i := range kept {
 		vp := sc.Vals[i]
-		k := device.Kernel{Where: filtered, Lo: lo, Hi: hi, Config: device.ReduceConfigFor(vp.Vec.Len)}
+		k := device.Kernel{Where: filtered, Lo: lo, Hi: hi, Groups: groups, Config: device.ReduceConfigFor(vp.Vec.Len)}
 		if grouped {
 			if k.Keys, _, err = operand(sc.KeyCol, sc.Keys[i]); err != nil {
 				return Result{}, err
@@ -206,13 +210,11 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 		}
 		res.Sum += part.Sum
 		res.Count += part.Count
-		for _, g := range part.Groups {
-			table.add(GroupResult(g))
-		}
+		table.Merge(part.Groups)
+		groups = part.Groups
 	}
 	if grouped {
-		SortGroupResults(table.rows)
-		res.Groups = table.rows
+		res.Groups = table.Drain(nil)
 	}
 	return res, nil
 }

@@ -1,16 +1,15 @@
 package exec
 
-import "fmt"
+import (
+	"fmt"
 
-// GroupResult is one group of a grouped aggregation.
-type GroupResult struct {
-	// Key is the grouping value (int64-widened).
-	Key int64
-	// Sum is the aggregated float64 total.
-	Sum float64
-	// Count is the group cardinality.
-	Count int64
-}
+	"hybridstore/internal/agg"
+)
+
+// GroupResult is one group of a grouped aggregation: Key (int64-widened),
+// Sum and Count. It is the group table's own entry type, so a table's
+// rows are a result without a copy.
+type GroupResult = agg.Group
 
 // GroupSumFloat64 computes SELECT key, SUM(val), COUNT(*) GROUP BY key
 // over two parallel column views ("mostly aggregations and groupings are
@@ -39,9 +38,9 @@ func GroupSumFloat64(cfg Config, keys, vals []Piece) ([]GroupResult, error) {
 	ot := obsGroupBy.start(cfg.Policy)
 	// The unpredicated group-by is the fused kernel with every range
 	// dense: no compare, every element folded.
-	out := mergeGroupTables(groupTables(cfg, totalLen(keys), func(table map[int64]*GroupResult, gFrom, gTo int) {
+	out := mergeGroupTables(groupTables(cfg, totalLen(keys), func(table *agg.Table, gFrom, gTo int) {
 		eachAligned(keys, gFrom, gTo, func(pi, from, to int) {
-			groupWhereF64Into(table, keys[pi].Vec, vals[pi].Vec, from, to, 0, 0, true)
+			foldGroupRange(table, keysOf(keys[pi].Vec), vals[pi].Vec, from, to, 0, 0, true)
 		})
 	}))
 	cfg.chargeScan(keys)

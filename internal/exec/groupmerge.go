@@ -3,6 +3,8 @@ package exec
 import (
 	"cmp"
 	"slices"
+
+	"hybridstore/internal/agg"
 )
 
 // SortGroupResults orders a group table by key. Group tables are the
@@ -38,35 +40,9 @@ func MergeGroupResults(parts ...[]GroupResult) []GroupResult {
 		SortGroupResults(out)
 		return out
 	}
-	var t groupTable
+	var t agg.Table
 	for _, part := range parts {
-		for _, g := range part {
-			t.add(g)
-		}
+		t.Merge(part)
 	}
-	SortGroupResults(t.rows)
-	return t.rows
-}
-
-// groupTable folds partial group entries into one entry per key. slot
-// indexes into rows (first-seen order) instead of mapping to pointers:
-// one growing allocation for the table, not one heap object per group.
-// The zero value is ready to use.
-type groupTable struct {
-	slot map[int64]int
-	rows []GroupResult
-}
-
-// add folds g into its key's entry.
-func (t *groupTable) add(g GroupResult) {
-	if j, ok := t.slot[g.Key]; ok {
-		t.rows[j].Sum += g.Sum
-		t.rows[j].Count += g.Count
-		return
-	}
-	if t.slot == nil {
-		t.slot = make(map[int64]int)
-	}
-	t.slot[g.Key] = len(t.rows)
-	t.rows = append(t.rows, g)
+	return t.Drain(nil)
 }

@@ -1,11 +1,10 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 
+	"hybridstore/internal/agg"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
 )
@@ -13,7 +12,7 @@ import (
 // Fused predicate→group-by operators: SELECT key, SUM(val), COUNT(*)
 // WHERE p GROUP BY key in one pass per piece. No selection vector is
 // materialized — each element is tested and, on a match, folded straight
-// into a per-worker group hash table; the tables merge at the end
+// into a per-worker group table (agg.Table); the tables merge at the end
 // exactly like GroupSumFloat64's. Two layers of data skipping ride on
 // the value column's zone map: fragments the predicate provably cannot
 // match are pruned before any byte is touched (and the key column's
@@ -119,98 +118,66 @@ func eachAligned(keys []Piece, gFrom, gTo int, fn func(pi, from, to int)) {
 // configured policy and returns the per-slot partial tables. Tables hold
 // query results, so they are per-call (never pooled) — a stale table
 // must not leak one query's groups into another.
-func groupTables(cfg Config, total int, fold func(table map[int64]*GroupResult, gFrom, gTo int)) []map[int64]*GroupResult {
+func groupTables(cfg Config, total int, fold func(table *agg.Table, gFrom, gTo int)) []agg.Table {
 	slots := cfg.slots()
-	tables := make([]map[int64]*GroupResult, slots)
+	tables := make([]agg.Table, slots)
 	cfg.partition(slots, total, func(slot, from, to int) {
-		if tables[slot] == nil {
-			tables[slot] = make(map[int64]*GroupResult)
-		}
-		fold(tables[slot], from, to)
+		fold(&tables[slot], from, to)
 	})
 	return tables
 }
 
 // mergeGroupTables folds per-slot partial tables in slot order into one
-// table sorted by key.
-func mergeGroupTables(tables []map[int64]*GroupResult) []GroupResult {
-	merged := make(map[int64]*GroupResult)
-	for _, t := range tables {
-		for k, g := range t {
-			if m, ok := merged[k]; ok {
-				m.Sum += g.Sum
-				m.Count += g.Count
-			} else {
-				merged[k] = g
-			}
-		}
+// table in key order.
+func mergeGroupTables(tables []agg.Table) []GroupResult {
+	if len(tables) == 1 {
+		return tables[0].Drain(nil)
 	}
-	out := make([]GroupResult, 0, len(merged))
-	for _, g := range merged {
-		out = append(out, *g)
+	var merged agg.Table
+	var part []GroupResult
+	for i := range tables {
+		part = tables[i].Drain(part[:0])
+		merged.Merge(part)
 	}
-	SortGroupResults(out)
-	return out
+	return merged.Drain(nil)
 }
 
-// keyDecoder returns an indexed key accessor for a piece: raw vectors
-// decode in place, compressed keys bulk-decode once into a scratch
-// image (the sealed-key case is rare and the scratch is per-call).
-func keyDecoder(p Piece) (func(i int) int64, error) {
+// keyView returns a piece's group keys as the strided view the fused
+// loops read: raw vectors in place, compressed keys bulk-decoded once
+// into a scratch image (the sealed-key case is rare and the scratch is
+// per-call).
+func keyView(p Piece) (agg.Keys, error) {
 	if p.Comp == nil {
-		kp := p.Vec
-		if kp.Size == 8 {
-			return func(i int) int64 {
-				return int64(binary.LittleEndian.Uint64(kp.Data[kp.Base+i*kp.Stride:]))
-			}, nil
-		}
-		return func(i int) int64 {
-			return int64(int32(binary.LittleEndian.Uint32(kp.Data[kp.Base+i*kp.Stride:])))
-		}, nil
+		return keysOf(p.Vec), nil
 	}
 	size := p.Comp.ElementSize()
 	if size != 8 && size != 4 {
-		return nil, fmt.Errorf("%w: compressed group key of %d bytes", ErrBadColumn, size)
+		return agg.Keys{}, fmt.Errorf("%w: compressed group key of %d bytes", ErrBadColumn, size)
 	}
-	img := p.Comp.Decompress()
-	if size == 8 {
-		return func(i int) int64 { return int64(binary.LittleEndian.Uint64(img[i*8:])) }, nil
-	}
-	return func(i int) int64 { return int64(int32(binary.LittleEndian.Uint32(img[i*4:]))) }, nil
+	return agg.Keys{Data: p.Comp.Decompress(), Stride: size, Size: size}, nil
 }
 
-// addGroupF64 folds one matching element into a float partial table.
-func addGroupF64(table map[int64]*GroupResult, key int64, v float64) {
-	if g, ok := table[key]; ok {
-		g.Sum += v
-		g.Count++
-	} else {
-		table[key] = &GroupResult{Key: key, Sum: v, Count: 1}
-	}
+// keysOf views a raw key vector as group keys.
+func keysOf(v layout.ColVector) agg.Keys {
+	return agg.Keys{Data: v.Data[v.Base:], Stride: v.Stride, Size: v.Size}
 }
 
-// groupWhereF64Into is the fused float kernel: decode value, compare
-// against the closed interval, fold the match into the table. dense
-// skips the compare when the fragment's zone proved every element
+// foldGroupRange is the fused float kernel over elements [from, to) of
+// an uncompressed value column and its group keys: compare the value
+// against the closed interval, fold the match into its key's group.
+// dense skips the compare when the fragment's zone proved every element
 // matches (the zone is NaN-poisoned into invalidity, so a dense proof
-// implies no NaNs).
-func groupWhereF64Into(table map[int64]*GroupResult, kp, vp layout.ColVector, from, to int, lo, hi float64, dense bool) {
-	kOff := kp.Base + from*kp.Stride
-	vOff := vp.Base + from*vp.Stride
-	key8 := kp.Size == 8
-	for i := from; i < to; i++ {
-		x := math.Float64frombits(binary.LittleEndian.Uint64(vp.Data[vOff:]))
-		if dense || (lo <= x && x <= hi) {
-			var key int64
-			if key8 {
-				key = int64(binary.LittleEndian.Uint64(kp.Data[kOff:]))
-			} else {
-				key = int64(int32(binary.LittleEndian.Uint32(kp.Data[kOff:])))
-			}
-			addGroupF64(table, key, x)
-		}
-		kOff += kp.Stride
-		vOff += vp.Stride
+// implies no NaNs) or there is no predicate at all.
+func foldGroupRange(table *agg.Table, keys agg.Keys, vp layout.ColVector, from, to int, lo, hi float64, dense bool) {
+	if from >= to {
+		return
+	}
+	keys.Data = keys.Data[from*keys.Stride:]
+	vals := vp.Data[vp.Base+from*vp.Stride:]
+	if dense {
+		table.FoldAll(keys, vals, vp.Stride, to-from)
+	} else {
+		table.FoldWhere(keys, vals, vp.Stride, to-from, lo, hi)
 	}
 }
 
@@ -246,39 +213,29 @@ func GroupSumFloat64Where(cfg Config, keys, vals []Piece, p Pred[float64]) ([]Gr
 	}
 	rawKeys, rawVals, compKeys, compVals := splitAlignedComp(kKeys, kVals)
 	dense := denseFlagsF64(rawVals, lo, hi)
-	tables := groupTables(cfg, totalLen(rawKeys), func(table map[int64]*GroupResult, gFrom, gTo int) {
+	tables := groupTables(cfg, totalLen(rawKeys), func(table *agg.Table, gFrom, gTo int) {
 		eachAligned(rawKeys, gFrom, gTo, func(pi, from, to int) {
-			groupWhereF64Into(table, rawKeys[pi].Vec, rawVals[pi].Vec, from, to, lo, hi, dense[pi])
+			foldGroupRange(table, keysOf(rawKeys[pi].Vec), rawVals[pi].Vec, from, to, lo, hi, dense[pi])
 		})
 	})
 	if len(compVals) > 0 {
-		ct := make(map[int64]*GroupResult)
+		// The pairs with a compressed side fold, in piece order, into one
+		// more table behind the slots'.
+		tables = append(tables, agg.Table{})
+		ct := &tables[len(tables)-1]
 		cp := compPred(p)
-		for i := range compVals {
-			keyAt, err := keyDecoder(compKeys[i])
+		for i, vp := range compVals {
+			keys, err := keyView(compKeys[i])
 			if err != nil {
 				return nil, err
 			}
-			if c := compVals[i].Comp; c != nil {
-				err := c.GroupSumFloat64Where(cp, keyAt, func(key int64, v float64) {
-					addGroupF64(ct, key, v)
-				})
-				if err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadColumn, err)
-				}
-				continue
-			}
-			// Raw value column under a compressed key.
-			vp := compVals[i].Vec
-			vOff := vp.Base
-			for j := 0; j < vp.Len; j++ {
-				if x := math.Float64frombits(binary.LittleEndian.Uint64(vp.Data[vOff:])); lo <= x && x <= hi {
-					addGroupF64(ct, keyAt(j), x)
-				}
-				vOff += vp.Stride
+			if vp.Comp == nil {
+				// Raw value column under a compressed key.
+				foldGroupRange(ct, keys, vp.Vec, 0, vp.Vec.Len, lo, hi, false)
+			} else if err := vp.Comp.GroupSumFloat64Where(cp, keys, ct); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrBadColumn, err)
 			}
 		}
-		tables = append(tables, ct)
 	}
 	out := mergeGroupTables(tables)
 	mGroupFusedGroups.Add(int64(len(out)))

@@ -3,7 +3,6 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"unsafe"
 
 	"hybridstore/internal/compress"
@@ -200,20 +199,11 @@ func (p Pred[T]) String() string {
 // ClosedFloat64 normalizes a float64 predicate to the closed interval
 // [lo, hi] with identical match semantics (strict bounds step to the
 // adjacent representable double). ok is false for an empty interval.
-// The device's fused filter kernel consumes this form.
+// The device's fused filter kernel consumes this form; the rule is
+// compress.Pred.Closed, which the compressed-domain operators resolve
+// their own predicates with.
 func ClosedFloat64(p Pred[float64]) (lo, hi float64, ok bool) {
-	switch p.Op {
-	case OpEQ:
-		return p.Lo, p.Lo, true
-	case OpLT:
-		return math.Inf(-1), math.Nextafter(p.Hi, math.Inf(-1)), !math.IsInf(p.Hi, -1)
-	case OpGT:
-		return math.Nextafter(p.Lo, math.Inf(1)), math.Inf(1), !math.IsInf(p.Lo, 1)
-	case OpBetween:
-		return p.Lo, p.Hi, p.Lo <= p.Hi
-	default:
-		return 0, 0, false
-	}
+	return compPred(p).Closed()
 }
 
 // ZoneAdmits reports whether the zone map allows a match — the overlap

@@ -72,14 +72,25 @@ func (h *Hash) Put(key int64, row uint64) error {
 	return nil
 }
 
-// Get returns the row of key.
+// Get returns the row of key, ErrNotFound if it has none.
 func (h *Hash) Get(key int64) (uint64, error) {
+	row, ok := h.Lookup(key)
+	if !ok {
+		return 0, fmt.Errorf("%w: %d", ErrNotFound, key)
+	}
+	return row, nil
+}
+
+// Lookup returns the row of key and whether it has one: Get for a
+// caller to whom a free key is an outcome, not a failure (every insert
+// probes for its key first).
+func (h *Hash) Lookup(key int64) (uint64, bool) {
 	for i := h.hash(key); h.slots[i].occupied; i = (i + 1) & (len(h.slots) - 1) {
 		if h.slots[i].key == key {
-			return h.slots[i].row, nil
+			return h.slots[i].row, true
 		}
 	}
-	return 0, fmt.Errorf("%w: %d", ErrNotFound, key)
+	return 0, false
 }
 
 // grow doubles the table and rehashes the entries.

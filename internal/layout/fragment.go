@@ -396,6 +396,20 @@ type ColVector struct {
 // Contiguous reports whether the column occupies one dense byte run.
 func (v ColVector) Contiguous() bool { return v.Stride == v.Size }
 
+// Float64 decodes element i (below Len) of a float64 column in place.
+func (v ColVector) Float64(i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(v.Data[v.Base+i*v.Stride:]))
+}
+
+// Int decodes element i (below Len) of an int64 or int32 column in
+// place, sign-extended.
+func (v ColVector) Int(i int) int64 {
+	if v.Size == 8 {
+		return int64(binary.LittleEndian.Uint64(v.Data[v.Base+i*v.Stride:]))
+	}
+	return int64(int32(binary.LittleEndian.Uint32(v.Data[v.Base+i*v.Stride:])))
+}
+
 // ColVector returns strided access to relation attribute c.
 func (f *Fragment) ColVector(c int) (ColVector, error) {
 	p := f.colPos(c)

@@ -318,19 +318,31 @@ func (t *Tx) SnapshotTS() uint64 { return t.beginTS }
 // buffered write if any, else the newest version at or before its
 // snapshot. ErrNotFound is returned for rows with no visible version.
 func (t *Tx) Read(row uint64) (schema.Record, error) {
+	rec, ok, err := t.Lookup(row)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: row %d at ts %d", ErrNotFound, row, t.beginTS)
+	}
+	return rec, err
+}
+
+// Lookup is Read for a caller to whom a row without a visible version
+// is an outcome, not a failure (every row the deltas have not touched,
+// which is most rows, most of the time): ok reports whether there is
+// one, and no error is built to say there is not.
+func (t *Tx) Lookup(row uint64) (rec schema.Record, ok bool, err error) {
 	if t.closed {
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	if rec, ok := t.writes[row]; ok {
-		return rec.Clone(), nil
+		return rec.Clone(), true, nil
 	}
 	t.s.mu.RLock()
 	defer t.s.mu.RUnlock()
 	v := t.s.head(row).at(t.beginTS)
 	if v == nil {
-		return nil, fmt.Errorf("%w: row %d at ts %d", ErrNotFound, row, t.beginTS)
+		return nil, false, nil
 	}
-	return v.rec.Clone(), nil
+	return v.rec.Clone(), true, nil
 }
 
 // Write buffers a full-record write of row.
