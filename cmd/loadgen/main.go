@@ -35,11 +35,9 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"hybridstore"
-	"hybridstore/internal/schema"
 	"hybridstore/internal/server"
 	"hybridstore/internal/server/loadgen"
 )
@@ -160,7 +158,7 @@ func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
 		if err != nil {
 			return checked, err
 		}
-		want := renderRecord(rec)
+		want := string(server.AppendRecord(nil, rec))
 		got, err := c.Exec(get, fmt.Sprintf(`"row":%d`, row))
 		if err != nil {
 			return checked, err
@@ -189,30 +187,6 @@ func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
 		}
 	}
 	return checked, nil
-}
-
-// renderRecord mirrors the server's record serialization: a JSON array
-// with shortest-exact floats.
-func renderRecord(rec hybridstore.Record) string {
-	var b strings.Builder
-	b.WriteString(`{"record":[`)
-	for i, v := range rec {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		switch v.Kind {
-		case schema.Float64:
-			b.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
-		case schema.Char:
-			b.WriteByte('"')
-			b.WriteString(v.S)
-			b.WriteByte('"')
-		default:
-			b.WriteString(strconv.FormatInt(v.I, 10))
-		}
-	}
-	b.WriteString(`]}`)
-	return b.String()
 }
 
 // serveLocal builds the warm device-cached item fixture and serves it

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"hybridstore/internal/core"
 	"hybridstore/internal/device"
@@ -111,13 +110,6 @@ type Options struct {
 	// Policy is the host execution policy for analytic operators
 	// (default SingleThreaded).
 	Policy ExecPolicy
-	// Devices selects how many simulated cards the platform carries.
-	// 0 or 1 keeps the default single device; >= 2 builds a card fleet
-	// with hash-sharded fragment placement and routes device-eligible
-	// scans through the cross-device scheduler, which fans fragments
-	// across all cards (and the host morsel pool) simultaneously.
-	// Meaningful together with DeviceCache.
-	Devices int
 	// Durability tunes write-ahead logging and checkpointing. Consulted
 	// only by OpenDir; Open builds a memory-only DB regardless.
 	Durability Durability
@@ -137,10 +129,6 @@ type ResultCacheOptions struct {
 	// Cap bounds resident entry bytes; the cache evicts LRU-first above
 	// it. Cap <= 0 disables the cache entirely.
 	Cap int64
-	// TTL optionally expires entries by age even when their stamp still
-	// matches. Zero means stamp-only invalidation (recommended: stamps
-	// are exact, age adds nothing for correctness).
-	TTL time.Duration
 }
 
 // DB is an open hybridstore instance: one simulated platform (host
@@ -162,12 +150,7 @@ type DB struct {
 
 // Open creates a DB.
 func Open(opts Options) *DB {
-	var env *engine.Env
-	if opts.Devices >= 2 {
-		env = engine.NewEnvDevices(opts.Devices)
-	} else {
-		env = engine.NewEnv()
-	}
+	env := engine.NewEnv()
 	env.ExecPolicy = opts.Policy
 	return &DB{
 		env: env,
@@ -179,7 +162,6 @@ func Open(opts Options) *DB {
 			DeviceCache:      opts.DeviceCache,
 			Compress:         opts.Compress,
 			ResultCacheBytes: opts.ResultCache.Cap,
-			ResultCacheTTL:   opts.ResultCache.TTL,
 		}),
 		tables: make(map[string]*Table),
 	}
@@ -189,23 +171,10 @@ func Open(opts Options) *DB {
 // hits, misses, evictions, resident and pinned bytes, live entries.
 type DeviceCacheStats = device.FragCacheStats
 
-// DeviceCacheStats returns the device fragment cache's meters, summed
-// across the fleet when Options.Devices >= 2. The caches populate only
-// when Options.DeviceCache is on; with it off the counts stay zero.
-func (db *DB) DeviceCacheStats() DeviceCacheStats {
-	s := db.env.Cache.Stats()
-	if db.env.Fleet != nil {
-		f := db.env.Fleet.CacheStats()
-		s.Hits += f.Hits
-		s.Misses += f.Misses
-		s.Evictions += f.Evictions
-		s.DupUploads += f.DupUploads
-		s.ResidentBytes += f.ResidentBytes
-		s.PinnedBytes += f.PinnedBytes
-		s.Entries += f.Entries
-	}
-	return s
-}
+// DeviceCacheStats returns the device fragment cache's meters. The cache
+// populates only when Options.DeviceCache is on; with it off the counts
+// stay zero.
+func (db *DB) DeviceCacheStats() DeviceCacheStats { return db.env.Cache.Stats() }
 
 // ResultCacheStats is a snapshot of the result cache's meters: lookups,
 // hits, misses (stale a subset of misses), evictions, puts, resident
@@ -219,15 +188,6 @@ func (db *DB) ResultCacheStats() ResultCacheStats {
 		return c.Stats()
 	}
 	return ResultCacheStats{}
-}
-
-// Devices returns the simulated card count: 1 for the default single
-// device, the fleet size when Options.Devices configured one.
-func (db *DB) Devices() int {
-	if db.env.Fleet != nil {
-		return db.env.Fleet.N()
-	}
-	return 1
 }
 
 // SimulatedSeconds returns the simulated platform time consumed so far

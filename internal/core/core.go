@@ -31,7 +31,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"hybridstore/internal/compress"
 	"hybridstore/internal/engine"
@@ -70,10 +69,6 @@ type Options struct {
 	// purely passive — any write bumps a fragment version (or replaces
 	// the fragment), and the next lookup misses. 0 disables the cache.
 	ResultCacheBytes int64
-	// ResultCacheTTL additionally ages result-cache entries out. 0 means
-	// entries live until a version bump or LRU eviction — correct on its
-	// own; a TTL only bounds memory held by never-revisited keys.
-	ResultCacheTTL time.Duration
 	// Compress seals side-car compressed images of the cold region's
 	// singleton 8-byte numeric columns at the freeze point (the same point
 	// that seals zone maps), re-sealing whenever the cold bytes are
@@ -112,7 +107,8 @@ type Engine struct {
 func New(env *engine.Env, opts Options) *Engine {
 	e := &Engine{env: env, opts: opts.withDefaults()}
 	if e.opts.ResultCacheBytes > 0 {
-		e.rescache = rescache.New(e.opts.ResultCacheBytes, e.opts.ResultCacheTTL)
+		// No TTL; New keeps the parameter because bench/ calls it, until the next benchmark PR.
+		e.rescache = rescache.New(e.opts.ResultCacheBytes, 0)
 	}
 	return e
 }

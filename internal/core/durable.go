@@ -381,17 +381,13 @@ func (e *Engine) RestoreTable(name string, s *schema.Schema, d *wal.Decoder) (*T
 // PrimeDeviceCache uploads the listed columns' cold fragments into the
 // device fragment cache — the warm-restart path that restores the
 // pre-crash working set before the first scans arrive. Columns ride the
-// same piece geometry scans use, so scan-time cache keys match. A
-// fleet-scheduled environment skips priming (placement is re-derived by
-// the scheduler); so does a table without the cache enabled.
+// same piece geometry scans use, so scan-time cache keys match. A table
+// without the cache enabled skips priming.
 func (t *Table) PrimeDeviceCache(cols []device.ResidentCol) error {
 	if !t.eng.opts.DeviceCache || t.env.Cache == nil {
 		return nil
 	}
-	ds, ok := t.env.DeviceExec(t.rel.Name()).(exec.DeviceScan)
-	if !ok {
-		return nil
-	}
+	ds := t.env.DeviceExec(t.rel.Name())
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	rows := t.rel.Rows()

@@ -340,16 +340,6 @@ func (c *FragCache) evictLRULocked() bool {
 	return true
 }
 
-// Resident reports whether an image of the keyed clip at the given version
-// is currently resident (pinned or not) without touching LRU order or the
-// meters — the warmth probe the cross-device scheduler's placement uses.
-func (c *FragCache) Resident(key FragKey, version uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return ok && e.version == version
-}
-
 // InvalidateFrag retires every cached image of one fragment — all columns
 // and clips. Write paths call this when a fragment's backing store is
 // replaced or freed outright (freeze/regroup, delta merge, compaction);

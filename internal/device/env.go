@@ -45,7 +45,6 @@ func (c *Card) Mark() float64 { return c.lane.ElapsedNs() }
 // wall-clock of a fan-out is the slowest participant, which is where the
 // multi-device throughput scaling comes from.
 type Env struct {
-	prof   perfmodel.DeviceProfile
 	shared *perfmodel.Clock
 
 	mu    sync.Mutex // guards card sync watermarks
@@ -54,23 +53,16 @@ type Env struct {
 
 // NewEnv creates a fleet of n cards (n < 1 is clamped to 1) with the given
 // per-card profile, folding lane time into shared. Each card's cache is
-// allocator-limited; use NewEnvCacheCap to leave headroom for uncached
-// direct transfers.
+// allocator-limited.
 func NewEnv(n int, prof perfmodel.DeviceProfile, shared *perfmodel.Clock) *Env {
-	return NewEnvCacheCap(n, prof, shared, 0)
-}
-
-// NewEnvCacheCap is NewEnv with an explicit per-card cache budget in bytes
-// (0 = allocator-limited).
-func NewEnvCacheCap(n int, prof perfmodel.DeviceProfile, shared *perfmodel.Clock, cacheCap int64) *Env {
 	if n < 1 {
 		n = 1
 	}
-	e := &Env{prof: prof, shared: shared}
+	e := &Env{shared: shared}
 	for i := 0; i < n; i++ {
 		lane := &perfmodel.Clock{}
 		gpu := NewIndexed(prof, lane, i)
-		cache := NewFragCacheCap(gpu, cacheCap)
+		cache := NewFragCache(gpu)
 		cache.cardHits = obs.NewCounter(fmt.Sprintf("device.%d.cache.hits", i))
 		cache.cardMisses = obs.NewCounter(fmt.Sprintf("device.%d.cache.misses", i))
 		e.cards = append(e.cards, &Card{gpu: gpu, cache: cache, lane: lane})
@@ -84,18 +76,14 @@ func (e *Env) N() int { return len(e.cards) }
 // Card returns card i.
 func (e *Env) Card(i int) *Card { return e.cards[i] }
 
-// Profile returns the per-card device profile.
-func (e *Env) Profile() perfmodel.DeviceProfile { return e.prof }
-
 // SettleMax folds the fleet's un-synced lane time into the shared clock as
 // a single concurrent phase: the shared clock advances by the largest
-// per-card lane delta since the last settle (or extraNs — e.g. a host lane
-// that ran alongside the cards — if that is larger), and every card's
-// watermark catches up. Called by the cross-device scheduler after joining
-// a fan-out.
-func (e *Env) SettleMax(extraNs float64) {
+// per-card lane delta since the last settle, and every card's watermark
+// catches up. Called by the cross-device scheduler after joining a
+// fan-out.
+func (e *Env) SettleMax() {
 	e.mu.Lock()
-	maxD := extraNs
+	var maxD float64
 	for _, c := range e.cards {
 		if d := c.lane.ElapsedNs() - c.synced; d > maxD {
 			maxD = d
@@ -105,20 +93,6 @@ func (e *Env) SettleMax(extraNs float64) {
 	e.mu.Unlock()
 	if e.shared != nil {
 		e.shared.Advance(maxD)
-	}
-}
-
-// InvalidateFrag retires cached images of one fragment on every card.
-func (e *Env) InvalidateFrag(table string, frag uint64) {
-	for _, c := range e.cards {
-		c.cache.InvalidateFrag(table, frag)
-	}
-}
-
-// InvalidateTable retires cached images of one table on every card.
-func (e *Env) InvalidateTable(table string) {
-	for _, c := range e.cards {
-		c.cache.InvalidateTable(table)
 	}
 }
 

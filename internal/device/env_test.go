@@ -144,12 +144,12 @@ func TestEnvCardsChargeLanesNotShared(t *testing.T) {
 	if lane1 <= lane0 {
 		t.Fatalf("lane1 %v should exceed lane0 %v", lane1, lane0)
 	}
-	env.SettleMax(0)
+	env.SettleMax()
 	if got := shared.ElapsedNs(); got != lane1 {
 		t.Fatalf("SettleMax advanced shared by %v, want max lane %v", got, lane1)
 	}
 	// Settled lanes fold nothing further.
-	env.SettleMax(0)
+	env.SettleMax()
 	if got := shared.ElapsedNs(); got != lane1 {
 		t.Fatalf("second SettleMax moved shared to %v, want unchanged %v", got, lane1)
 	}
@@ -160,7 +160,7 @@ func TestEnvCardsChargeLanesNotShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := env.Card(0).Mark() - lane0
-	env.SettleMax(0)
+	env.SettleMax()
 	if got := shared.ElapsedNs() - before; got != d {
 		t.Fatalf("SettleMax advanced shared by %v, want lane delta %v", got, d)
 	}

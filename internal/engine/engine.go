@@ -58,14 +58,6 @@ type Env struct {
 	// scans over unchanged data skip the bus (paper Section IV-C, "mixed
 	// data location"). Engines treat a nil cache as "re-ship every scan".
 	Cache *device.FragCache
-	// Fleet, when non-nil, is a multi-card device environment: engines
-	// route device-eligible scans through the cross-device scheduler
-	// (exec.MultiDeviceScan) instead of the single-card DeviceScan. Nil
-	// keeps the single-device behavior (GPU + Cache above).
-	Fleet *device.Env
-	// Shards maps fragment IDs to fleet cards; nil with a fleet falls
-	// back to hashing the fragment ID.
-	Shards *layout.ShardMap
 }
 
 // NewEnv builds a default environment: unlimited host and disk, a device
@@ -83,56 +75,25 @@ func NewEnv() *Env {
 	}
 }
 
-// NewEnvDevices builds an environment with an n-card fleet (hash-sharded
-// placement) alongside the default single device. n < 1 is clamped to 1;
-// even a one-card fleet routes scans through the cross-device scheduler,
-// which is what makes the multidevice panel's device-count series
-// comparable.
-func NewEnvDevices(n int) *Env {
-	e := NewEnv()
-	e.Fleet = device.NewEnv(n, perfmodel.DefaultDevice(), e.Clock)
-	e.Shards = layout.NewShardMap(n, layout.ShardHash)
-	return e
-}
-
 // DeviceExec returns the device-routed scan executor for one table: the
-// cross-device scheduler when a fleet is configured, the single-card
-// DeviceScan otherwise. The host lane of the fleet scheduler runs with
-// the environment's exec policy and profile; fragments an engine placed
-// in device memory live on GPU, fleet or not, and scan there.
-func (e *Env) DeviceExec(table string) exec.ScanExecutor {
-	if e.Fleet != nil {
-		return &exec.MultiDeviceScan{
-			Env:      e.Fleet,
-			Table:    table,
-			Shards:   e.Shards,
-			Host:     exec.Config{Policy: e.ExecPolicy, Host: e.HostProfile, Clock: e.Clock},
-			HostLane: true,
-			Home:     exec.DeviceScan{GPU: e.GPU},
-		}
-	}
+// card's DeviceScan over the environment's fragment cache.
+func (e *Env) DeviceExec(table string) exec.DeviceScan {
 	return exec.DeviceScan{GPU: e.GPU, Cache: e.Cache, Table: table}
 }
 
-// InvalidateFrag retires cached device images of one fragment everywhere
-// — the single-card cache and every fleet card. Engines call this when a
-// fragment's backing store is replaced or freed outright.
+// InvalidateFrag retires cached device images of one fragment. Engines
+// call this when a fragment's backing store is replaced or freed
+// outright.
 func (e *Env) InvalidateFrag(table string, frag uint64) {
 	if e.Cache != nil {
 		e.Cache.InvalidateFrag(table, frag)
 	}
-	if e.Fleet != nil {
-		e.Fleet.InvalidateFrag(table, frag)
-	}
 }
 
-// InvalidateTable retires cached device images of one table everywhere.
+// InvalidateTable retires cached device images of one table.
 func (e *Env) InvalidateTable(table string) {
 	if e.Cache != nil {
 		e.Cache.InvalidateTable(table)
-	}
-	if e.Fleet != nil {
-		e.Fleet.InvalidateTable(table)
 	}
 }
 

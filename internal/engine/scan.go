@@ -72,12 +72,18 @@ func Scan(src Source, host exec.Config, dev exec.ScanExecutor, p exec.Plan) (exe
 }
 
 // member is one live plan of a cohort — one that reaches the pieces,
-// which join it in the descriptor once the source has listed them — and
+// which join it in the descriptor once the source has listed them — the
+// closed interval [lo, hi] its predicate, if it has one, matches, and
 // the result slot it fills.
 type member struct {
 	exec.Scan
-	res *exec.Result
+	lo, hi float64
+	res    *exec.Result
 }
+
+// match reports whether the member's predicate selects x; a plan without
+// one selects everything.
+func (m *member) match(x float64) bool { return !m.HasPred || m.lo <= x && x <= m.hi }
 
 // ScanCohort answers any number of plans of one shape from a single
 // pass over the source — one Pieces call, one walk of the patch rows —
@@ -120,8 +126,13 @@ func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exe
 		}
 		// Live: a predicate something can match, or the first of the
 		// identical unfiltered plans.
-		if shape.HasPred && p.DeviceOK() || !shape.HasPred && k == 0 {
-			live = append(live, member{exec.Scan{Plan: p}, &out[k]})
+		m := member{Scan: exec.Scan{Plan: p}, res: &out[k]}
+		isLive := k == 0
+		if shape.HasPred {
+			m.lo, m.hi, isLive = exec.ClosedFloat64(p.Pred)
+		}
+		if isLive {
+			live = append(live, m)
 		}
 	}
 	if len(live) > 0 {
@@ -256,9 +267,8 @@ func patch(pt Patcher, live []member) error {
 	switch {
 	case shape.Op.Grouped():
 		gps := make([]*GroupPatch, len(live))
-		for j, m := range live {
-			p := m.Plan
-			gps[j] = NewGroupPatch(m.res.Groups, func(x float64) bool { return !p.HasPred || p.Pred.Match(x) })
+		for j := range live {
+			gps[j] = NewGroupPatch(live[j].res.Groups, live[j].match)
 		}
 		err := pt.Patches(shape, func(base, cur Cell) {
 			for _, gp := range gps {
@@ -273,11 +283,11 @@ func patch(pt Patcher, live []member) error {
 		return pt.Patches(shape, func(base, cur Cell) {
 			for j := range live {
 				m := &live[j]
-				if m.Pred.Match(base.Val) {
+				if m.match(base.Val) {
 					m.res.Sum -= base.Val
 					m.res.Count--
 				}
-				if m.Pred.Match(cur.Val) {
+				if m.match(cur.Val) {
 					m.res.Sum += cur.Val
 					m.res.Count++
 				}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hybridstore"
 	"hybridstore/internal/core"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
@@ -328,6 +329,31 @@ func TestSurveyEnginesHaveNoKnobs(t *testing.T) {
 				t.Errorf("%s: exported field %s.%s", e.Name(), typ, f.Name)
 			}
 		}
+	}
+}
+
+// TestOptionSurfaceIsCounted pins the number of independently settable
+// values the facade and the platform expose, so the next option — each
+// one doubles the configurations the equivalence tables must cover — has
+// to edit this test: hybridstore.Options counts its leaves (a nested
+// struct's fields, not the struct), engine.Env its fields.
+func TestOptionSurfaceIsCounted(t *testing.T) {
+	var leaves func(reflect.Type) int
+	leaves = func(typ reflect.Type) int {
+		if typ.Kind() != reflect.Struct {
+			return 1
+		}
+		n := 0
+		for i := 0; i < typ.NumField(); i++ {
+			n += leaves(typ.Field(i).Type)
+		}
+		return n
+	}
+	if got := leaves(reflect.TypeOf(hybridstore.Options{})); got != 9 {
+		t.Errorf("hybridstore.Options has %d settable values, want 9", got)
+	}
+	if got := reflect.TypeOf(engine.Env{}).NumField(); got != 7 {
+		t.Errorf("engine.Env has %d fields, want 7", got)
 	}
 }
 

@@ -164,20 +164,11 @@ func (p Pred[T]) Match(x T) bool {
 
 // admits reports whether a column whose values all lie in [min, max]
 // can contain a match. This is the zone-map overlap test: false means
-// the fragment is provably match-free and can be skipped.
+// the fragment is provably match-free and can be skipped — always, for
+// a predicate nothing can match.
 func (p Pred[T]) admits(min, max T) bool {
-	switch p.Op {
-	case OpEQ:
-		return min <= p.Lo && p.Lo <= max
-	case OpLT:
-		return min < p.Hi
-	case OpGT:
-		return max > p.Lo
-	case OpBetween:
-		return max >= p.Lo && min <= p.Hi
-	default:
-		return true
-	}
+	lo, hi, ok := compPred(p).Closed()
+	return ok && hi >= min && lo <= max
 }
 
 // String renders the predicate.
@@ -299,54 +290,32 @@ func checkSize8(pieces []Piece, what string) error {
 
 // --- Specialized kernels -------------------------------------------------
 //
-// One loop per comparison, chosen once outside the loop and written once
-// over T. The contiguous stride-8 case re-slices the vector to a dense
-// byte run so the element load is a single bounds-check-friendly 8-byte
-// decode; the strided (NSM) case steps by the tuplet width. Both compare
-// inline — the branch predictor sees one well-behaved branch per element.
+// The operators resolve their predicate once, to the closed interval
+// [lo, hi] it matches (compress.Pred.Closed), and each kernel is two
+// loops written once over T. The contiguous stride-8 case re-slices the
+// vector to a dense byte run so the element load is a single
+// bounds-check-friendly 8-byte decode; the strided (NSM) case steps by
+// the tuplet width. Both compare against the two bounds inline — the
+// branch predictor sees one well-behaved branch per element.
 
-// sumWhere returns the sum and count of matching elements in
-// v[from:to).
-func sumWhere[T Number](v layout.ColVector, from, to int, p Pred[T]) (T, int64) {
+// sumWhere returns the sum and count of the elements of v[from:to) in
+// [lo, hi].
+func sumWhere[T Number](v layout.ColVector, from, to int, lo, hi T) (T, int64) {
 	var sum T
 	var n int64
 	if v.Stride == 8 {
 		data := v.Data[v.Base+from*8 : v.Base+to*8]
-		switch p.Op {
-		case OpEQ:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
-					sum += x
-					n++
-				}
-			}
-		case OpLT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
-					sum += x
-					n++
-				}
-			}
-		case OpGT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
-					sum += x
-					n++
-				}
-			}
-		case OpBetween:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
-					sum += x
-					n++
-				}
+		for i := 0; i+8 <= len(data); i += 8 {
+			if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); lo <= x && x <= hi {
+				sum += x
+				n++
 			}
 		}
 		return sum, n
 	}
 	off := v.Base + from*v.Stride
 	for i := from; i < to; i++ {
-		if x := fromBits[T](binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
+		if x := fromBits[T](binary.LittleEndian.Uint64(v.Data[off:])); lo <= x && x <= hi {
 			sum += x
 			n++
 		}
@@ -355,43 +324,22 @@ func sumWhere[T Number](v layout.ColVector, from, to int, p Pred[T]) (T, int64) 
 	return sum, n
 }
 
-// appendWhere appends the global positions of matching elements in
-// v[from:to) (whose global position base is rowBase+from) to buf.
-func appendWhere[T Number](buf []uint64, rowBase uint64, v layout.ColVector, from, to int, p Pred[T]) []uint64 {
+// appendWhere appends the global positions of the elements of v[from:to)
+// in [lo, hi] (the global position of v[0] is rowBase) to buf.
+func appendWhere[T Number](buf []uint64, rowBase uint64, v layout.ColVector, from, to int, lo, hi T) []uint64 {
 	if v.Stride == 8 {
 		data := v.Data[v.Base+from*8 : v.Base+to*8]
 		base := rowBase + uint64(from)
-		switch p.Op {
-		case OpEQ:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x == p.Lo {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpLT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x < p.Hi {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpGT:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); x > p.Lo {
-					buf = append(buf, base+uint64(i>>3))
-				}
-			}
-		case OpBetween:
-			for i := 0; i+8 <= len(data); i += 8 {
-				if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); p.Lo <= x && x <= p.Hi {
-					buf = append(buf, base+uint64(i>>3))
-				}
+		for i := 0; i+8 <= len(data); i += 8 {
+			if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); lo <= x && x <= hi {
+				buf = append(buf, base+uint64(i>>3))
 			}
 		}
 		return buf
 	}
 	off := v.Base + from*v.Stride
 	for i := from; i < to; i++ {
-		if x := fromBits[T](binary.LittleEndian.Uint64(v.Data[off:])); p.Match(x) {
+		if x := fromBits[T](binary.LittleEndian.Uint64(v.Data[off:])); lo <= x && x <= hi {
 			buf = append(buf, rowBase+uint64(i))
 		}
 		off += v.Stride
@@ -410,12 +358,16 @@ func scanWhere[T Number](cfg Config, o *opObs, what string, pieces []Piece, p Pr
 	if err := checkSize8(pieces, what); err != nil {
 		return 0, 0, err
 	}
+	lo, hi, ok := compPred(p).Closed()
+	if !ok {
+		return 0, 0, nil
+	}
 	ot := o.start(cfg.Policy)
 	defer ot.end()
 	_, kept, _ := pruneByZone(cfg, nil, pieces, p)
 	raw, comp := splitComp(kept)
 	sum, n := parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (T, int64) {
-		return sumWhere(v, from, to, p)
+		return sumWhere(v, from, to, lo, hi)
 	})
 	if len(comp) > 0 {
 		cs, cn, err := compFold(cfg, comp, func(c *compress.Column) (T, int64, error) {
@@ -481,11 +433,15 @@ func SelectFloat64Pred(cfg Config, pieces []Piece, p Pred[float64]) (*SelVec, er
 	if err := rejectComp(pieces, "predicate selection"); err != nil {
 		return nil, err
 	}
+	lo, hi, ok := compPred(p).Closed()
+	if !ok {
+		return &SelVec{}, nil
+	}
 	ot := obsSelectPred.start(cfg.Policy)
 	_, kept, _ := pruneByZone(cfg, nil, pieces, p)
 	out := selectPositionsInto(cfg, kept, func(buf []uint64, gFrom, gTo int) []uint64 {
 		eachRange(kept, gFrom, gTo, func(pc Piece, from, to int) {
-			buf = appendWhere(buf, pc.Rows.Begin, pc.Vec, from, to, p)
+			buf = appendWhere(buf, pc.Rows.Begin, pc.Vec, from, to, lo, hi)
 		})
 		return buf
 	})

@@ -1,10 +1,13 @@
 package exec
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
@@ -376,4 +379,109 @@ func TestNormalize(t *testing.T) {
 	if got := Normalize(Between[int64](5, 5)); got != Eq[int64](5) {
 		t.Errorf("int64 degenerate between = %+v", got)
 	}
+}
+
+// oldAdmits is the per-comparison zone rule Pred.admits replaced with
+// the one closed-interval overlap test; kept here as its reference.
+func oldAdmits[T Number](p Pred[T], min, max T) bool {
+	switch p.Op {
+	case OpEQ:
+		return min <= p.Lo && p.Lo <= max
+	case OpLT:
+		return min < p.Hi
+	case OpGT:
+		return max > p.Lo
+	case OpBetween:
+		return max >= p.Lo && min <= p.Hi
+	default:
+		return true
+	}
+}
+
+// checkPredEdges holds the closed-interval kernels and the zone test to
+// Pred.Match over one element type: every comparison at every pair of
+// edge bounds, over a dense and a strided image of the edge values
+// themselves. Sums compare by value unless both are NaN (+Inf and -Inf
+// may both match).
+func checkPredEdges[T Number](t *testing.T, edges []T) {
+	t.Helper()
+	var preds []Pred[T]
+	for _, a := range edges {
+		preds = append(preds, Eq(a), Lt(a), Gt(a))
+		for _, b := range edges {
+			preds = append(preds, Between(a, b))
+		}
+	}
+	n := len(edges)
+	for _, stride := range []int{8, 24} {
+		img := make([]byte, n*stride)
+		for i, v := range edges {
+			binary.LittleEndian.PutUint64(img[i*stride:], *(*uint64)(unsafe.Pointer(&v)))
+		}
+		vec := layout.ColVector{Data: img, Stride: stride, Size: 8, Len: n}
+		pieces := []Piece{{Rows: layout.RowRange{Begin: 100, End: 100 + uint64(n)}, Vec: vec}}
+		for _, p := range preds {
+			var wantSum T
+			var wantPos []uint64
+			for i, v := range edges {
+				if p.Match(v) {
+					wantSum += v
+					wantPos = append(wantPos, 100+uint64(i))
+				}
+			}
+			sum, cnt, err := scanWhere(Single(), &obsSumWhere, "edge sum", pieces, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cnt != int64(len(wantPos)) || sum != wantSum && (sum == sum || wantSum == wantSum) {
+				t.Fatalf("stride %d %v: fused (%v, %d), Match fold (%v, %d)", stride, p, sum, cnt, wantSum, len(wantPos))
+			}
+			lo, hi, ok := compPred(p).Closed()
+			var pos []uint64
+			if ok {
+				pos = appendWhere(nil, 100, vec, 0, n, lo, hi)
+			}
+			if !slices.Equal(pos, wantPos) {
+				t.Fatalf("stride %d %v: positions %v, Match selects %v", stride, p, pos, wantPos)
+			}
+			if !ok && len(wantPos) > 0 {
+				t.Fatalf("%v has no closed form yet matches %v", p, wantPos)
+			}
+		}
+	}
+	// Zones [min, max] over every ordered pair of non-NaN edges.
+	for _, p := range preds {
+		_, _, ok := compPred(p).Closed()
+		for _, min := range edges {
+			for _, max := range edges {
+				if min != min || max != max || min > max {
+					continue
+				}
+				admit := p.admits(min, max)
+				if ok && admit != oldAdmits(p, min, max) {
+					t.Fatalf("%v over [%v, %v]: admits = %v, the per-comparison rule says %v", p, min, max, admit, !admit)
+				}
+				if !ok && admit {
+					t.Fatalf("%v matches nothing yet admits [%v, %v]", p, min, max)
+				}
+				for _, x := range edges {
+					if min <= x && x <= max && p.Match(x) && !admit {
+						t.Fatalf("%v matched %v inside rejected zone [%v, %v]", p, x, min, max)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPredEdgeBounds is the edge table of the closed-interval kernels:
+// NaN, ±Inf, ±0, adjacent doubles, inverted intervals and the extreme
+// integers answer exactly as Pred.Match does, dense and strided.
+func TestPredEdgeBounds(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	checkPredEdges(t, []float64{
+		math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, negZero, 0,
+		math.SmallestNonzeroFloat64, 1, math.Nextafter(1, 2), 2, math.MaxFloat64, math.Inf(1),
+	})
+	checkPredEdges(t, []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64})
 }

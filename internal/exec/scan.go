@@ -47,8 +47,7 @@ func (sc Scan) Slice(from, to int) Scan {
 
 // ScanExecutor runs a Scan. The host Config, the single-card DeviceScan
 // and the cross-device MultiDeviceScan satisfy it, so an engine's host
-// leg, its device leg and a fleet's host lane all enter through the same
-// call.
+// leg and its device leg enter through the same call.
 type ScanExecutor interface {
 	Scan(Scan) (Result, error)
 }

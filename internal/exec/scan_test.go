@@ -84,21 +84,11 @@ func sealComp(t *testing.T, enc compress.Encoding, vals []Piece, pick int) []Pie
 	return out
 }
 
-// fleetScan builds an n-card MultiDeviceScan over a fresh Env and shard
-// map, host lane off unless a usable host config is given.
-func fleetScan(n int, table string, host *Config) (*MultiDeviceScan, *device.Env, *perfmodel.Clock) {
+// fleetScan builds an n-card MultiDeviceScan over a fresh Env.
+func fleetScan(n int, table string) (*MultiDeviceScan, *device.Env, *perfmodel.Clock) {
 	shared := &perfmodel.Clock{}
 	env := device.NewEnv(n, perfmodel.DefaultDevice(), shared)
-	m := &MultiDeviceScan{
-		Env: env, Table: table,
-		Shards: layout.NewShardMap(n, layout.ShardHash),
-	}
-	if host != nil {
-		m.Host = *host
-		m.Host.Clock = shared
-		m.HostLane = true
-	}
-	return m, env, shared
+	return &MultiDeviceScan{Env: env, Table: table}, env, shared
 }
 
 // streamSpans counts the device.stream spans recorded so far.
@@ -107,7 +97,7 @@ func streamSpans() int64 { return obs.TakeSnapshot().Histograms["span.device.str
 // TestScanExecutors is the one equivalence table of the scan contract:
 // every ScanExecutor — the host Config under the three policies, the
 // single-card DeviceScan with and without a cache (cold, then warm), the
-// fleet at 1, 2 and 4 cards with and without its host lane — answers
+// fleet at 1, 2 and 4 cards — answers
 // every scan kind over every piece mix exactly as the single-threaded
 // host fold does (integer-valued data: any fold order is exact). Along
 // the way it keeps the device accounting contract: a fully pruned scan
@@ -157,15 +147,9 @@ func TestScanExecutors(t *testing.T) {
 		executor{name: "card/cached-cold", ex: cached, h2d: h2d},
 		executor{name: "card/cached-warm", ex: cached, h2d: h2d, warm: true})
 	for _, n := range []int{1, 2, 4} {
-		for _, lane := range []bool{false, true} {
-			var hc *Config
-			if lane {
-				hc = &Config{Policy: MorselDriven, Host: perfmodel.DefaultHost()}
-			}
-			m, env, _ := fleetScan(n, "t", hc)
-			execs = append(execs, executor{name: fmt.Sprintf("fleet/n=%d/host=%v", n, lane), ex: m,
-				h2d: func() int64 { return env.Stats().HostToDeviceBytes }})
-		}
+		m, env, _ := fleetScan(n, "t")
+		execs = append(execs, executor{name: fmt.Sprintf("fleet/n=%d", n), ex: m,
+			h2d: func() int64 { return env.Stats().HostToDeviceBytes }})
 	}
 
 	ref := Single()
@@ -588,7 +572,7 @@ func TestDeviceScanRefusesBeforeZoneDecisions(t *testing.T) {
 	keys, vals, _, _ := groupScanFixture(4, 256)
 	compKeys := sealComp(t, compress.Dict, keys, 1)
 	gpu := device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})
-	fleet, _, _ := fleetScan(2, "refuse", nil)
+	fleet, _, _ := fleetScan(2, "refuse")
 	for _, ex := range []ScanExecutor{DeviceScan{GPU: gpu}, fleet} {
 		before := obs.TakeSnapshot()
 		for _, sc := range []struct {
@@ -617,11 +601,8 @@ func TestDeviceScanRefusesBeforeZoneDecisions(t *testing.T) {
 // partials fold in original piece order, so a sharded scan answers
 // bit-identically to the single-card DeviceScan over the same pieces —
 // on order-sensitive (non-integer) data, for the plain sum, the filtered
-// sum and the fused grouped scan, at every fleet size. With the host
-// lane on, pieces it takes are reduced by a different kernel, so there
-// the comparison runs on integer-valued data (TestScanExecutors). Two
-// pairs are Resident: the fleet scans them on the home card, in place
-// in the fold, and refuses them when no home card is wired.
+// sum and the fused grouped scan, at every fleet size. A scan carrying
+// Resident pieces, which live on no card of the fleet, is refused.
 func TestMultiDeviceScanBitIdentity(t *testing.T) {
 	const nf, fragRows = 8, 1024
 	keys, vals, _, valF := groupScanFixture(nf, fragRows)
@@ -633,9 +614,6 @@ func TestMultiDeviceScanBitIdentity(t *testing.T) {
 		vals[i].Vec.Data = img
 		vals[i].Zone = nil
 	}
-	for _, i := range []int{2, 5} {
-		keys[i].Place, vals[i].Place = Resident, Resident
-	}
 	p := Between(100.0, 499.9)
 
 	gpu := device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})
@@ -646,11 +624,7 @@ func TestMultiDeviceScanBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 4} {
-			m, _, _ := fleetScan(n, "bitident", nil)
-			if _, err := scanOn(m, op, keys, vals, p); !errors.Is(err, ErrBadColumn) {
-				t.Fatalf("n=%d %s: resident pieces without a home card: err = %v, want ErrBadColumn", n, op, err)
-			}
-			m.Home = DeviceScan{GPU: gpu}
+			m, _, _ := fleetScan(n, "bitident")
 			got, err := scanOn(m, op, keys, vals, p)
 			if err != nil {
 				t.Fatalf("n=%d %s: %v", n, op, err)
@@ -662,6 +636,11 @@ func TestMultiDeviceScanBitIdentity(t *testing.T) {
 				if got.Groups[i] != want.Groups[i] {
 					t.Fatalf("n=%d %s: group[%d] = %+v, want %+v", n, op, i, got.Groups[i], want.Groups[i])
 				}
+			}
+			resident := append([]Piece(nil), vals...)
+			resident[2].Place = Resident
+			if _, err := scanOn(m, op, keys, resident, p); !errors.Is(err, ErrBadColumn) {
+				t.Fatalf("n=%d %s: resident piece on a fleet scan: err = %v, want ErrBadColumn", n, op, err)
 			}
 		}
 	}
@@ -676,7 +655,7 @@ func TestMultiDevicePerCardCountersSumToGlobal(t *testing.T) {
 	const nf, fragRows = 8, 1024
 	_, vals, _, _ := groupScanFixture(nf, fragRows)
 
-	m, env, _ := fleetScan(n, "counters", nil)
+	m, env, _ := fleetScan(n, "counters")
 	before := obs.TakeSnapshot()
 	// A cold pass, then a warm one so hits move too.
 	for pass := 0; pass < 2; pass++ {
@@ -813,7 +792,7 @@ func TestMultiDeviceVersionBumpNeverServesStale(t *testing.T) {
 		return out
 	}
 
-	m, env, _ := fleetScan(2, "stale", nil)
+	m, env, _ := fleetScan(2, "stale")
 	for v := uint64(1); v <= rounds; v++ {
 		write(v)
 		ps := pieces(v)
@@ -870,7 +849,7 @@ func TestMultiDeviceWarmThroughputScales(t *testing.T) {
 
 	warm := map[int]float64{}
 	for _, n := range []int{1, 2, 4} {
-		m, _, shared := fleetScan(n, "scale", nil)
+		m, _, shared := fleetScan(n, "scale")
 		if _, err := scanOn(m, KindSumWhere, nil, vals, p); err != nil { // cold
 			t.Fatal(err)
 		}

@@ -64,9 +64,14 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 	// drives the shared pass; kept[k] feeds the compressed-domain path.
 	admit := make([]bool, len(preds)*len(pieces))
 	kept := make([][]Piece, len(preds))
+	bounds := make([][2]float64, len(preds)) // each predicate's closed interval, resolved once
 	var perPredBytes int64
-	for k := range preds {
-		p := preds[k]
+	for k, p := range preds {
+		lo, hi, ok := compPred(p).Closed()
+		if !ok {
+			continue // nothing can match: no piece admitted, the zero result
+		}
+		bounds[k] = [2]float64{lo, hi}
 		_, kept[k], _ = pruneByZone(cfg, nil, pieces, p)
 		row := admit[k*len(pieces) : (k+1)*len(pieces)]
 		for i := range pieces {
@@ -89,7 +94,7 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 			if !admit[k*len(pieces)+i] {
 				continue
 			}
-			s, n := sumWhere(pc.Vec, 0, pc.Vec.Len, preds[k])
+			s, n := sumWhere(pc.Vec, 0, pc.Vec.Len, bounds[k][0], bounds[k][1])
 			out[k].Sum += s
 			out[k].Count += n
 		}

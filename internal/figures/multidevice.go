@@ -5,18 +5,17 @@ import (
 	"math"
 
 	"hybridstore/internal/exec"
-	"hybridstore/internal/layout"
 )
 
 // The multidevice panel measures the cross-device scheduler: SELECT
 // SUM(val), COUNT(*) WHERE val BETWEEN … fanned over a fleet of 1/2/4
-// simulated cards plus the host morsel pool, swept over physical layout
-// (thin DSM column versus an NSM record the column is packed out of) and
-// selectivity. Fragments are value-clustered so zone maps prune the
-// non-matching tail; the admitted fragments shard across the fleet by
-// fragment-ID hash, every card's lane runs concurrently, and the shared
-// clock advances by the slowest lane — which is where the device-count
-// scaling comes from. The cold pass ships every admitted fragment; the
+// simulated cards beside a host-only reference, swept over physical
+// layout (thin DSM column versus an NSM record the column is packed out
+// of) and selectivity. Fragments are value-clustered so zone maps prune
+// the non-matching tail; the admitted fragments shard across the fleet
+// by fragment-ID hash (layout.ShardOf), every card's lane runs
+// concurrently, and the shared clock advances by the slowest lane —
+// which is where the device-count scaling comes from. The cold pass ships every admitted fragment; the
 // warm pass replays the same scan against the per-card fragment caches
 // and measures the steady state an HTAP mix would see.
 
@@ -29,7 +28,7 @@ type MultiDevicePoint struct {
 	Layout      string
 	Selectivity float64
 	Matched     int64
-	// ColdNs prices the first scan (transfers + kernels + host lane);
+	// ColdNs prices the first scan (transfers + kernels);
 	// WarmNs the replay against populated caches.
 	ColdNs, WarmNs float64
 	// HostOnlyNs prices the same scan on the host operator alone
@@ -114,11 +113,7 @@ func MeasureMultiDevice(rows uint64, fragments int, counts []int, sels []float64
 
 				// The fleet, cold then warm.
 				fleet := newFleetRig(d)
-				md := &exec.MultiDeviceScan{
-					Env: fleet.fleet, Table: "multidev",
-					Shards: layout.NewShardMap(d, layout.ShardHash),
-					Host:   fleet.host(exec.MorselDriven),
-				}
+				md := &exec.MultiDeviceScan{Env: fleet.fleet, Table: "multidev"}
 				pass := func(*rig) (exec.Result, error) {
 					got, err := md.Scan(sc)
 					if err == nil && !sameBits(got, ref) {

@@ -2,19 +2,18 @@ package layout
 
 import "testing"
 
-// TestShardHashBalancesAndIsStable pins the hash policy: placement is a
-// pure function of the fragment ID, and a run of consecutive IDs spreads
-// over every device without pathological skew.
+// TestShardHashBalancesAndIsStable pins the placement rule: it is a pure
+// function of the fragment ID, and a run of consecutive IDs spreads over
+// every device without pathological skew.
 func TestShardHashBalancesAndIsStable(t *testing.T) {
 	const devices, frags = 4, 4096
-	m := NewShardMap(devices, ShardHash)
 	counts := make([]int, devices)
 	for id := uint64(1); id <= frags; id++ {
-		d := m.DeviceFor(id)
+		d := ShardOf(id, devices)
 		if d < 0 || d >= devices {
 			t.Fatalf("fragment %d placed on device %d, fleet has %d", id, d, devices)
 		}
-		if again := m.DeviceFor(id); again != d {
+		if again := ShardOf(id, devices); again != d {
 			t.Fatalf("fragment %d moved: %d then %d", id, d, again)
 		}
 		counts[d]++
@@ -27,55 +26,12 @@ func TestShardHashBalancesAndIsStable(t *testing.T) {
 	}
 }
 
-// TestShardRangeStripes pins the range policy: runs of span consecutive
-// IDs share a device, and successive runs round-robin across the fleet.
-func TestShardRangeStripes(t *testing.T) {
-	m := NewShardMapSpan(3, ShardRange, 4)
-	for id := uint64(0); id < 48; id++ {
-		want := int((id / 4) % 3)
-		if got := m.DeviceFor(id); got != want {
-			t.Fatalf("fragment %d on device %d, want stripe %d", id, got, want)
-		}
-	}
-}
-
-// TestShardPinOverridesPolicy pins the explicit-placement escape hatch:
-// Pin wins over the policy (with out-of-range devices clamped into the
-// fleet) and Unpin restores it.
-func TestShardPinOverridesPolicy(t *testing.T) {
-	m := NewShardMap(2, ShardHash)
-	const id = uint64(7)
-	home := m.DeviceFor(id)
-
-	m.Pin(id, 1-home)
-	if got := m.DeviceFor(id); got != 1-home {
-		t.Fatalf("pinned fragment on device %d, want %d", got, 1-home)
-	}
-	m.Pin(id, 99)
-	if got := m.DeviceFor(id); got != 1 {
-		t.Fatalf("overshooting pin placed on device %d, want clamp to 1", got)
-	}
-	m.Pin(id, -5)
-	if got := m.DeviceFor(id); got != 0 {
-		t.Fatalf("negative pin placed on device %d, want clamp to 0", got)
-	}
-	m.Unpin(id)
-	if got := m.DeviceFor(id); got != home {
-		t.Fatalf("unpinned fragment on device %d, want policy home %d", got, home)
-	}
-}
-
-// TestShardSingleDeviceDegenerates pins that a one-card fleet (or a
-// clamped zero-card request) places everything on device 0.
+// TestShardSingleDeviceDegenerates pins that a one-card fleet places
+// everything on device 0.
 func TestShardSingleDeviceDegenerates(t *testing.T) {
-	for _, m := range []*ShardMap{NewShardMap(1, ShardHash), NewShardMap(0, ShardRange)} {
-		if m.Devices() != 1 {
-			t.Fatalf("devices = %d, want clamp to 1", m.Devices())
-		}
-		for id := uint64(0); id < 32; id++ {
-			if got := m.DeviceFor(id); got != 0 {
-				t.Fatalf("fragment %d on device %d, want 0", id, got)
-			}
+	for id := uint64(0); id < 32; id++ {
+		if got := ShardOf(id, 1); got != 0 {
+			t.Fatalf("fragment %d on device %d, want 0", id, got)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func benchServer(tb testing.TB) (*Server, string) {
 		}
 	}
 	s := New(Config{DB: db})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	if _, err := s.Prepare(sid, "sum_where", "item", hybridstore.ItemPriceColumn, 0); err != nil {
 		tb.Fatal(err)
 	}

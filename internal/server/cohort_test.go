@@ -177,7 +177,7 @@ func sumBody(sid string, stmt int) func(i int) string {
 // runs, one slot is taken, and both are back to rest afterwards.
 func TestLoneRequestNeverWaits(t *testing.T) {
 	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{BatchWindow: DefaultBatchWindow})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	body := sumBody(sid, prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0))
 	passes := 0
 	s.bat.flush = func(tbl *hybridstore.Table, plans []exec.Plan) ([]exec.Result, error) {
@@ -214,7 +214,7 @@ func TestLoneRequestNeverWaits(t *testing.T) {
 // answered from its snapshot: it opens the next cohort.
 func TestArrivalAfterHandOffStartsNextCohort(t *testing.T) {
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{BatchWindow: DefaultBatchWindow})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	body := sumBody(sid, prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0))
 	same := func(int) string { return body(0) }
 	g := parkPasses(s, (*hybridstore.Table).Execute)

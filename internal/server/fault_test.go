@@ -58,7 +58,7 @@ func leaderFailure(t *testing.T, kind, failure string) {
 	t.Helper()
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
 		Config{BatchWindow: DefaultBatchWindow})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	k := cohortKinds[kind]
 	id := prep(t, s, sid, k.op, hybridstore.ItemPriceColumn, 0)
 
@@ -100,7 +100,7 @@ func TestAdmissionInFlightStorm(t *testing.T) {
 		}
 		return tbl.Execute(plans)
 	}
-	sid := s.CreateSession("storm")
+	sid, _ := s.CreateSession("storm")
 	get := prep(t, s, sid, "get", 0, 0)
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
 

@@ -19,7 +19,7 @@ import (
 func TestGatherFanInBitIdentity(t *testing.T) {
 	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128},
 		Config{BatchWindow: DefaultBatchWindow})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	get := prep(t, s, sid, "get", 0, 0)
 
 	// Ground truth: the facade record, serialized exactly as the server
@@ -31,7 +31,7 @@ func TestGatherFanInBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[r] = string(appendRecord(nil, rec))
+		want[r] = string(AppendRecord(nil, rec))
 	}
 
 	before := obs.TakeSnapshot()
@@ -81,14 +81,14 @@ func TestGatherFanInBitIdentity(t *testing.T) {
 func TestGatherOutOfRangeSoloPath(t *testing.T) {
 	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128},
 		Config{BatchWindow: DefaultBatchWindow})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	get := prep(t, s, sid, "get", 0, 0)
 
 	rec, err := tbl.Get(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(appendRecord(nil, rec))
+	want := string(AppendRecord(nil, rec))
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -123,7 +123,7 @@ func TestServeCachePreCheck(t *testing.T) {
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	get := prep(t, s, sid, "get", 0, 0)
 	pks := prep(t, s, sid, "get_pk", 0, 0)
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)

@@ -132,7 +132,11 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	id := s.CreateSession(tenant)
+	id, err := s.CreateSession(tenant)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"session_id":%q}`, id)
 }

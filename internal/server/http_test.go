@@ -142,7 +142,7 @@ func TestPrepareRejectsWhatExecWould(t *testing.T) {
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	const price, name, arity = hybridstore.ItemPriceColumn, 2, 5
 	for _, tc := range []struct {
 		op          string
@@ -191,5 +191,44 @@ func TestPrepareRejectsWhatExecWould(t *testing.T) {
 	// keys.
 	if want := 2*49 + 3*7 + 2; prepared != want {
 		t.Errorf("%d statements prepared, want %d", prepared, want)
+	}
+}
+
+// TestSessionAndStatementCaps: the server refuses what would make it
+// hold unbounded state — /v1/session answers 503 past maxSessions,
+// /v1/prepare 400 naming the cap past maxStmtsPerSession — and a
+// statement prepared before the cap still executes at it.
+func TestSessionAndStatementCaps(t *testing.T) {
+	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	sid, _ := s.CreateSession("")
+	first := prep(t, s, sid, "get", 0, 0)
+	for i := 1; i < maxStmtsPerSession; i++ {
+		prep(t, s, sid, "get", 0, 0)
+	}
+	code, body := post(t, ts.Client(), ts.URL+"/v1/prepare",
+		fmt.Sprintf(`{"session_id":"%s","op":"get","table":"item","col":0}`, sid))
+	if code != 400 || !strings.Contains(body, fmt.Sprint(maxStmtsPerSession)) {
+		t.Fatalf("prepare past the cap: %d %s, want 400 naming %d", code, body, maxStmtsPerSession)
+	}
+	code, body = post(t, ts.Client(), ts.URL+"/v1/exec",
+		fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":3}`, sid, first))
+	if code != 200 || !strings.HasPrefix(body, `{"record":[3,`) {
+		t.Fatalf("exec at the statement cap: %d %s", code, body)
+	}
+
+	for i := 1; i < maxSessions; i++ {
+		if _, err := s.CreateSession(""); err != nil {
+			t.Fatalf("session %d of %d refused: %v", i+1, maxSessions, err)
+		}
+	}
+	if code, body = post(t, ts.Client(), ts.URL+"/v1/session", `{}`); code != 503 {
+		t.Fatalf("session past the cap: %d %s, want 503", code, body)
+	}
+	// The full table still serves the sessions it holds.
+	if _, code := exec1(s, fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":3}`, sid, first)); code != 200 {
+		t.Fatalf("exec at the session cap: %d", code)
 	}
 }

@@ -26,9 +26,9 @@ var errProto = fmt.Errorf("server: malformed request")
 // key with the raw value bytes (strings WITHOUT quotes; nested objects
 // and arrays with their brackets, for a second scanObject/scanArray
 // pass). It supports exactly the serving protocol's subset: string,
-// number, bool, null, and balanced nesting — no escape sequences inside
-// the short identifier strings the protocol uses. Returns the offset
-// one past the object's closing brace.
+// number, bool, null, and balanced nesting — string escapes are stepped
+// over, not decoded (only a Char field's value can carry any:
+// decodeValue). Returns the offset one past the object's closing brace.
 func scanObject(b []byte, fn func(key, val []byte) error) (int, error) {
 	i := skipWS(b, 0)
 	if i >= len(b) || b[i] != '{' {
@@ -128,7 +128,7 @@ func scanString(b []byte, i int) int {
 	for j := i + 1; j < len(b); j++ {
 		switch b[j] {
 		case '\\':
-			j++ // protocol strings carry no escapes, but stay balanced
+			j++ // the escaped byte is part of the string, a quote included
 		case '"':
 			return j + 1
 		}

@@ -1,10 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybridstore"
@@ -43,7 +44,6 @@ type Server struct {
 
 	mu       sync.RWMutex
 	sessions map[string]*session
-	nextSess atomic.Uint64
 
 	// Per-op-class telemetry, indexed by opKind. Latency is observed
 	// BEFORE the op counter increments (the obs snapshot pairing
@@ -287,7 +287,7 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 
 	switch st.op {
 	case opGet, opGetPK:
-		return appendRecord(out, res.Rec), nil
+		return AppendRecord(out, res.Rec), nil
 	case opSum:
 		out = append(out, `{"sum":`...)
 		out = appendF64(out, res.Sum)
@@ -343,14 +343,25 @@ func decodeValue(k schema.Kind, raw []byte) (schema.Value, error) {
 		}
 		return schema.Int32Value(int32(n)), nil
 	case schema.Char:
-		return schema.CharValue(string(raw)), nil
+		if bytes.IndexByte(raw, '\\') < 0 {
+			return schema.CharValue(string(raw)), nil
+		}
+		// The scanner hands strings over unquoted with their escapes
+		// intact; the rare one that carries any is decoded by the standard
+		// library, off the hot path.
+		var s string
+		if err := json.Unmarshal(append(append([]byte{'"'}, raw...), '"'), &s); err != nil {
+			return schema.Value{}, fmt.Errorf("%w: char value: %v", errProto, err)
+		}
+		return schema.CharValue(s), nil
 	default:
 		return schema.Value{}, fmt.Errorf("%w: unsupported kind %v", errProto, k)
 	}
 }
 
-// appendRecord renders a record as a JSON array of field values.
-func appendRecord(out []byte, rec hybridstore.Record) []byte {
+// AppendRecord renders a record as the {"record":[...]} payload a point
+// read answers with: shortest-exact floats, Char fields as JSON strings.
+func AppendRecord(out []byte, rec hybridstore.Record) []byte {
 	out = append(out, `{"record":[`...)
 	for i, v := range rec {
 		if i > 0 {
@@ -361,7 +372,7 @@ func appendRecord(out []byte, rec hybridstore.Record) []byte {
 			out = appendF64(out, v.F)
 		case schema.Char:
 			out = append(out, '"')
-			out = append(out, v.S...)
+			out = appendEscaped(out, v.S)
 			out = append(out, '"')
 		default:
 			out = appendI64(out, v.I)
@@ -375,16 +386,23 @@ func appendRecord(out []byte, rec hybridstore.Record) []byte {
 func appendError(out []byte, err error) []byte {
 	out = out[:0]
 	out = append(out, `{"error":"`...)
-	msg := err.Error()
-	for i := 0; i < len(msg); i++ {
-		c := msg[i]
-		if c == '"' || c == '\\' {
-			out = append(out, '\\')
-		}
-		if c < 0x20 {
-			c = ' '
-		}
-		out = append(out, c)
-	}
+	out = appendEscaped(out, err.Error())
 	return append(out, `"}`...)
+}
+
+// appendEscaped appends the body of a JSON string holding s: quote,
+// backslash and control bytes escaped, everything else verbatim.
+func appendEscaped(out []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			out = append(out, '\\', c)
+		case c < 0x20:
+			out = append(out, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			out = append(out, c)
+		}
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,7 +57,7 @@ func exec1(s *Server, body string) (string, int) {
 
 func TestServeLifecycle(t *testing.T) {
 	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 
 	get := prep(t, s, sid, "get", 0, 0)
 	upd := prep(t, s, sid, "update", hybridstore.ItemPriceColumn, 0)
@@ -133,7 +134,7 @@ func TestServeLifecycle(t *testing.T) {
 
 func TestServeErrors(t *testing.T) {
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
 	get := prep(t, s, sid, "get", 0, 0)
 	upd := prep(t, s, sid, "update", hybridstore.ItemPriceColumn, 0)
@@ -169,6 +170,55 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
+// TestCharFieldsRoundTripAsJSON: a Char field holding a quote, a
+// backslash or a control byte is served as valid JSON, and a string sent
+// over the wire is stored as the bytes it denotes — served ≡ direct,
+// whichever side the record entered by.
+func TestCharFieldsRoundTripAsJSON(t *testing.T) {
+	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{})
+	sid, _ := s.CreateSession("")
+	ins := prep(t, s, sid, "insert", 0, 0)
+	get := prep(t, s, sid, "get", 0, 0)
+	for i, name := range []string{`a"b\c`, `"`, `\`, "a\nb", "\x01", "plain"} {
+		var row uint64
+		if i%2 == 1 { // in through the wire ...
+			wire, _ := json.Marshal(name)
+			resp, code := exec1(s, fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"record":[%d,1,%s,"ab",2.5]}`, sid, ins, 9000+i, wire))
+			if _, err := fmt.Sscanf(resp, `{"row":%d}`, &row); code != 200 || err != nil {
+				t.Fatalf("%q: insert answered %d %s", name, code, resp)
+			}
+		} else { // ... or through the facade
+			rec := hybridstore.Item(uint64(9000 + i))
+			rec[2] = hybridstore.CharValue(name)
+			var err error
+			if row, err = tbl.Insert(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		direct, err := tbl.Get(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct[2].S != name {
+			t.Fatalf("%q: stored as %q", name, direct[2].S)
+		}
+		resp, code := exec1(s, fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":%d}`, sid, get, row))
+		var served struct{ Record []any }
+		if err := json.Unmarshal([]byte(resp), &served); code != 200 || err != nil {
+			t.Fatalf("%q: get answered %d %s: %v", name, code, resp, err)
+		}
+		if got := served.Record[2]; got != direct[2].S || served.Record[3] != direct[3].S {
+			t.Fatalf("%q: served %q, direct %q", name, got, direct[2].S)
+		}
+	}
+	// An error message is a JSON string too, whatever the request put in it.
+	resp, _ := exec1(s, `{"session_id":"no\"such\nsession","stmt_id":0}`)
+	var e struct{ Error string }
+	if err := json.Unmarshal([]byte(resp), &e); err != nil || e.Error == "" {
+		t.Fatalf("error payload %s: %v", resp, err)
+	}
+}
+
 // TestNaNPredRejected: strconv accepts "NaN", and a NaN bound never
 // equals itself — a plan carrying one could never be deleted from the
 // cohort intake map again (one leaked cohort per request) nor collapse
@@ -177,7 +227,7 @@ func TestServeErrors(t *testing.T) {
 func TestNaNPredRejected(t *testing.T) {
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
 		Config{BatchWindow: DefaultBatchWindow})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	grp := prep(t, s, sid, "group_sum_where", hybridstore.ItemPriceColumn, 1)
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
 	for i := 0; i < 3; i++ {
@@ -202,7 +252,7 @@ func TestBatchedBitIdentity(t *testing.T) {
 	s, tbl := newItemServer(t,
 		hybridstore.Options{ChunkRows: 128, DeviceCache: true},
 		Config{BatchWindow: DefaultBatchWindow})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
 	grp := prep(t, s, sid, "group_sum_where", hybridstore.ItemPriceColumn, 1)
 
@@ -299,7 +349,7 @@ func TestBatchedBitIdentity(t *testing.T) {
 func TestAdmissionThrottle(t *testing.T) {
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
 		Config{Admission: Admission{Rate: 0.001, Burst: 2}})
-	sid := s.CreateSession("tenant-a")
+	sid, _ := s.CreateSession("tenant-a")
 	get := prep(t, s, sid, "get", 0, 0)
 	body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":1}`, sid, get)
 
@@ -315,7 +365,7 @@ func TestAdmissionThrottle(t *testing.T) {
 	}
 
 	// Tenants are isolated: a fresh tenant still has its burst.
-	sid2 := s.CreateSession("tenant-b")
+	sid2, _ := s.CreateSession("tenant-b")
 	get2 := prep(t, s, sid2, "get", 0, 0)
 	if _, code := exec1(s, fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":1}`, sid2, get2)); code != 200 {
 		t.Fatalf("tenant-b first request: %d", code)
@@ -327,7 +377,7 @@ func TestAdmissionInFlightCeiling(t *testing.T) {
 	// ceiling of 1 must bounce the second with 503.
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128},
 		Config{BatchWindow: DefaultBatchWindow, Admission: Admission{MaxInFlight: 1}})
-	sid := s.CreateSession("")
+	sid, _ := s.CreateSession("")
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)
 	body := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"pred":{"kind":"lt","hi":30}}`, sid, sum)
 

@@ -72,6 +72,17 @@ var planKind = map[opKind]exec.Kind{
 	opGroupSumWhere: exec.KindGroupSumWhere,
 }
 
+// Bounds on what clients can make the server hold: sessions and
+// statements are never dropped, so each is refused past its cap.
+const (
+	maxSessions        = 4096
+	maxStmtsPerSession = 256
+)
+
+// errTooManySessions refuses a session past maxSessions; the HTTP layer
+// maps it to 503.
+var errTooManySessions = fmt.Errorf("server: session limit (%d) reached", maxSessions)
+
 // session is one client's statement namespace. Statements are
 // append-only and identified by index, so Exec resolves a statement
 // with one bounds check under a read lock.
@@ -92,17 +103,19 @@ func (ss *session) stmt(id int64) *stmt {
 }
 
 // CreateSession registers a new session for tenant (empty means
-// "default") and returns its id.
-func (s *Server) CreateSession(tenant string) string {
+// "default") and returns its id, or errTooManySessions.
+func (s *Server) CreateSession(tenant string) (string, error) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	id := fmt.Sprintf("s%d", s.nextSess.Add(1))
-	ss := &session{id: id, tenant: tenant}
 	s.mu.Lock()
-	s.sessions[id] = ss
-	s.mu.Unlock()
-	return id
+	defer s.mu.Unlock()
+	if len(s.sessions) >= maxSessions {
+		return "", errTooManySessions
+	}
+	id := fmt.Sprintf("s%d", len(s.sessions)+1) // sessions are never dropped: unique
+	s.sessions[id] = &session{id: id, tenant: tenant}
+	return id, nil
 }
 
 func (s *Server) session(id []byte) *session {
@@ -142,8 +155,10 @@ func (s *Server) Prepare(sid, op, table string, col, keyCol int) (int, error) {
 	}
 	st.plan = st.plan.Normalize()
 	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if len(ss.stmts) >= maxStmtsPerSession {
+		return 0, fmt.Errorf("server: session %q holds the maximum of %d prepared statements", sid, maxStmtsPerSession)
+	}
 	ss.stmts = append(ss.stmts, st)
-	id := len(ss.stmts) - 1
-	ss.mu.Unlock()
-	return id, nil
+	return len(ss.stmts) - 1, nil
 }

@@ -169,10 +169,10 @@ func sameResult(a, b Result, exact bool) bool {
 // bits the named public method produces, and both agree with a serial
 // fold over Get-materialized records (sums to rounding, everything else
 // exactly) — across storage configurations (plain host, device cache,
-// compression, device placement, multi-card, and placement beside the
-// device cache on one card and on a fleet), with unmerged MVCC deltas
-// in flight, after Merge, and after further updates + Merge. With the
-// cache on, a clean table's answers must also be served by Peek.
+// compression, device placement, and placement beside the device
+// cache), with unmerged MVCC deltas in flight, after Merge, and after
+// further updates + Merge. With the cache on, a clean table's answers
+// must also be served by Peek.
 func TestSharedScanMatchesSoloFacade(t *testing.T) {
 	configs := []struct {
 		name string
@@ -182,9 +182,7 @@ func TestSharedScanMatchesSoloFacade(t *testing.T) {
 		{"devicecache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true}},
 		{"compress+cache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Compress: true}},
 		{"placement", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true}},
-		{"fleet", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Devices: 2}},
 		{"placement+cache", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true, DeviceCache: true, Compress: true}},
-		{"fleet+placement", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true, DeviceCache: true, Devices: 2}},
 	}
 	const rows = 1000
 	cases := planCases(rows)
