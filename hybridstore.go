@@ -325,7 +325,7 @@ func (t *Table) SumFloat64(col int) (float64, error) {
 // open ranges and closed intervals. The engine evaluates it with
 // specialized fused scan kernels and uses per-fragment zone maps to
 // skip fragments whose value envelope cannot match.
-type FloatPred = exec.Pred[float64]
+type FloatPred = exec.Pred
 
 // Predicate constructors. The generic exec constructors are wrapped at
 // a concrete type so callers never need type arguments.

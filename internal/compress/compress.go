@@ -399,29 +399,38 @@ func (c *Column) widen(buf []uint64, from int) []uint64 {
 	return buf
 }
 
-// Sum aggregates an 8-byte column without materializing: RLE multiplies
-// run values by their lengths, Dict weights each dictionary entry by its
-// code frequency, FOR and Raw decode elementwise.
+// Sum aggregates an 8-byte column without materializing, every element
+// folded (a NaN included). Floats add element by element in storage
+// order — bit-identical to the dense sum and to SumWhere over every
+// value; int64 is exact mod 2^64, so there a run is its value times its
+// length and a Dict column weights each entry by its code frequency.
 func Sum[T Number](c *Column) (T, error) {
 	if err := c.errNot8("sum"); err != nil {
 		return 0, err
 	}
 	var sum T
+	_, exact := any(sum).(int64)
 	switch c.enc {
 	case RLE:
 		start := 0
 		for k := 0; k < c.Runs(); k++ {
 			end := c.runEnd(k)
-			sum += elem[T](c.runVals[k*8:]) * T(end-start)
+			sum = addRun(sum, elem[T](c.runVals[k*8:]), end-start)
 			start = end
 		}
 	case Dict:
-		counts := make([]int, len(c.dict)/8)
-		for _, code := range c.codes {
-			counts[code]++
-		}
-		for code, n := range counts {
-			sum += elem[T](c.dict[code*8:]) * T(n)
+		if exact {
+			counts := make([]int, len(c.dict)/8)
+			for _, code := range c.codes {
+				counts[code]++
+			}
+			for code, n := range counts {
+				sum += elem[T](c.dict[code*8:]) * T(n)
+			}
+		} else {
+			for _, code := range c.codes {
+				sum += elem[T](c.dict[int(code)*8:])
+			}
 		}
 	case FOR:
 		var buf [forBlock]uint64

@@ -87,25 +87,6 @@ func TestFindRunOutOfOrderAfterDecompressInto(t *testing.T) {
 // go wrong: the two zeros, the infinities, NaN, a column value's adjacent
 // doubles, the integer extremes, and intervals that are inverted.
 
-// Match is what a predicate means, one value at a time — the definition
-// the operators' closed interval (Pred.Closed) must be an exact
-// rewriting of, and the only place the comparison is still spelled per
-// Op.
-func (p Pred[T]) Match(x T) bool {
-	switch p.Op {
-	case OpEQ:
-		return x == p.Lo
-	case OpLT:
-		return x < p.Hi
-	case OpGT:
-		return x > p.Lo
-	case OpBetween:
-		return p.Lo <= x && x <= p.Hi
-	default:
-		return false
-	}
-}
-
 // floatColumns are the float64 test columns. Each has runs (so RLE is
 // more than one run per element) and at most 256 distinct values (so
 // Dict applies); the "bits" ones span less than 2^32 bit patterns, which
@@ -253,6 +234,65 @@ func TestSumWhereAllEncodings(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// foldOrderColumns are float columns whose sum depends on how a run is
+// folded: v × k differs from adding v k times, so an operator that takes
+// a closed form over floats answers a different double than the dense
+// element-ordered scan.
+func foldOrderColumns() map[string][]float64 {
+	magnitudes := make([]float64, 0, 1024)
+	for _, run := range []struct {
+		v float64
+		k int
+	}{{0.1, 300}, {1e16, 300}, {1.0, 424}} {
+		for i := 0; i < run.k; i++ {
+			magnitudes = append(magnitudes, run.v)
+		}
+	}
+	decimals := make([]float64, 1024)
+	for i := range decimals {
+		decimals[i] = []float64{0.1, 0.2, 0.3, 0.7, 1.1, 1e15 + 0.3, 2.2, 3.3}[i*7%8]
+	}
+	return map[string][]float64{"magnitudes": magnitudes, "decimals": decimals}
+}
+
+// TestSumIsElementOrderedAllEncodings: Sum ≡ SumWhere(−Inf, +Inf) ≡ the
+// dense element-ordered fold, bit for bit, under every encoding that
+// holds the column; a NaN poisons Sum and is skipped by SumWhere.
+func TestSumIsElementOrderedAllEncodings(t *testing.T) {
+	all := Pred[float64]{Op: OpBetween, Lo: math.Inf(-1), Hi: math.Inf(1)}
+	for name, vals := range foldOrderColumns() {
+		var want float64
+		for _, x := range vals {
+			want += x
+		}
+		cols := encodings(t, encodeFloats(vals), len(vals))
+		for _, enc := range []Encoding{Raw, RLE, Dict} {
+			if cols[enc] == nil {
+				t.Errorf("%s: %v does not apply; the column was built for it", name, enc)
+			}
+		}
+		for enc, c := range cols {
+			got, err := c.SumFloat64()
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s/%v: Sum = %x, %v; dense fold %x", name, enc, math.Float64bits(got), err, math.Float64bits(want))
+			}
+			got, n, err := c.SumFloat64Where(all)
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) || n != int64(len(vals)) {
+				t.Errorf("%s/%v: SumWhere(-Inf, +Inf) = %x, %d, %v; dense fold %x", name, enc, math.Float64bits(got), n, err, math.Float64bits(want))
+			}
+		}
+	}
+	withNaN := []float64{1, 1, math.NaN(), math.NaN(), 2, 2, 2}
+	for enc, c := range encodings(t, encodeFloats(withNaN), len(withNaN)) {
+		if got, err := c.SumFloat64(); err != nil || !math.IsNaN(got) {
+			t.Errorf("%v: Sum over a NaN = %v, %v; want NaN", enc, got, err)
+		}
+		if got, n, err := c.SumFloat64Where(all); err != nil || got != 8 || n != 5 {
+			t.Errorf("%v: SumWhere over a NaN = %v, %d, %v; want 8, 5", enc, got, n, err)
 		}
 	}
 }

@@ -30,10 +30,7 @@ import (
 // value times its length, FOR delta sums against the frame base — are
 // used there.
 
-// Op mirrors the executor's sargable comparison vocabulary. The package
-// cannot import internal/exec (exec imports compress), so the enum
-// lives here with identical ordering and semantics; bridging is a field
-// copy.
+// Op is the comparison of a Pred.
 type Op uint8
 
 // Predicate comparisons.
@@ -48,8 +45,23 @@ const (
 	OpBetween
 )
 
-// Number is the element domain of the numeric operators (exec.Number's
-// twin).
+// String names the comparison.
+func (o Op) String() string {
+	switch o {
+	case OpEQ:
+		return "eq"
+	case OpLT:
+		return "lt"
+	case OpGT:
+		return "gt"
+	case OpBetween:
+		return "between"
+	default:
+		return fmt.Sprintf("Op(%d)", uint8(o))
+	}
+}
+
+// Number is the element domain of the numeric operators.
 type Number interface {
 	int64 | float64
 }
@@ -62,8 +74,11 @@ func elem[T Number](b []byte) T { return fromBits[T](binary.LittleEndian.Uint64(
 // costs a dictionary lookup per element).
 func fromBits[T Number](u uint64) T { return *(*T)(unsafe.Pointer(&u)) }
 
-// Pred is a sargable predicate over one 8-byte numeric column, the
-// compressed-domain twin of exec.Pred.
+// Pred is a sargable predicate over one 8-byte numeric column: an
+// equality or range comparison the operators can both specialize (tight
+// decode-and-compare loops) and prune by (zone-map overlap tests). It is
+// the system's one predicate type — exec.Pred is Pred[float64]. The type
+// parameter and the int64 arm behind it stay because bench/ spells them.
 type Pred[T Number] struct {
 	// Op is the comparison.
 	Op Op
@@ -71,6 +86,40 @@ type Pred[T Number] struct {
 	Lo T
 	// Hi is the upper bound (OpLT, OpBetween).
 	Hi T
+}
+
+// Match evaluates the predicate on one value: what a predicate means,
+// the definition Closed must be an exact rewriting of and the only place
+// the comparison is spelled per Op.
+func (p Pred[T]) Match(x T) bool {
+	switch p.Op {
+	case OpEQ:
+		return x == p.Lo
+	case OpLT:
+		return x < p.Hi
+	case OpGT:
+		return x > p.Lo
+	case OpBetween:
+		return p.Lo <= x && x <= p.Hi
+	default:
+		return false
+	}
+}
+
+// String renders the predicate.
+func (p Pred[T]) String() string {
+	switch p.Op {
+	case OpEQ:
+		return fmt.Sprintf("x == %v", p.Lo)
+	case OpLT:
+		return fmt.Sprintf("x < %v", p.Hi)
+	case OpGT:
+		return fmt.Sprintf("x > %v", p.Lo)
+	case OpBetween:
+		return fmt.Sprintf("%v <= x <= %v", p.Lo, p.Hi)
+	default:
+		return p.Op.String()
+	}
 }
 
 // Closed resolves the predicate to a closed interval with identical

@@ -18,12 +18,9 @@ import (
 // quantifies), and an event per adaptation recording the monitor
 // snapshot that triggered it.
 var (
-	mAdaptRuns     = obs.NewCounter("core.adapt_runs")
-	mAdaptChanged  = obs.NewCounter("core.adapt_changed")
-	mChunkRegroups = obs.NewCounter("core.chunk_regroups")
-	mFreezes       = obs.NewCounter("core.freezes")
-	mPlacements    = obs.NewCounter("core.column_placements")
-	mEvictions     = obs.NewCounter("core.column_evictions")
+	mAdaptRuns  = obs.NewCounter("core.adapt_runs")
+	mFreezes    = obs.NewCounter("core.freezes")
+	mPlacements = obs.NewCounter("core.column_placements")
 
 	sfAdapt  = obs.NewSpanFamily("core.adapt")
 	sfFreeze = obs.NewSpanFamily("core.freeze")
@@ -58,11 +55,10 @@ func (t *Table) Adapt() (bool, error) {
 		if c.state != cold || groupingEqual(c.groups, advice) {
 			continue
 		}
-		if err := t.regroupChunk(c, advice); err != nil {
+		if err := t.recast(c, advice); err != nil {
 			sp.EndWith(fmt.Sprintf("error: %v", err))
 			return changed, err
 		}
-		mChunkRegroups.Inc()
 		changed = true
 	}
 	if t.eng.opts.DevicePlacement {
@@ -75,7 +71,6 @@ func (t *Table) Adapt() (bool, error) {
 	}
 	if changed {
 		t.adapts++
-		mAdaptChanged.Inc()
 	}
 	// Either way the advice was consumed: start a fresh observation epoch
 	// so the next adaptation reflects the workload from now on (and a
@@ -88,65 +83,6 @@ func (t *Table) Adapt() (bool, error) {
 		obs.RecordEvent("core.adapt", detail)
 	}
 	return changed, nil
-}
-
-// regroupChunk rewrites a cold chunk under a new column grouping.
-func (t *Table) regroupChunk(c *chunk, groups [][]int) error {
-	frags, err := t.buildColdFragments(c.rows, groups)
-	if err != nil {
-		return err
-	}
-	n := c.filled()
-	for i := 0; i < n; i++ {
-		rec := make(schema.Record, t.s.Arity())
-		for gi, f := range c.frags {
-			for _, col := range c.groups[gi] {
-				v, err := f.Get(i, col)
-				if err != nil {
-					freeAll(frags)
-					return err
-				}
-				rec[col] = v
-			}
-		}
-		for gi, f := range frags {
-			vals := make([]schema.Value, 0, len(groups[gi]))
-			for _, col := range groups[gi] {
-				vals = append(vals, rec[col])
-			}
-			if err := f.AppendTuplet(vals); err != nil {
-				freeAll(frags)
-				return err
-			}
-		}
-	}
-	// Regrouped fragments hold the same settled rows; re-seal their zones.
-	for _, f := range frags {
-		f.SealStats()
-	}
-	for _, f := range frags {
-		if err := t.olap.Add(f); err != nil {
-			freeAll(frags)
-			return err
-		}
-	}
-	for _, f := range c.frags {
-		t.olap.Remove(f)
-		t.invalidateFrag(f)
-		f.Free()
-	}
-	c.groups = groups
-	c.frags = frags
-	t.sealChunkCompression(c)
-	// Re-establish device residency for placed columns.
-	for col := range t.deviceCols {
-		if t.deviceCols[col] {
-			if err := t.placeChunkColumn(c, col); err != nil {
-				t.deviceCols[col] = false
-			}
-		}
-	}
-	return nil
 }
 
 // adaptPlacement moves scan-dominated float64 columns' cold thin
@@ -268,7 +204,6 @@ func (t *Table) evictColumnLocked(col int) error {
 		}
 	}
 	t.deviceCols[col] = false
-	mEvictions.Inc()
 	return nil
 }
 

@@ -107,7 +107,6 @@ type Engine struct {
 func New(env *engine.Env, opts Options) *Engine {
 	e := &Engine{env: env, opts: opts.withDefaults()}
 	if e.opts.ResultCacheBytes > 0 {
-		// No TTL; New keeps the parameter because bench/ calls it, until the next benchmark PR.
 		e.rescache = rescache.New(e.opts.ResultCacheBytes, 0)
 	}
 	return e
@@ -433,6 +432,20 @@ func (t *Table) freeze(c *chunk) error {
 	}
 	sp := sfFreeze.Start()
 	groups := t.mon.SuggestGroups(affinity)
+	if err := t.recast(c, groups); err != nil {
+		return err
+	}
+	t.freezes++
+	mFreezes.Inc()
+	sp.EndWith(fmt.Sprintf("rows=[%d,%d) groups=%v", c.rows.Begin, c.rows.End, groups))
+	return nil
+}
+
+// recast rewrites a chunk's settled rows into cold fragments under
+// groups and drops the fragments they were read from — the hot NSM
+// fragment (a freeze) or the previous cold ones (a regroup). The chunk
+// is cold afterwards.
+func (t *Table) recast(c *chunk, groups [][]int) error {
 	frags, err := t.buildColdFragments(c.rows, groups)
 	if err != nil {
 		return err
@@ -440,7 +453,7 @@ func (t *Table) freeze(c *chunk) error {
 	// Migrate tuplets.
 	n := c.filled()
 	for i := 0; i < n; i++ {
-		rec, err := c.nsm.Tuplet(i)
+		rec, err := t.chunkRecord(c, i)
 		if err != nil {
 			freeAll(frags)
 			return err
@@ -456,9 +469,9 @@ func (t *Table) freeze(c *chunk) error {
 			}
 		}
 	}
-	// The chunk is immutable under transactions from here on (updates go
-	// through the MVCC delta store): seal exact per-column bounds so
-	// predicate scans can prune it.
+	// The chunk is immutable under transactions (updates go through the
+	// MVCC delta store): seal exact per-column bounds so predicate scans
+	// can prune it.
 	for _, f := range frags {
 		f.SealStats()
 	}
@@ -468,16 +481,18 @@ func (t *Table) freeze(c *chunk) error {
 			return err
 		}
 	}
-	t.oltp.Remove(c.nsm)
-	t.invalidateFrag(c.nsm)
-	c.nsm.Free()
-	c.nsm = nil
-	c.state = cold
-	c.groups = groups
-	c.frags = frags
+	old, region := c.frags, t.olap
+	if c.state == hot {
+		old, region = []*layout.Fragment{c.nsm}, t.oltp
+	}
+	for _, f := range old {
+		region.Remove(f)
+		t.invalidateFrag(f)
+		f.Free()
+	}
+	c.nsm, c.state = nil, cold
+	c.groups, c.frags = groups, frags
 	t.sealChunkCompression(c)
-	t.freezes++
-	mFreezes.Inc()
 	// Device-resident columns extend to the new cold fragments.
 	for col := range t.deviceCols {
 		if t.deviceCols[col] {
@@ -487,7 +502,6 @@ func (t *Table) freeze(c *chunk) error {
 			}
 		}
 	}
-	sp.EndWith(fmt.Sprintf("rows=[%d,%d) groups=%v", c.rows.Begin, c.rows.End, groups))
 	return nil
 }
 
@@ -573,25 +587,28 @@ func (t *Table) baseRecord(row uint64) (schema.Record, *chunk, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	i := int(row - c.rows.Begin)
+	rec, err := t.chunkRecord(c, int(row-c.rows.Begin))
+	return rec, c, err
+}
+
+// chunkRecord materializes tuplet i of the chunk from whichever
+// fragments hold it.
+func (t *Table) chunkRecord(c *chunk, i int) (schema.Record, error) {
 	if c.state == hot {
 		vals, err := c.nsm.Tuplet(i)
-		if err != nil {
-			return nil, nil, err
-		}
-		return schema.Record(vals), c, nil
+		return schema.Record(vals), err
 	}
 	rec := make(schema.Record, t.s.Arity())
 	for gi, f := range c.frags {
 		for _, col := range c.groups[gi] {
 			v, err := f.Get(i, col)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			rec[col] = v
 		}
 	}
-	return rec, c, nil
+	return rec, nil
 }
 
 // chargeDeviceGather prices gathering k records' worth of device-resident

@@ -136,9 +136,9 @@ func patchItem(i uint64) schema.Record {
 // patchPlans is one plan of each aggregate kind.
 var patchPlans = []exec.Plan{
 	{Op: exec.KindSum, Col: workload.ItemPriceCol},
-	{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Pred[float64]{Op: exec.OpBetween, Lo: 2, Hi: 40}},
+	{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Pred{Op: exec.OpBetween, Lo: 2, Hi: 40}},
 	{Op: exec.KindGroupSum, KeyCol: patchKeyCol, Col: workload.ItemPriceCol},
-	{Op: exec.KindGroupSumWhere, KeyCol: patchKeyCol, Col: workload.ItemPriceCol, Pred: exec.Pred[float64]{Op: exec.OpGT, Lo: 3}},
+	{Op: exec.KindGroupSumWhere, KeyCol: patchKeyCol, Col: workload.ItemPriceCol, Pred: exec.Pred{Op: exec.OpGT, Lo: 3}},
 }
 
 // Over seeded random histories — inserts, autocommit updates of value
@@ -329,7 +329,7 @@ func TestPatchRowsCounter(t *testing.T) {
 	scan := func() int64 {
 		t.Helper()
 		before := mPatchRows.Load()
-		if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Pred[float64]{Op: exec.OpGT, Lo: 50}); err != nil {
+		if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Pred{Op: exec.OpGT, Lo: 50}); err != nil {
 			t.Fatal(err)
 		}
 		return mPatchRows.Load() - before
@@ -379,7 +379,7 @@ func benchTable(t *testing.T, groups uint64) *Table {
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.GroupSumFloat64Where(patchKeyCol, workload.ItemPriceCol, exec.Pred[float64]{Op: exec.OpGT}); err != nil {
+	if _, err := tbl.GroupSumFloat64Where(patchKeyCol, workload.ItemPriceCol, exec.Pred{Op: exec.OpGT}); err != nil {
 		t.Fatal(err)
 	}
 	return tbl
@@ -413,7 +413,7 @@ func scanCost(scan func()) (allocs, kib float64) {
 // before the ordered patch walk and the value-typed group tables, 4290
 // objects for the grouped scan and 1000 more per 1000 deltas.
 func TestScanAllocsIndependentOfDeltas(t *testing.T) {
-	pred := exec.Pred[float64]{Op: exec.OpBetween, Lo: 20, Hi: 80}
+	pred := exec.Pred{Op: exec.OpBetween, Lo: 20, Hi: 80}
 	type cost struct{ sumAllocs, sumKiB, groupAllocs, groupKiB float64 }
 	measure := func(tbl *Table) (c cost) {
 		c.sumAllocs, c.sumKiB = scanCost(func() {

@@ -95,7 +95,7 @@ func TestPruneDeviceSkipsKernelLaunch(t *testing.T) {
 	}
 
 	before := obs.TakeSnapshot()
-	sum, n, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Between[float64](1000, 2000))
+	sum, n, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Between(1000, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPruneDeviceSkipsKernelLaunch(t *testing.T) {
 
 	// Prices are monotone: Between(1.0, 1.27) hits only chunk 0's rows
 	// (prices 1.00..2.27 across its 128 rows — exactly rows 0..27 match).
-	sum, n, err = tbl.SumFloat64Where(workload.ItemPriceCol, exec.Between[float64](1.0, 1.27))
+	sum, n, err = tbl.SumFloat64Where(workload.ItemPriceCol, exec.Between(1.0, 1.27))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPruneMVCCPatchExactUnderPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The base fragments top out below 7; only the delta version matches.
-	sum, n, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Gt[float64](1000))
+	sum, n, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Gt(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestPruneMVCCPatchExactUnderPruning(t *testing.T) {
 	}
 	// The inverse range excludes the updated row and includes its old
 	// base value's fragment — the patch must subtract it.
-	sum, n, err = tbl.SumFloat64Where(workload.ItemPriceCol, exec.Lt[float64](1000))
+	sum, n, err = tbl.SumFloat64Where(workload.ItemPriceCol, exec.Lt(1000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,14 +122,14 @@ func (t *Table) SumFloat64(col int) (float64, error) {
 
 // SumFloat64Where aggregates (sum, count) of col over the rows matching
 // p, skipping base fragments whose zone maps prove them match-free.
-func (t *Table) SumFloat64Where(col int, p exec.Pred[float64]) (float64, int64, error) {
+func (t *Table) SumFloat64Where(col int, p exec.Pred) (float64, int64, error) {
 	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
 	return r.Sum, r.Count, err
 }
 
 // CountWhereFloat64 counts the rows matching p on col with the same
 // pruning as SumFloat64Where.
-func (t *Table) CountWhereFloat64(col int, p exec.Pred[float64]) (int64, error) {
+func (t *Table) CountWhereFloat64(col int, p exec.Pred) (int64, error) {
 	_, n, err := t.SumFloat64Where(col, p)
 	return n, err
 }
@@ -143,7 +143,7 @@ func (t *Table) GroupSumFloat64(keyCol, valCol int) ([]exec.GroupResult, error) 
 }
 
 // GroupSumFloat64Where is GroupSumFloat64 WHERE p, in one fused pass.
-func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred) ([]exec.GroupResult, error) {
 	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
 	return r.Groups, err
 }

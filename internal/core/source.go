@@ -57,8 +57,7 @@ func (s *scanSource) Schema() *schema.Schema { return s.t.s }
 // unpredicated group-by), or only one side of a pair was placed, the
 // host reads the device bytes across the bus, charged on the simulated
 // clock. Everything else scans from its side-car compressed image where
-// one covers it — not for group_sum, whose host operator takes raw
-// pieces only. With DeviceCache on, cold chunks are Shipped when a
+// one covers it. With DeviceCache on, cold chunks are Shipped when a
 // kernel exists: they ride the fragment cache, group keys raw (the
 // fused kernel sweeps them beside the values). Hot chunks stay on the
 // host — every insert would invalidate their image, so caching them
@@ -68,7 +67,6 @@ func (s *scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 	rows := t.rel.Rows()
 	kernel := p.DeviceOK()
 	ship := kernel && t.eng.opts.DeviceCache && t.env.Cache != nil
-	comp := p.Op != exec.KindGroupSum
 	vals = slices.Grow(s.vals[:0], len(t.chunks))
 	if p.Op.Grouped() {
 		keys = slices.Grow(s.keys[:0], len(t.chunks))
@@ -97,12 +95,10 @@ func (s *scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 			if devBytes > 0 && t.env.Clock != nil {
 				t.env.Clock.Advance(t.env.GPU.Profile().TransferNs(devBytes))
 			}
-			if comp {
-				t.attachCompressed(&vp, c, p.Col)
-			}
+			t.attachCompressed(&vp, c, p.Col)
 			if ship && c.state == cold && devBytes == 0 {
 				vp.Place = exec.Shipped
-			} else if comp && keys != nil {
+			} else if keys != nil {
 				t.attachCompressed(&kp, c, p.KeyCol)
 			}
 		}

@@ -13,12 +13,8 @@ import (
 // Process-wide cache counters, aggregated across every FragCache the run
 // creates (mirrors the device.* transfer counters above).
 var (
-	mCacheHits       = obs.NewCounter("device.cache.hits")
-	mCacheMisses     = obs.NewCounter("device.cache.misses")
-	mCacheEvictions  = obs.NewCounter("device.cache.evictions")
-	mCacheDupUploads = obs.NewCounter("device.cache.dup_uploads")
-	mCachePinned     = obs.NewGauge("device.cache.pinned_bytes")
-	mCacheResident   = obs.NewGauge("device.cache.resident_bytes")
+	mCacheHits   = obs.NewCounter("device.cache.hits")
+	mCacheMisses = obs.NewCounter("device.cache.misses")
 )
 
 // ErrCachePinned is returned when eviction cannot make room because every
@@ -204,7 +200,6 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 			c.mu.Unlock()
 			buf.Free()
 			c.dupUploads.Inc()
-			mCacheDupUploads.Inc()
 			return prev.buf, c.releaser(prev), false, nil
 		}
 		c.retireLocked(prev)
@@ -217,8 +212,6 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 	c.byFrag[ref][key] = e
 	c.resident += e.size
 	c.pinned += e.size
-	mCacheResident.Add(e.size)
-	mCachePinned.Add(e.size)
 	c.mu.Unlock()
 	return buf, c.releaser(e), false, nil
 }
@@ -244,7 +237,6 @@ func (c *FragCache) pin(e *cacheEntry) {
 			e.elem = nil
 		}
 		c.pinned += e.size
-		mCachePinned.Add(e.size)
 	}
 	e.pins++
 }
@@ -258,7 +250,6 @@ func (c *FragCache) unpinLocked(e *cacheEntry) {
 		return
 	}
 	c.pinned -= e.size
-	mCachePinned.Add(-e.size)
 	if e.dead {
 		e.buf.Free()
 		return
@@ -279,7 +270,6 @@ func (c *FragCache) retireLocked(e *cacheEntry) {
 		}
 	}
 	c.resident -= e.size
-	mCacheResident.Add(-e.size)
 	if e.pins > 0 {
 		e.dead = true
 		return
@@ -336,7 +326,6 @@ func (c *FragCache) evictLRULocked() bool {
 	}
 	c.retireLocked(back.Value.(*cacheEntry))
 	c.evictions.Inc()
-	mCacheEvictions.Inc()
 	return true
 }
 

@@ -20,7 +20,7 @@ import (
 //   - Where: the closed-interval filter [Lo, Hi] fuses into the same two
 //     launches — each thread keeps the elements inside the interval and
 //     carries (sum, count) in registers. Strict predicate bounds are
-//     normalized to closed intervals host-side (exec.ClosedFloat64), so
+//     normalized to closed intervals host-side (Pred.Closed), so
 //     the kernel stays branch-free of comparison modes.
 //   - Comp instead of Vals: the value column is a resident compressed
 //     image (compress.Column.Marshal) and a decode kernel runs first:

@@ -7,14 +7,9 @@ import (
 	"hybridstore/internal/obs"
 )
 
-// Stream observability: one span per Wait (annotated with the simulated
-// charge), plus histograms of the overlapped totals so htapbench can
-// report how much bus time the pipeline actually hid.
-var (
-	spStream         = obs.NewSpanFamily("device.stream")
-	mStreamChargedNs = obs.NewHistogram("device.stream.charged_ns")
-	mStreamSavedNs   = obs.NewHistogram("device.stream.saved_ns")
-)
+// Stream observability: one span per Wait, annotated with the simulated
+// charge.
+var spStream = obs.NewSpanFamily("device.stream")
 
 // DefaultStreamStages is the double-buffering depth of a stream: two
 // staging slots, the classic cp.async ping-pong pipeline (one slice in
@@ -45,7 +40,6 @@ type Stream struct {
 	transferNs float64 // lane: bus crossings enqueued since creation
 	computeNs  float64 // lane: kernel launches enqueued since creation
 	chargedNs  float64 // watermark: overlapped ns already charged by Wait
-	savedNs    float64 // watermark: ns hidden by overlap, already reported
 	ops        int     // commands enqueued since the last Wait
 }
 
@@ -151,21 +145,14 @@ func (s *Stream) settle(t, c float64) {
 	s.mu.Lock()
 	due := s.gpu.prof.OverlapNs(t, c, s.stages)
 	delta := due - s.chargedNs
-	saved := ((t + c) - due) - s.savedNs
 	ops := s.ops
 	if delta > 0 {
 		s.chargedNs = due
-		s.savedNs = (t + c) - due
 	}
 	s.ops = 0
 	s.mu.Unlock()
 	if delta > 0 {
 		s.gpu.charge(delta)
-		mStreamChargedNs.Observe(int64(delta))
-		// saved = what the synchronous path would have charged for the same
-		// commands minus the overlapped price; the histogram totals the bus
-		// time the pipeline hid.
-		mStreamSavedNs.Observe(int64(saved))
 	}
 	sp.EndWith(fmt.Sprintf("ops=%d charged_ns=%.0f", ops, delta))
 }

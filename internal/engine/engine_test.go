@@ -249,13 +249,13 @@ func sameBits(a, b exec.Result) bool {
 func TestScanCohortMatchesSolo(t *testing.T) {
 	s := schema.MustNew(schema.Int64Attr("k"), schema.Float64Attr("v"))
 	nan, inf := math.NaN(), math.Inf(1)
-	cohorts := [][]exec.Pred[float64]{
+	cohorts := [][]exec.Pred{
 		{exec.Between(4.0, 9.0)},
 		{exec.Between(2.0, 1.0)},
 		{exec.Lt(-inf), exec.Gt(0.5)},
 		{exec.Between(2.0, 1.0), exec.Gt(inf)},
 		{exec.Between(4.0, 9.0), exec.Between(2.0, 1.0), exec.Lt(50.0), exec.Between(nan, 3.0), exec.Between(4.0, 9.0)},
-		{exec.Lt(-inf), exec.Between(1.0, nan), exec.Between(9.0, 4.0), exec.Gt(inf), exec.Pred[float64]{Op: 99, Lo: 1, Hi: 2}},
+		{exec.Lt(-inf), exec.Between(1.0, nan), exec.Between(9.0, 4.0), exec.Gt(inf), exec.Pred{Op: 99, Lo: 1, Hi: 2}},
 	}
 	for _, op := range []exec.Kind{exec.KindSum, exec.KindSumWhere, exec.KindGroupSum, exec.KindGroupSumWhere} {
 		for _, preds := range cohorts {

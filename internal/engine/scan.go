@@ -129,7 +129,7 @@ func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exe
 		m := member{Scan: exec.Scan{Plan: p}, res: &out[k]}
 		isLive := k == 0
 		if shape.HasPred {
-			m.lo, m.hi, isLive = exec.ClosedFloat64(p.Pred)
+			m.lo, m.hi, isLive = p.Pred.Closed()
 		}
 		if isLive {
 			live = append(live, m)
@@ -198,7 +198,7 @@ func scanLive(src Source, host exec.Config, dev exec.ScanExecutor, live []member
 	if nDev == 0 || nDev < len(vals) {
 		var shared []exec.Result
 		if shape.Op == exec.KindSumWhere {
-			preds := make([]exec.Pred[float64], len(live))
+			preds := make([]exec.Pred, len(live))
 			for j, m := range live {
 				preds[j] = m.Pred
 			}

@@ -43,12 +43,12 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	const rounds = 12 // update rounds per writer
 	// finalPrice is each writer's deterministic last write per row.
 	finalPrice := func(row uint64) float64 { return float64(row % 97) }
-	preds := []exec.Pred[float64]{
-		exec.Lt[float64](40),
-		exec.Gt[float64](60),
-		exec.Between[float64](10, 80),
-		exec.Eq[float64](13),
-		exec.Between[float64](5000, 6000), // empty against all written values
+	preds := []exec.Pred{
+		exec.Lt(40),
+		exec.Gt(60),
+		exec.Between(10, 80),
+		exec.Eq(13),
+		exec.Between(5000, 6000), // empty against all written values
 	}
 	makers := []struct {
 		name string

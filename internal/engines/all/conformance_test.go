@@ -44,12 +44,12 @@ func loadItems(t *testing.T, e engine.Engine, n uint64) engine.Table {
 
 // sumWhere and groupSumWhere spell the two predicated plans the
 // cross-engine properties run through the contract's one scan entry.
-func sumWhere(tbl engine.Table, col int, p exec.Pred[float64]) (float64, int64, error) {
+func sumWhere(tbl engine.Table, col int, p exec.Pred) (float64, int64, error) {
 	r, err := tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
 	return r.Sum, r.Count, err
 }
 
-func groupSumWhere(tbl engine.Table, keyCol, valCol int, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+func groupSumWhere(tbl engine.Table, keyCol, valCol int, p exec.Pred) ([]exec.GroupResult, error) {
 	r, err := tbl.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
 	return r.Groups, err
 }

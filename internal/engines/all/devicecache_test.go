@@ -55,7 +55,7 @@ func TestDeviceCacheProperty(t *testing.T) {
 			case op == 3: // fold deltas in, invalidating written fragments
 				seal()
 			default: // scan; mostly closed predicates so the device path engages
-				var p exec.Pred[float64]
+				var p exec.Pred
 				if r.Intn(4) == 0 {
 					p = randomPred(r)
 				} else {
@@ -107,7 +107,7 @@ func TestDeviceCacheWarmScanZeroBusBytes(t *testing.T) {
 	env := engine.NewEnv()
 	tbl := loadItems(t, core.New(env, core.Options{ChunkRows: chunkRows, HotChunks: 1, DeviceCache: true}), n)
 	defer tbl.Free()
-	p := exec.Between[float64](0, 1000) // closed, admits every zone
+	p := exec.Between(0, 1000) // closed, admits every zone
 
 	scan := func() (float64, int64) {
 		t.Helper()

@@ -35,7 +35,7 @@ func groupItem(i uint64) schema.Record {
 // randomGroupPred draws predicates over the [0, 97) price domain plus
 // the post-update outliers (599, 800): point, half-open, interval,
 // outlier-only and provably-empty shapes.
-func randomGroupPred(r *rand.Rand) exec.Pred[float64] {
+func randomGroupPred(r *rand.Rand) exec.Pred {
 	switch r.Intn(6) {
 	case 0:
 		return exec.Eq(float64(r.Intn(97)))
@@ -48,10 +48,10 @@ func randomGroupPred(r *rand.Rand) exec.Pred[float64] {
 		return exec.Between(lo, lo+r.Float64()*25)
 	case 4:
 		// Catches only the post-update outliers.
-		return exec.Gt[float64](400)
+		return exec.Gt(400)
 	default:
 		// Provably empty: above the domain and the outliers.
-		return exec.Between[float64](2000, 3000)
+		return exec.Between(2000, 3000)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestGroupFusionDeviceFallback(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 
-	p := exec.Between[float64](5, 90)
+	p := exec.Between(5, 90)
 	for _, tc := range []struct {
 		plan    exec.Plan
 		counter string // "" where no kernel exists: nothing ships, nothing falls back

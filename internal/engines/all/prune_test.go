@@ -16,7 +16,7 @@ import (
 // randomPred draws a predicate over the item price domain ([1, ~7) for
 // the row counts used here, plus post-update outliers around 500-800),
 // spanning empty, sliver, moderate and full-range selectivities.
-func randomPred(r *rand.Rand) exec.Pred[float64] {
+func randomPred(r *rand.Rand) exec.Pred {
 	switch r.Intn(6) {
 	case 0:
 		return exec.Eq(workload.ItemPrice(uint64(r.Intn(1000))))
@@ -29,10 +29,10 @@ func randomPred(r *rand.Rand) exec.Pred[float64] {
 		return exec.Between(lo, lo+r.Float64()*1.5)
 	case 4:
 		// Catches only the post-update outliers (if any match).
-		return exec.Gt[float64](100)
+		return exec.Gt(100)
 	default:
 		// Provably empty between the generated domain and the outliers.
-		return exec.Between[float64](20, 30)
+		return exec.Between(20, 30)
 	}
 }
 
@@ -153,12 +153,12 @@ func TestPruneSelectionMatchesClosureSelect(t *testing.T) {
 					t.Skipf("%s scans placed or compressed pieces; selection takes raw host ones", e.Name())
 				}
 			}
-			for _, p := range []exec.Pred[float64]{
-				exec.Between[float64](2, 3),
+			for _, p := range []exec.Pred{
+				exec.Between(2, 3),
 				exec.Lt(1.5),
 				exec.Gt(4.25),
 				exec.Eq(workload.ItemPrice(123)),
-				exec.Between[float64](20, 30),
+				exec.Between(20, 30),
 			} {
 				sv, err := exec.SelectFloat64Pred(exec.Single(), pieces, p)
 				if err != nil {

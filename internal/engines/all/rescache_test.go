@@ -50,11 +50,11 @@ func TestResultCacheRacingWriters(t *testing.T) {
 		part    = n / writers
 		rounds  = 30
 	)
-	preds := []exec.Pred[float64]{
-		exec.Lt[float64](40),
-		exec.Gt[float64](60),
-		exec.Between[float64](10, 80),
-		exec.Between[float64](13, 13), // normalizes to eq(13)
+	preds := []exec.Pred{
+		exec.Lt(40),
+		exec.Gt(60),
+		exec.Between(10, 80),
+		exec.Between(13, 13), // normalizes to eq(13)
 	}
 	makers := []struct {
 		name string
@@ -201,7 +201,7 @@ func TestResultCacheRacingWriters(t *testing.T) {
 			// spelled the other way hits the same entry.
 			eqKey := rescache.Key{
 				Table: "item", Op: rescache.OpSumWhere,
-				Col: workload.ItemPriceCol, Pred: exec.Normalize(exec.Eq[float64](13)), HasPred: true,
+				Col: workload.ItemPriceCol, Pred: exec.Normalize(exec.Eq(13)), HasPred: true,
 			}
 			if eqKey != keys[3] {
 				t.Fatal("normalize failed to unify eq(13) and between(13,13) keys")

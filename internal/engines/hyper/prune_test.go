@@ -65,7 +65,7 @@ func TestPruneHyperCompactedScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obs.TakeSnapshot()
-	r, err := tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Gt[float64](500)})
+	r, err := tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Gt(500)})
 	sum, n := r.Sum, r.Count
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestPruneHyperCompactedScan(t *testing.T) {
 		t.Error("exec.zonemap.pruned did not advance")
 	}
 
-	r, err = tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Lt[float64](2)})
+	r, err = tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Lt(2)})
 	sum, n = r.Sum, r.Count
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func TestPruneLstoreSkipsDecompression(t *testing.T) {
 	}
 
 	before := obs.TakeSnapshot()
-	r, err := tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Gt[float64](600)})
+	r, err := tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Gt(600)})
 	sum, n := r.Sum, r.Count
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestPruneLstoreSkipsDecompression(t *testing.T) {
 	}
 
 	// The complementary scan decompresses and patches exactly.
-	r, err = tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Lt[float64](600)})
+	r, err = tbl.Scan(exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Lt(600)})
 	sum, n = r.Sum, r.Count
 	if err != nil {
 		t.Fatal(err)

@@ -41,12 +41,6 @@ func splitComp(pieces []Piece) (raw, comp []Piece) {
 	return raw, comp
 }
 
-// compPred bridges an exec predicate to its compress twin (the enums
-// share ordering and semantics).
-func compPred[T Number](p Pred[T]) compress.Pred[T] {
-	return compress.Pred[T]{Op: compress.Op(p.Op), Lo: p.Lo, Hi: p.Hi}
-}
-
 // forEachComp runs kernel over every compressed piece — concurrently
 // when the policy has workers to spare — and reports the first error.
 // Kernels write their partials into per-piece slots, so callers fold
@@ -84,8 +78,8 @@ func forEachComp(cfg Config, pieces []Piece, kernel func(i int, c *compress.Colu
 
 // compFold runs one compressed-domain (sum, count) kernel per piece and
 // folds the per-piece partials in piece order.
-func compFold[T Number](cfg Config, pieces []Piece, kernel func(c *compress.Column) (T, int64, error)) (T, int64, error) {
-	sums := make([]T, len(pieces))
+func compFold(cfg Config, pieces []Piece, kernel func(c *compress.Column) (float64, int64, error)) (float64, int64, error) {
+	sums := make([]float64, len(pieces))
 	counts := make([]int64, len(pieces))
 	err := forEachComp(cfg, pieces, func(i int, c *compress.Column) (err error) {
 		sums[i], counts[i], err = kernel(c)
@@ -94,7 +88,7 @@ func compFold[T Number](cfg Config, pieces []Piece, kernel func(c *compress.Colu
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadColumn, err)
 	}
-	var sum T
+	var sum float64
 	var n int64
 	for i := range sums {
 		sum += sums[i]

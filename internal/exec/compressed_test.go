@@ -10,7 +10,8 @@ import (
 	"hybridstore/internal/layout"
 )
 
-// encodeF64 and encodeI64 build little-endian column images.
+// encodeF64 and encodeI64 build little-endian column images (int64
+// ones are group keys).
 func encodeF64(vals []float64) []byte {
 	out := make([]byte, len(vals)*8)
 	for i, v := range vals {
@@ -117,52 +118,8 @@ func floatShape(rng *rand.Rand, enc compress.Encoding, n int) []float64 {
 	return vals
 }
 
-// intShape is floatShape for int64 columns, including the FOR width
-// transition points (1-, 2- and 4-byte deltas).
-func intShape(rng *rand.Rand, enc compress.Encoding, n int) []int64 {
-	vals := make([]int64, n)
-	switch enc {
-	case compress.RLE:
-		v := int64(rng.Intn(1000))
-		for i := range vals {
-			if rng.Intn(7) == 0 {
-				v = int64(rng.Intn(1000))
-			}
-			vals[i] = v
-		}
-	case compress.Dict:
-		card := 1 + rng.Intn(16)
-		dict := make([]int64, card)
-		for i := range dict {
-			dict[i] = int64(rng.Intn(2000) - 1000)
-		}
-		for i := range vals {
-			vals[i] = dict[rng.Intn(card)]
-		}
-	case compress.FOR:
-		base := int64(rng.Intn(1 << 20))
-		// Exercise the delta-width boundaries: spans that just fit and
-		// just overflow the 1- and 2-byte widths, plus a wide 4-byte span.
-		spans := []int64{255, 256, 65535, 65536, 1 << 24}
-		span := spans[rng.Intn(len(spans))]
-		for i := range vals {
-			vals[i] = base + rng.Int63n(span+1)
-		}
-		// Pin the boundary values so the width is actually exercised.
-		if n >= 2 {
-			vals[0] = base
-			vals[n-1] = base + span
-		}
-	default: // Raw
-		for i := range vals {
-			vals[i] = rng.Int63n(1<<40) - (1 << 39)
-		}
-	}
-	return vals
-}
-
 // randPredF64 draws a predicate whose bounds straddle the data.
-func randCompPredF64(rng *rand.Rand, vals []float64) Pred[float64] {
+func randCompPredF64(rng *rand.Rand, vals []float64) Pred {
 	pick := func() float64 {
 		v := vals[rng.Intn(len(vals))]
 		if math.IsNaN(v) {
@@ -184,33 +141,6 @@ func randCompPredF64(rng *rand.Rand, vals []float64) Pred[float64] {
 	default:
 		return Between(lo, hi)
 	}
-}
-
-func randCompPredI64(rng *rand.Rand, vals []int64) Pred[int64] {
-	pick := func() int64 { return vals[rng.Intn(len(vals))] + int64(rng.Intn(64)) - 32 }
-	lo, hi := pick(), pick()
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	switch Op(rng.Intn(4)) {
-	case OpEQ:
-		return Eq(vals[rng.Intn(len(vals))])
-	case OpLT:
-		return Lt(hi)
-	case OpGT:
-		return Gt(lo)
-	default:
-		return Between(lo, hi)
-	}
-}
-
-// sumsClose compares reassociated float sums: both NaN, or within a
-// tight relative tolerance.
-func sumsClose(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	return math.Abs(a-b) <= 1e-9*math.Abs(a)+1e-9
 }
 
 // TestCompressedOpsMatchDecompressed is the compressed-domain equivalence
@@ -245,10 +175,8 @@ func TestCompressedOpsMatchDecompressed(t *testing.T) {
 				t.Fatalf("%v round %d: SumFloat64Where(%v) = (%v, %d), want (%v, %d)",
 					enc, round, fp, gotSum, gotN, wantSum, wantN)
 			}
-			// The unfiltered compressed sum uses exact closed forms per run
-			// and per dictionary code (a deliberate reassociation of the
-			// dense loop), so it is compared within float tolerance; strict
-			// bit-identity is the contract of the Where family above.
+			// The unfiltered sum is the same body with the test off: every
+			// element added in storage order, a NaN included.
 			wantUS, err := SumFloat64(cfg, fraw)
 			if err != nil {
 				t.Fatal(err)
@@ -257,42 +185,106 @@ func TestCompressedOpsMatchDecompressed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sumsClose(wantUS, gotUS) {
+			if math.Float64bits(wantUS) != math.Float64bits(gotUS) {
 				t.Fatalf("%v: SumFloat64 = %v (%x), want %v (%x)",
 					enc, gotUS, math.Float64bits(gotUS), wantUS, math.Float64bits(wantUS))
 			}
+		}
+	}
+}
 
-			// int64 column. Magnitudes stay under 2^53/len so the dense
-			// baseline's float64 partials are exact.
-			ivals := intShape(rng, enc, n)
-			iimg := encodeI64(ivals)
-			iraw := rawPieces(iimg, n, np)
-			icomp := compPieces(t, enc, iimg, n, np)
-			ip := randCompPredI64(rng, ivals)
-
-			wantISum, wantIN, err := scanWhere(cfg, &obsSumWhere, "int64 sum", iraw, ip)
-			if err != nil {
-				t.Fatalf("%v: baseline int64 sum-where: %v", enc, err)
+// TestScanCompressedPiecesBitIdentical runs a column whose sum depends
+// on the fold order (v × k ≠ adding v k times) through Config.Scan as raw
+// and as compressed pieces: every kind answers the same bits under every
+// encoding that holds the column, sum ≡ sum_where(−Inf, +Inf), and the
+// grouped kinds read sealed images — values, keys or both.
+func TestScanCompressedPiecesBitIdentical(t *testing.T) {
+	const n, np = 2048, 2
+	vals := make([]float64, n)
+	keys := make([]int64, n)
+	for i := range vals {
+		switch j := i % 1024; {
+		case j < 300:
+			vals[i] = 0.1
+		case j < 600:
+			vals[i] = 1e16
+		default:
+			vals[i] = 1
+		}
+		keys[i] = int64(i / 100 % 5)
+	}
+	vimg, kimg := encodeF64(vals), encodeI64(keys)
+	rawKeys := rawPieces(kimg, n, np)
+	all := Between(math.Inf(-1), math.Inf(1))
+	plans := []Plan{
+		{Op: KindSum},
+		{Op: KindSumWhere, Pred: all, HasPred: true},
+		{Op: KindGroupSum},
+		{Op: KindGroupSumWhere, Pred: all, HasPred: true},
+	}
+	scan := func(p Plan, keys, vals []Piece) Result {
+		t.Helper()
+		if !p.Op.Grouped() {
+			keys = nil
+		}
+		res, err := Single().Scan(Scan{Plan: p, Keys: keys, Vals: vals})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Op, err)
+		}
+		return res
+	}
+	same := func(a, b Result) bool {
+		if math.Float64bits(a.Sum) != math.Float64bits(b.Sum) || len(a.Groups) != len(b.Groups) {
+			return false
+		}
+		for i := range a.Groups {
+			if a.Groups[i].Key != b.Groups[i].Key || a.Groups[i].Count != b.Groups[i].Count ||
+				math.Float64bits(a.Groups[i].Sum) != math.Float64bits(b.Groups[i].Sum) {
+				return false
 			}
-			gotISum, gotIN, err := scanWhere(cfg, &obsSumWhere, "int64 sum", icomp, ip)
-			if err != nil {
-				t.Fatalf("%v: compressed int64 sum-where: %v", enc, err)
+		}
+		return true
+	}
+	want := make([]Result, len(plans))
+	for i, p := range plans {
+		want[i] = scan(p, rawKeys, rawPieces(vimg, n, np))
+	}
+	if want[0].Sum != want[1].Sum || want[1].Count != n || !same(Result{Groups: want[2].Groups}, Result{Groups: want[3].Groups}) {
+		t.Fatalf("raw: sum %v vs sum_where %v (count %d); groups %v vs %v", want[0].Sum, want[1].Sum, want[1].Count, want[2].Groups, want[3].Groups)
+	}
+	for _, enc := range []compress.Encoding{compress.Raw, compress.RLE, compress.Dict} {
+		for _, sealedKeys := range []bool{false, true} {
+			ks := rawKeys
+			if sealedKeys {
+				ks = compPieces(t, enc, kimg, n, np)
 			}
-			if wantISum != gotISum || wantIN != gotIN {
-				t.Fatalf("%v round %d: int64 sum-where(%v) = (%d, %d), want (%d, %d)",
-					enc, round, ip, gotISum, gotIN, wantISum, wantIN)
+			for i, p := range plans {
+				if got := scan(p, ks, compPieces(t, enc, vimg, n, np)); !same(got, want[i]) {
+					t.Errorf("%v keys sealed=%v %s: (%x, %v), raw pieces answer (%x, %v)", enc, sealedKeys, p.Op,
+						math.Float64bits(got.Sum), got.Groups, math.Float64bits(want[i].Sum), want[i].Groups)
+				}
 			}
-			wantIUS, err := SumInt64(cfg, iraw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotIUS, err := SumInt64(cfg, icomp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantIUS != gotIUS {
-				t.Fatalf("%v: SumInt64 = %d, want %d", enc, gotIUS, wantIUS)
-			}
+		}
+	}
+	// A NaN is an element like any other without a predicate and matches
+	// none: sum and group_sum carry it, the filtered kinds skip it.
+	vals[7] = math.NaN()
+	vimg = encodeF64(vals)
+	for _, mk := range []func() []Piece{
+		func() []Piece { return rawPieces(vimg, n, np) },
+		func() []Piece { return compPieces(t, compress.RLE, vimg, n, np) },
+	} {
+		if got := scan(plans[0], nil, mk()); !math.IsNaN(got.Sum) {
+			t.Errorf("sum over a NaN = %v", got.Sum)
+		}
+		if got := scan(plans[1], nil, mk()); math.IsNaN(got.Sum) || got.Count != n-1 {
+			t.Errorf("sum_where over a NaN = %v, %d", got.Sum, got.Count)
+		}
+		if got := scan(plans[2], rawKeys, mk()); !math.IsNaN(got.Groups[0].Sum) || got.Groups[0].Count != want[2].Groups[0].Count {
+			t.Errorf("group_sum over a NaN: group 0 = %+v", got.Groups[0])
+		}
+		if got := scan(plans[3], rawKeys, mk()); math.IsNaN(got.Groups[0].Sum) || got.Groups[0].Count != want[3].Groups[0].Count-1 {
+			t.Errorf("group_sum_where over a NaN: group 0 = %+v", got.Groups[0])
 		}
 	}
 }
@@ -342,31 +334,5 @@ func TestSelectRejectsCompressed(t *testing.T) {
 	}
 	if _, err := SelectFloat64(Single(), pieces, func(float64) bool { return true }); err == nil {
 		t.Fatal("SelectFloat64 accepted a compressed piece")
-	}
-}
-
-// TestSumInt64ExactAbove2p53 pins integer sums as exact integers: two
-// pieces of 1<<53 + 1 do not survive a float64 partial (the odd value
-// rounds to even), so any fold that carries int64 partials through
-// float64 loses 2. Every policy, raw and FOR-compressed, filtered and
-// unfiltered.
-func TestSumInt64ExactAbove2p53(t *testing.T) {
-	const v = int64(1)<<53 + 1
-	image := encodeI64([]int64{v, v})
-	views := map[string][]Piece{
-		"raw": rawPieces(image, 2, 2),
-		"for": compPieces(t, compress.FOR, image, 2, 2),
-	}
-	for name, pieces := range views {
-		for _, cfg := range []Config{Single(), MultiN(2), Morsel()} {
-			sum, err := SumInt64(cfg, pieces)
-			if err != nil || sum != 2*v {
-				t.Errorf("%s %v: SumInt64 = %d, %v; want %d", name, cfg.Policy, sum, err, 2*v)
-			}
-			sum, n, err := scanWhere(cfg, &obsSumWhere, "int64 sum", pieces, Gt[int64](0))
-			if err != nil || sum != 2*v || n != 2 {
-				t.Errorf("%s %v: int64 sum-where = (%d, %d), %v; want (%d, 2)", name, cfg.Policy, sum, n, err, 2*v)
-			}
-		}
 	}
 }

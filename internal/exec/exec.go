@@ -21,7 +21,6 @@
 package exec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -147,14 +146,8 @@ type Config struct {
 // Single returns a sequential configuration with no time accounting.
 func Single() Config { return Config{Policy: SingleThreaded} }
 
-// Multi returns a blockwise multi-threaded configuration sized to the
-// machine: the worker count resolves to runtime.GOMAXPROCS(0). The
-// paper's fixed eight-thread policy is MultiN(8), used by the Figure-2
-// harness.
-func Multi() Config { return Config{Policy: MultiThreaded} }
-
 // MultiN returns a blockwise multi-threaded configuration with exactly n
-// workers.
+// workers (the paper's fixed eight-thread policy is MultiN(8)).
 func MultiN(n int) Config { return Config{Policy: MultiThreaded, Threads: n} }
 
 // Morsel returns the morsel-driven configuration executing on the shared
@@ -312,50 +305,6 @@ func scanPieceNs(h perfmodel.HostProfile, p Piece, threads int) float64 {
 	return h.ScanSumNs(int64(p.Vec.Len), p.Vec.Size, p.Vec.Stride, threads)
 }
 
-// sumAll is the one unfiltered column sum body: raw pieces fold through
-// the policy with partials typed as T (so int64 sums stay exact beyond
-// 2^53), compressed pieces sum in the compressed domain.
-func sumAll[T Number](cfg Config, what string, pieces []Piece) (T, error) {
-	if err := checkSize8(pieces, what); err != nil {
-		return 0, err
-	}
-	ot := obsSum.start(cfg.Policy)
-	defer ot.end()
-	raw, comp := splitComp(pieces)
-	sum, _ := parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (T, int64) {
-		var acc T
-		off := v.Base + from*v.Stride
-		for i := from; i < to; i++ {
-			acc += fromBits[T](binary.LittleEndian.Uint64(v.Data[off:]))
-			off += v.Stride
-		}
-		return acc, 0
-	})
-	if len(comp) > 0 {
-		cs, _, err := compFold(cfg, comp, func(c *compress.Column) (T, int64, error) {
-			s, err := compress.Sum[T](c)
-			return s, 0, err
-		})
-		if err != nil {
-			return 0, err
-		}
-		sum += cs
-	}
-	cfg.chargeScan(pieces)
-	return sum, nil
-}
-
-// SumFloat64 sums a float64 column given as pieces. Under MultiThreaded
-// the element positions are partitioned blockwise across workers.
-func SumFloat64(cfg Config, pieces []Piece) (float64, error) {
-	return sumAll[float64](cfg, "float64 sum", pieces)
-}
-
-// SumInt64 sums an int64 column given as pieces (exact mod 2^64).
-func SumInt64(cfg Config, pieces []Piece) (int64, error) {
-	return sumAll[int64](cfg, "int64 sum", pieces)
-}
-
 // eachRange visits the sub-ranges of pieces covering the global element
 // positions [gFrom, gTo), in order: fn receives each intersected piece
 // and the local element range within it.
@@ -442,7 +391,7 @@ func (c Config) partition(slots, total int, fn func(slot, from, to int)) {
 // so a policy's result is deterministic for a given worker count. The
 // sequential case folds piece by piece with no partial storage at all —
 // the serving path's zero-allocation scan.
-func parallelFold[T Number](cfg Config, pieces []Piece, kernel func(v layout.ColVector, from, to int) (T, int64)) (sum T, n int64) {
+func parallelFold(cfg Config, pieces []Piece, kernel func(v layout.ColVector, from, to int) (float64, int64)) (sum float64, n int64) {
 	slots := cfg.slots()
 	if slots == 1 {
 		for _, p := range pieces {
@@ -453,7 +402,7 @@ func parallelFold[T Number](cfg Config, pieces []Piece, kernel func(v layout.Col
 		return sum, n
 	}
 	type partial struct {
-		sum T
+		sum float64
 		n   int64
 	}
 	parts := make([]partial, slots)

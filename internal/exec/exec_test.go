@@ -114,9 +114,14 @@ func TestColumnViewChunked(t *testing.T) {
 	if pieces[3].Rows.Begin != 96 || pieces[3].Vec.Len != 4 {
 		t.Fatalf("tail piece = %+v", pieces[3])
 	}
-	sum, err := SumInt64(Single(), pieces)
-	if err != nil || sum != 99*100/2 {
-		t.Fatalf("chunked sum = %d, %v", sum, err)
+	var sum int64
+	for _, p := range pieces {
+		for i := 0; i < p.Vec.Len; i++ {
+			sum += p.Vec.Int(i)
+		}
+	}
+	if sum != 99*100/2 {
+		t.Fatalf("chunked sum = %d", sum)
 	}
 }
 
@@ -153,7 +158,7 @@ func TestSumFloat64AllPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []Config{Single(), Multi(), MultiN(3), Morsel()} {
+		for _, cfg := range []Config{Single(), Config{Policy: MultiThreaded}, MultiN(3), Morsel()} {
 			got, err := SumFloat64(cfg, pieces)
 			if err != nil {
 				t.Fatal(err)
@@ -165,38 +170,17 @@ func TestSumFloat64AllPolicies(t *testing.T) {
 	}
 }
 
-func TestSumInt64AllPolicies(t *testing.T) {
-	l, _ := buildLayout(t, layout.DSM, false, 777)
-	pieces, err := ColumnView(l, 0, 777)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(776 * 777 / 2)
-	for _, cfg := range []Config{Single(), Multi(), MultiN(8), Morsel()} {
-		got, err := SumInt64(cfg, pieces)
-		if err != nil || got != want {
-			t.Fatalf("sum = %d, %v; want %d", got, err, want)
-		}
-	}
-}
-
 func TestSumRejectsWrongWidth(t *testing.T) {
 	l, _ := buildLayout(t, layout.NSM, false, 10)
 	pieces, _ := ColumnView(l, 1, 10) // int32 column
 	if _, err := SumFloat64(Single(), pieces); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("float sum err = %v", err)
 	}
-	if _, err := SumInt64(Single(), pieces); !errors.Is(err, ErrBadColumn) {
-		t.Errorf("int sum err = %v", err)
-	}
 	if _, err := SelectFloat64(Single(), pieces, func(float64) bool { return true }); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("select err = %v", err)
 	}
 	if _, err := CountFloat64(Single(), pieces, func(float64) bool { return true }); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("count err = %v", err)
-	}
-	if _, err := SelectInt64(Single(), pieces, func(int64) bool { return true }); !errors.Is(err, ErrBadColumn) {
-		t.Errorf("select int err = %v", err)
 	}
 }
 
@@ -220,7 +204,7 @@ func TestMaterialize(t *testing.T) {
 	if _, err := Materialize(Single(), l, []uint64{1000}); err == nil {
 		t.Error("out-of-range position accepted")
 	}
-	if _, err := Materialize(Multi(), l, []uint64{0, 1000}); err == nil {
+	if _, err := Materialize(Config{Policy: MultiThreaded}, l, []uint64{0, 1000}); err == nil {
 		t.Error("multi-threaded out-of-range position accepted")
 	}
 }
@@ -246,13 +230,8 @@ func TestSelectFloat64(t *testing.T) {
 	}
 }
 
-func TestSelectInt64AndCount(t *testing.T) {
+func TestCountFloat64(t *testing.T) {
 	l, _ := buildLayout(t, layout.NSM, false, 100)
-	idPieces, _ := ColumnView(l, 0, 100)
-	pos, err := SelectInt64(Single(), idPieces, func(x int64) bool { return x%10 == 0 })
-	if err != nil || len(pos) != 10 {
-		t.Fatalf("SelectInt64 = %v, %v", pos, err)
-	}
 	prices, _ := ColumnView(l, 3, 100)
 	n, err := CountFloat64(Single(), prices, func(x float64) bool { return x > 50 })
 	if err != nil {

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
-	"math"
 	"sync"
 
 	"hybridstore/internal/exec/pool"
@@ -16,20 +14,10 @@ import (
 // the last preceding join operator is available"; selection is the
 // equivalent producer in this library).
 func SelectFloat64(cfg Config, pieces []Piece, pred func(float64) bool) ([]uint64, error) {
-	return selectMatches(cfg, "float64 selection", pieces, pred)
-}
-
-// SelectInt64 is SelectFloat64 for int64 columns.
-func SelectInt64(cfg Config, pieces []Piece, pred func(int64) bool) ([]uint64, error) {
-	return selectMatches(cfg, "int64 selection", pieces, pred)
-}
-
-// selectMatches is the closure-predicate selection body.
-func selectMatches[T Number](cfg Config, what string, pieces []Piece, pred func(T) bool) ([]uint64, error) {
-	if err := checkSize8(pieces, what); err != nil {
+	if err := checkSize8(pieces, "float64 selection"); err != nil {
 		return nil, err
 	}
-	if err := rejectComp(pieces, what); err != nil {
+	if err := rejectComp(pieces, "float64 selection"); err != nil {
 		return nil, err
 	}
 	ot := obsSelect.start(cfg.Policy)
@@ -46,14 +34,14 @@ func selectMatches[T Number](cfg Config, what string, pieces []Piece, pred func(
 // contiguous stride-8 case re-slices to a dense byte run and decodes
 // inline, so only the caller's predicate — not an additional per-row
 // decode closure — runs per element.
-func scanMatches[T Number](buf []uint64, pieces []Piece, gFrom, gTo int, pred func(T) bool) []uint64 {
+func scanMatches(buf []uint64, pieces []Piece, gFrom, gTo int, pred func(float64) bool) []uint64 {
 	eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
 		v := p.Vec
 		if v.Stride == 8 {
 			data := v.Data[v.Base+from*8 : v.Base+to*8]
 			base := p.Rows.Begin + uint64(from)
 			for i := 0; i+8 <= len(data); i += 8 {
-				if pred(fromBits[T](binary.LittleEndian.Uint64(data[i:]))) {
+				if pred(f64(data[i:])) {
 					buf = append(buf, base+uint64(i>>3))
 				}
 			}
@@ -61,7 +49,7 @@ func scanMatches[T Number](buf []uint64, pieces []Piece, gFrom, gTo int, pred fu
 		}
 		off := v.Base + from*v.Stride
 		for i := from; i < to; i++ {
-			if pred(fromBits[T](binary.LittleEndian.Uint64(v.Data[off:]))) {
+			if pred(f64(v.Data[off:])) {
 				buf = append(buf, p.Rows.Begin+uint64(i))
 			}
 			off += v.Stride
@@ -172,7 +160,7 @@ func CountFloat64(cfg Config, pieces []Piece, pred func(float64) bool) (int64, e
 		var c int64
 		off := v.Base + from*v.Stride
 		for i := from; i < to; i++ {
-			if pred(math.Float64frombits(binary.LittleEndian.Uint64(v.Data[off:]))) {
+			if pred(f64(v.Data[off:])) {
 				c++
 			}
 			off += v.Stride

@@ -22,7 +22,7 @@ func TestGroupSumFloat64(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []Config{Single(), Multi(), MultiN(8), Morsel()} {
+		for _, cfg := range []Config{Single(), Config{Policy: MultiThreaded}, MultiN(8), Morsel()} {
 			groups, err := GroupSumFloat64(cfg, keys, vals)
 			if err != nil {
 				t.Fatal(err)

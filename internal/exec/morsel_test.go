@@ -80,10 +80,6 @@ func TestQuickMorselEqualsSequential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ids, err := ColumnView(l, 0, n)
-		if err != nil {
-			return false
-		}
 		warehouses, err := ColumnView(l, 1, n)
 		if err != nil {
 			return false
@@ -96,24 +92,11 @@ func TestQuickMorselEqualsSequential(t *testing.T) {
 			t.Logf("SumFloat64: %v/%v vs %v/%v", s1, e1, s2, e2)
 			return false
 		}
-		i1, e1 := SumInt64(single, ids)
-		i2, e2 := SumInt64(morsel, ids)
-		if e1 != nil || e2 != nil || i1 != i2 {
-			t.Logf("SumInt64: %d vs %d", i1, i2)
-			return false
-		}
 		pred := func(x float64) bool { return x < 50 }
 		p1, e1 := SelectFloat64(single, prices, pred)
 		p2, e2 := SelectFloat64(morsel, prices, pred)
 		if e1 != nil || e2 != nil || !equalPositions(p1, p2) {
 			t.Logf("SelectFloat64: %d vs %d matches", len(p1), len(p2))
-			return false
-		}
-		ipred := func(x int64) bool { return x%3 == 0 }
-		q1, e1 := SelectInt64(single, ids, ipred)
-		q2, e2 := SelectInt64(morsel, ids, ipred)
-		if e1 != nil || e2 != nil || !equalPositions(q1, q2) {
-			t.Logf("SelectInt64: %d vs %d matches", len(q1), len(q2))
 			return false
 		}
 		c1, e1 := CountFloat64(single, prices, pred)

@@ -17,12 +17,6 @@ import (
 
 	"hybridstore/internal/device"
 	"hybridstore/internal/layout"
-	"hybridstore/internal/obs"
-)
-
-var (
-	obsMultiScan    = obs.NewSpanFamily("exec.multidevice_scan")
-	mMultiDevPieces = obs.NewCounter("exec.multidevice.device_pieces")
 )
 
 // MultiDeviceScan schedules device-routed scans across a card fleet.
@@ -55,9 +49,6 @@ func (m *MultiDeviceScan) Scan(sc Scan) (Result, error) {
 		home := layout.ShardOf(p.FragID, n)
 		perCard[home] = append(perCard[home], j)
 	}
-	sp := obsMultiScan.Start()
-	defer sp.End()
-
 	parts := make([]Result, len(sc.Vals))
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -65,7 +56,6 @@ func (m *MultiDeviceScan) Scan(sc Scan) (Result, error) {
 		if len(idxs) == 0 {
 			continue
 		}
-		mMultiDevPieces.Add(int64(len(idxs)))
 		c := m.Env.Card(i)
 		card := DeviceScan{GPU: c.GPU(), Cache: c.Cache(), Table: m.Table}
 		wg.Add(1)

@@ -38,6 +38,9 @@ func (k Kind) Filtered() bool { return k == KindSumWhere || k == KindGroupSumWhe
 // Grouped reports whether the kind groups by a key column.
 func (k Kind) Grouped() bool { return k == KindGroupSum || k == KindGroupSumWhere }
 
+// aggregate reports whether the kind is one of the four scans.
+func (k Kind) aggregate() bool { return k == KindSum || k.Filtered() || k.Grouped() }
+
 // Plan is the one descriptor of a read, passed unchanged from the wire
 // parser to the storage engine: every layer has a single entry that
 // takes it (server dispatch, facade and core Execute/Peek). It is a
@@ -58,7 +61,7 @@ type Plan struct {
 	// Row is the row position of KindGet.
 	Row uint64
 	// Pred is the predicate of the *Where kinds.
-	Pred Pred[float64]
+	Pred Pred
 	// HasPred distinguishes a zero-valued predicate from no predicate;
 	// Normalize derives it from Op.
 	HasPred bool
@@ -93,7 +96,7 @@ func (p Plan) Check(s *schema.Schema) error {
 	if p.Op == KindGet {
 		return nil
 	}
-	if p.Op != KindSum && !p.Op.Filtered() && !p.Op.Grouped() {
+	if !p.Op.aggregate() {
 		return fmt.Errorf("%w: kind %q", ErrBadPlan, p.Op)
 	}
 	if p.Op.Grouped() {
@@ -118,7 +121,7 @@ func (p Plan) Check(s *schema.Schema) error {
 // table with the same operator, so one snapshot pass can answer all of
 // them. It keys the serving layer's batching cohorts.
 func (p Plan) Shape() Plan {
-	p.Pred, p.Row = Pred[float64]{}, 0
+	p.Pred, p.Row = Pred{}, 0
 	return p
 }
 

@@ -23,9 +23,8 @@
 // (GetPositions/PutPositions) and byte buffers (GetBytes/PutBytes).
 //
 // The pool reports itself to internal/obs: jobs run inline vs submitted,
-// morsels claimed by the submitter vs stolen by resident workers,
-// cross-query picks, queue depth, live workers, and worker wake latency.
-// All hot-path updates are uncontended atomic adds, amortized to O(1)
+// morsels claimed by the submitter vs stolen by resident workers, queue
+// depth and live workers. All hot-path updates are uncontended atomic adds, amortized to O(1)
 // per job.
 package pool
 
@@ -34,7 +33,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hybridstore/internal/obs"
 )
@@ -48,10 +46,8 @@ var (
 	mJobsSubmitted    = obs.NewCounter("pool.jobs_submitted")    // enqueued on the shared pool
 	mMorselsSubmitter = obs.NewCounter("pool.morsels_submitter") // claimed by the submitting goroutine
 	mMorselsStolen    = obs.NewCounter("pool.morsels_stolen")    // claimed by resident pool workers
-	mCrossQueryPicks  = obs.NewCounter("pool.cross_query_picks") // worker picked a queue while several were active
 	gQueueDepth       = obs.NewGauge("pool.queue_depth")         // active per-query queues
 	gWorkers          = obs.NewGauge("pool.workers")             // live resident workers
-	hWake             = obs.NewHistogram("pool.worker_wake_ns")  // submit → first pool-worker claim
 )
 
 // DefaultMorselSize is the number of positions per morsel. Following
@@ -71,9 +67,6 @@ type job struct {
 	next int64 // next unclaimed position (atomic)
 	done int64 // completed positions (atomic)
 	fin  chan struct{}
-
-	enq    time.Time   // when the job was enqueued (wake-latency base)
-	picked atomic.Bool // a pool worker has claimed from this job
 }
 
 // claim reserves the next morsel; from >= to means the queue is drained.
@@ -229,7 +222,7 @@ func Run(total, morsel, slots int, fn func(slot, from, to int)) {
 		fn(slots-1, 0, total)
 		return
 	}
-	j := &job{total: total, morsel: morsel, slots: slots, fn: fn, fin: make(chan struct{}), enq: time.Now()}
+	j := &job{total: total, morsel: morsel, slots: slots, fn: fn, fin: make(chan struct{})}
 	mJobsSubmitted.Inc()
 	mu.Lock()
 	ensureLocked()
@@ -292,11 +285,6 @@ func pickLocked(id int) *job {
 	for i := 0; i < len(jobs); i++ {
 		j := jobs[(rr+id+i)%len(jobs)]
 		if id < j.slots-1 && !j.drained() {
-			if len(jobs) > 1 {
-				// The worker had several live queries to choose from:
-				// cross-query sharing is actually happening.
-				mCrossQueryPicks.Inc()
-			}
 			return j
 		}
 	}
@@ -322,9 +310,6 @@ func worker(id int) {
 			continue
 		}
 		mu.Unlock()
-		if !j.picked.Swap(true) {
-			hWake.ObserveSince(j.enq)
-		}
 		stolen := int64(0)
 		for {
 			from, to := j.claim()

@@ -3,7 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
-	"unsafe"
+	"math"
 
 	"hybridstore/internal/compress"
 	"hybridstore/internal/exec/pool"
@@ -21,15 +21,12 @@ import (
 // fallback for predicates this vocabulary cannot express.
 
 // Zone-map observability. Counters track pruned/scanned pieces
-// process-wide; the gauge reports the bytes skipped by the most recent
-// pruned operator (a per-query figure by construction, since operators
-// under one query run back to back); the span family records prune
-// decisions for the adaptation layer's diagnostics.
+// process-wide; the span family records prune decisions for the
+// adaptation layer's diagnostics.
 var (
 	mZonePruned      = obs.NewCounter("exec.zonemap.pruned")
 	mZoneScanned     = obs.NewCounter("exec.zonemap.scanned")
 	mZonePrunedBytes = obs.NewCounter("exec.zonemap.pruned_bytes_total")
-	gZonePrunedBytes = obs.NewGauge("exec.zonemap.last_pruned_bytes")
 	sfPrune          = obs.NewSpanFamily("exec.zonemap.prune")
 )
 
@@ -39,75 +36,39 @@ var (
 	obsSelectPred = newOpObs("selectpred")
 )
 
+// Pred is a sargable predicate over a float64 column — the system's
+// one predicate type, declared beside the operators that close it
+// (compress.Pred: Match, Closed, String). Lo carries the bound of
+// OpEQ/OpGT and the lower bound of OpBetween; Hi carries the bound of
+// OpLT and the upper bound of OpBetween.
+type Pred = compress.Pred[float64]
+
 // Op is the comparison of a Pred.
-type Op uint8
+type Op = compress.Op
 
 // Predicate comparisons.
 const (
 	// OpEQ selects x == Lo.
-	OpEQ Op = iota
+	OpEQ = compress.OpEQ
 	// OpLT selects x < Hi (strict).
-	OpLT
+	OpLT = compress.OpLT
 	// OpGT selects x > Lo (strict).
-	OpGT
+	OpGT = compress.OpGT
 	// OpBetween selects Lo <= x <= Hi (inclusive).
-	OpBetween
+	OpBetween = compress.OpBetween
 )
 
-// String names the comparison.
-func (o Op) String() string {
-	switch o {
-	case OpEQ:
-		return "eq"
-	case OpLT:
-		return "lt"
-	case OpGT:
-		return "gt"
-	case OpBetween:
-		return "between"
-	default:
-		return fmt.Sprintf("Op(%d)", uint8(o))
-	}
-}
-
-// Number is the element domain of sargable predicates: the two 8-byte
-// numeric kinds the zone maps cover. Every operator body and kernel in
-// this package is written once over it.
-type Number interface {
-	int64 | float64
-}
-
-// fromBits reinterprets one little-endian 8-byte field as T. Both
-// members of Number are 8 bytes wide, so the reinterpretation is a plain
-// register move — the same load a hand-written float64 or int64 kernel
-// performs (a type switch here costs a dictionary lookup per element).
-func fromBits[T Number](u uint64) T { return *(*T)(unsafe.Pointer(&u)) }
-
-// Pred is a sargable predicate over one 8-byte numeric column: an
-// equality or range comparison the executor can both specialize (tight
-// decode-and-compare loops) and prune (zone-map overlap tests). Lo
-// carries the bound of OpEQ/OpGT and the lower bound of OpBetween; Hi
-// carries the bound of OpLT and the upper bound of OpBetween.
-type Pred[T Number] struct {
-	// Op is the comparison.
-	Op Op
-	// Lo is the lower/equality bound (OpEQ, OpGT, OpBetween).
-	Lo T
-	// Hi is the upper bound (OpLT, OpBetween).
-	Hi T
-}
-
 // Eq returns the predicate x == v.
-func Eq[T Number](v T) Pred[T] { return Pred[T]{Op: OpEQ, Lo: v, Hi: v} }
+func Eq(v float64) Pred { return Pred{Op: OpEQ, Lo: v, Hi: v} }
 
 // Lt returns the predicate x < v.
-func Lt[T Number](v T) Pred[T] { return Pred[T]{Op: OpLT, Hi: v} }
+func Lt(v float64) Pred { return Pred{Op: OpLT, Hi: v} }
 
 // Gt returns the predicate x > v.
-func Gt[T Number](v T) Pred[T] { return Pred[T]{Op: OpGT, Lo: v} }
+func Gt(v float64) Pred { return Pred{Op: OpGT, Lo: v} }
 
 // Between returns the predicate lo <= x <= hi (inclusive both sides).
-func Between[T Number](lo, hi T) Pred[T] { return Pred[T]{Op: OpBetween, Lo: lo, Hi: hi} }
+func Between(lo, hi float64) Pred { return Pred{Op: OpBetween, Lo: lo, Hi: hi} }
 
 // Normalize canonicalizes a predicate so that semantically identical
 // spellings compare equal as values: a between with equal bounds is an
@@ -116,49 +77,30 @@ func Between[T Number](lo, hi T) Pred[T] { return Pred[T]{Op: OpBetween, Lo: lo,
 // Lt(9) and must share its cohort and cache key). A degenerate NaN
 // between stays a between: NaN == NaN is false, so the eq collapse
 // does not fire and the (unmatchable) predicate keeps its shape.
-func Normalize[T Number](p Pred[T]) Pred[T] {
-	var zero T
-	// canon scrubs float64 negative zero to positive zero: the two
-	// compare equal and match the same rows, but carry different bit
-	// patterns, which would split hash-sharded cohorts.
-	canon := func(v T) T {
-		if v == zero {
-			return zero
+func Normalize(p Pred) Pred {
+	// canon scrubs negative zero to positive zero: the two compare equal
+	// and match the same rows, but carry different bit patterns, which
+	// would split hash-sharded cohorts.
+	canon := func(v float64) float64 {
+		if v == 0 {
+			return 0
 		}
 		return v
 	}
 	switch p.Op {
 	case OpEQ:
-		v := canon(p.Lo)
-		return Pred[T]{Op: OpEQ, Lo: v, Hi: v}
+		return Eq(canon(p.Lo))
 	case OpLT:
-		return Pred[T]{Op: OpLT, Lo: zero, Hi: canon(p.Hi)}
+		return Lt(canon(p.Hi))
 	case OpGT:
-		return Pred[T]{Op: OpGT, Lo: canon(p.Lo), Hi: zero}
+		return Gt(canon(p.Lo))
 	case OpBetween:
 		if p.Lo == p.Hi {
-			v := canon(p.Lo)
-			return Pred[T]{Op: OpEQ, Lo: v, Hi: v}
+			return Eq(canon(p.Lo))
 		}
-		return Pred[T]{Op: OpBetween, Lo: canon(p.Lo), Hi: canon(p.Hi)}
+		return Between(canon(p.Lo), canon(p.Hi))
 	default:
 		return p
-	}
-}
-
-// Match evaluates the predicate on one value.
-func (p Pred[T]) Match(x T) bool {
-	switch p.Op {
-	case OpEQ:
-		return x == p.Lo
-	case OpLT:
-		return x < p.Hi
-	case OpGT:
-		return x > p.Lo
-	case OpBetween:
-		return p.Lo <= x && x <= p.Hi
-	default:
-		return false
 	}
 }
 
@@ -166,35 +108,9 @@ func (p Pred[T]) Match(x T) bool {
 // can contain a match. This is the zone-map overlap test: false means
 // the fragment is provably match-free and can be skipped — always, for
 // a predicate nothing can match.
-func (p Pred[T]) admits(min, max T) bool {
-	lo, hi, ok := compPred(p).Closed()
+func admits(p Pred, min, max float64) bool {
+	lo, hi, ok := p.Closed()
 	return ok && hi >= min && lo <= max
-}
-
-// String renders the predicate.
-func (p Pred[T]) String() string {
-	switch p.Op {
-	case OpEQ:
-		return fmt.Sprintf("x == %v", p.Lo)
-	case OpLT:
-		return fmt.Sprintf("x < %v", p.Hi)
-	case OpGT:
-		return fmt.Sprintf("x > %v", p.Lo)
-	case OpBetween:
-		return fmt.Sprintf("%v <= x <= %v", p.Lo, p.Hi)
-	default:
-		return p.Op.String()
-	}
-}
-
-// ClosedFloat64 normalizes a float64 predicate to the closed interval
-// [lo, hi] with identical match semantics (strict bounds step to the
-// adjacent representable double). ok is false for an empty interval.
-// The device's fused filter kernel consumes this form; the rule is
-// compress.Pred.Closed, which the compressed-domain operators resolve
-// their own predicates with.
-func ClosedFloat64(p Pred[float64]) (lo, hi float64, ok bool) {
-	return compPred(p).Closed()
 }
 
 // ZoneAdmits reports whether the zone map allows a match — the overlap
@@ -202,18 +118,9 @@ func ClosedFloat64(p Pred[float64]) (lo, hi float64, ok bool) {
 // decides outside them (the device paths check before paying the
 // transfer or the kernel launch). A nil, invalid or foreign-kind zone
 // admits everything: the scan falls back to touching the bytes.
-func ZoneAdmits[T Number](z *stats.Zone, p Pred[T]) bool {
-	switch q := any(p).(type) {
-	case Pred[float64]:
-		if min, max, ok := z.Float64Bounds(); ok {
-			return q.admits(min, max)
-		}
-	case Pred[int64]:
-		if min, max, ok := z.Int64Bounds(); ok {
-			return q.admits(min, max)
-		}
-	}
-	return true
+func ZoneAdmits(z *stats.Zone, p Pred) bool {
+	min, max, ok := z.Float64Bounds()
+	return !ok || admits(p, min, max)
 }
 
 // NoteZoneDecision records one zone consultation made outside the host
@@ -229,15 +136,15 @@ func NoteZoneDecision(admitted bool, bytes int64) {
 }
 
 // pruneByZone partitions pieces into the survivors of p's zone test and
-// accounts the decision: counters for pruned/scanned pieces, the
-// per-query pruned-bytes gauge, a prune-decision span when anything was
-// skipped, and — when the config carries a clock — the (tiny) cost of
-// consulting one zone per piece. keys, when non-nil, is a column aligned
-// with pieces (the fused group-by's key view): pieces' zones drive the
-// decision, surviving pairs keep their index alignment, and a skipped
-// fragment saves both columns' bytes. Survivors alias the inputs when
-// nothing was pruned, so the common all-survive case allocates nothing.
-func pruneByZone[T Number](cfg Config, keys, pieces []Piece, p Pred[T]) (kKeys, kept []Piece, prunedBytes int64) {
+// accounts the decision: counters for pruned/scanned pieces, a
+// prune-decision span when anything was skipped, and — when the config
+// carries a clock — the (tiny) cost of consulting one zone per piece.
+// keys, when non-nil, is a column aligned with pieces (the fused
+// group-by's key view): pieces' zones drive the decision, surviving
+// pairs keep their index alignment, and a skipped fragment saves both
+// columns' bytes. Survivors alias the inputs when nothing was pruned, so
+// the common all-survive case allocates nothing.
+func pruneByZone(cfg Config, keys, pieces []Piece, p Pred) (kKeys, kept []Piece, prunedBytes int64) {
 	pruned := 0
 	for i, pc := range pieces {
 		if ZoneAdmits(pc.Zone, p) {
@@ -265,7 +172,6 @@ func pruneByZone[T Number](cfg Config, keys, pieces []Piece, p Pred[T]) (kKeys, 
 		kKeys, kept = keys, pieces
 	}
 	mZoneScanned.Add(int64(len(kept)))
-	gZonePrunedBytes.Set(prunedBytes)
 	if pruned > 0 {
 		sp := sfPrune.Start()
 		mZonePruned.Add(int64(pruned))
@@ -291,22 +197,25 @@ func checkSize8(pieces []Piece, what string) error {
 // --- Specialized kernels -------------------------------------------------
 //
 // The operators resolve their predicate once, to the closed interval
-// [lo, hi] it matches (compress.Pred.Closed), and each kernel is two
-// loops written once over T. The contiguous stride-8 case re-slices the
-// vector to a dense byte run so the element load is a single
-// bounds-check-friendly 8-byte decode; the strided (NSM) case steps by
-// the tuplet width. Both compare against the two bounds inline — the
-// branch predictor sees one well-behaved branch per element.
+// [lo, hi] it matches (Pred.Closed), and each kernel is two loops. The
+// contiguous stride-8 case re-slices the vector to a dense byte run so
+// the element load is a single bounds-check-friendly 8-byte decode; the
+// strided (NSM) case steps by the tuplet width. Both compare against the
+// two bounds inline — the branch predictor sees one well-behaved branch
+// per element.
+
+// f64 decodes the little-endian float64 at b[0:8].
+func f64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 
 // sumWhere returns the sum and count of the elements of v[from:to) in
 // [lo, hi].
-func sumWhere[T Number](v layout.ColVector, from, to int, lo, hi T) (T, int64) {
-	var sum T
+func sumWhere(v layout.ColVector, from, to int, lo, hi float64) (float64, int64) {
+	var sum float64
 	var n int64
 	if v.Stride == 8 {
 		data := v.Data[v.Base+from*8 : v.Base+to*8]
 		for i := 0; i+8 <= len(data); i += 8 {
-			if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); lo <= x && x <= hi {
+			if x := f64(data[i:]); lo <= x && x <= hi {
 				sum += x
 				n++
 			}
@@ -315,7 +224,7 @@ func sumWhere[T Number](v layout.ColVector, from, to int, lo, hi T) (T, int64) {
 	}
 	off := v.Base + from*v.Stride
 	for i := from; i < to; i++ {
-		if x := fromBits[T](binary.LittleEndian.Uint64(v.Data[off:])); lo <= x && x <= hi {
+		if x := f64(v.Data[off:]); lo <= x && x <= hi {
 			sum += x
 			n++
 		}
@@ -324,14 +233,26 @@ func sumWhere[T Number](v layout.ColVector, from, to int, lo, hi T) (T, int64) {
 	return sum, n
 }
 
+// sumEvery is sumWhere with the test switched off: every element of
+// v[from:to) is added, a NaN included.
+func sumEvery(v layout.ColVector, from, to int) float64 {
+	var sum float64
+	off := v.Base + from*v.Stride
+	for i := from; i < to; i++ {
+		sum += f64(v.Data[off:])
+		off += v.Stride
+	}
+	return sum
+}
+
 // appendWhere appends the global positions of the elements of v[from:to)
 // in [lo, hi] (the global position of v[0] is rowBase) to buf.
-func appendWhere[T Number](buf []uint64, rowBase uint64, v layout.ColVector, from, to int, lo, hi T) []uint64 {
+func appendWhere(buf []uint64, rowBase uint64, v layout.ColVector, from, to int, lo, hi float64) []uint64 {
 	if v.Stride == 8 {
 		data := v.Data[v.Base+from*8 : v.Base+to*8]
 		base := rowBase + uint64(from)
 		for i := 0; i+8 <= len(data); i += 8 {
-			if x := fromBits[T](binary.LittleEndian.Uint64(data[i:])); lo <= x && x <= hi {
+			if x := f64(data[i:]); lo <= x && x <= hi {
 				buf = append(buf, base+uint64(i>>3))
 			}
 		}
@@ -339,7 +260,7 @@ func appendWhere[T Number](buf []uint64, rowBase uint64, v layout.ColVector, fro
 	}
 	off := v.Base + from*v.Stride
 	for i := from; i < to; i++ {
-		if x := fromBits[T](binary.LittleEndian.Uint64(v.Data[off:])); lo <= x && x <= hi {
+		if x := f64(v.Data[off:]); lo <= x && x <= hi {
 			buf = append(buf, rowBase+uint64(i))
 		}
 		off += v.Stride
@@ -349,29 +270,44 @@ func appendWhere[T Number](buf []uint64, rowBase uint64, v layout.ColVector, fro
 
 // --- Fused operators -----------------------------------------------------
 
-// scanWhere is the one fused predicate scan body: SUM(col), COUNT(*)
-// WHERE p with no position list materialized, pieces whose zone maps
-// exclude the predicate never touched, compressed pieces evaluated in
-// the compressed domain, and only scanned bytes charged to the platform
-// model.
-func scanWhere[T Number](cfg Config, o *opObs, what string, pieces []Piece, p Pred[T]) (T, int64, error) {
-	if err := checkSize8(pieces, what); err != nil {
+// scanSum is the scalar host body, sum and sum_where alike: SUM(col),
+// COUNT(*) WHERE p with no position list materialized, pieces whose zone
+// maps exclude the predicate never touched, compressed pieces evaluated
+// in the compressed domain, and only scanned bytes charged to the
+// platform model. Unfiltered, the test is switched off: nothing is
+// pruned, every element is added (a NaN included) and nothing counted.
+func scanSum(cfg Config, pieces []Piece, p Pred, filtered bool) (float64, int64, error) {
+	if err := checkSize8(pieces, "float64 sum"); err != nil {
 		return 0, 0, err
 	}
-	lo, hi, ok := compPred(p).Closed()
-	if !ok {
-		return 0, 0, nil
+	o, kept := &obsSum, pieces
+	var lo, hi float64
+	if filtered {
+		var ok bool
+		if lo, hi, ok = p.Closed(); !ok {
+			return 0, 0, nil
+		}
+		o = &obsSumWhere
 	}
 	ot := o.start(cfg.Policy)
 	defer ot.end()
-	_, kept, _ := pruneByZone(cfg, nil, pieces, p)
+	if filtered {
+		_, kept, _ = pruneByZone(cfg, nil, pieces, p)
+	}
 	raw, comp := splitComp(kept)
-	sum, n := parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (T, int64) {
+	sum, n := parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
+		if !filtered {
+			return sumEvery(v, from, to), 0
+		}
 		return sumWhere(v, from, to, lo, hi)
 	})
 	if len(comp) > 0 {
-		cs, cn, err := compFold(cfg, comp, func(c *compress.Column) (T, int64, error) {
-			return compress.SumWhere(c, compPred(p))
+		cs, cn, err := compFold(cfg, comp, func(c *compress.Column) (float64, int64, error) {
+			if !filtered {
+				s, err := c.SumFloat64()
+				return s, 0, err
+			}
+			return c.SumFloat64Where(p)
 		})
 		if err != nil {
 			return 0, 0, err
@@ -383,9 +319,16 @@ func scanWhere[T Number](cfg Config, o *opObs, what string, pieces []Piece, p Pr
 	return sum, n, nil
 }
 
+// SumFloat64 sums a float64 column given as pieces. Under MultiThreaded
+// the element positions are partitioned blockwise across workers.
+func SumFloat64(cfg Config, pieces []Piece) (float64, error) {
+	sum, _, err := scanSum(cfg, pieces, Pred{}, false)
+	return sum, err
+}
+
 // SumFloat64Where computes SUM(col), COUNT(*) WHERE p in one fused scan.
-func SumFloat64Where(cfg Config, pieces []Piece, p Pred[float64]) (float64, int64, error) {
-	return scanWhere(cfg, &obsSumWhere, "fused float64 sum", pieces, p)
+func SumFloat64Where(cfg Config, pieces []Piece, p Pred) (float64, int64, error) {
+	return scanSum(cfg, pieces, p, true)
 }
 
 // SelVec is a compact selection vector: the sorted global row positions
@@ -426,14 +369,14 @@ func (s *SelVec) Release() {
 // SelectFloat64Pred scans a float64 column view with a specialized
 // predicate kernel and returns the selection vector of matching global
 // positions. Pieces excluded by their zone maps are skipped entirely.
-func SelectFloat64Pred(cfg Config, pieces []Piece, p Pred[float64]) (*SelVec, error) {
+func SelectFloat64Pred(cfg Config, pieces []Piece, p Pred) (*SelVec, error) {
 	if err := checkSize8(pieces, "float64 predicate selection"); err != nil {
 		return nil, err
 	}
 	if err := rejectComp(pieces, "predicate selection"); err != nil {
 		return nil, err
 	}
-	lo, hi, ok := compPred(p).Closed()
+	lo, hi, ok := p.Closed()
 	if !ok {
 		return &SelVec{}, nil
 	}

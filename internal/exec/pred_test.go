@@ -7,8 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"unsafe"
 
+	"hybridstore/internal/compress"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
@@ -16,7 +16,7 @@ import (
 
 // randPredF64 draws a predicate over roughly the buildLayout price
 // domain [0.25, 100.25], including out-of-range and empty shapes.
-func randPredF64(r *rand.Rand) Pred[float64] {
+func randPredF64(r *rand.Rand) Pred {
 	switch r.Intn(5) {
 	case 0:
 		return Eq(float64(r.Intn(110)) + 0.25)
@@ -42,7 +42,7 @@ func TestPredMatchAdmitsConsistency(t *testing.T) {
 		p := randPredF64(r)
 		min := r.Float64() * 100
 		max := min + r.Float64()*10
-		admit := p.admits(min, max)
+		admit := admits(p, min, max)
 		for j := 0; j < 16; j++ {
 			x := min + r.Float64()*(max-min)
 			if p.Match(x) && !admit {
@@ -63,7 +63,7 @@ func TestClosedIntervalEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for i := 0; i < 5000; i++ {
 		p := randPredF64(r)
-		lo, hi, ok := ClosedFloat64(p)
+		lo, hi, ok := p.Closed()
 		probes := []float64{p.Lo, p.Hi,
 			math.Nextafter(p.Lo, math.Inf(-1)), math.Nextafter(p.Lo, math.Inf(1)),
 			math.Nextafter(p.Hi, math.Inf(-1)), math.Nextafter(p.Hi, math.Inf(1)),
@@ -78,15 +78,14 @@ func TestClosedIntervalEquivalence(t *testing.T) {
 	}
 }
 
-// checkSumWhereMatchesLoop checks the fused sum/count operators of one
-// element type against a serial loop over valueAt under every policy.
-// tol is the allowed |sum - want| (parallel policies reassociate float
-// sums; integers are exact).
-func checkSumWhereMatchesLoop[T Number](t *testing.T, pieces []Piece, n int, valueAt func(i int) T, preds []Pred[T], tol T) {
+// checkSumWhereMatchesLoop checks the fused sum/count operator against
+// a serial loop over valueAt under every policy. tol is the allowed
+// |sum - want| (parallel policies reassociate float sums).
+func checkSumWhereMatchesLoop(t *testing.T, pieces []Piece, n int, valueAt func(i int) float64, preds []Pred, tol float64) {
 	t.Helper()
-	for _, cfg := range []Config{Single(), Multi(), MultiN(3), Morsel()} {
+	for _, cfg := range []Config{Single(), {Policy: MultiThreaded}, MultiN(3), Morsel()} {
 		for _, p := range preds {
-			var wantSum T
+			var wantSum float64
 			var wantN int64
 			for i := 0; i < n; i++ {
 				if x := valueAt(i); p.Match(x) {
@@ -94,7 +93,7 @@ func checkSumWhereMatchesLoop[T Number](t *testing.T, pieces []Piece, n int, val
 					wantN++
 				}
 			}
-			sum, cnt, err := scanWhere(cfg, &obsSumWhere, "fused sum", pieces, p)
+			sum, cnt, err := SumFloat64Where(cfg, pieces, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +117,7 @@ func TestFusedWhereMatchesGenericAllPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := rand.New(rand.NewSource(21))
-		preds := make([]Pred[float64], 12)
+		preds := make([]Pred, 12)
 		for i := range preds {
 			preds[i] = randPredF64(r)
 		}
@@ -135,20 +134,6 @@ func TestFusedWhereMatchesGenericAllPolicies(t *testing.T) {
 	}
 }
 
-// TestSumInt64WhereMatchesLoop is the int64 instantiation of the same
-// check: the kernels and operator bodies are one generic copy.
-func TestSumInt64WhereMatchesLoop(t *testing.T) {
-	const n = 500
-	l, _ := buildLayout(t, layout.NSM, false, n)
-	defer l.Free()
-	pieces, err := ColumnView(l, 0, n) // id(i) = i
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSumWhereMatchesLoop(t, pieces, n, func(i int) int64 { return int64(i) },
-		[]Pred[int64]{Eq[int64](42), Lt[int64](100), Gt[int64](450), Between[int64](100, 199), Between[int64](600, 700)}, 0)
-}
-
 // TestSelectPredMatchesClosure pins the specialized selection to the
 // closure path bit-for-bit and exercises SelVec's pooled lifecycle.
 func TestSelectPredMatchesClosure(t *testing.T) {
@@ -160,7 +145,7 @@ func TestSelectPredMatchesClosure(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(31))
-	for _, cfg := range []Config{Single(), Multi(), Morsel()} {
+	for _, cfg := range []Config{Single(), Config{Policy: MultiThreaded}, Morsel()} {
 		for i := 0; i < 10; i++ {
 			p := randPredF64(r)
 			sv, err := SelectFloat64Pred(cfg, pieces, p)
@@ -217,12 +202,12 @@ func TestPruneSelectionMatchesClosureSelect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range []Pred[float64]{
-				Between[float64](2, 3),
+			for _, p := range []Pred{
+				Between(2, 3),
 				Lt(1.5),
 				Gt(4.25),
 				Eq(workload.ItemPrice(123)),
-				Between[float64](20, 30),
+				Between(20, 30),
 			} {
 				sv, err := SelectFloat64Pred(Single(), pieces, p)
 				if err != nil {
@@ -281,7 +266,7 @@ func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
 			t.Fatal("ColumnView did not attach fragment zones")
 		}
 	}
-	p := Between[float64](250, 349) // matches span chunks [200,300) and [300,400)
+	p := Between(250, 349) // matches span chunks [200,300) and [300,400)
 	_, kept, prunedBytes := pruneByZone(Single(), nil, pieces, p)
 	if len(kept) != 2 || kept[0].Rows.Begin != 200 || kept[1].Rows.Begin != 300 {
 		t.Fatalf("kept %d pieces starting at %v", len(kept), func() (b []uint64) {
@@ -320,13 +305,13 @@ func TestWhereValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := SumFloat64Where(Single(), pieces, Gt[float64](0)); !errors.Is(err, ErrBadColumn) {
+	if _, _, err := SumFloat64Where(Single(), pieces, Gt(0)); !errors.Is(err, ErrBadColumn) {
 		t.Fatalf("err = %v, want ErrBadColumn", err)
 	}
-	if _, err := SelectFloat64Pred(Single(), pieces, Gt[float64](0)); !errors.Is(err, ErrBadColumn) {
+	if _, err := SelectFloat64Pred(Single(), pieces, Gt(0)); !errors.Is(err, ErrBadColumn) {
 		t.Fatalf("err = %v, want ErrBadColumn", err)
 	}
-	sum, cnt, err := SumFloat64Where(Single(), nil, Gt[float64](0))
+	sum, cnt, err := SumFloat64Where(Single(), nil, Gt(0))
 	if err != nil || sum != 0 || cnt != 0 {
 		t.Fatalf("empty view: (%v,%d,%v)", sum, cnt, err)
 	}
@@ -336,15 +321,15 @@ func TestWhereValidation(t *testing.T) {
 // spellings to identical values without changing the match set.
 func TestNormalize(t *testing.T) {
 	cases := []struct {
-		in, want Pred[float64]
+		in, want Pred
 	}{
-		{Between(7.0, 7.0), Eq(7.0)},                                 // degenerate between is eq
-		{Pred[float64]{Op: OpLT, Lo: 3, Hi: 9}, Lt(9.0)},             // unused lo zeroed
-		{Pred[float64]{Op: OpGT, Lo: 4, Hi: 8}, Gt(4.0)},             // unused hi zeroed
-		{Pred[float64]{Op: OpEQ, Lo: 5, Hi: 99}, Eq(5.0)},            // eq hi rewritten from lo
-		{Between(math.Copysign(0, -1), 0.0), Eq(0.0)},                // -0..+0 collapses to eq(+0)
-		{Pred[float64]{Op: OpLT, Hi: math.Copysign(0, -1)}, Lt(0.0)}, // -0 bound scrubbed
-		{Between(1.0, 2.0), Between(1.0, 2.0)},                       // proper ranges untouched
+		{Between(7.0, 7.0), Eq(7.0)},                        // degenerate between is eq
+		{Pred{Op: OpLT, Lo: 3, Hi: 9}, Lt(9.0)},             // unused lo zeroed
+		{Pred{Op: OpGT, Lo: 4, Hi: 8}, Gt(4.0)},             // unused hi zeroed
+		{Pred{Op: OpEQ, Lo: 5, Hi: 99}, Eq(5.0)},            // eq hi rewritten from lo
+		{Between(math.Copysign(0, -1), 0.0), Eq(0.0)},       // -0..+0 collapses to eq(+0)
+		{Pred{Op: OpLT, Hi: math.Copysign(0, -1)}, Lt(0.0)}, // -0 bound scrubbed
+		{Between(1.0, 2.0), Between(1.0, 2.0)},              // proper ranges untouched
 	}
 	for _, c := range cases {
 		if got := Normalize(c.in); got != c.want {
@@ -361,7 +346,7 @@ func TestNormalize(t *testing.T) {
 
 	// Semantics: normalized and raw predicates match the same values.
 	probes := []float64{-1, math.Copysign(0, -1), 0, 0.5, 1, 2, 3, 7, 9, math.Inf(1)}
-	raws := []Pred[float64]{
+	raws := []Pred{
 		Between(7.0, 7.0), Between(math.Copysign(0, -1), 0),
 		{Op: OpLT, Lo: 3, Hi: 9}, {Op: OpGT, Lo: 4, Hi: 8},
 		Between(1.0, 2.0), Eq(0.0), Lt(0.0), Gt(7.0),
@@ -374,16 +359,11 @@ func TestNormalize(t *testing.T) {
 			}
 		}
 	}
-
-	// Int64 predicates normalize too (shared cohort keys are generic).
-	if got := Normalize(Between[int64](5, 5)); got != Eq[int64](5) {
-		t.Errorf("int64 degenerate between = %+v", got)
-	}
 }
 
 // oldAdmits is the per-comparison zone rule Pred.admits replaced with
 // the one closed-interval overlap test; kept here as its reference.
-func oldAdmits[T Number](p Pred[T], min, max T) bool {
+func oldAdmits(p Pred, min, max float64) bool {
 	switch p.Op {
 	case OpEQ:
 		return min <= p.Lo && p.Lo <= max
@@ -399,13 +379,12 @@ func oldAdmits[T Number](p Pred[T], min, max T) bool {
 }
 
 // checkPredEdges holds the closed-interval kernels and the zone test to
-// Pred.Match over one element type: every comparison at every pair of
-// edge bounds, over a dense and a strided image of the edge values
-// themselves. Sums compare by value unless both are NaN (+Inf and -Inf
-// may both match).
-func checkPredEdges[T Number](t *testing.T, edges []T) {
+// Pred.Match: every comparison at every pair of edge bounds, over a
+// dense and a strided image of the edge values themselves. Sums compare
+// by value unless both are NaN (+Inf and -Inf may both match).
+func checkPredEdges(t *testing.T, edges []float64) {
 	t.Helper()
-	var preds []Pred[T]
+	var preds []Pred
 	for _, a := range edges {
 		preds = append(preds, Eq(a), Lt(a), Gt(a))
 		for _, b := range edges {
@@ -416,12 +395,12 @@ func checkPredEdges[T Number](t *testing.T, edges []T) {
 	for _, stride := range []int{8, 24} {
 		img := make([]byte, n*stride)
 		for i, v := range edges {
-			binary.LittleEndian.PutUint64(img[i*stride:], *(*uint64)(unsafe.Pointer(&v)))
+			binary.LittleEndian.PutUint64(img[i*stride:], math.Float64bits(v))
 		}
 		vec := layout.ColVector{Data: img, Stride: stride, Size: 8, Len: n}
 		pieces := []Piece{{Rows: layout.RowRange{Begin: 100, End: 100 + uint64(n)}, Vec: vec}}
 		for _, p := range preds {
-			var wantSum T
+			var wantSum float64
 			var wantPos []uint64
 			for i, v := range edges {
 				if p.Match(v) {
@@ -429,14 +408,14 @@ func checkPredEdges[T Number](t *testing.T, edges []T) {
 					wantPos = append(wantPos, 100+uint64(i))
 				}
 			}
-			sum, cnt, err := scanWhere(Single(), &obsSumWhere, "edge sum", pieces, p)
+			sum, cnt, err := SumFloat64Where(Single(), pieces, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if cnt != int64(len(wantPos)) || sum != wantSum && (sum == sum || wantSum == wantSum) {
 				t.Fatalf("stride %d %v: fused (%v, %d), Match fold (%v, %d)", stride, p, sum, cnt, wantSum, len(wantPos))
 			}
-			lo, hi, ok := compPred(p).Closed()
+			lo, hi, ok := p.Closed()
 			var pos []uint64
 			if ok {
 				pos = appendWhere(nil, 100, vec, 0, n, lo, hi)
@@ -451,13 +430,13 @@ func checkPredEdges[T Number](t *testing.T, edges []T) {
 	}
 	// Zones [min, max] over every ordered pair of non-NaN edges.
 	for _, p := range preds {
-		_, _, ok := compPred(p).Closed()
+		_, _, ok := p.Closed()
 		for _, min := range edges {
 			for _, max := range edges {
 				if min != min || max != max || min > max {
 					continue
 				}
-				admit := p.admits(min, max)
+				admit := admits(p, min, max)
 				if ok && admit != oldAdmits(p, min, max) {
 					t.Fatalf("%v over [%v, %v]: admits = %v, the per-comparison rule says %v", p, min, max, admit, !admit)
 				}
@@ -475,13 +454,24 @@ func checkPredEdges[T Number](t *testing.T, edges []T) {
 }
 
 // TestPredEdgeBounds is the edge table of the closed-interval kernels:
-// NaN, ±Inf, ±0, adjacent doubles, inverted intervals and the extreme
-// integers answer exactly as Pred.Match does, dense and strided.
+// NaN, ±Inf, ±0, adjacent doubles and inverted intervals answer exactly
+// as Pred.Match does, dense and strided.
 func TestPredEdgeBounds(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	checkPredEdges(t, []float64{
 		math.NaN(), math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, negZero, 0,
 		math.SmallestNonzeroFloat64, 1, math.Nextafter(1, 2), 2, math.MaxFloat64, math.Inf(1),
 	})
-	checkPredEdges(t, []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64})
+}
+
+// TestPredIsThePredicateOfCompress pins the one-type rule: an exec.Pred
+// and a compress.Pred[float64] assign to each other without conversion,
+// and so do their comparison enums.
+func TestPredIsThePredicateOfCompress(t *testing.T) {
+	var c compress.Pred[float64] = Between(1, 2)
+	var p Pred = c
+	var op compress.Op = OpBetween
+	if p != Between(1, 2) || p.Op != op {
+		t.Fatalf("round trip through compress.Pred[float64] = %+v", p)
+	}
 }

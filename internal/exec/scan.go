@@ -52,19 +52,17 @@ type ScanExecutor interface {
 	Scan(Scan) (Result, error)
 }
 
-// Scan runs the scan on the host operators under the configured policy.
+// Scan runs the scan on the host operators under the configured policy:
+// one scalar body, one grouped body, the kind's predicate — or none —
+// an argument of each.
 func (c Config) Scan(sc Scan) (res Result, err error) {
-	switch sc.Op {
-	case KindSum:
-		res.Sum, err = SumFloat64(c, sc.Vals)
-	case KindSumWhere:
-		res.Sum, res.Count, err = SumFloat64Where(c, sc.Vals, sc.Pred)
-	case KindGroupSum:
-		res.Groups, err = GroupSumFloat64(c, sc.Keys, sc.Vals)
-	case KindGroupSumWhere:
-		res.Groups, err = GroupSumFloat64Where(c, sc.Keys, sc.Vals, sc.Pred)
-	default:
-		err = fmt.Errorf("%w: kind %q is not a scan", ErrBadPlan, sc.Op)
+	if !sc.Op.aggregate() {
+		return res, fmt.Errorf("%w: kind %q is not a scan", ErrBadPlan, sc.Op)
+	}
+	if sc.Op.Grouped() {
+		res.Groups, err = groupSum(c, sc.Keys, sc.Vals, sc.Pred, sc.Op.Filtered())
+	} else {
+		res.Sum, res.Count, err = scanSum(c, sc.Vals, sc.Pred, sc.Op.Filtered())
 	}
 	return res, err
 }
@@ -74,7 +72,7 @@ func (c Config) Scan(sc Scan) (res Result, err error) {
 // consume a closed interval, which an empty predicate does not have.
 func (p Plan) DeviceOK() bool {
 	if p.Op.Filtered() {
-		_, _, closed := ClosedFloat64(p.Pred)
+		_, _, closed := p.Pred.Closed()
 		return closed
 	}
 	return p.Op == KindSum
@@ -98,7 +96,7 @@ func (sc Scan) deviceForm() (lo, hi float64, err error) {
 	}
 	if sc.Op.Filtered() {
 		var ok bool
-		if lo, hi, ok = ClosedFloat64(sc.Pred); !ok {
+		if lo, hi, ok = sc.Pred.Closed(); !ok {
 			return 0, 0, fmt.Errorf("%w: predicate %v has no closed-interval form for the device kernel", ErrBadColumn, sc.Pred.Op)
 		}
 	}

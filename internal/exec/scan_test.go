@@ -18,7 +18,7 @@ import (
 
 // scanOn runs one scan kind over key column 0 / value column 1 on an
 // executor.
-func scanOn(ex ScanExecutor, op Kind, keys, vals []Piece, p Pred[float64]) (Result, error) {
+func scanOn(ex ScanExecutor, op Kind, keys, vals []Piece, p Pred) (Result, error) {
 	return ex.Scan(Scan{Plan: Plan{Op: op, KeyCol: 0, Col: 1, Pred: p}.Normalize(), Keys: keys, Vals: vals})
 }
 
@@ -116,7 +116,7 @@ func TestScanExecutors(t *testing.T) {
 	}
 	preds := []struct {
 		name string
-		p    Pred[float64]
+		p    Pred
 	}{
 		{"all", Between(0.0, 1e9)},
 		{"some-pruned", Between(100.0, 499.0)}, // admits fragments 1-4
@@ -497,7 +497,7 @@ func TestDeviceScanCompressedUnfiltered(t *testing.T) {
 		Vec:  layout.ColVector{Data: encodeF64(vals), Stride: 8, Size: 8, Len: n},
 	}
 	ds := DeviceScan{GPU: gpu}
-	got, err := scanOn(ds, KindSum, nil, sealComp(t, compress.Dict, []Piece{raw}, 1), Pred[float64]{})
+	got, err := scanOn(ds, KindSum, nil, sealComp(t, compress.Dict, []Piece{raw}, 1), Pred{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestDeviceScanCompressedUnfiltered(t *testing.T) {
 	vals[100] = math.NaN()
 	raw.Vec.Data = encodeF64(vals)
 	for _, pieces := range [][]Piece{{raw}, sealComp(t, compress.Dict, []Piece{raw}, 1)} {
-		got, err := scanOn(ds, KindSum, nil, pieces, Pred[float64]{})
+		got, err := scanOn(ds, KindSum, nil, pieces, Pred{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -578,11 +578,11 @@ func TestDeviceScanRefusesBeforeZoneDecisions(t *testing.T) {
 		for _, sc := range []struct {
 			op   Kind
 			keys []Piece
-			p    Pred[float64]
+			p    Pred
 		}{
 			{KindGroupSumWhere, compKeys, Between(0.0, 150.0)},
 			{KindSumWhere, nil, Between(2.0, 1.0)},
-			{KindGroupSum, keys, Pred[float64]{}},
+			{KindGroupSum, keys, Pred{}},
 		} {
 			if _, err := scanOn(ex, sc.op, sc.keys, vals, sc.p); !errors.Is(err, ErrBadColumn) {
 				t.Fatalf("%T %s: err = %v, want ErrBadColumn", ex, sc.op, err)
@@ -740,7 +740,7 @@ func TestDeviceScanDegradesWhenCachePinned(t *testing.T) {
 	// and ships again on a repeat scan: still no residency for it.
 	for pass := 0; pass < 2; pass++ {
 		before := gpu.Stats()
-		got, err := scanOn(ds, KindSum, nil, []Piece{piece}, Pred[float64]{})
+		got, err := scanOn(ds, KindSum, nil, []Piece{piece}, Pred{})
 		if err != nil {
 			t.Fatalf("scan should degrade to a direct transfer, got %v", err)
 		}
@@ -805,7 +805,7 @@ func TestMultiDeviceVersionBumpNeverServesStale(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got, err := scanOn(m, KindSum, nil, ps, Pred[float64]{})
+				got, err := scanOn(m, KindSum, nil, ps, Pred{})
 				if err != nil {
 					errc <- err
 					return
@@ -830,7 +830,7 @@ func TestMultiDeviceVersionBumpNeverServesStale(t *testing.T) {
 	// After the final round only current-version images are resident:
 	// another scan at the final version must be all hits.
 	before := env.Stats().HostToDeviceBytes
-	if _, err := scanOn(m, KindSum, nil, pieces(rounds), Pred[float64]{}); err != nil {
+	if _, err := scanOn(m, KindSum, nil, pieces(rounds), Pred{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := env.Stats().HostToDeviceBytes - before; got != 0 {

@@ -26,13 +26,11 @@ import (
 
 // Shared-scan observability: ops counts operator invocations, preds the
 // predicates folded into them, and saved_passes the passes over the data
-// the sharing avoided (preds - ops). bytes_once records the union bytes
-// each invocation streamed.
+// the sharing avoided (preds - ops), saved_bytes_total the traffic.
 var (
 	obsSharedSum      = newOpObs("sharedsumwhere")
 	mSharedPreds      = obs.NewCounter("exec.sharedscan.preds")
 	mSharedSaved      = obs.NewCounter("exec.sharedscan.saved_passes")
-	gSharedBytesOnce  = obs.NewGauge("exec.sharedscan.last_bytes_once")
 	mSharedBytesSaved = obs.NewCounter("exec.sharedscan.saved_bytes_total")
 )
 
@@ -42,7 +40,7 @@ var (
 // predicate only sees the pieces its own zone test admits, exactly as in
 // K solo scans — but the platform model is charged for the union of
 // surviving pieces once, not K times: that is the batching win.
-func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]Result, error) {
+func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred) ([]Result, error) {
 	out := make([]Result, len(preds))
 	if len(preds) == 0 {
 		return out, nil
@@ -67,7 +65,7 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 	bounds := make([][2]float64, len(preds)) // each predicate's closed interval, resolved once
 	var perPredBytes int64
 	for k, p := range preds {
-		lo, hi, ok := compPred(p).Closed()
+		lo, hi, ok := p.Closed()
 		if !ok {
 			continue // nothing can match: no piece admitted, the zero result
 		}
@@ -114,9 +112,8 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 		if len(comp) == 0 {
 			continue
 		}
-		cp := compPred(preds[k])
 		cs, cn, err := compFold(cfg, comp, func(c *compress.Column) (float64, int64, error) {
-			return compress.SumWhere(c, cp)
+			return c.SumFloat64Where(preds[k])
 		})
 		if err != nil {
 			ot.end()
@@ -141,7 +138,6 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred[float64]) ([]
 		}
 	}
 	cfg.chargeScan(union)
-	gSharedBytesOnce.Set(unionBytes)
 	if saved := perPredBytes - unionBytes; saved > 0 {
 		mSharedBytesSaved.Add(saved)
 	}

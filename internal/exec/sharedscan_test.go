@@ -35,13 +35,13 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 	for i := range vals {
 		vals[i] = math.Floor(rng.Float64()*1000) / 4 // includes fractional values
 	}
-	preds := []Pred[float64]{
-		Lt[float64](125),
-		Gt[float64](200),
-		Between[float64](50, 100),
-		Eq[float64](vals[17]),
-		Between[float64](-10, -5), // fully pruned by every zone
-		Lt[float64](250),          // same shape, different bound
+	preds := []Pred{
+		Lt(125),
+		Gt(200),
+		Between(50, 100),
+		Eq(vals[17]),
+		Between(-10, -5), // fully pruned by every zone
+		Lt(250),          // same shape, different bound
 	}
 
 	t.Run("raw+zones", func(t *testing.T) {
@@ -127,7 +127,7 @@ func TestSharedScanDegenerate(t *testing.T) {
 		t.Fatalf("empty preds: %v %v", res, err)
 	}
 
-	res, err = SumFloat64WhereMulti(Single(), pieces, []Pred[float64]{Gt[float64](4)})
+	res, err = SumFloat64WhereMulti(Single(), pieces, []Pred{Gt(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSharedScanAccounting(t *testing.T) {
 		vals[i] = float64(i)
 	}
 	pieces := zonedRawPieces(vals, 4)
-	preds := []Pred[float64]{Lt[float64](2000), Gt[float64](-1), Between[float64](0, 5000)}
+	preds := []Pred{Lt(2000), Gt(-1), Between(0, 5000)}
 	if _, err := SumFloat64WhereMulti(Single(), pieces, preds); err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,7 @@ func checkAnswer(got, want exec.Result) error {
 
 // shadowSum folds the values matching p the way a serial scan would: the
 // reference every scalar leg is checked against.
-func shadowSum(vals []float64, p exec.Pred[float64]) exec.Result {
+func shadowSum(vals []float64, p exec.Pred) exec.Result {
 	var want exec.Result
 	for _, v := range vals {
 		if p.Match(v) {

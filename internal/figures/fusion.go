@@ -194,7 +194,7 @@ func grouped(groups []exec.GroupResult, err error) (exec.Result, error) {
 // pairs priced as a record-centric materialization of 16-byte records
 // spread over two fragments, and a grouped aggregation over the
 // materialized pair.
-func fusionHostBaseline(cfg exec.Config, keysDense, valsDense []byte, rows uint64, valPieces []exec.Piece, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+func fusionHostBaseline(cfg exec.Config, keysDense, valsDense []byte, rows uint64, valPieces []exec.Piece, p exec.Pred) ([]exec.GroupResult, error) {
 	host := cfg.Host
 	sel, err := exec.SelectFloat64Pred(cfg, valPieces, p)
 	if err != nil {
@@ -237,9 +237,9 @@ func fusionHostBaseline(cfg exec.Config, keysDense, valsDense []byte, rows uint6
 // both columns cross the bus, a filter kernel evaluates the predicate,
 // two gather kernels materialize the matching keys and values back over
 // the bus, and the host folds the pairs into the group table.
-func fusionDeviceBaseline(r *rig, keysDense, valsDense []byte, vals []float64, fragments int, fragRows uint64, p exec.Pred[float64]) ([]exec.GroupResult, error) {
+func fusionDeviceBaseline(r *rig, keysDense, valsDense []byte, vals []float64, fragments int, fragRows uint64, p exec.Pred) ([]exec.GroupResult, error) {
 	gpu, host := r.gpu, perfmodel.DefaultHost()
-	lo, hi, ok := exec.ClosedFloat64(p)
+	lo, hi, ok := p.Closed()
 	if !ok {
 		return nil, fmt.Errorf("figures: fusion baseline predicate %v not closed", p.Op)
 	}

@@ -99,11 +99,11 @@ func MeasureResultCache(rows uint64, queriesPerLeg int) (*ResultCacheSweep, erro
 
 	// The dashboard cut set, inside the generator's price domain
 	// [1, 101): repeats across queries are what the cache monetizes.
-	preds := []exec.Pred[float64]{
-		exec.Lt[float64](30),
-		exec.Gt[float64](50),
-		exec.Between[float64](10, 60),
-		exec.Between[float64](42, 42), // normalizes to eq(42)
+	preds := []exec.Pred{
+		exec.Lt(30),
+		exec.Gt(50),
+		exec.Between(10, 60),
+		exec.Between(42, 42), // normalizes to eq(42)
 	}
 	const keyCol = 1 // i_im_id, the grouping key
 

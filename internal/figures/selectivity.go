@@ -235,8 +235,8 @@ func measureDeviceSelectivity(pieces []exec.Piece, rows uint64, selectivities []
 	var d DeviceSelectivity
 	r := newRig(false)
 	gpu := r.gpu
-	run := func(p exec.Pred[float64], prune bool) (exec.Result, error) {
-		lo, hi, ok := exec.ClosedFloat64(p)
+	run := func(p exec.Pred, prune bool) (exec.Result, error) {
+		lo, hi, ok := p.Closed()
 		var res exec.Result
 		for _, pc := range pieces {
 			bytes := int64(pc.Vec.Len) * int64(pc.Vec.Size)

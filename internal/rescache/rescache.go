@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"hybridstore/internal/exec"
-	"hybridstore/internal/obs"
 )
 
 // Key identifies a cacheable query: the read plan itself, normalized
@@ -103,20 +102,6 @@ type Stats struct {
 	Entries   int64
 }
 
-// Process-wide observability: every cache in the process feeds the same
-// obs series (caches are per-engine, the registry is global, so gauges
-// are maintained by delta).
-var (
-	mLookups   = obs.NewCounter("rescache.lookups")
-	mHits      = obs.NewCounter("rescache.hits")
-	mMisses    = obs.NewCounter("rescache.misses")
-	mStale     = obs.NewCounter("rescache.stale")
-	mEvictions = obs.NewCounter("rescache.evictions")
-	mPuts      = obs.NewCounter("rescache.puts")
-	gBytes     = obs.NewGauge("rescache.bytes")
-	gEntries   = obs.NewGauge("rescache.entries")
-)
-
 const numShards = 16
 
 type entry struct {
@@ -124,9 +109,7 @@ type entry struct {
 	stamp Stamp
 	val   Value
 	bytes int64
-	// expires is the TTL deadline; zero means no expiry.
-	expires time.Time
-	elem    *list.Element
+	elem  *list.Element
 }
 
 type shard struct {
@@ -140,7 +123,6 @@ type shard struct {
 // zero value is not usable; call New.
 type Cache struct {
 	capBytes int64 // per-shard budget
-	ttl      time.Duration
 	shards   [numShards]shard
 
 	lookups   atomic.Int64
@@ -153,17 +135,15 @@ type Cache struct {
 	entries   atomic.Int64
 }
 
-// New builds a cache bounded at capBytes total. ttl == 0 disables
-// expiry (entries live until a version bump or eviction); a positive
-// ttl additionally ages entries out. The stamp alone carries
-// correctness — core, the one stamp producer, bumps a fragment version
-// on every mutation — so a ttl only bounds the memory held by keys that
-// are never looked up again.
-func New(capBytes int64, ttl time.Duration) *Cache {
+// New builds a cache bounded at capBytes total: entries live until a
+// version bump or eviction. The stamp alone carries correctness — core,
+// the one stamp producer, bumps a fragment version on every mutation.
+// The second parameter is unused; it stays because bench/ passes it.
+func New(capBytes int64, _ time.Duration) *Cache {
 	if capBytes <= 0 {
 		capBytes = 64 << 20
 	}
-	c := &Cache{capBytes: (capBytes + numShards - 1) / numShards, ttl: ttl}
+	c := &Cache{capBytes: (capBytes + numShards - 1) / numShards}
 	for i := range c.shards {
 		c.shards[i].m = make(map[Key]*entry)
 		c.shards[i].lru.Init()
@@ -215,8 +195,8 @@ func sizeOf(k Key, st Stamp, v Value) int64 {
 
 // Lookup consults the cache. cur must be the fragment-version vector
 // the caller's current snapshot sees: a stored entry answers only if
-// its stamp equals cur (and its TTL, if any, has not lapsed). Stale or
-// expired entries are dropped on the spot and counted as stale misses.
+// its stamp equals cur. A stale entry is dropped on the spot and counted
+// as a stale miss.
 func (c *Cache) Lookup(k Key, cur Stamp) (Value, bool) { return c.probe(k, cur, true) }
 
 // Peek is the serving-path pre-check flavor of Lookup: a hit counts
@@ -240,15 +220,12 @@ func (c *Cache) probe(k Key, cur Stamp, countAbsent bool) (Value, bool) {
 		}
 		return Value{}, false
 	}
-	if (!e.expires.IsZero() && time.Now().After(e.expires)) || !e.stamp.Equal(cur) {
+	if !e.stamp.Equal(cur) {
 		s.removeLocked(e)
 		s.mu.Unlock()
 		c.entries.Add(-1)
-		gEntries.Add(-1)
 		c.bytes.Add(-e.bytes)
-		gBytes.Add(-e.bytes)
 		c.stale.Add(1)
-		mStale.Inc()
 		c.Bypass()
 		return Value{}, false
 	}
@@ -262,9 +239,7 @@ func (c *Cache) probe(k Key, cur Stamp, countAbsent bool) (Value, bool) {
 		v.Groups = append([]exec.GroupResult(nil), v.Groups...)
 	}
 	c.lookups.Add(1)
-	mLookups.Inc()
 	c.hits.Add(1)
-	mHits.Inc()
 	return v, true
 }
 
@@ -274,9 +249,7 @@ func (c *Cache) probe(k Key, cur Stamp, countAbsent bool) (Value, bool) {
 // the whole serving path.
 func (c *Cache) Bypass() {
 	c.lookups.Add(1)
-	mLookups.Inc()
 	c.misses.Add(1)
-	mMisses.Inc()
 }
 
 // Put stores a result computed over the base state st. Oversized
@@ -296,20 +269,14 @@ func (c *Cache) Put(k Key, st Stamp, v Value) {
 	if bytes > c.capBytes {
 		return
 	}
-	var exp time.Time
-	if c.ttl > 0 {
-		exp = time.Now().Add(c.ttl)
-	}
 	s := c.shardFor(k)
 	s.mu.Lock()
 	if old, ok := s.m[k]; ok {
 		s.removeLocked(old)
 		c.entries.Add(-1)
-		gEntries.Add(-1)
 		c.bytes.Add(-old.bytes)
-		gBytes.Add(-old.bytes)
 	}
-	e := &entry{key: k, stamp: st, val: v, bytes: bytes, expires: exp}
+	e := &entry{key: k, stamp: st, val: v, bytes: bytes}
 	e.elem = s.lru.PushFront(e)
 	s.m[k] = e
 	s.bytes += bytes
@@ -327,19 +294,15 @@ func (c *Cache) Put(k Key, st Stamp, v Value) {
 	}
 	s.mu.Unlock()
 	c.puts.Add(1)
-	mPuts.Inc()
 	c.entries.Add(1 - evicted)
-	gEntries.Add(1 - evicted)
 	c.bytes.Add(bytes - evictedBytes)
-	gBytes.Add(bytes - evictedBytes)
 	if evicted > 0 {
 		c.evictions.Add(evicted)
-		mEvictions.Add(evicted)
 	}
 }
 
 // removeLocked unlinks e from the shard's map, list and byte count.
-// Caller holds s.mu and settles the cache-level/global accounting.
+// Caller holds s.mu and settles the cache-level accounting.
 func (s *shard) removeLocked(e *entry) {
 	delete(s.m, e.key)
 	s.lru.Remove(e.elem)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"hybridstore/internal/exec"
 	"hybridstore/internal/schema"
@@ -80,22 +79,6 @@ func TestStampEqualDimensions(t *testing.T) {
 	}
 }
 
-func TestTTLExpiryCountsStale(t *testing.T) {
-	c := New(1<<20, time.Millisecond)
-	k := Key{Table: "t", Op: OpSum, Col: 1}
-	st := stamp(5, FragVer{ID: 9, Ver: 0})
-	c.Put(k, st, Value{Sum: 1})
-	time.Sleep(5 * time.Millisecond)
-	if _, ok := c.Lookup(k, st); ok {
-		t.Fatal("hit after TTL lapsed")
-	}
-	s := c.Stats()
-	if s.Stale != 1 {
-		t.Fatalf("TTL expiry must count stale, got %+v", s)
-	}
-	checkInvariant(t, c)
-}
-
 func TestEvictionBoundsBytes(t *testing.T) {
 	// Cap small enough that a few entries overflow a shard. Keys on
 	// the same table with different rows spread over shards, so drive
@@ -160,7 +143,7 @@ func TestBypassAccounting(t *testing.T) {
 
 func TestNaNPredicateRefused(t *testing.T) {
 	c := New(1<<20, 0)
-	k := Key{Table: "t", Op: OpSumWhere, Col: 1, Pred: exec.Pred[float64]{Op: exec.OpBetween, Lo: math.NaN(), Hi: 1}, HasPred: true}
+	k := Key{Table: "t", Op: OpSumWhere, Col: 1, Pred: exec.Pred{Op: exec.OpBetween, Lo: math.NaN(), Hi: 1}, HasPred: true}
 	if cacheable(k) {
 		t.Fatal("NaN-bounded key reported cacheable")
 	}

@@ -25,12 +25,11 @@ type Admission struct {
 	MaxInFlight int
 }
 
-// Admission outcome counters, plus the live in-flight gauge: every
+// Rejection counters, plus the live in-flight gauge: every
 // admitted request raises it and its release lowers it, across all
 // tenants and regardless of policy — a gauge stuck above zero on an
 // idle server means a leaked admission token.
 var (
-	mAdmitted  = obs.NewCounter("server.admission.admitted")
 	mThrottled = obs.NewCounter("server.admission.throttled")
 	mOverload  = obs.NewCounter("server.admission.overload")
 	gInFlight  = obs.NewGauge("server.admission.inflight")
@@ -82,7 +81,6 @@ func (a *admitter) tenant(name string) *tenantState {
 // back exactly one token, so the ceiling can never be over-admitted.
 func (a *admitter) admit(tenant string) (release func(), code int) {
 	if a.cfg.Rate <= 0 && a.cfg.MaxInFlight <= 0 {
-		mAdmitted.Inc()
 		gInFlight.Add(1)
 		var once sync.Once
 		return func() { once.Do(func() { gInFlight.Add(-1) }) }, 0
@@ -113,7 +111,6 @@ func (a *admitter) admit(tenant string) (release func(), code int) {
 		}
 		ts.inflight++
 	}
-	mAdmitted.Inc()
 	gInFlight.Add(1)
 	var once sync.Once
 	return func() {

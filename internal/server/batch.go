@@ -40,7 +40,6 @@ import (
 // cohortObs is the telemetry of one cohort family.
 type cohortObs struct {
 	flushes, joined, collapsed, slots *obs.Counter
-	size                              *obs.Histogram
 }
 
 // Scan cohorts (sum_where, count_where, group_sum_where) report under
@@ -51,14 +50,12 @@ var (
 		joined:    obs.NewCounter("server.batch.joined"),
 		collapsed: obs.NewCounter("server.batch.collapsed"),
 		slots:     obs.NewCounter("server.batch.preds"),
-		size:      obs.NewHistogram("server.batch.size"),
 	}
 	gatherObs = cohortObs{
 		flushes:   obs.NewCounter("server.gather.flushes"),
 		joined:    obs.NewCounter("server.gather.joined"),
 		collapsed: obs.NewCounter("server.gather.collapsed"),
 		slots:     obs.NewCounter("server.gather.rows"),
-		size:      obs.NewHistogram("server.gather.size"),
 	}
 )
 
@@ -164,7 +161,6 @@ func first(res []exec.Result, err error) (exec.Result, error) {
 func (b *batcher) pass(tbl *hybridstore.Table, key exec.Plan, m *cohortObs, plans []exec.Plan) (res []exec.Result, err error) {
 	m.flushes.Inc()
 	m.slots.Add(int64(len(plans)))
-	m.size.Observe(int64(len(plans)))
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("server: batch leader panicked: %v", r)

@@ -8,7 +8,6 @@ import (
 
 	"hybridstore"
 	"hybridstore/internal/exec/pool"
-	"hybridstore/internal/obs"
 )
 
 // HTTP front end. Endpoints:
@@ -22,7 +21,6 @@ import (
 //
 // The exec handler moves request and response bytes through recycled
 // pool buffers; session and prepare are cold-path and favour clarity.
-var mHTTPRequests = obs.NewCounter("server.http.requests")
 
 // Handler returns the server's HTTP mux.
 func (s *Server) Handler() http.Handler {
@@ -31,14 +29,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/prepare", s.handlePrepare)
 	mux.HandleFunc("/v1/exec", s.handleExec)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		mHTTPRequests.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		if err := hybridstore.WriteMetricsJSON(w); err != nil {
 			http.Error(w, err.Error(), 500)
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		mHTTPRequests.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"ok":true}`)
 	})
@@ -95,7 +91,6 @@ func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
-	mHTTPRequests.Inc()
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -113,7 +108,6 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
-	mHTTPRequests.Inc()
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -142,7 +136,6 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	mHTTPRequests.Inc()
 	body, ok := readBody(w, r)
 	if !ok {
 		return

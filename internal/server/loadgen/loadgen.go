@@ -177,7 +177,7 @@ type runState struct {
 // execution takes.
 type Cut struct {
 	Wire string
-	Pred exec.Pred[float64]
+	Pred exec.Pred
 }
 
 // PredCuts are the fixed predicate cuts analytic lanes draw from (over
@@ -185,10 +185,10 @@ type Cut struct {
 // set on purpose: concurrent lanes repeat cuts, so shared passes
 // collapse.
 var PredCuts = []Cut{
-	{`{"kind":"lt","hi":30}`, exec.Lt[float64](30)},
-	{`{"kind":"gt","lo":50}`, exec.Gt[float64](50)},
-	{`{"kind":"between","lo":10,"hi":60}`, exec.Between[float64](10, 60)},
-	{`{"kind":"between","lo":20,"hi":80}`, exec.Between[float64](20, 80)},
+	{`{"kind":"lt","hi":30}`, exec.Lt(30)},
+	{`{"kind":"gt","lo":50}`, exec.Gt(50)},
+	{`{"kind":"between","lo":10,"hi":60}`, exec.Between(10, 60)},
+	{`{"kind":"between","lo":20,"hi":80}`, exec.Between(20, 80)},
 }
 
 // Client is one session of the wire protocol over one *http.Client:

@@ -205,10 +205,10 @@ func parseI64(b []byte) (int64, error) {
 // split one compatibility class into separate cohorts and separate
 // result-cache entries. Normalization never changes the match set, so
 // the collapsed key answers every spelling.
-func parsePred(raw []byte) (exec.Pred[float64], error) {
+func parsePred(raw []byte) (exec.Pred, error) {
 	var kind []byte
 	var lo, hi float64
-	var p exec.Pred[float64]
+	var p exec.Pred
 	_, err := scanObject(raw, func(key, val []byte) error {
 		switch string(key) {
 		case "kind":
@@ -254,7 +254,7 @@ func parsePred(raw []byte) (exec.Pred[float64], error) {
 // appendPredJSON renders p back to the wire form parsePred accepts —
 // the exact bits survive the round trip because bounds are printed with
 // strconv's shortest-exact format.
-func appendPredJSON(buf []byte, p exec.Pred[float64]) []byte {
+func appendPredJSON(buf []byte, p exec.Pred) []byte {
 	buf = append(buf, `{"kind":"`...)
 	buf = append(buf, p.Op.String()...)
 	buf = append(buf, '"')

@@ -19,7 +19,6 @@ var (
 	mFsyncs    = obs.NewCounter("wal.fsyncs")
 	mBytes     = obs.NewCounter("wal.bytes")
 	mTornTail  = obs.NewCounter("wal.torn_tail_truncations")
-	mCompacts  = obs.NewCounter("wal.compactions")
 	mGroupSize = obs.NewHistogram("wal.group_size")
 )
 
@@ -345,7 +344,6 @@ func (l *Log) Compact(keep func(*Record) bool) error {
 	l.written = l.nextLSN - 1
 	l.durable = l.written
 	l.cond.Broadcast()
-	mCompacts.Inc()
 	return nil
 }
 

@@ -168,12 +168,17 @@ func TestLogTornTailTruncated(t *testing.T) {
 		if err := os.WriteFile(torn, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
+		truncations := mTornTail.Load()
 		l2, recs, err := Open(torn, Options{})
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if len(recs) != 4 {
 			t.Fatalf("cut %d: recovered %d records, want 4", cut, len(recs))
+		}
+		// The counter is the one trace a repaired log leaves.
+		if got := mTornTail.Load() - truncations; got != 1 {
+			t.Fatalf("cut %d: wal.torn_tail_truncations advanced by %d", cut, got)
 		}
 		// The torn bytes must be gone: a fresh append then reopen yields 5.
 		lsn, err := l2.Append(&Record{Kind: KindInsert, Table: "t", Row: 99,

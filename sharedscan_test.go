@@ -275,6 +275,82 @@ func TestSharedScanMatchesSoloFacade(t *testing.T) {
 	}
 }
 
+// TestFoldOrderUnderCompression is the fold-order row of the equivalence
+// table: a price column whose chunks hold runs of mixed magnitudes (v × k
+// rounds differently from adding v k times) answers sum and sum_where
+// with the plain store's bits whether its cold chunks scan from base
+// bytes, from sealed images on the host or from images on the card — and
+// sum ≡ sum_where(−Inf, +Inf), group_sum ≡ group_sum_where(−Inf, +Inf)
+// bit for bit under each.
+func TestFoldOrderUnderCompression(t *testing.T) {
+	const rows, chunk, keyCol = 4096, 1024, 1
+	all := BetweenFloat(math.Inf(-1), math.Inf(1))
+	plans := []Plan{
+		{Op: "sum", Col: ItemPriceColumn},
+		{Op: "sum_where", Col: ItemPriceColumn, Pred: all},
+		{Op: "group_sum", KeyCol: keyCol, Col: ItemPriceColumn},
+		{Op: "group_sum_where", KeyCol: keyCol, Col: ItemPriceColumn, Pred: all},
+	}
+	var want []Result
+	for _, cfg := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{ChunkRows: chunk, HotChunks: 1}},
+		{"compress", Options{ChunkRows: chunk, HotChunks: 1, Compress: true}},
+		{"compress+devicecache", Options{ChunkRows: chunk, HotChunks: 1, Compress: true, DeviceCache: true}},
+	} {
+		tbl, err := Open(cfg.opts).CreateTable("item", ItemSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tbl.Free()
+		for i := uint64(0); i < rows; i++ {
+			rec := Item(i)
+			switch j := i % chunk; {
+			case j < 300:
+				rec[keyCol], rec[ItemPriceColumn] = Int32Value(0), FloatValue(0.1)
+			case j < 600:
+				rec[keyCol], rec[ItemPriceColumn] = Int32Value(1), FloatValue(1e16)
+			default:
+				rec[keyCol], rec[ItemPriceColumn] = Int32Value(2), FloatValue(1)
+			}
+			if _, err := tbl.Insert(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := make([]Result, len(plans))
+		for i, p := range plans { // one shape per Execute
+			res, err := tbl.Execute([]Plan{p})
+			if err != nil {
+				t.Fatalf("%s %s: %v", cfg.name, p.Op, err)
+			}
+			got[i] = res[0]
+		}
+		if want == nil {
+			want = got
+		}
+		// A scalar sum adds one partial per chunk, the same doubles in
+		// every configuration; a group table accumulates across chunks, so
+		// where a chunk's groups fold (host table, sealed image, card)
+		// reassociates them — those compare to rounding across
+		// configurations and exactly within one.
+		for i, p := range plans {
+			if !sameResult(got[i], want[i], !p.Op.Grouped()) {
+				t.Errorf("%s %s: %x %+v, the plain store answers %x %+v", cfg.name, p.Op,
+					math.Float64bits(got[i].Sum), got[i].Groups, math.Float64bits(want[i].Sum), want[i].Groups)
+			}
+		}
+		// The card has no unfiltered grouped kernel: under DeviceCache
+		// group_sum folds on the host what group_sum_where folds per
+		// launch, so only there the two reassociate.
+		if got[0].Sum != got[1].Sum || !sameResult(Result{Groups: got[2].Groups}, Result{Groups: got[3].Groups}, !cfg.opts.DeviceCache) {
+			t.Errorf("%s: sum %x, sum_where(-Inf, +Inf) %x; group_sum %+v, group_sum_where %+v", cfg.name,
+				math.Float64bits(got[0].Sum), math.Float64bits(got[1].Sum), got[2].Groups, got[3].Groups)
+		}
+	}
+}
+
 // TestTableRegistry pins the name lookup the serving layer binds
 // prepared statements through.
 func TestTableRegistry(t *testing.T) {
