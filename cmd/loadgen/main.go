@@ -19,21 +19,32 @@
 // sums are replayed over HTTP and compared byte for byte; any
 // divergence (a stale cache entry, a broken gather fan-out) exits 1.
 //
+// -cpuprofile and -memprofile write runtime/pprof profiles of this
+// process: CPU from the first request to the end of verification, and
+// the heap profile once verification has passed — its alloc_space view
+// counts every allocation since start, the fixture load included. With
+// -selfserve the server is in the process, so these are the served
+// path's profiles; perf/profile.sh turns them into committed text.
+//
 // Usage:
 //
 //	loadgen -selfserve [-rows N] [-unbatched]
 //	        [-result-cache BYTES] [-concurrency N] [-duration D]
 //	        [-mix write=20,point=20,sum=45,group=15]
 //	        [-rate N] [-autoterm] [-csv serving_panel.csv]
+//	        [-cpuprofile FILE] [-memprofile FILE]
 //	loadgen -addr http://host:port ...
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -56,6 +67,8 @@ func main() {
 	csvPath := flag.String("csv", "", "also write the per-class panel to this CSV file")
 	seed := flag.Int64("seed", 1, "workload seed")
 	walDir := flag.String("wal", "", "durability directory for -selfserve: the item table write-ahead-logs every acknowledged write and recovers on restart")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run and its verification to this file")
+	memProfile := flag.String("memprofile", "", "write the heap (allocation) profile to this file after the run and its verification")
 	flag.Parse()
 
 	mix, err := loadgen.ParseMix(*mixFlag)
@@ -86,6 +99,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *cpuProfile != "" {
+		profileTo(*cpuProfile, pprof.StartCPUProfile)
+	}
 	res, err := loadgen.Run(loadgen.Options{
 		BaseURL:     base,
 		Rows:        *rows,
@@ -119,6 +135,26 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("bit-match verification: %d served responses identical to direct execution\n", n)
+	}
+	if *cpuProfile != "" {
+		pprof.StopCPUProfile()
+	}
+	if *memProfile != "" {
+		runtime.GC() // the profile holds what the last completed GC saw
+		profileTo(*memProfile, pprof.WriteHeapProfile)
+	}
+}
+
+// profileTo creates path and hands it to write (a runtime/pprof writer);
+// a failure ends the run. The file closes with the process.
+func profileTo(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen: profile:", err)
+		os.Exit(1)
 	}
 }
 

@@ -31,6 +31,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"hybridstore/internal/compress"
 	"hybridstore/internal/engine"
@@ -196,6 +197,11 @@ type Table struct {
 
 	// deviceCols marks columns whose cold fragments live on the GPU.
 	deviceCols map[int]bool
+
+	// stamps remembers the last result-cache stamp built over one column
+	// ([0]) and over a key and a value column ([1]), never mutated once
+	// published; see stampLocked.
+	stamps [2]atomic.Pointer[rescache.Stamp]
 
 	// pk is the primary-key hash index over attribute 0 (nil when the
 	// schema has no int64 key attribute).

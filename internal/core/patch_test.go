@@ -358,18 +358,19 @@ func TestPatchRowsCounter(t *testing.T) {
 	}
 }
 
-// benchTable builds the bench/ fixture's table: 131072 item rows with the
-// group key i%groups (the fixture has 64) in 1024-row chunks, DeviceCache
-// and Compress on, merged and warmed with one grouped scan.
-func benchTable(t *testing.T, groups uint64) *Table {
+// benchTable builds the bench/ fixture's table: item rows (the fixture
+// has 131072) with the group key i%groups (the fixture has 64) in
+// 1024-row chunks, DeviceCache and Compress on, a result cache of
+// resultCache bytes (0: none), merged and warmed with one grouped scan.
+func benchTable(t *testing.T, rows, groups uint64, resultCache int64) *Table {
 	t.Helper()
-	e := New(engine.NewEnv(), Options{DeviceCache: true, Compress: true})
+	e := New(engine.NewEnv(), Options{DeviceCache: true, Compress: true, ResultCacheBytes: resultCache})
 	et, err := e.Create("item", workload.ItemSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl := et.(*Table)
-	for i := uint64(0); i < 131072; i++ {
+	for i := uint64(0); i < rows; i++ {
 		rec := workload.Item(i)
 		rec[patchKeyCol] = schema.Int32Value(int32(i % groups))
 		if _, err := tbl.Insert(rec); err != nil {
@@ -401,21 +402,23 @@ func scanCost(scan func()) (allocs, kib float64) {
 	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
 }
 
-// A scan's allocations follow neither the live deltas nor the group
-// count, in objects or in bytes. Measured on the bench fixture with
-// between(20, 80), which 102 of the 128 chunks survive: sum_where 330
-// objects / 14.1 KiB per scan, clean or with 1000 live deltas;
-// group_sum_where 646 / 34.1 KiB clean, 715 / 40.1 KiB with the deltas
-// (the patch's own group map, once per scan) and 646 / 30.8 KiB at 8
-// groups instead of 64. When every launch cloned and sorted its group
-// table and decoded its image header onto the heap the same scans read
-// 432 / 32.8 KiB and 854 / 186.8 KiB — 1.5 KiB per launch at 64 groups;
-// before the ordered patch walk and the value-typed group tables, 4290
-// objects for the grouped scan and 1000 more per 1000 deltas.
+// A scan's allocations follow neither the live deltas, nor the group
+// count, nor the chunk count, in objects or in bytes. Measured on the
+// bench fixture with between(20, 80), which 102 of the 128 chunks
+// survive: sum_where 15 objects / 1.4 KiB per scan, clean or with 1000
+// live deltas; group_sum_where 21 / 4.0 KiB clean, 90 / 10.0 KiB with
+// the deltas (the patch's own group map, once per scan) and 21 / 2.1 KiB
+// at 8 groups instead of 64; and, over a predicate whose hot chunks
+// match too, the same object counts at a quarter of the rows (32
+// chunks). While every acquired piece took a release closure, its
+// sync.Once and an LRU element, the same scans read 330 / 14.1 and
+// 645 / 34.0; before typed launches, 432 / 32.8 and 854 / 186.8; before
+// the ordered patch walk and the value-typed group tables, 4290 objects
+// for the grouped scan and 1000 more per 1000 deltas.
 func TestScanAllocsIndependentOfDeltas(t *testing.T) {
 	pred := exec.Pred{Op: exec.OpBetween, Lo: 20, Hi: 80}
 	type cost struct{ sumAllocs, sumKiB, groupAllocs, groupKiB float64 }
-	measure := func(tbl *Table) (c cost) {
+	measureAt := func(tbl *Table, pred exec.Pred) (c cost) {
 		c.sumAllocs, c.sumKiB = scanCost(func() {
 			if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, pred); err != nil {
 				t.Fatal(err)
@@ -428,9 +431,15 @@ func TestScanAllocsIndependentOfDeltas(t *testing.T) {
 		})
 		return c
 	}
-	tbl := benchTable(t, 64)
+	measure := func(tbl *Table) cost { return measureAt(tbl, pred) }
+	tbl := benchTable(t, 131072, 64, 0)
 	defer tbl.Free()
 	clean := measure(tbl)
+	// The chunk-count comparison needs both sizes to run the same legs:
+	// the hot (host) chunks' prices are 91-101 and 1-12 at 128 chunks,
+	// 8-29 at 32, which between(5, 95) matches at both and (20, 80) at one.
+	wide := exec.Pred{Op: exec.OpBetween, Lo: 5, Hi: 95}
+	manyChunks := measureAt(tbl, wide)
 	for i := uint64(0); i < 1000; i++ {
 		if err := tbl.Update(i*131, workload.ItemPriceCol, schema.FloatValue(float64(i%90))); err != nil {
 			t.Fatal(err)
@@ -442,31 +451,43 @@ func TestScanAllocsIndependentOfDeltas(t *testing.T) {
 	if got := mPatchRows.Load() - patched; got != 42*1000 {
 		t.Errorf("42 scans over 1000 live deltas were handed %d patch rows, want 1000 each", got)
 	}
-	few := benchTable(t, 8)
+	few := benchTable(t, 131072, 8, 0)
 	defer few.Free()
 	fewGroups := measure(few)
-	t.Logf("per scan, objects / KiB: sum_where %.0f / %.1f clean, %.0f / %.1f with 1000 deltas; group_sum_where %.0f / %.1f clean, %.0f / %.1f with 1000 deltas, %.0f / %.1f at 8 groups",
+	quarter := benchTable(t, 32768, 64, 0)
+	defer quarter.Free()
+	fewChunks := measureAt(quarter, wide)
+	t.Logf("per scan, objects / KiB: sum_where %.0f / %.1f clean, %.0f / %.1f with 1000 deltas; "+
+		"group_sum_where %.0f / %.1f clean, %.0f / %.1f with 1000 deltas, %.0f / %.1f at 8 groups; "+
+		"between(5, 95) at 128 / 32 chunks: sum_where %.0f / %.0f, group_sum_where %.0f / %.0f",
 		clean.sumAllocs, clean.sumKiB, deltas.sumAllocs, deltas.sumKiB,
-		clean.groupAllocs, clean.groupKiB, deltas.groupAllocs, deltas.groupKiB, fewGroups.groupAllocs, fewGroups.groupKiB)
+		clean.groupAllocs, clean.groupKiB, deltas.groupAllocs, deltas.groupKiB, fewGroups.groupAllocs, fewGroups.groupKiB,
+		manyChunks.sumAllocs, fewChunks.sumAllocs, manyChunks.groupAllocs, fewChunks.groupAllocs)
 	if deltas.sumAllocs > clean.sumAllocs+16 {
 		t.Errorf("sum_where allocates %.0f objects with 1000 live deltas, %.0f on the clean table: grows with deltas", deltas.sumAllocs, clean.sumAllocs)
 	}
-	costs := map[string]cost{"clean": clean, "1000 deltas": deltas, "8 groups": fewGroups}
-	for name, c := range costs {
+	for name, c := range map[string]cost{"1000 deltas": deltas, "8 groups": fewGroups} {
 		if c.groupAllocs > 1000 {
 			t.Errorf("group_sum_where (%s) allocates %.0f objects per scan, gate 1000", name, c.groupAllocs)
 		}
 	}
+	if clean.sumAllocs > 32 || clean.groupAllocs > 64 {
+		t.Errorf("per scan on the clean table: sum_where %.0f objects (gate 32), group_sum_where %.0f (gate 64)", clean.sumAllocs, clean.groupAllocs)
+	}
 	if raceEnabled {
-		return // the detector's sync.Pool drops pooled scratch at random: bytes are not the code's
+		return // the detector's sync.Pool drops pooled scratch at random: bytes, and a dropped slice's regrowth, are not the code's
+	}
+	if math.Abs(manyChunks.sumAllocs-fewChunks.sumAllocs) > 2 || math.Abs(manyChunks.groupAllocs-fewChunks.groupAllocs) > 2 {
+		t.Errorf("objects per scan follow the chunk count: sum_where %.0f at 128 chunks, %.0f at 32; group_sum_where %.0f, %.0f",
+			manyChunks.sumAllocs, fewChunks.sumAllocs, manyChunks.groupAllocs, fewChunks.groupAllocs)
 	}
 	if deltas.sumKiB > clean.sumKiB+1 {
 		t.Errorf("sum_where allocates %.1f KiB with 1000 live deltas, %.1f on the clean table: grows with deltas", deltas.sumKiB, clean.sumKiB)
 	}
-	if clean.sumKiB > 32.8 {
-		t.Errorf("sum_where allocates %.1f KiB per scan, gate 32.8 (what it took before the image header left the heap)", clean.sumKiB)
+	if clean.sumKiB > 2 || clean.groupKiB > 8 {
+		t.Errorf("per scan on the clean table: sum_where %.1f KiB (gate 2), group_sum_where %.1f KiB (gate 8)", clean.sumKiB, clean.groupKiB)
 	}
-	for name, c := range costs {
+	for name, c := range map[string]cost{"1000 deltas": deltas, "8 groups": fewGroups} {
 		if c.groupKiB > 64 {
 			t.Errorf("group_sum_where (%s) allocates %.1f KiB per scan, gate 64", name, c.groupKiB)
 		}

@@ -1,6 +1,9 @@
 package core
 
-import "hybridstore/internal/rescache"
+import (
+	"hybridstore/internal/layout"
+	"hybridstore/internal/rescache"
+)
 
 // Result caching in the reference engine rides one concurrency fact:
 // every operation that mutates base fragments — Insert, Merge, Adapt,
@@ -32,51 +35,82 @@ import "hybridstore/internal/rescache"
 // insert or merge elsewhere in the table does not invalidate them.
 
 // stampLocked collects the fragment-version vector the chunk walk over
-// the given columns folds, in walk order. Caller holds t.mu. ok=false
-// when a fragment cannot be resolved (the caller's own walk will
-// surface the error; the query just runs uncached).
+// the given columns (one, or a key column and a value column) folds, in
+// walk order. Caller holds t.mu. ok=false when a fragment cannot be
+// resolved (the caller's own walk will surface the error; the query
+// just runs uncached).
+//
+// The walk compares each (ID, Version) with the stamp last built for a
+// column list of the same length and, when every one and the row count
+// match, returns that stamp — no allocation, and every request over
+// unchanged fragments shares one backing array. Soundness does not rest
+// on the remembered stamp being current, or even being over the same
+// columns: equality is checked element by element on every call, so the
+// answer is the vector a fresh build would return. On the first
+// difference one vector of exact capacity is built and published for
+// the next call.
 func (t *Table) stampLocked(cols ...int) (rescache.Stamp, bool) {
 	rows := t.rel.Rows()
-	st := rescache.Stamp{Rows: rows}
-	for _, c := range t.chunks {
-		if c.rows.Begin >= rows {
-			break
-		}
+	live := 0
+	for live < len(t.chunks) && t.chunks[live].rows.Begin < rows {
+		live++
+	}
+	n := live * len(cols)
+	slot := &t.stamps[len(cols)-1]
+	last := slot.Load()
+	var frags []rescache.FragVer // nil while the walk matches last
+	if last == nil || last.Rows != rows || len(last.Frags) != n {
+		frags = make([]rescache.FragVer, 0, n)
+	}
+	i := 0
+	for _, c := range t.chunks[:live] {
 		for _, col := range cols {
 			frag, err := t.fragmentForCol(c, col)
 			if err != nil {
 				return rescache.Stamp{}, false
 			}
-			st.Frags = append(st.Frags, rescache.FragVer{ID: frag.ID(), Ver: frag.Version()})
+			fv := rescache.FragVer{ID: frag.ID(), Ver: frag.Version()}
+			if frags == nil && last.Frags[i] != fv {
+				frags = append(make([]rescache.FragVer, 0, n), last.Frags[:i]...)
+			}
+			if frags != nil {
+				frags = append(frags, fv)
+			}
+			i++
 		}
 	}
-	return st, true
+	if frags == nil {
+		return *last, true
+	}
+	st := &rescache.Stamp{Rows: rows, Frags: frags}
+	slot.Store(st)
+	return *st, true
 }
 
 // chunkStampLocked stamps just the fragments backing one chunk — the
 // precise validity domain of a point read. Caller holds t.mu.
 func (t *Table) chunkStampLocked(c *chunk) rescache.Stamp {
-	var st rescache.Stamp
+	frags := c.frags
 	if c.state == hot {
-		st.Frags = append(st.Frags, rescache.FragVer{ID: c.nsm.ID(), Ver: c.nsm.Version()})
-		return st
+		frags = []*layout.Fragment{c.nsm}
 	}
-	st.Frags = make([]rescache.FragVer, 0, len(c.frags))
-	for _, f := range c.frags {
-		st.Frags = append(st.Frags, rescache.FragVer{ID: f.ID(), Ver: f.Version()})
+	st := rescache.Stamp{Frags: make([]rescache.FragVer, len(frags))}
+	for i, f := range frags {
+		st.Frags[i] = rescache.FragVer{ID: f.ID(), Ver: f.Version()}
 	}
 	return st
 }
 
 // VersionStamp exposes the stamp protocol to tests that drive an
 // external cache: the fragment-version vector a scan over cols would
-// fold. ok is false when the table is not stampable — an unresolvable
-// column, or live MVCC deltas, whose contents a fragment stamp cannot
-// describe.
+// fold — one column, or a key column and a value column. ok is false
+// when the table is not stampable — any other column list, an
+// unresolvable column, or live MVCC deltas, whose contents a fragment
+// stamp cannot describe.
 func (t *Table) VersionStamp(cols ...int) (rescache.Stamp, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.deltas.Versions() != 0 {
+	if len(cols) < 1 || len(cols) > 2 || t.deltas.Versions() != 0 {
 		return rescache.Stamp{}, false
 	}
 	return t.stampLocked(cols...)

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -62,7 +61,9 @@ type cacheEntry struct {
 	// dead marks an entry invalidated while pinned: it is already
 	// unlinked from the lookup maps, and the last Release frees it.
 	dead bool
-	elem *list.Element // nil while pinned (pinned entries leave the LRU)
+	// prev and next link an unpinned entry into its cache's LRU ring;
+	// both are nil while the entry is pinned or retired.
+	prev, next *cacheEntry
 }
 
 // FragCacheStats is a snapshot of one cache's meters.
@@ -106,7 +107,10 @@ type FragCache struct {
 	mu      sync.Mutex
 	entries map[FragKey]*cacheEntry
 	byFrag  map[fragRef]map[FragKey]*cacheEntry
-	lru     *list.List // unpinned entries only; front = most recent
+	// lru is the sentinel of a ring through the unpinned entries:
+	// lru.next is the most recently used, lru.prev the eviction victim.
+	// Linking and unlinking rewrite four pointers and allocate nothing.
+	lru cacheEntry
 
 	resident int64 // bytes of live images (pinned + unpinned)
 	pinned   int64 // bytes of pinned images
@@ -121,12 +125,13 @@ type FragCache struct {
 
 // NewFragCache creates a cache over the GPU's global memory.
 func NewFragCache(g *GPU) *FragCache {
-	return &FragCache{
+	c := &FragCache{
 		gpu:     g,
 		entries: make(map[FragKey]*cacheEntry),
 		byFrag:  make(map[fragRef]map[FragKey]*cacheEntry),
-		lru:     list.New(),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
 // NewFragCacheCap creates a cache with an explicit byte budget below the
@@ -149,12 +154,12 @@ func (c *FragCache) GPU() *GPU { return c.gpu }
 // memory pressure), and fill is called once to upload the data. A fill
 // that wants transfer/compute overlap can enqueue its copy on a Stream.
 //
-// The returned release closure must be called (once) after the kernel
-// consuming the image completes. It is bound to the pinned entry, not
-// the key: an image invalidated mid-scan is unlinked from the lookup
-// maps immediately but stays alive until its release, so a key-based
-// unpin could never reach it.
-func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Buffer) error) (*Buffer, func(), bool, error) {
+// The returned Pin must be released after the kernel consuming the
+// image completes. It holds the pinned entry, not the key: an image
+// invalidated mid-scan is unlinked from the lookup maps immediately but
+// stays alive until its release, so a key-based unpin could never
+// reach it. A hit allocates nothing.
+func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Buffer) error) (Pin, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if e.version == version {
@@ -165,7 +170,7 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 			if c.cardHits != nil {
 				c.cardHits.Inc()
 			}
-			return e.buf, c.releaser(e), true, nil
+			return Pin{buf: e.buf, cache: c, e: e}, true, nil
 		}
 		// Stale image: retire it now rather than letting capacity
 		// pressure find it.
@@ -180,11 +185,11 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 
 	buf, err := c.allocEvicting(size)
 	if err != nil {
-		return nil, nil, false, err
+		return Pin{}, false, err
 	}
 	if err := fill(buf); err != nil {
 		buf.Free()
-		return nil, nil, false, fmt.Errorf("device: cache fill: %w", err)
+		return Pin{}, false, fmt.Errorf("device: cache fill: %w", err)
 	}
 
 	e := &cacheEntry{key: key, version: version, buf: buf, size: int64(size), pins: 1}
@@ -200,7 +205,7 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 			c.mu.Unlock()
 			buf.Free()
 			c.dupUploads.Inc()
-			return prev.buf, c.releaser(prev), false, nil
+			return Pin{buf: prev.buf, cache: c, e: prev}, false, nil
 		}
 		c.retireLocked(prev)
 	}
@@ -213,32 +218,59 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 	c.resident += e.size
 	c.pinned += e.size
 	c.mu.Unlock()
-	return buf, c.releaser(e), false, nil
+	return Pin{buf: buf, cache: c, e: e}, false, nil
 }
 
-// releaser binds one pin of e to an idempotent unpin closure.
-func (c *FragCache) releaser(e *cacheEntry) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			c.unpinLocked(e)
-			c.mu.Unlock()
-		})
+// Pin holds one device image for as long as a kernel reads it: a pin of
+// a cached entry (from Acquire), or a transient buffer no cache owns
+// (TransientPin). The zero Pin holds nothing. A Pin is a value — taking
+// and releasing one allocates nothing — and is released through one
+// copy only.
+type Pin struct {
+	buf   *Buffer
+	cache *FragCache // nil for a transient pin
+	e     *cacheEntry
+}
+
+// TransientPin hands buf's ownership to a pin: Release frees it. This is
+// the direct-transfer image of a piece that never enters a cache.
+func TransientPin(buf *Buffer) Pin { return Pin{buf: buf} }
+
+// Buffer returns the pinned image (nil for the zero Pin).
+func (p Pin) Buffer() *Buffer { return p.buf }
+
+// Release returns the image — unpins the cache entry, or frees the
+// transient buffer — and zeroes the pin, so a second call is a no-op.
+func (p *Pin) Release() {
+	switch {
+	case p.cache != nil:
+		p.cache.mu.Lock()
+		p.cache.unpinLocked(p.e)
+		p.cache.mu.Unlock()
+	case p.buf != nil:
+		p.buf.Free()
 	}
+	*p = Pin{}
 }
 
 // pin increments the refcount and removes the entry from the LRU (pinned
 // images are not eviction candidates). Caller holds c.mu.
 func (c *FragCache) pin(e *cacheEntry) {
 	if e.pins == 0 {
-		if e.elem != nil {
-			c.lru.Remove(e.elem)
-			e.elem = nil
-		}
+		e.unlink()
 		c.pinned += e.size
 	}
 	e.pins++
+}
+
+// unlink takes e out of the LRU ring if it is in it. Caller holds the
+// cache's mu.
+func (e *cacheEntry) unlink() {
+	if e.next == nil {
+		return
+	}
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // unpinLocked drops one pin from e, returning it to the LRU as the most
@@ -254,7 +286,8 @@ func (c *FragCache) unpinLocked(e *cacheEntry) {
 		e.buf.Free()
 		return
 	}
-	e.elem = c.lru.PushFront(e)
+	e.prev, e.next = &c.lru, c.lru.next
+	e.prev.next, e.next.prev = e, e
 }
 
 // retireLocked unlinks e from the lookup maps and frees it if unpinned;
@@ -274,10 +307,7 @@ func (c *FragCache) retireLocked(e *cacheEntry) {
 		e.dead = true
 		return
 	}
-	if e.elem != nil {
-		c.lru.Remove(e.elem)
-		e.elem = nil
-	}
+	e.unlink()
 	e.buf.Free()
 }
 
@@ -320,11 +350,11 @@ func (c *FragCache) allocEvicting(size int) (*Buffer, error) {
 // evictLRULocked retires the least-recently-used unpinned image, reporting
 // false when none exists. Caller holds c.mu.
 func (c *FragCache) evictLRULocked() bool {
-	back := c.lru.Back()
-	if back == nil {
+	back := c.lru.prev
+	if back == &c.lru {
 		return false
 	}
-	c.retireLocked(back.Value.(*cacheEntry))
+	c.retireLocked(back)
 	c.evictions.Inc()
 	return true
 }

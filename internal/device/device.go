@@ -250,8 +250,8 @@ func (g *GPU) ChargeTransfer(n int64, toDevice bool) {
 // Buffer is a device-global-memory allocation. Free may race with
 // in-flight kernels reading the buffer: the freed flag is atomic, so a
 // concurrent kernel either observes the buffer live (and reads bytes the
-// block still backs — mem.Block.Free is sync.Once-guarded and only nils
-// its slice after the flag flips) or fails cleanly with ErrBufferFreed.
+// block still backs — mem.Block.Free runs once and only nils its slice
+// after the flag flips) or fails cleanly with ErrBufferFreed.
 type Buffer struct {
 	gpu   *GPU
 	block *mem.Block

@@ -29,7 +29,7 @@ func TestCacheDupUploadRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			buf, release, hit, err := c.Acquire(key, 1, len(data), func(b *Buffer) error {
+			pin, hit, err := c.Acquire(key, 1, len(data), func(b *Buffer) error {
 				barrier.Done()
 				barrier.Wait()
 				return g.CopyToDevice(b, 0, data)
@@ -39,10 +39,10 @@ func TestCacheDupUploadRace(t *testing.T) {
 				return
 			}
 			hits[i] = hit
-			if buf == nil {
+			if pin.Buffer() == nil {
 				t.Error("nil buffer from racing acquire")
 			}
-			release()
+			pin.Release()
 		}(i)
 	}
 	wg.Wait()
@@ -68,8 +68,8 @@ func TestCacheDupUploadRace(t *testing.T) {
 		t.Fatalf("H2D bytes = %d, want %d (both uploads crossed the bus)", got, want)
 	}
 	// The survivor serves subsequent lookups as a plain hit.
-	_, release, hit := acquireUpload(t, c, key, 1, data)
-	release()
+	pin, hit := acquireUpload(t, c, key, 1, data)
+	pin.Release()
 	if !hit {
 		t.Fatal("post-race acquire missed; the winner's image should be resident")
 	}

@@ -61,21 +61,21 @@ func TestCacheConcurrentAcquireRelease(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				key := FragKey{Table: "t", Frag: uint64(i % 4), Rows: 512}
 				version := uint64(i % 3)
-				buf, release, _, err := c.Acquire(key, version, len(data), func(b *Buffer) error {
+				pin, _, err := c.Acquire(key, version, len(data), func(b *Buffer) error {
 					return g.CopyToDevice(b, 0, data)
 				})
 				if err != nil {
 					t.Errorf("acquire: %v", err)
 					return
 				}
-				v := Vec{Buf: buf, Stride: 8, Size: 8, Len: 512}
+				v := Vec{Buf: pin.Buffer(), Stride: 8, Size: 8, Len: 512}
 				if _, err := reduceSum(g, v, LaunchConfig{Blocks: 8, ThreadsPerBlock: 64}); err != nil && !errors.Is(err, ErrBufferFreed) {
 					t.Errorf("reduce: %v", err)
 				}
 				if w == 0 && i%17 == 0 {
 					c.InvalidateFrag("t", uint64(i%4))
 				}
-				release()
+				pin.Release()
 			}
 		}(w)
 	}

@@ -12,6 +12,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/device"
@@ -73,17 +74,18 @@ func fragKey(table string, col int, p Piece) device.FragKey {
 		Row0: int(p.Rows.Begin), Rows: p.Vec.Len, Comp: p.Comp != nil}
 }
 
-// acquire returns a device-resident image of the piece's column clip —
-// the dense bytes, or for a compressed piece its wire image
-// (compress.Column.Marshal), so the bus is charged only the encoded
-// length and cached entries occupy image-length device bytes (the
-// cache's effective capacity grows by the compression ratio). The image
-// comes from the cache when the piece is cacheable (hit = zero bus
+// acquire returns a pin on a device-resident image of the piece's
+// column clip — the dense bytes, or for a compressed piece its wire
+// image (compress.Column.Marshal), so the bus is charged only the
+// encoded length and cached entries occupy image-length device bytes
+// (the cache's effective capacity grows by the compression ratio). The
+// image comes from the cache when the piece is cacheable (hit = zero bus
 // bytes; the host-side image is only built inside the upload closure, so
 // a hit never materializes it) and from a transient upload through the
-// stream otherwise. release returns the image (unpins, or frees the
-// transient copy); it must be called after the consuming kernel's Wait.
-func (d DeviceScan) acquire(s *device.Stream, col int, p Piece) (buf *device.Buffer, release func(), err error) {
+// stream otherwise. Releasing the pin returns the image (unpins, or
+// frees the transient copy); it must happen after the consuming
+// kernel's Wait.
+func (d DeviceScan) acquire(s *device.Stream, col int, p Piece) (device.Pin, error) {
 	size := p.Vec.Len * p.Vec.Size
 	if p.Comp != nil {
 		size = p.Comp.MarshaledBytes()
@@ -95,25 +97,49 @@ func (d DeviceScan) acquire(s *device.Stream, col int, p Piece) (buf *device.Buf
 		return s.CopyToDevice(b, 0, denseBytes(p.Vec))
 	}
 	if d.Cache != nil && p.FragID != 0 {
-		buf, unpin, _, err := d.Cache.Acquire(fragKey(d.Table, col, p), p.FragVersion, size, upload)
-		if err == nil {
-			return buf, unpin, nil
-		}
+		pin, _, err := d.Cache.Acquire(fragKey(d.Table, col, p), p.FragVersion, size, upload)
 		if !errors.Is(err, device.ErrCachePinned) {
-			return nil, nil, err
+			return pin, err
 		}
 		// Every resident image is pinned by in-flight scans: degrade to an
 		// uncached direct transfer instead of failing the scan. The image
 		// ships, computes and frees without ever entering the cache.
 	}
-	if buf, err = d.GPU.Alloc(size); err != nil {
-		return nil, nil, err
+	buf, err := d.GPU.Alloc(size)
+	if err != nil {
+		return device.Pin{}, err
 	}
 	if err := upload(buf); err != nil {
 		buf.Free()
-		return nil, nil, err
+		return device.Pin{}, err
 	}
-	return buf, buf.Free, nil
+	return device.TransientPin(buf), nil
+}
+
+// scanScratch is what one device scan works in and gives back: the
+// surviving piece indexes, the pins held until the stream drains, the
+// host buffer each launch's group table lands in, and the group table
+// the launches fold into. Only Result.Groups — drained from the table —
+// leaves a scan; the rest is recycled, so a warm scan's garbage does
+// not grow with its piece count.
+type scanScratch struct {
+	kept   []int
+	pins   []device.Pin
+	groups []device.GroupPartial
+	table  agg.Table
+}
+
+var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// release returns every pin, empties the group table — a grouped scan
+// that failed may have folded pieces into it — and recycles the scratch.
+func (x *scanScratch) release() {
+	for i := range x.pins {
+		x.pins[i].Release()
+	}
+	x.groups = x.table.Drain(x.groups[:0])
+	x.kept, x.pins, x.groups = x.kept[:0], x.pins[:0], x.groups[:0]
+	scanScratchPool.Put(x)
 }
 
 // Scan runs the scan on the card: SUM(val) [, COUNT(*) WHERE p] with the
@@ -136,7 +162,7 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 		return Result{}, err
 	}
 	filtered, grouped := sc.Op.Filtered(), sc.Op.Grouped()
-	kept := make([]int, 0, len(sc.Vals))
+	x := scanScratchPool.Get().(*scanScratch)
 	for i, vp := range sc.Vals {
 		if vp.Vec.Len == 0 {
 			continue
@@ -148,21 +174,19 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 				continue
 			}
 		}
-		kept = append(kept, i)
+		x.kept = append(x.kept, i)
 	}
-	if len(kept) == 0 {
+	if len(x.kept) == 0 {
+		x.release()
 		return Result{}, nil
 	}
 	sp := obsDeviceScan.Start()
 	var s *device.Stream // opened by the first piece that has to ship
-	var releases []func()
 	defer func() {
 		if s != nil {
 			s.Wait()
 		}
-		for _, r := range releases {
-			r()
-		}
+		x.release()
 		sp.End()
 	}()
 	// operand resolves one piece to the kernel's view of it.
@@ -173,24 +197,22 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 		if s == nil {
 			s = d.GPU.NewStream()
 		}
-		buf, release, err := d.acquire(s, col, p)
+		pin, err := d.acquire(s, col, p)
 		if err != nil {
 			return device.Vec{}, nil, err
 		}
-		releases = append(releases, release)
+		x.pins = append(x.pins, pin)
 		if p.Comp != nil {
-			return device.Vec{}, buf, nil
+			return device.Vec{}, pin.Buffer(), nil
 		}
-		return device.Vec{Buf: buf, Stride: p.Vec.Size, Size: p.Vec.Size, Len: p.Vec.Len}, nil, nil
+		return device.Vec{Buf: pin.Buffer(), Stride: p.Vec.Size, Size: p.Vec.Size, Len: p.Vec.Len}, nil, nil
 	}
 	var res Result
-	var table agg.Table
-	// groups is the one host buffer every launch's group table lands in:
-	// each is folded into table before the next launch overwrites it.
-	var groups []device.GroupPartial
-	for _, i := range kept {
+	for _, i := range x.kept {
 		vp := sc.Vals[i]
-		k := device.Kernel{Where: filtered, Lo: lo, Hi: hi, Groups: groups, Config: device.ReduceConfigFor(vp.Vec.Len)}
+		// x.groups is the one host buffer every launch's group table lands
+		// in: each is folded into x.table before the next launch overwrites it.
+		k := device.Kernel{Where: filtered, Lo: lo, Hi: hi, Groups: x.groups, Config: device.ReduceConfigFor(vp.Vec.Len)}
 		if grouped {
 			if k.Keys, _, err = operand(sc.KeyCol, sc.Keys[i]); err != nil {
 				return Result{}, err
@@ -210,11 +232,11 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 		}
 		res.Sum += part.Sum
 		res.Count += part.Count
-		table.Merge(part.Groups)
-		groups = part.Groups
+		x.table.Merge(part.Groups)
+		x.groups = part.Groups
 	}
 	if grouped {
-		res.Groups = table.Drain(nil)
+		res.Groups = x.table.Drain(nil)
 	}
 	return res, nil
 }
@@ -231,22 +253,20 @@ func (d DeviceScan) Prime(col int, pieces []Piece) error {
 		return nil
 	}
 	s := d.GPU.NewStream()
-	var releases []func()
+	x := scanScratchPool.Get().(*scanScratch)
 	defer func() {
 		s.Wait()
-		for _, r := range releases {
-			r()
-		}
+		x.release()
 	}()
 	for _, pc := range pieces {
 		if pc.Vec.Len == 0 || pc.FragID == 0 {
 			continue
 		}
-		_, release, err := d.acquire(s, col, pc)
+		pin, err := d.acquire(s, col, pc)
 		if err != nil {
 			return fmt.Errorf("exec: priming col %d: %w", col, err)
 		}
-		releases = append(releases, release)
+		x.pins = append(x.pins, pin)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"hybridstore/internal/agg"
 )
@@ -17,32 +18,18 @@ func SortGroupResults(out []GroupResult) {
 
 // MergeGroupResults folds any number of partial group-result slices
 // (e.g. a host-fused table and a device-fused table over disjoint
-// fragments) into one table sorted by key. Each part must itself be a
-// group table — one entry per key — as every producer emits; a single
-// non-empty part short-circuits to a sorted copy.
+// fragments) into one table sorted by key, through a recycled group
+// table: the answer is the one allocation.
 func MergeGroupResults(parts ...[]GroupResult) []GroupResult {
-	single := -1
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		if single >= 0 {
-			single = -2
-			break
-		}
-		single = i
-	}
-	if single == -1 {
-		return nil
-	}
-	if single >= 0 {
-		out := append([]GroupResult(nil), parts[single]...)
-		SortGroupResults(out)
-		return out
-	}
-	var t agg.Table
+	t := mergeTables.Get().(*agg.Table)
 	for _, part := range parts {
 		t.Merge(part)
 	}
-	return t.Drain(nil)
+	out := t.Drain(nil)
+	mergeTables.Put(t)
+	return out
 }
+
+// mergeTables recycles the tables merges fold through: a drained table
+// keeps its 256-slot window, which would otherwise be allocated per merge.
+var mergeTables = sync.Pool{New: func() any { return new(agg.Table) }}

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"hybridstore/internal/compress"
 	"hybridstore/internal/device"
 	"hybridstore/internal/layout"
+	"hybridstore/internal/mem"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/perfmodel"
 	"hybridstore/internal/stats"
@@ -703,6 +705,59 @@ func TestMultiDevicePerCardCountersSumToGlobal(t *testing.T) {
 	}
 }
 
+// A device scan works in recycled scratch, so a grouped scan that fails
+// after folding pieces must leave nothing behind: the next scan answers
+// bit for bit what it answered before the failure. The failing card has
+// room for one launch's two images; the second launch cannot upload.
+func TestDeviceGroupScanFailureLeavesNoGroups(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the next scan gets the failed one's scratch
+	const nf, fragRows = 4, 512
+	keys, vals, _, _ := groupScanFixture(nf, fragRows)
+	p := Between(0.0, 1e9)
+	fresh := func() DeviceScan { return DeviceScan{GPU: device.New(perfmodel.DefaultDevice(), nil)} }
+	want, err := scanOn(fresh(), KindGroupSumWhere, keys, vals, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref, _ := scanOn(Single(), KindGroupSumWhere, keys, vals, p); !sameGroups(want.Groups, ref.Groups) {
+		t.Fatalf("device scan %+v, host fold %+v", want.Groups, ref.Groups)
+	}
+
+	prof := perfmodel.DefaultDevice()
+	prof.GlobalMemory = 3 * fragRows * 8
+	small := device.New(prof, nil)
+	if _, err := scanOn(DeviceScan{GPU: small}, KindGroupSumWhere, keys, vals, p); !errors.Is(err, mem.ErrOutOfMemory) {
+		t.Fatalf("scan on a card with room for 3 images: err = %v, want ErrOutOfMemory", err)
+	}
+	if launched := small.Stats().KernelLaunches; launched < 1 {
+		t.Fatalf("the failing scan launched %d kernels, want at least 1 folded before the failure", launched)
+	}
+	if small.FreeMemory() != prof.GlobalMemory {
+		t.Errorf("the failed scan left %d device bytes allocated", prof.GlobalMemory-small.FreeMemory())
+	}
+
+	got, err := scanOn(fresh(), KindGroupSumWhere, keys, vals, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameGroups(got.Groups, want.Groups) {
+		t.Fatalf("after a failed scan: groups %+v, want %+v", got.Groups, want.Groups)
+	}
+}
+
+// sameGroups compares two group tables bit for bit.
+func sameGroups(a, b []GroupResult) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Key != b[i].Key || a[i].Count != b[i].Count || math.Float64bits(a[i].Sum) != math.Float64bits(b[i].Sum) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestDeviceScanDegradesWhenCachePinned pins satellite behavior: a cache
 // whose budget is exhausted by pinned images surfaces ErrCachePinned,
 // and DeviceScan degrades that piece to an uncached direct transfer
@@ -716,13 +771,13 @@ func TestDeviceScanDegradesWhenCachePinned(t *testing.T) {
 
 	// Pin one image and never release it.
 	key := device.FragKey{Table: "pinned", Frag: 99, Col: 0, Rows: fragRows}
-	_, release, _, err := cache.Acquire(key, 1, img, func(b *device.Buffer) error {
+	pin, _, err := cache.Acquire(key, 1, img, func(b *device.Buffer) error {
 		return gpu.CopyToDevice(b, 0, make([]byte, img))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer release()
+	defer pin.Release()
 
 	dense := make([]byte, img)
 	var want float64

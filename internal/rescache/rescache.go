@@ -67,7 +67,10 @@ type FragVer struct {
 }
 
 // Stamp is the fragment-version vector a result was computed over,
-// together with the row count.
+// together with the row count. A stamp is immutable once built: its
+// producer hands the same Frags to every request that sees the same
+// base state, and every entry stored under it shares that backing
+// array, so nothing may write to a Stamp's Frags after building it.
 type Stamp struct {
 	// Rows is the table's row count at stamp time.
 	Rows uint64
@@ -200,33 +203,31 @@ func sizeOf(k Key, st Stamp, v Value) int64 {
 func (c *Cache) Lookup(k Key, cur Stamp) (Value, bool) { return c.probe(k, cur, true) }
 
 // Peek is the serving-path pre-check flavor of Lookup: a hit counts
-// (and refreshes the LRU) exactly like Lookup, and a stale entry is
-// dropped and counted, but a plain absence counts NOTHING — the caller
-// is about to fall through to the executing path, whose own Lookup
-// will record the miss, so counting it here would double-book one
-// logical query.
+// (and refreshes the LRU) exactly like Lookup, but a miss records no
+// lookup — the caller is about to fall through to the executing path,
+// whose own Lookup finds the key absent and records the one logical
+// query's lookup and miss. A stale entry is dropped here and counted
+// stale only, so that miss is the one it belongs to.
 func (c *Cache) Peek(k Key, cur Stamp) (Value, bool) { return c.probe(k, cur, false) }
 
-// probe is the one lookup body; countAbsent selects whether a plain
-// absence is accounted as a miss.
-func (c *Cache) probe(k Key, cur Stamp, countAbsent bool) (Value, bool) {
+// probe is the one lookup body; counting selects whether a miss — an
+// absent or a stale entry — is accounted as a lookup and a miss.
+func (c *Cache) probe(k Key, cur Stamp, counting bool) (Value, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	e, ok := s.m[k]
-	if !ok {
-		s.mu.Unlock()
-		if countAbsent {
-			c.Bypass()
-		}
-		return Value{}, false
-	}
-	if !e.stamp.Equal(cur) {
+	if ok && !e.stamp.Equal(cur) {
 		s.removeLocked(e)
-		s.mu.Unlock()
 		c.entries.Add(-1)
 		c.bytes.Add(-e.bytes)
 		c.stale.Add(1)
-		c.Bypass()
+		ok = false
+	}
+	if !ok {
+		s.mu.Unlock()
+		if counting {
+			c.Bypass()
+		}
 		return Value{}, false
 	}
 	s.lru.MoveToFront(e.elem)

@@ -208,18 +208,25 @@ func TestPeekAccounting(t *testing.T) {
 		t.Fatalf("hit not counted: %+v", s)
 	}
 
-	// A stale entry IS counted (and dropped): the executing path will
-	// recompute without another cache probe for this logical query.
+	// A stale entry is dropped and counted stale, and nothing else: the
+	// executing path's own Lookup then finds the key absent and records
+	// this logical query's one lookup and one miss.
 	bumped := stamp(10, FragVer{ID: 1, Ver: 2})
 	if _, ok := c.Peek(k, bumped); ok {
 		t.Fatal("peek hit a stale entry")
 	}
 	s := c.Stats()
-	if s.Lookups != 2 || s.Hits != 1 || s.Misses != 1 || s.Stale != 1 {
+	if s.Lookups != 1 || s.Hits != 1 || s.Misses != 0 || s.Stale != 1 {
 		t.Fatalf("stale peek accounting: %+v", s)
 	}
 	if s.Entries != 0 {
 		t.Fatalf("stale entry not dropped: %+v", s)
+	}
+	if _, ok := c.Lookup(k, bumped); ok {
+		t.Fatal("lookup after a stale peek hit")
+	}
+	if s := c.Stats(); s.Lookups != 2 || s.Hits != 1 || s.Misses != 1 || s.Stale != 1 {
+		t.Fatalf("stale peek then executing lookup: %+v, want 2 lookups / 1 hit / 1 miss / 1 stale", s)
 	}
 	checkInvariant(t, c)
 }
