@@ -330,13 +330,14 @@ func benchSelect(b *testing.B, cfg exec.Config) {
 	const want = 2 * (BenchRows / 10_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pos, err := exec.SelectFloat64(cfg, pieces, func(x float64) bool { return x < 1.02 })
+		sel, err := exec.SelectFloat64Pred(cfg, pieces, exec.Lt(1.02))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pos) != want {
-			b.Fatalf("matches = %d, want %d", len(pos), want)
+		if n := len(sel.Positions()); n != want {
+			b.Fatalf("matches = %d, want %d", n, want)
 		}
+		sel.Release()
 	}
 }
 

@@ -96,7 +96,7 @@ func checkDecoded(t *testing.T, c *Column) {
 		vals[i] = math.Float64frombits(uint64(ints[i]))
 		isum += ints[i]
 	}
-	if got, err := c.SumInt64(); err != nil || got != isum {
+	if got, err := Sum[int64](c); err != nil || got != isum {
 		t.Fatalf("%v: SumInt64 = %d, %v; want %d", c, got, err, isum)
 	}
 	keyAt := func(i int) int64 { return int64(i % 5) }

@@ -456,9 +456,6 @@ func Sum[T Number](c *Column) (T, error) {
 //go:noinline
 func (c *Column) SumFloat64() (float64, error) { return Sum[float64](c) }
 
-// SumInt64 is Sum over an 8-byte integer column (exact mod 2^64).
-func (c *Column) SumInt64() (int64, error) { return Sum[int64](c) }
-
 // String summarizes the column.
 func (c *Column) String() string {
 	return fmt.Sprintf("compressed{%s, %d×%dB, %.2fx}", c.enc, c.n, c.size, c.Ratio())

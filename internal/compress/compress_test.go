@@ -197,7 +197,7 @@ func TestEmptyColumn(t *testing.T) {
 		if c.Len() != 0 || len(c.Decompress()) != 0 {
 			t.Fatalf("%v: empty column broken", enc)
 		}
-		sum, err := c.SumInt64()
+		sum, err := Sum[int64](c)
 		if err != nil || sum != 0 {
 			t.Fatalf("%v: empty sum = %d, %v", enc, sum, err)
 		}
@@ -216,7 +216,7 @@ func TestSumInt64FastPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.SumInt64()
+		got, err := Sum[int64](c)
 		if err != nil || got != want {
 			t.Fatalf("%v sum = %d, %v; want %d", enc, got, err, want)
 		}
@@ -246,7 +246,7 @@ func TestSumFloat64FastPaths(t *testing.T) {
 	if _, err := c.SumFloat64(); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("4-byte float sum err = %v", err)
 	}
-	if _, err := c.SumInt64(); !errors.Is(err, ErrBadInput) {
+	if _, err := Sum[int64](c); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("4-byte int sum err = %v", err)
 	}
 }
@@ -285,7 +285,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			for _, v := range vals {
 				want += v
 			}
-			if got, err = c.SumInt64(); err != nil || got != want {
+			if got, err = Sum[int64](c); err != nil || got != want {
 				return false
 			}
 		}

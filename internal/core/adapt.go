@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hybridstore/internal/layout"
 	"hybridstore/internal/mem"
@@ -52,7 +53,7 @@ func (t *Table) Adapt() (bool, error) {
 	changed := false
 	advice := t.mon.SuggestGroups(affinity)
 	for _, c := range t.chunks {
-		if c.state != cold || groupingEqual(c.groups, advice) {
+		if c.state != cold || slices.EqualFunc(c.groups, advice, slices.Equal) {
 			continue
 		}
 		if err := t.recast(c, advice); err != nil {
@@ -261,22 +262,4 @@ func (t *Table) thinFragment(c *chunk, col int) (int, *layout.Fragment) {
 		}
 	}
 	return -1, nil
-}
-
-// groupingEqual compares two column groupings.
-func groupingEqual(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -17,6 +17,18 @@ import (
 	"hybridstore/internal/workload"
 )
 
+// errNotFound is what read reports for a row with no visible version.
+var errNotFound = errors.New("no visible version")
+
+// read is Lookup with a missing version reported as errNotFound.
+func read(x *tx.Tx, row uint64) (schema.Record, error) {
+	rec, ok, err := x.Lookup(row)
+	if err == nil && !ok {
+		err = errNotFound
+	}
+	return rec, err
+}
+
 // patched is one (row, record) pair a patch walk hands out.
 type patched struct {
 	row uint64
@@ -34,8 +46,8 @@ func oraclePatchRows(t *Table, reader *tx.Tx) ([]patched, error) {
 		if t.deltas.LatestTS(row) == 0 {
 			continue
 		}
-		rec, err := reader.Read(row)
-		if errors.Is(err, tx.ErrNotFound) {
+		rec, err := read(reader, row)
+		if errors.Is(err, errNotFound) {
 			continue
 		}
 		if err != nil {

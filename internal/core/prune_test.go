@@ -21,10 +21,10 @@ func TestPruneStatsSealCoreFreeze(t *testing.T) {
 		if c.state == hot {
 			hotChunks++
 			z := c.nsm.Stats(workload.ItemPriceCol)
-			if z == nil || !z.Valid() {
+			if z == nil || z.Snapshot().Invalid {
 				t.Fatal("hot chunk has no running price zone")
 			}
-			if z.Sealed() {
+			if z.Snapshot().Sealed {
 				t.Error("hot chunk zone must not be sealed")
 			}
 			continue
@@ -34,7 +34,7 @@ func TestPruneStatsSealCoreFreeze(t *testing.T) {
 			t.Fatal(err)
 		}
 		z := frag.Stats(workload.ItemPriceCol)
-		if z == nil || !z.Sealed() {
+		if z == nil || !z.Snapshot().Sealed {
 			t.Fatalf("cold chunk [%d,%d) price zone not sealed", c.rows.Begin, c.rows.End)
 		}
 		min, max, ok := z.Float64Bounds()
@@ -77,7 +77,7 @@ func TestPruneStatsSurviveRegroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if z := frag.Stats(workload.ItemPriceCol); z == nil || !z.Sealed() {
+		if z := frag.Stats(workload.ItemPriceCol); z == nil || !z.Snapshot().Sealed {
 			t.Fatalf("regrouped chunk [%d,%d) lost its sealed price zone", c.rows.Begin, c.rows.End)
 		}
 	}

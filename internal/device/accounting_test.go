@@ -27,7 +27,7 @@ func TestVecRejectsBothBackings(t *testing.T) {
 	if _, err := g.Launch(Kernel{Vals: bad, Where: true, Lo: 0, Hi: 1, Config: cfg}); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("fused reduce: err = %v, want ErrBadLaunch", err)
 	}
-	if err := g.Scatter(bad, []int{0}, make([]byte, 8)); !errors.Is(err, ErrBadLaunch) {
+	if err := syncScatter(g, bad, []int{0}, make([]byte, 8)); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("scatter: err = %v, want ErrBadLaunch", err)
 	}
 
@@ -60,8 +60,8 @@ func TestAccountingConformance(t *testing.T) {
 	if _, err := g.Launch(Kernel{Vals: v, Where: true, Lo: 10, Hi: 20, Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-	host := make([]byte, n*8)
-	if err := g.CopyToHost(host, buf, 0); err != nil {
+	host, err := g.Gather(buf, n*8, []int{0})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.Gather(buf, 8, []int{1, 2, 3}); err != nil {
@@ -69,7 +69,7 @@ func TestAccountingConformance(t *testing.T) {
 	}
 	positions := []int{0, 7, 9}
 	vals := make([]byte, len(positions)*8)
-	if err := g.Scatter(v, positions, vals); err != nil {
+	if err := syncScatter(g, v, positions, vals); err != nil {
 		t.Fatal(err)
 	}
 	// Streamed commands count the moment they execute, same as sync ones.

@@ -144,9 +144,6 @@ func NewFragCacheCap(g *GPU, capBytes int64) *FragCache {
 	return c
 }
 
-// GPU returns the device this cache populates.
-func (c *FragCache) GPU() *GPU { return c.gpu }
-
 // Acquire returns a pinned device image of the keyed column clip at the
 // given version. On a hit the image is reused as-is (zero bus bytes); on
 // a miss — absent, or resident at an older version — the stale image is

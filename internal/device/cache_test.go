@@ -29,7 +29,7 @@ func hostFloats(n int) []byte {
 func acquireUpload(t *testing.T, c *FragCache, key FragKey, version uint64, data []byte) (Pin, bool) {
 	t.Helper()
 	pin, hit, err := c.Acquire(key, version, len(data), func(b *Buffer) error {
-		return c.GPU().CopyToDevice(b, 0, data)
+		return c.gpu.CopyToDevice(b, 0, data)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -237,8 +237,7 @@ func (g *GPU) countKernels(k int64) {
 // ChargeTransfer accounts for n bytes moved over the bus outside the
 // Buffer copy paths — engines that relocate fragment blocks directly
 // between host and device memory (placement, eviction) call this so the
-// traffic is priced and counted exactly like an explicit CopyToDevice /
-// CopyToHost.
+// traffic is priced and counted exactly like an explicit CopyToDevice.
 func (g *GPU) ChargeTransfer(n int64, toDevice bool) {
 	if n <= 0 {
 		return
@@ -320,31 +319,6 @@ func (g *GPU) copyToDevice(dst *Buffer, off int, src []byte) (float64, error) {
 	copy(buf[off:], src)
 	g.countTransfer(int64(len(src)), true)
 	return g.prof.TransferNs(int64(len(src))), nil
-}
-
-// CopyToHost copies the buffer region [off, off+len(dst)) back to the host.
-func (g *GPU) CopyToHost(dst []byte, src *Buffer, off int) error {
-	ns, err := g.copyToHost(dst, src, off)
-	if err != nil {
-		return err
-	}
-	g.charge(ns)
-	return nil
-}
-
-// copyToHost performs the copy and returns its priced duration without
-// advancing the clock.
-func (g *GPU) copyToHost(dst []byte, src *Buffer, off int) (float64, error) {
-	buf, err := src.bytes()
-	if err != nil {
-		return 0, err
-	}
-	if off < 0 || off+len(dst) > len(buf) {
-		return 0, fmt.Errorf("%w: copy [%d,%d) from %d-byte buffer", ErrShortBuffer, off, off+len(dst), len(buf))
-	}
-	copy(dst, buf[off:])
-	g.countTransfer(int64(len(dst)), false)
-	return g.prof.TransferNs(int64(len(dst))), nil
 }
 
 // LaunchConfig is the kernel grid geometry: Blocks thread blocks of
@@ -548,14 +522,9 @@ func (g *GPU) blockReduce(n int, cfg LaunchConfig, load func(int) float64) []flo
 	return partials
 }
 
-// treeReduce folds a slice pairwise, mirroring the final one-block pass.
-func treeReduce(xs []float64) float64 {
-	return treeReduceInPlace(append([]float64(nil), xs...))
-}
-
-// treeReduceInPlace is treeReduce over a buffer the caller owns — the
-// reducers fold their recycled partial slots without a defensive copy.
-func treeReduceInPlace(buf []float64) float64 {
+// treeReduce folds buf pairwise in place (the caller owns it: the
+// reducers fold their recycled partial slots without a defensive copy).
+func treeReduce(buf []float64) float64 {
 	for len(buf) > 1 {
 		half := (len(buf) + 1) / 2
 		for i := 0; i+half < len(buf); i++ {
@@ -601,21 +570,6 @@ func (g *GPU) Gather(src *Buffer, recordWidth int, positions []int) ([]byte, err
 		g.prof.TransferNs(int64(len(out))),
 		g.prof.GatherKernelNs(int64(len(positions)), n, recordWidth), 1))
 	return out, nil
-}
-
-// Scatter writes vals[i] (elemSize bytes each, concatenated) to element
-// positions[i] of the strided vector v. It is the device-side bulk-update
-// primitive GPUTx's transaction batches compile into. The value bytes
-// travel host→device before the kernel runs, so the call counts and
-// prices the bus crossing exactly like CopyToDevice (the D2H mirror of
-// what Gather charges for its result delivery).
-func (g *GPU) Scatter(v Vec, positions []int, vals []byte) error {
-	ns, err := g.scatter(v, positions, vals)
-	if err != nil {
-		return err
-	}
-	g.charge(ns)
-	return nil
 }
 
 // scatter performs the scatter and returns its priced duration without

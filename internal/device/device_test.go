@@ -148,7 +148,7 @@ func TestCopyBounds(t *testing.T) {
 	if err := g.CopyToDevice(buf, -1, make([]byte, 4)); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("negative offset err = %v", err)
 	}
-	if err := g.CopyToHost(make([]byte, 32), buf, 0); !errors.Is(err, ErrShortBuffer) {
+	if _, err := g.Gather(buf, 32, []int{0}); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("overread err = %v", err)
 	}
 }
@@ -161,8 +161,8 @@ func TestCopyRoundTripAndStats(t *testing.T) {
 	if err := g.CopyToDevice(buf, 0, src); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]byte, 32)
-	if err := g.CopyToHost(dst, buf, 0); err != nil {
+	dst, err := g.Gather(buf, 32, []int{0})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if string(dst) != string(src) {
@@ -244,6 +244,14 @@ func TestGather(t *testing.T) {
 	}
 }
 
+// syncScatter runs one scatter to completion on a depth-1 stream, which
+// charges exactly what a synchronous call would.
+func syncScatter(g *GPU, v Vec, positions []int, vals []byte) error {
+	s := g.NewStreamDepth(1)
+	defer s.Wait()
+	return s.Scatter(v, positions, vals)
+}
+
 func TestScatter(t *testing.T) {
 	g, _ := newGPU()
 	n := 16
@@ -254,17 +262,17 @@ func TestScatter(t *testing.T) {
 	vals := make([]byte, 2*8)
 	binary.LittleEndian.PutUint64(vals[0:], math.Float64bits(1.5))
 	binary.LittleEndian.PutUint64(vals[8:], math.Float64bits(2.5))
-	if err := g.Scatter(v, []int{3, 7}, vals); err != nil {
+	if err := syncScatter(g, v, []int{3, 7}, vals); err != nil {
 		t.Fatal(err)
 	}
 	sum, err := reduceSum(g, v, LaunchConfig{Blocks: 4, ThreadsPerBlock: 8})
 	if err != nil || sum != 4.0 {
 		t.Fatalf("post-scatter sum = %v, %v", sum, err)
 	}
-	if err := g.Scatter(v, []int{99}, vals[:8]); !errors.Is(err, ErrShortBuffer) {
+	if err := syncScatter(g, v, []int{99}, vals[:8]); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("bad position err = %v", err)
 	}
-	if err := g.Scatter(v, []int{1, 2}, vals[:8]); !errors.Is(err, ErrShortBuffer) {
+	if err := syncScatter(g, v, []int{1, 2}, vals[:8]); !errors.Is(err, ErrShortBuffer) {
 		t.Errorf("length mismatch err = %v", err)
 	}
 }

@@ -29,10 +29,6 @@ func (c *Card) GPU() *GPU { return c.gpu }
 // Cache returns the card's fragment cache.
 func (c *Card) Cache() *FragCache { return c.cache }
 
-// Mark returns the card's current lane position, for callers that want to
-// measure a lane delta themselves (tests, panels).
-func (c *Card) Mark() float64 { return c.lane.ElapsedNs() }
-
 // Env is a fleet of N simulated cards sharing one platform clock. Each
 // card owns its allocator, fragment cache, streams and a private lane
 // clock; per-card obs counters (device.<i>.h2d_bytes, ...,

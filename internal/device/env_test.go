@@ -126,7 +126,7 @@ func TestEnvCardsChargeLanesNotShared(t *testing.T) {
 	if shared.ElapsedNs() != 0 {
 		t.Fatalf("card work leaked onto the shared clock: %v ns", shared.ElapsedNs())
 	}
-	lane0 := env.Card(0).Mark()
+	lane0 := env.Card(0).lane.ElapsedNs()
 	if lane0 <= 0 {
 		t.Fatal("card 0 lane did not advance")
 	}
@@ -140,7 +140,7 @@ func TestEnvCardsChargeLanesNotShared(t *testing.T) {
 	if err := env.Card(1).GPU().CopyToDevice(buf1, 0, make([]byte, 8192)); err != nil {
 		t.Fatal(err)
 	}
-	lane1 := env.Card(1).Mark()
+	lane1 := env.Card(1).lane.ElapsedNs()
 	if lane1 <= lane0 {
 		t.Fatalf("lane1 %v should exceed lane0 %v", lane1, lane0)
 	}
@@ -159,7 +159,7 @@ func TestEnvCardsChargeLanesNotShared(t *testing.T) {
 	if err := env.Card(0).GPU().CopyToDevice(buf0, 0, make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	d := env.Card(0).Mark() - lane0
+	d := env.Card(0).lane.ElapsedNs() - lane0
 	env.SettleMax()
 	if got := shared.ElapsedNs() - before; got != d {
 		t.Fatalf("SettleMax advanced shared by %v, want lane delta %v", got, d)

@@ -197,7 +197,7 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 			}
 			return 0, 0
 		})
-		out.Sum, out.Count = treeReduceInPlace(sums), int64(treeReduceInPlace(counts))
+		out.Sum, out.Count = treeReduce(sums), int64(treeReduce(counts))
 		g.putF64(sums)
 		g.putF64(counts)
 	default:
@@ -205,7 +205,7 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 			return math.Float64frombits(binary.LittleEndian.Uint64(vbuf[vbase+i*stride:]))
 		})
 		// Final pass: one block reduces the per-block partials.
-		out.Sum = treeReduceInPlace(partials)
+		out.Sum = treeReduce(partials)
 		g.putF64(partials)
 	}
 	if err != nil {

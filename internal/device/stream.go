@@ -103,47 +103,15 @@ func (s *Stream) Scatter(v Vec, positions []int, vals []byte) error {
 	return nil
 }
 
-// Event marks a point in a stream's command order: a snapshot of both
-// lanes at Record time. Waiting on the event charges the overlapped cost
-// of everything enqueued before it, and nothing after.
-type Event struct {
-	stream                *Stream
-	transferNs, computeNs float64
-}
-
-// Record snapshots the stream's lanes.
-func (s *Stream) Record() Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Event{stream: s, transferNs: s.transferNs, computeNs: s.computeNs}
-}
-
 // Wait blocks until every enqueued command is complete (immediate on the
 // simulated card) and charges the clock the overlapped total of both
 // lanes since creation, minus what earlier Waits already charged.
+// OverlapNs is monotone in both lanes, so the delta against the
+// watermark is never negative.
 func (s *Stream) Wait() {
-	s.mu.Lock()
-	t, c := s.transferNs, s.computeNs
-	s.mu.Unlock()
-	s.settle(t, c)
-}
-
-// WaitEvent charges up to the event's snapshot only.
-func (s *Stream) WaitEvent(e Event) {
-	if e.stream != s {
-		return
-	}
-	s.settle(e.transferNs, e.computeNs)
-}
-
-// settle charges the clock so that the cumulative charge equals the
-// overlap-priced cost of lanes (t, c). OverlapNs is monotone in both
-// lanes, so the delta against the watermark is never negative for a
-// later snapshot; an event from before the last Wait charges nothing.
-func (s *Stream) settle(t, c float64) {
 	sp := spStream.Start()
 	s.mu.Lock()
-	due := s.gpu.prof.OverlapNs(t, c, s.stages)
+	due := s.gpu.prof.OverlapNs(s.transferNs, s.computeNs, s.stages)
 	delta := due - s.chargedNs
 	ops := s.ops
 	if delta > 0 {
@@ -155,12 +123,4 @@ func (s *Stream) settle(t, c float64) {
 		s.gpu.charge(delta)
 	}
 	sp.EndWith(fmt.Sprintf("ops=%d charged_ns=%.0f", ops, delta))
-}
-
-// Lanes reports the accumulated (transfer, compute) lane totals, for
-// tests and the perf panels.
-func (s *Stream) Lanes() (transferNs, computeNs float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.transferNs, s.computeNs
 }

@@ -19,24 +19,24 @@ import (
 )
 
 // Engines returns the ten surveyed engines in the paper's Table-1 order
-// (by publication year), constructed over env with default parameters.
+// (by publication year), constructed over env.
 // The reference engine of internal/core is deliberately not part of the
 // survey list; it is the paper's proposal, not a surveyed system.
 func Engines(env *engine.Env) []engine.Engine {
 	return []engine.Engine{
 		// 2002
-		paxEngine(env),
-		mirrors.New(env, 4),
+		pax.New(env),
+		mirrors.New(env),
 		// 2010-2011
-		hyrise.New(env, 0.5),
-		es2.New(env, 4, 0),
+		hyrise.New(env),
+		es2.New(env),
 		gputx.New(env),
 		// 2014-2016
 		h2o.New(env),
-		hyper.New(env, 128),
+		hyper.New(env),
 		cogadb.New(env, 0),
 		lstore.New(env),
-		peloton.New(env, 0, 0),
+		peloton.New(env),
 	}
 }
 
@@ -49,6 +49,3 @@ func ByName(env *engine.Env, name string) engine.Engine {
 	}
 	return nil
 }
-
-// paxEngine builds PAX with the default page size.
-func paxEngine(env *engine.Env) engine.Engine { return pax.New(env, 0) }

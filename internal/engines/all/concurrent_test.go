@@ -57,7 +57,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		{"core", func(env *engine.Env) engine.Engine {
 			return core.New(env, core.Options{ChunkRows: 128})
 		}},
-		{"HyPer", func(env *engine.Env) engine.Engine { return hyper.New(env, 128) }},
+		{"HyPer", func(env *engine.Env) engine.Engine { return hyper.New(env) }},
 		{"L-Store", func(env *engine.Env) engine.Engine { return lstore.New(env) }},
 	}
 	for _, m := range makers {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"hybridstore/internal/core"
 	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/mem"
@@ -146,26 +147,50 @@ func TestAggregateConsistencyAfterPartialLoad(t *testing.T) {
 	}
 }
 
-// TestEnginesRejectMalformedRecords: kind mismatches must never corrupt
-// stored data.
+// TestEnginesRejectMalformedRecords: a rejected insert — wrong kind,
+// wrong arity, or a primary key an engine with a pk index already holds
+// — must leave no trace. After each one, the next good insert lands at
+// the model's row count and every row reads back, and the price column
+// sums, exactly as a slice of the acknowledged records says.
 func TestEnginesRejectMalformedRecords(t *testing.T) {
-	for _, e := range Engines(engine.NewEnv()) {
+	env := engine.NewEnv()
+	for _, e := range append(Engines(env), core.New(env, core.Options{ChunkRows: 128})) {
 		e := e
 		t.Run(e.Name(), func(t *testing.T) {
 			tbl := loadItems(t, e, 10)
 			defer tbl.Free()
-			bad := workload.Item(10)
-			bad[workload.ItemPriceCol] = schema.IntValue(5) // wrong kind
-			if _, err := tbl.Insert(bad); err == nil {
-				t.Fatal("kind-mismatched record accepted")
-			}
-			// Previously stored rows unharmed; row count may or may not
-			// include a partially-applied insert depending on the engine,
-			// but acknowledged rows must read back exactly.
+			var model []schema.Record
 			for i := uint64(0); i < 10; i++ {
-				rec, err := tbl.Get(i)
-				if err != nil || !rec.Equal(workload.Item(i)) {
-					t.Fatalf("Get(%d) = %v, %v", i, rec, err)
+				model = append(model, workload.Item(i))
+			}
+			wrongKind := workload.Item(100)
+			wrongKind[workload.ItemPriceCol] = schema.IntValue(5)
+			for step, bad := range []schema.Record{wrongKind, workload.Item(101)[:3], workload.Item(1)} {
+				if _, err := tbl.Insert(bad); err == nil {
+					if step < 2 {
+						t.Fatalf("step %d: malformed record accepted", step)
+					}
+					model = append(model, bad) // no pk index: a duplicate id is just a row
+				}
+				good := workload.Item(uint64(10 + step))
+				row, err := tbl.Insert(good)
+				if err != nil || row != uint64(len(model)) {
+					t.Fatalf("step %d: good insert = row %d, %v; want row %d", step, row, err, len(model))
+				}
+				model = append(model, good)
+				if got := tbl.Rows(); got != uint64(len(model)) {
+					t.Fatalf("step %d: Rows = %d, want %d", step, got, len(model))
+				}
+				var want float64
+				for i, rec := range model {
+					if got, err := tbl.Get(uint64(i)); err != nil || !got.Equal(rec) {
+						t.Fatalf("step %d: Get(%d) = %v, %v; want %v", step, i, got, err, rec)
+					}
+					want += rec[workload.ItemPriceCol].F
+				}
+				sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+				if err != nil || math.Abs(sum-want) > 1e-9 {
+					t.Fatalf("step %d: sum = %v, %v; want %v", step, sum, err, want)
 				}
 			}
 		})

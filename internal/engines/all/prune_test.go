@@ -1,6 +1,7 @@
 package all
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,7 +128,7 @@ func TestPrunePropertyAllEngines(t *testing.T) {
 }
 
 // TestPruneSelectionMatchesClosureSelect pins the specialized
-// selection kernel to the generic closure path bit-for-bit: position
+// selection kernel to a serial closure loop bit-for-bit: position
 // lists are integers, so pruned and unpruned executions must agree
 // exactly over the pieces every engine that scans raw host columns
 // hands the scan body (the operator pair has its own test over chunked
@@ -164,9 +165,15 @@ func TestPruneSelectionMatchesClosureSelect(t *testing.T) {
 				if err != nil {
 					t.Fatalf("SelectFloat64Pred(%v): %v", p, err)
 				}
-				want, err := exec.SelectFloat64(exec.Single(), pieces, p.Match)
-				if err != nil {
-					t.Fatalf("SelectFloat64(%v): %v", p, err)
+				var want []uint64 // oracle: every element of every piece, serially
+				for _, pc := range pieces {
+					v := pc.Vec
+					for i := 0; i < v.Len; i++ {
+						x := math.Float64frombits(binary.LittleEndian.Uint64(v.Data[v.Base+i*v.Stride:]))
+						if p.Match(x) {
+							want = append(want, pc.Rows.Begin+uint64(i))
+						}
+					}
 				}
 				got := sv.Positions()
 				if len(got) != len(want) {

@@ -162,9 +162,6 @@ func (t *Table) Place(c int) error {
 	return t.devLay.Add(replica)
 }
 
-// Evict removes column c's device replica.
-func (t *Table) Evict(c int) { t.evictLocked(c) }
-
 func (t *Table) evictLocked(c int) {
 	if r, ok := t.replicas[c]; ok {
 		t.devLay.Remove(r)
@@ -172,9 +169,6 @@ func (t *Table) evictLocked(c int) {
 		delete(t.replicas, c)
 	}
 }
-
-// Placed reports whether column c has a device replica.
-func (t *Table) Placed(c int) bool { _, ok := t.replicas[c]; return ok }
 
 // Runs returns the (cpu, gpu) scheduler decision counts.
 func (t *Table) Runs() (cpu, gpu int) { return t.cpuRuns, t.gpuRuns }

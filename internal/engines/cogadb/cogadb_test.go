@@ -30,17 +30,28 @@ func load(t *testing.T, env *engine.Env, n uint64) *Table {
 	return ct
 }
 
+// hasReplica reports whether column c has a device replica.
+func hasReplica(t *Table, c int) bool { _, ok := t.replicas[c]; return ok }
+
+// samples returns how many observations a pair has accumulated.
+func samples(h *hype, op, placement string) uint64 {
+	if m := h.models[key(op, placement)]; m != nil {
+		return m.samples
+	}
+	return 0
+}
+
 func TestPlaceAllOrNothing(t *testing.T) {
 	env := engine.NewEnv()
 	tbl := load(t, env, 500)
 	defer tbl.Free()
-	if tbl.Placed(workload.ItemPriceCol) {
+	if hasReplica(tbl, workload.ItemPriceCol) {
 		t.Fatal("column placed before Place")
 	}
 	if err := tbl.Place(workload.ItemPriceCol); err != nil {
 		t.Fatal(err)
 	}
-	if !tbl.Placed(workload.ItemPriceCol) {
+	if !hasReplica(tbl, workload.ItemPriceCol) {
 		t.Fatal("Place did not take")
 	}
 	// Idempotent.
@@ -74,7 +85,7 @@ func TestPlaceFallsBackOnDeviceExhaustion(t *testing.T) {
 	if !errors.Is(err, mem.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
-	if tbl.Placed(workload.ItemPriceCol) {
+	if hasReplica(tbl, workload.ItemPriceCol) {
 		t.Fatal("failed placement left column marked placed")
 	}
 	// Queries still work on the host.
@@ -127,11 +138,11 @@ func TestEvict(t *testing.T) {
 	if used == 0 {
 		t.Fatal("placement allocated nothing")
 	}
-	tbl.Evict(workload.ItemPriceCol)
-	if tbl.Placed(workload.ItemPriceCol) || env.GPU.Allocator().Used() != 0 {
+	tbl.evictLocked(workload.ItemPriceCol)
+	if hasReplica(tbl, workload.ItemPriceCol) || env.GPU.Allocator().Used() != 0 {
 		t.Fatal("eviction did not free device memory")
 	}
-	tbl.Evict(workload.ItemPriceCol) // idempotent
+	tbl.evictLocked(workload.ItemPriceCol) // idempotent
 }
 
 func TestHypeLearnsToPreferTheFasterDevice(t *testing.T) {
@@ -156,12 +167,12 @@ func TestHypeLearnsToPreferTheFasterDevice(t *testing.T) {
 
 func TestHypeCostModel(t *testing.T) {
 	h := newHype(0.1)
-	if h.Samples("sum", "cpu") != 0 {
+	if samples(h, "sum", "cpu") != 0 {
 		t.Fatal("fresh model has samples")
 	}
 	h.Observe("sum", "cpu", 100, 1000) // 10 ns/elt
 	h.Observe("sum", "gpu", 100, 100)  // 1 ns/elt
-	if h.Samples("sum", "cpu") != 1 {
+	if samples(h, "sum", "cpu") != 1 {
 		t.Fatal("sample not recorded")
 	}
 	picks := map[string]int{}
@@ -176,7 +187,7 @@ func TestHypeCostModel(t *testing.T) {
 	}
 	// Zero-length observations are ignored.
 	h.Observe("sum", "cpu", 0, 1)
-	if h.Samples("sum", "cpu") != 1 {
+	if samples(h, "sum", "cpu") != 1 {
 		t.Fatal("zero-n observation recorded")
 	}
 	if h.Choose("sum", 10, nil) != "" {

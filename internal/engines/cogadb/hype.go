@@ -89,14 +89,6 @@ func (h *hype) Observe(op, placement string, n int64, elapsedNs float64) {
 	}
 }
 
-// Samples returns how many observations a pair has accumulated.
-func (h *hype) Samples(op, placement string) uint64 {
-	if m := h.models[key(op, placement)]; m != nil {
-		return m.samples
-	}
-	return 0
-}
-
 // String summarizes the learned models.
 func (h *hype) String() string {
 	return fmt.Sprintf("hype{%d models, eps=%.2f}", len(h.models), h.epsilon)

@@ -72,10 +72,12 @@ func (t *Table) Snapshot() layout.Snapshot { return t.Rel.Digest() }
 // Free releases all layouts.
 func (t *Table) Free() { t.Rel.Free() }
 
-// Insert appends the record via the engine's router.
+// Insert appends the record via the engine's router. The record is
+// validated whole before the router writes any fragment, so a rejected
+// insert leaves no partial tuplet behind to shift later rows.
 func (t *Table) Insert(rec schema.Record) (uint64, error) {
-	if len(rec) != t.Rel.Schema().Arity() {
-		return 0, fmt.Errorf("%w: arity %d vs schema %d", schema.ErrArityMismatch, len(rec), t.Rel.Schema().Arity())
+	if err := schema.ValidateRecord(t.Rel.Schema(), rec); err != nil {
+		return 0, err
 	}
 	row := t.Rel.Rows()
 	if t.Append == nil {

@@ -11,9 +11,9 @@ import (
 	"hybridstore/internal/workload"
 )
 
-func load(t *testing.T, nodes int, partRows uint64, n uint64) *Table {
+func load(t *testing.T, n uint64) *Table {
 	t.Helper()
-	e := New(engine.NewEnv(), nodes, partRows)
+	e := New(engine.NewEnv())
 	tbl, err := e.Create("item", workload.ItemSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -29,13 +29,16 @@ func load(t *testing.T, nodes int, partRows uint64, n uint64) *Table {
 }
 
 func TestTwoStepFragmentation(t *testing.T) {
-	tbl := load(t, 4, 128, 500)
+	tbl := load(t, 2000)
 	defer tbl.Free()
-	// Step 1 default: all-singleton groups; step 2: 4 stripes of 128.
-	if got := tbl.Partitions(); got != 5*4 {
-		t.Fatalf("partitions = %d, want 20", got)
-	}
+	// Step 1 default: all-singleton groups; step 2: 4 stripes of 512,
+	// each partition with its replica in the second layout.
 	snap := tbl.Snapshot()
+	for _, l := range snap.Layouts {
+		if got := len(l.Fragments); got != 5*4 {
+			t.Fatalf("%s partitions = %d, want 20", l.Name, got)
+		}
+	}
 	if !snap.Layouts[0].Combined {
 		t.Fatal("two-step fragmentation must classify as combined")
 	}
@@ -53,10 +56,13 @@ func TestTwoStepFragmentation(t *testing.T) {
 }
 
 func TestDataBalancedAcrossNodes(t *testing.T) {
-	tbl := load(t, 4, 64, 1024)
+	tbl := load(t, 4096)
 	defer tbl.Free()
-	bytes := tbl.NodeBytes()
-	if len(bytes) != 4 {
+	var bytes []int64
+	for _, n := range tbl.nodes {
+		bytes = append(bytes, n.Used())
+	}
+	if len(bytes) != Nodes {
 		t.Fatalf("nodes = %d", len(bytes))
 	}
 	var min, max int64 = bytes[0], bytes[0]
@@ -77,14 +83,17 @@ func TestDataBalancedAcrossNodes(t *testing.T) {
 }
 
 func TestDistributedSecondaryIndex(t *testing.T) {
-	tbl := load(t, 3, 128, 400)
+	tbl := load(t, 400)
 	defer tbl.Free()
-	row, ok := tbl.LookupPK(250)
+	row, ok := tbl.pkIndex.Lookup(250)
 	if !ok || row != 250 {
-		t.Fatalf("LookupPK = %d, %v", row, ok)
+		t.Fatalf("pk 250 -> %d, %v", row, ok)
 	}
-	if _, ok := tbl.LookupPK(9999); ok {
+	if _, ok := tbl.pkIndex.Lookup(9999); ok {
 		t.Fatal("missing key found")
+	}
+	if _, err := tbl.Insert(workload.Item(250)); err == nil {
+		t.Fatal("duplicate pk accepted")
 	}
 	rec, err := tbl.Get(row)
 	if err != nil || !rec.Equal(workload.Item(250)) {
@@ -92,35 +101,8 @@ func TestDistributedSecondaryIndex(t *testing.T) {
 	}
 }
 
-func TestFailoverToReplicas(t *testing.T) {
-	tbl := load(t, 3, 64, 600)
-	defer tbl.Free()
-	want := workload.ExpectedItemPriceSum(600)
-	if err := tbl.FailNode(0); err != nil {
-		t.Fatal(err)
-	}
-	// All rows remain readable and aggregable.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
-	if err != nil || math.Abs(sum-want) > 1e-6 {
-		t.Fatalf("post-failure sum = %v, %v", sum, err)
-	}
-	for _, row := range []uint64{0, 100, 599} {
-		rec, err := tbl.Get(row)
-		if err != nil || !rec.Equal(workload.Item(row)) {
-			t.Fatalf("post-failure Get(%d) = %v, %v", row, rec, err)
-		}
-	}
-	// Writes continue; new partitions avoid the failed node.
-	if _, err := tbl.Insert(workload.Item(600)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.FailNode(9); err == nil {
-		t.Fatal("bad node id accepted")
-	}
-}
-
 func TestAdaptRefragments(t *testing.T) {
-	tbl := load(t, 2, 64, 300)
+	tbl := load(t, 1200)
 	defer tbl.Free()
 	for i := 0; i < 100; i++ {
 		tbl.Observe(workload.Op{Kind: workload.PointRead, Cols: []int{0, 1, 2}})
@@ -129,15 +111,12 @@ func TestAdaptRefragments(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("Adapt = %v, %v", changed, err)
 	}
-	if len(tbl.Groups()[0]) != 3 {
-		t.Fatalf("groups = %v", tbl.Groups())
-	}
-	if tbl.Adapts() != 1 {
-		t.Fatalf("Adapts = %d", tbl.Adapts())
+	if first := tbl.Snapshot().Layouts[0].Fragments[0]; len(first.Cols) != 3 {
+		t.Fatalf("first partition covers %v, want the fused {0,1,2}", first.Cols)
 	}
 	// Data intact and a fat DSM (PAX) partition now exists.
 	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
-	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(300)) > 1e-6 {
+	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(1200)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}
 	var fat bool
@@ -157,88 +136,14 @@ func TestAdaptRefragments(t *testing.T) {
 }
 
 func TestClusterDistributedLocality(t *testing.T) {
-	tbl := load(t, 2, 64, 100)
+	tbl := load(t, 100)
 	defer tbl.Free()
-	e := New(engine.NewEnv(), 2, 64)
+	e := New(engine.NewEnv())
 	c, err := engine.Classify(e, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Locality != taxonomy.Distributed {
 		t.Fatalf("locality = %v", c.Locality)
-	}
-}
-
-func TestMinimumNodes(t *testing.T) {
-	e := New(engine.NewEnv(), 0, 0)
-	if e.nodes != 2 || e.partRows != DefaultPartitionRows {
-		t.Fatalf("defaults = %d nodes, %d rows", e.nodes, e.partRows)
-	}
-}
-
-func TestElasticityAddNodeAndRebalance(t *testing.T) {
-	tbl := load(t, 2, 64, 1024)
-	defer tbl.Free()
-	want := workload.ExpectedItemPriceSum(1024)
-
-	id := tbl.AddNode()
-	if id != 2 || tbl.Nodes() != 3 {
-		t.Fatalf("AddNode = %d, nodes = %d", id, tbl.Nodes())
-	}
-	before := tbl.NodeBytes()
-	if before[2] != 0 {
-		t.Fatal("fresh node should be empty")
-	}
-	moved, err := tbl.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("rebalance moved nothing")
-	}
-	after := tbl.NodeBytes()
-	if after[2] == 0 {
-		t.Fatalf("new node still empty after rebalance: %v", after)
-	}
-	var min, max int64 = after[0], after[0]
-	for _, b := range after {
-		if b < min {
-			min = b
-		}
-		if b > max {
-			max = b
-		}
-	}
-	if float64(max) > 2.5*float64(min+1) {
-		t.Fatalf("rebalance left skew: %v", after)
-	}
-	// Primary and replica never co-locate.
-	for _, p := range tbl.parts {
-		if p.primary != p.replica && p.primaryNode == p.replicaNode {
-			t.Fatalf("partition co-located on node %d", p.primaryNode)
-		}
-	}
-	// Data intact.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
-	if err != nil || math.Abs(sum-want) > 1e-6 {
-		t.Fatalf("post-rebalance sum = %v, %v", sum, err)
-	}
-	rec, err := tbl.Get(777)
-	if err != nil || !rec.Equal(workload.Item(777)) {
-		t.Fatalf("post-rebalance Get = %v, %v", rec, err)
-	}
-	// New inserts use the grown cluster.
-	for i := uint64(1024); i < 1600; i++ {
-		if _, err := tbl.Insert(workload.Item(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Failover still works after elasticity.
-	if err := tbl.FailNode(0); err != nil {
-		t.Fatal(err)
-	}
-	sum, err = tbl.SumFloat64(workload.ItemPriceCol)
-	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(1600)) > 1e-6 {
-		t.Fatalf("post-failure sum = %v, %v", sum, err)
 	}
 }

@@ -3,17 +3,14 @@
 // the graphics card to overcome the under-utilization a single small
 // transaction would cause. Relations are thin directly-linearized
 // sub-relation columns resident in device memory (a weak flexible,
-// static, device-memory-only engine); a result pool in host memory
-// receives the copies query answers are delivered through.
+// static, device-memory-only engine).
 //
-// Transactions are submitted to a batch queue and executed together
-// following GPUTx's K-set model: the batch is partitioned into a sequence
-// of conflict-free sets — transactions within one set touch pairwise
-// disjoint rows, so the whole set executes as one parallel step on the
-// device (updates fuse into one scatter kernel per column, reads into
-// gathers delivering to the host result pool). Sets execute in order, so
-// cross-set semantics are serial; within a transaction, operations see
-// the transaction's own earlier writes.
+// Update transactions are submitted to a batch queue and executed
+// together following GPUTx's K-set model: the batch is partitioned into
+// a sequence of conflict-free sets — transactions within one set touch
+// pairwise disjoint rows, so the whole set executes as one parallel step
+// on the device (its updates fuse into one scatter kernel per column).
+// Sets execute in order, so cross-set semantics are serial.
 package gputx
 
 import (
@@ -46,20 +43,16 @@ func (e *Engine) Capabilities() taxonomy.Capabilities {
 	}
 }
 
-// TxOp is one operation of a bulk-submitted transaction.
+// TxOp is one update of a bulk-submitted transaction: row's attribute
+// col becomes val.
 type TxOp struct {
-	// Read reports whether this is a read (true) or an update (false).
-	Read bool
-	// Row is the target position.
 	Row uint64
-	// Col is the attribute (updates only).
 	Col int
-	// Val is the new value (updates only).
 	Val schema.Value
 }
 
-// Table is a GPUTx relation: device-resident thin columns plus the host
-// result pool and the pending transaction batch.
+// Table is a GPUTx relation: device-resident thin columns plus the
+// pending transaction batch.
 type Table struct {
 	env  *engine.Env
 	rel  *layout.Relation
@@ -69,7 +62,6 @@ type Table struct {
 
 	batch    [][]TxOp
 	lastSets int
-	results  []schema.Record
 }
 
 // Create makes an empty relation with device-resident columns. Creation
@@ -112,8 +104,8 @@ func (t *Table) Free() {
 // Insert bulk-loads one record into the device columns, charging the bus
 // for the transferred tuplet bytes.
 func (t *Table) Insert(rec schema.Record) (uint64, error) {
-	if len(rec) != t.s.Arity() {
-		return 0, fmt.Errorf("%w: arity %d vs schema %d", schema.ErrArityMismatch, len(rec), t.s.Arity())
+	if err := schema.ValidateRecord(t.s, rec); err != nil {
+		return 0, err
 	}
 	l, _ := t.rel.Primary()
 	for c, f := range t.cols {
@@ -153,32 +145,14 @@ func (t *Table) Submit(ops ...TxOp) {
 	t.batch = append(t.batch, append([]TxOp(nil), ops...))
 }
 
-// Pending returns the queued operation count.
-func (t *Table) Pending() int {
-	n := 0
-	for _, tx := range t.batch {
-		n += len(tx)
-	}
-	return n
-}
-
 // KSets reports how many conflict-free sets the last ExecuteBatch ran —
 // the degree of inter-transaction parallelism GPUTx extracted (1 set =
 // the whole batch ran as one parallel step).
 func (t *Table) KSets() int { return t.lastSets }
 
-// ResultPool returns the host-side results delivered by executed read
-// operations, in execution order, and clears the pool.
-func (t *Table) ResultPool() []schema.Record {
-	out := t.results
-	t.results = nil
-	return out
-}
-
 // ExecuteBatch partitions the queued transactions into conflict-free
 // K-sets and executes the sets in order: within a set, all updates fuse
-// into one scatter kernel per column and reads gather into the host
-// result pool (in submission order). Validation happens before any set
+// into one scatter kernel per column. Validation happens before any set
 // executes, so a bad batch changes nothing.
 func (t *Table) ExecuteBatch() error {
 	for _, txn := range t.batch {
@@ -186,7 +160,7 @@ func (t *Table) ExecuteBatch() error {
 			if op.Row >= t.rows {
 				return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, op.Row, t.rows)
 			}
-			if !op.Read && (op.Col < 0 || op.Col >= t.s.Arity()) {
+			if op.Col < 0 || op.Col >= t.s.Arity() {
 				return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, op.Col)
 			}
 		}
@@ -239,9 +213,8 @@ func (t *Table) conflictSets() [][][]TxOp {
 	return sets
 }
 
-// executeSet runs one conflict-free set: reads resolve against the
-// pre-set device state merged with the transaction's own earlier writes,
-// and all updates land in one scatter kernel per column at the end.
+// executeSet runs one conflict-free set: all its updates land in one
+// scatter kernel per column.
 func (t *Table) executeSet(set [][]TxOp) error {
 	type colUpdates struct {
 		positions []int
@@ -249,26 +222,7 @@ func (t *Table) executeSet(set [][]TxOp) error {
 	}
 	pending := make(map[int]*colUpdates)
 	for _, txn := range set {
-		// ownWrites: (row,col) → value written earlier in this txn.
-		type cell struct {
-			row uint64
-			col int
-		}
-		ownWrites := map[cell]schema.Value{}
 		for _, op := range txn {
-			if op.Read {
-				rec, err := t.gatherRecord(op.Row)
-				if err != nil {
-					return err
-				}
-				for c := 0; c < t.s.Arity(); c++ {
-					if v, ok := ownWrites[cell{op.Row, c}]; ok {
-						rec[c] = v
-					}
-				}
-				t.results = append(t.results, rec)
-				continue
-			}
 			a := t.s.Attr(op.Col)
 			buf := make([]byte, a.Size)
 			if err := schema.EncodeValue(buf, a, op.Val); err != nil {
@@ -285,7 +239,6 @@ func (t *Table) executeSet(set [][]TxOp) error {
 					z.WidenFloat64(op.Val.F)
 				}
 			}
-			ownWrites[cell{op.Row, op.Col}] = op.Val
 			u := pending[op.Col]
 			if u == nil {
 				u = &colUpdates{}
@@ -317,7 +270,7 @@ func (t *Table) executeSet(set [][]TxOp) error {
 }
 
 // gatherRecord materializes one row from the device columns into host
-// memory (the result-pool delivery path), charging gather + transfer.
+// memory, charging gather + transfer.
 func (t *Table) gatherRecord(row uint64) (schema.Record, error) {
 	rec := make(schema.Record, t.s.Arity())
 	for c, f := range t.cols {

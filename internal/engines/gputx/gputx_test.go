@@ -53,48 +53,31 @@ func TestInsertsChargeBusTime(t *testing.T) {
 func TestBulkTransactionExecution(t *testing.T) {
 	_, tbl := load(t, 200)
 	defer tbl.Free()
-	// A batch of transactions: two updates then a read of each updated
-	// row; within-batch semantics are serial.
+	// A batch of transactions; within-batch semantics are serial, so the
+	// later write to row 5 wins.
 	tbl.Submit(
 		TxOp{Row: 5, Col: workload.ItemPriceCol, Val: schema.FloatValue(50)},
 		TxOp{Row: 6, Col: workload.ItemPriceCol, Val: schema.FloatValue(60)},
-		TxOp{Read: true, Row: 5},
-		TxOp{Row: 5, Col: workload.ItemPriceCol, Val: schema.FloatValue(55)},
-		TxOp{Read: true, Row: 5},
-		TxOp{Read: true, Row: 6},
 	)
-	if tbl.Pending() != 6 {
-		t.Fatalf("Pending = %d", tbl.Pending())
-	}
+	tbl.Submit(TxOp{Row: 5, Col: workload.ItemPriceCol, Val: schema.FloatValue(55)})
 	if err := tbl.ExecuteBatch(); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Pending() != 0 {
+	if len(tbl.batch) != 0 {
 		t.Fatal("batch not drained")
 	}
-	results := tbl.ResultPool()
-	if len(results) != 3 {
-		t.Fatalf("result pool = %d records", len(results))
-	}
-	if results[0][workload.ItemPriceCol].F != 50 {
-		t.Fatalf("first read = %v, want pre-second-update 50", results[0])
-	}
-	if results[1][workload.ItemPriceCol].F != 55 {
-		t.Fatalf("second read = %v", results[1])
-	}
-	if results[2][workload.ItemPriceCol].F != 60 {
-		t.Fatalf("third read = %v", results[2])
-	}
-	// Pool drained after retrieval.
-	if len(tbl.ResultPool()) != 0 {
-		t.Fatal("result pool not cleared")
+	for row, want := range map[uint64]float64{5: 55, 6: 60, 7: workload.ItemPrice(7)} {
+		rec, err := tbl.Get(row)
+		if err != nil || rec[workload.ItemPriceCol].F != want {
+			t.Fatalf("Get(%d) = %v, %v; want price %v", row, rec, err, want)
+		}
 	}
 }
 
 func TestBatchRejectsBadRow(t *testing.T) {
 	_, tbl := load(t, 10)
 	defer tbl.Free()
-	tbl.Submit(TxOp{Read: true, Row: 10})
+	tbl.Submit(TxOp{Row: 10, Col: workload.ItemPriceCol, Val: schema.FloatValue(1)})
 	if err := tbl.ExecuteBatch(); err == nil {
 		t.Fatal("out-of-range batch op accepted")
 	}
@@ -195,20 +178,12 @@ func TestKSetPartitioning(t *testing.T) {
 		TxOp{Row: 2, Col: workload.ItemPriceCol, Val: schema.FloatValue(20)},
 	)
 	tbl.Submit(TxOp{Row: 3, Col: workload.ItemPriceCol, Val: schema.FloatValue(30)})
-	tbl.Submit(
-		TxOp{Read: true, Row: 1},
-		TxOp{Row: 1, Col: workload.ItemPriceCol, Val: schema.FloatValue(11)},
-	)
+	tbl.Submit(TxOp{Row: 1, Col: workload.ItemPriceCol, Val: schema.FloatValue(11)})
 	if err := tbl.ExecuteBatch(); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.KSets() != 2 {
 		t.Fatalf("KSets = %d, want 2", tbl.KSets())
-	}
-	// tx3's read runs in set 2, after set 1's scatter: it sees 10.
-	results := tbl.ResultPool()
-	if len(results) != 1 || results[0][workload.ItemPriceCol].F != 10 {
-		t.Fatalf("results = %v", results)
 	}
 	// Final state: row 1 = 11 (tx3's write wins, it ran later).
 	rec, err := tbl.Get(1)
@@ -234,22 +209,6 @@ func TestKSetDisjointBatchIsOneSet(t *testing.T) {
 	}
 	if launches := env.GPU.Stats().KernelLaunches - before; launches != 1 {
 		t.Fatalf("launches = %d, want 1", launches)
-	}
-}
-
-func TestKSetReadYourOwnWrite(t *testing.T) {
-	_, tbl := load(t, 10)
-	defer tbl.Free()
-	tbl.Submit(
-		TxOp{Row: 4, Col: workload.ItemPriceCol, Val: schema.FloatValue(77)},
-		TxOp{Read: true, Row: 4},
-	)
-	if err := tbl.ExecuteBatch(); err != nil {
-		t.Fatal(err)
-	}
-	results := tbl.ResultPool()
-	if len(results) != 1 || results[0][workload.ItemPriceCol].F != 77 {
-		t.Fatalf("own write invisible: %v", results)
 	}
 }
 

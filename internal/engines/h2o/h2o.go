@@ -10,6 +10,7 @@ package h2o
 
 import (
 	"fmt"
+	"maps"
 
 	"hybridstore/internal/engine"
 	"hybridstore/internal/engines/common"
@@ -54,9 +55,8 @@ type Table struct {
 	mon *workload.Monitor
 	// thin is the adopted candidate: attributes currently stored as thin
 	// columns.
-	thin   map[int]bool
-	pool   []candidate
-	adapts int
+	thin map[int]bool
+	pool []candidate
 }
 
 // Create makes an empty relation in the default all-NSM layout, with a
@@ -160,20 +160,6 @@ func (t *Table) appendRecord(row uint64, rec schema.Record) error {
 // Observe feeds a workload operation into the layout advisor.
 func (t *Table) Observe(op workload.Op) { t.mon.Observe(op) }
 
-// Adapts returns the number of adopted re-organizations.
-func (t *Table) Adapts() int { return t.adapts }
-
-// ThinColumns returns the currently degenerated attributes, sorted.
-func (t *Table) ThinColumns() []int {
-	var out []int
-	for c := 0; c < t.Rel.Schema().Arity(); c++ {
-		if t.thin[c] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Adapt evaluates the layout pool against the observed workload using
 // the calibrated cost model and lazily adopts the cheapest composition:
 // an attribute goes thin when its scans would save more than its point
@@ -205,7 +191,7 @@ func (t *Table) Adapt() (bool, error) {
 			want[c] = true
 		}
 	}
-	if equalSets(want, t.thin) {
+	if maps.Equal(want, t.thin) {
 		return false, nil
 	}
 	old, err := t.Rel.Primary()
@@ -236,20 +222,6 @@ func (t *Table) Adapt() (bool, error) {
 	old.Free()
 	t.Rel.AddLayout(nl)
 	t.thin = want
-	t.adapts++
 	t.mon.Reset()
 	return true, nil
-}
-
-// equalSets compares two attribute sets.
-func equalSets(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }

@@ -9,8 +9,8 @@ import (
 // table's reader/writer lock. Table embeds common.Table for the shared
 // storage plumbing, but promoted methods would otherwise bypass the
 // mutex that makes the table safe for concurrent use — each override
-// takes the lock and delegates to the embedded implementation. (Update,
-// Compact and Free lock in hyper.go where the engine has its own
+// takes the lock and delegates to the embedded implementation. (Update
+// and Free lock in hyper.go where the engine has its own
 // implementations; Scan and the named aggregates reach the locked scan
 // through Table.Run.)
 

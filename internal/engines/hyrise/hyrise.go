@@ -10,7 +10,7 @@ package hyrise
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 
 	"hybridstore/internal/engine"
 	"hybridstore/internal/engines/common"
@@ -20,21 +20,14 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// Engine is the HYRISE storage engine.
-type Engine struct {
-	env *engine.Env
-	// affinity is the co-access threshold for container fusion.
-	affinity float64
-}
+// affinity is the co-access threshold for container fusion.
+const affinity = 0.5
 
-// New creates the engine; affinity in (0,1] tunes how eagerly columns
-// fuse into containers (0 uses 0.5).
-func New(env *engine.Env, affinity float64) *Engine {
-	if affinity <= 0 || affinity > 1 {
-		affinity = 0.5
-	}
-	return &Engine{env: env, affinity: affinity}
-}
+// Engine is the HYRISE storage engine.
+type Engine struct{ env *engine.Env }
+
+// New creates the engine.
+func New(env *engine.Env) *Engine { return &Engine{env: env} }
 
 // Name returns the survey name.
 func (e *Engine) Name() string { return "HYRISE" }
@@ -55,8 +48,6 @@ type Table struct {
 	*common.Table
 	mon    *workload.Monitor
 	groups [][]int
-	eng    *Engine
-	adapts int
 }
 
 // Create makes an empty relation with the all-thin (DSM-emulated)
@@ -76,7 +67,6 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 		Table:  common.NewTable(e.env, rel),
 		mon:    workload.NewMonitor(s.Arity()),
 		groups: groups,
-		eng:    e,
 	}
 	t.Append = t.appendRecord
 	return t, nil
@@ -125,12 +115,6 @@ func (t *Table) appendRecord(row uint64, rec schema.Record) error {
 // Observe feeds a workload operation into the width advisor.
 func (t *Table) Observe(op workload.Op) { t.mon.Observe(op) }
 
-// Adapts returns how many re-organizations have happened.
-func (t *Table) Adapts() int { return t.adapts }
-
-// Groups returns the current container column groups.
-func (t *Table) Groups() [][]int { return t.groups }
-
 // Adapt re-partitions the containers to the advisor's suggestion if it
 // differs from the current grouping, migrating all data. It returns
 // whether the layout changed.
@@ -138,8 +122,8 @@ func (t *Table) Adapt() (bool, error) {
 	if t.mon.Observations() == 0 {
 		return false, nil
 	}
-	suggestion := t.mon.SuggestGroups(t.eng.affinity)
-	if reflect.DeepEqual(suggestion, t.groups) {
+	suggestion := t.mon.SuggestGroups(affinity)
+	if slices.EqualFunc(suggestion, t.groups, slices.Equal) {
 		return false, nil
 	}
 	old, err := t.Rel.Primary()
@@ -171,7 +155,6 @@ func (t *Table) Adapt() (bool, error) {
 	old.Free()
 	t.Rel.AddLayout(nl)
 	t.groups = suggestion
-	t.adapts++
 	t.mon.Reset()
 	return true, nil
 }

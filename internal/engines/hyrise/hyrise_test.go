@@ -12,7 +12,7 @@ import (
 
 func load(t *testing.T, n uint64) *Table {
 	t.Helper()
-	e := New(engine.NewEnv(), 0.5)
+	e := New(engine.NewEnv())
 	tbl, err := e.Create("item", workload.ItemSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -27,10 +27,20 @@ func load(t *testing.T, n uint64) *Table {
 	return ht
 }
 
+// containers lists the column group of each container the snapshot
+// shows, in layout order.
+func containers(tbl *Table) [][]int {
+	var out [][]int
+	for _, f := range tbl.Snapshot().Layouts[0].Fragments {
+		out = append(out, f.Cols)
+	}
+	return out
+}
+
 func TestStartsAllThin(t *testing.T) {
 	tbl := load(t, 100)
 	defer tbl.Free()
-	if got := len(tbl.Groups()); got != 5 {
+	if got := len(containers(tbl)); got != 5 {
 		t.Fatalf("groups = %d, want 5 singletons", got)
 	}
 	snap := tbl.Snapshot()
@@ -50,10 +60,7 @@ func TestAdaptFusesCoAccessedContainers(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("Adapt = %v, %v", changed, err)
 	}
-	if tbl.Adapts() != 1 {
-		t.Fatalf("Adapts = %d", tbl.Adapts())
-	}
-	groups := tbl.Groups()
+	groups := containers(tbl)
 	if len(groups[0]) != 3 {
 		t.Fatalf("groups = %v, want {0,1,2} fused", groups)
 	}
@@ -105,8 +112,8 @@ func TestAdaptRevertsWhenWorkloadShifts(t *testing.T) {
 	if _, err := tbl.Adapt(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Groups()[0]) != 2 {
-		t.Fatalf("groups = %v", tbl.Groups())
+	if len(containers(tbl)[0]) != 2 {
+		t.Fatalf("groups = %v", containers(tbl))
 	}
 	// The workload turns analytic: scans dominate both columns.
 	for i := 0; i < 500; i++ {
@@ -117,9 +124,9 @@ func TestAdaptRevertsWhenWorkloadShifts(t *testing.T) {
 	if err != nil || !changed {
 		t.Fatalf("shift Adapt = %v, %v", changed, err)
 	}
-	for _, g := range tbl.Groups() {
+	for _, g := range containers(tbl) {
 		if len(g) != 1 {
-			t.Fatalf("groups after shift = %v, want all thin", tbl.Groups())
+			t.Fatalf("groups after shift = %v, want all thin", containers(tbl))
 		}
 	}
 	rec, err := tbl.Get(100)
@@ -146,12 +153,5 @@ func TestInsertAfterAdapt(t *testing.T) {
 	rec, err := tbl.Get(299)
 	if err != nil || !rec.Equal(workload.Item(299)) {
 		t.Fatalf("Get = %v, %v", rec, err)
-	}
-}
-
-func TestBadAffinityDefaults(t *testing.T) {
-	e := New(engine.NewEnv(), -3)
-	if e.affinity != 0.5 {
-		t.Fatalf("affinity = %v", e.affinity)
 	}
 }

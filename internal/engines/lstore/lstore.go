@@ -92,7 +92,6 @@ type Table struct {
 	dict       [][]int32
 	rows       uint64
 	sealedRows uint64
-	merges     int
 }
 
 // Create makes an empty relation.
@@ -129,13 +128,6 @@ func (t *Table) Rows() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.rows
-}
-
-// Merges returns how many merge passes have run.
-func (t *Table) Merges() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.merges
 }
 
 // SealedRows returns how many rows live in the compressed base region.
@@ -179,8 +171,8 @@ func (t *Table) TailLength() int {
 func (t *Table) Insert(rec schema.Record) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(rec) != t.s.Arity() {
-		return 0, fmt.Errorf("%w: arity %d vs schema %d", schema.ErrArityMismatch, len(rec), t.s.Arity())
+	if err := schema.ValidateRecord(t.s, rec); err != nil {
+		return 0, err
 	}
 	// Grow every full column before appending to any, so a failed growth
 	// leaves the columns aligned.
@@ -490,7 +482,6 @@ func (t *Table) Merge() error {
 		}
 	}
 	t.sealedRows = t.rows
-	t.merges++
 	return nil
 }
 

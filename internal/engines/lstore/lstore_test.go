@@ -120,8 +120,8 @@ func TestMergeFoldsTailsIntoBase(t *testing.T) {
 	if tbl.TailLength() != 0 {
 		t.Fatalf("tail not emptied: %d", tbl.TailLength())
 	}
-	if tbl.Merges() != 1 {
-		t.Fatalf("Merges = %d", tbl.Merges())
+	if tbl.sealedRows != tbl.Rows() {
+		t.Fatalf("merge sealed %d of %d rows into the base", tbl.sealedRows, tbl.Rows())
 	}
 	sumAfter, err := tbl.SumFloat64(workload.ItemPriceCol)
 	if err != nil || math.Abs(sumAfter-sumBefore) > 1e-6 {

@@ -24,7 +24,7 @@ func TestPruneStatsSealLstoreMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	z := tbl.cols[workload.ItemPriceCol].zone
-	if z == nil || !z.Sealed() {
+	if z == nil || !z.Snapshot().Sealed {
 		t.Fatal("merge did not seal the price zone")
 	}
 	min, max, ok := z.Float64Bounds()

@@ -4,10 +4,7 @@
 // NSM-linearized, one DSM-linearized — rather than two identical physical
 // copies. Writes go to both mirrors; reads route by access pattern (the
 // common table base picks the NSM mirror for record-centric access and
-// the DSM mirror for attribute-centric scans via its cost model). Pages
-// of both mirrors are striped round-robin over the simulated disks so
-// each disk carries a full copy of the relation for fault tolerance —
-// the scheme's eponymous "fractured" mirroring.
+// the DSM mirror for attribute-centric scans via its cost model).
 package mirrors
 
 import (
@@ -21,18 +18,10 @@ import (
 )
 
 // Engine is the Fractured Mirrors storage engine.
-type Engine struct {
-	env   *engine.Env
-	disks int
-}
+type Engine struct{ env *engine.Env }
 
-// New creates the engine with the given simulated disk count (minimum 2).
-func New(env *engine.Env, disks int) *Engine {
-	if disks < 2 {
-		disks = 2
-	}
-	return &Engine{env: env, disks: disks}
-}
+// New creates the engine.
+func New(env *engine.Env) *Engine { return &Engine{env: env} }
 
 // Name returns the survey name.
 func (e *Engine) Name() string { return "Fractured Mirrors" }
@@ -55,11 +44,6 @@ func (e *Engine) Capabilities() taxonomy.Capabilities {
 type Table struct {
 	*common.Table
 	nsm, dsm *layout.Fragment
-	disks    int
-	// stripes[d] counts the pages assigned to disk d (both mirrors are
-	// spread over all disks, skew-balanced).
-	stripes  []int
-	pageRows uint64
 }
 
 // Create makes an empty mirrored relation.
@@ -81,21 +65,14 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 	dsmLayout.Add(dsm)
 	rel.AddLayout(nsmLayout)
 	rel.AddLayout(dsmLayout)
-	t := &Table{
-		Table:    common.NewTable(e.env, rel),
-		nsm:      nsm,
-		dsm:      dsm,
-		disks:    e.disks,
-		stripes:  make([]int, e.disks),
-		pageRows: 256,
-	}
+	t := &Table{Table: common.NewTable(e.env, rel), nsm: nsm, dsm: dsm}
 	t.Append = t.appendRecord
 	return t, nil
 }
 
 // appendRecord writes the record into both mirrors, growing them as
-// needed, and assigns newly started pages to disks round-robin.
-func (t *Table) appendRecord(row uint64, rec schema.Record) error {
+// needed.
+func (t *Table) appendRecord(_ uint64, rec schema.Record) error {
 	var err error
 	if t.nsm.Len() == t.nsm.Cap() {
 		grown, gerr := t.nsm.Grow(t.Env.Host, t.nsm.Cap()*2)
@@ -117,25 +94,5 @@ func (t *Table) appendRecord(row uint64, rec schema.Record) error {
 		}
 		t.dsm = grown
 	}
-	if err := common.AppendToFragments(rec, t.nsm, t.dsm); err != nil {
-		return err
-	}
-	// Page-level striping: every pageRows records start a new page of
-	// each mirror on the next disk.
-	if row%t.pageRows == 0 {
-		t.stripes[int(row/t.pageRows)%t.disks] += 2 // one page per mirror
-	}
-	return nil
-}
-
-// DiskStripes returns the per-disk page counts; balanced striping keeps
-// them within one page of each other.
-func (t *Table) DiskStripes() []int {
-	return append([]int(nil), t.stripes...)
-}
-
-// MirrorLinearizations reports the two mirrors' linearizations, for
-// classification tests.
-func (t *Table) MirrorLinearizations() (layout.Linearization, layout.Linearization) {
-	return t.nsm.Lin(), t.dsm.Lin()
+	return common.AppendToFragments(rec, t.nsm, t.dsm)
 }

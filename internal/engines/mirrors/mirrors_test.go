@@ -10,9 +10,9 @@ import (
 	"hybridstore/internal/workload"
 )
 
-func load(t *testing.T, disks int, n uint64) *Table {
+func load(t *testing.T, n uint64) *Table {
 	t.Helper()
-	e := New(engine.NewEnv(), disks)
+	e := New(engine.NewEnv())
 	tbl, err := e.Create("item", workload.ItemSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -28,25 +28,25 @@ func load(t *testing.T, disks int, n uint64) *Table {
 }
 
 func TestTwoMirrorsWithOppositeLinearization(t *testing.T) {
-	tbl := load(t, 4, 500)
+	tbl := load(t, 500)
 	defer tbl.Free()
-	nsm, dsm := tbl.MirrorLinearizations()
-	if nsm != layout.NSM || dsm != layout.DSM {
-		t.Fatalf("mirrors = %v/%v", nsm, dsm)
-	}
 	snap := tbl.Snapshot()
 	if len(snap.Layouts) != 2 {
 		t.Fatalf("layouts = %d", len(snap.Layouts))
 	}
-	for _, l := range snap.Layouts {
+	for i, want := range []layout.Linearization{layout.NSM, layout.DSM} {
+		l := snap.Layouts[i]
 		if len(l.Fragments) != 1 {
 			t.Fatalf("mirror %q has %d fragments (inflexible = 1)", l.Name, len(l.Fragments))
+		}
+		if got := l.Fragments[0].Lin; got != want {
+			t.Fatalf("mirror %q linearized %v, want %v", l.Name, got, want)
 		}
 	}
 }
 
 func TestMirrorsStayCoherentUnderWrites(t *testing.T) {
-	tbl := load(t, 2, 300)
+	tbl := load(t, 300)
 	defer tbl.Free()
 	if err := tbl.Update(7, workload.ItemPriceCol, schema.FloatValue(123)); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestMirrorsStayCoherentUnderWrites(t *testing.T) {
 }
 
 func TestQueryRoutingByAccessPattern(t *testing.T) {
-	tbl := load(t, 2, 500)
+	tbl := load(t, 500)
 	defer tbl.Free()
 	// Attribute-centric scans route to the DSM mirror.
 	scan := tbl.LayoutForScan(workload.ItemPriceCol)
@@ -85,41 +85,8 @@ func TestQueryRoutingByAccessPattern(t *testing.T) {
 	}
 }
 
-func TestDiskStripingBalanced(t *testing.T) {
-	tbl := load(t, 4, 3000) // pageRows=256 → 12 page starts
-	defer tbl.Free()
-	stripes := tbl.DiskStripes()
-	if len(stripes) != 4 {
-		t.Fatalf("disks = %d", len(stripes))
-	}
-	min, max := stripes[0], stripes[0]
-	total := 0
-	for _, s := range stripes {
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-		total += s
-	}
-	if total == 0 {
-		t.Fatal("no pages striped")
-	}
-	if max-min > 2 {
-		t.Fatalf("striping skewed: %v", stripes)
-	}
-}
-
-func TestMinimumDisks(t *testing.T) {
-	e := New(engine.NewEnv(), 0)
-	if e.disks != 2 {
-		t.Fatalf("disks = %d, want clamped to 2", e.disks)
-	}
-}
-
 func TestGrowthPreservesBothMirrors(t *testing.T) {
-	tbl := load(t, 2, 1000) // forces several growth cycles from cap 64
+	tbl := load(t, 1000) // forces several growth cycles from cap 64
 	defer tbl.Free()
 	for _, row := range []uint64{0, 63, 64, 999} {
 		rec, err := tbl.Get(row)

@@ -18,23 +18,14 @@ import (
 	"hybridstore/internal/taxonomy"
 )
 
-// DefaultPageBytes is the classic 8 KiB page size.
-const DefaultPageBytes = 8 << 10
+// PageBytes is the classic 8 KiB page size.
+const PageBytes = 8 << 10
 
 // Engine is the PAX storage engine.
-type Engine struct {
-	env       *engine.Env
-	pageBytes int
-}
+type Engine struct{ env *engine.Env }
 
-// New creates a PAX engine with the given page size in bytes (0 uses
-// DefaultPageBytes).
-func New(env *engine.Env, pageBytes int) *Engine {
-	if pageBytes <= 0 {
-		pageBytes = DefaultPageBytes
-	}
-	return &Engine{env: env, pageBytes: pageBytes}
-}
+// New creates a PAX engine.
+func New(env *engine.Env) *Engine { return &Engine{env: env} }
 
 // Name returns the survey name.
 func (e *Engine) Name() string { return "PAX" }
@@ -59,25 +50,16 @@ type Table struct {
 
 // Create makes an empty PAX relation.
 func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
-	rowsPerPage := uint64(e.pageBytes / s.Width())
+	rowsPerPage := uint64(PageBytes / s.Width())
 	if rowsPerPage < 2 {
 		return nil, fmt.Errorf("pax: page of %d bytes holds %d records of %d bytes; need >= 2",
-			e.pageBytes, rowsPerPage, s.Width())
+			PageBytes, rowsPerPage, s.Width())
 	}
 	rel := layout.NewRelation(name, s)
 	rel.AddLayout(layout.NewLayout("pages", s))
 	t := &Table{Table: common.NewTable(e.env, rel), rowsPerPage: rowsPerPage}
 	t.Append = t.appendRecord
 	return t, nil
-}
-
-// RowsPerPage returns how many records one page holds.
-func (t *Table) RowsPerPage() uint64 { return t.rowsPerPage }
-
-// Pages returns the current page count.
-func (t *Table) Pages() int {
-	l, _ := t.Rel.Primary()
-	return len(l.Fragments())
 }
 
 // appendRecord routes an insert into the last page, allocating a new

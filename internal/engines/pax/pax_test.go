@@ -10,9 +10,9 @@ import (
 	"hybridstore/internal/workload"
 )
 
-func load(t *testing.T, pageBytes int, n uint64) *Table {
+func load(t *testing.T, n uint64) *Table {
 	t.Helper()
-	e := New(engine.NewEnv(), pageBytes)
+	e := New(engine.NewEnv())
 	tbl, err := e.Create("item", workload.ItemSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -28,20 +28,21 @@ func load(t *testing.T, pageBytes int, n uint64) *Table {
 }
 
 func TestPageGeometry(t *testing.T) {
-	tbl := load(t, 8<<10, 1000)
+	tbl := load(t, 1000)
 	defer tbl.Free()
-	// 8192 / 28 = 292 records per page.
-	if got := tbl.RowsPerPage(); got != 292 {
-		t.Fatalf("RowsPerPage = %d, want 292", got)
-	}
+	pages := tbl.Snapshot().Layouts[0].Fragments
 	// ceil(1000/292) = 4 pages.
-	if got := tbl.Pages(); got != 4 {
-		t.Fatalf("Pages = %d, want 4", got)
+	if len(pages) != 4 {
+		t.Fatalf("pages = %d, want 4", len(pages))
+	}
+	// 8192 / 28 = 292 records per page.
+	if got := pages[0].Rows.Len(); got != 292 {
+		t.Fatalf("records per page = %d, want 292", got)
 	}
 }
 
 func TestPagesAreDSMFixedFat(t *testing.T) {
-	tbl := load(t, 4<<10, 300)
+	tbl := load(t, 300)
 	defer tbl.Free()
 	snap := tbl.Snapshot()
 	if len(snap.Layouts) != 1 {
@@ -63,7 +64,7 @@ func TestPagesAreDSMFixedFat(t *testing.T) {
 func TestMinipageContiguity(t *testing.T) {
 	// Within one page, a column's fields are contiguous (the minipage);
 	// across pages they are not — the defining PAX property.
-	tbl := load(t, 4<<10, 300)
+	tbl := load(t, 300)
 	defer tbl.Free()
 	l, err := tbl.Rel.Primary()
 	if err != nil {
@@ -80,21 +81,15 @@ func TestMinipageContiguity(t *testing.T) {
 }
 
 func TestRejectsTinyPages(t *testing.T) {
-	e := New(engine.NewEnv(), 32) // 32 bytes < 2 records
-	if _, err := e.Create("item", workload.ItemSchema()); err == nil {
-		t.Fatal("tiny page accepted")
-	}
-}
-
-func TestDefaultPageSize(t *testing.T) {
-	e := New(engine.NewEnv(), 0)
-	if e.pageBytes != DefaultPageBytes {
-		t.Fatalf("pageBytes = %d", e.pageBytes)
+	// A record wider than half a page leaves fewer than 2 per page.
+	wide := schema.MustNew(schema.Int64Attr("id"), schema.CharAttr("blob", PageBytes/2))
+	if _, err := New(engine.NewEnv()).Create("wide", wide); err == nil {
+		t.Fatal("page of one record accepted")
 	}
 }
 
 func TestSumAcrossPages(t *testing.T) {
-	tbl := load(t, 4<<10, 777)
+	tbl := load(t, 777)
 	defer tbl.Free()
 	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
 	if err != nil {
@@ -106,7 +101,7 @@ func TestSumAcrossPages(t *testing.T) {
 }
 
 func TestUpdateInPlace(t *testing.T) {
-	tbl := load(t, 4<<10, 300)
+	tbl := load(t, 300)
 	defer tbl.Free()
 	if err := tbl.Update(299, workload.ItemPriceCol, schema.FloatValue(5)); err != nil {
 		t.Fatal(err)

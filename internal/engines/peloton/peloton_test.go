@@ -9,9 +9,9 @@ import (
 	"hybridstore/internal/workload"
 )
 
-func load(t *testing.T, groupRows uint64, n uint64) *Table {
+func load(t *testing.T, n uint64) *Table {
 	t.Helper()
-	e := New(engine.NewEnv(), groupRows, 0.5)
+	e := New(engine.NewEnv())
 	tbl, err := e.Create("item", workload.ItemSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -26,23 +26,29 @@ func load(t *testing.T, groupRows uint64, n uint64) *Table {
 	return pt
 }
 
+// tiles lists the column groups of tile group i's physical tiles.
+func tiles(tbl *Table, i int) [][]int {
+	var out [][]int
+	for _, f := range tbl.groups[i].tiles {
+		out = append(out, f.Cols())
+	}
+	return out
+}
+
 func TestTileGroupsGrow(t *testing.T) {
-	tbl := load(t, 128, 500)
+	tbl := load(t, 4000)
 	defer tbl.Free()
-	if got := tbl.TileGroups(); got != 4 {
+	if got := len(tbl.groups); got != 4 { // ceil(4000/GroupRows)
 		t.Fatalf("tile groups = %d, want 4", got)
 	}
 	// Default advice: one full-width NSM tile per group.
-	if g := tbl.GroupLayout(0); len(g) != 1 || len(g[0]) != 5 {
+	if g := tiles(tbl, 0); len(g) != 1 || len(g[0]) != 5 {
 		t.Fatalf("group layout = %v", g)
-	}
-	if tbl.GroupLayout(99) != nil {
-		t.Fatal("out-of-range GroupLayout should be nil")
 	}
 }
 
 func TestAdaptChangesOnlyFutureGroups(t *testing.T) {
-	tbl := load(t, 128, 256) // groups 0,1
+	tbl := load(t, 2*GroupRows) // groups 0,1
 	defer tbl.Free()
 	for i := 0; i < 100; i++ {
 		tbl.Observe(workload.Op{Kind: workload.ColumnScan, Cols: []int{workload.ItemPriceCol}})
@@ -53,83 +59,29 @@ func TestAdaptChangesOnlyFutureGroups(t *testing.T) {
 		t.Fatalf("Adapt = %v, %v", changed, err)
 	}
 	// Existing groups keep the old layout.
-	if g := tbl.GroupLayout(0); len(g) != 1 {
+	if g := tiles(tbl, 0); len(g) != 1 {
 		t.Fatalf("old group transformed eagerly: %v", g)
 	}
 	// New groups adopt the advice — the layout archipelago.
-	if err := workload.Generate(256, workload.Item, func(i uint64, rec schema.Record) error {
-		_, err := tbl.Insert(workload.Item(256 + i))
+	if err := workload.Generate(2*GroupRows, workload.Item, func(i uint64, rec schema.Record) error {
+		_, err := tbl.Insert(workload.Item(2*GroupRows + i))
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	newest := tbl.GroupLayout(tbl.TileGroups() - 1)
+	newest := tiles(tbl, len(tbl.groups)-1)
 	if len(newest) < 2 {
 		t.Fatalf("new group did not adopt advice: %v", newest)
 	}
 	// Mixed layouts answer correctly.
 	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
-	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(512)) > 1e-6 {
+	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(4*GroupRows)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}
 }
 
-func TestTransformGroupMigratesLayout(t *testing.T) {
-	tbl := load(t, 128, 256)
-	defer tbl.Free()
-	for i := 0; i < 100; i++ {
-		tbl.Observe(workload.Op{Kind: workload.PointRead, Cols: []int{0, 1}})
-		tbl.Observe(workload.Op{Kind: workload.ColumnScan, Cols: []int{4}})
-	}
-	if _, err := tbl.Adapt(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.TransformGroup(0); err != nil {
-		t.Fatal(err)
-	}
-	if g := tbl.GroupLayout(0); len(g) < 2 {
-		t.Fatalf("group 0 not transformed: %v", g)
-	}
-	// Idempotent on an already-transformed group.
-	if err := tbl.TransformGroup(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.TransformGroup(42); err == nil {
-		t.Fatal("out-of-range transform accepted")
-	}
-	// Data intact.
-	for _, row := range []uint64{0, 127, 255} {
-		rec, err := tbl.Get(row)
-		if err != nil || !rec.Equal(workload.Item(row)) {
-			t.Fatalf("Get(%d) = %v, %v", row, rec, err)
-		}
-	}
-}
-
-func TestLogicalTileLayoutTransparency(t *testing.T) {
-	tbl := load(t, 128, 200)
-	defer tbl.Free()
-	lt := tbl.LogicalTile(0, []int{4, 0})
-	if lt == nil || lt.Len() != 128 {
-		t.Fatalf("logical tile = %v", lt)
-	}
-	rec, err := lt.Record(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec[0].F != workload.ItemPrice(10) || rec[1].I != 10 {
-		t.Fatalf("logical record = %v", rec)
-	}
-	if _, err := lt.Value(0, 99); err == nil {
-		t.Fatal("missing attribute accepted")
-	}
-	if tbl.LogicalTile(-1, nil) != nil {
-		t.Fatal("negative group index accepted")
-	}
-}
-
 func TestAdaptWithoutSignalIsStable(t *testing.T) {
-	tbl := load(t, 128, 100)
+	tbl := load(t, 100)
 	defer tbl.Free()
 	// The monitor is empty: the advice collapses to all-thin, which
 	// differs from the initial all-NSM default — one change, then stable.
@@ -143,7 +95,7 @@ func TestAdaptWithoutSignalIsStable(t *testing.T) {
 }
 
 func TestUpdateWritesThroughTiles(t *testing.T) {
-	tbl := load(t, 128, 300)
+	tbl := load(t, 300)
 	defer tbl.Free()
 	if err := tbl.Update(130, 4, schema.FloatValue(9)); err != nil {
 		t.Fatal(err)

@@ -332,7 +332,4 @@ func TestSelectRejectsCompressed(t *testing.T) {
 	if _, err := SelectFloat64Pred(Single(), pieces, Gt(1.0)); err == nil {
 		t.Fatal("SelectFloat64Pred accepted a compressed piece")
 	}
-	if _, err := SelectFloat64(Single(), pieces, func(float64) bool { return true }); err == nil {
-		t.Fatal("SelectFloat64 accepted a compressed piece")
-	}
 }

@@ -63,7 +63,6 @@ func newOpObs(op string) opObs {
 // Registered operator families.
 var (
 	obsSum         = newOpObs("sum")
-	obsSelect      = newOpObs("select")
 	obsCount       = newOpObs("count")
 	obsMaterialize = newOpObs("materialize")
 	obsGroupBy     = newOpObs("groupby")

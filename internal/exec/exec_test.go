@@ -176,7 +176,7 @@ func TestSumRejectsWrongWidth(t *testing.T) {
 	if _, err := SumFloat64(Single(), pieces); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("float sum err = %v", err)
 	}
-	if _, err := SelectFloat64(Single(), pieces, func(float64) bool { return true }); !errors.Is(err, ErrBadColumn) {
+	if _, err := SelectFloat64Pred(Single(), pieces, Lt(1)); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("select err = %v", err)
 	}
 	if _, err := CountFloat64(Single(), pieces, func(float64) bool { return true }); !errors.Is(err, ErrBadColumn) {
@@ -213,7 +213,7 @@ func TestSelectFloat64(t *testing.T) {
 	l, _ := buildLayout(t, layout.NSM, false, 300)
 	pieces, _ := ColumnView(l, 3, 300)
 	for _, cfg := range []Config{Single(), MultiN(8), Morsel()} {
-		pos, err := SelectFloat64(cfg, pieces, func(x float64) bool { return x < 1 })
+		pos, err := selectPred(cfg, pieces, Lt(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -93,10 +94,10 @@ func TestQuickMorselEqualsSequential(t *testing.T) {
 			return false
 		}
 		pred := func(x float64) bool { return x < 50 }
-		p1, e1 := SelectFloat64(single, prices, pred)
-		p2, e2 := SelectFloat64(morsel, prices, pred)
-		if e1 != nil || e2 != nil || !equalPositions(p1, p2) {
-			t.Logf("SelectFloat64: %d vs %d matches", len(p1), len(p2))
+		p1, e1 := selectPred(single, prices, Lt(50))
+		p2, e2 := selectPred(morsel, prices, Lt(50))
+		if e1 != nil || e2 != nil || !slices.Equal(p1, p2) {
+			t.Logf("SelectFloat64Pred: %d vs %d matches", len(p1), len(p2))
 			return false
 		}
 		c1, e1 := CountFloat64(single, prices, pred)
@@ -134,18 +135,6 @@ func TestQuickMorselEqualsSequential(t *testing.T) {
 	}
 }
 
-func equalPositions(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPoolHygieneNoRowLeaks is the ISSUE's buffer-hygiene test: a query
 // with a large result fills the recycled position and partial buffers,
 // and subsequent queries with tiny or empty results must not see any of
@@ -159,7 +148,7 @@ func TestPoolHygieneNoRowLeaks(t *testing.T) {
 	}
 	// Query 1: ~all rows match, stuffing pooled buffers with positions
 	// and every partial-sum slot with non-zero values.
-	big, err := SelectFloat64(Morsel(), prices, func(x float64) bool { return x >= 0 })
+	big, err := selectPred(Morsel(), prices, Between(0, math.Inf(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +156,7 @@ func TestPoolHygieneNoRowLeaks(t *testing.T) {
 		t.Fatalf("query 1 matched %d rows, want 2000", len(big))
 	}
 	// Query 2: zero matches. Any leaked row from query 1 shows up here.
-	none, err := SelectFloat64(Morsel(), prices, func(x float64) bool { return x < 0 })
+	none, err := selectPred(Morsel(), prices, Lt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +165,13 @@ func TestPoolHygieneNoRowLeaks(t *testing.T) {
 	}
 	// Query 3: three known matches; recycled buffers must contribute
 	// nothing beyond them. price(i) = i%101+0.25 < 1 ⟺ i%101 == 0.
-	few, err := SelectFloat64(Morsel(), prices, func(x float64) bool { return x < 1 })
+	few, err := selectPred(Morsel(), prices, Lt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{0, 101, 202, 303, 404, 505, 606, 707, 808, 909,
 		1010, 1111, 1212, 1313, 1414, 1515, 1616, 1717, 1818, 1919}
-	if !equalPositions(few, want) {
+	if !slices.Equal(few, want) {
 		t.Fatalf("selective query = %v, want %v", few, want)
 	}
 	// Partial-sum hygiene: repeated sums must stay exact even though

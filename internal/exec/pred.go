@@ -348,14 +348,6 @@ func (s *SelVec) Positions() []uint64 {
 	return s.pos
 }
 
-// Len returns the number of selected positions.
-func (s *SelVec) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.pos)
-}
-
 // Release returns the backing buffer to the shared pool. The vector is
 // empty afterwards; Release is idempotent.
 func (s *SelVec) Release() {

@@ -134,8 +134,8 @@ func TestFusedWhereMatchesGenericAllPolicies(t *testing.T) {
 	}
 }
 
-// TestSelectPredMatchesClosure pins the specialized selection to the
-// closure path bit-for-bit and exercises SelVec's pooled lifecycle.
+// TestSelectPredMatchesClosure pins the specialized selection to a
+// serial closure loop bit-for-bit and exercises SelVec's pooled lifecycle.
 func TestSelectPredMatchesClosure(t *testing.T) {
 	const n = 600
 	l, _ := buildLayout(t, layout.NSM, true, n)
@@ -152,10 +152,7 @@ func TestSelectPredMatchesClosure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := SelectFloat64(cfg, pieces, p.Match)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := matchLoop(pieces, p)
 			got := sv.Positions()
 			if len(got) != len(want) {
 				t.Fatalf("%v %v: %d positions, want %d", cfg.Policy, p, len(got), len(want))
@@ -167,7 +164,7 @@ func TestSelectPredMatchesClosure(t *testing.T) {
 			}
 			sv.Release()
 			sv.Release() // idempotent
-			if sv.Len() != 0 || sv.Positions() != nil {
+			if sv.Positions() != nil {
 				t.Fatal("released SelVec still exposes positions")
 			}
 		}
@@ -175,7 +172,7 @@ func TestSelectPredMatchesClosure(t *testing.T) {
 }
 
 // TestPruneSelectionMatchesClosureSelect pins the specialized
-// selection kernel to the generic closure path bit-for-bit: position
+// selection kernel to a serial closure loop bit-for-bit: position
 // lists are integers, so pruned and unpruned executions must agree
 // exactly, over the zone-carrying chunked column views of a row-wise
 // and a column-wise layout.
@@ -213,10 +210,7 @@ func TestPruneSelectionMatchesClosureSelect(t *testing.T) {
 				if err != nil {
 					t.Fatalf("SelectFloat64Pred(%v): %v", p, err)
 				}
-				want, err := SelectFloat64(Single(), pieces, p.Match)
-				if err != nil {
-					t.Fatalf("SelectFloat64(%v): %v", p, err)
-				}
+				want := matchLoop(pieces, p)
 				got := sv.Positions()
 				if len(got) != len(want) {
 					t.Fatalf("%v: %d positions, want %d", p, len(got), len(want))
@@ -474,4 +468,30 @@ func TestPredIsThePredicateOfCompress(t *testing.T) {
 	if p != Between(1, 2) || p.Op != op {
 		t.Fatalf("round trip through compress.Pred[float64] = %+v", p)
 	}
+}
+
+// matchLoop is the selection oracle: a serial walk of every piece's
+// elements, keeping the global positions p matches.
+func matchLoop(pieces []Piece, p Pred) []uint64 {
+	var out []uint64
+	for _, pc := range pieces {
+		v := pc.Vec
+		for i := 0; i < v.Len; i++ {
+			if p.Match(f64(v.Data[v.Base+i*v.Stride:])) {
+				out = append(out, pc.Rows.Begin+uint64(i))
+			}
+		}
+	}
+	return out
+}
+
+// selectPred is SelectFloat64Pred returning a private copy of the
+// positions; the pooled vector goes back at once.
+func selectPred(cfg Config, pieces []Piece, p Pred) ([]uint64, error) {
+	sv, err := SelectFloat64Pred(cfg, pieces, p)
+	if err != nil {
+		return nil, err
+	}
+	defer sv.Release()
+	return slices.Clone(sv.Positions()), nil
 }

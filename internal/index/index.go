@@ -15,13 +15,8 @@ import (
 	"fmt"
 )
 
-// Index errors.
-var (
-	// ErrNotFound is returned when a key has no entry.
-	ErrNotFound = errors.New("index: key not found")
-	// ErrDuplicate is returned when inserting an existing key.
-	ErrDuplicate = errors.New("index: duplicate key")
-)
+// ErrDuplicate is returned when inserting an existing key.
+var ErrDuplicate = errors.New("index: duplicate key")
 
 // slot is one hash bucket.
 type slot struct {
@@ -70,15 +65,6 @@ func (h *Hash) Put(key int64, row uint64) error {
 	h.slots[i] = slot{occupied: true, key: key, row: row}
 	h.n++
 	return nil
-}
-
-// Get returns the row of key, ErrNotFound if it has none.
-func (h *Hash) Get(key int64) (uint64, error) {
-	row, ok := h.Lookup(key)
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNotFound, key)
-	}
-	return row, nil
 }
 
 // Lookup returns the row of key and whether it has one: Get for a

@@ -18,13 +18,13 @@ func TestHashPutGet(t *testing.T) {
 		t.Fatalf("Len = %d", h.Len())
 	}
 	for i := int64(0); i < 100; i++ {
-		row, err := h.Get(i * 7)
-		if err != nil || row != uint64(i) {
-			t.Fatalf("Get(%d) = %d, %v", i*7, row, err)
+		row, ok := h.Lookup(i * 7)
+		if !ok || row != uint64(i) {
+			t.Fatalf("Lookup(%d) = %d, %v", i*7, row, ok)
 		}
 	}
-	if _, err := h.Get(1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing key err = %v", err)
+	if _, ok := h.Lookup(1); ok {
+		t.Fatal("missing key found")
 	}
 }
 
@@ -34,7 +34,7 @@ func TestHashDuplicate(t *testing.T) {
 	if err := h.Put(1, 2); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("err = %v", err)
 	}
-	row, _ := h.Get(1)
+	row, _ := h.Lookup(1)
 	if row != 1 {
 		t.Fatal("duplicate overwrote")
 	}
@@ -49,9 +49,9 @@ func TestHashGrowthKeepsEverything(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < n; i++ {
-		row, err := h.Get(i*13 + 7)
-		if err != nil || row != uint64(i) {
-			t.Fatalf("after growth Get(%d) = %d, %v", i*13+7, row, err)
+		row, ok := h.Lookup(i*13 + 7)
+		if !ok || row != uint64(i) {
+			t.Fatalf("after growth Lookup(%d) = %d, %v", i*13+7, row, ok)
 		}
 	}
 }
@@ -76,9 +76,9 @@ func TestQuickHashModel(t *testing.T) {
 					model[k] = uint64(i)
 				}
 			case 1:
-				row, err := h.Get(k)
+				row, ok := h.Lookup(k)
 				want, exists := model[k]
-				if exists != (err == nil) || (exists && row != want) {
+				if exists != ok || (exists && row != want) {
 					return false
 				}
 			}

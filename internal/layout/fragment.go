@@ -200,7 +200,7 @@ func NewFragment(alloc *mem.Allocator, rel *schema.Schema, cols []int, rows RowR
 func (f *Fragment) Schema() *schema.Schema { return f.rel }
 
 // ID returns the fragment's process-unique identity. Rebuilds that
-// replace the backing store (Relinearize, CloneTo) produce fragments with
+// replace the backing store (CloneTo, Grow) produce fragments with
 // fresh IDs, so an ID never outlives the bytes it names.
 func (f *Fragment) ID() uint64 { return f.id }
 
@@ -425,54 +425,6 @@ func (f *Fragment) ColVector(c int) (ColVector, error) {
 	default:
 		return ColVector{Data: f.block.Bytes(), Base: 0, Stride: size, Size: size, Len: f.n}, nil
 	}
-}
-
-// TupletBytes returns the raw bytes of tuplet i under NSM linearization.
-// It fails for non-NSM fragments, where a tuplet is not contiguous.
-func (f *Fragment) TupletBytes(i int) ([]byte, error) {
-	if f.lin != NSM && f.Arity() != 1 {
-		return nil, fmt.Errorf("%w: tuplet bytes are only contiguous under NSM", ErrBadLinearization)
-	}
-	if i < 0 || i >= f.n {
-		return nil, fmt.Errorf("%w: tuplet %d of %d", ErrOutOfRange, i, f.n)
-	}
-	return f.block.Bytes()[i*f.width : (i+1)*f.width], nil
-}
-
-// Relinearize rewrites the fragment in the given linearization, allocating
-// a fresh block from alloc (which may target a different memory space).
-// It returns the rewritten fragment; the receiver is freed on success.
-// This is the primitive behind responsive layout adaptation (HYRISE re-
-// widthing, H₂O layout adoption, Peloton layout tuning).
-func (f *Fragment) Relinearize(alloc *mem.Allocator, lin Linearization) (*Fragment, error) {
-	nf, err := NewFragment(alloc, f.rel, f.cols, f.rows, lin)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]schema.Value, len(f.cols))
-	for i := 0; i < f.n; i++ {
-		for p, c := range f.cols {
-			v, err := f.Get(i, c)
-			if err != nil {
-				nf.Free()
-				return nil, err
-			}
-			vals[p] = v
-		}
-		if err := nf.AppendTuplet(vals); err != nil {
-			nf.Free()
-			return nil, err
-		}
-	}
-	// The rebuild re-observed every value, so the new zones are exact;
-	// carry over the sealed flag where the source had tight bounds.
-	for p, z := range f.zones {
-		if z != nil && z.Sealed() && nf.zones[p] != nil {
-			nf.zones[p].MarkSealed()
-		}
-	}
-	f.Free()
-	return nf, nil
 }
 
 // CloneTo copies the fragment byte-for-byte into a new block from alloc,

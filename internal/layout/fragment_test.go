@@ -248,63 +248,6 @@ func TestColVectorStrides(t *testing.T) {
 	}
 }
 
-func TestTupletBytes(t *testing.T) {
-	s := twoColSchema(t)
-	nsm, _ := NewFragment(hostAlloc(), s, []int{0, 1}, RowRange{0, 2}, NSM)
-	appendRows(t, nsm, [][]int64{{1, 10}})
-	b, err := nsm.TupletBytes(0)
-	if err != nil || len(b) != 16 {
-		t.Fatalf("TupletBytes = %d bytes, %v", len(b), err)
-	}
-	dsm, _ := NewFragment(hostAlloc(), s, []int{0, 1}, RowRange{0, 2}, DSM)
-	appendRows(t, dsm, [][]int64{{1, 10}})
-	if _, err := dsm.TupletBytes(0); !errors.Is(err, ErrBadLinearization) {
-		t.Errorf("DSM TupletBytes err = %v", err)
-	}
-	if _, err := nsm.TupletBytes(3); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("out of range err = %v", err)
-	}
-}
-
-func TestRelinearizePreservesData(t *testing.T) {
-	s := twoColSchema(t)
-	a := hostAlloc()
-	f, _ := NewFragment(a, s, []int{0, 1}, RowRange{0, 8}, NSM)
-	appendRows(t, f, [][]int64{{1, 10}, {2, 20}, {3, 30}})
-	g, err := f.Relinearize(a, DSM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Lin() != DSM || g.Len() != 3 {
-		t.Fatalf("relinearized: %v", g)
-	}
-	for i, want := range []int64{10, 20, 30} {
-		v, err := g.Get(i, 1)
-		if err != nil || v.I != want {
-			t.Fatalf("Get(%d,1) = %v, %v; want %d", i, v, err, want)
-		}
-	}
-	// Old block freed: allocator usage equals just the new fragment.
-	if a.Used() != int64(g.SizeBytes()) {
-		t.Errorf("allocator used = %d, want %d", a.Used(), g.SizeBytes())
-	}
-}
-
-func TestRelinearizeOOM(t *testing.T) {
-	s := twoColSchema(t)
-	tight := mem.NewAllocator(mem.Device, 64)
-	f, err := NewFragment(tight, s, []int{0, 1}, RowRange{0, 4}, NSM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Relinearize(tight, DSM); !errors.Is(err, mem.ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
-	}
-	if f.Len() != 0 || f.Raw() == nil {
-		t.Error("failed relinearize corrupted source fragment")
-	}
-}
-
 func TestCloneToOtherSpace(t *testing.T) {
 	s := twoColSchema(t)
 	f, _ := NewFragment(hostAlloc(), s, []int{0, 1}, RowRange{0, 4}, DSM)
@@ -360,7 +303,7 @@ func TestLinearizationString(t *testing.T) {
 }
 
 // Property: NSM and DSM fragments with identical appends agree on every
-// Get, and Relinearize is an identity on contents.
+// Get.
 func TestQuickLinearizationEquivalence(t *testing.T) {
 	s := schema.MustNew(
 		schema.Int64Attr("a"), schema.Float64Attr("b"),
@@ -392,19 +335,6 @@ func TestQuickLinearizationEquivalence(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for c := 0; c < 4; c++ {
 				va, e1 := nsm.Get(i, c)
-				vb, e2 := dsm.Get(i, c)
-				if e1 != nil || e2 != nil || !va.Equal(vb) {
-					return false
-				}
-			}
-		}
-		re, err := nsm.Relinearize(a, DSM)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			for c := 0; c < 4; c++ {
-				va, e1 := re.Get(i, c)
 				vb, e2 := dsm.Get(i, c)
 				if e1 != nil || e2 != nil || !va.Equal(vb) {
 					return false

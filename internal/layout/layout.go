@@ -130,24 +130,6 @@ func (l *Layout) coversColumn(col int, rows uint64) bool {
 	return covered >= rows
 }
 
-// Overlapping reports whether any two fragments share a cell.
-func (l *Layout) Overlapping() bool {
-	for i := 0; i < len(l.frags); i++ {
-		for j := i + 1; j < len(l.frags); j++ {
-			a, b := l.frags[i], l.frags[j]
-			if !a.Rows().Overlaps(b.Rows()) {
-				continue
-			}
-			for _, c := range a.cols {
-				if b.HasCol(c) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // VerticalOnly reports whether the layout is a pure vertical fragmentation:
 // all fragments span the same row range and their column sets partition the
 // schema. Such fragments are the paper's sub-relations.
@@ -197,20 +179,6 @@ func (l *Layout) HorizontalOnly() bool {
 // partitioning (the structural signature of a strong flexible layout).
 func (l *Layout) Combined() bool {
 	return len(l.frags) > 1 && !l.VerticalOnly() && !l.HorizontalOnly()
-}
-
-// Spaces returns the distinct memory spaces the layout's fragments occupy.
-func (l *Layout) Spaces() []mem.Space {
-	seen := make(map[mem.Space]bool)
-	var out []mem.Space
-	for _, f := range l.frags {
-		if !seen[f.Space()] {
-			seen[f.Space()] = true
-			out = append(out, f.Space())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Record materializes the full record at relation row position row,

@@ -71,9 +71,6 @@ func TestFigure3StrongFlexibleLayout(t *testing.T) {
 	} else {
 		t.Error("figure 3 layout 2 is a vertical fragmentation into sub-relations")
 	}
-	if l.Overlapping() {
-		t.Error("fragments should be disjoint")
-	}
 	// Record materialization crosses fragments.
 	rec, err := l.Record(2)
 	if err != nil {
@@ -164,27 +161,6 @@ func TestCoversDetectsMissingColumn(t *testing.T) {
 	l.Add(f)
 	if l.Covers(4) {
 		t.Error("columns C,D,E uncovered but Covers returned true")
-	}
-}
-
-func TestOverlapping(t *testing.T) {
-	s := figure3Schema(t)
-	a := hostAlloc()
-	l := NewLayout("ovl", s)
-	f1, _ := NewFragment(a, s, []int{0, 1}, RowRange{0, 4}, NSM)
-	f2, _ := NewFragment(a, s, []int{1, 2}, RowRange{2, 6}, NSM)
-	l.Add(f1)
-	l.Add(f2)
-	if !l.Overlapping() {
-		t.Error("col 1 rows [2,4) overlap not detected")
-	}
-	l2 := NewLayout("disjoint", s)
-	f3, _ := NewFragment(a, s, []int{0, 1}, RowRange{0, 4}, NSM)
-	f4, _ := NewFragment(a, s, []int{2, 3}, RowRange{0, 4}, NSM)
-	l2.Add(f3)
-	l2.Add(f4)
-	if l2.Overlapping() {
-		t.Error("disjoint column groups flagged as overlapping")
 	}
 }
 
@@ -301,9 +277,9 @@ func TestSpaces(t *testing.T) {
 	f2, _ := NewFragment(dev, s, []int{1}, RowRange{0, 2}, Direct)
 	l.Add(f1)
 	l.Add(f2)
-	sp := l.Spaces()
-	if len(sp) != 2 || sp[0] != mem.Host || sp[1] != mem.Device {
-		t.Fatalf("Spaces = %v", sp)
+	fr := l.Digest().Fragments
+	if len(fr) != 2 || fr[0].Space != mem.Host || fr[1].Space != mem.Device {
+		t.Fatalf("fragment spaces = %+v", fr)
 	}
 }
 
@@ -320,9 +296,6 @@ func TestRelationLifecycle(t *testing.T) {
 	p, err := r.Primary()
 	if err != nil || p != l1 {
 		t.Fatalf("Primary = %v, %v", p, err)
-	}
-	if r.Layout("col") != l2 || r.Layout("nope") != nil {
-		t.Error("Layout lookup broken")
 	}
 	r.SetRows(7)
 	if r.Rows() != 7 {

@@ -65,16 +65,6 @@ func (r *Relation) Primary() (*Layout, error) {
 	return r.layouts[0], nil
 }
 
-// Layout returns the named layout, or nil.
-func (r *Relation) Layout(name string) *Layout {
-	for _, l := range r.layouts {
-		if l.Name() == name {
-			return l
-		}
-	}
-	return nil
-}
-
 // Free releases all layouts.
 func (r *Relation) Free() {
 	for _, l := range r.layouts {

@@ -166,19 +166,3 @@ func (b *Block) Free() {
 		b.buf = nil
 	})
 }
-
-// Grow allocates a new block of at least n bytes, copies the current
-// contents into it, frees the old block, and returns the new one. It is a
-// convenience for append-style fragment growth.
-func (b *Block) Grow(n int) (*Block, error) {
-	if n <= len(b.buf) {
-		return b, nil
-	}
-	nb, err := b.alloc.Alloc(n)
-	if err != nil {
-		return nil, err
-	}
-	copy(nb.buf, b.buf)
-	b.Free()
-	return nb, nil
-}

@@ -105,37 +105,6 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 }
 
-func TestGrowCopiesAndFrees(t *testing.T) {
-	a := NewAllocator(Host, 0)
-	b, _ := a.Alloc(4)
-	copy(b.Bytes(), "abcd")
-	nb, err := b.Grow(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(nb.Bytes()[:4]) != "abcd" {
-		t.Errorf("Grow lost contents: %q", nb.Bytes())
-	}
-	if a.Used() != 8 {
-		t.Errorf("Used = %d, want 8 (old block freed)", a.Used())
-	}
-	same, err := nb.Grow(8)
-	if err != nil || same != nb {
-		t.Errorf("Grow to same size should be a no-op, got %v, %v", same, err)
-	}
-}
-
-func TestGrowRespectsCapacity(t *testing.T) {
-	a := NewAllocator(Device, 10)
-	b, _ := a.Alloc(8)
-	if _, err := b.Grow(16); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
-	}
-	if a.Used() != 8 {
-		t.Errorf("failed Grow changed Used to %d", a.Used())
-	}
-}
-
 func TestConcurrentAllocFree(t *testing.T) {
 	a := NewAllocator(Device, 1<<20)
 	var wg sync.WaitGroup

@@ -163,35 +163,6 @@ func (s *Schema) Width() int { return s.width }
 // Attr returns the i-th attribute.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
 
-// Attrs returns a copy of the attribute list.
-func (s *Schema) Attrs() []Attribute {
-	out := make([]Attribute, len(s.attrs))
-	copy(out, s.attrs)
-	return out
-}
-
-// IndexOf returns the position of the named attribute, or -1.
-func (s *Schema) IndexOf(name string) int {
-	i, ok := s.index[name]
-	if !ok {
-		return -1
-	}
-	return i
-}
-
-// Project builds a new schema from the given attribute indexes (in the
-// given order). It returns an error if any index is out of range.
-func (s *Schema) Project(cols []int) (*Schema, error) {
-	attrs := make([]Attribute, 0, len(cols))
-	for _, c := range cols {
-		if c < 0 || c >= len(s.attrs) {
-			return nil, fmt.Errorf("%w: projection index %d out of range [0,%d)", ErrBadAttribute, c, len(s.attrs))
-		}
-		attrs = append(attrs, s.attrs[c])
-	}
-	return New(attrs...)
-}
-
 // Equal reports whether two schemas have identical attribute lists.
 func (s *Schema) Equal(o *Schema) bool {
 	if s == nil || o == nil {

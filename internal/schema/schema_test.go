@@ -66,36 +66,6 @@ func TestNewRejectsDuplicateNames(t *testing.T) {
 	}
 }
 
-func TestIndexOf(t *testing.T) {
-	s := testSchema(t)
-	if got := s.IndexOf("price"); got != 2 {
-		t.Errorf("IndexOf(price) = %d, want 2", got)
-	}
-	if got := s.IndexOf("missing"); got != -1 {
-		t.Errorf("IndexOf(missing) = %d, want -1", got)
-	}
-}
-
-func TestProject(t *testing.T) {
-	s := testSchema(t)
-	p, err := s.Project([]int{2, 0})
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
-	if p.Arity() != 2 || p.Attr(0).Name != "price" || p.Attr(1).Name != "id" {
-		t.Fatalf("Project produced %v", p)
-	}
-	if p.Width() != 16 {
-		t.Errorf("projected width = %d, want 16", p.Width())
-	}
-	if _, err := s.Project([]int{4}); err == nil {
-		t.Error("Project with out-of-range index succeeded, want error")
-	}
-	if _, err := s.Project([]int{-1}); err == nil {
-		t.Error("Project with negative index succeeded, want error")
-	}
-}
-
 func TestSchemaEqual(t *testing.T) {
 	a := testSchema(t)
 	b := testSchema(t)
@@ -132,15 +102,6 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew()
-}
-
-func TestAttrsReturnsCopy(t *testing.T) {
-	s := testSchema(t)
-	attrs := s.Attrs()
-	attrs[0].Name = "mutated"
-	if s.Attr(0).Name != "id" {
-		t.Error("Attrs() exposed internal state")
-	}
 }
 
 func TestKindString(t *testing.T) {

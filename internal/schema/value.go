@@ -64,24 +64,6 @@ func (v Value) Equal(o Value) bool {
 	}
 }
 
-// Less orders values of the same kind; Char compares lexicographically.
-// Values of different kinds order by kind tag (total order for sorting).
-func (v Value) Less(o Value) bool {
-	if v.Kind != o.Kind {
-		return v.Kind < o.Kind
-	}
-	switch v.Kind {
-	case Int32, Int64:
-		return v.I < o.I
-	case Float64:
-		return v.F < o.F
-	case Char:
-		return v.S < o.S
-	default:
-		return false
-	}
-}
-
 // Encoding errors.
 var (
 	// ErrKindMismatch is returned when a value's kind does not match the

@@ -85,24 +85,6 @@ func TestValueEqual(t *testing.T) {
 	}
 }
 
-func TestValueLess(t *testing.T) {
-	cases := []struct {
-		a, b Value
-		want bool
-	}{
-		{IntValue(1), IntValue(2), true},
-		{IntValue(2), IntValue(1), false},
-		{FloatValue(1.5), FloatValue(2.5), true},
-		{CharValue("a"), CharValue("b"), true},
-		{Int32Value(1), IntValue(1), true}, // kind tag ordering
-	}
-	for _, c := range cases {
-		if got := c.a.Less(c.b); got != c.want {
-			t.Errorf("%v.Less(%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestRecordCloneIsDeep(t *testing.T) {
 	r := Record{IntValue(1), CharValue("a")}
 	c := r.Clone()

@@ -251,29 +251,6 @@ func parsePred(raw []byte) (exec.Pred, error) {
 	}
 }
 
-// appendPredJSON renders p back to the wire form parsePred accepts —
-// the exact bits survive the round trip because bounds are printed with
-// strconv's shortest-exact format.
-func appendPredJSON(buf []byte, p exec.Pred) []byte {
-	buf = append(buf, `{"kind":"`...)
-	buf = append(buf, p.Op.String()...)
-	buf = append(buf, '"')
-	switch p.Op {
-	case exec.OpLT:
-		buf = append(buf, `,"hi":`...)
-		buf = appendF64(buf, p.Hi)
-	case exec.OpGT, exec.OpEQ:
-		buf = append(buf, `,"lo":`...)
-		buf = appendF64(buf, p.Lo)
-	case exec.OpBetween:
-		buf = append(buf, `,"lo":`...)
-		buf = appendF64(buf, p.Lo)
-		buf = append(buf, `,"hi":`...)
-		buf = appendF64(buf, p.Hi)
-	}
-	return append(buf, '}')
-}
-
 // appendF64 appends v in the shortest decimal form that parses back to
 // exactly the same float64 bits — the serving layer's end-to-end
 // bit-identity contract depends on this round trip.

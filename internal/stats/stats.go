@@ -5,8 +5,7 @@
 // of one 8-byte numeric column of one fragment. Zones are maintained
 // incrementally as tuplets are appended, widen conservatively on
 // in-place updates, and are sealed — recomputed to exact bounds — when a
-// fragment freezes (core hot→cold, HyPer cold compaction, L-Store base
-// merge).
+// fragment freezes (core hot→cold, L-Store base merge).
 //
 // A zone is always a conservative envelope: the true value range of the
 // column is contained in [Min, Max] whenever the zone is valid. Pruning
@@ -62,18 +61,6 @@ func NewZone(k Kind) *Zone {
 
 // Kind returns the element kind the zone summarizes.
 func (z *Zone) Kind() Kind { return z.kind }
-
-// Count returns the number of observed values.
-func (z *Zone) Count() int64 { return z.count }
-
-// Sealed reports whether the bounds are exact (recomputed at a freeze
-// point and not widened since).
-func (z *Zone) Sealed() bool { return z.sealed }
-
-// Valid reports whether the envelope can be trusted for pruning. A zone
-// turns invalid when its fragment's bytes are rewritten wholesale (e.g.
-// SetLen after a raw transfer) and becomes valid again on Reset/Seal.
-func (z *Zone) Valid() bool { return !z.invalid }
 
 // Reset empties the zone: valid, unsealed, no observations.
 func (z *Zone) Reset() {
@@ -186,18 +173,9 @@ func (z *Zone) WidenFloat64(x float64) {
 	}
 }
 
-// Int64Bounds returns the envelope for an int64 zone. ok is false when
-// the zone is invalid, empty, or of the wrong kind — callers must then
-// scan unconditionally.
-func (z *Zone) Int64Bounds() (min, max int64, ok bool) {
-	if z == nil || z.invalid || z.count == 0 || z.kind != Int64 {
-		return 0, 0, false
-	}
-	return z.minI, z.maxI, true
-}
-
-// Float64Bounds returns the envelope for a float64 zone; see
-// Int64Bounds for the ok contract.
+// Float64Bounds returns the envelope for a float64 zone. ok is false
+// when the zone is invalid, empty, or of the wrong kind — callers must
+// then scan unconditionally.
 func (z *Zone) Float64Bounds() (min, max float64, ok bool) {
 	if z == nil || z.invalid || z.count == 0 || z.kind != Float64 {
 		return 0, 0, false

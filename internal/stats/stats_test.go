@@ -17,20 +17,19 @@ func TestPruneZoneObserveAndBounds(t *testing.T) {
 	if !ok || min != -1 || max != 7 {
 		t.Fatalf("bounds = (%g,%g,%v), want (-1,7,true)", min, max, ok)
 	}
-	if z.Count() != 4 {
-		t.Fatalf("count = %d, want 4", z.Count())
-	}
-	if _, _, ok := z.Int64Bounds(); ok {
-		t.Fatal("float64 zone must not answer int64 bounds")
+	if s := z.Snapshot(); s.Count != 4 || s.Kind != Float64 {
+		t.Fatalf("snapshot = %+v, want 4 float64 observations", s)
 	}
 
 	zi := NewZone(Int64)
 	for _, x := range []int64{5, -9, 5} {
 		zi.ObserveInt64(x)
 	}
-	imin, imax, ok := zi.Int64Bounds()
-	if !ok || imin != -9 || imax != 5 {
-		t.Fatalf("int bounds = (%d,%d,%v), want (-9,5,true)", imin, imax, ok)
+	if s := zi.Snapshot(); s.MinI != -9 || s.MaxI != 5 || s.Count != 3 || s.Invalid {
+		t.Fatalf("int snapshot = %+v, want [-9,5] over 3", s)
+	}
+	if _, _, ok := zi.Float64Bounds(); ok {
+		t.Fatal("int64 zone must not answer float64 bounds")
 	}
 }
 
@@ -39,18 +38,14 @@ func TestPruneZoneSealAndWiden(t *testing.T) {
 	z.ObserveInt64(1)
 	z.ObserveInt64(10)
 	z.MarkSealed()
-	if !z.Sealed() {
+	if !z.Snapshot().Sealed {
 		t.Fatal("zone should be sealed")
 	}
 	// Widening outside the envelope clears the sealed flag but keeps
 	// conservative bounds.
 	z.ObserveInt64(42)
-	if z.Sealed() {
-		t.Fatal("widening must unseal")
-	}
-	min, max, ok := z.Int64Bounds()
-	if !ok || min != 1 || max != 42 {
-		t.Fatalf("bounds = (%d,%d,%v), want (1,42,true)", min, max, ok)
+	if s := z.Snapshot(); s.Sealed || s.MinI != 1 || s.MaxI != 42 || s.Invalid {
+		t.Fatalf("snapshot = %+v, want unsealed [1,42]", s)
 	}
 }
 
@@ -58,14 +53,14 @@ func TestPruneZoneInvalidate(t *testing.T) {
 	z := NewZone(Float64)
 	z.ObserveFloat64(1)
 	z.Invalidate()
-	if z.Valid() {
+	if !z.Snapshot().Invalid {
 		t.Fatal("invalidated zone reports valid")
 	}
 	if _, _, ok := z.Float64Bounds(); ok {
 		t.Fatal("invalid zone must not expose bounds")
 	}
 	z.Reset()
-	if !z.Valid() || z.Count() != 0 {
+	if s := z.Snapshot(); s.Invalid || s.Count != 0 {
 		t.Fatal("reset must restore an empty valid zone")
 	}
 }
@@ -85,17 +80,17 @@ func TestPruneZoneClone(t *testing.T) {
 	z.MarkSealed()
 	c := z.Clone()
 	c.ObserveInt64(100)
-	if min, max, _ := z.Int64Bounds(); min != 3 || max != 3 {
-		t.Fatalf("clone mutated original: (%d,%d)", min, max)
+	if s := z.Snapshot(); s.MinI != 3 || s.MaxI != 3 {
+		t.Fatalf("clone mutated original: (%d,%d)", s.MinI, s.MaxI)
 	}
-	if !z.Sealed() || c.Sealed() {
+	if !z.Snapshot().Sealed || c.Snapshot().Sealed {
 		t.Fatal("sealed flags should be independent")
 	}
 	var nilZone *Zone
 	if nilZone.Clone() != nil {
 		t.Fatal("nil clone should be nil")
 	}
-	if _, _, ok := nilZone.Int64Bounds(); ok {
+	if _, _, ok := nilZone.Float64Bounds(); ok {
 		t.Fatal("nil zone must not expose bounds")
 	}
 }

@@ -456,8 +456,21 @@ func TestLocationCell(t *testing.T) {
 	}
 }
 
+// walk visits every node depth-first, passing the depth (root = 0).
+func walk(n Node, depth int, fn func(Node, int)) {
+	fn(n, depth)
+	for _, c := range n.Children {
+		walk(c, depth+1, fn)
+	}
+}
+
 func TestTreeContainsAllFigure4Leaves(t *testing.T) {
-	leaves := Tree().Leaves()
+	var leaves []string
+	walk(Tree(), 0, func(n Node, _ int) {
+		if len(n.Children) == 0 {
+			leaves = append(leaves, n.Label)
+		}
+	})
 	want := []string{
 		"Single Layout", "Built-In", "Emulated", "Inflexible", "Weak",
 		"Constrained", "Unconstrained", "Static", "Responsive",
@@ -490,7 +503,7 @@ func TestTreeRender(t *testing.T) {
 func TestTreeWalkDepths(t *testing.T) {
 	maxDepth := 0
 	count := 0
-	Tree().Walk(func(n Node, d int) {
+	walk(Tree(), 0, func(n Node, d int) {
 		count++
 		if d > maxDepth {
 			maxDepth = d

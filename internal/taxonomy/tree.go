@@ -92,27 +92,3 @@ func renderChildren(b *strings.Builder, children []Node, prefix string) {
 		}
 	}
 }
-
-// Leaves returns all leaf labels of the tree in depth-first order.
-func (n Node) Leaves() []string {
-	if len(n.Children) == 0 {
-		return []string{n.Label}
-	}
-	var out []string
-	for _, c := range n.Children {
-		out = append(out, c.Leaves()...)
-	}
-	return out
-}
-
-// Walk visits every node depth-first, passing the depth (root = 0).
-func (n Node) Walk(fn func(node Node, depth int)) {
-	var rec func(Node, int)
-	rec = func(x Node, d int) {
-		fn(x, d)
-		for _, c := range x.Children {
-			rec(c, d+1)
-		}
-	}
-	rec(n, 0)
-}

@@ -54,8 +54,6 @@ var (
 	ErrConflict = errors.New("tx: write-write conflict")
 	// ErrClosed is returned when using a committed or aborted transaction.
 	ErrClosed = errors.New("tx: transaction already finished")
-	// ErrNotFound is returned when reading a row with no visible version.
-	ErrNotFound = errors.New("tx: no visible version")
 )
 
 // version is one entry of a row's version chain, newest first.
@@ -314,21 +312,11 @@ type Tx struct {
 // SnapshotTS returns the transaction's begin timestamp.
 func (t *Tx) SnapshotTS() uint64 { return t.beginTS }
 
-// Read returns the record of row visible to this transaction: its own
+// Lookup returns the record of row visible to this transaction: its own
 // buffered write if any, else the newest version at or before its
-// snapshot. ErrNotFound is returned for rows with no visible version.
-func (t *Tx) Read(row uint64) (schema.Record, error) {
-	rec, ok, err := t.Lookup(row)
-	if err == nil && !ok {
-		err = fmt.Errorf("%w: row %d at ts %d", ErrNotFound, row, t.beginTS)
-	}
-	return rec, err
-}
-
-// Lookup is Read for a caller to whom a row without a visible version
-// is an outcome, not a failure (every row the deltas have not touched,
-// which is most rows, most of the time): ok reports whether there is
-// one, and no error is built to say there is not.
+// snapshot. A row without a visible version is an outcome, not a failure
+// (every row the deltas have not touched, which is most rows, most of
+// the time): ok reports whether there is one.
 func (t *Tx) Lookup(row uint64) (rec schema.Record, ok bool, err error) {
 	if t.closed {
 		return nil, false, ErrClosed

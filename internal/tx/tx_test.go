@@ -13,6 +13,18 @@ import (
 	"hybridstore/internal/schema"
 )
 
+// errNotFound is what read reports for a row with no visible version.
+var errNotFound = errors.New("no visible version")
+
+// read is Lookup with a missing version reported as errNotFound.
+func read(x *Tx, row uint64) (schema.Record, error) {
+	rec, ok, err := x.Lookup(row)
+	if err == nil && !ok {
+		err = errNotFound
+	}
+	return rec, err
+}
+
 func rec(v int64) schema.Record { return schema.Record{schema.IntValue(v)} }
 
 // walkedVersions counts the stored versions by walking every chain — the
@@ -53,7 +65,7 @@ func TestReadYourOwnWrites(t *testing.T) {
 	if err := x.Write(1, rec(10)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := x.Read(1)
+	got, err := read(x, 1)
 	if err != nil || got[0].I != 10 {
 		t.Fatalf("own write invisible: %v, %v", got, err)
 	}
@@ -65,16 +77,16 @@ func TestSnapshotIsolationNoDirtyReads(t *testing.T) {
 	w := s.Begin()
 	w.Write(1, rec(10))
 	r := s.Begin()
-	if _, err := r.Read(1); !errors.Is(err, ErrNotFound) {
+	if _, err := read(r, 1); !errors.Is(err, errNotFound) {
 		t.Fatalf("uncommitted write visible: %v", err)
 	}
 	mustCommit(t, w)
 	// r began before w committed: still invisible (repeatable snapshot).
-	if _, err := r.Read(1); !errors.Is(err, ErrNotFound) {
+	if _, err := read(r, 1); !errors.Is(err, errNotFound) {
 		t.Fatalf("snapshot moved: %v", err)
 	}
 	r2 := s.Begin()
-	got, err := r2.Read(1)
+	got, err := read(r2, 1)
 	if err != nil || got[0].I != 10 {
 		t.Fatalf("committed write invisible to later snapshot: %v, %v", got, err)
 	}
@@ -87,14 +99,14 @@ func TestRepeatableReadAcrossConcurrentCommits(t *testing.T) {
 	mustCommit(t, setup)
 
 	r := s.Begin()
-	first, err := r.Read(1)
+	first, err := read(r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := s.Begin()
 	w.Write(1, rec(2))
 	mustCommit(t, w)
-	second, err := r.Read(1)
+	second, err := read(r, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +126,7 @@ func TestFirstCommitterWins(t *testing.T) {
 		t.Fatalf("second committer err = %v, want ErrConflict", err)
 	}
 	r := s.Begin()
-	got, err := r.Read(7)
+	got, err := read(r, 7)
 	if err != nil || got[0].I != 1 {
 		t.Fatalf("winner's write lost: %v, %v", got, err)
 	}
@@ -134,7 +146,7 @@ func TestClosedTransaction(t *testing.T) {
 	s := NewStore()
 	x := s.Begin()
 	mustCommit(t, x)
-	if _, err := x.Read(1); !errors.Is(err, ErrClosed) {
+	if _, err := read(x, 1); !errors.Is(err, ErrClosed) {
 		t.Errorf("Read after commit: %v", err)
 	}
 	if err := x.Write(1, rec(1)); !errors.Is(err, ErrClosed) {
@@ -152,7 +164,7 @@ func TestAbortDiscardsWrites(t *testing.T) {
 	x.Write(1, rec(1))
 	x.Abort()
 	r := s.Begin()
-	if _, err := r.Read(1); !errors.Is(err, ErrNotFound) {
+	if _, err := read(r, 1); !errors.Is(err, errNotFound) {
 		t.Fatalf("aborted write visible: %v", err)
 	}
 }
@@ -167,7 +179,7 @@ func TestWriteBufferOverwrites(t *testing.T) {
 	}
 	mustCommit(t, x)
 	r := s.Begin()
-	got, _ := r.Read(1)
+	got, _ := read(r, 1)
 	if got[0].I != 2 {
 		t.Fatalf("last write lost: %v", got)
 	}
@@ -179,9 +191,9 @@ func TestReadReturnsClone(t *testing.T) {
 	x.Write(1, rec(1))
 	mustCommit(t, x)
 	r := s.Begin()
-	got, _ := r.Read(1)
+	got, _ := read(r, 1)
 	got[0] = schema.IntValue(99)
-	again, _ := r.Read(1)
+	again, _ := read(r, 1)
 	if again[0].I != 1 {
 		t.Fatal("Read exposed internal record storage")
 	}
@@ -193,7 +205,7 @@ func TestWriteBuffersClone(t *testing.T) {
 	mine := rec(1)
 	x.Write(1, mine)
 	mine[0] = schema.IntValue(99)
-	got, _ := x.Read(1)
+	got, _ := read(x, 1)
 	if got[0].I != 1 {
 		t.Fatal("Write aliased caller's record")
 	}
@@ -214,7 +226,7 @@ func TestPrune(t *testing.T) {
 		t.Fatalf("after prune versions = %d, want 1", s.Versions())
 	}
 	r := s.Begin()
-	got, err := r.Read(1)
+	got, err := read(r, 1)
 	if err != nil || got[0].I != 4 {
 		t.Fatalf("newest version lost: %v, %v", got, err)
 	}
@@ -233,7 +245,7 @@ func TestPruneRespectsActiveSnapshots(t *testing.T) {
 	mustCommit(t, w2)
 
 	s.Prune(s.MinActiveTS())
-	got, err := oldReader.Read(1)
+	got, err := read(oldReader, 1)
 	if err != nil || got[0].I != 1 {
 		t.Fatalf("prune destroyed a visible version: %v, %v", got, err)
 	}
@@ -291,8 +303,8 @@ func TestConcurrentTransfersPreserveTotal(t *testing.T) {
 				x := s.Begin()
 				from := uint64((g + i) % accounts)
 				to := uint64((g + i + 1) % accounts)
-				a, err1 := x.Read(from)
-				b, err2 := x.Read(to)
+				a, err1 := read(x, from)
+				b, err2 := read(x, to)
 				if err1 != nil || err2 != nil {
 					x.Abort()
 					continue
@@ -308,7 +320,7 @@ func TestConcurrentTransfersPreserveTotal(t *testing.T) {
 	r := s.Begin()
 	var total int64
 	for i := uint64(0); i < accounts; i++ {
-		v, err := r.Read(i)
+		v, err := read(r, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +346,7 @@ func TestQuickSnapshotStability(t *testing.T) {
 		reader := s.Begin()
 		before := make(map[uint64]int64)
 		for i := uint64(0); i < 4; i++ {
-			v, err := reader.Read(i)
+			v, err := read(reader, i)
 			if err != nil {
 				return false
 			}
@@ -356,7 +368,7 @@ func TestQuickSnapshotStability(t *testing.T) {
 			}
 		}
 		for i := uint64(0); i < 4; i++ {
-			v, err := reader.Read(i)
+			v, err := read(reader, i)
 			if err != nil || v[0].I != before[i] {
 				return false
 			}
@@ -397,7 +409,7 @@ func TestQuickPruneKeepsNewest(t *testing.T) {
 		}
 		r := s.Begin()
 		for row, v := range want {
-			got, err := r.Read(row)
+			got, err := read(r, row)
 			if err != nil || got[0].I != v {
 				return false
 			}
@@ -509,7 +521,7 @@ func TestRangeVisibleConcurrentCommitters(t *testing.T) {
 					}
 					last = v.row
 					// The snapshot's own read agrees with what the walk saw.
-					got, err := x.Read(v.row)
+					got, err := read(x, v.row)
 					if v.ts > ts || err != nil || got[0].I != v.val {
 						t.Errorf("row %d at snapshot %d: walk saw %+v, Read = %v, %v", v.row, ts, v, got, err)
 					}
@@ -696,7 +708,7 @@ func TestForgetKeepsNewerVersion(t *testing.T) {
 	}
 	for _, ts := range []uint64{5, 9} {
 		s.AdvanceTo(ts)
-		if r, err := s.Begin().Read(1); err != nil || r[0].I != int64(ts) {
+		if r, err := read(s.Begin(), 1); err != nil || r[0].I != int64(ts) {
 			t.Fatalf("refused drop damaged the chain: at ts %d got %v, %v", ts, r, err)
 		}
 	}
@@ -717,7 +729,7 @@ func ExampleTx() {
 		return
 	}
 	r := s.Begin()
-	recV, _ := r.Read(0)
+	recV, _ := read(r, 0)
 	fmt.Println(recV)
 	// Output: [42]
 }

@@ -112,17 +112,6 @@ func CustomerBalance(i uint64) float64 {
 	return float64(i%5000) - 10
 }
 
-// ExpectedCustomerBalanceSum returns the exact sum of
-// CustomerBalance(0..n-1).
-func ExpectedCustomerBalanceSum(n uint64) float64 {
-	full := n / 5000
-	rem := n % 5000
-	const periodSum = 4999 * 5000 / 2.0
-	sum := float64(full) * periodSum
-	sum += float64(rem*(rem-1)) / 2
-	return sum - 10*float64(n)
-}
-
 // Customer returns the deterministic record of customer i.
 func Customer(i uint64) schema.Record {
 	return schema.Record{

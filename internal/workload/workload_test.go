@@ -83,19 +83,6 @@ func TestExpectedItemPriceSumClosedForm(t *testing.T) {
 	}
 }
 
-func TestExpectedCustomerBalanceSumClosedForm(t *testing.T) {
-	for _, n := range []uint64{0, 1, 4_999, 5_000, 12_345} {
-		var want float64
-		for i := uint64(0); i < n; i++ {
-			want += CustomerBalance(i)
-		}
-		got := ExpectedCustomerBalanceSum(n)
-		if math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
-			t.Errorf("ExpectedCustomerBalanceSum(%d) = %v, want %v", n, got, want)
-		}
-	}
-}
-
 func TestGenerateStopsOnError(t *testing.T) {
 	calls := 0
 	err := Generate(10, Item, func(i uint64, r schema.Record) error {
