@@ -115,12 +115,11 @@ type Options struct {
 	Durability Durability
 	// ResultCache enables the cross-request query-result cache: answers
 	// to point reads and analytic aggregates are kept stamped with the
-	// fragment-version vector they were computed over, and a repeat of
-	// the same query over unchanged fragments is served with an
-	// O(#fragments) version compare instead of a scan. Invalidation is
-	// purely passive — any write bumps a fragment version, the stamp
-	// stops matching, and the entry dies on its next probe. Zero Cap
-	// leaves caching off.
+	// epoch of the base state they were computed over, and a repeat of
+	// the same query over unchanged data is served with one epoch
+	// compare instead of a scan. Invalidation is purely passive — every
+	// write to the base moves the epoch, the stamp stops matching, and
+	// the entry dies on its next probe. Zero Cap leaves caching off.
 	ResultCache ResultCacheOptions
 }
 

@@ -226,6 +226,7 @@ func (t *Table) placeChunkColumn(c *chunk, col int) error {
 		df.Free()
 		return err
 	}
+	t.touch(c)
 	t.invalidateFrag(f)
 	f.Free()
 	c.frags[gi] = df
@@ -247,6 +248,7 @@ func (t *Table) unplaceChunkColumn(c *chunk, col int) error {
 		hf.Free()
 		return err
 	}
+	t.touch(c)
 	t.invalidateFrag(f)
 	f.Free()
 	c.frags[gi] = hf

@@ -31,7 +31,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"hybridstore/internal/compress"
 	"hybridstore/internal/engine"
@@ -64,11 +63,12 @@ type Options struct {
 	DeviceCache bool
 	// ResultCacheBytes bounds the cross-request result cache: query
 	// answers (predicate aggregates, fused group-bys, point reads) are
-	// memoized under the fragment-version vector their snapshot saw, so
-	// a repeat query over unchanged data costs a map probe plus
-	// O(#fragments) version compares instead of a scan. Invalidation is
-	// purely passive — any write bumps a fragment version (or replaces
-	// the fragment), and the next lookup misses. 0 disables the cache.
+	// memoized under the epoch of the base state their snapshot saw —
+	// the table's for an aggregate, the chunk's for a point read — so a
+	// repeat query over unchanged data costs a map probe plus one epoch
+	// compare instead of a scan. Invalidation is purely passive — every
+	// base mutation moves the epoch, and the next lookup misses. 0
+	// disables the cache.
 	ResultCacheBytes int64
 	// Compress seals side-car compressed images of the cold region's
 	// singleton 8-byte numeric columns at the freeze point (the same point
@@ -159,6 +159,9 @@ type chunk struct {
 	// non-compressible attributes. Re-sealed wherever the cold bytes are
 	// rewritten so the images always reflect the fragments.
 	comp []*compress.Column
+	// epoch is the result-cache stamp of a point read in this chunk,
+	// moved by every write to its fragments (touch).
+	epoch rescache.Stamp
 }
 
 // filled returns the stored tuplets.
@@ -198,10 +201,9 @@ type Table struct {
 	// deviceCols marks columns whose cold fragments live on the GPU.
 	deviceCols map[int]bool
 
-	// stamps remembers the last result-cache stamp built over one column
-	// ([0]) and over a key and a value column ([1]), never mutated once
-	// published; see stampLocked.
-	stamps [2]atomic.Pointer[rescache.Stamp]
+	// epoch is the result-cache stamp of an aggregate, moved by every
+	// base mutation of any chunk (touch).
+	epoch rescache.Stamp
 
 	// pk is the primary-key hash index over attribute 0 (nil when the
 	// schema has no int64 key attribute).
@@ -239,6 +241,7 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 		deltas:     tx.NewStore(),
 		deviceCols: make(map[int]bool),
 	}
+	t.touch(nil)
 	t.initPK()
 	return t, nil
 }
@@ -299,6 +302,7 @@ func (t *Table) Free() {
 	t.env.InvalidateTable(t.rel.Name())
 	t.rel.Free()
 	t.chunks = nil
+	t.touch(nil)
 }
 
 // invalidateFrag retires any device-cached images of f. Called wherever a
@@ -373,6 +377,7 @@ func (t *Table) insertLocked(rec schema.Record) (uint64, uint64, error) {
 	if err := tail.nsm.AppendTuplet(vals); err != nil {
 		return 0, 0, err
 	}
+	t.touch(tail)
 	t.rel.SetRows(row + 1)
 	if err := t.indexInsert(rec, row); err != nil {
 		return 0, 0, err
@@ -403,6 +408,7 @@ func (t *Table) openChunk(begin uint64) (*chunk, error) {
 	}
 	c := &chunk{rows: f.Rows(), state: hot, nsm: f}
 	t.chunks = append(t.chunks, c)
+	t.touch(c)
 
 	// Enforce the hot-region budget: freeze oldest hot chunks beyond it.
 	for t.countState(hot) > t.eng.opts.HotChunks {
@@ -487,6 +493,7 @@ func (t *Table) recast(c *chunk, groups [][]int) error {
 			return err
 		}
 	}
+	t.touch(c)
 	old, region := c.frags, t.olap
 	if c.state == hot {
 		old, region = []*layout.Fragment{c.nsm}, t.oltp
@@ -546,8 +553,7 @@ func (t *Table) sealChunkCompression(c *chunk) {
 			continue
 		}
 		col := c.groups[gi][0]
-		a := t.s.Attr(col)
-		if a.Size != 8 || (a.Kind != schema.Int64 && a.Kind != schema.Float64) {
+		if !compressible(t.s.Attr(col)) {
 			continue
 		}
 		cv, err := f.ColVector(col)
@@ -560,6 +566,12 @@ func (t *Table) sealChunkCompression(c *chunk) {
 		}
 		c.comp[col] = cc
 	}
+}
+
+// compressible reports whether a carries side-car images: an 8-byte
+// numeric attribute.
+func compressible(a schema.Attribute) bool {
+	return a.Size == 8 && (a.Kind == schema.Int64 || a.Kind == schema.Float64)
 }
 
 // freeAll frees a fragment list.

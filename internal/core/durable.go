@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"hybridstore/internal/compress"
 	"hybridstore/internal/device"
@@ -219,11 +220,24 @@ func decodeZone(d *wal.Decoder) stats.Snapshot {
 }
 
 // restoreFragment rebuilds one serialized fragment with the given
-// column set, installing content and zone snapshots without a re-seal.
-func (t *Table) restoreFragment(d *wal.Decoder, cols []int, rows layout.RowRange) (*layout.Fragment, error) {
+// column set, holding want tuplets, installing content and zone
+// snapshots without a re-seal. The row range is checked against the
+// blob before it sizes an allocation: the host allocator has no limit,
+// so a range the image does not carry would be memory nothing fills.
+func (t *Table) restoreFragment(d *wal.Decoder, cols []int, rows layout.RowRange, want int) (*layout.Fragment, error) {
 	lin := layout.Linearization(d.U8())
 	n := int(d.U32())
 	raw := d.Blob()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	width := 0
+	for _, col := range cols {
+		width += t.s.Attr(col).Size
+	}
+	if n != want || rows.Len() > uint64(len(raw)/width) {
+		return nil, corrupt("fragment of %d tuplets over %v from a %d-byte blob, want %d tuplets", n, rows, len(raw), want)
+	}
 	f, err := layout.NewFragment(t.env.Host, t.s, cols, rows, lin)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring fragment: %w", err)
@@ -233,7 +247,7 @@ func (t *Table) restoreFragment(d *wal.Decoder, cols []int, rows layout.RowRange
 		return nil, fmt.Errorf("core: restoring fragment: %w", err)
 	}
 	nz := int(d.U32())
-	for i := 0; i < nz; i++ {
+	for i := 0; i < nz && d.Err() == nil; i++ {
 		col := int(d.U32())
 		zs := decodeZone(d)
 		if err := f.RestoreZone(col, zs); err != nil {
@@ -248,12 +262,25 @@ func (t *Table) restoreFragment(d *wal.Decoder, cols []int, rows layout.RowRange
 	return f, nil
 }
 
+// corrupt reports a checkpoint section that no CheckpointTo wrote.
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: checkpoint %s", wal.ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
 // RestoreTable rebuilds a table from a checkpoint section written by
 // CheckpointTo: base fragments byte-identical with sealed zone maps
 // (zero re-seals), compressed side-cars decoded from their marshaled
 // images, delta chains at their original commit timestamps, the clock
 // advanced to the checkpoint timestamp, the PK index rebuilt, and the
 // device fragment cache re-primed from the manifest.
+//
+// The section is untrusted bytes — a file checksum only guards against
+// random damage — so no count in it sizes anything unchecked: column
+// groups are bounded by the schema, a fragment's rows by its blob, and
+// every other count drives only a loop that stops at the first read
+// past the end. A state CheckpointTo cannot have written — chunks that
+// do not tile the rows, groups that do not partition the columns — is
+// wal.ErrCorrupt.
 func (e *Engine) RestoreTable(name string, s *schema.Schema, d *wal.Decoder) (*Table, error) {
 	et, err := e.Create(name, s)
 	if err != nil {
@@ -264,68 +291,18 @@ func (e *Engine) RestoreTable(name string, s *schema.Schema, d *wal.Decoder) (*T
 	ckptTS := d.U64()
 	rows := d.U64()
 	nchunks := int(d.U32())
+	var end uint64 // where the next chunk begins
 	for ci := 0; ci < nchunks; ci++ {
-		state := chunkState(d.U8())
-		rr := layout.RowRange{Begin: d.U64(), End: d.U64()}
-		c := &chunk{rows: rr, state: state}
-		if state == hot {
-			f, err := t.restoreFragment(d, layout.AllCols(t.s), rr)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.oltp.Add(f); err != nil {
-				f.Free()
-				return nil, err
-			}
-			c.nsm = f
-		} else {
-			ng := int(d.U32())
-			groups := make([][]int, 0, ng)
-			for gi := 0; gi < ng; gi++ {
-				gl := int(d.U32())
-				g := make([]int, 0, gl)
-				for k := 0; k < gl; k++ {
-					g = append(g, int(d.U32()))
-				}
-				groups = append(groups, g)
-			}
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			c.groups = groups
-			for _, g := range groups {
-				f, err := t.restoreFragment(d, g, rr)
-				if err != nil {
-					freeAll(c.frags)
-					return nil, err
-				}
-				c.frags = append(c.frags, f)
-			}
-			for _, f := range c.frags {
-				if err := t.olap.Add(f); err != nil {
-					return nil, err
-				}
-			}
-			nc := int(d.U32())
-			if nc > 0 {
-				c.comp = make([]*compress.Column, t.s.Arity())
-				for k := 0; k < nc; k++ {
-					col := int(d.U32())
-					img := d.Blob()
-					if d.Err() != nil {
-						return nil, d.Err()
-					}
-					cc, err := compress.Decode(img)
-					if err != nil {
-						return nil, fmt.Errorf("core: restoring compressed side-car of col %d: %w", col, err)
-					}
-					if col < len(c.comp) {
-						c.comp[col] = cc
-					}
-				}
-			}
+		c, err := t.restoreChunk(d, end, rows)
+		if err != nil {
+			return nil, err
 		}
 		t.chunks = append(t.chunks, c)
+		t.touch(c)
+		end = c.rows.End
+	}
+	if end < rows {
+		return nil, corrupt("chunks end at row %d of %d", end, rows)
 	}
 	t.rel.SetRows(rows)
 
@@ -334,10 +311,10 @@ func (e *Engine) RestoreTable(name string, s *schema.Schema, d *wal.Decoder) (*T
 	if t.pk != nil {
 		for row := uint64(0); row < rows; row++ {
 			v, err := t.baseValue(row, 0)
-			if err != nil {
-				return nil, fmt.Errorf("core: rebuilding pk at row %d: %w", row, err)
+			if err == nil {
+				err = t.pk.Put(v.I, row)
 			}
-			if err := t.pk.Put(v.I, row); err != nil {
+			if err != nil {
 				return nil, fmt.Errorf("core: rebuilding pk at row %d: %w", row, err)
 			}
 		}
@@ -354,6 +331,9 @@ func (e *Engine) RestoreTable(name string, s *schema.Schema, d *wal.Decoder) (*T
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
+		if row >= rows || verTS == 0 || verTS > ckptTS || schema.ValidateRecord(t.s, rec) != nil {
+			return nil, corrupt("delta %v of row %d at ts %d, %d rows at ts %d", rec, row, verTS, rows, ckptTS)
+		}
 		if err := t.deltas.InstallAt(row, rec, verTS); err != nil {
 			return nil, fmt.Errorf("core: restoring delta of row %d: %w", row, err)
 		}
@@ -361,11 +341,9 @@ func (e *Engine) RestoreTable(name string, s *schema.Schema, d *wal.Decoder) (*T
 	t.deltas.AdvanceTo(ckptTS)
 
 	nr := int(d.U32())
-	resident := make([]device.ResidentCol, 0, nr)
-	for i := 0; i < nr; i++ {
-		rc := device.ResidentCol{Col: int(d.U32())}
-		rc.Comp = d.Bool()
-		resident = append(resident, rc)
+	var resident []device.ResidentCol
+	for i := 0; i < nr && d.Err() == nil; i++ {
+		resident = append(resident, device.ResidentCol{Col: int(d.U32()), Comp: d.Bool()})
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -376,6 +354,93 @@ func (e *Engine) RestoreTable(name string, s *schema.Schema, d *wal.Decoder) (*T
 		}
 	}
 	return t, nil
+}
+
+// restoreChunk rebuilds one checkpointed chunk, which begins at row
+// begin and holds every row below rows that it covers.
+func (t *Table) restoreChunk(d *wal.Decoder, begin, rows uint64) (*chunk, error) {
+	state := chunkState(d.U8())
+	rr := layout.RowRange{Begin: d.U64(), End: d.U64()}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if state != hot && state != cold || rr.Begin != begin || rr.End <= begin {
+		return nil, corrupt("chunk in state %d over %v after row %d", state, rr, begin)
+	}
+	want := int(min(max(rows, begin), rr.End) - begin)
+	c := &chunk{rows: rr, state: state}
+	if state == hot {
+		f, err := t.restoreFragment(d, layout.AllCols(t.s), rr, want)
+		if err != nil {
+			return nil, err
+		}
+		if err := t.oltp.Add(f); err != nil {
+			f.Free()
+			return nil, err
+		}
+		c.nsm = f
+		return c, nil
+	}
+	// The groups partition the columns — the scan and the point read
+	// resolve every column through them — so the schema bounds them.
+	arity := t.s.Arity()
+	ng := int(d.U32())
+	if ng > arity {
+		return nil, corrupt("%d column groups over %d columns", ng, arity)
+	}
+	var grouped []int
+	for gi := 0; gi < ng; gi++ {
+		gl := int(d.U32())
+		if gl < 1 || gl > arity {
+			return nil, corrupt("column group of %d over %d columns", gl, arity)
+		}
+		g := make([]int, gl)
+		for k := range g {
+			g[k] = int(d.U32())
+		}
+		c.groups = append(c.groups, g)
+		grouped = append(grouped, g...)
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if slices.Sort(grouped); !slices.Equal(grouped, layout.AllCols(t.s)) {
+		return nil, corrupt("column groups %v do not partition %d columns", c.groups, arity)
+	}
+	for _, g := range c.groups {
+		f, err := t.restoreFragment(d, g, rr, want)
+		if err != nil {
+			freeAll(c.frags)
+			return nil, err
+		}
+		c.frags = append(c.frags, f)
+	}
+	for _, f := range c.frags {
+		if err := t.olap.Add(f); err != nil {
+			return nil, err
+		}
+	}
+	if nc := int(d.U32()); nc > 0 {
+		c.comp = make([]*compress.Column, arity)
+		for k := 0; k < nc; k++ {
+			col := int(d.U32())
+			img := d.Blob()
+			if err := d.Err(); err != nil {
+				return nil, err
+			}
+			cc, err := compress.Decode(img)
+			if err != nil {
+				return nil, fmt.Errorf("core: restoring compressed side-car of col %d: %w", col, err)
+			}
+			// Only what sealChunkCompression seals: an image of a thin
+			// 8-byte numeric column holding every tuplet of the chunk.
+			if _, f := t.thinFragment(c, col); f == nil || !compressible(t.s.Attr(col)) || cc.Len() != want || cc.ElementSize() != 8 {
+				return nil, corrupt("compressed side-car of col %d over %d elements, chunk holds %d", col, cc.Len(), want)
+			}
+			c.comp[col] = cc
+		}
+	}
+	return c, nil
 }
 
 // PrimeDeviceCache uploads the listed columns' cold fragments into the

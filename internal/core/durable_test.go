@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/wal"
 	"hybridstore/internal/workload"
@@ -189,5 +190,70 @@ func TestCheckpointDeltaReservedByte(t *testing.T) {
 	img[flag] = 1
 	if _, err := restore(); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("restore of a set reserved byte: %v, want ErrCorrupt", err)
+	}
+}
+
+// A checkpoint image is untrusted bytes — the snapshot file's checksum
+// guards only against random damage — so every count in it is checked
+// against what the image can carry before anything is sized by it. The
+// first leg is a 45-byte section whose 0xFFFFFFF0 column groups once
+// asked the runtime for ~96 GiB: a fatal error, which no recover
+// catches.
+func TestRestoreRefusesWhatTheImageCannotCarry(t *testing.T) {
+	// head is a section's checkpoint timestamp, row count and chunk count.
+	head := func(e *wal.Encoder, rows uint64, chunks uint32) {
+		e.U64(1)
+		e.U64(rows)
+		e.U32(chunks)
+	}
+	// chunkHead is one chunk's state byte and row range.
+	chunkHead := func(e *wal.Encoder, state uint8, begin, end uint64) {
+		e.U8(state)
+		e.U64(begin)
+		e.U64(end)
+	}
+	cases := []struct {
+		name  string
+		build func(e *wal.Encoder)
+	}{
+		{"group count", func(e *wal.Encoder) {
+			head(e, 0, 1)
+			chunkHead(e, uint8(cold), 0, 1024)
+			e.U32(0xFFFFFFF0)
+			e.U32(1)
+		}},
+		{"group length", func(e *wal.Encoder) {
+			head(e, 0, 1)
+			chunkHead(e, uint8(cold), 0, 1024)
+			e.U32(1)
+			e.U32(0xFFFFFFF0)
+		}},
+		{"chunk state", func(e *wal.Encoder) {
+			head(e, 0, 1)
+			chunkHead(e, 7, 0, 1024)
+		}},
+		{"row range beyond its blob", func(e *wal.Encoder) {
+			head(e, 0, 1)
+			chunkHead(e, uint8(hot), 0, 1<<40)
+			e.U8(uint8(layout.NSM))
+			e.U32(0)
+			e.Blob(nil)
+			e.U32(0)
+		}},
+		{"manifest count", func(e *wal.Encoder) {
+			head(e, 0, 0)
+			e.U32(0)          // deltas
+			e.U32(0xFFFFFFF0) // resident columns
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var e wal.Encoder
+			c.build(&e)
+			_, err := New(engine.NewEnv(), Options{}).RestoreTable("item", workload.ItemSchema(), wal.NewDecoder(e.Bytes()))
+			if !errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("restore of %d bytes: %v, want ErrCorrupt", len(e.Bytes()), err)
+			}
+		})
 	}
 }

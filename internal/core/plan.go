@@ -36,14 +36,6 @@ import (
 // and fresh answers is sound because a hit requires stamp equality:
 // both were computed over byte-identical base state.
 
-// scanCols lists the columns an aggregate shape folds, in stamp order.
-func scanCols(shape exec.Plan) []int {
-	if shape.Op == exec.KindGroupSum || shape.Op == exec.KindGroupSumWhere {
-		return []int{shape.KeyCol, shape.Col}
-	}
-	return []int{shape.Col}
-}
-
 // cacheKey is the plan as the result cache keys it.
 func (t *Table) cacheKey(p exec.Plan) rescache.Key {
 	p.Table = t.rel.Name()
@@ -83,7 +75,10 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	// The monitor sees K logical column scans: a batch changes the
 	// execution cost, not the workload the adaptation layer reasons
 	// about.
-	cols := scanCols(shape)
+	cols := []int{shape.Col}
+	if shape.Op.Grouped() {
+		cols = []int{shape.KeyCol, shape.Col}
+	}
 	for range plans {
 		t.mon.Observe(workload.Op{Kind: workload.ColumnScan, Cols: cols})
 	}
@@ -94,17 +89,14 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	cache := t.eng.rescache
 	var keys []rescache.Key
 	var missIdx []int
-	var st rescache.Stamp
 	cacheable := false
 	if cache != nil {
-		if cacheable = t.deltas.Versions() == 0; cacheable {
-			st, cacheable = t.stampLocked(cols...)
-		}
+		cacheable = t.deltas.Versions() == 0
 		keys = make([]rescache.Key, len(plans))
 		for i, p := range plans {
 			if cacheable {
 				keys[i] = t.cacheKey(p)
-				if v, ok := cache.Lookup(keys[i], st); ok {
+				if v, ok := cache.Lookup(keys[i], t.epoch); ok {
 					out[i] = v
 					continue
 				}
@@ -138,7 +130,7 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	for j, i := range missIdx {
 		out[i] = res[j]
 		if publish {
-			cache.Put(keys[i], st, res[j])
+			cache.Put(keys[i], t.epoch, res[j])
 		}
 	}
 	return out, nil
@@ -146,10 +138,9 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 
 // Peek answers a plan from the result cache only — the serving layer's
 // pre-admission fast path, which never executes a scan. A hit costs the
-// read lock, an O(#fragments) stamp walk and a map probe; anything
-// else — cache disabled, hot deltas, invalid column, miss — reports
-// false and the caller proceeds to Execute, whose own cache Lookup
-// records the miss.
+// read lock, one epoch compare and a map probe; anything else — cache
+// disabled, hot deltas, miss — reports false and the caller proceeds to
+// Execute, whose own cache Lookup records the miss.
 func (t *Table) Peek(p exec.Plan) (exec.Result, bool) {
 	cache := t.eng.rescache
 	if cache == nil {
@@ -166,11 +157,7 @@ func (t *Table) Peek(p exec.Plan) (exec.Result, bool) {
 	if t.deltas.Versions() != 0 {
 		return exec.Result{}, false
 	}
-	st, ok := t.stampLocked(scanCols(p)...)
-	if !ok {
-		return exec.Result{}, false
-	}
-	return cache.Peek(t.cacheKey(p), st)
+	return cache.Peek(t.cacheKey(p), t.epoch)
 }
 
 // Scan executes a single plan: the named query methods are sugar over
@@ -216,20 +203,17 @@ func (t *Table) patchRows(reader *tx.Tx, fn func(row uint64, rec schema.Record, 
 }
 
 // rowStampLocked resolves the result-cache coordinates of a point read
-// on row: its key and the stamp of just its chunk's fragments — the precise validity domain of a point read, so an insert
-// or merge elsewhere in the table does not invalidate it. ok is false
-// when the row is out of range or carries delta versions (LatestTS is
-// monotone under RLock, so 0 here proves 0 for the rest of the
-// section). Caller holds t.mu.
+// on row: its key and its chunk's epoch — the precise validity domain of
+// a point read, so an insert or merge elsewhere in the table does not
+// invalidate it. ok is false when the row is out of range or carries
+// delta versions (LatestTS is monotone under RLock, so 0 here proves 0
+// for the rest of the section). Caller holds t.mu.
 func (t *Table) rowStampLocked(row uint64) (rescache.Key, rescache.Stamp, bool) {
-	if row >= t.rel.Rows() || t.deltas.LatestTS(row) != 0 {
-		return rescache.Key{}, rescache.Stamp{}, false
-	}
 	c, err := t.chunkFor(row)
-	if err != nil {
+	if err != nil || row >= t.rel.Rows() || t.deltas.LatestTS(row) != 0 {
 		return rescache.Key{}, rescache.Stamp{}, false
 	}
-	return rescache.Key{Table: t.rel.Name(), Op: exec.KindGet, Row: row}, t.chunkStampLocked(c), true
+	return rescache.Key{Table: t.rel.Name(), Op: exec.KindGet, Row: row}, c.epoch, true
 }
 
 // pointLocked is the one point-read body. Under the caller's read lock

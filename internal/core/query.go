@@ -14,8 +14,8 @@ import (
 
 // Get materializes the current record at row: the newest committed delta
 // version if one exists, else the base fragments. Delta-free rows are
-// served from / published to the result cache under the stamp of just
-// their chunk's fragments (see rescache.go for the validity argument).
+// served from / published to the result cache under their chunk's epoch
+// (see rescache.go for the validity argument).
 func (t *Table) Get(row uint64) (schema.Record, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -250,12 +250,9 @@ func (t *Table) Merge() error {
 	minTS := t.deltas.MinActiveTS()
 	reader := t.deltas.Begin()
 	defer reader.Abort()
-	// Cold fragments rewritten below already stop validating through their
-	// version bumps; collecting them lets the device cache release the
-	// stale images' memory eagerly rather than waiting for capacity
-	// pressure.
-	touched := make(map[*layout.Fragment]bool)
-	touchedChunks := make(map[*chunk]bool)
+	// touched collects the chunks written below, each given a fresh
+	// epoch before its first write.
+	touched := make(map[*chunk]bool)
 	var settled []uint64
 	err := t.patchRows(reader, func(row uint64, rec schema.Record, verTS uint64) error {
 		if verTS > minTS {
@@ -264,6 +261,10 @@ func (t *Table) Merge() error {
 		c, err := t.chunkFor(row)
 		if err != nil {
 			return err
+		}
+		if !touched[c] {
+			t.touch(c)
+			touched[c] = true
 		}
 		i := int(row - c.rows.Begin)
 		if c.state == hot {
@@ -279,9 +280,7 @@ func (t *Table) Merge() error {
 						return err
 					}
 				}
-				touched[f] = true
 			}
-			touchedChunks[c] = true
 		}
 		settled = append(settled, row)
 		return nil
@@ -295,12 +294,15 @@ func (t *Table) Merge() error {
 	// version onto it meanwhile. The store compares under its write lock
 	// and keeps such a chain: it patches over the older settled value.
 	t.deltas.Forget(settled, minTS)
-	for f := range touched {
-		t.invalidateFrag(f)
-	}
-	// Rewritten cold bytes invalidate the side-car compressed images;
-	// re-seal so later scans stay in the compressed domain.
-	for c := range touchedChunks {
+	// Rewritten cold fragments already stop validating device images
+	// through their version bumps; releasing the images frees their
+	// memory eagerly rather than under capacity pressure. The side-car
+	// compressed images are re-sealed so later scans stay in the
+	// compressed domain. Both are no-ops on a hot chunk.
+	for c := range touched {
+		for _, f := range c.frags {
+			t.invalidateFrag(f)
+		}
 		t.sealChunkCompression(c)
 	}
 	t.deltas.Prune(minTS)

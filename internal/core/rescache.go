@@ -1,7 +1,8 @@
 package core
 
 import (
-	"hybridstore/internal/layout"
+	"sync/atomic"
+
 	"hybridstore/internal/rescache"
 )
 
@@ -9,12 +10,12 @@ import (
 // every operation that mutates base fragments — Insert, Merge, Adapt,
 // PlaceColumn, EvictColumn, freeze — takes the exclusive table lock,
 // while queries and MVCC point updates share the read lock. Under one
-// RLock section the fragment-version vector is therefore FROZEN: a
-// stamp taken anywhere in the section describes the base state for the
-// whole section. The only state that can move under a concurrent RLock
-// holder is the delta store, and it moves monotonically — commits only
-// add versions; Forget/Prune run inside Merge, which needs the write
-// lock. So:
+// RLock section the base is therefore FROZEN, and so is the epoch each
+// of those writers advances (touch): a stamp read anywhere in the
+// section describes the base state for the whole section. The only
+// state that can move under a concurrent RLock holder is the delta
+// store, and it moves monotonically — commits only add versions;
+// Forget/Prune run inside Merge, which needs the write lock. So:
 //
 //   - deltas.Versions() == 0 observed at any point of an RLock section
 //     means it was 0 at every earlier point of the section;
@@ -30,88 +31,35 @@ import (
 // installed, pruned and forgotten; the argument above needs only its
 // value, which is what a walk of the chains would return.
 //
-// Point reads sharpen both checks to one row (deltas.LatestTS(row),
-// equally monotone under RLock) and one chunk's fragments, so an
-// insert or merge elsewhere in the table does not invalidate them.
+// Aggregates are stamped with the table's epoch, which every base
+// mutation moves. Point reads sharpen both checks to one row
+// (deltas.LatestTS(row), equally monotone under RLock) and one chunk's
+// epoch, so an insert or merge elsewhere in the table does not
+// invalidate them.
 
-// stampLocked collects the fragment-version vector the chunk walk over
-// the given columns (one, or a key column and a value column) folds, in
-// walk order. Caller holds t.mu. ok=false when a fragment cannot be
-// resolved (the caller's own walk will surface the error; the query
-// just runs uncached).
-//
-// The walk compares each (ID, Version) with the stamp last built for a
-// column list of the same length and, when every one and the row count
-// match, returns that stamp — no allocation, and every request over
-// unchanged fragments shares one backing array. Soundness does not rest
-// on the remembered stamp being current, or even being over the same
-// columns: equality is checked element by element on every call, so the
-// answer is the vector a fresh build would return. On the first
-// difference one vector of exact capacity is built and published for
-// the next call.
-func (t *Table) stampLocked(cols ...int) (rescache.Stamp, bool) {
-	rows := t.rel.Rows()
-	live := 0
-	for live < len(t.chunks) && t.chunks[live].rows.Begin < rows {
-		live++
-	}
-	n := live * len(cols)
-	slot := &t.stamps[len(cols)-1]
-	last := slot.Load()
-	var frags []rescache.FragVer // nil while the walk matches last
-	if last == nil || last.Rows != rows || len(last.Frags) != n {
-		frags = make([]rescache.FragVer, 0, n)
-	}
-	i := 0
-	for _, c := range t.chunks[:live] {
-		for _, col := range cols {
-			frag, err := t.fragmentForCol(c, col)
-			if err != nil {
-				return rescache.Stamp{}, false
-			}
-			fv := rescache.FragVer{ID: frag.ID(), Ver: frag.Version()}
-			if frags == nil && last.Frags[i] != fv {
-				frags = append(make([]rescache.FragVer, 0, n), last.Frags[:i]...)
-			}
-			if frags != nil {
-				frags = append(frags, fv)
-			}
-			i++
-		}
-	}
-	if frags == nil {
-		return *last, true
-	}
-	st := &rescache.Stamp{Rows: rows, Frags: frags}
-	slot.Store(st)
-	return *st, true
-}
+// epochs is the process-wide base-state clock touch draws from. Being
+// process-wide, no epoch repeats across tables, nor across a table
+// restored under a name an earlier one held.
+var epochs atomic.Uint64
 
-// chunkStampLocked stamps just the fragments backing one chunk — the
-// precise validity domain of a point read. Caller holds t.mu.
-func (t *Table) chunkStampLocked(c *chunk) rescache.Stamp {
-	frags := c.frags
-	if c.state == hot {
-		frags = []*layout.Fragment{c.nsm}
+// touch records that c's base fragments changed (c nil: only the
+// table's chunk list did): c and the table take a fresh epoch. The
+// stamp is built once here and shared by every entry put under it, so
+// it is replaced, never written. Caller holds t.mu exclusively, or owns
+// a table no other goroutine can reach yet.
+func (t *Table) touch(c *chunk) {
+	t.epoch = rescache.Stamp{Frags: []rescache.FragVer{{Ver: epochs.Add(1)}}}
+	if c != nil {
+		c.epoch = t.epoch
 	}
-	st := rescache.Stamp{Frags: make([]rescache.FragVer, len(frags))}
-	for i, f := range frags {
-		st.Frags[i] = rescache.FragVer{ID: f.ID(), Ver: f.Version()}
-	}
-	return st
 }
 
 // VersionStamp exposes the stamp protocol to tests that drive an
-// external cache: the fragment-version vector a scan over cols would
-// fold — one column, or a key column and a value column. ok is false
-// when the table is not stampable — any other column list, an
-// unresolvable column, or live MVCC deltas, whose contents a fragment
-// stamp cannot describe.
-func (t *Table) VersionStamp(cols ...int) (rescache.Stamp, bool) {
+// external cache: the table's epoch, which every base mutation moves.
+// ok is false while MVCC deltas are live, whose contents the stamp
+// cannot describe.
+func (t *Table) VersionStamp() (rescache.Stamp, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(cols) < 1 || len(cols) > 2 || t.deltas.Versions() != 0 {
-		return rescache.Stamp{}, false
-	}
-	return t.stampLocked(cols...)
+	return t.epoch, t.deltas.Versions() == 0
 }

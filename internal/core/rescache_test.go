@@ -83,7 +83,7 @@ func TestResultCacheInvalidationByWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An MVCC update makes the table unanswerable from fragment stamps
+	// An MVCC update makes the table unanswerable from its base stamp
 	// (the delta store is live): queries bypass, never serve stale sums.
 	if err := tbl.Update(3, workload.ItemPriceCol, schema.FloatValue(2.5)); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestResultCacheInvalidationByWrite(t *testing.T) {
 		t.Fatalf("served a cached result across a live delta: %d hits", hits)
 	}
 
-	// Merge folds the delta into base fragments, bumping their versions:
+	// Merge folds the delta into base fragments, moving the epoch:
 	// the table is stampable again but the old entry is stale — the next
 	// probe drops it and recomputes.
 	if err := tbl.Merge(); err != nil {
@@ -169,7 +169,7 @@ func TestResultCacheGroupBy(t *testing.T) {
 		t.Fatal("cached groups alias a caller's slice")
 	}
 
-	// An insert bumps a fragment version: stale, recompute, new answer.
+	// An insert moves the epoch: stale, recompute, new answer.
 	if _, err := tbl.Insert(workload.Item(500)); err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +303,10 @@ func TestResultCacheSharedScanPartialHits(t *testing.T) {
 // TestResultCacheCheckpointRestore pins the restart-safety property: a
 // table restored from a checkpoint under the SAME name on the SAME
 // engine (worst case: every cache key collides with pre-restart
-// entries) must never serve a pre-restart result. Restored fragments
-// get fresh process-global IDs, so every old stamp mismatches — the
-// first probe of each colliding key counts stale, drops the entry and
-// recomputes.
+// entries) must never serve a pre-restart result. Restored chunks take
+// fresh epochs from the process-wide counter, so every old stamp
+// mismatches — the first probe of each colliding key counts stale,
+// drops the entry and recomputes.
 func TestResultCacheCheckpointRestore(t *testing.T) {
 	e, tbl := newTable(t, cacheOpts(), 300)
 	p := exec.Lt(3.0)
@@ -382,11 +382,11 @@ func TestVersionStampProtocol(t *testing.T) {
 	_, tbl := newTable(t, cacheOpts(), 300)
 	defer tbl.Free()
 
-	s1, ok := tbl.VersionStamp(workload.ItemPriceCol)
+	s1, ok := tbl.VersionStamp()
 	if !ok {
 		t.Fatal("clean table not stampable")
 	}
-	s2, ok := tbl.VersionStamp(workload.ItemPriceCol)
+	s2, ok := tbl.VersionStamp()
 	if !ok || !s1.Equal(s2) {
 		t.Fatalf("stamp not stable on an untouched table: %+v vs %+v", s1, s2)
 	}
@@ -395,7 +395,7 @@ func TestVersionStampProtocol(t *testing.T) {
 	if err := tbl.Update(2, workload.ItemPriceCol, schema.FloatValue(3.5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tbl.VersionStamp(workload.ItemPriceCol); ok {
+	if _, ok := tbl.VersionStamp(); ok {
 		t.Fatal("stampable with a live delta store")
 	}
 
@@ -403,7 +403,7 @@ func TestVersionStampProtocol(t *testing.T) {
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	s3, ok := tbl.VersionStamp(workload.ItemPriceCol)
+	s3, ok := tbl.VersionStamp()
 	if !ok {
 		t.Fatal("merged table not stampable")
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,15 +13,12 @@ import (
 	"hybridstore/internal/exec"
 	"hybridstore/internal/rescache"
 	"hybridstore/internal/schema"
+	"hybridstore/internal/wal"
 	"hybridstore/internal/workload"
 )
 
-// The result-cache stamp is rebuilt only when the base state it describes
-// moves: these tests hold the reuse to the answer a fresh build gives.
-
-// stampShapes are the two column lists a scan stamps: its value column,
-// and a key column with its value column.
-var stampShapes = [][]int{{workload.ItemPriceCol}, {patchKeyCol, workload.ItemPriceCol}}
+// The result-cache stamp is an epoch the writers move: these tests hold
+// an answer served under it to the answer a fresh execution gives.
 
 // stampPlans are a plan of each shape with a predicate.
 var stampPlans = []exec.Plan{
@@ -36,50 +36,7 @@ func twinTable(t *testing.T, opts Options, n uint64) *Table {
 	return tbl
 }
 
-// Two stamps with nothing written in between are one stamp: the same
-// backing array, built at its exact length. The two shapes keep a slot
-// each, so interleaving them rebuilds neither; a different column on
-// the same slot rebuilds, and answers for that column.
-func TestStampReusedWhileUnchanged(t *testing.T) {
-	_, tbl := newTable(t, cacheOpts(), 600)
-	defer tbl.Free()
-	firsts := make([]*rescache.FragVer, len(stampShapes))
-	for i, cols := range stampShapes {
-		s1, ok1 := tbl.VersionStamp(cols...)
-		s2, ok2 := tbl.VersionStamp(cols...)
-		if !ok1 || !ok2 || !s1.Equal(s2) {
-			t.Fatalf("cols %v: stamps %v/%v not equal on an untouched table", cols, ok1, ok2)
-		}
-		if len(s1.Frags) == 0 || &s1.Frags[0] != &s2.Frags[0] {
-			t.Errorf("cols %v: two stamps with nothing written between do not share one backing array", cols)
-		}
-		if cap(s1.Frags) != len(s1.Frags) {
-			t.Errorf("cols %v: stamp of %d entries built with capacity %d", cols, len(s1.Frags), cap(s1.Frags))
-		}
-		firsts[i] = &s1.Frags[0]
-	}
-	for i, cols := range stampShapes {
-		if st, _ := tbl.VersionStamp(cols...); &st.Frags[0] != firsts[i] {
-			t.Errorf("cols %v: stamping the other shape made this one rebuild", cols)
-		}
-	}
-	other, ok := tbl.VersionStamp(0)
-	if !ok {
-		t.Fatal("column 0 not stampable")
-	}
-	price, _ := tbl.VersionStamp(workload.ItemPriceCol)
-	if other.Equal(price) {
-		t.Error("column 0's stamp equals the price column's: the slot answered for the wrong column")
-	}
-	if &other.Frags[0] == &price.Frags[0] {
-		t.Error("a rebuilt stamp shares the previous column's array")
-	}
-	if _, ok := tbl.VersionStamp(); ok {
-		t.Error("an empty column list is stampable")
-	}
-}
-
-// Every base mutation moves the stamp of both shapes, and an answer
+// Every base mutation moves the stamp, and an answer of either shape
 // cached before it is counted stale and recomputed — equal, bit for bit,
 // to an uncached twin that saw the same history.
 func TestStampChangesOnEveryBaseMutation(t *testing.T) {
@@ -171,28 +128,22 @@ func TestStampChangesOnEveryBaseMutation(t *testing.T) {
 				return got, want
 			}
 			both(c.prep)
-			stamps := make(map[int]rescache.Stamp)
 			for _, p := range stampPlans {
 				answer(p)
-				answer(p) // a hit: the stamp was reused
+				answer(p) // a hit: the stamp held
 			}
-			for _, cols := range stampShapes {
-				st, ok := tbl.VersionStamp(cols...)
-				if !ok {
-					t.Fatalf("cols %v not stampable before the mutation", cols)
-				}
-				stamps[len(cols)] = st
+			before, ok := tbl.VersionStamp()
+			if !ok {
+				t.Fatal("not stampable before the mutation")
 			}
 			hits0, _, stale0, _ := cacheStats(t, tbl)
 			both(c.mutate)
-			for _, cols := range stampShapes {
-				st, ok := tbl.VersionStamp(cols...)
-				if !ok {
-					t.Fatalf("cols %v not stampable after the mutation", cols)
-				}
-				if st.Equal(stamps[len(cols)]) {
-					t.Errorf("cols %v: stamp unchanged by the mutation", cols)
-				}
+			after, ok := tbl.VersionStamp()
+			if !ok {
+				t.Fatal("not stampable after the mutation")
+			}
+			if after.Equal(before) {
+				t.Error("stamp unchanged by the mutation")
 			}
 			for _, p := range stampPlans {
 				if got, want := answer(p); !sameResult(got, want) {
@@ -207,8 +158,8 @@ func TestStampChangesOnEveryBaseMutation(t *testing.T) {
 	}
 }
 
-// pairSchema has two float columns and two integer key columns, so both
-// stamp slots can be made to alternate between column lists.
+// pairSchema has two float columns and two integer key columns, so
+// plans of both shapes can alternate between column lists.
 func pairSchema() *schema.Schema {
 	return schema.MustNew(
 		schema.Int64Attr("id"),
@@ -228,8 +179,8 @@ func pairRecord(i uint64) schema.Record {
 }
 
 // Grouped and ungrouped plans over other columns, alternating with
-// writes, always answer what an uncached twin answers — whichever slot a
-// plan reads and whatever column list it last held.
+// writes, always answer what an uncached twin answers — whatever column
+// list a plan of the same shape last cached.
 func TestStampAlternatingShapesAnswerCorrectly(t *testing.T) {
 	open := func(cacheBytes int64) *Table {
 		e := New(engine.NewEnv(), Options{ChunkRows: 64, ResultCacheBytes: cacheBytes})
@@ -289,14 +240,14 @@ func TestStampAlternatingShapesAnswerCorrectly(t *testing.T) {
 		next++
 	}
 	if hits, _, _, _ := cacheStats(t, tbl); hits == 0 {
-		t.Fatal("no plan ever hit the cache: the reuse was never exercised")
+		t.Fatal("no plan ever hit the cache: the stamp was never reused")
 	}
 }
 
 // Two readers serve plans through Peek and Execute while a writer
 // updates, inserts and merges. Once everything quiesces, every answer the
 // cache holds equals the uncached twin's, bit for bit. Run under -race:
-// the stamp memo is read and replaced by concurrent readers.
+// readers take the stamp while the writer moves it.
 func TestStampReuseUnderConcurrentWriter(t *testing.T) {
 	_, tbl := newTable(t, cacheOpts(), 600)
 	defer tbl.Free()
@@ -410,8 +361,8 @@ func TestStalePeekCountsOneQuery(t *testing.T) {
 }
 
 // A Peek hit at the bench fixture's geometry allocates only the answer's
-// copy: nothing for the stamp walk over 128 chunks, one object for the
-// cloned group slice.
+// copy: nothing for the stamp, whatever the chunk count, one object for
+// the cloned group slice or record.
 func TestPeekHitAllocs(t *testing.T) {
 	tbl := benchTable(t, 131072, 64, 4<<20)
 	defer tbl.Free()
@@ -422,6 +373,7 @@ func TestPeekHitAllocs(t *testing.T) {
 	}{
 		{exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: pred}, 2},
 		{exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: patchKeyCol, Col: workload.ItemPriceCol, Pred: pred}, 3},
+		{exec.Plan{Op: exec.KindGet, Row: 70000}, 1},
 	} {
 		if _, err := tbl.Scan(c.p); err != nil {
 			t.Fatal(err)
@@ -434,6 +386,217 @@ func TestPeekHitAllocs(t *testing.T) {
 		t.Logf("%v: %.1f objects per Peek hit", c.p.Op, allocs)
 		if allocs > c.limit {
 			t.Errorf("%v: a Peek hit allocates %.1f objects, gate %.0f", c.p.Op, allocs, c.limit)
+		}
+	}
+}
+
+// baseState is what the epoch oracle compares across one operation: the
+// table's and each chunk's epoch, and the vector the stamp used to be —
+// the (ID, version) of the fragment holding each column of each chunk —
+// with the row count.
+type baseState struct {
+	rows        uint64
+	epoch       rescache.Stamp
+	chunkEpochs []rescache.Stamp
+	frags       [][]rescache.FragVer
+}
+
+// readBase takes tbl's baseState under its read lock.
+func readBase(t *testing.T, tbl *Table) baseState {
+	t.Helper()
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	b := baseState{rows: tbl.rel.Rows(), epoch: tbl.epoch}
+	for _, c := range tbl.chunks {
+		var frags []rescache.FragVer
+		for col := 0; col < tbl.s.Arity(); col++ {
+			f, err := tbl.fragmentForCol(c, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frags = append(frags, rescache.FragVer{ID: f.ID(), Ver: f.Version()})
+		}
+		b.frags = append(b.frags, frags)
+		b.chunkEpochs = append(b.chunkEpochs, c.epoch)
+	}
+	return b
+}
+
+// The epochs are held to the walk they replaced. Over seeded random
+// sequences of every base mutation, and of operations that change
+// nothing, the table's epoch moves iff the all-column fragment vector or
+// the row count does, a chunk's iff its own fragments do, and an epoch
+// that moves takes a value no table (or no chunk) held before — across
+// tables, restores included.
+func TestEpochTracksFragmentVector(t *testing.T) {
+	tableSeen, chunkSeen := map[string]bool{}, map[string]bool{}
+	fresh := func(seen map[string]bool, st rescache.Stamp) bool {
+		k := fmt.Sprint(st)
+		if seen[k] {
+			return false
+		}
+		seen[k] = true
+		return true
+	}
+	// outcomes counts, per operation, the steps that changed the base
+	// and those that did not.
+	outcomes := map[string][2]int{}
+	check := func(op string, was, now baseState) {
+		t.Helper()
+		changed := now.rows != was.rows || !slices.EqualFunc(now.frags, was.frags, slices.Equal)
+		if moved := !now.epoch.Equal(was.epoch); moved != changed {
+			t.Fatalf("%s: table epoch moved %v, fragment vector or rows changed %v", op, moved, changed)
+		} else if moved && !fresh(tableSeen, now.epoch) {
+			t.Fatalf("%s: table epoch %v repeats an earlier one", op, now.epoch)
+		}
+		for i, ep := range now.chunkEpochs {
+			if i >= len(was.chunkEpochs) {
+				if !fresh(chunkSeen, ep) {
+					t.Fatalf("%s: new chunk %d has epoch %v, held before", op, i, ep)
+				}
+				continue
+			}
+			chunkChanged := !slices.Equal(now.frags[i], was.frags[i])
+			if moved := !ep.Equal(was.chunkEpochs[i]); moved != chunkChanged {
+				t.Fatalf("%s: chunk %d epoch moved %v, its fragments changed %v", op, i, moved, chunkChanged)
+			} else if moved && !fresh(chunkSeen, ep) {
+				t.Fatalf("%s: chunk %d epoch %v repeats an earlier one", op, i, ep)
+			}
+		}
+		o := outcomes[op]
+		if changed {
+			o[1]++
+		} else {
+			o[0]++
+		}
+		outcomes[op] = o
+	}
+
+	for _, opts := range []Options{{ChunkRows: 16, HotChunks: 2}, {ChunkRows: 16, HotChunks: 64}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			e := New(engine.NewEnv(), opts)
+			et, err := e.Create("item", workload.ItemSchema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl := et.(*Table)
+			if b := readBase(t, tbl); !fresh(tableSeen, b.epoch) {
+				t.Fatalf("a created table's epoch %v repeats an earlier one", b.epoch)
+			}
+			next := uint64(0)
+			insert := func(rec schema.Record) error {
+				_, err := tbl.Insert(rec)
+				return err
+			}
+			for ; next < 40; next++ {
+				if err := insert(workload.Item(next)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := rand.New(rand.NewSource(seed))
+			update := func() {
+				row := uint64(r.Int63n(int64(tbl.Rows())))
+				if err := tbl.Update(row, workload.ItemPriceCol, schema.FloatValue(float64(r.Intn(100)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for step := 0; step < 300; step++ {
+				was := readBase(t, tbl)
+				var op string
+				switch r.Intn(10) {
+				case 0, 1:
+					op = "insert"
+					if err := insert(workload.Item(next)); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				case 2:
+					op = "insert of a duplicate key"
+					if err := insert(workload.Item(0)); err == nil {
+						t.Fatal("a duplicate key was inserted")
+					}
+				case 3:
+					// Rejected by the fragment, after the chunk it needs was
+					// opened (and an old one frozen) when the tail was full.
+					op = "insert of a name too long"
+					rec := workload.Item(next)
+					rec[2] = schema.CharValue("far too long")
+					if err := insert(rec); err == nil {
+						t.Fatal("an over-long name was inserted")
+					}
+				case 4:
+					op = "update"
+					update()
+				case 5:
+					// A snapshot held across the Merge keeps it from settling
+					// what was committed after it.
+					op = "update and merge"
+					var held *Txn
+					if r.Intn(2) == 0 {
+						held = tbl.Begin()
+					}
+					for k := r.Intn(3); k > 0; k-- {
+						update()
+					}
+					if err := tbl.Merge(); err != nil {
+						t.Fatal(err)
+					}
+					if held != nil {
+						held.Abort()
+					}
+				case 6:
+					op = "adapt"
+					cols := []int{0, 1, 2}
+					kind := workload.PointRead
+					if r.Intn(2) == 0 {
+						cols, kind = []int{workload.ItemPriceCol}, workload.ColumnScan
+					}
+					for k := 0; k < 50; k++ {
+						tbl.Observe(workload.Op{Kind: kind, Cols: cols})
+					}
+					if _, err := tbl.Adapt(); err != nil {
+						t.Fatal(err)
+					}
+				case 7:
+					op = "place"
+					if err := tbl.PlaceColumn(workload.ItemPriceCol); err != nil {
+						t.Fatal(err)
+					}
+				case 8:
+					op = "evict"
+					if err := tbl.EvictColumn(workload.ItemPriceCol); err != nil {
+						t.Fatal(err)
+					}
+				case 9:
+					op = "checkpoint and restore"
+					var enc wal.Encoder
+					if _, _, err := tbl.CheckpointTo(&enc); err != nil {
+						t.Fatal(err)
+					}
+					rt, err := e.RestoreTable("item", workload.ItemSchema(), wal.NewDecoder(enc.Bytes()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					tbl.Free()
+					tbl = rt
+				}
+				check(op, was, readBase(t, tbl))
+			}
+			was := readBase(t, tbl)
+			tbl.Free()
+			check("free", was, readBase(t, tbl))
+		}
+	}
+	t.Logf("steps that left the base alone / changed it: %v", outcomes)
+	// Both directions were exercised where an operation can go either way.
+	for _, op := range []string{"insert of a name too long", "update and merge", "adapt", "place", "evict"} {
+		if o := outcomes[op]; o[0] == 0 || o[1] == 0 {
+			t.Errorf("%s: %d steps left the base alone, %d changed it; want both", op, o[0], o[1])
+		}
+	}
+	for op, must := range map[string]int{"insert": 1, "checkpoint and restore": 1, "free": 1, "update": 0, "insert of a duplicate key": 0} {
+		if o := outcomes[op]; o[must] == 0 || o[1-must] != 0 {
+			t.Errorf("%s: %d steps left the base alone, %d changed it", op, o[0], o[1])
 		}
 	}
 }

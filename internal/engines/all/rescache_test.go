@@ -16,22 +16,22 @@ import (
 )
 
 // stampTable is the surface the result-cache property needs beside the
-// contract's scan entry: the engine's fragment-version stamp.
+// contract's scan entry: the engine's base-state stamp.
 type stampTable interface {
-	VersionStamp(cols ...int) (rescache.Stamp, bool)
+	VersionStamp() (rescache.Stamp, bool)
 }
 
 // TestResultCacheRacingWriters is the correctness property of
-// version-stamped result caching: under 16 racing writers (each also
-// bumping fragment versions via merge mid-flight), a cached answer
+// stamped result caching: under 16 racing writers (each also moving
+// the base epoch via merge mid-flight), a cached answer
 // served under stamp S must be
 // byte-for-byte identical to a fresh execution bracketed by the same
 // stamp. Readers run the double-stamp bracket —
 //
-//	s1 := VersionStamp(col)
+//	s1 := VersionStamp()
 //	cached, hadCached := cache.Lookup(key, s1)
 //	fresh := SumFloat64Where(col, p)   // real execution
-//	s2 := VersionStamp(col)
+//	s2 := VersionStamp()
 //	if s1 == s2: fresh is a pure function of the stamped state
 //	             → any cached answer must match it exactly, and fresh
 //	               may be published under that stamp
@@ -59,7 +59,7 @@ func TestResultCacheRacingWriters(t *testing.T) {
 	makers := []struct {
 		name string
 		make func(env *engine.Env) engine.Engine
-		// maintain bumps fragment versions outside the write path: merge.
+		// maintain moves the base outside the write path: merge.
 		maintain func(tbl engine.Table) error
 	}{
 		{"core", func(env *engine.Env) engine.Engine {
@@ -90,7 +90,7 @@ func TestResultCacheRacingWriters(t *testing.T) {
 			// bracket runs one checked query; it reports whether a cached
 			// answer was validated against a fresh execution.
 			bracket := func(i int) (validatedHit bool) {
-				s1, ok1 := st.VersionStamp(workload.ItemPriceCol)
+				s1, ok1 := st.VersionStamp()
 				var cached rescache.Value
 				hadCached := false
 				if ok1 {
@@ -101,7 +101,7 @@ func TestResultCacheRacingWriters(t *testing.T) {
 					t.Error(err)
 					return false
 				}
-				s2, ok2 := st.VersionStamp(workload.ItemPriceCol)
+				s2, ok2 := st.VersionStamp()
 				if !ok1 || !ok2 || !s1.Equal(s2) {
 					return false // state moved (or unstampable): nothing provable
 				}

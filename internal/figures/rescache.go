@@ -20,12 +20,12 @@ import (
 // spectrum:
 //
 //   - read-heavy: pure repeats of a small dashboard cut set. The cache
-//     answers from an O(#fragments) version-vector compare instead of a
-//     column scan — this is the headline p50 speedup.
+//     answers from one epoch compare instead of a column scan — this is
+//     the headline p50 speedup.
 //   - mixed: periodic point writes with periodic merges. Writes make
-//     hot chunks uncacheable, merges bump fragment versions, so cached
+//     hot chunks uncacheable, merges move the base epoch, so cached
 //     entries go stale and are re-published — the leg exercises
-//     invalidation-by-version under a realistic HTAP rhythm.
+//     invalidation-by-epoch under a realistic HTAP rhythm.
 //   - write-storm: a write lands before every query. Nothing is ever
 //     validly reusable; the leg proves the cache never serves a stale
 //     byte when the table churns as fast as it is read.

@@ -1,21 +1,19 @@
 // Package rescache is the cross-request query-result cache: a bounded,
 // sharded LRU keyed by the normalized read plan (exec.Plan — the plan is
-// the key) whose entries are stamped with the fragment-version vector
-// the executing snapshot saw.
+// the key) whose entries are stamped with the base state the executing
+// snapshot saw.
 //
-// Correctness rests on a property the storage layer already provides:
-// fragment IDs are process-globally unique and fragment versions are
-// bumped on every in-place mutation, so the vector of (ID, Version)
-// pairs a scan folded is a complete fingerprint of the bytes it read.
-// A cached result is valid exactly while that vector is unchanged —
-// the validity check is O(#fragments) integer compares, no data reads.
-// Invalidation is purely passive: a write bumps a version (or replaces
-// a fragment, changing its ID), the next lookup sees a stale stamp,
-// counts it, drops the entry, and the caller recomputes. There are no
-// write-path hooks and therefore no lock-order risk.
+// Correctness rests on the stamp's producer: a stamp must change
+// whenever the bytes a result was computed over may have. core, the one
+// producer, stamps with an epoch drawn from a process-wide counter that
+// every base mutation advances under the table's exclusive lock, so the
+// validity check is one integer compare, no data reads. Invalidation is
+// purely passive: a write moves the epoch, the next lookup sees a stale
+// stamp, counts it, drops the entry, and the caller recomputes. No
+// writer touches the cache, so there is no lock-order risk.
 //
 // Queries whose snapshot overlaps hot MVCC deltas are uncacheable (the
-// delta store has no version vector); callers report them via Bypass so
+// stamp describes only the base); callers report them via Bypass so
 // the accounting invariant hits + misses == lookups holds for every
 // query that consulted the cache, cacheable or not.
 package rescache
@@ -23,6 +21,7 @@ package rescache
 import (
 	"container/list"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,7 +57,7 @@ func cacheable(k Key) bool {
 	return !k.HasPred || (k.Pred.Lo == k.Pred.Lo && k.Pred.Hi == k.Pred.Hi)
 }
 
-// FragVer is one fragment's identity and write version.
+// FragVer is an identity and a write version.
 type FragVer struct {
 	// ID is the process-globally unique fragment ID.
 	ID uint64
@@ -66,31 +65,22 @@ type FragVer struct {
 	Ver uint64
 }
 
-// Stamp is the fragment-version vector a result was computed over,
-// together with the row count. A stamp is immutable once built: its
+// Stamp names the base state a result was computed over: two stamps are
+// equal only while that state is. A stamp is immutable once built: its
 // producer hands the same Frags to every request that sees the same
 // base state, and every entry stored under it shares that backing
 // array, so nothing may write to a Stamp's Frags after building it.
+// core's stamps are one FragVer carrying an epoch, and leave Rows zero:
+// every insert moves the epoch.
 type Stamp struct {
 	// Rows is the table's row count at stamp time.
 	Rows uint64
-	// Frags are the (ID, Version) pairs of every fragment the
-	// executing snapshot folded, in walk order.
+	// Frags are (ID, Version) pairs that change whenever the base does.
 	Frags []FragVer
 }
 
 // Equal reports whether two stamps describe the same base state.
-func (s Stamp) Equal(o Stamp) bool {
-	if s.Rows != o.Rows || len(s.Frags) != len(o.Frags) {
-		return false
-	}
-	for i, f := range s.Frags {
-		if f != o.Frags[i] {
-			return false
-		}
-	}
-	return true
-}
+func (s Stamp) Equal(o Stamp) bool { return s.Rows == o.Rows && slices.Equal(s.Frags, o.Frags) }
 
 // Stats is a point-in-time snapshot of one cache's accounting. Stale
 // is a subset of Misses, so Hits + Misses == Lookups always holds.
@@ -138,9 +128,10 @@ type Cache struct {
 	entries   atomic.Int64
 }
 
-// New builds a cache bounded at capBytes total: entries live until a
-// version bump or eviction. The stamp alone carries correctness — core,
-// the one stamp producer, bumps a fragment version on every mutation.
+// New builds a cache bounded at capBytes total: entries live until their
+// stamp goes stale or they are evicted. The stamp alone carries
+// correctness — core, the one stamp producer, moves its epoch on every
+// base mutation.
 // The second parameter is unused; it stays because bench/ passes it.
 func New(capBytes int64, _ time.Duration) *Cache {
 	if capBytes <= 0 {
@@ -196,7 +187,7 @@ func sizeOf(k Key, st Stamp, v Value) int64 {
 	return n
 }
 
-// Lookup consults the cache. cur must be the fragment-version vector
+// Lookup consults the cache. cur must be the stamp of the base state
 // the caller's current snapshot sees: a stored entry answers only if
 // its stamp equals cur. A stale entry is dropped on the spot and counted
 // as a stale miss.
