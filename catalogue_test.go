@@ -70,7 +70,7 @@ func TestMetricCatalogue(t *testing.T) {
 	// The multidevice panel's fleet registers a family per card.
 	device.NewEnv(2, perfmodel.DefaultDevice(), nil)
 	srv := server.New(server.Config{DB: db})
-	sid, err := srv.CreateSession("")
+	sid, err := srv.CreateSession()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,6 @@ func TestMetricCatalogue(t *testing.T) {
 		{"insert", 0, 0, `"record":[9001,17,"itmx","ab",3.5]`},
 		{"sum", price, 0, ``},
 		{"sum_where", price, 0, `"pred":{"kind":"lt","hi":50}`},
-		{"count_where", price, 0, `"pred":{"kind":"gt","lo":50}`},
 		{"group_sum_where", price, 1, `"pred":{"kind":"between","lo":1,"hi":9}`},
 	} {
 		id, err := srv.Prepare(sid, req.op, "item", req.col, req.keyCol)

@@ -11,13 +11,12 @@
 // per second. With -autoterm the run ends as soon as throughput
 // stabilizes instead of burning the full -duration.
 //
-// The exit status is the CI contract: 0 when every request succeeded
-// (admission sheds are reported separately and do not fail the run),
-// 1 when any request errored. With -selfserve the run additionally
-// verifies, after the lanes quiesce, that served bytes are
-// bit-identical to direct facade execution — point reads and predicate
-// sums are replayed over HTTP and compared byte for byte; any
-// divergence (a stale cache entry, a broken gather fan-out) exits 1.
+// The exit status is the CI contract: 0 when every request succeeded, 1
+// when any request errored. With -selfserve the run additionally
+// verifies, after the lanes quiesce, that served bytes are bit-identical
+// to direct facade execution — point reads and predicate sums are
+// replayed over HTTP and compared byte for byte; any divergence (a stale
+// cache entry, a broken shared pass) exits 1.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of this
 // process: CPU from the first request to the end of verification, and
@@ -162,10 +161,10 @@ func profileTo(path string, write func(io.Writer) error) {
 // the quiesced table and compares each response byte for byte with the
 // facade's direct answer rendered the way the server renders it
 // (shortest-exact float formatting). A single divergent byte — a stale
-// cache entry surviving invalidation, a gather pass fanning out the
-// wrong record — fails the run.
+// cache entry surviving invalidation, a shared pass answering the wrong
+// predicate — fails the run.
 func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
-	c, err := loadgen.Dial(&http.Client{Timeout: 10 * time.Second}, base, "verify")
+	c, err := loadgen.Dial(&http.Client{Timeout: 10 * time.Second}, base)
 	if err != nil {
 		return 0, err
 	}
@@ -228,7 +227,8 @@ func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
 // serveLocal builds the warm device-cached item fixture and serves it
 // on a loopback port. With a non-empty walDir the item table is opened
 // durably: a previous process's rows are recovered instead of reloaded,
-// and every write acknowledged over HTTP survives a kill.
+// the device cache is re-primed from the checkpoint's manifest, and
+// every write acknowledged over HTTP survives a kill.
 func serveLocal(rows uint64, unbatched bool, resCache int64, walDir string) (stop func(), url string, vtbl *hybridstore.Table, err error) {
 	opts := hybridstore.Options{ChunkRows: 256, DeviceCache: true,
 		ResultCache: hybridstore.ResultCacheOptions{Cap: resCache}}
@@ -272,17 +272,18 @@ func serveLocal(rows uint64, unbatched bool, resCache int64, walDir string) (sto
 	if err := tbl.Merge(); err != nil {
 		return fail(tbl, err)
 	}
-	if walDir != "" {
-		// Cut a checkpoint of the loaded fixture so the next recovery
-		// restores sealed fragments instead of replaying the bulk load.
-		if err := db.Checkpoint(); err != nil {
-			return fail(tbl, err)
-		}
-	}
 	// Warm pass: populate the device cache before lanes arrive, so the
 	// measured run starts from the steady state.
 	if _, _, err := tbl.SumFloat64Where(hybridstore.ItemPriceColumn, hybridstore.GtFloat(0)); err != nil {
 		return fail(tbl, err)
+	}
+	if walDir != "" {
+		// Cut a checkpoint of the warm fixture, so the next recovery
+		// restores sealed fragments instead of replaying the bulk load and
+		// re-primes the device cache from the manifest of what is resident.
+		if err := db.Checkpoint(); err != nil {
+			return fail(tbl, err)
+		}
 	}
 	cfg := server.Config{DB: db}
 	if !unbatched {

@@ -94,7 +94,7 @@ func TestConcurrentHTAPStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := tbl.GroupSumFloat64(1, ItemPriceColumn); err != nil {
+				if _, err := tbl.Execute([]Plan{{Op: "group_sum", KeyCol: 1, Col: ItemPriceColumn}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -240,9 +240,9 @@ func TestConcurrentMorselPoolStress(t *testing.T) {
 						t.Errorf("db %d: concurrent sum = %v, want %v", d, got, f.want)
 						return
 					}
-					groups, err := f.tbl.GroupSumFloat64(1, ItemPriceColumn)
-					if err != nil || len(groups) == 0 {
-						t.Errorf("db %d: group sum = %v, %v", d, groups, err)
+					res, err := f.tbl.Execute([]Plan{{Op: "group_sum", KeyCol: 1, Col: ItemPriceColumn}})
+					if err != nil || len(res[0].Groups) == 0 {
+						t.Errorf("db %d: group sum = %v, %v", d, res, err)
 						return
 					}
 					row := uint64(r.Int63n(rows))
@@ -295,7 +295,7 @@ func TestStatsDuringStructuralWrites(t *testing.T) {
 		default:
 		}
 		st := tbl.Stats()
-		if st.HotChunks > 1 || uint64(st.HotChunks+st.ColdChunks) > rows/64+1 || len(tbl.DeviceColumns()) > 1 {
+		if st.HotChunks > 1 || uint64(st.HotChunks+st.ColdChunks) > rows/64+1 || len(st.DeviceColumns) > 1 {
 			t.Fatalf("incoherent stats %+v", st)
 		}
 	}

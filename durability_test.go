@@ -240,6 +240,67 @@ func TestDurableCheckpoint(t *testing.T) {
 	checkAccounts(t, re.Table("accounts"), 320, patched)
 }
 
+// TestCheckpointAfterRejectedUpdate: an update its column cannot hold —
+// autocommit or inside a transaction — is refused before it is buffered,
+// so the next Merge and Checkpoint succeed and the store reopens with
+// exactly the acknowledged writes.
+func TestCheckpointAfterRejectedUpdate(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDir(dir, Options{ChunkRows: 64, HotChunks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("accounts", durableSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := tbl.Insert(Record{
+			IntValue(int64(i)), CharValue("acct"), FloatValue(float64(i) * 10),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	long := CharValue("elevenbytes") // name is CHAR(8)
+	if err := tbl.Update(3, 1, long); err == nil {
+		t.Fatal("over-width CHAR update accepted")
+	}
+	x := tbl.Begin()
+	if err := x.Update(4, 1, long); err == nil {
+		t.Fatal("over-width CHAR update accepted inside a transaction")
+	}
+	if err := x.Update(4, 2, FloatValue(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Update(5, 2, FloatValue(8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenDir(dir, Options{ChunkRows: 64, HotChunks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	checkAccounts(t, re.Table("accounts"), 100, map[uint64]float64{4: 7, 5: 8})
+	for _, row := range []uint64{3, 4} {
+		if rec, err := re.Table("accounts").Get(row); err != nil || rec[1].S != "acct" {
+			t.Fatalf("row %d after reopen = %v, %v; want name acct", row, rec, err)
+		}
+	}
+}
+
 // TestWarmRestartZeroReseals: restoring a checkpoint must not re-seal
 // a single zone map — the image carries the sealed snapshots, so a
 // warm restart pays zero zone-recomputation scans and the restored

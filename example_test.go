@@ -23,12 +23,15 @@ func Example() {
 		})
 	}
 
-	// A snapshot-isolated transfer.
+	// A snapshot-isolated transfer between the accounts keyed 3 and 0.
+	// Keys are immutable once indexed, so a key resolves to its row once.
+	fromRow, _ := accounts.LookupPK(3)
+	toRow, _ := accounts.LookupPK(0)
 	txn := accounts.Begin()
-	from, _ := txn.ReadByPK(3)
-	to, _ := txn.ReadByPK(0)
-	txn.Update(3, 1, hybridstore.FloatValue(from[1].F-50))
-	txn.Update(0, 1, hybridstore.FloatValue(to[1].F+50))
+	from, _ := txn.Read(fromRow)
+	to, _ := txn.Read(toRow)
+	txn.Update(fromRow, 1, hybridstore.FloatValue(from[1].F-50))
+	txn.Update(toRow, 1, hybridstore.FloatValue(to[1].F+50))
 	if err := txn.Commit(); err != nil {
 		fmt.Println("conflict:", err)
 		return

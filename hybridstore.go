@@ -195,9 +195,6 @@ func (db *DB) SimulatedSeconds() float64 {
 	return db.env.Clock.ElapsedNs() / 1e9
 }
 
-// DeviceFreeMemory returns the simulated GPU's free global memory.
-func (db *DB) DeviceFreeMemory() int64 { return db.env.GPU.FreeMemory() }
-
 // Table is one hybridstore relation.
 type Table struct {
 	db  *DB
@@ -267,11 +264,6 @@ func (t *Table) Insert(rec Record) (uint64, error) { return t.t.Insert(rec) }
 
 // Update overwrites one field through a single-operation transaction.
 func (t *Table) Update(row uint64, col int, v Value) error { return t.t.Update(row, col, v) }
-
-// Materialize resolves a sorted position list to full records.
-func (t *Table) Materialize(positions []uint64) ([]Record, error) {
-	return t.t.Materialize(positions)
-}
 
 // Plan describes one read — Op is "get", "sum", "sum_where",
 // "group_sum" or "group_sum_where"; Col the aggregated float64 column;
@@ -349,21 +341,8 @@ func (t *Table) SumFloat64Where(col int, p FloatPred) (float64, int64, error) {
 	return t.t.SumFloat64Where(col, p)
 }
 
-// CountWhereFloat64 computes SELECT COUNT(*) WHERE p with the same
-// pruned fused pass.
-func (t *Table) CountWhereFloat64(col int, p FloatPred) (int64, error) {
-	return t.t.CountWhereFloat64(col, p)
-}
-
 // GroupResult is one group of a grouped aggregation.
 type GroupResult = exec.GroupResult
-
-// GroupSumFloat64 computes SELECT keyCol, SUM(valCol), COUNT(*) GROUP BY
-// keyCol over an MVCC snapshot. keyCol must be an integer attribute,
-// valCol a float64 one; results come back sorted by key.
-func (t *Table) GroupSumFloat64(keyCol, valCol int) ([]GroupResult, error) {
-	return t.t.GroupSumFloat64(keyCol, valCol)
-}
 
 // GroupBySumWhere computes SELECT keyCol, SUM(valCol), COUNT(*) WHERE p
 // GROUP BY keyCol over an MVCC snapshot in ONE fused pass: each element
@@ -389,12 +368,6 @@ func (t *Table) Merge() error { return t.t.Merge() }
 // PlaceColumn moves a column's cold fragments to the device explicitly
 // (Adapt does this automatically when DevicePlacement is on).
 func (t *Table) PlaceColumn(col int) error { return t.t.PlaceColumn(col) }
-
-// EvictColumn moves a column's device fragments back to the host.
-func (t *Table) EvictColumn(col int) error { return t.t.EvictColumn(col) }
-
-// DeviceColumns lists the device-resident columns.
-func (t *Table) DeviceColumns() []int { return t.t.DeviceColumns() }
 
 // Stats summarizes the table's physical state.
 type Stats struct {
@@ -432,11 +405,12 @@ func (t *Table) Classify() (Classification, error) {
 // Free releases the table's storage.
 func (t *Table) Free() { t.t.Free() }
 
-// Txn is a snapshot-isolated transaction: Read and ReadByPK see the
-// snapshot Begin took plus the transaction's own writes, Update buffers
-// a field update, Commit installs the buffered writes — failing with a
-// conflict error if another transaction committed one of the rows first
-// (first committer wins) — and Abort discards them.
+// Txn is a snapshot-isolated transaction: Read sees the snapshot Begin
+// took plus the transaction's own writes, Update buffers a field update,
+// Commit installs the buffered writes — failing with a conflict error if
+// another transaction committed one of the rows first (first committer
+// wins) — and Abort discards them. A read by primary key is LookupPK
+// then Read: primary keys are immutable once indexed.
 type Txn = core.Txn
 
 // MetricsSnapshot is a point-in-time copy of the process-wide

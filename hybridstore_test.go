@@ -47,15 +47,12 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil || rec[2].F != 0 {
 		t.Fatalf("get = %v, %v", rec, err)
 	}
-	recs, err := tbl.Materialize([]uint64{1, 2, 3})
-	if err != nil || len(recs) != 3 {
-		t.Fatalf("materialize = %v, %v", recs, err)
+	res, err := tbl.Execute([]Plan{{Op: "get", Row: 1}, {Op: "get", Row: 2}, {Op: "get", Row: 3}})
+	if err != nil || len(res) != 3 || res[2].Rec[0].I != 3 {
+		t.Fatalf("three gets = %v, %v", res, err)
 	}
 	if db.SimulatedSeconds() <= 0 {
 		t.Fatal("no simulated time accumulated")
-	}
-	if db.DeviceFreeMemory() <= 0 {
-		t.Fatal("device memory accessor broken")
 	}
 }
 
@@ -119,19 +116,9 @@ func TestAdaptAndPlacement(t *testing.T) {
 	if err := tbl.PlaceColumn(ItemPriceColumn); err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.DeviceColumns()) == 0 {
-		t.Fatal("price column not placed")
-	}
 	st := tbl.Stats()
-	if st.Rows != 400 || st.Freezes == 0 || st.ColdChunks == 0 {
+	if st.Rows != 400 || st.Freezes == 0 || st.ColdChunks == 0 || len(st.DeviceColumns) == 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-	// Explicit eviction and re-placement.
-	if err := tbl.EvictColumn(ItemPriceColumn); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.PlaceColumn(ItemPriceColumn); err != nil {
-		t.Fatal(err)
 	}
 	sum, err := tbl.SumFloat64(ItemPriceColumn)
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(400)) > 1e-6 {
@@ -209,10 +196,14 @@ func TestPrimaryKeyAPI(t *testing.T) {
 	if row, ok := tbl.LookupPK(7); !ok || row != 7 {
 		t.Fatalf("LookupPK = %d, %v", row, ok)
 	}
+	// A transaction reads by key through the index: keys are immutable
+	// once indexed, so the row LookupPK resolves is the row at any
+	// snapshot.
 	x := tbl.Begin()
 	defer x.Abort()
-	if _, err := x.ReadByPK(12); err != nil {
-		t.Fatal(err)
+	row, ok := tbl.LookupPK(12)
+	if rec, err := x.Read(row); !ok || err != nil || !rec.Equal(Item(12)) {
+		t.Fatalf("Read(LookupPK(12)) = %v, %v, %v", rec, ok, err)
 	}
 }
 
@@ -226,12 +217,12 @@ func TestGroupByAPI(t *testing.T) {
 	for i := uint64(0); i < 300; i++ {
 		tbl.Insert(Item(i))
 	}
-	groups, err := tbl.GroupSumFloat64(1, ItemPriceColumn)
+	res, err := tbl.Execute([]Plan{{Op: "group_sum", KeyCol: 1, Col: ItemPriceColumn}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var total float64
-	for _, g := range groups {
+	for _, g := range res[0].Groups {
 		total += g.Sum
 	}
 	if math.Abs(total-workload.ExpectedItemPriceSum(300)) > 1e-6 {
@@ -275,10 +266,6 @@ func TestPredicateAPI(t *testing.T) {
 		}
 		if cnt != wantN || math.Abs(sum-wantSum) > 1e-9 {
 			t.Fatalf("%v: got (%v, %d), want (%v, %d)", p, sum, cnt, wantSum, wantN)
-		}
-		gotN, err := tbl.CountWhereFloat64(ItemPriceColumn, p)
-		if err != nil || gotN != wantN {
-			t.Fatalf("%v: count = %d (%v), want %d", p, gotN, err, wantN)
 		}
 	}
 	check(GtFloat(100))         // only the updated outlier

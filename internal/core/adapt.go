@@ -186,15 +186,8 @@ func (t *Table) placeColumnLocked(col int) error {
 	return nil
 }
 
-// EvictColumn moves column col's device-resident fragments back to host
-// memory.
-func (t *Table) EvictColumn(col int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evictColumnLocked(col)
-}
-
-// evictColumnLocked is EvictColumn under the held exclusive lock.
+// evictColumnLocked moves column col's device-resident fragments back
+// to host memory. Caller holds the exclusive lock.
 func (t *Table) evictColumnLocked(col int) error {
 	for _, c := range t.chunks {
 		if c.state != cold {

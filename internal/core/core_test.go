@@ -44,6 +44,20 @@ func newTable(t *testing.T, opts Options, n uint64) (*Engine, *Table) {
 	return e, ct
 }
 
+// groupSum answers SELECT keyCol, SUM(valCol), COUNT(*) GROUP BY keyCol
+// through the one aggregate entry.
+func groupSum(tbl *Table, keyCol, valCol int) ([]exec.GroupResult, error) {
+	r, err := tbl.Scan(exec.Plan{Op: exec.KindGroupSum, KeyCol: keyCol, Col: valCol})
+	return r.Groups, err
+}
+
+// evictColumn is evictColumnLocked under the exclusive lock.
+func (t *Table) evictColumn(col int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.evictColumnLocked(col)
+}
+
 func TestInsertGetRoundTrip(t *testing.T) {
 	_, tbl := newTable(t, Options{}, 500)
 	defer tbl.Free()
@@ -335,7 +349,7 @@ func TestDevicePlacementMovesColumns(t *testing.T) {
 	}
 	// Delegation, not replication: no host copy of a placed fragment.
 	// Eviction brings it back.
-	if err := tbl.EvictColumn(workload.ItemPriceCol); err != nil {
+	if err := tbl.evictColumn(workload.ItemPriceCol); err != nil {
 		t.Fatal(err)
 	}
 	sum2, err := tbl.SumFloat64(workload.ItemPriceCol)
@@ -595,14 +609,20 @@ func TestTxnReadByPKSnapshot(t *testing.T) {
 	defer tbl.Free()
 	x := tbl.Begin()
 	defer x.Abort()
-	before, err := x.ReadByPK(10)
+	// A read by key is LookupPK then Read: keys are immutable once
+	// indexed, so the resolved row holds at every snapshot.
+	row, ok := tbl.LookupPK(10)
+	if !ok {
+		t.Fatal("pk 10 not indexed")
+	}
+	before, err := x.Read(row)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Update(10, workload.ItemPriceCol, schema.FloatValue(1)); err != nil {
 		t.Fatal(err)
 	}
-	after, err := x.ReadByPK(10)
+	after, err := x.Read(row)
 	if err != nil || !before.Equal(after) {
 		t.Fatalf("snapshot moved under pk read: %v → %v (%v)", before, after, err)
 	}
@@ -643,7 +663,7 @@ func TestGroupSumFloat64(t *testing.T) {
 	// rows; group by warehouse-ish col 1 (int32, i%100000 → distinct).
 	// Use col 1 (i_im_id, int32): values are i%100000, distinct per row
 	// at 700 rows — instead group by a small-cardinality derived table.
-	groups, err := tbl.GroupSumFloat64(1, workload.ItemPriceCol)
+	groups, err := groupSum(tbl, 1, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -665,7 +685,7 @@ func TestGroupSumFloat64(t *testing.T) {
 	if err := tbl.Update(5, workload.ItemPriceCol, schema.FloatValue(500)); err != nil {
 		t.Fatal(err)
 	}
-	groups, err = tbl.GroupSumFloat64(1, workload.ItemPriceCol)
+	groups, err = groupSum(tbl, 1, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +702,7 @@ func TestGroupSumFloat64(t *testing.T) {
 	if err := tbl.Update(5, 1, schema.Int32Value(999_999)); err != nil {
 		t.Fatal(err)
 	}
-	groups, err = tbl.GroupSumFloat64(1, workload.ItemPriceCol)
+	groups, err = groupSum(tbl, 1, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,13 +720,13 @@ func TestGroupSumFloat64(t *testing.T) {
 	}
 
 	// Validation.
-	if _, err := tbl.GroupSumFloat64(2, workload.ItemPriceCol); err == nil {
+	if _, err := groupSum(tbl, 2, workload.ItemPriceCol); err == nil {
 		t.Fatal("char key accepted")
 	}
-	if _, err := tbl.GroupSumFloat64(1, 0); err == nil {
+	if _, err := groupSum(tbl, 1, 0); err == nil {
 		t.Fatal("int aggregate accepted")
 	}
-	if _, err := tbl.GroupSumFloat64(99, 4); err == nil {
+	if _, err := groupSum(tbl, 99, 4); err == nil {
 		t.Fatal("bad col accepted")
 	}
 }

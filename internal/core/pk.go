@@ -6,6 +6,7 @@ import (
 
 	"hybridstore/internal/engine"
 	"hybridstore/internal/index"
+	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 )
 
@@ -32,12 +33,18 @@ func (t *Table) indexInsert(rec schema.Record, row uint64) error {
 	return nil
 }
 
-// guardPKUpdate rejects writes to the indexed key attribute.
-func (t *Table) guardPKUpdate(col int) error {
+// checkWrite refuses a field write before anything is buffered or
+// logged: a column outside the schema, the indexed key attribute, or a
+// value the column cannot hold — buffered, it would fail every later
+// Merge and the checkpoint that carries it.
+func (t *Table) checkWrite(col int, v schema.Value) error {
+	if col < 0 || col >= t.s.Arity() {
+		return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
+	}
 	if t.pk != nil && col == 0 {
 		return fmt.Errorf("%w: attribute %s", ErrImmutablePK, t.s.Attr(0).Name)
 	}
-	return nil
+	return schema.ValidateValue(t.s.Attr(col), v)
 }
 
 // GetByPK answers the paper's query Q1 — SELECT * FROM R WHERE pk = c —
@@ -66,20 +73,4 @@ func (t *Table) LookupPK(pk int64) (uint64, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.pk.Lookup(pk)
-}
-
-// ReadByPK is the transaction-scoped Q1: GetByPK under the
-// transaction's snapshot.
-func (x *Txn) ReadByPK(pk int64) (schema.Record, error) {
-	t := x.t
-	if t.pk == nil {
-		return nil, fmt.Errorf("%w: relation has no int64 primary key", engine.ErrUnsupported)
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	row, ok := t.pk.Lookup(pk)
-	if !ok {
-		return nil, fmt.Errorf("%w: pk %d", engine.ErrNoSuchRow, pk)
-	}
-	return t.recordAt(x.x, row)
 }

@@ -260,12 +260,12 @@ func (t *Table) getLocked(row uint64) (schema.Record, error) {
 	return rec, err
 }
 
-// gatherLocked materializes many rows from one snapshot — the storage
-// half of the serving layer's gather fan-in. Results are bit-identical
-// to one solo get per row against the same snapshot, but the pass
-// charges device-resident gathers per CHUNK: k rows hitting one chunk's
-// device fragments cost one bus transfer of k-fold bytes (one fixed
-// transfer latency) instead of k separate transfers.
+// gatherLocked materializes many rows from one snapshot — Execute's
+// K-get case. Results are bit-identical to one solo get per row against
+// the same snapshot, but the pass charges device-resident gathers per
+// CHUNK: k rows hitting one chunk's device fragments cost one bus
+// transfer of k-fold bytes (one fixed transfer latency) instead of k
+// separate transfers.
 func (t *Table) gatherLocked(plans []exec.Plan, out []exec.Result) error {
 	reader := t.deltas.Begin() // before the first probe: a hit must hold at the snapshot
 	defer reader.Abort()

@@ -47,10 +47,7 @@ func (t *Table) recordAt(x *tx.Tx, row uint64) (schema.Record, error) {
 // Every rerun is caused by another transaction's successful commit to
 // the row, so some writer always makes progress.
 func (t *Table) Update(row uint64, col int, v schema.Value) error {
-	if col < 0 || col >= t.s.Arity() {
-		return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	if err := t.guardPKUpdate(col); err != nil {
+	if err := t.checkWrite(col, v); err != nil {
 		return err
 	}
 	t.mu.RLock()
@@ -127,22 +124,9 @@ func (t *Table) SumFloat64Where(col int, p exec.Pred) (float64, int64, error) {
 	return r.Sum, r.Count, err
 }
 
-// CountWhereFloat64 counts the rows matching p on col with the same
-// pruning as SumFloat64Where.
-func (t *Table) CountWhereFloat64(col int, p exec.Pred) (int64, error) {
-	_, n, err := t.SumFloat64Where(col, p)
-	return n, err
-}
-
-// GroupSumFloat64 computes SELECT keyCol, SUM(valCol), COUNT(*) GROUP BY
-// keyCol over an MVCC snapshot. keyCol must be an integer attribute,
-// valCol a float64 one.
-func (t *Table) GroupSumFloat64(keyCol, valCol int) ([]exec.GroupResult, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSum, KeyCol: keyCol, Col: valCol})
-	return r.Groups, err
-}
-
-// GroupSumFloat64Where is GroupSumFloat64 WHERE p, in one fused pass.
+// GroupSumFloat64Where computes SELECT keyCol, SUM(valCol), COUNT(*)
+// WHERE p GROUP BY keyCol over an MVCC snapshot in one fused pass. keyCol
+// must be an integer attribute, valCol a float64 one.
 func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred) ([]exec.GroupResult, error) {
 	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
 	return r.Groups, err
@@ -216,10 +200,7 @@ func (x *Txn) Read(row uint64) (schema.Record, error) {
 
 // Update buffers a field update.
 func (x *Txn) Update(row uint64, col int, v schema.Value) error {
-	if col < 0 || col >= x.t.s.Arity() {
-		return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
-	}
-	if err := x.t.guardPKUpdate(col); err != nil {
+	if err := x.t.checkWrite(col, v); err != nil {
 		return err
 	}
 	rec, err := x.Read(row)

@@ -97,7 +97,7 @@ func TestStampChangesOnEveryBaseMutation(t *testing.T) {
 				}
 			},
 			mutate: func(t *testing.T, tbl *Table) {
-				if err := tbl.EvictColumn(workload.ItemPriceCol); err != nil {
+				if err := tbl.evictColumn(workload.ItemPriceCol); err != nil {
 					t.Fatal(err)
 				}
 			}},
@@ -564,7 +564,7 @@ func TestEpochTracksFragmentVector(t *testing.T) {
 					}
 				case 8:
 					op = "evict"
-					if err := tbl.EvictColumn(workload.ItemPriceCol); err != nil {
+					if err := tbl.evictColumn(workload.ItemPriceCol); err != nil {
 						t.Fatal(err)
 					}
 				case 9:

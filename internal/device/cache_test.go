@@ -87,15 +87,15 @@ func TestCacheVersionBumpRetiresStaleImage(t *testing.T) {
 
 	pin, _ := acquireUpload(t, c, key, 1, data)
 	pin.Release()
-	free := g.FreeMemory()
+	used := g.Allocator().Used()
 
 	pin, hit := acquireUpload(t, c, key, 2, data)
 	if hit {
 		t.Fatal("Acquire at a newer version hit the stale image")
 	}
 	pin.Release()
-	if g.FreeMemory() != free {
-		t.Errorf("stale image leaked: free %d -> %d", free, g.FreeMemory())
+	if g.Allocator().Used() != used {
+		t.Errorf("stale image leaked: used %d -> %d", used, g.Allocator().Used())
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want 1 entry / 2 misses", st)
@@ -180,7 +180,7 @@ func TestCacheInvalidateWhilePinnedDefersFree(t *testing.T) {
 	c := NewFragCache(g)
 	key := FragKey{Table: "item", Frag: 9, Rows: 128}
 	data := hostFloats(128)
-	free := g.FreeMemory()
+	used := g.Allocator().Used()
 
 	pin, _ := acquireUpload(t, c, key, 1, data)
 	buf := pin.Buffer()
@@ -194,8 +194,8 @@ func TestCacheInvalidateWhilePinnedDefersFree(t *testing.T) {
 		t.Errorf("entries = %d after invalidate, want 0", st.Entries)
 	}
 	pin.Release()
-	if g.FreeMemory() != free {
-		t.Errorf("deferred free leaked: %d -> %d", free, g.FreeMemory())
+	if g.Allocator().Used() != used {
+		t.Errorf("deferred free leaked: used %d -> %d", used, g.Allocator().Used())
 	}
 }
 
@@ -230,15 +230,15 @@ func TestCacheInvalidateFragIsExact(t *testing.T) {
 func TestCacheFlushReturnsMemory(t *testing.T) {
 	g, _ := newGPU()
 	c := NewFragCache(g)
-	free := g.FreeMemory()
+	used := g.Allocator().Used()
 	for i := uint64(0); i < 4; i++ {
 		k := FragKey{Table: "t", Frag: i, Rows: 256}
 		pin, _ := acquireUpload(t, c, k, 1, hostFloats(256))
 		pin.Release()
 	}
 	c.InvalidateTable("t")
-	if g.FreeMemory() != free {
-		t.Errorf("retiring every image leaked: free %d -> %d", free, g.FreeMemory())
+	if g.Allocator().Used() != used {
+		t.Errorf("retiring every image leaked: used %d -> %d", used, g.Allocator().Used())
 	}
 	if st := c.Stats(); st.Entries != 0 || st.ResidentBytes != 0 {
 		t.Errorf("stats after retiring every image = %+v", st)
@@ -275,7 +275,7 @@ func TestPinReleaseIsIdempotent(t *testing.T) {
 	var zero Pin
 	zero.Release()
 
-	free := g.FreeMemory()
+	used := g.Allocator().Used()
 	buf, err := g.Alloc(len(data))
 	if err != nil {
 		t.Fatal(err)
@@ -286,8 +286,8 @@ func TestPinReleaseIsIdempotent(t *testing.T) {
 	}
 	transient.Release()
 	transient.Release()
-	if g.FreeMemory() != free {
-		t.Errorf("transient pin leaked: free %d -> %d", free, g.FreeMemory())
+	if g.Allocator().Used() != used {
+		t.Errorf("transient pin leaked: used %d -> %d", used, g.Allocator().Used())
 	}
 
 	fill := func(*Buffer) error { t.Fatal("a hit filled"); return nil }

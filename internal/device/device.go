@@ -173,9 +173,6 @@ func (g *GPU) Profile() perfmodel.DeviceProfile { return g.prof }
 // can place fragments in device memory.
 func (g *GPU) Allocator() *mem.Allocator { return g.alloc }
 
-// FreeMemory returns the unallocated global-memory bytes.
-func (g *GPU) FreeMemory() int64 { return g.alloc.Available() }
-
 // charge advances the simulated clock under the device lock.
 func (g *GPU) charge(ns float64) {
 	g.mu.Lock()

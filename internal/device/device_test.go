@@ -198,13 +198,13 @@ func TestDeviceMemoryCapacity(t *testing.T) {
 	if _, err := g.Alloc(int(g.Profile().GlobalMemory + 1)); !errors.Is(err, mem.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
-	free := g.FreeMemory()
+	used := g.Allocator().Used()
 	buf, err := g.Alloc(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.FreeMemory() != free-(1<<20) {
-		t.Error("FreeMemory accounting wrong")
+	if g.Allocator().Used() != used+(1<<20) {
+		t.Error("device memory accounting wrong")
 	}
 	buf.Free()
 }

@@ -22,7 +22,7 @@ func TestNewEnvWiresPlatform(t *testing.T) {
 	if env.Disk.Space() != mem.Secondary {
 		t.Error("disk allocator misconfigured")
 	}
-	if env.GPU == nil || env.GPU.FreeMemory() <= 0 {
+	if env.GPU == nil || env.GPU.Allocator().Capacity() <= 0 {
 		t.Error("GPU missing")
 	}
 	if env.Clock == nil {

@@ -196,3 +196,52 @@ func TestEnginesRejectMalformedRecords(t *testing.T) {
 		})
 	}
 }
+
+// TestEnginesRejectMalformedUpdates: a rejected update — a row past the
+// table, a wrong-kind value, an over-width CHAR, an INT32 outside the
+// int32 range — must leave no trace. After each one, the next good
+// update lands, Merge succeeds where the engine has one, and every row
+// reads back as a slice of the acknowledged records says.
+func TestEnginesRejectMalformedUpdates(t *testing.T) {
+	env := engine.NewEnv()
+	for _, e := range append(Engines(env), core.New(env, core.Options{ChunkRows: 128})) {
+		e := e
+		t.Run(e.Name(), func(t *testing.T) {
+			tbl := loadItems(t, e, 10)
+			defer tbl.Free()
+			var model []schema.Record
+			for i := uint64(0); i < 10; i++ {
+				model = append(model, workload.Item(i))
+			}
+			for step, bad := range []struct {
+				row uint64
+				col int
+				v   schema.Value
+			}{
+				{10, workload.ItemPriceCol, schema.FloatValue(1)},
+				{3, workload.ItemPriceCol, schema.IntValue(5)},
+				{3, 2, schema.CharValue("elevenbytes")}, // i_name CHAR(6)
+				{3, 1, schema.Value{Kind: schema.Int32, I: 1<<32 + 7}},
+			} {
+				if err := tbl.Update(bad.row, bad.col, bad.v); err == nil {
+					t.Fatalf("step %d: update of row %d col %d to %v accepted", step, bad.row, bad.col, bad.v)
+				}
+				good := schema.FloatValue(float64(100 + step))
+				if err := tbl.Update(uint64(step), workload.ItemPriceCol, good); err != nil {
+					t.Fatalf("step %d: good update: %v", step, err)
+				}
+				model[step][workload.ItemPriceCol] = good
+				if m, ok := tbl.(interface{ Merge() error }); ok {
+					if err := m.Merge(); err != nil {
+						t.Fatalf("step %d: Merge: %v", step, err)
+					}
+				}
+				for i, rec := range model {
+					if got, err := tbl.Get(uint64(i)); err != nil || !got.Equal(rec) {
+						t.Fatalf("step %d: Get(%d) = %v, %v; want %v", step, i, got, err, rec)
+					}
+				}
+			}
+		})
+	}
+}

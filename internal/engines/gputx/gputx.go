@@ -3,14 +3,12 @@
 // the graphics card to overcome the under-utilization a single small
 // transaction would cause. Relations are thin directly-linearized
 // sub-relation columns resident in device memory (a weak flexible,
-// static, device-memory-only engine).
+// static, device-memory-only engine) — the storage Table 1 classifies.
 //
-// Update transactions are submitted to a batch queue and executed
-// together following GPUTx's K-set model: the batch is partitioned into
-// a sequence of conflict-free sets — transactions within one set touch
-// pairwise disjoint rows, so the whole set executes as one parallel step
-// on the device (its updates fuse into one scatter kernel per column).
-// Sets execute in order, so cross-set semantics are serial.
+// Every update arrives on its own, so each executes as a bulk step of
+// one: one scatter kernel on one stream. GPUTx's K-set partitioning of a
+// batch into conflict-free sets has nothing to partition here and is not
+// modelled.
 package gputx
 
 import (
@@ -43,25 +41,13 @@ func (e *Engine) Capabilities() taxonomy.Capabilities {
 	}
 }
 
-// TxOp is one update of a bulk-submitted transaction: row's attribute
-// col becomes val.
-type TxOp struct {
-	Row uint64
-	Col int
-	Val schema.Value
-}
-
-// Table is a GPUTx relation: device-resident thin columns plus the
-// pending transaction batch.
+// Table is a GPUTx relation: device-resident thin columns.
 type Table struct {
 	env  *engine.Env
 	rel  *layout.Relation
 	s    *schema.Schema
 	cols []*layout.Fragment
 	rows uint64
-
-	batch    [][]TxOp
-	lastSets int
 }
 
 // Create makes an empty relation with device-resident columns. Creation
@@ -139,136 +125,6 @@ func (t *Table) Insert(rec schema.Record) (uint64, error) {
 	return row, nil
 }
 
-// Submit queues one transaction (a list of operations) for bulk
-// execution.
-func (t *Table) Submit(ops ...TxOp) {
-	t.batch = append(t.batch, append([]TxOp(nil), ops...))
-}
-
-// KSets reports how many conflict-free sets the last ExecuteBatch ran —
-// the degree of inter-transaction parallelism GPUTx extracted (1 set =
-// the whole batch ran as one parallel step).
-func (t *Table) KSets() int { return t.lastSets }
-
-// ExecuteBatch partitions the queued transactions into conflict-free
-// K-sets and executes the sets in order: within a set, all updates fuse
-// into one scatter kernel per column. Validation happens before any set
-// executes, so a bad batch changes nothing.
-func (t *Table) ExecuteBatch() error {
-	for _, txn := range t.batch {
-		for _, op := range txn {
-			if op.Row >= t.rows {
-				return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, op.Row, t.rows)
-			}
-			if op.Col < 0 || op.Col >= t.s.Arity() {
-				return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, op.Col)
-			}
-		}
-	}
-	sets := t.conflictSets()
-	t.lastSets = len(sets)
-	for _, set := range sets {
-		if err := t.executeSet(set); err != nil {
-			return err
-		}
-	}
-	t.batch = nil
-	return nil
-}
-
-// conflictSets greedily assigns each transaction to the first set in
-// which it conflicts with no member (two transactions conflict when they
-// touch a common row).
-func (t *Table) conflictSets() [][][]TxOp {
-	var sets [][][]TxOp
-	var setRows []map[uint64]bool
-	for _, txn := range t.batch {
-		rows := map[uint64]bool{}
-		for _, op := range txn {
-			rows[op.Row] = true
-		}
-		placed := false
-		for si := range sets {
-			conflict := false
-			for r := range rows {
-				if setRows[si][r] {
-					conflict = true
-					break
-				}
-			}
-			if !conflict {
-				sets[si] = append(sets[si], txn)
-				for r := range rows {
-					setRows[si][r] = true
-				}
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			sets = append(sets, [][]TxOp{txn})
-			setRows = append(setRows, rows)
-		}
-	}
-	return sets
-}
-
-// executeSet runs one conflict-free set: all its updates land in one
-// scatter kernel per column.
-func (t *Table) executeSet(set [][]TxOp) error {
-	type colUpdates struct {
-		positions []int
-		vals      []byte
-	}
-	pending := make(map[int]*colUpdates)
-	for _, txn := range set {
-		for _, op := range txn {
-			a := t.s.Attr(op.Col)
-			buf := make([]byte, a.Size)
-			if err := schema.EncodeValue(buf, a, op.Val); err != nil {
-				return fmt.Errorf("gputx: encoding update: %w", err)
-			}
-			// Scatter writes bypass Fragment.Set, so the column's zone
-			// would silently narrow; widen it here to keep it a
-			// conservative envelope.
-			if z := t.cols[op.Col].Stats(op.Col); z != nil {
-				switch a.Kind {
-				case schema.Int64:
-					z.WidenInt64(op.Val.I)
-				case schema.Float64:
-					z.WidenFloat64(op.Val.F)
-				}
-			}
-			u := pending[op.Col]
-			if u == nil {
-				u = &colUpdates{}
-				pending[op.Col] = u
-			}
-			u.positions = append(u.positions, int(op.Row))
-			u.vals = append(u.vals, buf...)
-		}
-	}
-	// All per-column scatters of the set go down one stream: each column's
-	// value bytes overlap the bus with the previous column's scatter
-	// kernel, and one Wait settles the overlapped total.
-	s := t.env.GPU.NewStream()
-	defer s.Wait()
-	for col, u := range pending {
-		f := t.cols[col]
-		v, err := f.ColVector(col)
-		if err != nil {
-			return err
-		}
-		if err := s.Scatter(exec.DeviceVec(v), u.positions, u.vals); err != nil {
-			return fmt.Errorf("gputx: scatter on column %d: %w", col, err)
-		}
-		// Scatter writes bypass Fragment.Set; bump the version by hand so
-		// device-cached images of the column stop validating.
-		f.BumpVersion()
-	}
-	return nil
-}
-
 // gatherRecord materializes one row from the device columns into host
 // memory, charging gather + transfer.
 func (t *Table) gatherRecord(row uint64) (schema.Record, error) {
@@ -295,13 +151,45 @@ func (t *Table) Get(row uint64) (schema.Record, error) {
 	return t.gatherRecord(row)
 }
 
-// Update executes a single-update batch.
+// Update executes one update as a bulk step of one transaction. The row,
+// the column and the value are checked before anything runs, so a
+// rejected update changes nothing.
 func (t *Table) Update(row uint64, col int, v schema.Value) error {
+	if row >= t.rows {
+		return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rows)
+	}
 	if col < 0 || col >= t.s.Arity() {
 		return fmt.Errorf("%w: col %d", layout.ErrOutOfRange, col)
 	}
-	t.Submit(TxOp{Row: row, Col: col, Val: v})
-	return t.ExecuteBatch()
+	a := t.s.Attr(col)
+	buf := make([]byte, a.Size)
+	if err := schema.EncodeValue(buf, a, v); err != nil {
+		return fmt.Errorf("gputx: encoding update: %w", err)
+	}
+	f := t.cols[col]
+	// Scatter writes bypass Fragment.Set, so the column's zone would
+	// silently narrow; widen it here to keep it a conservative envelope.
+	if z := f.Stats(col); z != nil {
+		switch a.Kind {
+		case schema.Int64:
+			z.WidenInt64(v.I)
+		case schema.Float64:
+			z.WidenFloat64(v.F)
+		}
+	}
+	vec, err := f.ColVector(col)
+	if err != nil {
+		return err
+	}
+	s := t.env.GPU.NewStream()
+	defer s.Wait()
+	if err := s.Scatter(exec.DeviceVec(vec), []int{int(row)}, buf); err != nil {
+		return fmt.Errorf("gputx: scatter on column %d: %w", col, err)
+	}
+	// Scatter writes bypass Fragment.Set; bump the version by hand so
+	// device-cached images of the column stop validating.
+	f.BumpVersion()
+	return nil
 }
 
 // Pieces is the table as a scan source: every column is one piece

@@ -1,6 +1,7 @@
 package gputx
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -50,39 +51,6 @@ func TestInsertsChargeBusTime(t *testing.T) {
 	}
 }
 
-func TestBulkTransactionExecution(t *testing.T) {
-	_, tbl := load(t, 200)
-	defer tbl.Free()
-	// A batch of transactions; within-batch semantics are serial, so the
-	// later write to row 5 wins.
-	tbl.Submit(
-		TxOp{Row: 5, Col: workload.ItemPriceCol, Val: schema.FloatValue(50)},
-		TxOp{Row: 6, Col: workload.ItemPriceCol, Val: schema.FloatValue(60)},
-	)
-	tbl.Submit(TxOp{Row: 5, Col: workload.ItemPriceCol, Val: schema.FloatValue(55)})
-	if err := tbl.ExecuteBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.batch) != 0 {
-		t.Fatal("batch not drained")
-	}
-	for row, want := range map[uint64]float64{5: 55, 6: 60, 7: workload.ItemPrice(7)} {
-		rec, err := tbl.Get(row)
-		if err != nil || rec[workload.ItemPriceCol].F != want {
-			t.Fatalf("Get(%d) = %v, %v; want price %v", row, rec, err, want)
-		}
-	}
-}
-
-func TestBatchRejectsBadRow(t *testing.T) {
-	_, tbl := load(t, 10)
-	defer tbl.Free()
-	tbl.Submit(TxOp{Row: 10, Col: workload.ItemPriceCol, Val: schema.FloatValue(1)})
-	if err := tbl.ExecuteBatch(); err == nil {
-		t.Fatal("out-of-range batch op accepted")
-	}
-}
-
 func TestDeviceReductionSum(t *testing.T) {
 	env, tbl := load(t, 2000)
 	defer tbl.Free()
@@ -99,35 +67,6 @@ func TestDeviceReductionSum(t *testing.T) {
 	}
 	if _, err := tbl.SumFloat64(99); err == nil {
 		t.Fatal("bad column accepted")
-	}
-}
-
-func TestScatterBatchesPerColumn(t *testing.T) {
-	env, tbl := load(t, 100)
-	defer tbl.Free()
-	before := env.GPU.Stats().KernelLaunches
-	// 10 updates on the same column with no interleaved read: one
-	// scatter kernel.
-	for i := uint64(0); i < 10; i++ {
-		tbl.Submit(TxOp{Row: i, Col: workload.ItemPriceCol, Val: schema.FloatValue(1)})
-	}
-	if err := tbl.ExecuteBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if launches := env.GPU.Stats().KernelLaunches - before; launches != 1 {
-		t.Fatalf("launches = %d, want 1 batched scatter", launches)
-	}
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want float64
-	for i := uint64(10); i < 100; i++ {
-		want += workload.ItemPrice(i)
-	}
-	want += 10
-	if math.Abs(sum-want) > 1e-6 {
-		t.Fatalf("sum = %v, want %v", sum, want)
 	}
 }
 
@@ -153,11 +92,21 @@ func TestGetAndMaterializeDeliverThroughHost(t *testing.T) {
 	}
 }
 
+// TestUpdateSingleOpBatch: one update is one scatter kernel, it bumps
+// the column's version so cached device images stop validating, and its
+// value is what the next read sees.
 func TestUpdateSingleOpBatch(t *testing.T) {
-	_, tbl := load(t, 20)
+	env, tbl := load(t, 20)
 	defer tbl.Free()
+	before, version := env.GPU.Stats().KernelLaunches, tbl.cols[workload.ItemPriceCol].Version()
 	if err := tbl.Update(3, workload.ItemPriceCol, schema.FloatValue(77)); err != nil {
 		t.Fatal(err)
+	}
+	if launches := env.GPU.Stats().KernelLaunches - before; launches != 1 {
+		t.Fatalf("launches = %d, want 1 scatter", launches)
+	}
+	if tbl.cols[workload.ItemPriceCol].Version() == version {
+		t.Fatal("update left the column version unchanged")
 	}
 	rec, err := tbl.Get(3)
 	if err != nil || rec[workload.ItemPriceCol].F != 77 {
@@ -168,61 +117,45 @@ func TestUpdateSingleOpBatch(t *testing.T) {
 	}
 }
 
-func TestKSetPartitioning(t *testing.T) {
-	_, tbl := load(t, 100)
-	defer tbl.Free()
-	// Three transactions: tx1 and tx2 touch disjoint rows (one set);
-	// tx3 conflicts with tx1 on row 1 (second set).
-	tbl.Submit(
-		TxOp{Row: 1, Col: workload.ItemPriceCol, Val: schema.FloatValue(10)},
-		TxOp{Row: 2, Col: workload.ItemPriceCol, Val: schema.FloatValue(20)},
-	)
-	tbl.Submit(TxOp{Row: 3, Col: workload.ItemPriceCol, Val: schema.FloatValue(30)})
-	tbl.Submit(TxOp{Row: 1, Col: workload.ItemPriceCol, Val: schema.FloatValue(11)})
-	if err := tbl.ExecuteBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.KSets() != 2 {
-		t.Fatalf("KSets = %d, want 2", tbl.KSets())
-	}
-	// Final state: row 1 = 11 (tx3's write wins, it ran later).
-	rec, err := tbl.Get(1)
-	if err != nil || rec[workload.ItemPriceCol].F != 11 {
-		t.Fatalf("Get(1) = %v, %v", rec, err)
-	}
-}
-
-func TestKSetDisjointBatchIsOneSet(t *testing.T) {
-	env, tbl := load(t, 200)
+// TestBatchRejectsBadRow: an update of a row past the table is refused
+// and launches nothing.
+func TestBatchRejectsBadRow(t *testing.T) {
+	env, tbl := load(t, 10)
 	defer tbl.Free()
 	before := env.GPU.Stats().KernelLaunches
-	// 50 single-update transactions on distinct rows: one set, one
-	// scatter kernel — GPUTx's bulk parallelism.
-	for i := uint64(0); i < 50; i++ {
-		tbl.Submit(TxOp{Row: i, Col: workload.ItemPriceCol, Val: schema.FloatValue(1)})
+	if err := tbl.Update(10, workload.ItemPriceCol, schema.FloatValue(1)); !errors.Is(err, engine.ErrNoSuchRow) {
+		t.Fatalf("out-of-range update: err = %v, want ErrNoSuchRow", err)
 	}
-	if err := tbl.ExecuteBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.KSets() != 1 {
-		t.Fatalf("KSets = %d, want 1", tbl.KSets())
-	}
-	if launches := env.GPU.Stats().KernelLaunches - before; launches != 1 {
-		t.Fatalf("launches = %d, want 1", launches)
+	if env.GPU.Stats().KernelLaunches != before {
+		t.Fatal("a refused update launched a kernel")
 	}
 }
 
+// TestBatchValidatesBeforeExecuting: an update whose value its column
+// cannot hold is refused before anything runs — the table is unchanged
+// and the next good update lands.
 func TestBatchValidatesBeforeExecuting(t *testing.T) {
 	_, tbl := load(t, 10)
 	defer tbl.Free()
-	tbl.Submit(TxOp{Row: 0, Col: workload.ItemPriceCol, Val: schema.FloatValue(1)})
-	tbl.Submit(TxOp{Row: 99, Col: workload.ItemPriceCol, Val: schema.FloatValue(2)})
-	if err := tbl.ExecuteBatch(); err == nil {
-		t.Fatal("bad batch accepted")
+	for _, bad := range []struct {
+		col int
+		v   schema.Value
+	}{
+		{workload.ItemPriceCol, schema.IntValue(1)}, // wrong kind
+		{2, schema.CharValue("elevenbytes")},        // i_name CHAR(6)
+		{1, schema.Value{Kind: schema.Int32, I: 1<<32 + 7}},
+	} {
+		if err := tbl.Update(0, bad.col, bad.v); err == nil {
+			t.Fatalf("update of col %d to %v accepted", bad.col, bad.v)
+		}
+		if rec, err := tbl.Get(0); err != nil || !rec.Equal(workload.Item(0)) {
+			t.Fatalf("refused update changed row 0: %v, %v", rec, err)
+		}
 	}
-	// Nothing executed: row 0 unchanged.
-	rec, err := tbl.Get(0)
-	if err != nil || rec[workload.ItemPriceCol].F != workload.ItemPrice(0) {
-		t.Fatalf("partial execution: %v, %v", rec, err)
+	if err := tbl.Update(0, workload.ItemPriceCol, schema.FloatValue(2)); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := tbl.Get(0); err != nil || rec[workload.ItemPriceCol].F != 2 {
+		t.Fatalf("good update after refused ones: %v, %v", rec, err)
 	}
 }

@@ -732,8 +732,8 @@ func TestDeviceGroupScanFailureLeavesNoGroups(t *testing.T) {
 	if launched := small.Stats().KernelLaunches; launched < 1 {
 		t.Fatalf("the failing scan launched %d kernels, want at least 1 folded before the failure", launched)
 	}
-	if small.FreeMemory() != prof.GlobalMemory {
-		t.Errorf("the failed scan left %d device bytes allocated", prof.GlobalMemory-small.FreeMemory())
+	if used := small.Allocator().Used(); used != 0 {
+		t.Errorf("the failed scan left %d device bytes allocated", used)
 	}
 
 	got, err := scanOn(fresh(), KindGroupSumWhere, keys, vals, p)

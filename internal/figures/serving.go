@@ -184,7 +184,7 @@ func MeasureServing(rows uint64, concurrencies []int, legDur time.Duration, walD
 				// The harness reports every class it knows (including the
 				// zipfian point-read lane); the panel's published mix runs
 				// write/sum/group only, so drop classes that saw no traffic.
-				if c.Ops == 0 && c.Shed == 0 && c.Errors == 0 {
+				if c.Ops == 0 && c.Errors == 0 {
 					continue
 				}
 				leg.Classes = append(leg.Classes, ServingClass{

@@ -82,18 +82,6 @@ func (a *Allocator) Used() int64 { return a.used.Load() }
 // Peak returns the high-water mark of allocated bytes.
 func (a *Allocator) Peak() int64 { return a.peak.Load() }
 
-// Available returns the bytes still allocatable, or -1 if unlimited.
-func (a *Allocator) Available() int64 {
-	if a.capacity == 0 {
-		return -1
-	}
-	avail := a.capacity - a.used.Load()
-	if avail < 0 {
-		avail = 0
-	}
-	return avail
-}
-
 // Stats summarizes allocator activity.
 type Stats struct {
 	Space  Space

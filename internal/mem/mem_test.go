@@ -19,8 +19,8 @@ func TestAllocWithinCapacity(t *testing.T) {
 	if a.Used() != 60 {
 		t.Errorf("Used = %d, want 60", a.Used())
 	}
-	if a.Available() != 40 {
-		t.Errorf("Available = %d, want 40", a.Available())
+	if a.Capacity() != 100 {
+		t.Errorf("Capacity = %d, want 100", a.Capacity())
 	}
 }
 
@@ -39,8 +39,8 @@ func TestAllocUnlimited(t *testing.T) {
 	if _, err := a.Alloc(1 << 20); err != nil {
 		t.Fatalf("unlimited Alloc: %v", err)
 	}
-	if a.Available() != -1 {
-		t.Errorf("Available = %d, want -1 for unlimited", a.Available())
+	if a.Capacity() != 0 || a.Used() != 1<<20 {
+		t.Errorf("Capacity, Used = %d, %d; want 0 (unlimited), %d", a.Capacity(), a.Used(), 1<<20)
 	}
 }
 

@@ -60,9 +60,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by delta and returns the new value.
-func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 

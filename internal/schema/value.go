@@ -71,21 +71,28 @@ var (
 	ErrKindMismatch = errors.New("schema: value kind does not match attribute")
 	// ErrCharTooLong is returned when a Char value exceeds the attribute width.
 	ErrCharTooLong = errors.New("schema: char value exceeds attribute width")
+	// ErrIntRange is returned when an Int32 value lies outside the int32
+	// range.
+	ErrIntRange = errors.New("schema: value outside the attribute's integer range")
 	// ErrShortBuffer is returned when the destination or source buffer is
 	// smaller than the attribute size.
 	ErrShortBuffer = errors.New("schema: buffer shorter than attribute size")
 )
 
 // ValidateValue checks that v can be encoded under a without writing
-// anywhere: the kinds must match and CHAR payloads must fit. Engines
-// call it before logging a write so the WAL only ever holds records
-// that will apply.
+// anywhere: the kinds must match, INT32 payloads must lie in the int32
+// range and CHAR payloads must fit. Engines call it before buffering or
+// logging a write so neither ever holds a value that will not apply.
 func ValidateValue(a Attribute, v Value) error {
 	if v.Kind != a.Kind {
 		return fmt.Errorf("%w: attribute %s is %s, value is %s", ErrKindMismatch, a.Name, a.Kind, v.Kind)
 	}
 	switch a.Kind {
-	case Int32, Int64, Float64:
+	case Int32:
+		if v.I != int64(int32(v.I)) {
+			return fmt.Errorf("%w: %d into INT32 %s", ErrIntRange, v.I, a.Name)
+		}
+	case Int64, Float64:
 	case Char:
 		if len(v.S) > a.Size {
 			return fmt.Errorf("%w: %q into CHAR(%d)", ErrCharTooLong, v.S, a.Size)

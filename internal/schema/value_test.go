@@ -50,6 +50,18 @@ func TestEncodeValueErrors(t *testing.T) {
 	if err := EncodeValue(make([]byte, 2), c, CharValue("abc")); !errors.Is(err, ErrCharTooLong) {
 		t.Errorf("long char: err = %v, want ErrCharTooLong", err)
 	}
+	// An INT32 outside the int32 range would encode as its low 32 bits.
+	i := Int32Attr("i")
+	for _, n := range []int64{1<<32 + 7, -1<<31 - 1, 1 << 31} {
+		if err := EncodeValue(make([]byte, 4), i, Value{Kind: Int32, I: n}); !errors.Is(err, ErrIntRange) {
+			t.Errorf("int32 %d: err = %v, want ErrIntRange", n, err)
+		}
+	}
+	for _, n := range []int64{-1 << 31, 1<<31 - 1} {
+		if err := EncodeValue(make([]byte, 4), i, Value{Kind: Int32, I: n}); err != nil {
+			t.Errorf("int32 %d: %v", n, err)
+		}
+	}
 }
 
 func TestDecodeValueShortBuffer(t *testing.T) {

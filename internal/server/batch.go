@@ -20,13 +20,12 @@ import (
 // run at once — the pass slots. A read plan that finds a slot free runs
 // at once, as a cohort of one; every plan that arrives while all of its
 // shape's slots are taken joins that shape's cohort, with distinct plans
-// as slots — identical plans (the same predicate, the same row) collapse
-// to one slot whose result is fanned to every waiter. So a lone request
+// as slots — identical plans (the same predicate) collapse to one slot
+// whose result is fanned to every waiter. So a lone request
 // never waits, and under load a cohort collects for as long as one pass
-// takes: there is no clock, and no window to tune. sum_where /
-// count_where cohorts stream the column once for all their predicates,
-// get cohorts gather all their rows in one snapshot pass,
-// group_sum_where cohorts answer their predicates from one snapshot.
+// takes: there is no clock, and no window to tune. sum_where cohorts
+// stream the column once for all their predicates, group_sum_where
+// cohorts answer their predicates from one snapshot.
 //
 // Linearizability: the first request of a shape becomes the leader,
 // waits for a pass slot, then REMOVES the cohort from the intake map
@@ -37,26 +36,13 @@ import (
 // leader, under the one hold of b.mu in which it hands the slot over.)
 // A failed pass propagates its error to every waiter.
 
-// cohortObs is the telemetry of one cohort family.
-type cohortObs struct {
-	flushes, joined, collapsed, slots *obs.Counter
-}
-
-// Scan cohorts (sum_where, count_where, group_sum_where) report under
-// server.batch.*, point-read fan-in cohorts under server.gather.*.
+// Cohort telemetry: passes run, requests that joined another's cohort,
+// requests collapsed onto an identical plan's slot, and slots carried.
 var (
-	batchObs = cohortObs{
-		flushes:   obs.NewCounter("server.batch.flushes"),
-		joined:    obs.NewCounter("server.batch.joined"),
-		collapsed: obs.NewCounter("server.batch.collapsed"),
-		slots:     obs.NewCounter("server.batch.preds"),
-	}
-	gatherObs = cohortObs{
-		flushes:   obs.NewCounter("server.gather.flushes"),
-		joined:    obs.NewCounter("server.gather.joined"),
-		collapsed: obs.NewCounter("server.gather.collapsed"),
-		slots:     obs.NewCounter("server.gather.rows"),
-	}
+	mFlushes   = obs.NewCounter("server.batch.flushes")
+	mJoined    = obs.NewCounter("server.batch.joined")
+	mCollapsed = obs.NewCounter("server.batch.collapsed")
+	mPreds     = obs.NewCounter("server.batch.preds")
 )
 
 // cohort is one batch of same-shape plans collecting behind the passes
@@ -105,15 +91,12 @@ func (b *batcher) exec(tbl *hybridstore.Table, p exec.Plan, solo bool) (exec.Res
 	if solo || !b.on {
 		return first(tbl.Execute([]exec.Plan{p}))
 	}
-	m, key := &batchObs, p.Shape()
-	if p.Op == exec.KindGet {
-		m = &gatherObs
-	}
+	key := p.Shape()
 	b.mu.Lock()
 	if b.busy[key] < b.slots {
 		b.busy[key]++
 		b.mu.Unlock()
-		return first(b.pass(tbl, key, m, []exec.Plan{p}))
+		return first(b.pass(tbl, key, []exec.Plan{p}))
 	}
 	g := b.open[key]
 	leader := g == nil
@@ -123,7 +106,7 @@ func (b *batcher) exec(tbl *hybridstore.Table, p exec.Plan, solo bool) (exec.Res
 	}
 	idx, dup := g.slot[p]
 	if dup {
-		m.collapsed.Inc()
+		mCollapsed.Inc()
 	} else {
 		idx = len(g.plans)
 		g.plans = append(g.plans, p)
@@ -132,10 +115,10 @@ func (b *batcher) exec(tbl *hybridstore.Table, p exec.Plan, solo bool) (exec.Res
 	b.mu.Unlock()
 	if leader {
 		<-g.start
-		g.res, g.err = b.pass(tbl, key, m, g.plans)
+		g.res, g.err = b.pass(tbl, key, g.plans)
 		close(g.done)
 	} else {
-		m.joined.Inc()
+		mJoined.Inc()
 		<-g.done
 	}
 	if g.err != nil {
@@ -158,9 +141,9 @@ func first(res []exec.Result, err error) (exec.Result, error) {
 // hang, a pass that under-delivers results is an error, never a zero
 // answer, and the slot goes to the cohort that collected meanwhile —
 // its intake closed first, under the same hold of b.mu — or is freed.
-func (b *batcher) pass(tbl *hybridstore.Table, key exec.Plan, m *cohortObs, plans []exec.Plan) (res []exec.Result, err error) {
-	m.flushes.Inc()
-	m.slots.Add(int64(len(plans)))
+func (b *batcher) pass(tbl *hybridstore.Table, key exec.Plan, plans []exec.Plan) (res []exec.Result, err error) {
+	mFlushes.Inc()
+	mPreds.Add(int64(len(plans)))
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("server: batch leader panicked: %v", r)

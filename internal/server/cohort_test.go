@@ -52,11 +52,8 @@ func (g *gate) pass(t *testing.T) int {
 }
 
 // joined counts the requests that joined a cohort another request
-// opened, over both cohort families.
-func joined() int64 {
-	snap := obs.TakeSnapshot()
-	return snap.Counter("server.batch.joined") + snap.Counter("server.gather.joined")
-}
+// opened.
+func joined() int64 { return obs.TakeSnapshot().Counter("server.batch.joined") }
 
 // hung bounds every wait of these tests: a batcher bug shows as a
 // failure, not as the suite's timeout.
@@ -177,7 +174,7 @@ func sumBody(sid string, stmt int) func(i int) string {
 // runs, one slot is taken, and both are back to rest afterwards.
 func TestLoneRequestNeverWaits(t *testing.T) {
 	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{BatchWindow: DefaultBatchWindow})
-	sid, _ := s.CreateSession("")
+	sid, _ := s.CreateSession()
 	body := sumBody(sid, prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0))
 	passes := 0
 	s.bat.flush = func(tbl *hybridstore.Table, plans []exec.Plan) ([]exec.Result, error) {
@@ -214,7 +211,7 @@ func TestLoneRequestNeverWaits(t *testing.T) {
 // answered from its snapshot: it opens the next cohort.
 func TestArrivalAfterHandOffStartsNextCohort(t *testing.T) {
 	s, _ := newItemServer(t, hybridstore.Options{ChunkRows: 128}, Config{BatchWindow: DefaultBatchWindow})
-	sid, _ := s.CreateSession("")
+	sid, _ := s.CreateSession()
 	body := sumBody(sid, prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0))
 	same := func(int) string { return body(0) }
 	g := parkPasses(s, (*hybridstore.Table).Execute)

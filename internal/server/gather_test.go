@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -11,77 +10,12 @@ import (
 	"hybridstore/internal/obs"
 )
 
-// TestGatherFanInBitIdentity: concurrent point reads on one table ride
-// shared gather passes and each client still receives exactly the bytes
-// a solo Get produces. Every round builds one cohort of 24 reads; half
-// of them target an 8-row hot set, so the cohort sees duplicate row IDs
-// and collapses them.
-func TestGatherFanInBitIdentity(t *testing.T) {
-	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128},
-		Config{BatchWindow: DefaultBatchWindow})
-	sid, _ := s.CreateSession("")
-	get := prep(t, s, sid, "get", 0, 0)
-
-	// Ground truth: the facade record, serialized exactly as the server
-	// serializes it. Writes are quiesced for the whole read phase.
-	rows := tbl.Rows()
-	want := make([]string, rows)
-	for r := uint64(0); r < rows; r++ {
-		rec, err := tbl.Get(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[r] = string(AppendRecord(nil, rec))
-	}
-
-	before := obs.TakeSnapshot()
-	const clients, rounds = 24, 10
-	r := rand.New(rand.NewSource(1))
-	for round := 0; round < rounds; round++ {
-		// The reads past the cohort's 24 are the ones that occupy the
-		// pass slots.
-		picks := make([]uint64, clients+s.bat.slots)
-		distinct := make(map[uint64]bool)
-		for i := range picks {
-			if i < clients/2 {
-				picks[i] = uint64(r.Intn(8))
-			} else {
-				picks[i] = uint64(r.Intn(int(rows)))
-			}
-			if i < clients {
-				distinct[picks[i]] = true
-			}
-		}
-		body := func(i int) string {
-			return fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":%d}`, sid, get, picks[i])
-		}
-		for i, got := range buildCohort(t, s, (*hybridstore.Table).Execute, body, clients, len(distinct)) {
-			if got.code != 200 || got.body != want[picks[i]] {
-				t.Fatalf("row %d: %d %s\nwant %s", picks[i], got.code, got.body, want[picks[i]])
-			}
-		}
-	}
-
-	after := obs.TakeSnapshot()
-	delta := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
-	if got, want := delta("server.gather.flushes"), int64(rounds*(s.bat.slots+1)); got != want {
-		t.Errorf("%d gather flushes, want %d: one per parked read and one per cohort", got, want)
-	}
-	if got, want := delta("server.gather.joined"), int64(rounds*(clients-1)); got != want {
-		t.Errorf("%d point reads joined a shared gather, want %d", got, want)
-	}
-	if delta("server.gather.collapsed") == 0 {
-		t.Error("hot-set duplicates never collapsed to a shared slot")
-	}
-}
-
-// TestGatherOutOfRangeSoloPath: a point read beyond the table takes the
-// solo path immediately — it fails alone without erroring a concurrent
-// valid cohort.
+// TestGatherOutOfRangeSoloPath: point reads run solo, so one beyond the
+// table fails alone and never errors a concurrent valid read.
 func TestGatherOutOfRangeSoloPath(t *testing.T) {
 	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128},
 		Config{BatchWindow: DefaultBatchWindow})
-	sid, _ := s.CreateSession("")
+	sid, _ := s.CreateSession()
 	get := prep(t, s, sid, "get", 0, 0)
 
 	rec, err := tbl.Get(3)
@@ -123,7 +57,7 @@ func TestServeCachePreCheck(t *testing.T) {
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	sid, _ := s.CreateSession("")
+	sid, _ := s.CreateSession()
 	get := prep(t, s, sid, "get", 0, 0)
 	pks := prep(t, s, sid, "get_pk", 0, 0)
 	sum := prep(t, s, sid, "sum_where", hybridstore.ItemPriceColumn, 0)

@@ -12,7 +12,7 @@ import (
 
 // HTTP front end. Endpoints:
 //
-//	POST /v1/session  {"tenant":"t"}                          → {"session_id":"s1"}
+//	POST /v1/session  {} (any keys are ignored)               → {"session_id":"s1"}
 //	POST /v1/prepare  {"session_id","op","table","col",
 //	                   "key_col"}                             → {"stmt_id":0}
 //	POST /v1/exec     {"session_id","stmt_id", ...args}       → op-specific payload
@@ -113,20 +113,13 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer pool.PutBytes(body)
-	tenant := ""
 	if len(body) > 0 {
-		_, err := scanObject(body, func(key, val []byte) error {
-			if string(key) == "tenant" {
-				tenant = string(val)
-			}
-			return nil
-		})
-		if err != nil {
+		if _, err := scanObject(body, func(key, val []byte) error { return nil }); err != nil {
 			http.Error(w, err.Error(), 400)
 			return
 		}
 	}
-	id, err := s.CreateSession(tenant)
+	id, err := s.CreateSession()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return

@@ -136,11 +136,11 @@ type Options struct {
 // ClassStats is the per-class report.
 type ClassStats struct {
 	Name string
-	// Ops are completed requests with 200 responses; Shed counts
-	// admission rejections (429/503); Errors everything else.
-	Ops, Shed, Errors int64
-	QPS               float64
-	P50, P95, P99     time.Duration
+	// Ops are completed requests with 200 responses; Errors everything
+	// else.
+	Ops, Errors   int64
+	QPS           float64
+	P50, P95, P99 time.Duration
 	// CacheLookups/CacheHits are the server's result-cache pre-check
 	// counters for this class, diffed across the run via /metrics.
 	// Zero for classes that never consult the cache (writes) or when
@@ -156,7 +156,6 @@ type Result struct {
 	// Stabilized is true when AutoTerm ended the run early.
 	Stabilized bool
 	TotalOps   int64
-	TotalShed  int64
 	TotalErrs  int64
 	QPS        float64
 }
@@ -168,7 +167,6 @@ type runState struct {
 	stmts [numClasses]int
 
 	ops  [numClasses]atomic.Int64
-	shed [numClasses]atomic.Int64
 	errs [numClasses]atomic.Int64
 	lat  [numClasses]*obs.Histogram
 }
@@ -199,10 +197,10 @@ type Client struct {
 	sid  string
 }
 
-// Dial opens a session for tenant on the server at base.
-func Dial(hc *http.Client, base, tenant string) (*Client, error) {
+// Dial opens a session on the server at base.
+func Dial(hc *http.Client, base string) (*Client, error) {
 	c := &Client{hc: hc, base: base}
-	body, err := c.call("/v1/session", fmt.Sprintf(`{"tenant":%q}`, tenant))
+	body, err := c.call("/v1/session", `{}`)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +295,7 @@ func Run(opts Options) (*Result, error) {
 		st.lat[c] = &obs.Histogram{}
 	}
 	var err error
-	if st.c, err = Dial(hc, opts.BaseURL, "loadgen"); err != nil {
+	if st.c, err = Dial(hc, opts.BaseURL); err != nil {
 		return nil, fmt.Errorf("loadgen: session: %w", err)
 	}
 	// Item-schema column layout: price is column 4, group key column 1.
@@ -370,7 +368,6 @@ func Run(opts Options) (*Result, error) {
 		cs := ClassStats{
 			Name:   className[c],
 			Ops:    st.ops[c].Load(),
-			Shed:   st.shed[c].Load(),
 			Errors: st.errs[c].Load(),
 			P50:    time.Duration(st.lat[c].Quantile(0.50)),
 			P95:    time.Duration(st.lat[c].Quantile(0.95)),
@@ -388,7 +385,6 @@ func Run(opts Options) (*Result, error) {
 		}
 		res.Classes[c] = cs
 		res.TotalOps += cs.Ops
-		res.TotalShed += cs.Shed
 		res.TotalErrs += cs.Errors
 	}
 	if secs > 0 {
@@ -426,8 +422,7 @@ func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struc
 	r := rand.New(rand.NewSource(st.opts.Seed + int64(lane)*7919))
 	total := st.opts.Mix.Write + st.opts.Mix.Point + st.opts.Mix.Sum + st.opts.Mix.Group
 	// Point reads are zipfian over the row domain: a hot head repeats
-	// across lanes, so gather cohorts collapse duplicates and the result
-	// cache sees real re-reference.
+	// across lanes, so the result cache sees real re-reference.
 	var zipf *rand.Zipf
 	if st.opts.Mix.Point > 0 {
 		zipf = rand.NewZipf(r, 1.2, 8, st.opts.Rows-1)
@@ -464,8 +459,7 @@ func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struc
 		}
 		body := st.c.execBody(st.stmts[class], args)
 
-		// The lanes do not go through Client.Exec: they discard bodies
-		// and tell sheds (429/503) from errors.
+		// The lanes do not go through Client.Exec: they discard bodies.
 		t0 := time.Now()
 		resp, err := st.c.hc.Post(st.c.base+"/v1/exec", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -478,12 +472,9 @@ func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struc
 		_, cerr := io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		st.lat[class].ObserveSince(t0)
-		switch {
-		case resp.StatusCode == 200 && cerr == nil:
+		if resp.StatusCode == 200 && cerr == nil {
 			st.ops[class].Add(1)
-		case resp.StatusCode == 429 || resp.StatusCode == 503:
-			st.shed[class].Add(1)
-		default:
+		} else {
 			st.errs[class].Add(1)
 		}
 	}
@@ -535,15 +526,15 @@ func (st *runState) watchStability(ctx context.Context, cancel context.CancelFun
 // String renders the classic harness report table.
 func (r *Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "wall %.2fs  qps %.0f  ops %d  shed %d  errors %d", r.Wall.Seconds(), r.QPS, r.TotalOps, r.TotalShed, r.TotalErrs)
+	fmt.Fprintf(&b, "wall %.2fs  qps %.0f  ops %d  errors %d", r.Wall.Seconds(), r.QPS, r.TotalOps, r.TotalErrs)
 	if r.Stabilized {
 		b.WriteString("  (stabilized)")
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-8s %10s %10s %8s %8s %10s %10s %10s %7s\n", "class", "ops", "qps", "shed", "errors", "p50", "p95", "p99", "cache%")
+	fmt.Fprintf(&b, "%-8s %10s %10s %8s %10s %10s %10s %7s\n", "class", "ops", "qps", "errors", "p50", "p95", "p99", "cache%")
 	for _, c := range r.Classes {
-		fmt.Fprintf(&b, "%-8s %10d %10.0f %8d %8d %10s %10s %10s %7.1f\n",
-			c.Name, c.Ops, c.QPS, c.Shed, c.Errors, c.P50, c.P95, c.P99, c.CacheHitPct)
+		fmt.Fprintf(&b, "%-8s %10d %10.0f %8d %10s %10s %10s %7.1f\n",
+			c.Name, c.Ops, c.QPS, c.Errors, c.P50, c.P95, c.P99, c.CacheHitPct)
 	}
 	return b.String()
 }
@@ -553,13 +544,13 @@ func (r *Result) String() string {
 // artifact CI uploads.
 func (r *Result) CSV() string {
 	var b strings.Builder
-	b.WriteString("class,ops,qps,shed,errors,p50_us,p95_us,p99_us,cache_hit_pct\n")
+	b.WriteString("class,ops,qps,errors,p50_us,p95_us,p99_us,cache_hit_pct\n")
 	for _, c := range r.Classes {
-		fmt.Fprintf(&b, "%s,%d,%.1f,%d,%d,%.1f,%.1f,%.1f,%.1f\n",
-			c.Name, c.Ops, c.QPS, c.Shed, c.Errors,
+		fmt.Fprintf(&b, "%s,%d,%.1f,%d,%.1f,%.1f,%.1f,%.1f\n",
+			c.Name, c.Ops, c.QPS, c.Errors,
 			float64(c.P50.Nanoseconds())/1e3, float64(c.P95.Nanoseconds())/1e3, float64(c.P99.Nanoseconds())/1e3,
 			c.CacheHitPct)
 	}
-	fmt.Fprintf(&b, "total,%d,%.1f,%d,%d,,,,\n", r.TotalOps, r.QPS, r.TotalShed, r.TotalErrs)
+	fmt.Fprintf(&b, "total,%d,%.1f,%d,,,,\n", r.TotalOps, r.QPS, r.TotalErrs)
 	return b.String()
 }

@@ -65,8 +65,8 @@ func TestRunClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalErrs != 0 || res.TotalShed != 0 {
-		t.Fatalf("errors %d, shed %d:\n%s", res.TotalErrs, res.TotalShed, res)
+	if res.TotalErrs != 0 {
+		t.Fatalf("errors %d:\n%s", res.TotalErrs, res)
 	}
 	if res.TotalOps == 0 || res.QPS <= 0 {
 		t.Fatalf("no throughput:\n%s", res)
@@ -91,7 +91,7 @@ func TestRunClosedLoop(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
 	}
-	if !strings.HasPrefix(csv, "class,ops,qps,shed,errors,p50_us,p95_us,p99_us,cache_hit_pct\n") || !strings.Contains(csv, "\ntotal,") {
+	if !strings.HasPrefix(csv, "class,ops,qps,errors,p50_us,p95_us,p99_us,cache_hit_pct\n") || !strings.Contains(csv, "\ntotal,") {
 		t.Errorf("bad csv:\n%s", csv)
 	}
 }
@@ -206,40 +206,5 @@ func TestAutoTerm(t *testing.T) {
 func TestRunRejectsWriteMixWithoutRows(t *testing.T) {
 	if _, err := Run(Options{BaseURL: "http://127.0.0.1:1", Mix: Mix{Write: 1}}); err == nil {
 		t.Fatal("accepted write mix without Rows")
-	}
-}
-
-// TestShedAccounting runs against a throttled tenant: admission
-// rejections must land in Shed, not Errors, and must not fail the run.
-func TestShedAccounting(t *testing.T) {
-	db := hybridstore.Open(hybridstore.Options{ChunkRows: 128})
-	tbl, err := db.CreateTable("item", hybridstore.ItemSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tbl.Free)
-	for i := uint64(0); i < 128; i++ {
-		if _, err := tbl.Insert(hybridstore.Item(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := server.New(server.Config{DB: db, Admission: server.Admission{Rate: 50, Burst: 5}})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	res, err := Run(Options{
-		BaseURL:     ts.URL,
-		Rows:        128,
-		Concurrency: 8,
-		Duration:    300 * time.Millisecond,
-		Mix:         Mix{Sum: 100},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalErrs != 0 {
-		t.Fatalf("admission rejections counted as errors:\n%s", res)
-	}
-	if res.TotalShed == 0 {
-		t.Fatalf("throttled run shed nothing:\n%s", res)
 	}
 }

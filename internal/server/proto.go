@@ -1,8 +1,8 @@
 // Package server is the network serving layer: an HTTP/1.1-over-TCP
 // front end on the hybridstore facade with sessions, prepared
-// statements, per-tenant admission control, and a batching scheduler
-// that collapses concurrent same-shape reads into one shared storage
-// pass (Table.Execute).
+// statements, and a batching scheduler that collapses concurrent
+// same-shape predicated scans into one shared storage pass
+// (Table.Execute).
 //
 // The wire format is flat JSON. The exec hot path never touches
 // encoding/json: requests are scanned in place by the minimal parser in

@@ -25,9 +25,6 @@ type Config struct {
 	// the field keeps its name and type because bench/ sets it, and
 	// becomes a bool with the next benchmark PR.
 	BatchWindow time.Duration
-	// Admission is the per-tenant load-shedding policy. The zero value
-	// admits everything.
-	Admission Admission
 }
 
 // DefaultBatchWindow is the value callers that want batching pass as
@@ -35,11 +32,10 @@ type Config struct {
 // rename waits for the same benchmark PR.
 const DefaultBatchWindow = 200 * time.Microsecond
 
-// Server is the serving layer: sessions, prepared statements,
-// admission control and the batching scheduler over one DB.
+// Server is the serving layer: sessions, prepared statements and the
+// batching scheduler over one DB.
 type Server struct {
 	db  *hybridstore.DB
-	adm *admitter
 	bat *batcher
 
 	mu       sync.RWMutex
@@ -65,7 +61,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{
 		db:       cfg.DB,
-		adm:      newAdmitter(cfg.Admission),
 		bat:      newBatcher(cfg.BatchWindow > 0),
 		sessions: make(map[string]*session),
 	}
@@ -78,12 +73,6 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
-
-// execStatus carries a non-200 outcome of the exec path.
-var (
-	errThrottled = errors.New("server: tenant throttled")
-	errOverload  = errors.New("server: tenant overloaded")
-)
 
 // Exec runs one prepared statement from its wire-format body and
 // appends the response JSON to out — the transport-independent core
@@ -142,14 +131,6 @@ func (s *Server) Exec(body, out []byte) ([]byte, int) {
 	if st == nil {
 		return appendError(out, fmt.Errorf("server: unknown statement %d", stmtID)), 404
 	}
-	release, code := s.adm.admit(ss.tenant)
-	if code != 0 {
-		if code == 429 {
-			return appendError(out, errThrottled), code
-		}
-		return appendError(out, errOverload), code
-	}
-	defer release()
 
 	t0 := time.Now()
 	out, err = s.dispatch(st, out, execArgs{
@@ -188,7 +169,7 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 		if a.row < 0 {
 			return out, fmt.Errorf("%w: negative row %d", errProto, a.row)
 		}
-		v, err := decodeValue(st.colKind, a.value)
+		v, err := decodeValue(st.col, a.value)
 		if err != nil {
 			return out, err
 		}
@@ -208,7 +189,7 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 			if i >= sc.Arity() {
 				return fmt.Errorf("%w: record has more than %d fields", errProto, sc.Arity())
 			}
-			v, err := decodeValue(sc.Attr(i).Kind, val)
+			v, err := decodeValue(sc.Attr(i), val)
 			if err != nil {
 				return err
 			}
@@ -233,8 +214,10 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 
 	// Every read is one path: bind the statement's plan template, probe
 	// the result cache (a hit skips the batcher and the storage pass),
-	// execute through the batcher, serialize by kind.
-	p, solo := st.plan, false
+	// execute, serialize by kind. Only predicated scans ride the batcher:
+	// a point read is one row, and an unpredicated sum has no co-runners
+	// to share a pass with.
+	p := st.plan
 	known := true // get_pk: false when the key is not indexed
 	switch {
 	case st.op == opGetPK:
@@ -242,7 +225,6 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 			return out, fmt.Errorf("%w: get_pk needs pk", errProto)
 		}
 		p.Row, known = st.tbl.LookupPK(a.pk)
-		solo = true // an index probe has its own path below, not a cohort
 	case p.Op == exec.KindGet:
 		if !a.hasRow {
 			return out, fmt.Errorf("%w: get needs row", errProto)
@@ -251,10 +233,6 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 			return out, fmt.Errorf("%w: negative row %d", errProto, a.row)
 		}
 		p.Row = uint64(a.row)
-		// A row at or beyond the current row count takes the solo path:
-		// it would error the whole cohort, and since tables only grow, a
-		// row valid at join time stays valid at flush time.
-		solo = p.Row >= st.tbl.Rows()
 	case p.HasPred:
 		if a.predRaw == nil {
 			return out, fmt.Errorf("%w: %s needs pred", errProto, opName[st.op])
@@ -263,8 +241,6 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 		if p.Pred, err = parsePred(a.predRaw); err != nil {
 			return out, err
 		}
-	default:
-		solo = true // an unpredicated sum has no co-runners to share with
 	}
 	s.opCacheLk[st.op].Inc()
 	var res hybridstore.Result
@@ -279,7 +255,7 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 	case st.op == opGetPK:
 		res.Rec, err = st.tbl.GetByPK(a.pk)
 	default:
-		res, err = s.bat.exec(st.tbl, p, solo)
+		res, err = s.bat.exec(st.tbl, p, !p.HasPred)
 	}
 	if err != nil {
 		return out, err
@@ -296,10 +272,6 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 		out = append(out, `{"sum":`...)
 		out = appendF64(out, res.Sum)
 		out = append(out, `,"count":`...)
-		out = appendI64(out, res.Count)
-		return append(out, '}'), nil
-	case opCountWhere:
-		out = append(out, `{"count":`...)
 		out = appendI64(out, res.Count)
 		return append(out, '}'), nil
 	case opGroupSumWhere:
@@ -321,42 +293,40 @@ func (s *Server) dispatch(st *stmt, out []byte, a execArgs) ([]byte, error) {
 	return out, fmt.Errorf("server: unhandled op %d", st.op)
 }
 
-// decodeValue builds the schema value of kind k from raw wire bytes.
-func decodeValue(k schema.Kind, raw []byte) (schema.Value, error) {
-	switch k {
+// decodeValue builds a value of attribute a from raw wire bytes. A value
+// the column cannot hold (an INT32 out of range, an over-width CHAR) is a
+// malformed request, refused before any engine sees it.
+func decodeValue(a schema.Attribute, raw []byte) (schema.Value, error) {
+	var v schema.Value
+	switch a.Kind {
 	case schema.Float64:
 		f, err := parseF64(raw)
 		if err != nil {
-			return schema.Value{}, fmt.Errorf("%w: float value: %v", errProto, err)
+			return v, fmt.Errorf("%w: float value: %v", errProto, err)
 		}
-		return schema.FloatValue(f), nil
-	case schema.Int64:
+		v = schema.FloatValue(f)
+	case schema.Int64, schema.Int32:
 		n, err := parseI64(raw)
 		if err != nil {
-			return schema.Value{}, fmt.Errorf("%w: int value: %v", errProto, err)
+			return v, fmt.Errorf("%w: %s value: %v", errProto, a.Kind, err)
 		}
-		return schema.IntValue(n), nil
-	case schema.Int32:
-		n, err := parseI64(raw)
-		if err != nil {
-			return schema.Value{}, fmt.Errorf("%w: int32 value: %v", errProto, err)
-		}
-		return schema.Int32Value(int32(n)), nil
+		v = schema.Value{Kind: a.Kind, I: n}
 	case schema.Char:
-		if bytes.IndexByte(raw, '\\') < 0 {
-			return schema.CharValue(string(raw)), nil
-		}
+		s := string(raw)
 		// The scanner hands strings over unquoted with their escapes
 		// intact; the rare one that carries any is decoded by the standard
 		// library, off the hot path.
-		var s string
-		if err := json.Unmarshal(append(append([]byte{'"'}, raw...), '"'), &s); err != nil {
-			return schema.Value{}, fmt.Errorf("%w: char value: %v", errProto, err)
+		if bytes.IndexByte(raw, '\\') >= 0 {
+			if err := json.Unmarshal(append(append([]byte{'"'}, raw...), '"'), &s); err != nil {
+				return v, fmt.Errorf("%w: char value: %v", errProto, err)
+			}
 		}
-		return schema.CharValue(s), nil
-	default:
-		return schema.Value{}, fmt.Errorf("%w: unsupported kind %v", errProto, k)
+		v = schema.CharValue(s)
 	}
+	if err := schema.ValidateValue(a, v); err != nil {
+		return v, fmt.Errorf("%w: %v", errProto, err)
+	}
+	return v, nil
 }
 
 // AppendRecord renders a record as the {"record":[...]} payload a point

@@ -10,9 +10,8 @@ import (
 )
 
 // opKind enumerates the prepared-statement operations — the serving
-// protocol's whole query surface. Analytic classes (sum_where,
-// count_where, group_sum_where) are batchable; the rest execute
-// directly.
+// protocol's whole query surface. The predicated scans (sum_where,
+// group_sum_where) are batchable; the rest execute directly.
 type opKind uint8
 
 const (
@@ -22,7 +21,6 @@ const (
 	opInsert
 	opSum
 	opSumWhere
-	opCountWhere
 	opGroupSumWhere
 	opCount // number of kinds
 )
@@ -36,7 +34,6 @@ var opName = [opCount]string{
 	opInsert:        "insert",
 	opSum:           "sum",
 	opSumWhere:      "sum_where",
-	opCountWhere:    "count_where",
 	opGroupSumWhere: "group_sum_where",
 }
 
@@ -54,21 +51,19 @@ func opKindOf(name []byte) (opKind, bool) {
 // only decodes arguments. A read statement holds its plan template
 // (kind, table, columns); Exec binds the predicate or row into a copy.
 type stmt struct {
-	op      opKind
-	tbl     *hybridstore.Table
-	plan    exec.Plan   // read template; writes use only plan.Col
-	colKind schema.Kind // kind of plan.Col, resolved at prepare (update)
+	op   opKind
+	tbl  *hybridstore.Table
+	plan exec.Plan        // read template; writes use only plan.Col
+	col  schema.Attribute // attribute of plan.Col, resolved at prepare (update)
 }
 
-// planKind maps each read statement to the plan kind it executes:
-// count_where reads the Count of a sum_where plan, get_pk is a get once
-// the index resolved the key.
+// planKind maps each read statement to the plan kind it executes: get_pk
+// is a get once the index resolved the key.
 var planKind = map[opKind]exec.Kind{
 	opGet:           exec.KindGet,
 	opGetPK:         exec.KindGet,
 	opSum:           exec.KindSum,
 	opSumWhere:      exec.KindSumWhere,
-	opCountWhere:    exec.KindSumWhere,
 	opGroupSumWhere: exec.KindGroupSumWhere,
 }
 
@@ -87,10 +82,8 @@ var errTooManySessions = fmt.Errorf("server: session limit (%d) reached", maxSes
 // append-only and identified by index, so Exec resolves a statement
 // with one bounds check under a read lock.
 type session struct {
-	id     string
-	tenant string
-	mu     sync.RWMutex
-	stmts  []*stmt
+	mu    sync.RWMutex
+	stmts []*stmt
 }
 
 func (ss *session) stmt(id int64) *stmt {
@@ -102,19 +95,16 @@ func (ss *session) stmt(id int64) *stmt {
 	return ss.stmts[id]
 }
 
-// CreateSession registers a new session for tenant (empty means
-// "default") and returns its id, or errTooManySessions.
-func (s *Server) CreateSession(tenant string) (string, error) {
-	if tenant == "" {
-		tenant = "default"
-	}
+// CreateSession registers a new session and returns its id, or
+// errTooManySessions.
+func (s *Server) CreateSession() (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.sessions) >= maxSessions {
 		return "", errTooManySessions
 	}
 	id := fmt.Sprintf("s%d", len(s.sessions)+1) // sessions are never dropped: unique
-	s.sessions[id] = &session{id: id, tenant: tenant}
+	s.sessions[id] = &session{}
 	return id, nil
 }
 
@@ -151,7 +141,7 @@ func (s *Server) Prepare(sid, op, table string, col, keyCol int) (int, error) {
 		if col < 0 || col >= sc.Arity() {
 			return 0, fmt.Errorf("server: col %d out of range", col)
 		}
-		st.colKind = sc.Attr(col).Kind
+		st.col = sc.Attr(col)
 	}
 	st.plan = st.plan.Normalize()
 	ss.mu.Lock()
