@@ -417,16 +417,18 @@ func scanCost(scan func()) (allocs, kib float64) {
 // A scan's allocations follow neither the live deltas, nor the group
 // count, nor the chunk count, in objects or in bytes. Measured on the
 // bench fixture with between(20, 80), which 102 of the 128 chunks
-// survive: sum_where 15 objects / 1.4 KiB per scan, clean or with 1000
-// live deltas; group_sum_where 21 / 4.0 KiB clean, 90 / 10.0 KiB with
-// the deltas (the patch's own group map, once per scan) and 21 / 2.1 KiB
-// at 8 groups instead of 64; and, over a predicate whose hot chunks
-// match too, the same object counts at a quarter of the rows (32
-// chunks). While every acquired piece took a release closure, its
-// sync.Once and an LRU element, the same scans read 330 / 14.1 and
-// 645 / 34.0; before typed launches, 432 / 32.8 and 854 / 186.8; before
-// the ordered patch walk and the value-typed group tables, 4290 objects
-// for the grouped scan and 1000 more per 1000 deltas.
+// survive: sum_where 14 objects / 0.7-1.3 KiB per scan, clean or with
+// 1000 live deltas; group_sum_where 20 / 4.0 KiB, clean or with the
+// deltas (the patch folds into the bulk's own group slice), and 20 /
+// 1.4 KiB at 8 groups instead of 64; and, over a predicate whose hot
+// chunks match too, the same object counts at a quarter of the rows (32
+// chunks). While the patch built a group map per scan, the grouped scan
+// with deltas read 90 / 10.0; while every acquired piece took a release
+// closure, its sync.Once and an LRU element, the two scans read
+// 330 / 14.1 and 645 / 34.0; before typed launches, 432 / 32.8 and
+// 854 / 186.8; before the ordered patch walk and the value-typed group
+// tables, 4290 objects for the grouped scan and 1000 more per 1000
+// deltas.
 func TestScanAllocsIndependentOfDeltas(t *testing.T) {
 	pred := exec.Pred{Op: exec.OpBetween, Lo: 20, Hi: 80}
 	type cost struct{ sumAllocs, sumKiB, groupAllocs, groupKiB float64 }
@@ -478,10 +480,17 @@ func TestScanAllocsIndependentOfDeltas(t *testing.T) {
 	if deltas.sumAllocs > clean.sumAllocs+16 {
 		t.Errorf("sum_where allocates %.0f objects with 1000 live deltas, %.0f on the clean table: grows with deltas", deltas.sumAllocs, clean.sumAllocs)
 	}
-	for name, c := range map[string]cost{"1000 deltas": deltas, "8 groups": fewGroups} {
-		if c.groupAllocs > 1000 {
-			t.Errorf("group_sum_where (%s) allocates %.0f objects per scan, gate 1000", name, c.groupAllocs)
-		}
+	// The race detector's sync.Pool drops pooled scratch at random, and a
+	// dropped table is rebuilt.
+	groupSlack := 4.0
+	if raceEnabled {
+		groupSlack = 16
+	}
+	if deltas.groupAllocs > clean.groupAllocs+groupSlack {
+		t.Errorf("group_sum_where allocates %.0f objects with 1000 live deltas, %.0f on the clean table: grows with deltas", deltas.groupAllocs, clean.groupAllocs)
+	}
+	if fewGroups.groupAllocs > 1000 {
+		t.Errorf("group_sum_where (8 groups) allocates %.0f objects per scan, gate 1000", fewGroups.groupAllocs)
 	}
 	if clean.sumAllocs > 32 || clean.groupAllocs > 64 {
 		t.Errorf("per scan on the clean table: sum_where %.0f objects (gate 32), group_sum_where %.0f (gate 64)", clean.sumAllocs, clean.groupAllocs)

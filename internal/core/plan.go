@@ -28,13 +28,16 @@ import (
 // batched request arrived, handing result k to requester k is a valid
 // linearization of the batch.
 //
-// The result cache sits above the scan body (see rescache.go for the
-// stamp protocol): each plan is probed individually under the one stamp
-// the shared RLock section freezes, hits drop out of the batch, and only
-// the missing plans pay the scan — their answers are published for
-// future repeats. The normalized plan is the cache key. Mixing cached
-// and fresh answers is sound because a hit requires stamp equality:
-// both were computed over byte-identical base state.
+// The result cache rides inside the scan body (see rescache.go for the
+// stamp protocol): under a result cache the scan source is also the
+// store of settled-base answers (engine.Bases), each plan's result over
+// the base fragments alone, keyed by the normalized plan under the one
+// epoch the shared RLock section freezes. A plan whose base is cached
+// skips the chunk walk and both legs; the others compute and publish
+// theirs; then every plan of the batch, cached or not, joins the one
+// walk of this snapshot's MVCC patch. The patch runs the same float
+// operations in the same row order whether its base came from the cache
+// or not, so a cached answer is the uncached one, bit for bit.
 
 // cacheKey is the plan as the result cache keys it.
 func (t *Table) cacheKey(p exec.Plan) rescache.Key {
@@ -45,9 +48,8 @@ func (t *Table) cacheKey(p exec.Plan) rescache.Key {
 // Execute answers every plan — all of one shape — from one lock
 // acquisition and one MVCC snapshot; result k belongs to plans[k].
 func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
-	out := make([]exec.Result, len(plans))
 	if len(plans) == 0 {
-		return out, nil
+		return []exec.Result{}, nil
 	}
 	shape := plans[0].Normalize().Shape()
 	for _, p := range plans[1:] {
@@ -61,6 +63,7 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if shape.Op == exec.KindGet {
+		out := make([]exec.Result, len(plans))
 		if len(plans) == 1 {
 			// A lone get takes no snapshot unless the cache misses and
 			// charges its one gather itself.
@@ -82,65 +85,23 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	for range plans {
 		t.mon.Observe(workload.Op{Kind: workload.ColumnScan, Cols: cols})
 	}
-
-	// Probe the cache per plan; todo are the plans still to execute (the
-	// inputs themselves when nothing hit).
-	todo := plans
-	cache := t.eng.rescache
-	var keys []rescache.Key
-	var missIdx []int
-	cacheable := false
-	if cache != nil {
-		cacheable = t.deltas.Versions() == 0
-		keys = make([]rescache.Key, len(plans))
-		for i, p := range plans {
-			if cacheable {
-				keys[i] = t.cacheKey(p)
-				if v, ok := cache.Lookup(keys[i], t.epoch); ok {
-					out[i] = v
-					continue
-				}
-			} else {
-				cache.Bypass()
-			}
-			missIdx = append(missIdx, i)
-		}
-		if len(missIdx) == 0 {
-			return out, nil
-		}
-		if len(missIdx) < len(plans) {
-			todo = make([]exec.Plan, len(missIdx))
-			for j, i := range missIdx {
-				todo[j] = plans[i]
-			}
-		}
-	}
-
 	src := t.source(reader)
-	res, err := engine.ScanCohort(src, t.cfg, t.env.DeviceExec(t.rel.Name()), todo)
+	var bases engine.Bases
+	if t.eng.rescache != nil {
+		bases = src
+	}
+	res, err := engine.ScanCohort(src, t.cfg, t.env.DeviceExec(t.rel.Name()), plans, bases)
 	src.release()
-	if err != nil || cache == nil {
-		return res, err
-	}
-	// Publish only if the RLock section stayed delta-free end to end:
-	// Versions only grows under the read lock, so 0 after execution proves
-	// the scan patched nothing and its answers are a pure function of the
-	// stamped base state.
-	publish := cacheable && t.deltas.Versions() == 0
-	for j, i := range missIdx {
-		out[i] = res[j]
-		if publish {
-			cache.Put(keys[i], t.epoch, res[j])
-		}
-	}
-	return out, nil
+	return res, err
 }
 
 // Peek answers a plan from the result cache only — the serving layer's
-// pre-admission fast path, which never executes a scan. A hit costs the
-// read lock, one epoch compare and a map probe; anything else — cache
-// disabled, hot deltas, miss — reports false and the caller proceeds to
-// Execute, whose own cache Lookup records the miss.
+// pre-admission fast path, which never executes a scan and never
+// patches. An aggregate's entry is its settled base, the answer only
+// while no delta version exists; a hit costs the read lock, one epoch
+// compare and a map probe. Anything else — cache disabled, live deltas,
+// miss — reports false and the caller proceeds to Execute, whose own
+// cache Lookup records the miss (and may hit, and patch).
 func (t *Table) Peek(p exec.Plan) (exec.Result, bool) {
 	cache := t.eng.rescache
 	if cache == nil {

@@ -3,36 +3,32 @@ package core
 import (
 	"sync/atomic"
 
+	"hybridstore/internal/exec"
 	"hybridstore/internal/rescache"
 )
 
 // Result caching in the reference engine rides one concurrency fact:
 // every operation that mutates base fragments — Insert, Merge, Adapt,
-// PlaceColumn, EvictColumn, freeze — takes the exclusive table lock,
+// PlaceColumn, evictColumn, freeze — takes the exclusive table lock,
 // while queries and MVCC point updates share the read lock. Under one
 // RLock section the base is therefore FROZEN, and so is the epoch each
 // of those writers advances (touch): a stamp read anywhere in the
-// section describes the base state for the whole section. The only
-// state that can move under a concurrent RLock holder is the delta
-// store, and it moves monotonically — commits only add versions;
-// Forget/Prune run inside Merge, which needs the write lock. So:
+// section describes the base state for the whole section.
 //
-//   - deltas.Versions() == 0 observed at any point of an RLock section
-//     means it was 0 at every earlier point of the section;
-//   - checking it AFTER executing a scan proves the scan patched
-//     nothing and its answer is a pure function of the stamped base
-//     state — safe to publish under that stamp;
-//   - checking it BEFORE a lookup proves a stamp-equal cached entry
-//     answers the current state (serving it linearizes the request
-//     before any commit racing with this section, which is valid — the
-//     request held no ordering claim over that commit).
+// An aggregate's entry is its settled base: the scan body's result over
+// the base fragments alone, before the MVCC patch. That value is a pure
+// function of the stamped base state, whatever the delta store holds,
+// so it is published and served under the table epoch at any time; the
+// reader then replays its own snapshot's patch on the copy a hit hands
+// out. With no delta version the patch is empty and the base is the
+// answer: deltas.Versions() == 0 seen anywhere in an RLock section was 0
+// at every earlier point of it (commits only add versions; Forget/Prune
+// run inside Merge, under the write lock), so Peek, which never patches,
+// serves an entry only then — which linearizes the request before any
+// commit racing with the section, a valid order, since the request held
+// no ordering claim over that commit.
 //
-// Versions() is a count the store maintains where versions are
-// installed, pruned and forgotten; the argument above needs only its
-// value, which is what a walk of the chains would return.
-//
-// Aggregates are stamped with the table's epoch, which every base
-// mutation moves. Point reads sharpen both checks to one row
+// Point reads cache the record itself and sharpen the check to one row
 // (deltas.LatestTS(row), equally monotone under RLock) and one chunk's
 // epoch, so an insert or merge elsewhere in the table does not
 // invalidate them.
@@ -62,4 +58,15 @@ func (t *Table) VersionStamp() (rescache.Stamp, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.epoch, t.deltas.Versions() == 0
+}
+
+// Base is the scan source's half of engine.Bases: p's settled base from
+// the result cache, if one was published under the current epoch.
+func (s *scanSource) Base(p exec.Plan) (exec.Result, bool) {
+	return s.t.eng.rescache.Lookup(s.t.cacheKey(p), s.t.epoch)
+}
+
+// Settled publishes p's settled base under the current epoch.
+func (s *scanSource) Settled(p exec.Plan, base exec.Result) {
+	s.t.eng.rescache.Put(s.t.cacheKey(p), s.t.epoch, base)
 }

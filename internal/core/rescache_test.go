@@ -61,64 +61,70 @@ func TestResultCacheAggregateRepeat(t *testing.T) {
 	}
 }
 
+// An MVCC update leaves the base and its epoch alone, so the repeat
+// after it hits the settled base and replays the patch: the patched
+// answer, the bits of an uncached twin that took the same update. Merge
+// folds the delta into the base and moves the epoch: the entry goes
+// stale, the base is recomputed, and the repeat hits again.
 func TestResultCacheInvalidationByWrite(t *testing.T) {
 	_, tbl := newTable(t, cacheOpts(), 600)
 	defer tbl.Free()
-	p := exec.Lt(5.0)
-
-	want1, wantN1, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
-	if err != nil {
-		t.Fatal(err)
+	twin := twinTable(t, cacheOpts(), 600)
+	defer twin.Free()
+	p := exec.Plan{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Lt(5.0)}
+	// answer runs p on both tables and returns the cached one's answer
+	// once it has matched the twin's, bit for bit.
+	answer := func(step string) exec.Result {
+		t.Helper()
+		got, err := tbl.Scan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Scan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(got, want) {
+			t.Fatalf("%s: cached table answers %+v, uncached twin %+v", step, got, want)
+		}
+		return got
+	}
+	both := func(fn func(*Table) error) {
+		t.Helper()
+		for _, x := range []*Table{tbl, twin} {
+			if err := fn(x); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
-	// An MVCC update makes the table unanswerable from its base stamp
-	// (the delta store is live): queries bypass, never serve stale sums.
-	if err := tbl.Update(3, workload.ItemPriceCol, schema.FloatValue(2.5)); err != nil {
-		t.Fatal(err)
-	}
-	sum2, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPatched := want1 - workload.ItemPrice(3) + 2.5
-	if math.Abs(sum2-wantPatched) > 1e-9 {
-		t.Fatalf("post-update sum %v, want %v", sum2, wantPatched)
-	}
-	if hits, _, _, _ := cacheStats(t, tbl); hits != 0 {
-		t.Fatalf("served a cached result across a live delta: %d hits", hits)
-	}
-
-	// Merge folds the delta into base fragments, moving the epoch:
-	// the table is stampable again but the old entry is stale — the next
-	// probe drops it and recomputes.
-	if err := tbl.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	sum3, n3, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Merge re-linearizes the rows, so the fold order (and thus the
-	// exact bits) may differ from the MVCC-patched answer; the value is
-	// the same.
-	if math.Abs(sum3-sum2) > 1e-9 {
-		t.Fatalf("post-merge sum %v, want %v", sum3, sum2)
-	}
-	if _, _, stale, _ := cacheStats(t, tbl); stale != 1 {
-		t.Fatalf("stale entry not accounted: stale=%d", stale)
-	}
-	// And the recomputed answer is cached again.
-	sum4, n4, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(sum4) != math.Float64bits(sum3) || n4 != n3 {
-		t.Fatalf("post-merge repeat diverged")
+	first := answer("first")
+	both(func(x *Table) error { return x.Update(3, workload.ItemPriceCol, schema.FloatValue(2.5)) })
+	patched := answer("after the update")
+	if want := first.Sum - workload.ItemPrice(3) + 2.5; math.Abs(patched.Sum-want) > 1e-9 {
+		t.Fatalf("post-update sum %v, want %v", patched.Sum, want)
 	}
 	if hits, _, _, _ := cacheStats(t, tbl); hits != 1 {
+		t.Fatalf("the repeat over a live delta hit %d times, want 1 (the settled base, patched)", hits)
+	}
+	if _, ok := tbl.Peek(p); ok {
+		t.Fatal("Peek served a settled base over a live delta")
+	}
+
+	// Merge re-linearizes the rows, so the fold order (and thus the exact
+	// bits) may differ from the MVCC-patched answer; the value is the same.
+	both(func(x *Table) error { return x.Merge() })
+	merged := answer("after the merge")
+	if math.Abs(merged.Sum-patched.Sum) > 1e-9 || merged.Count != patched.Count {
+		t.Fatalf("post-merge answer %+v, want %+v", merged, patched)
+	}
+	if hits, _, stale, _ := cacheStats(t, tbl); hits != 1 || stale != 1 {
+		t.Fatalf("after the merge: %d hits, %d stale; want 1, 1", hits, stale)
+	}
+	answer("the post-merge repeat")
+	if hits, _, _, _ := cacheStats(t, tbl); hits != 2 {
 		t.Fatalf("post-merge repeat did not hit")
 	}
-	_ = wantN1
 }
 
 func TestResultCacheGroupBy(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hybridstore/internal/exec"
@@ -269,7 +270,7 @@ func TestScanCohortMatchesSolo(t *testing.T) {
 					}
 				}
 				src := &fakeSource{s: s, patched: patched}
-				got, err := ScanCohort(src, exec.Single(), &recordingExec{}, plans)
+				got, err := ScanCohort(src, exec.Single(), &recordingExec{}, plans, nil)
 				if err != nil || len(got) != len(plans) {
 					t.Fatalf("%s %v: %d results, %v", op, preds, len(got), err)
 				}
@@ -299,15 +300,74 @@ func TestScanCohortMatchesSolo(t *testing.T) {
 		{{Op: exec.KindGet, Row: 1}},
 		{{Op: exec.KindGet, Row: 1}, {Op: exec.KindGet, Row: 2}},
 	} {
-		if _, err := ScanCohort(src, exec.Single(), &recordingExec{}, bad); !errors.Is(err, exec.ErrBadPlan) {
+		if _, err := ScanCohort(src, exec.Single(), &recordingExec{}, bad, nil); !errors.Is(err, exec.ErrBadPlan) {
 			t.Errorf("%+v: err = %v, want ErrBadPlan", bad, err)
 		}
 	}
 	if src.pieceCalls != 0 {
 		t.Errorf("a refused cohort reached the pieces %d times", src.pieceCalls)
 	}
-	if res, err := ScanCohort(src, exec.Single(), nil, nil); err != nil || len(res) != 0 {
+	if res, err := ScanCohort(src, exec.Single(), nil, nil, nil); err != nil || len(res) != 0 {
 		t.Errorf("empty cohort = %v, %v", res, err)
+	}
+}
+
+// mapBases is a Bases over a map, keyed by the normalized plan.
+type mapBases map[exec.Plan]exec.Result
+
+func (b mapBases) Base(p exec.Plan) (exec.Result, bool) {
+	r, ok := b[p]
+	r.Groups = slices.Clone(r.Groups)
+	return r, ok
+}
+
+func (b mapBases) Settled(p exec.Plan, base exec.Result) {
+	base.Groups = slices.Clone(base.Groups)
+	b[p] = base
+}
+
+// A cohort settles the bases it computes before patching them, and a
+// later cohort over known bases reaches no piece yet still walks the
+// patch once: every answer, known base or fresh, is the solo one, bit
+// for bit, patched or not, and every base stored is the unpatched one.
+func TestScanCohortReplaysPatchOverKnownBases(t *testing.T) {
+	s := schema.MustNew(schema.Int64Attr("k"), schema.Float64Attr("v"))
+	for _, op := range []exec.Kind{exec.KindSum, exec.KindSumWhere, exec.KindGroupSum, exec.KindGroupSumWhere} {
+		plan := func(pred exec.Pred) exec.Plan { return exec.Plan{Op: op, KeyCol: 0, Col: 1, Pred: pred} }
+		warm := []exec.Plan{plan(exec.Gt(0.5)), plan(exec.Between(4.0, 9.0))}
+		mixed := append([]exec.Plan{plan(exec.Lt(50.0))}, warm...)
+		bases := mapBases{}
+		for i, plans := range [][]exec.Plan{warm, warm, mixed} {
+			patched := i > 0
+			src := &fakeSource{s: s, patched: patched}
+			got, err := ScanCohort(src, exec.Single(), &recordingExec{}, plans, bases)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Only the first cohort and the filtered mixed one hold a plan
+			// with no known base (unfiltered plans are one plan).
+			wantPieces := 0
+			if i == 0 || i == 2 && op.Filtered() {
+				wantPieces = 1
+			}
+			if src.pieceCalls != wantPieces || src.patchCalls != 1 {
+				t.Errorf("%s cohort %d: %d Pieces and %d Patches calls, want %d and 1", op, i, src.pieceCalls, src.patchCalls, wantPieces)
+			}
+			for k, p := range plans {
+				solo, err := Scan(&fakeSource{s: s, patched: patched}, exec.Single(), &recordingExec{}, p)
+				if err != nil || !sameBits(got[k], solo) {
+					t.Errorf("%s cohort %d plan %d: %+v, solo %+v (%v)", op, i, k, got[k], solo, err)
+				}
+			}
+		}
+		// What the store holds is each plan's unpatched answer, whether
+		// its cohort had a patch row or not.
+		for _, p := range mixed {
+			solo, _ := Scan(&fakeSource{s: s}, exec.Single(), &recordingExec{}, p)
+			if base, ok := bases.Base(p.Normalize()); !ok || !sameBits(base, solo) {
+				t.Errorf("%s: settled base %+v, %v; want the unpatched answer %+v", op, base, ok, solo)
+			}
+		}
 	}
 }
 

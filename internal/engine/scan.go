@@ -20,7 +20,8 @@ import (
 // device-resident, compressed or raw — and, where its pieces lag the
 // current state, a Patcher. ScanCohort validates the plans, hands the
 // pieces to the host and device executors through the same exec.Scan
-// descriptor, combines their results and applies the patches.
+// descriptor, combines their results — or takes them from a store of
+// settled bases (Bases) — and applies the patches.
 
 // Source is what a storage engine contributes to an aggregate scan.
 type Source interface {
@@ -62,19 +63,31 @@ type Patcher interface {
 	Patches(p exec.Plan, fn func(base, cur Cell)) error
 }
 
+// Bases is a store of settled-base answers: a plan's result over the
+// source's pieces alone, before any patch. That result is a function of
+// the base the pieces stand for, so a store keyed on it can hand the
+// answer to a later cohort, which then only replays its own patch.
+type Bases interface {
+	// Base returns a private copy of p's settled-base answer, if known.
+	Base(p exec.Plan) (exec.Result, bool)
+	// Settled hands over p's settled-base answer, computed just now; the
+	// store copies what it keeps.
+	Settled(p exec.Plan, base exec.Result)
+}
+
 // Scan answers one aggregate plan over the source: the K=1 cohort.
 func Scan(src Source, host exec.Config, dev exec.ScanExecutor, p exec.Plan) (exec.Result, error) {
-	res, err := ScanCohort(src, host, dev, []exec.Plan{p})
+	res, err := ScanCohort(src, host, dev, []exec.Plan{p}, nil)
 	if err != nil {
 		return exec.Result{}, err
 	}
 	return res[0], nil
 }
 
-// member is one live plan of a cohort — one that reaches the pieces,
-// which join it in the descriptor once the source has listed them — the
-// closed interval [lo, hi] its predicate, if it has one, matches, and
-// the result slot it fills.
+// member is one live plan of a cohort — one that reaches the pieces or
+// a settled base, and the patch — the closed interval [lo, hi] its
+// predicate, if it has one, matches, and the result slot it fills.
+// Pieces join it in the descriptor once the source has listed them.
 type member struct {
 	exec.Scan
 	lo, hi float64
@@ -97,6 +110,8 @@ func (m *member) match(x float64) bool { return !m.HasPred || m.lo <= x && x <= 
 //     an inverted or NaN-bounded between) is answered with the zero
 //     result without reaching a piece, and the unfiltered kinds, whose
 //     plans are identical, are computed once and copied;
+//   - a plan whose settled base bases (nil: none) knows skips the pieces
+//     and both legs; the others settle theirs into it before the patch;
 //   - the device pieces run per live plan, resident fragments first,
 //     then the shipped ones through the fragment cache (the first
 //     predicate warms an image, the rest scan it for zero bus bytes);
@@ -104,9 +119,10 @@ func (m *member) match(x float64) bool { return !m.HasPred || m.lo <= x && x <= 
 //     exec.SumFloat64WhereMulti, every predicate folding the piece
 //     stream in solo order; the other kinds scan them once per plan;
 //   - the device result folds first, then the host result, then the
-//     patch, which walks rows outer / plans inner and so preserves each
-//     plan's ascending-row patch order.
-func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exec.Plan) ([]exec.Result, error) {
+//     patch, which walks rows outer / plans inner — known bases and
+//     fresh ones alike — and so preserves each plan's ascending-row
+//     patch order.
+func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exec.Plan, bases Bases) ([]exec.Result, error) {
 	out := make([]exec.Result, len(plans))
 	if len(plans) == 0 {
 		return out, nil
@@ -118,7 +134,9 @@ func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exe
 	if err := shape.Check(src.Schema()); err != nil {
 		return nil, err
 	}
+	// live[:n] need the legs; live[n:] start from a known base.
 	live := make([]member, 0, len(plans))
+	n := 0
 	for k, p := range plans {
 		p = p.Normalize()
 		if s := p.Shape(); s != shape {
@@ -131,12 +149,28 @@ func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exe
 		if shape.HasPred {
 			m.lo, m.hi, isLive = p.Pred.Closed()
 		}
-		if isLive {
-			live = append(live, m)
+		if !isLive {
+			continue
+		}
+		known := false
+		if bases != nil {
+			out[k], known = bases.Base(p)
+		}
+		if live = append(live, m); !known {
+			live[n], live[len(live)-1] = live[len(live)-1], live[n]
+			n++
 		}
 	}
-	if len(live) > 0 {
-		if err := scanLive(src, host, dev, live); err != nil {
+	if n > 0 {
+		if err := legs(src, host, dev, live[:n]); err != nil {
+			return nil, err
+		}
+		for j := 0; bases != nil && j < n; j++ {
+			bases.Settled(live[j].Plan, *live[j].res)
+		}
+	}
+	if pt, ok := src.(Patcher); ok && len(live) > 0 {
+		if err := patch(pt, live); err != nil {
 			return nil, err
 		}
 	}
@@ -149,9 +183,9 @@ func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exe
 	return out, nil
 }
 
-// scanLive runs the legs of a cohort's live plans, which all read the
-// same pieces and the same patch rows.
-func scanLive(src Source, host exec.Config, dev exec.ScanExecutor, live []member) error {
+// legs runs the device and host legs of plans that all read the same
+// pieces: their settled-base answers.
+func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) error {
 	shape := live[0].Plan
 	keys, vals, err := src.Pieces(shape)
 	if err != nil {
@@ -219,9 +253,6 @@ func scanLive(src Source, host exec.Config, dev exec.ScanExecutor, live []member
 				fold(m.res, part)
 			}
 		}
-	}
-	if pt, ok := src.(Patcher); ok {
-		return patch(pt, live)
 	}
 	return nil
 }
@@ -299,43 +330,53 @@ func patch(pt Patcher, live []member) error {
 	}
 }
 
-// GroupPatch folds patch rows into a bulk-aggregated group table: a
-// row's base contribution leaves its base group, its current one enters
-// the group of its current key — so an update that changes the key moves
-// the row between groups. The patch table materializes lazily: with no
-// patch rows (the common warm serving state) the bulk result is returned
-// as-is, with no second hash table and no re-sort.
+// GroupPatch folds patch rows into a bulk-aggregated group table, in
+// place: a row's base contribution leaves its base group, its current
+// one enters the group of its current key — so an update that changes
+// the key moves the row between groups. The table is the caller's own
+// key-sorted slice; a key the bulk never held goes to a key-sorted side
+// list merged in at the end. With no patch rows (the common warm serving
+// state) the bulk slice comes back as it went in, allocating nothing.
 type GroupPatch struct {
-	groups []exec.GroupResult
-	match  func(float64) bool
-	table  map[int64]*exec.GroupResult
+	groups, added []exec.GroupResult
+	match         func(float64) bool
 }
 
-// NewGroupPatch starts a patch over a key-sorted bulk group table; match
-// is the scan's predicate (always true for an unpredicated group-by).
+// NewGroupPatch starts a patch over a key-sorted bulk group table, which
+// it takes over; match is the scan's predicate (always true for an
+// unpredicated group-by).
 func NewGroupPatch(groups []exec.GroupResult, match func(float64) bool) *GroupPatch {
 	return &GroupPatch{groups: groups, match: match}
 }
 
+// group returns key's accumulator: the bulk table's, else the side
+// list's, which add creates, zero, for a key neither holds (else nil).
+// Both are key-sorted, so a lookup is a binary search.
+func (g *GroupPatch) group(key int64, add bool) *exec.GroupResult {
+	byKey := func(gr exec.GroupResult, k int64) int { return cmp.Compare(gr.Key, k) }
+	if i, ok := slices.BinarySearchFunc(g.groups, key, byKey); ok {
+		return &g.groups[i]
+	}
+	i, ok := slices.BinarySearchFunc(g.added, key, byKey)
+	if !ok {
+		if !add {
+			return nil
+		}
+		g.added = slices.Insert(g.added, i, exec.GroupResult{Key: key})
+	}
+	return &g.added[i]
+}
+
 // Apply folds one patch row.
 func (g *GroupPatch) Apply(base, cur Cell) {
-	if g.table == nil {
-		g.table = make(map[int64]*exec.GroupResult, len(g.groups))
-		for i := range g.groups {
-			gr := g.groups[i]
-			g.table[gr.Key] = &gr
+	if g.match(base.Val) {
+		if gr := g.group(base.Key, false); gr != nil {
+			gr.Sum -= base.Val
+			gr.Count--
 		}
-	}
-	if gr := g.table[base.Key]; gr != nil && g.match(base.Val) {
-		gr.Sum -= base.Val
-		gr.Count--
 	}
 	if g.match(cur.Val) {
-		gr := g.table[cur.Key]
-		if gr == nil {
-			gr = &exec.GroupResult{Key: cur.Key}
-			g.table[cur.Key] = gr
-		}
+		gr := g.group(cur.Key, true)
 		gr.Sum += cur.Val
 		gr.Count++
 	}
@@ -344,15 +385,9 @@ func (g *GroupPatch) Apply(base, cur Cell) {
 // Groups returns the patched table, key-sorted, without the groups the
 // patches emptied.
 func (g *GroupPatch) Groups() []exec.GroupResult {
-	if g.table == nil {
-		return g.groups
+	out := slices.DeleteFunc(append(g.groups, g.added...), func(gr exec.GroupResult) bool { return gr.Count <= 0 })
+	if len(g.added) > 0 {
+		exec.SortGroupResults(out)
 	}
-	out := make([]exec.GroupResult, 0, len(g.table))
-	for _, gr := range g.table {
-		if gr.Count > 0 {
-			out = append(out, *gr)
-		}
-	}
-	exec.SortGroupResults(out)
 	return out
 }

@@ -16,19 +16,23 @@ import (
 // The resultcache panel measures the version-stamped cross-request
 // result cache on the serving path: twin engines — one with the cache,
 // one without — execute an identical operation sequence, and every
-// answer pair is compared bit for bit. Three legs span the reuse
-// spectrum:
+// answer pair is compared bit for bit. An aggregate's entry is its
+// settled base, the answer over the base fragments before the MVCC
+// patch, which every request replays on its own. Three legs span the
+// reuse spectrum:
 //
-//   - read-heavy: pure repeats of a small dashboard cut set. The cache
-//     answers from one epoch compare instead of a column scan — this is
-//     the headline p50 speedup.
-//   - mixed: periodic point writes with periodic merges. Writes make
-//     hot chunks uncacheable, merges move the base epoch, so cached
-//     entries go stale and are re-published — the leg exercises
-//     invalidation-by-epoch under a realistic HTAP rhythm.
-//   - write-storm: a write lands before every query. Nothing is ever
-//     validly reusable; the leg proves the cache never serves a stale
-//     byte when the table churns as fast as it is read.
+//   - read-heavy: pure repeats of a small dashboard cut set over a
+//     merged table. A hit is one epoch compare and an empty patch
+//     instead of a column scan — this is the headline p50 speedup.
+//   - mixed: every 8th query a point write lands and is merged. Merges
+//     move the base epoch, so cached bases go stale and are recomputed
+//     and re-published — the leg exercises invalidation-by-epoch under
+//     a realistic HTAP rhythm.
+//   - write-storm: a write lands before every query and nothing merges.
+//     The base never moves, so past the first miss per plan every query
+//     reuses its settled base and replays a patch that grows by one row
+//     per query — the leg proves a patched hit is the uncached answer
+//     to the bit however fast the deltas pile up.
 //
 // Correctness is structural, not sampled: a single divergent bit in any
 // leg fails the measurement, and the cache's own accounting must
@@ -157,10 +161,9 @@ func MeasureResultCache(rows uint64, queriesPerLeg int) (*ResultCacheSweep, erro
 	}
 
 	// Leg 2 — mixed: every 8th query a point write lands and is merged,
-	// so the cut set repeats inside each cacheable window (hits) and
-	// every merge bumps fragment versions under published entries
-	// (stale). Both engines take identical writes so answers stay
-	// comparable.
+	// so the cut set repeats inside each epoch (hits) and every merge
+	// moves the epoch under published bases (stale). Both engines take
+	// identical writes so answers stay comparable.
 	wrow := uint64(0)
 	err := runLeg("mixed", func(q int) error {
 		if q%8 != 0 {
@@ -179,7 +182,8 @@ func MeasureResultCache(rows uint64, queriesPerLeg int) (*ResultCacheSweep, erro
 		return nil, err
 	}
 
-	// Leg 3 — write-storm: a write lands before every single query.
+	// Leg 3 — write-storm: a write lands before every single query, and
+	// no merge folds it: the settled bases stay current, the patch grows.
 	err = runLeg("write-storm", func(q int) error {
 		wrow = (wrow + 104729) % rows
 		v := schema.FloatValue(float64(1 + q%100))

@@ -5,8 +5,9 @@ import "testing"
 // TestMeasureResultCache is the acceptance gate for the resultcache
 // panel: repeat reads must clear a 5x p50 speedup, every leg must be
 // bit-identical to uncached execution, the cache accounting must close
-// (hits+misses == lookups), and the mixed leg must register stale
-// entries — invalidation observed, not assumed.
+// (hits+misses == lookups), the mixed leg must register stale entries —
+// invalidation observed, not assumed — and the write-storm leg must
+// reuse settled bases under its live deltas.
 func TestMeasureResultCache(t *testing.T) {
 	s, err := MeasureResultCache(65536, 48)
 	if err != nil {
@@ -46,9 +47,11 @@ func TestMeasureResultCache(t *testing.T) {
 		t.Error("mixed leg never hit between write bursts")
 	}
 
+	// Updates leave the base alone: past the first miss of each of the
+	// 4 cuts × 2 kinds, every query hits its settled base and patches it.
 	ws := byName["write-storm"]
-	if ws.Hits != 0 {
-		t.Errorf("write-storm leg reported %d hits: a churning table must never reuse", ws.Hits)
+	if ws.Hits < int64(ws.Queries-8) {
+		t.Errorf("write-storm leg hit %d of %d queries, want at least %d: a live delta must not stop reuse of the base", ws.Hits, ws.Queries, ws.Queries-8)
 	}
 
 	golden(t, "resultcache.txt", skeleton(s.Tables()))

@@ -12,10 +12,13 @@
 // stamp, counts it, drops the entry, and the caller recomputes. No
 // writer touches the cache, so there is no lock-order risk.
 //
-// Queries whose snapshot overlaps hot MVCC deltas are uncacheable (the
-// stamp describes only the base); callers report them via Bypass so
-// the accounting invariant hits + misses == lookups holds for every
-// query that consulted the cache, cacheable or not.
+// The stamp describes only the base, so what core caches for an
+// aggregate is its settled base — the answer before the MVCC patch —
+// and each request replays its own snapshot's patch on the copy a hit
+// returns. The one query left uncacheable is a point read of a row with
+// live delta versions; callers report it via Bypass so the accounting
+// invariant hits + misses == lookups holds for every query that
+// consulted the cache, cacheable or not.
 package rescache
 
 import (
@@ -39,9 +42,7 @@ type (
 	Value = exec.Result
 )
 
-// The plan kinds under the names cache callers key on. Sum-where and
-// count-where share OpSumWhere: they differ only in which field of the
-// shared Value the caller reads.
+// The plan kinds under the names cache callers key on.
 const (
 	OpSum           = exec.KindSum
 	OpSumWhere      = exec.KindSumWhere
@@ -236,7 +237,7 @@ func (c *Cache) probe(k Key, cur Stamp, counting bool) (Value, bool) {
 }
 
 // Bypass records a query that consulted the cache but was uncacheable
-// (hot MVCC deltas in its snapshot, non-cacheable key). It counts one
+// (a point read of a row with live delta versions). It counts one
 // lookup and one miss so the hits + misses == lookups invariant covers
 // the whole serving path.
 func (c *Cache) Bypass() {

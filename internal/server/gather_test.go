@@ -52,8 +52,8 @@ func TestServeCachePreCheck(t *testing.T) {
 		hybridstore.Options{ChunkRows: 128,
 			ResultCache: hybridstore.ResultCacheOptions{Cap: 1 << 20}},
 		Config{})
-	// Fold the MVCC deltas the fixture leaves behind: aggregates over a
-	// table with live deltas are deliberately uncacheable.
+	// Fold the MVCC deltas the fixture leaves behind: the pre-check never
+	// patches, so it answers an aggregate only over a delta-free table.
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}

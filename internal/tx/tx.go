@@ -136,9 +136,10 @@ func (s *Store) LatestTS(row uint64) uint64 {
 	return 0
 }
 
-// Versions returns the total number of stored versions (for GC tests,
-// compaction policies and the result cache's "no live deltas" check).
-// It is a maintained count, not a walk: O(1) and lock-free.
+// Versions returns the total number of stored versions (for GC tests
+// and the result cache's Peek, which serves a cached settled base only
+// at 0, where the patch is empty and the base is the answer). It is a
+// maintained count, not a walk: O(1) and lock-free.
 func (s *Store) Versions() int { return int(s.versions.Load()) }
 
 // install pushes a new newest version onto row's chain, opening the

@@ -164,6 +164,20 @@ func sameResult(a, b Result, exact bool) bool {
 	return true
 }
 
+// storageConfigs are the storage configurations the equivalence tables
+// run under: plain host, device cache, compression, device placement,
+// and placement beside the device cache.
+var storageConfigs = []struct {
+	name string
+	opts Options
+}{
+	{"host", Options{ChunkRows: 128, HotChunks: 1}},
+	{"devicecache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true}},
+	{"compress+cache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Compress: true}},
+	{"placement", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true}},
+	{"placement+cache", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true, DeviceCache: true, Compress: true}},
+}
+
 // TestSharedScanMatchesSoloFacade is the end-to-end equivalence table of
 // the one read entry: for every plan shape × result cache on/off ×
 // cohort size K ∈ {1, 8}, Execute answers each plan with exactly the
@@ -175,19 +189,9 @@ func sameResult(a, b Result, exact bool) bool {
 // further updates + Merge. With the cache on, a clean table's answers
 // must also be served by Peek.
 func TestSharedScanMatchesSoloFacade(t *testing.T) {
-	configs := []struct {
-		name string
-		opts Options
-	}{
-		{"host", Options{ChunkRows: 128, HotChunks: 1}},
-		{"devicecache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true}},
-		{"compress+cache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Compress: true}},
-		{"placement", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true}},
-		{"placement+cache", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true, DeviceCache: true, Compress: true}},
-	}
 	const rows = 1000
 	cases := planCases(rows)
-	for _, cfg := range configs {
+	for _, cfg := range storageConfigs {
 		for _, cached := range []bool{false, true} {
 			opts := cfg.opts
 			name := cfg.name
@@ -247,7 +251,7 @@ func TestSharedScanMatchesSoloFacade(t *testing.T) {
 									if want := c.oracle(recs, p); !sameResult(res[i], want, false) {
 										t.Fatalf("%s round %d %s K=%d plan %d (%v): Execute %+v != serial %+v", phase, round, c.name, k, i, p.Pred, res[i], want)
 									}
-									// Aggregates are cacheable only over a delta-free
+									// Peek answers an aggregate only over a delta-free
 									// table; a point read only needs its own row clean.
 									peek, hit := tbl.Peek(p)
 									wrongHit := hit != (cached && clean) && (clean || p.Op != "get")
@@ -273,6 +277,149 @@ func TestSharedScanMatchesSoloFacade(t *testing.T) {
 				check("remerged+deltas", false)
 			})
 		}
+	}
+}
+
+// TestCachedMatchesUncachedWithDeltas is the result cache's row of the
+// equivalence table. In every storage configuration, twin tables — one
+// with the cache, one without — take one op sequence: updates that move
+// a row to another group (column 1, i_im_id, also to keys no row held),
+// updates that take a price a predicate matches in the base out of its
+// range and others into it, and a Merge between rounds, after which the
+// next round's updates patch the other way over the merged base. Every
+// answer of every aggregate shape — unpredicated sum and group_sum, an
+// unsatisfiable predicate, solo plans and K=8 cohorts that mix hits with
+// misses — equals the uncached twin's bit for bit. With a delta live the
+// cached twin's Peek misses, and each round's second pass, after more
+// updates, is all hits: the hit path, a cached base plus this snapshot's
+// patch, is what the comparison covers.
+func TestCachedMatchesUncachedWithDeltas(t *testing.T) {
+	const rows, keyCol = 1000, 1
+	preds := []FloatPred{
+		LtFloat(5), GtFloat(50), BetweenFloat(3, 60), EqFloat(42),
+		BetweenFloat(2, 1), // unsatisfiable
+		LtFloat(80), BetweenFloat(4.5, 7.25), GtFloat(90),
+	}
+	shapes := []Plan{
+		{Op: "sum", Col: ItemPriceColumn},
+		{Op: "sum_where", Col: ItemPriceColumn},
+		{Op: "group_sum", KeyCol: keyCol, Col: ItemPriceColumn},
+		{Op: "group_sum_where", KeyCol: keyCol, Col: ItemPriceColumn},
+	}
+	// cohort is shape's K plans; a predicated shape takes preds[lo:lo+k].
+	cohort := func(shape Plan, lo, k int) []Plan {
+		out := repeatPlan(shape, k)
+		for i := range out {
+			if shape.Op.Filtered() {
+				out[i].Pred = preds[lo+i]
+			}
+		}
+		return out
+	}
+	for _, cfg := range storageConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			var twins [2]*Table // cached, uncached
+			db := Open(cfg.opts)
+			cached := cfg.opts
+			cached.ResultCache = ResultCacheOptions{Cap: 1 << 20}
+			cdb := Open(cached)
+			for i, d := range []*DB{cdb, db} {
+				tbl, err := d.CreateTable("item", ItemSchema())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tbl.Free()
+				for r := uint64(0); r < rows; r++ {
+					if _, err := tbl.Insert(Item(r)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if cfg.opts.DevicePlacement {
+					if err := tbl.PlaceColumn(ItemPriceColumn); err != nil {
+						t.Fatal(err)
+					}
+				}
+				twins[i] = tbl
+			}
+			both := func(f func(tbl *Table) error) {
+				t.Helper()
+				for _, tbl := range twins {
+					if err := f(tbl); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// update writes round r's deltas, pass p's share, over the same
+			// rows every round: prices leave the predicates' ranges and
+			// enter others (base prices are 1-10.99), and after a merge
+			// fall back from the high base, and rows move between groups
+			// and to keys no row held.
+			update := func(r, p int) {
+				both(func(tbl *Table) error {
+					for row := uint64(p); row < rows; row += 53 {
+						price := 70 + float64(row%29)
+						if r%2 == 1 {
+							price = 2 + float64(row%5)
+						}
+						if err := tbl.Update(row, ItemPriceColumn, FloatValue(price)); err != nil {
+							return err
+						}
+						if err := tbl.Update((row+11)%rows, keyCol, Int32Value(int32((row*7+uint64(r))%(rows+40)))); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			}
+			live := false // deltas pending under the reads
+			run := func(phase string, plans []Plan) {
+				t.Helper()
+				var res [2][]Result
+				for i, tbl := range twins {
+					var err error
+					if res[i], err = tbl.Execute(plans); err != nil || len(res[i]) != len(plans) {
+						t.Fatalf("%s %s K=%d: %d results, %v", phase, plans[0].Op, len(plans), len(res[i]), err)
+					}
+				}
+				for k, p := range plans {
+					if !sameResult(res[0][k], res[1][k], true) {
+						t.Fatalf("%s %s K=%d plan %d (%v): cached %+v, uncached %+v", phase, p.Op, len(plans), k, p.Pred, res[0][k], res[1][k])
+					}
+					if _, hit := twins[0].Peek(p); hit && live {
+						t.Fatalf("%s %s plan %d: Peek answered with deltas live", phase, p.Op, k)
+					}
+				}
+			}
+			for r := 0; r < 3; r++ {
+				for pass := 0; pass < 2; pass++ {
+					update(r, pass) // pass 1's deltas land under the bases pass 0 cached
+					phase := fmt.Sprintf("round %d pass %d", r, pass)
+					if live = twins[0].Stats().PendingVersions > 0; !live {
+						t.Fatalf("%s: no delta pending", phase)
+					}
+					before := cdb.ResultCacheStats()
+					for _, shape := range shapes {
+						// Pass 0 caches every other plan solo first, so the
+						// K=8 cohort meets hits, misses and a plan that
+						// never reaches the cache.
+						for lo := 0; pass == 0 && lo < len(preds); lo += 2 {
+							run(phase, cohort(shape, lo, 1))
+						}
+						run(phase, cohort(shape, 0, 8))
+						run(phase, cohort(shape, 3, 1))
+					}
+					after := cdb.ResultCacheStats()
+					if hits, lookups := after.Hits-before.Hits, after.Lookups-before.Lookups; pass == 1 && (hits == 0 || hits != lookups) {
+						t.Fatalf("%s: %d hits of %d lookups, want every lookup a hit", phase, hits, lookups)
+					}
+				}
+				both(func(tbl *Table) error { return tbl.Merge() })
+			}
+			live = false
+			for _, shape := range shapes {
+				run("merged", cohort(shape, 0, 8))
+			}
+		})
 	}
 }
 
