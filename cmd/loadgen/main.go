@@ -24,6 +24,9 @@
 // counts every allocation since start, the fixture load included. With
 // -selfserve the server is in the process, so these are the served
 // path's profiles; perf/profile.sh turns them into committed text.
+// While a -selfserve mix writes, the table is merged once a second, as
+// the benchmark harness does, so the delta backlog a scan patches stays
+// the one the benchmark serves.
 //
 // Usage:
 //
@@ -101,6 +104,10 @@ func main() {
 	if *cpuProfile != "" {
 		profileTo(*cpuProfile, pprof.StartCPUProfile)
 	}
+	stopMerges := func() {}
+	if localTbl != nil && mix.Write > 0 {
+		stopMerges = mergeEverySecond(localTbl)
+	}
 	res, err := loadgen.Run(loadgen.Options{
 		BaseURL:     base,
 		Rows:        *rows,
@@ -111,6 +118,7 @@ func main() {
 		AutoTerm:    *autoterm,
 		Seed:        *seed,
 	})
+	stopMerges()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
@@ -142,6 +150,32 @@ func main() {
 		runtime.GC() // the profile holds what the last completed GC saw
 		profileTo(*memProfile, pprof.WriteHeapProfile)
 	}
+}
+
+// mergeEverySecond folds the table's delta versions into its base once
+// a second, as the benchmark harness's upkeep does, until the returned
+// stop is called; stop returns once no merge runs. Without it a write
+// mix piles versions up for the whole run, a state the benchmark never
+// serves. A failed merge ends the run.
+func mergeEverySecond(tbl *hybridstore.Table) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	tick := time.NewTicker(time.Second)
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				tick.Stop()
+				return
+			case <-tick.C:
+				if err := tbl.Merge(); err != nil {
+					fmt.Fprintln(os.Stderr, "loadgen: merge:", err)
+					os.Exit(1)
+				}
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
 }
 
 // profileTo creates path and hands it to write (a runtime/pprof writer);

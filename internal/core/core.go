@@ -197,6 +197,9 @@ type Table struct {
 	// under updates. The store is also the table's clock: every read
 	// begins its snapshot on it.
 	deltas *tx.Store
+	// proj is the MVCC patch as a scan folds it, advanced by each scan
+	// (projection.go). Lock order: mu (read), proj.mu, the store's.
+	proj projection
 
 	// deviceCols marks columns whose cold fragments live on the GPU.
 	deviceCols map[int]bool

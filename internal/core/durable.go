@@ -149,7 +149,7 @@ func (t *Table) CheckpointTo(enc *wal.Encoder) (ckptTS, ckptRows uint64, err err
 		ts  uint64
 	}
 	var deltas []deltaEntry
-	t.deltas.RangeVisible(pinTS, func(row uint64, rec schema.Record, verTS uint64) bool {
+	t.deltas.RangeVisible(0, pinTS, func(row uint64, rec schema.Record, verTS uint64) bool {
 		deltas = append(deltas, deltaEntry{row: row, rec: rec, ts: verTS})
 		return true
 	})

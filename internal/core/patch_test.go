@@ -1,15 +1,19 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
+	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/tx"
@@ -333,41 +337,345 @@ func TestPatchWalkMatchesOracle(t *testing.T) {
 	}
 }
 
-// The exact gate on work done: a patch walk hands its callback the live
-// visible delta rows and nothing else, whatever the table's size.
+// The exact gate on work done: a scan's fold is handed the live visible
+// delta rows and nothing else, whatever the table's size
+// (core.patch.rows), and under a warm projection the version store
+// hands the scan only the rows changed since the previous one
+// (core.patch.rows_read).
 func TestPatchRowsCounter(t *testing.T) {
 	_, tbl := newTable(t, Options{ChunkRows: 1024}, 100_000)
 	defer tbl.Free()
-	scan := func() int64 {
+	scan := func() (folded, read int64) {
 		t.Helper()
-		before := mPatchRows.Load()
+		f, r := mPatchRows.Load(), mPatchRowsRead.Load()
 		if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Pred{Op: exec.OpGT, Lo: 50}); err != nil {
 			t.Fatal(err)
 		}
-		return mPatchRows.Load() - before
+		return mPatchRows.Load() - f, mPatchRowsRead.Load() - r
 	}
-	if got := scan(); got != 0 {
-		t.Fatalf("clean table: core.patch.rows advanced by %d per sum_where, want 0", got)
-	}
-	for i := uint64(0); i < 10; i++ {
-		// Twice per row: the walk counts rows, not versions.
-		for _, v := range []float64{1, 2} {
-			if err := tbl.Update(i*9973, workload.ItemPriceCol, schema.FloatValue(v)); err != nil {
-				t.Fatal(err)
-			}
+	update := func(row uint64, v float64) {
+		t.Helper()
+		if err := tbl.Update(row, workload.ItemPriceCol, schema.FloatValue(v)); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if folded, read := scan(); folded != 0 || read != 0 {
+		t.Fatalf("clean table: core.patch.rows advanced by %d, rows_read by %d per sum_where, want 0 and 0", folded, read)
+	}
+	for i := uint64(0); i < 10; i++ {
+		// Twice per row: the fold and the store count rows, not versions.
+		update(i*9973, 1)
+		update(i*9973, 2)
+	}
 	for i := 0; i < 3; i++ {
-		if got := scan(); got != 10 {
-			t.Fatalf("10 updated rows of 100000: core.patch.rows advanced by %d per sum_where, want 10", got)
+		wantRead := int64(0)
+		if i == 0 {
+			wantRead = 10
+		}
+		if folded, read := scan(); folded != 10 || read != wantRead {
+			t.Fatalf("10 updated rows of 100000, scan %d: core.patch.rows advanced by %d, rows_read by %d, want 10 and %d", i, folded, read, wantRead)
+		}
+	}
+	// One more version of a projected row, then one of a new row.
+	for _, tc := range []struct {
+		row    uint64
+		folded int64
+	}{{3 * 9973, 10}, {5, 11}} {
+		update(tc.row, 3)
+		if folded, read := scan(); folded != tc.folded || read != 1 {
+			t.Fatalf("after updating row %d: core.patch.rows advanced by %d, rows_read by %d, want %d and 1", tc.row, folded, read, tc.folded)
 		}
 	}
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	if got := scan(); got != 0 {
-		t.Fatalf("merged table: core.patch.rows advanced by %d per sum_where, want 0", got)
+	if folded, read := scan(); folded != 0 || read != 0 {
+		t.Fatalf("merged table: core.patch.rows advanced by %d, rows_read by %d per sum_where, want 0 and 0", folded, read)
 	}
+}
+
+// chainSource is the scan source with the patch the engine folded
+// before the projection, kept as the reference: every scan walks the
+// live chains under its snapshot, resolves each row's chunk and the
+// vectors of the plan's columns per chunk crossing, and reads the
+// current cell from the version's record.
+type chainSource struct{ *scanSource }
+
+func (s chainSource) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
+	t := s.t
+	grouped := p.Op.Grouped()
+	var c *chunk
+	var vals, keys layout.ColVector
+	return t.patchRows(s.reader, func(row uint64, rec schema.Record, _ uint64) (err error) {
+		if c == nil || !c.rows.Contains(row) {
+			if c, err = t.chunkFor(row); err != nil {
+				return err
+			}
+			if vals, err = t.colVectorFor(c, p.Col); err == nil && grouped {
+				keys, err = t.colVectorFor(c, p.KeyCol)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		i := int(row - c.rows.Begin)
+		if i >= vals.Len || grouped && i >= keys.Len {
+			return fmt.Errorf("%w: tuplet %d of %d", layout.ErrOutOfRange, i, vals.Len)
+		}
+		base := engine.Cell{Val: math.Float64frombits(binary.LittleEndian.Uint64(vals.Data[vals.Base+i*vals.Stride:]))}
+		cur := engine.Cell{Val: rec[p.Col].F}
+		if grouped {
+			base.Key, cur.Key = keys.Int(i), rec[p.KeyCol].I
+		}
+		fn(base, cur)
+		return nil
+	})
+}
+
+// sameAsChainWalk scans plans under reader twice — the engine's way,
+// through the patch projection and the result cache, and the
+// reference's, through chainSource and no cache — and fails unless
+// the answers agree bit for bit. Caller holds tbl.mu.
+func sameAsChainWalk(tbl *Table, reader *tx.Tx, plans []exec.Plan) error {
+	got, err := tbl.scanAt(reader, plans)
+	if err != nil {
+		return err
+	}
+	src := chainSource{tbl.source(reader)}
+	want, err := engine.ScanCohort(src, tbl.cfg, tbl.env.DeviceExec(tbl.rel.Name()), plans, nil)
+	src.release()
+	if err != nil {
+		return err
+	}
+	for k := range plans {
+		if !sameResult(got[k], want[k]) {
+			return fmt.Errorf("%v at snapshot %d: projection %+v, chain walk %+v", plans[k].Op, reader.SnapshotTS(), got[k], want[k])
+		}
+	}
+	return nil
+}
+
+// Over seeded random histories the projection answers every plan kind
+// bit-identically to the chain walk: updates of value and group key (a
+// row moving between groups), interactive commits, Insert (with the
+// freezes it triggers), Adapt, PlaceColumn and Merge between scans;
+// sum_where and group_sum_where alternating inside one epoch, so a scan
+// projects a column the previous one did not; and an older transaction's
+// snapshot scanned after newer ones, which rebuilds the projection.
+func TestProjectionMatchesChainWalk(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		opts := Options{ChunkRows: 32, HotChunks: 1}
+		switch seed % 4 {
+		case 0:
+			opts.DeviceCache, opts.Compress = true, true
+		case 1:
+			opts.DevicePlacement = true
+		case 2:
+			opts.ResultCacheBytes = 1 << 20
+		}
+		e := New(engine.NewEnv(), opts)
+		et, err := e.Create("item", workload.ItemSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl := et.(*Table)
+		var rows uint64
+		insert := func() {
+			if _, err := tbl.Insert(patchItem(rows)); err != nil {
+				t.Fatal(err)
+			}
+			rows++
+		}
+		for rows < 100 {
+			insert()
+		}
+		update := func(update func(row uint64, col int, v schema.Value) error) {
+			row := uint64(r.Int63n(int64(rows)))
+			if r.Intn(3) == 0 {
+				err = update(row, patchKeyCol, schema.Int32Value(int32(r.Intn(10))))
+			} else {
+				err = update(row, workload.ItemPriceCol, schema.FloatValue(math.Floor(r.Float64()*6000)/100))
+			}
+			if err != nil && !errors.Is(err, tx.ErrConflict) {
+				t.Fatal(err)
+			}
+		}
+		check := func(step int, reader *tx.Tx) {
+			t.Helper()
+			// One plan kind, two, or all four, each at a random position.
+			plans := slices.Clone(patchPlans)
+			r.Shuffle(len(plans), func(i, j int) { plans[i], plans[j] = plans[j], plans[i] })
+			for _, p := range plans[:1+r.Intn(len(plans))] {
+				tbl.mu.RLock()
+				x := reader
+				if x == nil {
+					x = tbl.deltas.Begin()
+				}
+				err := sameAsChainWalk(tbl, x, []exec.Plan{p})
+				if reader == nil {
+					x.Abort()
+				}
+				tbl.mu.RUnlock()
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			}
+		}
+		var held []*Txn // older snapshots, oldest first
+		for step := 0; step < 300; step++ {
+			switch k := r.Intn(40); {
+			case k < 16:
+				update(tbl.Update)
+			case k < 20:
+				x := tbl.Begin()
+				for n := 1 + r.Intn(3); n > 0; n-- {
+					update(x.Update)
+				}
+				if err := x.Commit(); err != nil && !errors.Is(err, tx.ErrConflict) {
+					t.Fatal(err)
+				}
+			case k < 23:
+				insert()
+			case k < 24:
+				if _, err := tbl.Adapt(); err != nil {
+					t.Fatal(err)
+				}
+			case k < 25:
+				if err := tbl.PlaceColumn(workload.ItemPriceCol); err != nil {
+					t.Fatal(err)
+				}
+			case k < 27:
+				if err := tbl.Merge(); err != nil {
+					t.Fatal(err)
+				}
+			case k < 30:
+				held = append(held, tbl.Begin())
+			case k < 32 && len(held) > 0:
+				// An older snapshot, scanned after the newer ones.
+				x := held[r.Intn(len(held))]
+				check(step, x.x)
+				check(step, nil)
+			case k < 33 && len(held) > 0:
+				held[0].Abort()
+				held = held[1:]
+			}
+			check(step, nil)
+		}
+		for _, x := range held {
+			check(300, x.x)
+			x.Abort()
+		}
+		if err := tbl.Merge(); err != nil {
+			t.Fatal(err)
+		}
+		check(301, nil)
+		tbl.Free()
+	}
+}
+
+// The projection under racing writers: interactive commits and
+// autocommit updates land while scans advance it, with
+// TestMergeKeepsRacingCommits's merge churn between them, and every scan
+// — at a fresh snapshot, and again at one taken before it — answers
+// bit-identically to the chain walk at the same snapshot. Run under
+// -race.
+func TestProjectionUnderRacingCommits(t *testing.T) {
+	const writers, perWriter, band = 4, 150, 16
+	_, tbl := newTable(t, Options{ChunkRows: 64, HotChunks: 1}, writers*band)
+	defer tbl.Free()
+	for i := uint64(0); i < writers*band; i++ {
+		if err := tbl.Update(i, patchKeyCol, schema.Int32Value(int32(i%8))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() { // merge churn
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := tbl.Merge(); err != nil {
+				t.Errorf("Merge: %v", err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	// Two scanners, so advances also contend with each other; each scans
+	// at a fresh snapshot and then at one taken before it.
+	var scans [2]int
+	for sc := range scans {
+		bg.Add(1)
+		go func(sc int) {
+			defer bg.Done()
+			r := rand.New(rand.NewSource(int64(sc)))
+			for ; ; scans[sc]++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				older := tbl.deltas.Begin()
+				runtime.Gosched()
+				tbl.mu.RLock()
+				newer := tbl.deltas.Begin()
+				p := patchPlans[r.Intn(len(patchPlans))]
+				err := sameAsChainWalk(tbl, newer, []exec.Plan{p})
+				if err == nil {
+					err = sameAsChainWalk(tbl, older, []exec.Plan{p})
+				}
+				tbl.mu.RUnlock()
+				newer.Abort()
+				older.Abort()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(sc)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			row := uint64(g * band)
+			for i := 1; i <= perWriter; i++ {
+				v := schema.FloatValue(float64(g*perWriter + i))
+				for f := uint64(1); f < band; f++ {
+					if err := tbl.Update(row+f, workload.ItemPriceCol, v); err != nil {
+						t.Errorf("filler row %d: %v", row+f, err)
+						return
+					}
+				}
+				x := tbl.Begin()
+				err := x.Update(row, workload.ItemPriceCol, v)
+				if err == nil {
+					// Moves the row between groups.
+					err = x.Update(row, patchKeyCol, schema.Int32Value(int32(i%8)))
+				}
+				if err != nil {
+					t.Errorf("row %d: %v", row, err)
+					return
+				}
+				runtime.Gosched()
+				if err := x.Commit(); err != nil {
+					t.Errorf("row %d commit: %v (the row has one writer)", row, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	bg.Wait()
+	t.Logf("%d and %d scan pairs raced the writers", scans[0], scans[1])
 }
 
 // benchTable builds the bench/ fixture's table: item rows (the fixture

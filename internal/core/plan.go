@@ -19,7 +19,7 @@ import (
 // one lock acquisition and one MVCC snapshot. The aggregate kinds then
 // run the scan body every engine shares (engine.ScanCohort) over the
 // table as a piece source (source.go): one walk of the chunk list, one
-// walk of the snapshot's visible deltas, and per plan a fold order that
+// fold of the snapshot's visible deltas, and per plan a fold order that
 // does not depend on the cohort — so a solo query is the K=1 case of the
 // same code, and result k of a batch is exactly what a solo Execute of
 // plans[k] would return against that snapshot.
@@ -35,7 +35,7 @@ import (
 // epoch the shared RLock section freezes. A plan whose base is cached
 // skips the chunk walk and both legs; the others compute and publish
 // theirs; then every plan of the batch, cached or not, joins the one
-// walk of this snapshot's MVCC patch. The patch runs the same float
+// fold of this snapshot's MVCC patch. The patch runs the same float
 // operations in the same row order whether its base came from the cache
 // or not, so a cached answer is the uncached one, bit for bit.
 
@@ -85,6 +85,12 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	for range plans {
 		t.mon.Observe(workload.Op{Kind: workload.ColumnScan, Cols: cols})
 	}
+	return t.scanAt(reader, plans)
+}
+
+// scanAt runs the scan body over the table under reader's snapshot, the
+// result cache as its store of settled bases. Caller holds t.mu.
+func (t *Table) scanAt(reader *tx.Tx, plans []exec.Plan) ([]exec.Result, error) {
 	src := t.source(reader)
 	var bases engine.Bases
 	if t.eng.rescache != nil {
@@ -131,19 +137,22 @@ func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
 	return res[0], nil
 }
 
-// mPatchRows counts the rows patchRows handed to a callback: the work a
-// scan (or Merge) does for live deltas, which follows the number of
-// visible delta rows and not the table's size.
+// mPatchRows counts the rows handed to an MVCC patch callback — a
+// scan's fold (Patches) or Merge's walk: the work done for live deltas,
+// which follows the number of visible delta rows and not the table's
+// size.
 var mPatchRows = obs.NewCounter("core.patch.rows")
 
-// patchRows is the one MVCC patch iterator: it calls fn, in ascending
-// row order, with every table row that carries a delta version the
-// reader's snapshot sees — that version's record and commit timestamp.
-// It is tx.Store.RangeVisible clipped to the table's rows, so a walk
-// costs the live chains, not the table's rows, and takes the store's
-// lock once; fn inherits the iterator's contract: rec is read-only and
-// not retained. reader must be a fresh read-only snapshot (the iterator
-// does not see a transaction's own buffered writes).
+// patchRows is Merge's walk of the MVCC patch: it calls fn, in
+// ascending row order, with every table row that carries a delta
+// version the reader's snapshot sees — that version's record and commit
+// timestamp. It is tx.Store.RangeVisible from since = 0 clipped to the
+// table's rows, so a walk costs the live chains, not the table's rows,
+// and takes the store's lock once; fn inherits the iterator's contract:
+// rec is read-only and not retained. reader must be a fresh read-only
+// snapshot (the iterator does not see a transaction's own buffered
+// writes). A scan does not walk: it folds the table's patch projection
+// (projection.go).
 func (t *Table) patchRows(reader *tx.Tx, fn func(row uint64, rec schema.Record, verTS uint64) error) error {
 	if reader.Pending() != 0 {
 		panic("core: patchRows over a transaction with buffered writes")
@@ -151,7 +160,7 @@ func (t *Table) patchRows(reader *tx.Tx, fn func(row uint64, rec schema.Record, 
 	rows := t.rel.Rows()
 	var err error
 	var handed int64
-	t.deltas.RangeVisible(reader.SnapshotTS(), func(row uint64, rec schema.Record, verTS uint64) bool {
+	t.deltas.RangeVisible(0, reader.SnapshotTS(), func(row uint64, rec schema.Record, verTS uint64) bool {
 		if row >= rows {
 			return false // ascending: nothing below rows is left
 		}

@@ -20,7 +20,11 @@ import (
 // function of the stamped base state, whatever the delta store holds,
 // so it is published and served under the table epoch at any time; the
 // reader then replays its own snapshot's patch on the copy a hit hands
-// out. With no delta version the patch is empty and the base is the
+// out. That patch is the table's patch projection (projection.go),
+// valid under the same epoch: a hit reads from the version store only
+// the rows whose visible version changed since the previous scan, and
+// folds the rest from flat columns of base and current cells. With no
+// delta version the patch is empty and the base is the
 // answer: deltas.Versions() == 0 seen anywhere in an RLock section was 0
 // at every earlier point of it (commits only add versions; Forget/Prune
 // run inside Merge, under the write lock), so Peek, which never patches,

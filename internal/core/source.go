@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -116,40 +116,35 @@ func (s *scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 }
 
 // Patches hands the scan body the MVCC patch: for every row the
-// snapshot sees a delta version of, its base cell and its current one.
-// Rows arrive ascending, so the chunk and the vectors of its value and
-// key columns are resolved once per chunk, not per row, and a base cell
-// is one typed load from the fragment's bytes (the scan body has checked
-// the plan against the schema: the value column is float64, the key
-// column int64 or int32).
+// snapshot sees a delta version of, its base cell and its current one,
+// ascending by row. They come from the table's patch projection, which
+// this scan first advances to its snapshot (projection.go); a table
+// without delta versions has an empty patch and never takes its lock.
+// The fold runs under that lock — fn is the scan body's fold, which
+// takes no lock and does not call back into the table.
 func (s *scanSource) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
 	t := s.t
-	grouped := p.Op.Grouped()
-	var c *chunk
-	var vals, keys layout.ColVector
-	return t.patchRows(s.reader, func(row uint64, rec schema.Record, _ uint64) (err error) {
-		if c == nil || !c.rows.Contains(row) {
-			if c, err = t.chunkFor(row); err != nil {
-				return err
-			}
-			if vals, err = t.colVectorFor(c, p.Col); err == nil && grouped {
-				keys, err = t.colVectorFor(c, p.KeyCol)
-			}
-			if err != nil {
-				return err // which ends the walk: the cursor is not read again
-			}
-		}
-		i := int(row - c.rows.Begin)
-		if i >= vals.Len || grouped && i >= keys.Len {
-			return fmt.Errorf("%w: tuplet %d of %d", layout.ErrOutOfRange, i, vals.Len)
-		}
-		base, cur := engine.Cell{Val: vals.Float64(i)}, engine.Cell{Val: rec[p.Col].F}
-		if grouped {
-			base.Key, cur.Key = keys.Int(i), rec[p.KeyCol].I
-		}
-		fn(base, cur)
+	if t.deltas.Versions() == 0 {
 		return nil
-	})
+	}
+	t.proj.mu.Lock()
+	defer t.proj.mu.Unlock()
+	vals, keys, err := t.proj.advance(t, s.reader.SnapshotTS(), p)
+	if err != nil {
+		return err
+	}
+	mPatchRows.Add(int64(len(t.proj.rows)))
+	if keys == nil {
+		for i := range t.proj.rows {
+			fn(engine.Cell{Val: math.Float64frombits(vals.base[i])}, engine.Cell{Val: math.Float64frombits(vals.cur[i])})
+		}
+		return nil
+	}
+	for i := range t.proj.rows {
+		fn(engine.Cell{Key: int64(keys.base[i]), Val: math.Float64frombits(vals.base[i])},
+			engine.Cell{Key: int64(keys.cur[i]), Val: math.Float64frombits(vals.cur[i])})
+	}
+	return nil
 }
 
 // colVectorFor returns the strided view of col in the chunk's base

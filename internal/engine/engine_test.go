@@ -418,3 +418,92 @@ func TestScanDeviceOutOfMemoryFallsBack(t *testing.T) {
 		}
 	}
 }
+
+// binaryGroupPatch is GroupPatch's lookup before the dense-key probe:
+// a binary search of the bulk table, then of the side list. It is the
+// reference the probe is held to.
+type binaryGroupPatch struct{ groups, added []exec.GroupResult }
+
+func (g *binaryGroupPatch) group(key int64, add bool) *exec.GroupResult {
+	byKey := func(gr exec.GroupResult, k int64) int {
+		switch {
+		case gr.Key < k:
+			return -1
+		case gr.Key > k:
+			return 1
+		}
+		return 0
+	}
+	if i, ok := slices.BinarySearchFunc(g.groups, key, byKey); ok {
+		return &g.groups[i]
+	}
+	i, ok := slices.BinarySearchFunc(g.added, key, byKey)
+	if !ok {
+		if !add {
+			return nil
+		}
+		g.added = slices.Insert(g.added, i, exec.GroupResult{Key: key})
+	}
+	return &g.added[i]
+}
+
+// The dense-key probe finds the group a binary search finds, so every
+// group receives the same float sequence: over dense, sparse, negative
+// and extreme bulk key sets, with patch keys inside and outside the
+// bulk's span, in its holes, and never held by it, the patched tables
+// are equal bit for bit.
+func TestGroupPatchDenseProbeMatchesBinarySearch(t *testing.T) {
+	dense := func(lo, n int64) (keys []int64) {
+		for k := lo; k < lo+n; k++ {
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	bulkSets := map[string][]int64{
+		"dense 0..63":   dense(0, 64),
+		"negative":      dense(-32, 64),
+		"sparse":        {-3000, -1000, 0, 1000, 2000, 5000},
+		"holes":         {0, 1, 2, 4, 5, 7, 8, 9},
+		"extremes":      {math.MinInt64, -1, 0, 1, math.MaxInt64},
+		"min only":      {math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2},
+		"max only":      {math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64},
+		"single":        {7},
+		"empty":         nil,
+		"wide dense":    dense(math.MaxInt64-63, 64),
+		"straddle zero": dense(-2, 5),
+	}
+	probes := []int64{math.MinInt64, math.MinInt64 + 1, -3001, -1000, -33, -32, -1, 0, 1, 3, 6, 7, 10, 31, 32,
+		63, 64, 999, 1000, 4999, math.MaxInt64 - 64, math.MaxInt64 - 1, math.MaxInt64}
+	match := func(x float64) bool { return x > 0.25 }
+	for name, keys := range bulkSets {
+		bulk := make([]exec.GroupResult, len(keys))
+		for i, k := range keys {
+			bulk[i] = exec.GroupResult{Key: k, Sum: float64(i) + 0.5, Count: 2}
+		}
+		got := NewGroupPatch(slices.Clone(bulk), match)
+		want := &binaryGroupPatch{groups: slices.Clone(bulk)}
+		all := append(slices.Clone(keys), probes...)
+		for i := 0; i < 4000; i++ {
+			base := Cell{Key: all[(i*7)%len(all)], Val: float64(i%13) / 4}
+			cur := Cell{Key: all[(i*11+3)%len(all)], Val: float64(i%17) / 3}
+			got.Apply(base, cur)
+			// Apply's fold, on the reference lookup.
+			if match(base.Val) {
+				if gr := want.group(base.Key, false); gr != nil {
+					gr.Sum -= base.Val
+					gr.Count--
+				}
+			}
+			if match(cur.Val) {
+				gr := want.group(cur.Key, true)
+				gr.Sum += cur.Val
+				gr.Count++
+			}
+		}
+		wantGroups := slices.DeleteFunc(append(want.groups, want.added...), func(gr exec.GroupResult) bool { return gr.Count <= 0 })
+		exec.SortGroupResults(wantGroups)
+		if !sameBits(exec.Result{Groups: got.Groups()}, exec.Result{Groups: wantGroups}) {
+			t.Fatalf("%s: patched groups differ from the binary-search fold", name)
+		}
+	}
+}

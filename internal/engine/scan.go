@@ -351,8 +351,16 @@ func NewGroupPatch(groups []exec.GroupResult, match func(float64) bool) *GroupPa
 
 // group returns key's accumulator: the bulk table's, else the side
 // list's, which add creates, zero, for a key neither holds (else nil).
-// Both are key-sorted, so a lookup is a binary search.
+// Both are key-sorted, so a lookup is a binary search — after one probe
+// at the key's offset from the first bulk key, which over a dense key
+// set is the group itself (the offset is taken unsigned, so any key
+// outside the table's span wraps out of range).
 func (g *GroupPatch) group(key int64, add bool) *exec.GroupResult {
+	if len(g.groups) > 0 {
+		if i := uint64(key) - uint64(g.groups[0].Key); i < uint64(len(g.groups)) && g.groups[i].Key == key {
+			return &g.groups[i]
+		}
+	}
 	byKey := func(gr exec.GroupResult, k int64) int { return cmp.Compare(gr.Key, k) }
 	if i, ok := slices.BinarySearchFunc(g.groups, key, byKey); ok {
 		return &g.groups[i]

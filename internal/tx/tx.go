@@ -75,6 +75,7 @@ type page struct {
 	heads [pageRows]*version
 	live  [pageRows / 64]uint64 // bit i set: heads[i] != nil
 	n     int                   // set bits
+	maxTS uint64                // newest version ts ever installed here
 }
 
 // Store is the MVCC state of one relation: it issues timestamps and
@@ -158,6 +159,7 @@ func (s *Store) install(row uint64, v *version) {
 		p.n++
 	}
 	p.heads[i] = v
+	p.maxTS = max(p.maxTS, v.ts)
 	s.versions.Add(1)
 }
 
@@ -235,29 +237,35 @@ type hit struct {
 var hitScratch = sync.Pool{New: func() any { return new([]hit) }}
 
 // RangeVisible is the store's one visible-version iterator: it calls
-// fn, in ascending row order, once for every row with a version visible
-// at ts, passing that version's record and commit timestamp. fn
-// returning false stops the walk.
+// fn, in ascending row order, once for every row whose version visible
+// at ts committed after since, passing that version's record and commit
+// timestamp. since = 0 is every row with a version visible at ts; a
+// reader that saw the store at snapshot since asks for only what moved
+// from there. fn returning false stops the walk.
 //
 // The walk takes the read lock once, and only to collect the visible
 // versions — committers wait for one pass over the live chains, not for
 // fn. The pages are in row order, so the pass is O(c) for c live chains
-// and sorts nothing. It then calls fn outside the lock, and what fn
-// sees is the store at the instant of collection: versions are
-// immutable once installed, so a commit, Prune or Forget that lands
-// later changes nothing the walk hands out. For the same reason rec is
-// the stored record itself, not a copy: it is read-only, and fn should
-// copy out what it needs rather than retain it (a held record outlives
-// the version's removal).
-func (s *Store) RangeVisible(ts uint64, fn func(row uint64, rec schema.Record, verTS uint64) bool) {
+// and sorts nothing; a page whose newest install is at or below since
+// holds nothing to report and is skipped without touching a chain. It
+// then calls fn outside the lock, and what fn sees is the store at the
+// instant of collection: versions are immutable once installed, so a
+// commit, Prune or Forget that lands later changes nothing the walk
+// hands out. For the same reason rec is the stored record itself, not a
+// copy: it is read-only, and fn should copy out what it needs rather
+// than retain it (a held record outlives the version's removal).
+func (s *Store) RangeVisible(since, ts uint64, fn func(row uint64, rec schema.Record, verTS uint64) bool) {
 	scratch := hitScratch.Get().(*[]hit)
 	hits := (*scratch)[:0]
 	s.mu.RLock()
 	for _, p := range s.order {
+		if p.maxTS <= since {
+			continue
+		}
 		for w, word := range p.live {
 			for ; word != 0; word &= word - 1 {
 				i := w*64 + bits.TrailingZeros64(word)
-				if v := p.heads[i].at(ts); v != nil {
+				if v := p.heads[i].at(ts); v != nil && v.ts > since {
 					hits = append(hits, hit{p.id*pageRows + uint64(i), v})
 				}
 			}

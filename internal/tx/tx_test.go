@@ -431,7 +431,7 @@ type visit struct {
 
 func rangeAt(s *Store, ts uint64) []visit {
 	var out []visit
-	s.RangeVisible(ts, func(row uint64, r schema.Record, verTS uint64) bool {
+	s.RangeVisible(0, ts, func(row uint64, r schema.Record, verTS uint64) bool {
 		out = append(out, visit{row: row, val: r[0].I, ts: verTS})
 		return true
 	})
@@ -479,7 +479,7 @@ func TestRangeVisibleOrderedSnapshot(t *testing.T) {
 	}
 	// fn returning false stops the walk.
 	n := 0
-	s.RangeVisible(99, func(uint64, schema.Record, uint64) bool { n++; return n < 2 })
+	s.RangeVisible(0, 99, func(uint64, schema.Record, uint64) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Fatalf("walk continued after fn returned false: %d visits", n)
 	}
@@ -661,6 +661,125 @@ func TestOrderedStoreMatchesModel(t *testing.T) {
 	}
 }
 
+// RangeVisible(since, ts) against a brute-force model over seeded
+// histories of commits, replayed installs, prunes and forgets — one of
+// which empties a page that a later install reopens: for every (since,
+// ts) pair up to one past the clock, since >= ts included, the walk
+// yields exactly the rows whose version visible at ts committed after
+// since, ascending, each with that version.
+func TestRangeVisibleSinceMatchesModel(t *testing.T) {
+	type mv struct {
+		ts  uint64
+		val int64
+	}
+	const reopened = 3 * pageRows // the page the forget empties
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		model := make(map[uint64][]mv) // newest first
+		var clock uint64
+		pick := func() uint64 {
+			switch r.Intn(3) {
+			case 0:
+				return reopened + uint64(r.Intn(4))
+			case 1:
+				return uint64(r.Intn(2 * pageRows))
+			}
+			return 5*pageRows + uint64(r.Intn(3))
+		}
+		install := func(row uint64, val int64, commit bool) {
+			if commit {
+				x := s.Begin()
+				x.Write(row, rec(val))
+				if err := x.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if err := s.InstallAt(row, rec(val), clock+1); err != nil {
+					t.Fatal(err)
+				}
+				s.AdvanceTo(clock + 1)
+			}
+			clock++
+			model[row] = append([]mv{{clock, val}}, model[row]...)
+		}
+		for step := 0; step < 100; step++ {
+			switch op := r.Intn(10); {
+			case op < 4:
+				install(pick(), int64(step), true)
+			case op < 6:
+				install(pick(), int64(step), false)
+			case op == 6: // forget the reopened page whole, then maybe reopen it
+				var rows []uint64
+				for i := uint64(0); i < 4; i++ {
+					rows = append(rows, reopened+i)
+					delete(model, reopened+i)
+				}
+				s.Forget(rows, clock)
+				if _, ok := s.pages[reopened/pageRows]; ok {
+					t.Fatalf("seed %d step %d: the emptied page survived Forget", seed, step)
+				}
+				if r.Intn(2) == 0 {
+					install(reopened+uint64(r.Intn(4)), int64(step), r.Intn(2) == 0)
+				}
+			case op == 7: // forget a random batch below a random horizon
+				upTo := clock - uint64(r.Intn(int(min(clock, 6))+1))
+				rows := []uint64{pick(), pick(), pick()}
+				s.Forget(rows, upTo)
+				for _, row := range rows {
+					if c := model[row]; len(c) > 0 && c[0].ts <= upTo {
+						delete(model, row)
+					}
+				}
+			default:
+				minTS := clock - uint64(r.Intn(int(min(clock, 8))+1))
+				s.Prune(minTS)
+				for row, c := range model {
+					for i, v := range c {
+						if v.ts <= minTS {
+							model[row] = c[:i+1]
+							break
+						}
+					}
+				}
+			}
+			if step%10 != 9 {
+				continue
+			}
+			// Every snapshot a reader may still hold after the prunes: the
+			// model's chains keep the version visible at each.
+			var rows []uint64
+			for row := range model {
+				rows = append(rows, row)
+			}
+			slices.Sort(rows)
+			for ts := uint64(0); ts <= clock+1; ts++ {
+				for since := uint64(0); since <= clock+1; since++ {
+					var want []visit
+					for _, row := range rows {
+						for _, v := range model[row] {
+							if v.ts <= ts {
+								if v.ts > since {
+									want = append(want, visit{row: row, val: v.val, ts: v.ts})
+								}
+								break
+							}
+						}
+					}
+					var got []visit
+					s.RangeVisible(since, ts, func(row uint64, rc schema.Record, verTS uint64) bool {
+						got = append(got, visit{row: row, val: rc[0].I, ts: verTS})
+						return true
+					})
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d step %d: RangeVisible(%d, %d)\n got %v\nwant %v", seed, step, since, ts, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkRangeVisible walks a store with 1 k and 16 k live chains
 // spread over the bench geometry's 131072 rows.
 func BenchmarkRangeVisible(b *testing.B) {
@@ -679,7 +798,7 @@ func BenchmarkRangeVisible(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n := 0
-				s.RangeVisible(uint64(chains), func(uint64, schema.Record, uint64) bool { n++; return true })
+				s.RangeVisible(0, uint64(chains), func(uint64, schema.Record, uint64) bool { n++; return true })
 				if n != chains {
 					b.Fatalf("visited %d of %d", n, chains)
 				}
