@@ -200,6 +200,9 @@ type Table struct {
 	// proj is the MVCC patch as a scan folds it, advanced by each scan
 	// (projection.go). Lock order: mu (read), proj.mu, the store's.
 	proj projection
+	// older recycles the projections of scans at snapshots older than
+	// proj's, which each fold one of their own.
+	older sync.Pool
 
 	// deviceCols marks columns whose cold fragments live on the GPU.
 	deviceCols map[int]bool

@@ -386,6 +386,25 @@ func TestPatchRowsCounter(t *testing.T) {
 			t.Fatalf("after updating row %d: core.patch.rows advanced by %d, rows_read by %d, want %d and 1", tc.row, folded, read, tc.folded)
 		}
 	}
+	// A snapshot older than the projection folds one of its own, read
+	// whole from the store, and leaves the shared one where it was: the
+	// next fresh scan reads nothing.
+	older := tbl.deltas.Begin()
+	update(7, 4)
+	if folded, read := scan(); folded != 12 || read != 1 {
+		t.Fatalf("after updating row 7: core.patch.rows advanced by %d, rows_read by %d, want 12 and 1", folded, read)
+	}
+	f, r := mPatchRows.Load(), mPatchRowsRead.Load()
+	tbl.mu.RLock()
+	_, err := tbl.scanAt(older, []exec.Plan{{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Pred{Op: exec.OpGT, Lo: 50}}})
+	tbl.mu.RUnlock()
+	older.Abort()
+	if folded, read := mPatchRows.Load()-f, mPatchRowsRead.Load()-r; err != nil || folded != 11 || read != 11 {
+		t.Fatalf("older snapshot: core.patch.rows advanced by %d, rows_read by %d (%v), want 11 and 11", folded, read, err)
+	}
+	if folded, read := scan(); folded != 12 || read != 0 {
+		t.Fatalf("fresh scan after the older one: core.patch.rows advanced by %d, rows_read by %d, want 12 and 0", folded, read)
+	}
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +480,7 @@ func sameAsChainWalk(tbl *Table, reader *tx.Tx, plans []exec.Plan) error {
 // freezes it triggers), Adapt, PlaceColumn and Merge between scans;
 // sum_where and group_sum_where alternating inside one epoch, so a scan
 // projects a column the previous one did not; and an older transaction's
-// snapshot scanned after newer ones, which rebuilds the projection.
+// snapshot scanned after newer ones, which folds a projection of its own.
 func TestProjectionMatchesChainWalk(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		r := rand.New(rand.NewSource(seed))

@@ -51,13 +51,21 @@ type projCol struct {
 	vec                 layout.ColVector
 }
 
-// advance brings the projection to snapshot ts with p's value and key
-// columns projected, and returns them (keys nil for an ungrouped plan).
-// It rebuilds from since = 0 when the epoch moved, ts is older than the
-// projection, a column is missing or the previous advance failed; else
-// it reads only the rows changed since the projection's ts, updates the
-// current cells of those it holds and merges the new ones in with their
-// base cells. Caller holds t.mu (read) and pj.mu.
+// ahead reports whether the projection is valid at a snapshot newer than
+// ts, which it cannot be brought back to. Caller holds t.mu (read) and
+// pj.mu.
+func (pj *projection) ahead(t *Table, ts uint64) bool {
+	return pj.ok && pj.epoch.Equal(t.epoch) && ts < pj.ts
+}
+
+// advance brings the projection to snapshot ts, which it is not ahead
+// of, with p's value and key columns projected, and returns them (keys
+// nil for an ungrouped plan). It rebuilds from since = 0 when the epoch
+// moved, a column is missing or the previous advance failed (a new
+// projection is one that failed); else it reads only the rows changed
+// since the projection's ts, updates the current cells of those it holds
+// and merges the new ones in with their base cells. Caller holds t.mu
+// (read) and pj.mu.
 func (pj *projection) advance(t *Table, ts uint64, p exec.Plan) (vals, keys *projCol, err error) {
 	grouped := p.Op.Grouped()
 	vi, ki := pj.col(p.Col), -1
@@ -65,7 +73,7 @@ func (pj *projection) advance(t *Table, ts uint64, p exec.Plan) (vals, keys *pro
 		ki = pj.col(p.KeyCol)
 	}
 	since := pj.ts
-	if !pj.ok || !pj.epoch.Equal(t.epoch) || ts < pj.ts || vi < 0 || grouped && ki < 0 {
+	if !pj.ok || !pj.epoch.Equal(t.epoch) || vi < 0 || grouped && ki < 0 {
 		since = 0
 		pj.rows = pj.rows[:0]
 		for j := range pj.cols {

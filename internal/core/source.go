@@ -119,28 +119,42 @@ func (s *scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 // snapshot sees a delta version of, its base cell and its current one,
 // ascending by row. They come from the table's patch projection, which
 // this scan first advances to its snapshot (projection.go); a table
-// without delta versions has an empty patch and never takes its lock.
-// The fold runs under that lock — fn is the scan body's fold, which
-// takes no lock and does not call back into the table.
+// without delta versions has an empty patch and never takes its lock. A
+// snapshot older than the projection's does not move it back: it builds
+// a projection of its own (recycled, so its cells are not garbage), at
+// what a scan cost before there was one, and leaves the shared one where
+// the newer scans need it. The fold runs
+// under the lock — fn is the scan body's fold, which takes no lock and
+// does not call back into the table.
 func (s *scanSource) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
 	t := s.t
 	if t.deltas.Versions() == 0 {
 		return nil
 	}
-	t.proj.mu.Lock()
-	defer t.proj.mu.Unlock()
-	vals, keys, err := t.proj.advance(t, s.reader.SnapshotTS(), p)
+	ts, pj := s.reader.SnapshotTS(), &t.proj
+	pj.mu.Lock()
+	if pj.ahead(t, ts) {
+		pj.mu.Unlock()
+		if pj, _ = t.older.Get().(*projection); pj == nil {
+			pj = new(projection)
+		}
+		pj.ok = false
+		defer t.older.Put(pj)
+	} else {
+		defer pj.mu.Unlock()
+	}
+	vals, keys, err := pj.advance(t, ts, p)
 	if err != nil {
 		return err
 	}
-	mPatchRows.Add(int64(len(t.proj.rows)))
+	mPatchRows.Add(int64(len(pj.rows)))
 	if keys == nil {
-		for i := range t.proj.rows {
+		for i := range pj.rows {
 			fn(engine.Cell{Val: math.Float64frombits(vals.base[i])}, engine.Cell{Val: math.Float64frombits(vals.cur[i])})
 		}
 		return nil
 	}
-	for i := range t.proj.rows {
+	for i := range pj.rows {
 		fn(engine.Cell{Key: int64(keys.base[i]), Val: math.Float64frombits(vals.base[i])},
 			engine.Cell{Key: int64(keys.cur[i]), Val: math.Float64frombits(vals.cur[i])})
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 
 	"hybridstore"
@@ -39,11 +38,6 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprint(w, `{"ok":true}`)
 	})
 	return mux
-}
-
-// Serve answers HTTP on l until l closes.
-func (s *Server) Serve(l net.Listener) error {
-	return (&http.Server{Handler: s.Handler()}).Serve(l)
 }
 
 // maxBodyBytes bounds a request body. The largest legitimate body is an
