@@ -8,9 +8,9 @@
 //   - frame-of-reference (FOR) for integer columns with a narrow range,
 //   - raw storage as the universal fallback.
 //
-// Compress tries every applicable scheme and keeps the smallest. Encoded
-// columns support random access (At), full decompression, and fast-path
-// aggregation without materializing.
+// Compress sizes every applicable scheme and encodes only the smallest.
+// Encoded columns support random access (At), full decompression, and
+// fast-path aggregation without materializing.
 package compress
 
 import (
@@ -129,28 +129,20 @@ func (c *Column) Ratio() float64 {
 }
 
 // Compress encodes n elements of size bytes each from data, choosing the
-// smallest applicable scheme.
+// smallest applicable scheme: Raw is the incumbent, and RLE, Dict and FOR
+// in turn replace it only when strictly smaller. Each scheme is sized
+// without allocating; only the winner is encoded.
 func Compress(data []byte, n, size int) (*Column, error) {
 	if size <= 0 || n < 0 || len(data) < n*size {
 		return nil, fmt.Errorf("%w: %d elements of %d bytes in %d-byte buffer", ErrBadInput, n, size, len(data))
 	}
-	best, err := CompressAs(Raw, data, n, size)
-	if err != nil {
-		return nil, err
-	}
+	best, _ := sizeAs(Raw, data, n, size)
 	for _, enc := range []Encoding{RLE, Dict, FOR} {
-		c, err := CompressAs(enc, data, n, size)
-		if errors.Is(err, ErrNotApplicable) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if c.CompressedBytes() < best.CompressedBytes() {
-			best = c
+		if p, why := sizeAs(enc, data, n, size); why == "" && p.bytes < best.bytes {
+			best = p
 		}
 	}
-	return best, nil
+	return best.encode(data, n, size), nil
 }
 
 // CompressAs encodes with a specific scheme.
@@ -158,104 +150,160 @@ func CompressAs(enc Encoding, data []byte, n, size int) (*Column, error) {
 	if size <= 0 || n < 0 || len(data) < n*size {
 		return nil, fmt.Errorf("%w: %d elements of %d bytes in %d-byte buffer", ErrBadInput, n, size, len(data))
 	}
-	c := &Column{enc: enc, n: n, size: size}
+	p, why := sizeAs(enc, data, n, size)
+	if why != "" {
+		return nil, fmt.Errorf("%w: %v: %s", ErrNotApplicable, enc, why)
+	}
+	return p.encode(data, n, size), nil
+}
+
+// plan is one scheme's image size, found without encoding, and what its
+// encoder reuses from that pass.
+type plan struct {
+	enc   Encoding
+	bytes int   // CompressedBytes of the image
+	runs  int   // RLE: run count
+	base  int64 // FOR: frame base
+	width int   // FOR: delta bytes
+}
+
+// sizeAs sizes enc's image of the column, or says why enc cannot encode
+// it.
+func sizeAs(enc Encoding, data []byte, n, size int) (plan, string) {
+	p := plan{enc: enc}
 	switch enc {
 	case Raw:
-		c.raw = append([]byte(nil), data[:n*size]...)
-		return c, nil
+		p.bytes = n * size
 	case RLE:
-		return c, c.encodeRLE(data)
-	case Dict:
-		return c, c.encodeDict(data)
-	case FOR:
-		return c, c.encodeFOR(data)
-	default:
-		return nil, fmt.Errorf("%w: unknown encoding %d", ErrNotApplicable, enc)
-	}
-}
-
-// encodeRLE builds (value, cumulative-end) runs.
-func (c *Column) encodeRLE(data []byte) error {
-	for i := 0; i < c.n; i++ {
-		el := data[i*c.size : (i+1)*c.size]
-		last := c.Runs() - 1
-		if last >= 0 && bytes.Equal(el, c.runVals[last*c.size:(last+1)*c.size]) {
-			binary.LittleEndian.PutUint32(c.runEnds[last*4:], uint32(i+1))
-			continue
-		}
-		c.runVals = append(c.runVals, el...)
-		// Ends are cumulative-exclusive element indexes; extending a run
-		// above moves the last end up by one, so they stay strictly
-		// increasing.
-		c.runEnds = binary.LittleEndian.AppendUint32(c.runEnds, uint32(i+1))
-	}
-	return nil
-}
-
-// encodeDict builds a ≤256-entry dictionary.
-func (c *Column) encodeDict(data []byte) error {
-	index := make(map[string]int)
-	c.codes = make([]byte, c.n)
-	for i := 0; i < c.n; i++ {
-		el := string(data[i*c.size : (i+1)*c.size])
-		code, ok := index[el]
-		if !ok {
-			if len(index) == 256 {
-				return fmt.Errorf("%w: more than 256 distinct values", ErrNotApplicable)
+		for i := 0; i < n; i++ {
+			if i == 0 || !bytes.Equal(data[i*size:(i+1)*size], data[(i-1)*size:i*size]) {
+				p.runs++
 			}
-			code = len(index)
-			index[el] = code
-			c.dict = append(c.dict, el...)
 		}
-		c.codes[i] = byte(code)
+		p.bytes = p.runs * (size + 4)
+	case Dict:
+		k := new(dictTable).scan(data, n, size, nil, nil)
+		if k > 256 {
+			return p, "more than 256 distinct values"
+		}
+		p.bytes = k*size + n
+	case FOR:
+		if size != 8 {
+			return p, "FOR requires 8-byte integers"
+		}
+		p.bytes = 8
+		if n == 0 {
+			return p, ""
+		}
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for i := 0; i < n; i++ {
+			v := int64(binary.LittleEndian.Uint64(data[i*8:]))
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		// The narrowest of 1, 2 or 4 delta bytes that holds the span.
+		for p.width = 1; p.width < 8 && uint64(hi-lo) >= 1<<(8*p.width); p.width *= 2 {
+		}
+		if p.width == 8 {
+			return p, "value span exceeds 32-bit frame"
+		}
+		p.base, p.bytes = lo, 8+n*p.width
+	default:
+		return p, "unknown encoding"
 	}
-	return nil
+	return p, ""
 }
 
-// encodeFOR frames 8-byte little-endian integers.
-func (c *Column) encodeFOR(data []byte) error {
-	if c.size != 8 {
-		return fmt.Errorf("%w: FOR requires 8-byte integers", ErrNotApplicable)
-	}
-	if c.n == 0 {
-		return nil
-	}
-	min, max := int64(math.MaxInt64), int64(math.MinInt64)
-	for i := 0; i < c.n; i++ {
-		v := int64(binary.LittleEndian.Uint64(data[i*8:]))
-		if v < min {
-			min = v
+// encode builds the planned image: one allocation for the Column and one
+// for its payload, sized exactly by the plan.
+func (p plan) encode(data []byte, n, size int) *Column {
+	c := &Column{enc: p.enc, n: n, size: size, base: p.base, width: p.width}
+	switch p.enc {
+	case Raw:
+		c.raw = append([]byte(nil), data[:n*size]...)
+	case RLE:
+		buf := make([]byte, 0, p.bytes)
+		c.runVals, c.runEnds = buf[:0:p.runs*size], buf[p.runs*size:p.runs*size]
+		for i := 0; i < n; i++ {
+			el := data[i*size : (i+1)*size]
+			// Ends are cumulative-exclusive element indexes; extending
+			// a run moves the last end up by one, so they stay strictly
+			// increasing.
+			if i > 0 && bytes.Equal(el, data[(i-1)*size:i*size]) {
+				binary.LittleEndian.PutUint32(c.runEnds[len(c.runEnds)-4:], uint32(i+1))
+				continue
+			}
+			c.runVals = append(c.runVals, el...)
+			c.runEnds = binary.LittleEndian.AppendUint32(c.runEnds, uint32(i+1))
 		}
-		if v > max {
-			max = v
-		}
-	}
-	span := uint64(max - min)
-	switch {
-	case span < 1<<8:
-		c.width = 1
-	case span < 1<<16:
-		c.width = 2
-	case span < 1<<32:
-		c.width = 4
-	default:
-		return fmt.Errorf("%w: value span %d exceeds 32-bit frame", ErrNotApplicable, span)
-	}
-	c.base = min
-	c.deltas = make([]byte, c.n*c.width)
-	for i := 0; i < c.n; i++ {
-		v := int64(binary.LittleEndian.Uint64(data[i*8:]))
-		d := uint64(v - min)
-		switch c.width {
-		case 1:
-			c.deltas[i] = byte(d)
-		case 2:
-			binary.LittleEndian.PutUint16(c.deltas[i*2:], uint16(d))
-		case 4:
-			binary.LittleEndian.PutUint32(c.deltas[i*4:], uint32(d))
+	case Dict:
+		buf, k := make([]byte, p.bytes), p.bytes-n
+		c.dict, c.codes = buf[:k:k], buf[k:]
+		new(dictTable).scan(data, n, size, c.codes, c.dict)
+	case FOR:
+		c.deltas = make([]byte, n*p.width)
+		for i := 0; i < n; i++ {
+			d := uint64(int64(binary.LittleEndian.Uint64(data[i*8:])) - p.base)
+			for b := 0; b < p.width; b++ {
+				c.deltas[i*p.width+b] = byte(d >> (8 * b))
+			}
 		}
 	}
-	return nil
+	return c
+}
+
+// dictTable is Dict's open-addressing index over at most 256 distinct
+// elements. A slot holds code+1 (0 is empty); keys holds each code's
+// element bits when the element is 8 bytes wide, a hash of them
+// otherwise, which the code's first occurrence then confirms. It lives
+// on the caller's stack.
+type dictTable struct {
+	slots [512]uint16
+	keys  [256]uint64
+	first [256]int
+}
+
+// scan codes the elements by first appearance into codes and their
+// values into dict (either may be nil) and returns the distinct count,
+// stopping at the 257th.
+func (d *dictTable) scan(data []byte, n, size int, codes, dict []byte) (k int) {
+	for i := 0; i < n; i++ {
+		el := data[i*size : (i+1)*size]
+		key := elementKey(el)
+		h := key * 0x9e3779b97f4a7c15 >> 55
+		for d.slots[h] != 0 {
+			s := int(d.slots[h]) - 1
+			if d.keys[s] == key && (size == 8 || bytes.Equal(el, data[d.first[s]*size:(d.first[s]+1)*size])) {
+				break
+			}
+			h = (h + 1) & 511
+		}
+		if d.slots[h] == 0 {
+			if k == 256 {
+				return 257
+			}
+			d.slots[h], d.keys[k], d.first[k] = uint16(k+1), key, i
+			if dict != nil {
+				copy(dict[k*size:], el)
+			}
+			k++
+		}
+		if codes != nil {
+			codes[i] = byte(d.slots[h] - 1)
+		}
+	}
+	return k
+}
+
+// elementKey is an 8-byte element's bits, or an FNV-1a hash of any other.
+func elementKey(el []byte) uint64 {
+	if len(el) == 8 {
+		return binary.LittleEndian.Uint64(el)
+	}
+	k := uint64(0xcbf29ce484222325)
+	for _, b := range el {
+		k = (k ^ uint64(b)) * 0x100000001b3
+	}
+	return k
 }
 
 // At decodes element i into dst (which must be at least ElementSize

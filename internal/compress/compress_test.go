@@ -386,3 +386,277 @@ func TestDecompressInto(t *testing.T) {
 		}
 	}
 }
+
+// refCompress is the build-all chooser Compress replaced, kept as its
+// reference: every scheme is encoded in full by the original map- and
+// append-based encoders, and the smallest image wins, ties to the
+// earlier scheme with Raw as the incumbent.
+func refCompress(data []byte, n, size int) (*Column, error) {
+	best, err := refCompressAs(Raw, data, n, size)
+	if err != nil {
+		return nil, err
+	}
+	for _, enc := range []Encoding{RLE, Dict, FOR} {
+		if c, err := refCompressAs(enc, data, n, size); err == nil && c.CompressedBytes() < best.CompressedBytes() {
+			best = c
+		}
+	}
+	return best, nil
+}
+
+// refCompressAs is the reference encoder of one scheme.
+func refCompressAs(enc Encoding, data []byte, n, size int) (*Column, error) {
+	if size <= 0 || n < 0 || len(data) < n*size {
+		return nil, ErrBadInput
+	}
+	c := &Column{enc: enc, n: n, size: size}
+	switch enc {
+	case Raw:
+		c.raw = append([]byte(nil), data[:n*size]...)
+	case RLE:
+		for i := 0; i < n; i++ {
+			el := data[i*size : (i+1)*size]
+			if last := c.Runs() - 1; last >= 0 && bytes.Equal(el, c.runVals[last*size:(last+1)*size]) {
+				binary.LittleEndian.PutUint32(c.runEnds[last*4:], uint32(i+1))
+				continue
+			}
+			c.runVals = append(c.runVals, el...)
+			c.runEnds = binary.LittleEndian.AppendUint32(c.runEnds, uint32(i+1))
+		}
+	case Dict:
+		index := make(map[string]int)
+		c.codes = make([]byte, n)
+		for i := 0; i < n; i++ {
+			el := string(data[i*size : (i+1)*size])
+			code, ok := index[el]
+			if !ok {
+				if len(index) == 256 {
+					return nil, ErrNotApplicable
+				}
+				code = len(index)
+				index[el] = code
+				c.dict = append(c.dict, el...)
+			}
+			c.codes[i] = byte(code)
+		}
+	case FOR:
+		if size != 8 {
+			return nil, ErrNotApplicable
+		}
+		if n == 0 {
+			return c, nil
+		}
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for i := 0; i < n; i++ {
+			v := int64(binary.LittleEndian.Uint64(data[i*8:]))
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		span := uint64(hi - lo)
+		switch {
+		case span < 1<<8:
+			c.width = 1
+		case span < 1<<16:
+			c.width = 2
+		case span < 1<<32:
+			c.width = 4
+		default:
+			return nil, ErrNotApplicable
+		}
+		c.base, c.deltas = lo, make([]byte, n*c.width)
+		for i := 0; i < n; i++ {
+			d := uint64(int64(binary.LittleEndian.Uint64(data[i*8:])) - lo)
+			for b := 0; b < c.width; b++ {
+				c.deltas[i*c.width+b] = byte(d >> (8 * b))
+			}
+		}
+	default:
+		return nil, ErrNotApplicable
+	}
+	return c, nil
+}
+
+// sameImage fails unless got and want are the same column class: both
+// errors of one class, or the same encoding with the same wire bytes.
+func sameImage(t *testing.T, what string, got *Column, gotErr error, want *Column, wantErr error) {
+	t.Helper()
+	for _, class := range []error{ErrBadInput, ErrNotApplicable} {
+		if errors.Is(gotErr, class) != errors.Is(wantErr, class) {
+			t.Fatalf("%s: err %v, reference %v", what, gotErr, wantErr)
+		}
+	}
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: err %v, reference %v", what, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	if got.Encoding() != want.Encoding() || !bytes.Equal(got.Marshal(), want.Marshal()) {
+		t.Fatalf("%s: %v image %x, reference %v image %x", what, got.Encoding(), got.Marshal(), want.Encoding(), want.Marshal())
+	}
+}
+
+// checkAgainstReference compares Compress and every CompressAs with the
+// reference chooser and encoders on one column.
+func checkAgainstReference(t *testing.T, what string, data []byte, n, size int) {
+	t.Helper()
+	got, gotErr := Compress(data, n, size)
+	want, wantErr := refCompress(data, n, size)
+	sameImage(t, what+" Compress", got, gotErr, want, wantErr)
+	for _, enc := range []Encoding{Raw, RLE, Dict, FOR} {
+		got, gotErr := CompressAs(enc, data, n, size)
+		want, wantErr := refCompressAs(enc, data, n, size)
+		sameImage(t, what+" "+enc.String(), got, gotErr, want, wantErr)
+	}
+}
+
+// randomColumn draws n elements of size bytes from a pool of card
+// distinct random elements, repeated in runs of up to maxRun. At size 8
+// the pool is salted with NaN and ±0 float payloads, or is integers
+// within a 2^8, 2^16 or 2^32 frame.
+func randomColumn(r *rand.Rand, n, size, card, maxRun int) []byte {
+	base, frame := r.Int63()-r.Int63(), []int64{0, 0, 1 << 8, 1 << 16, 1 << 32}[r.Intn(5)]
+	pool := make([][]byte, card)
+	for i := range pool {
+		pool[i] = make([]byte, size)
+		r.Read(pool[i])
+		if size == 8 && frame > 0 {
+			binary.LittleEndian.PutUint64(pool[i], uint64(base+r.Int63n(frame)))
+		} else if size == 8 && r.Intn(4) == 0 {
+			specials := []uint64{0x7ff8000000000001, 0xfff8000000000000, 0x7ff0000000000001, math.Float64bits(math.Copysign(0, -1)), 0}
+			binary.LittleEndian.PutUint64(pool[i], specials[r.Intn(len(specials))])
+		}
+	}
+	out := make([]byte, 0, n*size)
+	for len(out) < n*size {
+		el := pool[r.Intn(card)]
+		for run := 1 + r.Intn(maxRun); run > 0 && len(out) < n*size; run-- {
+			out = append(out, el...)
+		}
+	}
+	return out
+}
+
+// Compress sizes before it encodes; it must choose and build exactly
+// what building every scheme would have.
+func TestCompressMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 8, 8, 12}
+	cards := []int{1, 2, 3, 17, 255, 256, 257, 300, 1 << 20}
+	for i := 0; i < 4000; i++ {
+		size, card := sizes[r.Intn(len(sizes))], cards[r.Intn(len(cards))]
+		n := []int{0, 1, 2, 3, 4, 5, 300}[r.Intn(7)]
+		if r.Intn(2) == 0 {
+			n = r.Intn(1100)
+		}
+		if card > 256 && r.Intn(2) == 0 {
+			n = 512 + r.Intn(512) // enough rows to see every value of a 257-pool
+		}
+		data := randomColumn(r, n, size, min(card, max(n, 1)+1), []int{1, 2, 8, 64}[r.Intn(4)])
+		checkAgainstReference(t, "random", data, n, size)
+	}
+
+	// Exactly 256 vs 257 distinct values, every element size.
+	for size := 1; size <= 8; size++ {
+		for _, k := range []int{256, 257} {
+			if size == 1 && k == 257 {
+				continue
+			}
+			data := make([]byte, 0, 2*k*size)
+			for rep := 0; rep < 2; rep++ {
+				for v := 0; v < k; v++ {
+					for b := 0; b < size; b++ {
+						data = append(data, byte(v>>(8*b)))
+					}
+				}
+			}
+			checkAgainstReference(t, "distinct", data, 2*k, size)
+			if _, err := CompressAs(Dict, data, 2*k, size); (err == nil) != (k == 256) {
+				t.Fatalf("%d distinct %d-byte values: Dict err = %v", k, size, err)
+			}
+		}
+	}
+
+	// FOR spans at and around every width edge, from bases near both
+	// ends of int64.
+	for _, base := range []int64{0, -1 << 40, math.MinInt64, math.MaxInt64 - 1<<33} {
+		for _, span := range []int64{0, 1<<8 - 1, 1 << 8, 1<<8 + 1, 1<<16 - 1, 1 << 16, 1<<16 + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1} {
+			vals := []int64{base, base + span, base + span/2, base, base + 1}
+			if base == math.MinInt64 {
+				vals = append(vals, math.MaxInt64) // a span that wraps uint64
+			}
+			checkAgainstReference(t, "for", encodeInts(vals), len(vals), 8)
+		}
+	}
+
+	// Ties, each settled for the earlier scheme: a constant int64
+	// column of 4 where RLE, Dict and FOR all make 12 bytes; a constant
+	// byte column of 5 where RLE makes Raw's 5; two alternating values
+	// 1000 apart where Dict and FOR both make 24.
+	for _, tie := range []struct {
+		data    []byte
+		n, size int
+		want    Encoding
+	}{
+		{encodeInts([]int64{7, 7, 7, 7}), 4, 8, RLE},
+		{[]byte{9, 9, 9, 9, 9}, 5, 1, Raw},
+		{encodeInts([]int64{0, 1000, 0, 1000, 0, 1000, 0, 1000}), 8, 8, Dict},
+	} {
+		checkAgainstReference(t, "tie", tie.data, tie.n, tie.size)
+		if c, _ := Compress(tie.data, tie.n, tie.size); c.Encoding() != tie.want {
+			t.Fatalf("tie %x chose %v, want %v", tie.data, c.Encoding(), tie.want)
+		}
+	}
+
+	// Bad input fails with the same class.
+	for _, bad := range []struct {
+		data    []byte
+		n, size int
+	}{{nil, 0, 0}, {nil, -1, 8}, {make([]byte, 4), 2, 8}, {nil, 1, -3}} {
+		checkAgainstReference(t, "bad", bad.data, bad.n, bad.size)
+	}
+}
+
+// Compress of a column that stays raw allocates the Column and its
+// payload, nothing for the schemes it sized and rejected.
+func TestCompressAllocatesOnlyTheWinner(t *testing.T) {
+	vals := make([]float64, 1024)
+	for i := range vals {
+		vals[i] = float64(i)*1.37 + 0.5
+	}
+	data := encodeFloats(vals)
+	if c, _ := Compress(data, len(vals), 8); c.Encoding() != Raw {
+		t.Fatalf("unique floats chose %v", c.Encoding())
+	}
+	if allocs := testing.AllocsPerRun(50, func() { Compress(data, len(vals), 8) }); allocs > 2 {
+		t.Fatalf("Compress of 1024 unique float64s: %v allocations, want ≤ 2", allocs)
+	}
+}
+
+// FuzzCompress feeds Compress arbitrary bytes at every element size:
+// never a panic, the reference chooser's image, and a wire image that
+// decodes back to the input elements.
+func FuzzCompress(f *testing.F) {
+	for _, img := range testShapes() {
+		f.Add(img, uint8(8))
+	}
+	f.Add([]byte{1, 2, 1, 2, 3, 3}, uint8(2))
+	f.Add([]byte{}, uint8(8))
+	f.Add(encodeInts([]int64{7, 7, 7, 7}), uint8(8))
+	f.Fuzz(func(t *testing.T, data []byte, size uint8) {
+		sz := int(size%12) + 1
+		n := len(data) / sz
+		got, err := Compress(data, n, sz)
+		want, wantErr := refCompress(data, n, sz)
+		sameImage(t, "fuzz", got, err, want, wantErr)
+		if err != nil {
+			t.Fatalf("Compress of %d %d-byte elements: %v", n, sz, err)
+		}
+		back, err := Decode(got.Marshal())
+		if err != nil {
+			t.Fatalf("Decode(Marshal()) of %v: %v", got.Encoding(), err)
+		}
+		if !bytes.Equal(back.Decompress(), data[:n*sz]) {
+			t.Fatalf("%v round trip differs", got.Encoding())
+		}
+	})
+}

@@ -820,3 +820,30 @@ func TestColdCompressedScan(t *testing.T) {
 		t.Fatalf("post-merge sum = %v, want %v", sum, want)
 	}
 }
+
+// A re-seal encodes only the scheme each column keeps: sealing a cold
+// 1024-row item chunk allocates the comp slice plus at most a Column and
+// its payload per compressible column. Encoding every scheme in full and
+// keeping the smallest cost ~640 objects and 16 times the bytes.
+func TestSealAllocatesOnlyTheWinners(t *testing.T) {
+	_, tbl := newTable(t, Options{ChunkRows: 1024, HotChunks: 1, Compress: true}, 2048)
+	defer tbl.Free()
+	c := tbl.chunks[0]
+	if c.state != cold {
+		t.Fatal("first chunk did not freeze")
+	}
+	cols := 0
+	for col := 0; col < tbl.s.Arity(); col++ {
+		if compressible(tbl.s.Attr(col)) {
+			cols++
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() { tbl.sealChunkCompression(c) })
+	t.Logf("%.1f objects per seal of %d compressible columns", allocs, cols)
+	if limit := float64(2*cols + 1); allocs > limit {
+		t.Fatalf("sealing %d compressible columns: %.1f allocations, gate %.0f", cols, allocs, limit)
+	}
+	if c.comp[workload.ItemIDCol] == nil || c.comp[workload.ItemPriceCol] == nil {
+		t.Fatal("seal left a compressible column without an image")
+	}
+}
