@@ -3,7 +3,9 @@
 // compressed-domain operators (internal/compress), the device's fused
 // filter+aggregate kernel (internal/device) and the host operators and
 // merges (internal/exec) all fold into a Table, element by element or
-// partial group by partial group, and read it back in key order.
+// partial group by partial group, and read it back in key order. The
+// host and device ungrouped float64 sums over uncompressed columns share
+// the scalar loops beside it, SumWhere and SumAll.
 //
 // The slot rule. A table keeps a window of 256 slots addressed by the
 // low byte of the key. The window covers the contiguous key range
@@ -215,4 +217,38 @@ func (t *Table) FoldAll(keys Keys, vals []byte, stride, n int) {
 		c.Sum += math.Float64frombits(binary.LittleEndian.Uint64(vals[i*stride:]))
 		c.Count++
 	}
+}
+
+// SumWhere is FoldWhere without the groups: the sum and count of the n
+// values at vals[i*stride:] inside [lo, hi], added in element order.
+// Every ungrouped float64 sum over an uncompressed column, host or
+// device, is this loop, so they agree to the bit.
+func SumWhere(vals []byte, stride, n int, lo, hi float64) (sum float64, count int64) {
+	if stride == 8 {
+		// Dense: re-slice to the run so each load is one bounds-check-
+		// friendly 8-byte decode.
+		data := vals[:n*8]
+		for i := 0; i+8 <= len(data); i += 8 {
+			if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); lo <= x && x <= hi {
+				sum += x
+				count++
+			}
+		}
+		return sum, count
+	}
+	for i, off := 0, 0; i < n; i, off = i+1, off+stride {
+		if x := math.Float64frombits(binary.LittleEndian.Uint64(vals[off:])); lo <= x && x <= hi {
+			sum += x
+			count++
+		}
+	}
+	return sum, count
+}
+
+// SumAll is SumWhere without the filter: every value, NaNs included.
+func SumAll(vals []byte, stride, n int) (sum float64) {
+	for i, off := 0, 0; i < n; i, off = i+1, off+stride {
+		sum += math.Float64frombits(binary.LittleEndian.Uint64(vals[off:]))
+	}
+	return sum
 }

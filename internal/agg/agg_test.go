@@ -192,11 +192,16 @@ func TestKeysAndFolds(t *testing.T) {
 				}
 			}
 			all, where := refTable{}, refTable{}
+			var sumAll, sumWhere float64
+			var countWhere int64
 			for i := 0; i < n; i++ {
 				x := valueAt(i)
 				all.add(Group{Key: keyAt(i), Sum: x, Count: 1})
+				sumAll += x
 				if 10 <= x && x <= 90 {
 					where.add(Group{Key: keyAt(i), Sum: x, Count: 1})
+					sumWhere += x
+					countWhere++
 				}
 			}
 			var table Table
@@ -207,6 +212,12 @@ func TestKeysAndFolds(t *testing.T) {
 			table.FoldWhere(keys, vdata, vstride, n, 10, 90)
 			if got := table.Drain(nil); !same(got, where.rows()) {
 				t.Fatalf("size %d stride %d: FoldWhere = %+v, want %+v", size, stride, got, where.rows())
+			}
+			if got := SumAll(vdata, vstride, n); math.Float64bits(got) != math.Float64bits(sumAll) {
+				t.Fatalf("size %d stride %d: SumAll = %v, want %v", size, stride, got, sumAll)
+			}
+			if got, c := SumWhere(vdata, vstride, n, 10, 90); math.Float64bits(got) != math.Float64bits(sumWhere) || c != countWhere {
+				t.Fatalf("size %d stride %d: SumWhere = %v/%d, want %v/%d", size, stride, got, c, sumWhere, countWhere)
 			}
 		}
 	}

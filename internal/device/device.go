@@ -1,10 +1,11 @@
 // Package device implements the software GPU this reproduction substitutes
 // for the paper's CUDA card (DESIGN.md Section 2). It is a real executor —
-// kernels actually compute over device-resident buffers, with per-block
-// concurrency and a faithful Harris-style tree reduction — wrapped in the
+// kernels actually compute over device-resident buffers — wrapped in the
 // calibrated timing model of internal/perfmodel, so both the answers and
 // the Figure-2 cost shapes (transfer wall, launch overhead, coalescing)
-// are reproduced.
+// are reproduced. The card prices the paper's Harris-style tree
+// reduction but computes every aggregate in the caller, in ascending
+// element order, so its answers are bit-identical to every other leg's.
 //
 // The device owns a capacity-limited global-memory allocator (4044 MB in
 // the default profile, matching the paper's footnote 4); engines that
@@ -69,46 +70,11 @@ type GPU struct {
 	// process-global device.* totals keep aggregating everything.
 	card *cardCounters
 
-	// scratch recycles the float64 working sets of the block reducers
-	// (partial slots and shared-memory images) so a steady stream of
-	// reductions — the serving layer's warm device-cached scans — runs
-	// without per-launch allocation.
+	// scratchMu guards tables, which recycles the grouped kernel's group
+	// tables so a steady stream of grouped launches — the serving layer's
+	// warm device-cached scans — runs without per-launch allocation.
 	scratchMu sync.Mutex
-	scratch   [][]float64
-	// tables recycles the grouped kernel's group tables the same way.
-	tables []*agg.Table
-}
-
-// getF64 pops a zeroed scratch slice of length n.
-func (g *GPU) getF64(n int) []float64 {
-	g.scratchMu.Lock()
-	for i := len(g.scratch) - 1; i >= 0; i-- {
-		if cap(g.scratch[i]) >= n {
-			s := g.scratch[i][:n]
-			g.scratch = append(g.scratch[:i], g.scratch[i+1:]...)
-			g.scratchMu.Unlock()
-			for j := range s {
-				s[j] = 0
-			}
-			return s
-		}
-	}
-	g.scratchMu.Unlock()
-	return make([]float64, n)
-}
-
-// putF64 recycles a scratch slice. The free list stays small: scratch
-// live at any instant is bounded by concurrent launches × (partials +
-// per-SM shared images).
-func (g *GPU) putF64(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	g.scratchMu.Lock()
-	if len(g.scratch) < 64 {
-		g.scratch = append(g.scratch, s[:0])
-	}
-	g.scratchMu.Unlock()
+	tables    []*agg.Table
 }
 
 // getGroupTable pops an empty group table.
@@ -123,8 +89,8 @@ func (g *GPU) getGroupTable() *agg.Table {
 	return new(agg.Table)
 }
 
-// putGroupTable recycles a drained group table; like scratch, the free
-// list is bounded by the number of concurrent launches.
+// putGroupTable recycles a drained group table; the free list is bounded
+// by the number of concurrent launches.
 func (g *GPU) putGroupTable(t *agg.Table) {
 	g.scratchMu.Lock()
 	if len(g.tables) < 64 {
@@ -396,143 +362,6 @@ func (v Vec) check() ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// blockReduce2 is blockReduce over (sum, count) pairs: two shared-memory
-// images fold side by side, the way a fused kernel carries both
-// accumulators in registers.
-func (g *GPU) blockReduce2(n int, cfg LaunchConfig, load func(int) (float64, float64)) (sums, counts []float64) {
-	sums = g.getF64(cfg.Blocks)
-	counts = g.getF64(cfg.Blocks)
-	perBlock := (n + cfg.Blocks - 1) / cfg.Blocks
-	active := 0
-	if perBlock > 0 {
-		active = (n + perBlock - 1) / perBlock
-	}
-	workers := g.prof.SMs
-	if workers > active {
-		workers = active
-	}
-	// SM-worker model: the hardware runs SMs in parallel and
-	// time-slices blocks over them, so launch one goroutine per SM and
-	// let each pull block indices — per-block results are identical to
-	// a goroutine-per-block launch, but the shared-memory images are
-	// reused across a worker's blocks instead of reallocated.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sharedS := g.getF64(cfg.ThreadsPerBlock)
-			sharedC := g.getF64(cfg.ThreadsPerBlock)
-			defer g.putF64(sharedS)
-			defer g.putF64(sharedC)
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= active {
-					return
-				}
-				begin := b * perBlock
-				end := begin + perBlock
-				if end > n {
-					end = n
-				}
-				for t := 0; t < cfg.ThreadsPerBlock; t++ {
-					var accS, accC float64
-					for i := begin + t; i < end; i += cfg.ThreadsPerBlock {
-						s, c := load(i)
-						accS += s
-						accC += c
-					}
-					sharedS[t], sharedC[t] = accS, accC
-				}
-				for s := cfg.ThreadsPerBlock / 2; s > 0; s >>= 1 {
-					for t := 0; t < s; t++ {
-						sharedS[t] += sharedS[t+s]
-						sharedC[t] += sharedC[t+s]
-					}
-				}
-				sums[b], counts[b] = sharedS[0], sharedC[0]
-			}
-		}()
-	}
-	wg.Wait()
-	return sums, counts
-}
-
-// blockReduce computes per-block partial sums concurrently. Each block b
-// owns the grid-stride element range and reduces it tree-style over a
-// shared-memory image of ThreadsPerBlock slots.
-func (g *GPU) blockReduce(n int, cfg LaunchConfig, load func(int) float64) []float64 {
-	partials := g.getF64(cfg.Blocks)
-	perBlock := (n + cfg.Blocks - 1) / cfg.Blocks
-	active := 0
-	if perBlock > 0 {
-		active = (n + perBlock - 1) / perBlock
-	}
-	// One worker per SM, blocks time-sliced over them (see
-	// blockReduce2): identical per-block partials, reused shared
-	// images.
-	workers := g.prof.SMs
-	if workers > active {
-		workers = active
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Shared-memory image: each thread t accumulates elements
-			// begin+t, begin+t+T, ... then the tree reduction folds the
-			// T slots.
-			shared := g.getF64(cfg.ThreadsPerBlock)
-			defer g.putF64(shared)
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= active {
-					return
-				}
-				begin := b * perBlock
-				end := begin + perBlock
-				if end > n {
-					end = n
-				}
-				for t := 0; t < cfg.ThreadsPerBlock; t++ {
-					var acc float64
-					for i := begin + t; i < end; i += cfg.ThreadsPerBlock {
-						acc += load(i)
-					}
-					shared[t] = acc
-				}
-				for s := cfg.ThreadsPerBlock / 2; s > 0; s >>= 1 {
-					for t := 0; t < s; t++ {
-						shared[t] += shared[t+s]
-					}
-				}
-				partials[b] = shared[0]
-			}
-		}()
-	}
-	wg.Wait()
-	return partials
-}
-
-// treeReduce folds buf pairwise in place (the caller owns it: the
-// reducers fold their recycled partial slots without a defensive copy).
-func treeReduce(buf []float64) float64 {
-	for len(buf) > 1 {
-		half := (len(buf) + 1) / 2
-		for i := 0; i+half < len(buf); i++ {
-			buf[i] += buf[i+half]
-		}
-		buf = buf[:half]
-	}
-	if len(buf) == 0 {
-		return 0
-	}
-	return buf[0]
 }
 
 // Gather copies the records at the given positions (each recordWidth

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hybridstore/internal/compress"
 	"hybridstore/internal/mem"
 	"hybridstore/internal/perfmodel"
 )
@@ -277,30 +278,96 @@ func TestScatter(t *testing.T) {
 	}
 }
 
-// Property: the device reduction equals a sequential host sum for random
-// data, geometry and stride.
+// TestQuickReduceMatchesHostSum launches random non-integer columns, raw
+// (dense or strided) and as a Raw compressed image, filtered and not,
+// under random launch geometry: every leg returns the bits and count of
+// a host loop folding in ascending element order.
 func TestQuickReduceMatchesHostSum(t *testing.T) {
 	g, _ := newGPU()
-	f := func(seed int64, nRaw uint16, blocksRaw, threadsExp uint8) bool {
+	f := func(seed int64, nRaw uint16, blocksRaw, threadsExp uint8, strided bool) bool {
 		n := int(nRaw)%5000 + 1
 		blocks := int(blocksRaw)%64 + 1
 		threads := 1 << (int(threadsExp)%8 + 1) // 2..256
 		r := rand.New(rand.NewSource(seed))
-		buf, v, err := fillFloats(g, n, 8, func(int) float64 { return math.Floor(r.Float64() * 1000) })
+		vals := make([]float64, n)
+		img := make([]byte, n*8)
+		for i := range vals {
+			vals[i] = r.Float64() * 100
+			binary.LittleEndian.PutUint64(img[i*8:], math.Float64bits(vals[i]))
+		}
+		lo, hi := r.Float64()*50, 50+r.Float64()*50
+		var wantSum, wantWhere float64
+		var wantN int64
+		for _, x := range vals {
+			wantSum += x
+			if lo <= x && x <= hi {
+				wantWhere += x
+				wantN++
+			}
+		}
+		stride := 8
+		if strided {
+			stride = 24
+		}
+		buf, v, err := fillFloats(g, n, stride, func(i int) float64 { return vals[i] })
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
 		defer buf.Free()
-		var want float64
-		raw, _ := buf.bytes()
-		for i := 0; i < n; i++ {
-			want += math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+		col, err := compress.CompressAs(compress.Raw, img, n, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, err := reduceSum(g, v, LaunchConfig{Blocks: blocks, ThreadsPerBlock: threads})
-		return err == nil && math.Abs(got-want) < 1e-6
+		image := col.Marshal()
+		comp, err := g.Alloc(len(image))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer comp.Free()
+		if err := g.CopyToDevice(comp, 0, image); err != nil {
+			t.Fatal(err)
+		}
+		cfg := LaunchConfig{Blocks: blocks, ThreadsPerBlock: threads}
+		for _, k := range []Kernel{{Vals: v, Config: cfg}, {Comp: comp, Config: cfg}} {
+			got, err := g.Launch(k)
+			if err != nil || math.Float64bits(got.Sum) != math.Float64bits(wantSum) || got.Count != 0 {
+				t.Logf("n=%d comp=%v sum: (%v, %d, %v), want %v", n, k.Comp != nil, got.Sum, got.Count, err, wantSum)
+				return false
+			}
+			k.Where, k.Lo, k.Hi = true, lo, hi
+			got, err = g.Launch(k)
+			if err != nil || math.Float64bits(got.Sum) != math.Float64bits(wantWhere) || got.Count != wantN {
+				t.Logf("n=%d comp=%v sum_where: (%v, %d, %v), want (%v, %d)", n, k.Comp != nil, got.Sum, got.Count, err, wantWhere, wantN)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmLaunchAllocatesNothing pins the raw reduction legs at zero
+// allocations per warm launch: the card folds in the caller, with no
+// worker goroutines and no scratch.
+func TestWarmLaunchAllocatesNothing(t *testing.T) {
+	g, _ := newGPU()
+	for _, n := range []int{1, 4096, 100_000} {
+		buf, v, err := fillFloats(g, n, 8, func(i int) float64 { return float64(i%97) + 0.25 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, where := range []bool{false, true} {
+			k := Kernel{Vals: v, Where: where, Lo: 10, Hi: 50, Config: ReduceConfigFor(n)}
+			if _, err := g.Launch(k); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { g.Launch(k) }); allocs != 0 {
+				t.Errorf("n=%d where=%v: %.1f allocations per warm launch, want 0", n, where, allocs)
+			}
+		}
+		buf.Free()
 	}
 }
 
@@ -331,14 +398,5 @@ func TestNilClockIsSafe(t *testing.T) {
 	defer buf.Free()
 	if _, err := reduceSum(g, v, LaunchConfig{Blocks: 2, ThreadsPerBlock: 32}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTreeReduce(t *testing.T) {
-	if got := treeReduce(nil); got != 0 {
-		t.Errorf("treeReduce(nil) = %v", got)
-	}
-	if got := treeReduce([]float64{1, 2, 3, 4, 5}); got != 15 {
-		t.Errorf("treeReduce = %v, want 15", got)
 	}
 }

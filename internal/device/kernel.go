@@ -1,9 +1,7 @@
 package device
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/compress"
@@ -15,8 +13,11 @@ import (
 //   - Vals alone: the Harris-style parallel tree reduction the paper
 //     used — each block reduces its grid-stride slice in shared memory,
 //     halving the active threads per step, then a final single-block
-//     pass reduces the per-block partials (two launches). The whole
-//     column sums, NaNs included.
+//     pass reduces the per-block partials (two launches). The card
+//     prices that tree (perfmodel.ReduceKernelNs) and computes the sum
+//     in ascending element order, like every other leg, so a device sum
+//     is bit-identical to the host's. The whole column sums, NaNs
+//     included.
 //   - Where: the closed-interval filter [Lo, Hi] fuses into the same two
 //     launches — each thread keeps the elements inside the interval and
 //     carries (sum, count) in registers. Strict predicate bounds are
@@ -128,7 +129,8 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 	}
 	// Resolve the value operand: n elements of size bytes, stride apart
 	// once decoded; decodeNs prices the decode kernel of a compressed one.
-	var vbuf []byte
+	// vals is a raw operand from its first element on.
+	var vbuf, vals []byte
 	var col *compress.Column
 	var decodeNs float64
 	n, size, stride := k.Vals.Len, k.Vals.Size, k.Vals.Stride
@@ -144,6 +146,8 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 		decodeNs = g.prof.DecodeKernelNs(int64(len(data)), int64(n*size))
 	} else if vbuf, err = k.Vals.check(); err != nil {
 		return out, 0, 0, err
+	} else if n > 0 {
+		vals = vbuf[k.Vals.Base:]
 	}
 	if size != 8 {
 		return out, 0, 0, fmt.Errorf("%w: float64 reduction over %d-byte elements", ErrBadLaunch, size)
@@ -151,10 +155,7 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 	if grouped && k.Keys.Len != n {
 		return out, 0, 0, fmt.Errorf("%w: %d keys vs %d values", ErrBadLaunch, k.Keys.Len, n)
 	}
-	// The closures below run per element on the SM workers: they capture
-	// these scalars, not the descriptor.
-	lo, hi, vbase, cfg := k.Lo, k.Hi, k.Vals.Base, k.Config
-	between := compress.Pred[float64]{Op: compress.OpBetween, Lo: lo, Hi: hi}
+	between := compress.Pred[float64]{Op: compress.OpBetween, Lo: k.Lo, Hi: k.Hi}
 
 	if grouped {
 		keys := agg.Keys{Stride: k.Keys.Stride, Size: k.Keys.Size}
@@ -168,8 +169,8 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 			if err := col.GroupSumFloat64Where(between, keys, table); err != nil {
 				return out, 0, 0, err
 			}
-		} else if n > 0 {
-			table.FoldWhere(keys, vbuf[vbase:], stride, n, lo, hi)
+		} else {
+			table.FoldWhere(keys, vals, stride, n, k.Lo, k.Hi)
 		}
 		out.Groups = table.Drain(k.Groups[:0])
 		g.putGroupTable(table)
@@ -180,7 +181,7 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 		g.countKernels(1)
 		resultBytes := int64(len(out.Groups)) * groupPartialBytes
 		g.countTransfer(resultBytes, false)
-		kernelNs = decodeNs + g.prof.GroupKernelNs(int64(n), matched, size, stride, cfg.Blocks, cfg.ThreadsPerBlock)
+		kernelNs = decodeNs + g.prof.GroupKernelNs(int64(n), matched, size, stride, k.Config.Blocks, k.Config.ThreadsPerBlock)
 		return out, kernelNs, g.prof.TransferNs(resultBytes), nil
 	}
 
@@ -190,23 +191,9 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 	case col != nil:
 		out.Sum, err = col.SumFloat64()
 	case k.Where:
-		sums, counts := g.blockReduce2(n, cfg, func(i int) (float64, float64) {
-			x := math.Float64frombits(binary.LittleEndian.Uint64(vbuf[vbase+i*stride:]))
-			if lo <= x && x <= hi {
-				return x, 1
-			}
-			return 0, 0
-		})
-		out.Sum, out.Count = treeReduce(sums), int64(treeReduce(counts))
-		g.putF64(sums)
-		g.putF64(counts)
+		out.Sum, out.Count = agg.SumWhere(vals, stride, n, k.Lo, k.Hi)
 	default:
-		partials := g.blockReduce(n, cfg, func(i int) float64 {
-			return math.Float64frombits(binary.LittleEndian.Uint64(vbuf[vbase+i*stride:]))
-		})
-		// Final pass: one block reduces the per-block partials.
-		out.Sum = treeReduce(partials)
-		g.putF64(partials)
+		out.Sum = agg.SumAll(vals, stride, n)
 	}
 	if err != nil {
 		return Partial{}, 0, 0, err
@@ -216,5 +203,5 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 	} else {
 		g.countKernels(2)
 	}
-	return out, decodeNs + g.prof.ReduceKernelNs(int64(n), size, stride, cfg.Blocks, cfg.ThreadsPerBlock), 0, nil
+	return out, decodeNs + g.prof.ReduceKernelNs(int64(n), size, stride, k.Config.Blocks, k.Config.ThreadsPerBlock), 0, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"hybridstore/internal/agg"
 	"hybridstore/internal/compress"
 	"hybridstore/internal/exec/pool"
 	"hybridstore/internal/layout"
@@ -197,7 +198,8 @@ func checkSize8(pieces []Piece, what string) error {
 // --- Specialized kernels -------------------------------------------------
 //
 // The operators resolve their predicate once, to the closed interval
-// [lo, hi] it matches (Pred.Closed), and each kernel is two loops. The
+// [lo, hi] it matches (Pred.Closed), and each kernel is two loops (the
+// sums are agg.SumWhere and agg.SumAll, shared with the device). The
 // contiguous stride-8 case re-slices the vector to a dense byte run so
 // the element load is a single bounds-check-friendly 8-byte decode; the
 // strided (NSM) case steps by the tuplet width. Both compare against the
@@ -206,44 +208,6 @@ func checkSize8(pieces []Piece, what string) error {
 
 // f64 decodes the little-endian float64 at b[0:8].
 func f64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-
-// sumWhere returns the sum and count of the elements of v[from:to) in
-// [lo, hi].
-func sumWhere(v layout.ColVector, from, to int, lo, hi float64) (float64, int64) {
-	var sum float64
-	var n int64
-	if v.Stride == 8 {
-		data := v.Data[v.Base+from*8 : v.Base+to*8]
-		for i := 0; i+8 <= len(data); i += 8 {
-			if x := f64(data[i:]); lo <= x && x <= hi {
-				sum += x
-				n++
-			}
-		}
-		return sum, n
-	}
-	off := v.Base + from*v.Stride
-	for i := from; i < to; i++ {
-		if x := f64(v.Data[off:]); lo <= x && x <= hi {
-			sum += x
-			n++
-		}
-		off += v.Stride
-	}
-	return sum, n
-}
-
-// sumEvery is sumWhere with the test switched off: every element of
-// v[from:to) is added, a NaN included.
-func sumEvery(v layout.ColVector, from, to int) float64 {
-	var sum float64
-	off := v.Base + from*v.Stride
-	for i := from; i < to; i++ {
-		sum += f64(v.Data[off:])
-		off += v.Stride
-	}
-	return sum
-}
 
 // appendWhere appends the global positions of the elements of v[from:to)
 // in [lo, hi] (the global position of v[0] is rowBase) to buf.
@@ -296,10 +260,11 @@ func scanSum(cfg Config, pieces []Piece, p Pred, filtered bool) (float64, int64,
 	}
 	raw, comp := splitComp(kept)
 	sum, n := parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
+		vals := v.Data[v.Base+from*v.Stride:]
 		if !filtered {
-			return sumEvery(v, from, to), 0
+			return agg.SumAll(vals, v.Stride, to-from), 0
 		}
-		return sumWhere(v, from, to, lo, hi)
+		return agg.SumWhere(vals, v.Stride, to-from, lo, hi)
 	})
 	if len(comp) > 0 {
 		cs, cn, err := compFold(cfg, comp, func(c *compress.Column) (float64, int64, error) {

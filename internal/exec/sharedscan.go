@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"hybridstore/internal/agg"
 	"hybridstore/internal/compress"
 	"hybridstore/internal/obs"
 )
@@ -85,14 +86,15 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred) ([]Result, e
 	// order — the solo sequential fold order per predicate.
 	for i := range pieces {
 		pc := &pieces[i]
-		if pc.Comp != nil {
+		if pc.Comp != nil || pc.Vec.Len == 0 {
 			continue
 		}
+		vals := pc.Vec.Data[pc.Vec.Base:]
 		for k := range preds {
 			if !admit[k*len(pieces)+i] {
 				continue
 			}
-			s, n := sumWhere(pc.Vec, 0, pc.Vec.Len, bounds[k][0], bounds[k][1])
+			s, n := agg.SumWhere(vals, pc.Vec.Stride, pc.Vec.Len, bounds[k][0], bounds[k][1])
 			out[k].Sum += s
 			out[k].Count += n
 		}

@@ -160,5 +160,10 @@ func (b *batcher) pass(tbl *hybridstore.Table, key exec.Plan, plans []exec.Plan)
 		}
 		b.mu.Unlock()
 	}()
+	// Yield once before executing. A pass need not block, so without
+	// this on a busy or single P a request would take a free slot and
+	// run to completion before any other was scheduled, and nothing
+	// would ever collect behind a pass.
+	runtime.Gosched()
 	return b.flush(tbl, plans)
 }

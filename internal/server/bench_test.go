@@ -41,12 +41,16 @@ func benchServer(tb testing.TB) (*Server, string) {
 // serveSumWhereAllocBudget is the response-path allocation ceiling for
 // one warm sum_where request end to end — request scan, dispatch, the
 // fused scan itself, and response serialization into a recycled buffer.
-// Measured 46 with go1.24 on linux/amd64 (dominated by the MVCC snapshot
-// and the per-launch SM-worker goroutines of the simulated device; wire
-// handling itself runs on recycled pool buffers); the gate holds slack
-// for scheduler variance. Raising it needs a deliberate decision, not an
-// accidental regression.
-const serveSumWhereAllocBudget = 56
+// Measured 12 with go1.24 on linux/amd64, dominated by the MVCC snapshot;
+// the device kernel folds in the caller and allocates nothing, and wire
+// handling runs on recycled pool buffers. The gate is the measured count:
+// raising it needs a deliberate decision, not an accidental regression.
+const serveSumWhereAllocBudget = 12
+
+// raceSumWhereAllocBudget is the same ceiling under the race detector,
+// which makes sync.Pool drop a share of what is put back: the count
+// read 15–16 there.
+const raceSumWhereAllocBudget = 20
 
 func TestServeSumWhereAllocBudget(t *testing.T) {
 	s, body := benchServer(t)
@@ -58,8 +62,13 @@ func TestServeSumWhereAllocBudget(t *testing.T) {
 		}
 		pool.PutBytes(out)
 	})
-	if got > serveSumWhereAllocBudget {
-		t.Fatalf("warm sum_where costs %.0f allocs/op, budget %d", got, serveSumWhereAllocBudget)
+	budget := serveSumWhereAllocBudget
+	if raceEnabled {
+		budget = raceSumWhereAllocBudget
+	}
+	t.Logf("warm sum_where: %.1f allocs/op", got)
+	if got > float64(budget) {
+		t.Fatalf("warm sum_where costs %.0f allocs/op, budget %d", got, budget)
 	}
 }
 

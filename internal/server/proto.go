@@ -8,7 +8,7 @@
 // encoding/json: requests are scanned in place by the minimal parser in
 // this file and responses are appended into recycled pool buffers, so a
 // served query costs a small fixed number of allocations
-// (BenchmarkServeSumWhere gates the budget).
+// (TestServeSumWhereAllocBudget gates the budget).
 package server
 
 import (

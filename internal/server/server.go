@@ -81,7 +81,7 @@ func New(cfg Config) *Server {
 //
 // The body is scanned in place and the response built into the
 // caller's (pooled) buffer: a warm sum_where costs a fixed handful of
-// allocations end to end (gated by BenchmarkServeSumWhere).
+// allocations end to end (gated by TestServeSumWhereAllocBudget).
 func (s *Server) Exec(body, out []byte) ([]byte, int) {
 	var (
 		sessID, value, predRaw, recordRaw []byte

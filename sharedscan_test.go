@@ -3,6 +3,7 @@ package hybridstore
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -424,14 +425,16 @@ func TestCachedMatchesUncachedWithDeltas(t *testing.T) {
 }
 
 // TestFoldOrderUnderCompression is the fold-order row of the equivalence
-// table: a price column whose chunks hold runs of mixed magnitudes (v × k
-// rounds differently from adding v k times) answers sum and sum_where
-// with the plain store's bits whether its cold chunks scan from base
-// bytes, from sealed images on the host or from images on the card — and
-// sum ≡ sum_where(−Inf, +Inf), group_sum ≡ group_sum_where(−Inf, +Inf)
-// bit for bit under each.
+// table: a price column answers sum and sum_where with the plain store's
+// bits whether its cold chunks scan from base bytes, from sealed images
+// on the host, from raw chunks on the card or from images on the card —
+// and sum ≡ sum_where(−Inf, +Inf), group_sum ≡ group_sum_where(−Inf,
+// +Inf) bit for bit under each. Two fixtures: chunks holding runs of
+// mixed magnitudes (v × k rounds differently from adding v k times), and
+// seeded random prices in one cold chunk that dominates the sum, so a
+// leg folding its chunk in another order shows in the total.
 func TestFoldOrderUnderCompression(t *testing.T) {
-	const rows, chunk, keyCol = 4096, 1024, 1
+	const chunk, keyCol = 1024, 1
 	all := BetweenFloat(math.Inf(-1), math.Inf(1))
 	plans := []Plan{
 		{Op: "sum", Col: ItemPriceColumn},
@@ -439,62 +442,83 @@ func TestFoldOrderUnderCompression(t *testing.T) {
 		{Op: "group_sum", KeyCol: keyCol, Col: ItemPriceColumn},
 		{Op: "group_sum_where", KeyCol: keyCol, Col: ItemPriceColumn, Pred: all},
 	}
-	var want []Result
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{
-		{"plain", Options{ChunkRows: chunk, HotChunks: 1}},
-		{"compress", Options{ChunkRows: chunk, HotChunks: 1, Compress: true}},
-		{"compress+devicecache", Options{ChunkRows: chunk, HotChunks: 1, Compress: true, DeviceCache: true}},
-	} {
-		tbl, err := Open(cfg.opts).CreateTable("item", ItemSchema())
-		if err != nil {
-			t.Fatal(err)
+	type fixture struct {
+		name  string
+		rows  int
+		price func(i int) (key int32, price float64)
+	}
+	fixtures := []fixture{{"runs", 4 * chunk, func(i int) (int32, float64) {
+		switch j := i % chunk; {
+		case j < 300:
+			return 0, 0.1
+		case j < 600:
+			return 1, 1e16
+		default:
+			return 2, 1
 		}
-		defer tbl.Free()
-		for i := uint64(0); i < rows; i++ {
-			rec := Item(i)
-			switch j := i % chunk; {
-			case j < 300:
-				rec[keyCol], rec[ItemPriceColumn] = Int32Value(0), FloatValue(0.1)
-			case j < 600:
-				rec[keyCol], rec[ItemPriceColumn] = Int32Value(1), FloatValue(1e16)
-			default:
-				rec[keyCol], rec[ItemPriceColumn] = Int32Value(2), FloatValue(1)
-			}
-			if _, err := tbl.Insert(rec); err != nil {
+	}}}
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		prices := make([]float64, chunk+1)
+		for i := range prices {
+			prices[i] = r.Float64() * 100
+		}
+		fixtures = append(fixtures, fixture{fmt.Sprintf("random/seed=%d", seed), len(prices),
+			func(i int) (int32, float64) { return int32(i % 3), prices[i] }})
+	}
+	for _, fx := range fixtures {
+		var want []Result
+		for _, cfg := range []struct {
+			name string
+			opts Options
+		}{
+			{"plain", Options{ChunkRows: chunk, HotChunks: 1}},
+			{"devicecache", Options{ChunkRows: chunk, HotChunks: 1, DeviceCache: true}},
+			{"compress", Options{ChunkRows: chunk, HotChunks: 1, Compress: true}},
+			{"compress+devicecache", Options{ChunkRows: chunk, HotChunks: 1, Compress: true, DeviceCache: true}},
+		} {
+			tbl, err := Open(cfg.opts).CreateTable("item", ItemSchema())
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		got := make([]Result, len(plans))
-		for i, p := range plans { // one shape per Execute
-			res, err := tbl.Execute([]Plan{p})
-			if err != nil {
-				t.Fatalf("%s %s: %v", cfg.name, p.Op, err)
+			defer tbl.Free()
+			for i := 0; i < fx.rows; i++ {
+				rec := Item(uint64(i))
+				key, price := fx.price(i)
+				rec[keyCol], rec[ItemPriceColumn] = Int32Value(key), FloatValue(price)
+				if _, err := tbl.Insert(rec); err != nil {
+					t.Fatal(err)
+				}
 			}
-			got[i] = res[0]
-		}
-		if want == nil {
-			want = got
-		}
-		// A scalar sum adds one partial per chunk, the same doubles in
-		// every configuration; a group table accumulates across chunks, so
-		// where a chunk's groups fold (host table, sealed image, card)
-		// reassociates them — those compare to rounding across
-		// configurations and exactly within one.
-		for i, p := range plans {
-			if !sameResult(got[i], want[i], !p.Op.Grouped()) {
-				t.Errorf("%s %s: %x %+v, the plain store answers %x %+v", cfg.name, p.Op,
-					math.Float64bits(got[i].Sum), got[i].Groups, math.Float64bits(want[i].Sum), want[i].Groups)
+			got := make([]Result, len(plans))
+			for i, p := range plans { // one shape per Execute
+				res, err := tbl.Execute([]Plan{p})
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", fx.name, cfg.name, p.Op, err)
+				}
+				got[i] = res[0]
 			}
-		}
-		// The card has no unfiltered grouped kernel: under DeviceCache
-		// group_sum folds on the host what group_sum_where folds per
-		// launch, so only there the two reassociate.
-		if got[0].Sum != got[1].Sum || !sameResult(Result{Groups: got[2].Groups}, Result{Groups: got[3].Groups}, !cfg.opts.DeviceCache) {
-			t.Errorf("%s: sum %x, sum_where(-Inf, +Inf) %x; group_sum %+v, group_sum_where %+v", cfg.name,
-				math.Float64bits(got[0].Sum), math.Float64bits(got[1].Sum), got[2].Groups, got[3].Groups)
+			if want == nil {
+				want = got
+			}
+			// A scalar sum adds one partial per chunk, the same doubles in
+			// every configuration; a group table accumulates across chunks,
+			// so where a chunk's groups fold (host table, sealed image,
+			// card) reassociates them — those compare to rounding across
+			// configurations and exactly within one.
+			for i, p := range plans {
+				if !sameResult(got[i], want[i], !p.Op.Grouped()) {
+					t.Errorf("%s %s %s: %x %+v, the plain store answers %x %+v", fx.name, cfg.name, p.Op,
+						math.Float64bits(got[i].Sum), got[i].Groups, math.Float64bits(want[i].Sum), want[i].Groups)
+				}
+			}
+			// The card has no unfiltered grouped kernel: under DeviceCache
+			// group_sum folds on the host what group_sum_where folds per
+			// launch, so only there the two reassociate.
+			if got[0].Sum != got[1].Sum || !sameResult(Result{Groups: got[2].Groups}, Result{Groups: got[3].Groups}, !cfg.opts.DeviceCache) {
+				t.Errorf("%s %s: sum %x, sum_where(-Inf, +Inf) %x; group_sum %+v, group_sum_where %+v", fx.name, cfg.name,
+					math.Float64bits(got[0].Sum), math.Float64bits(got[1].Sum), got[2].Groups, got[3].Groups)
+			}
 		}
 	}
 }
