@@ -81,18 +81,22 @@ func main() {
 
 	base := *addr
 	var localTbl *hybridstore.Table
+	var checkpoint func() error // -wal: cut each second after the merge
 	if *selfserve {
 		if base != "" {
 			fmt.Fprintln(os.Stderr, "loadgen: -addr and -selfserve are mutually exclusive")
 			os.Exit(2)
 		}
-		stop, url, tbl, err := serveLocal(*rows, *unbatched, *resCache, *walDir)
+		stop, url, tbl, db, err := serveLocal(*rows, *unbatched, *resCache, *walDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen: selfserve:", err)
 			os.Exit(1)
 		}
 		defer stop()
 		base, localTbl = url, tbl
+		if *walDir != "" {
+			checkpoint = db.Checkpoint
+		}
 		fmt.Printf("selfserve: %d item rows on %s (batching %v, result cache %d B)\n",
 			*rows, url, !*unbatched, *resCache)
 	}
@@ -106,7 +110,7 @@ func main() {
 	}
 	stopMerges := func() {}
 	if localTbl != nil && mix.Write > 0 {
-		stopMerges = mergeEverySecond(localTbl)
+		stopMerges = mergeEverySecond(localTbl, checkpoint)
 	}
 	res, err := loadgen.Run(loadgen.Options{
 		BaseURL:     base,
@@ -153,11 +157,12 @@ func main() {
 }
 
 // mergeEverySecond folds the table's delta versions into its base once
-// a second, as the benchmark harness's upkeep does, until the returned
-// stop is called; stop returns once no merge runs. Without it a write
-// mix piles versions up for the whole run, a state the benchmark never
-// serves. A failed merge ends the run.
-func mergeEverySecond(tbl *hybridstore.Table) (stop func()) {
+// a second, and then calls checkpoint unless it is nil, as the benchmark
+// harness's upkeep does, until the returned stop is called; stop returns
+// once no merge runs. Without it a write mix piles versions up for the
+// whole run, a state the benchmark never serves. A failed merge or
+// checkpoint ends the run.
+func mergeEverySecond(tbl *hybridstore.Table, checkpoint func() error) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	tick := time.NewTicker(time.Second)
 	go func() {
@@ -170,6 +175,13 @@ func mergeEverySecond(tbl *hybridstore.Table) (stop func()) {
 			case <-tick.C:
 				if err := tbl.Merge(); err != nil {
 					fmt.Fprintln(os.Stderr, "loadgen: merge:", err)
+					os.Exit(1)
+				}
+				if checkpoint == nil {
+					continue
+				}
+				if err := checkpoint(); err != nil {
+					fmt.Fprintln(os.Stderr, "loadgen: checkpoint:", err)
 					os.Exit(1)
 				}
 			}
@@ -263,24 +275,23 @@ func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
 // durably: a previous process's rows are recovered instead of reloaded,
 // the device cache is re-primed from the checkpoint's manifest, and
 // every write acknowledged over HTTP survives a kill.
-func serveLocal(rows uint64, unbatched bool, resCache int64, walDir string) (stop func(), url string, vtbl *hybridstore.Table, err error) {
+func serveLocal(rows uint64, unbatched bool, resCache int64, walDir string) (stop func(), url string, vtbl *hybridstore.Table, db *hybridstore.DB, err error) {
 	opts := hybridstore.Options{ChunkRows: 256, DeviceCache: true,
 		ResultCache: hybridstore.ResultCacheOptions{Cap: resCache}}
-	var db *hybridstore.DB
 	if walDir != "" {
 		opts.Durability = hybridstore.Durability{Tables: []string{"item"}}
 		if db, err = hybridstore.OpenDir(walDir, opts); err != nil {
-			return nil, "", nil, err
+			return nil, "", nil, nil, err
 		}
 	} else {
 		db = hybridstore.Open(opts)
 	}
-	fail := func(tbl *hybridstore.Table, err error) (func(), string, *hybridstore.Table, error) {
+	fail := func(tbl *hybridstore.Table, err error) (func(), string, *hybridstore.Table, *hybridstore.DB, error) {
 		if tbl != nil {
 			tbl.Free()
 		}
 		db.Close()
-		return nil, "", nil, err
+		return nil, "", nil, nil, err
 	}
 	tbl := db.Table("item")
 	if tbl == nil { // fresh store (always, without -wal): load the fixture
@@ -329,5 +340,5 @@ func serveLocal(rows uint64, unbatched bool, resCache int64, walDir string) (sto
 		return fail(tbl, err)
 	}
 	go s.Serve(l)
-	return func() { l.Close(); db.Close(); tbl.Free() }, "http://" + l.Addr().String(), tbl, nil
+	return func() { l.Close(); db.Close(); tbl.Free() }, "http://" + l.Addr().String(), tbl, db, nil
 }

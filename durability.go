@@ -190,22 +190,27 @@ func (db *DB) Checkpoint() error {
 	db.mu.RUnlock()
 	sort.Slice(durables, func(i, j int) bool { return durables[i].nam < durables[j].nam })
 
-	enc := &wal.Encoder{}
-	enc.U32(uint32(len(durables)))
+	// The payload goes out as parts — the table count, then per table its
+	// header (image length included) and its image — never joined into
+	// one buffer.
+	var count wal.Encoder
+	count.U32(uint32(len(durables)))
+	parts := append(make([][]byte, 0, 1+2*len(durables)), count.Bytes())
 	coords := make(map[string]ckptCoord, len(durables))
 	for _, t := range durables {
-		enc.Str(t.nam)
-		enc.Str("core")
-		enc.Schema(t.t.Schema())
-		te := &wal.Encoder{}
-		ts, rows, err := t.t.CheckpointTo(te)
+		var head, img wal.Encoder
+		ts, rows, err := t.t.CheckpointTo(&img)
 		if err != nil {
 			return fmt.Errorf("hybridstore: checkpointing %q: %w", t.nam, err)
 		}
-		enc.Blob(te.Bytes())
+		head.Str(t.nam)
+		head.Str("core")
+		head.Schema(t.t.Schema())
+		head.U32(uint32(len(img.Bytes())))
+		parts = append(parts, head.Bytes(), img.Bytes())
 		coords[t.nam] = ckptCoord{ts: ts, rows: rows}
 	}
-	if err := wal.WriteSnapshotFile(filepath.Join(db.dir, checkpointFile), enc.Bytes()); err != nil {
+	if err := wal.WriteSnapshotFile(filepath.Join(db.dir, checkpointFile), parts...); err != nil {
 		return err
 	}
 	return db.wal.Compact(func(r *wal.Record) bool {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"hybridstore/internal/obs"
@@ -532,4 +533,107 @@ func TestDurableConcurrentWriters(t *testing.T) {
 			t.Fatalf("pk %d lost", pk)
 		}
 	}
+}
+
+// checkpointFixture opens a durable store in dir holding one frozen,
+// compressed table of rows accounts with a few versions left in its
+// delta store, and cuts a first checkpoint so the log holds only what
+// comes after.
+func checkpointFixture(t *testing.T, dir string, rows int) *DB {
+	t.Helper()
+	db, err := OpenDir(dir, Options{ChunkRows: 1024, HotChunks: 1, Compress: true,
+		Durability: Durability{Sync: SyncNone}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("accounts", durableSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if _, err := tbl.Insert(Record{
+			IntValue(int64(i)), CharValue("acct"), FloatValue(float64(i) * 10),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < uint64(rows); i += 97 {
+		if err := tbl.Update(i, 2, FloatValue(float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestCheckpointFileMatchesReference pins the checkpoint file's bytes:
+// the magic, the payload built as one buffer — the table count, then per
+// table its name, engine, schema and length-prefixed image — and the
+// payload's CRC-32. Checkpoint writes it as parts; a store either
+// version writes must open under the other.
+func TestCheckpointFileMatchesReference(t *testing.T) {
+	dir := t.TempDir()
+	db := checkpointFixture(t, dir, 4096)
+	defer db.Close()
+	if _, err := db.CreateTable("audit", durableSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var enc wal.Encoder
+	enc.U32(2)
+	for _, name := range []string{"accounts", "audit"} {
+		tbl := db.Table(name)
+		enc.Str(name)
+		enc.Str("core")
+		enc.Schema(tbl.t.Schema())
+		var img wal.Encoder
+		if _, _, err := tbl.t.CheckpointTo(&img); err != nil {
+			t.Fatal(err)
+		}
+		enc.Blob(img.Bytes())
+	}
+	want := append([]byte("HSCK\x01\x00\x00\x00"), enc.Bytes()...)
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(enc.Bytes()))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint file moved: %d bytes, reference %d", len(got), len(want))
+	}
+}
+
+// TestCheckpointAllocatesAboutItsImage: a checkpoint's heap traffic is
+// the image it writes and little else — the image is encoded into one
+// buffer sized up front and goes to disk without being copied, and the
+// log is compacted through fixed buffers.
+func TestCheckpointAllocatesAboutItsImage(t *testing.T) {
+	dir := t.TempDir()
+	db := checkpointFixture(t, dir, 1<<17)
+	defer db.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	st, err := os.Stat(filepath.Join(dir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := st.Size() * 11 / 10; alloc > uint64(limit) {
+		t.Fatalf("checkpoint allocated %d bytes for a %d-byte image (%.2f×), want at most 1.1×",
+			alloc, st.Size(), float64(alloc)/float64(st.Size()))
+	}
+	t.Logf("checkpoint allocated %d bytes for a %d-byte image (%.2f×)", alloc, st.Size(), float64(alloc)/float64(st.Size()))
 }

@@ -42,11 +42,14 @@ func (c *Column) MarshaledBytes() int {
 
 // Marshal serializes the column into a fresh contiguous image.
 func (c *Column) Marshal() []byte {
-	out := make([]byte, codecHeader, c.MarshaledBytes())
-	out[0] = byte(c.enc)
-	out[1] = byte(c.width)
-	binary.LittleEndian.PutUint16(out[2:], uint16(c.size))
-	binary.LittleEndian.PutUint32(out[4:], uint32(c.n))
+	return c.AppendMarshal(make([]byte, 0, c.MarshaledBytes()))
+}
+
+// AppendMarshal appends the column's image (MarshaledBytes long) to out.
+func (c *Column) AppendMarshal(out []byte) []byte {
+	out = append(out, byte(c.enc), byte(c.width))
+	out = binary.LittleEndian.AppendUint16(out, uint16(c.size))
+	out = binary.LittleEndian.AppendUint32(out, uint32(c.n))
 	switch c.enc {
 	case Raw:
 		out = append(out, c.raw...)

@@ -97,13 +97,28 @@ func (t *Table) ReplayCommit(ts uint64, ops []wal.Op) error {
 // coordinates log truncation keys on (commits at ts <= ckptTS and
 // inserts at row < ckptRows are covered by the image). The reader holds
 // MinActiveTS back for its duration, so a concurrent Merge/Prune cannot
-// fold or drop versions the serialization still needs.
+// fold or drop versions the serialization still needs. enc grows once,
+// to a bound of the image's size taken before anything is written.
 func (t *Table) CheckpointTo(enc *wal.Encoder) (ckptTS, ckptRows uint64, err error) {
 	reader := t.deltas.Begin()
 	defer reader.Abort()
 	pinTS := reader.SnapshotTS()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+
+	// Delta versions visible at the snapshot, stamped with their real
+	// commit timestamps so restore rebuilds the same chains.
+	var deltas []deltaEntry
+	t.deltas.RangeVisible(0, pinTS, func(row uint64, rec schema.Record, verTS uint64) bool {
+		deltas = append(deltas, deltaEntry{row: row, rec: rec, ts: verTS})
+		return true
+	})
+	// Device-cache manifest: which columns were warm, in which format.
+	var resident []device.ResidentCol
+	if t.eng.opts.DeviceCache && t.env.Cache != nil {
+		resident = t.env.Cache.ResidentColumns(t.rel.Name())
+	}
+	enc.Grow(t.imageBound(deltas, resident))
 
 	rows := t.rel.Rows()
 	enc.U64(pinTS)
@@ -137,22 +152,10 @@ func (t *Table) CheckpointTo(enc *wal.Encoder) (ckptTS, ckptRows uint64, err err
 		enc.U32(uint32(len(comps)))
 		for _, col := range comps {
 			enc.U32(uint32(col))
-			enc.Blob(c.comp[col].Marshal())
+			enc.BlobWith(c.comp[col].MarshaledBytes(), c.comp[col].AppendMarshal)
 		}
 	}
 
-	// Delta versions visible at the snapshot, stamped with their real
-	// commit timestamps so restore rebuilds the same chains.
-	type deltaEntry struct {
-		row uint64
-		rec schema.Record
-		ts  uint64
-	}
-	var deltas []deltaEntry
-	t.deltas.RangeVisible(0, pinTS, func(row uint64, rec schema.Record, verTS uint64) bool {
-		deltas = append(deltas, deltaEntry{row: row, rec: rec, ts: verTS})
-		return true
-	})
 	enc.U32(uint32(len(deltas)))
 	for _, d := range deltas {
 		enc.U64(d.row)
@@ -161,17 +164,57 @@ func (t *Table) CheckpointTo(enc *wal.Encoder) (ckptTS, ckptRows uint64, err err
 		enc.Record(d.rec)
 	}
 
-	// Device-cache manifest: which columns were warm, in which format.
-	var resident []device.ResidentCol
-	if t.eng.opts.DeviceCache && t.env.Cache != nil {
-		resident = t.env.Cache.ResidentColumns(t.rel.Name())
-	}
 	enc.U32(uint32(len(resident)))
 	for _, rc := range resident {
 		enc.U32(uint32(rc.Col))
 		enc.Bool(rc.Comp)
 	}
 	return pinTS, rows, nil
+}
+
+// deltaEntry is one delta version a checkpoint writes.
+type deltaEntry struct {
+	row uint64
+	rec schema.Record
+	ts  uint64
+}
+
+// imageBound is at least the byte length CheckpointTo writes for the
+// table with these deltas and this manifest: the fragments' SizeBytes
+// and the side-cars' MarshaledBytes, plus every fixed-width field, with
+// a zone counted for every column of a fragment. Called with t.mu held.
+func (t *Table) imageBound(deltas []deltaEntry, resident []device.ResidentCol) int {
+	fragment := func(f *layout.Fragment) int {
+		return 13 + f.SizeBytes() + 47*len(f.Cols()) // lin, len, blob length, zone count; per zone col + snapshot
+	}
+	n := 20 + 4 + 4 + 5*len(resident) // coordinates and chunk count; delta count; manifest
+	for _, c := range t.chunks {
+		n += 17 // state and row range
+		if c.state == hot {
+			n += fragment(c.nsm)
+			continue
+		}
+		n += 8 // group and side-car counts
+		for i, g := range c.groups {
+			n += 4 + 4*len(g) + fragment(c.frags[i])
+		}
+		for _, cc := range c.comp {
+			if cc != nil {
+				n += 8 + cc.MarshaledBytes()
+			}
+		}
+	}
+	for _, d := range deltas {
+		n += 17 + 4 // row, ts, reserved byte; value count
+		for _, v := range d.rec {
+			if v.Kind == schema.Char {
+				n += 1 + 4 + len(v.S) // kind tag, length, bytes
+			} else {
+				n += 1 + 8 // kind tag, fixed-width payload
+			}
+		}
+	}
+	return n
 }
 
 // encodeFragment serializes one base fragment: linearization, length,

@@ -193,6 +193,39 @@ func TestCheckpointDeltaReservedByte(t *testing.T) {
 	}
 }
 
+// TestCheckpointToGrowsOnce: CheckpointTo sizes its encoder once, from
+// the fragments and side-cars it is about to write, so the image never
+// regrows — a regrowth would leave at least a quarter of the buffer
+// unused and, at checkpoint scale, allocate the image twice. The table
+// carries every section the bound counts: cold chunks with side-cars,
+// a hot chunk, deltas with character values, and a warm manifest.
+func TestCheckpointToGrowsOnce(t *testing.T) {
+	_, tbl := newTable(t, Options{ChunkRows: 1024, HotChunks: 1, Compress: true, DeviceCache: true}, 8000)
+	defer tbl.Free()
+	if _, err := tbl.Adapt(); err != nil {
+		t.Fatal(err)
+	}
+	for row := uint64(0); row < 8000; row += 7 {
+		if err := tbl.Update(row, 2, schema.CharValue("name")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, warm := range []bool{false, true} {
+		if warm {
+			if _, err := tbl.SumFloat64(workload.ItemPriceCol); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var enc wal.Encoder
+		if _, _, err := tbl.CheckpointTo(&enc); err != nil {
+			t.Fatal(err)
+		}
+		if img := enc.Bytes(); cap(img) > len(img)*9/8 {
+			t.Fatalf("warm %v: a %d-byte image in a %d-byte buffer: the encoder regrew", warm, len(img), cap(img))
+		}
+	}
+}
+
 // A checkpoint image is untrusted bytes — the snapshot file's checksum
 // guards only against random damage — so every count in it is checked
 // against what the image can carry before anything is sized by it. The

@@ -18,8 +18,13 @@ type Encoder struct {
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Reset empties the encoder, keeping the backing array.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+// Grow makes room for n more bytes, so an encoder whose size is known
+// up front reallocates once instead of doubling from zero.
+func (e *Encoder) Grow(n int) {
+	if n > cap(e.buf)-len(e.buf) {
+		e.buf = append(make([]byte, 0, len(e.buf)+n), e.buf...)
+	}
+}
 
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
@@ -52,6 +57,14 @@ func (e *Encoder) Str(s string) {
 func (e *Encoder) Blob(b []byte) {
 	e.U32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
+}
+
+// BlobWith appends a length-prefixed byte slice of n bytes that fill
+// appends to the buffer in place, so an image already laid out elsewhere
+// is written once, not built and then copied.
+func (e *Encoder) BlobWith(n int, fill func([]byte) []byte) {
+	e.U32(uint32(n))
+	e.buf = fill(e.buf)
 }
 
 // Value appends a self-describing schema.Value (kind tag + payload).
@@ -209,6 +222,27 @@ func (d *Decoder) Record() schema.Record {
 		rec = append(rec, d.Value())
 	}
 	return rec
+}
+
+// skipRecord passes over what Record reads, failing where it fails.
+func (d *Decoder) skipRecord() {
+	n := int(d.U32())
+	if d.err != nil || n > d.Remaining() {
+		d.fail("record")
+		return
+	}
+	for i := 0; i < n && d.err == nil; i++ {
+		switch k := schema.Kind(d.U8()); k {
+		case schema.Int32, schema.Int64, schema.Float64:
+			d.take(8, "u64")
+		case schema.Char:
+			d.take(int(d.U32()), "string")
+		default:
+			if d.err == nil {
+				d.err = fmt.Errorf("%w: unknown value kind %d", ErrCorrupt, k)
+			}
+		}
+	}
 }
 
 // Schema reads a schema description and rebuilds the schema.

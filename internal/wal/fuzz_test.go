@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hybridstore/internal/schema"
@@ -47,6 +49,14 @@ func FuzzDecodeRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r, err := decodeRecord(payload)
+		// Compact's walk accepts exactly what decodeRecord accepts, and
+		// reads the same head.
+		var h Record
+		if herr := checkRecord(payload, &h); (herr == nil) != (err == nil) {
+			t.Fatalf("checkRecord: %v; decodeRecord: %v", herr, err)
+		} else if err == nil && (h.Kind != r.Kind || h.Table != r.Table || h.Row != r.Row || h.TS != r.TS) {
+			t.Fatalf("checkRecord read head %+v of %+v", h, r)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("refused with %v, not ErrCorrupt", err)
@@ -78,6 +88,25 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("round trip moved the record (%v):\n%x\n%x", err, e.Bytes(), again.Bytes())
 		}
 	})
+}
+
+// appendFrame appends payload to dst behind its frame header, as Append
+// frames a record.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
+// frames splits a log that scan accepts into its frames.
+func frames(data []byte) [][]byte {
+	var out [][]byte
+	for off := 0; off+frameHeaderSize <= len(data); {
+		end := off + frameHeaderSize + int(binary.LittleEndian.Uint32(data[off:]))
+		out = append(out, data[off:end])
+		off = end
+	}
+	return out
 }
 
 // payloadOf is r's encoding: the payload of its frame.
@@ -185,5 +214,37 @@ func FuzzScanFrames(f *testing.F) {
 		if (err != nil) != undecodable {
 			t.Fatalf("error %v at byte %d; a CRC-valid frame that does not decode starts there: %v", err, good, undecodable)
 		}
+		if err == nil {
+			compactKeeps(t, data[:good])
+		}
 	})
+}
+
+// compactKeeps writes log, a log scan accepts, as a file and compacts it
+// twice: keeping every frame, then every second one. Each time the file
+// must be exactly the kept frames' bytes.
+func compactKeeps(t *testing.T, log []byte) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := Open(path, Options{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	fs := frames(log)
+	for _, every := range []int{1, 2} {
+		var want []byte
+		for i := 0; i < len(fs); i += every {
+			want = append(want, fs[i]...)
+		}
+		i := 0
+		if err := l.Compact(func(*Record) bool { i++; return (i-1)%every == 0 }); err != nil {
+			t.Fatalf("Compact keeping every %d. frame of %d: %v", every, len(fs), err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Compact keeping every %d. frame of %d (%v): %d bytes, want %d", every, len(fs), err, len(got), len(want))
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -65,18 +66,20 @@ const frameHeaderSize = 8
 // Log is an append-only record log with CRC framing and group commit.
 // Safe for concurrent use.
 type Log struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	f        *os.File
-	path     string
-	opts     Options
-	buf      []byte // encoded frames appended but not yet written
-	nextLSN  uint64 // LSN the next Append receives
-	written  uint64 // highest LSN handed to the OS
-	durable  uint64 // highest LSN known durable per policy
-	flushing bool   // a flush leader is running
-	err      error  // sticky I/O error; poisons all later operations
-	closed   bool
+	compactMu sync.Mutex // serializes Compact; never taken under mu
+	mu        sync.Mutex
+	cond      *sync.Cond
+	f         *os.File
+	path      string
+	opts      Options
+	buf       []byte // encoded frames appended but not yet written
+	spare     []byte // the buffer the last flush wrote, the next flush's buf
+	nextLSN   uint64 // LSN the next Append receives
+	written   uint64 // highest LSN handed to the OS
+	durable   uint64 // highest LSN known durable per policy
+	flushing  bool   // a flush leader is running
+	err       error  // sticky I/O error; poisons all later operations
+	closed    bool
 }
 
 // Open opens (creating if absent) the log at path, validates every
@@ -152,21 +155,11 @@ func scan(data []byte) ([]*Record, int64, error) {
 	return recs, int64(off), nil
 }
 
-// appendFrame appends payload to dst behind its frame header.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
-}
-
-// Append encodes and enqueues rec, returning its log sequence number.
-// The record is not durable until Sync(lsn) returns.
+// Append encodes rec straight into the pending buffer behind a
+// reserved frame header, patches the header in place, and returns the
+// record's log sequence number. The record is not durable until
+// Sync(lsn) returns.
 func (l *Log) Append(rec *Record) (uint64, error) {
-	var e Encoder
-	if err := rec.encode(&e); err != nil {
-		return 0, err
-	}
-
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.err != nil {
@@ -175,7 +168,15 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: log closed")
 	}
-	l.buf = appendFrame(l.buf, e.Bytes())
+	start := len(l.buf)
+	e := Encoder{buf: binary.LittleEndian.AppendUint64(l.buf, 0)}
+	if err := rec.encode(&e); err != nil {
+		return 0, err // l.buf keeps its length: the partial frame is dropped
+	}
+	frame := e.buf[start:]
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameHeaderSize))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(frame[frameHeaderSize:]))
+	l.buf = e.buf
 	l.nextLSN++
 	mAppends.Inc()
 	return l.nextLSN - 1, nil
@@ -211,7 +212,7 @@ func (l *Log) Sync(lsn uint64) error {
 func (l *Log) flushLocked() {
 	l.flushing = true
 	buf := l.buf
-	l.buf = nil
+	l.buf = l.spare[:0]
 	target := l.nextLSN - 1
 	group := target - l.written
 	l.mu.Unlock()
@@ -230,6 +231,7 @@ func (l *Log) flushLocked() {
 
 	l.mu.Lock()
 	l.flushing = false
+	l.spare = buf
 	if err != nil {
 		l.err = fmt.Errorf("wal: flush: %w", err)
 	} else {
@@ -239,44 +241,27 @@ func (l *Log) flushLocked() {
 	l.cond.Broadcast()
 }
 
-// Compact rewrites the log keeping only records for which keep returns
-// true — the checkpoint truncation path. It drains any in-flight flush,
-// writes the survivors to a temp file, fsyncs and atomically renames it
-// over the log (fsyncing the directory so the swap survives power
-// loss). Compact runs under concurrent writers: LSN numbering stays
-// monotonic across it, so an Append that raced ahead of the compaction
-// can still Sync its pre-compact LSN afterwards.
+// Compact rewrites the log keeping only the records keep accepts — the
+// checkpoint truncation path. keep sees each record's head only (Kind,
+// Table, and Row or TS by kind; never Rec, Ops, Engine or Schema) in
+// one Record that Compact reuses, and must not call into the log; the
+// survivors are copied as the bytes that were appended. The bulk of the
+// file is filtered without the log mutex, so appends and syncs run
+// meanwhile; the mutex is taken again to filter the frames flushed
+// since, and held while the survivors are fsynced, renamed over the log
+// (the directory fsynced so the swap survives power loss) and reopened. Every frame in the file was written
+// by this process after Open cut any torn tail, so a damaged one is
+// ErrCorrupt and the log is left as it was. LSN numbering stays
+// monotonic across Compact, so an Append that raced ahead of it can
+// still Sync its pre-compact LSN afterwards.
 func (l *Log) Compact(keep func(*Record) bool) error {
+	l.compactMu.Lock()
+	defer l.compactMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.flushing {
-		l.cond.Wait()
-	}
-	if l.err != nil {
-		return l.err
-	}
-	if l.closed {
-		return fmt.Errorf("wal: log closed")
-	}
-	// Flush the pending buffer so the file holds everything appended.
-	if len(l.buf) > 0 {
-		if _, err := l.f.Write(l.buf); err != nil {
-			l.err = fmt.Errorf("wal: flush before compact: %w", err)
-			return l.err
-		}
-		l.buf = nil
-		l.written = l.nextLSN - 1
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	data, err := io.ReadAll(l.f)
+	f, end, err := l.drainLocked()
+	l.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	recs, _, err := scan(data)
-	if err != nil {
-		return fmt.Errorf("wal: compact: %w", err)
+		return err
 	}
 
 	tmp := l.path + ".tmp"
@@ -284,28 +269,33 @@ func (l *Log) Compact(keep func(*Record) bool) error {
 	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}
-	var e Encoder
-	var frame []byte
-	for _, rec := range recs {
-		if !keep(rec) {
-			continue
-		}
-		e.Reset()
-		err := rec.encode(&e)
-		if err == nil {
-			frame = appendFrame(frame[:0], e.Bytes())
-			_, err = out.Write(frame)
-		}
-		if err != nil {
-			out.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("wal: compact: %w", err)
-		}
-	}
-	if err := out.Sync(); err != nil {
+	c := &compaction{keep: keep, r: bufio.NewReaderSize(nil, compactBufSize),
+		w: bufio.NewWriterSize(out, compactBufSize), frame: make([]byte, frameHeaderSize)}
+	fail := func(err error) error {
 		out.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("wal: compact: %w", err)
+	}
+	if err := c.filter(f, 0, end); err != nil {
+		return fail(err)
+	}
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	f, tail, err := l.drainLocked()
+	if err != nil {
+		out.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := c.filter(f, end, tail); err != nil {
+		return fail(err)
+	}
+	if err := c.w.Flush(); err != nil {
+		return fail(err)
+	}
+	if err := out.Sync(); err != nil {
+		return fail(err)
 	}
 	if err := out.Close(); err != nil {
 		os.Remove(tmp)
@@ -321,19 +311,18 @@ func (l *Log) Compact(keep func(*Record) bool) error {
 		l.err = err
 		return l.err
 	}
-	old := l.f
-	f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
+	nf, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
 	if err != nil {
 		l.err = fmt.Errorf("wal: reopen after compact: %w", err)
 		return l.err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
+	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
+		nf.Close()
 		l.err = fmt.Errorf("wal: %w", err)
 		return l.err
 	}
-	old.Close()
-	l.f = f
+	f.Close()
+	l.f = nf
 	// LSN numbering must stay monotonic: writers that appended before we
 	// took the lock may still hold their LSNs and Sync them after we
 	// return. Everything appended so far is durable now — kept records
@@ -344,6 +333,85 @@ func (l *Log) Compact(keep func(*Record) bool) error {
 	l.written = l.nextLSN - 1
 	l.durable = l.written
 	l.cond.Broadcast()
+	return nil
+}
+
+// drainLocked waits out a running flush, writes the pending buffer to
+// the file (without an fsync) and returns the file and its length, so
+// that every appended record is in its bytes. Called with l.mu held.
+func (l *Log) drainLocked() (*os.File, int64, error) {
+	for l.flushing {
+		l.cond.Wait()
+	}
+	if l.err != nil {
+		return nil, 0, l.err
+	}
+	if l.closed {
+		return nil, 0, fmt.Errorf("wal: log closed")
+	}
+	if len(l.buf) > 0 {
+		if _, err := l.f.Write(l.buf); err != nil {
+			l.err = fmt.Errorf("wal: flush before compact: %w", err)
+			return nil, 0, l.err
+		}
+		l.buf = l.buf[:0]
+		l.written = l.nextLSN - 1
+	}
+	end, err := l.f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: %w", err)
+	}
+	return l.f, end, nil
+}
+
+// compactBufSize is the read and write buffer of a compaction.
+const compactBufSize = 64 << 10
+
+// compaction is one Compact's frame filter: fixed buffers, one frame of
+// scratch that grows to the largest frame, and the head keep is shown.
+type compaction struct {
+	keep  func(*Record) bool
+	r     *bufio.Reader
+	w     *bufio.Writer
+	frame []byte
+	head  Record
+}
+
+// filter walks the frames of f's bytes [from, to), checking each CRC
+// and that each body decodes, and copies those whose head keep accepts
+// to the output as they are.
+func (c *compaction) filter(f *os.File, from, to int64) error {
+	c.r.Reset(io.NewSectionReader(f, from, to-from))
+	for off := from; off < to; {
+		c.frame = c.frame[:frameHeaderSize]
+		if _, err := io.ReadFull(c.r, c.frame); err != nil {
+			return fmt.Errorf("reading frame at offset %d: %w", off, err)
+		}
+		n := int64(binary.LittleEndian.Uint32(c.frame))
+		if n == 0 || n > to-off-frameHeaderSize {
+			return fmt.Errorf("%w: frame at offset %d claims %d bytes, %d remain", ErrCorrupt, off, n, to-off-frameHeaderSize)
+		}
+		if need := frameHeaderSize + int(n); need > cap(c.frame) {
+			c.frame = append(make([]byte, 0, need), c.frame...)
+		}
+		c.frame = c.frame[:frameHeaderSize+n]
+		payload := c.frame[frameHeaderSize:]
+		if _, err := io.ReadFull(c.r, payload); err != nil {
+			return fmt.Errorf("reading frame at offset %d: %w", off, err)
+		}
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(c.frame[4:]) {
+			return fmt.Errorf("%w: frame at offset %d fails its CRC", ErrCorrupt, off)
+		}
+		if err := checkRecord(payload, &c.head); err != nil {
+			return fmt.Errorf("frame at offset %d (kind %d) has a valid CRC but does not decode: %w", off, payload[0], err)
+		}
+		if c.keep(&c.head) {
+			if _, err := c.w.Write(c.frame); err != nil {
+				return err
+			}
+		}
+		off += frameHeaderSize + n
+	}
 	return nil
 }
 

@@ -151,3 +151,42 @@ func decodeRecord(payload []byte) (*Record, error) {
 	}
 	return r, nil
 }
+
+// checkRecord reads payload's head into h — kind, table and, by kind,
+// the insert row or the commit timestamp — and walks the rest of the
+// body the way decodeRecord reads it without building a value, so it
+// fails exactly where decodeRecord fails. h.Table is reused when the
+// name is unchanged; nothing else of h is touched. A create record is
+// rare and carries a schema that only schema.New can check, so it is
+// decoded in full.
+func checkRecord(payload []byte, h *Record) error {
+	d := Decoder{buf: payload}
+	h.Kind = Kind(d.U8())
+	if table := d.take(int(d.U32()), "string"); string(table) != h.Table {
+		h.Table = string(table)
+	}
+	switch h.Kind {
+	case KindCreate:
+		_, err := decodeRecord(payload)
+		return err
+	case KindInsert:
+		h.Row = d.U64()
+		d.skipRecord()
+	case KindCommit:
+		h.TS = d.U64()
+		n := int(d.U32())
+		if n > len(payload) {
+			return fmt.Errorf("%w: %d ops in %d bytes", ErrCorrupt, n, len(payload))
+		}
+		for i := 0; i < n; i++ {
+			d.U64()
+			if d.U8() != 0 {
+				return fmt.Errorf("%w: op %d of commit %d has its reserved byte set", ErrCorrupt, i, h.TS)
+			}
+			d.skipRecord()
+		}
+	default:
+		return fmt.Errorf("%w: unknown kind %d", ErrCorrupt, h.Kind)
+	}
+	return d.Err()
+}

@@ -11,12 +11,13 @@ import (
 // snapshotMagic heads every checkpoint file: "HSCK" + format version 1.
 var snapshotMagic = [8]byte{'H', 'S', 'C', 'K', 1, 0, 0, 0}
 
-// WriteSnapshotFile writes payload to path with a magic header and a
-// trailing CRC-32, via a temp file and atomic rename, fsyncing the
-// file before the swap and the parent directory after it. A crash
-// mid-write leaves the previous snapshot (or none) intact; a torn file
-// fails ReadSnapshotFile's checksum.
-func WriteSnapshotFile(path string, payload []byte) error {
+// WriteSnapshotFile writes the payload — the concatenation of parts,
+// each written as it is, never joined in memory — to path with a magic
+// header and a trailing CRC-32, via a temp file and atomic rename,
+// fsyncing the file before the swap and the parent directory after it.
+// A crash mid-write leaves the previous snapshot (or none) intact; a
+// torn file fails ReadSnapshotFile's checksum.
+func WriteSnapshotFile(path string, parts ...[]byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
@@ -25,12 +26,17 @@ func WriteSnapshotFile(path string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	if _, err = f.Write(snapshotMagic[:]); err == nil {
-		if _, err = f.Write(payload); err == nil {
-			_, err = f.Write(crc[:])
+	_, err = f.Write(snapshotMagic[:])
+	var crc uint32
+	for _, p := range parts {
+		if err != nil {
+			break
 		}
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+		_, err = f.Write(p)
+	}
+	if err == nil {
+		_, err = f.Write(binary.LittleEndian.AppendUint32(nil, crc))
 	}
 	if err == nil {
 		err = f.Sync()

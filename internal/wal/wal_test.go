@@ -367,6 +367,8 @@ func TestCommitOpKeepsItsReservedByte(t *testing.T) {
 	}
 }
 
+// TestLogCompact: compaction keeps exactly the frames keep accepts, as
+// the bytes that were appended, and the log stays usable after it.
 func TestLogCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, _, err := Open(path, Options{Sync: SyncAlways})
@@ -374,13 +376,32 @@ func TestLogCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		lsn, _ := l.Append(&Record{Kind: KindCommit, Table: "t", TS: uint64(i + 1)})
+		lsn, _ := l.Append(&Record{Kind: KindCommit, Table: "t", TS: uint64(i + 1),
+			Ops: []Op{{Row: uint64(i), Rec: schema.Record{schema.IntValue(int64(i)), schema.CharValue("x")}}}})
 		if err := l.Sync(lsn); err != nil {
 			t.Fatal(err)
 		}
 	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Compact(func(r *Record) bool { return r.TS > 5 }); err != nil {
 		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _ := scan(before)
+	var want []byte
+	for i, f := range frames(before) {
+		if recs[i].TS > 5 {
+			want = append(want, f...)
+		}
+	}
+	if !bytes.Equal(after, want) {
+		t.Fatalf("compacted file is not the kept frames: %d bytes, want %d", len(after), len(want))
 	}
 	// The log stays usable after compaction.
 	lsn, err := l.Append(&Record{Kind: KindCommit, Table: "t", TS: 11})
@@ -393,7 +414,7 @@ func TestLogCompact(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err := Open(path, Options{})
+	_, recs, err = Open(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +425,165 @@ func TestLogCompact(t *testing.T) {
 		if want := uint64(i + 6); r.TS != want {
 			t.Fatalf("record %d has ts %d, want %d", i, r.TS, want)
 		}
+	}
+}
+
+// TestCompactRefusesDamagedLog: every frame in the file was written by
+// this process after Open cut any torn tail, so a frame Compact cannot
+// read is damage, not a tail. Compact fails with ErrCorrupt and leaves
+// the file byte for byte as it was; rewriting it without the damaged
+// frame would drop every acknowledged write behind it.
+func TestCompactRefusesDamagedLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _, err := Open(path, Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 5; i++ {
+		lsn, err := l.Append(&Record{Kind: KindInsert, Table: "t", Row: uint64(i),
+			Rec: schema.Record{schema.IntValue(int64(i))}})
+		if err == nil {
+			err = l.Sync(lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := frames(data)
+	mid := len(fs[0]) + len(fs[1]) + frameHeaderSize + 2 // inside the third frame's payload
+	for _, leg := range []struct {
+		name string
+		at   int
+	}{{"payload byte", mid}, {"length", len(fs[0]) + len(fs[1])}} {
+		damaged := bytes.Clone(data)
+		damaged[leg.at] ^= 0x40
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := l.Compact(func(*Record) bool { return false })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Compact of a damaged log: %v, want ErrCorrupt", leg.name, err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, damaged) {
+			t.Fatalf("%s: a failed Compact changed the file: %d -> %d bytes", leg.name, len(damaged), len(after))
+		}
+	}
+}
+
+// TestCompactLetsAppendsThrough: the bulk of a compaction runs without
+// the log mutex, so while keep is blocked an Append and its Sync still
+// complete. When keep ran under the mutex this deadlocked.
+func TestCompactLetsAppendsThrough(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, _, err := Open(path, Options{Sync: SyncGrouped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := l.Append(&Record{Kind: KindCommit, Table: "t", TS: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	compacted := make(chan error, 1)
+	go func() {
+		compacted <- l.Compact(func(r *Record) bool {
+			once.Do(func() { close(entered); <-release })
+			return r.TS > 2
+		})
+	}()
+	<-entered
+	lsn, err := l.Append(&Record{Kind: KindCommit, Table: "t", TS: 5})
+	if err == nil {
+		err = l.Sync(lsn)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ts []uint64
+	for _, r := range recs {
+		ts = append(ts, r.TS)
+	}
+	if !reflect.DeepEqual(ts, []uint64{3, 4, 5}) {
+		t.Fatalf("compacted log holds commits %v, want [3 4 5]", ts)
+	}
+}
+
+// TestAppendSyncAllocatesNothing: under SyncNone a steady-state Append
+// and Sync of a one-op commit encodes into the pending buffer in place,
+// and the flush hands its buffer back for the next one.
+func TestAppendSyncAllocatesNothing(t *testing.T) {
+	l, _, err := Open(filepath.Join(t.TempDir(), "wal.log"), Options{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := &Record{Kind: KindCommit, Table: "item", TS: 1, Ops: []Op{{Row: 3,
+		Rec: schema.Record{schema.IntValue(3), schema.FloatValue(1.5), schema.CharValue("ab")}}}}
+	appendSync := func() {
+		lsn, err := l.Append(rec)
+		if err == nil {
+			err = l.Sync(lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendSync()
+	appendSync() // both buffers have grown
+	if n := testing.AllocsPerRun(200, appendSync); n != 0 {
+		t.Fatalf("Append+Sync allocates %v objects, want 0", n)
+	}
+}
+
+// TestCompactAllocsFlatInLogLength: Compact streams through fixed
+// buffers, so compacting a 16 k-record log allocates the same number of
+// objects as a 1 k-record one.
+func TestCompactAllocsFlatInLogLength(t *testing.T) {
+	allocs := func(records int) float64 {
+		l, _, err := Open(filepath.Join(t.TempDir(), "wal.log"), Options{Sync: SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		rec := schema.Record{schema.IntValue(1), schema.FloatValue(1.5), schema.CharValue("ab")}
+		for i := 0; i < records; i++ {
+			if _, err := l.Append(&Record{Kind: KindCommit, Table: "item", TS: uint64(i + 1),
+				Ops: []Op{{Row: uint64(i), Rec: rec}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := l.Compact(func(*Record) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const budget = 24 // files, buffers, the head keep sees, its table name
+	if small, large := allocs(1<<10), allocs(1<<14); small != large || large > budget {
+		t.Fatalf("Compact allocates %v objects over 1 k records and %v over 16 k, want the same, at most %d", small, large, budget)
 	}
 }
 

@@ -3,13 +3,17 @@
 # committed text: the evidence a performance change argues from, taken
 # with a command anyone can re-run.
 #
-#   bash perf/profile.sh [-m MIX] [-s SEED] [-d DUR] [-p REV] -a PR
+#   bash perf/profile.sh [-w] [-m MIX] [-s SEED] [-d DUR] [-p REV] -a PR
 #
 # Builds cmd/loadgen and runs
 #   loadgen -selfserve -rows 131072 -concurrency 8 -mix MIX -seed SEED
 #           -duration DUR -cpuprofile … -memprofile …
 # (defaults: MIX sum=75,group=25, SEED 1, DUR 10s), which fails on any
-# request error or served-vs-direct mismatch. Then writes, under
+# request error or served-vs-direct mismatch. -w profiles the durable
+# path instead: it adds -wal with a fresh directory — the item table
+# logs every write under the default grouped fsync, and the merge tick
+# also checkpoints once a second — and MIX defaults to write=80,point=20.
+# Then writes, under
 # perf/profiles/PR/,
 #   SIDE.cpu.txt          go tool pprof -top -nodecount=25 of the CPU profile
 #   SIDE.alloc_space.txt  the same over the allocation profile's alloc_space
@@ -21,9 +25,10 @@
 # from process start, fixture load included.
 set -euo pipefail
 
-mix=sum=75,group=25 seed=1 dur=10s rev= pr=
-while getopts "m:s:d:p:a:" opt; do
+mix= seed=1 dur=10s rev= pr= wal=()
+while getopts "wm:s:d:p:a:" opt; do
 	case $opt in
+	w) wal=(-wal wal) ;;
 	m) mix=$OPTARG ;;
 	s) seed=$OPTARG ;;
 	d) dur=$OPTARG ;;
@@ -32,6 +37,10 @@ while getopts "m:s:d:p:a:" opt; do
 	*) sed -n '2,6p' "$0" >&2; exit 2 ;;
 	esac
 done
+if [ -z "$mix" ]; then
+	mix=sum=75,group=25
+	[ ${#wal[@]} -eq 0 ] || mix=write=80,point=20
+fi
 if [ -z "$pr" ]; then
 	sed -n '2,6p' "$0" >&2
 	exit 2
@@ -51,10 +60,10 @@ fi
 go -C "$src" build -o "$work/loadgen" ./cmd/loadgen
 
 (cd "$work" && ./loadgen -selfserve -rows 131072 -concurrency 8 -mix "$mix" -seed "$seed" -duration "$dur" \
-	-cpuprofile cpu.prof -memprofile mem.prof >run.txt) || { cat "$work/run.txt" >&2; exit 1; }
+	${wal[@]+"${wal[@]}"} -cpuprofile cpu.prof -memprofile mem.prof >run.txt) || { cat "$work/run.txt" >&2; exit 1; }
 
 out=perf/profiles/$pr
 mkdir -p "$out"
 go tool pprof -top -nodecount=25 "$work/loadgen" "$work/cpu.prof" >"$out/$side.cpu.txt" 2>/dev/null
 go tool pprof -top -nodecount=25 -sample_index=alloc_space "$work/loadgen" "$work/mem.prof" >"$out/$side.alloc_space.txt" 2>/dev/null
-echo "profile: $side ($mix, seed $seed, $dur) -> $out/$side.{cpu,alloc_space}.txt" >&2
+echo "profile: $side ($mix${wal[@]+, -wal}, seed $seed, $dur) -> $out/$side.{cpu,alloc_space}.txt" >&2
