@@ -60,7 +60,7 @@ func main() {
 	selfserve := flag.Bool("selfserve", false, "spin up an in-process server on a loopback port and drive that")
 	rows := flag.Uint64("rows", 4096, "item rows to load (-selfserve) and the point-write row domain")
 	unbatched := flag.Bool("unbatched", false, "disable shared-scan batching in the -selfserve server")
-	resCache := flag.Int64("result-cache", 64<<20, "result cache capacity in bytes for -selfserve (0 disables)")
+	resCache := flag.Int64("result-cache", 4<<20, "result cache capacity in bytes for -selfserve (0 disables)")
 	concurrency := flag.Int("concurrency", 16, "client lanes")
 	duration := flag.Duration("duration", 5*time.Second, "run length (upper bound with -autoterm)")
 	mixFlag := flag.String("mix", "write=20,point=20,sum=45,group=15", "operation mix in percent")
@@ -270,13 +270,17 @@ func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
 	return checked, nil
 }
 
-// serveLocal builds the warm device-cached item fixture and serves it
-// on a loopback port. With a non-empty walDir the item table is opened
+// serveLocal builds the warm item fixture and serves it on a loopback
+// port. The store has the benchmark's shape (bench/fixture.go's
+// storeOptions): compressed cold chunks, the device cache, default chunk
+// size and, at the flag's default, a 4 MiB result cache — so a profile
+// of this process sees the re-seal and the compressed kernels the
+// benchmark runs. With a non-empty walDir the item table is opened
 // durably: a previous process's rows are recovered instead of reloaded,
 // the device cache is re-primed from the checkpoint's manifest, and
 // every write acknowledged over HTTP survives a kill.
 func serveLocal(rows uint64, unbatched bool, resCache int64, walDir string) (stop func(), url string, vtbl *hybridstore.Table, db *hybridstore.DB, err error) {
-	opts := hybridstore.Options{ChunkRows: 256, DeviceCache: true,
+	opts := hybridstore.Options{DeviceCache: true, Compress: true,
 		ResultCache: hybridstore.ResultCacheOptions{Cap: resCache}}
 	if walDir != "" {
 		opts.Durability = hybridstore.Durability{Tables: []string{"item"}}

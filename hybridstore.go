@@ -286,14 +286,15 @@ type (
 // snapshot; the serving layer's batching scheduler collapses concurrent
 // compatible requests into this call, and every named aggregate method
 // below is the one-plan case of it (the engine builds the plan its name
-// describes).
+// describes). A result is read-only: a get's record may be the result
+// cache's own (Get returns a private copy).
 func (t *Table) Execute(plans []Plan) ([]Result, error) { return t.t.Execute(plans) }
 
 // Peek consults the result cache WITHOUT executing anything: ok=false
 // means disabled, unanswerable from the cache, or simply absent — run
 // Execute. It is the serving layer's pre-admission fast path and a
 // valid linearization: a hit's version stamp matches the live fragment
-// state at probe time.
+// state at probe time. A hit is the cache entry itself, read-only.
 func (t *Table) Peek(p Plan) (Result, bool) { return t.t.Peek(p) }
 
 // Get materializes the record at the given position.

@@ -24,7 +24,7 @@ import (
 
 const codecHeader = 8
 
-// MarshaledBytes returns the exact length Marshal will produce.
+// MarshaledBytes returns the exact length AppendMarshal appends.
 func (c *Column) MarshaledBytes() int {
 	n := codecHeader
 	switch c.enc {
@@ -38,11 +38,6 @@ func (c *Column) MarshaledBytes() int {
 		n += 8 + len(c.deltas)
 	}
 	return n
-}
-
-// Marshal serializes the column into a fresh contiguous image.
-func (c *Column) Marshal() []byte {
-	return c.AppendMarshal(make([]byte, 0, c.MarshaledBytes()))
 }
 
 // AppendMarshal appends the column's image (MarshaledBytes long) to out.
@@ -68,7 +63,7 @@ func (c *Column) AppendMarshal(out []byte) []byte {
 	return out
 }
 
-// Decode reconstructs a column from a Marshal image. The payload slices
+// Decode reconstructs a column from an AppendMarshal image. The payload slices
 // alias data; callers that mutate data must copy first. Decode is a thin
 // shell around the validation so that it inlines: a caller that only
 // runs operators over the column (the device's kernels, once per launch)
@@ -81,7 +76,7 @@ func Decode(data []byte) (*Column, error) {
 	return c, nil
 }
 
-// decode validates a Marshal image and points c at its payload. Images
+// decode validates an AppendMarshal image and points c at its payload. Images
 // are untrusted bytes: whatever passes here must be safe for every
 // operator, whose loops index the payload without further checks.
 func (c *Column) decode(data []byte) error {

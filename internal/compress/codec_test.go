@@ -79,7 +79,7 @@ func checkDecoded(t *testing.T, c *Column) {
 			t.Fatalf("%v: At(%d) = %x, %v; dense image has %x", c, i, got, err, dense[i*size:(i+1)*size])
 		}
 	}
-	if d, err := Decode(c.Marshal()); err != nil || !bytes.Equal(d.Decompress(), dense) {
+	if d, err := Decode(c.AppendMarshal(nil)); err != nil || !bytes.Equal(d.Decompress(), dense) {
 		t.Fatalf("%v: does not survive Marshal and Decode (%v)", c, err)
 	}
 	if size != 8 {
@@ -152,7 +152,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		wire := c.Marshal()
+		wire := c.AppendMarshal(nil)
 		f.Add(wire)
 		f.Add(wire[:len(wire)-3]) // a truncated payload
 	}
@@ -160,12 +160,12 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(empty.Marshal())
+	f.Add(empty.AppendMarshal(nil))
 	narrow, err := Compress([]byte{1, 2, 1, 2, 3, 3}, 3, 2)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(narrow.Marshal())
+	f.Add(narrow.AppendMarshal(nil))
 	f.Add(rleFrame(4, 3, 1, 4))
 	f.Add(rleFrame(4, 9, 4))
 	f.Add(rleFrame(4, 2, 2, 4))
@@ -193,7 +193,7 @@ func TestDecodedColumnsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c, err = Decode(c.Marshal()); err != nil {
+		if c, err = Decode(c.AppendMarshal(nil)); err != nil {
 			t.Fatalf("%v: %v", enc, err)
 		}
 		checkDecoded(t, c)

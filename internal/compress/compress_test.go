@@ -332,7 +332,7 @@ func TestCompressedCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", enc, err)
 		}
-		wire := c.Marshal()
+		wire := c.AppendMarshal(nil)
 		if len(wire) != c.MarshaledBytes() {
 			t.Errorf("%v: Marshal length %d, MarshaledBytes %d", enc, len(wire), c.MarshaledBytes())
 		}
@@ -490,8 +490,8 @@ func sameImage(t *testing.T, what string, got *Column, gotErr error, want *Colum
 	if gotErr != nil {
 		return
 	}
-	if got.Encoding() != want.Encoding() || !bytes.Equal(got.Marshal(), want.Marshal()) {
-		t.Fatalf("%s: %v image %x, reference %v image %x", what, got.Encoding(), got.Marshal(), want.Encoding(), want.Marshal())
+	if got.Encoding() != want.Encoding() || !bytes.Equal(got.AppendMarshal(nil), want.AppendMarshal(nil)) {
+		t.Fatalf("%s: %v image %x, reference %v image %x", what, got.Encoding(), got.AppendMarshal(nil), want.Encoding(), want.AppendMarshal(nil))
 	}
 }
 
@@ -651,7 +651,7 @@ func FuzzCompress(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Compress of %d %d-byte elements: %v", n, sz, err)
 		}
-		back, err := Decode(got.Marshal())
+		back, err := Decode(got.AppendMarshal(nil))
 		if err != nil {
 			t.Fatalf("Decode(Marshal()) of %v: %v", got.Encoding(), err)
 		}

@@ -167,7 +167,7 @@ func encodings(t *testing.T, data []byte, n int) map[Encoding]*Column {
 		}
 		// Operators run on what the device decodes, not on what the
 		// encoder built.
-		if c, err = Decode(c.Marshal()); err != nil {
+		if c, err = Decode(c.AppendMarshal(nil)); err != nil {
 			t.Fatalf("%v: Decode(Marshal()): %v", enc, err)
 		}
 		out[enc] = c
@@ -407,7 +407,7 @@ func benchChunk(b *testing.B) (*Column, agg.Keys) {
 	if err != nil || c.Encoding() != Raw {
 		b.Fatalf("bench chunk: %v, %v", c, err)
 	}
-	if c, err = Decode(c.Marshal()); err != nil {
+	if c, err = Decode(c.AppendMarshal(nil)); err != nil {
 		b.Fatal(err)
 	}
 	return c, agg.Keys{Data: keys, Stride: 4, Size: 4}

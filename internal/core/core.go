@@ -192,6 +192,9 @@ type Table struct {
 
 	chunks []*chunk
 	mon    *workload.Monitor
+	// allCols is every column in order: what a point read touches, as
+	// the monitor is told.
+	allCols []int
 
 	// MVCC: updates become versions here; base fragments stay immutable
 	// under updates. The store is also the table's clock: every read
@@ -244,6 +247,7 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 			Clock:  e.env.Clock,
 		},
 		mon:        workload.NewMonitor(s.Arity()),
+		allCols:    layout.AllCols(s),
 		deltas:     tx.NewStore(),
 		deviceCols: make(map[int]bool),
 	}
@@ -470,8 +474,10 @@ func (t *Table) recast(c *chunk, groups [][]int) error {
 	}
 	// Migrate tuplets.
 	n := c.filled()
+	var rec schema.Record
 	for i := 0; i < n; i++ {
-		rec, err := t.chunkRecord(c, i)
+		var err error
+		rec, err = t.chunkRecordInto(c, i, rec)
 		if err != nil {
 			freeAll(frags)
 			return err
@@ -601,28 +607,39 @@ func (t *Table) chunkFor(row uint64) (*chunk, error) {
 	return nil, fmt.Errorf("%w: row %d", engine.ErrNoSuchRow, row)
 }
 
-// baseRecord materializes row from the base fragments (no MVCC
-// patching) and returns the chunk it read. Device-resident fragments
-// are read directly; the caller charges the bus for the gathered field
-// bytes (chargeDeviceGather) — a gather once per chunk for the whole
-// cohort, a solo read per call.
-func (t *Table) baseRecord(row uint64) (schema.Record, *chunk, error) {
+// baseRecordInto materializes row from the base fragments (no MVCC
+// patching) into dst's backing array when it has room (chunkRecordInto)
+// and returns the chunk it read.
+func (t *Table) baseRecordInto(row uint64, dst schema.Record) (schema.Record, *chunk, error) {
 	c, err := t.chunkFor(row)
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := t.chunkRecord(c, int(row-c.rows.Begin))
+	rec, err := t.chunkRecordInto(c, int(row-c.rows.Begin), dst)
 	return rec, c, err
 }
 
-// chunkRecord materializes tuplet i of the chunk from whichever
-// fragments hold it.
-func (t *Table) chunkRecord(c *chunk, i int) (schema.Record, error) {
+// baseRecord is baseRecordInto into a fresh record.
+func (t *Table) baseRecord(row uint64) (schema.Record, *chunk, error) {
+	return t.baseRecordInto(row, nil)
+}
+
+// chunkRecordInto materializes tuplet i of the chunk from whichever
+// fragments hold it (no MVCC patching), into dst's backing array when it
+// has room (dst's length is ignored; nil allocates). Device-resident
+// fragments are read directly; the caller charges the bus for the
+// gathered field bytes (chargeDeviceGather) — a gather once per chunk
+// for the whole cohort, a solo read per call.
+func (t *Table) chunkRecordInto(c *chunk, i int, dst schema.Record) (schema.Record, error) {
 	if c.state == hot {
-		vals, err := c.nsm.Tuplet(i)
+		vals, err := c.nsm.Tuplet(i, dst) // an NSM chunk stores every column, in order
 		return schema.Record(vals), err
 	}
-	rec := make(schema.Record, t.s.Arity())
+	n := t.s.Arity()
+	if cap(dst) < n {
+		dst = make(schema.Record, n)
+	}
+	rec := dst[:n]
 	for gi, f := range c.frags {
 		for _, col := range c.groups[gi] {
 			v, err := f.Get(i, col)

@@ -847,3 +847,30 @@ func TestSealAllocatesOnlyTheWinners(t *testing.T) {
 		t.Fatal("seal left a compressible column without an image")
 	}
 }
+
+// updateAllocs is what one single-field Update of a merged table
+// allocates: the record Write keeps, the one-entry write set and the
+// version it installs as. The read lands in a stack buffer and the
+// transaction stays on the caller's stack. It read 6 while the update
+// materialized the record, cloned it into a per-transaction map and the
+// store held the Tx in its active set.
+const updateAllocs = 3
+
+func TestUpdateAllocs(t *testing.T) {
+	_, tbl := newTable(t, Options{}, 2048)
+	defer tbl.Free()
+	if err := tbl.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	price := 1.0
+	got := testing.AllocsPerRun(100, func() {
+		price++
+		if err := tbl.Update(7, workload.ItemPriceCol, schema.FloatValue(price)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Update: %.1f allocs/op", got)
+	if got > updateAllocs {
+		t.Fatalf("Update allocates %.1f objects, gate %d", got, updateAllocs)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
-	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/rescache"
 	"hybridstore/internal/schema"
@@ -46,7 +45,8 @@ func (t *Table) cacheKey(p exec.Plan) rescache.Key {
 }
 
 // Execute answers every plan — all of one shape — from one lock
-// acquisition and one MVCC snapshot; result k belongs to plans[k].
+// acquisition and one MVCC snapshot; result k belongs to plans[k]. The
+// results are read-only: a get's record may be the result cache's own.
 func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	if len(plans) == 0 {
 		return []exec.Result{}, nil
@@ -67,7 +67,8 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 		if len(plans) == 1 {
 			// A lone get takes no snapshot unless the cache misses and
 			// charges its one gather itself.
-			rec, err := t.getLocked(plans[0].Row)
+			rec, _, c, err := t.pointLocked(nil, plans[0].Row)
+			t.chargeDeviceGather(c, 1)
 			out[0].Rec = rec
 			return out, err
 		}
@@ -107,7 +108,8 @@ func (t *Table) scanAt(reader *tx.Tx, plans []exec.Plan) ([]exec.Result, error) 
 // while no delta version exists; a hit costs the read lock, one epoch
 // compare and a map probe. Anything else — cache disabled, live deltas,
 // miss — reports false and the caller proceeds to Execute, whose own
-// cache Lookup records the miss (and may hit, and patch).
+// cache Lookup records the miss (and may hit, and patch). A hit is the
+// cache entry itself, read-only.
 func (t *Table) Peek(p exec.Plan) (exec.Result, bool) {
 	cache := t.eng.rescache
 	if cache == nil {
@@ -193,40 +195,52 @@ func (t *Table) rowStampLocked(row uint64) (rescache.Key, rescache.Stamp, bool) 
 // stayed clean. A nil reader is a lone read: it begins its own snapshot,
 // and only on a cache miss. c is the chunk whose base fragments were
 // read (nil for a hit or a delta), left for the caller to charge.
-func (t *Table) pointLocked(reader *tx.Tx, row uint64) (rec schema.Record, c *chunk, err error) {
+//
+// The record is read-only: shared reports that it is the cache entry's
+// own, which outlives the request; otherwise it is a private copy. Either
+// way the read made at most one heap copy — a miss reads into a stack
+// buffer, and publishing it is the copy.
+func (t *Table) pointLocked(reader *tx.Tx, row uint64) (schema.Record, bool, *chunk, error) {
 	if rows := t.rel.Rows(); row >= rows {
-		return nil, nil, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, rows)
+		return nil, false, nil, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, rows)
 	}
-	t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
+	t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: t.allCols})
 	cache := t.eng.rescache
 	var key rescache.Key
 	var st rescache.Stamp
 	cacheable := false
 	if cache != nil {
-		if key, st, cacheable = t.rowStampLocked(row); !cacheable {
-			cache.Bypass()
-		} else if v, ok := cache.Lookup(key, st); ok {
-			return v.Rec, nil, nil
+		if key, st, cacheable = t.rowStampLocked(row); cacheable {
+			if v, ok := cache.Peek(key, st); ok {
+				return v.Rec, true, nil, nil
+			}
 		}
+		cache.Bypass() // uncacheable, or a miss, which Peek leaves uncounted
 	}
 	if reader == nil {
 		reader = t.deltas.Begin()
 		defer reader.Abort()
 	}
-	if rec, c, err = t.readAt(reader, row); err != nil {
-		return nil, nil, err
+	var buf [8]schema.Value
+	rec, c, err := t.readInto(reader, row, buf[:0])
+	if err != nil {
+		return nil, false, nil, err
 	}
 	if cacheable && t.deltas.LatestTS(row) == 0 {
-		cache.Put(key, st, rescache.Value{Rec: rec})
+		return cache.Put(key, st, rescache.Value{Rec: rec}).Rec, true, c, nil
 	}
-	return rec, c, nil
+	return rec.Clone(), false, c, nil
 }
 
 // getLocked materializes the current record at row under the caller's
 // read lock: the lone case of the point read, charged as one gather.
+// The record is the caller's own.
 func (t *Table) getLocked(row uint64) (schema.Record, error) {
-	rec, c, err := t.pointLocked(nil, row)
+	rec, shared, c, err := t.pointLocked(nil, row)
 	t.chargeDeviceGather(c, 1)
+	if shared {
+		rec = rec.Clone()
+	}
 	return rec, err
 }
 
@@ -241,7 +255,7 @@ func (t *Table) gatherLocked(plans []exec.Plan, out []exec.Result) error {
 	defer reader.Abort()
 	gathers := make(map[*chunk]int64)
 	for i, p := range plans {
-		rec, c, err := t.pointLocked(reader, p.Row)
+		rec, _, c, err := t.pointLocked(reader, p.Row)
 		if err != nil {
 			return err
 		}

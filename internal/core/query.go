@@ -22,21 +22,38 @@ func (t *Table) Get(row uint64) (schema.Record, error) {
 	return t.getLocked(row)
 }
 
-// readAt resolves row under x's snapshot: the delta version x sees (or
-// its own buffered write), else the base fragments — c is then the chunk
-// read, whose device gather the caller charges.
-func (t *Table) readAt(x *tx.Tx, row uint64) (rec schema.Record, c *chunk, err error) {
-	if rec, ok, err := x.Lookup(row); ok || err != nil {
+// readInto resolves row under x's snapshot into dst's backing array
+// when it has room (dst's length is ignored; nil allocates): the delta
+// version x sees (or its own buffered write), else the base fragments —
+// c is then the chunk read, whose device gather the caller charges.
+func (t *Table) readInto(x *tx.Tx, row uint64, dst schema.Record) (schema.Record, *chunk, error) {
+	if rec, ok, err := x.LookupInto(row, dst); ok || err != nil {
 		return rec, nil, err
 	}
-	return t.baseRecord(row)
+	return t.baseRecordInto(row, dst)
 }
 
-// recordAt is readAt for a row read on its own: one row's gather.
+// recordAt reads row on its own under x's snapshot into a record of the
+// caller's: one row's gather.
 func (t *Table) recordAt(x *tx.Tx, row uint64) (schema.Record, error) {
-	rec, c, err := t.readAt(x, row)
+	rec, c, err := t.readInto(x, row, nil)
 	t.chargeDeviceGather(c, 1)
 	return rec, err
+}
+
+// setField is the one read-modify-write body of an update: it reads row
+// under x's snapshot into a stack buffer, sets col to v and buffers the
+// record in x, whose Write takes the one copy an update keeps. Caller
+// holds t.mu and checked the write and the row.
+func (t *Table) setField(x *tx.Tx, row uint64, col int, v schema.Value) error {
+	var buf [8]schema.Value
+	rec, c, err := t.readInto(x, row, buf[:0])
+	if err != nil {
+		return err
+	}
+	t.chargeDeviceGather(c, 1)
+	rec[col] = v
+	return x.Write(row, rec)
 }
 
 // Update installs a new version of one field through a single-operation
@@ -56,7 +73,13 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 		return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rel.Rows())
 	}
 	for {
-		err := t.updateOnce(row, col, v)
+		x := t.deltas.Begin()
+		err := t.setField(x, row, col, v)
+		if err != nil {
+			x.Abort()
+		} else {
+			err = x.Commit()
+		}
 		if errors.Is(err, tx.ErrConflict) {
 			continue
 		}
@@ -65,23 +88,6 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 		}
 		return err
 	}
-}
-
-// updateOnce is one attempt of Update: read row under a fresh snapshot,
-// set the field, commit. Caller holds t.mu.
-func (t *Table) updateOnce(row uint64, col int, v schema.Value) error {
-	x := t.deltas.Begin()
-	rec, err := t.recordAt(x, row)
-	if err != nil {
-		x.Abort()
-		return err
-	}
-	rec[col] = v
-	if err := x.Write(row, rec); err != nil {
-		x.Abort()
-		return err
-	}
-	return x.Commit()
 }
 
 // Materialize resolves a sorted position list against the current state.
@@ -100,7 +106,7 @@ func (t *Table) Materialize(positions []uint64) ([]schema.Record, error) {
 			return nil, err
 		}
 		out[i] = rec
-		t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: layout.AllCols(t.s)})
+		t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: t.allCols})
 	}
 	return out, nil
 }
@@ -203,12 +209,12 @@ func (x *Txn) Update(row uint64, col int, v schema.Value) error {
 	if err := x.t.checkWrite(col, v); err != nil {
 		return err
 	}
-	rec, err := x.Read(row)
-	if err != nil {
-		return err
+	x.t.mu.RLock()
+	defer x.t.mu.RUnlock()
+	if row >= x.t.rel.Rows() {
+		return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, x.t.rel.Rows())
 	}
-	rec[col] = v
-	return x.x.Write(row, rec)
+	return x.t.setField(x.x, row, col, v)
 }
 
 // Commit installs the buffered writes; it fails with tx.ErrConflict if

@@ -405,3 +405,50 @@ func TestVersionStampProtocol(t *testing.T) {
 		t.Fatal("stamp unchanged across a merge that folded an update")
 	}
 }
+
+// The user-facing getters hand out private records: scribbling on what
+// Get, GetByPK, Txn.Read or Materialize returned never reaches a later
+// get through Execute or a Peek hit, which read the result cache's entry
+// in place — whether the getter's read published the entry (a miss) or
+// found it (a hit).
+func TestGettersDoNotAliasCachedRecords(t *testing.T) {
+	_, tbl := newTable(t, cacheOpts(), 400)
+	defer tbl.Free()
+	p := exec.Plan{Op: exec.KindGet, Row: 7}
+	want, _, err := tbl.baseRecord(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn := tbl.Begin()
+	defer txn.Abort()
+	for _, c := range []struct {
+		name string
+		read func() (schema.Record, error)
+	}{
+		{"Get", func() (schema.Record, error) { return tbl.Get(7) }}, // the miss: publishes
+		{"GetByPK", func() (schema.Record, error) { return tbl.GetByPK(7) }},
+		{"Txn.Read", func() (schema.Record, error) { return txn.Read(7) }},
+		{"Materialize", func() (schema.Record, error) {
+			recs, err := tbl.Materialize([]uint64{7})
+			if err != nil {
+				return nil, err
+			}
+			return recs[0], nil
+		}},
+	} {
+		rec, err := c.read()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := range rec {
+			rec[i] = schema.IntValue(-1)
+		}
+		got, err := tbl.Scan(p)
+		if err != nil || !got.Rec.Equal(want) {
+			t.Fatalf("after scribbling on %s's record, Execute read %v (%v), want %v", c.name, got.Rec, err, want)
+		}
+		if hit, ok := tbl.Peek(p); !ok || !hit.Rec.Equal(want) {
+			t.Fatalf("after scribbling on %s's record, a Peek hit read %v (ok=%v), want %v", c.name, hit.Rec, ok, want)
+		}
+	}
+}

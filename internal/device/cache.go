@@ -38,8 +38,8 @@ type FragKey struct {
 	Row0  int
 	Rows  int
 	// Comp marks an entry holding the column's compressed wire image
-	// (compress.Column.Marshal) rather than its dense bytes, so the two
-	// forms of the same clip never collide. Compressed entries are sized
+	// (compress.Column.AppendMarshal) rather than its dense bytes, so the
+	// two forms of the same clip never collide. Compressed entries are sized
 	// at the image length, which is how the cache's effective capacity
 	// grows by the compression ratio.
 	Comp bool

@@ -272,16 +272,31 @@ func (g *GPU) CopyToDevice(dst *Buffer, off int, src []byte) error {
 // copyToDevice performs the copy and returns its priced duration without
 // advancing the clock.
 func (g *GPU) copyToDevice(dst *Buffer, off int, src []byte) (float64, error) {
-	buf, err := dst.bytes()
+	w, err := dst.window(off, len(src))
 	if err != nil {
 		return 0, err
 	}
-	if off < 0 || off+len(src) > len(buf) {
-		return 0, fmt.Errorf("%w: copy [%d,%d) into %d-byte buffer", ErrShortBuffer, off, off+len(src), len(buf))
+	copy(w, src)
+	return g.uploaded(len(src)), nil
+}
+
+// window returns the n bytes of b's backing store at off, capped at n,
+// for an upload to fill.
+func (b *Buffer) window(off, n int) ([]byte, error) {
+	buf, err := b.bytes()
+	if err != nil {
+		return nil, err
 	}
-	copy(buf[off:], src)
-	g.countTransfer(int64(len(src)), true)
-	return g.prof.TransferNs(int64(len(src))), nil
+	if off < 0 || off+n > len(buf) {
+		return nil, fmt.Errorf("%w: copy [%d,%d) into %d-byte buffer", ErrShortBuffer, off, off+n, len(buf))
+	}
+	return buf[off : off+n : off+n], nil
+}
+
+// uploaded counts an n-byte H2D copy and returns its priced duration.
+func (g *GPU) uploaded(n int) float64 {
+	g.countTransfer(int64(n), true)
+	return g.prof.TransferNs(int64(n))
 }
 
 // LaunchConfig is the kernel grid geometry: Blocks thread blocks of

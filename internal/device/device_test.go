@@ -1,6 +1,7 @@
 package device
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -318,7 +319,7 @@ func TestQuickReduceMatchesHostSum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		image := col.Marshal()
+		image := col.AppendMarshal(nil)
 		comp, err := g.Alloc(len(image))
 		if err != nil {
 			t.Fatal(err)
@@ -398,5 +399,55 @@ func TestNilClockIsSafe(t *testing.T) {
 	defer buf.Free()
 	if _, err := reduceSum(g, v, LaunchConfig{Blocks: 2, ThreadsPerBlock: 32}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An image encoded in place is the upload of its AppendMarshal bytes:
+// the same device bytes, the same counters, the same charge at Wait —
+// and a buffer too short for it is refused, as a copy would be.
+func TestCopyImageMatchesCopy(t *testing.T) {
+	vals := make([]byte, 8*300)
+	for i := 0; i < 300; i++ {
+		binary.LittleEndian.PutUint64(vals[8*i:], uint64(i%7))
+	}
+	col, err := compress.Compress(vals, 300, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := col.AppendMarshal(nil)
+	upload := func(image bool) ([]byte, TransferStats, float64) {
+		g, clk := newGPU()
+		buf, _ := g.Alloc(len(img) + 16)
+		defer buf.Free()
+		s := g.NewStream()
+		if image {
+			err = s.CopyImageToDevice(buf, 16, col)
+		} else {
+			err = s.CopyToDevice(buf, 16, img)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Wait()
+		got, err := g.Gather(buf, len(img)+16, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, g.Stats(), clk.ElapsedNs()
+	}
+	wantBytes, wantStats, wantNs := upload(false)
+	gotBytes, gotStats, gotNs := upload(true)
+	if !bytes.Equal(gotBytes, wantBytes) || gotStats != wantStats || gotNs != wantNs {
+		t.Fatalf("in-place image upload: stats %+v, %v ns; copy: %+v, %v ns (bytes equal: %v)",
+			gotStats, gotNs, wantStats, wantNs, bytes.Equal(gotBytes, wantBytes))
+	}
+	g, _ := newGPU()
+	short, _ := g.Alloc(len(img) - 1)
+	defer short.Free()
+	if err := g.NewStream().CopyImageToDevice(short, 0, col); !errors.Is(err, ErrShortBuffer) {
+		t.Fatalf("short buffer: err = %v", err)
+	}
+	if st := g.Stats(); st.HostToDeviceBytes != 0 {
+		t.Fatalf("a refused upload counted %d bytes", st.HostToDeviceBytes)
 	}
 }

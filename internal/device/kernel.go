@@ -24,9 +24,9 @@ import (
 //     normalized to closed intervals host-side (Pred.Closed), so
 //     the kernel stays branch-free of comparison modes.
 //   - Comp instead of Vals: the value column is a resident compressed
-//     image (compress.Column.Marshal) and a decode kernel runs first:
-//     compressed bytes read plus raw bytes written at global bandwidth
-//     (perfmodel.DecodeKernelNs), three launches in total. The software
+//     image (compress.Column.AppendMarshal) and a decode kernel runs
+//     first: compressed bytes read plus raw bytes written at global
+//     bandwidth (perfmodel.DecodeKernelNs), three launches in total. The software
 //     card computes the answer through the compressed-domain operators
 //     of internal/compress.
 //   - Keys (with Where): the fused filter+hash-aggregate kernel. ONE

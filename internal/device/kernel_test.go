@@ -61,7 +61,7 @@ func TestKernelShapes(t *testing.T) {
 				return buf
 			}
 			if shape.comp {
-				k.Comp = upload(col.Marshal())
+				k.Comp = upload(col.AppendMarshal(nil))
 			} else {
 				k.Vals = Vec{Buf: upload(img), Stride: 8, Size: 8, Len: n}
 			}
@@ -269,7 +269,7 @@ func TestGroupedLaunchCompressedMatchesRaw(t *testing.T) {
 				t.Fatal(err)
 			}
 			encoded++
-			comp := upload(col.Marshal())
+			comp := upload(col.AppendMarshal(nil))
 			for _, ksize := range []int{4, 8} {
 				keys := make([]byte, n*ksize)
 				for i := 0; i < n; i++ {

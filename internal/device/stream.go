@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"hybridstore/internal/compress"
 	"hybridstore/internal/obs"
 )
 
@@ -82,6 +83,21 @@ func (s *Stream) CopyToDevice(dst *Buffer, off int, src []byte) error {
 		return err
 	}
 	s.addTransfer(ns)
+	return nil
+}
+
+// CopyImageToDevice enqueues an async H2D copy of c's wire image,
+// encoded by compress.Column.AppendMarshal straight into dst at off: the
+// bytes and the charge of CopyToDevice(dst, off, c.AppendMarshal(nil)),
+// without building the image on the host first.
+func (s *Stream) CopyImageToDevice(dst *Buffer, off int, c *compress.Column) error {
+	n := c.MarshaledBytes()
+	w, err := dst.window(off, n)
+	if err != nil {
+		return err
+	}
+	c.AppendMarshal(w[:0])
+	s.addTransfer(s.gpu.uploaded(n))
 	return nil
 }
 

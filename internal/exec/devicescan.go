@@ -76,9 +76,10 @@ func fragKey(table string, col int, p Piece) device.FragKey {
 
 // acquire returns a pin on a device-resident image of the piece's
 // column clip — the dense bytes, or for a compressed piece its wire
-// image (compress.Column.Marshal), so the bus is charged only the
-// encoded length and cached entries occupy image-length device bytes
-// (the cache's effective capacity grows by the compression ratio). The
+// image (compress.Column.AppendMarshal, encoded in place), so the bus
+// is charged only the encoded length and cached entries occupy
+// image-length device bytes (the cache's effective capacity grows by
+// the compression ratio). The
 // image comes from the cache when the piece is cacheable (hit = zero bus
 // bytes; the host-side image is only built inside the upload closure, so
 // a hit never materializes it) and from a transient upload through the
@@ -92,7 +93,7 @@ func (d DeviceScan) acquire(s *device.Stream, col int, p Piece) (device.Pin, err
 	}
 	upload := func(b *device.Buffer) error {
 		if p.Comp != nil {
-			return s.CopyToDevice(b, 0, p.Comp.Marshal())
+			return s.CopyImageToDevice(b, 0, p.Comp)
 		}
 		return s.CopyToDevice(b, 0, denseBytes(p.Vec))
 	}

@@ -363,12 +363,18 @@ func (f *Fragment) AppendTuplet(vals []schema.Value) error {
 	return nil
 }
 
-// Tuplet decodes all fields of tuplet i in column-list order.
-func (f *Fragment) Tuplet(i int) ([]schema.Value, error) {
+// Tuplet decodes all fields of tuplet i in column-list order, into
+// dst's backing array when it has room (dst's length is ignored; nil
+// allocates).
+func (f *Fragment) Tuplet(i int, dst []schema.Value) ([]schema.Value, error) {
 	if i < 0 || i >= f.n {
 		return nil, fmt.Errorf("%w: tuplet %d of %d", ErrOutOfRange, i, f.n)
 	}
-	out := make([]schema.Value, len(f.cols))
+	out := dst[:0]
+	if cap(out) < len(f.cols) {
+		out = make([]schema.Value, len(f.cols))
+	}
+	out = out[:len(f.cols)]
 	for p, c := range f.cols {
 		v, err := f.Get(i, c)
 		if err != nil {

@@ -206,14 +206,14 @@ func TestTuplet(t *testing.T) {
 	s := twoColSchema(t)
 	f, _ := NewFragment(hostAlloc(), s, []int{1, 0}, RowRange{0, 2}, NSM) // reversed col order
 	appendRows(t, f, [][]int64{{10, 1}})                                  // b=10, a=1
-	tp, err := f.Tuplet(0)
+	tp, err := f.Tuplet(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tp[0].I != 10 || tp[1].I != 1 {
 		t.Fatalf("Tuplet = %v, want [10 1]", tp)
 	}
-	if _, err := f.Tuplet(1); !errors.Is(err, ErrOutOfRange) {
+	if _, err := f.Tuplet(1, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("Tuplet(1) err = %v", err)
 	}
 }

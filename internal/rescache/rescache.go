@@ -34,9 +34,9 @@ import (
 
 // Key identifies a cacheable query: the read plan itself, normalized
 // (exec.Plan.Normalize) so that semantically identical spellings share
-// an entry. Value is the plan's result; Groups and Rec are cloned on
-// both Put and hit so no caller can alias (and later scribble on) the
-// cached copy.
+// an entry. Value is the plan's result. A stored value is immutable:
+// Put copies Groups and Rec in, Lookup copies them out, and Peek hands
+// out the entry's own, which its caller reads and never writes.
 type (
 	Key   = exec.Plan
 	Value = exec.Result
@@ -191,19 +191,26 @@ func sizeOf(k Key, st Stamp, v Value) int64 {
 // Lookup consults the cache. cur must be the stamp of the base state
 // the caller's current snapshot sees: a stored entry answers only if
 // its stamp equals cur. A stale entry is dropped on the spot and counted
-// as a stale miss.
-func (c *Cache) Lookup(k Key, cur Stamp) (Value, bool) { return c.probe(k, cur, true) }
+// as a stale miss. A hit is the caller's own copy.
+func (c *Cache) Lookup(k Key, cur Stamp) (Value, bool) {
+	v, ok := c.probe(k, cur, true)
+	v.Rec = slices.Clone(v.Rec)
+	v.Groups = slices.Clone(v.Groups)
+	return v, ok
+}
 
 // Peek is the serving-path pre-check flavor of Lookup: a hit counts
 // (and refreshes the LRU) exactly like Lookup, but a miss records no
 // lookup — the caller is about to fall through to the executing path,
 // whose own Lookup finds the key absent and records the one logical
 // query's lookup and miss. A stale entry is dropped here and counted
-// stale only, so that miss is the one it belongs to.
+// stale only, so that miss is the one it belongs to. A hit is the
+// entry's own value, not a copy: read-only.
 func (c *Cache) Peek(k Key, cur Stamp) (Value, bool) { return c.probe(k, cur, false) }
 
 // probe is the one lookup body; counting selects whether a miss — an
-// absent or a stale entry — is accounted as a lookup and a miss.
+// absent or a stale entry — is accounted as a lookup and a miss. A hit
+// is the entry's own value.
 func (c *Cache) probe(k Key, cur Stamp, counting bool) (Value, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -225,42 +232,35 @@ func (c *Cache) probe(k Key, cur Stamp, counting bool) (Value, bool) {
 	s.lru.MoveToFront(e.elem)
 	v := e.val
 	s.mu.Unlock()
-	if v.Rec != nil {
-		v.Rec = v.Rec.Clone()
-	}
-	if v.Groups != nil {
-		v.Groups = append([]exec.GroupResult(nil), v.Groups...)
-	}
 	c.lookups.Add(1)
 	c.hits.Add(1)
 	return v, true
 }
 
 // Bypass records a query that consulted the cache but was uncacheable
-// (a point read of a row with live delta versions). It counts one
-// lookup and one miss so the hits + misses == lookups invariant covers
-// the whole serving path.
+// (a point read of a row with live delta versions), or a Peek miss its
+// caller answers itself. It counts one lookup and one miss so the
+// hits + misses == lookups invariant covers the whole serving path.
 func (c *Cache) Bypass() {
 	c.lookups.Add(1)
 	c.misses.Add(1)
 }
 
-// Put stores a result computed over the base state st. Oversized
-// entries (larger than a full shard budget) are refused rather than
-// flushing everything else. The stored Rec is deep-cloned.
-func (c *Cache) Put(k Key, st Stamp, v Value) {
+// Put stores a copy of a result computed over the base state st and
+// returns that copy, read-only: a caller whose v is transient (a stack
+// buffer) keeps the one heap copy Put made. v's contents do not escape.
+// Oversized entries (larger than a full shard budget) are refused rather
+// than flushing everything else.
+func (c *Cache) Put(k Key, st Stamp, v Value) Value {
+	// Field by field, never through v itself, so that v's slices stay
+	// the caller's (a stored v would move a stack buffer to the heap).
+	val := Value{Sum: v.Sum, Count: v.Count, Groups: slices.Clone(v.Groups), Rec: slices.Clone(v.Rec)}
 	if !cacheable(k) {
-		return
+		return val
 	}
-	if v.Rec != nil {
-		v.Rec = v.Rec.Clone()
-	}
-	if v.Groups != nil {
-		v.Groups = append([]exec.GroupResult(nil), v.Groups...)
-	}
-	bytes := sizeOf(k, st, v)
+	bytes := sizeOf(k, st, val)
 	if bytes > c.capBytes {
-		return
+		return val
 	}
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -269,7 +269,7 @@ func (c *Cache) Put(k Key, st Stamp, v Value) {
 		c.entries.Add(-1)
 		c.bytes.Add(-old.bytes)
 	}
-	e := &entry{key: k, stamp: st, val: v, bytes: bytes}
+	e := &entry{key: k, stamp: st, val: val, bytes: bytes}
 	e.elem = s.lru.PushFront(e)
 	s.m[k] = e
 	s.bytes += bytes
@@ -292,6 +292,7 @@ func (c *Cache) Put(k Key, st Stamp, v Value) {
 	if evicted > 0 {
 		c.evictions.Add(evicted)
 	}
+	return val
 }
 
 // removeLocked unlinks e from the shard's map, list and byte count.

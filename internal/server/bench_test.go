@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hybridstore"
@@ -84,5 +85,135 @@ func BenchmarkServeSumWhere(b *testing.B) {
 			b.Fatalf("exec: %d %s", code, out)
 		}
 		pool.PutBytes(out)
+	}
+}
+
+// opServer builds the benchmark's store shape — compressed cold chunks,
+// the device cache, a 4 MiB result cache, default chunk size — over
+// 4096 merged item rows, with batching off and one prepared statement
+// per op class. bodies maps a class to its request body.
+func opServer(tb testing.TB) (*Server, *hybridstore.Table, map[string][]byte) {
+	db := hybridstore.Open(hybridstore.Options{DeviceCache: true, Compress: true,
+		ResultCache: hybridstore.ResultCacheOptions{Cap: 4 << 20}})
+	tbl, err := db.CreateTable("item", hybridstore.ItemSchema())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(tbl.Free)
+	for i := uint64(0); i < 4096; i++ {
+		if _, err := tbl.Insert(hybridstore.Item(i)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := tbl.Merge(); err != nil {
+		tb.Fatal(err)
+	}
+	s := New(Config{DB: db})
+	sid, _ := s.CreateSession()
+	bodies := map[string][]byte{}
+	for _, st := range []struct {
+		class, op   string
+		col, keyCol int
+		args        string
+	}{
+		{"update", "update", hybridstore.ItemPriceColumn, 0, `"row":7,"value":12.5`},
+		{"get", "get", 0, 0, `"row":9`},
+		{"get_pk", "get_pk", 0, 0, `"pk":11`},
+		{"group_sum_where", "group_sum_where", hybridstore.ItemPriceColumn, 1, `"pred":{"kind":"between","lo":10,"hi":60}`},
+	} {
+		id, err := s.Prepare(sid, st.op, "item", st.col, st.keyCol)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		bodies[st.class] = []byte(fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,%s}`, sid, id, st.args))
+	}
+	return s, tbl, bodies
+}
+
+// serve1 serves one request into buf and fails on an error. It returns
+// the response buffer, grown to fit.
+func serve1(tb testing.TB, s *Server, body, buf []byte) []byte {
+	out, code := s.Exec(body, buf[:0])
+	if code != 200 {
+		tb.Fatalf("exec %s: %d %s", body, code, out)
+	}
+	return out
+}
+
+// execAllocs is what Exec allocates for one request, averaged over runs
+// the way testing.AllocsPerRun counts (one processor, after a warm-up
+// request), with prep run before each request and left out of the
+// count. The response lands in the buffer the warm-up grew, so the
+// count is the server's alone.
+func execAllocs(tb testing.TB, s *Server, body []byte, prep func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prep()
+	buf := serve1(tb, s, body, nil)
+	const runs = 100
+	var mallocs uint64
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		prep()
+		runtime.ReadMemStats(&before)
+		serve1(tb, s, body, buf)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	return float64(mallocs) / runs
+}
+
+// Allocation gates per served op class, end to end through Server.Exec:
+// each is the count that landed with go1.24 on linux/amd64, so raising
+// one needs a deliberate decision. A served record is copied once, where
+// the copy has to outlive the request: a cache hit (get, get_pk)
+// serializes the entry's own record; a miss reads into a stack buffer,
+// and the cache's copy (with its entry and LRU element) is the one it
+// keeps; an update's record, write set and version are what its commit
+// installs. The grouped scan reads 9.2. While each served record was
+// cloned on the way out and the write set was a map, the counts were
+// update 6, get hit 1, get miss 9, get_pk 1.
+var serveOpAllocs = map[string]int{
+	"update":                     3,
+	"get hit":                    0,
+	"get miss":                   6,
+	"get_pk":                     0,
+	"group_sum_where with delta": 10,
+}
+
+// raceOpSlack is what each gate gains under the race detector, whose
+// sync.Pool drops a share of what is put back: the grouped scan read 9.9
+// there, the other classes their plain counts.
+const raceOpSlack = 4
+
+func TestServeOpAllocBudget(t *testing.T) {
+	s, tbl, bodies := opServer(t)
+	nop := func() {}
+	price := 1.0
+	got := map[string]float64{
+		"update":  execAllocs(t, s, bodies["update"], nop),
+		"get hit": execAllocs(t, s, bodies["get"], nop),
+		"get miss": execAllocs(t, s, bodies["get"], func() {
+			// A settled write to another row of row 9's chunk moves the
+			// chunk's epoch: the cached record goes stale.
+			price++
+			if err := tbl.Update(3, hybridstore.ItemPriceColumn, hybridstore.FloatValue(price)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Merge(); err != nil {
+				t.Fatal(err)
+			}
+		}),
+		"get_pk": execAllocs(t, s, bodies["get_pk"], nop),
+	}
+	serve1(t, s, bodies["update"], nil) // a live delta the scan patches over its cached base
+	got["group_sum_where with delta"] = execAllocs(t, s, bodies["group_sum_where"], nop)
+	for class, budget := range serveOpAllocs {
+		if raceEnabled {
+			budget += raceOpSlack
+		}
+		t.Logf("%s: %.1f allocs/op", class, got[class])
+		if got[class] > float64(budget) {
+			t.Errorf("%s costs %.1f allocs/op, budget %d", class, got[class], budget)
+		}
 	}
 }

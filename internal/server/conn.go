@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"runtime/pprof"
 	"strconv"
 	"time"
 )
@@ -24,6 +26,11 @@ import (
 // (the cold endpoints, a chunked body, Expect, Connection, a head beyond
 // the read buffer) goes through net/http's request parser and Handler
 // and is answered whole before the next one is read.
+//
+// Each connection goroutine carries the profiler label side=server
+// (serverLabels), which the goroutines it starts inherit: a CPU profile
+// of a process that also runs clients (cmd/loadgen -selfserve) splits by
+// it.
 func (s *Server) Serve(l net.Listener) error {
 	h := s.Handler()
 	for {
@@ -31,9 +38,12 @@ func (s *Server) Serve(l net.Listener) error {
 		if err != nil {
 			return err
 		}
-		go s.serveConn(c, h)
+		go pprof.Do(context.Background(), serverLabels, func(context.Context) { s.serveConn(c, h) })
 	}
 }
+
+// serverLabels marks the server's goroutines in profiles.
+var serverLabels = pprof.Labels("side", "server")
 
 // Read-side bounds of one connection: the buffer an exec request's head
 // must fit, the most any other head may read (net/http's default), the

@@ -388,3 +388,52 @@ func TestPredRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// The user-facing getters hand out private records: scribbling on what
+// Get, GetByPK or Txn.Read returned never reaches a later served get or
+// a Peek hit, which read the result cache's entry in place. (core's
+// TestGettersDoNotAliasCachedRecords adds Materialize.)
+func TestGettersDoNotAliasServedRecords(t *testing.T) {
+	s, tbl := newItemServer(t, hybridstore.Options{ChunkRows: 128,
+		ResultCache: hybridstore.ResultCacheOptions{Cap: 1 << 20}}, Config{})
+	if err := tbl.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	sid, _ := s.CreateSession()
+	get := fmt.Sprintf(`{"session_id":"%s","stmt_id":%d,"row":7}`, sid, prep(t, s, sid, "get", 0, 0))
+	want, code := exec1(s, get)
+	if code != 200 {
+		t.Fatalf("get: %d %s", code, want)
+	}
+	p := hybridstore.Plan{Op: "get", Row: 7}
+	hit, ok := tbl.Peek(p)
+	if !ok {
+		t.Fatal("a served get did not publish the row")
+	}
+	wantRec := hit.Rec.Clone()
+
+	scribble := func(rec hybridstore.Record) {
+		for i := range rec {
+			rec[i] = hybridstore.IntValue(-1)
+		}
+	}
+	txn := tbl.Begin()
+	defer txn.Abort()
+	for name, read := range map[string]func() (hybridstore.Record, error){
+		"Get":      func() (hybridstore.Record, error) { return tbl.Get(7) },
+		"GetByPK":  func() (hybridstore.Record, error) { return tbl.GetByPK(7) },
+		"Txn.Read": func() (hybridstore.Record, error) { return txn.Read(7) },
+	} {
+		rec, err := read()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		scribble(rec)
+		if got, _ := exec1(s, get); got != want {
+			t.Fatalf("after scribbling on %s's record, a served get read %s, want %s", name, got, want)
+		}
+		if hit, ok := tbl.Peek(p); !ok || !hit.Rec.Equal(wantRec) {
+			t.Fatalf("after scribbling on %s's record, a Peek hit read %v (ok=%v), want %v", name, hit.Rec, ok, wantRec)
+		}
+	}
+}

@@ -87,8 +87,8 @@ type Store struct {
 	// snapshots and the logger, and is taken outside mu.
 	commit sync.Mutex
 	clock  uint64
-	active map[*Tx]struct{} // begun, neither committed nor aborted
-	logger CommitLogger     // write-ahead hook; nil when the table is not durable
+	active map[uint64]int // snapshot ts -> transactions begun there, neither committed nor aborted
+	logger CommitLogger   // write-ahead hook; nil when the table is not durable
 
 	// mu guards the chains. A committer takes it to validate and again to
 	// install, never across the log append between the two.
@@ -103,7 +103,7 @@ type Store struct {
 
 // NewStore creates an empty version store with its clock at 0.
 func NewStore() *Store {
-	return &Store{active: make(map[*Tx]struct{}), pages: make(map[uint64]*page)}
+	return &Store{active: make(map[uint64]int), pages: make(map[uint64]*page)}
 }
 
 // at returns the newest version of the chain headed by v committed at or
@@ -285,13 +285,25 @@ func (s *Store) RangeVisible(since, ts uint64, fn func(row uint64, rec schema.Re
 // Begin starts a transaction with a snapshot of the current clock. Until
 // it commits or aborts, MinActiveTS does not pass that snapshot — which
 // is all a reader that only wants a stable horizon needs from it.
-func (s *Store) Begin() *Tx {
+//
+// The store keeps the snapshot, not the Tx: Begin inlines, so a Tx its
+// caller neither stores nor returns lives on the caller's stack.
+func (s *Store) Begin() *Tx { return &Tx{s: s, beginTS: s.begin()} }
+
+// begin registers a snapshot at the current clock and returns it.
+func (s *Store) begin() uint64 {
 	s.commit.Lock()
 	defer s.commit.Unlock()
-	t := &Tx{s: s, beginTS: s.clock}
-	s.active[t] = struct{}{}
+	s.active[s.clock]++
 	mBegins.Inc()
-	return t
+	return s.clock
+}
+
+// end releases one snapshot at ts. Caller holds the commit lock.
+func (s *Store) end(ts uint64) {
+	if s.active[ts]--; s.active[ts] == 0 {
+		delete(s.active, ts)
+	}
 }
 
 // MinActiveTS returns the smallest snapshot timestamp any active
@@ -301,8 +313,8 @@ func (s *Store) MinActiveTS() uint64 {
 	s.commit.Lock()
 	defer s.commit.Unlock()
 	ts := s.clock
-	for t := range s.active {
-		ts = min(ts, t.beginTS)
+	for at := range s.active {
+		ts = min(ts, at)
 	}
 	return ts
 }
@@ -312,9 +324,10 @@ func (s *Store) MinActiveTS() uint64 {
 type Tx struct {
 	s       *Store
 	beginTS uint64
-	// writes buffers full records by row. The first Write makes it: a
-	// reader never has one.
-	writes map[uint64]schema.Record
+	// writes buffers full records, one entry per row, ascending by row:
+	// the order validation and install walk and the CommitLogger gets.
+	// The first Write makes it: a reader never has one.
+	writes []LoggedWrite
 	closed bool
 }
 
@@ -325,13 +338,21 @@ func (t *Tx) SnapshotTS() uint64 { return t.beginTS }
 // buffered write if any, else the newest version at or before its
 // snapshot. A row without a visible version is an outcome, not a failure
 // (every row the deltas have not touched, which is most rows, most of
-// the time): ok reports whether there is one.
+// the time): ok reports whether there is one. The record is the
+// caller's own copy.
 func (t *Tx) Lookup(row uint64) (rec schema.Record, ok bool, err error) {
+	return t.LookupInto(row, nil)
+}
+
+// LookupInto is Lookup copying the record into dst's backing array when
+// it has room (dst's length is ignored), so a caller that reads a row
+// only to modify and Write it allocates nothing for the read.
+func (t *Tx) LookupInto(row uint64, dst schema.Record) (rec schema.Record, ok bool, err error) {
 	if t.closed {
 		return nil, false, ErrClosed
 	}
-	if rec, ok := t.writes[row]; ok {
-		return rec.Clone(), true, nil
+	if i, ok := t.find(row); ok {
+		return append(dst[:0], t.writes[i].Rec...), true, nil
 	}
 	t.s.mu.RLock()
 	defer t.s.mu.RUnlock()
@@ -339,18 +360,26 @@ func (t *Tx) Lookup(row uint64) (rec schema.Record, ok bool, err error) {
 	if v == nil {
 		return nil, false, nil
 	}
-	return v.rec.Clone(), true, nil
+	return append(dst[:0], v.rec...), true, nil
 }
 
-// Write buffers a full-record write of row.
+// find returns row's index in the write set, or where it would go.
+func (t *Tx) find(row uint64) (int, bool) {
+	return slices.BinarySearchFunc(t.writes, row, func(w LoggedWrite, row uint64) int { return cmp.Compare(w.Row, row) })
+}
+
+// Write buffers a full-record write of row, a copy of rec. A second
+// write of the same row replaces the first.
 func (t *Tx) Write(row uint64, rec schema.Record) error {
 	if t.closed {
 		return ErrClosed
 	}
-	if t.writes == nil {
-		t.writes = make(map[uint64]schema.Record)
+	i, ok := t.find(row)
+	if ok {
+		t.writes[i].Rec = rec.Clone()
+		return nil
 	}
-	t.writes[row] = rec.Clone()
+	t.writes = slices.Insert(t.writes, i, LoggedWrite{Row: row, Rec: rec.Clone()})
 	return nil
 }
 
@@ -393,15 +422,15 @@ func (t *Tx) commitCritical() (func() error, error) {
 	s := t.s
 	s.commit.Lock()
 	defer s.commit.Unlock()
-	defer delete(s.active, t)
+	defer s.end(t.beginTS)
 
 	s.mu.Lock()
-	for row := range t.writes {
-		if v := s.head(row); v != nil && v.ts > t.beginTS {
+	for _, w := range t.writes {
+		if v := s.head(w.Row); v != nil && v.ts > t.beginTS {
 			s.mu.Unlock()
 			mConflicts.Inc()
 			return nil, fmt.Errorf("%w: row %d written at ts %d after snapshot %d",
-				ErrConflict, row, v.ts, t.beginTS)
+				ErrConflict, w.Row, v.ts, t.beginTS)
 		}
 	}
 	s.mu.Unlock()
@@ -411,12 +440,7 @@ func (t *Tx) commitCritical() (func() error, error) {
 
 	var wait func() error
 	if s.logger != nil && len(t.writes) > 0 {
-		writes := make([]LoggedWrite, 0, len(t.writes))
-		for row, rec := range t.writes {
-			writes = append(writes, LoggedWrite{Row: row, Rec: rec})
-		}
-		slices.SortFunc(writes, func(a, b LoggedWrite) int { return cmp.Compare(a.Row, b.Row) })
-		w, err := s.logger(commitTS, writes)
+		w, err := s.logger(commitTS, t.writes)
 		if err != nil {
 			mAborts.Inc()
 			return nil, fmt.Errorf("tx: write-ahead append failed, commit aborted: %w", err)
@@ -425,8 +449,8 @@ func (t *Tx) commitCritical() (func() error, error) {
 	}
 
 	s.mu.Lock()
-	for row, rec := range t.writes {
-		s.install(row, &version{ts: commitTS, rec: rec})
+	for _, w := range t.writes {
+		s.install(w.Row, &version{ts: commitTS, rec: w.Rec})
 	}
 	s.mu.Unlock()
 	mCommits.Inc()
@@ -447,7 +471,7 @@ func (t *Tx) Abort() {
 	t.writes = nil
 	t.s.commit.Lock()
 	defer t.s.commit.Unlock()
-	delete(t.s.active, t)
+	t.s.end(t.beginTS)
 }
 
 // LoggedWrite is one write-set entry handed to a CommitLogger.
@@ -462,6 +486,8 @@ type LoggedWrite struct {
 // Store. It is invoked inside the commit critical section — after
 // validation succeeded and the commit timestamp was drawn, before any
 // version installs — so log append order equals commit-timestamp order.
+// writes holds one entry per row, ascending by row; it is the
+// transaction's own write set, read-only and not to be retained.
 // It must enqueue the record and return quickly; the returned wait
 // function (may be nil) is called after the critical section ends and
 // blocks until the record is durable, giving group commit its window

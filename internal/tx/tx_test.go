@@ -852,3 +852,76 @@ func ExampleTx() {
 	fmt.Println(recV)
 	// Output: [42]
 }
+
+// loggedCommits installs a CommitLogger on s that records every write
+// set it is handed, copied, and returns the record.
+func loggedCommits(s *Store) *[][]LoggedWrite {
+	var got [][]LoggedWrite
+	s.SetCommitLogger(func(_ uint64, writes []LoggedWrite) (func() error, error) {
+		got = append(got, slices.Clone(writes))
+		return nil, nil
+	})
+	return &got
+}
+
+func TestRewrittenRowCommitsOnce(t *testing.T) {
+	s := NewStore()
+	logged := loggedCommits(s)
+	x := s.Begin()
+	x.Write(5, rec(1))
+	x.Write(5, rec(2))
+	if x.Pending() != 1 {
+		t.Fatalf("Pending = %d after two writes of one row, want 1", x.Pending())
+	}
+	if got, _ := read(x, 5); got[0].I != 2 {
+		t.Fatalf("own read = %v, want the last write", got)
+	}
+	mustCommit(t, x)
+	if len(*logged) != 1 || len((*logged)[0]) != 1 || (*logged)[0][0].Row != 5 || (*logged)[0][0].Rec[0].I != 2 {
+		t.Fatalf("logged %v, want one write of row 5 with the last value", *logged)
+	}
+	if s.Versions() != 1 {
+		t.Fatalf("installed %d versions, want 1", s.Versions())
+	}
+	if got, _ := read(s.Begin(), 5); got[0].I != 2 {
+		t.Fatalf("committed %v, want the last write", got)
+	}
+}
+
+func TestCommitLoggerSeesAscendingRows(t *testing.T) {
+	s := NewStore()
+	logged := loggedCommits(s)
+	x := s.Begin()
+	for _, row := range []uint64{9000, 3, 700, 1, 42} {
+		x.Write(row, rec(int64(row)))
+	}
+	mustCommit(t, x)
+	var rows []uint64
+	for _, w := range (*logged)[0] {
+		rows = append(rows, w.Row)
+		if w.Rec[0].I != int64(w.Row) {
+			t.Fatalf("row %d logged with %v", w.Row, w.Rec)
+		}
+	}
+	if want := []uint64{1, 3, 42, 700, 9000}; !slices.Equal(rows, want) {
+		t.Fatalf("logged rows %v, want %v", rows, want)
+	}
+}
+
+// Snapshots are counted per timestamp: two transactions begun at one
+// clock hold the horizon until the second of them finishes.
+func TestSharedSnapshotHoldsHorizon(t *testing.T) {
+	s := NewStore()
+	a, b := s.Begin(), s.Begin()
+	w := s.Begin()
+	w.Write(1, rec(1))
+	mustCommit(t, w)
+	a.Abort()
+	if got := s.MinActiveTS(); got != b.SnapshotTS() {
+		t.Fatalf("MinActiveTS = %d with b open, want %d", got, b.SnapshotTS())
+	}
+	b.Abort()
+	if got := s.MinActiveTS(); got != 1 {
+		t.Fatalf("MinActiveTS = %d with none open, want the clock 1", got)
+	}
+}

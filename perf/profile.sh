@@ -17,6 +17,13 @@
 # perf/profiles/PR/,
 #   SIDE.cpu.txt          go tool pprof -top -nodecount=25 of the CPU profile
 #   SIDE.alloc_space.txt  the same over the allocation profile's alloc_space
+#   SIDE.cpu_server.txt   SIDE.cpu.txt cut to the server's goroutines
+#                         (-tagfocus side=server, the label Server.Serve
+#                         puts on each connection goroutine)
+#   SIDE.alloc_server.txt SIDE.alloc_space.txt cut to the stacks under the
+#                         server's connection loop (-focus serveConn): an
+#                         allocation profile carries no goroutine labels,
+#                         so the cut is by frame, not by tag
 # where SIDE is "change" for the working tree this script is started from
 # and "parent" with -p REV, which profiles commit REV instead: REV is
 # extracted with `git archive` into a temporary directory and built with
@@ -66,4 +73,6 @@ out=perf/profiles/$pr
 mkdir -p "$out"
 go tool pprof -top -nodecount=25 "$work/loadgen" "$work/cpu.prof" >"$out/$side.cpu.txt" 2>/dev/null
 go tool pprof -top -nodecount=25 -sample_index=alloc_space "$work/loadgen" "$work/mem.prof" >"$out/$side.alloc_space.txt" 2>/dev/null
-echo "profile: $side ($mix${wal[@]+, -wal}, seed $seed, $dur) -> $out/$side.{cpu,alloc_space}.txt" >&2
+go tool pprof -top -nodecount=25 -tagfocus=side=server "$work/loadgen" "$work/cpu.prof" >"$out/$side.cpu_server.txt" 2>/dev/null
+go tool pprof -top -nodecount=25 -sample_index=alloc_space -focus='server\.\(\*Server\)\.serveConn' "$work/loadgen" "$work/mem.prof" >"$out/$side.alloc_server.txt" 2>/dev/null
+echo "profile: $side ($mix${wal[@]+, -wal}, seed $seed, $dur) -> $out/$side.{cpu,alloc_space,cpu_server,alloc_server}.txt" >&2
