@@ -42,7 +42,7 @@ func metricCatalogue(t *testing.T) map[string]*regexp.Regexp {
 }
 
 // TestMetricCatalogue holds the registry to DESIGN.md §6: after a mixed
-// HTAP round (the shape of `htapbench -metrics`) and one served request
+// HTAP round (the shape of examples/metrics) and one served request
 // per wire op, every registered name matches a catalogue row, and every
 // row names something registered.
 func TestMetricCatalogue(t *testing.T) {

@@ -21,8 +21,7 @@
 // directory, exercising recovery-then-continue. Results land in -csv
 // (recovery_panel.csv by default); exit status 1 means a lost or corrupt
 // acknowledged write. What the log costs is measured elsewhere
-// (htapbench -panel serving -wal, loadgen -selfserve -wal, the
-// oltp-durable workload of bench/).
+// (loadgen -selfserve -wal, the oltp-durable workload of bench/).
 //
 // Usage:
 //

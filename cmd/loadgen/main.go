@@ -8,8 +8,12 @@
 //
 // Closed loop by default (each lane fires its next request when the
 // last answers); -rate N switches to open-loop arrivals at N requests
-// per second. With -autoterm the run ends as soon as throughput
-// stabilizes instead of burning the full -duration.
+// per second, each timed from when it was due, and the report counts
+// the arrivals no lane got to send as unsent. With -autoterm the run
+// ends as soon as throughput stabilizes instead of burning the full
+// -duration. The report also carries the storage passes the server's
+// scan cohorts ran and the plans they carried: more plans than passes
+// means batching shared them.
 //
 // The exit status is the CI contract: 0 when every request succeeded, 1
 // when any request errored. With -selfserve the run additionally

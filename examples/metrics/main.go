@@ -14,6 +14,10 @@ import (
 	"hybridstore"
 )
 
+// rows stays above one morsel (16384 rows), so the scans run on the
+// shared worker pool.
+const rows = 20_000
+
 func main() {
 	db := hybridstore.Open(hybridstore.Options{
 		ChunkRows:       512,
@@ -28,9 +32,10 @@ func main() {
 	defer items.Free()
 
 	// A little of everything: inserts freeze chunks, scans feed the
-	// advisor, updates exercise MVCC, Adapt and Merge do structural work.
-	for i := 0; i < 4096; i++ {
-		if _, err := items.Insert(hybridstore.Item(uint64(i))); err != nil {
+	// advisor, updates and transactions exercise MVCC, Adapt, placement
+	// and Merge do structural work.
+	for i := uint64(0); i < rows; i++ {
+		if _, err := items.Insert(hybridstore.Item(i)); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -44,8 +49,46 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	// Explicit transactions: one clean commit, one forced
+	// first-committer-wins conflict, one abort.
+	a, b := items.Begin(), items.Begin()
+	if err := a.Update(0, hybridstore.ItemPriceColumn, hybridstore.FloatValue(1)); err != nil {
+		log.Fatal(err)
+	}
+	if err := b.Update(0, hybridstore.ItemPriceColumn, hybridstore.FloatValue(2)); err != nil {
+		log.Fatal(err)
+	}
+	if err := a.Commit(); err != nil {
+		log.Fatal(err)
+	}
+	if err := b.Commit(); err == nil {
+		log.Fatal("expected a write-write conflict, got none")
+	}
+	c := items.Begin()
+	if err := c.Update(1, hybridstore.ItemPriceColumn, hybridstore.FloatValue(3)); err != nil {
+		log.Fatal(err)
+	}
+	c.Abort()
+
 	if _, err := items.Adapt(); err != nil {
 		log.Fatal(err)
+	}
+	// Place the price column on the device, then scan it there and
+	// point-read rows no update touched: clean rows resolve from the base
+	// fragments, so the reads gather the device-resident field over the
+	// bus.
+	if err := items.PlaceColumn(hybridstore.ItemPriceColumn); err != nil {
+		log.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := items.SumFloat64(hybridstore.ItemPriceColumn); err != nil {
+			log.Fatal(err)
+		}
+	}
+	for row := uint64(2048); row < 2080; row++ {
+		if _, err := items.Get(row); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if err := items.Merge(); err != nil {
 		log.Fatal(err)
@@ -53,9 +96,10 @@ func main() {
 
 	// Structured access: pick single metrics out of a snapshot...
 	snap := hybridstore.Metrics()
-	fmt.Fprintf(os.Stderr, "tx.commits=%d core.freezes=%d pool.jobs_inline=%d\n",
-		snap.Counter("tx.commits"), snap.Counter("core.freezes"),
-		snap.Counter("pool.jobs_inline"))
+	fmt.Fprintf(os.Stderr, "tx.commits=%d tx.conflicts=%d tx.aborts=%d core.freezes=%d core.column_placements=%d device.d2h_bytes=%d pool.jobs_submitted=%d\n",
+		snap.Counter("tx.commits"), snap.Counter("tx.conflicts"), snap.Counter("tx.aborts"),
+		snap.Counter("core.freezes"), snap.Counter("core.column_placements"),
+		snap.Counter("device.d2h_bytes"), snap.Counter("pool.jobs_submitted"))
 
 	// ...or dump the whole registry as one JSON object (pipe through jq,
 	// scrape it, or diff two dumps around a workload phase).

@@ -426,18 +426,13 @@ type MetricsSnapshot = obs.Snapshot
 type HistogramStats = obs.HistogramSnapshot
 
 // Metrics returns a consistent snapshot of the process-wide metrics
-// registry. Counters are cumulative since process start (or the last
-// ResetMetrics); taking a snapshot is cheap and safe to do concurrently
-// with running queries.
+// registry. Counters are cumulative since process start; taking a
+// snapshot is cheap and safe to do concurrently with running queries.
 func Metrics() MetricsSnapshot { return obs.TakeSnapshot() }
 
 // WriteMetricsJSON writes the current metrics snapshot to w as one JSON
 // object (an expvar-style dump, convenient for scraping or diffing).
 func WriteMetricsJSON(w io.Writer) error { return obs.Default.WriteJSON(w) }
-
-// ResetMetrics zeroes every registered metric and clears the span and
-// event rings. Handles stay valid; benchmarks use this to isolate phases.
-func ResetMetrics() { obs.Reset() }
 
 // TPC-C-style demo workload, re-exported for examples and quickstarts.
 var (

@@ -119,7 +119,7 @@ type FragCache struct {
 
 	// cardHits/cardMisses, when non-nil, mirror hit/miss traffic onto the
 	// per-card registry counters (device.<i>.cache.*) an Env wires up, so
-	// htapbench -metrics can attribute residency per card.
+	// a metrics snapshot can attribute residency per card.
 	cardHits, cardMisses *obs.Counter
 }
 

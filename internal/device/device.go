@@ -27,8 +27,8 @@ import (
 
 // Process-wide device counters. Each GPU instance also keeps its own
 // per-instance counters (Stats); these registry handles aggregate across
-// every simulated card so `htapbench -metrics` sees total bus traffic no
-// matter how many Envs a run creates.
+// every simulated card so a metrics snapshot (examples/metrics, bench/)
+// sees total bus traffic no matter how many Envs a run creates.
 var (
 	mH2DBytes = obs.NewCounter("device.h2d_bytes")
 	mD2HBytes = obs.NewCounter("device.d2h_bytes")

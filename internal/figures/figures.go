@@ -20,7 +20,7 @@
 // cross-checks every answer against the workload's closed forms.
 //
 // Beside the model panels the package measures the executed panels
-// (selectivity, devicecache, compression, fusion, multidevice, serving,
+// (selectivity, devicecache, compression, fusion, multidevice,
 // resultcache). All of them share one harness (DESIGN.md Section 4): a
 // sweep returns a typed result and renders it as Tables (table.go), the
 // executed sweeps build their columns, rigs and checked legs from one

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/ from the current output")
@@ -75,7 +74,7 @@ func panelTables(t *testing.T, name string) []Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := e.Run(200*time.Millisecond, "")
+	tables, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func panelTables(t *testing.T, name string) []Table {
 // against testdata/. These panels report perfmodel simulated time only,
 // so any diff means a change moved a simulated charge, a kernel count or
 // a byte count — intended changes rerun with -update and explain the
-// diff. The wall-clock panels (selectivity, serving, resultcache) pin
+// diff. The wall-clock panels (selectivity, resultcache) pin
 // their deterministic half in their own tests.
 func TestModelPanelsGolden(t *testing.T) {
 	if raceEnabled {

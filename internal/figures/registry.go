@@ -3,17 +3,13 @@ package figures
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Entry is one named panel: Run regenerates it at the published geometry
-// (the one the goldens in testdata/ pin) and returns its tables. Only
-// the serving panel reads its arguments: the wall-clock duration of each
-// leg and, when non-empty, a fresh directory to run the item table
-// durably from.
+// (the one the goldens in testdata/ pin) and returns its tables.
 type Entry struct {
 	Name string
-	Run  func(servingLeg time.Duration, walDir string) ([]Table, error)
+	Run  func() ([]Table, error)
 }
 
 // Registry lists every panel cmd/htapbench can regenerate, in the order
@@ -25,23 +21,19 @@ var Registry = []Entry{
 	{"2", modelPanels(2)},
 	{"3", modelPanels(3)},
 	{"4", modelPanels(4)},
-	{"selectivity", func(time.Duration, string) ([]Table, error) {
+	{"selectivity", func() ([]Table, error) {
 		return tablesOf(MeasureSelectivity(640_000, 64, DefaultSelectivities(), 3))
 	}},
-	{"devicecache", func(time.Duration, string) ([]Table, error) { return tablesOf(MeasureDeviceCache(262_144, 64, 3, 4)) }},
-	{"compression", func(time.Duration, string) ([]Table, error) { return tablesOf(MeasureCompression(4_194_304, 64)) }},
-	{"fusion", func(time.Duration, string) ([]Table, error) {
+	{"devicecache", func() ([]Table, error) { return tablesOf(MeasureDeviceCache(262_144, 64, 3, 4)) }},
+	{"compression", func() ([]Table, error) { return tablesOf(MeasureCompression(4_194_304, 64)) }},
+	{"fusion", func() ([]Table, error) {
 		return tablesOf(MeasureFusion(1_048_576, 64, DefaultFusionCards(), DefaultFusionSelectivities()))
 	}},
 	// Fleets of 1, 2 and 4 cards at 10%, 50% and 100% selectivity.
-	{"multidevice", func(time.Duration, string) ([]Table, error) {
+	{"multidevice", func() ([]Table, error) {
 		return tablesOf(MeasureMultiDevice(1_048_576, 64, []int{1, 2, 4}, []float64{0.10, 0.50, 1.00}))
 	}},
-	// A lone client, a small pool, and a 32-client burst.
-	{"serving", func(leg time.Duration, walDir string) ([]Table, error) {
-		return tablesOf(MeasureServing(4096, []int{1, 8, 32}, leg, walDir))
-	}},
-	{"resultcache", func(time.Duration, string) ([]Table, error) { return tablesOf(MeasureResultCache(262_144, 64)) }},
+	{"resultcache", func() ([]Table, error) { return tablesOf(MeasureResultCache(262_144, 64)) }},
 }
 
 // Names lists the registry's panel names in order.
@@ -66,8 +58,8 @@ func Lookup(name string) (Entry, error) {
 
 // modelPanels prices the numbered Figure-2 panels on the paper-calibrated
 // platform model at the paper's sweep sizes.
-func modelPanels(numbers ...int) func(time.Duration, string) ([]Table, error) {
-	return func(time.Duration, string) ([]Table, error) {
+func modelPanels(numbers ...int) func() ([]Table, error) {
+	return func() ([]Table, error) {
 		c := Default()
 		all := []Panel{
 			c.Panel1(DefaultSizes(1)),

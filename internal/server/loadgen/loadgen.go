@@ -2,9 +2,10 @@
 // serving layer: a swarm of client lanes drives the HTTP front end
 // with a configurable mix of point writes, zipfian point reads,
 // predicate sums and grouped aggregations, in closed-loop (next
-// request after the last response)
-// or open-loop (fixed arrival rate) mode, and reports wall-clock
-// throughput plus p50/p95/p99 latency per operation class.
+// request after the last response) or open-loop (fixed arrival rate)
+// mode, and reports wall-clock throughput plus p50/p95/p99 latency per
+// operation class, with the storage passes the server's scan cohorts
+// ran and the plans they carried.
 //
 // Analytic predicates are drawn from a small fixed set of cuts, so
 // concurrent lanes issue compatible queries and the server's batching
@@ -98,11 +99,9 @@ func ParseMix(s string) (Mix, error) {
 
 // Options configures a run.
 type Options struct {
-	// BaseURL is the serving endpoint, e.g. "http://127.0.0.1:8080".
+	// BaseURL is the serving endpoint, e.g. "http://127.0.0.1:8080". Its
+	// table "item" must follow the item schema's column layout.
 	BaseURL string
-	// Table is the target table (default "item"; must follow the item
-	// schema's column layout).
-	Table string
 	// Rows is the row-id domain point writes draw from. Required for a
 	// mix with writes.
 	Rows uint64
@@ -112,9 +111,10 @@ type Options struct {
 	Duration time.Duration
 	// Mix is the operation mix (zero value: DefaultMix).
 	Mix Mix
-	// OpenRate, when positive, switches to open-loop mode: arrivals
-	// fire at this aggregate rate per second regardless of completions,
-	// queueing when all lanes are busy. Zero selects closed-loop mode.
+	// OpenRate, when positive, switches to open-loop mode: arrival k is
+	// due k/OpenRate seconds after the start, whatever the completions,
+	// and its latency runs from that due time, so a request that waits
+	// for a free lane pays the wait. Zero selects closed-loop mode.
 	OpenRate float64
 	// AutoTerm stops the run early once throughput stabilizes.
 	AutoTerm bool
@@ -126,9 +126,6 @@ type Options struct {
 	// StabSpreadPct is the allowed relative spread (max-min)/mean of
 	// those windows, in percent (default 5).
 	StabSpreadPct float64
-	// Client overrides the HTTP client (default: keep-alive transport
-	// sized to Concurrency).
-	Client *http.Client
 	// Seed seeds the per-lane generators (default 1).
 	Seed int64
 }
@@ -158,6 +155,16 @@ type Result struct {
 	TotalOps   int64
 	TotalErrs  int64
 	QPS        float64
+	// Unsent counts the open loop's arrivals due before the run ended
+	// that no lane sent: the load the lanes could not offer. Always 0 in
+	// closed-loop mode.
+	Unsent int64
+	// Passes and Plans are the server's scan-cohort storage passes during
+	// the run and the distinct plans they carried (server.batch.flushes
+	// and .preds diffed across the run via /metrics): Plans > Passes
+	// means passes were shared. Both stay 0 on an unbatched server or an
+	// endpoint without metrics.
+	Passes, Plans int64
 }
 
 // lane-shared run state.
@@ -169,6 +176,11 @@ type runState struct {
 	ops  [numClasses]atomic.Int64
 	errs [numClasses]atomic.Int64
 	lat  [numClasses]*obs.Histogram
+
+	// The open loop's arrivals: ticket k is due at t0 + k*interval.
+	t0       time.Time
+	interval time.Duration
+	tickets  atomic.Int64
 }
 
 // Cut is one predicate in its wire form and as the predicate a direct
@@ -264,9 +276,6 @@ func Run(opts Options) (*Result, error) {
 	if opts.Mix == (Mix{}) {
 		opts.Mix = DefaultMix
 	}
-	if opts.Table == "" {
-		opts.Table = "item"
-	}
 	if opts.StabWindow <= 0 {
 		opts.StabWindow = 500 * time.Millisecond
 	}
@@ -282,14 +291,11 @@ func Run(opts Options) (*Result, error) {
 	if (opts.Mix.Write > 0 || opts.Mix.Point > 0) && opts.Rows == 0 {
 		return nil, fmt.Errorf("loadgen: write/point mix needs Rows")
 	}
-	hc := opts.Client
-	if hc == nil {
-		tr := &http.Transport{
-			MaxIdleConns:        opts.Concurrency * 2,
-			MaxIdleConnsPerHost: opts.Concurrency * 2,
-		}
-		hc = &http.Client{Transport: tr, Timeout: 30 * time.Second}
+	tr := &http.Transport{
+		MaxIdleConns:        opts.Concurrency * 2,
+		MaxIdleConnsPerHost: opts.Concurrency * 2,
 	}
+	hc := &http.Client{Transport: tr, Timeout: 30 * time.Second}
 	st := &runState{opts: opts}
 	for c := range st.lat {
 		st.lat[c] = &obs.Histogram{}
@@ -300,68 +306,56 @@ func Run(opts Options) (*Result, error) {
 	}
 	// Item-schema column layout: price is column 4, group key column 1.
 	for c, spec := range [numClasses]string{
-		ClassWrite: `"op":"update","table":"%s","col":4`,
-		ClassPoint: `"op":"get","table":"%s"`,
-		ClassSum:   `"op":"sum_where","table":"%s","col":4`,
-		ClassGroup: `"op":"group_sum_where","table":"%s","col":4,"key_col":1`,
+		ClassWrite: `"op":"update","table":"item","col":4`,
+		ClassPoint: `"op":"get","table":"item"`,
+		ClassSum:   `"op":"sum_where","table":"item","col":4`,
+		ClassGroup: `"op":"group_sum_where","table":"item","col":4,"key_col":1`,
 	} {
-		if st.stmts[c], err = st.c.Prepare(fmt.Sprintf(spec, opts.Table)); err != nil {
+		if st.stmts[c], err = st.c.Prepare(spec); err != nil {
 			return nil, fmt.Errorf("loadgen: prepare %s: %w", className[c], err)
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), opts.Duration)
+	before := st.scrapeCounters()
+	st.t0 = time.Now()
+	end := st.t0.Add(opts.Duration)
+	ctx, cancel := context.WithDeadline(context.Background(), end)
 	defer cancel()
-
-	// Open-loop arrivals: a pacer goroutine deposits fire tokens at the
-	// target rate; lanes block on the queue. Closed loop: lanes fire
-	// back to back.
-	var arrivals chan struct{}
 	if opts.OpenRate > 0 {
-		arrivals = make(chan struct{}, 4*opts.Concurrency)
-		go func() {
-			interval := time.Duration(float64(time.Second) / opts.OpenRate)
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					select {
-					case arrivals <- struct{}{}:
-					default: // queue full: the lanes are saturated
-					}
-				}
-			}
-		}()
+		st.interval = time.Duration(float64(time.Second) / opts.OpenRate)
 	}
 
-	stabilized := make(chan struct{})
+	// stopped is when AutoTerm ended the run, zero if it did not; the
+	// watcher has exited once watched is closed.
+	var stopped time.Time
+	watched := make(chan struct{})
 	if opts.AutoTerm {
-		go st.watchStability(ctx, cancel, stabilized)
+		go func() {
+			defer close(watched)
+			stopped = st.watchStability(ctx, cancel)
+		}()
+	} else {
+		close(watched)
 	}
 
-	cacheBefore := st.scrapeCacheCounters()
-	t0 := time.Now()
 	var wg sync.WaitGroup
 	for lane := 0; lane < opts.Concurrency; lane++ {
 		lane := lane
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st.runLane(ctx, lane, arrivals)
+			st.runLane(ctx, lane, end)
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(t0)
-	cacheAfter := st.scrapeCacheCounters()
+	wall := time.Since(st.t0)
+	cancel()
+	<-watched
+	after := st.scrapeCounters()
 
-	res := &Result{Wall: wall}
-	select {
-	case <-stabilized:
-		res.Stabilized = true
-	default:
+	res := &Result{Wall: wall, Stabilized: !stopped.IsZero()}
+	if res.Stabilized && stopped.Before(end) {
+		end = stopped
 	}
 	secs := wall.Seconds()
 	for c := 0; c < int(numClasses); c++ {
@@ -376,9 +370,9 @@ func Run(opts Options) (*Result, error) {
 		if secs > 0 {
 			cs.QPS = float64(cs.Ops) / secs
 		}
-		if op := classCacheOp[c]; op != "" && cacheBefore != nil && cacheAfter != nil {
-			cs.CacheLookups = cacheAfter["server.cache."+op+".lookups"] - cacheBefore["server.cache."+op+".lookups"]
-			cs.CacheHits = cacheAfter["server.cache."+op+".hits"] - cacheBefore["server.cache."+op+".hits"]
+		if op := classCacheOp[c]; op != "" && before != nil && after != nil {
+			cs.CacheLookups = after["server.cache."+op+".lookups"] - before["server.cache."+op+".lookups"]
+			cs.CacheHits = after["server.cache."+op+".hits"] - before["server.cache."+op+".hits"]
 			if cs.CacheLookups > 0 {
 				cs.CacheHitPct = float64(cs.CacheHits) / float64(cs.CacheLookups) * 100
 			}
@@ -390,15 +384,24 @@ func Run(opts Options) (*Result, error) {
 	if secs > 0 {
 		res.QPS = float64(res.TotalOps) / secs
 	}
+	if st.interval > 0 {
+		due := int64((end.Sub(st.t0) + st.interval - 1) / st.interval)
+		res.Unsent = due - res.TotalOps - res.TotalErrs
+	}
+	if before != nil && after != nil {
+		res.Passes = after["server.batch.flushes"] - before["server.batch.flushes"]
+		res.Plans = after["server.batch.preds"] - before["server.batch.preds"]
+	}
 	return res, nil
 }
 
-// scrapeCacheCounters reads the server's counter registry from
-// /metrics. Per-class cache hit rates are the before/after diff of
-// server.cache.<op>.{lookups,hits}. A missing or malformed endpoint
-// degrades to nil — hit rates then report zero instead of failing the
-// run, since an external -addr target need not expose metrics.
-func (st *runState) scrapeCacheCounters() map[string]int64 {
+// scrapeCounters reads the server's counter registry from /metrics.
+// Per-class cache hit rates are the before/after diff of
+// server.cache.<op>.{lookups,hits}, passes and plans that of
+// server.batch.{flushes,preds}. A missing or malformed endpoint degrades
+// to nil — those figures then report zero instead of failing the run,
+// since an external -addr target need not expose metrics.
+func (st *runState) scrapeCounters() map[string]int64 {
 	resp, err := st.c.hc.Get(st.opts.BaseURL + "/metrics")
 	if err != nil {
 		return nil
@@ -417,8 +420,10 @@ func (st *runState) scrapeCacheCounters() map[string]int64 {
 	return snap.Counters
 }
 
-// runLane is one client lane's request loop.
-func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struct{}) {
+// runLane is one client lane's request loop. In the open loop it takes
+// the next arrival ticket, sends nothing for a ticket due at or after
+// end, waits until the ticket is due and times the request from then.
+func (st *runState) runLane(ctx context.Context, lane int, end time.Time) {
 	r := rand.New(rand.NewSource(st.opts.Seed + int64(lane)*7919))
 	total := st.opts.Mix.Write + st.opts.Mix.Point + st.opts.Mix.Sum + st.opts.Mix.Group
 	// Point reads are zipfian over the row domain: a hot head repeats
@@ -428,13 +433,23 @@ func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struc
 		zipf = rand.NewZipf(r, 1.2, 8, st.opts.Rows-1)
 	}
 	for {
-		if arrivals != nil {
-			select {
-			case <-ctx.Done():
+		var due time.Time
+		if st.interval > 0 {
+			due = st.t0.Add(time.Duration(st.tickets.Add(1)-1) * st.interval)
+			if !due.Before(end) {
 				return
-			case <-arrivals:
 			}
-		} else if ctx.Err() != nil {
+			if wait := time.Until(due); wait > 0 {
+				timer := time.NewTimer(wait)
+				select {
+				case <-ctx.Done():
+					timer.Stop()
+					return
+				case <-timer.C:
+				}
+			}
+		}
+		if ctx.Err() != nil {
 			return
 		}
 		var class Class
@@ -460,7 +475,10 @@ func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struc
 		body := st.c.execBody(st.stmts[class], args)
 
 		// The lanes do not go through Client.Exec: they discard bodies.
-		t0 := time.Now()
+		start := time.Now()
+		if !due.IsZero() {
+			start = due
+		}
 		resp, err := st.c.hc.Post(st.c.base+"/v1/exec", "application/json", strings.NewReader(body))
 		if err != nil {
 			if ctx.Err() != nil {
@@ -471,7 +489,7 @@ func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struc
 		}
 		_, cerr := io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		st.lat[class].ObserveSince(t0)
+		st.lat[class].ObserveSince(start)
 		if resp.StatusCode == 200 && cerr == nil {
 			st.ops[class].Add(1)
 		} else {
@@ -482,8 +500,9 @@ func (st *runState) runLane(ctx context.Context, lane int, arrivals <-chan struc
 
 // watchStability samples aggregate throughput per window and cancels
 // the run once StabCount consecutive windows agree within
-// StabSpreadPct.
-func (st *runState) watchStability(ctx context.Context, cancel context.CancelFunc, stabilized chan<- struct{}) {
+// StabSpreadPct. It returns when it cancelled, or the zero time when the
+// run ended first.
+func (st *runState) watchStability(ctx context.Context, cancel context.CancelFunc) time.Time {
 	tick := time.NewTicker(st.opts.StabWindow)
 	defer tick.Stop()
 	var last int64
@@ -491,7 +510,7 @@ func (st *runState) watchStability(ctx context.Context, cancel context.CancelFun
 	for {
 		select {
 		case <-ctx.Done():
-			return
+			return time.Time{}
 		case <-tick.C:
 		}
 		var cur int64
@@ -516,9 +535,10 @@ func (st *runState) watchStability(ctx context.Context, cancel context.CancelFun
 		}
 		mean := sum / float64(len(recent))
 		if mean > 0 && (hi-lo)/mean*100 <= st.opts.StabSpreadPct {
-			close(stabilized)
+			// Cancel first: a lane that found the context live before
+			// this stamp took a ticket due before it.
 			cancel()
-			return
+			return time.Now()
 		}
 	}
 }
@@ -526,7 +546,8 @@ func (st *runState) watchStability(ctx context.Context, cancel context.CancelFun
 // String renders the classic harness report table.
 func (r *Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "wall %.2fs  qps %.0f  ops %d  errors %d", r.Wall.Seconds(), r.QPS, r.TotalOps, r.TotalErrs)
+	fmt.Fprintf(&b, "wall %.2fs  qps %.0f  ops %d  errors %d  unsent %d  passes %d  plans %d",
+		r.Wall.Seconds(), r.QPS, r.TotalOps, r.TotalErrs, r.Unsent, r.Passes, r.Plans)
 	if r.Stabilized {
 		b.WriteString("  (stabilized)")
 	}

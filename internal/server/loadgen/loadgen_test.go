@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -174,6 +175,136 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 	if res.QPS > 400 {
 		t.Fatalf("open loop at 200 req/s measured %.0f qps — pacing is not limiting", res.QPS)
+	}
+}
+
+// TestOpenLoopCountsUnsent offers one lane far more arrivals than it
+// can send: every arrival due before the deadline is either answered,
+// errored or counted unsent, none is lost, and because each request is
+// timed from when it was due, the backlog shows in the latency instead
+// of vanishing from it.
+func TestOpenLoopCountsUnsent(t *testing.T) {
+	ts := testServer(t, 0)
+	opts := Options{BaseURL: ts.URL, Rows: 512, Concurrency: 1, Duration: 400 * time.Millisecond, Mix: Mix{Sum: 100}}
+	closed, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.OpenRate = 1e6
+	open, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interval := time.Duration(float64(time.Second) / opts.OpenRate)
+	due := int64((opts.Duration + interval - 1) / interval)
+	if got := open.TotalOps + open.TotalErrs + open.Unsent; got != due {
+		t.Errorf("ops %d + errors %d + unsent %d = %d, want the %d arrivals due", open.TotalOps, open.TotalErrs, open.Unsent, got, due)
+	}
+	if open.Unsent <= 0 {
+		t.Errorf("one lane kept up with %.0f req/s:\n%s", opts.OpenRate, open)
+	}
+	if o, c := open.Classes[ClassSum].P50, closed.Classes[ClassSum].P50; o < c {
+		t.Errorf("open-loop p50 %v below closed-loop p50 %v: latency is not timed from the due time", o, c)
+	}
+	if closed.Unsent != 0 {
+		t.Errorf("closed loop reported %d unsent", closed.Unsent)
+	}
+}
+
+// TestServingSweep is the serving-layer acceptance gate: at a 32-client
+// burst over warm device-cached data the batching server must share
+// storage passes — its scan cohorts carried more plans than they ran
+// passes, a count, where a wall-clock ratio is noise on shared hardware
+// — and every leg must be error-free and report a p99 for each class it
+// served. Two servers front the one store, one batching and one
+// executing every request solo, over {1, 32} clients; every leg starts
+// from a merged table.
+func TestServingSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serving sweep measures wall-clock legs; skipped in -short")
+	}
+	const rows = 4096
+	db := hybridstore.Open(hybridstore.Options{ChunkRows: 256, DeviceCache: true})
+	t.Cleanup(func() { db.Close() })
+	tbl, err := db.CreateTable("item", hybridstore.ItemSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tbl.Free)
+	for i := uint64(0); i < rows; i++ {
+		if _, err := tbl.Insert(hybridstore.Item(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Re-key i_im_id to a dashboard-cardinality group domain, fold the
+	// rewrites and warm the device cache: the legs compare serving paths,
+	// not cold-start transfers.
+	for i := uint64(0); i < rows; i++ {
+		if err := tbl.Update(i, 1, hybridstore.Int32Value(int32(i%64))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tbl.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tbl.SumFloat64Where(hybridstore.ItemPriceColumn, hybridstore.GtFloat(0)); err != nil {
+		t.Fatal(err)
+	}
+	urls := map[bool]string{}
+	for _, batched := range []bool{false, true} {
+		cfg := server.Config{DB: db}
+		if batched {
+			cfg.BatchWindow = server.DefaultBatchWindow
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go server.New(cfg).Serve(l)
+		urls[batched] = "http://" + l.Addr().String()
+	}
+	mix, err := ParseMix("write=20,sum=60,group=20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With 20 % writes over these few rows a leg would otherwise inherit
+	// its predecessor's deltas.
+	drive := func(batched bool, conc int, dur time.Duration) *Result {
+		t.Helper()
+		if err := tbl.Merge(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(Options{BaseURL: urls[batched], Rows: rows, Concurrency: conc, Duration: dur, Mix: mix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// A short discarded leg per server: connection setup and pool
+	// priming happen off the clock.
+	for _, batched := range []bool{false, true} {
+		drive(batched, 4, 150*time.Millisecond)
+	}
+	for _, conc := range []int{1, 32} {
+		for _, batched := range []bool{false, true} {
+			res := drive(batched, conc, 800*time.Millisecond)
+			if conc == 32 && batched && res.Plans <= res.Passes {
+				t.Errorf("32 batched clients shared no pass: %d plans in %d passes\n%s", res.Plans, res.Passes, res)
+			}
+			if res.TotalErrs != 0 {
+				t.Errorf("leg c=%d batched=%v had %d errors\n%s", conc, batched, res.TotalErrs, res)
+			}
+			for _, c := range res.Classes {
+				if served := c.Ops > 0 || c.Errors > 0; served != (c.Name != "point") {
+					t.Fatalf("leg c=%d batched=%v: class %s served %v, want write, sum and group only\n%s",
+						conc, batched, c.Name, served, res)
+				}
+				if c.Ops > 0 && c.P99 <= 0 {
+					t.Errorf("leg c=%d batched=%v class %s: %d ops but p99 %v", conc, batched, c.Name, c.Ops, c.P99)
+				}
+			}
+		}
 	}
 }
 

@@ -65,23 +65,24 @@ prog() {
 	}
 }
 
-for p in 0 1 2 3 4 selectivity devicecache compression fusion multidevice serving resultcache; do
-	prog htapbench -panel "$p" -serving-leg 300ms
+for p in 0 1 2 3 4 selectivity devicecache compression fusion multidevice resultcache; do
+	prog htapbench -panel "$p"
 done
-prog htapbench -csv -real -real-rows 100000 -verify -verify-rows 30000 -metrics
-prog htapbench -panel serving -serving-leg 300ms -wal "$run/serving-wal"
+prog htapbench -csv -real -real-rows 100000 -verify -verify-rows 30000
 prog taxonomy -audit
 prog taxonomy -tree
 prog linearize
 for ex in adaptive_htap gpu_offload lineage metrics quickstart survey; do
 	prog "$ex"
 done
-prog loadgen -selfserve -duration 2s -concurrency 8
+prog loadgen -selfserve -duration 2s -concurrency 32 -mix write=20,sum=60,group=20
 prog loadgen -selfserve -duration 2s -concurrency 8 -unbatched -result-cache 0 \
 	-cpuprofile "$run/cpu.prof" -memprofile "$run/mem.prof" -csv "$run/serving.csv"
 prog loadgen -selfserve -duration 2s -concurrency 8 -wal "$run/loadgen-wal"
 prog loadgen -selfserve -duration 2s -concurrency 8 -wal "$run/loadgen-wal"
-prog loadgen -selfserve -duration 2s -concurrency 4 -rate 400 -autoterm
+# Four 500 ms windows must agree before -autoterm stops a run, so the
+# ceiling leaves room for them.
+prog loadgen -selfserve -duration 4s -concurrency 4 -rate 400 -autoterm
 prog crashtest -rounds 1 -acks 200 -csv ""
 for w in htap-split dash-repeat scan-unique oltp-durable; do
 	prog bench -workload "$w" -seconds 2 -out "$run/bench-$w"
