@@ -101,11 +101,13 @@ type Options struct {
 	// which moves fragments instead of caching images.
 	DeviceCache bool
 	// Compress seals side-car compressed images (RLE, dictionary, or
-	// frame-of-reference — whichever fits best) of cold numeric columns at
-	// the freeze point. Analytic scans over the cold region then evaluate
-	// predicates in the compressed domain, and — combined with DeviceCache
-	// — ship the compressed image over the bus, so transfer cost and cache
-	// footprint shrink by the compression ratio.
+	// frame-of-reference — whichever is smallest) of cold numeric columns
+	// at the freeze point, and only where that image is smaller than the
+	// column: a column no encoding shrinks keeps no copy and scans its
+	// own bytes. Analytic scans over an image evaluate predicates in the
+	// compressed domain, and — combined with DeviceCache — ship it over
+	// the bus, so transfer cost and cache footprint shrink by the
+	// compression ratio.
 	Compress bool
 	// Policy is the host execution policy for analytic operators
 	// (default SingleThreaded).

@@ -73,11 +73,13 @@ type Options struct {
 	// Compress seals side-car compressed images of the cold region's
 	// singleton 8-byte numeric columns at the freeze point (the same point
 	// that seals zone maps), re-sealing whenever the cold bytes are
-	// rewritten (delta merge, regrouping). Analytic scans then execute in
-	// the compressed domain on the host, and — combined with DeviceCache —
-	// ship the compressed image over the bus instead of the dense bytes.
-	// The raw fragments stay authoritative for point reads and MVCC
-	// patching. Off by default.
+	// rewritten (delta merge, regrouping). Only an encoding smaller than
+	// the column (RLE, Dict, FOR) is kept: where none is, the column keeps
+	// no copy and scans its fragment bytes. Analytic scans over an image
+	// execute in the compressed domain on the host, and — combined with
+	// DeviceCache — ship the image over the bus instead of the dense
+	// bytes. The raw fragments stay authoritative for point reads and
+	// MVCC patching. Off by default.
 	Compress bool
 }
 
@@ -155,9 +157,10 @@ type chunk struct {
 	groups [][]int
 	frags  []*layout.Fragment
 	// comp holds per-attribute side-car compressed images of the cold
-	// bytes (Options.Compress), indexed by column; nil entries mark
-	// non-compressible attributes. Re-sealed wherever the cold bytes are
-	// rewritten so the images always reflect the fragments.
+	// bytes (Options.Compress), indexed by column; a nil entry — or a nil
+	// comp — marks a column no encoding shrinks, or one that is not
+	// compressible, which scans from its fragment. Re-sealed wherever the
+	// cold bytes are rewritten so the images always reflect the fragments.
 	comp []*compress.Column
 	// epoch is the result-cache stamp of a point read in this chunk,
 	// moved by every write to its fragments (touch).
@@ -553,13 +556,16 @@ func (t *Table) buildColdFragments(rows layout.RowRange, groups [][]int) ([]*lay
 // sealChunkCompression (re)builds the chunk's side-car compressed images
 // from its current cold bytes — singleton Direct groups over 8-byte
 // numeric attributes only, the exact shape the compressed-domain
-// operators consume. Called at every point the cold bytes settle: the
-// freeze, a regroup, a delta merge. A no-op unless Options.Compress.
+// operators consume — keeping an image only where an encoding is smaller
+// than the column: a Raw image would be a second copy of the fragment's
+// bytes, so that column scans its fragment instead. Called at every
+// point the cold bytes settle: the freeze, a regroup, a delta merge. A
+// no-op unless Options.Compress.
 func (t *Table) sealChunkCompression(c *chunk) {
 	if !t.eng.opts.Compress || c.state != cold {
 		return
 	}
-	c.comp = make([]*compress.Column, t.s.Arity())
+	c.comp = nil
 	for gi, f := range c.frags {
 		if len(c.groups[gi]) != 1 {
 			continue
@@ -573,8 +579,11 @@ func (t *Table) sealChunkCompression(c *chunk) {
 			continue
 		}
 		cc, err := compress.Compress(cv.Data[cv.Base:cv.Base+cv.Len*8], cv.Len, 8)
-		if err != nil {
+		if err != nil || cc.Encoding() == compress.Raw {
 			continue
+		}
+		if c.comp == nil {
+			c.comp = make([]*compress.Column, t.s.Arity())
 		}
 		c.comp[col] = cc
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hybridstore/internal/compress"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/index"
@@ -732,38 +733,52 @@ func TestGroupSumFloat64(t *testing.T) {
 }
 
 // TestColdCompressedScan covers Options.Compress: freezing seals
-// side-car compressed images on cold singleton numeric columns, queries
-// over cold chunks execute in the compressed domain with unchanged
-// answers, MVCC updates overlay correctly (the raw fragments stay
-// authoritative), and a version-store merge re-seals the images it made
-// stale.
+// side-car compressed images on cold singleton numeric columns an
+// encoding shrinks, queries over cold chunks execute in the compressed
+// domain with unchanged answers, MVCC updates overlay correctly (the raw
+// fragments stay authoritative), and a version-store merge re-seals the
+// images it made stale. The prices take 50 distinct values, so every
+// 128-row chunk's price column is dictionary-coded.
 func TestColdCompressedScan(t *testing.T) {
-	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1, Compress: true}, 600)
+	price := func(i uint64) float64 { return float64(i%50)/2 + 1 }
+	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1, Compress: true}, 0)
 	defer tbl.Free()
-	sealedImages := func() int {
+	for i := uint64(0); i < 600; i++ {
+		rec := workload.Item(i)
+		rec[workload.ItemPriceCol] = schema.FloatValue(price(i))
+		if _, err := tbl.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dictImages := func() int {
 		n := 0
 		for _, c := range tbl.chunks {
-			if c.state == cold && len(c.comp) > workload.ItemPriceCol && c.comp[workload.ItemPriceCol] != nil {
+			if c.state == cold && len(c.comp) > workload.ItemPriceCol && c.comp[workload.ItemPriceCol] != nil &&
+				c.comp[workload.ItemPriceCol].Encoding() == compress.Dict {
 				n++
 			}
 		}
 		return n
 	}
-	if sealedImages() == 0 {
-		t.Fatal("freezing sealed no compressed price images")
+	if dictImages() == 0 {
+		t.Fatal("freezing sealed no dictionary price images")
+	}
+	var wantTotal float64
+	for i := uint64(0); i < 600; i++ {
+		wantTotal += price(i)
 	}
 	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := workload.ExpectedItemPriceSum(600); math.Abs(sum-want) > 1e-6 {
-		t.Fatalf("compressed-domain sum = %v, want %v", sum, want)
+	if math.Abs(sum-wantTotal) > 1e-6 {
+		t.Fatalf("compressed-domain sum = %v, want %v", sum, wantTotal)
 	}
-	p := exec.Between(0.0, 50.0)
+	p := exec.Between(0.0, 10.0)
 	var wantSum float64
 	var wantN int64
 	for i := uint64(0); i < 600; i++ {
-		if v := workload.ItemPrice(i); p.Match(v) {
+		if v := price(i); p.Match(v) {
 			wantSum += v
 			wantN++
 		}
@@ -783,7 +798,7 @@ func TestColdCompressedScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := workload.ExpectedItemPriceSum(600) - workload.ItemPrice(5) + 777
+	want := wantTotal - price(5) + 777
 	if math.Abs(sum-want) > 1e-6 {
 		t.Fatalf("post-update sum = %v, want %v", sum, want)
 	}
@@ -792,7 +807,7 @@ func TestColdCompressedScan(t *testing.T) {
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	if sealedImages() == 0 {
+	if dictImages() == 0 {
 		t.Fatal("merge dropped all compressed images without re-sealing")
 	}
 	for _, c := range tbl.chunks {
@@ -821,10 +836,68 @@ func TestColdCompressedScan(t *testing.T) {
 	}
 }
 
+// A seal keeps an image only where an encoding is smaller than the
+// column. Over four 8-byte columns — sequential ids (FOR), a price in
+// runs of 64 (RLE), a price of 50 values (Dict) and a random price
+// (Raw) — each cold chunk keeps the first three and no copy of the
+// fourth; a chunk whose every compressible column is Raw keeps no
+// side-car list at all.
+func TestSealKeepsOnlyShrinkingImages(t *testing.T) {
+	s := schema.MustNew(schema.Int64Attr("id"), schema.Float64Attr("runs"), schema.Float64Attr("few"), schema.Float64Attr("noise"))
+	e := New(engine.NewEnv(), Options{ChunkRows: 256, HotChunks: 1, Compress: true})
+	et, err := e.Create("t", s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := et.(*Table)
+	defer tbl.Free()
+	r := rand.New(rand.NewSource(1))
+	for i := int64(0); i < 3*256; i++ {
+		rec := schema.Record{schema.IntValue(i), schema.FloatValue(float64(i / 64)), schema.FloatValue(float64(i % 50)), schema.FloatValue(r.Float64())}
+		if _, err := tbl.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []compress.Encoding{compress.FOR, compress.RLE, compress.Dict}
+	frozen := 0
+	for _, c := range tbl.chunks {
+		if c.state != cold {
+			continue
+		}
+		frozen++
+		for col, enc := range want {
+			if c.comp[col] == nil || c.comp[col].Encoding() != enc {
+				t.Fatalf("chunk %v col %d: image %v, want %v", c.rows, col, c.comp[col], enc)
+			}
+		}
+		if c.comp[3] != nil {
+			t.Fatalf("chunk %v keeps a %v image of the random column", c.rows, c.comp[3].Encoding())
+		}
+	}
+	if frozen != 2 {
+		t.Fatalf("%d cold chunks, want 2", frozen)
+	}
+	price := schema.MustNew(schema.Float64Attr("price"))
+	pt, err := e.Create("prices", price)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pt.Free()
+	for i := 0; i < 3*256; i++ {
+		if _, err := pt.Insert(schema.Record{schema.FloatValue(r.Float64())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := pt.(*Table).chunks[0]; c.state != cold || c.comp != nil {
+		t.Fatalf("a chunk of one Raw column: state %d, side-cars %v, want cold and none", c.state, c.comp)
+	}
+}
+
 // A re-seal encodes only the scheme each column keeps: sealing a cold
 // 1024-row item chunk allocates the comp slice plus at most a Column and
 // its payload per compressible column. Encoding every scheme in full and
-// keeping the smallest cost ~640 objects and 16 times the bytes.
+// keeping the smallest cost ~640 objects and 16 times the bytes. The
+// price column's Raw image is still built by the chooser, then dropped.
 func TestSealAllocatesOnlyTheWinners(t *testing.T) {
 	_, tbl := newTable(t, Options{ChunkRows: 1024, HotChunks: 1, Compress: true}, 2048)
 	defer tbl.Free()
@@ -843,8 +916,8 @@ func TestSealAllocatesOnlyTheWinners(t *testing.T) {
 	if limit := float64(2*cols + 1); allocs > limit {
 		t.Fatalf("sealing %d compressible columns: %.1f allocations, gate %.0f", cols, allocs, limit)
 	}
-	if c.comp[workload.ItemIDCol] == nil || c.comp[workload.ItemPriceCol] == nil {
-		t.Fatal("seal left a compressible column without an image")
+	if c.comp[workload.ItemIDCol] == nil || c.comp[workload.ItemPriceCol] != nil {
+		t.Fatal("seal kept the wrong images: want the id's, and no copy of the Raw price column")
 	}
 }
 

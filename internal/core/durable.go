@@ -108,7 +108,7 @@ func (t *Table) CheckpointTo(enc *wal.Encoder) (ckptTS, ckptRows uint64, err err
 
 	// Delta versions visible at the snapshot, stamped with their real
 	// commit timestamps so restore rebuilds the same chains.
-	var deltas []deltaEntry
+	deltas := make([]deltaEntry, 0, t.deltas.Versions())
 	t.deltas.RangeVisible(0, pinTS, func(row uint64, rec schema.Record, verTS uint64) bool {
 		deltas = append(deltas, deltaEntry{row: row, rec: rec, ts: verTS})
 		return true
@@ -313,7 +313,8 @@ func corrupt(format string, args ...any) error {
 // RestoreTable rebuilds a table from a checkpoint section written by
 // CheckpointTo: base fragments byte-identical with sealed zone maps
 // (zero re-seals), compressed side-cars decoded from their marshaled
-// images, delta chains at their original commit timestamps, the clock
+// images (an older image's Raw side-cars validated, then dropped), delta
+// chains at their original commit timestamps, the clock
 // advanced to the checkpoint timestamp, the PK index rebuilt, and the
 // device fragment cache re-primed from the manifest.
 //
@@ -463,25 +464,31 @@ func (t *Table) restoreChunk(d *wal.Decoder, begin, rows uint64) (*chunk, error)
 			return nil, err
 		}
 	}
-	if nc := int(d.U32()); nc > 0 {
-		c.comp = make([]*compress.Column, arity)
-		for k := 0; k < nc; k++ {
-			col := int(d.U32())
-			img := d.Blob()
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			cc, err := compress.Decode(img)
-			if err != nil {
-				return nil, fmt.Errorf("core: restoring compressed side-car of col %d: %w", col, err)
-			}
-			// Only what sealChunkCompression seals: an image of a thin
-			// 8-byte numeric column holding every tuplet of the chunk.
-			if _, f := t.thinFragment(c, col); f == nil || !compressible(t.s.Attr(col)) || cc.Len() != want || cc.ElementSize() != 8 {
-				return nil, corrupt("compressed side-car of col %d over %d elements, chunk holds %d", col, cc.Len(), want)
-			}
-			c.comp[col] = cc
+	nc := int(d.U32())
+	for k := 0; k < nc; k++ {
+		col := int(d.U32())
+		img := d.Blob()
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
+		cc, err := compress.Decode(img)
+		if err != nil {
+			return nil, fmt.Errorf("core: restoring compressed side-car of col %d: %w", col, err)
+		}
+		// Only what sealChunkCompression seals: an image of a thin
+		// 8-byte numeric column holding every tuplet of the chunk.
+		if _, f := t.thinFragment(c, col); f == nil || !compressible(t.s.Attr(col)) || cc.Len() != want || cc.ElementSize() != 8 {
+			return nil, corrupt("compressed side-car of col %d over %d elements, chunk holds %d", col, cc.Len(), want)
+		}
+		// An older image's Raw side-car is a copy of the fragment
+		// just restored: valid, and dropped, as a seal would.
+		if cc.Encoding() == compress.Raw {
+			continue
+		}
+		if c.comp == nil {
+			c.comp = make([]*compress.Column, arity)
+		}
+		c.comp[col] = cc
 	}
 	return c, nil
 }
@@ -515,10 +522,10 @@ func (t *Table) PrimeDeviceCache(cols []device.ResidentCol) error {
 			if devBytes > 0 {
 				continue // device-placed fragments have no host bytes to ship
 			}
+			// A chunk with no image — an older manifest named its Raw
+			// side-car — primes the bytes its scans now ship.
 			if rc.Comp {
-				if t.attachCompressed(&piece, c, rc.Col); piece.Comp == nil {
-					continue
-				}
+				t.attachCompressed(&piece, c, rc.Col)
 			}
 			pieces = append(pieces, piece)
 		}

@@ -2,10 +2,15 @@ package core
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"hybridstore/internal/compress"
+	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/wal"
@@ -289,4 +294,97 @@ func TestRestoreRefusesWhatTheImageCannotCarry(t *testing.T) {
 			}
 		})
 	}
+}
+
+// An image written before Raw side-cars were dropped carries one per
+// cold price column, and a device-cache manifest entry for the price
+// column's compressed format. Restoring it validates each Raw side-car
+// and drops it, answers bit for bit as the table that wrote it, and
+// still restarts warm: the manifest entry primes the column's raw
+// images, so the first scan misses no image.
+func TestRestoreDropsRawSideCarsAndPrimesWarm(t *testing.T) {
+	opts := Options{ChunkRows: 1024, HotChunks: 1, Compress: true, DeviceCache: true}
+	_, tbl := newTable(t, opts, 4096+100)
+	defer tbl.Free()
+	if n := plantRawSideCars(t, tbl, workload.ItemPriceCol); n != 4 {
+		t.Fatalf("%d Raw side-cars planted, want one per cold chunk (4)", n)
+	}
+	plans := []exec.Plan{
+		{Op: exec.KindSum, Col: workload.ItemPriceCol},
+		{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Between(10, 60)},
+		{Op: exec.KindGroupSumWhere, KeyCol: 1, Col: workload.ItemPriceCol, Pred: exec.Between(10, 60)},
+	}
+	answers := func(tbl *Table) []exec.Result {
+		t.Helper()
+		out := make([]exec.Result, len(plans))
+		for i, p := range plans {
+			var err error
+			if out[i], err = tbl.Scan(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	want := answers(tbl) // warms the cache with the Raw images
+	if m := tbl.env.Cache.ResidentColumns(tbl.rel.Name()); !slices.Contains(m, device.ResidentCol{Col: workload.ItemPriceCol, Comp: true}) {
+		t.Fatalf("manifest %v lacks the price column's compressed format", m)
+	}
+	var enc wal.Encoder
+	if _, _, err := tbl.CheckpointTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+
+	e := New(engine.NewEnv(), opts)
+	rt, err := e.RestoreTable("item", workload.ItemSchema(), wal.NewDecoder(enc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Free()
+	for _, c := range rt.chunks {
+		if c.state == cold && (c.comp == nil || c.comp[workload.ItemIDCol] == nil || c.comp[workload.ItemPriceCol] != nil) {
+			t.Fatalf("restored chunk %v side-cars %v: want the id's and no price copy", c.rows, c.comp)
+		}
+	}
+	before := rt.env.Cache.Stats()
+	got := answers(rt)
+	if after := rt.env.Cache.Stats(); after.Misses != before.Misses || after.Hits == before.Hits {
+		t.Fatalf("first scans after restore: %d misses, %d hits; want every image primed", after.Misses-before.Misses, after.Hits-before.Hits)
+	}
+	for i, p := range plans {
+		g, w := got[i], want[i]
+		same := math.Float64bits(g.Sum) == math.Float64bits(w.Sum) && g.Count == w.Count && len(g.Groups) == len(w.Groups)
+		for j := 0; same && j < len(g.Groups); j++ {
+			same = g.Groups[j].Key == w.Groups[j].Key && g.Groups[j].Count == w.Groups[j].Count &&
+				math.Float64bits(g.Groups[j].Sum) == math.Float64bits(w.Groups[j].Sum)
+		}
+		if !same {
+			t.Errorf("%s: restored %+v, the writer answered %+v", p.Op, g, w)
+		}
+	}
+}
+
+// plantRawSideCars gives every cold chunk whose col is a thin fragment
+// the Raw side-car a seal once kept, returning how many it planted.
+func plantRawSideCars(tb testing.TB, tbl *Table, col int) int {
+	n := 0
+	for _, c := range tbl.chunks {
+		_, f := tbl.thinFragment(c, col)
+		if c.state != cold || f == nil {
+			continue
+		}
+		cv, err := f.ColVector(col)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		raw, err := compress.CompressAs(compress.Raw, cv.Data[cv.Base:cv.Base+cv.Len*8], cv.Len, 8)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if c.comp == nil {
+			c.comp = make([]*compress.Column, tbl.s.Arity())
+		}
+		c.comp[col] = raw
+		n++
+	}
+	return n
 }

@@ -17,8 +17,9 @@ var fuzzOpts = Options{ChunkRows: 16, HotChunks: 1, Compress: true, DeviceCache:
 // checkpointImage is a real CheckpointTo section of a table under
 // fuzzOpts: cold chunks with side-cars, some regrouped, a partly filled
 // hot chunk, live deltas, and, when warm, the manifest of the device
-// cache a scan filled.
-func checkpointImage(tb testing.TB, rows uint64, warm bool) []byte {
+// cache a scan filled. With legacy, the thin price columns carry the Raw
+// side-cars older images hold.
+func checkpointImage(tb testing.TB, rows uint64, warm, legacy bool) []byte {
 	e := New(engine.NewEnv(), fuzzOpts)
 	et, err := e.Create("item", workload.ItemSchema())
 	if err != nil {
@@ -45,6 +46,9 @@ func checkpointImage(tb testing.TB, rows uint64, warm bool) []byte {
 			tb.Fatal(err)
 		}
 	}
+	if legacy {
+		plantRawSideCars(tb, tbl, workload.ItemPriceCol)
+	}
 	if warm {
 		if _, err := tbl.SumFloat64(workload.ItemPriceCol); err != nil {
 			tb.Fatal(err)
@@ -66,7 +70,7 @@ func checkpointImage(tb testing.TB, rows uint64, warm bool) []byte {
 // answers its row count, a get of every row and a column sum without
 // error.
 func FuzzRestoreTable(f *testing.F) {
-	for _, img := range [][]byte{checkpointImage(f, 40, false), checkpointImage(f, 56, true)} {
+	for _, img := range [][]byte{checkpointImage(f, 40, false, false), checkpointImage(f, 56, true, false), checkpointImage(f, 56, true, true)} {
 		f.Add(img)
 		f.Add(img[:len(img)/2]) // truncated
 	}

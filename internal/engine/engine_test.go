@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"hybridstore/internal/compress"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/mem"
@@ -310,6 +312,83 @@ func TestScanCohortMatchesSolo(t *testing.T) {
 	if res, err := ScanCohort(src, exec.Single(), nil, nil, nil); err != nil || len(res) != 0 {
 		t.Errorf("empty cohort = %v, %v", res, err)
 	}
+
+	// Host pieces alternating raw and dictionary-coded random prices: the
+	// shared pass and the solo scan both fold them in piece order, so
+	// each answer is also the one the same pieces give all raw.
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, op := range []exec.Kind{exec.KindSum, exec.KindSumWhere} {
+			plans := []exec.Plan{
+				{Op: op, Col: 1, Pred: exec.Between(10.0, 60.0)},
+				{Op: op, Col: 1, Pred: exec.Gt(0.5)},
+				{Op: op, Col: 1, Pred: exec.Lt(90.0)},
+			}
+			mixed, plain := &mixedSource{s: s, seed: seed, encode: true}, &mixedSource{s: s, seed: seed}
+			got, err := ScanCohort(mixed, exec.Single(), nil, plans, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, p := range plans {
+				solo, err := Scan(mixed, exec.Single(), nil, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := Scan(plain, exec.Single(), nil, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got[k], solo) || !sameBits(solo, raw) {
+					t.Errorf("seed %d %s %v: shared %x, solo %x, all raw %x", seed, op, p.Pred,
+						math.Float64bits(got[k].Sum), math.Float64bits(solo.Sum), math.Float64bits(raw.Sum))
+				}
+			}
+		}
+	}
+}
+
+// mixedSource is a float64 column of six 256-row host pieces of seeded
+// random prices: even pieces hold any value, odd pieces draw from 100,
+// and with encode the odd pieces carry their dictionary-coded image —
+// the mix of raw and encoded chunks a compressed store's cold region
+// holds.
+type mixedSource struct {
+	s      *schema.Schema
+	seed   int64
+	encode bool
+}
+
+func (m *mixedSource) Schema() *schema.Schema { return m.s }
+
+func (m *mixedSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
+	const pieces, rows = 6, 256
+	r := rand.New(rand.NewSource(m.seed))
+	dict := make([]float64, 100)
+	for i := range dict {
+		dict[i] = r.Float64() * 100
+	}
+	img := make([]byte, pieces*rows*8)
+	for i := 0; i < pieces*rows; i++ {
+		v := r.Float64() * 100
+		if i/rows%2 == 1 {
+			v = dict[r.Intn(len(dict))]
+		}
+		binary.LittleEndian.PutUint64(img[i*8:], math.Float64bits(v))
+	}
+	for i := 0; i < pieces; i++ {
+		pc := exec.Piece{Rows: layout.RowRange{Begin: uint64(i * rows), End: uint64((i + 1) * rows)},
+			Vec: layout.ColVector{Data: img, Base: i * rows * 8, Stride: 8, Size: 8, Len: rows}}
+		if m.encode && i%2 == 1 {
+			if pc.Comp, err = compress.Compress(img[pc.Vec.Base:pc.Vec.Base+rows*8], rows, 8); err != nil {
+				return nil, nil, err
+			}
+			if pc.Comp.Encoding() != compress.Dict {
+				return nil, nil, fmt.Errorf("piece %d encodes as %v", i, pc.Comp.Encoding())
+			}
+			pc.Vec.Data, pc.Vec.Base = nil, 0
+		}
+		vals = append(vals, pc)
+	}
+	return nil, vals, nil
 }
 
 // mapBases is a Bases over a map, keyed by the normalized plan.

@@ -240,6 +240,9 @@ func appendWhere(buf []uint64, rowBase uint64, v layout.ColVector, from, to int,
 // in the compressed domain, and only scanned bytes charged to the
 // platform model. Unfiltered, the test is switched off: nothing is
 // pruned, every element is added (a NaN included) and nothing counted.
+// With one slot every piece folds in piece order (sumPieces); the
+// parallel policies fold the raw pieces' slot partials, then add the
+// compressed pieces' piece-order sum.
 func scanSum(cfg Config, pieces []Piece, p Pred, filtered bool) (float64, int64, error) {
 	if err := checkSize8(pieces, "float64 sum"); err != nil {
 		return 0, 0, err
@@ -258,30 +261,65 @@ func scanSum(cfg Config, pieces []Piece, p Pred, filtered bool) (float64, int64,
 	if filtered {
 		_, kept, _ = pruneByZone(cfg, nil, pieces, p)
 	}
-	raw, comp := splitComp(kept)
-	sum, n := parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-		vals := v.Data[v.Base+from*v.Stride:]
-		if !filtered {
-			return agg.SumAll(vals, v.Stride, to-from), 0
-		}
-		return agg.SumWhere(vals, v.Stride, to-from, lo, hi)
-	})
-	if len(comp) > 0 {
-		cs, cn, err := compFold(cfg, comp, func(c *compress.Column) (float64, int64, error) {
+	var rawSum float64
+	var rawN int64
+	comp := kept
+	if cfg.slots() > 1 {
+		var raw []Piece
+		raw, comp = splitComp(kept)
+		rawSum, rawN = parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
+			vals := v.Data[v.Base+from*v.Stride:]
 			if !filtered {
-				s, err := c.SumFloat64()
-				return s, 0, err
+				return agg.SumAll(vals, v.Stride, to-from), 0
 			}
-			return c.SumFloat64Where(p)
+			return agg.SumWhere(vals, v.Stride, to-from, lo, hi)
 		})
-		if err != nil {
-			return 0, 0, err
-		}
-		sum += cs
-		n += cn
+	}
+	var out [1]Result
+	if err := sumPieces(comp, [][2]float64{{lo, hi}}, nil, filtered, out[:]); err != nil {
+		return 0, 0, err
 	}
 	cfg.chargeScan(kept)
-	return sum, n, nil
+	return rawSum + out[0].Sum, rawN + out[0].Count, nil
+}
+
+// sumPieces is the sequential scalar fold, the solo body's and the
+// shared pass's alike: piece by piece, in piece order, each piece's
+// partial — its bytes folded by agg, or its sealed image by the
+// compressed-domain operator, each in ascending element order — is added
+// to out[k] for every closed interval bounds[k] whose row of admit (nil:
+// every row) lets it see the piece. Raw and encoded pieces share the one
+// order, so a column whose chunks mix both sums to the plain store's
+// bits. Unfiltered, the bounds are ignored and every element is added.
+func sumPieces(pieces []Piece, bounds [][2]float64, admit []bool, filtered bool, out []Result) error {
+	for i := range pieces {
+		pc := &pieces[i]
+		vals := pc.Vec.Data[pc.Vec.Base:]
+		for k, b := range bounds {
+			if admit != nil && !admit[k*len(pieces)+i] {
+				continue
+			}
+			var s float64
+			var n int64
+			var err error
+			switch {
+			case pc.Comp != nil && filtered:
+				s, n, err = pc.Comp.SumFloat64Where(Between(b[0], b[1]))
+			case pc.Comp != nil:
+				s, err = pc.Comp.SumFloat64()
+			case filtered:
+				s, n = agg.SumWhere(vals, pc.Vec.Stride, pc.Vec.Len, b[0], b[1])
+			default:
+				s = agg.SumAll(vals, pc.Vec.Stride, pc.Vec.Len)
+			}
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrBadColumn, err)
+			}
+			out[k].Sum += s
+			out[k].Count += n
+		}
+	}
+	return nil
 }
 
 // SumFloat64 sums a float64 column given as pieces. Under MultiThreaded

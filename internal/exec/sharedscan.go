@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"hybridstore/internal/agg"
-	"hybridstore/internal/compress"
-	"hybridstore/internal/obs"
-)
+import "hybridstore/internal/obs"
 
 // This file is the shared-scan operator behind the serving layer's
 // batching scheduler (Crescando/SharedDB-style): K sargable predicates
@@ -15,9 +11,10 @@ import (
 // amortizes the memory traffic that dominates fused aggregation.
 //
 // Contract: result k carries the (Sum, Count) SumFloat64Where(cfg,
-// pieces, preds[k]) would have produced. Under SingleThreaded the fold order per
-// predicate is piece-major exactly like the solo operator's sequential
-// fold, so results are bit-identical; under the parallel host policies
+// pieces, preds[k]) would have produced. The shared pass is the solo
+// operator's sequential fold (sumPieces) with K predicates, raw and
+// compressed pieces alike in piece order, so under SingleThreaded the
+// results are bit-identical; under the parallel host policies
 // the solo operator folds worker partials in slot order, so shared and
 // solo agree exactly whenever the sums are fold-order insensitive
 // (integer-valued data, or any count). The serving layer runs requests
@@ -60,9 +57,8 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred) ([]Result, e
 
 	// Per-predicate zone decisions, with the same counter/span/clock
 	// accounting K solo scans would have produced. The admit matrix
-	// drives the shared pass; kept[k] feeds the compressed-domain path.
+	// drives the shared pass.
 	admit := make([]bool, len(preds)*len(pieces))
-	kept := make([][]Piece, len(preds))
 	bounds := make([][2]float64, len(preds)) // each predicate's closed interval, resolved once
 	var perPredBytes int64
 	for k, p := range preds {
@@ -71,7 +67,7 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred) ([]Result, e
 			continue // nothing can match: no piece admitted, the zero result
 		}
 		bounds[k] = [2]float64{lo, hi}
-		_, kept[k], _ = pruneByZone(cfg, nil, pieces, p)
+		pruneByZone(cfg, nil, pieces, p)
 		row := admit[k*len(pieces) : (k+1)*len(pieces)]
 		for i := range pieces {
 			row[i] = ZoneAdmits(pieces[i].Zone, p)
@@ -81,48 +77,13 @@ func SumFloat64WhereMulti(cfg Config, pieces []Piece, preds []Pred) ([]Result, e
 		}
 	}
 
-	// Shared raw pass, piece-major: each surviving raw piece is streamed
-	// once and every admitting predicate folds it in original piece
-	// order — the solo sequential fold order per predicate.
-	for i := range pieces {
-		pc := &pieces[i]
-		if pc.Comp != nil || pc.Vec.Len == 0 {
-			continue
-		}
-		vals := pc.Vec.Data[pc.Vec.Base:]
-		for k := range preds {
-			if !admit[k*len(pieces)+i] {
-				continue
-			}
-			s, n := agg.SumWhere(vals, pc.Vec.Stride, pc.Vec.Len, bounds[k][0], bounds[k][1])
-			out[k].Sum += s
-			out[k].Count += n
-		}
-	}
-
-	// Compressed pieces fold after the raw ones per predicate, matching
-	// the solo operator's raw-then-compressed order. Encoded images are
-	// evaluated per predicate at encoding granularity; the encoded bytes
-	// are typically a small fraction of the raw union.
-	for k := range preds {
-		var comp []Piece
-		for _, pc := range kept[k] {
-			if pc.Comp != nil {
-				comp = append(comp, pc)
-			}
-		}
-		if len(comp) == 0 {
-			continue
-		}
-		cs, cn, err := compFold(cfg, comp, func(c *compress.Column) (float64, int64, error) {
-			return c.SumFloat64Where(preds[k])
-		})
-		if err != nil {
-			ot.end()
-			return nil, err
-		}
-		out[k].Sum += cs
-		out[k].Count += cn
+	// The shared pass, piece-major: each surviving piece, raw or
+	// compressed, is streamed once and every admitting predicate folds
+	// it in original piece order — the solo sequential fold, per
+	// predicate.
+	if err := sumPieces(pieces, bounds, admit, true, out); err != nil {
+		ot.end()
+		return nil, err
 	}
 
 	// Charge the union of surviving pieces once. K solo scans would have

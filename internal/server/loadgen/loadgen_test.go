@@ -213,13 +213,17 @@ func TestOpenLoopCountsUnsent(t *testing.T) {
 
 // TestServingSweep is the serving-layer acceptance gate: at a 32-client
 // burst over warm device-cached data the batching server must share
-// storage passes — its scan cohorts carried more plans than they ran
-// passes, a count, where a wall-clock ratio is noise on shared hardware
-// — and every leg must be error-free and report a p99 for each class it
-// served. Two servers front the one store, one batching and one
-// executing every request solo, over {1, 32} clients; every leg starts
-// from a merged table.
+// storage passes — its scan cohorts carried at least minPlansPerPass
+// plans per pass they ran, a ratio of counts, where a wall-clock ratio
+// is noise on shared hardware — and every leg must be error-free and
+// report a p99 for each class it served. Two servers front the one
+// store, one batching and one executing every request solo, over
+// {1, 32} clients; every leg starts from a merged table.
 func TestServingSweep(t *testing.T) {
+	// Plans per pass at 32 batched clients over 20 runs on a 2-vCPU VM:
+	// 1.84-1.91 at GOMAXPROCS=1, 1.41-1.45 at GOMAXPROCS=2. The gate sits
+	// below both, and above 1, so losing part of the sharing fails it.
+	const minPlansPerPass = 1.25
 	if testing.Short() {
 		t.Skip("serving sweep measures wall-clock legs; skipped in -short")
 	}
@@ -289,8 +293,13 @@ func TestServingSweep(t *testing.T) {
 	for _, conc := range []int{1, 32} {
 		for _, batched := range []bool{false, true} {
 			res := drive(batched, conc, 800*time.Millisecond)
-			if conc == 32 && batched && res.Plans <= res.Passes {
-				t.Errorf("32 batched clients shared no pass: %d plans in %d passes\n%s", res.Plans, res.Passes, res)
+			if conc == 32 && batched {
+				ratio := float64(res.Plans) / float64(max(res.Passes, 1))
+				t.Logf("32 batched clients: %d plans in %d passes, %.3f plans per pass", res.Plans, res.Passes, ratio)
+				if ratio < minPlansPerPass {
+					t.Errorf("32 batched clients shared too few passes: %d plans in %d passes (%.3f per pass, gate %.2f)\n%s",
+						res.Plans, res.Passes, ratio, minPlansPerPass, res)
+				}
 			}
 			if res.TotalErrs != 0 {
 				t.Errorf("leg c=%d batched=%v had %d errors\n%s", conc, batched, res.TotalErrs, res)

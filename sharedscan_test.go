@@ -429,10 +429,12 @@ func TestCachedMatchesUncachedWithDeltas(t *testing.T) {
 // bits whether its cold chunks scan from base bytes, from sealed images
 // on the host, from raw chunks on the card or from images on the card —
 // and sum ≡ sum_where(−Inf, +Inf), group_sum ≡ group_sum_where(−Inf,
-// +Inf) bit for bit under each. Two fixtures: chunks holding runs of
-// mixed magnitudes (v × k rounds differently from adding v k times), and
+// +Inf) bit for bit under each. Three fixtures: chunks holding runs of
+// mixed magnitudes (v × k rounds differently from adding v k times),
 // seeded random prices in one cold chunk that dominates the sum, so a
-// leg folding its chunk in another order shows in the total.
+// leg folding its chunk in another order shows in the total, and cold
+// chunks alternating raw and dictionary-coded random prices, so a fold
+// that adds the encoded chunks' partials out of chunk order shows.
 func TestFoldOrderUnderCompression(t *testing.T) {
 	const chunk, keyCol = 1024, 1
 	all := BetweenFloat(math.Inf(-1), math.Inf(1))
@@ -464,6 +466,25 @@ func TestFoldOrderUnderCompression(t *testing.T) {
 			prices[i] = r.Float64() * 100
 		}
 		fixtures = append(fixtures, fixture{fmt.Sprintf("random/seed=%d", seed), len(prices),
+			func(i int) (int32, float64) { return int32(i % 3), prices[i] }})
+	}
+	// Three cold chunks alternating random prices (no encoding shrinks
+	// them: Raw, so no side-car) and prices drawn from 100 values (Dict):
+	// a store whose cold pieces mix raw and encoded must still add the
+	// chunks' partials in chunk order.
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		dict := make([]float64, 100)
+		for i := range dict {
+			dict[i] = r.Float64() * 100
+		}
+		prices := make([]float64, 3*chunk+1)
+		for i := range prices {
+			if prices[i] = r.Float64() * 100; i/chunk == 1 {
+				prices[i] = dict[r.Intn(len(dict))]
+			}
+		}
+		fixtures = append(fixtures, fixture{fmt.Sprintf("mixed/seed=%d", seed), len(prices),
 			func(i int) (int32, float64) { return int32(i % 3), prices[i] }})
 	}
 	for _, fx := range fixtures {
