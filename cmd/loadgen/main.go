@@ -15,10 +15,16 @@
 // scan cohorts ran and the plans they carried: more plans than passes
 // means batching shared them.
 //
+// -unique makes every analytic predicate a practically unique range
+// (loadgen.UniqueCut, the widths of the benchmark's scan-unique
+// workload), so few sums or group-bys are result-cache hits and the run
+// measures the scan itself.
+//
 // The exit status is the CI contract: 0 when every request succeeded, 1
 // when any request errored. With -selfserve the run additionally
 // verifies, after the lanes quiesce, that served bytes are bit-identical
-// to direct facade execution — point reads and predicate sums are
+// to direct facade execution — point reads and predicate sums, the
+// fixed cuts and under -unique a seeded sample of unique ranges, are
 // replayed over HTTP and compared byte for byte; any divergence (a stale
 // cache entry, a broken shared pass) exits 1.
 //
@@ -37,7 +43,7 @@
 //	loadgen -selfserve [-rows N] [-unbatched]
 //	        [-result-cache BYTES] [-concurrency N] [-duration D]
 //	        [-mix write=20,point=20,sum=45,group=15]
-//	        [-rate N] [-autoterm] [-csv serving_panel.csv]
+//	        [-rate N] [-autoterm] [-unique] [-csv serving_panel.csv]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //	loadgen -addr http://host:port ...
 package main
@@ -46,11 +52,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"time"
 
@@ -72,6 +80,7 @@ func main() {
 	autoterm := flag.Bool("autoterm", false, "stop early once throughput stabilizes")
 	csvPath := flag.String("csv", "", "also write the per-class panel to this CSV file")
 	seed := flag.Int64("seed", 1, "workload seed")
+	unique := flag.Bool("unique", false, "draw every analytic predicate as a practically unique range, so the result cache answers few")
 	walDir := flag.String("wal", "", "durability directory for -selfserve: the item table write-ahead-logs every acknowledged write and recovers on restart")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run and its verification to this file")
 	memProfile := flag.String("memprofile", "", "write the heap (allocation) profile to this file after the run and its verification")
@@ -125,6 +134,7 @@ func main() {
 		OpenRate:    *rate,
 		AutoTerm:    *autoterm,
 		Seed:        *seed,
+		Unique:      *unique,
 	})
 	stopMerges()
 	if err != nil {
@@ -144,7 +154,7 @@ func main() {
 		os.Exit(1)
 	}
 	if localTbl != nil {
-		n, err := verifyBits(base, localTbl)
+		n, err := verifyBits(base, localTbl, *unique, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen: bit-match verification FAILED:", err)
 			os.Exit(1)
@@ -210,10 +220,11 @@ func profileTo(path string, write func(io.Writer) error) {
 // verifyBits replays point reads and predicate sums over HTTP against
 // the quiesced table and compares each response byte for byte with the
 // facade's direct answer rendered the way the server renders it
-// (shortest-exact float formatting). A single divergent byte — a stale
+// (shortest-exact float formatting). With unique the sums also cover 16
+// unique ranges drawn from seed. A single divergent byte — a stale
 // cache entry surviving invalidation, a shared pass answering the wrong
 // predicate — fails the run.
-func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
+func verifyBits(base string, tbl *hybridstore.Table, unique bool, seed int64) (int, error) {
 	c, err := loadgen.Dial(&http.Client{Timeout: 10 * time.Second}, base)
 	if err != nil {
 		return 0, err
@@ -253,9 +264,13 @@ func verifyBits(base string, tbl *hybridstore.Table) (int, error) {
 		}
 		checked++
 	}
-	// Predicate sums: the same cuts the lanes fired, twice each.
+	// Predicate sums: the fixed cuts, and the unique sample, twice each.
+	cuts, r := slices.Clone(loadgen.PredCuts), rand.New(rand.NewSource(seed))
+	for i := 0; unique && i < 16; i++ {
+		cuts = append(cuts, loadgen.UniqueCut(r))
+	}
 	for pass := 0; pass < 2; pass++ {
-		for _, cut := range loadgen.PredCuts {
+		for _, cut := range cuts {
 			s, n, err := tbl.SumFloat64Where(hybridstore.ItemPriceColumn, cut.Pred)
 			if err != nil {
 				return checked, err

@@ -7,6 +7,15 @@
 // host and device ungrouped float64 sums over uncompressed columns share
 // the scalar loops beside it, SumWhere and SumAll.
 //
+// Typed views. The filtered loops, FoldWhere and SumWhere, read a dense
+// run that starts aligned to its element size, on a little-endian host,
+// as a []float64 (group keys as a []int32 or []int64): one typed load
+// per element instead of a byte decode. Anything else — an NSM stride, a
+// misaligned buffer, a big-endian host — takes the strided byte loop,
+// the one fallback. Both visit the same elements in the same order, so
+// the sums agree to the bit. The unfiltered FoldAll and SumAll, which no
+// served workload issues, keep the byte loop.
+//
 // The slot rule. A table keeps a window of 256 slots addressed by the
 // low byte of the key. The window covers the contiguous key range
 // [lo, lo+span) it has seen so far and widens, in either direction, for
@@ -35,6 +44,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Group is one group of a grouped aggregation: key, SUM, COUNT. It is
@@ -195,15 +205,57 @@ func (k Keys) Covers(n int) bool {
 	return (k.Size == 4 || k.Size == 8) && k.Stride >= k.Size && (n == 0 || (n-1)*k.Stride+k.Size <= len(k.Data))
 }
 
+// view reinterprets the first n elements of a dense run of T as a
+// []T, so a loop reads each one with a single typed load instead of a
+// byte decode. It does so only when that reads the same elements the
+// strided byte loop would: the run is dense (stride equals T's size),
+// non-empty and long enough, starts T-size-aligned, and the host is
+// little-endian. Otherwise ok is false and the caller takes the byte
+// loop.
+func view[T int32 | int64 | float64](b []byte, stride, n int) (v []T, ok bool) {
+	size := int(unsafe.Sizeof(T(0)))
+	if !littleEndian || stride != size || n == 0 || n > len(b)/size || uintptr(unsafe.Pointer(unsafe.SliceData(b)))%uintptr(size) != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n), true
+}
+
+// littleEndian reports whether the host's byte order is the column
+// format's.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // FoldWhere is the fused filter+aggregate loop over an uncompressed
 // float64 column: of the n values at vals[i*stride:], those inside the
 // closed interval [lo, hi] are folded into the group of keys.At(i), in
-// element order. A NaN is inside no interval.
+// element order. A NaN is inside no interval. It reads typed views of
+// the values and the keys where both have one, else the byte loop.
 func (t *Table) FoldWhere(keys Keys, vals []byte, stride, n int, lo, hi float64) {
+	if xs, ok := view[float64](vals, stride, n); ok {
+		if ks, ok := view[int32](keys.Data, keys.Stride, n); ok && keys.Size == 4 {
+			foldViews(t, ks, xs, lo, hi)
+			return
+		}
+		if ks, ok := view[int64](keys.Data, keys.Stride, n); ok && keys.Size == 8 {
+			foldViews(t, ks, xs, lo, hi)
+			return
+		}
+	}
 	for i := 0; i < n; i++ {
 		x := math.Float64frombits(binary.LittleEndian.Uint64(vals[i*stride:]))
 		if lo <= x && x <= hi {
 			c := t.At(keys.At(i))
+			c.Sum += x
+			c.Count++
+		}
+	}
+}
+
+// foldViews is FoldWhere's typed body, one per key width.
+func foldViews[K int32 | int64](t *Table, ks []K, xs []float64, lo, hi float64) {
+	ks = ks[:len(xs)]
+	for i, x := range xs {
+		if lo <= x && x <= hi {
+			c := t.At(int64(ks[i]))
 			c.Sum += x
 			c.Count++
 		}
@@ -224,12 +276,9 @@ func (t *Table) FoldAll(keys Keys, vals []byte, stride, n int) {
 // Every ungrouped float64 sum over an uncompressed column, host or
 // device, is this loop, so they agree to the bit.
 func SumWhere(vals []byte, stride, n int, lo, hi float64) (sum float64, count int64) {
-	if stride == 8 {
-		// Dense: re-slice to the run so each load is one bounds-check-
-		// friendly 8-byte decode.
-		data := vals[:n*8]
-		for i := 0; i+8 <= len(data); i += 8 {
-			if x := math.Float64frombits(binary.LittleEndian.Uint64(data[i:])); lo <= x && x <= hi {
+	if xs, ok := view[float64](vals, stride, n); ok {
+		for _, x := range xs {
+			if lo <= x && x <= hi {
 				sum += x
 				count++
 			}

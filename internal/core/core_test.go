@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"hybridstore/internal/compress"
 	"hybridstore/internal/engine"
@@ -945,5 +946,42 @@ func TestUpdateAllocs(t *testing.T) {
 	t.Logf("Update: %.1f allocs/op", got)
 	if got > updateAllocs {
 		t.Fatalf("Update allocates %.1f objects, gate %d", got, updateAllocs)
+	}
+}
+
+// The group table's typed arm reads a dense run in place only when it
+// starts aligned to its element size (agg's view), so the scan's gain
+// rests on the cold layout: every cold chunk's piece of i_price is a
+// dense 8-aligned run, and of i_im_id, the key the benchmark groups by,
+// a dense 4-aligned one. A layout change that broke this would keep
+// every answer and silently drop the scan to the byte loop.
+func TestColdDSMClipsAreAligned(t *testing.T) {
+	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1}, 1000)
+	defer tbl.Free()
+	reader := tbl.deltas.Begin()
+	defer reader.Abort()
+	src := tbl.source(reader)
+	defer src.release()
+	plan := exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: 1, Col: workload.ItemPriceCol, Pred: exec.Between(1, 50)}
+	keys, vals, err := src.Pieces(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen := 0
+	for i, c := range tbl.chunks {
+		if c.state != cold {
+			continue
+		}
+		frozen++
+		for _, p := range []exec.Piece{vals[i], keys[i]} {
+			v := p.Vec
+			if !v.Contiguous() || v.Len == 0 || uintptr(unsafe.Pointer(&v.Data[v.Base]))%uintptr(v.Size) != 0 {
+				t.Fatalf("chunk %v: a %d-byte column clip at stride %d starts %d bytes past alignment",
+					c.rows, v.Size, v.Stride, uintptr(unsafe.Pointer(&v.Data[v.Base]))%uintptr(v.Size))
+			}
+		}
+	}
+	if frozen == 0 {
+		t.Fatal("no cold chunk")
 	}
 }

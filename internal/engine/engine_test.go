@@ -586,3 +586,47 @@ func TestGroupPatchDenseProbeMatchesBinarySearch(t *testing.T) {
 		}
 	}
 }
+
+// TestPlacementSplitMatchesStableSort: legs orders any piece list —
+// resident, then shipped, then host pieces, row order kept inside each
+// class — exactly as a stable sort by placement would, and moves each
+// key piece with its value piece.
+func TestPlacementSplitMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	places := []exec.Place{exec.OnHost, exec.Shipped, exec.Resident}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		src := &listSource{s: schema.MustNew(schema.Int64Attr("k"), schema.Float64Attr("v"))}
+		for i := 0; i < n; i++ {
+			p := places[rng.Intn(len(places))]
+			empty := layout.ColVector{Stride: 8, Size: 8}
+			src.vals = append(src.vals, exec.Piece{Rows: layout.RowRange{Begin: uint64(i)}, Place: p, Vec: empty})
+			src.keys = append(src.keys, exec.Piece{Rows: layout.RowRange{Begin: uint64(i)}, Place: p, Vec: empty})
+		}
+		want := slices.Clone(src.vals)
+		slices.SortStableFunc(want, func(a, b exec.Piece) int { return int(b.Place) - int(a.Place) })
+		dev := &recordingExec{}
+		res := exec.Result{}
+		plan := exec.Plan{Op: exec.KindGroupSum, KeyCol: 0, Col: 1}
+		if err := legs(src, exec.Single(), dev, []member{{Scan: exec.Scan{Plan: plan}, res: &res}}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if src.vals[i].Rows != want[i].Rows || src.vals[i].Place != want[i].Place || src.keys[i].Rows != want[i].Rows {
+				t.Fatalf("trial %d: split %+v, want %+v (keys %+v)", trial, src.vals, want, src.keys)
+			}
+		}
+	}
+}
+
+// listSource hands out the same two piece lists on every call.
+type listSource struct {
+	s          *schema.Schema
+	keys, vals []exec.Piece
+}
+
+func (l *listSource) Schema() *schema.Schema { return l.s }
+
+func (l *listSource) Pieces(exec.Plan) (keys, vals []exec.Piece, err error) {
+	return l.keys, l.vals, nil
+}

@@ -195,27 +195,31 @@ func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) er
 		return fmt.Errorf("%w: %d key pieces for %d value pieces", exec.ErrBadColumn, len(keys), len(vals))
 	}
 	// Split by placement in place: resident pieces, then shipped, then
-	// host, row order kept inside each class (the sort is stable and
-	// allocates nothing). A key piece goes where its value piece goes.
+	// host, row order kept inside each class. A key piece goes where its
+	// value piece goes. The split is an insertion sort that compares the
+	// placements in place and allocates nothing: cold chunks ship and
+	// the hot tail stays, so the list is usually in class order already
+	// and it moves nothing.
 	nRes, nDev := 0, 0
-	for i, vp := range vals {
-		if vp.Place == exec.Resident {
+	for i := range vals {
+		if vals[i].Place == exec.Resident {
 			nRes++
 		}
-		if vp.Place != exec.OnHost {
+		if vals[i].Place != exec.OnHost {
 			nDev++
 		}
 		if keys != nil {
-			keys[i].Place = vp.Place
+			keys[i].Place = vals[i].Place
+		}
+		for j := i; j > 0 && vals[j].Place > vals[j-1].Place; j-- {
+			vals[j], vals[j-1] = vals[j-1], vals[j]
+			if keys != nil {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+			}
 		}
 	}
-	if nDev > 0 {
-		if dev == nil {
-			return fmt.Errorf("%w: device pieces without a device executor", ErrUnsupported)
-		}
-		byPlace := func(a, b exec.Piece) int { return cmp.Compare(b.Place, a.Place) }
-		slices.SortStableFunc(keys, byPlace)
-		slices.SortStableFunc(vals, byPlace)
+	if nDev > 0 && dev == nil {
+		return fmt.Errorf("%w: device pieces without a device executor", ErrUnsupported)
 	}
 	for j := range live {
 		live[j].Keys, live[j].Vals = keys, vals

@@ -69,7 +69,7 @@ func denseBytes(v layout.ColVector) []byte {
 
 // fragKey is the cache key of a piece's image of column col: the clip of
 // its fragment, dense or compressed.
-func fragKey(table string, col int, p Piece) device.FragKey {
+func fragKey(table string, col int, p *Piece) device.FragKey {
 	return device.FragKey{Table: table, Frag: p.FragID, Col: col,
 		Row0: int(p.Rows.Begin), Rows: p.Vec.Len, Comp: p.Comp != nil}
 }
@@ -86,7 +86,7 @@ func fragKey(table string, col int, p Piece) device.FragKey {
 // stream otherwise. Releasing the pin returns the image (unpins, or
 // frees the transient copy); it must happen after the consuming
 // kernel's Wait.
-func (d DeviceScan) acquire(s *device.Stream, col int, p Piece) (device.Pin, error) {
+func (d DeviceScan) acquire(s *device.Stream, col int, p *Piece) (device.Pin, error) {
 	size := p.Vec.Len * p.Vec.Size
 	if p.Comp != nil {
 		size = p.Comp.MarshaledBytes()
@@ -164,7 +164,8 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 	}
 	filtered, grouped := sc.Op.Filtered(), sc.Op.Grouped()
 	x := scanScratchPool.Get().(*scanScratch)
-	for i, vp := range sc.Vals {
+	for i := range sc.Vals {
+		vp := &sc.Vals[i]
 		if vp.Vec.Len == 0 {
 			continue
 		}
@@ -191,7 +192,7 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 		sp.End()
 	}()
 	// operand resolves one piece to the kernel's view of it.
-	operand := func(col int, p Piece) (vec device.Vec, comp *device.Buffer, err error) {
+	operand := func(col int, p *Piece) (vec device.Vec, comp *device.Buffer, err error) {
 		if p.Place == Resident {
 			return DeviceVec(p.Vec), nil, nil
 		}
@@ -210,12 +211,12 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 	}
 	var res Result
 	for _, i := range x.kept {
-		vp := sc.Vals[i]
+		vp := &sc.Vals[i]
 		// x.groups is the one host buffer every launch's group table lands
 		// in: each is folded into x.table before the next launch overwrites it.
 		k := device.Kernel{Where: filtered, Lo: lo, Hi: hi, Groups: x.groups, Config: device.ReduceConfigFor(vp.Vec.Len)}
 		if grouped {
-			if k.Keys, _, err = operand(sc.KeyCol, sc.Keys[i]); err != nil {
+			if k.Keys, _, err = operand(sc.KeyCol, &sc.Keys[i]); err != nil {
 				return Result{}, err
 			}
 		}
@@ -259,7 +260,8 @@ func (d DeviceScan) Prime(col int, pieces []Piece) error {
 		s.Wait()
 		x.release()
 	}()
-	for _, pc := range pieces {
+	for i := range pieces {
+		pc := &pieces[i]
 		if pc.Vec.Len == 0 || pc.FragID == 0 {
 			continue
 		}

@@ -7,7 +7,6 @@ import (
 	"hybridstore/internal/agg"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
-	"hybridstore/internal/stats"
 )
 
 // GroupResult is one group of a grouped aggregation: Key (int64-widened),
@@ -18,13 +17,14 @@ type GroupResult = agg.Group
 // The grouped host body: SELECT key, SUM(val), COUNT(*) [WHERE p] GROUP
 // BY key in one pass per piece. No selection vector is materialized —
 // each element is tested and, on a match, folded straight into a
-// per-worker group table (agg.Table); the tables merge at the end. Two
-// layers of data skipping ride on the value column's zone map: fragments
-// the predicate provably cannot match are pruned before any byte is
-// touched (and the key column's bytes are saved along with the value
-// column's), and fragments the zone proves all-matching take a dense
-// accumulation loop with no per-element comparison at all. Without a
-// predicate every range is dense.
+// per-worker group table (agg.Table); the tables merge at the end. Data
+// skipping rides on the value column's zone map: fragments the predicate
+// provably cannot match are pruned before any byte is touched (and the
+// key column's bytes are saved along with the value column's). A
+// fragment the zone proves all-matching still runs the filtered loop:
+// its compare always passes, and agg.FoldWhere reads an aligned column
+// through typed views, faster than the unfiltered byte loop. Without a
+// predicate every range takes the unfiltered loop.
 //
 // The predicate is resolved to a closed interval [lo, hi] once per call
 // (Pred.Closed), so the hot loop carries a single two-sided compare
@@ -172,33 +172,24 @@ func keysOf(v layout.ColVector) agg.Keys {
 // foldGroupRange is the fused float kernel over elements [from, to) of
 // an uncompressed value column and its group keys: compare the value
 // against the closed interval, fold the match into its key's group.
-// dense skips the compare when the fragment's zone proved every element
-// matches (the zone is NaN-poisoned into invalidity, so a dense proof
-// implies no NaNs) or there is no predicate at all.
-func foldGroupRange(table *agg.Table, keys agg.Keys, vp layout.ColVector, from, to int, lo, hi float64, dense bool) {
+// all skips the compare when there is no predicate: every value, NaNs
+// included.
+func foldGroupRange(table *agg.Table, keys agg.Keys, vp layout.ColVector, from, to int, lo, hi float64, all bool) {
 	if from >= to {
 		return
 	}
 	keys.Data = keys.Data[from*keys.Stride:]
 	vals := vp.Data[vp.Base+from*vp.Stride:]
-	if dense {
+	if all {
 		table.FoldAll(keys, vals, vp.Stride, to-from)
 	} else {
 		table.FoldWhere(keys, vals, vp.Stride, to-from, lo, hi)
 	}
 }
 
-// allMatch reports whether the zone proves every element of its piece
-// lies in [lo, hi] — the all-match fast path.
-func allMatch(z *stats.Zone, lo, hi float64) bool {
-	zmin, zmax, ok := z.Float64Bounds()
-	return ok && lo <= zmin && zmax <= hi
-}
-
 // groupSum is the grouped host body, group_sum and group_sum_where
 // alike: one fused pass with no selection vector, zone-pruned fragments
-// never touched, zone-proven all-match fragments accumulated densely —
-// and, unfiltered, nothing pruned and every fragment dense. keys must be
+// never touched — and, unfiltered, nothing pruned and no compare. keys must be
 // an int64 or int32 column view, vals a float64 one, both covering the
 // same positions (compressed pieces execute in the compressed domain).
 // Results come back sorted by key.
@@ -225,8 +216,7 @@ func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupRes
 	rawKeys, rawVals, compKeys, compVals := splitAlignedComp(keys, vals)
 	tables := groupTables(cfg, totalLen(rawKeys), func(table *agg.Table, gFrom, gTo int) {
 		eachAligned(rawKeys, gFrom, gTo, func(pi, from, to int) {
-			dense := !filtered || allMatch(rawVals[pi].Zone, lo, hi)
-			foldGroupRange(table, keysOf(rawKeys[pi].Vec), rawVals[pi].Vec, from, to, lo, hi, dense)
+			foldGroupRange(table, keysOf(rawKeys[pi].Vec), rawVals[pi].Vec, from, to, lo, hi, !filtered)
 		})
 	})
 	if len(compVals) > 0 {

@@ -199,12 +199,13 @@ func checkSize8(pieces []Piece, what string) error {
 //
 // The operators resolve their predicate once, to the closed interval
 // [lo, hi] it matches (Pred.Closed), and each kernel is two loops (the
-// sums are agg.SumWhere and agg.SumAll, shared with the device). The
-// contiguous stride-8 case re-slices the vector to a dense byte run so
-// the element load is a single bounds-check-friendly 8-byte decode; the
-// strided (NSM) case steps by the tuplet width. Both compare against the
-// two bounds inline — the branch predictor sees one well-behaved branch
-// per element.
+// sums are agg.SumWhere and agg.SumAll, shared with the device;
+// SumWhere reads an aligned dense run as a []float64). Here the contiguous
+// stride-8 case re-slices the vector to a dense byte run so the element
+// load is a single bounds-check-friendly 8-byte decode; the strided
+// (NSM) case steps by the tuplet width. Both compare against the two
+// bounds inline — the branch predictor sees one well-behaved branch per
+// element.
 
 // f64 decodes the little-endian float64 at b[0:8].
 func f64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAllocWithinCapacity(t *testing.T) {
@@ -166,5 +167,30 @@ func TestQuickAccountingInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every block starts aligned to the element size of a column image of
+// its length: a device image of n float64s is 8-aligned, one of n int32
+// group keys 4-aligned, and any block of 16 bytes or more 8-aligned. The
+// scan's typed loops (agg's views) read such an image in place only when
+// it is, and fall back to a byte decode when it is not.
+func TestBlocksAreAlignedForColumnImages(t *testing.T) {
+	a := NewAllocator(Device, 0)
+	for n := 1; n <= 4096; n++ {
+		for _, size := range []int{4, 8} {
+			b, err := a.Alloc(n * size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			align := uintptr(size)
+			if n*size >= 16 {
+				align = 8
+			}
+			if off := uintptr(unsafe.Pointer(&b.Bytes()[0])) % align; off != 0 {
+				t.Fatalf("a block of %d %d-byte elements starts %d bytes past %d-alignment", n, size, off, align)
+			}
+			b.Free()
+		}
 	}
 }

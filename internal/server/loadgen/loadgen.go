@@ -10,7 +10,9 @@
 // Analytic predicates are drawn from a small fixed set of cuts, so
 // concurrent lanes issue compatible queries and the server's batching
 // scheduler has real collapse opportunities — the same shape a fleet
-// of dashboard clients produces.
+// of dashboard clients produces. With Unique set they are instead
+// practically unique ranges (UniqueCut), which the result cache rarely
+// answers: nearly every analytic request reaches a scan.
 //
 // With AutoTerm set, the run self-terminates once throughput
 // stabilizes: when the last few window QPS samples stay within a
@@ -128,6 +130,9 @@ type Options struct {
 	StabSpreadPct float64
 	// Seed seeds the per-lane generators (default 1).
 	Seed int64
+	// Unique draws every analytic predicate with UniqueCut instead of
+	// from PredCuts.
+	Unique bool
 }
 
 // ClassStats is the per-class report.
@@ -199,6 +204,19 @@ var PredCuts = []Cut{
 	{`{"kind":"gt","lo":50}`, exec.Gt(50)},
 	{`{"kind":"between","lo":10,"hi":60}`, exec.Between(10, 60)},
 	{`{"kind":"between","lo":20,"hi":80}`, exec.Between(20, 80)},
+}
+
+// UniqueCut draws a range predicate between(lo, lo+w) over the item
+// price domain, lo a whole number of cents uniform on [1, 100) and w
+// 0.5, 5 or 30 (about 0.5 %, 5 % and 30 % of the [1, 101) domain, the
+// widths of the benchmark's scan-unique workload): one of about 30 000
+// cuts, so a cut seldom repeats and the result cache answers few
+// requests.
+func UniqueCut(r *rand.Rand) Cut {
+	lo := 100 + r.Intn(9900)
+	hi := lo + [...]int{50, 500, 3000}[r.Intn(3)]
+	l, h := float64(lo)/100, float64(hi)/100
+	return Cut{fmt.Sprintf(`{"kind":"between","lo":%v,"hi":%v}`, l, h), exec.Between(l, h)}
 }
 
 // Client is one session of the wire protocol over one *http.Client:
@@ -469,8 +487,12 @@ func (st *runState) runLane(ctx context.Context, lane int, end time.Time) {
 			args = fmt.Sprintf(`"row":%d,"value":%d`, r.Int63n(int64(st.opts.Rows)), r.Intn(100))
 		case ClassPoint:
 			args = fmt.Sprintf(`"row":%d`, zipf.Uint64())
-		default:
-			args = `"pred":` + PredCuts[r.Intn(len(PredCuts))].Wire
+		case ClassSum, ClassGroup:
+			if st.opts.Unique {
+				args = `"pred":` + UniqueCut(r).Wire
+			} else {
+				args = `"pred":` + PredCuts[r.Intn(len(PredCuts))].Wire
+			}
 		}
 		body := st.c.execBody(st.stmts[class], args)
 

@@ -1,6 +1,9 @@
 package loadgen
 
 import (
+	"encoding/json"
+	"math"
+	"math/rand"
 	"net"
 	"net/http/httptest"
 	"strings"
@@ -346,5 +349,36 @@ func TestAutoTerm(t *testing.T) {
 func TestRunRejectsWriteMixWithoutRows(t *testing.T) {
 	if _, err := Run(Options{BaseURL: "http://127.0.0.1:1", Mix: Mix{Write: 1}}); err == nil {
 		t.Fatal("accepted write mix without Rows")
+	}
+}
+
+// UniqueCut draws between(lo, lo+w) with lo a whole number of cents on
+// [1, 100) and w one of 0.5, 5 and 30; its wire form carries exactly the
+// bounds of its predicate, and draws practically never repeat.
+func TestUniqueCut(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	seen := map[string]bool{}
+	const draws = 2000
+	for i := 0; i < draws; i++ {
+		cut := UniqueCut(r)
+		var wire struct {
+			Kind   string
+			Lo, Hi float64
+		}
+		if err := json.Unmarshal([]byte(cut.Wire), &wire); err != nil {
+			t.Fatalf("%s: %v", cut.Wire, err)
+		}
+		lo, hi, ok := cut.Pred.Closed()
+		if !ok || wire.Kind != "between" || math.Float64bits(wire.Lo) != math.Float64bits(lo) || math.Float64bits(wire.Hi) != math.Float64bits(hi) {
+			t.Fatalf("wire %s for [%v, %v]", cut.Wire, lo, hi)
+		}
+		cents := math.Round(lo * 100)
+		if w := math.Round((hi - lo) * 100); lo < 1 || lo >= 100 || lo != cents/100 || (w != 50 && w != 500 && w != 3000) {
+			t.Fatalf("cut [%v, %v] is not a whole-cent lo on [1, 100) with width 0.5, 5 or 30", lo, hi)
+		}
+		seen[cut.Wire] = true
+	}
+	if len(seen) < draws*9/10 {
+		t.Fatalf("%d distinct cuts in %d draws", len(seen), draws)
 	}
 }

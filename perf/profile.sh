@@ -3,7 +3,7 @@
 # committed text: the evidence a performance change argues from, taken
 # with a command anyone can re-run.
 #
-#   bash perf/profile.sh [-w] [-m MIX] [-s SEED] [-d DUR] [-p REV] -a PR
+#   bash perf/profile.sh [-w | -u] [-m MIX] [-s SEED] [-d DUR] [-p REV] -a PR
 #
 # Builds cmd/loadgen and runs
 #   loadgen -selfserve -rows 131072 -concurrency 8 -mix MIX -seed SEED
@@ -13,6 +13,9 @@
 # path instead: it adds -wal with a fresh directory — the item table
 # logs every write under the default grouped fsync, and the merge tick
 # also checkpoints once a second — and MIX defaults to write=80,point=20.
+# -u profiles the scan: it adds -unique, so every sum and group-by draws
+# a practically unique range (the benchmark's scan-unique shape) and the
+# result cache answers few of them; MIX keeps its default.
 # Then writes, under
 # perf/profiles/PR/,
 #   SIDE.cpu.txt          go tool pprof -top -nodecount=25 of the CPU profile
@@ -27,15 +30,17 @@
 # where SIDE is "change" for the working tree this script is started from
 # and "parent" with -p REV, which profiles commit REV instead: REV is
 # extracted with `git archive` into a temporary directory and built with
-# this tree's cmd/loadgen, so an engine that predates the profile flags
-# runs under the same load generator. The allocation profile counts
+# this tree's cmd/loadgen and its client package (internal/server/loadgen),
+# so an engine that predates the profile flags runs under the same load
+# generator. The allocation profile counts
 # from process start, fixture load included.
 set -euo pipefail
 
-mix= seed=1 dur=10s rev= pr= wal=()
-while getopts "wm:s:d:p:a:" opt; do
+mix= seed=1 dur=10s rev= pr= wal=() unique=()
+while getopts "wum:s:d:p:a:" opt; do
 	case $opt in
 	w) wal=(-wal wal) ;;
+	u) unique=(-unique) ;;
 	m) mix=$OPTARG ;;
 	s) seed=$OPTARG ;;
 	d) dur=$OPTARG ;;
@@ -63,11 +68,12 @@ if [ -n "$rev" ]; then
 	mkdir -p "$src"
 	git archive "$rev" | tar -x -C "$src"
 	cp cmd/loadgen/main.go "$src/cmd/loadgen/main.go"
+	cp internal/server/loadgen/loadgen.go "$src/internal/server/loadgen/loadgen.go"
 fi
 go -C "$src" build -o "$work/loadgen" ./cmd/loadgen
 
 (cd "$work" && ./loadgen -selfserve -rows 131072 -concurrency 8 -mix "$mix" -seed "$seed" -duration "$dur" \
-	${wal[@]+"${wal[@]}"} -cpuprofile cpu.prof -memprofile mem.prof >run.txt) || { cat "$work/run.txt" >&2; exit 1; }
+	${wal[@]+"${wal[@]}"} ${unique[@]+"${unique[@]}"} -cpuprofile cpu.prof -memprofile mem.prof >run.txt) || { cat "$work/run.txt" >&2; exit 1; }
 
 out=perf/profiles/$pr
 mkdir -p "$out"
@@ -75,4 +81,4 @@ go tool pprof -top -nodecount=25 "$work/loadgen" "$work/cpu.prof" >"$out/$side.c
 go tool pprof -top -nodecount=25 -sample_index=alloc_space "$work/loadgen" "$work/mem.prof" >"$out/$side.alloc_space.txt" 2>/dev/null
 go tool pprof -top -nodecount=25 -tagfocus=side=server "$work/loadgen" "$work/cpu.prof" >"$out/$side.cpu_server.txt" 2>/dev/null
 go tool pprof -top -nodecount=25 -sample_index=alloc_space -focus='server\.\(\*Server\)\.serveConn' "$work/loadgen" "$work/mem.prof" >"$out/$side.alloc_server.txt" 2>/dev/null
-echo "profile: $side ($mix${wal[@]+, -wal}, seed $seed, $dur) -> $out/$side.{cpu,alloc_space,cpu_server,alloc_server}.txt" >&2
+echo "profile: $side ($mix${wal[@]+, -wal}${unique[@]+, -unique}, seed $seed, $dur) -> $out/$side.{cpu,alloc_space,cpu_server,alloc_server}.txt" >&2
