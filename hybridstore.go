@@ -321,8 +321,8 @@ func (t *Table) SumFloat64(col int) (float64, error) {
 // skip fragments whose value envelope cannot match.
 type FloatPred = exec.Pred
 
-// Predicate constructors. The generic exec constructors are wrapped at
-// a concrete type so callers never need type arguments.
+// Predicate constructors: the exec ones under the facade's names, so
+// callers never import an internal package.
 
 // EqFloat matches x == v.
 func EqFloat(v float64) FloatPred { return exec.Eq(v) }

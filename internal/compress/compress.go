@@ -447,62 +447,41 @@ func (c *Column) widen(buf []uint64, from int) []uint64 {
 	return buf
 }
 
-// Sum aggregates an 8-byte column without materializing, every element
-// folded (a NaN included). Floats add element by element in storage
-// order — bit-identical to the dense sum and to SumWhere over every
-// value; int64 is exact mod 2^64, so there a run is its value times its
-// length and a Dict column weights each entry by its code frequency.
-func Sum[T Number](c *Column) (T, error) {
+// SumFloat64 aggregates an 8-byte IEEE-754 column without
+// materializing, every element folded (a NaN included), element by
+// element in storage order — bit-identical to the dense sum and to
+// SumFloat64Where over every value.
+func (c *Column) SumFloat64() (float64, error) {
 	if err := c.errNot8("sum"); err != nil {
 		return 0, err
 	}
-	var sum T
-	_, exact := any(sum).(int64)
+	var sum float64
 	switch c.enc {
 	case RLE:
 		start := 0
 		for k := 0; k < c.Runs(); k++ {
 			end := c.runEnd(k)
-			sum = addRun(sum, elem[T](c.runVals[k*8:]), end-start)
+			sum = addRun(sum, float64At(c.runVals[k*8:]), end-start)
 			start = end
 		}
 	case Dict:
-		if exact {
-			counts := make([]int, len(c.dict)/8)
-			for _, code := range c.codes {
-				counts[code]++
-			}
-			for code, n := range counts {
-				sum += elem[T](c.dict[code*8:]) * T(n)
-			}
-		} else {
-			for _, code := range c.codes {
-				sum += elem[T](c.dict[int(code)*8:])
-			}
+		for _, code := range c.codes {
+			sum += float64At(c.dict[int(code)*8:])
 		}
 	case FOR:
 		var buf [forBlock]uint64
 		for from := 0; from < c.n; from += forBlock {
 			for _, d := range c.widen(buf[:], from) {
-				sum += fromBits[T](uint64(c.base) + d)
+				sum += math.Float64frombits(uint64(c.base) + d)
 			}
 		}
 	default:
 		for i := 0; i+8 <= len(c.raw); i += 8 {
-			sum += elem[T](c.raw[i:])
+			sum += float64At(c.raw[i:])
 		}
 	}
 	return sum, nil
 }
-
-// SumFloat64 is Sum over an 8-byte IEEE-754 column. Like
-// SumFloat64Where it stays out of line: inlined into another package it
-// leaves a call to a generic function there, across which escape
-// analysis gives c up for lost — and the caller's Decode moves from its
-// stack to the heap.
-//
-//go:noinline
-func (c *Column) SumFloat64() (float64, error) { return Sum[float64](c) }
 
 // String summarizes the column.
 func (c *Column) String() string {

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"math"
 
 	"hybridstore/internal/agg"
 )
@@ -43,7 +44,7 @@ func (c *Column) GroupSumFloat64Where(p Pred[float64], keys agg.Keys, t *agg.Tab
 		start := 0
 		for k := 0; k < c.Runs(); k++ {
 			end := c.runEnd(k)
-			if v := elem[float64](c.runVals[k*8:]); lo <= v && v <= hi {
+			if v := float64At(c.runVals[k*8:]); lo <= v && v <= hi {
 				for i := start; i < end; i++ {
 					g := t.At(keys.At(i))
 					g.Sum += v
@@ -66,7 +67,7 @@ func (c *Column) GroupSumFloat64Where(p Pred[float64], keys agg.Keys, t *agg.Tab
 		var buf [forBlock]uint64
 		for from := 0; from < c.n; from += forBlock {
 			for j, d := range c.widen(buf[:], from) {
-				if x := fromBits[float64](uint64(c.base) + d); lo <= x && x <= hi {
+				if x := math.Float64frombits(uint64(c.base) + d); lo <= x && x <= hi {
 					g := t.At(keys.At(from + j))
 					g.Sum += x
 					g.Count++

@@ -199,43 +199,6 @@ func TestSumWhereAllEncodings(t *testing.T) {
 			}
 		}
 	}
-	intCols := map[string][]int64{
-		"empty":  nil,
-		"small":  {3, 3, 3, -1, -1, 0, 7, 7, 250, 250, 250, -200},
-		"at-min": {math.MinInt64, math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 200, math.MinInt64 + 200},
-		"at-max": {math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - 1, math.MaxInt64 - 65000, math.MaxInt64},
-		"wide":   {math.MinInt64, math.MaxInt64, 0, 0, -1, 1, math.MaxInt64},
-	}
-	for name, vals := range intCols {
-		cols := encodings(t, encodeInts(vals), len(vals))
-		if name != "wide" && cols[FOR] == nil {
-			t.Errorf("%s: FOR does not apply", name)
-		}
-		bounds := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
-		for _, v := range vals {
-			bounds = append(bounds, v-1, v, v+1) // wrapping at the extremes is the point
-		}
-		for _, a := range bounds {
-			ps := []Pred[int64]{{Op: OpEQ, Lo: a}, {Op: OpLT, Hi: a}, {Op: OpGT, Lo: a}}
-			for _, b := range bounds {
-				ps = append(ps, Pred[int64]{Op: OpBetween, Lo: a, Hi: b})
-			}
-			for _, p := range ps {
-				var want, wantN int64
-				for _, x := range vals {
-					if p.Match(x) {
-						want += x
-						wantN++
-					}
-				}
-				for enc, c := range cols {
-					if got, n, err := SumWhere(c, p); err != nil || got != want || n != wantN {
-						t.Fatalf("%s/%v %+v: (%d, %d, %v), want (%d, %d)", name, enc, p, got, n, err, want, wantN)
-					}
-				}
-			}
-		}
-	}
 }
 
 // foldOrderColumns are float columns whose sum depends on how a run is

@@ -218,7 +218,7 @@ func (t *Table) imageBound(deltas []deltaEntry, resident []device.ResidentCol) i
 }
 
 // encodeFragment serializes one base fragment: linearization, length,
-// the full block bytes, and every zone snapshot (sealed flags included).
+// the full block bytes, and every zone snapshot.
 func encodeFragment(enc *wal.Encoder, f *layout.Fragment) {
 	enc.U8(uint8(f.Lin()))
 	enc.U32(uint32(f.Len()))
@@ -237,29 +237,39 @@ func encodeFragment(enc *wal.Encoder, f *layout.Fragment) {
 	}
 }
 
+// A zone record is 43 fixed bytes: a kind byte, the count, two int64
+// bounds, the two float64 bounds, a sealed byte and the invalid byte.
+// Only float64 columns carry a zone, so the writer emits zeros for the
+// int64 bounds and false for the sealed byte, and the reader skips all
+// three: the layout stays the one older builds read and write. An older
+// image's int64 zone (kind zoneInt64 on an Int64 column) is read and
+// dropped.
+const (
+	zoneInt64   = 0
+	zoneFloat64 = 1
+)
+
 // encodeZone/decodeZone serialize a stats.Snapshot.
 func encodeZone(enc *wal.Encoder, s stats.Snapshot) {
-	enc.U8(uint8(s.Kind))
+	enc.U8(zoneFloat64)
 	enc.U64(uint64(s.Count))
-	enc.U64(uint64(s.MinI))
-	enc.U64(uint64(s.MaxI))
-	enc.F64(s.MinF)
-	enc.F64(s.MaxF)
-	enc.Bool(s.Sealed)
+	enc.U64(0)
+	enc.U64(0)
+	enc.F64(s.Min)
+	enc.F64(s.Max)
+	enc.Bool(false)
 	enc.Bool(s.Invalid)
 }
 
-func decodeZone(d *wal.Decoder) stats.Snapshot {
-	return stats.Snapshot{
-		Kind:    stats.Kind(d.U8()),
-		Count:   int64(d.U64()),
-		MinI:    int64(d.U64()),
-		MaxI:    int64(d.U64()),
-		MinF:    d.F64(),
-		MaxF:    d.F64(),
-		Sealed:  d.Bool(),
-		Invalid: d.Bool(),
-	}
+func decodeZone(d *wal.Decoder) (kind uint8, s stats.Snapshot) {
+	kind = d.U8()
+	s.Count = int64(d.U64())
+	d.U64()
+	d.U64()
+	s.Min, s.Max = d.F64(), d.F64()
+	d.Bool()
+	s.Invalid = d.Bool()
+	return kind, s
 }
 
 // restoreFragment rebuilds one serialized fragment with the given
@@ -292,10 +302,14 @@ func (t *Table) restoreFragment(d *wal.Decoder, cols []int, rows layout.RowRange
 	nz := int(d.U32())
 	for i := 0; i < nz && d.Err() == nil; i++ {
 		col := int(d.U32())
-		zs := decodeZone(d)
-		if err := f.RestoreZone(col, zs); err != nil {
+		kind, zs := decodeZone(d)
+		switch {
+		case d.Err() != nil:
+		case kind == zoneInt64 && slices.Contains(cols, col) && t.s.Attr(col).Kind == schema.Int64:
+			// An older image's int64 zone: no predicate reads one.
+		case kind != zoneFloat64 || f.RestoreZone(col, zs) != nil:
 			f.Free()
-			return nil, fmt.Errorf("core: restoring zone of col %d: %w", col, err)
+			return nil, corrupt("zone of kind %d on col %d", kind, col)
 		}
 	}
 	if err := d.Err(); err != nil {

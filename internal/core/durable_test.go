@@ -12,6 +12,7 @@ import (
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
+	"hybridstore/internal/obs"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/wal"
 	"hybridstore/internal/workload"
@@ -387,4 +388,181 @@ func plantRawSideCars(tb testing.TB, tbl *Table, col int) int {
 		n++
 	}
 	return n
+}
+
+// withZoneRecord re-encodes a checkpoint section with one more zone
+// record in every fragment that holds col, of the given kind: the
+// fragment's length as its count, the chunk's row ids as int64 bounds,
+// no float64 bounds, sealed — the record an older writer kept for the
+// int64 key column.
+func withZoneRecord(tb testing.TB, img []byte, col int, kind uint8) []byte {
+	tb.Helper()
+	d := wal.NewDecoder(img)
+	var e wal.Encoder
+	e.U64(d.U64()) // checkpoint timestamp
+	e.U64(d.U64()) // rows
+	nchunks := d.U32()
+	e.U32(nchunks)
+	fragment := func(cols []int, begin uint64) {
+		e.U8(d.U8()) // linearization
+		n := d.U32()
+		e.U32(n)
+		e.Blob(d.Blob())
+		nz := d.U32()
+		add := slices.Contains(cols, col)
+		if add {
+			e.U32(nz + 1)
+		} else {
+			e.U32(nz)
+		}
+		for i := uint32(0); i < nz; i++ {
+			e.U32(d.U32()) // column
+			e.U8(d.U8())   // kind
+			for k := 0; k < 5; k++ {
+				e.U64(d.U64()) // count, int64 bounds, float64 bounds
+			}
+			e.U8(d.U8()) // sealed
+			e.U8(d.U8()) // invalid
+		}
+		if add {
+			e.U32(uint32(col))
+			e.U8(kind)
+			e.U64(uint64(n))
+			e.U64(begin)
+			e.U64(begin + uint64(n) - 1)
+			e.F64(0)
+			e.F64(0)
+			e.Bool(true)
+			e.Bool(false)
+		}
+	}
+	for ci := uint32(0); ci < nchunks; ci++ {
+		state := d.U8()
+		begin, end := d.U64(), d.U64()
+		e.U8(state)
+		e.U64(begin)
+		e.U64(end)
+		if chunkState(state) == hot {
+			fragment(layout.AllCols(workload.ItemSchema()), begin)
+			continue
+		}
+		groups := make([][]int, d.U32())
+		e.U32(uint32(len(groups)))
+		for gi := range groups {
+			groups[gi] = make([]int, d.U32())
+			e.U32(uint32(len(groups[gi])))
+			for k := range groups[gi] {
+				groups[gi][k] = int(d.U32())
+				e.U32(uint32(groups[gi][k]))
+			}
+		}
+		for _, g := range groups {
+			fragment(g, begin)
+		}
+		nc := d.U32()
+		e.U32(nc)
+		for k := uint32(0); k < nc; k++ {
+			e.U32(d.U32())
+			e.Blob(d.Blob())
+		}
+	}
+	if err := d.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return append(e.Bytes(), img[len(img)-d.Remaining():]...) // deltas and manifest
+}
+
+// TestRestoreZoneRecords: an image from when int64 columns carried zone
+// maps holds a kind-0 record on i_id in every fragment that holds it.
+// Restoring that image drops each such record, and the table answers
+// every get, sum and sum_where with the same bits, pruning the same
+// pieces, as the table restored from the image without them. Any other
+// record a writer cannot have written is ErrCorrupt, never a panic.
+func TestRestoreZoneRecords(t *testing.T) {
+	img := checkpointImage(t, 200, false, false)
+	restore := func(img []byte) (*Table, error) {
+		return New(engine.NewEnv(), fuzzOpts).RestoreTable("item", workload.ItemSchema(), wal.NewDecoder(img))
+	}
+	plans := []exec.Plan{
+		{Op: exec.KindSum, Col: workload.ItemPriceCol},
+		{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Between(1.2, 1.5)},
+		{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Gt(2.5)},
+		{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Eq(workload.ItemPrice(150))},
+		{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Between(100, 200)},
+	}
+	type answer struct {
+		sum             uint64
+		count           int64
+		pruned, scanned int64
+	}
+	answers := func(tbl *Table) []answer {
+		t.Helper()
+		var out []answer
+		for _, p := range plans {
+			before := obs.TakeSnapshot()
+			r, err := tbl.Scan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := obs.TakeSnapshot()
+			out = append(out, answer{math.Float64bits(r.Sum), r.Count,
+				after.Counter("exec.zonemap.pruned") - before.Counter("exec.zonemap.pruned"),
+				after.Counter("exec.zonemap.scanned") - before.Counter("exec.zonemap.scanned")})
+		}
+		return out
+	}
+	plain, err := restore(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Free()
+	legacyImg := withZoneRecord(t, img, workload.ItemIDCol, zoneInt64)
+	legacy, err := restore(legacyImg)
+	if err != nil {
+		t.Fatalf("restore of an image with int64 zone records: %v", err)
+	}
+	defer legacy.Free()
+	if len(legacyImg) <= len(img) {
+		t.Fatal("no fragment took an int64 zone record")
+	}
+	for row := uint64(0); row < plain.Rows(); row++ {
+		want, err := plain.Get(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := legacy.Get(row); err != nil || !got.Equal(want) {
+			t.Fatalf("Get(%d) = %v, %v, want %v", row, got, err, want)
+		}
+	}
+	want, got := answers(plain), answers(legacy)
+	var pruned int64
+	for i, p := range plans {
+		if got[i] != want[i] {
+			t.Errorf("%s %v: %+v, want %+v", p.Op, p.Pred, got[i], want[i])
+		}
+		pruned += want[i].pruned
+	}
+	if pruned == 0 {
+		t.Fatal("no plan pruned a piece: the comparison shows nothing about zones")
+	}
+	for _, c := range []struct {
+		name string
+		col  int
+		kind uint8
+	}{
+		{"int64 record on the float64 column", workload.ItemPriceCol, zoneInt64},
+		{"float64 record on the int64 column", workload.ItemIDCol, zoneFloat64},
+		{"float64 record on a char column", 2, zoneFloat64},
+		{"unknown kind", workload.ItemPriceCol, 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tbl, err := restore(withZoneRecord(t, img, c.col, c.kind))
+			if !errors.Is(err, wal.ErrCorrupt) {
+				if tbl != nil {
+					tbl.Free()
+				}
+				t.Fatalf("restore: %v, want ErrCorrupt", err)
+			}
+		})
+	}
 }

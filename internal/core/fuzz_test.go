@@ -74,6 +74,15 @@ func FuzzRestoreTable(f *testing.F) {
 		f.Add(img)
 		f.Add(img[:len(img)/2]) // truncated
 	}
+	// TestRestoreZoneRecords' images: a legacy int64 record, dropped,
+	// and records no writer wrote, refused.
+	img := checkpointImage(f, 56, true, false)
+	for _, z := range []struct {
+		col  int
+		kind uint8
+	}{{workload.ItemIDCol, zoneInt64}, {workload.ItemPriceCol, zoneInt64}, {workload.ItemIDCol, zoneFloat64}, {2, zoneFloat64}, {workload.ItemPriceCol, 7}} {
+		f.Add(withZoneRecord(f, img, z.col, z.kind))
+	}
 	var oversized wal.Encoder // TestRestoreRefusesWhatTheImageCannotCarry's first leg
 	oversized.U64(1)
 	oversized.U64(0)

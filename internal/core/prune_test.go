@@ -11,8 +11,8 @@ import (
 )
 
 // TestPruneStatsSealCoreFreeze verifies that freezing a chunk seals
-// exact per-column zone maps on the cold fragments: the hot NSM region
-// carries running (unsealed) bounds, the cold fragments sealed ones.
+// exact zone maps on the cold fragments, that the hot NSM region carries
+// running bounds, and that only the float64 price column has a zone.
 func TestPruneStatsSealCoreFreeze(t *testing.T) {
 	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 2}, 500)
 	defer tbl.Free()
@@ -24,8 +24,8 @@ func TestPruneStatsSealCoreFreeze(t *testing.T) {
 			if z == nil || z.Snapshot().Invalid {
 				t.Fatal("hot chunk has no running price zone")
 			}
-			if z.Snapshot().Sealed {
-				t.Error("hot chunk zone must not be sealed")
+			if c.nsm.Stats(workload.ItemIDCol) != nil {
+				t.Error("hot chunk keeps a zone on the int64 key column")
 			}
 			continue
 		}
@@ -33,13 +33,9 @@ func TestPruneStatsSealCoreFreeze(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		z := frag.Stats(workload.ItemPriceCol)
-		if z == nil || !z.Snapshot().Sealed {
-			t.Fatalf("cold chunk [%d,%d) price zone not sealed", c.rows.Begin, c.rows.End)
-		}
-		min, max, ok := z.Float64Bounds()
+		min, max, ok := frag.Stats(workload.ItemPriceCol).Float64Bounds()
 		if !ok {
-			t.Fatal("sealed zone has no bounds")
+			t.Fatalf("cold chunk [%d,%d) price zone has no bounds", c.rows.Begin, c.rows.End)
 		}
 		wantMin := workload.ItemPrice(c.rows.Begin)
 		wantMax := workload.ItemPrice(c.rows.Begin + uint64(c.filled()) - 1)
@@ -77,8 +73,12 @@ func TestPruneStatsSurviveRegroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if z := frag.Stats(workload.ItemPriceCol); z == nil || !z.Snapshot().Sealed {
-			t.Fatalf("regrouped chunk [%d,%d) lost its sealed price zone", c.rows.Begin, c.rows.End)
+		min, max, ok := frag.Stats(workload.ItemPriceCol).Float64Bounds()
+		wantMin := workload.ItemPrice(c.rows.Begin)
+		wantMax := workload.ItemPrice(c.rows.Begin + uint64(c.filled()) - 1)
+		if !ok || min != wantMin || max != wantMax {
+			t.Fatalf("regrouped chunk [%d,%d) price zone [%v,%v] (ok %v), want exact [%v,%v]",
+				c.rows.Begin, c.rows.End, min, max, ok, wantMin, wantMax)
 		}
 	}
 }

@@ -170,12 +170,7 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 	// Scatter writes bypass Fragment.Set, so the column's zone would
 	// silently narrow; widen it here to keep it a conservative envelope.
 	if z := f.Stats(col); z != nil {
-		switch a.Kind {
-		case schema.Int64:
-			z.WidenInt64(v.I)
-		case schema.Float64:
-			z.WidenFloat64(v.F)
-		}
+		z.WidenFloat64(v.F)
 	}
 	vec, err := f.ColVector(col)
 	if err != nil {

@@ -67,7 +67,7 @@ type tailEntry struct {
 // inserts, and the append-only tail with its lineage arena.
 type column struct {
 	sealed  *compress.Column // rows [0, sealedRows); nil before first Merge
-	zone    *stats.Zone      // sealed-region bounds, built by Merge; nil for non-numeric attrs
+	zone    *stats.Zone      // sealed-region bounds, built by Merge; nil for all but float64 attrs
 	active  *layout.Fragment // rows [sealedRows, ...)
 	tail    *layout.Fragment
 	lineage []tailEntry
@@ -487,27 +487,16 @@ func (t *Table) Merge() error {
 
 // sealZone computes the sealed-region zone map from the settled column
 // image — the merge pass is the base region's freeze point, so the
-// bounds are exact and marked sealed. Non-8-byte and non-numeric
-// attributes get no zone (their scans never prune).
+// bounds are exact. Only 8-byte float64 attributes get a zone: every
+// predicate is a float64 one, so no other column's scan could prune.
 func sealZone(image []byte, n int, a schema.Attribute) *stats.Zone {
-	var z *stats.Zone
-	switch {
-	case a.Kind == schema.Int64 && a.Size == 8:
-		z = stats.NewZone(stats.Int64)
-	case a.Kind == schema.Float64 && a.Size == 8:
-		z = stats.NewZone(stats.Float64)
-	default:
+	if a.Kind != schema.Float64 || a.Size != 8 {
 		return nil
 	}
+	z := stats.NewZone()
 	for i := 0; i < n; i++ {
-		bits := binary.LittleEndian.Uint64(image[i*8:])
-		if z.Kind() == stats.Int64 {
-			z.ObserveInt64(int64(bits))
-		} else {
-			z.ObserveFloat64(math.Float64frombits(bits))
-		}
+		z.ObserveFloat64(math.Float64frombits(binary.LittleEndian.Uint64(image[i*8:])))
 	}
-	z.MarkSealed()
 	return z
 }
 

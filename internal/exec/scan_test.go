@@ -45,11 +45,10 @@ func groupScanFixture(nf, fragRows int) (keys, vals []Piece, keyRaw []int64, val
 	for f := 0; f < nf; f++ {
 		begin := f * fragRows
 		rr := layout.RowRange{Begin: uint64(begin), End: uint64(begin + fragRows)}
-		z := stats.NewZone(stats.Float64)
+		z := stats.NewZone()
 		for i := begin; i < begin+fragRows; i++ {
 			z.ObserveFloat64(valF[i])
 		}
-		z.MarkSealed()
 		keys = append(keys, Piece{
 			Rows:   rr,
 			Vec:    layout.ColVector{Data: kImg, Base: begin * 8, Stride: 8, Size: 8, Len: fragRows},

@@ -15,11 +15,10 @@ import (
 func zonedRawPieces(vals []float64, np int) []Piece {
 	pieces := rawPieces(encodeF64(vals), len(vals), np)
 	for i := range pieces {
-		z := stats.NewZone(stats.Float64)
+		z := stats.NewZone()
 		for r := pieces[i].Rows.Begin; r < pieces[i].Rows.End; r++ {
 			z.ObserveFloat64(vals[r])
 		}
-		z.MarkSealed()
 		pieces[i].Zone = z
 	}
 	return pieces

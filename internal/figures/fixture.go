@@ -65,7 +65,7 @@ func cutPieces(dense []byte, stride, fragments int, zones bool) ([]exec.Piece, e
 			Vec:  vec, FragID: uint64(i + 1), FragVersion: 1,
 		}
 		if zones {
-			z := stats.NewZone(stats.Float64)
+			z := stats.NewZone()
 			for j := 0; j < vec.Len; j++ {
 				z.ObserveFloat64(math.Float64frombits(binary.LittleEndian.Uint64(dense[vec.Base+j*stride:])))
 			}

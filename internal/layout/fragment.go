@@ -113,7 +113,7 @@ type Fragment struct {
 	width  int           // bytes per tuplet
 	offs   []int         // per-col byte offset inside an NSM tuplet
 	colOff []int         // per-col byte offset of the column region under DSM
-	zones  []*stats.Zone // per-col zone maps (nil for non-8-byte-numeric columns)
+	zones  []*stats.Zone // per-col zone maps (nil for all but 8-byte float64 columns)
 
 	// id is a process-unique identity and version a monotone write
 	// counter; together they key device-resident images of this fragment
@@ -185,12 +185,8 @@ func NewFragment(alloc *mem.Allocator, rel *schema.Schema, cols []int, rows RowR
 	f.block = block
 	f.zones = make([]*stats.Zone, len(cols))
 	for i, c := range cols {
-		a := rel.Attr(c)
-		switch {
-		case a.Kind == schema.Int64 && a.Size == 8:
-			f.zones[i] = stats.NewZone(stats.Int64)
-		case a.Kind == schema.Float64 && a.Size == 8:
-			f.zones[i] = stats.NewZone(stats.Float64)
+		if a := rel.Attr(c); a.Kind == schema.Float64 && a.Size == 8 {
+			f.zones[i] = stats.NewZone()
 		}
 	}
 	return f, nil
@@ -320,12 +316,7 @@ func (f *Fragment) Set(i int, c int, v schema.Value) error {
 	if z := f.zones[p]; z != nil {
 		// In-place overwrite: the envelope can only widen (the old value
 		// may survive in the bounds), which keeps pruning conservative.
-		switch z.Kind() {
-		case stats.Int64:
-			z.WidenInt64(v.I)
-		case stats.Float64:
-			z.WidenFloat64(v.F)
-		}
+		z.WidenFloat64(v.F)
 	}
 	return nil
 }
@@ -352,12 +343,7 @@ func (f *Fragment) AppendTuplet(vals []schema.Value) error {
 	// All fields landed; fold the tuplet into the zone maps.
 	for p := range f.cols {
 		if z := f.zones[p]; z != nil {
-			switch z.Kind() {
-			case stats.Int64:
-				z.ObserveInt64(vals[p].I)
-			case stats.Float64:
-				z.ObserveFloat64(vals[p].F)
-			}
+			z.ObserveFloat64(vals[p].F)
 		}
 	}
 	return nil
@@ -475,7 +461,7 @@ func (f *Fragment) SetLen(n int) error {
 }
 
 // Stats returns the zone map of relation attribute c, or nil when the
-// column carries none (non-8-byte or non-numeric kinds). The returned
+// column carries none (anything but an 8-byte float64). The returned
 // zone aliases fragment state; callers must hold the same locks they
 // would for reading the fragment.
 func (f *Fragment) Stats(c int) *stats.Zone {
@@ -492,10 +478,10 @@ func (f *Fragment) Stats(c int) *stats.Zone {
 // delta across restore.
 var mSeals = obs.NewCounter("layout.seals")
 
-// SealStats recomputes every zone map exactly from the stored bytes and
-// marks them sealed. Engines call this at their freeze points — the
-// paper's hot→cold transitions — where a fragment's contents become
-// (mostly) immutable and tight bounds pay off for the rest of its life.
+// SealStats recomputes every zone map exactly from the stored bytes.
+// Engines call this at their freeze points — the paper's hot→cold
+// transitions — where a fragment's contents become (mostly) immutable
+// and tight bounds pay off for the rest of its life.
 func (f *Fragment) SealStats() {
 	mSeals.Inc()
 	for p, z := range f.zones {
@@ -504,17 +490,9 @@ func (f *Fragment) SealStats() {
 		}
 		z.Reset()
 		b := f.block.Bytes()
-		switch z.Kind() {
-		case stats.Int64:
-			for i := 0; i < f.n; i++ {
-				z.ObserveInt64(int64(binary.LittleEndian.Uint64(b[f.fieldOffset(i, p):])))
-			}
-		case stats.Float64:
-			for i := 0; i < f.n; i++ {
-				z.ObserveFloat64(math.Float64frombits(binary.LittleEndian.Uint64(b[f.fieldOffset(i, p):])))
-			}
+		for i := 0; i < f.n; i++ {
+			z.ObserveFloat64(math.Float64frombits(binary.LittleEndian.Uint64(b[f.fieldOffset(i, p):])))
 		}
-		z.MarkSealed()
 	}
 }
 

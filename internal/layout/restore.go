@@ -27,16 +27,12 @@ func (f *Fragment) RestoreContent(raw []byte, n int) error {
 }
 
 // RestoreZone installs a checkpointed zone snapshot for relation
-// attribute c, preserving its sealed flag. Columns that carry no zone
-// (non-8-byte-numeric) reject the restore; kind mismatches mean the
-// snapshot and schema disagree — corruption, not a repairable state.
+// attribute c. Columns that carry no zone (anything but an 8-byte
+// float64) reject the restore.
 func (f *Fragment) RestoreZone(c int, s stats.Snapshot) error {
 	p := f.colPos(c)
 	if p < 0 || f.zones[p] == nil {
 		return fmt.Errorf("%w: column %d carries no zone", ErrOutOfRange, c)
-	}
-	if f.zones[p].Kind() != s.Kind {
-		return fmt.Errorf("%w: zone kind %s, snapshot %s", ErrBadFragment, f.zones[p].Kind(), s.Kind)
 	}
 	f.zones[p] = stats.FromSnapshot(s)
 	return nil

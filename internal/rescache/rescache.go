@@ -132,12 +132,10 @@ type Cache struct {
 // New builds a cache bounded at capBytes total: entries live until their
 // stamp goes stale or they are evicted. The stamp alone carries
 // correctness — core, the one stamp producer, moves its epoch on every
-// base mutation.
+// base mutation. A cache of capBytes <= 0 holds nothing: every entry is
+// over its budget.
 // The second parameter is unused; it stays because bench/ passes it.
 func New(capBytes int64, _ time.Duration) *Cache {
-	if capBytes <= 0 {
-		capBytes = 64 << 20
-	}
 	c := &Cache{capBytes: (capBytes + numShards - 1) / numShards}
 	for i := range c.shards {
 		c.shards[i].m = make(map[Key]*entry)

@@ -185,6 +185,19 @@ func TestOversizedEntryRefused(t *testing.T) {
 	}
 }
 
+// A cache of no capacity stores nothing and answers every lookup with
+// a miss; there is no default budget behind a zero.
+func TestZeroCapacityHoldsNothing(t *testing.T) {
+	for _, capBytes := range []int64{0, -1} {
+		c := New(capBytes, 0)
+		k := Key{Table: "t", Op: OpSum, Col: 1}
+		c.Put(k, stamp(1), Value{Sum: 1, Count: 1})
+		if _, ok := c.Lookup(k, stamp(1)); ok || c.Stats().Entries != 0 {
+			t.Fatalf("cap %d: stored an entry: %+v", capBytes, c.Stats())
+		}
+	}
+}
+
 func TestPeekAccounting(t *testing.T) {
 	c := New(1<<20, 0)
 	k := Key{Table: "item", Op: OpSum, Col: 2}

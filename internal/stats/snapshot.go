@@ -1,20 +1,14 @@
 package stats
 
 // Snapshot is the exported image of a Zone, used by checkpoint files to
-// persist sealed envelopes so a warm restart re-seals nothing: the
-// restored zone carries the exact bounds (and the sealed bit) the
-// freeze point computed before the crash.
+// persist frozen envelopes so a warm restart re-seals nothing: the
+// restored zone carries the exact bounds the freeze point computed
+// before the crash.
 type Snapshot struct {
-	// Kind is the summarized element kind.
-	Kind Kind
 	// Count is the number of observed values.
 	Count int64
-	// MinI/MaxI are the int64 bounds (Kind == Int64).
-	MinI, MaxI int64
-	// MinF/MaxF are the float64 bounds (Kind == Float64).
-	MinF, MaxF float64
-	// Sealed records that the bounds were exact at snapshot time.
-	Sealed bool
+	// Min/Max are the bounds.
+	Min, Max float64
 	// Invalid records an untrustworthy envelope (restored as-is: pruning
 	// keeps treating it as "may contain anything").
 	Invalid bool
@@ -22,26 +16,11 @@ type Snapshot struct {
 
 // Snapshot exports the zone's state.
 func (z *Zone) Snapshot() Snapshot {
-	return Snapshot{
-		Kind:  z.kind,
-		Count: z.count,
-		MinI:  z.minI, MaxI: z.maxI,
-		MinF: z.minF, MaxF: z.maxF,
-		Sealed:  z.sealed,
-		Invalid: z.invalid,
-	}
+	return Snapshot{Count: z.count, Min: z.min, Max: z.max, Invalid: z.invalid}
 }
 
 // FromSnapshot rebuilds a zone bit-identical to the one Snapshot
-// exported — including its sealed flag, which is the whole point: a
-// restored frozen fragment must not need a re-seal pass.
+// exported, so a restored frozen fragment needs no re-seal pass.
 func FromSnapshot(s Snapshot) *Zone {
-	return &Zone{
-		kind:  s.Kind,
-		count: s.Count,
-		minI:  s.MinI, maxI: s.MaxI,
-		minF: s.MinF, maxF: s.MaxF,
-		sealed:  s.Sealed,
-		invalid: s.Invalid,
-	}
+	return &Zone{count: s.Count, min: s.Min, max: s.Max, invalid: s.Invalid}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestPruneZoneObserveAndBounds(t *testing.T) {
-	z := NewZone(Float64)
+	z := NewZone()
 	if _, _, ok := z.Float64Bounds(); ok {
 		t.Fatal("empty zone must not expose bounds")
 	}
@@ -17,40 +17,44 @@ func TestPruneZoneObserveAndBounds(t *testing.T) {
 	if !ok || min != -1 || max != 7 {
 		t.Fatalf("bounds = (%g,%g,%v), want (-1,7,true)", min, max, ok)
 	}
-	if s := z.Snapshot(); s.Count != 4 || s.Kind != Float64 {
-		t.Fatalf("snapshot = %+v, want 4 float64 observations", s)
-	}
-
-	zi := NewZone(Int64)
-	for _, x := range []int64{5, -9, 5} {
-		zi.ObserveInt64(x)
-	}
-	if s := zi.Snapshot(); s.MinI != -9 || s.MaxI != 5 || s.Count != 3 || s.Invalid {
-		t.Fatalf("int snapshot = %+v, want [-9,5] over 3", s)
-	}
-	if _, _, ok := zi.Float64Bounds(); ok {
-		t.Fatal("int64 zone must not answer float64 bounds")
+	if s := z.Snapshot(); s.Count != 4 {
+		t.Fatalf("snapshot = %+v, want 4 observations", s)
 	}
 }
 
-func TestPruneZoneSealAndWiden(t *testing.T) {
-	z := NewZone(Int64)
-	z.ObserveInt64(1)
-	z.ObserveInt64(10)
-	z.MarkSealed()
-	if !z.Snapshot().Sealed {
-		t.Fatal("zone should be sealed")
+func TestPruneZoneWiden(t *testing.T) {
+	z := NewZone()
+	z.ObserveFloat64(1)
+	z.ObserveFloat64(10)
+	// An overwrite outside the envelope widens it; the count stays.
+	z.WidenFloat64(42)
+	if s := z.Snapshot(); s.Min != 1 || s.Max != 42 || s.Count != 2 || s.Invalid {
+		t.Fatalf("snapshot = %+v, want [1,42] over 2", s)
 	}
-	// Widening outside the envelope clears the sealed flag but keeps
-	// conservative bounds.
-	z.ObserveInt64(42)
-	if s := z.Snapshot(); s.Sealed || s.MinI != 1 || s.MaxI != 42 || s.Invalid {
-		t.Fatalf("snapshot = %+v, want unsealed [1,42]", s)
+	// An empty zone has no envelope to widen.
+	e := NewZone()
+	e.WidenFloat64(5)
+	if _, _, ok := e.Float64Bounds(); ok {
+		t.Fatal("widening an empty zone must not expose bounds")
+	}
+}
+
+// TestPruneZoneKeepsSignedZero pins the compare-and-assign updates: a
+// +0 bound stays +0 when a -0 arrives (the builtin min would take -0),
+// so a checkpoint image keeps its bytes.
+func TestPruneZoneKeepsSignedZero(t *testing.T) {
+	z := NewZone()
+	z.ObserveFloat64(0)
+	z.ObserveFloat64(math.Copysign(0, -1))
+	z.WidenFloat64(math.Copysign(0, -1))
+	s := z.Snapshot()
+	if math.Signbit(s.Min) || math.Signbit(s.Max) {
+		t.Fatalf("bounds (%g,%g) took the sign of -0", s.Min, s.Max)
 	}
 }
 
 func TestPruneZoneInvalidate(t *testing.T) {
-	z := NewZone(Float64)
+	z := NewZone()
 	z.ObserveFloat64(1)
 	z.Invalidate()
 	if !z.Snapshot().Invalid {
@@ -66,25 +70,27 @@ func TestPruneZoneInvalidate(t *testing.T) {
 }
 
 func TestPruneZoneNaNInvalidates(t *testing.T) {
-	z := NewZone(Float64)
+	z := NewZone()
 	z.ObserveFloat64(1)
 	z.ObserveFloat64(math.NaN())
 	if _, _, ok := z.Float64Bounds(); ok {
 		t.Fatal("NaN observation must invalidate the envelope")
 	}
+	w := NewZone()
+	w.ObserveFloat64(1)
+	w.WidenFloat64(math.NaN())
+	if _, _, ok := w.Float64Bounds(); ok {
+		t.Fatal("NaN overwrite must invalidate the envelope")
+	}
 }
 
 func TestPruneZoneClone(t *testing.T) {
-	z := NewZone(Int64)
-	z.ObserveInt64(3)
-	z.MarkSealed()
+	z := NewZone()
+	z.ObserveFloat64(3)
 	c := z.Clone()
-	c.ObserveInt64(100)
-	if s := z.Snapshot(); s.MinI != 3 || s.MaxI != 3 {
-		t.Fatalf("clone mutated original: (%d,%d)", s.MinI, s.MaxI)
-	}
-	if !z.Snapshot().Sealed || c.Snapshot().Sealed {
-		t.Fatal("sealed flags should be independent")
+	c.ObserveFloat64(100)
+	if s := z.Snapshot(); s.Min != 3 || s.Max != 3 {
+		t.Fatalf("clone mutated original: (%g,%g)", s.Min, s.Max)
 	}
 	var nilZone *Zone
 	if nilZone.Clone() != nil {
