@@ -282,7 +282,7 @@ func BenchmarkFig2Panel3ColMorsel(b *testing.B) {
 // --- Morsel vs blockwise (finding v) --------------------------------------
 //
 // The acceptance pair behind the MorselDriven policy: on small-result
-// operators the resident pool must clearly beat spawning the paper's
+// operators morsel execution must clearly beat spawning the paper's
 // eight blockwise workers (the scheduling cost is the whole bill), and
 // on full scans it must hold the blockwise plateau.
 

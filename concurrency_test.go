@@ -164,11 +164,11 @@ func TestConcurrentHTAPStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentMorselPoolStress hammers the process-wide morsel pool
-// from several independent DBs at once: every engine routes its analytic
-// operators through the same resident workers and recycled buffers, so
-// concurrent queries across databases must neither race nor cross-feed
-// results. Run under -race this validates the pool's sharing contract.
+// TestConcurrentMorselPoolStress hammers the morsel executor from several
+// independent DBs at once: every engine routes its analytic operators
+// through pool.Run and the same recycled buffers, so concurrent queries
+// across databases must neither race nor cross-feed results. Run under
+// -race this validates the pool's sharing contract.
 func TestConcurrentMorselPoolStress(t *testing.T) {
 	// Small morsels force real multi-morsel scheduling on this machine;
 	// extra workers force cross-query stealing.

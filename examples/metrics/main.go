@@ -1,6 +1,6 @@
 // Metrics: run a small hybrid workload and dump the library's
 // process-wide observability registry — an expvar-style JSON snapshot of
-// every counter, gauge and latency histogram, plus the recent structural
+// every counter and latency histogram, plus the recent structural
 // spans (freeze, adapt, merge) with the decisions they recorded.
 //
 //	go run ./examples/metrics
@@ -14,8 +14,8 @@ import (
 	"hybridstore"
 )
 
-// rows stays above one morsel (16384 rows), so the scans run on the
-// shared worker pool.
+// rows stays above one morsel (16384 rows), so the scans split into
+// morsels over helper goroutines.
 const rows = 20_000
 
 func main() {

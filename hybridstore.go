@@ -78,9 +78,9 @@ const (
 	// MultiThreaded partitions operators blockwise over
 	// runtime.GOMAXPROCS(0) fresh goroutines per call.
 	MultiThreaded = exec.MultiThreaded
-	// MorselDriven executes operators on the process-wide resident
-	// worker pool in fixed-size morsels, amortizing scheduling and
-	// recycling result buffers across queries.
+	// MorselDriven executes operators in fixed-size morsels: one morsel
+	// runs inline, more run on the caller and helper goroutines of the
+	// call, and result buffers are recycled across queries.
 	MorselDriven = exec.MorselDriven
 )
 
@@ -417,7 +417,7 @@ func (t *Table) Free() { t.t.Free() }
 type Txn = core.Txn
 
 // MetricsSnapshot is a point-in-time copy of the process-wide
-// observability registry: every counter, gauge and latency histogram the
+// observability registry: every counter and latency histogram the
 // library maintains (pool scheduling, operator invocations, device bus
 // traffic, transaction outcomes, adaptation decisions), plus the most
 // recent structural spans and events.

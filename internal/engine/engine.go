@@ -52,7 +52,7 @@ type Env struct {
 	Clock *perfmodel.Clock
 	// ExecPolicy is the host threading policy engines configure their
 	// bulk operators with: SingleThreaded (the zero value), blockwise
-	// MultiThreaded, or MorselDriven on the shared resident pool.
+	// MultiThreaded, or MorselDriven in fixed-size morsels.
 	ExecPolicy exec.Policy
 	// Cache keeps device-resident fragment images so repeated device
 	// scans over unchanged data skip the bus (paper Section IV-C, "mixed

@@ -57,12 +57,11 @@ func groupSumWhere(tbl engine.Table, keyCol, valCol int, p exec.Pred) ([]exec.Gr
 // TestConformance runs every surveyed engine through the same behaviour
 // suite under each host execution policy: the answers to the paper's two
 // query archetypes must be identical across all ten engines on identical
-// data, whether operators run sequentially, blockwise, or morsel-driven
-// on the shared pool.
+// data, whether operators run sequentially, blockwise, or morsel-driven.
 func TestConformance(t *testing.T) {
 	const n = 700
 	// Shrink the morsel granularity so the 700-row tables genuinely
-	// dispatch multi-morsel jobs through the shared pool.
+	// dispatch multi-morsel jobs over helper goroutines.
 	pool.SetMorselSize(128)
 	pool.SetWorkers(4)
 	t.Cleanup(func() {

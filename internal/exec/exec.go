@@ -13,11 +13,14 @@
 // single CPU. A Volcano-style row iterator is included for the
 // tuple-at-a-time comparison discussed in Section II-A.
 //
-// A third policy, MorselDriven, executes on the process-wide resident
-// worker pool of internal/exec/pool: operators enqueue fixed-size
-// morsels instead of spawning goroutines, and position lists and byte
-// buffers are recycled through sync.Pool, so steady-state calls pay no
-// thread management and only a few small fixed allocations.
+// A third policy, MorselDriven, splits the input into fixed-size morsels
+// run by pool.Run (internal/exec/pool): an input of one morsel runs
+// inline on the caller, a larger one on the caller and helper goroutines
+// of the call, and position lists and byte buffers are recycled through
+// sync.Pool, so steady-state calls pay no thread management and only a
+// few small fixed allocations. Config.partition is the one place the
+// three policies are spelled; every operator splits its input through
+// it.
 package exec
 
 import (
@@ -107,10 +110,10 @@ const (
 	// workers: each worker operates on one exclusive, subsequent range of
 	// input positions.
 	MultiThreaded
-	// MorselDriven executes on the shared resident worker pool
-	// (internal/exec/pool): the input positions are split into fixed-size
-	// morsels that idle workers claim, so no threads are created per
-	// query and skewed pieces rebalance across workers.
+	// MorselDriven splits the input positions into fixed-size morsels
+	// (internal/exec/pool): an input of one morsel runs inline, a larger
+	// one on the caller and helper goroutines that claim morsels as they
+	// go idle, so skewed pieces rebalance across workers.
 	MorselDriven
 )
 
@@ -149,8 +152,7 @@ func Single() Config { return Config{Policy: SingleThreaded} }
 // workers (the paper's fixed eight-thread policy is MultiN(8)).
 func MultiN(n int) Config { return Config{Policy: MultiThreaded, Threads: n} }
 
-// Morsel returns the morsel-driven configuration executing on the shared
-// resident worker pool.
+// Morsel returns the morsel-driven configuration.
 func Morsel() Config { return Config{Policy: MorselDriven} }
 
 // threads returns the effective worker count.
@@ -275,8 +277,9 @@ func (c Config) chargeScan(pieces []Piece) {
 	}
 	switch c.Policy {
 	case MorselDriven:
-		// The resident pool charges one wake plus amortized per-morsel
-		// dispatch instead of per-query thread management.
+		// Morsels are priced as a resident pool on the modelled
+		// platform: one wake plus amortized per-morsel dispatch instead
+		// of per-query thread management.
 		morsels := int64(pool.Morsels(totalLen(pieces), pool.MorselSize()))
 		ns = c.Host.MorselAmortizedNs(ns, morsels, c.threads())
 	case MultiThreaded:
@@ -328,21 +331,6 @@ func eachRange(pieces []Piece, gFrom, gTo int, fn func(p Piece, from, to int)) {
 	}
 }
 
-// blockRange returns worker w's blockwise share of total positions split
-// over th workers; from >= to means the worker has no share.
-func blockRange(w, th, total int) (from, to int) {
-	per := (total + th - 1) / th
-	from = w * per
-	if from >= total {
-		return total, total
-	}
-	to = from + per
-	if to > total {
-		to = total
-	}
-	return from, to
-}
-
 // slots returns how many partial-result slots a partition needs. The
 // pool can be resized concurrently, so callers read it once, size their
 // per-slot state from it and hand the same value to partition.
@@ -353,32 +341,41 @@ func (c Config) slots() int {
 	return c.threads()
 }
 
+// grain returns the width every range of partition starts at a multiple
+// of: one morsel under MorselDriven, one blockwise share ⌈total/slots⌉
+// otherwise. Callers that keep per-range output index it by from/grain.
+func (c Config) grain(slots, total int) int {
+	if c.Policy == MorselDriven {
+		return pool.MorselSize()
+	}
+	return (total + slots - 1) / slots
+}
+
 // partition runs fn over the global positions [0, total) under the
-// configured policy: in morsels on the resident pool, in exclusive
-// blockwise ranges on fresh goroutines, or — one slot — in one call on
-// the caller's goroutine. Calls sharing a slot never overlap in time, so
-// fn may accumulate into per-slot state without locking; slot < slots.
+// configured policy, the one place a policy is spelled: in morsels on
+// pool.Run, in one call on the caller's goroutine when there is one
+// slot, or else in blockwise ranges, slot w folding block
+// [w·grain, (w+1)·grain) on a goroutine of its own. Calls sharing a slot
+// never overlap in time, so fn may accumulate into per-slot state
+// without locking; slot < slots.
 func (c Config) partition(slots, total int, fn func(slot, from, to int)) {
-	if total == 0 {
+	if total <= 0 {
 		return
 	}
 	switch {
 	case c.Policy == MorselDriven:
-		pool.Run(total, pool.MorselSize(), slots, fn)
+		pool.Run(total, c.grain(slots, total), slots, fn)
 	case slots == 1:
 		fn(0, 0, total)
 	default:
+		g := c.grain(slots, total)
 		var wg sync.WaitGroup
-		for w := 0; w < slots; w++ {
-			from, to := blockRange(w, slots, total)
-			if from >= to {
-				break
-			}
+		for w := 0; w*g < total; w++ {
 			wg.Add(1)
-			go func(w, from, to int) {
+			go func() {
 				defer wg.Done()
-				fn(w, from, to)
-			}(w, from, to)
+				fn(w, w*g, min((w+1)*g, total))
+			}()
 		}
 		wg.Wait()
 	}

@@ -1,58 +1,30 @@
 package exec
 
 import (
-	"sync"
-
 	"hybridstore/internal/exec/pool"
 	"hybridstore/internal/layout"
 )
 
 // selectPositionsInto runs a selection under the configured policy and
 // returns the matches in a pooled buffer (the caller owns it and must
-// eventually PutPositions or wrap it in a SelVec). The parallel paths
-// partition the global position space (blockwise or in morsels),
-// collect per-partition matches into recycled buffers, and merge them
-// in global order, so the concatenation is already sorted.
+// eventually PutPositions or wrap it in a SelVec). An input of more than
+// one range collects each range's matches into a recycled buffer and
+// merges them in global order, so the concatenation is already sorted.
 func selectPositionsInto(cfg Config, pieces []Piece, scan func(buf []uint64, gFrom, gTo int) []uint64) []uint64 {
 	total := totalLen(pieces)
 	if total == 0 {
 		return nil
 	}
-	switch cfg.Policy {
-	case MorselDriven:
-		msize := pool.MorselSize()
-		if total <= msize {
-			return scan(pool.GetPositions(), 0, total)
-		}
-		slots := pool.Slots()
-		parts := make([][]uint64, pool.Morsels(total, msize))
-		pool.Run(total, msize, slots, func(_, from, to int) {
-			parts[from/msize] = scan(pool.GetPositions(), from, to)
-		})
-		return mergeParts(parts)
-	case MultiThreaded:
-		th := cfg.threads()
-		if th == 1 {
-			return scan(pool.GetPositions(), 0, total)
-		}
-		parts := make([][]uint64, th)
-		var wg sync.WaitGroup
-		for w := 0; w < th; w++ {
-			gFrom, gTo := blockRange(w, th, total)
-			if gFrom >= gTo {
-				break
-			}
-			wg.Add(1)
-			go func(w, gFrom, gTo int) {
-				defer wg.Done()
-				parts[w] = scan(pool.GetPositions(), gFrom, gTo)
-			}(w, gFrom, gTo)
-		}
-		wg.Wait()
-		return mergeParts(parts)
-	default:
+	slots := cfg.slots()
+	grain := cfg.grain(slots, total)
+	if total <= grain {
 		return scan(pool.GetPositions(), 0, total)
 	}
+	parts := make([][]uint64, pool.Morsels(total, grain))
+	cfg.partition(slots, total, func(_, from, to int) {
+		parts[from/grain] = scan(pool.GetPositions(), from, to)
+	})
+	return mergeParts(parts)
 }
 
 // mergeParts concatenates ordered per-partition position lists into one

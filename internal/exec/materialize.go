@@ -2,9 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
-	"hybridstore/internal/exec/pool"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 )
@@ -12,76 +10,32 @@ import (
 // Materialize resolves a sorted position list against a layout and returns
 // the full records (the paper's record-centric access pattern: the output
 // of the preceding join operator is a sorted position list, and the
-// operator materializes all fields of the addressed records). Under
-// MultiThreaded the position list is partitioned blockwise.
+// operator materializes all fields of the addressed records). The
+// position list is partitioned under the configured policy; on failure
+// it returns the error of the first failing position in the first slot
+// that failed, which under the sequential and blockwise policies is the
+// first failing position of the list.
 func Materialize(cfg Config, l *layout.Layout, positions []uint64) ([]schema.Record, error) {
 	ot := obsMaterialize.start(cfg.Policy)
 	out := make([]schema.Record, len(positions))
-	if cfg.Policy == MorselDriven && len(positions) > 0 {
-		slots := pool.Slots()
-		errs := make([]error, slots)
-		pool.Run(len(positions), pool.MorselSize(), slots, func(slot, from, to int) {
-			if errs[slot] != nil {
+	slots := cfg.slots()
+	errs := make([]error, slots)
+	cfg.partition(slots, len(positions), func(slot, from, to int) {
+		if errs[slot] != nil {
+			return
+		}
+		for i := from; i < to; i++ {
+			rec, err := l.Record(positions[i])
+			if err != nil {
+				errs[slot] = fmt.Errorf("materializing position %d: %w", positions[i], err)
 				return
 			}
-			for i := from; i < to; i++ {
-				rec, e := l.Record(positions[i])
-				if e != nil {
-					errs[slot] = fmt.Errorf("materializing position %d: %w", positions[i], e)
-					return
-				}
-				out[i] = rec
-			}
-		})
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
+			out[i] = rec
 		}
-		cfg.chargeMaterialize(l, len(positions))
-		ot.end()
-		return out, nil
-	}
-	th := cfg.threads()
-	var err error
-	if th == 1 {
-		for i, row := range positions {
-			out[i], err = l.Record(row)
-			if err != nil {
-				return nil, fmt.Errorf("materializing position %d: %w", row, err)
-			}
-		}
-	} else {
-		per := (len(positions) + th - 1) / th
-		errs := make([]error, th)
-		var wg sync.WaitGroup
-		for w := 0; w < th; w++ {
-			from := w * per
-			if from >= len(positions) {
-				break
-			}
-			to := from + per
-			if to > len(positions) {
-				to = len(positions)
-			}
-			wg.Add(1)
-			go func(w, from, to int) {
-				defer wg.Done()
-				for i := from; i < to; i++ {
-					rec, e := l.Record(positions[i])
-					if e != nil {
-						errs[w] = fmt.Errorf("materializing position %d: %w", positions[i], e)
-						return
-					}
-					out[i] = rec
-				}
-			}(w, from, to)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
-			}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	cfg.chargeMaterialize(l, len(positions))

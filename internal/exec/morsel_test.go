@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -13,10 +16,10 @@ import (
 	"hybridstore/internal/schema"
 )
 
-// forceMorsels shrinks the morsel granularity and grows the pool so that
-// even the small layouts tests build dispatch as multi-morsel jobs on
-// real pool workers (this container has one CPU, so the defaults would
-// take the inline single-morsel fast path everywhere).
+// forceMorsels shrinks the morsel granularity and raises the helper
+// bound so that even the small layouts tests build dispatch as
+// multi-morsel jobs on helper goroutines (on a one-CPU machine the
+// defaults would take the inline single-morsel fast path everywhere).
 func forceMorsels(t *testing.T, morsel, workers int) {
 	t.Helper()
 	pool.SetMorselSize(morsel)
@@ -233,5 +236,68 @@ func TestMorselMaterializeError(t *testing.T) {
 	positions[77] = 5000 // out of range
 	if _, err := Materialize(Morsel(), l, positions); err == nil {
 		t.Fatal("out-of-range position accepted under MorselDriven")
+	}
+}
+
+// TestMultiMaterializeError checks error propagation through blockwise
+// ranges: with failing positions in two blocks, Materialize returns the
+// error of the first failing position in the list.
+func TestMultiMaterializeError(t *testing.T) {
+	l, _ := buildLayout(t, layout.NSM, false, 100)
+	positions := make([]uint64, 90)
+	for i := range positions {
+		positions[i] = uint64(i)
+	}
+	positions[40], positions[45], positions[77] = 5000, 6000, 7000 // out of range
+	_, err := Materialize(MultiN(3), l, positions)
+	if err == nil || !strings.Contains(err.Error(), "position 5000:") {
+		t.Fatalf("MultiThreaded error = %v, want the one of position 5000", err)
+	}
+}
+
+// TestPartitionRanges is the table of Config.partition: under every
+// policy, for slots 1-5 and totals around the grain, the ranges cover
+// [0, total) exactly once, each starts at a multiple of the grain, every
+// slot is below slots, one slot makes one call, and blockwise slot w
+// gets block w.
+func TestPartitionRanges(t *testing.T) {
+	pool.SetMorselSize(8)
+	t.Cleanup(func() { pool.SetMorselSize(0) })
+	for _, policy := range []Policy{SingleThreaded, MultiThreaded, MorselDriven} {
+		cfg := Config{Policy: policy}
+		for slots := 1; slots <= 5; slots++ {
+			for _, total := range []int{0, 1, slots - 1, 8 * slots, 8*slots + 3, 24, 27, 100} {
+				name := fmt.Sprintf("%s/slots=%d/total=%d", policy, slots, total)
+				grain := cfg.grain(slots, total)
+				seen := make([]int, total)
+				var mu sync.Mutex
+				calls := 0
+				cfg.partition(slots, total, func(slot, from, to int) {
+					mu.Lock()
+					defer mu.Unlock()
+					calls++
+					if slot < 0 || slot >= slots {
+						t.Errorf("%s: slot %d", name, slot)
+					}
+					if from%grain != 0 {
+						t.Errorf("%s: range [%d,%d) starts off the grain %d", name, from, to, grain)
+					}
+					if policy != MorselDriven && slots > 1 && from != slot*grain {
+						t.Errorf("%s: slot %d ran [%d,%d), want block %d", name, slot, from, to, slot)
+					}
+					for i := from; i < to; i++ {
+						seen[i]++
+					}
+				})
+				for i, n := range seen {
+					if n != 1 {
+						t.Fatalf("%s: position %d ran %d times", name, i, n)
+					}
+				}
+				if slots == 1 && total > 0 && calls != 1 {
+					t.Errorf("%s: %d calls under one slot, want 1", name, calls)
+				}
+			}
+		}
 	}
 }

@@ -1,31 +1,29 @@
-// Package pool is the process-wide morsel-driven executor behind
-// exec.MorselDriven.
+// Package pool is the morsel-driven executor behind exec.MorselDriven.
 //
 // The paper's Figure-2 panels show the 8-thread blockwise policy losing
 // on small inputs because per-query thread management dominates (§II-B).
-// This package removes that per-query cost: a fixed set of resident
-// workers (sized from runtime.GOMAXPROCS, overridable) consumes
-// fixed-size morsels (~16K positions) from per-query work queues.
-// Workers scan the active queues round-robin, offset by their worker id,
-// so an idle worker steals morsels from whichever query still has work —
-// skewed fragments no longer idle workers the way static blockwise
-// ranges do.
+// Morsel-driven execution (HyPer) answers with fixed-size morsels
+// (~16K positions) claimed from one atomic cursor: a job no larger than
+// one morsel runs inline on the caller with no scheduling at all, and a
+// larger one is drained by the caller plus at most Workers() helper
+// goroutines of the call, which the Go runtime multiplexes onto
+// GOMAXPROCS threads and balances by stealing. An idle helper claims the
+// next morsel of its job, so skewed pieces no longer idle workers the
+// way static blockwise ranges do. The simulated clock prices the policy
+// on the paper's platform (perfmodel.MorselAmortizedNs), not on how Go
+// schedules it.
 //
-// Submitting goroutines participate: a query's own goroutine drains its
-// queue alongside the pool workers, so progress never depends on a pool
-// worker being free and a single-morsel job runs inline with no
-// scheduling at all. Partial-result state is indexed by slot: pool
-// workers own slots 0..slots-2 and the submitter owns slot slots-1,
-// where slots is the value of Slots() the caller sized its buffers with.
+// Partial-result state is indexed by slot: helpers own slots
+// 0..slots-2 and the caller owns slot slots-1, where slots is the value
+// of Slots() the caller sized its buffers with.
 //
 // The package also owns the sync.Pool buffer recycling that makes
 // steady-state operator calls allocation-free: position-list buffers
 // (GetPositions/PutPositions) and byte buffers (GetBytes/PutBytes).
 //
-// The pool reports itself to internal/obs: jobs run inline vs submitted,
-// morsels claimed by the submitter vs stolen by resident workers, queue
-// depth and live workers. All hot-path updates are uncontended atomic adds, amortized to O(1)
-// per job.
+// Run reports itself to internal/obs: jobs run inline vs submitted, and
+// morsels claimed by the caller vs stolen by helpers. Each is one atomic
+// add per job, not per morsel.
 package pool
 
 import (
@@ -37,17 +35,14 @@ import (
 	"hybridstore/internal/obs"
 )
 
-// Pool metrics (process-global, matching the pool itself). Handles are
-// registered once; hot-path updates are single atomic adds, and the
-// per-morsel counters are accumulated locally per drain loop so a job
-// costs O(1) metric updates, not O(morsels).
+// Pool metrics (process-global). The per-morsel counters are
+// accumulated locally per drain loop, so a job costs O(1) metric
+// updates, not O(morsels).
 var (
 	mJobsInline       = obs.NewCounter("pool.jobs_inline")       // ran on the caller, no scheduling
-	mJobsSubmitted    = obs.NewCounter("pool.jobs_submitted")    // enqueued on the shared pool
-	mMorselsSubmitter = obs.NewCounter("pool.morsels_submitter") // claimed by the submitting goroutine
-	mMorselsStolen    = obs.NewCounter("pool.morsels_stolen")    // claimed by resident pool workers
-	gQueueDepth       = obs.NewGauge("pool.queue_depth")         // active per-query queues
-	gWorkers          = obs.NewGauge("pool.workers")             // live resident workers
+	mJobsSubmitted    = obs.NewCounter("pool.jobs_submitted")    // split over the caller and helpers
+	mMorselsSubmitter = obs.NewCounter("pool.morsels_submitter") // claimed by the calling goroutine
+	mMorselsStolen    = obs.NewCounter("pool.morsels_stolen")    // claimed by helper goroutines
 )
 
 // DefaultMorselSize is the number of positions per morsel. Following
@@ -55,61 +50,13 @@ var (
 // dispatch cost and small enough that skew rebalances across workers.
 const DefaultMorselSize = 16 << 10
 
-// job is one query operator's work queue: a contiguous position space
-// [0, total) carved into fixed-size morsels, claimed with an atomic
-// cursor.
-type job struct {
-	total  int
-	morsel int
-	slots  int // partial-state slots the submitter allocated
-	fn     func(slot, from, to int)
-
-	next int64 // next unclaimed position (atomic)
-	done int64 // completed positions (atomic)
-	fin  chan struct{}
-}
-
-// claim reserves the next morsel; from >= to means the queue is drained.
-func (j *job) claim() (from, to int) {
-	n := atomic.AddInt64(&j.next, int64(j.morsel))
-	from = int(n) - j.morsel
-	if from >= j.total {
-		return j.total, j.total
-	}
-	to = from + j.morsel
-	if to > j.total {
-		to = j.total
-	}
-	return from, to
-}
-
-// complete records n finished positions and signals the submitter once
-// the whole job has executed.
-func (j *job) complete(n int) {
-	if atomic.AddInt64(&j.done, int64(n)) == int64(j.total) {
-		close(j.fin)
-	}
-}
-
-// drained reports whether every morsel has been claimed (not necessarily
-// finished).
-func (j *job) drained() bool {
-	return atomic.LoadInt64(&j.next) >= int64(j.total)
-}
-
 var (
-	mu      sync.Mutex
-	cond    = sync.NewCond(&mu)
-	jobs    []*job // active per-query queues
-	running int    // live worker goroutines; ids are dense 0..running-1
-	rr      int    // rotates the scan start so queues share workers fairly
-
 	workerTarget atomic.Int32 // 0 = runtime.GOMAXPROCS(0)
 	morselSize   atomic.Int32 // 0 = DefaultMorselSize
 )
 
-// Workers returns the pool size. It defaults to runtime.GOMAXPROCS(0)
-// and can be overridden with SetWorkers.
+// Workers returns how many helpers a job may use. It defaults to
+// runtime.GOMAXPROCS(0) and can be overridden with SetWorkers.
 func Workers() int {
 	if t := workerTarget.Load(); t > 0 {
 		return int(t)
@@ -118,37 +65,21 @@ func Workers() int {
 }
 
 // Slots returns the number of partial-result slots an operator must
-// allocate before calling Run: one per pool worker plus one for the
-// submitting goroutine, which drains its own queue rather than idling.
+// allocate before calling Run: one per helper plus one for the caller,
+// which drains its own job rather than idling.
 func Slots() int { return Workers() + 1 }
 
-// RunningWorkers returns the number of live resident worker goroutines.
-// It trails Workers() briefly while supernumerary workers retire after a
-// shrink; after SetWorkers grows the pool the new workers are started
-// eagerly, so it reaches the target before SetWorkers returns.
-func RunningWorkers() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return running
-}
-
-// MaxWorkers is the hard ceiling on the pool size. The target used to be
-// truncated int → int32, so a value above math.MaxInt32 could wrap to a
-// negative and silently revert the pool to its GOMAXPROCS default; now
-// out-of-range values saturate. The ceiling is deliberately far below
-// MaxInt32: workers are resident goroutines started eagerly on growth,
-// and no machine this runs on schedules more than a few hundred hardware
-// threads.
+// MaxWorkers is the hard ceiling on Workers(). The target is stored as
+// an int32, so an unclamped value above math.MaxInt32 could wrap to a
+// negative and silently revert to the GOMAXPROCS default; out-of-range
+// values saturate instead. The ceiling is deliberately far below
+// MaxInt32: a job starts up to Workers() goroutines, and no machine this
+// runs on schedules more than a few hundred hardware threads.
 const MaxWorkers = 1 << 10
 
-// SetWorkers resizes the pool; n < 1 restores the GOMAXPROCS default and
-// n > MaxWorkers clamps to MaxWorkers (never wraps). In-flight jobs keep
-// the slot bound they were submitted with, so resizing is safe while
-// queries run — on growth the new workers start eagerly (jobs already
-// submitted against the larger Slots() value can use them immediately,
-// without waiting for another Run to arrive), and on shrink
-// supernumerary workers retire lazily and never touch a job whose slot
-// bound excludes them.
+// SetWorkers sets Workers(); n < 1 restores the GOMAXPROCS default and
+// n > MaxWorkers clamps to MaxWorkers (never wraps). A job keeps the
+// slot bound it was started with, so resizing is safe while queries run.
 func SetWorkers(n int) {
 	switch {
 	case n < 1:
@@ -158,10 +89,6 @@ func SetWorkers(n int) {
 	default:
 		workerTarget.Store(int32(n))
 	}
-	mu.Lock()
-	ensureLocked()   // grow eagerly; in-flight jobs see the new workers
-	cond.Broadcast() // wake idle workers so extras retire promptly
-	mu.Unlock()
 }
 
 // MorselSize returns the positions-per-morsel granularity used by exec.
@@ -176,7 +103,8 @@ func MorselSize() int {
 // default and values above math.MaxInt32 clamp to math.MaxInt32 instead
 // of wrapping to a negative (which would silently revert the granularity
 // to its default). Tests shrink it to force multi-morsel scheduling on
-// small inputs.
+// small inputs; exec reads it once per range split, so it must not
+// change while a query runs.
 func SetMorselSize(n int) {
 	switch {
 	case n < 1:
@@ -201,12 +129,14 @@ func Morsels(total, morsel int) int {
 }
 
 // Run executes fn over the position space [0, total) in morsels of the
-// given size, on the shared pool plus the calling goroutine, and returns
-// when every position has been processed. fn receives the claimed range
-// and the worker's partial-state slot in [0, slots); the caller passes
-// the Slots() value it sized its partial buffers with, and pool workers
-// outside that bound skip the job. A job no larger than one morsel runs
-// inline on the caller with no scheduling.
+// given size and returns when every position has been processed. fn
+// receives the claimed range and a partial-state slot in [0, slots); the
+// caller passes the Slots() value it sized its partial buffers with.
+// Calls sharing a slot never overlap in time. A job no larger than one
+// morsel runs inline in slot slots-1; a larger one is drained by the
+// caller, in slot slots-1, and min(slots-1, morsels-1) helper goroutines
+// started for this call, which all claim morsels from one atomic cursor
+// and have exited when Run returns.
 func Run(total, morsel, slots int, fn func(slot, from, to int)) {
 	if total <= 0 {
 		return
@@ -222,108 +152,29 @@ func Run(total, morsel, slots int, fn func(slot, from, to int)) {
 		fn(slots-1, 0, total)
 		return
 	}
-	j := &job{total: total, morsel: morsel, slots: slots, fn: fn, fin: make(chan struct{})}
 	mJobsSubmitted.Inc()
-	mu.Lock()
-	ensureLocked()
-	jobs = append(jobs, j)
-	gQueueDepth.Set(int64(len(jobs)))
-	cond.Broadcast()
-	mu.Unlock()
-	// Morsel-driven: the submitter is a worker too. It drains its own
-	// queue, then waits only for morsels claimed by pool workers.
-	mine := int64(0)
-	for {
-		from, to := j.claim()
-		if from >= to {
-			break
-		}
-		mine++
-		fn(slots-1, from, to)
-		j.complete(to - from)
-	}
-	mMorselsSubmitter.Add(mine)
-	mu.Lock()
-	removeLocked(j)
-	mu.Unlock()
-	<-j.fin
-}
-
-// ensureLocked lazily starts workers up to the current target. Worker
-// ids stay dense because workers only retire from the top of the id
-// range.
-func ensureLocked() {
-	for running < Workers() {
-		go worker(running)
-		running++
-	}
-	gWorkers.Set(int64(running))
-}
-
-// removeLocked drops a drained job from the active list; both the
-// submitter and the draining worker may race to remove it, so it is
-// idempotent.
-func removeLocked(j *job) {
-	for i, a := range jobs {
-		if a == j {
-			jobs = append(jobs[:i], jobs[i+1:]...)
-			gQueueDepth.Set(int64(len(jobs)))
-			return
-		}
-	}
-}
-
-// pickLocked chooses an active queue for a worker, rotating the start
-// index so concurrent queries share the pool instead of the first
-// registered queue monopolizing it. Jobs whose slot bound excludes this
-// worker are skipped.
-func pickLocked(id int) *job {
-	if len(jobs) == 0 {
-		return nil
-	}
-	rr++
-	for i := 0; i < len(jobs); i++ {
-		j := jobs[(rr+id+i)%len(jobs)]
-		if id < j.slots-1 && !j.drained() {
-			return j
-		}
-	}
-	return nil
-}
-
-// worker is one resident pool goroutine. It sleeps on the condition
-// variable when no queue has work, and retires (top id first, keeping
-// ids dense) when the pool shrinks.
-func worker(id int) {
-	mu.Lock()
-	for {
-		if running > Workers() && id == running-1 {
-			running--
-			gWorkers.Set(int64(running))
-			cond.Broadcast() // let the next supernumerary id retire
-			mu.Unlock()
-			return
-		}
-		j := pickLocked(id)
-		if j == nil {
-			cond.Wait()
-			continue
-		}
-		mu.Unlock()
-		stolen := int64(0)
+	var next atomic.Int64
+	drain := func(slot int) (claimed int64) {
 		for {
-			from, to := j.claim()
-			if from >= to {
-				break
+			from := int(next.Add(int64(morsel))) - morsel
+			if from >= total {
+				return claimed
 			}
-			stolen++
-			j.fn(id, from, to)
-			j.complete(to - from)
+			claimed++
+			fn(slot, from, min(from+morsel, total))
 		}
-		mMorselsStolen.Add(stolen)
-		mu.Lock()
-		removeLocked(j)
 	}
+	helpers := min(slots-1, Morsels(total, morsel)-1)
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for slot := 0; slot < helpers; slot++ {
+		go func() {
+			defer wg.Done()
+			mMorselsStolen.Add(drain(slot))
+		}()
+	}
+	mMorselsSubmitter.Add(drain(slots - 1))
+	wg.Wait()
 }
 
 // ---------------------------------------------------------------------------

@@ -64,55 +64,6 @@ func TestSetWorkersClampsHugeValues(t *testing.T) {
 	}
 }
 
-// waitUntil polls cond for up to two seconds.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestSetWorkersGrowStartsEagerly pins the eager-growth fix: growing the
-// pool used to only take effect at the next Run, so an in-flight job
-// sized for the larger pool could never use the new workers.
-func TestSetWorkersGrowStartsEagerly(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(1)
-	waitUntil(t, "pool shrink to 1", func() bool { return RunningWorkers() == 1 })
-
-	// A job sized for a 4-worker pool (5 slots), submitted while only one
-	// worker exists. Every executor parks in fn until released.
-	const slots, morsels = 5, 6
-	release := make(chan struct{})
-	var parked atomic.Int32
-	done := make(chan struct{})
-	go func() {
-		Run(morsels, 1, slots, func(slot, from, to int) {
-			parked.Add(1)
-			<-release
-		})
-		close(done)
-	}()
-
-	// Submitter + the single worker claim one morsel each and park.
-	waitUntil(t, "submitter and worker 0 to park", func() bool { return parked.Load() == 2 })
-
-	// Grow: workers 1..3 must start eagerly and claim from the in-flight
-	// job (their ids are inside its slot bound) without another Run.
-	SetWorkers(4)
-	if got := RunningWorkers(); got != 4 {
-		t.Fatalf("RunningWorkers() right after grow = %d, want 4", got)
-	}
-	waitUntil(t, "grown workers to claim in-flight morsels", func() bool { return parked.Load() == 5 })
-
-	close(release)
-	<-done
-}
-
 func TestMorsels(t *testing.T) {
 	cases := []struct{ total, morsel, want int }{
 		{0, 64, 0}, {-3, 64, 0}, {1, 64, 1}, {64, 64, 1}, {65, 64, 2},
@@ -238,8 +189,8 @@ func TestResizeUnderLoad(t *testing.T) {
 }
 
 // TestPoolMetricsAdvance checks the pool's obs reporting: inline and
-// submitted job counts, full morsel accounting (submitter + stolen ==
-// total morsels), and the queue-depth/worker gauges.
+// submitted job counts, and full morsel accounting (submitter + stolen ==
+// total morsels) the moment Run returns.
 func TestPoolMetricsAdvance(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(4)
@@ -247,30 +198,74 @@ func TestPoolMetricsAdvance(t *testing.T) {
 
 	// Single-morsel job: inline, no scheduling.
 	Run(50, DefaultMorselSize, Slots(), func(_, _, _ int) {})
-	// Multi-morsel job through the shared queues.
+	// Multi-morsel job over the caller and helpers.
 	const total, morsel = 10_000, 64
 	Run(total, morsel, Slots(), func(_, _, _ int) {})
 
-	if d := obs.TakeSnapshot().Counter("pool.jobs_inline") - before.Counter("pool.jobs_inline"); d != 1 {
+	s := obs.TakeSnapshot()
+	if d := s.Counter("pool.jobs_inline") - before.Counter("pool.jobs_inline"); d != 1 {
 		t.Fatalf("jobs_inline advanced by %d, want 1", d)
 	}
-	if d := obs.TakeSnapshot().Counter("pool.jobs_submitted") - before.Counter("pool.jobs_submitted"); d != 1 {
+	if d := s.Counter("pool.jobs_submitted") - before.Counter("pool.jobs_submitted"); d != 1 {
 		t.Fatalf("jobs_submitted advanced by %d, want 1", d)
 	}
-	// Workers publish their stolen-morsel counts right after the job
-	// drains, which can trail Run's return by an instant; and when an
-	// earlier test left more than four workers, the supernumerary ones
-	// retire lazily after the shrink (see SetWorkers), so the workers
-	// gauge legitimately trails the target too.
-	want := int64(Morsels(total, morsel))
-	waitUntil(t, "morsel accounting and the workers gauge to settle", func() bool {
-		s := obs.TakeSnapshot()
-		got := s.Counter("pool.morsels_submitter") + s.Counter("pool.morsels_stolen") -
-			before.Counter("pool.morsels_submitter") - before.Counter("pool.morsels_stolen")
-		return got == want && s.Gauge("pool.workers") == 4
-	})
-	if got := obs.TakeSnapshot().Gauge("pool.queue_depth"); got != 0 {
-		t.Fatalf("queue_depth after drain = %d, want 0", got)
+	got := s.Counter("pool.morsels_submitter") + s.Counter("pool.morsels_stolen") -
+		before.Counter("pool.morsels_submitter") - before.Counter("pool.morsels_stolen")
+	if want := int64(Morsels(total, morsel)); got != want {
+		t.Fatalf("morsels claimed advanced by %d, want %d", got, want)
+	}
+}
+
+// TestRunLeavesNoHelper checks that no helper goroutine outlives its
+// job: after jobs of every shape the goroutine count returns to its
+// baseline. A helper that has called wg.Done may still be unwinding when
+// Run returns, so the count gets a moment to settle; a resident worker
+// would hold it above the baseline for good.
+func TestRunLeavesNoHelper(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(4)
+	base := runtime.NumGoroutine()
+	for _, total := range []int{1, 64, 65, 200, 10_000} {
+		var n atomic.Int64
+		Run(total, 64, Slots(), func(_, from, to int) {
+			time.Sleep(10 * time.Microsecond) // let helpers overlap
+			n.Add(int64(to - from))
+		})
+		if n.Load() != int64(total) {
+			t.Fatalf("total %d: covered %d positions", total, n.Load())
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("total %d: %d goroutines after Run, baseline %d", total, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestRunHelpersBounded checks the helper count: a job of m morsels
+// under slots s runs on the caller, in slot s-1, and min(s-1, m-1)
+// helpers in slots 0.. — no other slot is ever used.
+func TestRunHelpersBounded(t *testing.T) {
+	for _, c := range []struct{ total, slots int }{{128, 5}, {1_000, 3}, {1_000, 1}, {64, 5}} {
+		var mu sync.Mutex
+		used := map[int]bool{}
+		Run(c.total, 64, c.slots, func(slot, _, _ int) {
+			time.Sleep(100 * time.Microsecond)
+			mu.Lock()
+			used[slot] = true
+			mu.Unlock()
+		})
+		if !used[c.slots-1] {
+			t.Errorf("total %d slots %d: the caller's slot %d ran nothing", c.total, c.slots, c.slots-1)
+		}
+		helpers := min(c.slots-1, Morsels(c.total, 64)-1)
+		for slot := range used {
+			if slot != c.slots-1 && slot >= helpers {
+				t.Errorf("total %d slots %d: slot %d used, helpers are 0..%d", c.total, c.slots, slot, helpers-1)
+			}
+		}
 	}
 }
 

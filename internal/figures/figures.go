@@ -58,7 +58,7 @@ type Panel struct {
 }
 
 // Legend labels, mirroring the figure. The morsel-driven series extend
-// the paper's comparison with the shared resident-pool policy.
+// the paper's comparison with the morsel-driven policy.
 const (
 	RowSingle      = "row-store / host & single-threaded"
 	RowMulti       = "row-store / host & multi-threaded"
@@ -98,8 +98,8 @@ func Default() Config {
 var hostSeries = []struct {
 	label string
 	// row selects the NSM row store (else the DSM column store), multi all
-	// host threads (else one), morsel the resident morsel-driven pool
-	// (else blockwise threads).
+	// host threads (else one), morsel the morsel-driven policy (else
+	// blockwise threads).
 	row, multi, morsel bool
 }{
 	{RowSingle, true, false, false},
@@ -286,7 +286,7 @@ type Findings struct {
 	// the column is device-resident.
 	DeviceWinsWhenResident bool
 	// MorselAmortizesScheduling: finding (v), beyond the paper — the
-	// morsel-driven resident pool beats blockwise multi-threading on
+	// morsel-driven policy beats blockwise multi-threading on
 	// tiny inputs (where the paper's policy loses to single-threaded)
 	// while staying within a few percent of it on full scans.
 	MorselAmortizesScheduling bool

@@ -1,14 +1,14 @@
 // Package obs is the process-wide observability layer: an allocation-free
-// metrics registry (atomic counters, gauges, fixed-bucket nanosecond
+// metrics registry (atomic counters and fixed-bucket nanosecond
 // histograms), lightweight span tracing, and a bounded event log, with a
 // Snapshot/JSON export.
 //
 // The paper's core finding (Section II-B, Figure 2) is that no storage
 // configuration dominates a hybrid workload; the responsive adaptability
 // it proposes (Section IV-C) therefore needs the engine to continuously
-// measure itself — queue depth, steal rate, transfer bytes, conflict
-// rate, layout-reorg events — and every placement decision between host
-// and device hinges on exactly these numbers. This package is where all
+// measure itself — morsels stolen, transfer bytes, conflict rate,
+// layout-reorg events — and every placement decision between host and
+// device hinges on exactly these numbers. This package is where all
 // subsystems (exec/pool, exec operators, device, tx, core) report them.
 //
 // Design constraints, in order:
@@ -20,7 +20,7 @@
 //     operations sample them (see exec's 1-in-64 operator sampling)
 //     rather than timing every call.
 //  2. Always safe. All types are safe for concurrent use; the zero
-//     Counter/Gauge/Histogram is usable unregistered (the device uses
+//     Counter/Histogram is usable unregistered (the device uses
 //     per-instance zero-value counters alongside the global registry).
 //  3. Reset-able. Tests and harness runs scope measurements with
 //     Reset(), which zeroes values but keeps registrations stable.
@@ -52,16 +52,6 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 // reset zeroes the counter (registry Reset only; counters are otherwise
 // monotone).
 func (c *Counter) reset() { c.v.Store(0) }
-
-// Gauge is an atomic instantaneous value (queue depth, live workers).
-// The zero value is ready to use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // histBuckets is the fixed bucket count: bucket i holds observations in
 // [2^(i-1), 2^i) ns (bucket 0 holds zero and one). 2^47 ns ≈ 39 hours
@@ -237,7 +227,6 @@ func (h *Histogram) reset() {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 
 	spanMu sync.Mutex
@@ -252,7 +241,6 @@ const ringCap = 128
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -272,18 +260,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
@@ -299,9 +275,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 // NewCounter registers (or finds) a counter in the default registry.
 func NewCounter(name string) *Counter { return Default.Counter(name) }
 
-// NewGauge registers (or finds) a gauge in the default registry.
-func NewGauge(name string) *Gauge { return Default.Gauge(name) }
-
 // NewHistogram registers (or finds) a histogram in the default registry.
 func NewHistogram(name string) *Histogram { return Default.Histogram(name) }
 
@@ -311,9 +284,6 @@ func (r *Registry) Reset() {
 	r.mu.Lock()
 	for _, c := range r.counters {
 		c.reset()
-	}
-	for _, g := range r.gauges {
-		g.Set(0)
 	}
 	for _, h := range r.histograms {
 		h.reset()
@@ -422,11 +392,10 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a point-in-time copy of every metric, recent span and
-// event. It marshals to the JSON shape htapbench embeds as its "obs"
-// section.
+// event. It marshals to the JSON object /metrics serves and
+// examples/metrics prints.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	Spans      []SpanRecord                 `json:"spans,omitempty"`
 	Events     []Event                      `json:"events,omitempty"`
@@ -434,9 +403,6 @@ type Snapshot struct {
 
 // Counter returns a snapshotted counter value (0 when absent).
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
-
-// Gauge returns a snapshotted gauge value (0 when absent).
-func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
 // Snapshot copies the registry's current state.
 //
@@ -454,15 +420,11 @@ func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
 	r.mu.Lock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Load()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Load()
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
@@ -480,20 +442,16 @@ func TakeSnapshot() Snapshot { return Default.Snapshot() }
 
 // Names returns the sorted metric names of one kind, for deterministic
 // dumps.
-func (s Snapshot) Names() (counters, gauges, histograms []string) {
+func (s Snapshot) Names() (counters, histograms []string) {
 	for n := range s.Counters {
 		counters = append(counters, n)
-	}
-	for n := range s.Gauges {
-		gauges = append(gauges, n)
 	}
 	for n := range s.Histograms {
 		histograms = append(histograms, n)
 	}
 	sort.Strings(counters)
-	sort.Strings(gauges)
 	sort.Strings(histograms)
-	return counters, gauges, histograms
+	return counters, histograms
 }
 
 // WriteJSON writes the registry snapshot as indented JSON (the

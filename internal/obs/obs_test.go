@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func TestCounterGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a.b")
 	if c.Inc() != 1 || c.Add(4) != 5 || c.Load() != 5 {
@@ -16,11 +16,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if r.Counter("a.b") != c {
 		t.Fatal("re-registration returned a different counter")
-	}
-	g := r.Gauge("q")
-	g.Set(7)
-	if g.Load() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Load())
 	}
 }
 
@@ -145,7 +140,6 @@ func TestResetKeepsHandles(t *testing.T) {
 func TestSnapshotJSONShape(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x.count").Add(3)
-	r.Gauge("x.depth").Set(2)
 	r.Histogram("x.ns").Observe(500)
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil {
@@ -153,13 +147,12 @@ func TestSnapshotJSONShape(t *testing.T) {
 	}
 	var decoded struct {
 		Counters   map[string]int64             `json:"counters"`
-		Gauges     map[string]int64             `json:"gauges"`
 		Histograms map[string]HistogramSnapshot `json:"histograms"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
 	}
-	if decoded.Counters["x.count"] != 3 || decoded.Gauges["x.depth"] != 2 {
+	if decoded.Counters["x.count"] != 3 {
 		t.Fatalf("decoded = %+v", decoded)
 	}
 	if decoded.Histograms["x.ns"].Count != 1 {
@@ -172,7 +165,7 @@ func TestSnapshotNamesSorted(t *testing.T) {
 	r.Counter("z")
 	r.Counter("a")
 	r.Counter("m")
-	counters, _, _ := r.Snapshot().Names()
+	counters, _ := r.Snapshot().Names()
 	if len(counters) != 3 || counters[0] != "a" || counters[2] != "z" {
 		t.Fatalf("names = %v", counters)
 	}

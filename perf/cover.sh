@@ -80,6 +80,14 @@ prog loadgen -selfserve -duration 2s -concurrency 8 -unbatched -result-cache 0 \
 	-cpuprofile "$run/cpu.prof" -memprofile "$run/mem.prof" -csv "$run/serving.csv"
 prog loadgen -selfserve -duration 2s -concurrency 8 -wal "$run/loadgen-wal"
 prog loadgen -selfserve -duration 2s -concurrency 8 -wal "$run/loadgen-wal"
+# Unique range predicates: the scans miss the result cache (UniqueCut).
+prog loadgen -selfserve -duration 2s -concurrency 4 -mix sum=75,group=25 -unique
+# A read-only restart pair. Under a mix with writes the last checkpoint
+# follows a Merge that retires every image a write touched, so its
+# manifest is empty; only a store whose last checkpoint kept device
+# images primes the cache on restart (core.PrimeDeviceCache).
+prog loadgen -selfserve -duration 2s -concurrency 8 -wal "$run/loadgen-ro-wal" -mix sum=80,group=20
+prog loadgen -selfserve -duration 2s -concurrency 8 -wal "$run/loadgen-ro-wal" -mix sum=80,group=20
 # Four 500 ms windows must agree before -autoterm stops a run, so the
 # ceiling leaves room for them.
 prog loadgen -selfserve -duration 4s -concurrency 4 -rate 400 -autoterm
