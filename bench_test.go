@@ -241,7 +241,7 @@ func benchFullScan(b *testing.B, l *layout.Layout, cfg exec.Config, stride int) 
 	b.SetBytes(int64(h.StridedBytes(BenchRows, workload.ItemPriceSize, stride)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := exec.SumFloat64(cfg, pieces)
+		sum, err := hostSum(cfg, pieces)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func benchTinyAggregate(b *testing.B, cfg exec.Config) {
 	h := perfmodel.DefaultHost()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := exec.SumFloat64(cfg, pieces)
+		sum, err := hostSum(cfg, pieces)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -506,7 +506,7 @@ func BenchmarkAblationBulk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.SumFloat64(exec.Single(), pieces); err != nil {
+		if _, err := hostSum(exec.Single(), pieces); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -545,7 +545,7 @@ func benchAdaptive(b *testing.B, adapt bool) {
 			}
 		}
 		for j := 0; j < 5; j++ {
-			if _, err := ct.SumFloat64(workload.ItemPriceCol); err != nil {
+			if _, err := scanSum(ct, workload.ItemPriceCol); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -555,7 +555,7 @@ func benchAdaptive(b *testing.B, adapt bool) {
 			}
 		}
 		for j := 0; j < 40; j++ {
-			if _, err := ct.SumFloat64(workload.ItemPriceCol); err != nil {
+			if _, err := scanSum(ct, workload.ItemPriceCol); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -637,7 +637,7 @@ func BenchmarkReferenceEngineHTAP(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%100 == 0 {
-			if _, err := tbl.SumFloat64(ItemPriceColumn); err != nil {
+			if _, err := sumOf(tbl, ItemPriceColumn); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -673,7 +673,7 @@ func BenchmarkAblationCompressionSealedScan(b *testing.B) {
 	want := workload.ExpectedItemPriceSum(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+		sum, err := scanSum(tbl, workload.ItemPriceCol)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -705,7 +705,7 @@ func BenchmarkAblationCompressionRawScan(b *testing.B) {
 	want := workload.ExpectedItemPriceSum(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+		sum, err := scanSum(tbl, workload.ItemPriceCol)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -271,11 +271,11 @@ func verifyBits(base string, tbl *hybridstore.Table, unique bool, seed int64) (i
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, cut := range cuts {
-			s, n, err := tbl.SumFloat64Where(hybridstore.ItemPriceColumn, cut.Pred)
+			res, err := tbl.Execute([]hybridstore.Plan{{Op: "sum_where", Col: hybridstore.ItemPriceColumn, Pred: cut.Pred}})
 			if err != nil {
 				return checked, err
 			}
-			want := fmt.Sprintf(`{"sum":%s,"count":%d}`, strconv.FormatFloat(s, 'g', -1, 64), n)
+			want := fmt.Sprintf(`{"sum":%s,"count":%d}`, strconv.FormatFloat(res[0].Sum, 'g', -1, 64), res[0].Count)
 			got, err := c.Exec(sum, `"pred":`+cut.Wire)
 			if err != nil {
 				return checked, err
@@ -342,7 +342,7 @@ func serveLocal(rows uint64, unbatched bool, resCache int64, walDir string) (sto
 	}
 	// Warm pass: populate the device cache before lanes arrive, so the
 	// measured run starts from the steady state.
-	if _, _, err := tbl.SumFloat64Where(hybridstore.ItemPriceColumn, hybridstore.GtFloat(0)); err != nil {
+	if _, err := tbl.Execute([]hybridstore.Plan{{Op: "sum_where", Col: hybridstore.ItemPriceColumn, Pred: hybridstore.GtFloat(0)}}); err != nil {
 		return fail(tbl, err)
 	}
 	if walDir != "" {

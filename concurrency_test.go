@@ -90,7 +90,7 @@ func TestConcurrentHTAPStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if _, err := tbl.SumFloat64(ItemPriceColumn); err != nil {
+				if _, err := sumOf(tbl, ItemPriceColumn); err != nil {
 					t.Error(err)
 					return
 				}
@@ -149,7 +149,7 @@ func TestConcurrentHTAPStress(t *testing.T) {
 	for _, v := range model {
 		want += v
 	}
-	got, err := tbl.SumFloat64(ItemPriceColumn)
+	got, err := sumOf(tbl, ItemPriceColumn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestConcurrentMorselPoolStress(t *testing.T) {
 				f := fixtures[d]
 				r := rand.New(rand.NewSource(int64(d*10 + w)))
 				for i := 0; i < 30; i++ {
-					got, err := f.tbl.SumFloat64(ItemPriceColumn)
+					got, err := sumOf(f.tbl, ItemPriceColumn)
 					if err != nil {
 						t.Error(err)
 						return

@@ -44,7 +44,7 @@ func checkAccounts(t *testing.T, tbl *Table, rows uint64, patched map[uint64]flo
 			want += float64(i) * 10
 		}
 	}
-	sum, err := tbl.SumFloat64(2)
+	sum, err := sumOf(tbl, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestDurableConcurrentWriters(t *testing.T) {
 	if rt.Rows() != writers*perWriter {
 		t.Fatalf("rows = %d, want %d", rt.Rows(), writers*perWriter)
 	}
-	sum, err := rt.SumFloat64(2)
+	sum, err := sumOf(rt, 2)
 	if err != nil || sum != writers*perWriter {
 		t.Fatalf("sum = %v (%v), want %d", sum, err, writers*perWriter)
 	}

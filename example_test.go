@@ -37,9 +37,9 @@ func Example() {
 		return
 	}
 
-	total, _ := accounts.SumFloat64(1)
+	total, _ := accounts.Execute([]hybridstore.Plan{{Op: "sum", Col: 1}})
 	rec, _ := accounts.GetByPK(3)
-	fmt.Printf("total=%v account3=%v\n", total, rec[1].F)
+	fmt.Printf("total=%v account3=%v\n", total[0].Sum, rec[1].F)
 	// Output: total=600 account3=250
 }
 

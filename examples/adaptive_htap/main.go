@@ -61,9 +61,10 @@ func main() {
 
 	// Phase 2: the workload shifts to analytics — repeated price scans.
 	fmt.Println("\nphase 2: analytical (column scans)")
+	priceSum := []hybridstore.Plan{{Op: "sum", Col: hybridstore.ItemPriceColumn}}
 	before := db.SimulatedSeconds()
 	for i := 0; i < 20; i++ {
-		if _, err := items.SumFloat64(hybridstore.ItemPriceColumn); err != nil {
+		if _, err := items.Execute(priceSum); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -78,7 +79,7 @@ func main() {
 
 	before = db.SimulatedSeconds()
 	for i := 0; i < 20; i++ {
-		if _, err := items.SumFloat64(hybridstore.ItemPriceColumn); err != nil {
+		if _, err := items.Execute(priceSum); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -87,11 +88,11 @@ func main() {
 		scanCostBefore*1e3, scanCostAfter*1e3, scanCostBefore/scanCostAfter)
 
 	// The answers never changed — only the physical organization did.
-	sum, err := items.SumFloat64(hybridstore.ItemPriceColumn)
+	res, err := items.Execute(priceSum)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("final checksum of prices: %.2f\n", sum)
+	fmt.Printf("final checksum of prices: %.2f\n", res[0].Sum)
 }
 
 func report(db *hybridstore.DB, t *hybridstore.Table, label string) {

@@ -14,6 +14,7 @@ import (
 	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/engines/cogadb"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/perfmodel"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
@@ -41,6 +42,7 @@ func main() {
 	ct := tbl.(*cogadb.Table)
 	defer ct.Free()
 	const rows = 200_000
+	priceSum := exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol}
 	if err := workload.Generate(rows, workload.Item, func(i uint64, rec schema.Record) error {
 		_, err := ct.Insert(rec)
 		return err
@@ -52,7 +54,7 @@ func main() {
 	}
 	fmt.Printf("price column placed on device (%d rows, %d KiB)\n", rows, rows*8/1024)
 	for i := 0; i < 50; i++ {
-		if _, err := ct.SumFloat64(workload.ItemPriceCol); err != nil {
+		if _, err := ct.Scan(priceSum); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -81,10 +83,10 @@ func main() {
 	if err := ct2.Place(workload.ItemPriceCol); err != nil {
 		fmt.Println("placement refused, column stays on host:", err)
 	}
-	sum, err := ct2.SumFloat64(workload.ItemPriceCol)
+	res, err := ct2.Scan(priceSum)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("fallback host scan still answers: sum = %.2f (expected %.2f)\n",
-		sum, workload.ExpectedItemPriceSum(rows))
+		res.Sum, workload.ExpectedItemPriceSum(rows))
 }

@@ -14,6 +14,7 @@ import (
 
 	"hybridstore/internal/engine"
 	"hybridstore/internal/engines/lstore"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
 )
@@ -59,11 +60,12 @@ func main() {
 
 	// Analytics run against the current state (tail values patched over
 	// the base scan).
-	sum, err := lt.SumFloat64(workload.ItemPriceCol)
+	priceSum := exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol}
+	res, err := lt.Scan(priceSum)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsum of all prices (tail-patched): %.2f\n", sum)
+	fmt.Printf("\nsum of all prices (tail-patched): %.2f\n", res.Sum)
 
 	// The merge consolidates history and seals compressed base pages.
 	if err := lt.Merge(); err != nil {
@@ -71,11 +73,11 @@ func main() {
 	}
 	fmt.Printf("\nafter merge: sealed rows = %d, tail = %d, base compression = %.2fx\n",
 		lt.SealedRows(), lt.TailLength(), lt.CompressionRatio())
-	sum2, err := lt.SumFloat64(workload.ItemPriceCol)
+	res2, err := lt.Scan(priceSum)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sum over sealed pages: %.2f (unchanged: %v)\n", sum2, sum == sum2)
+	fmt.Printf("sum over sealed pages: %.2f (unchanged: %v)\n", res2.Sum, res.Sum == res2.Sum)
 	rec, _ := lt.GetVersion(42, 99)
 	fmt.Printf("history consolidated: even 99 updates back now reads %.2f\n",
 		rec[workload.ItemPriceCol].F)

@@ -30,6 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer items.Free()
+	priceSum := []hybridstore.Plan{{Op: "sum", Col: hybridstore.ItemPriceColumn}}
 
 	// A little of everything: inserts freeze chunks, scans feed the
 	// advisor, updates and transactions exercise MVCC, Adapt, placement
@@ -40,7 +41,7 @@ func main() {
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := items.SumFloat64(hybridstore.ItemPriceColumn); err != nil {
+		if _, err := items.Execute(priceSum); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -81,7 +82,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := items.SumFloat64(hybridstore.ItemPriceColumn); err != nil {
+		if _, err := items.Execute(priceSum); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -66,11 +66,11 @@ func main() {
 
 	// OLAP: a full-column aggregate over an MVCC snapshot — it never
 	// blocks or observes concurrent writers.
-	total, err := accounts.SumFloat64(2)
+	total, err := accounts.Execute([]hybridstore.Plan{{Op: "sum", Col: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("total balance: %.0f\n", total)
+	fmt.Printf("total balance: %.0f\n", total[0].Sum)
 
 	// Let the engine adapt its layout to what it observed, then look at
 	// the physical state and the derived classification.

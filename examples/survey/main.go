@@ -16,6 +16,7 @@ import (
 	"hybridstore/internal/core"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/engines/all"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
 )
@@ -80,9 +81,9 @@ func run(env *engine.Env, e engine.Engine) error {
 		expect += nv - old[workload.ItemPriceCol].F
 	}
 	// Scans.
-	var sum float64
+	var res exec.Result
 	for i := 0; i < 10; i++ {
-		if sum, err = tbl.SumFloat64(workload.ItemPriceCol); err != nil {
+		if res, err = tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol}); err != nil {
 			return err
 		}
 	}
@@ -92,7 +93,7 @@ func run(env *engine.Env, e engine.Engine) error {
 	}
 
 	ok := "ok"
-	if math.Abs(sum-expect) > 1e-6 {
+	if math.Abs(res.Sum-expect) > 1e-6 {
 		ok = "MISMATCH"
 	}
 	c, err := engine.Classify(e, tbl)

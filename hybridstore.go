@@ -286,10 +286,10 @@ type (
 // device gathers charged per chunk instead of per row. Result k is
 // exactly what executing plans[k] alone would return against that
 // snapshot; the serving layer's batching scheduler collapses concurrent
-// compatible requests into this call, and every named aggregate method
-// below is the one-plan case of it (the engine builds the plan its name
-// describes). A result is read-only: a get's record may be the result
-// cache's own (Get returns a private copy).
+// compatible requests into this call. SumFloat64Where and
+// GroupBySumWhere below each build the one plan their name describes
+// and run it alone. A result is read-only: a get's record may be the
+// result cache's own (Get returns a private copy).
 func (t *Table) Execute(plans []Plan) ([]Result, error) { return t.t.Execute(plans) }
 
 // Peek consults the result cache WITHOUT executing anything: ok=false
@@ -309,11 +309,6 @@ func (t *Table) GetByPK(pk int64) (Record, error) { return t.t.GetByPK(pk) }
 
 // LookupPK resolves a primary key to its row position.
 func (t *Table) LookupPK(pk int64) (uint64, bool) { return t.t.LookupPK(pk) }
-
-// SumFloat64 aggregates a float64 attribute over an MVCC snapshot.
-func (t *Table) SumFloat64(col int) (float64, error) {
-	return t.t.SumFloat64(col)
-}
 
 // FloatPred is a sargable predicate over a float64 attribute: equality,
 // open ranges and closed intervals. The engine evaluates it with
@@ -341,7 +336,8 @@ func BetweenFloat(lo, hi float64) FloatPred { return exec.Between(lo, hi) }
 // whose zone maps rule the predicate out (device-resident fragments are
 // neither transferred nor reduced when pruned).
 func (t *Table) SumFloat64Where(col int, p FloatPred) (float64, int64, error) {
-	return t.t.SumFloat64Where(col, p)
+	r, err := t.t.Scan(Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
+	return r.Sum, r.Count, err
 }
 
 // GroupResult is one group of a grouped aggregation.
@@ -355,7 +351,8 @@ type GroupResult = exec.GroupResult
 // domain. keyCol must be an integer attribute, valCol a float64 one;
 // results come back sorted by key.
 func (t *Table) GroupBySumWhere(keyCol, valCol int, p FloatPred) ([]GroupResult, error) {
-	return t.t.GroupSumFloat64Where(keyCol, valCol, p)
+	r, err := t.t.Scan(Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
+	return r.Groups, err
 }
 
 // Begin opens a snapshot-isolated multi-operation transaction.

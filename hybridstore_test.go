@@ -4,8 +4,31 @@ import (
 	"math"
 	"testing"
 
+	"hybridstore/internal/exec"
 	"hybridstore/internal/workload"
 )
+
+// sumOf answers a sum plan over col through Execute, the facade's read
+// entry.
+func sumOf(t *Table, col int) (float64, error) {
+	res, err := t.Execute([]Plan{{Op: exec.KindSum, Col: col}})
+	if err != nil {
+		return 0, err
+	}
+	return res[0].Sum, nil
+}
+
+// scanSum answers a sum plan over col through an engine table's Scan.
+func scanSum(t interface{ Scan(Plan) (Result, error) }, col int) (float64, error) {
+	r, err := t.Scan(Plan{Op: exec.KindSum, Col: col})
+	return r.Sum, err
+}
+
+// hostSum runs a sum scan over pieces on the host operators.
+func hostSum(cfg exec.Config, pieces []exec.Piece) (float64, error) {
+	r, err := cfg.Scan(exec.Scan{Plan: Plan{Op: exec.KindSum}, Vals: pieces})
+	return r.Sum, err
+}
 
 func TestQuickstartFlow(t *testing.T) {
 	db := Open(Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true})
@@ -36,7 +59,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if tbl.Rows() != 500 {
 		t.Fatalf("rows = %d", tbl.Rows())
 	}
-	sum, err := tbl.SumFloat64(2)
+	sum, err := sumOf(tbl, 2)
 	if err != nil || sum != 499*500/2 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}
@@ -106,7 +129,7 @@ func TestAdaptAndPlacement(t *testing.T) {
 	// Analytic phase feeds the monitor; at this demo scale the cost-aware
 	// advisor keeps the column on the host, so place it explicitly.
 	for i := 0; i < 10; i++ {
-		if _, err := tbl.SumFloat64(ItemPriceColumn); err != nil {
+		if _, err := sumOf(tbl, ItemPriceColumn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +143,7 @@ func TestAdaptAndPlacement(t *testing.T) {
 	if st.Rows != 400 || st.Freezes == 0 || st.ColdChunks == 0 || len(st.DeviceColumns) == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	sum, err := tbl.SumFloat64(ItemPriceColumn)
+	sum, err := sumOf(tbl, ItemPriceColumn)
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(400)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}
@@ -143,7 +166,7 @@ func TestClassifyMeetsReferenceDesign(t *testing.T) {
 	// reads: the advisor fuses the co-accessed columns and keeps the
 	// price column thin.
 	for i := 0; i < 30; i++ {
-		tbl.SumFloat64(ItemPriceColumn)
+		sumOf(tbl, ItemPriceColumn)
 	}
 	for i := 0; i < 5; i++ {
 		tbl.Get(5)

@@ -1,6 +1,6 @@
 // Package agg holds the group table: the one accumulator behind every
 // SELECT key, SUM(val), COUNT(*) ... GROUP BY key in the tree. The
-// compressed-domain operators (internal/compress), the device's fused
+// compressed-domain fold (internal/compress), the device's fused
 // filter+aggregate kernel (internal/device) and the host operators and
 // merges (internal/exec) all fold into a Table, element by element or
 // partial group by partial group, and read it back in key order. The
@@ -37,6 +37,14 @@
 // included; +0 + -0 would lose the sign), which is what lets a caller
 // add without asking whether the group is new. A group exists while its
 // count is non-zero.
+//
+// NaN. IEEE-754 leaves open which payload NaN + NaN keeps, and the
+// hardware keeps whichever operand the compiler's register order made
+// the destination: two loops over the same NaNs, or one loop under
+// -race, can disagree. The unfiltered loops add through Add, which never
+// lets two NaNs meet: a sum keeps the first NaN it folds (quieted), so a
+// NaN answer has the same bits under every encoding and build. A
+// filtered loop needs no rule — no NaN lies inside an interval.
 package agg
 
 import (
@@ -266,7 +274,7 @@ func foldViews[K int32 | int64](t *Table, ks []K, xs []float64, lo, hi float64) 
 func (t *Table) FoldAll(keys Keys, vals []byte, stride, n int) {
 	for i := 0; i < n; i++ {
 		c := t.At(keys.At(i))
-		c.Sum += math.Float64frombits(binary.LittleEndian.Uint64(vals[i*stride:]))
+		c.Sum = Add(c.Sum, math.Float64frombits(binary.LittleEndian.Uint64(vals[i*stride:])))
 		c.Count++
 	}
 }
@@ -297,7 +305,16 @@ func SumWhere(vals []byte, stride, n int, lo, hi float64) (sum float64, count in
 // SumAll is SumWhere without the filter: every value, NaNs included.
 func SumAll(vals []byte, stride, n int) (sum float64) {
 	for i, off := 0, 0; i < n; i, off = i+1, off+stride {
-		sum += math.Float64frombits(binary.LittleEndian.Uint64(vals[off:]))
+		sum = Add(sum, math.Float64frombits(binary.LittleEndian.Uint64(vals[off:])))
 	}
 	return sum
+}
+
+// Add is sum + x, except that a NaN sum ignores a NaN x: the one add of
+// an unfiltered loop (see NaN in the package doc).
+func Add(sum, x float64) float64 {
+	if x != x && sum != sum {
+		return sum
+	}
+	return sum + x
 }

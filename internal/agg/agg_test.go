@@ -227,3 +227,30 @@ func TestKeysAndFolds(t *testing.T) {
 		}
 	}
 }
+
+// TestUnfilteredFoldKeepsFirstNaN pins the NaN rule: an unfiltered sum,
+// scalar or grouped, is the first NaN it folds, quieted, whatever NaNs
+// of other bits follow — in either order of two payloads.
+func TestUnfilteredFoldKeepsFirstNaN(t *testing.T) {
+	const quiet = 0x0008_0000_0000_0000
+	a, b := uint64(0x7ff0_0000_0000_0bad), uint64(0xfff8_0000_0000_0001) // signaling, quiet
+	for _, order := range [][2]uint64{{a, b}, {b, a}} {
+		vals := []float64{1, math.Float64frombits(order[0]), 2, math.Float64frombits(order[1]), math.NaN(), 3}
+		data := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(data[i*8:], math.Float64bits(v))
+		}
+		want := order[0] | quiet
+		if got := math.Float64bits(SumAll(data, 8, len(vals))); got != want {
+			t.Errorf("SumAll after %x then %x = %x, want %x", order[0], order[1], got, want)
+		}
+		var table Table
+		table.FoldAll(Keys{Data: make([]byte, 4*len(vals)), Stride: 4, Size: 4}, data, 8, len(vals))
+		if g := table.Drain(nil); len(g) != 1 || math.Float64bits(g[0].Sum) != want || g[0].Count != int64(len(vals)) {
+			t.Errorf("FoldAll after %x then %x = %+v, want one group of sum %x", order[0], order[1], g, want)
+		}
+	}
+	if got := Add(math.Inf(1), math.Inf(-1)); !math.IsNaN(got) {
+		t.Errorf("Add(+Inf, -Inf) = %v, want NaN", got)
+	}
+}

@@ -83,47 +83,49 @@ func checkDecoded(t *testing.T, c *Column) {
 		t.Fatalf("%v: does not survive Marshal and Decode (%v)", c, err)
 	}
 	if size != 8 {
-		if _, err := c.SumFloat64(); !errors.Is(err, ErrBadInput) {
-			t.Fatalf("%v: float sum over %d-byte elements: %v", c, size, err)
+		if _, err := sumOf(c); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%v: float fold over %d-byte elements: %v", c, size, err)
 		}
 		return
 	}
 	vals := make([]float64, n)
-	var sum float64
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(dense[i*8:]))
-		sum += vals[i]
-	}
-	if got, err := c.SumFloat64(); err != nil || math.Float64bits(got) != math.Float64bits(sum) {
-		t.Fatalf("%v: SumFloat64 = %x, %v; want %x", c, math.Float64bits(got), err, math.Float64bits(sum))
 	}
 	keyAt := func(i int) int64 { return int64(i % 5) }
-	kdata := make([]byte, 4*n)
-	for i := range vals {
-		binary.LittleEndian.PutUint32(kdata[i*4:], uint32(keyAt(i)))
-	}
+	keys := layKeys(keyCol{"mod 5", keyAt, 4}, n, 4)
 	preds := []Pred[float64]{{Op: OpBetween, Lo: math.Inf(-1), Hi: math.Inf(1)}, {Op: OpLT, Hi: 0}}
 	if n > 0 {
 		preds = append(preds, Pred[float64]{Op: OpEQ, Lo: vals[0]}, Pred[float64]{Op: OpGT, Lo: vals[n/2]})
 	}
-	for _, p := range preds {
+	// The unfiltered fold first, then each predicate's: all four shapes.
+	for k := -1; k < len(preds); k++ {
+		where, match, p := k >= 0, func(float64) bool { return true }, Pred[float64]{}
+		if where {
+			p = preds[k]
+			match = p.Match
+		}
 		var want float64
 		var wantN int64
 		for _, x := range vals {
-			if p.Match(x) {
-				want += x
+			if match(x) {
+				want = agg.Add(want, x)
 				wantN++
 			}
 		}
-		if got, gotN, err := c.SumFloat64Where(p); err != nil || math.Float64bits(got) != math.Float64bits(want) || gotN != wantN {
-			t.Fatalf("%v %+v: SumFloat64Where = (%v, %d, %v), want (%v, %d)", c, p, got, gotN, err, want, wantN)
+		if !where {
+			wantN = 0
+		}
+		lo, hi, _ := p.Closed()
+		if got, gotN, err := c.Fold(where, lo, hi, agg.Keys{}, nil); err != nil || math.Float64bits(got) != math.Float64bits(want) || gotN != wantN {
+			t.Fatalf("%v where %v %+v: Fold = (%v, %d, %v), want (%v, %d)", c, where, p, got, gotN, err, want, wantN)
 		}
 		var table agg.Table
-		if err := c.GroupSumFloat64Where(p, agg.Keys{Data: kdata, Stride: 4, Size: 4}, &table); err != nil {
-			t.Fatalf("%v %+v: GroupSumFloat64Where: %v", c, p, err)
+		if _, _, err := c.Fold(where, lo, hi, keys, &table); err != nil {
+			t.Fatalf("%v where %v %+v: grouped Fold: %v", c, where, p, err)
 		}
-		if got, want := table.Drain(nil), refGroups(vals, keyAt, p.Match); !sameGroups(got, want) {
-			t.Fatalf("%v %+v: groups %+v, want %+v", c, p, got, want)
+		if got, want := table.Drain(nil), refGroups(vals, keyAt, match); !sameGroups(got, want) {
+			t.Fatalf("%v where %v %+v: groups %+v, want %+v", c, where, p, got, want)
 		}
 	}
 }

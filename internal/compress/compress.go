@@ -447,42 +447,6 @@ func (c *Column) widen(buf []uint64, from int) []uint64 {
 	return buf
 }
 
-// SumFloat64 aggregates an 8-byte IEEE-754 column without
-// materializing, every element folded (a NaN included), element by
-// element in storage order — bit-identical to the dense sum and to
-// SumFloat64Where over every value.
-func (c *Column) SumFloat64() (float64, error) {
-	if err := c.errNot8("sum"); err != nil {
-		return 0, err
-	}
-	var sum float64
-	switch c.enc {
-	case RLE:
-		start := 0
-		for k := 0; k < c.Runs(); k++ {
-			end := c.runEnd(k)
-			sum = addRun(sum, float64At(c.runVals[k*8:]), end-start)
-			start = end
-		}
-	case Dict:
-		for _, code := range c.codes {
-			sum += float64At(c.dict[int(code)*8:])
-		}
-	case FOR:
-		var buf [forBlock]uint64
-		for from := 0; from < c.n; from += forBlock {
-			for _, d := range c.widen(buf[:], from) {
-				sum += math.Float64frombits(uint64(c.base) + d)
-			}
-		}
-	default:
-		for i := 0; i+8 <= len(c.raw); i += 8 {
-			sum += float64At(c.raw[i:])
-		}
-	}
-	return sum, nil
-}
-
 // String summarizes the column.
 func (c *Column) String() string {
 	return fmt.Sprintf("compressed{%s, %d×%dB, %.2fx}", c.enc, c.n, c.size, c.Ratio())

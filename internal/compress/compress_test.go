@@ -197,7 +197,7 @@ func TestEmptyColumn(t *testing.T) {
 		if c.Len() != 0 || len(c.Decompress()) != 0 {
 			t.Fatalf("%v: empty column broken", enc)
 		}
-		sum, err := c.SumFloat64()
+		sum, err := sumOf(c)
 		if err != nil || sum != 0 {
 			t.Fatalf("%v: empty sum = %v, %v", enc, sum, err)
 		}
@@ -217,14 +217,14 @@ func TestSumFloat64FastPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.SumFloat64()
+		got, err := sumOf(c)
 		if err != nil || math.Abs(got-want) > 1e-9 {
 			t.Fatalf("%v sum = %v, %v; want %v", enc, got, err, want)
 		}
 	}
 	// Wrong width.
 	c, _ := CompressAs(Raw, make([]byte, 4), 1, 4)
-	if _, err := c.SumFloat64(); !errors.Is(err, ErrBadInput) {
+	if _, err := sumOf(c); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("4-byte float sum err = %v", err)
 	}
 }
@@ -264,7 +264,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			for _, v := range vals {
 				want += math.Float64frombits(uint64(v))
 			}
-			if got, err := c.SumFloat64(); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			if got, err := sumOf(c); err != nil || math.Float64bits(got) != math.Float64bits(want) {
 				return false
 			}
 		}

@@ -4,27 +4,34 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"hybridstore/internal/agg"
 )
 
-// This file holds the compressed-domain operators: sargable predicate
-// scans that run directly on the encoded payload instead of
-// decompressing first. Each encoding gets its natural short-cut —
+// This file holds the compressed-domain aggregate, Fold: sum and
+// sum_where, grouped or not, run directly on the encoded payload
+// instead of decompressing first. Each encoding keeps its natural
+// short-cut —
 //
 //   - RLE evaluates the predicate once per run,
 //   - Dict pre-filters the ≤256-entry dictionary into a code bitset and
-//     then only tests one bit per element,
+//     a decoded value table, then tests one bit per element (none when
+//     unfiltered),
 //   - FOR frames a double's bit pattern, and IEEE ordering is unrelated
-//     to delta ordering, so it decodes elementwise,
-//   - Raw degenerates to the plain fused scan.
+//     to delta ordering, so it widens a block of deltas at a time and
+//     compares elementwise,
+//   - Raw is agg's typed loops, the ones the host and the device run
+//     over uncompressed values.
 //
-// An operator resolves its predicate ONCE, to the closed interval
+// The caller resolves its predicate ONCE, to the closed interval
 // [lo, hi] it matches (Pred.Closed), and every loop below compares
 // against the two bounds directly: between a payload byte and the
 // accumulator there is no comparison-mode switch, no closure and no
-// boxed value. Accumulation deliberately stays element-ordered (a run
-// value is added run-length times, not multiplied) so results are
-// bit-identical to decompressing and running the executor's fused
-// kernels.
+// boxed value. The group keys are a strided view over the same element
+// positions, and matches fold straight into the caller's group table.
+// Accumulation deliberately stays element-ordered (a run value is added
+// run-length times, not multiplied) so results are bit-identical to
+// decompressing and running the executor's fused kernels.
 
 // Op is the comparison of a Pred.
 type Op uint8
@@ -158,66 +165,111 @@ func filterDict(c *Column, lo, hi float64, vals *[256]float64) (bits codeBits) {
 	return bits
 }
 
-// SumFloat64Where computes SUM(x), COUNT(*) WHERE p over an 8-byte
-// IEEE-754 column in the compressed domain, bit-identical to
-// decompressing and summing elementwise in order.
-func (c *Column) SumFloat64Where(p Pred[float64]) (float64, int64, error) {
-	if err := c.errNot8("sum-where"); err != nil {
+// Fold is the one aggregate body over an 8-byte IEEE-754 column image,
+// sum and sum_where, grouped or not, in the compressed domain. With
+// where it folds the elements inside the closed interval [lo, hi] (a
+// NaN is inside none) and counts them; without it it folds every
+// element, a NaN included (through agg.Add), and counts nothing. With a
+// table t each folded element goes into the group of keys.At(i), and
+// sum and count stay zero. Either way the result is bit-identical to
+// decompressing and running agg's loops over the bytes.
+func (c *Column) Fold(where bool, lo, hi float64, keys agg.Keys, t *agg.Table) (sum float64, count int64, err error) {
+	if err := c.errNot8("fold"); err != nil {
 		return 0, 0, err
 	}
-	lo, hi, ok := p.Closed()
-	if !ok {
-		return 0, 0, nil
+	if t != nil && !keys.Covers(c.n) {
+		return 0, 0, fmt.Errorf("%w: group keys do not cover %d elements", ErrBadInput, c.n)
 	}
-	var sum float64
-	var n int64
 	switch c.enc {
 	case RLE:
 		// One comparison per run.
 		start := 0
 		for k := 0; k < c.Runs(); k++ {
 			end := c.runEnd(k)
-			if v := float64At(c.runVals[k*8:]); lo <= v && v <= hi {
-				sum = addRun(sum, v, end-start)
-				n += int64(end - start)
+			v := float64At(c.runVals[k*8:])
+			switch {
+			case where && !(lo <= v && v <= hi):
+			case t == nil:
+				for i := start; i < end; i++ {
+					sum = agg.Add(sum, v)
+				}
+				if where {
+					count += int64(end - start)
+				}
+			default:
+				for i := start; i < end; i++ {
+					g := t.At(keys.At(i))
+					g.Sum = agg.Add(g.Sum, v)
+					g.Count++
+				}
 			}
 			start = end
 		}
 	case Dict:
+		// One comparison per dictionary entry, one bit test per element.
 		var vals [256]float64
 		bits := filterDict(c, lo, hi, &vals)
-		for _, code := range c.codes {
-			if bits.has(code) {
-				sum += vals[code]
-				n++
+		switch {
+		case t != nil:
+			for i, code := range c.codes {
+				if !where || bits.has(code) {
+					g := t.At(keys.At(i))
+					g.Sum = agg.Add(g.Sum, vals[code])
+					g.Count++
+				}
+			}
+		case where:
+			for _, code := range c.codes {
+				if bits.has(code) {
+					sum += vals[code]
+					count++
+				}
+			}
+		default:
+			for _, code := range c.codes {
+				sum = agg.Add(sum, vals[code])
 			}
 		}
 	case FOR:
 		var buf [forBlock]uint64
 		for from := 0; from < c.n; from += forBlock {
-			for _, d := range c.widen(buf[:], from) {
-				if x := math.Float64frombits(uint64(c.base) + d); lo <= x && x <= hi {
+			for j, d := range c.widen(buf[:], from) {
+				x := math.Float64frombits(uint64(c.base) + d)
+				switch {
+				case where && !(lo <= x && x <= hi):
+				case t != nil:
+					g := t.At(keys.At(from + j))
+					g.Sum = agg.Add(g.Sum, x)
+					g.Count++
+				case where:
 					sum += x
-					n++
+					count++
+				default:
+					sum = agg.Add(sum, x)
 				}
 			}
 		}
 	default:
-		for i := 0; i+8 <= len(c.raw); i += 8 {
-			if x := float64At(c.raw[i:]); lo <= x && x <= hi {
-				sum += x
-				n++
-			}
+		switch {
+		case t != nil && where:
+			t.FoldWhere(keys, c.raw, 8, c.n, lo, hi)
+		case t != nil:
+			t.FoldAll(keys, c.raw, 8, c.n)
+		case where:
+			sum, count = agg.SumWhere(c.raw, 8, c.n, lo, hi)
+		default:
+			sum = agg.SumAll(c.raw, 8, c.n)
 		}
 	}
-	return sum, n, nil
+	return sum, count, nil
 }
 
-// addRun folds a run of k copies of v into sum, once per element, so
-// ordering matches the dense scan.
-func addRun(sum, v float64, k int) float64 {
-	for ; k > 0; k-- {
-		sum += v
+// SumFloat64Where computes SUM(x), COUNT(*) WHERE p: Fold over p's
+// closed interval.
+func (c *Column) SumFloat64Where(p Pred[float64]) (float64, int64, error) {
+	lo, hi, ok := p.Closed()
+	if !ok {
+		lo, hi = math.Inf(1), math.Inf(-1) // nothing is inside
 	}
-	return sum
+	return c.Fold(true, lo, hi, agg.Keys{}, nil)
 }

@@ -23,6 +23,23 @@ import (
 	"hybridstore/internal/workload"
 )
 
+// sumOf, sumWhereOf and groupSumWhereOf answer one sum, sum_where or
+// group_sum_where plan through Scan.
+func sumOf(t *Table, col int) (float64, error) {
+	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
+	return r.Sum, err
+}
+
+func sumWhereOf(t *Table, col int, p exec.Pred) (float64, int64, error) {
+	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
+	return r.Sum, r.Count, err
+}
+
+func groupSumWhereOf(t *Table, keyCol, valCol int, p exec.Pred) ([]exec.GroupResult, error) {
+	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
+	return r.Groups, err
+}
+
 // newTable creates a reference-engine item table with small chunks so
 // freezing kicks in quickly.
 func newTable(t *testing.T, opts Options, n uint64) (*Engine, *Table) {
@@ -103,7 +120,7 @@ func TestFreezingMovesChunksColdDelegation(t *testing.T) {
 		}
 	}
 	// Reads stitch both regions.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	sum, err := sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +143,7 @@ func TestUpdateThroughMVCCVisibleEverywhere(t *testing.T) {
 			t.Fatalf("Get(%d) = %v, %v", row, rec, err)
 		}
 	}
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	sum, err := sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +226,7 @@ func TestReadsCountNoAborts(t *testing.T) {
 	aborts := obs.NewCounter("tx.aborts") // the registry's handle of tx's counter
 	before := aborts.Load()
 	for i := uint64(0); i < 20; i++ {
-		if _, err := tbl.SumFloat64(workload.ItemPriceCol); err != nil {
+		if _, err := sumOf(tbl, workload.ItemPriceCol); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := tbl.Get(i); err != nil {
@@ -255,14 +272,14 @@ func TestMergeFoldsVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sumBefore, err := tbl.SumFloat64(workload.ItemPriceCol)
+	sumBefore, err := sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	sumAfter, err := tbl.SumFloat64(workload.ItemPriceCol)
+	sumAfter, err := sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +308,7 @@ func TestAdaptRegroupsColdChunks(t *testing.T) {
 		t.Fatal("Adapt did not regroup")
 	}
 	// Data intact after regrouping.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	sum, err := sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +359,7 @@ func TestDevicePlacementMovesColumns(t *testing.T) {
 		t.Fatalf("spaces = %v, want host+device", spaces)
 	}
 	// Answers unchanged; device kernels do the scanning.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	sum, err := sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +371,7 @@ func TestDevicePlacementMovesColumns(t *testing.T) {
 	if err := tbl.evictColumn(workload.ItemPriceCol); err != nil {
 		t.Fatal(err)
 	}
-	sum2, err := tbl.SumFloat64(workload.ItemPriceCol)
+	sum2, err := sumOf(tbl, workload.ItemPriceCol)
 	if err != nil || math.Abs(sum2-sum) > 1e-6 {
 		t.Fatalf("post-evict sum = %v, %v", sum2, err)
 	}
@@ -462,7 +479,7 @@ func TestConformanceCore(t *testing.T) {
 	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 2, DevicePlacement: true}, n)
 	defer tbl.Free()
 
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	sum, err := sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +513,7 @@ func TestConformanceCore(t *testing.T) {
 	if err := tbl.Update(0, 99, schema.IntValue(1)); err == nil {
 		t.Fatal("bad column accepted")
 	}
-	if _, err := tbl.SumFloat64(0); err == nil {
+	if _, err := sumOf(tbl, 0); err == nil {
 		t.Fatal("sum over int column accepted")
 	}
 }
@@ -549,7 +566,7 @@ func TestQuickHTAPEquivalence(t *testing.T) {
 		for _, v := range model {
 			want += v
 		}
-		got, err := ct.SumFloat64(workload.ItemPriceCol)
+		got, err := sumOf(ct, workload.ItemPriceCol)
 		if err != nil || math.Abs(got-want) > 1e-6 {
 			return false
 		}
@@ -768,7 +785,7 @@ func TestColdCompressedScan(t *testing.T) {
 	for i := uint64(0); i < 600; i++ {
 		wantTotal += price(i)
 	}
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	sum, err := sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -784,7 +801,7 @@ func TestColdCompressedScan(t *testing.T) {
 			wantN++
 		}
 	}
-	got, cnt, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
+	got, cnt, err := sumWhereOf(tbl, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,7 +812,7 @@ func TestColdCompressedScan(t *testing.T) {
 	if err := tbl.Update(5, workload.ItemPriceCol, schema.FloatValue(777)); err != nil {
 		t.Fatal(err)
 	}
-	sum, err = tbl.SumFloat64(workload.ItemPriceCol)
+	sum, err = sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -828,7 +845,7 @@ func TestColdCompressedScan(t *testing.T) {
 			t.Fatalf("re-sealed image holds %v at row 5, want 777", v)
 		}
 	}
-	sum, err = tbl.SumFloat64(workload.ItemPriceCol)
+	sum, err = sumOf(tbl, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}

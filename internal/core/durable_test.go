@@ -218,7 +218,7 @@ func TestCheckpointToGrowsOnce(t *testing.T) {
 	}
 	for _, warm := range []bool{false, true} {
 		if warm {
-			if _, err := tbl.SumFloat64(workload.ItemPriceCol); err != nil {
+			if _, err := sumOf(tbl, workload.ItemPriceCol); err != nil {
 				t.Fatal(err)
 			}
 		}

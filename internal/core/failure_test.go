@@ -51,7 +51,7 @@ func TestInsertSurvivesHostExhaustion(t *testing.T) {
 			t.Fatalf("Get(%d) after OOM = %v, %v", row, rec, err)
 		}
 	}
-	sum, err := ct.SumFloat64(workload.ItemPriceCol)
+	sum, err := sumOf(ct, workload.ItemPriceCol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPlaceColumnRollsBackOnDeviceExhaustion(t *testing.T) {
 		t.Fatalf("device memory leaked: %d bytes", used)
 	}
 	// ...and the data still answers.
-	sum, err := ct.SumFloat64(workload.ItemPriceCol)
+	sum, err := sumOf(ct, workload.ItemPriceCol)
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(600)) > 1e-6 {
 		t.Fatalf("sum after rollback = %v, %v", sum, err)
 	}

@@ -50,7 +50,7 @@ func checkpointImage(tb testing.TB, rows uint64, warm, legacy bool) []byte {
 		plantRawSideCars(tb, tbl, workload.ItemPriceCol)
 	}
 	if warm {
-		if _, err := tbl.SumFloat64(workload.ItemPriceCol); err != nil {
+		if _, err := sumOf(tbl, workload.ItemPriceCol); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -113,7 +113,7 @@ func FuzzRestoreTable(f *testing.F) {
 				t.Fatalf("Get(%d) of %d restored rows: %v", row, rows, err)
 			}
 		}
-		if _, err := tbl.SumFloat64(workload.ItemPriceCol); err != nil {
+		if _, err := sumOf(tbl, workload.ItemPriceCol); err != nil {
 			t.Fatalf("sum over %d restored rows: %v", rows, err)
 		}
 	})

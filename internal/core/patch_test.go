@@ -348,7 +348,7 @@ func TestPatchRowsCounter(t *testing.T) {
 	scan := func() (folded, read int64) {
 		t.Helper()
 		f, r := mPatchRows.Load(), mPatchRowsRead.Load()
-		if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Pred{Op: exec.OpGT, Lo: 50}); err != nil {
+		if _, _, err := sumWhereOf(tbl, workload.ItemPriceCol, exec.Pred{Op: exec.OpGT, Lo: 50}); err != nil {
 			t.Fatal(err)
 		}
 		return mPatchRows.Load() - f, mPatchRowsRead.Load() - r
@@ -719,7 +719,7 @@ func benchTable(t *testing.T, rows, groups uint64, resultCache int64) *Table {
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tbl.GroupSumFloat64Where(patchKeyCol, workload.ItemPriceCol, exec.Pred{Op: exec.OpGT}); err != nil {
+	if _, err := groupSumWhereOf(tbl, patchKeyCol, workload.ItemPriceCol, exec.Pred{Op: exec.OpGT}); err != nil {
 		t.Fatal(err)
 	}
 	return tbl
@@ -761,12 +761,12 @@ func TestScanAllocsIndependentOfDeltas(t *testing.T) {
 	type cost struct{ sumAllocs, sumKiB, groupAllocs, groupKiB float64 }
 	measureAt := func(tbl *Table, pred exec.Pred) (c cost) {
 		c.sumAllocs, c.sumKiB = scanCost(func() {
-			if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, pred); err != nil {
+			if _, _, err := sumWhereOf(tbl, workload.ItemPriceCol, pred); err != nil {
 				t.Fatal(err)
 			}
 		})
 		c.groupAllocs, c.groupKiB = scanCost(func() {
-			if _, err := tbl.GroupSumFloat64Where(patchKeyCol, workload.ItemPriceCol, pred); err != nil {
+			if _, err := groupSumWhereOf(tbl, patchKeyCol, workload.ItemPriceCol, pred); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -129,8 +129,9 @@ func (t *Table) Peek(p exec.Plan) (exec.Result, bool) {
 	return cache.Peek(t.cacheKey(p), t.epoch)
 }
 
-// Scan executes a single plan: the named query methods are sugar over
-// it.
+// Scan executes a single plan, the one-plan case of Execute: the
+// engine contract's aggregate entry, and what the facade's named
+// queries run.
 func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
 	res, err := t.Execute([]exec.Plan{p})
 	if err != nil {

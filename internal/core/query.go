@@ -111,33 +111,6 @@ func (t *Table) Materialize(positions []uint64) ([]schema.Record, error) {
 	return out, nil
 }
 
-// The named aggregate methods are sugar over Execute: each builds the
-// plan its name describes and reads the matching result fields.
-
-// SumFloat64 aggregates col over a pinned MVCC snapshot: base fragments
-// are scanned in bulk (device-resident fragments through the reduction
-// kernel, host fragments through the bulk operator), then the snapshot's
-// visible delta versions are patched over the base values.
-func (t *Table) SumFloat64(col int) (float64, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
-	return r.Sum, err
-}
-
-// SumFloat64Where aggregates (sum, count) of col over the rows matching
-// p, skipping base fragments whose zone maps prove them match-free.
-func (t *Table) SumFloat64Where(col int, p exec.Pred) (float64, int64, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindSumWhere, Col: col, Pred: p})
-	return r.Sum, r.Count, err
-}
-
-// GroupSumFloat64Where computes SELECT keyCol, SUM(valCol), COUNT(*)
-// WHERE p GROUP BY keyCol over an MVCC snapshot in one fused pass. keyCol
-// must be an integer attribute, valCol a float64 one.
-func (t *Table) GroupSumFloat64Where(keyCol, valCol int, p exec.Pred) ([]exec.GroupResult, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindGroupSumWhere, KeyCol: keyCol, Col: valCol, Pred: p})
-	return r.Groups, err
-}
-
 // attachCompressed swaps a cold piece's execution format to the chunk's
 // side-car compressed image when one covers the column: the vector keeps
 // its logical metadata but drops the dense bytes, so the host operator

@@ -29,7 +29,7 @@ func TestResultCacheAggregateRepeat(t *testing.T) {
 	defer tbl.Free()
 	p := exec.Gt(2.5)
 
-	sum1, n1, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
+	sum1, n1, err := sumWhereOf(tbl, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestResultCacheAggregateRepeat(t *testing.T) {
 	if hits != 0 {
 		t.Fatalf("first query hit the cache: %d hits", hits)
 	}
-	sum2, n2, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
+	sum2, n2, err := sumWhereOf(tbl, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,10 @@ func TestResultCacheAggregateRepeat(t *testing.T) {
 
 	// Semantically identical spellings share one entry: between with
 	// equal bounds normalizes to eq.
-	if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Eq(42.0)); err != nil {
+	if _, _, err := sumWhereOf(tbl, workload.ItemPriceCol, exec.Eq(42.0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, exec.Between(42.0, 42.0)); err != nil {
+	if _, _, err := sumWhereOf(tbl, workload.ItemPriceCol, exec.Between(42.0, 42.0)); err != nil {
 		t.Fatal(err)
 	}
 	if hits, _, _, _ = cacheStats(t, tbl); hits != 2 {
@@ -132,11 +132,11 @@ func TestResultCacheGroupBy(t *testing.T) {
 	defer tbl.Free()
 	p := exec.Gt(1.5)
 
-	g1, err := tbl.GroupSumFloat64Where(1, workload.ItemPriceCol, p)
+	g1, err := groupSumWhereOf(tbl, 1, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := tbl.GroupSumFloat64Where(1, workload.ItemPriceCol, p)
+	g2, err := groupSumWhereOf(tbl, 1, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestResultCacheGroupBy(t *testing.T) {
 	// The hit returns a private copy: scribbling on it must not poison
 	// future hits.
 	g2[0].Sum = -1
-	g3, err := tbl.GroupSumFloat64Where(1, workload.ItemPriceCol, p)
+	g3, err := groupSumWhereOf(tbl, 1, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestResultCacheGroupBy(t *testing.T) {
 	if _, err := tbl.Insert(workload.Item(500)); err != nil {
 		t.Fatal(err)
 	}
-	g4, err := tbl.GroupSumFloat64Where(1, workload.ItemPriceCol, p)
+	g4, err := groupSumWhereOf(tbl, 1, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestResultCacheGroupBy(t *testing.T) {
 	for _, g := range g4 {
 		total += g.Count
 	}
-	_, wantN, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
+	_, wantN, err := sumWhereOf(tbl, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +267,11 @@ func TestResultCacheSharedScanPartialHits(t *testing.T) {
 	warm := exec.Gt(3.0)
 	cold := exec.Lt(2.0)
 
-	wantW, wantWN, err := tbl.SumFloat64Where(workload.ItemPriceCol, warm)
+	wantW, wantWN, err := sumWhereOf(tbl, workload.ItemPriceCol, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC, wantCN, err := tbl.SumFloat64Where(workload.ItemPriceCol, cold)
+	wantC, wantCN, err := sumWhereOf(tbl, workload.ItemPriceCol, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +305,11 @@ func TestResultCacheCheckpointRestore(t *testing.T) {
 	e, tbl := newTable(t, cacheOpts(), 300)
 	p := exec.Lt(3.0)
 
-	want, wantN, err := tbl.SumFloat64Where(workload.ItemPriceCol, p)
+	want, wantN, err := sumWhereOf(tbl, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tbl.SumFloat64Where(workload.ItemPriceCol, p); err != nil {
+	if _, _, err := sumWhereOf(tbl, workload.ItemPriceCol, p); err != nil {
 		t.Fatal(err)
 	}
 	r0, err := tbl.Get(5)
@@ -336,7 +336,7 @@ func TestResultCacheCheckpointRestore(t *testing.T) {
 	// The colliding aggregate key must NOT hit; it must recompute the
 	// (byte-identical, since restored fragments are byte-identical)
 	// answer and count the dead entry as stale.
-	sum, n, err := rt.SumFloat64Where(workload.ItemPriceCol, p)
+	sum, n, err := sumWhereOf(rt, workload.ItemPriceCol, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestResultCacheCheckpointRestore(t *testing.T) {
 	}
 
 	// And the restored table caches normally from here on.
-	if _, _, err := rt.SumFloat64Where(workload.ItemPriceCol, p); err != nil {
+	if _, _, err := sumWhereOf(rt, workload.ItemPriceCol, p); err != nil {
 		t.Fatal(err)
 	}
 	if hits3, _, _, _ := cacheStats(t, rt); hits3 != hits0+1 {

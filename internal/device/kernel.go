@@ -27,8 +27,8 @@ import (
 //     image (compress.Column.AppendMarshal) and a decode kernel runs
 //     first: compressed bytes read plus raw bytes written at global
 //     bandwidth (perfmodel.DecodeKernelNs), three launches in total. The software
-//     card computes the answer through the compressed-domain operators
-//     of internal/compress.
+//     card computes the answer through compress.Column.Fold, in the
+//     compressed domain.
 //   - Keys (with Where): the fused filter+hash-aggregate kernel. ONE
 //     launch sweeps keys and values together, folds matches into per-SM
 //     group tables that merge before the kernel retires, and ships only
@@ -155,7 +155,6 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 	if grouped && k.Keys.Len != n {
 		return out, 0, 0, fmt.Errorf("%w: %d keys vs %d values", ErrBadLaunch, k.Keys.Len, n)
 	}
-	between := compress.Pred[float64]{Op: compress.OpBetween, Lo: k.Lo, Hi: k.Hi}
 
 	if grouped {
 		keys := agg.Keys{Stride: k.Keys.Stride, Size: k.Keys.Size}
@@ -166,7 +165,7 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 		// bit-identical to the host fused kernel's.
 		table := g.getGroupTable()
 		if col != nil {
-			if err := col.GroupSumFloat64Where(between, keys, table); err != nil {
+			if _, _, err := col.Fold(true, k.Lo, k.Hi, keys, table); err != nil {
 				return out, 0, 0, err
 			}
 		} else {
@@ -186,17 +185,14 @@ func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error)
 	}
 
 	switch {
-	case col != nil && k.Where:
-		out.Sum, out.Count, err = col.SumFloat64Where(between)
 	case col != nil:
-		out.Sum, err = col.SumFloat64()
+		if out.Sum, out.Count, err = col.Fold(k.Where, k.Lo, k.Hi, agg.Keys{}, nil); err != nil {
+			return Partial{}, 0, 0, err
+		}
 	case k.Where:
 		out.Sum, out.Count = agg.SumWhere(vals, stride, n, k.Lo, k.Hi)
 	default:
 		out.Sum = agg.SumAll(vals, stride, n)
-	}
-	if err != nil {
-		return Partial{}, 0, 0, err
 	}
 	if col != nil {
 		g.countKernels(3) // decode, grid reduction, final block

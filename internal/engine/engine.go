@@ -5,10 +5,11 @@
 //
 // The contract deliberately mirrors the two access patterns of the
 // paper's experiment: Materialize is the record-centric query Q1
-// generalized to a position list, SumFloat64 is the attribute-centric
-// query Q2. Snapshot exposes the live layout structure so that
-// taxonomy.Classify can derive each engine's Table-1 row from what the
-// engine actually built rather than from hand-written claims.
+// generalized to a position list, Scan of a sum plan the
+// attribute-centric query Q2. Snapshot exposes the live layout
+// structure so that taxonomy.Classify can derive each engine's Table-1
+// row from what the engine actually built rather than from hand-written
+// claims.
 package engine
 
 import (
@@ -111,12 +112,10 @@ type Table interface {
 	Update(row uint64, col int, v schema.Value) error
 	// Scan answers one aggregate plan — kind sum, sum_where, group_sum or
 	// group_sum_where — over all records: the one attribute-centric
-	// entry. Plans reading a column outside the schema or of the wrong
-	// kind fail with layout.ErrOutOfRange / exec.ErrBadColumn.
+	// entry (a sum plan is the paper's query Q2). Plans reading a column
+	// outside the schema or of the wrong kind fail with
+	// layout.ErrOutOfRange / exec.ErrBadColumn.
 	Scan(p exec.Plan) (exec.Result, error)
-	// SumFloat64 aggregates a float64 attribute over all records (the
-	// paper's attribute-centric query Q2): sugar for a sum plan.
-	SumFloat64(col int) (float64, error)
 	// Materialize resolves a sorted position list to full records (the
 	// paper's record-centric access pattern).
 	Materialize(positions []uint64) ([]schema.Record, error)

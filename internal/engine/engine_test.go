@@ -68,7 +68,6 @@ func (f *fakeTable) Insert(schema.Record) (uint64, error) {
 func (f *fakeTable) Get(uint64) (schema.Record, error)             { return nil, ErrNoSuchRow }
 func (f *fakeTable) Update(uint64, int, schema.Value) error        { return ErrReadOnly }
 func (f *fakeTable) Scan(exec.Plan) (exec.Result, error)           { return exec.Result{}, ErrUnsupported }
-func (f *fakeTable) SumFloat64(int) (float64, error)               { return 0, ErrUnsupported }
 func (f *fakeTable) Materialize([]uint64) ([]schema.Record, error) { return nil, ErrUnsupported }
 func (f *fakeTable) Snapshot() layout.Snapshot                     { return f.rel.Digest() }
 func (f *fakeTable) Free()                                         {}

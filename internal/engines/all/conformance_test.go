@@ -131,9 +131,10 @@ func conformanceSuite(t *testing.T, env *engine.Env, n uint64) {
 			}
 
 			// Attribute-centric aggregate (Q2).
-			sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+			res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+			sum := res.Sum
 			if err != nil {
-				t.Fatalf("SumFloat64: %v", err)
+				t.Fatalf("sum: %v", err)
 			}
 			want := workload.ExpectedItemPriceSum(n)
 			if math.Abs(sum-want) > 1e-6 {
@@ -148,9 +149,10 @@ func conformanceSuite(t *testing.T, env *engine.Env, n uint64) {
 			if err != nil || rec[workload.ItemPriceCol].F != 1000 {
 				t.Fatalf("updated Get = %v, %v", rec, err)
 			}
-			sum2, err := tbl.SumFloat64(workload.ItemPriceCol)
+			res, err = tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+			sum2 := res.Sum
 			if err != nil {
-				t.Fatalf("SumFloat64 after update: %v", err)
+				t.Fatalf("sum after update: %v", err)
 			}
 			want2 := want - workload.ItemPrice(3) + 1000
 			if math.Abs(sum2-want2) > 1e-6 {
@@ -232,8 +234,7 @@ func conformanceSuite(t *testing.T, env *engine.Env, n uint64) {
 // entry: on all eleven engines, every scan kind over an aggregate column
 // that is not float64, a group key that is not an integer, or an ordinal
 // outside the schema fails with exec.ErrBadColumn / layout.ErrOutOfRange
-// — never a number made of reinterpreted bits — and so does the named
-// SumFloat64 of the contract.
+// — never a number made of reinterpreted bits.
 func TestScanRejectsBadColumns(t *testing.T) {
 	const n = 300
 	env := engine.NewEnv()
@@ -267,11 +268,11 @@ func TestScanRejectsBadColumns(t *testing.T) {
 					}
 				}
 			}
-			if sum, err := tbl.SumFloat64(id); !errors.Is(err, exec.ErrBadColumn) {
-				t.Errorf("SumFloat64(int64 col) = (%v, %v), want ErrBadColumn", sum, err)
+			if sum, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: id}); !errors.Is(err, exec.ErrBadColumn) {
+				t.Errorf("sum of an int64 col = (%v, %v), want ErrBadColumn", sum, err)
 			}
-			if sum, err := tbl.SumFloat64(99); !errors.Is(err, layout.ErrOutOfRange) {
-				t.Errorf("SumFloat64(99) = (%v, %v), want ErrOutOfRange", sum, err)
+			if sum, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: 99}); !errors.Is(err, layout.ErrOutOfRange) {
+				t.Errorf("sum of col 99 = (%v, %v), want ErrOutOfRange", sum, err)
 			}
 		})
 	}

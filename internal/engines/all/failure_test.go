@@ -8,6 +8,7 @@ import (
 	"hybridstore/internal/core"
 	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/mem"
 	"hybridstore/internal/perfmodel"
 	"hybridstore/internal/schema"
@@ -136,7 +137,8 @@ func TestAggregateConsistencyAfterPartialLoad(t *testing.T) {
 			if got := tbl.Rows(); got != loaded {
 				t.Fatalf("Rows = %d, acknowledged %d", got, loaded)
 			}
-			sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+			res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+			sum := res.Sum
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +190,8 @@ func TestEnginesRejectMalformedRecords(t *testing.T) {
 					}
 					want += rec[workload.ItemPriceCol].F
 				}
-				sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+				res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+				sum := res.Sum
 				if err != nil || math.Abs(sum-want) > 1e-9 {
 					t.Fatalf("step %d: sum = %v, %v; want %v", step, sum, err, want)
 				}

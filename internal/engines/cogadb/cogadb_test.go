@@ -7,6 +7,7 @@ import (
 
 	"hybridstore/internal/device"
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/mem"
 	"hybridstore/internal/perfmodel"
 	"hybridstore/internal/schema"
@@ -89,7 +90,8 @@ func TestPlaceFallsBackOnDeviceExhaustion(t *testing.T) {
 		t.Fatal("failed placement left column marked placed")
 	}
 	// Queries still work on the host.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(500)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}
@@ -113,7 +115,8 @@ func TestReplicaStaysCoherent(t *testing.T) {
 	want := workload.ExpectedItemPriceSum(301) - workload.ItemPrice(10) + 500
 	// Force enough queries that HyPE tries both placements.
 	for i := 0; i < 30; i++ {
-		sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+		res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+		sum := res.Sum
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +158,7 @@ func TestHypeLearnsToPreferTheFasterDevice(t *testing.T) {
 	// At this size the device kernel is far cheaper under the simulated
 	// clock; after warmup HyPE should route most sums to the GPU.
 	for i := 0; i < 40; i++ {
-		if _, err := tbl.SumFloat64(workload.ItemPriceCol); err != nil {
+		if _, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,8 +39,8 @@ type Table struct {
 	Append func(row uint64, rec schema.Record) error
 	// Run answers one aggregate plan. NewTable installs the shared scan
 	// body over the table's own Pieces; engines with their own pieces,
-	// lock or placement set it to theirs. Scan and SumFloat64 go through
-	// it, so an embedding engine cannot be bypassed by a promoted method.
+	// lock or placement set it to theirs. Scan goes through it, so an
+	// embedding engine cannot be bypassed by a promoted method.
 	Run func(p exec.Plan) (exec.Result, error)
 }
 
@@ -228,14 +228,8 @@ func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 	return nil, nil, err
 }
 
-// Scan answers one aggregate plan; SumFloat64 is sugar over it.
+// Scan answers one aggregate plan.
 func (t *Table) Scan(p exec.Plan) (exec.Result, error) { return t.Run(p) }
-
-// SumFloat64 aggregates col over the cheapest layout.
-func (t *Table) SumFloat64(col int) (float64, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
-	return r.Sum, err
-}
 
 // Materialize resolves the position list against the cheapest layout.
 func (t *Table) Materialize(positions []uint64) ([]schema.Record, error) {

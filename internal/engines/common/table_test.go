@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 )
@@ -108,7 +109,8 @@ func TestScanRoutesToCheapestLayout(t *testing.T) {
 	if got := tbl.LayoutForMaterialize().Name(); got != "rows" {
 		t.Fatalf("materialize layout = %q", got)
 	}
-	sum, err := tbl.SumFloat64(1)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: 1})
+	sum := res.Sum
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestEmptyRelationOperations(t *testing.T) {
 	env := engine.NewEnv()
 	rel := layout.NewRelation("r", testSchema())
 	tbl := NewTable(env, rel)
-	if _, err := tbl.SumFloat64(1); !errors.Is(err, layout.ErrNoLayout) {
+	if _, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: 1}); !errors.Is(err, layout.ErrNoLayout) {
 		t.Fatalf("sum err = %v", err)
 	}
 	if l := tbl.LayoutForScan(0); l != nil {

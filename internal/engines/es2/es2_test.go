@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/taxonomy"
@@ -115,7 +116,8 @@ func TestAdaptRefragments(t *testing.T) {
 		t.Fatalf("first partition covers %v, want the fused {0,1,2}", first.Cols)
 	}
 	// Data intact and a fat DSM (PAX) partition now exists.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(1200)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}

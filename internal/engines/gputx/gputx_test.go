@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/mem"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
@@ -55,7 +56,8 @@ func TestDeviceReductionSum(t *testing.T) {
 	env, tbl := load(t, 2000)
 	defer tbl.Free()
 	before := env.GPU.Stats().KernelLaunches
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestDeviceReductionSum(t *testing.T) {
 	if env.GPU.Stats().KernelLaunches <= before {
 		t.Fatal("sum did not launch kernels")
 	}
-	if _, err := tbl.SumFloat64(99); err == nil {
+	if _, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: 99}); err == nil {
 		t.Fatal("bad column accepted")
 	}
 }

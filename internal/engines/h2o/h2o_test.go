@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
@@ -85,7 +86,8 @@ func TestScanHeavyColumnDegeneratesToThin(t *testing.T) {
 		t.Fatalf("structure = %d fat, %d thin", fat, thinFrags)
 	}
 	// Answers survive.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(500)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}
@@ -140,7 +142,8 @@ func TestAllColumnsCanDegenerate(t *testing.T) {
 	if len(thinCols(tbl)) != 5 {
 		t.Fatalf("thin = %v, want all 5 (DSM-emulated)", thinCols(tbl))
 	}
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(400)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
@@ -79,7 +80,8 @@ func TestAdaptFusesCoAccessedContainers(t *testing.T) {
 		t.Fatalf("fat containers = %d, want 1", fat)
 	}
 	// Data survives the migration.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(400)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}

@@ -396,12 +396,6 @@ func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
 	return engine.Scan(t, t.cfg, nil, p)
 }
 
-// SumFloat64 aggregates col.
-func (t *Table) SumFloat64(col int) (float64, error) {
-	r, err := t.Scan(exec.Plan{Op: exec.KindSum, Col: col})
-	return r.Sum, err
-}
-
 // Materialize resolves a position list through the dictionary.
 func (t *Table) Materialize(positions []uint64) ([]schema.Record, error) {
 	out := make([]schema.Record, len(positions))

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
 )
@@ -96,7 +97,8 @@ func TestSumPatchesTailValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	want += 5
-	got, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	got := res.Sum
 	if err != nil || math.Abs(got-want) > 1e-6 {
 		t.Fatalf("sum = %v, %v; want %v", got, err, want)
 	}
@@ -110,7 +112,8 @@ func TestMergeFoldsTailsIntoBase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sumBefore, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sumBefore := res.Sum
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,8 @@ func TestMergeFoldsTailsIntoBase(t *testing.T) {
 	if tbl.sealedRows != tbl.Rows() {
 		t.Fatalf("merge sealed %d of %d rows into the base", tbl.sealedRows, tbl.Rows())
 	}
-	sumAfter, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err = tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sumAfter := res.Sum
 	if err != nil || math.Abs(sumAfter-sumBefore) > 1e-6 {
 		t.Fatalf("merge changed sum: %v → %v", sumBefore, sumAfter)
 	}
@@ -137,10 +141,10 @@ func TestMergeFoldsTailsIntoBase(t *testing.T) {
 func TestSumRejectsNonFloatColumns(t *testing.T) {
 	tbl := load(t, 10)
 	defer tbl.Free()
-	if _, err := tbl.SumFloat64(0); err == nil {
+	if _, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: 0}); err == nil {
 		t.Fatal("int64 column summed as float")
 	}
-	if _, err := tbl.SumFloat64(99); err == nil {
+	if _, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: 99}); err == nil {
 		t.Fatal("missing column accepted")
 	}
 }
@@ -195,14 +199,16 @@ func TestQuickLineageEquivalence(t *testing.T) {
 		for _, v := range model {
 			want += v
 		}
-		got, err := lt.SumFloat64(workload.ItemPriceCol)
+		res, err := lt.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+		got := res.Sum
 		if err != nil || math.Abs(got-want) > 1e-6 {
 			return false
 		}
 		if lt.Merge() != nil {
 			return false
 		}
-		got, err = lt.SumFloat64(workload.ItemPriceCol)
+		res, err = lt.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+		got = res.Sum
 		return err == nil && math.Abs(got-want) < 1e-6 && lt.TailLength() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -234,7 +240,8 @@ func TestMergeSealsCompressedBase(t *testing.T) {
 		}
 	}
 	// Sealed-region scan uses the compressed fast path and is exact.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(2000)) > 1e-6 {
 		t.Fatalf("sealed sum = %v, %v", sum, err)
 	}
@@ -271,7 +278,8 @@ func TestInsertAndUpdateAfterSeal(t *testing.T) {
 		t.Fatalf("sealed base mutated: %v, %v", base, err)
 	}
 	want := workload.ExpectedItemPriceSum(700) - workload.ItemPrice(3) + 1234
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil || math.Abs(sum-want) > 1e-6 {
 		t.Fatalf("sum = %v, %v; want %v", sum, err, want)
 	}

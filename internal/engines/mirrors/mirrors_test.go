@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
@@ -75,7 +76,8 @@ func TestQueryRoutingByAccessPattern(t *testing.T) {
 		t.Fatalf("materialize routed to %q", mat.Name())
 	}
 	// Both give the right answers.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(500)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}

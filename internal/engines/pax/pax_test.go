@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
@@ -91,7 +92,8 @@ func TestRejectsTinyPages(t *testing.T) {
 func TestSumAcrossPages(t *testing.T) {
 	tbl := load(t, 777)
 	defer tbl.Free()
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil {
 		t.Fatal(err)
 	}

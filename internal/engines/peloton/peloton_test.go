@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/engine"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
 )
@@ -74,7 +75,8 @@ func TestAdaptChangesOnlyFutureGroups(t *testing.T) {
 		t.Fatalf("new group did not adopt advice: %v", newest)
 	}
 	// Mixed layouts answer correctly.
-	sum, err := tbl.SumFloat64(workload.ItemPriceCol)
+	res, err := tbl.Scan(exec.Plan{Op: exec.KindSum, Col: workload.ItemPriceCol})
+	sum := res.Sum
 	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(4*GroupRows)) > 1e-6 {
 		t.Fatalf("sum = %v, %v", sum, err)
 	}

@@ -5,7 +5,7 @@ import "fmt"
 // Host-side compressed-domain execution under the parallel policies:
 // pieces carrying a sealed compressed image (Piece.Comp) are split off
 // the raw list, whose byte kernels run partitioned over the workers,
-// and go to the compressed-domain operators of internal/compress in
+// and go to compress.Column.Fold, the compressed-domain fold, in
 // piece order (sumPieces). The sequential fold takes both kinds in one
 // piece-order loop.
 

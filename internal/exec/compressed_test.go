@@ -177,11 +177,11 @@ func TestCompressedOpsMatchDecompressed(t *testing.T) {
 			}
 			// The unfiltered sum is the same body with the test off: every
 			// element added in storage order, a NaN included.
-			wantUS, err := SumFloat64(cfg, fraw)
+			wantUS, err := sumOf(cfg, fraw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotUS, err := SumFloat64(cfg, fcomp)
+			gotUS, err := sumOf(cfg, fcomp)
 			if err != nil {
 				t.Fatal(err)
 			}

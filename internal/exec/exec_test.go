@@ -15,6 +15,18 @@ import (
 
 func host() *mem.Allocator { return mem.NewAllocator(mem.Host, 0) }
 
+// sumOf runs a sum scan over pieces under cfg.
+func sumOf(cfg Config, pieces []Piece) (float64, error) {
+	r, err := cfg.Scan(Scan{Plan: Plan{Op: KindSum}, Vals: pieces})
+	return r.Sum, err
+}
+
+// groupSumOf runs a group_sum scan over aligned key and value pieces.
+func groupSumOf(cfg Config, keys, vals []Piece) ([]GroupResult, error) {
+	r, err := cfg.Scan(Scan{Plan: Plan{Op: KindGroupSum}, Keys: keys, Vals: vals})
+	return r.Groups, err
+}
+
 func itemSchema() *schema.Schema {
 	return schema.MustNew(
 		schema.Int64Attr("id"),
@@ -159,7 +171,7 @@ func TestSumFloat64AllPolicies(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cfg := range []Config{Single(), Config{Policy: MultiThreaded}, MultiN(3), Morsel()} {
-			got, err := SumFloat64(cfg, pieces)
+			got, err := sumOf(cfg, pieces)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +185,7 @@ func TestSumFloat64AllPolicies(t *testing.T) {
 func TestSumRejectsWrongWidth(t *testing.T) {
 	l, _ := buildLayout(t, layout.NSM, false, 10)
 	pieces, _ := ColumnView(l, 1, 10) // int32 column
-	if _, err := SumFloat64(Single(), pieces); !errors.Is(err, ErrBadColumn) {
+	if _, err := sumOf(Single(), pieces); !errors.Is(err, ErrBadColumn) {
 		t.Errorf("float sum err = %v", err)
 	}
 	if _, err := SelectFloat64Pred(Single(), pieces, Lt(1)); !errors.Is(err, ErrBadColumn) {
@@ -265,7 +277,7 @@ func TestSimulatedTimeCharging(t *testing.T) {
 	pieces, _ := ColumnView(l, 3, 10_000)
 	var clk perfmodel.Clock
 	cfg := Config{Policy: SingleThreaded, Host: perfmodel.DefaultHost(), Clock: &clk}
-	if _, err := SumFloat64(cfg, pieces); err != nil {
+	if _, err := sumOf(cfg, pieces); err != nil {
 		t.Fatal(err)
 	}
 	if clk.ElapsedNs() <= 0 {
@@ -274,7 +286,7 @@ func TestSimulatedTimeCharging(t *testing.T) {
 	single := clk.ElapsedNs()
 	clk.Reset()
 	cfg.Policy, cfg.Threads = MultiThreaded, 8
-	if _, err := SumFloat64(cfg, pieces); err != nil {
+	if _, err := sumOf(cfg, pieces); err != nil {
 		t.Fatal(err)
 	}
 	multi := clk.ElapsedNs()
@@ -344,8 +356,8 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		seq, err1 := SumFloat64(Single(), pieces)
-		par, err2 := SumFloat64(Config{Policy: MultiThreaded, Threads: threads}, pieces)
+		seq, err1 := sumOf(Single(), pieces)
+		par, err2 := sumOf(Config{Policy: MultiThreaded, Threads: threads}, pieces)
 		return err1 == nil && err2 == nil && math.Abs(seq-par) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -229,23 +229,17 @@ func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupRes
 			if err != nil {
 				return nil, err
 			}
-			if vp.Comp != nil && filtered {
-				if err := vp.Comp.GroupSumFloat64Where(p, kv, ct); err != nil {
+			if vp.Comp != nil {
+				if _, _, err := vp.Comp.Fold(filtered, lo, hi, kv, ct); err != nil {
 					return nil, fmt.Errorf("%w: %v", ErrBadColumn, err)
 				}
 				continue
 			}
-			// Raw values under a compressed key — or compressed ones with
-			// no test to run in their domain, decoded as keyView decodes a
-			// sealed key column: a NaN is folded like any other element.
-			vec := vp.Vec
-			if vp.Comp != nil {
-				vec = layout.ColVector{Data: vp.Comp.Decompress(), Stride: 8, Size: 8, Len: vp.Comp.Len()}
+			// Raw values under a compressed key.
+			if !kv.Covers(vp.Vec.Len) {
+				return nil, fmt.Errorf("%w: group keys do not cover %d values", ErrBadColumn, vp.Vec.Len)
 			}
-			if !kv.Covers(vec.Len) {
-				return nil, fmt.Errorf("%w: group keys do not cover %d values", ErrBadColumn, vec.Len)
-			}
-			foldGroupRange(ct, kv, vec, 0, vec.Len, lo, hi, !filtered)
+			foldGroupRange(ct, kv, vp.Vec, 0, vp.Vec.Len, lo, hi, !filtered)
 		}
 	}
 	out := mergeGroupTables(tables)
@@ -257,15 +251,11 @@ func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupRes
 	return out, nil
 }
 
-// GroupSumFloat64 computes SELECT key, SUM(val), COUNT(*) GROUP BY key
-// over two parallel column views ("mostly aggregations and groupings are
-// executed on read-only data" is the paper's characterization of the
-// OLAP side, Section II-A).
-func GroupSumFloat64(cfg Config, keys, vals []Piece) ([]GroupResult, error) {
-	return groupSum(cfg, keys, vals, Pred{}, false)
-}
-
-// GroupSumFloat64Where is GroupSumFloat64 WHERE p.
+// GroupSumFloat64Where computes SELECT key, SUM(val), COUNT(*) WHERE p
+// GROUP BY key over two parallel column views ("mostly aggregations and
+// groupings are executed on read-only data" is the paper's
+// characterization of the OLAP side, Section II-A): a group_sum_where
+// scan on the host.
 func GroupSumFloat64Where(cfg Config, keys, vals []Piece, p Pred) ([]GroupResult, error) {
 	return groupSum(cfg, keys, vals, p, true)
 }

@@ -23,7 +23,7 @@ func TestGroupSumFloat64(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cfg := range []Config{Single(), Config{Policy: MultiThreaded}, MultiN(8), Morsel()} {
-			groups, err := GroupSumFloat64(cfg, keys, vals)
+			groups, err := groupSumOf(cfg, keys, vals)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestGroupSumInt64Keys(t *testing.T) {
 	l, _ := buildLayout(t, layout.NSM, false, 100)
 	keys, _ := ColumnView(l, 0, 100) // int64 id
 	vals, _ := ColumnView(l, 3, 100)
-	groups, err := GroupSumFloat64(Single(), keys, vals)
+	groups, err := groupSumOf(Single(), keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,23 +71,23 @@ func TestGroupSumValidation(t *testing.T) {
 	keys, _ := ColumnView(l, 1, 50)
 	vals, _ := ColumnView(l, 3, 50)
 	// Misaligned piece counts.
-	if _, err := GroupSumFloat64(Single(), keys, nil); !errors.Is(err, ErrBadColumn) {
+	if _, err := groupSumOf(Single(), keys, nil); !errors.Is(err, ErrBadColumn) {
 		t.Fatalf("err = %v", err)
 	}
 	// Wrong value width.
 	badVals, _ := ColumnView(l, 1, 50)
-	if _, err := GroupSumFloat64(Single(), keys, badVals); !errors.Is(err, ErrBadColumn) {
+	if _, err := groupSumOf(Single(), keys, badVals); !errors.Is(err, ErrBadColumn) {
 		t.Fatalf("err = %v", err)
 	}
 	// 8-byte char keys group by bit pattern (allowed at this layer: the
 	// operator sees raw views, not kinds).
 	charKeys, _ := ColumnView(l, 2, 50)
-	if _, err := GroupSumFloat64(Single(), charKeys, vals); err != nil {
+	if _, err := groupSumOf(Single(), charKeys, vals); err != nil {
 		t.Fatalf("8-byte char key rejected: %v", err)
 	}
 	// Misaligned row ranges.
 	shortVals, _ := ColumnView(l, 3, 40)
-	if _, err := GroupSumFloat64(Single(), keys, shortVals); !errors.Is(err, ErrBadColumn) {
+	if _, err := groupSumOf(Single(), keys, shortVals); !errors.Is(err, ErrBadColumn) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -128,8 +128,8 @@ func TestQuickGroupParallelEqualsSequential(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		seq, err1 := GroupSumFloat64(Single(), keys, vals)
-		par, err2 := GroupSumFloat64(Config{Policy: MultiThreaded, Threads: int(threadsRaw)%7 + 2}, keys, vals)
+		seq, err1 := groupSumOf(Single(), keys, vals)
+		par, err2 := groupSumOf(Config{Policy: MultiThreaded, Threads: int(threadsRaw)%7 + 2}, keys, vals)
 		if err1 != nil || err2 != nil || len(seq) != len(par) {
 			return false
 		}

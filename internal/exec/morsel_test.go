@@ -90,8 +90,8 @@ func TestQuickMorselEqualsSequential(t *testing.T) {
 		}
 		single, morsel := Single(), Morsel()
 
-		s1, e1 := SumFloat64(single, prices)
-		s2, e2 := SumFloat64(morsel, prices)
+		s1, e1 := sumOf(single, prices)
+		s2, e2 := sumOf(morsel, prices)
 		if e1 != nil || e2 != nil || math.Abs(s1-s2) > 1e-6 {
 			t.Logf("SumFloat64: %v/%v vs %v/%v", s1, e1, s2, e2)
 			return false
@@ -119,8 +119,8 @@ func TestQuickMorselEqualsSequential(t *testing.T) {
 				return false
 			}
 		}
-		g1, e1 := GroupSumFloat64(single, warehouses, prices)
-		g2, e2 := GroupSumFloat64(morsel, warehouses, prices)
+		g1, e1 := groupSumOf(single, warehouses, prices)
+		g2, e2 := groupSumOf(morsel, warehouses, prices)
 		if e1 != nil || e2 != nil || len(g1) != len(g2) {
 			t.Logf("GroupSum: %d vs %d groups", len(g1), len(g2))
 			return false
@@ -179,12 +179,12 @@ func TestPoolHygieneNoRowLeaks(t *testing.T) {
 	}
 	// Partial-sum hygiene: repeated sums must stay exact even though
 	// earlier queries left non-zero partials in the recycled scratch.
-	sum1, err := SumFloat64(Single(), prices)
+	sum1, err := sumOf(Single(), prices)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		sumN, err := SumFloat64(Morsel(), prices)
+		sumN, err := sumOf(Morsel(), prices)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestMorselChargingAmortizesManagement(t *testing.T) {
 	run := func(cfg Config) float64 {
 		var clk perfmodel.Clock
 		cfg.Host, cfg.Clock = h, &clk
-		if _, err := SumFloat64(cfg, pieces); err != nil {
+		if _, err := sumOf(cfg, pieces); err != nil {
 			t.Fatal(err)
 		}
 		return clk.ElapsedNs()

@@ -286,12 +286,13 @@ func scanSum(cfg Config, pieces []Piece, p Pred, filtered bool) (float64, int64,
 
 // sumPieces is the sequential scalar fold, the solo body's and the
 // shared pass's alike: piece by piece, in piece order, each piece's
-// partial — its bytes folded by agg, or its sealed image by the
-// compressed-domain operator, each in ascending element order — is added
-// to out[k] for every closed interval bounds[k] whose row of admit (nil:
+// partial — its bytes folded by agg, or its sealed image by
+// compress.Column.Fold, each in ascending element order — is added to
+// out[k] for every closed interval bounds[k] whose row of admit (nil:
 // every row) lets it see the piece. Raw and encoded pieces share the one
 // order, so a column whose chunks mix both sums to the plain store's
-// bits. Unfiltered, the bounds are ignored and every element is added.
+// bits. Unfiltered, the bounds are ignored, every element is added and
+// nothing is counted.
 func sumPieces(pieces []Piece, bounds [][2]float64, admit []bool, filtered bool, out []Result) error {
 	for i := range pieces {
 		pc := &pieces[i]
@@ -304,10 +305,8 @@ func sumPieces(pieces []Piece, bounds [][2]float64, admit []bool, filtered bool,
 			var n int64
 			var err error
 			switch {
-			case pc.Comp != nil && filtered:
-				s, n, err = pc.Comp.SumFloat64Where(Between(b[0], b[1]))
 			case pc.Comp != nil:
-				s, err = pc.Comp.SumFloat64()
+				s, n, err = pc.Comp.Fold(filtered, b[0], b[1], agg.Keys{}, nil)
 			case filtered:
 				s, n = agg.SumWhere(vals, pc.Vec.Stride, pc.Vec.Len, b[0], b[1])
 			default:
@@ -321,13 +320,6 @@ func sumPieces(pieces []Piece, bounds [][2]float64, admit []bool, filtered bool,
 		}
 	}
 	return nil
-}
-
-// SumFloat64 sums a float64 column given as pieces. Under MultiThreaded
-// the element positions are partitioned blockwise across workers.
-func SumFloat64(cfg Config, pieces []Piece) (float64, error) {
-	sum, _, err := scanSum(cfg, pieces, Pred{}, false)
-	return sum, err
 }
 
 // SumFloat64Where computes SUM(col), COUNT(*) WHERE p in one fused scan.

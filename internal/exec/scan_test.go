@@ -502,7 +502,7 @@ func TestDeviceScanCompressedUnfiltered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SumFloat64(Single(), []Piece{raw})
+	want, err := sumOf(Single(), []Piece{raw})
 	if err != nil {
 		t.Fatal(err)
 	}

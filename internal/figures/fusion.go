@@ -230,7 +230,8 @@ func fusionHostBaseline(cfg exec.Config, keysDense, valsDense []byte, rows uint6
 	if err != nil {
 		return nil, err
 	}
-	return exec.GroupSumFloat64(cfg, mk, mv)
+	res, err := cfg.Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindGroupSum}, Keys: mk, Vals: mv})
+	return res.Groups, err
 }
 
 // fusionDeviceBaseline is the device materialize-then-aggregate plan:

@@ -84,13 +84,13 @@ func measureScan(n uint64, repeats int) (rowNs, colNs float64, err error) {
 		best := float64(0)
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
-			sum, err := exec.SumFloat64(exec.Single(), pieces)
+			res, err := exec.Single().Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindSum}, Vals: pieces})
 			elapsed := float64(time.Since(start).Nanoseconds())
 			if err != nil {
 				return 0, err
 			}
-			if sum < want-1 || sum > want+1 {
-				return 0, fmt.Errorf("figures: real scan mismatch: %v vs %v", sum, want)
+			if res.Sum < want-1 || res.Sum > want+1 {
+				return 0, fmt.Errorf("figures: real scan mismatch: %v vs %v", res.Sum, want)
 			}
 			if best == 0 || elapsed < best {
 				best = elapsed

@@ -121,11 +121,11 @@ func Verify(n uint64) (VerifyReport, error) {
 		if err != nil {
 			return report, err
 		}
-		got, err := exec.SumFloat64(cfg.c, pieces)
+		res, err := cfg.c.Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindSum}, Vals: pieces})
 		if err != nil {
 			return report, err
 		}
-		check(cfg.name, got, wantSum)
+		check(cfg.name, res.Sum, wantSum)
 	}
 
 	// Device reduction over the price column (real kernel execution).

@@ -82,17 +82,18 @@ func bucketFor(ns int64) int {
 
 // Observe records one nanosecond measurement.
 //
-// Field order matters for snapshot consistency: sum, bucket and max are
+// Field order matters for snapshot consistency: bucket and max are
 // published before count, so an observation that is visible in count is
-// fully visible everywhere else. Snapshot exploits this — it re-reads
-// count around the other fields and retries until the copy is stable —
-// which is what keeps WriteMetricsJSON taken mid-scan from tearing a
-// histogram (count without its bucket, or a bucket without its sum).
+// visible in its bucket, and sum is published after count, so an
+// observation that is visible in sum is counted. Snapshot exploits this
+// — it reads sum first, re-reads count around the other fields and
+// retries until the copy is stable — which is what keeps
+// WriteMetricsJSON taken mid-scan from tearing a histogram (count
+// without its bucket, or a sum with an uncounted observation).
 func (h *Histogram) Observe(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.sum.Add(ns)
 	h.buckets[bucketFor(ns)].Add(1)
 	for {
 		cur := h.max.Load()
@@ -101,6 +102,7 @@ func (h *Histogram) Observe(ns int64) {
 		}
 	}
 	h.count.Add(1)
+	h.sum.Add(ns)
 }
 
 // ObserveSince records the time elapsed since t0.
@@ -142,17 +144,20 @@ func (h *Histogram) Quantile(q float64) int64 {
 // Snapshot returns a self-consistent summary of the histogram even while
 // other goroutines are observing into it. Consistency means the exported
 // Count equals the sum of the (copied) bucket populations the quantiles
-// are computed from, and SumNs covers exactly the counted observations.
+// are computed from, and SumNs covers only counted observations: it may
+// lag Count by the observations still in flight, never lead it.
 //
 // The implementation is an optimistic seqlock over the count field:
-// Observe publishes count last, so a copy whose count reading is stable
-// across the reads of sum/buckets/max — and whose bucket total equals
-// that count — contains only fully published observations. Under a
-// sustained write storm the loop relaxes after a bounded number of
-// attempts: it keeps the requirement that quantiles be computed from the
-// copied buckets (never torn against a moving count) and derives Count
-// from the bucket total itself, which is the invariant downstream
-// consumers rely on.
+// Observe publishes its bucket before count, so a copy whose count
+// reading is stable across the reads of buckets/max — and whose bucket
+// total equals that count — holds whole observations. sum is read
+// before everything else, and Observe adds to it after count and after
+// the bucket, so every observation in that sum is in the copied buckets.
+// Under a sustained write storm the loop relaxes after a bounded number
+// of attempts: it keeps the requirement that quantiles be computed from
+// the copied buckets (never torn against a moving count) and derives
+// Count from the bucket total itself, which is the invariant downstream
+// consumers rely on; the sum, read first, is still inside it.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	const strictAttempts = 512
 	var (
@@ -161,8 +166,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		total    int64
 	)
 	for attempt := 0; ; attempt++ {
-		c1 := h.count.Load()
 		sum = h.sum.Load()
+		c1 := h.count.Load()
 		max = h.max.Load()
 		total = 0
 		for i := range b {

@@ -1,9 +1,13 @@
 package hybridstore_test
 
 import (
+	"bytes"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -96,5 +100,70 @@ func TestReadmeCommands(t *testing.T) {
 				t.Errorf("go run %s%s: the command defines no -%s", dir, row[2], name)
 			}
 		}
+	}
+}
+
+// readmePrelude declares what README's Go fragments take from the
+// quickstart before them: the store, the accounts table and its schema.
+const readmePrelude = `package readme
+
+import (
+	"fmt"
+	"net"
+	"os"
+
+	"hybridstore"
+	"hybridstore/internal/server"
+)
+
+var (
+	db       *hybridstore.DB
+	sch      *hybridstore.Schema
+	accounts *hybridstore.Table
+)
+
+var _, _, _, _ = fmt.Println, net.Listen, os.Stdout, server.New
+`
+
+// TestReadmeNames type-checks README's Go blocks against the facade's
+// sources: a whole program as it stands, each fragment as the body of a
+// function after readmePrelude. README is not compiled, so without this
+// a deleted name or method survives there. A fragment may leave a
+// variable unused; any other error fails.
+func TestReadmeNames(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var pkgs [][]*ast.File
+	parse := func(src string) *ast.File {
+		f, err := parser.ParseFile(fset, "readmePrelude", src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	frags := readmePrelude
+	for _, m := range regexp.MustCompile("(?s)```go\n(.*?)```").FindAllSubmatchIndex(readme, -1) {
+		// A line directive puts errors at the block's own README lines.
+		block := fmt.Sprintf("//line README.md:%d\n%s", bytes.Count(readme[:m[2]], []byte("\n"))+1, readme[m[2]:m[3]])
+		if bytes.HasPrefix(readme[m[2]:], []byte("package ")) {
+			pkgs = append(pkgs, []*ast.File{parse(block)})
+		} else {
+			frags += "\nfunc _() {\n" + block + "\n}\n"
+		}
+	}
+	pkgs = append(pkgs, []*ast.File{parse(frags)})
+	conf := types.Config{
+		Importer: importer.ForCompiler(fset, "source", nil),
+		Error: func(err error) {
+			if msg := err.Error(); !strings.Contains(msg, "declared and not used") {
+				t.Error(msg)
+			}
+		},
+	}
+	for _, pkg := range pkgs {
+		conf.Check(pkg[0].Name.Name, fset, pkg, nil)
 	}
 }

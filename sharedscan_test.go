@@ -75,7 +75,7 @@ func planCases(rows uint64) []planCase {
 		{"sum",
 			func(k int) []Plan { return repeatPlan(Plan{Op: "sum", Col: ItemPriceColumn}, k) },
 			func(tbl *Table, p Plan) (Result, error) {
-				sum, err := tbl.SumFloat64(p.Col)
+				sum, err := sumOf(tbl, p.Col)
 				return Result{Sum: sum}, err
 			},
 			func(recs []Record, p Plan) Result {
