@@ -283,9 +283,10 @@ type (
 // of one shape (same Op, Col and KeyCol — only predicates or rows
 // differ) from a single pass over the storage — one lock acquisition,
 // one MVCC snapshot, host fragments streamed once for all predicates,
-// device gathers charged per chunk instead of per row. Result k is
-// exactly what executing plans[k] alone would return against that
-// snapshot; the serving layer's batching scheduler collapses concurrent
+// device images acquired once for all of them, device gathers charged
+// per chunk instead of per row. Result k is exactly what executing
+// plans[k] alone would return against that snapshot, under every
+// policy; the serving layer's batching scheduler collapses concurrent
 // compatible requests into this call. SumFloat64Where and
 // GroupBySumWhere below each build the one plan their name describes
 // and run it alone. A result is read-only: a get's record may be the

@@ -26,8 +26,9 @@ func scanSum(t interface{ Scan(Plan) (Result, error) }, col int) (float64, error
 
 // hostSum runs a sum scan over pieces on the host operators.
 func hostSum(cfg exec.Config, pieces []exec.Piece) (float64, error) {
-	r, err := cfg.Scan(exec.Scan{Plan: Plan{Op: exec.KindSum}, Vals: pieces})
-	return r.Sum, err
+	var out [1]Result
+	err := cfg.Scan(exec.Scan{Plan: Plan{Op: exec.KindSum}, Vals: pieces}, out[:])
+	return out[0].Sum, err
 }
 
 func TestQuickstartFlow(t *testing.T) {

@@ -18,10 +18,12 @@ import (
 // one lock acquisition and one MVCC snapshot. The aggregate kinds then
 // run the scan body every engine shares (engine.ScanCohort) over the
 // table as a piece source (source.go): one walk of the chunk list, one
-// fold of the snapshot's visible deltas, and per plan a fold order that
-// does not depend on the cohort — so a solo query is the K=1 case of the
-// same code, and result k of a batch is exactly what a solo Execute of
-// plans[k] would return against that snapshot.
+// exec.Scan carrying every plan's predicate to the host and device legs,
+// one fold of the snapshot's visible deltas, and per plan a fold order
+// that does not depend on the cohort — so a solo query is the K=1 case
+// of the same code, and result k of a batch is exactly what a solo
+// Execute of plans[k] would return against that snapshot, under every
+// host policy.
 //
 // Because all K answers derive from one snapshot taken after every
 // batched request arrived, handing result k to requester k is a valid

@@ -100,6 +100,7 @@ func (s *Stream) Launch(k Kernel) (Partial, error) {
 	if err != nil {
 		return Partial{}, err
 	}
+	s.consume(&k)
 	s.addCompute(kernelNs)
 	if k.grouped() {
 		s.addTransfer(d2hNs)

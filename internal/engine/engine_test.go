@@ -10,10 +10,15 @@ import (
 	"testing"
 
 	"hybridstore/internal/compress"
+	"hybridstore/internal/device"
 	"hybridstore/internal/exec"
+	"hybridstore/internal/exec/pool"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/mem"
+	"hybridstore/internal/obs"
+	"hybridstore/internal/perfmodel"
 	"hybridstore/internal/schema"
+	"hybridstore/internal/stats"
 	"hybridstore/internal/taxonomy"
 )
 
@@ -152,9 +157,9 @@ func (f *fakeSource) Patches(p exec.Plan, fn func(base, cur Cell)) error {
 // was handed.
 type recordingExec struct{ got []exec.Scan }
 
-func (r *recordingExec) Scan(sc exec.Scan) (exec.Result, error) {
+func (r *recordingExec) Scan(sc exec.Scan, out []exec.Result) error {
 	r.got = append(r.got, sc)
-	return exec.Single().Scan(sc)
+	return exec.Single().Scan(sc, out)
 }
 
 // TestScanRoutesValidatesAndPatches pins the shared scan body: the
@@ -312,33 +317,41 @@ func TestScanCohortMatchesSolo(t *testing.T) {
 		t.Errorf("empty cohort = %v, %v", res, err)
 	}
 
-	// Host pieces alternating raw and dictionary-coded random prices: the
-	// shared pass and the solo scan both fold them in piece order, so
-	// each answer is also the one the same pieces give all raw.
-	for seed := int64(1); seed <= 20; seed++ {
-		for _, op := range []exec.Kind{exec.KindSum, exec.KindSumWhere} {
-			plans := []exec.Plan{
-				{Op: op, Col: 1, Pred: exec.Between(10.0, 60.0)},
-				{Op: op, Col: 1, Pred: exec.Gt(0.5)},
-				{Op: op, Col: 1, Pred: exec.Lt(90.0)},
-			}
-			mixed, plain := &mixedSource{s: s, seed: seed, encode: true}, &mixedSource{s: s, seed: seed}
-			got, err := ScanCohort(mixed, exec.Single(), nil, plans, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, p := range plans {
-				solo, err := Scan(mixed, exec.Single(), nil, p)
+	// Host pieces alternating raw and dictionary-coded random prices,
+	// under every host policy: each plan folds them as its solo scan
+	// does, so result k has the solo bits; single-threaded, both fold
+	// in piece order, so each answer is also the one the same pieces
+	// give all raw. Morsels of 128 rows on four workers split the
+	// pieces even on a one-CPU machine.
+	pool.SetMorselSize(128)
+	pool.SetWorkers(4)
+	defer func() { pool.SetMorselSize(0); pool.SetWorkers(0) }()
+	for _, cfg := range []exec.Config{exec.Single(), exec.MultiN(4), exec.Morsel()} {
+		for seed := int64(1); seed <= 20; seed++ {
+			for _, op := range []exec.Kind{exec.KindSum, exec.KindSumWhere} {
+				plans := []exec.Plan{
+					{Op: op, Col: 1, Pred: exec.Between(10.0, 60.0)},
+					{Op: op, Col: 1, Pred: exec.Gt(0.5)},
+					{Op: op, Col: 1, Pred: exec.Lt(90.0)},
+				}
+				mixed, plain := &mixedSource{s: s, seed: seed, encode: true}, &mixedSource{s: s, seed: seed}
+				got, err := ScanCohort(mixed, cfg, nil, plans, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				raw, err := Scan(plain, exec.Single(), nil, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameBits(got[k], solo) || !sameBits(solo, raw) {
-					t.Errorf("seed %d %s %v: shared %x, solo %x, all raw %x", seed, op, p.Pred,
-						math.Float64bits(got[k].Sum), math.Float64bits(solo.Sum), math.Float64bits(raw.Sum))
+				for k, p := range plans {
+					solo, err := Scan(mixed, cfg, nil, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw, err := Scan(plain, cfg, nil, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(got[k], solo) || cfg.Policy == exec.SingleThreaded && !sameBits(solo, raw) {
+						t.Errorf("%v seed %d %s %v: shared %x, solo %x, all raw %x", cfg.Policy, seed, op, p.Pred,
+							math.Float64bits(got[k].Sum), math.Float64bits(solo.Sum), math.Float64bits(raw.Sum))
+					}
 				}
 			}
 		}
@@ -457,14 +470,14 @@ type fullCard struct {
 	err error
 }
 
-func (c *fullCard) Scan(sc exec.Scan) (exec.Result, error) {
+func (c *fullCard) Scan(sc exec.Scan, out []exec.Result) error {
 	for _, vp := range sc.Vals {
 		if vp.Place == exec.Shipped {
 			c.got = append(c.got, sc)
-			return exec.Result{}, c.err
+			return c.err
 		}
 	}
-	return c.recordingExec.Scan(sc)
+	return c.recordingExec.Scan(sc, out)
 }
 
 // TestScanDeviceOutOfMemoryFallsBack pins the capacity rule: a device leg
@@ -493,6 +506,69 @@ func TestScanDeviceOutOfMemoryFallsBack(t *testing.T) {
 		boom := errors.New("boom")
 		if _, err := Scan(&fakeSource{s: s}, exec.Single(), &fullCard{err: boom}, p); !errors.Is(err, boom) {
 			t.Errorf("%s: err = %v, want the device's own error", p.Op, err)
+		}
+	}
+}
+
+// A card too small for the one shipped piece refuses the device leg of
+// a cohort before accounting anything: the resident piece launches once
+// per admitting predicate (not once more for the refused leg), the
+// shipped piece joins the host leg, and every zone decision is counted
+// once — as many as the same pieces all on the host count — with the
+// host-only answers.
+func TestDeviceFallbackAccountsOnce(t *testing.T) {
+	vImg := make([]byte, 12*8)
+	for i := 0; i < 12; i++ {
+		binary.LittleEndian.PutUint64(vImg[i*8:], math.Float64bits(float64(i)+0.1))
+	}
+	pieces := func(places ...exec.Place) *listSource {
+		src := &listSource{s: schema.MustNew(schema.Int64Attr("k"), schema.Float64Attr("v"))}
+		for i, place := range places {
+			z := stats.NewZone()
+			for r := i * 4; r < i*4+4; r++ {
+				z.ObserveFloat64(float64(r) + 0.1)
+			}
+			src.vals = append(src.vals, exec.Piece{Rows: layout.RowRange{Begin: uint64(i * 4), End: uint64(i*4 + 4)},
+				Place: place, Zone: z, Vec: layout.ColVector{Data: vImg, Base: i * 32, Stride: 8, Size: 8, Len: 4}})
+		}
+		return src
+	}
+	prof := perfmodel.DefaultDevice()
+	prof.GlobalMemory = 16 // smaller than the shipped piece's 32 bytes
+	for _, preds := range [][]exec.Pred{{exec.Lt(20.0)}, {exec.Lt(20.0), exec.Gt(1.0), exec.Lt(2.0)}} {
+		plans := make([]exec.Plan, len(preds))
+		for k, p := range preds {
+			plans[k] = exec.Plan{Op: exec.KindSumWhere, Col: 1, Pred: p}
+		}
+		gpu := device.New(prof, nil)
+		z0 := obs.TakeSnapshot()
+		got, err := ScanCohort(pieces(exec.Resident, exec.Shipped, exec.OnHost), exec.Single(), exec.DeviceScan{GPU: gpu}, plans, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z1 := obs.TakeSnapshot()
+		want, err := ScanCohort(pieces(exec.OnHost, exec.OnHost, exec.OnHost), exec.Single(), nil, plans, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		z2 := obs.TakeSnapshot()
+		// The resident piece alone, on a card with room.
+		alone := device.New(perfmodel.DefaultDevice(), nil)
+		if _, err := ScanCohort(pieces(exec.Resident), exec.Single(), exec.DeviceScan{GPU: alone}, plans, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n, once := gpu.Stats().KernelLaunches, alone.Stats().KernelLaunches; n != once || n == 0 {
+			t.Errorf("K=%d: %d kernels, want the resident piece's %d once", len(preds), n, once)
+		}
+		for _, c := range []string{"exec.zonemap.scanned", "exec.zonemap.pruned"} {
+			if d, h := z1.Counter(c)-z0.Counter(c), z2.Counter(c)-z1.Counter(c); d != h {
+				t.Errorf("K=%d %s: %d with a refused device leg, %d on the host alone", len(preds), c, d, h)
+			}
+		}
+		for k := range plans {
+			if got[k].Count != want[k].Count || math.Abs(got[k].Sum-want[k].Sum) > 1e-9 {
+				t.Errorf("K=%d plan %d: %+v, host alone %+v", len(preds), k, got[k], want[k])
+			}
 		}
 	}
 }
@@ -607,7 +683,7 @@ func TestPlacementSplitMatchesStableSort(t *testing.T) {
 		dev := &recordingExec{}
 		res := exec.Result{}
 		plan := exec.Plan{Op: exec.KindGroupSum, KeyCol: 0, Col: 1}
-		if err := legs(src, exec.Single(), dev, []member{{Scan: exec.Scan{Plan: plan}, res: &res}}); err != nil {
+		if err := legs(src, exec.Single(), dev, []member{{Plan: plan, res: &res}}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {

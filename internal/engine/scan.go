@@ -87,9 +87,8 @@ func Scan(src Source, host exec.Config, dev exec.ScanExecutor, p exec.Plan) (exe
 // member is one live plan of a cohort — one that reaches the pieces or
 // a settled base, and the patch — the closed interval [lo, hi] its
 // predicate, if it has one, matches, and the result slot it fills.
-// Pieces join it in the descriptor once the source has listed them.
 type member struct {
-	exec.Scan
+	exec.Plan
 	lo, hi float64
 	res    *exec.Result
 }
@@ -99,12 +98,14 @@ type member struct {
 func (m *member) match(x float64) bool { return !m.HasPred || m.lo <= x && x <= m.hi }
 
 // ScanCohort answers any number of plans of one shape from a single
-// pass over the source — one Pieces call, one walk of the patch rows —
-// with host pieces on the host configuration and shipped and resident
-// pieces on the device executor (which may be nil for a source that
-// never places any). Result k belongs to plans[k] and is exactly what a
-// solo Scan of plans[k] returns over the same source state, because per
-// plan the fold order is fixed and independent of the cohort:
+// pass over the source — one Pieces call, one exec.Scan carrying every
+// live plan's predicate to each leg, one walk of the patch rows — with
+// host pieces on the host configuration and shipped and resident pieces
+// on the device executor (which may be nil for a source that never
+// places any). Result k belongs to plans[k] and has the bits a solo Scan
+// of plans[k] returns over the same source state, under every host
+// policy, because per plan the fold order is fixed and independent of
+// the cohort:
 //
 //   - a predicate no value can satisfy (it has no closed form: Lt(-Inf),
 //     an inverted or NaN-bounded between) is answered with the zero
@@ -112,12 +113,8 @@ func (m *member) match(x float64) bool { return !m.HasPred || m.lo <= x && x <= 
 //     plans are identical, are computed once and copied;
 //   - a plan whose settled base bases (nil: none) knows skips the pieces
 //     and both legs; the others settle theirs into it before the patch;
-//   - the device pieces run per live plan, resident fragments first,
-//     then the shipped ones through the fragment cache (the first
-//     predicate warms an image, the rest scan it for zero bus bytes);
-//   - the host pieces of a sum_where cohort are streamed ONCE through
-//     exec.SumFloat64WhereMulti, every predicate folding the piece
-//     stream in solo order; the other kinds scan them once per plan;
+//   - each leg folds every plan's pieces in piece order, as that plan's
+//     solo scan does (see exec.Config.Scan and exec.DeviceScan.Scan);
 //   - the device result folds first, then the host result, then the
 //     patch, which walks rows outer / plans inner — known bases and
 //     fresh ones alike — and so preserves each plan's ascending-row
@@ -144,7 +141,7 @@ func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exe
 		}
 		// Live: a predicate something can match, or the first of the
 		// identical unfiltered plans.
-		m := member{Scan: exec.Scan{Plan: p}, res: &out[k]}
+		m := member{Plan: p, res: &out[k]}
 		isLive := k == 0
 		if shape.HasPred {
 			m.lo, m.hi, isLive = p.Pred.Closed()
@@ -184,13 +181,20 @@ func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exe
 }
 
 // legs runs the device and host legs of plans that all read the same
-// pieces: their settled-base answers.
+// pieces, each leg once for all of them: their settled-base answers. A
+// card that cannot hold the images the cohort has to ship (too small,
+// or every image pinned by concurrent scans) is no reason to fail a
+// query the host can answer: the device executor refuses before it
+// accounts anything, the shipped pieces — host memory — join the host
+// leg, counted as a fallback, and the resident ones, which need no
+// image, launch on their own. Every other device error propagates.
 func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) error {
-	shape := live[0].Plan
-	keys, vals, err := src.Pieces(shape)
-	if err != nil {
+	sc := exec.Scan{Plan: live[0].Plan}
+	var err error
+	if sc.Keys, sc.Vals, err = src.Pieces(sc.Plan); err != nil {
 		return err
 	}
+	keys, vals := sc.Keys, sc.Vals
 	if keys != nil && len(keys) != len(vals) {
 		return fmt.Errorf("%w: %d key pieces for %d value pieces", exec.ErrBadColumn, len(keys), len(vals))
 	}
@@ -221,75 +225,51 @@ func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) er
 	if nDev > 0 && dev == nil {
 		return fmt.Errorf("%w: device pieces without a device executor", ErrUnsupported)
 	}
-	for j := range live {
-		live[j].Keys, live[j].Vals = keys, vals
+	if len(live) > 1 {
+		sc.Preds = make([]exec.Pred, len(live))
+		for j, m := range live {
+			sc.Preds[j] = m.Pred
+		}
 	}
 
-	if nDev > 0 {
-		for _, m := range live {
-			if *m.res, err = deviceLeg(host, dev, m.Slice(0, nDev), nRes); err != nil {
-				return err
+	// res[:K] is the device leg's answers, res[K:] the host leg's.
+	nk := len(live)
+	res := make([]exec.Result, 2*nk)
+	devRan, hostFrom := nDev > 0, nDev
+	if devRan {
+		err = dev.Scan(sc.Slice(0, nDev), res[:nk])
+		if errors.Is(err, mem.ErrOutOfMemory) {
+			exec.NoteDeviceFallback(sc.Op)
+			devRan, hostFrom, err = nRes > 0, nRes, nil
+			if devRan {
+				err = dev.Scan(sc.Slice(0, nRes), res[:nk])
 			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	// The host leg is skipped only when the device leg took every piece.
-	if nDev == 0 || nDev < len(vals) {
-		var shared []exec.Result
-		if shape.Op == exec.KindSumWhere {
-			preds := make([]exec.Pred, len(live))
-			for j, m := range live {
-				preds[j] = m.Pred
-			}
-			if shared, err = exec.SumFloat64WhereMulti(host, vals[nDev:], preds); err != nil {
-				return err
-			}
+	hostRan := !devRan || hostFrom < len(vals)
+	if hostRan {
+		hostOut := res[:nk]
+		if devRan {
+			hostOut = res[nk:]
 		}
-		for j, m := range live {
-			var part exec.Result
-			if shared != nil {
-				part = shared[j]
-			} else if part, err = host.Scan(m.Slice(nDev, len(vals))); err != nil {
-				return err
-			}
-			if nDev == 0 {
-				*m.res = part
-			} else {
-				fold(m.res, part)
-			}
+		if err := host.Scan(sc.Slice(hostFrom, len(vals)), hostOut); err != nil {
+			return err
+		}
+	}
+	// The device result folds first, then the host result.
+	for j, m := range live {
+		if *m.res = res[j]; devRan && hostRan {
+			part := res[nk+j]
+			m.res.Sum += part.Sum
+			m.res.Count += part.Count
+			m.res.Groups = exec.MergeGroupResults(m.res.Groups, part.Groups)
 		}
 	}
 	return nil
-}
-
-// deviceLeg scans one plan's device pieces — sc's first nRes are
-// resident, the rest shipped — on the device executor. A card that
-// cannot hold the images the plan has to ship (too small, or every image
-// pinned by concurrent scans) is no reason to fail a query the host can
-// answer: the shipped pieces are host memory and scan there, counted as
-// a fallback, while the resident ones, which need no image, still
-// launch. Every other device error propagates.
-func deviceLeg(host exec.Config, dev exec.ScanExecutor, sc exec.Scan, nRes int) (exec.Result, error) {
-	res, err := dev.Scan(sc)
-	if !errors.Is(err, mem.ErrOutOfMemory) {
-		return res, err
-	}
-	exec.NoteDeviceFallback(sc.Op)
-	res = exec.Result{}
-	if nRes > 0 {
-		if res, err = dev.Scan(sc.Slice(0, nRes)); err != nil {
-			return exec.Result{}, err
-		}
-	}
-	part, err := host.Scan(sc.Slice(nRes, len(sc.Vals)))
-	fold(&res, part)
-	return res, err
-}
-
-// fold adds a later leg's partial result to an earlier one's.
-func fold(res *exec.Result, part exec.Result) {
-	res.Sum += part.Sum
-	res.Count += part.Count
-	res.Groups = exec.MergeGroupResults(res.Groups, part.Groups)
 }
 
 // patch applies the source's patch rows to the live plans' base

@@ -183,7 +183,9 @@ func TestGroupFusionPropertyAllEngines(t *testing.T) {
 // small to hold any fragment image, DeviceCache on: every plan a kernel
 // exists for ships its cold chunks, the card refuses them, and the scan
 // body must answer exactly from the host pieces instead of failing the
-// query — one rule for all four kinds — counting the abandonment.
+// query — one rule for all four kinds — counting the abandonment. The
+// refused leg accounts nothing: each zone decision is counted once, as
+// on the same rows in a table without a device.
 func TestGroupFusionDeviceFallback(t *testing.T) {
 	const n = 600
 	const keyCol, valCol = 1, workload.ItemPriceCol
@@ -199,6 +201,11 @@ func TestGroupFusionDeviceFallback(t *testing.T) {
 		t.Fatalf("Create: %v", err)
 	}
 	defer tbl.Free()
+	plain, err := core.New(engine.NewEnv(), core.Options{ChunkRows: 128}).Create("item", workload.ItemSchema())
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	defer plain.Free()
 	// Integer-valued, NaN-free prices: every sum is exact in any fold
 	// order, so the answers compare with ==.
 	item := func(i uint64) schema.Record {
@@ -209,6 +216,9 @@ func TestGroupFusionDeviceFallback(t *testing.T) {
 		return rec
 	}
 	if err := workload.Generate(n, item, func(i uint64, rec schema.Record) error {
+		if _, err := plain.Insert(rec); err != nil {
+			return err
+		}
 		_, err := tbl.Insert(rec)
 		return err
 	}); err != nil {
@@ -235,6 +245,15 @@ func TestGroupFusionDeviceFallback(t *testing.T) {
 			after := obs.TakeSnapshot()
 			if tc.counter != "" && after.Counter(tc.counter) <= before.Counter(tc.counter) {
 				t.Errorf("%s did not advance when the device refused", tc.counter)
+			}
+			if _, err := plain.Scan(tc.plan); err != nil {
+				t.Fatal(err)
+			}
+			last := obs.TakeSnapshot()
+			for _, c := range []string{"exec.zonemap.scanned", "exec.zonemap.pruned"} {
+				if got, want := after.Counter(c)-before.Counter(c), last.Counter(c)-after.Counter(c); got != want {
+					t.Errorf("%s: %d with a refused device leg, %d without a device", c, got, want)
+				}
 			}
 
 			var want exec.Result

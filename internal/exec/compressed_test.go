@@ -227,7 +227,7 @@ func TestScanCompressedPiecesBitIdentical(t *testing.T) {
 		if !p.Op.Grouped() {
 			keys = nil
 		}
-		res, err := Single().Scan(Scan{Plan: p, Keys: keys, Vals: vals})
+		res, err := solo(Single(), Scan{Plan: p, Keys: keys, Vals: vals})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Op, err)
 		}

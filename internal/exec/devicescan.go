@@ -12,6 +12,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"hybridstore/internal/agg"
@@ -118,71 +119,68 @@ func (d DeviceScan) acquire(s *device.Stream, col int, p *Piece) (device.Pin, er
 }
 
 // scanScratch is what one device scan works in and gives back: the
-// surviving piece indexes, the pins held until the stream drains, the
-// host buffer each launch's group table lands in, and the group table
-// the launches fold into. Only Result.Groups — drained from the table —
-// leaves a scan; the rest is recycled, so a warm scan's garbage does
+// zone test of every piece against every predicate, each piece's kernel
+// operands, the pins held until the stream drains, the host buffer each
+// launch's group table lands in, and one group table per result that
+// the launches fold into. Only Result.Groups — drained from the tables
+// — leaves a scan; the rest is recycled, so a warm scan's garbage does
 // not grow with its piece count.
 type scanScratch struct {
-	kept   []int
-	pins   []device.Pin
-	groups []device.GroupPartial
-	table  agg.Table
+	admit   []bool
+	kernels []device.Kernel
+	pins    []device.Pin
+	groups  []device.GroupPartial
+	tables  []agg.Table
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// release returns every pin, empties the group table — a grouped scan
-// that failed may have folded pieces into it — and recycles the scratch.
+// release returns every pin, empties the group tables — a grouped scan
+// that failed may have folded pieces into them — and recycles the
+// scratch.
 func (x *scanScratch) release() {
 	for i := range x.pins {
 		x.pins[i].Release()
 	}
-	x.groups = x.table.Drain(x.groups[:0])
-	x.kept, x.pins, x.groups = x.kept[:0], x.pins[:0], x.groups[:0]
+	for k := range x.tables {
+		x.groups = x.tables[k].Drain(x.groups[:0])
+	}
+	clear(x.kernels)
+	x.admit, x.kernels, x.pins, x.groups = x.admit[:0], x.kernels[:0], x.pins[:0], x.groups[:0]
 	scanScratchPool.Put(x)
 }
 
 // Scan runs the scan on the card: SUM(val) [, COUNT(*) WHERE p] with the
 // tree-reduction kernels, or SUM, COUNT WHERE p GROUP BY key with the
 // fused filter+hash-aggregate kernel — exactly ONE launch plus ONE D2H
-// (the fragment's group table) per surviving fragment pair, no selection
-// vector or intermediate positions ever crossing the bus. Under a
-// predicate, value pieces whose zone maps exclude it are pruned before
-// any bus traffic (both columns' bytes count as saved; the decision is
-// accounted via NoteZoneDecision), and a scan with nothing left returns
-// before any device state exists: no stream, no span, only the zone
-// checks. Survivors are acquired through the fragment cache and reduced
-// on a stream, compressed value pieces from their resident compressed
-// images. What no kernel can run — the unpredicated group-by, an empty
-// predicate, compressed group keys — fails with ErrBadColumn and the
-// caller falls back to the host path.
-func (d DeviceScan) Scan(sc Scan) (Result, error) {
-	lo, hi, err := sc.deviceForm()
-	if err != nil {
-		return Result{}, err
+// (the fragment's group table) per surviving fragment pair and
+// admitting predicate, no selection vector or intermediate positions
+// ever crossing the bus. The pass is piece-major: each value piece is
+// zone-tested against every predicate, and a piece some predicate
+// admits is acquired once — through the fragment cache, compressed
+// value pieces as their resident compressed images — and launched once
+// per predicate that admits it, in piece order, so result k folds
+// exactly the launches a scan of predicate k alone would. Pruned pieces
+// save both columns' bytes (NoteZoneDecision, once per piece and
+// predicate), and a scan with nothing left opens no stream and no span.
+// Every image is acquired before any decision is noted or any kernel
+// launched, so a card that cannot hold them refuses the scan with
+// nothing accounted. What no kernel can run — the unpredicated
+// group-by, an empty predicate, compressed group keys — fails with
+// ErrBadColumn and the caller falls back to the host path.
+func (d DeviceScan) Scan(sc Scan, out []Result) error {
+	if err := sc.deviceForm(out); err != nil {
+		return err
 	}
-	filtered, grouped := sc.Op.Filtered(), sc.Op.Grouped()
+	clear(out)
+	filtered, grouped, nk := sc.Op.Filtered(), sc.Op.Grouped(), len(out)
 	x := scanScratchPool.Get().(*scanScratch)
 	for i := range sc.Vals {
-		vp := &sc.Vals[i]
-		if vp.Vec.Len == 0 {
-			continue
+		for k := range out {
+			x.admit = append(x.admit, sc.Vals[i].Vec.Len > 0 && (!filtered || ZoneAdmits(sc.Vals[i].Zone, sc.pred(k))))
 		}
-		if filtered {
-			admit := ZoneAdmits(vp.Zone, sc.Pred)
-			NoteZoneDecision(admit, sc.zoneBytes(i))
-			if !admit {
-				continue
-			}
-		}
-		x.kept = append(x.kept, i)
 	}
-	if len(x.kept) == 0 {
-		x.release()
-		return Result{}, nil
-	}
-	sp := obsDeviceScan.Start()
+	var sp obs.Span      // opened when some predicate admits a piece
 	var s *device.Stream // opened by the first piece that has to ship
 	defer func() {
 		if s != nil {
@@ -209,38 +207,61 @@ func (d DeviceScan) Scan(sc Scan) (Result, error) {
 		}
 		return device.Vec{Buf: pin.Buffer(), Stride: p.Vec.Size, Size: p.Vec.Size, Len: p.Vec.Len}, nil, nil
 	}
-	var res Result
-	for _, i := range x.kept {
-		vp := &sc.Vals[i]
-		// x.groups is the one host buffer every launch's group table lands
-		// in: each is folded into x.table before the next launch overwrites it.
-		k := device.Kernel{Where: filtered, Lo: lo, Hi: hi, Groups: x.groups, Config: device.ReduceConfigFor(vp.Vec.Len)}
-		if grouped {
-			if k.Keys, _, err = operand(sc.KeyCol, &sc.Keys[i]); err != nil {
-				return Result{}, err
+	if slices.Contains(x.admit, true) {
+		sp = obsDeviceScan.Start()
+	}
+	for i := range sc.Vals {
+		var k device.Kernel
+		if slices.Contains(x.admit[i*nk:(i+1)*nk], true) {
+			vp := &sc.Vals[i]
+			k = device.Kernel{Where: filtered, Config: device.ReduceConfigFor(vp.Vec.Len)}
+			var err error
+			if grouped {
+				if k.Keys, _, err = operand(sc.KeyCol, &sc.Keys[i]); err != nil {
+					return err
+				}
+			}
+			if k.Vals, k.Comp, err = operand(sc.Col, vp); err != nil {
+				return err
 			}
 		}
-		if k.Vals, k.Comp, err = operand(sc.Col, vp); err != nil {
-			return Result{}, err
-		}
-		var part device.Partial
-		if vp.Place == Resident {
-			part, err = d.GPU.Launch(k)
-		} else {
-			part, err = s.Launch(k)
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		res.Sum += part.Sum
-		res.Count += part.Count
-		x.table.Merge(part.Groups)
-		x.groups = part.Groups
+		x.kernels = append(x.kernels, k)
 	}
-	if grouped {
-		res.Groups = x.table.Drain(nil)
+	x.tables = append(x.tables, make([]agg.Table, max(nk-len(x.tables), 0))...)
+	for i, k := range x.kernels {
+		for r := range out {
+			admit := x.admit[i*nk+r]
+			if filtered && sc.Vals[i].Vec.Len > 0 {
+				NoteZoneDecision(admit, sc.zoneBytes(i))
+			}
+			if !admit {
+				continue
+			}
+			if filtered {
+				k.Lo, k.Hi, _ = sc.pred(r).Closed()
+			}
+			// x.groups is the one host buffer every launch's group table
+			// lands in: each is folded into its result's table before the
+			// next launch overwrites it.
+			k.Groups = x.groups
+			launch := d.GPU.Launch
+			if sc.Vals[i].Place != Resident {
+				launch = s.Launch // the piece shipped, so the stream is open
+			}
+			part, err := launch(k)
+			if err != nil {
+				return err
+			}
+			out[r].Sum += part.Sum
+			out[r].Count += part.Count
+			x.tables[r].Merge(part.Groups)
+			x.groups = part.Groups
+		}
 	}
-	return res, nil
+	for r := 0; grouped && r < nk; r++ {
+		out[r].Groups = x.tables[r].Drain(nil)
+	}
+	return nil
 }
 
 // Prime uploads the pieces' images of column col into the fragment cache

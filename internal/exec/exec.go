@@ -275,12 +275,21 @@ func (c Config) chargeScan(pieces []Piece) {
 	for _, p := range pieces {
 		ns += scanPieceNs(c.Host, p, 1) // bandwidth/ALU term once per piece
 	}
+	c.charge(ns, totalLen(pieces))
+}
+
+// charge prices streaming elems elements whose single-threaded cost is
+// ns under the configured policy.
+func (c Config) charge(ns float64, elems int) {
+	if c.Clock == nil {
+		return
+	}
 	switch c.Policy {
 	case MorselDriven:
 		// Morsels are priced as a resident pool on the modelled
 		// platform: one wake plus amortized per-morsel dispatch instead
 		// of per-query thread management.
-		morsels := int64(pool.Morsels(totalLen(pieces), pool.MorselSize()))
+		morsels := int64(pool.Morsels(elems, pool.MorselSize()))
 		ns = c.Host.MorselAmortizedNs(ns, morsels, c.threads())
 	case MultiThreaded:
 		// Thread management is paid once per operator invocation, and the
@@ -383,30 +392,23 @@ func (c Config) partition(slots, total int, fn func(slot, from, to int)) {
 
 // parallelFold folds pieces into a (sum, count) pair under the
 // configured policy; kernel returns the partials of one piece range.
-// Per-slot partials accumulate in range order and reduce in slot order,
-// so a policy's result is deterministic for a given worker count. The
-// sequential case folds piece by piece with no partial storage at all —
-// the serving path's zero-allocation scan.
+// Each range of partition keeps its own partial, reduced in range order,
+// so a policy's result depends on its grain, never on which worker
+// claimed which morsel.
 func parallelFold(cfg Config, pieces []Piece, kernel func(v layout.ColVector, from, to int) (float64, int64)) (sum float64, n int64) {
-	slots := cfg.slots()
-	if slots == 1 {
-		for _, p := range pieces {
-			s, c := kernel(p.Vec, 0, p.Vec.Len)
-			sum += s
-			n += c
-		}
-		return sum, n
-	}
 	type partial struct {
 		sum float64
 		n   int64
 	}
-	parts := make([]partial, slots)
-	cfg.partition(slots, totalLen(pieces), func(slot, gFrom, gTo int) {
+	slots, total := cfg.slots(), totalLen(pieces)
+	g := cfg.grain(slots, total)
+	parts := make([]partial, pool.Morsels(total, g))
+	cfg.partition(slots, total, func(_, gFrom, gTo int) {
+		part := &parts[gFrom/g]
 		eachRange(pieces, gFrom, gTo, func(p Piece, from, to int) {
 			s, c := kernel(p.Vec, from, to)
-			parts[slot].sum += s
-			parts[slot].n += c
+			part.sum += s
+			part.n += c
 		})
 	})
 	for _, part := range parts {

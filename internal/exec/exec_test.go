@@ -17,13 +17,13 @@ func host() *mem.Allocator { return mem.NewAllocator(mem.Host, 0) }
 
 // sumOf runs a sum scan over pieces under cfg.
 func sumOf(cfg Config, pieces []Piece) (float64, error) {
-	r, err := cfg.Scan(Scan{Plan: Plan{Op: KindSum}, Vals: pieces})
+	r, err := solo(cfg, Scan{Plan: Plan{Op: KindSum}, Vals: pieces})
 	return r.Sum, err
 }
 
 // groupSumOf runs a group_sum scan over aligned key and value pieces.
 func groupSumOf(cfg Config, keys, vals []Piece) ([]GroupResult, error) {
-	r, err := cfg.Scan(Scan{Plan: Plan{Op: KindGroupSum}, Keys: keys, Vals: vals})
+	r, err := solo(cfg, Scan{Plan: Plan{Op: KindGroupSum}, Keys: keys, Vals: vals})
 	return r.Groups, err
 }
 

@@ -2,9 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hybridstore/internal/agg"
+	"hybridstore/internal/exec/pool"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
 )
@@ -69,33 +71,6 @@ func checkGroupCols(keys, vals []Piece) error {
 	return checkSize8(vals, "grouped float64 aggregate")
 }
 
-// splitAlignedComp partitions aligned pairs into all-raw pairs (both
-// columns carry bytes) and pairs where either side is compressed. The
-// raw slices alias the inputs when nothing is compressed.
-func splitAlignedComp(keys, vals []Piece) (rawKeys, rawVals, compKeys, compVals []Piece) {
-	split := false
-	for i := range keys {
-		if keys[i].Comp == nil && vals[i].Comp == nil {
-			if split {
-				rawKeys = append(rawKeys, keys[i])
-				rawVals = append(rawVals, vals[i])
-			}
-			continue
-		}
-		if !split {
-			rawKeys = append(rawKeys, keys[:i]...)
-			rawVals = append(rawVals, vals[:i]...)
-			split = true
-		}
-		compKeys = append(compKeys, keys[i])
-		compVals = append(compVals, vals[i])
-	}
-	if !split {
-		return keys, vals, nil, nil
-	}
-	return rawKeys, rawVals, compKeys, compVals
-}
-
 // eachAligned visits the sub-ranges of aligned pairs covering the
 // global element positions [gFrom, gTo); fn receives the pair index and
 // the local element range within it.
@@ -122,20 +97,23 @@ func eachAligned(keys []Piece, gFrom, gTo int, fn func(pi, from, to int)) {
 }
 
 // groupTables runs fold over total global positions under the
-// configured policy and returns the per-slot partial tables. Tables hold
-// query results, so they are per-call (never pooled) — a stale table
-// must not leak one query's groups into another.
+// configured policy and returns the partial tables, one per range of
+// the partition, so their merge in range order depends on the policy's
+// grain, never on which worker claimed which morsel. Tables hold query
+// results, so they are per-call (never pooled) — a stale table must not
+// leak one query's groups into another.
 func groupTables(cfg Config, total int, fold func(table *agg.Table, gFrom, gTo int)) []agg.Table {
 	slots := cfg.slots()
-	tables := make([]agg.Table, slots)
-	cfg.partition(slots, total, func(slot, from, to int) {
-		fold(&tables[slot], from, to)
+	g := cfg.grain(slots, total)
+	tables := make([]agg.Table, pool.Morsels(total, g))
+	cfg.partition(slots, total, func(_, from, to int) {
+		fold(&tables[from/g], from, to)
 	})
 	return tables
 }
 
-// mergeGroupTables folds per-slot partial tables in slot order into one
-// table in key order.
+// mergeGroupTables folds partial tables in order into one table in key
+// order.
 func mergeGroupTables(tables []agg.Table) []GroupResult {
 	if len(tables) == 1 {
 		return tables[0].Drain(nil)
@@ -213,19 +191,33 @@ func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupRes
 			return nil, nil
 		}
 	}
-	rawKeys, rawVals, compKeys, compVals := splitAlignedComp(keys, vals)
+	// The all-raw pairs fold partitioned over the slots; the pairs with a
+	// compressed side fold, in piece order, into one more table behind
+	// the slots'.
+	rawPair := func(i int) bool { return !isComp(keys[i]) && !isComp(vals[i]) }
+	rawKeys, rawVals := keys, vals
+	comp := slices.ContainsFunc(keys, isComp) || slices.ContainsFunc(vals, isComp)
+	if comp {
+		rawKeys, rawVals = nil, nil
+		for i := range keys {
+			if rawPair(i) {
+				rawKeys, rawVals = append(rawKeys, keys[i]), append(rawVals, vals[i])
+			}
+		}
+	}
 	tables := groupTables(cfg, totalLen(rawKeys), func(table *agg.Table, gFrom, gTo int) {
 		eachAligned(rawKeys, gFrom, gTo, func(pi, from, to int) {
 			foldGroupRange(table, keysOf(rawKeys[pi].Vec), rawVals[pi].Vec, from, to, lo, hi, !filtered)
 		})
 	})
-	if len(compVals) > 0 {
-		// The pairs with a compressed side fold, in piece order, into one
-		// more table behind the slots'.
+	if comp {
 		tables = append(tables, agg.Table{})
 		ct := &tables[len(tables)-1]
-		for i, vp := range compVals {
-			kv, err := keyView(compKeys[i])
+		for i, vp := range vals {
+			if rawPair(i) {
+				continue
+			}
+			kv, err := keyView(keys[i])
 			if err != nil {
 				return nil, err
 			}
@@ -257,5 +249,7 @@ func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupRes
 // characterization of the OLAP side, Section II-A): a group_sum_where
 // scan on the host.
 func GroupSumFloat64Where(cfg Config, keys, vals []Piece, p Pred) ([]GroupResult, error) {
-	return groupSum(cfg, keys, vals, p, true)
+	var out [1]Result
+	err := cfg.Scan(Scan{Plan: Plan{Op: KindGroupSumWhere, Pred: p}, Keys: keys, Vals: vals}, out[:])
+	return out[0].Groups, err
 }

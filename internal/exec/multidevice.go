@@ -29,27 +29,28 @@ type MultiDeviceScan struct {
 
 // Scan runs the scan across the fleet: one goroutine per card works
 // through its pieces in order on that card's DeviceScan (which prunes by
-// zone, caches and streams exactly as a lone card does), and
-// Env.SettleMax folds the longest lane into the shared clock. Per-piece
-// results land indexed by original position and fold in piece order —
-// sums left to right, group tables through MergeGroupResults. Scans no
-// kernel can run fail with ErrBadColumn exactly like DeviceScan, before
-// anything is placed; so does a scan carrying Resident pieces, which
-// live on a card outside the fleet.
-func (m *MultiDeviceScan) Scan(sc Scan) (Result, error) {
-	if _, _, err := sc.deviceForm(); err != nil {
-		return Result{}, err
+// zone, caches and streams exactly as a lone card does, each piece
+// acquired once for the whole cohort), and Env.SettleMax folds the
+// longest lane into the shared clock. Per-piece results land indexed by
+// original position and fold in piece order — sums left to right, group
+// tables through MergeGroupResults. Scans no kernel can run fail with
+// ErrBadColumn exactly like DeviceScan, before anything is placed; so
+// does a scan carrying Resident pieces, which live on a card outside the
+// fleet.
+func (m *MultiDeviceScan) Scan(sc Scan, out []Result) error {
+	if err := sc.deviceForm(out); err != nil {
+		return err
 	}
-	n := m.Env.N()
+	n, nk := m.Env.N(), len(out)
 	perCard := make([][]int, n)
 	for j, p := range sc.Vals {
 		if p.Place == Resident {
-			return Result{}, fmt.Errorf("%w: resident pieces on a fleet scan", ErrBadColumn)
+			return fmt.Errorf("%w: resident pieces on a fleet scan", ErrBadColumn)
 		}
 		home := layout.ShardOf(p.FragID, n)
 		perCard[home] = append(perCard[home], j)
 	}
-	parts := make([]Result, len(sc.Vals))
+	parts := make([]Result, len(sc.Vals)*nk)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i, idxs := range perCard {
@@ -62,7 +63,7 @@ func (m *MultiDeviceScan) Scan(sc Scan) (Result, error) {
 		go func() {
 			defer wg.Done()
 			for _, j := range idxs {
-				if parts[j], errs[i] = card.Scan(sc.Slice(j, j+1)); errs[i] != nil {
+				if errs[i] = card.Scan(sc.Slice(j, j+1), parts[j*nk:(j+1)*nk]); errs[i] != nil {
 					return
 				}
 			}
@@ -72,18 +73,21 @@ func (m *MultiDeviceScan) Scan(sc Scan) (Result, error) {
 	m.Env.SettleMax()
 	for _, err := range errs {
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 	}
-	var res Result
-	var tables [][]GroupResult
-	for _, part := range parts {
-		res.Sum += part.Sum
-		res.Count += part.Count
-		if sc.Op.Grouped() {
-			tables = append(tables, part.Groups)
+	clear(out)
+	for k := range out {
+		var tables [][]GroupResult
+		for j := range sc.Vals {
+			part := parts[j*nk+k]
+			out[k].Sum += part.Sum
+			out[k].Count += part.Count
+			if sc.Op.Grouped() {
+				tables = append(tables, part.Groups)
+			}
 		}
+		out[k].Groups = MergeGroupResults(tables...)
 	}
-	res.Groups = MergeGroupResults(tables...)
-	return res, nil
+	return nil
 }

@@ -235,82 +235,75 @@ func appendWhere(buf []uint64, rowBase uint64, v layout.ColVector, from, to int,
 
 // --- Fused operators -----------------------------------------------------
 
+// Shared-pass observability: preds counts the predicates folded into
+// shared passes, saved_passes the passes over the data the sharing
+// avoided (preds - passes), saved_bytes_total the traffic.
+var (
+	mSharedPreds      = obs.NewCounter("exec.sharedscan.preds")
+	mSharedSaved      = obs.NewCounter("exec.sharedscan.saved_passes")
+	mSharedBytesSaved = obs.NewCounter("exec.sharedscan.saved_bytes_total")
+)
+
 // scanSum is the scalar host body, sum and sum_where alike: SUM(col),
-// COUNT(*) WHERE p with no position list materialized, pieces whose zone
-// maps exclude the predicate never touched, compressed pieces evaluated
+// COUNT(*) WHERE p for every predicate of the scan in one pass over the
+// data, with no position list materialized, pieces whose zone maps
+// exclude a predicate never touched for it, compressed pieces evaluated
 // in the compressed domain, and only scanned bytes charged to the
 // platform model. Unfiltered, the test is switched off: nothing is
 // pruned, every element is added (a NaN included) and nothing counted.
-// With one slot every piece folds in piece order (sumPieces); the
-// parallel policies fold the raw pieces' slot partials, then add the
-// compressed pieces' piece-order sum.
-func scanSum(cfg Config, pieces []Piece, p Pred, filtered bool) (float64, int64, error) {
-	if err := checkSize8(pieces, "float64 sum"); err != nil {
-		return 0, 0, err
+//
+// Piece by piece, in piece order, each piece — its bytes folded by agg,
+// or its sealed image by compress.Column.Fold, each in ascending element
+// order — is added to out[k] for every predicate k whose zone test
+// admits it: per predicate, the solo fold, and raw and encoded pieces
+// share the one order, so a column whose chunks mix both sums to the
+// plain store's bits. With more than one slot, predicate k's raw
+// survivors instead fold partitioned over the slots (parallelFold) and
+// add to its compressed ones — again its solo order. The zone decisions
+// are accounted per predicate, as K solo scans would, but the platform
+// model is charged for the union of surviving pieces once. A scan whose
+// every predicate matches nothing returns before it counts as an
+// invocation.
+func scanSum(cfg Config, sc Scan, out []Result) error {
+	if err := checkSize8(sc.Vals, "float64 sum"); err != nil {
+		return err
 	}
-	o, kept := &obsSum, pieces
-	var lo, hi float64
+	clear(out)
+	filtered, pieces := sc.Op.Filtered(), sc.Vals
+	live := !filtered
+	for k := 0; k < len(out) && !live; k++ {
+		_, _, live = sc.pred(k).Closed()
+	}
+	if !live {
+		return nil
+	}
+	o := &obsSum
 	if filtered {
-		var ok bool
-		if lo, hi, ok = p.Closed(); !ok {
-			return 0, 0, nil
-		}
 		o = &obsSumWhere
 	}
-	ot := o.start(cfg.Policy)
-	defer ot.end()
-	if filtered {
-		_, kept, _ = pruneByZone(cfg, nil, pieces, p)
-	}
-	var rawSum float64
-	var rawN int64
-	comp := kept
-	if cfg.slots() > 1 {
-		var raw []Piece
-		raw, comp = splitComp(kept)
-		rawSum, rawN = parallelFold(cfg, raw, func(v layout.ColVector, from, to int) (float64, int64) {
-			vals := v.Data[v.Base+from*v.Stride:]
-			if !filtered {
-				return agg.SumAll(vals, v.Stride, to-from), 0
-			}
-			return agg.SumWhere(vals, v.Stride, to-from, lo, hi)
-		})
-	}
-	var out [1]Result
-	if err := sumPieces(comp, [][2]float64{{lo, hi}}, nil, filtered, out[:]); err != nil {
-		return 0, 0, err
-	}
-	cfg.chargeScan(kept)
-	return rawSum + out[0].Sum, rawN + out[0].Count, nil
-}
-
-// sumPieces is the sequential scalar fold, the solo body's and the
-// shared pass's alike: piece by piece, in piece order, each piece's
-// partial — its bytes folded by agg, or its sealed image by
-// compress.Column.Fold, each in ascending element order — is added to
-// out[k] for every closed interval bounds[k] whose row of admit (nil:
-// every row) lets it see the piece. Raw and encoded pieces share the one
-// order, so a column whose chunks mix both sums to the plain store's
-// bits. Unfiltered, the bounds are ignored, every element is added and
-// nothing is counted.
-func sumPieces(pieces []Piece, bounds [][2]float64, admit []bool, filtered bool, out []Result) error {
+	defer o.start(cfg.Policy).end()
+	parallel := cfg.slots() > 1
+	var ns float64
+	var elems, perPred, union int
 	for i := range pieces {
-		pc := &pieces[i]
-		vals := pc.Vec.Data[pc.Vec.Base:]
-		for k, b := range bounds {
-			if admit != nil && !admit[k*len(pieces)+i] {
+		pc, seen := &pieces[i], false
+		for k := range out {
+			lo, hi, ok := sc.pred(k).Closed()
+			if filtered && (!ok || !ZoneAdmits(pc.Zone, sc.pred(k))) {
 				continue
+			}
+			perPred += pc.Vec.Len * pc.Vec.Size
+			seen = true
+			if parallel && pc.Comp == nil {
+				continue // folded partitioned, below
 			}
 			var s float64
 			var n int64
 			var err error
-			switch {
-			case pc.Comp != nil:
-				s, n, err = pc.Comp.Fold(filtered, b[0], b[1], agg.Keys{}, nil)
-			case filtered:
-				s, n = agg.SumWhere(vals, pc.Vec.Stride, pc.Vec.Len, b[0], b[1])
-			default:
-				s = agg.SumAll(vals, pc.Vec.Stride, pc.Vec.Len)
+			if pc.Comp != nil {
+				s, n, err = pc.Comp.Fold(filtered, lo, hi, agg.Keys{}, nil)
+			} else {
+				s, n = sumRange(pc.Vec, 0, pc.Vec.Len, filtered, lo, hi)
 			}
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrBadColumn, err)
@@ -318,13 +311,54 @@ func sumPieces(pieces []Piece, bounds [][2]float64, admit []bool, filtered bool,
 			out[k].Sum += s
 			out[k].Count += n
 		}
+		if seen {
+			union += pc.Vec.Len * pc.Vec.Size
+			elems += pc.Vec.Len
+			if cfg.Clock != nil {
+				ns += scanPieceNs(cfg.Host, *pc, 1)
+			}
+		}
+	}
+	for k := range out {
+		lo, hi, ok := sc.pred(k).Closed()
+		if filtered && !ok {
+			continue
+		}
+		kept := pieces
+		if filtered {
+			_, kept, _ = pruneByZone(cfg, nil, pieces, sc.pred(k))
+		}
+		if parallel {
+			s, n := parallelFold(cfg, rawOf(kept), func(v layout.ColVector, from, to int) (float64, int64) {
+				return sumRange(v, from, to, filtered, lo, hi)
+			})
+			out[k].Sum, out[k].Count = s+out[k].Sum, n+out[k].Count
+		}
+	}
+	cfg.charge(ns, elems)
+	if len(out) > 1 {
+		mSharedPreds.Add(int64(len(out)))
+		mSharedSaved.Add(int64(len(out) - 1))
+		mSharedBytesSaved.Add(int64(perPred - union))
 	}
 	return nil
 }
 
+// sumRange folds elements [from, to) of a raw vector: the elements in
+// [lo, hi] and their count, or unfiltered every element and no count.
+func sumRange(v layout.ColVector, from, to int, filtered bool, lo, hi float64) (float64, int64) {
+	vals := v.Data[v.Base+from*v.Stride:]
+	if !filtered {
+		return agg.SumAll(vals, v.Stride, to-from), 0
+	}
+	return agg.SumWhere(vals, v.Stride, to-from, lo, hi)
+}
+
 // SumFloat64Where computes SUM(col), COUNT(*) WHERE p in one fused scan.
 func SumFloat64Where(cfg Config, pieces []Piece, p Pred) (float64, int64, error) {
-	return scanSum(cfg, pieces, p, true)
+	var out [1]Result
+	err := cfg.Scan(Scan{Plan: Plan{Op: KindSumWhere, Pred: p}, Vals: pieces}, out[:])
+	return out[0].Sum, out[0].Count, err
 }
 
 // SelVec is a compact selection vector: the sorted global row positions

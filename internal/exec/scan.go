@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridstore/internal/device"
 	"hybridstore/internal/layout"
@@ -30,10 +31,33 @@ const (
 // or group_sum_where, with a normalized Pred — together with the pieces
 // it runs over: Vals is the aggregated float64 column, Keys the
 // row-aligned group-key column of the grouped kinds. It is the one
-// descriptor every scan executor takes, host or device.
+// descriptor every scan executor takes, host or device, and it carries
+// a whole cohort: with Preds set, the scan has one result per predicate,
+// result k the plan's with Preds[k] in place of Pred; without, it has
+// the one result of the plan alone.
 type Scan struct {
 	Plan
+	Preds      []Pred
 	Keys, Vals []Piece
+}
+
+// pred returns result k's predicate.
+func (sc Scan) pred(k int) Pred {
+	if sc.Preds == nil {
+		return sc.Pred
+	}
+	return sc.Preds[k]
+}
+
+// check validates the kind and that out holds one result per predicate.
+func (sc Scan) check(out []Result) error {
+	if !sc.Op.aggregate() {
+		return fmt.Errorf("%w: kind %q is not a scan", ErrBadPlan, sc.Op)
+	}
+	if n := len(sc.Preds); len(out) != n && (sc.Preds != nil || len(out) != 1) {
+		return fmt.Errorf("%w: %d results for a scan of %d predicates", ErrBadPlan, len(out), max(n, 1))
+	}
+	return nil
 }
 
 // Slice returns the scan over pairs [from, to) of its pieces.
@@ -45,26 +69,39 @@ func (sc Scan) Slice(from, to int) Scan {
 	return sc
 }
 
-// ScanExecutor runs a Scan. The host Config, the single-card DeviceScan
-// and the cross-device MultiDeviceScan satisfy it, so an engine's host
-// leg and its device leg enter through the same call.
+// ScanExecutor runs a Scan, writing result k to out[k]. The host
+// Config, the single-card DeviceScan and the cross-device
+// MultiDeviceScan satisfy it, so an engine's host leg and its device leg
+// enter through the same call, once per cohort.
 type ScanExecutor interface {
-	Scan(Scan) (Result, error)
+	Scan(sc Scan, out []Result) error
 }
 
 // Scan runs the scan on the host operators under the configured policy:
-// one scalar body, one grouped body, the kind's predicate — or none —
-// an argument of each.
-func (c Config) Scan(sc Scan) (res Result, err error) {
-	if !sc.Op.aggregate() {
-		return res, fmt.Errorf("%w: kind %q is not a scan", ErrBadPlan, sc.Op)
+// one scalar body, one grouped body, the kind's predicates — or none —
+// an argument of each. A cohort of scalar scans is the shared-scan
+// operator behind the serving layer's batching scheduler
+// (Crescando/SharedDB-style): K sargable predicates over the same column
+// that differ only in their bounds are folded in ONE pass over the data
+// instead of K when the policy has one slot, amortizing the memory
+// traffic that dominates fused aggregation; with more slots, and for the
+// grouped kinds, each predicate folds its pieces on its own. Either way
+// result k is exactly what a scan of predicate k alone returns.
+func (c Config) Scan(sc Scan, out []Result) error {
+	if err := sc.check(out); err != nil {
+		return err
 	}
-	if sc.Op.Grouped() {
-		res.Groups, err = groupSum(c, sc.Keys, sc.Vals, sc.Pred, sc.Op.Filtered())
-	} else {
-		res.Sum, res.Count, err = scanSum(c, sc.Vals, sc.Pred, sc.Op.Filtered())
+	if !sc.Op.Grouped() {
+		return scanSum(c, sc, out)
 	}
-	return res, err
+	for k := range out {
+		g, err := groupSum(c, sc.Keys, sc.Vals, sc.pred(k), sc.Op.Filtered())
+		if err != nil {
+			return err
+		}
+		out[k] = Result{Groups: g}
+	}
+	return nil
 }
 
 // DeviceOK reports whether a device kernel exists for the plan: none
@@ -78,34 +115,29 @@ func (p Plan) DeviceOK() bool {
 	return p.Op == KindSum
 }
 
-// deviceForm validates the scan for the device executors and returns
-// the closed interval the filter kernels consume. Scans no kernel can
-// run fail with ErrBadColumn before any zone decision is accounted, so
-// callers fall back to the host without double counting.
-func (sc Scan) deviceForm() (lo, hi float64, err error) {
-	switch sc.Op {
-	case KindSum, KindSumWhere:
-		err = checkSize8(sc.Vals, "device float64 sum")
-	case KindGroupSumWhere:
-		err = checkGroupCols(sc.Keys, sc.Vals)
-	default:
-		err = fmt.Errorf("%w: no device kernel for %q", ErrBadColumn, sc.Op)
+// deviceForm validates the scan for the device executors. Scans no
+// kernel can run — of a kind without one, with a predicate that has no
+// closed interval for the filter kernels (Plan.DeviceOK), or over
+// compressed group keys — fail with ErrBadColumn before any zone
+// decision is accounted, so callers fall back to the host without
+// double counting.
+func (sc Scan) deviceForm(out []Result) error {
+	if err := sc.check(out); err != nil {
+		return err
 	}
-	if err != nil {
-		return 0, 0, err
-	}
-	if sc.Op.Filtered() {
-		var ok bool
-		if lo, hi, ok = sc.Pred.Closed(); !ok {
-			return 0, 0, fmt.Errorf("%w: predicate %v has no closed-interval form for the device kernel", ErrBadColumn, sc.Pred.Op)
+	for k := range out {
+		p := sc.Plan
+		if p.Pred = sc.pred(k); !p.DeviceOK() {
+			return fmt.Errorf("%w: no device kernel for %q over %v", ErrBadColumn, p.Op, p.Pred)
 		}
 	}
-	for _, kp := range sc.Keys {
-		if kp.Comp != nil {
-			return 0, 0, fmt.Errorf("%w: compressed group keys are host-only", ErrBadColumn)
-		}
+	if !sc.Op.Grouped() {
+		return checkSize8(sc.Vals, "device float64 sum")
 	}
-	return lo, hi, nil
+	if slices.ContainsFunc(sc.Keys, isComp) {
+		return fmt.Errorf("%w: compressed group keys are host-only", ErrBadColumn)
+	}
+	return checkGroupCols(sc.Keys, sc.Vals)
 }
 
 // zoneBytes is what pruning pair i of the scan saves: the value piece's

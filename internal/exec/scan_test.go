@@ -18,10 +18,17 @@ import (
 	"hybridstore/internal/stats"
 )
 
+// solo runs sc, a scan of one result, on ex.
+func solo(ex ScanExecutor, sc Scan) (Result, error) {
+	var out [1]Result
+	err := ex.Scan(sc, out[:])
+	return out[0], err
+}
+
 // scanOn runs one scan kind over key column 0 / value column 1 on an
 // executor.
 func scanOn(ex ScanExecutor, op Kind, keys, vals []Piece, p Pred) (Result, error) {
-	return ex.Scan(Scan{Plan: Plan{Op: op, KeyCol: 0, Col: 1, Pred: p}.Normalize(), Keys: keys, Vals: vals})
+	return solo(ex, Scan{Plan: Plan{Op: op, KeyCol: 0, Col: 1, Pred: p}.Normalize(), Keys: keys, Vals: vals})
 }
 
 // scanKinds are the four aggregate kinds a Scan carries.
@@ -705,9 +712,11 @@ func TestMultiDevicePerCardCountersSumToGlobal(t *testing.T) {
 }
 
 // A device scan works in recycled scratch, so a grouped scan that fails
-// after folding pieces must leave nothing behind: the next scan answers
-// bit for bit what it answered before the failure. The failing card has
-// room for one launch's two images; the second launch cannot upload.
+// must leave nothing behind: the next scan answers bit for bit what it
+// answered before the failure. The failing card has room for one
+// launch's two images and a third; the fourth cannot upload, and since
+// every image is acquired before the first launch, the refused scan has
+// launched nothing.
 func TestDeviceGroupScanFailureLeavesNoGroups(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the next scan gets the failed one's scratch
 	const nf, fragRows = 4, 512
@@ -728,8 +737,8 @@ func TestDeviceGroupScanFailureLeavesNoGroups(t *testing.T) {
 	if _, err := scanOn(DeviceScan{GPU: small}, KindGroupSumWhere, keys, vals, p); !errors.Is(err, mem.ErrOutOfMemory) {
 		t.Fatalf("scan on a card with room for 3 images: err = %v, want ErrOutOfMemory", err)
 	}
-	if launched := small.Stats().KernelLaunches; launched < 1 {
-		t.Fatalf("the failing scan launched %d kernels, want at least 1 folded before the failure", launched)
+	if launched := small.Stats().KernelLaunches; launched != 0 {
+		t.Fatalf("the refused scan launched %d kernels, want none", launched)
 	}
 	if used := small.Allocator().Used(); used != 0 {
 		t.Errorf("the failed scan left %d device bytes allocated", used)
@@ -921,5 +930,69 @@ func TestMultiDeviceWarmThroughputScales(t *testing.T) {
 	}
 	if speedup := warm[1] / warm[4]; speedup < 2 {
 		t.Fatalf("4-card warm speedup = %.2f, want >= 2", speedup)
+	}
+}
+
+// A device cohort is one piece-major pass: each piece some predicate
+// admits is acquired once for the whole cohort — a warm cache hits once
+// per surviving piece, not once per predicate — and launched once per
+// predicate that admits it, so the card's kernel and bus counts are
+// those of K solo scans, cold and warm, and result k is solo scan k's.
+func TestDeviceCohortAcquiresOnce(t *testing.T) {
+	_, vals, _, valF := groupScanFixture(8, 512)
+	for i := range valF {
+		valF[i] += 0.1 * float64(i%7)
+	}
+	img := encodeF64(valF)
+	for i := range vals {
+		vals[i].Vec.Data = img
+	}
+	// Fragment f holds [100f, 100f+100): the predicates admit fragments
+	// 0-1, 4-6 and 6-7, six of the eight together.
+	preds := []Pred{Between(0, 150), Between(420, 650), Gt(650)}
+	const union = 6
+	card := func() DeviceScan {
+		gpu := device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})
+		return DeviceScan{GPU: gpu, Cache: device.NewFragCache(gpu), Table: "cohort"}
+	}
+	cohort, solos := card(), card()
+	for pass, name := range []string{"cold", "warm"} {
+		c0, s0 := cohort.Cache.Stats(), solos.Cache.Stats()
+		g0, h0 := cohort.GPU.Stats(), solos.GPU.Stats()
+		got := make([]Result, len(preds))
+		if err := cohort.Scan(Scan{Plan: Plan{Op: KindSumWhere, Col: 1}, Preds: preds, Vals: vals}, got); err != nil {
+			t.Fatal(err)
+		}
+		for k, p := range preds {
+			want, err := scanOn(solos, KindSumWhere, nil, vals, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResultBits(got[k], want) {
+				t.Errorf("%s pred %d: cohort %+v, solo %+v", name, k, got[k], want)
+			}
+		}
+		c1, g1, h1 := cohort.Cache.Stats(), cohort.GPU.Stats(), solos.GPU.Stats()
+		if acquires := c1.Hits + c1.Misses - c0.Hits - c0.Misses; acquires != union {
+			t.Errorf("%s: the cohort acquired %d images, want one per surviving piece (%d)", name, acquires, union)
+		}
+		if pass == 1 && c1.Hits-c0.Hits != union {
+			t.Errorf("warm: %d cache hits, want %d", c1.Hits-c0.Hits, union)
+		}
+		if s1 := solos.Cache.Stats(); pass == 1 && s1.Hits-s0.Hits <= union {
+			t.Errorf("warm: the solo scans hit %d times, want one per piece per predicate", s1.Hits-s0.Hits)
+		}
+		for _, m := range []struct {
+			what      string
+			got, want int64
+		}{
+			{"kernels", g1.KernelLaunches - g0.KernelLaunches, h1.KernelLaunches - h0.KernelLaunches},
+			{"h2d bytes", g1.HostToDeviceBytes - g0.HostToDeviceBytes, h1.HostToDeviceBytes - h0.HostToDeviceBytes},
+			{"d2h bytes", g1.DeviceToHostBytes - g0.DeviceToHostBytes, h1.DeviceToHostBytes - h0.DeviceToHostBytes},
+		} {
+			if m.got != m.want {
+				t.Errorf("%s %s: cohort %d, %d solo scans %d", name, m.what, m.got, len(preds), m.want)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/compress"
+	"hybridstore/internal/exec/pool"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/stats"
 )
@@ -24,9 +25,33 @@ func zonedRawPieces(vals []float64, np int) []Piece {
 	return pieces
 }
 
+// cohort runs one host scan of kind op carrying every predicate.
+func cohort(t *testing.T, cfg Config, op Kind, keys, vals []Piece, preds []Pred) []Result {
+	t.Helper()
+	out := make([]Result, len(preds))
+	if err := cfg.Scan(Scan{Plan: Plan{Op: op}, Preds: preds, Keys: keys, Vals: vals}, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameResultBits compares two results bit for bit, group tables included.
+func sameResultBits(a, b Result) bool {
+	if math.Float64bits(a.Sum) != math.Float64bits(b.Sum) || a.Count != b.Count || len(a.Groups) != len(b.Groups) {
+		return false
+	}
+	for i, g := range a.Groups {
+		if h := b.Groups[i]; g.Key != h.Key || g.Count != h.Count || math.Float64bits(g.Sum) != math.Float64bits(h.Sum) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSharedScanMatchesSolo asserts the core contract: every predicate's
-// result from one shared pass is bit-identical to its solo fused scan,
-// across predicate shapes, zone pruning, and compressed pieces.
+// result from one cohort scan is bit-identical to its solo fused scan,
+// across predicate shapes, zone pruning, compressed pieces and the three
+// host policies.
 func TestSharedScanMatchesSolo(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 4096
@@ -41,24 +66,24 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 		Eq(vals[17]),
 		Between(-10, -5), // fully pruned by every zone
 		Lt(250),          // same shape, different bound
+		Between(2, 1),    // matches nothing
 	}
-
-	t.Run("raw+zones", func(t *testing.T) {
-		pieces := zonedRawPieces(vals, 8)
-		res, err := SumFloat64WhereMulti(Single(), pieces, preds)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// matches holds a cohort's results to the solo scans of its predicates.
+	matches := func(t *testing.T, cfg Config, pieces []Piece) {
+		t.Helper()
+		res := cohort(t, cfg, KindSumWhere, nil, pieces, preds)
 		for k, p := range preds {
-			ws, wn, err := SumFloat64Where(Single(), pieces, p)
+			ws, wn, err := SumFloat64Where(cfg, pieces, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Float64bits(res[k].Sum) != math.Float64bits(ws) || res[k].Count != wn {
-				t.Fatalf("pred %d (%v): shared (%v, %d) != solo (%v, %d)", k, p, res[k].Sum, res[k].Count, ws, wn)
+				t.Fatalf("policy %v pred %d (%v): shared (%v, %d) != solo (%v, %d)", cfg.Policy, k, p, res[k].Sum, res[k].Count, ws, wn)
 			}
 		}
-	})
+	}
+
+	t.Run("raw+zones", func(t *testing.T) { matches(t, Single(), zonedRawPieces(vals, 8)) })
 
 	t.Run("mixed-compressed", func(t *testing.T) {
 		// Half the pieces raw, half sealed as dictionary images over a
@@ -77,66 +102,68 @@ func TestSharedScanMatchesSolo(t *testing.T) {
 				mixed = append(mixed, comp[i])
 			}
 		}
-		res, err := SumFloat64WhereMulti(Single(), mixed, preds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, p := range preds {
-			ws, wn, err := SumFloat64Where(Single(), mixed, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(res[k].Sum) != math.Float64bits(ws) || res[k].Count != wn {
-				t.Fatalf("pred %d (%v): shared (%v, %d) != solo (%v, %d)", k, p, res[k].Sum, res[k].Count, ws, wn)
-			}
-		}
+		matches(t, Single(), mixed)
 	})
 
+	// The parallel policies on fractional values, whose sums depend on
+	// the fold order: the cohort folds each predicate as its solo scan
+	// does, so the bits agree. Morsels of 128 rows on four workers split
+	// the pieces even on a one-CPU machine.
 	t.Run("parallel-policies-integer-data", func(t *testing.T) {
-		ivals := make([]float64, n)
-		for i := range ivals {
-			ivals[i] = math.Floor(rng.Float64() * 100)
+		pool.SetMorselSize(128)
+		pool.SetWorkers(4)
+		defer func() { pool.SetMorselSize(0); pool.SetWorkers(0) }()
+		fvals := make([]float64, n)
+		for i := range fvals {
+			fvals[i] = rng.Float64() * 1000
 		}
-		pieces := zonedRawPieces(ivals, 8)
+		pieces := zonedRawPieces(fvals, 8)
 		for _, cfg := range []Config{Single(), MultiN(4), Morsel()} {
-			res, err := SumFloat64WhereMulti(cfg, pieces, preds)
-			if err != nil {
-				t.Fatal(err)
+			matches(t, cfg, pieces)
+			keys, gvals, _, valF := groupScanFixture(4, 512)
+			for i := range valF {
+				valF[i] += 0.1 * float64(i%7)
 			}
-			for k, p := range preds {
-				ws, wn, err := SumFloat64Where(cfg, pieces, p)
+			img := encodeF64(valF)
+			for i := range gvals {
+				gvals[i].Vec.Data = img
+			}
+			gpreds := []Pred{Between(0, 150.5), Gt(120.3), Lt(-1)}
+			res := cohort(t, cfg, KindGroupSumWhere, keys, gvals, gpreds)
+			for k, p := range gpreds {
+				solo, err := GroupSumFloat64Where(cfg, keys, gvals, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res[k].Sum != ws || res[k].Count != wn {
-					t.Fatalf("policy %v pred %d: shared (%v, %d) != solo (%v, %d)", cfg.Policy, k, res[k].Sum, res[k].Count, ws, wn)
+				if !sameResultBits(res[k], Result{Groups: solo}) {
+					t.Fatalf("policy %v grouped pred %d: shared %+v != solo %+v", cfg.Policy, k, res[k].Groups, solo)
 				}
 			}
 		}
 	})
 }
 
-// TestSharedScanDegenerate covers the 0- and 1-predicate fast paths.
+// TestSharedScanDegenerate covers the cohort of no predicates, the
+// cohort of one, and a result slice that does not match the predicates.
 func TestSharedScanDegenerate(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	pieces := rawPieces(encodeF64(vals), len(vals), 2)
 
-	res, err := SumFloat64WhereMulti(Single(), pieces, nil)
-	if err != nil || len(res) != 0 {
-		t.Fatalf("empty preds: %v %v", res, err)
+	if res := cohort(t, Single(), KindSumWhere, nil, pieces, []Pred{}); len(res) != 0 {
+		t.Fatalf("empty preds: %v", res)
 	}
-
-	res, err = SumFloat64WhereMulti(Single(), pieces, []Pred{Gt(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := cohort(t, Single(), KindSumWhere, nil, pieces, []Pred{Gt(4)})
 	if res[0].Sum != 5+6+7+8 || res[0].Count != 4 {
 		t.Fatalf("single pred: got (%v, %d)", res[0].Sum, res[0].Count)
+	}
+	sc := Scan{Plan: Plan{Op: KindSumWhere}, Preds: []Pred{Gt(4), Lt(2)}, Vals: pieces}
+	if err := Single().Scan(sc, make([]Result, 1)); err == nil {
+		t.Fatal("two predicates into one result slot accepted")
 	}
 }
 
 // TestSharedScanAccounting asserts the sharing is visible in obs: one
-// operator invocation per batch, saved passes counted, and the
+// operator invocation per cohort, saved passes counted, and the
 // saved-bytes counter advancing when predicates overlap on the same
 // pieces.
 func TestSharedScanAccounting(t *testing.T) {
@@ -148,12 +175,10 @@ func TestSharedScanAccounting(t *testing.T) {
 	}
 	pieces := zonedRawPieces(vals, 4)
 	preds := []Pred{Lt(2000), Gt(-1), Between(0, 5000)}
-	if _, err := SumFloat64WhereMulti(Single(), pieces, preds); err != nil {
-		t.Fatal(err)
-	}
+	cohort(t, Single(), KindSumWhere, nil, pieces, preds)
 	s := obs.TakeSnapshot()
-	if got := s.Counter("exec.sharedsumwhere.single-threaded.ops"); got != 1 {
-		t.Fatalf("shared ops = %d, want 1", got)
+	if got := s.Counter("exec.sumwhere.single-threaded.ops"); got != 1 {
+		t.Fatalf("sum_where ops = %d, want 1", got)
 	}
 	if got := s.Counter("exec.sharedscan.preds"); got != 3 {
 		t.Fatalf("shared preds = %d, want 3", got)

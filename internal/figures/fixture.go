@@ -187,14 +187,21 @@ func (r *rig) meter() cost {
 // step is one measured unit of work on a rig.
 type step func(r *rig) (exec.Result, error)
 
+// solo runs sc, a scan of one result, on ex.
+func solo(ex exec.ScanExecutor, sc exec.Scan) (exec.Result, error) {
+	var out [1]exec.Result
+	err := ex.Scan(sc, out[:])
+	return out[0], err
+}
+
 // onHost is the step that scans sc on the rig's host operators.
 func onHost(p exec.Policy, sc exec.Scan) step {
-	return func(r *rig) (exec.Result, error) { return r.host(p).Scan(sc) }
+	return func(r *rig) (exec.Result, error) { return solo(r.host(p), sc) }
 }
 
 // onCard is the step that scans sc on the rig's card.
 func onCard(table string, sc exec.Scan) step {
-	return func(r *rig) (exec.Result, error) { return r.card(table).Scan(sc) }
+	return func(r *rig) (exec.Result, error) { return solo(r.card(table), sc) }
 }
 
 // legs runs the measured steps of one sweep point. Every leg's answer is

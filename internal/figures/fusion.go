@@ -230,7 +230,7 @@ func fusionHostBaseline(cfg exec.Config, keysDense, valsDense []byte, rows uint6
 	if err != nil {
 		return nil, err
 	}
-	res, err := cfg.Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindGroupSum}, Keys: mk, Vals: mv})
+	res, err := solo(cfg, exec.Scan{Plan: exec.Plan{Op: exec.KindGroupSum}, Keys: mk, Vals: mv})
 	return res.Groups, err
 }
 

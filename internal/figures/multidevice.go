@@ -106,7 +106,7 @@ func MeasureMultiDevice(rows uint64, fragments int, counts []int, sels []float64
 				pt.HostOnlyNs = l.on(newRig(false), "host leg", onHost(exec.MorselDriven, sc)).Ns
 
 				// Single-card reference for the bit-identity cross-check.
-				ref, err := newRig(true).card("multidev").Scan(sc)
+				ref, err := solo(newRig(true).card("multidev"), sc)
 				if err != nil {
 					return nil, fmt.Errorf("figures: multidevice reference leg: %w", err)
 				}
@@ -115,7 +115,7 @@ func MeasureMultiDevice(rows uint64, fragments int, counts []int, sels []float64
 				fleet := newFleetRig(d)
 				md := &exec.MultiDeviceScan{Env: fleet.fleet, Table: "multidev"}
 				pass := func(*rig) (exec.Result, error) {
-					got, err := md.Scan(sc)
+					got, err := solo(md, sc)
 					if err == nil && !sameBits(got, ref) {
 						err = fmt.Errorf("got (%v, %d), single-card (%v, %d)", got.Sum, got.Count, ref.Sum, ref.Count)
 					}

@@ -84,7 +84,7 @@ func measureScan(n uint64, repeats int) (rowNs, colNs float64, err error) {
 		best := float64(0)
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
-			res, err := exec.Single().Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindSum}, Vals: pieces})
+			res, err := solo(exec.Single(), exec.Scan{Plan: exec.Plan{Op: exec.KindSum}, Vals: pieces})
 			elapsed := float64(time.Since(start).Nanoseconds())
 			if err != nil {
 				return 0, err

@@ -201,8 +201,8 @@ func MeasureSelectivity(rows uint64, fragments int, selectivities []float64, rep
 				want exec.Result
 				run  func() (exec.Result, error)
 			}{
-				{want, func() (exec.Result, error) { return cfg.Scan(exec.Scan{Plan: plan, Vals: pieces}) }},
-				{want, func() (exec.Result, error) { return cfg.Scan(exec.Scan{Plan: plan, Vals: stripped}) }},
+				{want, func() (exec.Result, error) { return solo(cfg, exec.Scan{Plan: plan, Vals: pieces}) }},
+				{want, func() (exec.Result, error) { return solo(cfg, exec.Scan{Plan: plan, Vals: stripped}) }},
 				{exec.Result{Count: want.Count}, func() (exec.Result, error) {
 					n, err := exec.CountFloat64(cfg, stripped, p.Match)
 					return exec.Result{Count: n}, err

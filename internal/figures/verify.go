@@ -121,7 +121,7 @@ func Verify(n uint64) (VerifyReport, error) {
 		if err != nil {
 			return report, err
 		}
-		res, err := cfg.c.Scan(exec.Scan{Plan: exec.Plan{Op: exec.KindSum}, Vals: pieces})
+		res, err := solo(cfg.c, exec.Scan{Plan: exec.Plan{Op: exec.KindSum}, Vals: pieces})
 		if err != nil {
 			return report, err
 		}

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"hybridstore/internal/exec/pool"
 )
 
 // planCase is one plan shape of the equivalence table: the K plans a
@@ -166,13 +168,15 @@ func sameResult(a, b Result, exact bool) bool {
 }
 
 // storageConfigs are the storage configurations the equivalence tables
-// run under: plain host, device cache, compression, device placement,
-// and placement beside the device cache.
+// run under: plain host under each host policy, device cache,
+// compression, device placement, and placement beside the device cache.
 var storageConfigs = []struct {
 	name string
 	opts Options
 }{
 	{"host", Options{ChunkRows: 128, HotChunks: 1}},
+	{"host/multi-threaded", Options{ChunkRows: 128, HotChunks: 1, Policy: MultiThreaded}},
+	{"host/morsel-driven", Options{ChunkRows: 128, HotChunks: 1, Policy: MorselDriven}},
 	{"devicecache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true}},
 	{"compress+cache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Compress: true}},
 	{"placement", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true}},
@@ -186,12 +190,16 @@ var storageConfigs = []struct {
 // fold over Get-materialized records (sums to rounding, everything else
 // exactly) — across storage configurations (plain host, device cache,
 // compression, device placement, and placement beside the device
-// cache), with unmerged MVCC deltas in flight, after Merge, and after
-// further updates + Merge. With the cache on, a clean table's answers
-// must also be served by Peek.
+// cache) and host policies, with unmerged MVCC deltas in flight, after
+// Merge, and after further updates + Merge. With the cache on, a clean
+// table's answers must also be served by Peek. Morsels of 128 rows on
+// four workers split the scans even on a one-CPU machine.
 func TestSharedScanMatchesSoloFacade(t *testing.T) {
 	const rows = 1000
 	cases := planCases(rows)
+	pool.SetMorselSize(128)
+	pool.SetWorkers(4)
+	defer func() { pool.SetMorselSize(0); pool.SetWorkers(0) }()
 	for _, cfg := range storageConfigs {
 		for _, cached := range []bool{false, true} {
 			opts := cfg.opts
