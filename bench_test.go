@@ -383,19 +383,19 @@ func BenchmarkFig2Panel3Device(b *testing.B) {
 	}
 	v := pieces[0].Vec
 	want := workload.ExpectedItemPriceSum(BenchRows)
+	out := make([]device.Partial, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := fix.gpu.CopyToDevice(fix.priceBuf, 0, v.Data[v.Base:v.Base+v.Len*v.Size]); err != nil {
 			b.Fatal(err)
 		}
-		out, err := fix.gpu.Launch(device.Kernel{
-			Vals:   device.Vec{Buf: fix.priceBuf, Stride: 8, Size: 8, Len: BenchRows},
-			Config: device.DefaultReduceConfig()})
-		if err != nil {
+		if err := fix.gpu.Launch(device.Kernel{
+			Segs:   []device.Segment{{Vals: device.Vec{Buf: fix.priceBuf, Stride: 8, Size: 8, Len: BenchRows}}},
+			Config: device.DefaultReduceConfig()}, out); err != nil {
 			b.Fatal(err)
 		}
-		if out.Sum < want-1 || out.Sum > want+1 {
-			b.Fatalf("sum = %v", out.Sum)
+		if out[0].Sum < want-1 || out[0].Sum > want+1 {
+			b.Fatalf("sum = %v", out[0].Sum)
 		}
 	}
 	b.StopTimer()
@@ -408,16 +408,16 @@ func BenchmarkFig2Panel4Device(b *testing.B) {
 	fixtures(b)
 	d := perfmodel.DefaultDevice()
 	want := workload.ExpectedItemPriceSum(BenchRows)
+	out := make([]device.Partial, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := fix.gpu.Launch(device.Kernel{
-			Vals:   device.Vec{Buf: fix.priceBuf, Stride: 8, Size: 8, Len: BenchRows},
-			Config: device.DefaultReduceConfig()})
-		if err != nil {
+		if err := fix.gpu.Launch(device.Kernel{
+			Segs:   []device.Segment{{Vals: device.Vec{Buf: fix.priceBuf, Stride: 8, Size: 8, Len: BenchRows}}},
+			Config: device.DefaultReduceConfig()}, out); err != nil {
 			b.Fatal(err)
 		}
-		if out.Sum < want-1 || out.Sum > want+1 {
-			b.Fatalf("sum = %v", out.Sum)
+		if out[0].Sum < want-1 || out[0].Sum > want+1 {
+			b.Fatalf("sum = %v", out[0].Sum)
 		}
 	}
 	b.StopTimer()

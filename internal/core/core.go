@@ -31,6 +31,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"hybridstore/internal/compress"
 	"hybridstore/internal/engine"
@@ -216,6 +217,9 @@ type Table struct {
 	// epoch is the result-cache stamp of an aggregate, moved by every
 	// base mutation of any chunk (touch).
 	epoch rescache.Stamp
+	// lists are the piece lists scans last built, ungrouped and grouped
+	// (scanSource.Pieces); touch drops them.
+	lists [2]atomic.Pointer[pieceList]
 
 	// pk is the primary-key hash index over attribute 0 (nil when the
 	// schema has no int64 key attribute).

@@ -49,6 +49,9 @@ var epochs atomic.Uint64
 // a table no other goroutine can reach yet.
 func (t *Table) touch(c *chunk) {
 	t.epoch = rescache.Stamp{Frags: []rescache.FragVer{{Ver: epochs.Add(1)}}}
+	for i := range t.lists {
+		t.lists[i].Store(nil)
+	}
 	if c != nil {
 		c.epoch = t.epoch
 	}

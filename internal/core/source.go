@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"hybridstore/internal/engine"
@@ -50,41 +49,82 @@ func (s *scanSource) release() {
 // Schema returns the relation schema.
 func (s *scanSource) Schema() *schema.Schema { return s.t.s }
 
-// Pieces is the one chunk walk behind every aggregate kind: per chunk
-// the plan's value piece and, for the grouped kinds, its key piece, zone
-// maps attached. A pair whose fragments all live in device memory is
-// Resident when a kernel exists for the plan; where none does (the
-// unpredicated group-by), or only one side of a pair was placed, the
-// host reads the device bytes across the bus, charged on the simulated
-// clock. Everything else scans from its side-car compressed image where
-// one covers it. With DeviceCache on, cold chunks are Shipped when a
-// kernel exists: they ride the fragment cache, group keys raw (the
-// fused kernel sweeps them beside the values). Hot chunks stay on the
-// host — every insert would invalidate their image, so caching them
-// only thrashes the bus.
+// Pieces hands out a copy of the table's piece list for the plan's
+// shape, built by the one chunk walk behind every aggregate kind (list)
+// and kept until the next base mutation, and charges the bus for the
+// device bytes the host reads.
 func (s *scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 	t := s.t
-	rows := t.rel.Rows()
-	kernel := p.DeviceOK()
-	ship := kernel && t.eng.opts.DeviceCache && t.env.Cache != nil
-	vals = slices.Grow(s.vals[:0], len(t.chunks))
-	if p.Op.Grouped() {
-		keys = slices.Grow(s.keys[:0], len(t.chunks))
+	l, err := t.list(p)
+	if err != nil {
+		return nil, nil, err
 	}
+	for i := 0; t.env.Clock != nil && i < len(l.charges); i++ {
+		t.env.Clock.Advance(l.charges[i])
+	}
+	// The source keeps the lists, grown or not, for the next scan.
+	s.vals = append(s.vals[:0], l.vals...)
+	if l.keys != nil {
+		s.keys = append(s.keys[:0], l.keys...)
+		keys = s.keys
+	}
+	return keys, s.vals, nil
+}
+
+// pieceList is the answer of one chunk walk for a plan shape and
+// whether a kernel exists for it: the value pieces, the key pieces of a
+// grouped shape (else nil), and the bus time of each chunk whose device
+// bytes the host reads. It is immutable once published.
+type pieceList struct {
+	shape      exec.Plan
+	kernel     bool
+	keys, vals []exec.Piece
+	charges    []float64
+}
+
+// list returns the table's piece list for p's shape: the one a scan
+// built since the last base mutation, or a new one from the one chunk
+// walk behind every aggregate kind — per chunk the plan's value piece
+// and, for the grouped kinds, its key piece, zone maps attached. Scans
+// under the read lock may build it together; each publishes an equal
+// list. A pair whose fragments all live in device memory is Resident
+// when a kernel exists for the plan; where none does (the unpredicated
+// group-by), or only one side of a pair was placed, the host reads the
+// device bytes across the bus, charged on the simulated clock.
+// Everything else scans from its side-car compressed image where one
+// covers it. With DeviceCache on, cold chunks are Shipped when a kernel
+// exists: they ride the fragment cache, group keys raw (the fused kernel
+// sweeps them beside the values). Hot chunks stay on the host — every
+// insert would invalidate their image, so caching them only thrashes
+// the bus.
+func (t *Table) list(p exec.Plan) (*pieceList, error) {
+	slot, kernel := &t.lists[0], p.DeviceOK()
+	if p.Op.Grouped() {
+		slot = &t.lists[1]
+	}
+	if l := slot.Load(); l != nil && l.shape == p.Shape() && l.kernel == kernel {
+		return l, nil
+	}
+	l := &pieceList{shape: p.Shape(), kernel: kernel, vals: make([]exec.Piece, 0, len(t.chunks))}
+	if p.Op.Grouped() {
+		l.keys = make([]exec.Piece, 0, len(t.chunks))
+	}
+	rows := t.rel.Rows()
+	ship := kernel && t.eng.opts.DeviceCache && t.env.Cache != nil
 	for _, c := range t.chunks {
 		if c.rows.Begin >= rows {
 			break
 		}
 		vp, devBytes, err := t.pieceFor(c, p.Col)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var kp exec.Piece
 		placed := devBytes > 0
-		if keys != nil {
+		if l.keys != nil {
 			var keyBytes int64
 			if kp, keyBytes, err = t.pieceFor(c, p.KeyCol); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			placed = placed && keyBytes > 0
 			devBytes += keyBytes
@@ -92,27 +132,23 @@ func (s *scanSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 		if placed && kernel {
 			vp.Place = exec.Resident
 		} else {
-			if devBytes > 0 && t.env.Clock != nil {
-				t.env.Clock.Advance(t.env.GPU.Profile().TransferNs(devBytes))
+			if devBytes > 0 {
+				l.charges = append(l.charges, t.env.GPU.Profile().TransferNs(devBytes))
 			}
 			t.attachCompressed(&vp, c, p.Col)
 			if ship && c.state == cold && devBytes == 0 {
 				vp.Place = exec.Shipped
-			} else if keys != nil {
+			} else if l.keys != nil {
 				t.attachCompressed(&kp, c, p.KeyCol)
 			}
 		}
-		vals = append(vals, vp)
-		if keys != nil {
-			keys = append(keys, kp)
+		l.vals = append(l.vals, vp)
+		if l.keys != nil {
+			l.keys = append(l.keys, kp)
 		}
 	}
-	// The source keeps the lists, grown or not, for the next scan.
-	s.vals = vals
-	if keys != nil {
-		s.keys = keys
-	}
-	return keys, vals, nil
+	slot.Store(l)
+	return l, nil
 }
 
 // Patches hands the scan body the MVCC patch: for every row the

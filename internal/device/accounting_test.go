@@ -24,7 +24,7 @@ func TestVecRejectsBothBackings(t *testing.T) {
 	if _, err := reduceSum(g, bad, cfg); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("both Buf and Data: err = %v, want ErrBadLaunch", err)
 	}
-	if _, err := g.Launch(Kernel{Vals: bad, Where: true, Lo: 0, Hi: 1, Config: cfg}); !errors.Is(err, ErrBadLaunch) {
+	if _, err := launch1(g, one(Segment{Vals: bad}, cfg, Interval{0, 1})); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("fused reduce: err = %v, want ErrBadLaunch", err)
 	}
 	if err := syncScatter(g, bad, []int{0}, make([]byte, 8)); !errors.Is(err, ErrBadLaunch) {
@@ -57,7 +57,7 @@ func TestAccountingConformance(t *testing.T) {
 	if _, err := reduceSum(g, v, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Launch(Kernel{Vals: v, Where: true, Lo: 10, Hi: 20, Config: cfg}); err != nil {
+	if _, err := launch1(g, one(Segment{Vals: v}, cfg, Interval{10, 20})); err != nil {
 		t.Fatal(err)
 	}
 	host, err := g.Gather(buf, n*8, []int{0})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"hybridstore/internal/mem"
 	"hybridstore/internal/obs"
@@ -162,11 +163,7 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 		if e.version == version {
 			c.pin(e)
 			c.mu.Unlock()
-			c.hits.Inc()
-			mCacheHits.Inc()
-			if c.cardHits != nil {
-				c.cardHits.Inc()
-			}
+			c.countHits(1)
 			return Pin{buf: e.buf, cache: c, e: e}, true, nil
 		}
 		// Stale image: retire it now rather than letting capacity
@@ -218,6 +215,64 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 	return Pin{buf: buf, cache: c, e: e}, false, nil
 }
 
+// CacheReq names one image of a batch lookup: its key and the version
+// it must be current at.
+type CacheReq struct {
+	Key     FragKey
+	Version uint64
+}
+
+// PinHits is the hit half of one Acquire per request, under one lock:
+// it pins the image of every request cached at its version into pins[i]
+// and counts those hits. The other requests keep the zero Pin — absent,
+// stale, or naming no fragment (Frag 0) — and are the caller's to
+// Acquire, which counts their misses, retires stale images and uploads,
+// so the counters read as one Acquire per request would leave them.
+func (c *FragCache) PinHits(reqs []CacheReq, pins []Pin) {
+	var hits int64
+	c.mu.Lock()
+	for i := range reqs {
+		if e, ok := c.entries[reqs[i].Key]; ok && reqs[i].Key.Frag != 0 && e.version == reqs[i].Version {
+			c.pin(e)
+			pins[i] = Pin{buf: e.buf, cache: c, e: e}
+			hits++
+		}
+	}
+	c.mu.Unlock()
+	c.countHits(hits)
+}
+
+// countHits counts n cache hits, on the card's counters too.
+func (c *FragCache) countHits(n int64) {
+	c.hits.Add(n)
+	mCacheHits.Add(n)
+	if c.cardHits != nil {
+		c.cardHits.Add(n)
+	}
+}
+
+// ReleasePins releases every pin (Pin.Release), holding a cache's lock
+// across each run of its pins instead of taking it per pin.
+func ReleasePins(pins []Pin) {
+	for i := 0; i < len(pins); {
+		c := pins[i].cache
+		if c != nil {
+			c.mu.Lock()
+		}
+		for ; i < len(pins) && pins[i].cache == c; i++ {
+			if c != nil {
+				c.unpinLocked(pins[i].e)
+			} else if pins[i].buf != nil {
+				pins[i].buf.Free()
+			}
+			pins[i] = Pin{}
+		}
+		if c != nil {
+			c.mu.Unlock()
+		}
+	}
+}
+
 // Pin holds one device image for as long as a kernel reads it: a pin of
 // a cached entry (from Acquire), or a transient buffer no cache owns
 // (TransientPin). The zero Pin holds nothing. A Pin is a value — taking
@@ -238,17 +293,7 @@ func (p Pin) Buffer() *Buffer { return p.buf }
 
 // Release returns the image — unpins the cache entry, or frees the
 // transient buffer — and zeroes the pin, so a second call is a no-op.
-func (p *Pin) Release() {
-	switch {
-	case p.cache != nil:
-		p.cache.mu.Lock()
-		p.cache.unpinLocked(p.e)
-		p.cache.mu.Unlock()
-	case p.buf != nil:
-		p.buf.Free()
-	}
-	*p = Pin{}
-}
+func (p *Pin) Release() { ReleasePins(unsafe.Slice(p, 1)) }
 
 // pin increments the refcount and removes the entry from the LRU (pinned
 // images are not eviction candidates). Caller holds c.mu.

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hybridstore/internal/agg"
 	"hybridstore/internal/mem"
 	"hybridstore/internal/obs"
 	"hybridstore/internal/perfmodel"
@@ -70,33 +69,9 @@ type GPU struct {
 	// process-global device.* totals keep aggregating everything.
 	card *cardCounters
 
-	// scratchMu guards tables, which recycles the grouped kernel's group
-	// tables so a steady stream of grouped launches — the serving layer's
-	// warm device-cached scans — runs without per-launch allocation.
-	scratchMu sync.Mutex
-	tables    []*agg.Table
-}
-
-// getGroupTable pops an empty group table.
-func (g *GPU) getGroupTable() *agg.Table {
-	g.scratchMu.Lock()
-	defer g.scratchMu.Unlock()
-	if n := len(g.tables); n > 0 {
-		t := g.tables[n-1]
-		g.tables = g.tables[:n-1]
-		return t
-	}
-	return new(agg.Table)
-}
-
-// putGroupTable recycles a drained group table; the free list is bounded
-// by the number of concurrent launches.
-func (g *GPU) putGroupTable(t *agg.Table) {
-	g.scratchMu.Lock()
-	if len(g.tables) < 64 {
-		g.tables = append(g.tables, t)
-	}
-	g.scratchMu.Unlock()
+	// scratch recycles the grouped kernel's tables, up to one per
+	// concurrent launch.
+	scratch chan *groupScratch
 }
 
 // cardCounters are the registry handles of one indexed card.
@@ -108,9 +83,10 @@ type cardCounters struct {
 // clock. A nil clock disables time accounting (pure functional use).
 func New(prof perfmodel.DeviceProfile, clock *perfmodel.Clock) *GPU {
 	return &GPU{
-		prof:  prof,
-		alloc: mem.NewAllocator(mem.Device, prof.GlobalMemory),
-		clock: clock,
+		prof:    prof,
+		alloc:   mem.NewAllocator(mem.Device, prof.GlobalMemory),
+		clock:   clock,
+		scratch: make(chan *groupScratch, 64),
 	}
 }
 

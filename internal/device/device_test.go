@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"hybridstore/internal/agg"
 	"hybridstore/internal/compress"
 	"hybridstore/internal/mem"
 	"hybridstore/internal/perfmodel"
@@ -35,10 +37,27 @@ func fillFloats(g *GPU, n int, stride int, gen func(i int) float64) (*Buffer, Ve
 	return buf, Vec{Buf: buf, Base: 0, Stride: stride, Size: 8, Len: n}, nil
 }
 
-// reduceSum launches the plain tree reduction over v on a GPU (charged
-// now) or a Stream (charged at Wait).
-func reduceSum(on interface{ Launch(Kernel) (Partial, error) }, v Vec, cfg LaunchConfig) (float64, error) {
-	out, err := on.Launch(Kernel{Vals: v, Config: cfg})
+// launcher runs kernels: a GPU (charged now) or a Stream (charged at
+// Wait).
+type launcher interface {
+	Launch(Kernel, []Partial) error
+}
+
+// one is the one-segment kernel over seg, filtered to where if given.
+func one(seg Segment, cfg LaunchConfig, where ...Interval) Kernel {
+	return Kernel{Segs: []Segment{seg}, Where: where, Config: cfg}
+}
+
+// launch1 runs a kernel of one result.
+func launch1(on launcher, k Kernel) (Partial, error) {
+	out := make([]Partial, 1)
+	err := on.Launch(k, out)
+	return out[0], err
+}
+
+// reduceSum launches the plain tree reduction over v.
+func reduceSum(on launcher, v Vec, cfg LaunchConfig) (float64, error) {
+	out, err := launch1(on, one(Segment{Vals: v}, cfg))
 	return out.Sum, err
 }
 
@@ -329,22 +348,197 @@ func TestQuickReduceMatchesHostSum(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := LaunchConfig{Blocks: blocks, ThreadsPerBlock: threads}
-		for _, k := range []Kernel{{Vals: v, Config: cfg}, {Comp: comp, Config: cfg}} {
-			got, err := g.Launch(k)
+		for _, seg := range []Segment{{Vals: v}, {Comp: comp}} {
+			got, err := launch1(g, one(seg, cfg))
 			if err != nil || math.Float64bits(got.Sum) != math.Float64bits(wantSum) || got.Count != 0 {
-				t.Logf("n=%d comp=%v sum: (%v, %d, %v), want %v", n, k.Comp != nil, got.Sum, got.Count, err, wantSum)
+				t.Logf("n=%d comp=%v sum: (%v, %d, %v), want %v", n, seg.Comp != nil, got.Sum, got.Count, err, wantSum)
 				return false
 			}
-			k.Where, k.Lo, k.Hi = true, lo, hi
-			got, err = g.Launch(k)
+			got, err = launch1(g, one(seg, cfg, Interval{lo, hi}))
 			if err != nil || math.Float64bits(got.Sum) != math.Float64bits(wantWhere) || got.Count != wantN {
-				t.Logf("n=%d comp=%v sum_where: (%v, %d, %v), want (%v, %d)", n, k.Comp != nil, got.Sum, got.Count, err, wantWhere, wantN)
+				t.Logf("n=%d comp=%v sum_where: (%v, %d, %v), want (%v, %d)", n, seg.Comp != nil, got.Sum, got.Count, err, wantWhere, wantN)
 				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickSegmentedLaunchMatchesPieceFolds launches random segment
+// tables — raw and compressed segments, empty ones, values with −0 and
+// ±Inf, one to three intervals under a random admit matrix, scalar and
+// grouped — and checks every result bit for bit against the host folds
+// of each piece on its own (agg.SumWhere / agg.SumAll, agg.Table.FoldWhere,
+// compress.Column.Fold) added up in piece order: per segment, as the
+// one-segment launch of that piece, and combined, as the launch of the
+// whole table. The launch count stays 2 (3 with a compressed segment)
+// for a reduction and 1 for the group kernel, whatever the table.
+func TestQuickSegmentedLaunchMatchesPieceFolds(t *testing.T) {
+	g, _ := newGPU()
+	special := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	f := func(seed int64, grouped bool) bool {
+		r := rand.New(rand.NewSource(seed))
+		nk := 1 + r.Intn(3)
+		where := make([]Interval, nk)
+		for k := range where {
+			lo := r.Float64()*60 - 10
+			where[k] = Interval{lo, lo + r.Float64()*60}
+		}
+		if r.Intn(4) == 0 {
+			where[0] = Interval{math.Inf(-1), math.Inf(1)}
+		}
+		if !grouped && r.Intn(4) == 0 {
+			where, nk = nil, 1 // the unfiltered reduction
+		}
+		type piece struct {
+			vals []byte
+			n    int
+			col  *compress.Column
+			keys agg.Keys
+		}
+		pieces := make([]piece, 1+r.Intn(8))
+		segs := make([]Segment, len(pieces))
+		admit := make([]bool, len(pieces)*nk)
+		var bufs []*Buffer
+		upload := func(b []byte) *Buffer {
+			buf, err := g.Alloc(max(len(b), 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.CopyToDevice(buf, 0, b); err != nil {
+				t.Fatal(err)
+			}
+			bufs = append(bufs, buf)
+			return buf
+		}
+		defer func() {
+			for _, b := range bufs {
+				b.Free()
+			}
+		}()
+		anyComp := false
+		for s := range pieces {
+			p := &pieces[s]
+			if r.Intn(5) > 0 {
+				p.n = r.Intn(300)
+			}
+			p.vals = make([]byte, p.n*8)
+			kimg := make([]byte, p.n*4)
+			for i := 0; i < p.n; i++ {
+				x := r.Float64() * 40 // full mantissas: any other fold order shows in the bits
+				if r.Intn(10) == 0 {
+					x = special[r.Intn(len(special))]
+				}
+				binary.LittleEndian.PutUint64(p.vals[i*8:], math.Float64bits(x))
+				binary.LittleEndian.PutUint32(kimg[i*4:], uint32(r.Intn(5)))
+			}
+			p.keys = agg.Keys{Data: kimg, Stride: 4, Size: 4}
+			if grouped {
+				segs[s].Keys = Vec{Buf: upload(kimg), Stride: 4, Size: 4, Len: p.n}
+			}
+			if p.n > 0 && r.Intn(2) == 0 {
+				for _, enc := range []compress.Encoding{compress.RLE, compress.Dict, compress.FOR, compress.Raw} {
+					if col, err := compress.CompressAs(enc, p.vals, p.n, 8); err == nil {
+						p.col = col
+						break
+					}
+				}
+				segs[s].Comp, anyComp = upload(p.col.AppendMarshal(nil)), true
+			} else {
+				segs[s].Vals = Vec{Buf: upload(p.vals), Stride: 8, Size: 8, Len: p.n}
+			}
+			for k := 0; k < nk; k++ {
+				admit[s*nk+k] = r.Intn(4) > 0
+			}
+		}
+		// The host folds: each piece on its own, then in piece order.
+		want := make([]Partial, nk)
+		tables := make([]agg.Table, nk)
+		perSeg := make([][]Partial, len(pieces))
+		for s, p := range pieces {
+			perSeg[s] = make([]Partial, nk)
+			for k := 0; k < nk; k++ {
+				var iv Interval
+				if where != nil {
+					iv = where[k]
+				}
+				var part Partial
+				var table agg.Table
+				switch {
+				case grouped && p.col != nil:
+					if _, _, err := p.col.Fold(true, iv.Lo, iv.Hi, p.keys, &table); err != nil {
+						t.Fatal(err)
+					}
+				case grouped:
+					table.FoldWhere(p.keys, p.vals, 8, p.n, iv.Lo, iv.Hi)
+				case p.col != nil:
+					var err error
+					if part.Sum, part.Count, err = p.col.Fold(where != nil, iv.Lo, iv.Hi, agg.Keys{}, nil); err != nil {
+						t.Fatal(err)
+					}
+				case where != nil:
+					part.Sum, part.Count = agg.SumWhere(p.vals, 8, p.n, iv.Lo, iv.Hi)
+				default:
+					part.Sum = agg.SumAll(p.vals, 8, p.n)
+				}
+				part.Groups = table.Drain(nil)
+				perSeg[s][k] = part
+				if admit[s*nk+k] {
+					want[k].Sum += part.Sum
+					want[k].Count += part.Count
+					tables[k].Merge(part.Groups)
+				}
+			}
+		}
+		for k := range want {
+			want[k].Groups = tables[k].Drain(nil)
+		}
+		same := func(what string, got, want []Partial) bool {
+			for k := range want {
+				a, b := got[k], want[k]
+				ok := math.Float64bits(a.Sum) == math.Float64bits(b.Sum) && a.Count == b.Count && len(a.Groups) == len(b.Groups)
+				for i := 0; ok && i < len(a.Groups); i++ {
+					ok = a.Groups[i].Key == b.Groups[i].Key && a.Groups[i].Count == b.Groups[i].Count &&
+						math.Float64bits(a.Groups[i].Sum) == math.Float64bits(b.Groups[i].Sum)
+				}
+				if !ok {
+					t.Logf("seed %d grouped=%v %s, interval %d: %+v, want %+v", seed, grouped, what, k, a, b)
+					return false
+				}
+			}
+			return true
+		}
+		cfg := ReduceConfigFor(300)
+		for s := range segs {
+			got := make([]Partial, nk)
+			if err := g.Launch(Kernel{Segs: segs[s : s+1], Where: where, Config: cfg}, got); err != nil {
+				t.Fatal(err)
+			}
+			if !same(fmt.Sprintf("segment %d", s), got, perSeg[s]) {
+				return false
+			}
+		}
+		before := g.Stats().KernelLaunches
+		got := make([]Partial, nk)
+		if err := g.Launch(Kernel{Segs: segs, Where: where, Admit: admit, Config: cfg}, got); err != nil {
+			t.Fatal(err)
+		}
+		launches := int64(2)
+		if grouped {
+			launches = 1
+		} else if anyComp {
+			launches = 3
+		}
+		if n := g.Stats().KernelLaunches - before; n != launches {
+			t.Logf("seed %d grouped=%v: %d launches for the table, want %d", seed, grouped, n, launches)
+			return false
+		}
+		return same("combined", got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -359,12 +553,16 @@ func TestWarmLaunchAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		out := make([]Partial, 1)
 		for _, where := range []bool{false, true} {
-			k := Kernel{Vals: v, Where: where, Lo: 10, Hi: 50, Config: ReduceConfigFor(n)}
-			if _, err := g.Launch(k); err != nil {
+			k := one(Segment{Vals: v}, ReduceConfigFor(n))
+			if where {
+				k.Where = []Interval{{10, 50}}
+			}
+			if err := g.Launch(k, out); err != nil {
 				t.Fatal(err)
 			}
-			if allocs := testing.AllocsPerRun(20, func() { g.Launch(k) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(20, func() { g.Launch(k, out) }); allocs != 0 {
 				t.Errorf("n=%d where=%v: %.1f allocations per warm launch, want 0", n, where, allocs)
 			}
 		}

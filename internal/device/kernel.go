@@ -7,65 +7,70 @@ import (
 	"hybridstore/internal/compress"
 )
 
-// Kernel describes one aggregate launch over a float64 value column.
-// Which kernel runs follows from what the descriptor carries:
+// Segment is one row of a launch's segment table: a piece of the float64
+// value column — a raw vector (Vals), or instead a buffer holding its
+// compressed image (Comp, compress.Column.AppendMarshal) — and, for a
+// grouped launch, the row-aligned int64/int32 group-key vector (Keys).
+type Segment struct {
+	Vals Vec
+	Comp *Buffer
+	Keys Vec
+}
+
+// Interval is the closed value interval [Lo, Hi] a filtered result
+// keeps. Strict predicate bounds are normalized to closed intervals
+// host-side (Pred.Closed), so the kernel stays branch-free of
+// comparison modes.
+type Interval struct{ Lo, Hi float64 }
+
+// Kernel describes ONE aggregate launch over a whole segment table — the
+// shape of CUB's DeviceSegmentedReduce — for K results at once. Which
+// kernel runs follows from what the descriptor carries:
 //
-//   - Vals alone: the Harris-style parallel tree reduction the paper
-//     used — each block reduces its grid-stride slice in shared memory,
-//     halving the active threads per step, then a final single-block
-//     pass reduces the per-block partials (two launches). The card
-//     prices that tree (perfmodel.ReduceKernelNs) and computes the sum
-//     in ascending element order, like every other leg, so a device sum
-//     is bit-identical to the host's. The whole column sums, NaNs
-//     included.
-//   - Where: the closed-interval filter [Lo, Hi] fuses into the same two
-//     launches — each thread keeps the elements inside the interval and
-//     carries (sum, count) in registers. Strict predicate bounds are
-//     normalized to closed intervals host-side (Pred.Closed), so
-//     the kernel stays branch-free of comparison modes.
-//   - Comp instead of Vals: the value column is a resident compressed
-//     image (compress.Column.AppendMarshal) and a decode kernel runs
-//     first: compressed bytes read plus raw bytes written at global
-//     bandwidth (perfmodel.DecodeKernelNs), three launches in total. The software
-//     card computes the answer through compress.Column.Fold, in the
-//     compressed domain.
-//   - Keys (with Where): the fused filter+hash-aggregate kernel. ONE
+//   - Segments without Keys: the Harris-style parallel tree reduction
+//     the paper used — each block reduces its grid-stride slice in
+//     shared memory, halving the active threads per step, then a final
+//     single-block pass reduces the per-block partials (two launches).
+//     Unfiltered (Where nil) it has one result, the sum of every element,
+//     NaNs included, and no count; filtered, result k keeps the elements
+//     inside Where[k] and counts them, the K intervals tested in
+//     registers in the same sweep.
+//   - A segment with Comp: a decode kernel runs first, expanding every
+//     compressed segment (perfmodel.DecodeNs), three launches in total.
+//     The software card folds the image through compress.Column.Fold, in
+//     the compressed domain.
+//   - Segments with Keys (and Where; the first segment decides, the
+//     others must follow): the fused filter+hash-aggregate kernel. ONE
 //     launch sweeps keys and values together, folds matches into per-SM
 //     group tables that merge before the kernel retires, and ships only
-//     the merged group table back — one D2H of 24 bytes per group. A
-//     compressed value image decodes inside the same single launch. The
-//     software card folds into one agg.Table in element order.
+//     group tables back — 24 bytes per group. Compressed value images
+//     decode inside the same launch.
+//
+// Segment s contributes to result k only where Admit[s*K+k] holds (nil
+// admits every pair): the zone decisions the host already took. Each
+// admitted pair folds in ascending element order from a fresh partial —
+// a zero sum, an empty group table — and the partials combine in segment
+// order, so a result has the bits of one launch per segment added up
+// segment by segment, on the card: the D2H is K group tables. The card
+// prices one launch (per kernel stage), one tree step and the sum of the
+// segment sweeps; raw and compressed segments share the launch.
 type Kernel struct {
-	// Vals is the raw value vector; ignored when Comp is set.
-	Vals Vec
-	// Comp is a buffer holding the value column's compressed image.
-	Comp *Buffer
-	// Keys is the aligned int64/int32 group-key vector; the zero Vec
-	// means an ungrouped reduction.
-	Keys Vec
-	// Where restricts the aggregate to values inside [Lo, Hi].
-	Where  bool
-	Lo, Hi float64
-	// Groups is the host buffer the group table's D2H lands in: a
-	// grouped launch appends its table to Groups[:0] and returns that as
-	// Partial.Groups. The caller owns the buffer throughout — the card
-	// keeps no reference — so a scan launching fragment after fragment
-	// passes the previous Partial.Groups back in once it has folded it,
-	// and allocates only when a table outgrows the buffer. Nil is a
-	// buffer of capacity zero: the launch allocates the table it returns.
-	Groups []GroupPartial
+	Segs []Segment
+	// Where holds the K intervals of a filtered launch; nil is the one
+	// unfiltered result.
+	Where []Interval
+	// Admit is the segment × interval matrix, row-major; nil admits all.
+	Admit []bool
 	// Config is the launch geometry (see ReduceConfigFor).
 	Config LaunchConfig
 }
 
-// grouped reports whether the descriptor carries a key column.
-func (k Kernel) grouped() bool { return k.Keys.Size != 0 }
-
-// Partial is the result of one Kernel launch: Sum and Count for a
-// reduction, the group table in ascending key order for a grouped one.
-// Groups aliases the launch's Kernel.Groups buffer when the table fit
-// it: it belongs to whoever owns that buffer, and a later launch handed
-// the same buffer overwrites it.
+// Partial is one result of a launch: Sum and Count for a reduction, the
+// group table in ascending key order for a grouped one. On the way in,
+// Groups is the host buffer that table's D2H lands in: the launch
+// appends to Groups[:0], so a caller handing back the previous launch's
+// table allocates only when a table outgrows it, and nil makes the
+// launch allocate the table it returns.
 type Partial struct {
 	Sum    float64
 	Count  int64
@@ -79,126 +84,188 @@ type GroupPartial = agg.Group
 // groupPartialBytes is the D2H wire size of one group-table entry.
 const groupPartialBytes = 24
 
-// Launch runs the kernel and advances the device clock by its priced
-// duration now.
-func (g *GPU) Launch(k Kernel) (Partial, error) {
-	out, kernelNs, d2hNs, err := g.launch(k)
-	if err != nil {
-		return Partial{}, err
+// Launch runs the kernel, writing its K results to out, and advances
+// the device clock by its priced duration now.
+func (g *GPU) Launch(k Kernel, out []Partial) error {
+	kernelNs, d2hNs, err := g.launch(k, out)
+	if err == nil {
+		g.charge(kernelNs + d2hNs)
 	}
-	g.charge(kernelNs + d2hNs)
-	return out, nil
+	return err
 }
 
-// Launch enqueues the kernel on the stream: the result is available
+// Launch enqueues the kernel on the stream: the K results are available
 // immediately (the simulated card computes eagerly), the launch lands in
 // the compute lane and a grouped kernel's group-table D2H in the
-// transfer lane, so the next fragment's upload overlaps both and the
-// clock charge waits for Wait.
-func (s *Stream) Launch(k Kernel) (Partial, error) {
-	out, kernelNs, d2hNs, err := s.gpu.launch(k)
-	if err != nil {
-		return Partial{}, err
+// transfer lane, and the clock charge waits for Wait.
+func (s *Stream) Launch(k Kernel, out []Partial) error {
+	kernelNs, d2hNs, err := s.gpu.launch(k, out)
+	if err == nil {
+		s.add(d2hNs, kernelNs)
 	}
-	s.consume(&k)
-	s.addCompute(kernelNs)
-	if k.grouped() {
-		s.addTransfer(d2hNs)
-	}
-	return out, nil
+	return err
+}
+
+// groupScratch is what a grouped launch folds through: the fresh table
+// of one (segment, interval) pair, the buffer it drains into, and one
+// table per result that the pairs merge into. Each card recycles its
+// own (GPU.scratch), so a warm grouped launch allocates nothing beyond
+// its results; a launch that fails leaves its scratch, tables half
+// folded, to the collector.
+type groupScratch struct {
+	fold   agg.Table
+	buf    []agg.Group
+	tables []agg.Table
 }
 
 // launch is the one priced kernel body: it validates the descriptor,
-// computes the real answer, counts launches and result bytes, and
+// computes the real answers, counts launches and result bytes, and
 // returns the priced (kernel, D2H) durations without advancing the clock.
-func (g *GPU) launch(k Kernel) (out Partial, kernelNs, d2hNs float64, err error) {
-	grouped := k.grouped()
+func (g *GPU) launch(k Kernel, out []Partial) (kernelNs, d2hNs float64, err error) {
+	nk, ns := max(len(k.Where), 1), len(k.Segs)
+	grouped := ns > 0 && k.Segs[0].Keys.Size != 0
+	if len(out) != nk || k.Admit != nil && len(k.Admit) != ns*nk || grouped && k.Where == nil {
+		return 0, 0, fmt.Errorf("%w: %d results and %d admits for %d segments × %d intervals (grouped %v)",
+			ErrBadLaunch, len(out), len(k.Admit), ns, len(k.Where), grouped)
+	}
 	if err := g.validate(k.Config, !grouped); err != nil {
-		return out, 0, 0, err
+		return 0, 0, err
 	}
-	var kbuf []byte
+	for i := range out {
+		out[i] = Partial{Groups: out[i].Groups[:0]}
+	}
+	var x *groupScratch // recycled only empty, after a launch that worked
 	if grouped {
-		if !k.Where {
-			return out, 0, 0, fmt.Errorf("%w: no unfiltered grouped kernel", ErrBadLaunch)
+		select {
+		case x = <-g.scratch:
+		default:
+			x = new(groupScratch)
 		}
-		if kbuf, err = k.Keys.check(); err != nil {
-			return out, 0, 0, err
+		x.tables = append(x.tables, make([]agg.Table, max(nk-len(x.tables), 0))...)
+	}
+	// The launches' fixed cost, then each segment's sweep, then the tree:
+	// a one-segment reduction prices exactly as perfmodel.ReduceKernelNs.
+	launches, sweepNs, where := 2, 0.0, k.Where
+	if where == nil {
+		where = make([]Interval, 1) // the unfiltered reduction reads none
+	}
+	for s := range k.Segs {
+		seg := &k.Segs[s]
+		vals, stride, n, col, err := seg.operand()
+		if err != nil {
+			return 0, 0, err
 		}
-		if k.Keys.Size != 8 && k.Keys.Size != 4 {
-			return out, 0, 0, fmt.Errorf("%w: group key of %d bytes", ErrBadLaunch, k.Keys.Size)
+		var keys agg.Keys
+		if grouped {
+			if keys, err = seg.keys(n); err != nil {
+				return 0, 0, err
+			}
+		}
+		var matched int64
+		for r, iv := range where {
+			if k.Admit != nil && !k.Admit[s*nk+r] {
+				continue
+			}
+			sum, cnt := 0.0, int64(0)
+			switch {
+			case grouped && col != nil:
+				_, _, err = col.Fold(true, iv.Lo, iv.Hi, keys, &x.fold)
+			case grouped:
+				x.fold.FoldWhere(keys, vals, stride, n, iv.Lo, iv.Hi)
+			case col != nil:
+				sum, cnt, err = col.Fold(k.Where != nil, iv.Lo, iv.Hi, agg.Keys{}, nil)
+			case k.Where != nil:
+				sum, cnt = agg.SumWhere(vals, stride, n, iv.Lo, iv.Hi)
+			default:
+				sum = agg.SumAll(vals, stride, n)
+			}
+			if err != nil {
+				return 0, 0, err
+			}
+			out[r].Sum += sum
+			out[r].Count += cnt
+			if grouped {
+				x.buf = x.fold.Drain(x.buf[:0])
+				for _, gr := range x.buf {
+					matched += gr.Count
+				}
+				x.tables[r].Merge(x.buf)
+			}
+		}
+		// A compressed segment is decoded, then swept dense.
+		if col != nil {
+			sweepNs += g.prof.DecodeNs(int64(len(seg.Comp.data)), int64(n*8))
+			launches, stride = max(launches, 3), 8
+		}
+		if grouped {
+			sweepNs += g.prof.SweepNs(int64(n), 2, 8, stride)
+			sweepNs += g.prof.AtomicsNs(matched)
+		} else {
+			sweepNs += g.prof.SweepNs(int64(n), 1, 8, stride)
 		}
 	}
-	// Resolve the value operand: n elements of size bytes, stride apart
-	// once decoded; decodeNs prices the decode kernel of a compressed one.
-	// vals is a raw operand from its first element on.
-	var vbuf, vals []byte
-	var col *compress.Column
-	var decodeNs float64
-	n, size, stride := k.Vals.Len, k.Vals.Size, k.Vals.Stride
-	if k.Comp != nil {
-		data, err := k.Comp.bytes()
+	if grouped {
+		launches = 1 // the group kernel decodes inside its one launch
+	}
+	g.countKernels(int64(launches))
+	kernelNs = float64(launches)*g.prof.KernelLaunchNs + sweepNs + g.prof.TreeNs(k.Config.ThreadsPerBlock)
+	if !grouped {
+		return kernelNs, 0, nil
+	}
+	var resultBytes int64
+	for r := range out {
+		out[r].Groups = x.tables[r].Drain(out[r].Groups)
+		resultBytes += int64(len(out[r].Groups)) * groupPartialBytes
+	}
+	select {
+	case g.scratch <- x:
+	default:
+	}
+	g.countTransfer(resultBytes, false)
+	return kernelNs, g.prof.TransferNs(resultBytes), nil
+}
+
+// operand resolves the segment's values: n float64 elements, a raw run
+// (vals from its first element on, stride apart) or a decoded
+// compressed image (col).
+func (seg *Segment) operand() (vals []byte, stride, n int, col *compress.Column, err error) {
+	size := seg.Vals.Size
+	if seg.Comp != nil {
+		data, err := seg.Comp.bytes()
+		if err == nil {
+			col, err = compress.Decode(data)
+		}
 		if err != nil {
-			return out, 0, 0, err
+			return nil, 0, 0, nil, fmt.Errorf("device: compressed image: %w", err)
 		}
-		if col, err = compress.Decode(data); err != nil {
-			return out, 0, 0, fmt.Errorf("device: compressed image: %w", err)
-		}
-		n, size, stride = col.Len(), col.ElementSize(), col.ElementSize()
-		decodeNs = g.prof.DecodeKernelNs(int64(len(data)), int64(n*size))
-	} else if vbuf, err = k.Vals.check(); err != nil {
-		return out, 0, 0, err
-	} else if n > 0 {
-		vals = vbuf[k.Vals.Base:]
+		stride, n, size = 8, col.Len(), col.ElementSize()
+	} else if vals, err = seg.Vals.check(); err != nil {
+		return nil, 0, 0, nil, err
+	} else if stride, n = seg.Vals.Stride, seg.Vals.Len; n > 0 {
+		vals = vals[seg.Vals.Base:]
 	}
 	if size != 8 {
-		return out, 0, 0, fmt.Errorf("%w: float64 reduction over %d-byte elements", ErrBadLaunch, size)
+		return nil, 0, 0, nil, fmt.Errorf("%w: float64 reduction over %d-byte elements", ErrBadLaunch, size)
 	}
-	if grouped && k.Keys.Len != n {
-		return out, 0, 0, fmt.Errorf("%w: %d keys vs %d values", ErrBadLaunch, k.Keys.Len, n)
-	}
+	return vals, stride, n, col, nil
+}
 
-	if grouped {
-		keys := agg.Keys{Stride: k.Keys.Stride, Size: k.Keys.Size}
-		if n > 0 {
-			keys.Data = kbuf[k.Keys.Base:]
-		}
-		// Ascending element order keeps per-group float accumulation
-		// bit-identical to the host fused kernel's.
-		table := g.getGroupTable()
-		if col != nil {
-			if _, _, err := col.Fold(true, k.Lo, k.Hi, keys, table); err != nil {
-				return out, 0, 0, err
-			}
-		} else {
-			table.FoldWhere(keys, vals, stride, n, k.Lo, k.Hi)
-		}
-		out.Groups = table.Drain(k.Groups[:0])
-		g.putGroupTable(table)
-		var matched int64
-		for _, gr := range out.Groups {
-			matched += gr.Count
-		}
-		g.countKernels(1)
-		resultBytes := int64(len(out.Groups)) * groupPartialBytes
-		g.countTransfer(resultBytes, false)
-		kernelNs = decodeNs + g.prof.GroupKernelNs(int64(n), matched, size, stride, k.Config.Blocks, k.Config.ThreadsPerBlock)
-		return out, kernelNs, g.prof.TransferNs(resultBytes), nil
-	}
-
+// keys resolves the segment's group keys, which must align with its n
+// values.
+func (seg *Segment) keys(n int) (agg.Keys, error) {
+	kv := seg.Keys
+	buf, err := kv.check()
 	switch {
-	case col != nil:
-		if out.Sum, out.Count, err = col.Fold(k.Where, k.Lo, k.Hi, agg.Keys{}, nil); err != nil {
-			return Partial{}, 0, 0, err
-		}
-	case k.Where:
-		out.Sum, out.Count = agg.SumWhere(vals, stride, n, k.Lo, k.Hi)
-	default:
-		out.Sum = agg.SumAll(vals, stride, n)
+	case err != nil:
+		return agg.Keys{}, err
+	case kv.Size != 8 && kv.Size != 4:
+		return agg.Keys{}, fmt.Errorf("%w: group key of %d bytes", ErrBadLaunch, kv.Size)
+	case kv.Len != n:
+		return agg.Keys{}, fmt.Errorf("%w: %d keys vs %d values", ErrBadLaunch, kv.Len, n)
 	}
-	if col != nil {
-		g.countKernels(3) // decode, grid reduction, final block
-	} else {
-		g.countKernels(2)
+	keys := agg.Keys{Stride: kv.Stride, Size: kv.Size}
+	if n > 0 {
+		keys.Data = buf[kv.Base:]
 	}
-	return out, decodeNs + g.prof.ReduceKernelNs(int64(n), size, stride, k.Config.Blocks, k.Config.ThreadsPerBlock), 0, nil
+	return keys, nil
 }

@@ -49,7 +49,11 @@ func TestKernelShapes(t *testing.T) {
 		var charged [2]float64
 		for mode, onStream := range []bool{false, true} {
 			g, clk := newGPU()
-			k := Kernel{Where: shape.where, Lo: lo, Hi: hi, Config: cfg}
+			var seg Segment
+			var where []Interval
+			if shape.where {
+				where = []Interval{{lo, hi}}
+			}
 			upload := func(b []byte) *Buffer {
 				buf, err := g.Alloc(len(b))
 				if err != nil {
@@ -61,22 +65,23 @@ func TestKernelShapes(t *testing.T) {
 				return buf
 			}
 			if shape.comp {
-				k.Comp = upload(col.AppendMarshal(nil))
+				seg.Comp = upload(col.AppendMarshal(nil))
 			} else {
-				k.Vals = Vec{Buf: upload(img), Stride: 8, Size: 8, Len: n}
+				seg.Vals = Vec{Buf: upload(img), Stride: 8, Size: 8, Len: n}
 			}
 			if shape.grouped {
-				k.Keys = Vec{Buf: upload(keys), Stride: 4, Size: 4, Len: n}
+				seg.Keys = Vec{Buf: upload(keys), Stride: 4, Size: 4, Len: n}
 			}
+			k := one(seg, cfg, where...)
 			before := g.Stats()
 			clk.Reset()
 			var out Partial
 			if onStream {
 				s := g.NewStreamDepth(1)
-				out, err = s.Launch(k)
+				out, err = launch1(s, k)
 				s.Wait()
 			} else {
-				out, err = g.Launch(k)
+				out, err = launch1(g, k)
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", shape.name, err)
@@ -148,13 +153,13 @@ func TestKernelSemantics(t *testing.T) {
 	}
 	defer buf.Free()
 	cfg := LaunchConfig{Blocks: 2, ThreadsPerBlock: 32}
-	if out, err := g.Launch(Kernel{Vals: v, Config: cfg}); err != nil || !math.IsNaN(out.Sum) {
+	if out, err := launch1(g, one(Segment{Vals: v}, cfg)); err != nil || !math.IsNaN(out.Sum) {
 		t.Errorf("unfiltered sum over a NaN = (%v, %v), want NaN", out.Sum, err)
 	}
-	if out, err := g.Launch(Kernel{Vals: v, Where: true, Lo: math.Inf(-1), Hi: math.Inf(1), Config: cfg}); err != nil || out.Sum != 63 || out.Count != 63 {
+	if out, err := launch1(g, one(Segment{Vals: v}, cfg, Interval{math.Inf(-1), math.Inf(1)})); err != nil || out.Sum != 63 || out.Count != 63 {
 		t.Errorf("filtered sum over a NaN = (%v, %d, %v), want (63, 63)", out.Sum, out.Count, err)
 	}
-	if _, err := g.Launch(Kernel{Vals: v, Keys: v, Config: cfg}); !errors.Is(err, ErrBadLaunch) {
+	if _, err := launch1(g, one(Segment{Vals: v, Keys: v}, cfg)); !errors.Is(err, ErrBadLaunch) {
 		t.Errorf("unfiltered grouped launch: err = %v, want ErrBadLaunch", err)
 	}
 }
@@ -187,26 +192,24 @@ func TestGroupedLaunchAllocsIndependentOfGroups(t *testing.T) {
 		if err := g.CopyToDevice(kbuf, 0, raw); err != nil {
 			t.Fatal(err)
 		}
-		k := Kernel{
-			Vals: vals, Keys: Vec{Buf: kbuf, Stride: 4, Size: 4, Len: n},
-			Where: true, Lo: 0, Hi: 100, Config: ReduceConfigFor(n),
-		}
+		k := one(Segment{Vals: vals, Keys: Vec{Buf: kbuf, Stride: 4, Size: 4, Len: n}}, ReduceConfigFor(n), Interval{0, 100})
 		s := g.NewStream()
 		defer s.Wait()
+		out := make([]Partial, 1)
 		return testing.AllocsPerRun(50, func() {
-			out, err := s.Launch(k)
-			if err != nil || len(out.Groups) != domain {
-				t.Fatalf("%d groups, %v; want %d", len(out.Groups), err, domain)
+			if !reuse {
+				out[0].Groups = nil
 			}
-			if reuse {
-				k.Groups = out.Groups
+			err := s.Launch(k, out)
+			if err != nil || len(out[0].Groups) != domain {
+				t.Fatalf("%d groups, %v; want %d", len(out[0].Groups), err, domain)
 			}
 		})
 	}
-	one, many, reused := allocs(1, false), allocs(64, false), allocs(64, true)
-	t.Logf("allocs per grouped launch: %.0f with 1 group, %.0f with 64, %.0f with 64 into the caller's buffer", one, many, reused)
-	if many > one {
-		t.Errorf("a 64-group launch allocates %.0f, a 1-group launch %.0f: grows with the group count", many, one)
+	single, many, reused := allocs(1, false), allocs(64, false), allocs(64, true)
+	t.Logf("allocs per grouped launch: %.0f with 1 group, %.0f with 64, %.0f with 64 into the caller's buffer", single, many, reused)
+	if many > single {
+		t.Errorf("a 64-group launch allocates %.0f, a 1-group launch %.0f: grows with the group count", many, single)
 	}
 	if reused != 0 {
 		t.Errorf("a launch into a buffer that holds its table allocates %.0f, want 0", reused)
@@ -279,17 +282,15 @@ func TestGroupedLaunchCompressedMatchesRaw(t *testing.T) {
 						binary.LittleEndian.PutUint32(keys[i*4:], uint32(int32(key)))
 					}
 				}
-				k := Kernel{Keys: Vec{Buf: upload(keys), Stride: ksize, Size: ksize, Len: n}, Where: true, Config: ReduceConfigFor(n)}
+				kv := Vec{Buf: upload(keys), Stride: ksize, Size: ksize, Len: n}
 				for _, iv := range intervals {
-					k.Lo, k.Hi = iv[0], iv[1]
-					k.Vals, k.Comp = Vec{}, comp
-					got, err := g.Launch(k)
+					where := Interval{iv[0], iv[1]}
+					got, err := launch1(g, one(Segment{Comp: comp, Keys: kv}, ReduceConfigFor(n), where))
 					if err != nil {
 						t.Fatalf("%s/%v: %v", name, enc, err)
 					}
 					for shape, raw := range raws {
-						k.Vals, k.Comp = raw, nil
-						want, err := g.Launch(k)
+						want, err := launch1(g, one(Segment{Vals: raw, Keys: kv}, ReduceConfigFor(n), where))
 						if err != nil {
 							t.Fatalf("%s/%s: %v", name, shape, err)
 						}

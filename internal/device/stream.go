@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"hybridstore/internal/compress"
@@ -29,11 +28,9 @@ const DefaultStreamStages = 2
 // the shorter lane divided by the stage count. With stages=2 a scan whose
 // H2D copy and kernel are balanced costs ~max(transfer, compute) + half
 // the shorter phase instead of their sum — the overlap win a
-// double-buffered cp.async pipeline buys on real hardware. An H2D copy's
-// bus time enters the transfer lane when the first kernel reading its
-// buffer launches (or at Wait, if none does): an executor that uploads
-// every image before its first launch is priced as if each copy had
-// been issued right before its consumer.
+// double-buffered cp.async pipeline buys on real hardware. The lanes are
+// sums, so an executor that uploads every image before its one launch is
+// priced as if each copy had been issued right before its consumer.
 //
 // A Stream is not safe for concurrent use; like a CUDA stream it
 // serializes the commands of one issuing thread. Create one stream per
@@ -46,14 +43,6 @@ type Stream struct {
 	transferNs float64 // lane: bus crossings enqueued since creation
 	computeNs  float64 // lane: kernel launches enqueued since creation
 	chargedNs  float64 // watermark: overlapped ns already charged by Wait
-	ops        int     // commands enqueued since the last Wait
-	staged     []staged
-}
-
-// staged is a copy whose bus time waits for the first kernel reading buf.
-type staged struct {
-	buf *Buffer
-	ns  float64
 }
 
 // NewStream opens a stream with the default double-buffered pipeline
@@ -71,54 +60,22 @@ func (g *GPU) NewStreamDepth(stages int) *Stream {
 	return &Stream{gpu: g, stages: stages}
 }
 
-// addTransfer accumulates priced bus time in the transfer lane.
-func (s *Stream) addTransfer(ns float64) {
+// add accumulates priced time in the transfer and compute lanes.
+func (s *Stream) add(transferNs, computeNs float64) {
 	s.mu.Lock()
-	s.transferNs += ns
-	s.ops++
-	s.mu.Unlock()
-}
-
-// addCompute accumulates priced kernel time in the compute lane.
-func (s *Stream) addCompute(ns float64) {
-	s.mu.Lock()
-	s.computeNs += ns
-	s.ops++
-	s.mu.Unlock()
-}
-
-// stage holds a copy into buf until its consumer launches.
-func (s *Stream) stage(buf *Buffer, ns float64) {
-	s.mu.Lock()
-	s.staged = append(s.staged, staged{buf, ns})
-	s.ops++
-	s.mu.Unlock()
-}
-
-// consume moves the staged copies into the buffers k reads — all of
-// them, for a nil k — into the transfer lane, in the order they were
-// issued.
-func (s *Stream) consume(k *Kernel) {
-	s.mu.Lock()
-	s.staged = slices.DeleteFunc(s.staged, func(c staged) bool {
-		read := k == nil || c.buf == k.Keys.Buf || c.buf == k.Vals.Buf || c.buf == k.Comp
-		if read {
-			s.transferNs += c.ns
-		}
-		return read
-	})
+	s.transferNs += transferNs
+	s.computeNs += computeNs
 	s.mu.Unlock()
 }
 
 // CopyToDevice enqueues an async H2D copy. The copy is performed (and
-// counted) immediately; its bus time lands in the transfer lane when
-// its consumer launches.
+// counted) immediately; its bus time lands in the transfer lane.
 func (s *Stream) CopyToDevice(dst *Buffer, off int, src []byte) error {
 	ns, err := s.gpu.copyToDevice(dst, off, src)
 	if err != nil {
 		return err
 	}
-	s.stage(dst, ns)
+	s.add(ns, 0)
 	return nil
 }
 
@@ -133,7 +90,7 @@ func (s *Stream) CopyImageToDevice(dst *Buffer, off int, c *compress.Column) err
 		return err
 	}
 	c.AppendMarshal(w[:0])
-	s.stage(dst, s.gpu.uploaded(n))
+	s.add(s.gpu.uploaded(n), 0)
 	return nil
 }
 
@@ -147,11 +104,7 @@ func (s *Stream) Scatter(v Vec, positions []int, vals []byte) error {
 		return err
 	}
 	transfer := s.gpu.prof.TransferNs(int64(len(vals)))
-	s.mu.Lock()
-	s.transferNs += transfer
-	s.computeNs += ns - transfer
-	s.ops++
-	s.mu.Unlock()
+	s.add(transfer, ns-transfer)
 	return nil
 }
 
@@ -162,18 +115,15 @@ func (s *Stream) Scatter(v Vec, positions []int, vals []byte) error {
 // watermark is never negative.
 func (s *Stream) Wait() {
 	sp := spStream.Start()
-	s.consume(nil)
 	s.mu.Lock()
 	due := s.gpu.prof.OverlapNs(s.transferNs, s.computeNs, s.stages)
 	delta := due - s.chargedNs
-	ops := s.ops
 	if delta > 0 {
 		s.chargedNs = due
 	}
-	s.ops = 0
 	s.mu.Unlock()
 	if delta > 0 {
 		s.gpu.charge(delta)
 	}
-	sp.EndWith(fmt.Sprintf("ops=%d charged_ns=%.0f", ops, delta))
+	sp.EndWith(fmt.Sprintf("charged_ns=%.0f", delta))
 }

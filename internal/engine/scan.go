@@ -212,9 +212,6 @@ func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) er
 		if vals[i].Place != exec.OnHost {
 			nDev++
 		}
-		if keys != nil {
-			keys[i].Place = vals[i].Place
-		}
 		for j := i; j > 0 && vals[j].Place > vals[j-1].Place; j-- {
 			vals[j], vals[j-1] = vals[j-1], vals[j]
 			if keys != nil {

@@ -3,19 +3,18 @@
 // (Section IV-C): the same Scan the host operators run can be shipped
 // to the simulated GPU, and — when a device.FragCache is configured —
 // repeated scans over unchanged fragments reuse the resident images and
-// cost zero bus bytes. Uploads and kernels run on a Stream, so a cold
-// multi-piece scan overlaps each fragment's H2D copy with the previous
-// fragment's kernel; pieces already Resident in device memory launch
-// directly on the card.
+// cost zero bus bytes. A scan is one segmented kernel per column over
+// every surviving piece; uploads and the kernel run on a Stream, so a
+// cold scan overlaps the H2D copies with the compute, and a scan of
+// pieces already Resident in device memory launches directly on the
+// card.
 package exec
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
-	"hybridstore/internal/agg"
 	"hybridstore/internal/device"
 	"hybridstore/internal/layout"
 	"hybridstore/internal/obs"
@@ -68,13 +67,6 @@ func denseBytes(v layout.ColVector) []byte {
 	return out
 }
 
-// fragKey is the cache key of a piece's image of column col: the clip of
-// its fragment, dense or compressed.
-func fragKey(table string, col int, p *Piece) device.FragKey {
-	return device.FragKey{Table: table, Frag: p.FragID, Col: col,
-		Row0: int(p.Rows.Begin), Rows: p.Vec.Len, Comp: p.Comp != nil}
-}
-
 // acquire returns a pin on a device-resident image of the piece's
 // column clip — the dense bytes, or for a compressed piece its wire
 // image (compress.Column.AppendMarshal, encoded in place), so the bus
@@ -98,8 +90,8 @@ func (d DeviceScan) acquire(s *device.Stream, col int, p *Piece) (device.Pin, er
 		}
 		return s.CopyToDevice(b, 0, denseBytes(p.Vec))
 	}
-	if d.Cache != nil && p.FragID != 0 {
-		pin, _, err := d.Cache.Acquire(fragKey(d.Table, col, p), p.FragVersion, size, upload)
+	if r := d.request(col, p); r.Key.Frag != 0 {
+		pin, _, err := d.Cache.Acquire(r.Key, r.Version, size, upload)
 		if !errors.Is(err, device.ErrCachePinned) {
 			return pin, err
 		}
@@ -119,149 +111,172 @@ func (d DeviceScan) acquire(s *device.Stream, col int, p *Piece) (device.Pin, er
 }
 
 // scanScratch is what one device scan works in and gives back: the
-// zone test of every piece against every predicate, each piece's kernel
-// operands, the pins held until the stream drains, the host buffer each
-// launch's group table lands in, and one group table per result that
-// the launches fold into. Only Result.Groups — drained from the tables
-// — leaves a scan; the rest is recycled, so a warm scan's garbage does
-// not grow with its piece count.
+// zone test of every surviving piece against every predicate, the
+// survivors' piece indexes and kernel segments, the predicates'
+// intervals, the cache requests of the images to ship and the pins held
+// until the stream drains, and the launch's partials. Only the
+// partials' group tables leave a scan; the rest is recycled, so a warm
+// scan's garbage does not grow with its piece count.
 type scanScratch struct {
-	admit   []bool
-	kernels []device.Kernel
-	pins    []device.Pin
-	groups  []device.GroupPartial
-	tables  []agg.Table
+	admit []bool
+	of    []int
+	segs  []device.Segment
+	where []device.Interval
+	reqs  []device.CacheReq
+	pins  []device.Pin
+	parts []device.Partial
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// release returns every pin, empties the group tables — a grouped scan
-// that failed may have folded pieces into them — and recycles the
-// scratch.
+// release recycles the scratch, every device buffer reference cleared.
 func (x *scanScratch) release() {
-	for i := range x.pins {
-		x.pins[i].Release()
-	}
-	for k := range x.tables {
-		x.groups = x.tables[k].Drain(x.groups[:0])
-	}
-	clear(x.kernels)
-	x.admit, x.kernels, x.pins, x.groups = x.admit[:0], x.kernels[:0], x.pins[:0], x.groups[:0]
+	clear(x.segs)
+	x.admit, x.of, x.segs, x.where, x.reqs = x.admit[:0], x.of[:0], x.segs[:0], x.where[:0], x.reqs[:0]
 	scanScratchPool.Put(x)
 }
 
-// Scan runs the scan on the card: SUM(val) [, COUNT(*) WHERE p] with the
-// tree-reduction kernels, or SUM, COUNT WHERE p GROUP BY key with the
-// fused filter+hash-aggregate kernel — exactly ONE launch plus ONE D2H
-// (the fragment's group table) per surviving fragment pair and
-// admitting predicate, no selection vector or intermediate positions
-// ever crossing the bus. The pass is piece-major: each value piece is
-// zone-tested against every predicate, and a piece some predicate
-// admits is acquired once — through the fragment cache, compressed
-// value pieces as their resident compressed images — and launched once
-// per predicate that admits it, in piece order, so result k folds
-// exactly the launches a scan of predicate k alone would. Pruned pieces
-// save both columns' bytes (NoteZoneDecision, once per piece and
-// predicate), and a scan with nothing left opens no stream and no span.
-// Every image is acquired before any decision is noted or any kernel
-// launched, so a card that cannot hold them refuses the scan with
-// nothing accounted. What no kernel can run — the unpredicated
-// group-by, an empty predicate, compressed group keys — fails with
-// ErrBadColumn and the caller falls back to the host path.
+// Scan runs the scan on the card as ONE segmented launch per column:
+// SUM(val) [, COUNT(*) WHERE p] with the tree-reduction kernels, or SUM,
+// COUNT WHERE p GROUP BY key with the fused filter+hash-aggregate kernel
+// — no selection vector or intermediate positions ever crossing the bus,
+// whatever the cohort's size. Each value piece is zone-tested against
+// every predicate; a piece some predicate admits becomes one segment,
+// acquired once — through the fragment cache, compressed value pieces as
+// their resident compressed images — and the kernel folds it for every
+// predicate that admits it, so result k has the bits of a solo scan of
+// predicate k (device.Kernel). Pruned pieces save both columns' bytes,
+// noted per piece and predicate, and a scan with nothing left opens no
+// stream and no span. Every image is acquired before any decision is
+// noted or the kernel launched, so a card that cannot hold them refuses
+// the scan with nothing accounted. What no kernel can run — the
+// unpredicated group-by, an empty predicate, compressed group keys —
+// fails with ErrBadColumn and the caller falls back to the host path.
 func (d DeviceScan) Scan(sc Scan, out []Result) error {
 	if err := sc.deviceForm(out); err != nil {
 		return err
 	}
-	clear(out)
 	filtered, grouped, nk := sc.Op.Filtered(), sc.Op.Grouped(), len(out)
+	if !filtered {
+		nk = 1 // every result is the one unfiltered sum
+	}
 	x := scanScratchPool.Get().(*scanScratch)
+	defer x.release()
+	var scanned, pruned, prunedBytes int64
+	elems := 0
 	for i := range sc.Vals {
-		for k := range out {
-			x.admit = append(x.admit, sc.Vals[i].Vec.Len > 0 && (!filtered || ZoneAdmits(sc.Vals[i].Zone, sc.pred(k))))
+		vp, row, live := &sc.Vals[i], len(x.admit), false
+		for k := 0; k < nk; k++ {
+			admit := vp.Vec.Len > 0 && (!filtered || ZoneAdmits(vp.Zone, sc.pred(k)))
+			x.admit, live = append(x.admit, admit), live || admit
+			if filtered && vp.Vec.Len > 0 && !admit {
+				pruned, prunedBytes = pruned+1, prunedBytes+sc.zoneBytes(i)
+			} else if filtered && vp.Vec.Len > 0 {
+				scanned++
+			}
+		}
+		if !live {
+			x.admit = x.admit[:row]
+			continue
+		}
+		x.of, elems = append(x.of, i), elems+vp.Vec.Len
+		if vp.Place != Resident && grouped {
+			x.reqs = append(x.reqs, d.request(sc.KeyCol, &sc.Keys[i]))
+		}
+		if vp.Place != Resident {
+			x.reqs = append(x.reqs, d.request(sc.Col, vp))
 		}
 	}
-	var sp obs.Span      // opened when some predicate admits a piece
-	var s *device.Stream // opened by the first piece that has to ship
+	x.parts = append(x.parts[:0], make([]device.Partial, nk)...)
+	if len(x.of) > 0 {
+		if err := d.launch(sc, x, elems); err != nil {
+			return err
+		}
+	}
+	NoteZoneDecisions(scanned, pruned, prunedBytes)
+	for k := range out {
+		p := x.parts[k%nk]
+		out[k] = Result{Sum: p.Sum, Count: p.Count, Groups: p.Groups}
+	}
+	return nil
+}
+
+// launch acquires the images of the scan's surviving pieces x.of, whose
+// requests x.reqs holds — the cache's hits under one lock, then the
+// misses — and runs them as one kernel into x.parts. The pins are
+// released once the stream drains.
+func (d DeviceScan) launch(sc Scan, x *scanScratch, elems int) (err error) {
+	sp := obsDeviceScan.Start()
+	var s *device.Stream // open when some piece ships
+	if len(x.reqs) > 0 {
+		s = d.GPU.NewStream()
+	}
+	x.pins = append(x.pins[:0], make([]device.Pin, len(x.reqs))...)
 	defer func() {
 		if s != nil {
 			s.Wait()
 		}
-		x.release()
+		device.ReleasePins(x.pins)
 		sp.End()
 	}()
-	// operand resolves one piece to the kernel's view of it.
-	operand := func(col int, p *Piece) (vec device.Vec, comp *device.Buffer, err error) {
-		if p.Place == Resident {
-			return DeviceVec(p.Vec), nil, nil
+	if d.Cache != nil {
+		d.Cache.PinHits(x.reqs, x.pins)
+	}
+	j := 0 // the next shipped image's request
+	operand := func(col int, p *Piece) (device.Vec, *device.Buffer, error) {
+		if x.pins[j].Buffer() == nil {
+			if x.pins[j], err = d.acquire(s, col, p); err != nil {
+				return device.Vec{}, nil, err
+			}
 		}
-		if s == nil {
-			s = d.GPU.NewStream()
-		}
-		pin, err := d.acquire(s, col, p)
-		if err != nil {
-			return device.Vec{}, nil, err
-		}
-		x.pins = append(x.pins, pin)
+		buf := x.pins[j].Buffer()
+		j++
 		if p.Comp != nil {
-			return device.Vec{}, pin.Buffer(), nil
+			return device.Vec{}, buf, nil
 		}
-		return device.Vec{Buf: pin.Buffer(), Stride: p.Vec.Size, Size: p.Vec.Size, Len: p.Vec.Len}, nil, nil
+		return device.Vec{Buf: buf, Stride: p.Vec.Size, Size: p.Vec.Size, Len: p.Vec.Len}, nil, nil
 	}
-	if slices.Contains(x.admit, true) {
-		sp = obsDeviceScan.Start()
-	}
-	for i := range sc.Vals {
-		var k device.Kernel
-		if slices.Contains(x.admit[i*nk:(i+1)*nk], true) {
-			vp := &sc.Vals[i]
-			k = device.Kernel{Where: filtered, Config: device.ReduceConfigFor(vp.Vec.Len)}
-			var err error
-			if grouped {
-				if k.Keys, _, err = operand(sc.KeyCol, &sc.Keys[i]); err != nil {
-					return err
-				}
+	grouped := sc.Op.Grouped()
+	for _, i := range x.of {
+		var seg device.Segment
+		switch vp := &sc.Vals[i]; {
+		case vp.Place == Resident && grouped:
+			seg.Vals, seg.Keys = DeviceVec(vp.Vec), DeviceVec(sc.Keys[i].Vec)
+		case vp.Place == Resident:
+			seg.Vals = DeviceVec(vp.Vec)
+		case grouped:
+			if seg.Keys, _, err = operand(sc.KeyCol, &sc.Keys[i]); err != nil {
+				return err
 			}
-			if k.Vals, k.Comp, err = operand(sc.Col, vp); err != nil {
+			fallthrough
+		default:
+			if seg.Vals, seg.Comp, err = operand(sc.Col, vp); err != nil {
 				return err
 			}
 		}
-		x.kernels = append(x.kernels, k)
+		x.segs = append(x.segs, seg)
 	}
-	x.tables = append(x.tables, make([]agg.Table, max(nk-len(x.tables), 0))...)
-	for i, k := range x.kernels {
-		for r := range out {
-			admit := x.admit[i*nk+r]
-			if filtered && sc.Vals[i].Vec.Len > 0 {
-				NoteZoneDecision(admit, sc.zoneBytes(i))
-			}
-			if !admit {
-				continue
-			}
-			if filtered {
-				k.Lo, k.Hi, _ = sc.pred(r).Closed()
-			}
-			// x.groups is the one host buffer every launch's group table
-			// lands in: each is folded into its result's table before the
-			// next launch overwrites it.
-			k.Groups = x.groups
-			launch := d.GPU.Launch
-			if sc.Vals[i].Place != Resident {
-				launch = s.Launch // the piece shipped, so the stream is open
-			}
-			part, err := launch(k)
-			if err != nil {
-				return err
-			}
-			out[r].Sum += part.Sum
-			out[r].Count += part.Count
-			x.tables[r].Merge(part.Groups)
-			x.groups = part.Groups
-		}
+	k := device.Kernel{Segs: x.segs, Admit: x.admit, Config: device.ReduceConfigFor(elems)}
+	for q := 0; sc.Op.Filtered() && q < len(x.parts); q++ {
+		lo, hi, _ := sc.pred(q).Closed()
+		x.where = append(x.where, device.Interval{Lo: lo, Hi: hi})
+		k.Where = x.where
 	}
-	for r := 0; grouped && r < nk; r++ {
-		out[r].Groups = x.tables[r].Drain(nil)
+	if s != nil {
+		return s.Launch(k, x.parts)
 	}
-	return nil
+	return d.GPU.Launch(k, x.parts)
+}
+
+// request is the cache request of a piece's image of column col: the
+// clip of its fragment, dense or compressed. An uncacheable piece's
+// names no fragment.
+func (d DeviceScan) request(col int, p *Piece) device.CacheReq {
+	if d.Cache == nil || p.FragID == 0 {
+		return device.CacheReq{}
+	}
+	return device.CacheReq{Version: p.FragVersion, Key: device.FragKey{Table: d.Table, Frag: p.FragID, Col: col,
+		Row0: int(p.Rows.Begin), Rows: p.Vec.Len, Comp: p.Comp != nil}}
 }
 
 // Prime uploads the pieces' images of column col into the fragment cache
@@ -276,10 +291,10 @@ func (d DeviceScan) Prime(col int, pieces []Piece) error {
 		return nil
 	}
 	s := d.GPU.NewStream()
-	x := scanScratchPool.Get().(*scanScratch)
+	var pins []device.Pin
 	defer func() {
 		s.Wait()
-		x.release()
+		device.ReleasePins(pins)
 	}()
 	for i := range pieces {
 		pc := &pieces[i]
@@ -290,7 +305,7 @@ func (d DeviceScan) Prime(col int, pieces []Piece) error {
 		if err != nil {
 			return fmt.Errorf("exec: priming col %d: %w", col, err)
 		}
-		x.pins = append(x.pins, pin)
+		pins = append(pins, pin)
 	}
 	return nil
 }

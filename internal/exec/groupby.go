@@ -184,7 +184,7 @@ func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupRes
 	defer ot.end()
 	var lo, hi float64
 	if filtered {
-		keys, vals, _ = pruneByZone(cfg, keys, vals, p)
+		keys, vals, _ = pruneByZone(cfg, keys, vals, p, true)
 		var ok bool
 		if lo, hi, ok = p.Closed(); !ok {
 			// Empty interval: provably no matches, nothing scanned.

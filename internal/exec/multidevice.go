@@ -28,10 +28,12 @@ type MultiDeviceScan struct {
 }
 
 // Scan runs the scan across the fleet: one goroutine per card works
-// through its pieces in order on that card's DeviceScan (which prunes by
-// zone, caches and streams exactly as a lone card does, each piece
-// acquired once for the whole cohort), and Env.SettleMax folds the
-// longest lane into the shared clock. Per-piece results land indexed by
+// through its pieces in order on that card's DeviceScan, one call — one
+// launch — per piece (which prunes by zone, caches and streams exactly
+// as a lone card does, each piece acquired once for the whole cohort),
+// and Env.SettleMax folds the longest lane into the shared clock. One
+// launch per card would leave a warm fleet scan of a few small pieces
+// bound by each card's launch overhead, which no fleet size divides. Per-piece results land indexed by
 // original position and fold in piece order — sums left to right, group
 // tables through MergeGroupResults. Scans no kernel can run fail with
 // ErrBadColumn exactly like DeviceScan, before anything is placed; so

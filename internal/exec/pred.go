@@ -124,16 +124,14 @@ func ZoneAdmits(z *stats.Zone, p Pred) bool {
 	return !ok || admits(p, min, max)
 }
 
-// NoteZoneDecision records one zone consultation made outside the host
-// operators (bytes is the fragment size the decision covered), keeping
-// the pruned/scanned counters whole-system figures.
-func NoteZoneDecision(admitted bool, bytes int64) {
-	if admitted {
-		mZoneScanned.Inc()
-		return
-	}
-	mZonePruned.Inc()
-	mZonePrunedBytes.Add(bytes)
+// NoteZoneDecisions records zone consultations made outside the host
+// operators — scanned admitted pieces, pruned skipped ones, the bytes
+// the skipped pieces cover — keeping the pruned/scanned counters
+// whole-system figures.
+func NoteZoneDecisions(scanned, pruned, prunedBytes int64) {
+	mZoneScanned.Add(scanned)
+	mZonePruned.Add(pruned)
+	mZonePrunedBytes.Add(prunedBytes)
 }
 
 // pruneByZone partitions pieces into the survivors of p's zone test and
@@ -143,25 +141,28 @@ func NoteZoneDecision(admitted bool, bytes int64) {
 // keys, when non-nil, is a column aligned with pieces (the fused
 // group-by's key view): pieces' zones drive the decision, surviving
 // pairs keep their index alignment, and a skipped fragment saves both
-// columns' bytes. Survivors alias the inputs when nothing was pruned, so
-// the common all-survive case allocates nothing.
-func pruneByZone(cfg Config, keys, pieces []Piece, p Pred) (kKeys, kept []Piece, prunedBytes int64) {
+// columns' bytes. Only with keep are the survivors listed — a pass that
+// reads no list is accounted without building one — and they alias the
+// inputs when nothing was pruned, so the common all-survive case
+// allocates nothing.
+func pruneByZone(cfg Config, keys, pieces []Piece, p Pred, keep bool) (kKeys, kept []Piece, prunedBytes int64) {
 	pruned := 0
-	for i, pc := range pieces {
-		if ZoneAdmits(pc.Zone, p) {
-			if pruned > 0 {
-				kept = append(kept, pc)
-				if keys != nil {
-					kKeys = append(kKeys, keys[i])
-				}
+	for i := range pieces {
+		pc := &pieces[i]
+		admit := ZoneAdmits(pc.Zone, p)
+		if keep && admit && pruned > 0 {
+			kept = append(kept, *pc)
+			if keys != nil {
+				kKeys = append(kKeys, keys[i])
 			}
-			continue
-		}
-		if pruned == 0 {
+		} else if keep && !admit && pruned == 0 {
 			kept = append(kept, pieces[:i]...)
 			if keys != nil {
 				kKeys = append(kKeys, keys[:i]...)
 			}
+		}
+		if admit {
+			continue
 		}
 		pruned++
 		prunedBytes += int64(pc.Vec.Len) * int64(pc.Vec.Size)
@@ -172,7 +173,7 @@ func pruneByZone(cfg Config, keys, pieces []Piece, p Pred) (kKeys, kept []Piece,
 	if pruned == 0 {
 		kKeys, kept = keys, pieces
 	}
-	mZoneScanned.Add(int64(len(kept)))
+	mZoneScanned.Add(int64(len(pieces) - pruned))
 	if pruned > 0 {
 		sp := sfPrune.Start()
 		mZonePruned.Add(int64(pruned))
@@ -187,9 +188,9 @@ func pruneByZone(cfg Config, keys, pieces []Piece, p Pred) (kKeys, kept []Piece,
 
 // checkSize8 rejects views whose fields are not 8 bytes wide.
 func checkSize8(pieces []Piece, what string) error {
-	for _, p := range pieces {
-		if p.Vec.Size != 8 {
-			return fmt.Errorf("%w: %s over %d-byte fields", ErrBadColumn, what, p.Vec.Size)
+	for i := range pieces {
+		if size := pieces[i].Vec.Size; size != 8 {
+			return fmt.Errorf("%w: %s over %d-byte fields", ErrBadColumn, what, size)
 		}
 	}
 	return nil
@@ -326,7 +327,7 @@ func scanSum(cfg Config, sc Scan, out []Result) error {
 		}
 		kept := pieces
 		if filtered {
-			_, kept, _ = pruneByZone(cfg, nil, pieces, sc.pred(k))
+			_, kept, _ = pruneByZone(cfg, nil, pieces, sc.pred(k), parallel)
 		}
 		if parallel {
 			s, n := parallelFold(cfg, rawOf(kept), func(v layout.ColVector, from, to int) (float64, int64) {
@@ -403,7 +404,7 @@ func SelectFloat64Pred(cfg Config, pieces []Piece, p Pred) (*SelVec, error) {
 		return &SelVec{}, nil
 	}
 	ot := obsSelectPred.start(cfg.Policy)
-	_, kept, _ := pruneByZone(cfg, nil, pieces, p)
+	_, kept, _ := pruneByZone(cfg, nil, pieces, p, true)
 	out := selectPositionsInto(cfg, kept, func(buf []uint64, gFrom, gTo int) []uint64 {
 		eachRange(kept, gFrom, gTo, func(pc Piece, from, to int) {
 			buf = appendWhere(buf, pc.Rows.Begin, pc.Vec, from, to, lo, hi)

@@ -19,9 +19,9 @@ import (
 // pairs out of the columns (priced as a record-centric materialization
 // of 16-byte records spread over two fragments), then aggregates the
 // materialized pair. On the device the fused plan is one kernel launch
-// and one group-table download per fragment, while the baseline runs a
-// filter kernel plus two gather kernels and ships every matching pair
-// over the bus. Compressed legs aggregate the dictionary-coded value
+// and one group-table download per scan, over every fragment, while the
+// baseline runs a filter kernel plus two gather kernels per fragment and
+// ships every matching pair over the bus. Compressed legs aggregate the dictionary-coded value
 // column in the compressed domain versus decode-then-baseline.
 
 // FusionPoint is one (group cardinality, selectivity) cell of the sweep.
@@ -44,7 +44,7 @@ type FusionPoint struct {
 	DeviceFusedKernels, DeviceBaseKernels   int64
 	DeviceFusedD2HBytes, DeviceBaseD2HBytes int64
 	// Device compressed leg: the fused kernel decoding and aggregating in
-	// one launch per fragment.
+	// one launch.
 	DeviceCompFusedNs      float64
 	DeviceCompFusedKernels int64
 }
@@ -159,7 +159,7 @@ func MeasureFusion(rows uint64, fragments int, cards []int, sels []float64) (*Fu
 			}).Ns
 
 			// Device fused leg: one kernel launch and one group-table
-			// download per fragment, through the fragment cache (cold).
+			// download per scan, through the fragment cache (cold).
 			c := l.on(newRig(true), "device-fused", onCard("fusion", dense))
 			pt.DeviceFusedNs, pt.DeviceFusedKernels, pt.DeviceFusedD2HBytes = c.Ns, c.Kernels, c.D2H
 
@@ -172,7 +172,7 @@ func MeasureFusion(rows uint64, fragments int, cards []int, sels []float64) (*Fu
 			pt.DeviceBaseNs, pt.DeviceBaseKernels, pt.DeviceBaseD2HBytes = c.Ns, c.Kernels, c.D2H
 
 			// Device compressed leg: the fused kernel decodes and aggregates
-			// the dictionary image in the same single launch per fragment.
+			// the dictionary images in the same single launch.
 			c = l.on(newRig(true), "device-fused-comp", onCard("fusion-comp", comp))
 			pt.DeviceCompFusedNs, pt.DeviceCompFusedKernels = c.Ns, c.Kernels
 			if l.err != nil {
@@ -264,7 +264,8 @@ func fusionDeviceBaseline(r *rig, keysDense, valsDense []byte, vals []float64, f
 		vvec := device.Vec{Buf: vbuf, Stride: 8, Size: 8, Len: int(fragRows)}
 		// The filter kernel: evaluates the predicate over the fragment and
 		// reports the match count the gathers are sized for.
-		if _, err := gpu.Launch(device.Kernel{Vals: vvec, Where: true, Lo: lo, Hi: hi, Config: device.DefaultReduceConfig()}); err != nil {
+		k := device.Kernel{Segs: []device.Segment{{Vals: vvec}}, Where: []device.Interval{{Lo: lo, Hi: hi}}, Config: device.DefaultReduceConfig()}
+		if err := gpu.Launch(k, make([]device.Partial, 1)); err != nil {
 			return nil, err
 		}
 		var positions []int

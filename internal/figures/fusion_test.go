@@ -7,8 +7,8 @@ import "testing"
 // under every threading policy at every swept point, beats the device
 // filter+gather baseline at ≤10% selectivity, and the device fused plan
 // spends exactly ONE kernel launch and ONE group-table download per
-// fragment — also on the compressed leg, where the decode folds into
-// the same launch. Every leg's group table is cross-checked against a
+// scan, over every fragment — also on the compressed leg, where the
+// decode folds into the same launch. Every leg's group table is cross-checked against a
 // host shadow inside MeasureFusion, so a successful return is the
 // exactness proof.
 func TestFusionSweep(t *testing.T) {
@@ -35,28 +35,28 @@ func TestFusionSweep(t *testing.T) {
 	}
 	for _, pt := range s.Points {
 		// The one-launch budget: one kernel and one 24-byte-per-group
-		// download per fragment, dense and compressed alike.
-		if pt.DeviceFusedKernels != frags {
-			t.Errorf("groups=%d sel=%.2f: fused kernels = %d, want %d (one per fragment)",
-				pt.Groups, pt.Selectivity, pt.DeviceFusedKernels, frags)
+		// download per scan, dense and compressed alike.
+		if pt.DeviceFusedKernels != 1 {
+			t.Errorf("groups=%d sel=%.2f: fused kernels = %d, want 1 (one per scan)",
+				pt.Groups, pt.Selectivity, pt.DeviceFusedKernels)
 		}
-		if pt.DeviceCompFusedKernels != frags {
-			t.Errorf("groups=%d sel=%.2f: compressed fused kernels = %d, want %d (decode folded in)",
-				pt.Groups, pt.Selectivity, pt.DeviceCompFusedKernels, frags)
+		if pt.DeviceCompFusedKernels != 1 {
+			t.Errorf("groups=%d sel=%.2f: compressed fused kernels = %d, want 1 (decode folded in)",
+				pt.Groups, pt.Selectivity, pt.DeviceCompFusedKernels)
 		}
 		if pt.DeviceBaseKernels <= pt.DeviceFusedKernels {
 			t.Errorf("groups=%d sel=%.2f: baseline ran %d kernels, fused %d — no launch saving",
 				pt.Groups, pt.Selectivity, pt.DeviceBaseKernels, pt.DeviceFusedKernels)
 		}
-		// The download is bounded by the group tables, never the rows.
-		if max := int64(frags) * int64(pt.Groups) * 24; pt.DeviceFusedD2HBytes > max {
-			t.Errorf("groups=%d sel=%.2f: fused D2H %d bytes, want <= %d (group tables only)",
+		// The download is the scan's group table, never the rows.
+		if max := int64(pt.Groups) * 24; pt.DeviceFusedD2HBytes > max {
+			t.Errorf("groups=%d sel=%.2f: fused D2H %d bytes, want <= %d (one group table)",
 				pt.Groups, pt.Selectivity, pt.DeviceFusedD2HBytes, max)
 		}
-		// At the small cardinality every fragment holds all groups.
-		if pt.Groups == 8 && pt.DeviceFusedD2HBytes != int64(frags)*8*24 {
+		// At the small cardinality the scan matches every group.
+		if pt.Groups == 8 && pt.DeviceFusedD2HBytes != 8*24 {
 			t.Errorf("sel=%.2f: fused D2H %d bytes, want exactly %d",
-				pt.Selectivity, pt.DeviceFusedD2HBytes, int64(frags)*8*24)
+				pt.Selectivity, pt.DeviceFusedD2HBytes, 8*24)
 		}
 		// Compressed-domain grouping beats the dense fused pass on the
 		// host (fewer streamed bytes) and decode-then-aggregate by far.

@@ -239,13 +239,12 @@ func measureDeviceSelectivity(pieces []exec.Piece, rows uint64, selectivities []
 		lo, hi, ok := p.Closed()
 		var res exec.Result
 		for _, pc := range pieces {
-			bytes := int64(pc.Vec.Len) * int64(pc.Vec.Size)
 			if prune {
-				admitted := exec.ZoneAdmits(pc.Zone, p)
-				exec.NoteZoneDecision(admitted, bytes)
-				if !admitted {
+				if !exec.ZoneAdmits(pc.Zone, p) {
+					exec.NoteZoneDecisions(0, 1, int64(pc.Vec.Len)*int64(pc.Vec.Size))
 					continue
 				}
+				exec.NoteZoneDecisions(1, 0, 0)
 			}
 			if !ok || pc.Vec.Len == 0 {
 				continue
@@ -257,12 +256,12 @@ func measureDeviceSelectivity(pieces []exec.Piece, rows uint64, selectivities []
 			}
 			err = gpu.CopyToDevice(buf, 0, src)
 			if err == nil {
-				var part device.Partial
-				part, err = gpu.Launch(device.Kernel{
-					Vals:  device.Vec{Buf: buf, Stride: pc.Vec.Stride, Size: pc.Vec.Size, Len: pc.Vec.Len},
-					Where: true, Lo: lo, Hi: hi, Config: device.ReduceConfigFor(pc.Vec.Len)})
-				res.Sum += part.Sum
-				res.Count += part.Count
+				part := make([]device.Partial, 1)
+				err = gpu.Launch(device.Kernel{
+					Segs:  []device.Segment{{Vals: device.Vec{Buf: buf, Stride: pc.Vec.Stride, Size: pc.Vec.Size, Len: pc.Vec.Len}}},
+					Where: []device.Interval{{Lo: lo, Hi: hi}}, Config: device.ReduceConfigFor(pc.Vec.Len)}, part)
+				res.Sum += part[0].Sum
+				res.Count += part[0].Count
 			}
 			buf.Free()
 			if err != nil {

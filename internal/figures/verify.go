@@ -143,13 +143,13 @@ func Verify(n uint64) (VerifyReport, error) {
 	if err := gpu.CopyToDevice(buf, 0, v.Data[v.Base:v.Base+v.Len*v.Size]); err != nil {
 		return report, err
 	}
-	got, err := gpu.Launch(device.Kernel{
-		Vals:   device.Vec{Buf: buf, Stride: workload.ItemPriceSize, Size: workload.ItemPriceSize, Len: int(n)},
-		Config: device.DefaultReduceConfig()})
-	if err != nil {
+	got := make([]device.Partial, 1)
+	if err := gpu.Launch(device.Kernel{
+		Segs:   []device.Segment{{Vals: device.Vec{Buf: buf, Stride: workload.ItemPriceSize, Size: workload.ItemPriceSize, Len: int(n)}}},
+		Config: device.DefaultReduceConfig()}, got); err != nil {
 		return report, err
 	}
-	check("sum all prices / "+ColDevice, got.Sum, wantSum)
+	check("sum all prices / "+ColDevice, got[0].Sum, wantSum)
 
 	// Position-list queries (panels 1-2): 150 sorted positions.
 	r := rand.New(rand.NewSource(42))

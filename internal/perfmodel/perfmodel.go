@@ -33,6 +33,7 @@ package perfmodel
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -338,47 +339,45 @@ func (d DeviceProfile) effectiveBandwidth(fieldSize, stride int) float64 {
 // device-resident elements of fieldSize bytes spaced stride bytes apart,
 // launched with the given grid geometry, plus the final single-block pass.
 func (d DeviceProfile) ReduceKernelNs(n int64, fieldSize, stride, blocks, threadsPerBlock int) float64 {
-	bw := d.effectiveBandwidth(fieldSize, stride)
-	sweep := float64(n*int64(fieldSize)) / bw * 1e9
-	// Tree depth adds a latency term per level within each block.
-	depth := 0
-	for 1<<depth < threadsPerBlock {
-		depth++
-	}
-	levels := float64(depth) * 40 // ~40 ns sync+step per level
 	// Two launches: the grid-wide pass and the final 1-block reduction.
-	return 2*d.KernelLaunchNs + sweep + levels
+	return 2*d.KernelLaunchNs + d.SweepNs(n, 1, fieldSize, stride) + d.TreeNs(threadsPerBlock)
 }
 
-// GroupKernelNs prices the fused filter+hash-aggregate kernel over n
-// device-resident (key, value) element pairs: ONE launch sweeps both
-// columns at effective bandwidth, tests each value against the closed
-// predicate interval, and folds the matched elements into per-SM
-// shared-memory group tables with one atomic update each; the partial
-// tables merge in a log-depth final step priced like the reduction's
-// levels. This is the one-launch contract of the fused
-// predicate→group-by pipeline — the materialize-then-aggregate baseline
+// SweepNs prices one pass of a kernel over n device-resident elements
+// in each of cols columns, fieldSize bytes spaced stride bytes apart, at
+// the effective bandwidth. A segmented launch pays one sweep per segment
+// on top of its fixed launch cost (KernelLaunchNs per launch, one
+// TreeNs): the filter+hash-aggregate kernel sweeps two columns (key and
+// value), a reduction one.
+func (d DeviceProfile) SweepNs(n int64, cols, fieldSize, stride int) float64 {
+	return float64(int64(cols)*n*int64(fieldSize)) / d.effectiveBandwidth(fieldSize, stride) * 1e9
+}
+
+// TreeNs prices the log-depth in-block step of a launch of
+// threadsPerBlock threads: the reduction's halving tree, or the merge of
+// the fused group kernel's per-SM tables.
+func (d DeviceProfile) TreeNs(threadsPerBlock int) float64 {
+	depth := bits.Len(uint(max(threadsPerBlock, 1) - 1)) // ⌈log2⌉ levels
+	return float64(depth) * 40                           // ~40 ns sync+step per level
+}
+
+// AtomicsNs prices the fused filter+hash-aggregate kernel's folding of
+// matched elements into its shared-memory group tables, one atomic
+// update each. That kernel is ONE launch that sweeps key and value
+// columns, tests each value against the closed predicate interval, and
+// folds the matches — the one-launch contract of the fused
+// predicate→group-by pipeline; the materialize-then-aggregate baseline
 // pays two launches plus an intermediate position-list round trip.
-func (d DeviceProfile) GroupKernelNs(n, matched int64, fieldSize, stride, blocks, threadsPerBlock int) float64 {
-	bw := d.effectiveBandwidth(fieldSize, stride)
-	sweep := float64(2*n*int64(fieldSize)) / bw * 1e9 // key and value columns
-	atomics := float64(matched) * 2                   // shared-memory hash insert per match
-	depth := 0
-	for 1<<depth < threadsPerBlock {
-		depth++
-	}
-	levels := float64(depth) * 40 // table-merge tree within each block
-	return d.KernelLaunchNs + sweep + atomics + levels
-}
+func (d DeviceProfile) AtomicsNs(matched int64) float64 { return float64(matched) * 2 }
 
-// DecodeKernelNs prices the device-side decompression kernel that
-// expands a compressed column image (RLE run fills, dictionary gathers,
-// FOR delta widening) into a dense scratch column ahead of the fused
-// reduction: one launch, the compressed bytes read and the raw bytes
+// DecodeNs prices expanding a compressed column image (RLE run fills,
+// dictionary gathers, FOR delta widening) into dense values ahead of
+// the fused reduction: the compressed bytes read and the raw bytes
 // written, both at global bandwidth. Decoding is branch-light and
-// coalesced, so bandwidth — not ALU — bounds it.
-func (d DeviceProfile) DecodeKernelNs(compressedBytes, rawBytes int64) float64 {
-	return d.KernelLaunchNs + float64(compressedBytes+rawBytes)/d.GlobalBandwidth*1e9
+// coalesced, so bandwidth — not ALU — bounds it. A reduction pays one
+// more launch for it; the group kernel decodes inside its own.
+func (d DeviceProfile) DecodeNs(compressedBytes, rawBytes int64) float64 {
+	return float64(compressedBytes+rawBytes) / d.GlobalBandwidth * 1e9
 }
 
 // GatherKernelNs prices a device gather of k records of recordWidth bytes

@@ -19,7 +19,9 @@
 # is, and a fixed order would book that to one side.
 #
 # Prints, per workload and gated metric, median [IQR] of both sides and
-# in how many rounds the change read better. IQR is Q3-Q1 with linear
+# in how many rounds the change read better. The per-run values stay in
+# $SCRATCH/pairs/runs-seedSEED.tsv (side, round, workload, metric,
+# value), one file per seed, so a run at one seed keeps another's. IQR is Q3-Q1 with linear
 # interpolation. A run that is not `"correct":true` with `"failed":0`
 # aborts the script. With -a PR the rows are appended to
 # perf/TRAJECTORY.csv:
@@ -56,7 +58,7 @@ work=${SCRATCH:-/root/scratch}/pairs
 rm -rf "$work/parent"
 mkdir -p "$work/parent"
 git archive "$parent" | tar -x -C "$work/parent"
-runs="$work/runs.tsv" # side, round, workload, metric, value
+runs="$work/runs-seed$seed.tsv" # side, round, workload, metric, value
 : >"$runs"
 
 # run_one SIDE DIR ROUND WORKLOAD: one benchmark run, its metrics to $runs.
