@@ -16,6 +16,13 @@
 // the sums agree to the bit. The unfiltered FoldAll and SumAll, which no
 // served workload issues, keep the byte loop.
 //
+// Continuing. SumWhereFrom is SumWhere picking up a running sum and
+// count, and FoldWhere already adds to whatever the table holds, so a
+// caller may fold a column in ascending runs and skip the runs it knows
+// admit nothing (the device's 64-row block zones): the admitted values
+// meet the accumulator in the same order, and every answer keeps the
+// bits of one sweep.
+//
 // The slot rule. A table keeps a window of 256 slots addressed by the
 // low byte of the key. The window covers the contiguous key range
 // [lo, lo+span) it has seen so far and widens, in either direction, for
@@ -284,6 +291,14 @@ func (t *Table) FoldAll(keys Keys, vals []byte, stride, n int) {
 // Every ungrouped float64 sum over an uncompressed column, host or
 // device, is this loop, so they agree to the bit.
 func SumWhere(vals []byte, stride, n int, lo, hi float64) (sum float64, count int64) {
+	return SumWhereFrom(0, 0, vals, stride, n, lo, hi)
+}
+
+// SumWhereFrom is SumWhere carrying on from a running sum and count: the
+// values inside [lo, hi] are added to sum in element order, as if one
+// loop had swept every run the caller folds this way. A caller that
+// skips only runs admitting nothing keeps SumWhere's bits.
+func SumWhereFrom(sum float64, count int64, vals []byte, stride, n int, lo, hi float64) (float64, int64) {
 	if xs, ok := view[float64](vals, stride, n); ok {
 		for _, x := range xs {
 			if lo <= x && x <= hi {

@@ -46,15 +46,29 @@ type FragKey struct {
 	Comp bool
 }
 
+// cacheKey is a FragKey with its table name interned (FragCache.names):
+// fixed width, so a lookup hashes no string.
+type cacheKey struct {
+	table           uint32
+	comp            bool
+	frag            uint64
+	col, row0, rows int
+}
+
+// in is the key under the table id its name interns to.
+func (k FragKey) in(table uint32) cacheKey {
+	return cacheKey{table: table, comp: k.Comp, frag: k.Frag, col: k.Col, row0: k.Row0, rows: k.Rows}
+}
+
 // fragRef is the invalidation coordinate: every clip/column image of one
 // fragment dies together when the fragment is written.
 type fragRef struct {
-	Table string
-	Frag  uint64
+	table uint32
+	frag  uint64
 }
 
 type cacheEntry struct {
-	key     FragKey
+	key     cacheKey
 	version uint64
 	buf     *Buffer
 	size    int64
@@ -93,7 +107,9 @@ type FragCacheStats struct {
 //
 // Acquire pins the returned image (refcounted) so concurrent eviction or
 // invalidation cannot free a buffer mid-kernel; callers must Release.
-// All methods are safe for concurrent use.
+// An image is write-once: its fill writes it and nothing writes it
+// again, so the card may keep a summary beside it (Buffer.image). All
+// methods are safe for concurrent use.
 type FragCache struct {
 	gpu *GPU
 	// capBytes, when positive, is an explicit budget below the device
@@ -106,8 +122,11 @@ type FragCache struct {
 	capBytes int64
 
 	mu      sync.Mutex
-	entries map[FragKey]*cacheEntry
-	byFrag  map[fragRef]map[FragKey]*cacheEntry
+	entries map[cacheKey]*cacheEntry
+	byFrag  map[fragRef]map[cacheKey]*cacheEntry
+	// names interns every table name an image was cached under, from 1;
+	// a name is never forgotten.
+	names map[string]uint32
 	// lru is the sentinel of a ring through the unpinned entries:
 	// lru.next is the most recently used, lru.prev the eviction victim.
 	// Linking and unlinking rewrite four pointers and allocate nothing.
@@ -128,8 +147,9 @@ type FragCache struct {
 func NewFragCache(g *GPU) *FragCache {
 	c := &FragCache{
 		gpu:     g,
-		entries: make(map[FragKey]*cacheEntry),
-		byFrag:  make(map[fragRef]map[FragKey]*cacheEntry),
+		entries: make(map[cacheKey]*cacheEntry),
+		byFrag:  make(map[fragRef]map[cacheKey]*cacheEntry),
+		names:   make(map[string]uint32),
 	}
 	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	return c
@@ -159,7 +179,8 @@ func NewFragCacheCap(g *GPU, capBytes int64) *FragCache {
 // reach it. A hit allocates nothing.
 func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Buffer) error) (Pin, bool, error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	ik := key.in(c.intern(key.Table))
+	if e, ok := c.entries[ik]; ok {
 		if e.version == version {
 			c.pin(e)
 			c.mu.Unlock()
@@ -185,10 +206,11 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 		buf.Free()
 		return Pin{}, false, fmt.Errorf("device: cache fill: %w", err)
 	}
+	buf.image = imageIDs.Add(1)
 
-	e := &cacheEntry{key: key, version: version, buf: buf, size: int64(size), pins: 1}
+	e := &cacheEntry{key: ik, version: version, buf: buf, size: int64(size), pins: 1}
 	c.mu.Lock()
-	if prev, ok := c.entries[key]; ok {
+	if prev, ok := c.entries[ik]; ok {
 		// A concurrent miss on the same key uploaded first; keep the
 		// resident image and drop ours. This acquire already counted its
 		// miss and charged the bus for the discarded image, so it is a
@@ -203,12 +225,12 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 		}
 		c.retireLocked(prev)
 	}
-	c.entries[key] = e
-	ref := fragRef{Table: key.Table, Frag: key.Frag}
+	c.entries[ik] = e
+	ref := fragRef{table: ik.table, frag: ik.frag}
 	if c.byFrag[ref] == nil {
-		c.byFrag[ref] = make(map[FragKey]*cacheEntry)
+		c.byFrag[ref] = make(map[cacheKey]*cacheEntry)
 	}
-	c.byFrag[ref][key] = e
+	c.byFrag[ref][ik] = e
 	c.resident += e.size
 	c.pinned += e.size
 	c.mu.Unlock()
@@ -227,12 +249,21 @@ type CacheReq struct {
 // and counts those hits. The other requests keep the zero Pin — absent,
 // stale, or naming no fragment (Frag 0) — and are the caller's to
 // Acquire, which counts their misses, retires stale images and uploads,
-// so the counters read as one Acquire per request would leave them.
+// so the counters read as one Acquire per request would leave them. A
+// run of requests naming one table looks its name up once.
 func (c *FragCache) PinHits(reqs []CacheReq, pins []Pin) {
 	var hits int64
 	c.mu.Lock()
+	name, table := "", c.names[""] // table is name's id: 0, which keys no image, while nothing of it is cached
 	for i := range reqs {
-		if e, ok := c.entries[reqs[i].Key]; ok && reqs[i].Key.Frag != 0 && e.version == reqs[i].Version {
+		key := &reqs[i].Key
+		if key.Frag == 0 {
+			continue
+		}
+		if key.Table != name {
+			name, table = key.Table, c.names[key.Table]
+		}
+		if e, ok := c.entries[key.in(table)]; ok && e.version == reqs[i].Version {
 			c.pin(e)
 			pins[i] = Pin{buf: e.buf, cache: c, e: e}
 			hits++
@@ -240,6 +271,17 @@ func (c *FragCache) PinHits(reqs []CacheReq, pins []Pin) {
 	}
 	c.mu.Unlock()
 	c.countHits(hits)
+}
+
+// intern returns the id of a table name, taking a new name in. Caller
+// holds c.mu.
+func (c *FragCache) intern(table string) uint32 {
+	id, ok := c.names[table]
+	if !ok {
+		id = uint32(len(c.names)) + 1
+		c.names[table] = id
+	}
+	return id
 }
 
 // countHits counts n cache hits, on the card's counters too.
@@ -337,7 +379,7 @@ func (c *FragCache) unpinLocked(e *cacheEntry) {
 // holds c.mu.
 func (c *FragCache) retireLocked(e *cacheEntry) {
 	delete(c.entries, e.key)
-	ref := fragRef{Table: e.key.Table, Frag: e.key.Frag}
+	ref := fragRef{table: e.key.table, frag: e.key.frag}
 	if m := c.byFrag[ref]; m != nil {
 		delete(m, e.key)
 		if len(m) == 0 {
@@ -409,7 +451,11 @@ func (c *FragCache) evictLRULocked() bool {
 func (c *FragCache) InvalidateFrag(table string, frag uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, e := range c.byFrag[fragRef{Table: table, Frag: frag}] {
+	id, ok := c.names[table]
+	if !ok {
+		return
+	}
+	for _, e := range c.byFrag[fragRef{table: id, frag: frag}] {
 		c.retireLocked(e)
 	}
 }
@@ -419,8 +465,12 @@ func (c *FragCache) InvalidateFrag(table string, frag uint64) {
 func (c *FragCache) InvalidateTable(table string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	id, ok := c.names[table]
+	if !ok {
+		return
+	}
 	for ref, m := range c.byFrag {
-		if ref.Table != table {
+		if ref.table != id {
 			continue
 		}
 		for _, e := range m {

@@ -37,6 +37,43 @@ func acquireUpload(t *testing.T, c *FragCache, key FragKey, version uint64, data
 	return pin, hit
 }
 
+// PinHits looks a table's name up once per run of requests naming it,
+// and the runs may interleave, name the empty table or a table nothing
+// was cached under: each request still hits exactly when its own image
+// is resident at its version.
+func TestPinHitsAcrossTableNames(t *testing.T) {
+	g, _ := newGPU()
+	c := NewFragCache(g)
+	data := hostFloats(8)
+	for _, table := range []string{"a", "", "b"} {
+		pin, _ := acquireUpload(t, c, FragKey{Table: table, Frag: 1, Rows: 8}, 1, data)
+		pin.Release()
+	}
+	reqs := []CacheReq{
+		{Key: FragKey{Table: "", Frag: 1, Rows: 8}, Version: 1},
+		{Key: FragKey{Table: "a", Frag: 1, Rows: 8}, Version: 1},
+		{Key: FragKey{Table: "a", Frag: 2, Rows: 8}, Version: 1},
+		{Key: FragKey{Table: "b", Frag: 1, Rows: 8}, Version: 2},
+		{Key: FragKey{Table: "c", Frag: 1, Rows: 8}, Version: 1},
+		{Key: FragKey{Table: "b", Frag: 1, Rows: 8}, Version: 1},
+		{Key: FragKey{Table: "", Frag: 0, Rows: 8}, Version: 1},
+		{Key: FragKey{Table: "", Frag: 1, Rows: 8}, Version: 1},
+	}
+	want := []bool{true, true, false, false, false, true, false, true}
+	pins := make([]Pin, len(reqs))
+	before := c.Stats().Hits
+	c.PinHits(reqs, pins)
+	defer ReleasePins(pins)
+	for i, w := range want {
+		if got := pins[i].Buffer() != nil; got != w {
+			t.Errorf("request %d (%+v): hit %v, want %v", i, reqs[i], got, w)
+		}
+	}
+	if hits := c.Stats().Hits - before; hits != 4 {
+		t.Errorf("%d hits counted, want 4", hits)
+	}
+}
+
 func TestCacheHitCostsZeroBusBytes(t *testing.T) {
 	g, _ := newGPU()
 	c := NewFragCache(g)

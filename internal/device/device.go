@@ -199,6 +199,12 @@ type Buffer struct {
 	// in-flight kernel's loads.
 	data  []byte
 	freed atomic.Bool
+	// image, when non-zero, marks a write-once cache image and numbers
+	// it: a FragCache sets it once the fill has written the bytes, and
+	// nothing writes them again. Only such an image carries a summary,
+	// built by the first filtered launch that folds it as float64 values.
+	image   uint64
+	summary atomic.Pointer[summary]
 }
 
 // Alloc reserves n bytes of device global memory.

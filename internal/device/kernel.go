@@ -51,7 +51,10 @@ type Interval struct{ Lo, Hi float64 }
 // admitted pair folds in ascending element order from a fresh partial —
 // a zero sum, an empty group table — and the partials combine in segment
 // order, so a result has the bits of one launch per segment added up
-// segment by segment, on the card: the D2H is K group tables. The card
+// segment by segment, on the card: the D2H is K group tables. Over a
+// write-once cache image the software card reaches the same bits
+// through the image's summary (summary.go) and folds only the rows an
+// interval can reach, priced as the full sweep all the same. The card
 // prices one launch (per kernel stage), one tree step and the sum of the
 // segment sweeps; raw and compressed segments share the launch.
 type Kernel struct {
@@ -161,19 +164,30 @@ func (g *GPU) launch(k Kernel, out []Partial) (kernelNs, d2hNs float64, err erro
 				return 0, 0, err
 			}
 		}
+		var sm *summary
+		var keyImage uint64
+		if k.Where != nil && col == nil {
+			sm, keyImage = seg.summaryOf(vals, n), seg.keyImage()
+		}
 		var matched int64
 		for r, iv := range where {
 			if k.Admit != nil && !k.Admit[s*nk+r] {
 				continue
 			}
-			sum, cnt := 0.0, int64(0)
+			sum, cnt, groups := 0.0, int64(0), []agg.Group(nil)
 			switch {
 			case grouped && col != nil:
 				_, _, err = col.Fold(true, iv.Lo, iv.Hi, keys, &x.fold)
+			case grouped && sm != nil && keyImage != 0 && sm.covers(iv):
+				groups = sm.groupsUnder(keyImage, &x.fold, keys, vals, n)
+			case grouped && sm != nil:
+				sm.foldWhere(&x.fold, keys, vals, n, iv)
 			case grouped:
 				x.fold.FoldWhere(keys, vals, stride, n, iv.Lo, iv.Hi)
 			case col != nil:
 				sum, cnt, err = col.Fold(k.Where != nil, iv.Lo, iv.Hi, agg.Keys{}, nil)
+			case sm != nil:
+				sum, cnt = sm.sumWhere(vals, n, iv)
 			case k.Where != nil:
 				sum, cnt = agg.SumWhere(vals, stride, n, iv.Lo, iv.Hi)
 			default:
@@ -185,11 +199,14 @@ func (g *GPU) launch(k Kernel, out []Partial) (kernelNs, d2hNs float64, err erro
 			out[r].Sum += sum
 			out[r].Count += cnt
 			if grouped {
-				x.buf = x.fold.Drain(x.buf[:0])
-				for _, gr := range x.buf {
+				if groups == nil {
+					x.buf = x.fold.Drain(x.buf[:0])
+					groups = x.buf
+				}
+				for _, gr := range groups {
 					matched += gr.Count
 				}
-				x.tables[r].Merge(x.buf)
+				x.tables[r].Merge(groups)
 			}
 		}
 		// A compressed segment is decoded, then swept dense.

@@ -21,9 +21,10 @@ type ResidentCol struct {
 func (c *FragCache) ResidentColumns(table string) []ResidentCol {
 	c.mu.Lock()
 	seen := make(map[ResidentCol]bool)
+	id, ok := c.names[table]
 	for key := range c.entries {
-		if key.Table == table {
-			seen[ResidentCol{Col: key.Col, Comp: key.Comp}] = true
+		if ok && key.table == id {
+			seen[ResidentCol{Col: key.col, Comp: key.comp}] = true
 		}
 	}
 	c.mu.Unlock()

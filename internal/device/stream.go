@@ -1,7 +1,7 @@
 package device
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 
 	"hybridstore/internal/compress"
@@ -125,5 +125,12 @@ func (s *Stream) Wait() {
 	if delta > 0 {
 		s.gpu.charge(delta)
 	}
-	sp.EndWith(fmt.Sprintf("charged_ns=%.0f", delta))
+	sp.EndWith(chargedDetail(delta))
+}
+
+// chargedDetail is Wait's span detail, the bytes of
+// fmt.Sprintf("charged_ns=%.0f", ns) without fmt's boxing and parsing.
+func chargedDetail(ns float64) string {
+	var b [48]byte
+	return string(strconv.AppendFloat(append(b[:0], "charged_ns="...), ns, 'f', 0, 64))
 }

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -84,6 +85,16 @@ func TestStreamWaitIsIdempotent(t *testing.T) {
 	s.Wait()
 	if clk.ElapsedNs() != first {
 		t.Errorf("repeated Wait moved the clock: %.0f -> %.0f", first, clk.ElapsedNs())
+	}
+}
+
+// Wait's span detail keeps the bytes fmt's "%.0f" wrote, for every
+// charge a stream can see and the values no charge should be.
+func TestStreamChargedDetail(t *testing.T) {
+	for _, ns := range []float64{0, math.Copysign(0, -1), 0.5, 1.5, 2.5, 1234.4999, 1e21, 3.7e9, -12.6, math.Inf(1), math.NaN()} {
+		if got, want := chargedDetail(ns), fmt.Sprintf("charged_ns=%.0f", ns); got != want {
+			t.Errorf("chargedDetail(%v) = %q, want %q", ns, got, want)
+		}
 	}
 }
 

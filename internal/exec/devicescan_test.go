@@ -174,33 +174,50 @@ func TestQuickSegmentedScanMatchesPieceFolds(t *testing.T) {
 
 // BenchmarkDeviceScan is the device leg's wall cost on a warm cache:
 // 128 shipped pieces of 1024 rows, zones leaving about 30 % of them, as
-// one solo scan and as a cohort of three.
+// one solo scan and as a cohort of three; and the narrow case, whose
+// predicates reach into two pieces each and there skip the 64-row blocks
+// their values miss.
 func BenchmarkDeviceScan(b *testing.B) {
 	const nf, fragRows = 128, 1024
 	keys, vals, _, _ := groupScanFixture(nf, fragRows)
 	vals = shipped(vals)
 	gpu := device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})
 	card := DeviceScan{GPU: gpu, Cache: device.NewFragCache(gpu), Table: "bench"}
-	// Fragment f holds [100f, 100f+100): each predicate admits 38 of them.
-	preds := []Pred{Between(4000, 7799), Between(4100, 7899), Between(4200, 7999)}
+	// Fragment f holds [100f, 100f+100): each wide predicate covers 38 of
+	// them whole, each narrow one straddles fragments 10q and 10q+1.
+	widths := []struct {
+		name  string
+		preds []Pred
+	}{
+		{"", []Pred{Between(4000, 7799), Between(4100, 7899), Between(4200, 7999)}},
+		{"narrow/", []Pred{Between(4095, 4104), Between(5095, 5104), Between(6095, 6104)}},
+	}
 	for _, op := range []Kind{KindSumWhere, KindGroupSumWhere} {
-		for _, nk := range []int{1, 3} {
-			sc := Scan{Plan: Plan{Op: op, KeyCol: 0, Col: 1}.Normalize(), Preds: preds[:nk], Vals: vals}
-			if op.Grouped() {
-				sc.Keys = keys
+		for _, w := range widths {
+			for _, nk := range []int{1, 3} {
+				benchDeviceScan(b, card, fmt.Sprintf("%s/%sK=%d", op, w.name, nk),
+					Scan{Plan: Plan{Op: op, KeyCol: 0, Col: 1}.Normalize(), Preds: w.preds[:nk], Vals: vals, Keys: keys})
 			}
-			out := make([]Result, nk)
-			if err := card.Scan(sc, out); err != nil { // warm the cache
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/K=%d", op, nk), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := card.Scan(sc, out); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
+}
+
+// benchDeviceScan warms the card's cache with one scan, then times the
+// scan as the named sub-benchmark.
+func benchDeviceScan(b *testing.B, card DeviceScan, name string, sc Scan) {
+	if !sc.Op.Grouped() {
+		sc.Keys = nil
+	}
+	out := make([]Result, len(sc.Preds))
+	if err := card.Scan(sc, out); err != nil { // warm the cache
+		b.Fatal(err)
+	}
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := card.Scan(sc, out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -235,12 +235,35 @@ type Registry struct {
 	histograms map[string]*Histogram
 
 	spanMu sync.Mutex
-	spans  []SpanRecord // ring, newest at the end
-	events []Event      // ring, newest at the end
+	spans  ring[SpanRecord]
+	events ring[Event]
 }
 
 // ringCap bounds the recent-span and event rings.
 const ringCap = 128
+
+// ring keeps the ringCap newest records in a fixed array: the next one
+// goes to buf[head], overwriting the oldest once n reaches ringCap, so
+// putting one allocates nothing.
+type ring[T any] struct {
+	buf     [ringCap]T
+	head, n int
+}
+
+// put adds v as the newest record.
+func (r *ring[T]) put(v T) {
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % ringCap
+	r.n = min(r.n+1, ringCap)
+}
+
+// appendTo appends the records to dst, oldest first.
+func (r *ring[T]) appendTo(dst []T) []T {
+	for i := r.head - r.n; i < r.head; i++ {
+		dst = append(dst, r.buf[(i+ringCap)%ringCap])
+	}
+	return dst
+}
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
@@ -295,8 +318,8 @@ func (r *Registry) Reset() {
 	}
 	r.mu.Unlock()
 	r.spanMu.Lock()
-	r.spans = nil
-	r.events = nil
+	r.spans = ring[SpanRecord]{}
+	r.events = ring[Event]{}
 	r.spanMu.Unlock()
 }
 
@@ -346,10 +369,7 @@ func (s Span) EndWith(detail string) {
 	rec := SpanRecord{Name: s.f.name, Start: s.t0.UnixNano(), DurationNs: d.Nanoseconds(), Detail: detail}
 	r := s.f.r
 	r.spanMu.Lock()
-	r.spans = append(r.spans, rec)
-	if len(r.spans) > ringCap {
-		r.spans = r.spans[len(r.spans)-ringCap:]
-	}
+	r.spans.put(rec)
 	r.spanMu.Unlock()
 }
 
@@ -373,10 +393,7 @@ type Event struct {
 func (r *Registry) RecordEvent(name, detail string) {
 	e := Event{Time: time.Now().UnixNano(), Name: name, Detail: detail}
 	r.spanMu.Lock()
-	r.events = append(r.events, e)
-	if len(r.events) > ringCap {
-		r.events = r.events[len(r.events)-ringCap:]
-	}
+	r.events.put(e)
 	r.spanMu.Unlock()
 }
 
@@ -436,8 +453,8 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 	r.spanMu.Lock()
-	s.Spans = append([]SpanRecord(nil), r.spans...)
-	s.Events = append([]Event(nil), r.events...)
+	s.Spans = r.spans.appendTo(nil)
+	s.Events = r.events.appendTo(nil)
 	r.spanMu.Unlock()
 	return s
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -120,6 +121,31 @@ func TestRingBounded(t *testing.T) {
 	}
 	if got := len(r.Snapshot().Events); got != ringCap {
 		t.Fatalf("event ring holds %d, want %d", got, ringCap)
+	}
+}
+
+// The rings keep the newest ringCap records, oldest first, in fixed
+// arrays: a wrapped ring snapshots in order, and ending a span allocates
+// nothing.
+func TestRingOrderAndNoAllocs(t *testing.T) {
+	r := NewRegistry()
+	f := &SpanFamily{name: "s", r: r, h: r.Histogram("span.s.ns")}
+	for i := 0; i < ringCap+5; i++ {
+		r.RecordEvent("e", strconv.Itoa(i))
+		f.Start().EndWith(strconv.Itoa(i))
+	}
+	snap := r.Snapshot()
+	for i := 0; i < ringCap; i++ {
+		if want := strconv.Itoa(i + 5); snap.Events[i].Detail != want || snap.Spans[i].Detail != want {
+			t.Fatalf("record %d: event %q, span %q, want %q", i, snap.Events[i].Detail, snap.Spans[i].Detail, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.Start().EndWith("") }); allocs != 0 {
+		t.Errorf("EndWith allocates %.0f, want 0", allocs)
+	}
+	r.Reset()
+	if snap := r.Snapshot(); snap.Spans != nil || snap.Events != nil {
+		t.Errorf("after Reset: %d spans, %d events", len(snap.Spans), len(snap.Events))
 	}
 }
 
