@@ -28,10 +28,13 @@
 // replayed over HTTP and compared byte for byte; any divergence (a stale
 // cache entry, a broken shared pass) exits 1.
 //
-// -cpuprofile and -memprofile write runtime/pprof profiles of this
-// process: CPU from the first request to the end of verification, and
-// the heap profile once verification has passed — its alloc_space view
-// counts every allocation since start, the fixture load included. With
+// -cpuprofile, -memprofile and -mutexprofile write runtime/pprof
+// profiles of this process: CPU from the first request to the end of
+// verification, the heap profile once verification has passed — its
+// alloc_space view counts every allocation since start, the fixture load
+// included — and, beside it, the mutex profile: every contended lock
+// release from the first request to the end of verification, timed by
+// how long its waiters waited. With
 // -selfserve the server is in the process, so these are the served
 // path's profiles; perf/profile.sh turns them into committed text.
 // While a -selfserve mix writes, the table is merged once a second, as
@@ -44,7 +47,7 @@
 //	        [-result-cache BYTES] [-concurrency N] [-duration D]
 //	        [-mix write=20,point=20,sum=45,group=15]
 //	        [-rate N] [-autoterm] [-unique] [-csv serving_panel.csv]
-//	        [-cpuprofile FILE] [-memprofile FILE]
+//	        [-cpuprofile FILE] [-memprofile FILE] [-mutexprofile FILE]
 //	loadgen -addr http://host:port ...
 package main
 
@@ -84,6 +87,7 @@ func main() {
 	walDir := flag.String("wal", "", "durability directory for -selfserve: the item table write-ahead-logs every acknowledged write and recovers on restart")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run and its verification to this file")
 	memProfile := flag.String("memprofile", "", "write the heap (allocation) profile to this file after the run and its verification")
+	mutexProfile := flag.String("mutexprofile", "", "write the mutex contention profile of the run and its verification to this file")
 	flag.Parse()
 
 	mix, err := loadgen.ParseMix(*mixFlag)
@@ -120,6 +124,9 @@ func main() {
 
 	if *cpuProfile != "" {
 		profileTo(*cpuProfile, pprof.StartCPUProfile)
+	}
+	if *mutexProfile != "" {
+		runtime.SetMutexProfileFraction(1)
 	}
 	stopMerges := func() {}
 	if localTbl != nil && mix.Write > 0 {
@@ -167,6 +174,9 @@ func main() {
 	if *memProfile != "" {
 		runtime.GC() // the profile holds what the last completed GC saw
 		profileTo(*memProfile, pprof.WriteHeapProfile)
+	}
+	if *mutexProfile != "" {
+		profileTo(*mutexProfile, func(w io.Writer) error { return pprof.Lookup("mutex").WriteTo(w, 0) })
 	}
 }
 

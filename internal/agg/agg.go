@@ -14,7 +14,10 @@
 // misaligned buffer, a big-endian host — takes the strided byte loop,
 // the one fallback. Both visit the same elements in the same order, so
 // the sums agree to the bit. The unfiltered FoldAll and SumAll, which no
-// served workload issues, keep the byte loop.
+// served workload issues, keep the byte loop. Cells views cells a caller
+// already holds as []uint64 (the MVCC patch projection's) as float64s or
+// int64s with no check at all: the types share size, alignment and byte
+// order, so the view reads the values math.Float64bits or int64 stored.
 //
 // Continuing. SumWhereFrom is SumWhere picking up a running sum and
 // count, and FoldWhere already adds to whatever the table holds, so a
@@ -233,6 +236,13 @@ func view[T int32 | int64 | float64](b []byte, stride, n int) (v []T, ok bool) {
 		return nil, false
 	}
 	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), n), true
+}
+
+// Cells views 8-byte cells — float64 bits (math.Float64bits) or int64s
+// — as the typed slice they hold, without a copy: the same memory in the
+// same order, on any host.
+func Cells[T float64 | int64](bits []uint64) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(bits))), len(bits))
 }
 
 // littleEndian reports whether the host's byte order is the column

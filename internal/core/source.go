@@ -1,9 +1,9 @@
 package core
 
 import (
-	"math"
 	"sync"
 
+	"hybridstore/internal/agg"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/layout"
@@ -153,16 +153,16 @@ func (t *Table) list(p exec.Plan) (*pieceList, error) {
 
 // Patches hands the scan body the MVCC patch: for every row the
 // snapshot sees a delta version of, its base cell and its current one,
-// ascending by row. They come from the table's patch projection, which
-// this scan first advances to its snapshot (projection.go); a table
+// ascending by row, as the table's patch projection holds them — its
+// columns viewed as float64 values and int64 keys, not copied. The scan
+// first advances the projection to its snapshot (projection.go); a table
 // without delta versions has an empty patch and never takes its lock. A
 // snapshot older than the projection's does not move it back: it builds
 // a projection of its own (recycled, so its cells are not garbage), at
 // what a scan cost before there was one, and leaves the shared one where
-// the newer scans need it. The fold runs
-// under the lock — fn is the scan body's fold, which takes no lock and
-// does not call back into the table.
-func (s *scanSource) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
+// the newer scans need it. The fold runs under the lock — fn is the scan
+// body's fold, which takes no lock and does not call back into the table.
+func (s *scanSource) Patches(p exec.Plan, fn func(engine.Patch)) error {
 	t := s.t
 	if t.deltas.Versions() == 0 {
 		return nil
@@ -184,16 +184,11 @@ func (s *scanSource) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error 
 		return err
 	}
 	mPatchRows.Add(int64(len(pj.rows)))
-	if keys == nil {
-		for i := range pj.rows {
-			fn(engine.Cell{Val: math.Float64frombits(vals.base[i])}, engine.Cell{Val: math.Float64frombits(vals.cur[i])})
-		}
-		return nil
+	pa := engine.Patch{Base: agg.Cells[float64](vals.base), Cur: agg.Cells[float64](vals.cur)}
+	if keys != nil {
+		pa.BaseKey, pa.CurKey = agg.Cells[int64](keys.base), agg.Cells[int64](keys.cur)
 	}
-	for i := range pj.rows {
-		fn(engine.Cell{Key: int64(keys.base[i]), Val: math.Float64frombits(vals.base[i])},
-			engine.Cell{Key: int64(keys.cur[i]), Val: math.Float64frombits(vals.cur[i])})
-	}
+	fn(pa)
 	return nil
 }
 

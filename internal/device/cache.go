@@ -47,17 +47,22 @@ type FragKey struct {
 }
 
 // cacheKey is a FragKey with its table name interned (FragCache.names):
-// fixed width, so a lookup hashes no string.
+// fixed width, so a lookup hashes no string, and without padding — comp
+// is 0 or 1 in the word beside the table id — so the maps hash it as one
+// block of memory, not field by field.
 type cacheKey struct {
-	table           uint32
-	comp            bool
+	table, comp     uint32
 	frag            uint64
 	col, row0, rows int
 }
 
 // in is the key under the table id its name interns to.
 func (k FragKey) in(table uint32) cacheKey {
-	return cacheKey{table: table, comp: k.Comp, frag: k.Frag, col: k.Col, row0: k.Row0, rows: k.Rows}
+	ck := cacheKey{table: table, frag: k.Frag, col: k.Col, row0: k.Row0, rows: k.Rows}
+	if k.Comp {
+		ck.comp = 1
+	}
+	return ck
 }
 
 // fragRef is the invalidation coordinate: every clip/column image of one

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"hybridstore/internal/perfmodel"
 )
@@ -35,6 +37,22 @@ func acquireUpload(t *testing.T, c *FragCache, key FragKey, version uint64, data
 		t.Fatal(err)
 	}
 	return pin, hit
+}
+
+// A cache key has no padding: its size is the sum of its fields', so
+// the lookup maps hash it as one block of memory. A field added later
+// that leaves a hole fails here.
+func TestCacheKeyHasNoPadding(t *testing.T) {
+	typ, sum := reflect.TypeOf(cacheKey{}), uintptr(0)
+	for i := 0; i < typ.NumField(); i++ {
+		sum += typ.Field(i).Type.Size()
+	}
+	if size := unsafe.Sizeof(cacheKey{}); size != sum {
+		t.Fatalf("cacheKey is %d bytes, its fields %d: %d bytes of padding", size, sum, size-sum)
+	}
+	if (FragKey{Comp: true}).in(1) == (FragKey{}).in(1) {
+		t.Fatal("a compressed and a raw image share a key")
+	}
 }
 
 // PinHits looks a table's name up once per run of requests naming it,

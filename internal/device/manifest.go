@@ -24,7 +24,7 @@ func (c *FragCache) ResidentColumns(table string) []ResidentCol {
 	id, ok := c.names[table]
 	for key := range c.entries {
 		if ok && key.table == id {
-			seen[ResidentCol{Col: key.col, Comp: key.comp}] = true
+			seen[ResidentCol{Col: key.col, Comp: key.comp == 1}] = true
 		}
 	}
 	c.mu.Unlock()

@@ -145,10 +145,10 @@ func (f *fakeSource) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 }
 
 // Patches moves row 0 (key 0, value 1) to key 7, value 100.
-func (f *fakeSource) Patches(p exec.Plan, fn func(base, cur Cell)) error {
+func (f *fakeSource) Patches(p exec.Plan, fn func(Patch)) error {
 	f.patchCalls++
 	if f.patched {
-		fn(Cell{Key: 0, Val: 1}, Cell{Key: 7, Val: 100})
+		fn(Patch{Base: []float64{1}, Cur: []float64{100}, BaseKey: []int64{0}, CurKey: []int64{7}})
 	}
 	return nil
 }
@@ -628,29 +628,33 @@ func TestGroupPatchDenseProbeMatchesBinarySearch(t *testing.T) {
 	}
 	probes := []int64{math.MinInt64, math.MinInt64 + 1, -3001, -1000, -33, -32, -1, 0, 1, 3, 6, 7, 10, 31, 32,
 		63, 64, 999, 1000, 4999, math.MaxInt64 - 64, math.MaxInt64 - 1, math.MaxInt64}
-	match := func(x float64) bool { return x > 0.25 }
+	lo, hi := 0.3, math.Inf(1)
+	match := func(x float64) bool { return lo <= x && x <= hi }
 	for name, keys := range bulkSets {
 		bulk := make([]exec.GroupResult, len(keys))
 		for i, k := range keys {
 			bulk[i] = exec.GroupResult{Key: k, Sum: float64(i) + 0.5, Count: 2}
 		}
-		got := NewGroupPatch(slices.Clone(bulk), match)
+		got := NewGroupPatch(slices.Clone(bulk), true, lo, hi)
 		want := &binaryGroupPatch{groups: slices.Clone(bulk)}
 		all := append(slices.Clone(keys), probes...)
+		var pa Patch
 		for i := 0; i < 4000; i++ {
-			base := Cell{Key: all[(i*7)%len(all)], Val: float64(i%13) / 4}
-			cur := Cell{Key: all[(i*11+3)%len(all)], Val: float64(i%17) / 3}
-			got.Apply(base, cur)
-			// Apply's fold, on the reference lookup.
-			if match(base.Val) {
-				if gr := want.group(base.Key, false); gr != nil {
-					gr.Sum -= base.Val
+			pa.Base, pa.BaseKey = append(pa.Base, float64(i%13)/4), append(pa.BaseKey, all[(i*7)%len(all)])
+			pa.Cur, pa.CurKey = append(pa.Cur, float64(i%17)/3), append(pa.CurKey, all[(i*11+3)%len(all)])
+		}
+		got.Fold(pa)
+		// Fold's rows one at a time, on the reference lookup.
+		for i, b := range pa.Base {
+			if match(b) {
+				if gr := want.group(pa.BaseKey[i], false); gr != nil {
+					gr.Sum -= b
 					gr.Count--
 				}
 			}
-			if match(cur.Val) {
-				gr := want.group(cur.Key, true)
-				gr.Sum += cur.Val
+			if c := pa.Cur[i]; match(c) {
+				gr := want.group(pa.CurKey[i], true)
+				gr.Sum += c
 				gr.Count++
 			}
 		}

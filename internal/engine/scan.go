@@ -47,20 +47,24 @@ func ColumnPieces(p exec.Plan, col func(col int) ([]exec.Piece, error)) (keys, v
 	return keys, vals, err
 }
 
-// Cell is one row's contribution to a scan: its aggregate value and, for
-// the grouped kinds, its group key.
-type Cell struct {
-	Key int64
-	Val float64
+// Patch is a source's MVCC patch as parallel columns, one element per
+// row whose current state the pieces lag, ascending by row: the row's
+// base and current aggregate value and, for the grouped kinds (else
+// nil), its base and current group key.
+type Patch struct {
+	Base, Cur       []float64
+	BaseKey, CurKey []int64
 }
 
 // Patcher is implemented by sources whose pieces are a settled base the
 // current state has moved on from (L-Store's tail pages, the reference
-// engine's MVCC deltas): Patches calls fn, in ascending row order, with
-// the base and the current cell of every such row. Like Pieces it is
-// asked once per cohort and reads only the plan's columns.
+// engine's MVCC deltas): Patches calls fn once with the whole patch of
+// the plan's columns, whose slices are valid only for the duration of
+// the call. Like Pieces it is asked once per cohort. Handing the patch
+// out as columns lets each plan fold it in one typed loop, with no call
+// per row.
 type Patcher interface {
-	Patches(p exec.Plan, fn func(base, cur Cell)) error
+	Patches(p exec.Plan, fn func(Patch)) error
 }
 
 // Bases is a store of settled-base answers: a plan's result over the
@@ -93,13 +97,9 @@ type member struct {
 	res    *exec.Result
 }
 
-// match reports whether the member's predicate selects x; a plan without
-// one selects everything.
-func (m *member) match(x float64) bool { return !m.HasPred || m.lo <= x && x <= m.hi }
-
 // ScanCohort answers any number of plans of one shape from a single
 // pass over the source — one Pieces call, one exec.Scan carrying every
-// live plan's predicate to each leg, one walk of the patch rows — with
+// live plan's predicate to each leg, one Patches call — with
 // host pieces on the host configuration and shipped and resident pieces
 // on the device executor (which may be nil for a source that never
 // places any). Result k belongs to plans[k] and has the bits a solo Scan
@@ -116,9 +116,8 @@ func (m *member) match(x float64) bool { return !m.HasPred || m.lo <= x && x <= 
 //   - each leg folds every plan's pieces in piece order, as that plan's
 //     solo scan does (see exec.Config.Scan and exec.DeviceScan.Scan);
 //   - the device result folds first, then the host result, then the
-//     patch, which walks rows outer / plans inner — known bases and
-//     fresh ones alike — and so preserves each plan's ascending-row
-//     patch order.
+//     patch, which every plan — known bases and fresh ones alike — folds
+//     whole, in ascending row order.
 func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exec.Plan, bases Bases) ([]exec.Result, error) {
 	out := make([]exec.Result, len(plans))
 	if len(plans) == 0 {
@@ -269,49 +268,53 @@ func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) er
 	return nil
 }
 
-// patch applies the source's patch rows to the live plans' base
-// results: one walk, every plan folding each row. The patch stays exact
-// under zone pruning because zones are conservative: a base value that
-// matches a predicate always lives in a fragment whose zone admits it,
-// so it was part of the bulk pass and can be subtracted.
+// patch applies the source's patch to the live plans' base results:
+// one Patches call, every plan folding the whole patch in one typed
+// loop, rows ascending, a row's base value leaving before its current
+// one enters — the order of a per-row fold, so the answers keep its
+// bits. The patch stays exact under zone pruning because zones are
+// conservative: a base value that matches a predicate always lives in a
+// fragment whose zone admits it, so it was part of the bulk pass and can
+// be subtracted.
 func patch(pt Patcher, live []member) error {
-	shape := live[0].Plan
-	switch {
-	case shape.Op.Grouped():
-		gps := make([]*GroupPatch, len(live))
+	return pt.Patches(live[0].Plan, func(pa Patch) {
 		for j := range live {
-			gps[j] = NewGroupPatch(live[j].res.Groups, live[j].match)
+			live[j].fold(pa)
 		}
-		err := pt.Patches(shape, func(base, cur Cell) {
-			for _, gp := range gps {
-				gp.Apply(base, cur)
+	})
+}
+
+// fold folds the whole patch into the member's result, its accumulator
+// and interval held in locals.
+func (m *member) fold(pa Patch) {
+	switch {
+	case m.Op.Grouped():
+		gp := NewGroupPatch(m.res.Groups, m.HasPred, m.lo, m.hi)
+		gp.Fold(pa)
+		m.res.Groups = gp.Groups()
+	case m.HasPred:
+		s, n, lo, hi := m.res.Sum, m.res.Count, m.lo, m.hi
+		for i, b := range pa.Base {
+			if lo <= b && b <= hi {
+				s -= b
+				n--
 			}
-		})
-		for j, m := range live {
-			m.res.Groups = gps[j].Groups()
+			if c := pa.Cur[i]; lo <= c && c <= hi {
+				s += c
+				n++
+			}
 		}
-		return err
-	case shape.HasPred:
-		return pt.Patches(shape, func(base, cur Cell) {
-			for j := range live {
-				m := &live[j]
-				if m.match(base.Val) {
-					m.res.Sum -= base.Val
-					m.res.Count--
-				}
-				if m.match(cur.Val) {
-					m.res.Sum += cur.Val
-					m.res.Count++
-				}
-			}
-		})
+		m.res.Sum, m.res.Count = s, n
 	default:
-		res := live[0].res
-		return pt.Patches(shape, func(base, cur Cell) { res.Sum += cur.Val - base.Val })
+		s := m.res.Sum
+		for i, b := range pa.Base {
+			s += pa.Cur[i] - b
+		}
+		m.res.Sum = s
 	}
 }
 
-// GroupPatch folds patch rows into a bulk-aggregated group table, in
+// GroupPatch folds a patch into a bulk-aggregated group table, in
 // place: a row's base contribution leaves its base group, its current
 // one enters the group of its current key — so an update that changes
 // the key moves the row between groups. The table is the caller's own
@@ -320,14 +323,15 @@ func patch(pt Patcher, live []member) error {
 // state) the bulk slice comes back as it went in, allocating nothing.
 type GroupPatch struct {
 	groups, added []exec.GroupResult
-	match         func(float64) bool
+	pred          bool
+	lo, hi        float64
 }
 
 // NewGroupPatch starts a patch over a key-sorted bulk group table, which
-// it takes over; match is the scan's predicate (always true for an
-// unpredicated group-by).
-func NewGroupPatch(groups []exec.GroupResult, match func(float64) bool) *GroupPatch {
-	return &GroupPatch{groups: groups, match: match}
+// it takes over. pred reports whether the scan has a predicate, which
+// matches the closed interval [lo, hi]; without one every value matches.
+func NewGroupPatch(groups []exec.GroupResult, pred bool, lo, hi float64) *GroupPatch {
+	return &GroupPatch{groups: groups, pred: pred, lo: lo, hi: hi}
 }
 
 // group returns key's accumulator: the bulk table's, else the side
@@ -356,18 +360,21 @@ func (g *GroupPatch) group(key int64, add bool) *exec.GroupResult {
 	return &g.added[i]
 }
 
-// Apply folds one patch row.
-func (g *GroupPatch) Apply(base, cur Cell) {
-	if g.match(base.Val) {
-		if gr := g.group(base.Key, false); gr != nil {
-			gr.Sum -= base.Val
-			gr.Count--
+// Fold folds a whole grouped patch, rows ascending.
+func (g *GroupPatch) Fold(pa Patch) {
+	all, lo, hi := !g.pred, g.lo, g.hi
+	for i, b := range pa.Base {
+		if all || lo <= b && b <= hi {
+			if gr := g.group(pa.BaseKey[i], false); gr != nil {
+				gr.Sum -= b
+				gr.Count--
+			}
 		}
-	}
-	if g.match(cur.Val) {
-		gr := g.group(cur.Key, true)
-		gr.Sum += cur.Val
-		gr.Count++
+		if c := pa.Cur[i]; all || lo <= c && c <= hi {
+			gr := g.group(pa.CurKey[i], true)
+			gr.Sum += c
+			gr.Count++
+		}
 	}
 }
 

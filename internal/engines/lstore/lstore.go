@@ -350,17 +350,18 @@ func (t *Table) Pieces(p exec.Plan) (keys, vals []exec.Piece, err error) {
 	return engine.ColumnPieces(p, t.piecesOf)
 }
 
-// Patches is the one tail-patch iterator: every row whose newest value
-// of a plan column lives in a tail page, with its base-region cell and
-// its current cell through the dictionary — a tail update may change the
-// key, the value, or both. Caller holds t.mu.
-func (t *Table) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
+// Patches is the one tail patch: every row whose newest value of a
+// plan column lives in a tail page, with its base-region cell and its
+// current cell through the dictionary — a tail update may change the
+// key, the value, or both — gathered into columns and handed to fn
+// once. Caller holds t.mu.
+func (t *Table) Patches(p exec.Plan, fn func(engine.Patch)) error {
 	grouped := p.Op.Grouped()
+	var pa engine.Patch
 	for row := uint64(0); row < t.rows; row++ {
 		if t.dict[row][p.Col] < 0 && (!grouped || t.dict[row][p.KeyCol] < 0) {
 			continue
 		}
-		var base, cur engine.Cell
 		bv, err := t.baseValue(row, p.Col)
 		if err != nil {
 			return err
@@ -369,7 +370,7 @@ func (t *Table) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
 		if err != nil {
 			return err
 		}
-		base.Val, cur.Val = bv.F, cv.F
+		pa.Base, pa.Cur = append(pa.Base, bv.F), append(pa.Cur, cv.F)
 		if grouped {
 			bk, err := t.baseValue(row, p.KeyCol)
 			if err != nil {
@@ -379,10 +380,10 @@ func (t *Table) Patches(p exec.Plan, fn func(base, cur engine.Cell)) error {
 			if err != nil {
 				return err
 			}
-			base.Key, cur.Key = bk.I, ck.I
+			pa.BaseKey, pa.CurKey = append(pa.BaseKey, bk.I), append(pa.CurKey, ck.I)
 		}
-		fn(base, cur)
 	}
+	fn(pa)
 	return nil
 }
 

@@ -7,7 +7,7 @@
 #
 # Builds cmd/loadgen and runs
 #   loadgen -selfserve -rows 131072 -concurrency 8 -mix MIX -seed SEED
-#           -duration DUR -cpuprofile … -memprofile …
+#           -duration DUR -cpuprofile … -memprofile … -mutexprofile …
 # (defaults: MIX sum=75,group=25, SEED 1, DUR 10s), which fails on any
 # request error or served-vs-direct mismatch. -w profiles the durable
 # path instead: it adds -wal with a fresh directory — the item table
@@ -27,6 +27,9 @@
 #                         server's connection loop (-focus serveConn): an
 #                         allocation profile carries no goroutine labels,
 #                         so the cut is by frame, not by tag
+#   SIDE.mutex.txt        go tool pprof -top -nodecount=25 of the mutex
+#                         profile: time waiters spent on contended locks,
+#                         charged to the frame that released the lock
 # where SIDE is "change" for the working tree this script is started from
 # and "parent" with -p REV, which profiles commit REV instead: REV is
 # extracted with `git archive` into a temporary directory and built with
@@ -73,7 +76,7 @@ fi
 go -C "$src" build -o "$work/loadgen" ./cmd/loadgen
 
 (cd "$work" && ./loadgen -selfserve -rows 131072 -concurrency 8 -mix "$mix" -seed "$seed" -duration "$dur" \
-	${wal[@]+"${wal[@]}"} ${unique[@]+"${unique[@]}"} -cpuprofile cpu.prof -memprofile mem.prof >run.txt) || { cat "$work/run.txt" >&2; exit 1; }
+	${wal[@]+"${wal[@]}"} ${unique[@]+"${unique[@]}"} -cpuprofile cpu.prof -memprofile mem.prof -mutexprofile mutex.prof >run.txt) || { cat "$work/run.txt" >&2; exit 1; }
 
 out=perf/profiles/$pr
 mkdir -p "$out"
@@ -81,4 +84,5 @@ go tool pprof -top -nodecount=25 "$work/loadgen" "$work/cpu.prof" >"$out/$side.c
 go tool pprof -top -nodecount=25 -sample_index=alloc_space "$work/loadgen" "$work/mem.prof" >"$out/$side.alloc_space.txt" 2>/dev/null
 go tool pprof -top -nodecount=25 -tagfocus=side=server "$work/loadgen" "$work/cpu.prof" >"$out/$side.cpu_server.txt" 2>/dev/null
 go tool pprof -top -nodecount=25 -sample_index=alloc_space -focus='server\.\(\*Server\)\.serveConn' "$work/loadgen" "$work/mem.prof" >"$out/$side.alloc_server.txt" 2>/dev/null
-echo "profile: $side ($mix${wal[@]+, -wal}${unique[@]+, -unique}, seed $seed, $dur) -> $out/$side.{cpu,alloc_space,cpu_server,alloc_server}.txt" >&2
+go tool pprof -top -nodecount=25 "$work/loadgen" "$work/mutex.prof" >"$out/$side.mutex.txt" 2>/dev/null
+echo "profile: $side ($mix${wal[@]+, -wal}${unique[@]+, -unique}, seed $seed, $dur) -> $out/$side.{cpu,alloc_space,cpu_server,alloc_server,mutex}.txt" >&2
