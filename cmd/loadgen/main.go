@@ -37,9 +37,10 @@
 // how long its waiters waited. With
 // -selfserve the server is in the process, so these are the served
 // path's profiles; perf/profile.sh turns them into committed text.
-// While a -selfserve mix writes, the table is merged once a second, as
-// the benchmark harness does, so the delta backlog a scan patches stays
-// the one the benchmark serves.
+// A -selfserve mix that writes leaves the delta backlog to the engine,
+// which settles its own tail once the live versions reach its budget;
+// under -wal the store is checkpointed once a second, so the log stays
+// the length the benchmark's durable workload keeps.
 //
 // Usage:
 //
@@ -98,7 +99,7 @@ func main() {
 
 	base := *addr
 	var localTbl *hybridstore.Table
-	var checkpoint func() error // -wal: cut each second after the merge
+	var checkpoint func() error // -wal: cut once a second
 	if *selfserve {
 		if base != "" {
 			fmt.Fprintln(os.Stderr, "loadgen: -addr and -selfserve are mutually exclusive")
@@ -128,9 +129,9 @@ func main() {
 	if *mutexProfile != "" {
 		runtime.SetMutexProfileFraction(1)
 	}
-	stopMerges := func() {}
-	if localTbl != nil && mix.Write > 0 {
-		stopMerges = mergeEverySecond(localTbl, checkpoint)
+	stopCheckpoints := func() {}
+	if checkpoint != nil && mix.Write > 0 {
+		stopCheckpoints = everySecond(checkpoint)
 	}
 	res, err := loadgen.Run(loadgen.Options{
 		BaseURL:     base,
@@ -143,7 +144,7 @@ func main() {
 		Seed:        *seed,
 		Unique:      *unique,
 	})
-	stopMerges()
+	stopCheckpoints()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
@@ -180,13 +181,10 @@ func main() {
 	}
 }
 
-// mergeEverySecond folds the table's delta versions into its base once
-// a second, and then calls checkpoint unless it is nil, as the benchmark
-// harness's upkeep does, until the returned stop is called; stop returns
-// once no merge runs. Without it a write mix piles versions up for the
-// whole run, a state the benchmark never serves. A failed merge or
-// checkpoint ends the run.
-func mergeEverySecond(tbl *hybridstore.Table, checkpoint func() error) (stop func()) {
+// everySecond calls checkpoint once a second until the returned stop is
+// called; stop returns once no checkpoint runs. A failed checkpoint ends
+// the run.
+func everySecond(checkpoint func() error) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	tick := time.NewTicker(time.Second)
 	go func() {
@@ -197,13 +195,6 @@ func mergeEverySecond(tbl *hybridstore.Table, checkpoint func() error) (stop fun
 				tick.Stop()
 				return
 			case <-tick.C:
-				if err := tbl.Merge(); err != nil {
-					fmt.Fprintln(os.Stderr, "loadgen: merge:", err)
-					os.Exit(1)
-				}
-				if checkpoint == nil {
-					continue
-				}
 				if err := checkpoint(); err != nil {
 					fmt.Fprintln(os.Stderr, "loadgen: checkpoint:", err)
 					os.Exit(1)

@@ -363,7 +363,9 @@ func (t *Table) Begin() *Txn { return t.t.Begin() }
 // periodically or after workload shifts.
 func (t *Table) Adapt() (bool, error) { return t.t.Adapt() }
 
-// Merge folds settled MVCC versions back into the base fragments.
+// Merge folds settled MVCC versions back into the base fragments now.
+// The table also does so by itself: the update or commit that brings
+// its live versions to a budget of rows/12 settles them.
 func (t *Table) Merge() error { return t.t.Merge() }
 
 // PlaceColumn moves a column's cold fragments to the device explicitly

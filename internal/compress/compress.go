@@ -133,6 +133,16 @@ func (c *Column) Ratio() float64 {
 // in turn replace it only when strictly smaller. Each scheme is sized
 // without allocating; only the winner is encoded.
 func Compress(data []byte, n, size int) (*Column, error) {
+	if c, err := Shrink(data, n, size); c != nil || err != nil {
+		return c, err
+	}
+	return CompressAs(Raw, data, n, size)
+}
+
+// Shrink is Compress for a caller that keeps no Raw image: where no
+// scheme is smaller than the column it returns nil, having encoded and
+// copied nothing.
+func Shrink(data []byte, n, size int) (*Column, error) {
 	if size <= 0 || n < 0 || len(data) < n*size {
 		return nil, fmt.Errorf("%w: %d elements of %d bytes in %d-byte buffer", ErrBadInput, n, size, len(data))
 	}
@@ -141,6 +151,9 @@ func Compress(data []byte, n, size int) (*Column, error) {
 		if p, why := sizeAs(enc, data, n, size); why == "" && p.bytes < best.bytes {
 			best = p
 		}
+	}
+	if best.enc == Raw {
+		return nil, nil
 	}
 	return best.encode(data, n, size), nil
 }

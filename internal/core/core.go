@@ -73,8 +73,8 @@ type Options struct {
 	ResultCacheBytes int64
 	// Compress seals side-car compressed images of the cold region's
 	// singleton 8-byte numeric columns at the freeze point (the same point
-	// that seals zone maps), re-sealing whenever the cold bytes are
-	// rewritten (delta merge, regrouping). Only an encoding smaller than
+	// that seals zone maps), re-sealing a column whenever its cold bytes
+	// are rewritten (a settlement that changed it, regrouping). Only an encoding smaller than
 	// the column (RLE, Dict, FOR) is kept: where none is, the column keeps
 	// no copy and scans its fragment bytes. Analytic scans over an image
 	// execute in the compressed domain on the host, and — combined with
@@ -164,7 +164,8 @@ type chunk struct {
 	// cold bytes are rewritten so the images always reflect the fragments.
 	comp []*compress.Column
 	// epoch is the result-cache stamp of a point read in this chunk,
-	// moved by every write to its fragments (touch).
+	// moved by every write to its fragments (touch) but a settlement's,
+	// which forgets the point entries of the rows it settled instead.
 	epoch rescache.Stamp
 }
 
@@ -210,6 +211,10 @@ type Table struct {
 	// older recycles the projections of scans at snapshots older than
 	// proj's, which each fold one of their own.
 	older sync.Pool
+	// settler admits one commit-path settlement at a time (settle.go);
+	// pinned is what the last settlement had to leave behind, under mu.
+	settler sync.Mutex
+	pinned  int
 
 	// deviceCols marks columns whose cold fragments live on the GPU.
 	deviceCols map[int]bool
@@ -309,7 +314,9 @@ func (t *Table) countState(s chunkState) int {
 	return n
 }
 
-// PendingVersions returns the number of unmerged delta versions.
+// PendingVersions returns the number of unmerged delta versions. A
+// commit that brings them to the settlement budget settles them
+// (settle.go).
 func (t *Table) PendingVersions() int { return t.deltas.Versions() }
 
 // Free releases all storage.
@@ -558,37 +565,40 @@ func (t *Table) buildColdFragments(rows layout.RowRange, groups [][]int) ([]*lay
 }
 
 // sealChunkCompression (re)builds the chunk's side-car compressed images
-// from its current cold bytes — singleton Direct groups over 8-byte
-// numeric attributes only, the exact shape the compressed-domain
-// operators consume — keeping an image only where an encoding is smaller
-// than the column: a Raw image would be a second copy of the fragment's
-// bytes, so that column scans its fragment instead. Called at every
-// point the cold bytes settle: the freeze, a regroup, a delta merge. A
-// no-op unless Options.Compress.
+// from its current cold bytes, one fragment at a time (sealFrag). Called
+// at the points every cold fragment of the chunk is new: the freeze and
+// a regroup. A no-op unless Options.Compress.
 func (t *Table) sealChunkCompression(c *chunk) {
-	if !t.eng.opts.Compress || c.state != cold {
+	c.comp = nil
+	for gi := range c.frags {
+		t.sealFrag(c, gi)
+	}
+}
+
+// sealFrag (re)builds the side-car image of cold fragment gi of c —
+// singleton Direct groups over 8-byte numeric attributes only, the exact
+// shape the compressed-domain operators consume — keeping one only where
+// an encoding is smaller than the column: a Raw image would be a second
+// copy of the fragment's bytes, so that column scans its fragment
+// instead, and compress.Shrink encodes nothing for it. A settlement
+// calls it for exactly the fragments it wrote. A no-op unless
+// Options.Compress.
+func (t *Table) sealFrag(c *chunk, gi int) {
+	if !t.eng.opts.Compress || c.state != cold || len(c.groups[gi]) != 1 {
 		return
 	}
-	c.comp = nil
-	for gi, f := range c.frags {
-		if len(c.groups[gi]) != 1 {
-			continue
-		}
-		col := c.groups[gi][0]
-		if !compressible(t.s.Attr(col)) {
-			continue
-		}
-		cv, err := f.ColVector(col)
-		if err != nil || !cv.Contiguous() {
-			continue
-		}
-		cc, err := compress.Compress(cv.Data[cv.Base:cv.Base+cv.Len*8], cv.Len, 8)
-		if err != nil || cc.Encoding() == compress.Raw {
-			continue
-		}
-		if c.comp == nil {
-			c.comp = make([]*compress.Column, t.s.Arity())
-		}
+	col := c.groups[gi][0]
+	if !compressible(t.s.Attr(col)) {
+		return
+	}
+	var cc *compress.Column
+	if cv, err := c.frags[gi].ColVector(col); err == nil && cv.Contiguous() {
+		cc, _ = compress.Shrink(cv.Data[cv.Base:cv.Base+cv.Len*8], cv.Len, 8)
+	}
+	if cc != nil && c.comp == nil {
+		c.comp = make([]*compress.Column, t.s.Arity())
+	}
+	if c.comp != nil {
 		c.comp[col] = cc
 	}
 }

@@ -912,10 +912,11 @@ func TestSealKeepsOnlyShrinkingImages(t *testing.T) {
 }
 
 // A re-seal encodes only the scheme each column keeps: sealing a cold
-// 1024-row item chunk allocates the comp slice plus at most a Column and
-// its payload per compressible column. Encoding every scheme in full and
-// keeping the smallest cost ~640 objects and 16 times the bytes. The
-// price column's Raw image is still built by the chooser, then dropped.
+// 1024-row item chunk allocates the comp slice plus a Column and its
+// payload for i_id, and nothing for the price column, which no scheme
+// shrinks. Encoding every scheme in full and keeping the smallest cost
+// ~640 objects and 16 times the bytes; building the price column's Raw
+// image only to drop it cost two objects and 8 KiB more.
 func TestSealAllocatesOnlyTheWinners(t *testing.T) {
 	_, tbl := newTable(t, Options{ChunkRows: 1024, HotChunks: 1, Compress: true}, 2048)
 	defer tbl.Free()
@@ -931,7 +932,7 @@ func TestSealAllocatesOnlyTheWinners(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() { tbl.sealChunkCompression(c) })
 	t.Logf("%.1f objects per seal of %d compressible columns", allocs, cols)
-	if limit := float64(2*cols + 1); allocs > limit {
+	if limit := float64(2*(cols-1) + 1); allocs > limit {
 		t.Fatalf("sealing %d compressible columns: %.1f allocations, gate %.0f", cols, allocs, limit)
 	}
 	if c.comp[workload.ItemIDCol] == nil || c.comp[workload.ItemPriceCol] != nil {

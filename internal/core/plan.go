@@ -179,8 +179,9 @@ func (t *Table) patchRows(reader *tx.Tx, fn func(row uint64, rec schema.Record, 
 
 // rowStampLocked resolves the result-cache coordinates of a point read
 // on row: its key and its chunk's epoch — the precise validity domain of
-// a point read, so an insert or merge elsewhere in the table does not
-// invalidate it. ok is false when the row is out of range or carries
+// a point read, so an insert elsewhere in the table does not invalidate
+// it, nor does a settlement of other rows (which forgets the entries of
+// the rows it settles). ok is false when the row is out of range or carries
 // delta versions (LatestTS is monotone under RLock, so 0 here proves 0
 // for the rest of the section). Caller holds t.mu.
 func (t *Table) rowStampLocked(row uint64) (rescache.Key, rescache.Stamp, bool) {
@@ -188,7 +189,7 @@ func (t *Table) rowStampLocked(row uint64) (rescache.Key, rescache.Stamp, bool) 
 	if err != nil || row >= t.rel.Rows() || t.deltas.LatestTS(row) != 0 {
 		return rescache.Key{}, rescache.Stamp{}, false
 	}
-	return rescache.Key{Table: t.rel.Name(), Op: exec.KindGet, Row: row}, c.epoch, true
+	return t.pointKey(row), c.epoch, true
 }
 
 // pointLocked is the one point-read body. Under the caller's read lock

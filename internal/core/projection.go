@@ -23,9 +23,10 @@ var mPatchRowsRead = obs.NewCounter("core.patch.rows_read")
 // ts, and per projected column that row's base and current cell. It is
 // valid for one table epoch, inside which no base cell changes and no
 // row leaves the set — a chain goes only in Forget, which drops only
-// rows Merge settled, and settling touches their chunks; Prune keeps
-// the version visible at every snapshot from its horizon on, and every
-// reader begins after the Merge that pruned, since it holds t.mu. So a
+// rows a settlement settled, and settling anything moves the table's
+// epoch; Prune keeps the version visible at every snapshot from its
+// horizon on, and every reader begins after the settlement that pruned,
+// since it holds t.mu. So a
 // scan at ts' >= ts under the same epoch reads from the store only the
 // rows whose visible version committed after ts.
 type projection struct {

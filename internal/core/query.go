@@ -62,15 +62,26 @@ func (t *Table) setField(x *tx.Tx, row uint64, col int, v schema.Value) error {
 // could have observed, so a lost first-committer-wins race is not the
 // caller's to handle: the read-modify-write reruns on a fresh snapshot.
 // Every rerun is caused by another transaction's successful commit to
-// the row, so some writer always makes progress.
+// the row, so some writer always makes progress. The update that makes
+// settlement due settles the tail once it has given the read lock back
+// (settle.go); it is committed either way.
 func (t *Table) Update(row uint64, col int, v schema.Value) error {
 	if err := t.checkWrite(col, v); err != nil {
 		return err
 	}
+	if due, err := t.autocommit(row, col, v); !due {
+		return err
+	}
+	return t.settle()
+}
+
+// autocommit is Update's transaction under the read lock, reporting
+// whether its commit made settlement due.
+func (t *Table) autocommit(row uint64, col int, v schema.Value) (due bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if row >= t.rel.Rows() {
-		return fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rel.Rows())
+		return false, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, t.rel.Rows())
 	}
 	for {
 		x := t.deltas.Begin()
@@ -83,10 +94,11 @@ func (t *Table) Update(row uint64, col int, v schema.Value) error {
 		if errors.Is(err, tx.ErrConflict) {
 			continue
 		}
-		if err == nil {
-			t.mon.Observe(workload.Op{Kind: workload.PointUpdate, Row: row, Cols: []int{col}})
+		if err != nil {
+			return false, err
 		}
-		return err
+		t.mon.Observe(workload.Op{Kind: workload.PointUpdate, Row: row, Cols: []int{col}})
+		return t.dueLocked(), nil
 	}
 }
 
@@ -192,79 +204,21 @@ func (x *Txn) Update(row uint64, col int, v schema.Value) error {
 
 // Commit installs the buffered writes; it fails with tx.ErrConflict if
 // another transaction committed one of the rows first (first committer
-// wins).
-func (x *Txn) Commit() error { return x.x.Commit() }
+// wins). A commit that makes settlement due settles the tail (settle.go);
+// it is installed either way.
+func (x *Txn) Commit() error {
+	if err := x.x.Commit(); err != nil {
+		return err
+	}
+	t := x.t
+	t.mu.RLock()
+	due := t.dueLocked()
+	t.mu.RUnlock()
+	if !due {
+		return nil
+	}
+	return t.settle()
+}
 
 // Abort discards the transaction.
 func (x *Txn) Abort() { x.x.Abort() }
-
-// Merge folds delta versions no active snapshot needs back into the base
-// fragments and prunes the version store — the background pass that keeps
-// scan patching cheap. Cold fragments are rewritten in place (they are
-// only immutable with respect to *transactions*).
-func (t *Table) Merge() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sp := sfMerge.Start()
-	defer sp.End()
-	minTS := t.deltas.MinActiveTS()
-	reader := t.deltas.Begin()
-	defer reader.Abort()
-	// touched collects the chunks written below, each given a fresh
-	// epoch before its first write.
-	touched := make(map[*chunk]bool)
-	var settled []uint64
-	err := t.patchRows(reader, func(row uint64, rec schema.Record, verTS uint64) error {
-		if verTS > minTS {
-			return nil // an active snapshot still needs the chain
-		}
-		c, err := t.chunkFor(row)
-		if err != nil {
-			return err
-		}
-		if !touched[c] {
-			t.touch(c)
-			touched[c] = true
-		}
-		i := int(row - c.rows.Begin)
-		if c.state == hot {
-			for col := 0; col < t.s.Arity(); col++ {
-				if err := c.nsm.Set(i, col, rec[col]); err != nil {
-					return err
-				}
-			}
-		} else {
-			for gi, f := range c.frags {
-				for _, col := range c.groups[gi] {
-					if err := f.Set(i, col, rec[col]); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		settled = append(settled, row)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// The base now carries the settled rows' values, which makes a chain
-	// redundant for every snapshot at or after minTS — unless an
-	// interactive commit (Txn.Commit takes no table lock) pushed a newer
-	// version onto it meanwhile. The store compares under its write lock
-	// and keeps such a chain: it patches over the older settled value.
-	t.deltas.Forget(settled, minTS)
-	// Rewritten cold fragments already stop validating device images
-	// through their version bumps; releasing the images frees their
-	// memory eagerly rather than under capacity pressure. The side-car
-	// compressed images are re-sealed so later scans stay in the
-	// compressed domain. Both are no-ops on a hot chunk.
-	for c := range touched {
-		for _, f := range c.frags {
-			t.invalidateFrag(f)
-		}
-		t.sealChunkCompression(c)
-	}
-	t.deltas.Prune(minTS)
-	return nil
-}

@@ -8,8 +8,9 @@ import (
 )
 
 // Result caching in the reference engine rides one concurrency fact:
-// every operation that mutates base fragments — Insert, Merge, Adapt,
-// PlaceColumn, evictColumn, freeze — takes the exclusive table lock,
+// every operation that mutates base fragments — Insert, a settlement,
+// Adapt, PlaceColumn, evictColumn, freeze — takes the exclusive table
+// lock,
 // while queries and MVCC point updates share the read lock. Under one
 // RLock section the base is therefore FROZEN, and so is the epoch each
 // of those writers advances (touch): a stamp read anywhere in the
@@ -27,15 +28,18 @@ import (
 // delta version the patch is empty and the base is the
 // answer: deltas.Versions() == 0 seen anywhere in an RLock section was 0
 // at every earlier point of it (commits only add versions; Forget/Prune
-// run inside Merge, under the write lock), so Peek, which never patches,
+// run inside a settlement, under the write lock), so Peek, which never
+// patches,
 // serves an entry only then — which linearizes the request before any
 // commit racing with the section, a valid order, since the request held
 // no ordering claim over that commit.
 //
 // Point reads cache the record itself and sharpen the check to one row
 // (deltas.LatestTS(row), equally monotone under RLock) and one chunk's
-// epoch, so an insert or merge elsewhere in the table does not
-// invalidate them.
+// epoch, so an insert elsewhere in the table does not invalidate them.
+// A settlement moves no chunk's epoch: it drops the entries of the rows
+// it settles (forgetPoint), each published before its row had a
+// version, and every other entry stays valid.
 
 // epochs is the process-wide base-state clock touch draws from. Being
 // process-wide, no epoch repeats across tables, nor across a table

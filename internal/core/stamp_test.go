@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -393,12 +394,15 @@ func TestPeekHitAllocs(t *testing.T) {
 // baseState is what the epoch oracle compares across one operation: the
 // table's and each chunk's epoch, and the vector the stamp used to be —
 // the (ID, version) of the fragment holding each column of each chunk —
-// with the row count.
+// with the row count, the rows with a version chain, and the rows whose
+// point read the result cache holds under their chunk's epoch.
 type baseState struct {
 	rows        uint64
 	epoch       rescache.Stamp
 	chunkEpochs []rescache.Stamp
 	frags       [][]rescache.FragVer
+	chains      map[uint64]bool
+	cached      map[uint64]bool
 }
 
 // readBase takes tbl's baseState under its read lock.
@@ -406,7 +410,7 @@ func readBase(t *testing.T, tbl *Table) baseState {
 	t.Helper()
 	tbl.mu.RLock()
 	defer tbl.mu.RUnlock()
-	b := baseState{rows: tbl.rel.Rows(), epoch: tbl.epoch}
+	b := baseState{rows: tbl.rel.Rows(), epoch: tbl.epoch, chains: map[uint64]bool{}, cached: map[uint64]bool{}}
 	for _, c := range tbl.chunks {
 		var frags []rescache.FragVer
 		for col := 0; col < tbl.s.Arity(); col++ {
@@ -418,16 +422,30 @@ func readBase(t *testing.T, tbl *Table) baseState {
 		}
 		b.frags = append(b.frags, frags)
 		b.chunkEpochs = append(b.chunkEpochs, c.epoch)
+		for row := c.rows.Begin; row < c.rows.End && row < b.rows; row++ {
+			if _, ok := tbl.eng.rescache.Peek(tbl.pointKey(row), c.epoch); ok {
+				b.cached[row] = true
+			}
+		}
 	}
+	tbl.deltas.RangeVisible(0, math.MaxUint64, func(row uint64, _ schema.Record, _ uint64) bool {
+		b.chains[row] = true
+		return true
+	})
 	return b
 }
 
 // The epochs are held to the walk they replaced. Over seeded random
 // sequences of every base mutation, and of operations that change
-// nothing, the table's epoch moves iff the all-column fragment vector or
-// the row count does, a chunk's iff its own fragments do, and an epoch
-// that moves takes a value no table (or no chunk) held before — across
-// tables, restores included.
+// nothing, the table's epoch moves iff the all-column fragment vector,
+// the row count or the set of chained rows loses a row (a settlement
+// moves it even where every settled cell already held its version's
+// bits), and an epoch that moves takes a value no table (or no chunk)
+// held before — across tables, restores included. A chunk's epoch moves
+// iff its own fragments do, except under a settlement — an update, which
+// may make one due, or a merge — which moves no chunk's epoch: it
+// forgets the cached point reads of exactly the rows it settled, and
+// every other cached point read stays.
 func TestEpochTracksFragmentVector(t *testing.T) {
 	tableSeen, chunkSeen := map[string]bool{}, map[string]bool{}
 	fresh := func(seen map[string]bool, st rescache.Stamp) bool {
@@ -438,14 +456,34 @@ func TestEpochTracksFragmentVector(t *testing.T) {
 		seen[k] = true
 		return true
 	}
+	settles := map[string]bool{"update": true, "update and merge": true, "updates to the budget": true}
 	// outcomes counts, per operation, the steps that changed the base
-	// and those that did not.
+	// and those that did not; forgotten counts the cached point reads a
+	// settlement dropped, each of which would have been served stale.
 	outcomes := map[string][2]int{}
-	check := func(op string, was, now baseState) {
+	forgotten := 0
+	check := func(op string, was, now baseState, updated map[uint64]bool) {
 		t.Helper()
+		chainWent := false
+		for row := range was.chains {
+			if !now.chains[row] {
+				chainWent = true
+				if now.cached[row] {
+					t.Fatalf("%s: row %d was settled, and its point read is still cached", op, row)
+				}
+				if was.cached[row] {
+					forgotten++
+				}
+			}
+		}
+		for row := range updated {
+			if !now.chains[row] {
+				chainWent = true // made and settled in this step
+			}
+		}
 		changed := now.rows != was.rows || !slices.EqualFunc(now.frags, was.frags, slices.Equal)
-		if moved := !now.epoch.Equal(was.epoch); moved != changed {
-			t.Fatalf("%s: table epoch moved %v, fragment vector or rows changed %v", op, moved, changed)
+		if moved := !now.epoch.Equal(was.epoch); moved != (changed || chainWent) {
+			t.Fatalf("%s: table epoch moved %v, fragment vector or rows changed %v, a chain went %v", op, moved, changed, chainWent)
 		} else if moved && !fresh(tableSeen, now.epoch) {
 			t.Fatalf("%s: table epoch %v repeats an earlier one", op, now.epoch)
 		}
@@ -456,11 +494,21 @@ func TestEpochTracksFragmentVector(t *testing.T) {
 				}
 				continue
 			}
-			chunkChanged := !slices.Equal(now.frags[i], was.frags[i])
+			chunkChanged := !settles[op] && !slices.Equal(now.frags[i], was.frags[i])
 			if moved := !ep.Equal(was.chunkEpochs[i]); moved != chunkChanged {
-				t.Fatalf("%s: chunk %d epoch moved %v, its fragments changed %v", op, i, moved, chunkChanged)
+				t.Fatalf("%s: chunk %d epoch moved %v, its fragments changed outside a settlement %v", op, i, moved, chunkChanged)
 			} else if moved && !fresh(chunkSeen, ep) {
 				t.Fatalf("%s: chunk %d epoch %v repeats an earlier one", op, i, ep)
+			}
+		}
+		if settles[op] {
+			for row := range was.cached {
+				if was.chains[row] && !now.chains[row] || updated[row] {
+					continue // settled, or updated and maybe settled
+				}
+				if !now.cached[row] {
+					t.Fatalf("%s: row %d was not settled, and its cached point read went", op, row)
+				}
 			}
 		}
 		o := outcomes[op]
@@ -472,7 +520,7 @@ func TestEpochTracksFragmentVector(t *testing.T) {
 		outcomes[op] = o
 	}
 
-	for _, opts := range []Options{{ChunkRows: 16, HotChunks: 2}, {ChunkRows: 16, HotChunks: 64}} {
+	for _, opts := range []Options{{ChunkRows: 16, HotChunks: 2, ResultCacheBytes: 1 << 20}, {ChunkRows: 16, HotChunks: 64, ResultCacheBytes: 1 << 20}} {
 		for seed := int64(1); seed <= 3; seed++ {
 			e := New(engine.NewEnv(), opts)
 			et, err := e.Create("item", workload.ItemSchema())
@@ -494,14 +542,22 @@ func TestEpochTracksFragmentVector(t *testing.T) {
 				}
 			}
 			r := rand.New(rand.NewSource(seed))
+			var updated map[uint64]bool // this step's
 			update := func() {
 				row := uint64(r.Int63n(int64(tbl.Rows())))
+				updated[row] = true
 				if err := tbl.Update(row, workload.ItemPriceCol, schema.FloatValue(float64(r.Intn(100)))); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for step := 0; step < 300; step++ {
+				for k := 0; k < 3; k++ { // publish point reads for a settlement to forget or keep
+					if _, err := tbl.Get(uint64(r.Int63n(int64(tbl.Rows())))); err != nil {
+						t.Fatal(err)
+					}
+				}
 				was := readBase(t, tbl)
+				updated = map[uint64]bool{}
 				var op string
 				switch r.Intn(10) {
 				case 0, 1:
@@ -526,7 +582,15 @@ func TestEpochTracksFragmentVector(t *testing.T) {
 					}
 				case 4:
 					op = "update"
-					update()
+					if r.Intn(3) > 0 {
+						update()
+						break
+					}
+					// Settlement is due within a budget of updates.
+					op = "updates to the budget"
+					for settled := mSettlements.Load(); mSettlements.Load() == settled; {
+						update()
+					}
 				case 5:
 					// A snapshot held across the Merge keeps it from settling
 					// what was committed after it.
@@ -580,11 +644,11 @@ func TestEpochTracksFragmentVector(t *testing.T) {
 					tbl.Free()
 					tbl = rt
 				}
-				check(op, was, readBase(t, tbl))
+				check(op, was, readBase(t, tbl), updated)
 			}
 			was := readBase(t, tbl)
 			tbl.Free()
-			check("free", was, readBase(t, tbl))
+			check("free", was, readBase(t, tbl), nil)
 		}
 	}
 	t.Logf("steps that left the base alone / changed it: %v", outcomes)
@@ -594,9 +658,16 @@ func TestEpochTracksFragmentVector(t *testing.T) {
 			t.Errorf("%s: %d steps left the base alone, %d changed it; want both", op, o[0], o[1])
 		}
 	}
-	for op, must := range map[string]int{"insert": 1, "checkpoint and restore": 1, "free": 1, "update": 0, "insert of a duplicate key": 0} {
+	for op, must := range map[string]int{"insert": 1, "checkpoint and restore": 1, "free": 1, "insert of a duplicate key": 0} {
 		if o := outcomes[op]; o[must] == 0 || o[1-must] != 0 {
 			t.Errorf("%s: %d steps left the base alone, %d changed it", op, o[0], o[1])
 		}
 	}
+	if o := outcomes["updates to the budget"]; o[1] == 0 {
+		t.Errorf("updates to the budget: %d steps, none changed the base", o[0])
+	}
+	if forgotten == 0 {
+		t.Error("no settlement forgot a cached point read")
+	}
+	t.Logf("settlements forgot %d cached point reads of settled rows", forgotten)
 }

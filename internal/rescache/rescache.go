@@ -214,9 +214,7 @@ func (c *Cache) probe(k Key, cur Stamp, counting bool) (Value, bool) {
 	s.mu.Lock()
 	e, ok := s.m[k]
 	if ok && !e.stamp.Equal(cur) {
-		s.removeLocked(e)
-		c.entries.Add(-1)
-		c.bytes.Add(-e.bytes)
+		c.dropLocked(s, e)
 		c.stale.Add(1)
 		ok = false
 	}
@@ -263,9 +261,7 @@ func (c *Cache) Put(k Key, st Stamp, v Value) Value {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	if old, ok := s.m[k]; ok {
-		s.removeLocked(old)
-		c.entries.Add(-1)
-		c.bytes.Add(-old.bytes)
+		c.dropLocked(s, old)
 	}
 	e := &entry{key: k, stamp: st, val: val, bytes: bytes}
 	e.elem = s.lru.PushFront(e)
@@ -291,6 +287,25 @@ func (c *Cache) Put(k Key, st Stamp, v Value) Value {
 		c.evictions.Add(evicted)
 	}
 	return val
+}
+
+// Drop removes k's entry, if there is one: its producer changed the
+// base state under it without moving the stamp it was stored under.
+func (c *Cache) Drop(k Key) {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	if e, ok := s.m[k]; ok {
+		c.dropLocked(s, e)
+	}
+	s.mu.Unlock()
+}
+
+// dropLocked removes e from shard s and the cache's accounting. Caller
+// holds s.mu.
+func (c *Cache) dropLocked(s *shard, e *entry) {
+	s.removeLocked(e)
+	c.entries.Add(-1)
+	c.bytes.Add(-e.bytes)
 }
 
 // removeLocked unlinks e from the shard's map, list and byte count.

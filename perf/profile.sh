@@ -11,8 +11,9 @@
 # (defaults: MIX sum=75,group=25, SEED 1, DUR 10s), which fails on any
 # request error or served-vs-direct mismatch. -w profiles the durable
 # path instead: it adds -wal with a fresh directory — the item table
-# logs every write under the default grouped fsync, and the merge tick
-# also checkpoints once a second — and MIX defaults to write=80,point=20.
+# logs every write under the default grouped fsync, and loadgen
+# checkpoints once a second — and MIX defaults to write=80,point=20.
+# A write mix never merges from loadgen: the engine settles its own tail.
 # -u profiles the scan: it adds -unique, so every sum and group-by draws
 # a practically unique range (the benchmark's scan-unique shape) and the
 # result cache answers few of them; MIX keeps its default.
@@ -35,7 +36,10 @@
 # extracted with `git archive` into a temporary directory and built with
 # this tree's cmd/loadgen and its client package (internal/server/loadgen),
 # so an engine that predates the profile flags runs under the same load
-# generator. The allocation profile counts
+# generator. That generator merges nothing: a REV whose engine does not
+# settle its own tail (before the commit-path settlement) grows it for
+# the whole run under a write mix, so profile such a REV with its own
+# cmd/loadgen instead. The allocation profile counts
 # from process start, fixture load included.
 set -euo pipefail
 
