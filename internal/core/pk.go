@@ -18,7 +18,7 @@ var ErrImmutablePK = errors.New("core: primary-key attribute is immutable")
 // initPK is called from Create when the schema supports indexing.
 func (t *Table) initPK() {
 	if t.s.Attr(0).Kind == schema.Int64 {
-		t.pk = index.NewHash(1024)
+		t.pk = index.NewHash()
 	}
 }
 

@@ -86,7 +86,7 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 	rel.AddLayout(layout.NewLayout("replica", s))
 	t := &Table{
 		mon:     workload.NewMonitor(s.Arity()),
-		pkIndex: index.NewHash(64),
+		pkIndex: index.NewHash(),
 	}
 	for i := 0; i < Nodes; i++ {
 		t.nodes = append(t.nodes, mem.NewAllocator(mem.Secondary, 0))
@@ -201,7 +201,7 @@ func (t *Table) Adapt() (bool, error) {
 	t.parts = nil
 	t.groups = suggestion
 	t.Rel.SetRows(0)
-	t.pkIndex = index.NewHash(int(rows))
+	t.pkIndex = index.NewHash()
 	for row, rec := range recs {
 		if err := t.appendRecord(uint64(row), rec); err != nil {
 			return false, err

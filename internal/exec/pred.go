@@ -178,7 +178,7 @@ func pruneByZone(cfg Config, keys, pieces []Piece, p Pred, keep bool) (kKeys, ke
 		sp := sfPrune.Start()
 		mZonePruned.Add(int64(pruned))
 		mZonePrunedBytes.Add(prunedBytes)
-		sp.EndWith(fmt.Sprintf("pruned %d/%d pieces, %d bytes", pruned, len(pieces), prunedBytes))
+		sp.EndWithCounts("pruned %d/%d pieces, %d bytes", int64(pruned), int64(len(pieces)), prunedBytes)
 	}
 	if cfg.Clock != nil && len(pieces) > 0 {
 		cfg.Clock.Advance(cfg.Host.ZoneCheckNs(len(pieces)))

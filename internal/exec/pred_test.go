@@ -10,6 +10,7 @@ import (
 
 	"hybridstore/internal/compress"
 	"hybridstore/internal/layout"
+	"hybridstore/internal/obs"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/workload"
 )
@@ -226,18 +227,17 @@ func TestPruneSelectionMatchesClosureSelect(t *testing.T) {
 	}
 }
 
-// TestPruneByZoneSkipsAndStaysExact attaches synthetic zones to pieces
-// so some are provably match-free: results must equal the unpruned run
-// and the counters must record the skips.
-func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
+// zonedPrices returns the price pieces of an 800-row NSM layout in
+// 100-row chunks with price(i) = i: monotone, so each chunk has a narrow
+// zone. The layout is freed when the test ends.
+func zonedPrices(t *testing.T) []Piece {
+	t.Helper()
 	const n = 800
-	s := itemSchema()
-	l, err := layout.Horizontal(host(), "chunks", s, n, 100, layout.NSM)
+	l, err := layout.Horizontal(host(), "chunks", itemSchema(), n, 100, layout.NSM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Free()
-	// price(i) = i: monotone, so each 100-row chunk has a narrow zone.
+	t.Cleanup(l.Free)
 	for i := uint64(0); i < n; i++ {
 		for _, f := range l.Fragments() {
 			if f.Rows().Contains(i) {
@@ -252,6 +252,14 @@ func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pieces
+}
+
+// TestPruneByZoneSkipsAndStaysExact attaches synthetic zones to pieces
+// so some are provably match-free: results must equal the unpruned run
+// and the counters must record the skips.
+func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
+	pieces := zonedPrices(t)
 	if len(pieces) != 8 {
 		t.Fatalf("pieces = %d, want 8", len(pieces))
 	}
@@ -289,6 +297,31 @@ func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
 	if len(kept) != len(pieces) || &kept[0] != &pieces[0] || prunedBytes != 0 {
 		t.Fatal("all-survive prune did not alias the input")
 	}
+}
+
+// A pruning scan pass allocates nothing: the prune span keeps its three
+// counts and formats its detail only when a snapshot is taken, with the
+// text fmt.Sprintf gave it.
+func TestPruningScanAllocatesNoDetail(t *testing.T) {
+	sc := Scan{Plan: Plan{Op: KindSumWhere, Pred: Between(250, 349)}, Vals: zonedPrices(t)}
+	out := make([]Result, 1)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := scanSum(Single(), sc, out); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a pruning scanSum pass allocates %v objects, want 0", allocs)
+	}
+	spans := obs.TakeSnapshot().Spans
+	for i := len(spans) - 1; i >= 0; i-- {
+		if spans[i].Name == "exec.zonemap.prune" {
+			if want := "pruned 6/8 pieces, 4800 bytes"; spans[i].Detail != want {
+				t.Fatalf("prune span detail %q, want %q", spans[i].Detail, want)
+			}
+			return
+		}
+	}
+	t.Fatal("no prune span recorded")
 }
 
 // TestWhereValidation covers the error paths of the fused operators.

@@ -4,90 +4,131 @@
 // scanning the entire relation" (Section II-A); ES² manages record-
 // centric access with distributed secondary indexes (Section IV-A.4).
 //
-// One structure is implemented from scratch: Hash, an open-addressing
-// hash table with linear probing, mapping int64 keys to row positions —
-// the index maintained on every insert. Primary keys are immutable and
-// rows are never deleted, so entries only ever arrive.
+// One structure is implemented from scratch: Hash, mapping int64 keys to
+// row positions — the index maintained on every insert. Primary keys are
+// immutable and rows are never deleted, so entries only ever arrive. It
+// keeps only what a lookup needs, in two tiers:
+//
+//   - a key run (k0, r0, n): key k0+i is row r0+i for i < n. It holds for
+//     as long as every Put has extended it, and costs no byte per key.
+//     Every loader in this repository inserts pk == row in row order, so a
+//     loaded table's index is three numbers.
+//   - a table for the keys after the first Put that breaks the run: keys
+//     and rows in arrival order (16 B per entry), found through an
+//     open-addressing table of uint32 slots (entry number + 1, 0 empty)
+//     with linear probing, at most half full (4 B per slot): 24 to 48 B
+//     per key, 24 at 1<<17 shuffled keys.
+//
+// The run stays a prefix once the table exists: a later key that would
+// extend it goes to the table.
 package index
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrDuplicate is returned when inserting an existing key.
 var ErrDuplicate = errors.New("index: duplicate key")
 
-// slot is one hash bucket.
-type slot struct {
-	occupied bool
-	key      int64
-	row      uint64
-}
+// minSlots is the table tier's size when the run first breaks.
+const minSlots = 16
 
-// Hash is an open-addressing hash index from int64 keys to row positions.
-// Not safe for concurrent mutation.
+// Hash is the two-tier index from int64 keys to row positions. The zero
+// value is an empty index. Not safe for concurrent mutation.
 type Hash struct {
-	slots []slot
-	n     int // entries
+	k0 int64  // the run's first key
+	r0 uint64 // its row
+	n  uint64 // the run's length: keys k0 .. k0+n-1
+
+	keys  []int64  // table entries in arrival order; cap is len(slots)/2
+	rows  []uint64 // rows[e] is keys[e]'s row
+	slots []uint32 // entry number + 1, 0 empty; a power of two, or nil
+	shift uint     // 64 - log2(len(slots))
 }
 
-// NewHash creates an index with the given initial capacity hint.
-func NewHash(capacity int) *Hash {
-	size := 16
-	for size < capacity*2 {
-		size *= 2
-	}
-	return &Hash{slots: make([]slot, size)}
-}
+// NewHash creates an empty index.
+func NewHash() *Hash { return &Hash{} }
 
 // Len returns the number of entries.
-func (h *Hash) Len() int { return h.n }
-
-// hash mixes the key (Fibonacci hashing over the table size).
-func (h *Hash) hash(k int64) int {
-	x := uint64(k) * 0x9E3779B97F4A7C15
-	return int(x & uint64(len(h.slots)-1))
-}
+func (h *Hash) Len() int { return int(h.n) + len(h.keys) }
 
 // Put inserts key → row; ErrDuplicate if the key exists.
 func (h *Hash) Put(key int64, row uint64) error {
-	if h.n*10 >= len(h.slots)*7 {
+	switch {
+	case h.n == 0:
+		h.k0, h.r0, h.n = key, row, 1
+		return nil
+	case h.keys == nil && h.extends(key, row):
+		h.n++
+		return nil
+	case uint64(key)-uint64(h.k0) < h.n:
+		return fmt.Errorf("%w: %d", ErrDuplicate, key)
+	}
+	if len(h.keys) == cap(h.keys) {
 		h.grow()
 	}
-	i := h.hash(key)
-	for h.slots[i].occupied {
-		if h.slots[i].key == key {
-			return fmt.Errorf("%w: %d", ErrDuplicate, key)
-		}
-		i = (i + 1) & (len(h.slots) - 1)
+	i := h.probe(key)
+	if h.slots[i] != 0 {
+		return fmt.Errorf("%w: %d", ErrDuplicate, key)
 	}
-	h.slots[i] = slot{occupied: true, key: key, row: row}
-	h.n++
+	h.keys = append(h.keys, key)
+	h.rows = append(h.rows, row)
+	h.slots[i] = uint32(len(h.keys))
 	return nil
+}
+
+// extends reports whether key → row is the run's next pair, k0+n → r0+n,
+// without either sum wrapping past the end of its type.
+func (h *Hash) extends(key int64, row uint64) bool {
+	return key > h.k0 && uint64(key)-uint64(h.k0) == h.n &&
+		row > h.r0 && row-h.r0 == h.n
 }
 
 // Lookup returns the row of key and whether it has one: Get for a
 // caller to whom a free key is an outcome, not a failure (every insert
 // probes for its key first).
 func (h *Hash) Lookup(key int64) (uint64, bool) {
-	for i := h.hash(key); h.slots[i].occupied; i = (i + 1) & (len(h.slots) - 1) {
-		if h.slots[i].key == key {
-			return h.slots[i].row, true
-		}
+	// The run's range test reads no memory beyond the header; the
+	// subtraction wraps a key below k0 past n.
+	if d := uint64(key) - uint64(h.k0); d < h.n {
+		return h.r0 + d, true
+	}
+	if h.slots == nil {
+		return 0, false
+	}
+	if e := h.slots[h.probe(key)]; e != 0 {
+		return h.rows[e-1], true
 	}
 	return 0, false
 }
 
-// grow doubles the table and rehashes the entries.
+// probe returns the slot holding key's entry number, or the empty slot
+// that ends key's probe sequence when the table has no entry for it. The
+// sequence starts at the top bits of a Fibonacci hash, so keys that
+// differ only in their high bits still spread.
+func (h *Hash) probe(key int64) int {
+	mask := len(h.slots) - 1
+	i := int(uint64(key) * 0x9E3779B97F4A7C15 >> h.shift)
+	for e := h.slots[i]; e != 0 && h.keys[e-1] != key; e = h.slots[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the table tier (or allocates it, at the first key that
+// breaks the run) and relinks the entries. The entry arrays grow to half
+// the slot count, so the table is at most half full.
 func (h *Hash) grow() {
-	old := h.slots
-	h.slots = make([]slot, len(old)*2)
-	h.n = 0
-	for _, s := range old {
-		if s.occupied {
-			// Safe: capacity doubled, no duplicates among the entries.
-			_ = h.Put(s.key, s.row)
-		}
+	size := max(minSlots, 2*len(h.slots))
+	h.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	h.slots = make([]uint32, size)
+	keys, rows := make([]int64, len(h.keys), size/2), make([]uint64, len(h.rows), size/2)
+	copy(keys, h.keys)
+	copy(rows, h.rows)
+	h.keys, h.rows = keys, rows
+	for e, k := range h.keys {
+		h.slots[h.probe(k)] = uint32(e + 1)
 	}
 }

@@ -28,6 +28,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/bits"
 	"sort"
@@ -235,7 +236,7 @@ type Registry struct {
 	histograms map[string]*Histogram
 
 	spanMu sync.Mutex
-	spans  ring[SpanRecord]
+	spans  ring[spanEntry]
 	events ring[Event]
 }
 
@@ -318,7 +319,7 @@ func (r *Registry) Reset() {
 	}
 	r.mu.Unlock()
 	r.spanMu.Lock()
-	r.spans = ring[SpanRecord]{}
+	r.spans = ring[spanEntry]{}
 	r.events = ring[Event]{}
 	r.spanMu.Unlock()
 }
@@ -360,17 +361,44 @@ func (s Span) End() { s.EndWith("") }
 
 // EndWith closes the span with a detail annotation kept in the recent-
 // span ring (e.g. the chosen column groups of a reorganization).
-func (s Span) EndWith(detail string) {
+func (s Span) EndWith(detail string) { s.end(spanEntry{rec: SpanRecord{Detail: detail}}) }
+
+// EndWithCounts closes the span with a detail of three integers
+// formatted by format, as EndWith(fmt.Sprintf(format, a, b, c)) would —
+// but the integers are kept as they are and formatted only when a
+// snapshot is taken, so a span on a hot path allocates no string.
+func (s Span) EndWithCounts(format string, a, b, c int64) {
+	s.end(spanEntry{format: format, args: [3]int64{a, b, c}})
+}
+
+// end records the closed span into its family's histogram and the ring.
+func (s Span) end(e spanEntry) {
 	if s.f == nil {
 		return
 	}
 	d := time.Since(s.t0)
 	s.f.h.Observe(d.Nanoseconds())
-	rec := SpanRecord{Name: s.f.name, Start: s.t0.UnixNano(), DurationNs: d.Nanoseconds(), Detail: detail}
+	e.rec.Name, e.rec.Start, e.rec.DurationNs = s.f.name, s.t0.UnixNano(), d.Nanoseconds()
 	r := s.f.r
 	r.spanMu.Lock()
-	r.spans.put(rec)
+	r.spans.put(e)
 	r.spanMu.Unlock()
+}
+
+// spanEntry is one completed span in the ring: its record, and, from
+// EndWithCounts, the detail's format and integers still unformatted.
+type spanEntry struct {
+	rec    SpanRecord
+	format string
+	args   [3]int64
+}
+
+// record returns the span as a snapshot shows it, its detail formatted.
+func (e spanEntry) record() SpanRecord {
+	if e.format != "" {
+		e.rec.Detail = fmt.Sprintf(e.format, e.args[0], e.args[1], e.args[2])
+	}
+	return e.rec
 }
 
 // SpanRecord is one completed span in a snapshot.
@@ -453,9 +481,12 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 	r.spanMu.Lock()
-	s.Spans = r.spans.appendTo(nil)
+	spans := r.spans.appendTo(nil)
 	s.Events = r.events.appendTo(nil)
 	r.spanMu.Unlock()
+	for _, e := range spans {
+		s.Spans = append(s.Spans, e.record())
+	}
 	return s
 }
 

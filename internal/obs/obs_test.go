@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -146,6 +147,27 @@ func TestRingOrderAndNoAllocs(t *testing.T) {
 	r.Reset()
 	if snap := r.Snapshot(); snap.Spans != nil || snap.Events != nil {
 		t.Errorf("after Reset: %d spans, %d events", len(snap.Spans), len(snap.Events))
+	}
+}
+
+// EndWithCounts keeps its integers and formats them at snapshot time:
+// the detail reads as fmt.Sprintf would have written it, and ending the
+// span allocates nothing.
+func TestEndWithCountsFormatsAtSnapshot(t *testing.T) {
+	r := NewRegistry()
+	f := &SpanFamily{name: "s", r: r, h: r.Histogram("span.s.ns")}
+	f.Start().EndWithCounts("pruned %d/%d pieces, %d bytes", 6, 8, -4800)
+	f.Start().EndWith("plain")
+	Span{}.EndWithCounts("inert %d %d %d", 1, 2, 3)
+	var got []string
+	for _, sp := range r.Snapshot().Spans {
+		got = append(got, sp.Detail)
+	}
+	if want := []string{"pruned 6/8 pieces, -4800 bytes", "plain"}; !slices.Equal(got, want) {
+		t.Fatalf("details %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.Start().EndWithCounts("pruned %d/%d pieces, %d bytes", 6, 8, 4800) }); allocs != 0 {
+		t.Errorf("EndWithCounts allocates %.0f, want 0", allocs)
 	}
 }
 

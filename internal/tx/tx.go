@@ -65,8 +65,11 @@ type version struct {
 
 // Chains are kept in row order: pages of pageRows consecutive rows,
 // ascending. A page costs 4.1 KiB, appears with the first chain in its
-// range and goes with the last — 1 MiB when updates have touched all
-// 256 pages of a 131072-row table, nothing after a merge.
+// range and leaves the order with the last — 1 MiB when updates have
+// touched all 256 pages of a 131072-row table. A page that leaves is kept
+// on the store's free list for the next page that opens, so a settlement
+// followed by fresh updates allocates no page again; the list holds at
+// most the pages the store has held at once.
 const pageRows = 512
 
 // page holds the chain heads of rows [id*pageRows, (id+1)*pageRows).
@@ -95,6 +98,7 @@ type Store struct {
 	mu    sync.RWMutex
 	pages map[uint64]*page // by id, none empty
 	order []*page          // the same pages, ascending id
+	free  []*page          // emptied pages, kept for reuse
 	// versions counts the stored versions. It only changes under the
 	// write lock, next to the chain edit it accounts for, and is read
 	// without the lock.
@@ -149,7 +153,12 @@ func (s *Store) install(row uint64, v *version) {
 	id, i := row/pageRows, row%pageRows
 	p := s.pages[id]
 	if p == nil {
-		p = &page{id: id}
+		if k := len(s.free) - 1; k >= 0 {
+			p, s.free = s.free[k], s.free[:k]
+			*p = page{id: id}
+		} else {
+			p = &page{id: id}
+		}
 		s.pages[id] = p
 		at, _ := slices.BinarySearchFunc(s.order, id, func(p *page, id uint64) int { return cmp.Compare(p.id, id) })
 		s.order = slices.Insert(s.order, at, p)
@@ -216,10 +225,11 @@ func (s *Store) Forget(rows []uint64, upTo uint64) {
 		p.live[i/64] &^= 1 << (i % 64)
 		p.n--
 	}
-	// The pages whose last chain went go with it.
+	// The pages whose last chain went leave the order for the free list.
 	s.order = slices.DeleteFunc(s.order, func(p *page) bool {
 		if p.n == 0 {
 			delete(s.pages, p.id)
+			s.free = append(s.free, p)
 		}
 		return p.n == 0
 	})

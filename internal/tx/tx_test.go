@@ -839,6 +839,52 @@ func TestForgetKeepsNewerVersion(t *testing.T) {
 	}
 }
 
+// A page whose last chain is forgotten goes to the free list, and the
+// next page to open reuses it cleared: no chain head, live bit, count or
+// newest timestamp of its former rows survives, and the store never holds
+// more pages than it held at once.
+func TestForgottenPagesAreReused(t *testing.T) {
+	s := NewStore()
+	old := []uint64{3, pageRows + 7, 2*pageRows + 511}
+	for _, row := range old {
+		for _, ts := range []uint64{90, 100} {
+			if err := s.InstallAt(row, rec(int64(ts)), ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	held := slices.Clone(s.order)
+	s.Forget(old, 100)
+	if len(s.order) != 0 || len(s.free) != len(held) {
+		t.Fatalf("after forgetting every chain: %d pages in order, %d free; want 0, %d", len(s.order), len(s.free), len(held))
+	}
+	row := uint64(9*pageRows + 5)
+	if err := s.InstallAt(row, rec(50), 50); err != nil {
+		t.Fatal(err)
+	}
+	p := s.pages[9]
+	if !slices.Contains(held, p) {
+		t.Fatal("the new page was allocated, not taken from the free list")
+	}
+	if p.id != 9 || p.n != 1 || p.maxTS != 50 || len(s.order)+len(s.free) != len(held) {
+		t.Fatalf("reused page: id %d, n %d, maxTS %d; %d pages held; want 9, 1, 50, %d", p.id, p.n, p.maxTS, len(s.order)+len(s.free), len(held))
+	}
+	var rows []uint64
+	s.AdvanceTo(100)
+	s.RangeVisible(0, 100, func(r uint64, _ schema.Record, _ uint64) bool {
+		rows = append(rows, r)
+		return true
+	})
+	if !slices.Equal(rows, []uint64{row}) || s.Versions() != 1 || walkedVersions(s) != 1 {
+		t.Fatalf("visible rows %v, %d versions (walked %d); want [%d], 1", rows, s.Versions(), walkedVersions(s), row)
+	}
+	for _, r := range old {
+		if s.LatestTS(r) != 0 {
+			t.Fatalf("forgotten row %d still has a chain", r)
+		}
+	}
+}
+
 func ExampleTx() {
 	s := NewStore()
 	w := s.Begin()
