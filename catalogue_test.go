@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"hybridstore"
-	"hybridstore/internal/device"
-	"hybridstore/internal/perfmodel"
 	"hybridstore/internal/server"
 )
 
@@ -67,8 +65,6 @@ func TestMetricCatalogue(t *testing.T) {
 	if err := tbl.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	// The multidevice panel's fleet registers a family per card.
-	device.NewEnv(2, perfmodel.DefaultDevice(), nil)
 	srv := server.New(server.Config{DB: db})
 	sid, err := srv.CreateSession()
 	if err != nil {

@@ -12,7 +12,7 @@
 // one of the executed panels at its published geometry: "selectivity"
 // (zone-map data skipping), "devicecache" (device-resident fragment
 // cache), "compression" (compressed-domain execution), "fusion" (fused
-// predicate→group-by), "multidevice" (cross-device scheduler) and
+// predicate→group-by), "multidevice" (hash-sharded card fleet) and
 // "resultcache" (version-stamped result cache). The names, their geometry
 // and their columns come from the registry in internal/figures; DESIGN.md
 // describes each panel. The serving layer is driven by cmd/loadgen, and

@@ -141,11 +141,6 @@ type FragCache struct {
 	pinned   int64 // bytes of pinned images
 
 	hits, misses, evictions, dupUploads obs.Counter
-
-	// cardHits/cardMisses, when non-nil, mirror hit/miss traffic onto the
-	// per-card registry counters (device.<i>.cache.*) an Env wires up, so
-	// a metrics snapshot can attribute residency per card.
-	cardHits, cardMisses *obs.Counter
 }
 
 // NewFragCache creates a cache over the GPU's global memory.
@@ -199,9 +194,6 @@ func (c *FragCache) Acquire(key FragKey, version uint64, size int, fill func(*Bu
 	c.mu.Unlock()
 	c.misses.Inc()
 	mCacheMisses.Inc()
-	if c.cardMisses != nil {
-		c.cardMisses.Inc()
-	}
 
 	buf, err := c.allocEvicting(size)
 	if err != nil {
@@ -289,13 +281,10 @@ func (c *FragCache) intern(table string) uint32 {
 	return id
 }
 
-// countHits counts n cache hits, on the card's counters too.
+// countHits counts n cache hits.
 func (c *FragCache) countHits(n int64) {
 	c.hits.Add(n)
 	mCacheHits.Add(n)
-	if c.cardHits != nil {
-		c.cardHits.Add(n)
-	}
 }
 
 // ReleasePins releases every pin (Pin.Release), holding a cache's lock

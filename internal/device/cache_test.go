@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -354,5 +355,73 @@ func TestPinReleaseIsIdempotent(t *testing.T) {
 		pin.Release()
 	}); allocs != 0 {
 		t.Errorf("a cache hit and its release allocate %.1f objects, want 0", allocs)
+	}
+}
+
+// TestCacheDupUploadRace is the regression test for the concurrent-miss
+// accounting bug: two cold Acquires race on the same key, both upload,
+// and the loser discards its copy. The loser must stay a miss (it paid
+// the bus) and count as a duplicate upload — hits+misses must equal the
+// acquire count, never exceed it.
+func TestCacheDupUploadRace(t *testing.T) {
+	g, _ := newGPU()
+	c := NewFragCache(g)
+	key := FragKey{Table: "race", Frag: 1, Col: 0, Rows: 256}
+	data := hostFloats(256)
+
+	// Both goroutines reach the middle of their uploads before either
+	// installs: the barrier guarantees the second installer finds the
+	// winner's entry already resident.
+	var barrier sync.WaitGroup
+	barrier.Add(2)
+	var wg sync.WaitGroup
+	hits := make([]bool, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			pin, hit, err := c.Acquire(key, 1, len(data), func(b *Buffer) error {
+				barrier.Done()
+				barrier.Wait()
+				return g.CopyToDevice(b, 0, data)
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			hits[i] = hit
+			if pin.Buffer() == nil {
+				t.Error("nil buffer from racing acquire")
+			}
+			pin.Release()
+		}(i)
+	}
+	wg.Wait()
+
+	if hits[0] || hits[1] {
+		t.Fatalf("a racing cold acquire reported a hit (hits=%v); both paid the bus", hits)
+	}
+	st := c.Stats()
+	if st.Hits+st.Misses != 2 {
+		t.Fatalf("hits %d + misses %d = %d, want 2 (one per acquire)", st.Hits, st.Misses, st.Hits+st.Misses)
+	}
+	if st.Misses != 2 {
+		t.Fatalf("misses = %d, want 2", st.Misses)
+	}
+	if st.DupUploads != 1 {
+		t.Fatalf("dup uploads = %d, want exactly 1 (the race loser)", st.DupUploads)
+	}
+	if st.Entries != 1 {
+		t.Fatalf("entries = %d, want 1 (loser's copy discarded)", st.Entries)
+	}
+	// Both goroutines shipped the image: the bus was charged twice.
+	if got, want := g.Stats().HostToDeviceBytes, int64(2*len(data)); got != want {
+		t.Fatalf("H2D bytes = %d, want %d (both uploads crossed the bus)", got, want)
+	}
+	// The survivor serves subsequent lookups as a plain hit.
+	pin, hit := acquireUpload(t, c, key, 1, data)
+	pin.Release()
+	if !hit {
+		t.Fatal("post-race acquire missed; the winner's image should be resident")
 	}
 }

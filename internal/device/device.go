@@ -63,20 +63,9 @@ type GPU struct {
 	d2hOps  obs.Counter
 	kernels obs.Counter
 
-	// card, when non-nil, mirrors traffic onto the per-card registry
-	// counters (device.<i>.*) a multi-device Env registers, so metrics
-	// attribute bus bytes and launches to individual cards while the
-	// process-global device.* totals keep aggregating everything.
-	card *cardCounters
-
 	// scratch recycles the grouped kernel's tables, up to one per
 	// concurrent launch.
 	scratch chan *groupScratch
-}
-
-// cardCounters are the registry handles of one indexed card.
-type cardCounters struct {
-	h2dBytes, d2hBytes, h2dOps, d2hOps, kernels *obs.Counter
 }
 
 // New creates a GPU with the given profile, charging simulated time to
@@ -88,24 +77,6 @@ func New(prof perfmodel.DeviceProfile, clock *perfmodel.Clock) *GPU {
 		clock:   clock,
 		scratch: make(chan *groupScratch, 64),
 	}
-}
-
-// NewIndexed creates a GPU that additionally mirrors its traffic onto the
-// per-card registry counters device.<index>.{h2d_bytes, d2h_bytes,
-// h2d_ops, d2h_ops, kernels}. The registry finds-or-creates by name, so
-// every Env run reuses one counter set per index and the per-card series
-// stay cumulative exactly like the process-global device.* totals.
-func NewIndexed(prof perfmodel.DeviceProfile, clock *perfmodel.Clock, index int) *GPU {
-	g := New(prof, clock)
-	p := fmt.Sprintf("device.%d.", index)
-	g.card = &cardCounters{
-		h2dBytes: obs.NewCounter(p + "h2d_bytes"),
-		d2hBytes: obs.NewCounter(p + "d2h_bytes"),
-		h2dOps:   obs.NewCounter(p + "h2d_ops"),
-		d2hOps:   obs.NewCounter(p + "d2h_ops"),
-		kernels:  obs.NewCounter(p + "kernels"),
-	}
-	return g
 }
 
 // Profile returns the device profile.
@@ -148,29 +119,18 @@ func (g *GPU) countTransfer(n int64, toDevice bool) {
 		g.h2dOps.Inc()
 		mH2DBytes.Add(n)
 		mH2DOps.Inc()
-		if g.card != nil {
-			g.card.h2dBytes.Add(n)
-			g.card.h2dOps.Inc()
-		}
 		return
 	}
 	g.d2h.Add(n)
 	g.d2hOps.Inc()
 	mD2HBytes.Add(n)
 	mD2HOps.Inc()
-	if g.card != nil {
-		g.card.d2hBytes.Add(n)
-		g.card.d2hOps.Inc()
-	}
 }
 
 // countKernels records k kernel launches.
 func (g *GPU) countKernels(k int64) {
 	g.kernels.Add(k)
 	mKernels.Add(k)
-	if g.card != nil {
-		g.card.kernels.Add(k)
-	}
 }
 
 // ChargeTransfer accounts for n bytes moved over the bus outside the

@@ -649,3 +649,36 @@ func TestCopyImageMatchesCopy(t *testing.T) {
 		t.Fatalf("a refused upload counted %d bytes", st.HostToDeviceBytes)
 	}
 }
+
+// TestGatherChargesOverlapOnce pins the transfer-pricing fix: a Gather
+// costs exactly one combined OverlapNs(transfer, kernel, 1) charge —
+// symmetric with Scatter — rather than separate kernel and transfer
+// charges drifting apart from the stream paths.
+func TestGatherChargesOverlapOnce(t *testing.T) {
+	g, clk := newGPU()
+	const n, width = 1024, 16
+	buf, err := g.Alloc(n * width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer buf.Free()
+	if err := g.CopyToDevice(buf, 0, make([]byte, n*width)); err != nil {
+		t.Fatal(err)
+	}
+	positions := []int{1, 3, 5, 7, 11}
+
+	before := clk.ElapsedNs()
+	out, err := g.Gather(buf, width, positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := clk.ElapsedNs() - before
+
+	prof := g.Profile()
+	want := prof.OverlapNs(
+		prof.TransferNs(int64(len(out))),
+		prof.GatherKernelNs(int64(len(positions)), int64(n), width), 1)
+	if got != want {
+		t.Fatalf("gather charged %v ns, want single overlap charge %v ns", got, want)
+	}
+}

@@ -88,9 +88,9 @@ func TestDeviceScanLaunchesOncePerColumn(t *testing.T) {
 
 // TestQuickSegmentedScanMatchesPieceFolds runs random cohorts over
 // random columns — raw and compressed pieces, empty ones, −0 and ±Inf
-// among the values — on one card and on a 3-card fleet, and checks
-// every result bit for bit against the host folds of each piece on its
-// own added up in piece order: what one launch per piece computed.
+// among the values — on one cached card, and checks every result bit
+// for bit against the host folds of each piece on its own added up in
+// piece order: what one launch per piece computed.
 func TestQuickSegmentedScanMatchesPieceFolds(t *testing.T) {
 	special := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
 	f := func(seed int64, grouped bool) bool {
@@ -149,20 +149,15 @@ func TestQuickSegmentedScanMatchesPieceFolds(t *testing.T) {
 			}
 		}
 		gpu := device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})
-		fleet, _, _ := fleetScan(3, "quick")
-		for _, ex := range []struct {
-			name string
-			ex   ScanExecutor
-		}{{"one card", DeviceScan{GPU: gpu, Cache: device.NewFragCache(gpu), Table: "quick"}}, {"3 cards", fleet}} {
-			got := make([]Result, len(preds))
-			if err := ex.ex.Scan(sc, got); err != nil {
-				t.Fatal(err)
-			}
-			for k := range want {
-				if !sameResultBits(got[k], want[k]) {
-					t.Logf("seed %d grouped=%v %s pred %v: %+v, want %+v", seed, grouped, ex.name, preds[k], got[k], want[k])
-					return false
-				}
+		card := DeviceScan{GPU: gpu, Cache: device.NewFragCache(gpu), Table: "quick"}
+		got := make([]Result, len(preds))
+		if err := card.Scan(sc, got); err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if !sameResultBits(got[k], want[k]) {
+				t.Logf("seed %d grouped=%v pred %v: %+v, want %+v", seed, grouped, preds[k], got[k], want[k])
+				return false
 			}
 		}
 		return true

@@ -70,9 +70,8 @@ func (sc Scan) Slice(from, to int) Scan {
 }
 
 // ScanExecutor runs a Scan, writing result k to out[k]. The host
-// Config, the single-card DeviceScan and the cross-device
-// MultiDeviceScan satisfy it, so an engine's host leg and its device leg
-// enter through the same call, once per cohort.
+// Config and the single-card DeviceScan satisfy it, so an engine's host
+// leg and its device leg enter through the same call, once per cohort.
 type ScanExecutor interface {
 	Scan(sc Scan, out []Result) error
 }
@@ -115,7 +114,7 @@ func (p Plan) DeviceOK() bool {
 	return p.Op == KindSum
 }
 
-// deviceForm validates the scan for the device executors. Scans no
+// deviceForm validates the scan for DeviceScan. Scans no
 // kernel can run — of a kind without one, with a predicate that has no
 // closed interval for the filter kernels (Plan.DeviceOK), or over
 // compressed group keys — fail with ErrBadColumn before any zone

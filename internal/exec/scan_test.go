@@ -92,21 +92,13 @@ func sealComp(t *testing.T, enc compress.Encoding, vals []Piece, pick int) []Pie
 	return out
 }
 
-// fleetScan builds an n-card MultiDeviceScan over a fresh Env.
-func fleetScan(n int, table string) (*MultiDeviceScan, *device.Env, *perfmodel.Clock) {
-	shared := &perfmodel.Clock{}
-	env := device.NewEnv(n, perfmodel.DefaultDevice(), shared)
-	return &MultiDeviceScan{Env: env, Table: table}, env, shared
-}
-
 // streamSpans counts the device.stream spans recorded so far.
 func streamSpans() int64 { return obs.TakeSnapshot().Histograms["span.device.stream.ns"].Count }
 
 // TestScanExecutors is the one equivalence table of the scan contract:
 // every ScanExecutor — the host Config under the three policies, the
-// single-card DeviceScan with and without a cache (cold, then warm), the
-// fleet at 1, 2 and 4 cards — answers
-// every scan kind over every piece mix exactly as the single-threaded
+// single-card DeviceScan with and without a cache (cold, then warm) —
+// answers every scan kind over every piece mix exactly as the single-threaded
 // host fold does (integer-valued data: any fold order is exact). Along
 // the way it keeps the device accounting contract: a fully pruned scan
 // touches no device state, and a warm cached scan ships zero bus bytes.
@@ -154,11 +146,6 @@ func TestScanExecutors(t *testing.T) {
 	execs = append(execs,
 		executor{name: "card/cached-cold", ex: cached, h2d: h2d},
 		executor{name: "card/cached-warm", ex: cached, h2d: h2d, warm: true})
-	for _, n := range []int{1, 2, 4} {
-		m, env, _ := fleetScan(n, "t")
-		execs = append(execs, executor{name: fmt.Sprintf("fleet/n=%d", n), ex: m,
-			h2d: func() int64 { return env.Stats().HostToDeviceBytes }})
-	}
 
 	ref := Single()
 	for _, e := range execs {
@@ -573,141 +560,32 @@ func TestDeviceScanResidentLaunchesDirectly(t *testing.T) {
 
 // TestDeviceScanRefusesBeforeZoneDecisions pins the refusal order: a
 // scan no kernel can run — compressed group keys, an empty predicate,
-// the unpredicated group-by — fails with ErrBadColumn on the card and on
-// the fleet before any zone decision is accounted, so the caller's host
-// fallback does not double count.
+// the unpredicated group-by — fails with ErrBadColumn on the card before
+// any zone decision is accounted, so the caller's host fallback does not
+// double count.
 func TestDeviceScanRefusesBeforeZoneDecisions(t *testing.T) {
 	keys, vals, _, _ := groupScanFixture(4, 256)
 	compKeys := sealComp(t, compress.Dict, keys, 1)
-	gpu := device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})
-	fleet, _, _ := fleetScan(2, "refuse")
-	for _, ex := range []ScanExecutor{DeviceScan{GPU: gpu}, fleet} {
-		before := obs.TakeSnapshot()
-		for _, sc := range []struct {
-			op   Kind
-			keys []Piece
-			p    Pred
-		}{
-			{KindGroupSumWhere, compKeys, Between(0.0, 150.0)},
-			{KindSumWhere, nil, Between(2.0, 1.0)},
-			{KindGroupSum, keys, Pred{}},
-		} {
-			if _, err := scanOn(ex, sc.op, sc.keys, vals, sc.p); !errors.Is(err, ErrBadColumn) {
-				t.Fatalf("%T %s: err = %v, want ErrBadColumn", ex, sc.op, err)
-			}
-		}
-		after := obs.TakeSnapshot()
-		for _, c := range []string{"exec.zonemap.pruned", "exec.zonemap.scanned"} {
-			if after.Counter(c) != before.Counter(c) {
-				t.Fatalf("%T: %s moved by a refused scan", ex, c)
-			}
-		}
-	}
-}
-
-// TestMultiDeviceScanBitIdentity pins the fleet's fold order: per-piece
-// partials fold in original piece order, so a sharded scan answers
-// bit-identically to the single-card DeviceScan over the same pieces —
-// on order-sensitive (non-integer) data, for the plain sum, the filtered
-// sum and the fused grouped scan, at every fleet size. A scan carrying
-// Resident pieces, which live on no card of the fleet, is refused.
-func TestMultiDeviceScanBitIdentity(t *testing.T) {
-	const nf, fragRows = 8, 1024
-	keys, vals, _, valF := groupScanFixture(nf, fragRows)
-	for i := range valF {
-		valF[i] += 0.1 * float64(i%7)
-	}
-	img := encodeF64(valF)
-	for i := range vals {
-		vals[i].Vec.Data = img
-		vals[i].Zone = nil
-	}
-	p := Between(100.0, 499.9)
-
-	gpu := device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})
-	single := DeviceScan{GPU: gpu, Cache: device.NewFragCache(gpu), Table: "bitident"}
-	for _, op := range []Kind{KindSum, KindSumWhere, KindGroupSumWhere} {
-		want, err := scanOn(single, op, keys, vals, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{1, 2, 4} {
-			m, _, _ := fleetScan(n, "bitident")
-			got, err := scanOn(m, op, keys, vals, p)
-			if err != nil {
-				t.Fatalf("n=%d %s: %v", n, op, err)
-			}
-			if math.Float64bits(got.Sum) != math.Float64bits(want.Sum) || got.Count != want.Count || len(got.Groups) != len(want.Groups) {
-				t.Fatalf("n=%d %s: fleet (%v, %d) != single-card (%v, %d)", n, op, got.Sum, got.Count, want.Sum, want.Count)
-			}
-			for i := range got.Groups {
-				if got.Groups[i] != want.Groups[i] {
-					t.Fatalf("n=%d %s: group[%d] = %+v, want %+v", n, op, i, got.Groups[i], want.Groups[i])
-				}
-			}
-			resident := append([]Piece(nil), vals...)
-			resident[2].Place = Resident
-			if _, err := scanOn(m, op, keys, resident, p); !errors.Is(err, ErrBadColumn) {
-				t.Fatalf("n=%d %s: resident piece on a fleet scan: err = %v, want ErrBadColumn", n, op, err)
-			}
-		}
-	}
-}
-
-// TestMultiDevicePerCardCountersSumToGlobal pins the fleet accounting
-// invariant: the per-card registry counters (device.<i>.*) move by
-// exactly the same totals as the process-global device.* counters, and
-// each card's GPU.Stats matches its own registry deltas.
-func TestMultiDevicePerCardCountersSumToGlobal(t *testing.T) {
-	const n = 2
-	const nf, fragRows = 8, 1024
-	_, vals, _, _ := groupScanFixture(nf, fragRows)
-
-	m, env, _ := fleetScan(n, "counters")
+	ex := DeviceScan{GPU: device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})}
 	before := obs.TakeSnapshot()
-	// A cold pass, then a warm one so hits move too.
-	for pass := 0; pass < 2; pass++ {
-		if _, err := scanOn(m, KindSumWhere, nil, vals, Between(0.0, 1e9)); err != nil {
-			t.Fatal(err)
+	for _, sc := range []struct {
+		op   Kind
+		keys []Piece
+		p    Pred
+	}{
+		{KindGroupSumWhere, compKeys, Between(0.0, 150.0)},
+		{KindSumWhere, nil, Between(2.0, 1.0)},
+		{KindGroupSum, keys, Pred{}},
+	} {
+		if _, err := scanOn(ex, sc.op, sc.keys, vals, sc.p); !errors.Is(err, ErrBadColumn) {
+			t.Fatalf("%s: err = %v, want ErrBadColumn", sc.op, err)
 		}
 	}
 	after := obs.TakeSnapshot()
-	delta := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
-
-	for _, c := range []string{"h2d_bytes", "d2h_bytes", "h2d_ops", "d2h_ops", "kernels"} {
-		var perCard int64
-		for i := 0; i < n; i++ {
-			perCard += delta(fmt.Sprintf("device.%d.%s", i, c))
+	for _, c := range []string{"exec.zonemap.pruned", "exec.zonemap.scanned"} {
+		if after.Counter(c) != before.Counter(c) {
+			t.Fatalf("%s moved by a refused scan", c)
 		}
-		if global := delta("device." + c); perCard != global {
-			t.Fatalf("device.*.%s sums to %d, global device.%s moved %d", c, perCard, c, global)
-		}
-	}
-	for _, c := range []string{"hits", "misses"} {
-		var perCard int64
-		for i := 0; i < n; i++ {
-			perCard += delta(fmt.Sprintf("device.%d.cache.%s", i, c))
-		}
-		if global := delta("device.cache." + c); perCard != global {
-			t.Fatalf("device.*.cache.%s sums to %d, global moved %d", c, perCard, global)
-		}
-	}
-	// GPU.Stats ≡ the card's own registry counters.
-	for i := 0; i < n; i++ {
-		st := env.Card(i).GPU().Stats()
-		if st.HostToDeviceBytes != delta(fmt.Sprintf("device.%d.h2d_bytes", i)) {
-			t.Fatalf("card %d: Stats H2D %d != registry %d", i,
-				st.HostToDeviceBytes, delta(fmt.Sprintf("device.%d.h2d_bytes", i)))
-		}
-		if st.KernelLaunches != delta(fmt.Sprintf("device.%d.kernels", i)) {
-			t.Fatalf("card %d: Stats kernels %d != registry %d", i,
-				st.KernelLaunches, delta(fmt.Sprintf("device.%d.kernels", i)))
-		}
-	}
-	// Every piece admitted: hits+misses must equal acquires (2 passes × nf).
-	cs := env.CacheStats()
-	if cs.Hits+cs.Misses != 2*nf {
-		t.Fatalf("hits %d + misses %d != %d acquires", cs.Hits, cs.Misses, 2*nf)
 	}
 }
 
@@ -819,12 +697,12 @@ func TestDeviceScanDegradesWhenCachePinned(t *testing.T) {
 	}
 }
 
-// TestMultiDeviceVersionBumpNeverServesStale is the staleness property
+// TestDeviceVersionBumpNeverServesStale is the staleness property
 // test: scans race against writers that mutate a fragment and bump its
 // version; every scan's answer must match either the pre-write or the
 // post-write image of the data it was given — never a mix — and a scan
 // issued after the bump must see the new data.
-func TestMultiDeviceVersionBumpNeverServesStale(t *testing.T) {
+func TestDeviceVersionBumpNeverServesStale(t *testing.T) {
 	const nf, fragRows = 4, 512
 	const rounds = 8
 
@@ -855,13 +733,15 @@ func TestMultiDeviceVersionBumpNeverServesStale(t *testing.T) {
 		return out
 	}
 
-	m, env, _ := fleetScan(2, "stale")
+	gpu := device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})
+	cache := device.NewFragCache(gpu)
+	m := DeviceScan{GPU: gpu, Cache: cache, Table: "stale"}
 	for v := uint64(1); v <= rounds; v++ {
 		write(v)
 		ps := pieces(v)
 		want := sumAt(v)
 		// Concurrent duplicate scans at the same version: exercises the
-		// dup-upload race across the fleet under -race.
+		// dup-upload race under -race.
 		var wg sync.WaitGroup
 		errc := make(chan error, 3)
 		for g := 0; g < 3; g++ {
@@ -885,51 +765,19 @@ func TestMultiDeviceVersionBumpNeverServesStale(t *testing.T) {
 		default:
 		}
 	}
-	// Every acquire was a hit or a miss, never both, across all cards.
-	cs := env.CacheStats()
+	// Every acquire was a hit or a miss, never both.
+	cs := cache.Stats()
 	if cs.Hits+cs.Misses+cs.DupUploads <= 0 {
 		t.Fatal("expected cache traffic")
 	}
 	// After the final round only current-version images are resident:
 	// another scan at the final version must be all hits.
-	before := env.Stats().HostToDeviceBytes
+	before := gpu.Stats().HostToDeviceBytes
 	if _, err := scanOn(m, KindSum, nil, pieces(rounds), Pred{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := env.Stats().HostToDeviceBytes - before; got != 0 {
+	if got := gpu.Stats().HostToDeviceBytes - before; got != 0 {
 		t.Fatalf("final-version rescan shipped %d bytes, want 0 (all warm)", got)
-	}
-}
-
-// TestMultiDeviceWarmThroughputScales pins the scaling acceptance
-// criterion: with every fragment admitted and warm, the simulated time
-// of a fleet scan shrinks as cards are added (concurrent lanes cost
-// their maximum, not their sum).
-func TestMultiDeviceWarmThroughputScales(t *testing.T) {
-	const nf, fragRows = 16, 2048
-	_, vals, _, _ := groupScanFixture(nf, fragRows)
-	p := Between(0.0, 1e9)
-
-	warm := map[int]float64{}
-	for _, n := range []int{1, 2, 4} {
-		m, _, shared := fleetScan(n, "scale")
-		if _, err := scanOn(m, KindSumWhere, nil, vals, p); err != nil { // cold
-			t.Fatal(err)
-		}
-		mark := shared.ElapsedNs()
-		if _, err := scanOn(m, KindSumWhere, nil, vals, p); err != nil { // warm
-			t.Fatal(err)
-		}
-		warm[n] = shared.ElapsedNs() - mark
-	}
-	if !(warm[1] > warm[2] && warm[2] > warm[4]) {
-		t.Fatalf("warm ns did not shrink with device count: 1=%v 2=%v 4=%v", warm[1], warm[2], warm[4])
-	}
-	if warm[2] < warm[1]/4 || warm[4] < warm[1]/16 {
-		t.Fatalf("scaling implausibly superlinear: 1=%v 2=%v 4=%v", warm[1], warm[2], warm[4])
-	}
-	if speedup := warm[1] / warm[4]; speedup < 2 {
-		t.Fatalf("4-card warm speedup = %.2f, want >= 2", speedup)
 	}
 }
 

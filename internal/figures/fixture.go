@@ -126,12 +126,13 @@ func priceLayout(name string, rows uint64, fragments int) (*layout.Layout, error
 }
 
 // rig is the simulated platform of one leg: a clock and, on it, either a
-// single card (optionally fronted by a fragment cache) or a fleet.
+// single card (optionally fronted by a fragment cache) or a fleet of
+// cached cards, each a rig with a clock of its own.
 type rig struct {
 	clock *perfmodel.Clock
 	gpu   *device.GPU
 	cache *device.FragCache
-	fleet *device.Env
+	fleet []*rig
 }
 
 // newRig returns a fresh clock with one card on it.
@@ -144,11 +145,12 @@ func newRig(cached bool) *rig {
 	return r
 }
 
-// newFleetRig returns a fresh clock with n cached cards folding their
-// lane time into it.
+// newFleetRig returns a fresh clock over n cached cards.
 func newFleetRig(n int) *rig {
 	r := &rig{clock: &perfmodel.Clock{}}
-	r.fleet = device.NewEnv(n, perfmodel.DefaultDevice(), r.clock)
+	for range n {
+		r.fleet = append(r.fleet, newRig(true))
+	}
 	return r
 }
 
@@ -169,19 +171,26 @@ type cost struct {
 	H2D, D2H, Kernels, Hits, Misses int64
 }
 
-// meter reads the rig's cumulative meters.
+// meter reads the rig's cumulative meters: its clock, and the bus,
+// kernel and cache meters summed over its cards.
 func (r *rig) meter() cost {
-	var ts device.TransferStats
-	var cs device.FragCacheStats
-	switch {
-	case r.fleet != nil:
-		ts, cs = r.fleet.Stats(), r.fleet.CacheStats()
-	case r.cache != nil:
-		ts, cs = r.gpu.Stats(), r.cache.Stats()
-	default:
-		ts = r.gpu.Stats()
+	c := cost{Ns: r.clock.ElapsedNs()}
+	cards := r.fleet
+	if cards == nil {
+		cards = []*rig{r}
 	}
-	return cost{r.clock.ElapsedNs(), ts.HostToDeviceBytes, ts.DeviceToHostBytes, ts.KernelLaunches, cs.Hits, cs.Misses}
+	for _, card := range cards {
+		ts := card.gpu.Stats()
+		c.H2D += ts.HostToDeviceBytes
+		c.D2H += ts.DeviceToHostBytes
+		c.Kernels += ts.KernelLaunches
+		if card.cache != nil {
+			cs := card.cache.Stats()
+			c.Hits += cs.Hits
+			c.Misses += cs.Misses
+		}
+	}
+	return c
 }
 
 // step is one measured unit of work on a rig.
@@ -202,6 +211,37 @@ func onHost(p exec.Policy, sc exec.Scan) step {
 // onCard is the step that scans sc on the rig's card.
 func onCard(table string, sc exec.Scan) step {
 	return func(r *rig) (exec.Result, error) { return solo(r.card(table), sc) }
+}
+
+// onFleet is the step that scans sc, a scalar scan, across the rig's
+// fleet. Piece j runs alone, one launch, on card layout.ShardOf(FragID, n)
+// through that card's own DeviceScan, so a piece warmed by one scan is
+// found on its card by the next. The cards stand for devices running at
+// once, so the rig's clock advances by the largest card clock delta: the
+// slowest card sets the time. The partials fold in piece order, so the
+// answer is bit-identical to one card's over the same pieces.
+func onFleet(table string, sc exec.Scan) step {
+	return func(r *rig) (exec.Result, error) {
+		start := make([]float64, len(r.fleet))
+		for i, card := range r.fleet {
+			start[i] = card.clock.ElapsedNs()
+		}
+		var res exec.Result
+		for j, p := range sc.Vals {
+			part, err := solo(r.fleet[layout.ShardOf(p.FragID, len(r.fleet))].card(table), sc.Slice(j, j+1))
+			if err != nil {
+				return exec.Result{}, err
+			}
+			res.Sum += part.Sum
+			res.Count += part.Count
+		}
+		var slowest float64
+		for i, card := range r.fleet {
+			slowest = max(slowest, card.clock.ElapsedNs()-start[i])
+		}
+		r.clock.Advance(slowest)
+		return res, nil
+	}
 }
 
 // legs runs the measured steps of one sweep point. Every leg's answer is

@@ -7,17 +7,17 @@ import (
 	"hybridstore/internal/exec"
 )
 
-// The multidevice panel measures the cross-device scheduler: SELECT
-// SUM(val), COUNT(*) WHERE val BETWEEN … fanned over a fleet of 1/2/4
-// simulated cards beside a host-only reference, swept over physical
-// layout (thin DSM column versus an NSM record the column is packed out
-// of) and selectivity. Fragments are value-clustered so zone maps prune
-// the non-matching tail; the admitted fragments shard across the fleet
-// by fragment-ID hash (layout.ShardOf), every card's lane runs
-// concurrently, and the shared clock advances by the slowest lane —
-// which is where the device-count scaling comes from. The cold pass ships every admitted fragment; the
-// warm pass replays the same scan against the per-card fragment caches
-// and measures the steady state an HTAP mix would see.
+// The multidevice panel measures a fleet of cards (onFleet): SELECT
+// SUM(val), COUNT(*) WHERE val BETWEEN … over 1/2/4 simulated cards
+// beside a host-only reference, swept over physical layout (thin DSM
+// column versus an NSM record the column is packed out of) and
+// selectivity. Fragments are value-clustered so zone maps prune the
+// non-matching tail; the admitted fragments shard across the fleet by
+// fragment-ID hash (layout.ShardOf), and the cards run at once, so the
+// slowest card sets the time — which is where the device-count scaling
+// comes from. The cold pass ships every admitted fragment; the warm
+// pass replays the same scan against the per-card fragment caches and
+// measures the steady state an HTAP mix would see.
 
 // MultiDevicePoint is one (devices, layout, selectivity) cell.
 type MultiDevicePoint struct {
@@ -112,10 +112,9 @@ func MeasureMultiDevice(rows uint64, fragments int, counts []int, sels []float64
 				}
 
 				// The fleet, cold then warm.
-				fleet := newFleetRig(d)
-				md := &exec.MultiDeviceScan{Env: fleet.fleet, Table: "multidev"}
-				pass := func(*rig) (exec.Result, error) {
-					got, err := solo(md, sc)
+				fleet, scan := newFleetRig(d), onFleet("multidev", sc)
+				pass := func(r *rig) (exec.Result, error) {
+					got, err := scan(r)
 					if err == nil && !sameBits(got, ref) {
 						err = fmt.Errorf("got (%v, %d), single-card (%v, %d)", got.Sum, got.Count, ref.Sum, ref.Count)
 					}

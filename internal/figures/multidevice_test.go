@@ -5,9 +5,10 @@ import "testing"
 // TestMultiDeviceSweepScalesAndMeters runs a reduced sweep and pins the
 // panel's claims: the fleet answers match the single-card and host
 // references (checked inside MeasureMultiDevice), warm passes ship zero
-// bus bytes, warm time scales with device count, and cold bus traffic is
-// independent of fleet size (the same admitted fragments ship once
-// wherever they land).
+// bus bytes, warm time scales with device count — 4 cards at least twice
+// as fast as one over every fragment, and never faster than linear — and
+// cold bus traffic is independent of fleet size (the same admitted
+// fragments ship once wherever they land).
 func TestMultiDeviceSweepScalesAndMeters(t *testing.T) {
 	s, err := MeasureMultiDevice(65536, 16, []int{1, 2, 4}, []float64{0.50, 1.00})
 	if err != nil {
@@ -42,6 +43,13 @@ func TestMultiDeviceSweepScalesAndMeters(t *testing.T) {
 		if !(pts[1].WarmNs > pts[2].WarmNs && pts[2].WarmNs > pts[4].WarmNs) {
 			t.Fatalf("%v: warm ns did not shrink with device count: %v/%v/%v",
 				cell, pts[1].WarmNs, pts[2].WarmNs, pts[4].WarmNs)
+		}
+		if pts[2].WarmNs < pts[1].WarmNs/4 || pts[4].WarmNs < pts[1].WarmNs/16 {
+			t.Fatalf("%v: scaling implausibly superlinear: %v/%v/%v",
+				cell, pts[1].WarmNs, pts[2].WarmNs, pts[4].WarmNs)
+		}
+		if speedup := pts[4].WarmSpeedup; pts[4].Selectivity >= 0.99 && speedup < 2 {
+			t.Fatalf("%v: 4-card warm speedup = %.2f, want >= 2", cell, speedup)
 		}
 	}
 	if !s.WarmScales(1.5) {
