@@ -396,9 +396,7 @@ func (t *Table) insertLocked(rec schema.Record) (uint64, uint64, error) {
 			return 0, 0, fmt.Errorf("core: logging insert: %w", err)
 		}
 	}
-	vals := make([]schema.Value, len(rec))
-	copy(vals, rec)
-	if err := tail.nsm.AppendTuplet(vals); err != nil {
+	if err := tail.nsm.AppendTuplet(rec); err != nil {
 		return 0, 0, err
 	}
 	t.touch(tail)
@@ -486,31 +484,23 @@ func (t *Table) recast(c *chunk, groups [][]int) error {
 	if err != nil {
 		return err
 	}
-	// Migrate tuplets.
+	// Migrate the cells column by column, byte for byte, from whichever
+	// fragment holds each column now.
 	n := c.filled()
-	var rec schema.Record
-	for i := 0; i < n; i++ {
-		var err error
-		rec, err = t.chunkRecordInto(c, i, rec)
-		if err != nil {
+	for gi, f := range frags {
+		if err := f.SetLen(n); err != nil {
 			freeAll(frags)
 			return err
 		}
-		for gi, f := range frags {
-			vals := make([]schema.Value, 0, len(groups[gi]))
-			for _, col := range groups[gi] {
-				vals = append(vals, rec[col])
-			}
-			if err := f.AppendTuplet(vals); err != nil {
+		for _, col := range groups[gi] {
+			if err := t.copyColumn(f, c, col, n); err != nil {
 				freeAll(frags)
 				return err
 			}
 		}
-	}
-	// The chunk is immutable under transactions (updates go through the
-	// MVCC delta store): seal exact per-column bounds so predicate scans
-	// can prune it.
-	for _, f := range frags {
+		// The chunk is immutable under transactions (updates go through
+		// the MVCC delta store): seal exact per-column bounds so
+		// predicate scans can prune it.
 		f.SealStats()
 	}
 	for _, f := range frags {
@@ -542,6 +532,24 @@ func (t *Table) recast(c *chunk, groups [][]int) error {
 		}
 	}
 	return nil
+}
+
+// copyColumn copies the first n cells of column col from the fragment of
+// c that holds it into dst.
+func (t *Table) copyColumn(dst *layout.Fragment, c *chunk, col, n int) error {
+	src, err := t.fragmentForCol(c, col)
+	if err != nil {
+		return err
+	}
+	sv, err := src.ColVector(col)
+	if err != nil {
+		return err
+	}
+	dv, err := dst.ColVector(col)
+	if err != nil {
+		return err
+	}
+	return layout.CopyCells(dv, sv, n)
 }
 
 // buildColdFragments allocates the cold representation of a chunk:

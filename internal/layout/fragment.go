@@ -322,7 +322,7 @@ func (f *Fragment) Set(i int, c int, v schema.Value) error {
 }
 
 // AppendTuplet appends one tuplet. vals must align positionally with the
-// fragment's column list.
+// fragment's column list; it is neither kept nor modified.
 func (f *Fragment) AppendTuplet(vals []schema.Value) error {
 	if len(vals) != len(f.cols) {
 		return fmt.Errorf("%w: tuplet arity %d, fragment arity %d", schema.ErrArityMismatch, len(vals), len(f.cols))
@@ -395,6 +395,28 @@ func (v ColVector) Int(i int) int64 {
 		return int64(binary.LittleEndian.Uint64(v.Data[v.Base+i*v.Stride:]))
 	}
 	return int64(int32(binary.LittleEndian.Uint32(v.Data[v.Base+i*v.Stride:])))
+}
+
+// CopyCells copies the first n cells of src into the first n cells of
+// dst, byte for byte, whatever either vector's linearization: one copy
+// when both are dense, a strided loop otherwise. It refuses vectors of
+// different cell sizes and vectors shorter than n.
+func CopyCells(dst, src ColVector, n int) error {
+	if dst.Size != src.Size {
+		return fmt.Errorf("%w: copying %d-byte cells into %d-byte cells", ErrBadFragment, src.Size, dst.Size)
+	}
+	if n < 0 || src.Len < n || dst.Len < n {
+		return fmt.Errorf("%w: copying %d cells from %d into %d", ErrOutOfRange, n, src.Len, dst.Len)
+	}
+	if dst.Contiguous() && src.Contiguous() {
+		copy(dst.Data[dst.Base:dst.Base+n*dst.Size], src.Data[src.Base:src.Base+n*src.Size])
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		d, s := dst.Base+i*dst.Stride, src.Base+i*src.Stride
+		copy(dst.Data[d:d+dst.Size], src.Data[s:s+src.Size])
+	}
+	return nil
 }
 
 // ColVector returns strided access to relation attribute c.
