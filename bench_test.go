@@ -517,7 +517,7 @@ func BenchmarkAblationBulk(b *testing.B) {
 func benchAdaptive(b *testing.B, adapt bool) {
 	for i := 0; i < b.N; i++ {
 		env := engine.NewEnv()
-		e := core.New(env, core.Options{ChunkRows: 16384, HotChunks: 1, DevicePlacement: true})
+		e := core.New(env, core.Options{ChunkRows: 16384, HotChunks: 1})
 		tbl, err := e.Create("item", workload.ItemSchema())
 		if err != nil {
 			b.Fatal(err)

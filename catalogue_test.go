@@ -46,7 +46,7 @@ func metricCatalogue(t *testing.T) map[string]*regexp.Regexp {
 func TestMetricCatalogue(t *testing.T) {
 	db := hybridstore.Open(hybridstore.Options{
 		Policy: hybridstore.MorselDriven, ChunkRows: 256, HotChunks: 1,
-		DevicePlacement: true, DeviceCache: true, Compress: true,
+		DeviceCache: true, Compress: true,
 		ResultCache: hybridstore.ResultCacheOptions{Cap: 1 << 20},
 	})
 	tbl, err := db.CreateTable("item", hybridstore.ItemSchema())

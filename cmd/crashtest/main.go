@@ -44,11 +44,7 @@ import (
 const txRows = 64
 
 func opts() hybridstore.Options {
-	return hybridstore.Options{
-		ChunkRows:  128,
-		HotChunks:  1,
-		Durability: hybridstore.Durability{Tables: []string{"accounts"}},
-	}
+	return hybridstore.Options{ChunkRows: 128, HotChunks: 1}
 }
 
 func accountSchema() (*hybridstore.Schema, error) {

@@ -303,7 +303,6 @@ func serveLocal(rows uint64, unbatched bool, resCache int64, walDir string) (sto
 	opts := hybridstore.Options{DeviceCache: true, Compress: true,
 		ResultCache: hybridstore.ResultCacheOptions{Cap: resCache}}
 	if walDir != "" {
-		opts.Durability = hybridstore.Durability{Tables: []string{"item"}}
 		if db, err = hybridstore.OpenDir(walDir, opts); err != nil {
 			return nil, "", nil, nil, err
 		}

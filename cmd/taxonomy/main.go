@@ -37,7 +37,7 @@ func main() {
 	env := engine.NewEnv()
 	engines := all.Engines(env)
 	engines = append(engines, core.New(env, core.Options{
-		ChunkRows: 128, HotChunks: 1, DevicePlacement: true,
+		ChunkRows: 128, HotChunks: 1,
 	}))
 
 	var rowsOut []taxonomy.Classification

@@ -30,16 +30,12 @@ const (
 )
 
 // Durability tunes write-ahead logging and checkpointing for a DB
-// opened with OpenDir. The zero value is the recommended configuration:
-// group-committed fsyncs, every table durable. Open ignores this field —
-// an in-memory DB stays a pure in-memory DB.
+// opened with OpenDir, every table of which logs and checkpoints. The
+// zero value is the recommended configuration: group-committed fsyncs.
+// Open ignores this field — an in-memory DB stays a pure in-memory DB.
 type Durability struct {
 	// Sync is the fsync policy (default SyncGrouped).
 	Sync SyncPolicy
-	// Tables opts tables into durability by name. Empty means every
-	// table created on this DB is durable; otherwise only the named
-	// ones log and checkpoint, and the rest stay memory-only.
-	Tables []string
 }
 
 // Filenames inside a durable DB directory.
@@ -64,9 +60,8 @@ type ckptCoord struct {
 // nothing that was not acknowledged as committed, is visible again. A
 // fresh directory comes up empty; a log holding an intact frame this
 // version cannot decode fails the open and is left untouched (wal.Open).
-// The returned DB behaves like Open's,
-// plus Checkpoint and a meaningful Close; tables opted into durability
-// (Durability.Tables) log every insert and MVCC commit before
+// The returned DB behaves like Open's, plus Checkpoint and a meaningful
+// Close; every table logs each insert and MVCC commit before
 // acknowledging.
 func OpenDir(dir string, opts Options) (*DB, error) {
 	db := Open(opts)
@@ -98,7 +93,7 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hybridstore: restoring table %q: %w", name, err)
 			}
-			db.tables[name] = &Table{db: db, t: t, e: db.eng, nam: name, durable: true}
+			db.tables[name] = &Table{db: db, t: t, e: db.eng, nam: name}
 		}
 	case errors.Is(err, fs.ErrNotExist):
 		// Fresh directory (or first checkpoint never completed): the log
@@ -130,7 +125,7 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 			if err != nil {
 				return fail(fmt.Errorf("hybridstore: replaying create of %q: %w", r.Table, err))
 			}
-			db.tables[r.Table] = &Table{db: db, t: t.(*core.Table), e: db.eng, nam: r.Table, durable: true}
+			db.tables[r.Table] = &Table{db: db, t: t.(*core.Table), e: db.eng, nam: r.Table}
 		case wal.KindInsert:
 			tbl := db.tables[r.Table]
 			if tbl == nil {
@@ -160,15 +155,13 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 	db.wal = l
 	db.mu.RLock()
 	for _, tbl := range db.tables {
-		if tbl.durable {
-			tbl.t.EnableWAL(l)
-		}
+		tbl.t.EnableWAL(l)
 	}
 	db.mu.RUnlock()
 	return db, nil
 }
 
-// Checkpoint serializes every durable table at an MVCC-consistent
+// Checkpoint serializes every table at an MVCC-consistent
 // snapshot into the directory's checkpoint file, then truncates the
 // write-ahead log down to the records the new image does not cover.
 // Concurrent reads and writes keep running: each table's image is cut
@@ -181,23 +174,21 @@ func (db *DB) Checkpoint() error {
 		return errors.New("hybridstore: Checkpoint on a memory-only DB (use OpenDir)")
 	}
 	db.mu.RLock()
-	var durables []*Table
+	tables := make([]*Table, 0, len(db.tables))
 	for _, t := range db.tables {
-		if t.durable {
-			durables = append(durables, t)
-		}
+		tables = append(tables, t)
 	}
 	db.mu.RUnlock()
-	sort.Slice(durables, func(i, j int) bool { return durables[i].nam < durables[j].nam })
+	sort.Slice(tables, func(i, j int) bool { return tables[i].nam < tables[j].nam })
 
 	// The payload goes out as parts — the table count, then per table its
 	// header (image length included) and its image — never joined into
 	// one buffer.
 	var count wal.Encoder
-	count.U32(uint32(len(durables)))
-	parts := append(make([][]byte, 0, 1+2*len(durables)), count.Bytes())
-	coords := make(map[string]ckptCoord, len(durables))
-	for _, t := range durables {
+	count.U32(uint32(len(tables)))
+	parts := append(make([][]byte, 0, 1+2*len(tables)), count.Bytes())
+	coords := make(map[string]ckptCoord, len(tables))
+	for _, t := range tables {
 		var head, img wal.Encoder
 		ts, rows, err := t.t.CheckpointTo(&img)
 		if err != nil {
@@ -216,7 +207,7 @@ func (db *DB) Checkpoint() error {
 	return db.wal.Compact(func(r *wal.Record) bool {
 		c, ok := coords[r.Table]
 		if !ok {
-			return true // not checkpointed here; its history stays in the log
+			return true // created after the image listed its tables; its history stays in the log
 		}
 		switch r.Kind {
 		case wal.KindCreate:
@@ -238,18 +229,4 @@ func (db *DB) Close() error {
 		return nil
 	}
 	return db.wal.Close()
-}
-
-// durableName reports whether a table with this name participates in
-// durability under the opt-in list.
-func (db *DB) durableName(name string) bool {
-	if len(db.dur.Tables) == 0 {
-		return true
-	}
-	for _, n := range db.dur.Tables {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }

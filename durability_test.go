@@ -359,46 +359,46 @@ func TestWarmRestartZeroReseals(t *testing.T) {
 	}
 }
 
-// TestDurableOptIn: tables outside Durability.Tables stay memory-only.
-func TestDurableOptIn(t *testing.T) {
+// TestDurableEveryTable: every table of an OpenDir DB logs and
+// checkpoints — two tables the checkpoint image holds, and a third
+// created after it whose history lives only in the log, all come back.
+func TestDurableEveryTable(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Durability: Durability{Tables: []string{"keep"}}}
-
-	db, err := OpenDir(dir, opts)
+	db, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := durableSchema(t)
-	keep, err := db.CreateTable("keep", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drop, err := db.CreateTable("drop", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		rec := Record{IntValue(int64(i)), CharValue("x"), FloatValue(float64(i) * 10)}
-		if _, err := keep.Insert(rec); err != nil {
+	fill := func(name string, rows int) {
+		t.Helper()
+		tbl, err := db.CreateTable(name, s)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := drop.Insert(rec); err != nil {
-			t.Fatal(err)
+		for i := 0; i < rows; i++ {
+			if _, err := tbl.Insert(Record{IntValue(int64(i)), CharValue("x"), FloatValue(float64(i) * 10)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	fill("first", 10)
+	fill("second", 20)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fill("late", 30)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := OpenDir(dir, opts)
+	re, err := OpenDir(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Table("drop") != nil {
-		t.Fatal("memory-only table recovered")
-	}
-	checkAccounts(t, re.Table("keep"), 10, nil)
+	checkAccounts(t, re.Table("first"), 10, nil)
+	checkAccounts(t, re.Table("second"), 20, nil)
+	checkAccounts(t, re.Table("late"), 30, nil)
 }
 
 // TestDurableUndecodableFrameFailsOpen: a log frame whose CRC matches

@@ -19,9 +19,8 @@ const rows = 120_000
 
 func main() {
 	db := hybridstore.Open(hybridstore.Options{
-		ChunkRows:       16384,
-		HotChunks:       2,
-		DevicePlacement: true,
+		ChunkRows: 16384,
+		HotChunks: 2,
 	})
 	items, err := db.CreateTable("item", hybridstore.ItemSchema())
 	if err != nil {

@@ -20,10 +20,9 @@ const rows = 20_000
 
 func main() {
 	db := hybridstore.Open(hybridstore.Options{
-		ChunkRows:       512,
-		HotChunks:       1,
-		DevicePlacement: true,
-		Policy:          hybridstore.MorselDriven,
+		ChunkRows: 512,
+		HotChunks: 1,
+		Policy:    hybridstore.MorselDriven,
 	})
 	items, err := db.CreateTable("item", hybridstore.ItemSchema())
 	if err != nil {

@@ -16,9 +16,8 @@ func main() {
 	// A DB is one simulated CPU/GPU platform plus the paper's reference
 	// HTAP engine. Small chunks keep the demo output interesting.
 	db := hybridstore.Open(hybridstore.Options{
-		ChunkRows:       256,
-		HotChunks:       1,
-		DevicePlacement: true,
+		ChunkRows: 256,
+		HotChunks: 1,
 	})
 
 	sch, err := hybridstore.NewSchema(

@@ -91,14 +91,12 @@ type Options struct {
 	// HotChunks is the number of newest chunks kept in the OLTP region
 	// (default 2).
 	HotChunks int
-	// DevicePlacement enables moving scan-hot columns to the simulated
-	// GPU.
-	DevicePlacement bool
 	// DeviceCache routes cold-region analytic scans through the device
 	// fragment cache: column images are shipped once, kept resident, and
 	// reused until a write invalidates them, so repeated scans over
-	// unchanged data cost zero bus bytes. Independent of DevicePlacement,
-	// which moves fragments instead of caching images.
+	// unchanged data cost zero bus bytes. Independent of column placement
+	// (PlaceColumn, Adapt), which moves fragments instead of caching
+	// images.
 	DeviceCache bool
 	// Compress seals side-car compressed images (RLE, dictionary, or
 	// frame-of-reference — whichever is smallest) of cold numeric columns
@@ -138,12 +136,10 @@ type DB struct {
 	env *engine.Env
 	eng *core.Engine
 
-	// dir, wal and dur are set only on a DB opened with OpenDir: the
-	// durable directory, the shared write-ahead log, and the durability
-	// options (for the per-table opt-in list).
+	// dir and wal are set only on a DB opened with OpenDir: the durable
+	// directory and the shared write-ahead log.
 	dir string
 	wal *wal.Log
-	dur Durability
 
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -155,11 +151,9 @@ func Open(opts Options) *DB {
 	env.ExecPolicy = opts.Policy
 	return &DB{
 		env: env,
-		dur: opts.Durability,
 		eng: core.New(env, core.Options{
 			ChunkRows:        opts.ChunkRows,
 			HotChunks:        opts.HotChunks,
-			DevicePlacement:  opts.DevicePlacement,
 			DeviceCache:      opts.DeviceCache,
 			Compress:         opts.Compress,
 			ResultCacheBytes: opts.ResultCache.Cap,
@@ -203,20 +197,16 @@ type Table struct {
 	t   *core.Table
 	e   *core.Engine
 	nam string
-	// durable marks a table that logs to the DB's write-ahead log and
-	// participates in checkpoints.
-	durable bool
 }
 
 // ErrTableExists is returned by CreateTable for a name already in use.
 var ErrTableExists = errors.New("hybridstore: table exists")
 
-// CreateTable makes an empty table. On a DB opened with OpenDir, a
-// table covered by the durability opt-in list logs its creation (and
-// from then on every write) before this call acknowledges. A name
-// already in use fails with ErrTableExists before anything is created
-// or logged: a second create record would replay both handles' writes
-// into one table.
+// CreateTable makes an empty table. On a DB opened with OpenDir, the
+// table logs its creation (and from then on every write) before this
+// call acknowledges. A name already in use fails with ErrTableExists
+// before anything is created or logged: a second create record would
+// replay both handles' writes into one table.
 func (db *DB) CreateTable(name string, s *Schema) (*Table, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -228,7 +218,7 @@ func (db *DB) CreateTable(name string, s *Schema) (*Table, error) {
 		return nil, fmt.Errorf("hybridstore: creating table %q: %w", name, err)
 	}
 	tbl := &Table{db: db, t: t.(*core.Table), e: db.eng, nam: name}
-	if db.wal != nil && db.durableName(name) {
+	if db.wal != nil {
 		lsn, err := db.wal.Append(&wal.Record{Kind: wal.KindCreate, Table: name, Engine: "core", Schema: s})
 		if err == nil {
 			err = db.wal.Sync(lsn)
@@ -238,7 +228,6 @@ func (db *DB) CreateTable(name string, s *Schema) (*Table, error) {
 			return nil, fmt.Errorf("hybridstore: logging create of %q: %w", name, err)
 		}
 		tbl.t.EnableWAL(db.wal)
-		tbl.durable = true
 	}
 	db.tables[name] = tbl
 	return tbl, nil
@@ -283,8 +272,8 @@ type (
 // of one shape (same Op, Col and KeyCol — only predicates or rows
 // differ) from a single pass over the storage — one lock acquisition,
 // one MVCC snapshot, host fragments streamed once for all predicates,
-// device images acquired once for all of them, device gathers charged
-// per chunk instead of per row. Result k is exactly what executing
+// device images acquired once for all of them; each get is charged as
+// a solo Get. Result k is exactly what executing
 // plans[k] alone would return against that snapshot, under every
 // policy; the serving layer's batching scheduler collapses concurrent
 // compatible requests into this call. SumFloat64Where and
@@ -369,7 +358,7 @@ func (t *Table) Adapt() (bool, error) { return t.t.Adapt() }
 func (t *Table) Merge() error { return t.t.Merge() }
 
 // PlaceColumn moves a column's cold fragments to the device explicitly
-// (Adapt does this automatically when DevicePlacement is on).
+// (Adapt also does so where the cost model says a device scan pays off).
 func (t *Table) PlaceColumn(col int) error { return t.t.PlaceColumn(col) }
 
 // Stats summarizes the table's physical state.

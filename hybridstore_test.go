@@ -32,7 +32,7 @@ func hostSum(cfg exec.Config, pieces []exec.Piece) (float64, error) {
 }
 
 func TestQuickstartFlow(t *testing.T) {
-	db := Open(Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true})
+	db := Open(Options{ChunkRows: 128, HotChunks: 1})
 	s, err := NewSchema(
 		Int64Attr("id"),
 		CharAttr("name", 8),
@@ -116,7 +116,7 @@ func TestTransactions(t *testing.T) {
 }
 
 func TestAdaptAndPlacement(t *testing.T) {
-	db := Open(Options{ChunkRows: 64, HotChunks: 1, DevicePlacement: true})
+	db := Open(Options{ChunkRows: 64, HotChunks: 1})
 	tbl, err := db.CreateTable("item", ItemSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestAdaptAndPlacement(t *testing.T) {
 }
 
 func TestClassifyMeetsReferenceDesign(t *testing.T) {
-	db := Open(Options{ChunkRows: 64, HotChunks: 1, DevicePlacement: true})
+	db := Open(Options{ChunkRows: 64, HotChunks: 1})
 	tbl, err := db.CreateTable("item", ItemSchema())
 	if err != nil {
 		t.Fatal(err)

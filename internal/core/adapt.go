@@ -34,10 +34,10 @@ var (
 func (t *Table) Observe(op workload.Op) { t.mon.Observe(op) }
 
 // Adapt runs the layout advisor: cold chunks whose column grouping
-// disagrees with the current advice are re-fragmented, and (when device
-// placement is enabled) scan-dominated float64 columns move their cold
-// thin fragments to the GPU — or back to the host when scans stop
-// dominating. Returns whether anything changed.
+// disagrees with the current advice are re-fragmented, and scan-dominated
+// float64 columns move their cold thin fragments to the GPU where the
+// calibrated model says a device scan pays off — or back to the host when
+// scans stop dominating. Returns whether anything changed.
 func (t *Table) Adapt() (bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -62,14 +62,12 @@ func (t *Table) Adapt() (bool, error) {
 		}
 		changed = true
 	}
-	if t.eng.opts.DevicePlacement {
-		moved, err := t.adaptPlacement()
-		if err != nil {
-			sp.EndWith(fmt.Sprintf("error: %v", err))
-			return changed, err
-		}
-		changed = changed || moved
+	moved, err := t.adaptPlacement()
+	if err != nil {
+		sp.EndWith(fmt.Sprintf("error: %v", err))
+		return changed, err
 	}
+	changed = changed || moved
 	if changed {
 		t.adapts++
 	}

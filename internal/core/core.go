@@ -29,6 +29,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,6 +39,7 @@ import (
 	"hybridstore/internal/exec"
 	"hybridstore/internal/index"
 	"hybridstore/internal/layout"
+	"hybridstore/internal/mem"
 	"hybridstore/internal/rescache"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/taxonomy"
@@ -53,14 +55,13 @@ type Options struct {
 	// HotChunks is how many newest chunks stay in the OLTP (NSM) region
 	// before freezing moves them to the OLAP region (default 2).
 	HotChunks int
-	// DevicePlacement enables moving scan-hot cold columns to the GPU.
-	DevicePlacement bool
 	// DeviceCache routes cold-region analytic scans through the device
 	// fragment cache (engine.Env.Cache): host-resident cold fragments are
 	// shipped once, kept device-resident, and reused by later scans until
 	// a write bumps the fragment version — so a repeated scan over
-	// unchanged data costs zero bus bytes. Independent of
-	// DevicePlacement, which *moves* fragments instead of caching images.
+	// unchanged data costs zero bus bytes. Independent of column
+	// placement (PlaceColumn, Adapt), which *moves* fragments instead of
+	// caching images.
 	DeviceCache bool
 	// ResultCacheBytes bounds the cross-request result cache: query
 	// answers (predicate aggregates, fused group-bys, point reads) are
@@ -182,9 +183,9 @@ func (c *chunk) filled() int {
 
 // Table is a reference-engine relation. Concurrency contract: queries
 // and point updates may run concurrently from any number of goroutines;
-// structural operations (Insert, Adapt, Merge, PlaceColumn, EvictColumn,
-// Free) take the exclusive lock internally and may also be called from
-// any goroutine.
+// structural operations (Insert, Adapt, Merge, PlaceColumn, Free) take
+// the exclusive lock internally and may also be called from any
+// goroutine.
 type Table struct {
 	mu   sync.RWMutex
 	env  *engine.Env
@@ -526,8 +527,14 @@ func (t *Table) recast(c *chunk, groups [][]int) error {
 	for col := range t.deviceCols {
 		if t.deviceCols[col] {
 			if err := t.placeChunkColumn(c, col); err != nil {
-				// Device exhaustion falls back to host residency.
-				t.deviceCols[col] = false
+				if !errors.Is(err, mem.ErrOutOfMemory) {
+					return err
+				}
+				// Device exhaustion moves the whole column back to the
+				// host: placement is all-or-nothing, never split.
+				if err := t.evictColumnLocked(col); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -659,8 +666,7 @@ func (t *Table) baseRecord(row uint64) (schema.Record, *chunk, error) {
 // fragments hold it (no MVCC patching), into dst's backing array when it
 // has room (dst's length is ignored; nil allocates). Device-resident
 // fragments are read directly; the caller charges the bus for the
-// gathered field bytes (chargeDeviceGather) — a gather once per chunk
-// for the whole cohort, a solo read per call.
+// gathered field bytes (chargeDeviceGather), one gather per read.
 func (t *Table) chunkRecordInto(c *chunk, i int, dst schema.Record) (schema.Record, error) {
 	if c.state == hot {
 		vals, err := c.nsm.Tuplet(i, dst) // an NSM chunk stores every column, in order
@@ -683,9 +689,9 @@ func (t *Table) chunkRecordInto(c *chunk, i int, dst schema.Record) (schema.Reco
 	return rec, nil
 }
 
-// chargeDeviceGather prices gathering k records' worth of device-resident
+// chargeDeviceGather prices gathering one record's device-resident
 // fields of chunk c; a nil c is a read no base chunk served.
-func (t *Table) chargeDeviceGather(c *chunk, k int64) {
+func (t *Table) chargeDeviceGather(c *chunk) {
 	if c == nil || c.state != cold {
 		return
 	}
@@ -698,6 +704,6 @@ func (t *Table) chargeDeviceGather(c *chunk, k int64) {
 		}
 	}
 	if devBytes > 0 {
-		t.env.GPU.ChargeTransfer(devBytes*k, false)
+		t.env.GPU.ChargeTransfer(devBytes, false)
 	}
 }

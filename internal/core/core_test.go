@@ -334,7 +334,7 @@ func TestAdaptRegroupsColdChunks(t *testing.T) {
 func TestDevicePlacementMovesColumns(t *testing.T) {
 	// Chunks must be large enough that a per-chunk reduction kernel beats
 	// the host stream — the advisor is cost-aware and declines otherwise.
-	_, tbl := newTable(t, Options{ChunkRows: 16384, HotChunks: 1, DevicePlacement: true}, 50_000)
+	_, tbl := newTable(t, Options{ChunkRows: 16384, HotChunks: 1}, 50_000)
 	defer tbl.Free()
 	// Scan-dominate the price column.
 	for i := 0; i < 100; i++ {
@@ -377,8 +377,64 @@ func TestDevicePlacementMovesColumns(t *testing.T) {
 	}
 }
 
+// TestBatchedGetsChargeAsSoloGets: Execute of K gets — duplicates,
+// cold rows of one chunk, and hot rows among them — over a placed column
+// answers the same bits as K solo Gets on a twin table, and charges the
+// same device bytes, transfers and simulated time: each row is one
+// gather of its device-resident fields.
+func TestBatchedGetsChargeAsSoloGets(t *testing.T) {
+	rows := []uint64{3, 5, 3, 130, 500, 1000, 5, 1020}
+	load := func() (*engine.Env, *Table) {
+		e, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1}, 1024)
+		if err := tbl.PlaceColumn(workload.ItemPriceCol); err != nil {
+			t.Fatal(err)
+		}
+		return e.env, tbl
+	}
+	cohortEnv, cohort := load()
+	defer cohort.Free()
+	soloEnv, solo := load()
+	defer solo.Free()
+
+	plans := make([]exec.Plan, len(rows))
+	for i, row := range rows {
+		plans[i] = exec.Plan{Op: exec.KindGet, Row: row}
+	}
+	g0, ns0 := cohortEnv.GPU.Stats(), cohortEnv.Clock.ElapsedNs()
+	got, err := cohort.Execute(plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, ns1 := cohortEnv.GPU.Stats(), cohortEnv.Clock.ElapsedNs()
+
+	s0, sns0 := soloEnv.GPU.Stats(), soloEnv.Clock.ElapsedNs()
+	for i, row := range rows {
+		rec, err := solo.Get(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Equal(got[i].Rec) {
+			t.Fatalf("get %d (row %d) = %v, solo %v", i, row, got[i].Rec, rec)
+		}
+	}
+	s1, sns1 := soloEnv.GPU.Stats(), soloEnv.Clock.ElapsedNs()
+
+	if g1.DeviceToHostBytes-g0.DeviceToHostBytes == 0 {
+		t.Fatal("gets over a placed column charged no device bytes")
+	}
+	if b, sb := g1.DeviceToHostBytes-g0.DeviceToHostBytes, s1.DeviceToHostBytes-s0.DeviceToHostBytes; b != sb {
+		t.Fatalf("K gets charged %d device bytes, K solo gets %d", b, sb)
+	}
+	if o, so := g1.DeviceToHostOps-g0.DeviceToHostOps, s1.DeviceToHostOps-s0.DeviceToHostOps; o != so {
+		t.Fatalf("K gets made %d transfers, K solo gets %d", o, so)
+	}
+	if ns, sns := ns1-ns0, sns1-sns0; ns != sns {
+		t.Fatalf("K gets took %v simulated ns, K solo gets %v", ns, sns)
+	}
+}
+
 func TestPlacementCoolsOff(t *testing.T) {
-	_, tbl := newTable(t, Options{ChunkRows: 16384, HotChunks: 1, DevicePlacement: true}, 50_000)
+	_, tbl := newTable(t, Options{ChunkRows: 16384, HotChunks: 1}, 50_000)
 	defer tbl.Free()
 	for i := 0; i < 100; i++ {
 		tbl.Observe(workload.Op{Kind: workload.ColumnScan, Cols: []int{workload.ItemPriceCol}})
@@ -407,7 +463,7 @@ func TestPlacementCoolsOff(t *testing.T) {
 // surveyed engine fails.
 func TestReferenceDesignChecklist(t *testing.T) {
 	env := engine.NewEnv()
-	e := New(env, Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true})
+	e := New(env, Options{ChunkRows: 128, HotChunks: 1})
 	tbl, err := e.Create("item", workload.ItemSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +532,7 @@ func TestReferenceDesignChecklist(t *testing.T) {
 // engines pass.
 func TestConformanceCore(t *testing.T) {
 	const n = 700
-	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 2, DevicePlacement: true}, n)
+	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 2}, n)
 	defer tbl.Free()
 
 	sum, err := sumOf(tbl, workload.ItemPriceCol)
@@ -524,7 +580,7 @@ func TestQuickHTAPEquivalence(t *testing.T) {
 	f := func(seed int64, opsRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		env := engine.NewEnv()
-		e := New(env, Options{ChunkRows: 32, HotChunks: 1, DevicePlacement: seed%2 == 0})
+		e := New(env, Options{ChunkRows: 32, HotChunks: 1})
 		tbl, err := e.Create("item", workload.ItemSchema())
 		if err != nil {
 			return false
@@ -559,6 +615,13 @@ func TestQuickHTAPEquivalence(t *testing.T) {
 					if err := ct.Merge(); err != nil {
 						return false
 					}
+				}
+			}
+			// Even seeds keep the price column on the device from the
+			// first freeze on, placing it again whenever Adapt evicts it.
+			if seed%2 == 0 && ct.ColdChunks() > 0 && len(ct.DeviceColumns()) == 0 {
+				if err := ct.PlaceColumn(workload.ItemPriceCol); err != nil || len(ct.DeviceColumns()) == 0 {
+					return false
 				}
 			}
 		}

@@ -115,7 +115,7 @@ func (t *Table) CheckpointTo(enc *wal.Encoder) (ckptTS, ckptRows uint64, err err
 	})
 	// Device-cache manifest: which columns were warm, in which format.
 	var resident []device.ResidentCol
-	if t.eng.opts.DeviceCache && t.env.Cache != nil {
+	if t.eng.opts.DeviceCache {
 		resident = t.env.Cache.ResidentColumns(t.rel.Name())
 	}
 	enc.Grow(t.imageBound(deltas, resident))
@@ -513,7 +513,7 @@ func (t *Table) restoreChunk(d *wal.Decoder, begin, rows uint64) (*chunk, error)
 // same piece geometry scans use, so scan-time cache keys match. A table
 // without the cache enabled skips priming.
 func (t *Table) PrimeDeviceCache(cols []device.ResidentCol) error {
-	if !t.eng.opts.DeviceCache || t.env.Cache == nil {
+	if !t.eng.opts.DeviceCache {
 		return nil
 	}
 	ds := t.env.DeviceExec(t.rel.Name())

@@ -117,7 +117,7 @@ func TestAdaptToleratesDeviceExhaustion(t *testing.T) {
 	prof := perfmodel.DefaultDevice()
 	prof.GlobalMemory = 256
 	env.GPU = device.New(prof, env.Clock)
-	e := New(env, Options{ChunkRows: 16384, HotChunks: 1, DevicePlacement: true})
+	e := New(env, Options{ChunkRows: 16384, HotChunks: 1})
 	tbl, err := e.Create("item", workload.ItemSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +138,55 @@ func TestAdaptToleratesDeviceExhaustion(t *testing.T) {
 	}
 	if len(ct.DeviceColumns()) != 0 {
 		t.Fatal("column placed on an exhausted device")
+	}
+}
+
+// TestFreezeKeepsPlacementWhole: a placed column extends to each chunk
+// a freeze makes cold until the card fills; then the whole column goes
+// back to the host, so every cold chunk's thin price fragment lives
+// where DeviceColumns says the column does — never split.
+func TestFreezeKeepsPlacementWhole(t *testing.T) {
+	env := engine.NewEnv()
+	prof := perfmodel.DefaultDevice()
+	prof.GlobalMemory = 3 * 128 * 8 // three chunks' price fragments
+	env.GPU = device.New(prof, env.Clock)
+	e := New(env, Options{ChunkRows: 128, HotChunks: 1})
+	tbl, err := e.Create("item", workload.ItemSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := tbl.(*Table)
+	defer ct.Free()
+	if err := ct.PlaceColumn(workload.ItemPriceCol); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 1024; i++ {
+		if _, err := ct.Insert(workload.Item(i)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	placed := len(ct.DeviceColumns()) > 0
+	colds := 0
+	for _, c := range ct.chunks {
+		if c.state != cold {
+			continue
+		}
+		colds++
+		_, f := ct.thinFragment(c, workload.ItemPriceCol)
+		if f == nil {
+			t.Fatalf("chunk at row %d has no thin price fragment", c.rows.Begin)
+		}
+		if onDevice := f.Space() == mem.Device; onDevice != placed {
+			t.Fatalf("chunk at row %d: price fragment on device = %t, DeviceColumns() = %v",
+				c.rows.Begin, onDevice, ct.DeviceColumns())
+		}
+	}
+	if colds != 7 || placed {
+		t.Fatalf("%d cold chunks, placed = %t; want 7 and the column back on the host", colds, placed)
+	}
+	sum, err := sumOf(ct, workload.ItemPriceCol)
+	if err != nil || math.Abs(sum-workload.ExpectedItemPriceSum(1024)) > 1e-6 {
+		t.Fatalf("sum = %v, %v", sum, err)
 	}
 }
 

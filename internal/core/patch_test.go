@@ -173,11 +173,8 @@ func TestPatchWalkMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		opts := Options{ChunkRows: 32, HotChunks: 1}
-		switch seed % 3 {
-		case 0:
+		if seed%3 == 0 {
 			opts.DeviceCache, opts.Compress = true, true
-		case 1:
-			opts.DevicePlacement = true
 		}
 		e := New(engine.NewEnv(), opts)
 		et, err := e.Create("item", workload.ItemSchema())
@@ -195,6 +192,22 @@ func TestPatchWalkMatchesOracle(t *testing.T) {
 		for rows < 100 {
 			insert()
 		}
+		// Every third seed keeps the price column on the device — placed
+		// once the load has frozen chunks, and again whenever Adapt sends
+		// it home — so the oracle compares device-resident folds.
+		place := func() {
+			t.Helper()
+			if seed%3 != 1 || len(tbl.DeviceColumns()) > 0 {
+				return
+			}
+			if err := tbl.PlaceColumn(workload.ItemPriceCol); err != nil {
+				t.Fatal(err)
+			}
+			if len(tbl.DeviceColumns()) == 0 {
+				t.Fatalf("seed %d: PlaceColumn(price) left no device column", seed)
+			}
+		}
+		place()
 		randomUpdate := func(update func(row uint64, col int, v schema.Value) error) error {
 			row := uint64(r.Int63n(int64(rows)))
 			if r.Intn(4) == 0 {
@@ -320,6 +333,7 @@ func TestPatchWalkMatchesOracle(t *testing.T) {
 				if _, err := tbl.Adapt(); err != nil {
 					t.Fatal(err)
 				}
+				place()
 			default:
 				check(step)
 				merge(step)
@@ -496,8 +510,6 @@ func TestProjectionMatchesChainWalk(t *testing.T) {
 		switch seed % 4 {
 		case 0:
 			opts.DeviceCache, opts.Compress = true, true
-		case 1:
-			opts.DevicePlacement = true
 		case 2:
 			opts.ResultCacheBytes = 1 << 20
 		}

@@ -65,16 +65,23 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if shape.Op == exec.KindGet {
-		out := make([]exec.Result, len(plans))
-		if len(plans) == 1 {
-			// A lone get takes no snapshot unless the cache misses and
-			// charges its one gather itself.
-			rec, _, c, err := t.pointLocked(nil, plans[0].Row)
-			t.chargeDeviceGather(c, 1)
-			out[0].Rec = rec
-			return out, err
+		// A lone get takes no snapshot unless the cache misses; K gets
+		// share one, begun before the first probe so a hit holds at it.
+		// Each row is charged as a solo get.
+		var reader *tx.Tx
+		if len(plans) > 1 {
+			reader = t.deltas.Begin()
+			defer reader.Abort()
 		}
-		return out, t.gatherLocked(plans, out)
+		out := make([]exec.Result, len(plans))
+		for i, p := range plans {
+			rec, _, err := t.pointLocked(reader, p.Row)
+			if err != nil {
+				return out, err
+			}
+			out[i].Rec = rec
+		}
+		return out, nil
 	}
 	reader := t.deltas.Begin()
 	defer reader.Abort()
@@ -197,16 +204,16 @@ func (t *Table) rowStampLocked(row uint64) (rescache.Key, rescache.Stamp, bool) 
 // and the entry current, else from reader's snapshot — the delta version
 // it sees or the base fragments — and publishes what it read if the row
 // stayed clean. A nil reader is a lone read: it begins its own snapshot,
-// and only on a cache miss. c is the chunk whose base fragments were
-// read (nil for a hit or a delta), left for the caller to charge.
+// and only on a cache miss. A read of base fragments is charged as one
+// device gather.
 //
 // The record is read-only: shared reports that it is the cache entry's
 // own, which outlives the request; otherwise it is a private copy. Either
 // way the read made at most one heap copy — a miss reads into a stack
 // buffer, and publishing it is the copy.
-func (t *Table) pointLocked(reader *tx.Tx, row uint64) (schema.Record, bool, *chunk, error) {
+func (t *Table) pointLocked(reader *tx.Tx, row uint64) (schema.Record, bool, error) {
 	if rows := t.rel.Rows(); row >= rows {
-		return nil, false, nil, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, rows)
+		return nil, false, fmt.Errorf("%w: row %d of %d", engine.ErrNoSuchRow, row, rows)
 	}
 	t.mon.Observe(workload.Op{Kind: workload.PointRead, Cols: t.allCols})
 	cache := t.eng.rescache
@@ -216,7 +223,7 @@ func (t *Table) pointLocked(reader *tx.Tx, row uint64) (schema.Record, bool, *ch
 	if cache != nil {
 		if key, st, cacheable = t.rowStampLocked(row); cacheable {
 			if v, ok := cache.Peek(key, st); ok {
-				return v.Rec, true, nil, nil
+				return v.Rec, true, nil
 			}
 		}
 		cache.Bypass() // uncacheable, or a miss, which Peek leaves uncounted
@@ -228,48 +235,22 @@ func (t *Table) pointLocked(reader *tx.Tx, row uint64) (schema.Record, bool, *ch
 	var buf [8]schema.Value
 	rec, c, err := t.readInto(reader, row, buf[:0])
 	if err != nil {
-		return nil, false, nil, err
+		return nil, false, err
 	}
+	t.chargeDeviceGather(c)
 	if cacheable && t.deltas.LatestTS(row) == 0 {
-		return cache.Put(key, st, rescache.Value{Rec: rec}).Rec, true, c, nil
+		return cache.Put(key, st, rescache.Value{Rec: rec}).Rec, true, nil
 	}
-	return rec.Clone(), false, c, nil
+	return rec.Clone(), false, nil
 }
 
 // getLocked materializes the current record at row under the caller's
-// read lock: the lone case of the point read, charged as one gather.
-// The record is the caller's own.
+// read lock: the lone case of the point read. The record is the
+// caller's own.
 func (t *Table) getLocked(row uint64) (schema.Record, error) {
-	rec, shared, c, err := t.pointLocked(nil, row)
-	t.chargeDeviceGather(c, 1)
+	rec, shared, err := t.pointLocked(nil, row)
 	if shared {
 		rec = rec.Clone()
 	}
 	return rec, err
-}
-
-// gatherLocked materializes many rows from one snapshot — Execute's
-// K-get case. Results are bit-identical to one solo get per row against
-// the same snapshot, but the pass charges device-resident gathers per
-// CHUNK: k rows hitting one chunk's device fragments cost one bus
-// transfer of k-fold bytes (one fixed transfer latency) instead of k
-// separate transfers.
-func (t *Table) gatherLocked(plans []exec.Plan, out []exec.Result) error {
-	reader := t.deltas.Begin() // before the first probe: a hit must hold at the snapshot
-	defer reader.Abort()
-	gathers := make(map[*chunk]int64)
-	for i, p := range plans {
-		rec, _, c, err := t.pointLocked(reader, p.Row)
-		if err != nil {
-			return err
-		}
-		out[i].Rec = rec
-		if c != nil {
-			gathers[c]++
-		}
-	}
-	for c, k := range gathers {
-		t.chargeDeviceGather(c, k)
-	}
-	return nil
 }

@@ -88,7 +88,7 @@ func TestPruneStatsSurviveRegroup(t *testing.T) {
 // kernels may launch, and the pruned counter must advance. A predicate
 // that matches a single chunk then launches kernels only for it.
 func TestPruneDeviceSkipsKernelLaunch(t *testing.T) {
-	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true}, 512)
+	_, tbl := newTable(t, Options{ChunkRows: 128, HotChunks: 1}, 512)
 	defer tbl.Free()
 	if err := tbl.PlaceColumn(workload.ItemPriceCol); err != nil {
 		t.Fatal(err)

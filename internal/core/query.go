@@ -37,7 +37,7 @@ func (t *Table) readInto(x *tx.Tx, row uint64, dst schema.Record) (schema.Record
 // caller's: one row's gather.
 func (t *Table) recordAt(x *tx.Tx, row uint64) (schema.Record, error) {
 	rec, c, err := t.readInto(x, row, nil)
-	t.chargeDeviceGather(c, 1)
+	t.chargeDeviceGather(c)
 	return rec, err
 }
 
@@ -51,7 +51,7 @@ func (t *Table) setField(x *tx.Tx, row uint64, col int, v schema.Value) error {
 	if err != nil {
 		return err
 	}
-	t.chargeDeviceGather(c, 1)
+	t.chargeDeviceGather(c)
 	rec[col] = v
 	return x.Write(row, rec)
 }

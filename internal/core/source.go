@@ -110,7 +110,7 @@ func (t *Table) list(p exec.Plan) (*pieceList, error) {
 		l.keys = make([]exec.Piece, 0, len(t.chunks))
 	}
 	rows := t.rel.Rows()
-	ship := kernel && t.eng.opts.DeviceCache && t.env.Cache != nil
+	ship := kernel && t.eng.opts.DeviceCache
 	for _, c := range t.chunks {
 		if c.rows.Begin >= rows {
 			break

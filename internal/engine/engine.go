@@ -57,7 +57,7 @@ type Env struct {
 	ExecPolicy exec.Policy
 	// Cache keeps device-resident fragment images so repeated device
 	// scans over unchanged data skip the bus (paper Section IV-C, "mixed
-	// data location"). Engines treat a nil cache as "re-ship every scan".
+	// data location"). NewEnv, the one constructor, always builds it.
 	Cache *device.FragCache
 }
 
@@ -86,16 +86,12 @@ func (e *Env) DeviceExec(table string) exec.DeviceScan {
 // call this when a fragment's backing store is replaced or freed
 // outright.
 func (e *Env) InvalidateFrag(table string, frag uint64) {
-	if e.Cache != nil {
-		e.Cache.InvalidateFrag(table, frag)
-	}
+	e.Cache.InvalidateFrag(table, frag)
 }
 
 // InvalidateTable retires cached device images of one table.
 func (e *Env) InvalidateTable(table string) {
-	if e.Cache != nil {
-		e.Cache.InvalidateTable(table)
-	}
+	e.Cache.InvalidateTable(table)
 }
 
 // Table is one relation managed by a storage engine.

@@ -349,8 +349,8 @@ func TestOptionSurfaceIsCounted(t *testing.T) {
 		}
 		return n
 	}
-	if got := leaves(reflect.TypeOf(hybridstore.Options{})); got != 9 {
-		t.Errorf("hybridstore.Options has %d settable values, want 9", got)
+	if got := leaves(reflect.TypeOf(hybridstore.Options{})); got != 7 {
+		t.Errorf("hybridstore.Options has %d settable values, want 7", got)
 	}
 	if got := reflect.TypeOf(engine.Env{}).NumField(); got != 7 {
 		t.Errorf("engine.Env has %d fields, want 7", got)

@@ -170,17 +170,19 @@ func sameResult(a, b Result, exact bool) bool {
 // storageConfigs are the storage configurations the equivalence tables
 // run under: plain host under each host policy, device cache,
 // compression, device placement, and placement beside the device cache.
+// place moves the price column to the device after the load.
 var storageConfigs = []struct {
-	name string
-	opts Options
+	name  string
+	opts  Options
+	place bool
 }{
-	{"host", Options{ChunkRows: 128, HotChunks: 1}},
-	{"host/multi-threaded", Options{ChunkRows: 128, HotChunks: 1, Policy: MultiThreaded}},
-	{"host/morsel-driven", Options{ChunkRows: 128, HotChunks: 1, Policy: MorselDriven}},
-	{"devicecache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true}},
-	{"compress+cache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Compress: true}},
-	{"placement", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true}},
-	{"placement+cache", Options{ChunkRows: 128, HotChunks: 1, DevicePlacement: true, DeviceCache: true, Compress: true}},
+	{"host", Options{ChunkRows: 128, HotChunks: 1}, false},
+	{"host/multi-threaded", Options{ChunkRows: 128, HotChunks: 1, Policy: MultiThreaded}, false},
+	{"host/morsel-driven", Options{ChunkRows: 128, HotChunks: 1, Policy: MorselDriven}, false},
+	{"devicecache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true}, false},
+	{"compress+cache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Compress: true}, false},
+	{"placement", Options{ChunkRows: 128, HotChunks: 1}, true},
+	{"placement+cache", Options{ChunkRows: 128, HotChunks: 1, DeviceCache: true, Compress: true}, true},
 }
 
 // TestSharedScanMatchesSoloFacade is the end-to-end equivalence table of
@@ -220,7 +222,7 @@ func TestSharedScanMatchesSoloFacade(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if opts.DevicePlacement {
+				if cfg.place {
 					if err := tbl.PlaceColumn(ItemPriceColumn); err != nil {
 						t.Fatal(err)
 					}
@@ -343,7 +345,7 @@ func TestCachedMatchesUncachedWithDeltas(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if cfg.opts.DevicePlacement {
+				if cfg.place {
 					if err := tbl.PlaceColumn(ItemPriceColumn); err != nil {
 						t.Fatal(err)
 					}
