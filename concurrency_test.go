@@ -38,6 +38,10 @@ func TestConcurrentHTAPStress(t *testing.T) {
 	inserted := uint64(base)
 
 	// Writers: single-op update transactions against the base region.
+	// Two writers of one row hold its stripe across the update and the
+	// model write, so the model records the row's writes in their commit
+	// order; writers of different stripes run concurrently.
+	var stripes [16]sync.Mutex
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -46,13 +50,19 @@ func TestConcurrentHTAPStress(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				row := uint64(r.Int63n(base))
 				val := math.Floor(r.Float64() * 100)
-				if err := tbl.Update(row, ItemPriceColumn, FloatValue(val)); err != nil {
+				stripe := &stripes[row%uint64(len(stripes))]
+				stripe.Lock()
+				err := tbl.Update(row, ItemPriceColumn, FloatValue(val))
+				if err == nil {
+					mu.Lock()
+					model[row] = val
+					mu.Unlock()
+				}
+				stripe.Unlock()
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				mu.Lock()
-				model[row] = val
-				mu.Unlock()
 			}
 		}(w)
 	}

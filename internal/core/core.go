@@ -196,6 +196,10 @@ type Table struct {
 	oltp *layout.Layout
 	olap *layout.Layout
 
+	// dev is the scans' device leg, built once so that handing it to the
+	// scan body boxes a pointer, not a copy.
+	dev exec.DeviceScan
+
 	chunks []*chunk
 	mon    *workload.Monitor
 	// allCols is every column in order: what a point read touches, as
@@ -259,6 +263,7 @@ func (e *Engine) Create(name string, s *schema.Schema) (engine.Table, error) {
 			Host:   e.env.HostProfile,
 			Clock:  e.env.Clock,
 		},
+		dev:        e.env.DeviceExec(name),
 		mon:        workload.NewMonitor(s.Arity()),
 		allCols:    layout.AllCols(s),
 		deltas:     tx.NewStore(),

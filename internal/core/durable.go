@@ -516,7 +516,7 @@ func (t *Table) PrimeDeviceCache(cols []device.ResidentCol) error {
 	if !t.eng.opts.DeviceCache {
 		return nil
 	}
-	ds := t.env.DeviceExec(t.rel.Name())
+	ds := t.dev
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	rows := t.rel.Rows()

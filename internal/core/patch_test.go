@@ -414,7 +414,7 @@ func TestPatchRowsCounter(t *testing.T) {
 	}
 	f, r := mPatchRows.Load(), mPatchRowsRead.Load()
 	tbl.mu.RLock()
-	_, err := tbl.scanAt(older, []exec.Plan{{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Pred{Op: exec.OpGT, Lo: 50}}})
+	err := tbl.scanAt(older, []exec.Plan{{Op: exec.KindSumWhere, Col: workload.ItemPriceCol, Pred: exec.Pred{Op: exec.OpGT, Lo: 50}}}, make([]exec.Result, 1))
 	tbl.mu.RUnlock()
 	older.Abort()
 	if folded, read := mPatchRows.Load()-f, mPatchRowsRead.Load()-r; err != nil || folded != 11 || read != 11 {
@@ -478,12 +478,12 @@ func (s chainSource) Patches(p exec.Plan, fn func(engine.Patch)) error {
 // reference's, through chainSource and no cache — and fails unless
 // the answers agree bit for bit. Caller holds tbl.mu.
 func sameAsChainWalk(tbl *Table, reader *tx.Tx, plans []exec.Plan) error {
-	got, err := tbl.scanAt(reader, plans)
-	if err != nil {
+	got, want := make([]exec.Result, len(plans)), make([]exec.Result, len(plans))
+	if err := tbl.scanAt(reader, plans, got); err != nil {
 		return err
 	}
 	src := chainSource{tbl.source(reader)}
-	want, err := engine.ScanCohort(src, tbl.cfg, tbl.env.DeviceExec(tbl.rel.Name()), plans, nil)
+	err := engine.ScanCohort(src, tbl.cfg, tbl.env.DeviceExec(tbl.rel.Name()), plans, nil, want)
 	src.release()
 	if err != nil {
 		return err

@@ -50,17 +50,27 @@ func (t *Table) cacheKey(p exec.Plan) rescache.Key {
 // acquisition and one MVCC snapshot; result k belongs to plans[k]. The
 // results are read-only: a get's record may be the result cache's own.
 func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
+	out := make([]exec.Result, len(plans))
+	if err := t.execute(plans, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// execute is Execute writing result k to out[k], which holds one slot
+// per plan.
+func (t *Table) execute(plans []exec.Plan, out []exec.Result) error {
 	if len(plans) == 0 {
-		return []exec.Result{}, nil
+		return nil
 	}
 	shape := plans[0].Normalize().Shape()
 	for _, p := range plans[1:] {
 		if s := p.Normalize().Shape(); s != shape {
-			return nil, fmt.Errorf("%w: %v batched with %v", exec.ErrBadPlan, s, shape)
+			return fmt.Errorf("%w: %v batched with %v", exec.ErrBadPlan, s, shape)
 		}
 	}
 	if err := shape.Check(t.s); err != nil {
-		return nil, err
+		return err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -73,15 +83,14 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 			reader = t.deltas.Begin()
 			defer reader.Abort()
 		}
-		out := make([]exec.Result, len(plans))
 		for i, p := range plans {
 			rec, _, err := t.pointLocked(reader, p.Row)
 			if err != nil {
-				return out, err
+				return err
 			}
 			out[i].Rec = rec
 		}
-		return out, nil
+		return nil
 	}
 	reader := t.deltas.Begin()
 	defer reader.Abort()
@@ -95,20 +104,20 @@ func (t *Table) Execute(plans []exec.Plan) ([]exec.Result, error) {
 	for range plans {
 		t.mon.Observe(workload.Op{Kind: workload.ColumnScan, Cols: cols})
 	}
-	return t.scanAt(reader, plans)
+	return t.scanAt(reader, plans, out)
 }
 
 // scanAt runs the scan body over the table under reader's snapshot, the
 // result cache as its store of settled bases. Caller holds t.mu.
-func (t *Table) scanAt(reader *tx.Tx, plans []exec.Plan) ([]exec.Result, error) {
+func (t *Table) scanAt(reader *tx.Tx, plans []exec.Plan, out []exec.Result) error {
 	src := t.source(reader)
 	var bases engine.Bases
 	if t.eng.rescache != nil {
 		bases = src
 	}
-	res, err := engine.ScanCohort(src, t.cfg, t.env.DeviceExec(t.rel.Name()), plans, bases)
+	err := engine.ScanCohort(src, t.cfg, &t.dev, plans, bases, out)
 	src.release()
-	return res, err
+	return err
 }
 
 // Peek answers a plan from the result cache only — the serving layer's
@@ -142,11 +151,11 @@ func (t *Table) Peek(p exec.Plan) (exec.Result, bool) {
 // engine contract's aggregate entry, and what the facade's named
 // queries run.
 func (t *Table) Scan(p exec.Plan) (exec.Result, error) {
-	res, err := t.Execute([]exec.Plan{p})
-	if err != nil {
+	plans, out := [1]exec.Plan{p}, [1]exec.Result{}
+	if err := t.execute(plans[:], out[:]); err != nil {
 		return exec.Result{}, err
 	}
-	return res[0], nil
+	return out[0], nil
 }
 
 // mPatchRows counts the rows handed to an MVCC patch callback — a

@@ -60,6 +60,16 @@ func (g *GPU) NewStreamDepth(stages int) *Stream {
 	return &Stream{gpu: g, stages: stages}
 }
 
+// Reopen makes s what NewStream(g) returns — the default depth, empty
+// lanes, nothing charged — for a caller that keeps a stream with its
+// per-scan scratch instead of allocating one per scan. Whatever s
+// enqueued and did not Wait for is dropped uncharged.
+func (s *Stream) Reopen(g *GPU) *Stream {
+	s.gpu, s.stages = g, DefaultStreamStages
+	s.transferNs, s.computeNs, s.chargedNs = 0, 0, 0
+	return s
+}
+
 // add accumulates priced time in the transfer and compute lanes.
 func (s *Stream) add(transferNs, computeNs float64) {
 	s.mu.Lock()

@@ -235,6 +235,15 @@ func TestScanRoutesValidatesAndPatches(t *testing.T) {
 }
 
 // sameBits compares two results bit for bit.
+// scanCohort runs ScanCohort into fresh result slots.
+func scanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exec.Plan, bases Bases) ([]exec.Result, error) {
+	out := make([]exec.Result, len(plans))
+	if err := ScanCohort(src, host, dev, plans, bases, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func sameBits(a, b exec.Result) bool {
 	if math.Float64bits(a.Sum) != math.Float64bits(b.Sum) || a.Count != b.Count || len(a.Groups) != len(b.Groups) {
 		return false
@@ -276,7 +285,7 @@ func TestScanCohortMatchesSolo(t *testing.T) {
 					}
 				}
 				src := &fakeSource{s: s, patched: patched}
-				got, err := ScanCohort(src, exec.Single(), &recordingExec{}, plans, nil)
+				got, err := scanCohort(src, exec.Single(), &recordingExec{}, plans, nil)
 				if err != nil || len(got) != len(plans) {
 					t.Fatalf("%s %v: %d results, %v", op, preds, len(got), err)
 				}
@@ -306,14 +315,14 @@ func TestScanCohortMatchesSolo(t *testing.T) {
 		{{Op: exec.KindGet, Row: 1}},
 		{{Op: exec.KindGet, Row: 1}, {Op: exec.KindGet, Row: 2}},
 	} {
-		if _, err := ScanCohort(src, exec.Single(), &recordingExec{}, bad, nil); !errors.Is(err, exec.ErrBadPlan) {
+		if _, err := scanCohort(src, exec.Single(), &recordingExec{}, bad, nil); !errors.Is(err, exec.ErrBadPlan) {
 			t.Errorf("%+v: err = %v, want ErrBadPlan", bad, err)
 		}
 	}
 	if src.pieceCalls != 0 {
 		t.Errorf("a refused cohort reached the pieces %d times", src.pieceCalls)
 	}
-	if res, err := ScanCohort(src, exec.Single(), nil, nil, nil); err != nil || len(res) != 0 {
+	if res, err := scanCohort(src, exec.Single(), nil, nil, nil); err != nil || len(res) != 0 {
 		t.Errorf("empty cohort = %v, %v", res, err)
 	}
 
@@ -335,7 +344,7 @@ func TestScanCohortMatchesSolo(t *testing.T) {
 					{Op: op, Col: 1, Pred: exec.Lt(90.0)},
 				}
 				mixed, plain := &mixedSource{s: s, seed: seed, encode: true}, &mixedSource{s: s, seed: seed}
-				got, err := ScanCohort(mixed, cfg, nil, plans, nil)
+				got, err := scanCohort(mixed, cfg, nil, plans, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -431,7 +440,7 @@ func TestScanCohortReplaysPatchOverKnownBases(t *testing.T) {
 		for i, plans := range [][]exec.Plan{warm, warm, mixed} {
 			patched := i > 0
 			src := &fakeSource{s: s, patched: patched}
-			got, err := ScanCohort(src, exec.Single(), &recordingExec{}, plans, bases)
+			got, err := scanCohort(src, exec.Single(), &recordingExec{}, plans, bases)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -542,19 +551,19 @@ func TestDeviceFallbackAccountsOnce(t *testing.T) {
 		}
 		gpu := device.New(prof, nil)
 		z0 := obs.TakeSnapshot()
-		got, err := ScanCohort(pieces(exec.Resident, exec.Shipped, exec.OnHost), exec.Single(), exec.DeviceScan{GPU: gpu}, plans, nil)
+		got, err := scanCohort(pieces(exec.Resident, exec.Shipped, exec.OnHost), exec.Single(), exec.DeviceScan{GPU: gpu}, plans, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		z1 := obs.TakeSnapshot()
-		want, err := ScanCohort(pieces(exec.OnHost, exec.OnHost, exec.OnHost), exec.Single(), nil, plans, nil)
+		want, err := scanCohort(pieces(exec.OnHost, exec.OnHost, exec.OnHost), exec.Single(), nil, plans, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		z2 := obs.TakeSnapshot()
 		// The resident piece alone, on a card with room.
 		alone := device.New(perfmodel.DefaultDevice(), nil)
-		if _, err := ScanCohort(pieces(exec.Resident), exec.Single(), exec.DeviceScan{GPU: alone}, plans, nil); err != nil {
+		if _, err := scanCohort(pieces(exec.Resident), exec.Single(), exec.DeviceScan{GPU: alone}, plans, nil); err != nil {
 			t.Fatal(err)
 		}
 		if n, once := gpu.Stats().KernelLaunches, alone.Stats().KernelLaunches; n != once || n == 0 {
@@ -685,9 +694,8 @@ func TestPlacementSplitMatchesStableSort(t *testing.T) {
 		want := slices.Clone(src.vals)
 		slices.SortStableFunc(want, func(a, b exec.Piece) int { return int(b.Place) - int(a.Place) })
 		dev := &recordingExec{}
-		res := exec.Result{}
-		plan := exec.Plan{Op: exec.KindGroupSum, KeyCol: 0, Col: 1}
-		if err := legs(src, exec.Single(), dev, []member{{Plan: plan, res: &res}}); err != nil {
+		c := &cohort{live: []member{{Plan: exec.Plan{Op: exec.KindGroupSum, KeyCol: 0, Col: 1}}}, res: make([]exec.Result, 1)}
+		if err := c.legs(src, exec.Single(), dev, 1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {

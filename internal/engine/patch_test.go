@@ -20,14 +20,14 @@ type cell struct {
 // rowPatch is the scan body's patch fold before the columnar one, kept
 // as the oracle: rows outer, plans inner, one predicate call per side of
 // a row, and group lookups on the binary-search reference.
-func rowPatch(live []member, rows [][2]cell) {
+func rowPatch(live []member, res []exec.Result, rows [][2]cell) {
 	match := func(m *member, x float64) bool { return !m.HasPred || m.lo <= x && x <= m.hi }
 	shape := live[0].Plan
 	switch {
 	case shape.Op.Grouped():
 		gps := make([]*binaryGroupPatch, len(live))
 		for j := range live {
-			gps[j] = &binaryGroupPatch{groups: live[j].res.Groups}
+			gps[j] = &binaryGroupPatch{groups: res[live[j].k].Groups}
 		}
 		for _, r := range rows {
 			base, cur := r[0], r[1]
@@ -48,27 +48,27 @@ func rowPatch(live []member, rows [][2]cell) {
 		for j, m := range live {
 			out := slices.DeleteFunc(append(gps[j].groups, gps[j].added...), func(gr exec.GroupResult) bool { return gr.Count <= 0 })
 			exec.SortGroupResults(out)
-			m.res.Groups = out
+			res[m.k].Groups = out
 		}
 	case shape.HasPred:
 		for _, r := range rows {
 			base, cur := r[0], r[1]
 			for j := range live {
-				m := &live[j]
+				m, r := &live[j], &res[live[j].k]
 				if match(m, base.val) {
-					m.res.Sum -= base.val
-					m.res.Count--
+					r.Sum -= base.val
+					r.Count--
 				}
 				if match(m, cur.val) {
-					m.res.Sum += cur.val
-					m.res.Count++
+					r.Sum += cur.val
+					r.Count++
 				}
 			}
 		}
 	default:
-		res := live[0].res
+		r0 := &res[live[0].k]
 		for _, r := range rows {
-			res.Sum += r[1].val - r[0].val
+			r0.Sum += r[1].val - r[0].val
 		}
 	}
 }
@@ -85,7 +85,8 @@ func (c *columnSource) Patches(_ exec.Plan, fn func(Patch)) error {
 	return nil
 }
 
-// genPatch draws one random patch and the live plans that fold it. Its
+// genPatch draws one random patch and the live plans that fold it, with
+// their results. Its
 // values are full-mantissa finite floats, ±0, ±Inf and NaN, in base and
 // current alike; its NaN is the hardware's default NaN (Inf − Inf), the
 // one an invalid operation such as Inf − Inf produces, so every NaN a
@@ -94,7 +95,7 @@ func (c *columnSource) Patches(_ exec.Plan, fn func(Patch)) error {
 // a random value; group tables hold keys 0..7 with holes, patch keys
 // range over -2..10, so rows move between groups, enter groups the bulk
 // never held, and empty bulk groups.
-func genPatch(rng *rand.Rand) (live []member, rows [][2]cell) {
+func genPatch(rng *rand.Rand) (live []member, res []exec.Result, rows [][2]cell) {
 	inf := math.Inf(1)
 	values := []float64{0, math.Copysign(0, -1), inf, -inf, inf - inf}
 	value := func() float64 {
@@ -112,7 +113,7 @@ func genPatch(rng *rand.Rand) (live []member, rows [][2]cell) {
 		k = 3 // an unfiltered cohort has one live plan: ScanCohort copies the rest
 	}
 	for len(live) < k {
-		m := member{Plan: shape, res: &exec.Result{Sum: math.Copysign(0, -1)}}
+		m, r := member{Plan: shape, k: len(live)}, exec.Result{Sum: math.Copysign(0, -1)}
 		if shape.HasPred {
 			ops := []exec.Op{exec.OpLT, exec.OpGT, exec.OpBetween, exec.OpEQ}
 			m.Pred = exec.Pred{Op: ops[rng.Intn(len(ops))], Lo: value(), Hi: value()}
@@ -125,7 +126,7 @@ func genPatch(rng *rand.Rand) (live []member, rows [][2]cell) {
 			}
 		}
 		if rng.Intn(2) == 0 {
-			m.res.Sum, m.res.Count = value(), rng.Int63n(100)
+			r.Sum, r.Count = value(), rng.Int63n(100)
 		}
 		if shape.Op.Grouped() {
 			for key := int64(0); key < 8; key++ {
@@ -134,11 +135,11 @@ func genPatch(rng *rand.Rand) (live []member, rows [][2]cell) {
 					if rng.Intn(3) != 0 {
 						sum = value()
 					}
-					m.res.Groups = append(m.res.Groups, exec.GroupResult{Key: key, Sum: sum, Count: 1 + rng.Int63n(2)})
+					r.Groups = append(r.Groups, exec.GroupResult{Key: key, Sum: sum, Count: 1 + rng.Int63n(2)})
 				}
 			}
 		}
-		live = append(live, m)
+		live, res = append(live, m), append(res, r)
 	}
 	n := 0
 	if rng.Intn(8) != 0 {
@@ -147,16 +148,14 @@ func genPatch(rng *rand.Rand) (live []member, rows [][2]cell) {
 	for i := 0; i < n; i++ {
 		rows = append(rows, [2]cell{{key: rng.Int63n(13) - 2, val: value()}, {key: rng.Int63n(13) - 2, val: value()}})
 	}
-	return live, rows
+	return live, res, rows
 }
 
-// cloneLive copies live plans with results of their own.
-func cloneLive(live []member) []member {
-	out := slices.Clone(live)
+// cloneRes copies results, each with groups of its own.
+func cloneRes(res []exec.Result) []exec.Result {
+	out := slices.Clone(res)
 	for j := range out {
-		res := *live[j].res
-		res.Groups = slices.Clone(res.Groups)
-		out[j].res = &res
+		out[j].Groups = slices.Clone(res[j].Groups)
 	}
 	return out
 }
@@ -167,9 +166,9 @@ func cloneLive(live []member) []member {
 // patch is asked for once.
 func TestColumnarFoldMatchesRowFold(t *testing.T) {
 	check := func(seed int64) bool {
-		live, rows := genPatch(rand.New(rand.NewSource(seed)))
-		want := cloneLive(live)
-		rowPatch(want, rows)
+		live, res, rows := genPatch(rand.New(rand.NewSource(seed)))
+		want := cloneRes(res)
+		rowPatch(live, want, rows)
 		src := &columnSource{}
 		for _, r := range rows {
 			src.pa.Base, src.pa.Cur = append(src.pa.Base, r[0].val), append(src.pa.Cur, r[1].val)
@@ -177,14 +176,15 @@ func TestColumnarFoldMatchesRowFold(t *testing.T) {
 				src.pa.BaseKey, src.pa.CurKey = append(src.pa.BaseKey, r[0].key), append(src.pa.CurKey, r[1].key)
 			}
 		}
-		got := cloneLive(live)
-		if err := patch(src, got); err != nil || src.calls != 1 {
+		c := newCohort()
+		c.live, c.res = live, cloneRes(res)
+		if err := src.Patches(live[0].Plan, c.fold); err != nil || src.calls != 1 {
 			t.Logf("seed %d: %d Patches calls (%v), want 1", seed, src.calls, err)
 			return false
 		}
-		for j := range got {
-			if !sameBits(*got[j].res, *want[j].res) {
-				t.Logf("seed %d, %s plan %d of %d, %d rows: columnar %+v, per-row %+v", seed, live[0].Op, j, len(live), len(rows), *got[j].res, *want[j].res)
+		for j := range c.res {
+			if !sameBits(c.res[j], want[j]) {
+				t.Logf("seed %d, %s plan %d of %d, %d rows: columnar %+v, per-row %+v", seed, live[0].Op, j, len(live), len(rows), c.res[j], want[j])
 				return false
 			}
 		}

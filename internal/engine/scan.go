@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"hybridstore/internal/exec"
 	"hybridstore/internal/mem"
@@ -81,20 +82,57 @@ type Bases interface {
 
 // Scan answers one aggregate plan over the source: the K=1 cohort.
 func Scan(src Source, host exec.Config, dev exec.ScanExecutor, p exec.Plan) (exec.Result, error) {
-	res, err := ScanCohort(src, host, dev, []exec.Plan{p}, nil)
-	if err != nil {
-		return exec.Result{}, err
-	}
-	return res[0], nil
+	plans, out := [1]exec.Plan{p}, [1]exec.Result{}
+	err := ScanCohort(src, host, dev, plans[:], nil, out[:])
+	return out[0], err
 }
 
 // member is one live plan of a cohort — one that reaches the pieces or
 // a settled base, and the patch — the closed interval [lo, hi] its
-// predicate, if it has one, matches, and the result slot it fills.
+// predicate, if it has one, matches, and its plan's index k.
 type member struct {
 	exec.Plan
 	lo, hi float64
-	res    *exec.Result
+	k      int
+}
+
+// cohort is what one ScanCohort call works in: the live members, the
+// result of each plan, the legs' answers (pair: [:K] the device leg's,
+// [K:] the host leg's), the group buffers the host leg drains into when
+// its answers are partials the device answers absorb, and the fold its
+// patch runs, built once per cohort. Cohorts are recycled, every result
+// cleared, so a warm scan's scaffolding allocates nothing; a group
+// buffer only ever holds a host partial, which FoldGroups copies out of
+// before the buffer is reused.
+type cohort struct {
+	live []member
+	res  []exec.Result // res[k] is plans[k]'s
+	pair []exec.Result
+	bufs [][]exec.GroupResult
+	fold func(Patch)
+}
+
+var cohorts = sync.Pool{New: func() any { return newCohort() }}
+
+// newCohort builds an empty cohort and its patch fold: every live
+// member folds the whole patch into its result.
+func newCohort() *cohort {
+	c := new(cohort)
+	c.fold = func(pa Patch) {
+		for _, m := range c.live {
+			m.fold(pa, &c.res[m.k])
+		}
+	}
+	return c
+}
+
+// release recycles the cohort, its results and answers cleared.
+func (c *cohort) release() {
+	clear(c.live[:cap(c.live)])
+	clear(c.res[:cap(c.res)])
+	clear(c.pair[:cap(c.pair)])
+	c.live, c.res, c.pair = c.live[:0], c.res[:0], c.pair[:0]
+	cohorts.Put(c)
 }
 
 // ScanCohort answers any number of plans of one shape from a single
@@ -102,10 +140,10 @@ type member struct {
 // live plan's predicate to each leg, one Patches call — with
 // host pieces on the host configuration and shipped and resident pieces
 // on the device executor (which may be nil for a source that never
-// places any). Result k belongs to plans[k] and has the bits a solo Scan
-// of plans[k] returns over the same source state, under every host
-// policy, because per plan the fold order is fixed and independent of
-// the cohort:
+// places any). Result k goes to out[k], one slot per plan, and has the
+// bits a solo Scan of plans[k] returns over the same source state, under
+// every host policy, because per plan the fold order is fixed and
+// independent of the cohort:
 //
 //   - a predicate no value can satisfy (it has no closed form: Lt(-Inf),
 //     an inverted or NaN-bounded between) is answered with the zero
@@ -118,29 +156,36 @@ type member struct {
 //   - the device result folds first, then the host result, then the
 //     patch, which every plan — known bases and fresh ones alike — folds
 //     whole, in ascending row order.
-func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exec.Plan, bases Bases) ([]exec.Result, error) {
-	out := make([]exec.Result, len(plans))
+//
+// Each result's groups are its own, shared with nothing the cohort keeps.
+func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exec.Plan, bases Bases, out []exec.Result) error {
+	if len(out) != len(plans) {
+		return fmt.Errorf("%w: %d result slots for %d plans", exec.ErrBadPlan, len(out), len(plans))
+	}
+	clear(out)
 	if len(plans) == 0 {
-		return out, nil
+		return nil
 	}
 	shape := plans[0].Normalize().Shape()
 	if shape.Op == exec.KindGet {
-		return nil, fmt.Errorf("%w: kind %q is not a scan", exec.ErrBadPlan, shape.Op)
+		return fmt.Errorf("%w: kind %q is not a scan", exec.ErrBadPlan, shape.Op)
 	}
 	if err := shape.Check(src.Schema()); err != nil {
-		return nil, err
+		return err
 	}
+	c := cohorts.Get().(*cohort)
+	defer c.release()
+	c.res = slices.Grow(c.res, len(plans))[:len(plans)]
 	// live[:n] need the legs; live[n:] start from a known base.
-	live := make([]member, 0, len(plans))
 	n := 0
 	for k, p := range plans {
 		p = p.Normalize()
 		if s := p.Shape(); s != shape {
-			return nil, fmt.Errorf("%w: %v batched with %v", exec.ErrBadPlan, s, shape)
+			return fmt.Errorf("%w: %v batched with %v", exec.ErrBadPlan, s, shape)
 		}
 		// Live: a predicate something can match, or the first of the
 		// identical unfiltered plans.
-		m := member{Plan: p, res: &out[k]}
+		m := member{Plan: p, k: k}
 		isLive := k == 0
 		if shape.HasPred {
 			m.lo, m.hi, isLive = p.Pred.Closed()
@@ -150,44 +195,54 @@ func ScanCohort(src Source, host exec.Config, dev exec.ScanExecutor, plans []exe
 		}
 		known := false
 		if bases != nil {
-			out[k], known = bases.Base(p)
+			c.res[k], known = bases.Base(p)
 		}
-		if live = append(live, m); !known {
-			live[n], live[len(live)-1] = live[len(live)-1], live[n]
+		if c.live = append(c.live, m); !known {
+			c.live[n], c.live[len(c.live)-1] = c.live[len(c.live)-1], c.live[n]
 			n++
 		}
 	}
 	if n > 0 {
-		if err := legs(src, host, dev, live[:n]); err != nil {
-			return nil, err
+		if err := c.legs(src, host, dev, n); err != nil {
+			return err
 		}
 		for j := 0; bases != nil && j < n; j++ {
-			bases.Settled(live[j].Plan, *live[j].res)
+			bases.Settled(c.live[j].Plan, c.res[c.live[j].k])
 		}
 	}
-	if pt, ok := src.(Patcher); ok && len(live) > 0 {
-		if err := patch(pt, live); err != nil {
-			return nil, err
+	if pt, ok := src.(Patcher); ok && len(c.live) > 0 {
+		// The patch stays exact under zone pruning because zones are
+		// conservative: a base value that matches a predicate always
+		// lives in a fragment whose zone admits it, so it was part of
+		// the bulk pass and can be subtracted.
+		if err := pt.Patches(c.live[0].Plan, c.fold); err != nil {
+			return err
 		}
 	}
+	copy(out, c.res)
 	if !shape.HasPred {
 		for k := 1; k < len(out); k++ {
 			out[k] = out[0]
 			out[k].Groups = slices.Clone(out[0].Groups)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// legs runs the device and host legs of plans that all read the same
-// pieces, each leg once for all of them: their settled-base answers. A
-// card that cannot hold the images the cohort has to ship (too small,
-// or every image pinned by concurrent scans) is no reason to fail a
-// query the host can answer: the device executor refuses before it
-// accounts anything, the shipped pieces — host memory — join the host
-// leg, counted as a fallback, and the resident ones, which need no
-// image, launch on their own. Every other device error propagates.
-func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) error {
+// legs runs the device and host legs of the cohort's first n members,
+// which all read the same pieces, each leg once for all of them: their
+// settled-base answers. A card that cannot hold the images the cohort
+// has to ship (too small, or every image pinned by concurrent scans) is
+// no reason to fail a query the host can answer: the device executor
+// refuses before it accounts anything, the shipped pieces — host memory
+// — join the host leg, counted as a fallback, and the resident ones,
+// which need no image, launch on their own. Every other device error
+// propagates. When both legs run, the host answers are partials that
+// fold into the device answers in place (exec.FoldGroups) from the
+// cohort's own buffers, so a grouped answer is the device leg's one
+// table, grown only by keys the host alone holds.
+func (c *cohort) legs(src Source, host exec.Config, dev exec.ScanExecutor, n int) error {
+	live := c.live[:n]
 	sc := exec.Scan{Plan: live[0].Plan}
 	var err error
 	if sc.Keys, sc.Vals, err = src.Pieces(sc.Plan); err != nil {
@@ -228,9 +283,9 @@ func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) er
 		}
 	}
 
-	// res[:K] is the device leg's answers, res[K:] the host leg's.
 	nk := len(live)
-	res := make([]exec.Result, 2*nk)
+	c.pair = slices.Grow(c.pair, 2*nk)[:2*nk]
+	res := c.pair
 	devRan, hostFrom := nDev > 0, nDev
 	if devRan {
 		err = dev.Scan(sc.Slice(0, nDev), res[:nk])
@@ -247,10 +302,17 @@ func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) er
 	}
 	// The host leg is skipped only when the device leg took every piece.
 	hostRan := !devRan || hostFrom < len(vals)
+	both := devRan && hostRan
 	if hostRan {
 		hostOut := res[:nk]
-		if devRan {
+		if both {
 			hostOut = res[nk:]
+			for j := 0; keys != nil && j < nk; j++ {
+				if j == len(c.bufs) {
+					c.bufs = append(c.bufs, nil)
+				}
+				hostOut[j].Groups = c.bufs[j][:0]
+			}
 		}
 		if err := host.Scan(sc.Slice(hostFrom, len(vals)), hostOut); err != nil {
 			return err
@@ -258,42 +320,32 @@ func legs(src Source, host exec.Config, dev exec.ScanExecutor, live []member) er
 	}
 	// The device result folds first, then the host result.
 	for j, m := range live {
-		if *m.res = res[j]; devRan && hostRan {
+		r := &c.res[m.k]
+		if *r = res[j]; both {
 			part := res[nk+j]
-			m.res.Sum += part.Sum
-			m.res.Count += part.Count
-			m.res.Groups = exec.MergeGroupResults(m.res.Groups, part.Groups)
+			r.Sum += part.Sum
+			r.Count += part.Count
+			if keys != nil {
+				r.Groups = exec.FoldGroups(r.Groups, part.Groups)
+				c.bufs[j] = part.Groups[:0]
+			}
 		}
 	}
 	return nil
 }
 
-// patch applies the source's patch to the live plans' base results:
-// one Patches call, every plan folding the whole patch in one typed
-// loop, rows ascending, a row's base value leaving before its current
-// one enters — the order of a per-row fold, so the answers keep its
-// bits. The patch stays exact under zone pruning because zones are
-// conservative: a base value that matches a predicate always lives in a
-// fragment whose zone admits it, so it was part of the bulk pass and can
-// be subtracted.
-func patch(pt Patcher, live []member) error {
-	return pt.Patches(live[0].Plan, func(pa Patch) {
-		for j := range live {
-			live[j].fold(pa)
-		}
-	})
-}
-
 // fold folds the whole patch into the member's result, its accumulator
-// and interval held in locals.
-func (m *member) fold(pa Patch) {
+// and interval held in locals, rows ascending, a row's base value
+// leaving before its current one enters — the order of a per-row fold,
+// so the answers keep its bits.
+func (m *member) fold(pa Patch, res *exec.Result) {
 	switch {
 	case m.Op.Grouped():
-		gp := NewGroupPatch(m.res.Groups, m.HasPred, m.lo, m.hi)
+		gp := NewGroupPatch(res.Groups, m.HasPred, m.lo, m.hi)
 		gp.Fold(pa)
-		m.res.Groups = gp.Groups()
+		res.Groups = gp.Groups()
 	case m.HasPred:
-		s, n, lo, hi := m.res.Sum, m.res.Count, m.lo, m.hi
+		s, n, lo, hi := res.Sum, res.Count, m.lo, m.hi
 		for i, b := range pa.Base {
 			if lo <= b && b <= hi {
 				s -= b
@@ -304,13 +356,13 @@ func (m *member) fold(pa Patch) {
 				n++
 			}
 		}
-		m.res.Sum, m.res.Count = s, n
+		res.Sum, res.Count = s, n
 	default:
-		s := m.res.Sum
+		s := res.Sum
 		for i, b := range pa.Base {
 			s += pa.Cur[i] - b
 		}
-		m.res.Sum = s
+		res.Sum = s
 	}
 }
 

@@ -113,18 +113,19 @@ func (d DeviceScan) acquire(s *device.Stream, col int, p *Piece) (device.Pin, er
 // scanScratch is what one device scan works in and gives back: the
 // zone test of every surviving piece against every predicate, the
 // survivors' piece indexes and kernel segments, the predicates'
-// intervals, the cache requests of the images to ship and the pins held
-// until the stream drains, and the launch's partials. Only the
-// partials' group tables leave a scan; the rest is recycled, so a warm
-// scan's garbage does not grow with its piece count.
+// intervals, the cache requests of the images to ship, the stream they
+// ship on and the pins held until it drains, and the launch's partials.
+// Only the partials' group tables leave a scan; the rest is recycled, so
+// a warm scan allocates nothing else.
 type scanScratch struct {
-	admit []bool
-	of    []int
-	segs  []device.Segment
-	where []device.Interval
-	reqs  []device.CacheReq
-	pins  []device.Pin
-	parts []device.Partial
+	admit  []bool
+	of     []int
+	segs   []device.Segment
+	where  []device.Interval
+	reqs   []device.CacheReq
+	stream device.Stream
+	pins   []device.Pin
+	parts  []device.Partial
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -188,6 +189,9 @@ func (d DeviceScan) Scan(sc Scan, out []Result) error {
 		}
 	}
 	x.parts = append(x.parts[:0], make([]device.Partial, nk)...)
+	for k := 0; grouped && k < nk; k++ {
+		x.parts[k].Groups = out[k].Groups[:0]
+	}
 	if len(x.of) > 0 {
 		if err := d.launch(sc, x, elems); err != nil {
 			return err
@@ -198,6 +202,7 @@ func (d DeviceScan) Scan(sc Scan, out []Result) error {
 		p := x.parts[k%nk]
 		out[k] = Result{Sum: p.Sum, Count: p.Count, Groups: p.Groups}
 	}
+	clear(x.parts)
 	return nil
 }
 
@@ -209,7 +214,7 @@ func (d DeviceScan) launch(sc Scan, x *scanScratch, elems int) (err error) {
 	sp := obsDeviceScan.Start()
 	var s *device.Stream // open when some piece ships
 	if len(x.reqs) > 0 {
-		s = d.GPU.NewStream()
+		s = x.stream.Reopen(d.GPU)
 	}
 	x.pins = append(x.pins[:0], make([]device.Pin, len(x.reqs))...)
 	defer func() {

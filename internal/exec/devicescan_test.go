@@ -145,7 +145,7 @@ func TestQuickSegmentedScanMatchesPieceFolds(t *testing.T) {
 				tables = append(tables, part.Groups)
 			}
 			if grouped {
-				want[k].Groups = MergeGroupResults(tables...)
+				want[k].Groups = mergeGroupResults(tables...)
 			}
 		}
 		gpu := device.New(perfmodel.DefaultDevice(), &perfmodel.Clock{})

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"hybridstore/internal/agg"
@@ -96,35 +97,65 @@ func eachAligned(keys []Piece, gFrom, gTo int, fn func(pi, from, to int)) {
 	}
 }
 
+// groupScratch is what the host grouped body works in: the zone test's
+// surviving pairs, one table per range of the partition, one more
+// behind them for the pairs with a compressed side, the table the
+// ranges merge into and the buffer each range drains into on the way.
+// Tables hold query results, so a scan gives its scratch back
+// (release) only after every table drained, which empties it and keeps
+// its window; a fold that fails or panics leaves its scratch, groups
+// half folded, to the collector — a stale table must not leak one
+// query's groups into another.
+type groupScratch struct {
+	kept   zoneKept
+	tables []agg.Table
+	merged agg.Table
+	part   []GroupResult
+}
+
+var groupScratches = sync.Pool{New: func() any { return new(groupScratch) }}
+
+// release recycles the scratch, its fragment references cleared; every
+// table must have drained.
+func (x *groupScratch) release() {
+	clear(x.kept.keys)
+	clear(x.kept.vals)
+	groupScratches.Put(x)
+}
+
+// take returns n of the scratch's tables, every one empty: drained by
+// the scan that last held the scratch, or new.
+func (x *groupScratch) take(n int) []agg.Table {
+	x.tables = slices.Grow(x.tables[:0], n)[:n]
+	return x.tables
+}
+
 // groupTables runs fold over total global positions under the
 // configured policy and returns the partial tables, one per range of
-// the partition, so their merge in range order depends on the policy's
-// grain, never on which worker claimed which morsel. Tables hold query
-// results, so they are per-call (never pooled) — a stale table must not
-// leak one query's groups into another.
-func groupTables(cfg Config, total int, fold func(table *agg.Table, gFrom, gTo int)) []agg.Table {
+// the partition and extra more after them, so their merge in range
+// order depends on the policy's grain, never on which worker claimed
+// which morsel.
+func (x *groupScratch) groupTables(cfg Config, total, extra int, fold func(table *agg.Table, gFrom, gTo int)) []agg.Table {
 	slots := cfg.slots()
 	g := cfg.grain(slots, total)
-	tables := make([]agg.Table, pool.Morsels(total, g))
+	tables := x.take(pool.Morsels(total, g) + extra)
 	cfg.partition(slots, total, func(_, from, to int) {
 		fold(&tables[from/g], from, to)
 	})
 	return tables
 }
 
-// mergeGroupTables folds partial tables in order into one table in key
-// order.
-func mergeGroupTables(tables []agg.Table) []GroupResult {
+// merge drains the partial tables, in order, into one table in key
+// order, appended to dst.
+func (x *groupScratch) merge(tables []agg.Table, dst []GroupResult) []GroupResult {
 	if len(tables) == 1 {
-		return tables[0].Drain(nil)
+		return tables[0].Drain(dst)
 	}
-	var merged agg.Table
-	var part []GroupResult
 	for i := range tables {
-		part = tables[i].Drain(part[:0])
-		merged.Merge(part)
+		x.part = tables[i].Drain(x.part[:0])
+		x.merged.Merge(x.part)
 	}
-	return merged.Drain(nil)
+	return x.merged.Drain(dst)
 }
 
 // keyView returns a piece's group keys as the strided view the fused
@@ -170,8 +201,8 @@ func foldGroupRange(table *agg.Table, keys agg.Keys, vp layout.ColVector, from, 
 // never touched — and, unfiltered, nothing pruned and no compare. keys must be
 // an int64 or int32 column view, vals a float64 one, both covering the
 // same positions (compressed pieces execute in the compressed domain).
-// Results come back sorted by key.
-func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupResult, error) {
+// Results come back sorted by key, appended to dst.
+func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool, dst []GroupResult) ([]GroupResult, error) {
 	if err := checkGroupCols(keys, vals); err != nil {
 		return nil, err
 	}
@@ -182,13 +213,15 @@ func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupRes
 		ot = obsGroupBy.start(cfg.Policy)
 	}
 	defer ot.end()
+	x := groupScratches.Get().(*groupScratch)
 	var lo, hi float64
 	if filtered {
-		keys, vals, _ = pruneByZone(cfg, keys, vals, p, true)
+		keys, vals, _ = pruneByZone(cfg, keys, vals, p, &x.kept)
 		var ok bool
 		if lo, hi, ok = p.Closed(); !ok {
 			// Empty interval: provably no matches, nothing scanned.
-			return nil, nil
+			x.release()
+			return dst, nil
 		}
 	}
 	// The all-raw pairs fold partitioned over the slots; the pairs with a
@@ -205,13 +238,16 @@ func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupRes
 			}
 		}
 	}
-	tables := groupTables(cfg, totalLen(rawKeys), func(table *agg.Table, gFrom, gTo int) {
+	extra := 0
+	if comp {
+		extra = 1
+	}
+	tables := x.groupTables(cfg, totalLen(rawKeys), extra, func(table *agg.Table, gFrom, gTo int) {
 		eachAligned(rawKeys, gFrom, gTo, func(pi, from, to int) {
 			foldGroupRange(table, keysOf(rawKeys[pi].Vec), rawVals[pi].Vec, from, to, lo, hi, !filtered)
 		})
 	})
 	if comp {
-		tables = append(tables, agg.Table{})
 		ct := &tables[len(tables)-1]
 		for i, vp := range vals {
 			if rawPair(i) {
@@ -234,12 +270,13 @@ func groupSum(cfg Config, keys, vals []Piece, p Pred, filtered bool) ([]GroupRes
 			foldGroupRange(ct, kv, vp.Vec, 0, vp.Vec.Len, lo, hi, !filtered)
 		}
 	}
-	out := mergeGroupTables(tables)
+	out := x.merge(tables, dst)
 	if filtered {
 		mGroupFusedGroups.Add(int64(len(out)))
 	}
 	cfg.chargeScan(keys)
 	cfg.chargeScan(vals)
+	x.release()
 	return out, nil
 }
 

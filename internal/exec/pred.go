@@ -134,6 +134,11 @@ func NoteZoneDecisions(scanned, pruned, prunedBytes int64) {
 	mZonePrunedBytes.Add(prunedBytes)
 }
 
+// zoneKept is where pruneByZone lists a zone test's survivors: value
+// pieces and, for a grouped scan, their key pieces. A caller that keeps
+// one across scans reuses the lists' storage.
+type zoneKept struct{ keys, vals []Piece }
+
 // pruneByZone partitions pieces into the survivors of p's zone test and
 // accounts the decision: counters for pruned/scanned pieces, a
 // prune-decision span when anything was skipped, and — when the config
@@ -141,24 +146,27 @@ func NoteZoneDecisions(scanned, pruned, prunedBytes int64) {
 // keys, when non-nil, is a column aligned with pieces (the fused
 // group-by's key view): pieces' zones drive the decision, surviving
 // pairs keep their index alignment, and a skipped fragment saves both
-// columns' bytes. Only with keep are the survivors listed — a pass that
-// reads no list is accounted without building one — and they alias the
-// inputs when nothing was pruned, so the common all-survive case
-// allocates nothing.
-func pruneByZone(cfg Config, keys, pieces []Piece, p Pred, keep bool) (kKeys, kept []Piece, prunedBytes int64) {
+// columns' bytes. Only with a keep are the survivors listed, in its
+// lists — a pass that reads no list is accounted without building one —
+// and they alias the inputs when nothing was pruned, so the common
+// all-survive case writes no list.
+func pruneByZone(cfg Config, keys, pieces []Piece, p Pred, keep *zoneKept) (kKeys, kept []Piece, prunedBytes int64) {
+	if keep != nil {
+		keep.keys, keep.vals = keep.keys[:0], keep.vals[:0]
+	}
 	pruned := 0
 	for i := range pieces {
 		pc := &pieces[i]
 		admit := ZoneAdmits(pc.Zone, p)
-		if keep && admit && pruned > 0 {
-			kept = append(kept, *pc)
+		if keep != nil && admit && pruned > 0 {
+			keep.vals = append(keep.vals, *pc)
 			if keys != nil {
-				kKeys = append(kKeys, keys[i])
+				keep.keys = append(keep.keys, keys[i])
 			}
-		} else if keep && !admit && pruned == 0 {
-			kept = append(kept, pieces[:i]...)
+		} else if keep != nil && !admit && pruned == 0 {
+			keep.vals = append(keep.vals, pieces[:i]...)
 			if keys != nil {
-				kKeys = append(kKeys, keys[:i]...)
+				keep.keys = append(keep.keys, keys[:i]...)
 			}
 		}
 		if admit {
@@ -170,8 +178,13 @@ func pruneByZone(cfg Config, keys, pieces []Piece, p Pred, keep bool) (kKeys, ke
 			prunedBytes += int64(keys[i].Vec.Len) * int64(keys[i].Vec.Size)
 		}
 	}
-	if pruned == 0 {
+	switch {
+	case pruned == 0:
 		kKeys, kept = keys, pieces
+	case keep != nil && keys != nil:
+		kKeys, kept = keep.keys, keep.vals
+	case keep != nil:
+		kept = keep.vals
 	}
 	mZoneScanned.Add(int64(len(pieces) - pruned))
 	if pruned > 0 {
@@ -327,7 +340,11 @@ func scanSum(cfg Config, sc Scan, out []Result) error {
 		}
 		kept := pieces
 		if filtered {
-			_, kept, _ = pruneByZone(cfg, nil, pieces, sc.pred(k), parallel)
+			var keep *zoneKept
+			if parallel {
+				keep = new(zoneKept)
+			}
+			_, kept, _ = pruneByZone(cfg, nil, pieces, sc.pred(k), keep)
 		}
 		if parallel {
 			s, n := parallelFold(cfg, rawOf(kept), func(v layout.ColVector, from, to int) (float64, int64) {
@@ -404,7 +421,7 @@ func SelectFloat64Pred(cfg Config, pieces []Piece, p Pred) (*SelVec, error) {
 		return &SelVec{}, nil
 	}
 	ot := obsSelectPred.start(cfg.Policy)
-	_, kept, _ := pruneByZone(cfg, nil, pieces, p, true)
+	_, kept, _ := pruneByZone(cfg, nil, pieces, p, new(zoneKept))
 	out := selectPositionsInto(cfg, kept, func(buf []uint64, gFrom, gTo int) []uint64 {
 		eachRange(kept, gFrom, gTo, func(pc Piece, from, to int) {
 			buf = appendWhere(buf, pc.Rows.Begin, pc.Vec, from, to, lo, hi)

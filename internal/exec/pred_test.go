@@ -269,7 +269,7 @@ func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
 		}
 	}
 	p := Between(250, 349) // matches span chunks [200,300) and [300,400)
-	_, kept, prunedBytes := pruneByZone(Single(), nil, pieces, p, true)
+	_, kept, prunedBytes := pruneByZone(Single(), nil, pieces, p, new(zoneKept))
 	if len(kept) != 2 || kept[0].Rows.Begin != 200 || kept[1].Rows.Begin != 300 {
 		t.Fatalf("kept %d pieces starting at %v", len(kept), func() (b []uint64) {
 			for _, k := range kept {
@@ -293,7 +293,7 @@ func TestPruneByZoneSkipsAndStaysExact(t *testing.T) {
 		t.Fatalf("pruned sum = (%v,%d), want (%v,100)", sum, cnt, want)
 	}
 	// All-survive case aliases the input (no allocation, no prune span).
-	_, kept, prunedBytes = pruneByZone(Single(), nil, pieces, Gt(math.Inf(-1)), true)
+	_, kept, prunedBytes = pruneByZone(Single(), nil, pieces, Gt(math.Inf(-1)), new(zoneKept))
 	if len(kept) != len(pieces) || &kept[0] != &pieces[0] || prunedBytes != 0 {
 		t.Fatal("all-survive prune did not alias the input")
 	}

@@ -72,6 +72,9 @@ func (sc Scan) Slice(from, to int) Scan {
 // ScanExecutor runs a Scan, writing result k to out[k]. The host
 // Config and the single-card DeviceScan satisfy it, so an engine's host
 // leg and its device leg enter through the same call, once per cohort.
+// A grouped result's groups are appended to out[k].Groups[:0]: a caller
+// that hands in a buffer gets it back, grown if need be, and one that
+// hands in nil gets a fresh slice, its own.
 type ScanExecutor interface {
 	Scan(sc Scan, out []Result) error
 }
@@ -94,7 +97,7 @@ func (c Config) Scan(sc Scan, out []Result) error {
 		return scanSum(c, sc, out)
 	}
 	for k := range out {
-		g, err := groupSum(c, sc.Keys, sc.Vals, sc.pred(k), sc.Op.Filtered())
+		g, err := groupSum(c, sc.Keys, sc.Vals, sc.pred(k), sc.Op.Filtered(), out[k].Groups[:0])
 		if err != nil {
 			return err
 		}

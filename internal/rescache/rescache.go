@@ -22,7 +22,6 @@
 package rescache
 
 import (
-	"container/list"
 	"math"
 	"slices"
 	"sync"
@@ -98,19 +97,40 @@ type Stats struct {
 
 const numShards = 16
 
+// entry is one cached result and its links in the shard's LRU ring.
 type entry struct {
-	key   Key
-	stamp Stamp
-	val   Value
-	bytes int64
-	elem  *list.Element
+	key        Key
+	stamp      Stamp
+	val        Value
+	bytes      int64
+	prev, next *entry
 }
 
+// shard is one lock's share of the cache. Its LRU is a ring of entries
+// through root: root.next is the most recently used, root.prev the
+// least. spare is the last entry removed, cleared, which the next Put
+// fills instead of allocating one: a reader only ever copies an entry's
+// Value under the lock, so nothing outside it holds an entry (the slices
+// a Value carries are never reused — Peek hands them out).
 type shard struct {
 	mu    sync.Mutex
 	m     map[Key]*entry
-	lru   list.List // front = most recently used
+	root  entry
+	spare *entry
 	bytes int64
+}
+
+// pushFront links e in as the most recently used entry. Caller holds
+// s.mu.
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = &s.root, s.root.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink takes e out of the ring; its own links go stale. Caller holds
+// s.mu.
+func unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
 }
 
 // Cache is a bounded, sharded, version-stamped LRU result cache. The
@@ -138,8 +158,9 @@ type Cache struct {
 func New(capBytes int64, _ time.Duration) *Cache {
 	c := &Cache{capBytes: (capBytes + numShards - 1) / numShards}
 	for i := range c.shards {
-		c.shards[i].m = make(map[Key]*entry)
-		c.shards[i].lru.Init()
+		s := &c.shards[i]
+		s.m = make(map[Key]*entry)
+		s.root.prev, s.root.next = &s.root, &s.root
 	}
 	return c
 }
@@ -225,7 +246,8 @@ func (c *Cache) probe(k Key, cur Stamp, counting bool) (Value, bool) {
 		}
 		return Value{}, false
 	}
-	s.lru.MoveToFront(e.elem)
+	unlink(e)
+	s.pushFront(e)
 	v := e.val
 	s.mu.Unlock()
 	c.lookups.Add(1)
@@ -263,20 +285,20 @@ func (c *Cache) Put(k Key, st Stamp, v Value) Value {
 	if old, ok := s.m[k]; ok {
 		c.dropLocked(s, old)
 	}
-	e := &entry{key: k, stamp: st, val: val, bytes: bytes}
-	e.elem = s.lru.PushFront(e)
+	e := s.spare
+	if s.spare = nil; e == nil {
+		e = new(entry)
+	}
+	e.key, e.stamp, e.val, e.bytes = k, st, val, bytes
+	s.pushFront(e)
 	s.m[k] = e
 	s.bytes += bytes
 	var evictedBytes int64
 	var evicted int64
-	for s.bytes > c.capBytes {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*entry)
-		s.removeLocked(victim)
+	for s.bytes > c.capBytes && s.root.prev != &s.root {
+		victim := s.root.prev
 		evictedBytes += victim.bytes
+		s.removeLocked(victim)
 		evicted++
 	}
 	s.mu.Unlock()
@@ -303,17 +325,20 @@ func (c *Cache) Drop(k Key) {
 // dropLocked removes e from shard s and the cache's accounting. Caller
 // holds s.mu.
 func (c *Cache) dropLocked(s *shard, e *entry) {
-	s.removeLocked(e)
 	c.entries.Add(-1)
 	c.bytes.Add(-e.bytes)
+	s.removeLocked(e)
 }
 
-// removeLocked unlinks e from the shard's map, list and byte count.
-// Caller holds s.mu and settles the cache-level accounting.
+// removeLocked unlinks e from the shard's map, ring and byte count and
+// keeps it, cleared, as the shard's spare. Caller holds s.mu and settles
+// the cache-level accounting.
 func (s *shard) removeLocked(e *entry) {
 	delete(s.m, e.key)
-	s.lru.Remove(e.elem)
+	unlink(e)
 	s.bytes -= e.bytes
+	*e = entry{}
+	s.spare = e
 }
 
 // Stats snapshots the cache's accounting.

@@ -302,3 +302,60 @@ func TestShardOccupancyRoundBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestLRUEvictsLeastRecentAndReusesEntries drives one shard holding two
+// entries: a put evicts the least recently used (a Peek counts as a use),
+// the evicted entry's storage takes the next put — which then allocates
+// only its copy of the value — and a value handed out before the
+// eviction keeps its groups.
+func TestLRUEvictsLeastRecentAndReusesEntries(t *testing.T) {
+	c := New(numShards*450, 0)
+	st := stamp(1, FragVer{ID: 1, Ver: 0})
+	// Keys of one shard, each entry 209 bytes: two fit its 450.
+	var keys []Key
+	for row := uint64(0); len(keys) < 8; row++ {
+		if k := (Key{Table: "t", Op: OpGet, Row: row}); c.shardFor(k) == &c.shards[0] {
+			keys = append(keys, k)
+		}
+	}
+	val := func(i int) Value {
+		g := exec.GroupResult{Key: int64(i), Sum: float64(i), Count: 1}
+		return Value{Groups: []exec.GroupResult{g, g, g, g}}
+	}
+	c.Put(keys[0], st, val(0))
+	c.Put(keys[1], st, val(1))
+	held, ok := c.Peek(keys[0], st) // keys[1] is now the least recent
+	if !ok {
+		t.Fatal("keys[0] missing before any eviction")
+	}
+	c.Put(keys[2], st, val(2))
+	if _, ok := c.Peek(keys[1], st); ok {
+		t.Fatal("the least recently used entry survived")
+	}
+	for _, i := range []int{0, 2} {
+		if v, ok := c.Peek(keys[i], st); !ok || v.Groups[0].Key != int64(i) {
+			t.Fatalf("keys[%d]: %+v, %v", i, v, ok)
+		}
+	}
+	c.Put(keys[3], st, val(3)) // evicts keys[0], whose value is held
+	if _, ok := c.Peek(keys[0], st); ok {
+		t.Fatal("keys[0] survived two newer puts")
+	}
+	for _, g := range held.Groups {
+		if g.Key != 0 || g.Sum != 0 {
+			t.Fatalf("a value handed out before its eviction changed: %+v", held.Groups)
+		}
+	}
+	i := 4
+	v := val(4)
+	if n := testing.AllocsPerRun(100, func() {
+		c.Put(keys[i%len(keys)], st, v)
+		i++
+	}); n != 1 {
+		t.Errorf("a put into a full shard allocates %.1f times, want 1 (the value's copy)", n)
+	}
+	if s := c.Stats(); s.Entries != 2 || s.Bytes != 2*209 {
+		t.Fatalf("after the puts: %d entries, %d bytes; want 2 and %d", s.Entries, s.Bytes, 2*209)
+	}
+	checkInvariant(t, c)
+}

@@ -96,7 +96,12 @@ func (b *batcher) exec(tbl *hybridstore.Table, p exec.Plan, solo bool) (exec.Res
 	if b.busy[key] < b.slots {
 		b.busy[key]++
 		b.mu.Unlock()
-		return first(b.pass(tbl, key, []exec.Plan{p}))
+		one := onePlans.Get().(*[1]exec.Plan)
+		one[0] = p
+		res, err := first(b.pass(tbl, key, one[:]))
+		*one = [1]exec.Plan{}
+		onePlans.Put(one)
+		return res, err
 	}
 	g := b.open[key]
 	leader := g == nil
@@ -126,6 +131,10 @@ func (b *batcher) exec(tbl *hybridstore.Table, p exec.Plan, solo bool) (exec.Res
 	}
 	return g.res[idx], nil
 }
+
+// onePlans recycles the plan list of a pass in a free slot: a cohort
+// of one, which no storage pass keeps past its return.
+var onePlans = sync.Pool{New: func() any { return new([1]exec.Plan) }}
 
 // first unwraps the answer of a one-plan pass.
 func first(res []exec.Result, err error) (exec.Result, error) {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"hybridstore/internal/schema"
 )
@@ -140,13 +141,13 @@ func Customer(i uint64) schema.Record {
 }
 
 // shortName renders a compact deterministic identifier that fits the
-// narrow CHAR fields.
+// narrow CHAR fields: prefix and i%1000 in decimal, cut to 4 bytes. It
+// builds the bytes on the stack, so a record costs one allocation per
+// name and no formatting.
 func shortName(prefix string, i uint64) string {
-	s := fmt.Sprintf("%s%d", prefix, i%1000)
-	if len(s) > 4 {
-		s = s[:4]
-	}
-	return s
+	var buf [8]byte
+	b := strconv.AppendUint(append(buf[:0], prefix...), i%1000, 10)
+	return string(b[:min(len(b), 4)])
 }
 
 // pick2 returns a 2-byte code.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -105,6 +106,21 @@ func TestGenerateIsDeterministic(t *testing.T) {
 	}
 	if !Customer(7).Equal(Customer(7)) {
 		t.Error("Customer not deterministic")
+	}
+}
+
+// TestShortNameMatchesFormat pins the generated names to the fmt
+// rendering they were first defined by, so records — and every golden
+// and Table-1 figure built from them — keep their bytes.
+func TestShortNameMatchesFormat(t *testing.T) {
+	for _, prefix := range []string{"itm", "f", "l", "s", "t", "c", "z", "p"} {
+		for i := uint64(0); i < 2100; i++ {
+			want := fmt.Sprintf("%s%d", prefix, i%1000)
+			want = want[:min(len(want), 4)]
+			if got := shortName(prefix, i); got != want {
+				t.Fatalf("shortName(%q, %d) = %q, want %q", prefix, i, got, want)
+			}
+		}
 	}
 }
 
